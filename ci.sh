@@ -12,8 +12,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release"
 cargo build --release
 
-echo "== cargo test"
-cargo test --workspace -q
+echo "== one set of wire primitives: no codec outside faasm_net::wire"
+if grep -rn "use bytes::" crates/ ||
+    grep -rnE "fn (get_blob|get_string|get_bytes|get_block|put_blob|put_bytes)\b" crates/ |
+    grep -v "^crates/net/src/wire.rs:"; then
+    echo "wire helpers re-implemented outside crates/net/src/wire.rs" >&2
+    exit 1
+fi
+
+# Tier-1 must hold serially and oversubscribed: no test may depend on
+# having the process, or a core, to itself.
+for threads in 1 8; do
+    echo "== cargo test --test-threads=$threads"
+    start=$SECONDS
+    cargo test --workspace -q -- --test-threads="$threads"
+    echo "== cargo test --test-threads=$threads took $((SECONDS - start)) s"
+done
 
 echo "== remote-ingress example (smoke)"
 cargo run --release --example gateway_remote

@@ -9,14 +9,14 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use bytes::{Buf, BufMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use faasm_core::msg::{decode_msg, encode_msg, InstanceMsg};
 use faasm_core::{Metrics, Pending, StartKind};
 use faasm_kvs::{KvClient, KvServer, SharedKv};
+use faasm_net::wire::{put_bytes, Reader};
 use faasm_net::{Fabric, HostId, Nic};
 use faasm_sched::{CallId, CallResult, CallSpec, RoundRobin};
 use faasm_vfs::ObjectStore;
@@ -62,22 +62,14 @@ impl Default for BaselineConfig {
 fn frame(msg: &InstanceMsg, overhead: usize) -> Vec<u8> {
     let body = encode_msg(msg);
     let mut out = Vec::with_capacity(4 + body.len() + overhead);
-    out.put_u32_le(body.len() as u32);
-    out.put_slice(&body);
-    out.resize(4 + body.len() + overhead, 0);
+    put_bytes(&mut out, &body);
+    out.resize(out.len() + overhead, 0);
     out
 }
 
 /// Strip HTTP framing.
-fn unframe(mut buf: &[u8]) -> Option<InstanceMsg> {
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return None;
-    }
-    decode_msg(&buf[..len])
+fn unframe(buf: &[u8]) -> Option<InstanceMsg> {
+    decode_msg(Reader::new(buf).bytes().ok()?)
 }
 
 type FnKey = (String, String);
@@ -104,6 +96,9 @@ struct QueuedCall {
 
 /// One baseline host running containers.
 pub struct BaselineHost {
+    /// Weak self, so `&self` trait methods can reach the `Arc<Self>`
+    /// execute path.
+    me: Weak<BaselineHost>,
     host_id: HostId,
     nic: Nic,
     kv: Arc<KvClient>,
@@ -145,7 +140,8 @@ impl BaselineHost {
         let nic = fabric.add_host();
         let kv = Arc::new(KvClient::connect(nic.clone(), kvs_host));
         let (queue_tx, queue_rx) = unbounded();
-        let host = Arc::new(BaselineHost {
+        let host = Arc::new_cyclic(|me| BaselineHost {
+            me: Weak::clone(me),
             host_id: nic.id(),
             nic,
             kv,
@@ -181,7 +177,6 @@ impl BaselineHost {
                 .expect("spawn worker");
             host.threads.lock().push(handle);
         }
-        host.register_self();
         host
     }
 
@@ -365,27 +360,16 @@ impl BaselineHost {
         }
     }
 
-    fn self_arc(&self) -> Option<Arc<BaselineHost>> {
-        BASELINE_REGISTRY
-            .lock()
-            .get(&self.host_id)
-            .and_then(std::sync::Weak::upgrade)
-    }
-
-    fn register_self(self: &Arc<Self>) {
-        BASELINE_REGISTRY
-            .lock()
-            .insert(self.host_id, Arc::downgrade(self));
-    }
-
     fn shutdown(&self) {
         self.stop.store(true, Ordering::Relaxed);
         let handles: Vec<_> = self.threads.lock().drain(..).collect();
-        for h in handles {
+        // Shutdown can run on one of these threads (a completion path
+        // releasing the last handle to the platform): never self-join.
+        let me = std::thread::current().id();
+        for h in handles.into_iter().filter(|h| h.thread().id() != me) {
             let _ = h.join();
         }
         self.pool.lock().clear();
-        BASELINE_REGISTRY.lock().remove(&self.host_id);
     }
 }
 
@@ -426,7 +410,7 @@ impl HttpRouter for BaselineHost {
             // Help execute queued work to avoid worker-pool deadlocks on
             // deep chains.
             if let Ok(q) = self.queue_rx.try_recv() {
-                if let Some(me) = self.self_arc() {
+                if let Some(me) = self.me.upgrade() {
                     me.execute(q);
                     continue;
                 }
@@ -439,24 +423,6 @@ impl HttpRouter for BaselineHost {
                 return CallResult::error(id, "platform shutting down");
             }
         }
-    }
-}
-
-static BASELINE_REGISTRY: BaselineSelfRegistry = BaselineSelfRegistry::new();
-
-struct BaselineSelfRegistry {
-    inner: std::sync::OnceLock<Mutex<HashMap<HostId, std::sync::Weak<BaselineHost>>>>,
-}
-
-impl BaselineSelfRegistry {
-    const fn new() -> BaselineSelfRegistry {
-        BaselineSelfRegistry {
-            inner: std::sync::OnceLock::new(),
-        }
-    }
-
-    fn lock(&self) -> parking_lot::MutexGuard<'_, HashMap<HostId, std::sync::Weak<BaselineHost>>> {
-        self.inner.get_or_init(|| Mutex::new(HashMap::new())).lock()
     }
 }
 
@@ -830,7 +796,16 @@ mod tests {
         p.register("u", "echo", echo_guest());
         let before = p.fabric().stats().snapshot();
         p.invoke("u", "echo", vec![0; 8]);
-        let delta = p.fabric().stats().snapshot().delta(&before);
+        // A sender's counters move after delivery, so the reply can wake
+        // this thread before the replying host has counted it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let delta = loop {
+            let delta = p.fabric().stats().snapshot().delta(&before);
+            if delta.msgs_sent >= 2 || Instant::now() > deadline {
+                break delta;
+            }
+            std::thread::yield_now();
+        };
         // Invoke + result, each with ≥256 bytes HTTP overhead on top of the
         // protocol bytes.
         assert!(

@@ -1190,8 +1190,8 @@ mod tests {
         assert_eq!(stats.verify_failures, 0);
         // The fetched proto is bitwise identical to the captured one.
         assert_eq!(
-            a.proto_bytes("u", "echo").unwrap(),
-            b.proto_bytes("u", "echo").unwrap(),
+            a.proto_manifest("u", "echo").unwrap(),
+            b.proto_manifest("u", "echo").unwrap(),
             "chunk-fetched proto differs from the locally captured one"
         );
     }

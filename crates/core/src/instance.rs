@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -113,6 +113,9 @@ impl std::fmt::Debug for PlacedCall {
 
 /// One FAASM runtime instance.
 pub struct FaasmInstance {
+    /// Weak self, so `&self` trait methods ([`ChainRouter`]) can reach the
+    /// `Arc<Self>`-requiring execute path.
+    me: Weak<FaasmInstance>,
     host_id: HostId,
     nic: Nic,
     kv: SharedKv,
@@ -209,7 +212,8 @@ impl FaasmInstance {
         let warm = WarmSets::new(Arc::clone(&kv));
         let (queue_tx, queue_rx) = unbounded();
         let (prestage_tx, prestage_rx) = unbounded();
-        let instance = Arc::new(FaasmInstance {
+        let instance = Arc::new_cyclic(|me| FaasmInstance {
+            me: Weak::clone(me),
             host_id: nic.id(),
             nic,
             kv,
@@ -270,7 +274,6 @@ impl FaasmInstance {
                 .expect("spawn worker thread");
             instance.threads.lock().push(handle);
         }
-        instance.register_self();
         instance
     }
 
@@ -313,16 +316,17 @@ impl FaasmInstance {
             .contains_key(&(user.to_string(), function.to_string()))
     }
 
-    /// The host's assembled proto serialised — for bitwise parity checks
-    /// between a locally-captured and a chunk-fetched proto.
+    /// The chunk manifest of the host's assembled proto — for bitwise
+    /// parity checks between a locally-captured and a chunk-fetched proto
+    /// (the manifest digests every byte of the meta chunk and of each page).
     #[cfg(test)]
-    pub(crate) fn proto_bytes(&self, user: &str, function: &str) -> Option<Vec<u8>> {
+    pub(crate) fn proto_manifest(&self, user: &str, function: &str) -> Option<ProtoManifest> {
         let proto = self
             .protos
             .read()
             .get(&(user.to_string(), function.to_string()))
             .cloned()?;
-        proto.to_bytes().ok()
+        Some(chunk_proto(&proto).ok()?.manifest)
     }
 
     /// Push `function`'s chunk manifest to `target` over the bus — the
@@ -1050,7 +1054,11 @@ impl FaasmInstance {
         // observe `stop` under the read guard and fail its batch fast.
         drop(self.shutdown_gate.write());
         let handles: Vec<_> = self.threads.lock().drain(..).collect();
-        for h in handles {
+        // Shutdown can run on one of these threads — a completion callback
+        // on a worker releasing the last `Arc<Cluster>` — and a thread
+        // cannot join itself; it exits on its own once it sees `stop`.
+        let me = std::thread::current().id();
+        for h in handles.into_iter().filter(|h| h.thread().id() != me) {
             let _ = h.join();
         }
         // Answer everything the stopped threads will never execute: calls
@@ -1090,7 +1098,6 @@ impl FaasmInstance {
         }
         // Break the Arc cycle (pool faaslets hold the instance as router).
         self.pool.lock().clear();
-        SELF_REGISTRY.lock().remove(&self.host_id);
     }
 }
 
@@ -1107,7 +1114,7 @@ impl ChainRouter for FaasmInstance {
             // so a chain's workers all nest under the ingress trace.
             trace: faasm_telemetry::current(),
         };
-        if let Some(me) = self.self_arc() {
+        if let Some(me) = self.me.upgrade() {
             me.handle_invoke(call, self.host_id, false);
         } else {
             // The instance is being torn down; queue locally so the call
@@ -1129,11 +1136,7 @@ impl ChainRouter for FaasmInstance {
                 return r;
             }
             if let Ok(q) = self.queue_rx.try_recv() {
-                // Reconstruct an Arc to self for the execute path: the
-                // instance is always owned by at least one Arc (the
-                // cluster and its threads), so this is safe to require.
-                // We use a small trampoline through the environment.
-                if let Some(me) = self.self_arc() {
+                if let Some(me) = self.me.upgrade() {
                     me.execute(q);
                     continue;
                 }
@@ -1148,23 +1151,6 @@ impl ChainRouter for FaasmInstance {
                 return CallResult::error(id, "runtime shutting down");
             }
         }
-    }
-}
-
-impl FaasmInstance {
-    /// A weak-self registry so `await_call` (a `&self` trait method) can
-    /// reach the `Arc<Self>`-requiring execute path.
-    fn self_arc(&self) -> Option<Arc<FaasmInstance>> {
-        SELF_REGISTRY
-            .lock()
-            .get(&self.host_id)
-            .and_then(std::sync::Weak::upgrade)
-    }
-
-    pub(crate) fn register_self(self: &Arc<Self>) {
-        SELF_REGISTRY
-            .lock()
-            .insert(self.host_id, Arc::downgrade(self));
     }
 }
 
@@ -1218,32 +1204,4 @@ impl Drop for FlightGuard<'_> {
 fn worker_recorder() -> &'static Arc<faasm_telemetry::Recorder> {
     static REC: std::sync::OnceLock<Arc<faasm_telemetry::Recorder>> = std::sync::OnceLock::new();
     REC.get_or_init(|| faasm_telemetry::tier("worker"))
-}
-
-static SELF_REGISTRY: once_registry::SelfRegistry = once_registry::SelfRegistry::new();
-
-mod once_registry {
-    use super::{FaasmInstance, HostId};
-    use parking_lot::Mutex;
-    use std::collections::HashMap;
-    use std::sync::{OnceLock, Weak};
-
-    /// Lazily-initialised weak-self registry (HashMap::new is not const).
-    pub(super) struct SelfRegistry {
-        inner: OnceLock<Mutex<HashMap<HostId, Weak<FaasmInstance>>>>,
-    }
-
-    impl SelfRegistry {
-        pub(super) const fn new() -> SelfRegistry {
-            SelfRegistry {
-                inner: OnceLock::new(),
-            }
-        }
-
-        pub(super) fn lock(
-            &self,
-        ) -> parking_lot::MutexGuard<'_, HashMap<HostId, Weak<FaasmInstance>>> {
-            self.inner.get_or_init(|| Mutex::new(HashMap::new())).lock()
-        }
-    }
 }

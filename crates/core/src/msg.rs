@@ -3,9 +3,13 @@
 //! other, receive function calls, share work, invoke and await other
 //! functions").
 
-use bytes::{Buf, BufMut};
+use faasm_net::wire::{
+    self, put_bytes, put_count, put_nested, put_u32, put_u64, put_u8, Reader, WireError,
+};
 use faasm_net::HostId;
-use faasm_sched::{decode_call, decode_result, encode_call, encode_result, CallResult, CallSpec};
+use faasm_sched::{
+    encode_call_into, encode_result_into, read_call, read_result, CallResult, CallSpec,
+};
 
 /// A message between runtime instances (and the cluster gateway).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,38 +70,31 @@ pub fn encode_msg(msg: &InstanceMsg) -> Vec<u8> {
             reply_to,
             forwarded,
         } => {
-            out.put_u8(0);
-            out.put_u32_le(reply_to.0);
-            out.put_u8(*forwarded as u8);
-            out.extend_from_slice(&encode_call(call));
+            put_u8(&mut out, 0);
+            put_u32(&mut out, reply_to.0);
+            put_u8(&mut out, *forwarded as u8);
+            encode_call_into(&mut out, call);
         }
         InstanceMsg::Result { result } => {
-            out.put_u8(1);
-            out.extend_from_slice(&encode_result(result));
+            put_u8(&mut out, 1);
+            encode_result_into(&mut out, result);
         }
         InstanceMsg::InvokeBatch {
             calls,
             reply_to,
             sent_at_ns,
         } => {
-            out.put_u8(2);
-            out.put_u32_le(reply_to.0);
-            out.put_u64_le(*sent_at_ns);
-            out.put_u32_le(calls.len() as u32);
+            put_u8(&mut out, 2);
+            put_u32(&mut out, reply_to.0);
+            put_u64(&mut out, *sent_at_ns);
+            put_count(&mut out, calls.len());
             for call in calls {
                 // Each call is length-prefixed: `decode_call` consumes an
                 // exact buffer, so the decoder needs the boundaries. A
                 // wrapped prefix would make the receiver drop the whole
                 // batch; senders must bound call sizes (the runtime's
                 // batch submit rejects oversized calls before encoding).
-                let bytes = encode_call(call);
-                debug_assert!(
-                    u32::try_from(bytes.len()).is_ok(),
-                    "batched call length {} wraps the u32 prefix",
-                    bytes.len()
-                );
-                out.put_u32_le(bytes.len() as u32);
-                out.extend_from_slice(&bytes);
+                put_nested(&mut out, |out| encode_call_into(out, call));
             }
         }
         InstanceMsg::PreStage {
@@ -105,97 +102,51 @@ pub fn encode_msg(msg: &InstanceMsg) -> Vec<u8> {
             function,
             manifest,
         } => {
-            out.put_u8(3);
-            out.put_u32_le(user.len() as u32);
-            out.put_slice(user.as_bytes());
-            out.put_u32_le(function.len() as u32);
-            out.put_slice(function.as_bytes());
-            out.put_u32_le(manifest.len() as u32);
-            out.put_slice(manifest);
+            put_u8(&mut out, 3);
+            put_bytes(&mut out, user.as_bytes());
+            put_bytes(&mut out, function.as_bytes());
+            put_bytes(&mut out, manifest);
         }
     }
     out
 }
 
 /// Decode a fabric message; `None` on malformed input.
-pub fn decode_msg(mut buf: &[u8]) -> Option<InstanceMsg> {
-    if buf.remaining() < 1 {
-        return None;
-    }
-    match buf.get_u8() {
+pub fn decode_msg(buf: &[u8]) -> Option<InstanceMsg> {
+    wire::decode(buf, read_msg).ok()
+}
+
+fn read_msg(r: &mut Reader<'_>) -> Result<InstanceMsg, WireError> {
+    Ok(match r.u8()? {
         0 => {
-            if buf.remaining() < 5 {
-                return None;
-            }
-            let reply_to = HostId(buf.get_u32_le());
-            let forwarded = buf.get_u8() != 0;
-            let call = decode_call(buf)?;
-            Some(InstanceMsg::Invoke {
-                call,
+            let reply_to = HostId(r.u32()?);
+            let forwarded = r.u8()? != 0;
+            InstanceMsg::Invoke {
+                call: read_call(r)?,
                 reply_to,
                 forwarded,
-            })
+            }
         }
-        1 => Some(InstanceMsg::Result {
-            result: decode_result(buf)?,
-        }),
+        1 => InstanceMsg::Result {
+            result: read_result(r)?,
+        },
         2 => {
-            if buf.remaining() < 16 {
-                return None;
-            }
-            let reply_to = HostId(buf.get_u32_le());
-            let sent_at_ns = buf.get_u64_le();
-            let count = buf.get_u32_le() as usize;
-            // Cap the preallocation by what the buffer could possibly hold
-            // (a hostile count must not drive a huge allocation).
-            let mut calls = Vec::with_capacity(count.min(buf.remaining() / 4 + 1));
-            for _ in 0..count {
-                if buf.remaining() < 4 {
-                    return None;
-                }
-                let len = buf.get_u32_le() as usize;
-                if buf.remaining() < len {
-                    return None;
-                }
-                calls.push(decode_call(&buf[..len])?);
-                buf.advance(len);
-            }
-            if buf.has_remaining() {
-                return None;
-            }
-            Some(InstanceMsg::InvokeBatch {
-                calls,
+            let reply_to = HostId(r.u32()?);
+            let sent_at_ns = r.u64()?;
+            InstanceMsg::InvokeBatch {
+                // Every call costs at least its 4-byte length prefix.
+                calls: r.list(4, |r| wire::decode(r.bytes()?, read_call))?,
                 reply_to,
                 sent_at_ns,
-            })
-        }
-        3 => {
-            fn get_block(buf: &mut &[u8]) -> Option<Vec<u8>> {
-                if buf.remaining() < 4 {
-                    return None;
-                }
-                let len = buf.get_u32_le() as usize;
-                if buf.remaining() < len {
-                    return None;
-                }
-                let mut v = vec![0u8; len];
-                buf.copy_to_slice(&mut v);
-                Some(v)
             }
-            let user = String::from_utf8(get_block(&mut buf)?).ok()?;
-            let function = String::from_utf8(get_block(&mut buf)?).ok()?;
-            let manifest = get_block(&mut buf)?;
-            if buf.has_remaining() {
-                return None;
-            }
-            Some(InstanceMsg::PreStage {
-                user,
-                function,
-                manifest,
-            })
         }
-        _ => None,
-    }
+        3 => InstanceMsg::PreStage {
+            user: r.string()?,
+            function: r.string()?,
+            manifest: r.bytes()?.to_vec(),
+        },
+        _ => return Err(WireError::Invalid),
+    })
 }
 
 #[cfg(test)]

@@ -5,17 +5,17 @@
 //! (memory pages, globals, indirect-call table; the operand stack is empty
 //! between calls by construction). Restores use copy-on-write page mappings,
 //! so their cost is O(pages touched), not O(snapshot size). Snapshots are
-//! plain data: serialising one and shipping it through the shared object
-//! store gives the paper's cross-host, OS-independent restores.
+//! plain data: [`crate::snapdist`] ships one across hosts as
+//! content-addressed chunks, which gives the paper's cross-host,
+//! OS-independent restores.
 
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut};
 use faasm_fvm::InstanceSnapshot;
-use faasm_mem::MemorySnapshot;
 
 /// A snapshot section too large for its `u32` length prefix: encoding it
-/// would wrap and corrupt the frame.
+/// would wrap and corrupt the meta chunk (see
+/// [`chunk_proto`](crate::snapdist::chunk_proto)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProtoEncodeError {
     /// Which section overflowed.
@@ -36,11 +36,6 @@ impl std::fmt::Display for ProtoEncodeError {
 
 impl std::error::Error for ProtoEncodeError {}
 
-/// The `u32` length prefix for a section, or the error naming it.
-fn checked_len(len: usize, section: &'static str) -> Result<u32, ProtoEncodeError> {
-    u32::try_from(len).map_err(|_| ProtoEncodeError { section, len })
-}
-
 /// A restorable snapshot of an initialised Faaslet.
 #[derive(Debug, Clone)]
 pub struct ProtoFaaslet {
@@ -57,138 +52,6 @@ impl ProtoFaaslet {
     pub fn size_bytes(&self) -> usize {
         self.snapshot.size_bytes()
     }
-
-    /// Serialise for the shared object store (cross-host distribution).
-    ///
-    /// Every variable-length section carries a `u32` length prefix, so a
-    /// field at or beyond 4 GiB cannot be represented: `len as u32` would
-    /// silently wrap and corrupt the frame for every future restore. Like
-    /// the gateway codec's `try_encode_frame`, the bound is checked in all
-    /// builds and oversized snapshots fail fast at the encoder.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtoEncodeError`] naming the offending section; nothing is
-    /// emitted, so no reader ever sees a wrapped prefix.
-    pub fn to_bytes(&self) -> Result<Vec<u8>, ProtoEncodeError> {
-        let mut out = Vec::new();
-        out.put_u32_le(checked_len(self.user.len(), "user")?);
-        out.put_slice(self.user.as_bytes());
-        out.put_u32_le(checked_len(self.function.len(), "function")?);
-        out.put_slice(self.function.as_bytes());
-        match &self.snapshot.mem {
-            Some(mem) => {
-                out.put_u8(1);
-                let bytes = mem.to_bytes();
-                out.put_u32_le(checked_len(bytes.len(), "memory snapshot")?);
-                out.put_slice(&bytes);
-            }
-            None => out.put_u8(0),
-        }
-        out.put_u32_le(checked_len(self.snapshot.globals.len(), "globals")?);
-        for g in &self.snapshot.globals {
-            out.put_u64_le(*g);
-        }
-        out.put_u32_le(checked_len(self.snapshot.table.len(), "table")?);
-        for t in &self.snapshot.table {
-            match t {
-                Some(f) => {
-                    out.put_u8(1);
-                    out.put_u32_le(*f);
-                }
-                None => out.put_u8(0),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Deserialise a snapshot previously produced by
-    /// [`ProtoFaaslet::to_bytes`]; `None` on malformed input.
-    pub fn from_bytes(mut buf: &[u8]) -> Option<ProtoFaaslet> {
-        fn get_string(buf: &mut &[u8]) -> Option<String> {
-            if buf.remaining() < 4 {
-                return None;
-            }
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len {
-                return None;
-            }
-            let mut v = vec![0u8; len];
-            buf.copy_to_slice(&mut v);
-            String::from_utf8(v).ok()
-        }
-        let user = get_string(&mut buf)?;
-        let function = get_string(&mut buf)?;
-        if buf.remaining() < 1 {
-            return None;
-        }
-        let mem = match buf.get_u8() {
-            0 => None,
-            1 => {
-                if buf.remaining() < 4 {
-                    return None;
-                }
-                let len = buf.get_u32_le() as usize;
-                if buf.remaining() < len {
-                    return None;
-                }
-                let mut v = vec![0u8; len];
-                buf.copy_to_slice(&mut v);
-                Some(MemorySnapshot::from_bytes(&v)?)
-            }
-            _ => return None,
-        };
-        if buf.remaining() < 4 {
-            return None;
-        }
-        let ng = buf.get_u32_le() as usize;
-        if buf.remaining() < ng * 8 {
-            return None;
-        }
-        let globals = (0..ng).map(|_| buf.get_u64_le()).collect();
-        if buf.remaining() < 4 {
-            return None;
-        }
-        let nt = buf.get_u32_le() as usize;
-        // Each entry costs ≥ 1 byte: a hostile count can claim at most what
-        // the buffer holds, so the count cannot drive a huge preallocation.
-        if nt > buf.remaining() {
-            return None;
-        }
-        let mut table = Vec::with_capacity(nt);
-        for _ in 0..nt {
-            if buf.remaining() < 1 {
-                return None;
-            }
-            table.push(match buf.get_u8() {
-                0 => None,
-                1 => {
-                    if buf.remaining() < 4 {
-                        return None;
-                    }
-                    Some(buf.get_u32_le())
-                }
-                _ => return None,
-            });
-        }
-        if buf.has_remaining() {
-            return None;
-        }
-        Some(ProtoFaaslet {
-            user,
-            function,
-            snapshot: InstanceSnapshot {
-                mem,
-                globals,
-                table,
-            },
-        })
-    }
-
-    /// The object-store path for a function's Proto-Faaslet.
-    pub fn store_path(user: &str, function: &str) -> String {
-        format!("shared/proto/{user}/{function}")
-    }
 }
 
 /// Shared handle used throughout the runtime.
@@ -199,101 +62,20 @@ mod tests {
     use super::*;
     use faasm_fvm::prelude::*;
 
-    fn sample_proto() -> ProtoFaaslet {
+    #[test]
+    fn size_accounts_memory() {
         let mut b = ModuleBuilder::new();
         b.memory(2, 4);
-        b.global(ValType::I64, true, Val::I64(-5));
-        b.table(3);
         let sig = b.sig(FuncType::default());
         let f = b.func(sig, vec![], vec![Instr::End]);
-        b.elem(0, vec![f]);
         b.export_func("main", f);
         let object = ObjectModule::prepare(b.build()).unwrap();
         let mut inst = Instance::new(object, &Linker::new(), Box::new(())).unwrap();
-        inst.memory_mut()
-            .unwrap()
-            .write(100, b"warm state")
-            .unwrap();
-        ProtoFaaslet {
+        let proto = ProtoFaaslet {
             user: "alice".into(),
             function: "f".into(),
             snapshot: inst.snapshot(),
-        }
-    }
-
-    #[test]
-    fn roundtrip_serialisation() {
-        let proto = sample_proto();
-        let bytes = proto.to_bytes().unwrap();
-        let back = ProtoFaaslet::from_bytes(&bytes).unwrap();
-        assert_eq!(back.user, "alice");
-        assert_eq!(back.function, "f");
-        assert_eq!(back.snapshot.globals, proto.snapshot.globals);
-        assert_eq!(back.snapshot.table, proto.snapshot.table);
-        let mem = back.snapshot.mem.unwrap();
-        let restored = faasm_mem::LinearMemory::restore(&mem);
-        let mut buf = [0u8; 10];
-        restored.read(100, &mut buf).unwrap();
-        assert_eq!(&buf, b"warm state");
-    }
-
-    #[test]
-    fn oversized_sections_error_instead_of_wrapping() {
-        // The length check itself, with sizes no test could allocate.
-        assert_eq!(checked_len(0, "x"), Ok(0));
-        assert_eq!(checked_len(u32::MAX as usize, "x"), Ok(u32::MAX));
-        let err = checked_len(u32::MAX as usize + 1, "memory snapshot").unwrap_err();
-        assert_eq!(err.section, "memory snapshot");
-        assert_eq!(err.len, u32::MAX as usize + 1);
-        assert!(err.to_string().contains("memory snapshot"));
-        // In-bounds snapshots still encode.
-        assert!(sample_proto().to_bytes().is_ok());
-    }
-
-    #[test]
-    fn hostile_table_count_rejected_without_allocation() {
-        // A frame claiming u32::MAX table entries but carrying none: decode
-        // must reject before preallocating for the claimed count.
-        let proto = ProtoFaaslet {
-            user: "u".into(),
-            function: "f".into(),
-            snapshot: InstanceSnapshot {
-                mem: None,
-                globals: vec![],
-                table: vec![],
-            },
         };
-        let mut bytes = proto.to_bytes().unwrap();
-        let tail = bytes.len() - 4;
-        bytes[tail..].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(ProtoFaaslet::from_bytes(&bytes).is_none());
-    }
-
-    #[test]
-    fn malformed_rejected() {
-        let bytes = sample_proto().to_bytes().unwrap();
-        assert!(ProtoFaaslet::from_bytes(&[]).is_none());
-        for cut in [1usize, 8, 16, bytes.len() - 1] {
-            assert!(
-                ProtoFaaslet::from_bytes(&bytes[..cut.min(bytes.len() - 1)]).is_none(),
-                "cut {cut}"
-            );
-        }
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(ProtoFaaslet::from_bytes(&trailing).is_none());
-    }
-
-    #[test]
-    fn store_path_is_shared_namespace() {
-        let p = ProtoFaaslet::store_path("u", "f");
-        assert!(p.starts_with("shared/"));
-        assert!(p.contains("u") && p.contains("f"));
-    }
-
-    #[test]
-    fn size_accounts_memory() {
-        let proto = sample_proto();
         assert!(proto.size_bytes() >= 2 * faasm_mem::PAGE_SIZE);
     }
 }

@@ -23,10 +23,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut};
 use faasm_fvm::InstanceSnapshot;
 use faasm_kvs::Digest;
 use faasm_mem::{MemorySnapshot, Page, PAGE_SIZE};
+use faasm_net::wire::{
+    self, len_u32, put_bytes, put_count, put_u32, put_u64, put_u8, Reader, WireError,
+};
 use parking_lot::Mutex;
 
 use crate::proto::{ProtoEncodeError, ProtoFaaslet};
@@ -46,38 +48,24 @@ impl ProtoManifest {
     /// Serialise: `meta:32 | count:u32 | page digests:32 each`.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(36 + self.pages.len() * 32);
-        out.put_slice(&self.meta.0);
-        out.put_u32_le(self.pages.len() as u32);
+        out.extend_from_slice(&self.meta.0);
+        put_count(&mut out, self.pages.len());
         for d in &self.pages {
-            out.put_slice(&d.0);
+            out.extend_from_slice(&d.0);
         }
         out
     }
 
     /// Deserialise; `None` on malformed input (truncation, hostile count,
     /// trailing bytes).
-    pub fn from_bytes(mut buf: &[u8]) -> Option<ProtoManifest> {
-        if buf.remaining() < 36 {
-            return None;
-        }
-        let mut meta = [0u8; 32];
-        buf.copy_to_slice(&mut meta);
-        let n = buf.get_u32_le() as usize;
-        // Every digest costs exactly 32 bytes — a hostile count cannot
-        // out-size the buffer it rode in on.
-        if buf.remaining() != n.saturating_mul(32) {
-            return None;
-        }
-        let mut pages = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut d = [0u8; 32];
-            buf.copy_to_slice(&mut d);
-            pages.push(Digest(d));
-        }
-        Some(ProtoManifest {
-            meta: Digest(meta),
-            pages,
+    pub fn from_bytes(buf: &[u8]) -> Option<ProtoManifest> {
+        wire::decode(buf, |r| {
+            Ok(ProtoManifest {
+                meta: Digest(r.array()?),
+                pages: r.list(32, |r| r.array().map(Digest))?,
+            })
         })
+        .ok()
     }
 
     /// Every chunk digest the manifest references (meta first, then pages
@@ -138,7 +126,7 @@ pub fn chunk_proto(proto: &ProtoFaaslet) -> Result<ChunkedProto, ProtoEncodeErro
 /// on any structural mismatch (malformed meta, wrong page count or size) —
 /// the caller falls back to a cold start.
 pub fn assemble_proto(meta_bytes: &[u8], page_chunks: &[Arc<Vec<u8>>]) -> Option<ProtoFaaslet> {
-    let meta = decode_meta(meta_bytes)?;
+    let meta = wire::decode(meta_bytes, read_meta).ok()?;
     let mem = match meta.mem {
         Some((size_pages, max_pages)) => {
             if page_chunks.len() != size_pages {
@@ -181,118 +169,78 @@ struct ProtoMeta {
     table: Vec<Option<u32>>,
 }
 
+/// The `u32` form of a section length, or the error naming the section.
+fn checked(len: usize, section: &'static str) -> Result<u32, ProtoEncodeError> {
+    len_u32(len).ok_or(ProtoEncodeError { section, len })
+}
+
 /// Encode the meta chunk: `user | function | mem tag (+ size/max pages) |
-/// globals | table`, same section conventions as
-/// [`ProtoFaaslet::to_bytes`].
+/// globals | table`.
+///
+/// Every variable-length section carries a `u32` length prefix, so one at
+/// or beyond 4 GiB cannot be represented: the bound is checked in all
+/// builds, before anything is written, so no reader ever sees a wrapped
+/// prefix.
 fn encode_meta(proto: &ProtoFaaslet) -> Result<Vec<u8>, ProtoEncodeError> {
-    let checked = |len: usize, section: &'static str| {
-        u32::try_from(len).map_err(|_| ProtoEncodeError { section, len })
-    };
+    let snapshot = &proto.snapshot;
+    checked(proto.user.len(), "user")?;
+    checked(proto.function.len(), "function")?;
+    checked(snapshot.globals.len(), "globals")?;
+    checked(snapshot.table.len(), "table")?;
     let mut out = Vec::new();
-    out.put_u32_le(checked(proto.user.len(), "user")?);
-    out.put_slice(proto.user.as_bytes());
-    out.put_u32_le(checked(proto.function.len(), "function")?);
-    out.put_slice(proto.function.as_bytes());
-    match &proto.snapshot.mem {
+    put_bytes(&mut out, proto.user.as_bytes());
+    put_bytes(&mut out, proto.function.as_bytes());
+    match &snapshot.mem {
         Some(mem) => {
-            out.put_u8(1);
-            out.put_u32_le(checked(mem.size_pages(), "size_pages")?);
-            out.put_u32_le(checked(mem.max_pages(), "max_pages")?);
+            put_u8(&mut out, 1);
+            put_u32(&mut out, checked(mem.size_pages(), "size_pages")?);
+            put_u32(&mut out, checked(mem.max_pages(), "max_pages")?);
         }
-        None => out.put_u8(0),
+        None => put_u8(&mut out, 0),
     }
-    out.put_u32_le(checked(proto.snapshot.globals.len(), "globals")?);
-    for g in &proto.snapshot.globals {
-        out.put_u64_le(*g);
+    put_count(&mut out, snapshot.globals.len());
+    for g in &snapshot.globals {
+        put_u64(&mut out, *g);
     }
-    out.put_u32_le(checked(proto.snapshot.table.len(), "table")?);
-    for t in &proto.snapshot.table {
+    put_count(&mut out, snapshot.table.len());
+    for t in &snapshot.table {
         match t {
             Some(f) => {
-                out.put_u8(1);
-                out.put_u32_le(*f);
+                put_u8(&mut out, 1);
+                put_u32(&mut out, *f);
             }
-            None => out.put_u8(0),
+            None => put_u8(&mut out, 0),
         }
     }
     Ok(out)
 }
 
-fn decode_meta(mut buf: &[u8]) -> Option<ProtoMeta> {
-    fn get_string(buf: &mut &[u8]) -> Option<String> {
-        if buf.remaining() < 4 {
-            return None;
-        }
-        let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len {
-            return None;
-        }
-        let mut v = vec![0u8; len];
-        buf.copy_to_slice(&mut v);
-        String::from_utf8(v).ok()
-    }
-    let user = get_string(&mut buf)?;
-    let function = get_string(&mut buf)?;
-    if buf.remaining() < 1 {
-        return None;
-    }
-    let mem = match buf.get_u8() {
+fn read_meta(r: &mut Reader<'_>) -> Result<ProtoMeta, WireError> {
+    let user = r.string()?;
+    let function = r.string()?;
+    let mem = match r.u8()? {
         0 => None,
         1 => {
-            if buf.remaining() < 8 {
-                return None;
-            }
-            let size_pages = buf.get_u32_le() as usize;
-            let max_pages = buf.get_u32_le() as usize;
+            let size_pages = r.u32()? as usize;
+            let max_pages = r.u32()? as usize;
             if max_pages < size_pages {
-                return None;
+                return Err(WireError::Invalid);
             }
             Some((size_pages, max_pages))
         }
-        _ => return None,
+        _ => return Err(WireError::Invalid),
     };
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let ng = buf.get_u32_le() as usize;
-    if buf.remaining() < ng.saturating_mul(8) {
-        return None;
-    }
-    let globals = (0..ng).map(|_| buf.get_u64_le()).collect();
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let nt = buf.get_u32_le() as usize;
-    // Each entry costs ≥ 1 byte, so the count cannot drive a huge
-    // preallocation.
-    if nt > buf.remaining() {
-        return None;
-    }
-    let mut table = Vec::with_capacity(nt);
-    for _ in 0..nt {
-        if buf.remaining() < 1 {
-            return None;
-        }
-        table.push(match buf.get_u8() {
-            0 => None,
-            1 => {
-                if buf.remaining() < 4 {
-                    return None;
-                }
-                Some(buf.get_u32_le())
-            }
-            _ => return None,
-        });
-    }
-    if buf.has_remaining() {
-        return None;
-    }
-    Some(ProtoMeta {
+    Ok(ProtoMeta {
         user,
         function,
         mem,
-        globals,
-        table,
+        globals: r.list(8, Reader::u64)?,
+        // Each table entry costs at least its 1-byte presence flag.
+        table: r.list(1, |r| match r.u8()? {
+            0 => Ok(None),
+            1 => r.u32().map(Some),
+            _ => Err(WireError::Invalid),
+        })?,
     })
 }
 
@@ -548,11 +496,67 @@ mod tests {
             back.snapshot.mem.as_ref().unwrap().to_bytes(),
             proto.snapshot.mem.as_ref().unwrap().to_bytes()
         );
+        // And a memory restored from the reassembled snapshot reads back
+        // the warm state the original captured.
+        let restored = faasm_mem::LinearMemory::restore(back.snapshot.mem.as_ref().unwrap());
+        let mut warm = [0u8; 64];
+        restored.read(PAGE_SIZE + 10, &mut warm).unwrap();
+        assert_eq!(warm, [3u8; 64]);
         // Structural mismatches are rejected, not mis-assembled.
         assert!(assemble_proto(meta, &pages[..2]).is_none());
         assert!(assemble_proto(b"garbage", &pages).is_none());
         let short: Vec<_> = (0..3).map(|_| Arc::new(vec![0u8; 16])).collect();
         assert!(assemble_proto(meta, &short).is_none());
+    }
+
+    #[test]
+    fn oversized_sections_error_instead_of_wrapping() {
+        // The length check itself, with sizes no test could allocate.
+        assert_eq!(checked(0, "x"), Ok(0));
+        assert_eq!(checked(u32::MAX as usize, "x"), Ok(u32::MAX));
+        let err = checked(u32::MAX as usize + 1, "globals").unwrap_err();
+        assert_eq!(err.section, "globals");
+        assert_eq!(err.len, u32::MAX as usize + 1);
+        assert!(err.to_string().contains("globals"));
+        // In-bounds protos still chunk.
+        assert!(chunk_proto(&proto_with_mem(1)).is_ok());
+    }
+
+    #[test]
+    fn malformed_meta_chunks_rejected() {
+        let chunked = chunk_proto(&proto_with_mem(4)).unwrap();
+        let meta = chunked.chunks.get(&chunked.manifest.meta).unwrap();
+        let pages: Vec<Arc<Vec<u8>>> = chunked
+            .manifest
+            .pages
+            .iter()
+            .map(|d| Arc::clone(chunked.chunks.get(d).unwrap()))
+            .collect();
+        assert!(assemble_proto(meta, &pages).is_some());
+        // Cut anywhere, or followed by a stray byte: rejected.
+        for cut in 0..meta.len() {
+            assert!(assemble_proto(&meta[..cut], &pages).is_none(), "cut {cut}");
+        }
+        let mut trailing = meta.as_ref().clone();
+        trailing.push(0);
+        assert!(assemble_proto(&trailing, &pages).is_none());
+        // A meta chunk claiming u32::MAX table entries but carrying none
+        // is rejected before anything is allocated for the claimed count
+        // (the table count is the last field of a table-less proto).
+        let bare = ProtoFaaslet {
+            user: "u".into(),
+            function: "f".into(),
+            snapshot: InstanceSnapshot {
+                mem: None,
+                globals: vec![],
+                table: vec![],
+            },
+        };
+        let mut hostile = encode_meta(&bare).unwrap();
+        assert!(assemble_proto(&hostile, &[]).is_some());
+        let tail = hostile.len() - 4;
+        hostile[tail..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(assemble_proto(&hostile, &[]).is_none());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the payload; [`FrameBuf`] reassembles frames from an arbitrary byte
 //! stream (clients may deliver them fragmented or coalesced).
 
-use bytes::{Buf, BufMut};
+use faasm_net::wire::{self, put_bytes, put_i32, put_u64, put_u8, Reader, WireError};
 use faasm_telemetry::TraceCtx;
 
 use crate::response::{GatewayResponse, GatewayStatus};
@@ -54,8 +54,7 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
         payload.len()
     );
     let mut out = Vec::with_capacity(4 + payload.len());
-    out.put_u32_le(payload.len() as u32);
-    out.put_slice(payload);
+    put_bytes(&mut out, payload);
     out
 }
 
@@ -71,10 +70,7 @@ pub fn try_encode_frame(payload: &[u8]) -> Result<Vec<u8>, OversizedFrame> {
     if payload.len() > MAX_FRAME {
         return Err(OversizedFrame { len: payload.len() });
     }
-    let mut out = Vec::with_capacity(4 + payload.len());
-    out.put_u32_le(payload.len() as u32);
-    out.put_slice(payload);
-    Ok(out)
+    Ok(encode_frame(payload))
 }
 
 /// A length prefix exceeding [`MAX_FRAME`]: the stream is corrupt or
@@ -97,17 +93,16 @@ impl std::error::Error for OversizedFrame {}
 /// total bytes consumed, `None` if the frame is still incomplete, or an
 /// error if the length prefix exceeds [`MAX_FRAME`].
 pub fn try_decode_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, OversizedFrame> {
-    if buf.len() < 4 {
+    // Peek the prefix first: a hostile length is an error even while the
+    // rest of the frame is still in flight.
+    let Ok(len) = Reader::new(buf).u32() else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
+    };
+    let len = len as usize;
     if len > MAX_FRAME {
         return Err(OversizedFrame { len });
     }
-    if buf.len() < 4 + len {
-        return Ok(None);
-    }
-    Ok(Some((&buf[4..4 + len], 4 + len)))
+    Ok(Reader::new(buf).bytes().ok().map(|p| (p, 4 + len)))
 }
 
 /// [`try_decode_frame`] with oversized prefixes flattened into `None`, for
@@ -164,136 +159,91 @@ impl FrameBuf {
 }
 
 /// Encode a request payload (frame it with [`encode_frame`] for the wire).
+///
+/// A field of 4 GiB or more would wrap its `u32` length prefix; any such
+/// payload also exceeds [`MAX_FRAME`], so the checked frame path
+/// ([`try_encode_frame`]) rejects it gracefully in release builds while
+/// the writers' debug assertion fails fast at the wrap boundary itself.
 pub fn encode_request(req: &GatewayRequest) -> Vec<u8> {
     let mut out = Vec::new();
-    out.put_u8(TAG_REQUEST);
-    out.put_u64_le(req.seq);
-    put_string(&mut out, &req.tenant);
-    put_string(&mut out, &req.function);
-    out.put_u64_le(req.deadline_ms);
-    out.put_u64_le(req.trace.trace_id);
-    out.put_u64_le(req.trace.span_id);
-    put_blob(&mut out, &req.input);
+    put_u8(&mut out, TAG_REQUEST);
+    put_u64(&mut out, req.seq);
+    put_bytes(&mut out, req.tenant.as_bytes());
+    put_bytes(&mut out, req.function.as_bytes());
+    put_u64(&mut out, req.deadline_ms);
+    put_u64(&mut out, req.trace.trace_id);
+    put_u64(&mut out, req.trace.span_id);
+    put_bytes(&mut out, &req.input);
     out
 }
 
 /// Decode a request payload; `None` on malformed or trailing bytes.
-pub fn decode_request(mut buf: &[u8]) -> Option<GatewayRequest> {
-    if buf.remaining() < 9 || buf.get_u8() != TAG_REQUEST {
-        return None;
+pub fn decode_request(buf: &[u8]) -> Option<GatewayRequest> {
+    wire::decode(buf, read_request).ok()
+}
+
+fn read_request(r: &mut Reader<'_>) -> Result<GatewayRequest, WireError> {
+    if r.u8()? != TAG_REQUEST {
+        return Err(WireError::Invalid);
     }
-    let seq = buf.get_u64_le();
-    let tenant = get_string(&mut buf)?;
-    let function = get_string(&mut buf)?;
-    if buf.remaining() < 24 {
-        return None;
-    }
-    let deadline_ms = buf.get_u64_le();
-    let trace = TraceCtx {
-        trace_id: buf.get_u64_le(),
-        span_id: buf.get_u64_le(),
-    };
-    let input = get_blob(&mut buf)?;
-    if buf.has_remaining() {
-        return None;
-    }
-    Some(GatewayRequest {
-        seq,
-        tenant,
-        function,
-        deadline_ms,
-        trace,
-        input,
+    Ok(GatewayRequest {
+        seq: r.u64()?,
+        tenant: r.string()?,
+        function: r.string()?,
+        deadline_ms: r.u64()?,
+        trace: TraceCtx {
+            trace_id: r.u64()?,
+            span_id: r.u64()?,
+        },
+        input: r.bytes()?.to_vec(),
     })
 }
 
 /// Encode a response payload.
 pub fn encode_response(resp: &GatewayResponse) -> Vec<u8> {
     let mut out = Vec::new();
-    out.put_u8(TAG_RESPONSE);
-    out.put_u64_le(resp.seq);
+    put_u8(&mut out, TAG_RESPONSE);
+    put_u64(&mut out, resp.seq);
     match &resp.status {
-        GatewayStatus::Ok => out.put_u8(0),
+        GatewayStatus::Ok => put_u8(&mut out, 0),
         GatewayStatus::Failed(code) => {
-            out.put_u8(1);
-            out.put_i32_le(*code);
+            put_u8(&mut out, 1);
+            put_i32(&mut out, *code);
         }
         GatewayStatus::Error(msg) => {
-            out.put_u8(2);
-            put_string(&mut out, msg);
+            put_u8(&mut out, 2);
+            put_bytes(&mut out, msg.as_bytes());
         }
-        GatewayStatus::Overloaded => out.put_u8(3),
-        GatewayStatus::Expired => out.put_u8(4),
+        GatewayStatus::Overloaded => put_u8(&mut out, 3),
+        GatewayStatus::Expired => put_u8(&mut out, 4),
     }
-    put_blob(&mut out, &resp.output);
+    put_bytes(&mut out, &resp.output);
     out
 }
 
 /// Decode a response payload; `None` on malformed or trailing bytes.
-pub fn decode_response(mut buf: &[u8]) -> Option<GatewayResponse> {
-    if buf.remaining() < 10 || buf.get_u8() != TAG_RESPONSE {
-        return None;
+pub fn decode_response(buf: &[u8]) -> Option<GatewayResponse> {
+    wire::decode(buf, read_response).ok()
+}
+
+fn read_response(r: &mut Reader<'_>) -> Result<GatewayResponse, WireError> {
+    if r.u8()? != TAG_RESPONSE {
+        return Err(WireError::Invalid);
     }
-    let seq = buf.get_u64_le();
-    let status = match buf.get_u8() {
+    let seq = r.u64()?;
+    let status = match r.u8()? {
         0 => GatewayStatus::Ok,
-        1 => {
-            if buf.remaining() < 4 {
-                return None;
-            }
-            GatewayStatus::Failed(buf.get_i32_le())
-        }
-        2 => GatewayStatus::Error(get_string(&mut buf)?),
+        1 => GatewayStatus::Failed(r.i32()?),
+        2 => GatewayStatus::Error(r.string()?),
         3 => GatewayStatus::Overloaded,
         4 => GatewayStatus::Expired,
-        _ => return None,
+        _ => return Err(WireError::Invalid),
     };
-    let output = get_blob(&mut buf)?;
-    if buf.has_remaining() {
-        return None;
-    }
-    Some(GatewayResponse {
+    Ok(GatewayResponse {
         seq,
         status,
-        output,
+        output: r.bytes()?.to_vec(),
     })
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_blob(out, s.as_bytes());
-}
-
-fn put_blob(out: &mut Vec<u8>, b: &[u8]) {
-    // `len as u32` silently wraps for ≥ 4 GiB blobs, corrupting the
-    // encoding. Any blob that large also exceeds MAX_FRAME, so release
-    // builds are protected by the checked frame path (`try_encode_frame`),
-    // which rejects oversized payloads *gracefully*; here we fail fast in
-    // debug only at the wrap boundary itself, so merely-above-MAX_FRAME
-    // payloads still reach the frame path's recoverable error.
-    debug_assert!(
-        u32::try_from(b.len()).is_ok(),
-        "field length {} wraps the u32 length prefix",
-        b.len()
-    );
-    out.put_u32_le(b.len() as u32);
-    out.put_slice(b);
-}
-
-fn get_string(buf: &mut &[u8]) -> Option<String> {
-    String::from_utf8(get_blob(buf)?).ok()
-}
-
-fn get_blob(buf: &mut &[u8]) -> Option<Vec<u8>> {
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return None;
-    }
-    let mut v = vec![0u8; len];
-    buf.copy_to_slice(&mut v);
-    Some(v)
 }
 
 #[cfg(test)]

@@ -5,7 +5,9 @@
 //! the protocol (no hidden zero-cost serialisation — the paper's evaluation
 //! charges serialisation and transfer to the platform, §2.1).
 
-use bytes::{Buf, BufMut};
+use faasm_net::wire::{
+    self, put_bytes, put_count, put_i64, put_u32, put_u64, put_u8, Reader, WireError,
+};
 use faasm_telemetry::TraceCtx;
 
 use crate::store::{KeyMigration, LockMigration, LockMode, ShardStats};
@@ -353,60 +355,17 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.put_u32_le(b.len() as u32);
-    out.put_slice(b);
-}
-
-fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, CodecError> {
-    if buf.remaining() < 4 {
-        return Err(CodecError("truncated length".into()));
+impl From<WireError> for CodecError {
+    fn from(e: WireError) -> CodecError {
+        CodecError(e.to_string())
     }
-    let len = buf.get_u32_le() as usize;
-    if buf.len() < len {
-        return Err(CodecError("truncated bytes".into()));
-    }
-    // Slice-and-copy rather than zero-fill-then-overwrite: chunked state
-    // payloads run to megabytes, and the wasted zeroing shows up directly
-    // in pull/push latency.
-    let (head, tail) = buf.split_at(len);
-    *buf = tail;
-    Ok(head.to_vec())
-}
-
-fn get_string(buf: &mut &[u8]) -> Result<String, CodecError> {
-    String::from_utf8(get_bytes(buf)?).map_err(|_| CodecError("invalid utf-8".into()))
-}
-
-fn get_u64(buf: &mut &[u8]) -> Result<u64, CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError("truncated u64".into()));
-    }
-    Ok(buf.get_u64_le())
 }
 
 fn put_u32_list(out: &mut Vec<u8>, list: &[u32]) {
-    out.put_u32_le(list.len() as u32);
+    put_count(out, list.len());
     for v in list {
-        out.put_u32_le(*v);
+        put_u32(out, *v);
     }
-}
-
-fn get_u32_list(buf: &mut &[u8]) -> Result<Vec<u32>, CodecError> {
-    if buf.remaining() < 4 {
-        return Err(CodecError("truncated list count".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    // Every element costs 4 bytes, so a hostile count cannot out-size the
-    // buffer it rode in on.
-    if buf.remaining() < n.saturating_mul(4) {
-        return Err(CodecError("list count exceeds payload".into()));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(buf.get_u32_le());
-    }
-    Ok(out)
 }
 
 fn mode_byte(m: LockMode) -> u8 {
@@ -416,11 +375,30 @@ fn mode_byte(m: LockMode) -> u8 {
     }
 }
 
-fn byte_mode(b: u8) -> Result<LockMode, CodecError> {
-    match b {
+fn read_mode(r: &mut Reader<'_>) -> Result<LockMode, WireError> {
+    match r.u8()? {
         0 => Ok(LockMode::Read),
         1 => Ok(LockMode::Write),
-        _ => Err(CodecError("bad lock mode".into())),
+        _ => Err(WireError::Invalid),
+    }
+}
+
+/// A presence flag, then the value it announces.
+fn put_optional(out: &mut Vec<u8>, value: Option<&[u8]>) {
+    match value {
+        Some(v) => {
+            put_u8(out, 1);
+            put_bytes(out, v);
+        }
+        None => put_u8(out, 0),
+    }
+}
+
+fn read_optional(r: &mut Reader<'_>) -> Result<Option<Vec<u8>>, WireError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(r.bytes()?.to_vec())),
+        _ => Err(WireError::Invalid),
     }
 }
 
@@ -478,119 +456,65 @@ fn request_payload_len(req: &Request) -> usize {
 
 fn put_entry(out: &mut Vec<u8>, e: &KeyMigration) {
     put_bytes(out, e.key.as_bytes());
-    match &e.value {
-        Some(v) => {
-            out.put_u8(1);
-            put_bytes(out, v);
-        }
-        None => out.put_u8(0),
-    }
-    out.put_u32_le(e.set.len() as u32);
+    put_optional(out, e.value.as_deref());
+    put_count(out, e.set.len());
     for member in &e.set {
         put_bytes(out, member);
     }
     match &e.lock {
-        None => out.put_u8(0),
+        None => put_u8(out, 0),
         Some(LockMigration::Readers(readers)) => {
-            out.put_u8(1);
-            out.put_u32_le(readers.len() as u32);
+            put_u8(out, 1);
+            put_count(out, readers.len());
             for (owner, remaining) in readers {
-                out.put_u64_le(*owner);
-                out.put_u64_le(*remaining);
+                put_u64(out, *owner);
+                put_u64(out, *remaining);
             }
         }
         Some(LockMigration::Writer {
             owner,
             remaining_ms,
         }) => {
-            out.put_u8(2);
-            out.put_u64_le(*owner);
-            out.put_u64_le(*remaining_ms);
+            put_u8(out, 2);
+            put_u64(out, *owner);
+            put_u64(out, *remaining_ms);
         }
     }
-    out.put_u64_le(e.version);
+    put_u64(out, e.version);
 }
 
-fn get_entry(buf: &mut &[u8]) -> Result<KeyMigration, CodecError> {
-    let key = get_string(buf)?;
-    if buf.remaining() < 1 {
-        return Err(CodecError("truncated value flag".into()));
+fn put_entries(out: &mut Vec<u8>, entries: &[KeyMigration]) {
+    put_count(out, entries.len());
+    for entry in entries {
+        put_entry(out, entry);
     }
-    let value = match buf.get_u8() {
-        0 => None,
-        1 => Some(get_bytes(buf)?),
-        _ => return Err(CodecError("bad value flag".into())),
-    };
-    if buf.remaining() < 4 {
-        return Err(CodecError("truncated member count".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    // Every member costs at least its 4-byte length prefix.
-    if buf.remaining() < n.saturating_mul(4) {
-        return Err(CodecError("member count exceeds payload".into()));
-    }
-    let mut set = Vec::with_capacity(n);
-    for _ in 0..n {
-        set.push(get_bytes(buf)?);
-    }
-    if buf.remaining() < 1 {
-        return Err(CodecError("truncated lock kind".into()));
-    }
-    let lock = match buf.get_u8() {
-        0 => None,
-        1 => {
-            if buf.remaining() < 4 {
-                return Err(CodecError("truncated reader count".into()));
-            }
-            let n = buf.get_u32_le() as usize;
-            if buf.remaining() < n.saturating_mul(16) {
-                return Err(CodecError("reader count exceeds payload".into()));
-            }
-            let mut readers = Vec::with_capacity(n);
-            for _ in 0..n {
-                let owner = buf.get_u64_le();
-                let remaining = buf.get_u64_le();
-                readers.push((owner, remaining));
-            }
-            Some(LockMigration::Readers(readers))
-        }
-        2 => {
-            if buf.remaining() < 16 {
-                return Err(CodecError("truncated writer lock".into()));
-            }
-            Some(LockMigration::Writer {
-                owner: buf.get_u64_le(),
-                remaining_ms: buf.get_u64_le(),
-            })
-        }
-        _ => return Err(CodecError("bad lock kind".into())),
-    };
-    let version = get_u64(buf)?;
+}
+
+fn read_entry(r: &mut Reader<'_>) -> Result<KeyMigration, WireError> {
     Ok(KeyMigration {
-        key,
-        value,
-        set,
-        lock,
-        version,
+        key: r.string()?,
+        value: read_optional(r)?,
+        // Every member costs at least its 4-byte length prefix.
+        set: r.list(4, |r| Ok(r.bytes()?.to_vec()))?,
+        lock: match r.u8()? {
+            0 => None,
+            1 => Some(LockMigration::Readers(
+                r.list(16, |r| Ok((r.u64()?, r.u64()?)))?,
+            )),
+            2 => Some(LockMigration::Writer {
+                owner: r.u64()?,
+                remaining_ms: r.u64()?,
+            }),
+            _ => return Err(WireError::Invalid),
+        },
+        version: r.u64()?,
     })
 }
 
-fn get_entries(buf: &mut &[u8]) -> Result<Vec<KeyMigration>, CodecError> {
-    if buf.remaining() < 4 {
-        return Err(CodecError("truncated entry count".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    // Every entry costs at least 17 bytes of fixed framing (key length,
-    // value flag, member count, lock kind, version), so a hostile count
-    // cannot out-size the buffer it rode in on.
-    if buf.remaining() < n.saturating_mul(17) {
-        return Err(CodecError("entry count exceeds payload".into()));
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(get_entry(buf)?);
-    }
-    Ok(entries)
+/// Every entry costs at least 17 bytes of fixed framing (key length, value
+/// flag, member count, lock kind, version).
+fn read_entries(r: &mut Reader<'_>) -> Result<Vec<KeyMigration>, WireError> {
+    r.list(17, read_entry)
 }
 
 /// Encode a request for the wire without epoch information
@@ -614,115 +538,112 @@ pub fn encode_request_at(req: &Request, epoch: u64) -> Vec<u8> {
 /// parent its apply spans under the ingress call that caused the work.
 pub fn encode_request_traced(req: &Request, epoch: u64, trace: TraceCtx) -> Vec<u8> {
     let mut out = Vec::with_capacity(56 + request_payload_len(req));
-    out.put_u64_le(epoch);
-    out.put_u64_le(trace.trace_id);
-    out.put_u64_le(trace.span_id);
+    put_u64(&mut out, epoch);
+    put_u64(&mut out, trace.trace_id);
+    put_u64(&mut out, trace.span_id);
     match req {
         Request::Get { key } => {
-            out.put_u8(0);
+            put_u8(&mut out, 0);
             put_bytes(&mut out, key.as_bytes());
         }
         Request::Set { key, value } => {
-            out.put_u8(1);
+            put_u8(&mut out, 1);
             put_bytes(&mut out, key.as_bytes());
             put_bytes(&mut out, value);
         }
         Request::GetRange { key, offset, len } => {
-            out.put_u8(2);
+            put_u8(&mut out, 2);
             put_bytes(&mut out, key.as_bytes());
-            out.put_u64_le(*offset);
-            out.put_u64_le(*len);
+            put_u64(&mut out, *offset);
+            put_u64(&mut out, *len);
         }
         Request::SetRange { key, offset, data } => {
-            out.put_u8(3);
+            put_u8(&mut out, 3);
             put_bytes(&mut out, key.as_bytes());
-            out.put_u64_le(*offset);
+            put_u64(&mut out, *offset);
             put_bytes(&mut out, data);
         }
         Request::Append { key, data } => {
-            out.put_u8(4);
+            put_u8(&mut out, 4);
             put_bytes(&mut out, key.as_bytes());
             put_bytes(&mut out, data);
         }
         Request::Del { key } => {
-            out.put_u8(5);
+            put_u8(&mut out, 5);
             put_bytes(&mut out, key.as_bytes());
         }
         Request::Exists { key } => {
-            out.put_u8(6);
+            put_u8(&mut out, 6);
             put_bytes(&mut out, key.as_bytes());
         }
         Request::StrLen { key } => {
-            out.put_u8(7);
+            put_u8(&mut out, 7);
             put_bytes(&mut out, key.as_bytes());
         }
         Request::Incr { key, delta } => {
-            out.put_u8(8);
+            put_u8(&mut out, 8);
             put_bytes(&mut out, key.as_bytes());
-            out.put_i64_le(*delta);
+            put_i64(&mut out, *delta);
         }
         Request::SAdd { key, member } => {
-            out.put_u8(9);
+            put_u8(&mut out, 9);
             put_bytes(&mut out, key.as_bytes());
             put_bytes(&mut out, member);
         }
         Request::SRem { key, member } => {
-            out.put_u8(10);
+            put_u8(&mut out, 10);
             put_bytes(&mut out, key.as_bytes());
             put_bytes(&mut out, member);
         }
         Request::SMembers { key } => {
-            out.put_u8(11);
+            put_u8(&mut out, 11);
             put_bytes(&mut out, key.as_bytes());
         }
         Request::SCard { key } => {
-            out.put_u8(12);
+            put_u8(&mut out, 12);
             put_bytes(&mut out, key.as_bytes());
         }
         Request::TryLock { key, mode, owner } => {
-            out.put_u8(13);
+            put_u8(&mut out, 13);
             put_bytes(&mut out, key.as_bytes());
-            out.put_u8(mode_byte(*mode));
-            out.put_u64_le(*owner);
+            put_u8(&mut out, mode_byte(*mode));
+            put_u64(&mut out, *owner);
         }
         Request::Unlock { key, mode, owner } => {
-            out.put_u8(14);
+            put_u8(&mut out, 14);
             put_bytes(&mut out, key.as_bytes());
-            out.put_u8(mode_byte(*mode));
-            out.put_u64_le(*owner);
+            put_u8(&mut out, mode_byte(*mode));
+            put_u64(&mut out, *owner);
         }
-        Request::Ping => out.put_u8(15),
-        Request::Flush => out.put_u8(16),
+        Request::Ping => put_u8(&mut out, 15),
+        Request::Flush => put_u8(&mut out, 16),
         Request::MultiGetRange { key, spans } => {
-            out.put_u8(17);
+            put_u8(&mut out, 17);
             put_bytes(&mut out, key.as_bytes());
-            out.put_u32_le(spans.len() as u32);
+            put_count(&mut out, spans.len());
             for (offset, len) in spans {
-                out.put_u64_le(*offset);
-                out.put_u64_le(*len);
+                put_u64(&mut out, *offset);
+                put_u64(&mut out, *len);
             }
         }
         Request::MultiSetRange { key, writes } => {
-            out.put_u8(18);
+            put_u8(&mut out, 18);
             put_bytes(&mut out, key.as_bytes());
-            out.put_u32_le(writes.len() as u32);
+            put_count(&mut out, writes.len());
             for (offset, data) in writes {
-                out.put_u64_le(*offset);
+                put_u64(&mut out, *offset);
                 put_bytes(&mut out, data);
             }
         }
-        Request::Stats => out.put_u8(19),
+        Request::Stats => put_u8(&mut out, 19),
         Request::Migrate { epoch, shard_count } => {
-            out.put_u8(20);
-            out.put_u64_le(*epoch);
-            out.put_u64_le(*shard_count);
+            put_u8(&mut out, 20);
+            put_u64(&mut out, *epoch);
+            put_u64(&mut out, *shard_count);
         }
         Request::Handoff { entries } => {
-            out.put_u8(21);
-            out.put_u32_le(entries.len() as u32);
-            for entry in entries {
-                put_entry(&mut out, entry);
-            }
+            put_u8(&mut out, 21);
+            put_entries(&mut out, entries);
         }
         Request::EpochCommit {
             epoch,
@@ -730,18 +651,15 @@ pub fn encode_request_traced(req: &Request, epoch: u64, trace: TraceCtx) -> Vec<
             dead,
             hosts,
         } => {
-            out.put_u8(22);
-            out.put_u64_le(*epoch);
-            out.put_u64_le(*shard_count);
+            put_u8(&mut out, 22);
+            put_u64(&mut out, *epoch);
+            put_u64(&mut out, *shard_count);
             put_u32_list(&mut out, dead);
             put_u32_list(&mut out, hosts);
         }
         Request::Replicate { entries } => {
-            out.put_u8(23);
-            out.put_u32_le(entries.len() as u32);
-            for entry in entries {
-                put_entry(&mut out, entry);
-            }
+            put_u8(&mut out, 23);
+            put_entries(&mut out, entries);
         }
         Request::HandoffFrame {
             xfer,
@@ -749,26 +667,23 @@ pub fn encode_request_traced(req: &Request, epoch: u64, trace: TraceCtx) -> Vec<
             last,
             entries,
         } => {
-            out.put_u8(24);
-            out.put_u64_le(*xfer);
-            out.put_u32_le(*seq);
-            out.put_u8(*last as u8);
-            out.put_u32_le(entries.len() as u32);
-            for entry in entries {
-                put_entry(&mut out, entry);
-            }
+            put_u8(&mut out, 24);
+            put_u64(&mut out, *xfer);
+            put_u32(&mut out, *seq);
+            put_u8(&mut out, *last as u8);
+            put_entries(&mut out, entries);
         }
         Request::Rebuild { prev_dead } => {
-            out.put_u8(25);
+            put_u8(&mut out, 25);
             put_u32_list(&mut out, prev_dead);
         }
         Request::VersionOf { key } => {
-            out.put_u8(26);
+            put_u8(&mut out, 26);
             put_bytes(&mut out, key.as_bytes());
         }
         Request::MultiGet { keys } => {
-            out.put_u8(27);
-            out.put_u32_le(keys.len() as u32);
+            put_u8(&mut out, 27);
+            put_count(&mut out, keys.len());
             for key in keys {
                 put_bytes(&mut out, key.as_bytes());
             }
@@ -802,204 +717,113 @@ pub fn decode_request_epoch(buf: &[u8]) -> Result<(Request, u64), CodecError> {
 /// # Errors
 ///
 /// Returns [`CodecError`] on malformed input.
-pub fn decode_request_traced(mut buf: &[u8]) -> Result<(Request, u64, TraceCtx), CodecError> {
-    if buf.remaining() < 24 {
-        return Err(CodecError("truncated epoch".into()));
-    }
-    let epoch = buf.get_u64_le();
-    let trace = TraceCtx {
-        trace_id: buf.get_u64_le(),
-        span_id: buf.get_u64_le(),
-    };
-    if buf.is_empty() {
-        return Err(CodecError("empty request".into()));
-    }
-    let op = buf.get_u8();
-    let req = match op {
-        0 => Request::Get {
-            key: get_string(&mut buf)?,
-        },
+pub fn decode_request_traced(buf: &[u8]) -> Result<(Request, u64, TraceCtx), CodecError> {
+    Ok(wire::decode(buf, |r| {
+        let epoch = r.u64()?;
+        let trace = TraceCtx {
+            trace_id: r.u64()?,
+            span_id: r.u64()?,
+        };
+        Ok((read_request(r)?, epoch, trace))
+    })?)
+}
+
+fn read_request(r: &mut Reader<'_>) -> Result<Request, WireError> {
+    Ok(match r.u8()? {
+        0 => Request::Get { key: r.string()? },
         1 => Request::Set {
-            key: get_string(&mut buf)?,
-            value: get_bytes(&mut buf)?,
+            key: r.string()?,
+            value: r.bytes()?.to_vec(),
         },
         2 => Request::GetRange {
-            key: get_string(&mut buf)?,
-            offset: get_u64(&mut buf)?,
-            len: get_u64(&mut buf)?,
+            key: r.string()?,
+            offset: r.u64()?,
+            len: r.u64()?,
         },
         3 => Request::SetRange {
-            key: get_string(&mut buf)?,
-            offset: get_u64(&mut buf)?,
-            data: get_bytes(&mut buf)?,
+            key: r.string()?,
+            offset: r.u64()?,
+            data: r.bytes()?.to_vec(),
         },
         4 => Request::Append {
-            key: get_string(&mut buf)?,
-            data: get_bytes(&mut buf)?,
+            key: r.string()?,
+            data: r.bytes()?.to_vec(),
         },
-        5 => Request::Del {
-            key: get_string(&mut buf)?,
+        5 => Request::Del { key: r.string()? },
+        6 => Request::Exists { key: r.string()? },
+        7 => Request::StrLen { key: r.string()? },
+        8 => Request::Incr {
+            key: r.string()?,
+            delta: r.i64()?,
         },
-        6 => Request::Exists {
-            key: get_string(&mut buf)?,
-        },
-        7 => Request::StrLen {
-            key: get_string(&mut buf)?,
-        },
-        8 => {
-            let key = get_string(&mut buf)?;
-            if buf.remaining() < 8 {
-                return Err(CodecError("truncated delta".into()));
-            }
-            Request::Incr {
-                key,
-                delta: buf.get_i64_le(),
-            }
-        }
         9 => Request::SAdd {
-            key: get_string(&mut buf)?,
-            member: get_bytes(&mut buf)?,
+            key: r.string()?,
+            member: r.bytes()?.to_vec(),
         },
         10 => Request::SRem {
-            key: get_string(&mut buf)?,
-            member: get_bytes(&mut buf)?,
+            key: r.string()?,
+            member: r.bytes()?.to_vec(),
         },
-        11 => Request::SMembers {
-            key: get_string(&mut buf)?,
+        11 => Request::SMembers { key: r.string()? },
+        12 => Request::SCard { key: r.string()? },
+        13 => Request::TryLock {
+            key: r.string()?,
+            mode: read_mode(r)?,
+            owner: r.u64()?,
         },
-        12 => Request::SCard {
-            key: get_string(&mut buf)?,
+        14 => Request::Unlock {
+            key: r.string()?,
+            mode: read_mode(r)?,
+            owner: r.u64()?,
         },
-        13 => {
-            let key = get_string(&mut buf)?;
-            if buf.remaining() < 9 {
-                return Err(CodecError("truncated lock".into()));
-            }
-            let mode = byte_mode(buf.get_u8())?;
-            let owner = buf.get_u64_le();
-            Request::TryLock { key, mode, owner }
-        }
-        14 => {
-            let key = get_string(&mut buf)?;
-            if buf.remaining() < 9 {
-                return Err(CodecError("truncated unlock".into()));
-            }
-            let mode = byte_mode(buf.get_u8())?;
-            let owner = buf.get_u64_le();
-            Request::Unlock { key, mode, owner }
-        }
         15 => Request::Ping,
         16 => Request::Flush,
-        17 => {
-            let key = get_string(&mut buf)?;
-            if buf.remaining() < 4 {
-                return Err(CodecError("truncated span count".into()));
-            }
-            let n = buf.get_u32_le() as usize;
-            // Guard before allocating: every span costs 16 bytes on the
-            // wire, so a hostile count cannot out-size the buffer it rode
-            // in on.
-            if buf.remaining() < n.saturating_mul(16) {
-                return Err(CodecError("span count exceeds payload".into()));
-            }
-            let mut spans = Vec::with_capacity(n);
-            for _ in 0..n {
-                let offset = buf.get_u64_le();
-                let len = buf.get_u64_le();
-                spans.push((offset, len));
-            }
-            Request::MultiGetRange { key, spans }
-        }
-        18 => {
-            let key = get_string(&mut buf)?;
-            if buf.remaining() < 4 {
-                return Err(CodecError("truncated write count".into()));
-            }
-            let n = buf.get_u32_le() as usize;
+        17 => Request::MultiGetRange {
+            key: r.string()?,
+            spans: r.list(16, |r| Ok((r.u64()?, r.u64()?)))?,
+        },
+        18 => Request::MultiSetRange {
+            key: r.string()?,
             // Each write carries at least an 8-byte offset + 4-byte length.
-            if buf.remaining() < n.saturating_mul(12) {
-                return Err(CodecError("write count exceeds payload".into()));
-            }
-            let mut writes = Vec::with_capacity(n);
-            for _ in 0..n {
-                let offset = get_u64(&mut buf)?;
-                let data = get_bytes(&mut buf)?;
-                writes.push((offset, data));
-            }
-            Request::MultiSetRange { key, writes }
-        }
+            writes: r.list(12, |r| Ok((r.u64()?, r.bytes()?.to_vec())))?,
+        },
         19 => Request::Stats,
-        20 => {
-            if buf.remaining() < 16 {
-                return Err(CodecError("truncated migrate".into()));
-            }
-            Request::Migrate {
-                epoch: buf.get_u64_le(),
-                shard_count: buf.get_u64_le(),
-            }
-        }
+        20 => Request::Migrate {
+            epoch: r.u64()?,
+            shard_count: r.u64()?,
+        },
         21 => Request::Handoff {
-            entries: get_entries(&mut buf)?,
+            entries: read_entries(r)?,
         },
-        22 => {
-            if buf.remaining() < 16 {
-                return Err(CodecError("truncated epoch commit".into()));
-            }
-            Request::EpochCommit {
-                epoch: buf.get_u64_le(),
-                shard_count: buf.get_u64_le(),
-                dead: get_u32_list(&mut buf)?,
-                hosts: get_u32_list(&mut buf)?,
-            }
-        }
+        22 => Request::EpochCommit {
+            epoch: r.u64()?,
+            shard_count: r.u64()?,
+            dead: r.list(4, Reader::u32)?,
+            hosts: r.list(4, Reader::u32)?,
+        },
         23 => Request::Replicate {
-            entries: get_entries(&mut buf)?,
+            entries: read_entries(r)?,
         },
-        24 => {
-            if buf.remaining() < 13 {
-                return Err(CodecError("truncated handoff frame".into()));
-            }
-            let xfer = buf.get_u64_le();
-            let seq = buf.get_u32_le();
-            let last = match buf.get_u8() {
+        24 => Request::HandoffFrame {
+            xfer: r.u64()?,
+            seq: r.u32()?,
+            last: match r.u8()? {
                 0 => false,
                 1 => true,
-                _ => return Err(CodecError("bad frame flag".into())),
-            };
-            Request::HandoffFrame {
-                xfer,
-                seq,
-                last,
-                entries: get_entries(&mut buf)?,
-            }
-        }
+                _ => return Err(WireError::Invalid),
+            },
+            entries: read_entries(r)?,
+        },
         25 => Request::Rebuild {
-            prev_dead: get_u32_list(&mut buf)?,
+            prev_dead: r.list(4, Reader::u32)?,
         },
-        26 => Request::VersionOf {
-            key: get_string(&mut buf)?,
-        },
-        27 => {
-            if buf.remaining() < 4 {
-                return Err(CodecError("truncated key count".into()));
-            }
-            let n = buf.get_u32_le() as usize;
+        26 => Request::VersionOf { key: r.string()? },
+        27 => Request::MultiGet {
             // Every key costs at least its 4-byte length prefix.
-            if buf.remaining() < n.saturating_mul(4) {
-                return Err(CodecError("key count exceeds payload".into()));
-            }
-            let mut keys = Vec::with_capacity(n);
-            for _ in 0..n {
-                keys.push(get_string(&mut buf)?);
-            }
-            Request::MultiGet { keys }
-        }
-        other => return Err(CodecError(format!("unknown request op {other}"))),
-    };
-    if buf.has_remaining() {
-        return Err(CodecError("trailing bytes in request".into()));
-    }
-    Ok((req, epoch, trace))
+            keys: r.list(4, Reader::string)?,
+        },
+        _ => return Err(WireError::Invalid),
+    })
 }
 
 /// Payload bytes a response encoding will need beyond its fixed fields.
@@ -1023,101 +847,97 @@ fn response_payload_len(resp: &Response) -> usize {
 /// Encode a response for the wire.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + response_payload_len(resp));
+    write_response(&mut out, resp);
+    out
+}
+
+fn write_response(out: &mut Vec<u8>, resp: &Response) {
     match resp {
-        Response::Value(None) => out.put_u8(0),
+        Response::Value(None) => put_u8(out, 0),
         Response::Value(Some(v)) => {
-            out.put_u8(1);
-            put_bytes(&mut out, v);
+            put_u8(out, 1);
+            put_bytes(out, v);
         }
-        Response::Ok => out.put_u8(2),
+        Response::Ok => put_u8(out, 2),
         Response::Len(n) => {
-            out.put_u8(3);
-            out.put_u64_le(*n);
+            put_u8(out, 3);
+            put_u64(out, *n);
         }
         Response::Int(n) => {
-            out.put_u8(4);
-            out.put_i64_le(*n);
+            put_u8(out, 4);
+            put_i64(out, *n);
         }
         Response::Bool(b) => {
-            out.put_u8(5);
-            out.put_u8(*b as u8);
+            put_u8(out, 5);
+            put_u8(out, *b as u8);
         }
         Response::Values(vs) => {
-            out.put_u8(6);
-            out.put_u32_le(vs.len() as u32);
+            put_u8(out, 6);
+            put_count(out, vs.len());
             for v in vs {
-                put_bytes(&mut out, v);
+                put_bytes(out, v);
             }
         }
-        Response::Pong => out.put_u8(7),
+        Response::Pong => put_u8(out, 7),
         Response::Err(msg) => {
-            out.put_u8(8);
-            put_bytes(&mut out, msg.as_bytes());
+            put_u8(out, 8);
+            put_bytes(out, msg.as_bytes());
         }
-        Response::Spans(None) => out.put_u8(9),
+        Response::Spans(None) => put_u8(out, 9),
         Response::Spans(Some(runs)) => {
-            out.put_u8(10);
-            out.put_u32_le(runs.len() as u32);
+            put_u8(out, 10);
+            put_count(out, runs.len());
             for run in runs {
-                put_bytes(&mut out, run);
+                put_bytes(out, run);
             }
         }
         Response::WrongEpoch { epoch, shard_count } => {
-            out.put_u8(11);
-            out.put_u64_le(*epoch);
-            out.put_u64_le(*shard_count);
+            put_u8(out, 11);
+            put_u64(out, *epoch);
+            put_u64(out, *shard_count);
         }
         Response::Stats(stats) => {
-            out.put_u8(12);
-            out.put_u64_le(stats.epoch);
-            out.put_u64_le(stats.keys);
-            out.put_u64_le(stats.value_bytes);
-            out.put_u64_le(stats.reads);
-            out.put_u64_le(stats.writes);
-            out.put_u64_le(stats.lock_ops);
-            out.put_u64_le(stats.wrong_epoch_redirects);
-            out.put_u64_le(stats.freeze_wait_ns);
-            out.put_u64_le(stats.batched_ops);
-            out.put_u64_le(stats.batched_items);
-            out.put_u64_le(stats.replication);
-            out.put_u64_le(stats.repl_forwards);
-            out.put_u64_le(stats.repl_lag_ns);
-            out.put_u64_le(stats.promotions);
-            out.put_u64_le(stats.primary_keys);
-            out.put_u64_le(stats.backup_keys);
+            put_u8(out, 12);
+            put_u64(out, stats.epoch);
+            put_u64(out, stats.keys);
+            put_u64(out, stats.value_bytes);
+            put_u64(out, stats.reads);
+            put_u64(out, stats.writes);
+            put_u64(out, stats.lock_ops);
+            put_u64(out, stats.wrong_epoch_redirects);
+            put_u64(out, stats.freeze_wait_ns);
+            put_u64(out, stats.batched_ops);
+            put_u64(out, stats.batched_items);
+            put_u64(out, stats.replication);
+            put_u64(out, stats.repl_forwards);
+            put_u64(out, stats.repl_lag_ns);
+            put_u64(out, stats.promotions);
+            put_u64(out, stats.primary_keys);
+            put_u64(out, stats.backup_keys);
         }
         Response::Handoff(entries) => {
-            out.put_u8(13);
-            out.put_u32_le(entries.len() as u32);
-            for entry in entries {
-                put_entry(&mut out, entry);
-            }
+            put_u8(out, 13);
+            put_entries(out, entries);
         }
         Response::ReplAck { applied } => {
-            out.put_u8(14);
-            out.put_u64_le(*applied);
+            put_u8(out, 14);
+            put_u64(out, *applied);
         }
         Response::NotPrimary { epoch, shard_count } => {
-            out.put_u8(15);
-            out.put_u64_le(*epoch);
-            out.put_u64_le(*shard_count);
+            put_u8(out, 15);
+            put_u64(out, *epoch);
+            put_u64(out, *shard_count);
         }
         Response::Unavailable { epoch, shard_count } => {
-            out.put_u8(16);
-            out.put_u64_le(*epoch);
-            out.put_u64_le(*shard_count);
+            put_u8(out, 16);
+            put_u64(out, *epoch);
+            put_u64(out, *shard_count);
         }
         Response::MultiValues(vs) => {
-            out.put_u8(18);
-            out.put_u32_le(vs.len() as u32);
+            put_u8(out, 18);
+            put_count(out, vs.len());
             for v in vs {
-                match v {
-                    Some(b) => {
-                        out.put_u8(1);
-                        put_bytes(&mut out, b);
-                    }
-                    None => out.put_u8(0),
-                }
+                put_optional(out, v.as_deref());
             }
         }
         Response::Versioned { version, inner } => {
@@ -1125,12 +945,11 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 !matches!(**inner, Response::Versioned { .. }),
                 "versioned responses never nest"
             );
-            out.put_u8(17);
-            out.put_u64_le(*version);
-            out.extend_from_slice(&encode_response(inner));
+            put_u8(out, 17);
+            put_u64(out, *version);
+            write_response(out, inner);
         }
     }
-    out
 }
 
 /// Decode a response.
@@ -1138,155 +957,65 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`CodecError`] on malformed input.
-pub fn decode_response(mut buf: &[u8]) -> Result<Response, CodecError> {
-    if buf.is_empty() {
-        return Err(CodecError("empty response".into()));
-    }
-    let tag = buf.get_u8();
-    let resp = match tag {
+pub fn decode_response(buf: &[u8]) -> Result<Response, CodecError> {
+    Ok(wire::decode(buf, |r| read_response(r, false))?)
+}
+
+fn read_response(r: &mut Reader<'_>, nested: bool) -> Result<Response, WireError> {
+    Ok(match r.u8()? {
         0 => Response::Value(None),
-        1 => Response::Value(Some(get_bytes(&mut buf)?)),
+        1 => Response::Value(Some(r.bytes()?.to_vec())),
         2 => Response::Ok,
-        3 => Response::Len(get_u64(&mut buf)?),
-        4 => {
-            if buf.remaining() < 8 {
-                return Err(CodecError("truncated int".into()));
-            }
-            Response::Int(buf.get_i64_le())
-        }
-        5 => {
-            if buf.remaining() < 1 {
-                return Err(CodecError("truncated bool".into()));
-            }
-            Response::Bool(buf.get_u8() != 0)
-        }
-        6 => {
-            if buf.remaining() < 4 {
-                return Err(CodecError("truncated list".into()));
-            }
-            let n = buf.get_u32_le();
-            let mut vs = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                vs.push(get_bytes(&mut buf)?);
-            }
-            Response::Values(vs)
-        }
+        3 => Response::Len(r.u64()?),
+        4 => Response::Int(r.i64()?),
+        5 => Response::Bool(r.u8()? != 0),
+        // Every value and every run costs at least its 4-byte length prefix.
+        6 => Response::Values(r.list(4, |r| Ok(r.bytes()?.to_vec()))?),
         7 => Response::Pong,
-        8 => Response::Err(get_string(&mut buf)?),
+        8 => Response::Err(r.string()?),
         9 => Response::Spans(None),
-        10 => {
-            if buf.remaining() < 4 {
-                return Err(CodecError("truncated span list".into()));
-            }
-            let n = buf.get_u32_le() as usize;
-            // Every run costs at least its 4-byte length prefix.
-            if buf.remaining() < n.saturating_mul(4) {
-                return Err(CodecError("span list count exceeds payload".into()));
-            }
-            let mut runs = Vec::with_capacity(n);
-            for _ in 0..n {
-                runs.push(get_bytes(&mut buf)?);
-            }
-            Response::Spans(Some(runs))
-        }
-        11 => {
-            if buf.remaining() < 16 {
-                return Err(CodecError("truncated wrong-epoch".into()));
-            }
-            Response::WrongEpoch {
-                epoch: buf.get_u64_le(),
-                shard_count: buf.get_u64_le(),
-            }
-        }
-        12 => {
-            if buf.remaining() < 128 {
-                return Err(CodecError("truncated stats".into()));
-            }
-            Response::Stats(ShardStats {
-                epoch: buf.get_u64_le(),
-                keys: buf.get_u64_le(),
-                value_bytes: buf.get_u64_le(),
-                reads: buf.get_u64_le(),
-                writes: buf.get_u64_le(),
-                lock_ops: buf.get_u64_le(),
-                wrong_epoch_redirects: buf.get_u64_le(),
-                freeze_wait_ns: buf.get_u64_le(),
-                batched_ops: buf.get_u64_le(),
-                batched_items: buf.get_u64_le(),
-                replication: buf.get_u64_le(),
-                repl_forwards: buf.get_u64_le(),
-                repl_lag_ns: buf.get_u64_le(),
-                promotions: buf.get_u64_le(),
-                primary_keys: buf.get_u64_le(),
-                backup_keys: buf.get_u64_le(),
-            })
-        }
-        13 => Response::Handoff(get_entries(&mut buf)?),
-        14 => Response::ReplAck {
-            applied: get_u64(&mut buf)?,
+        10 => Response::Spans(Some(r.list(4, |r| Ok(r.bytes()?.to_vec()))?)),
+        11 => Response::WrongEpoch {
+            epoch: r.u64()?,
+            shard_count: r.u64()?,
         },
-        15 => {
-            if buf.remaining() < 16 {
-                return Err(CodecError("truncated not-primary".into()));
-            }
-            Response::NotPrimary {
-                epoch: buf.get_u64_le(),
-                shard_count: buf.get_u64_le(),
-            }
-        }
-        16 => {
-            if buf.remaining() < 16 {
-                return Err(CodecError("truncated unavailable".into()));
-            }
-            Response::Unavailable {
-                epoch: buf.get_u64_le(),
-                shard_count: buf.get_u64_le(),
-            }
-        }
-        17 => {
-            if buf.remaining() < 8 {
-                return Err(CodecError("truncated version".into()));
-            }
-            let version = buf.get_u64_le();
-            if buf.first() == Some(&17) {
-                return Err(CodecError("nested versioned response".into()));
-            }
-            // The recursive decode consumes the rest of the buffer and
-            // applies its own trailing-bytes check.
-            let inner = decode_response(buf)?;
-            return Ok(Response::Versioned {
-                version,
-                inner: Box::new(inner),
-            });
-        }
-        18 => {
-            if buf.remaining() < 4 {
-                return Err(CodecError("truncated multi-value list".into()));
-            }
-            let n = buf.get_u32_le() as usize;
-            // Every slot costs at least its 1-byte presence flag.
-            if buf.remaining() < n {
-                return Err(CodecError("multi-value count exceeds payload".into()));
-            }
-            let mut vs = Vec::with_capacity(n);
-            for _ in 0..n {
-                if buf.remaining() < 1 {
-                    return Err(CodecError("truncated value flag".into()));
-                }
-                vs.push(match buf.get_u8() {
-                    0 => None,
-                    1 => Some(get_bytes(&mut buf)?),
-                    _ => return Err(CodecError("bad value flag".into())),
-                });
-            }
-            Response::MultiValues(vs)
-        }
-        other => return Err(CodecError(format!("unknown response tag {other}"))),
-    };
-    if buf.has_remaining() {
-        return Err(CodecError("trailing bytes in response".into()));
-    }
-    Ok(resp)
+        12 => Response::Stats(ShardStats {
+            epoch: r.u64()?,
+            keys: r.u64()?,
+            value_bytes: r.u64()?,
+            reads: r.u64()?,
+            writes: r.u64()?,
+            lock_ops: r.u64()?,
+            wrong_epoch_redirects: r.u64()?,
+            freeze_wait_ns: r.u64()?,
+            batched_ops: r.u64()?,
+            batched_items: r.u64()?,
+            replication: r.u64()?,
+            repl_forwards: r.u64()?,
+            repl_lag_ns: r.u64()?,
+            promotions: r.u64()?,
+            primary_keys: r.u64()?,
+            backup_keys: r.u64()?,
+        }),
+        13 => Response::Handoff(read_entries(r)?),
+        14 => Response::ReplAck { applied: r.u64()? },
+        15 => Response::NotPrimary {
+            epoch: r.u64()?,
+            shard_count: r.u64()?,
+        },
+        16 => Response::Unavailable {
+            epoch: r.u64()?,
+            shard_count: r.u64()?,
+        },
+        // A versioned reply never wraps another: rejected before recursing.
+        17 if !nested => Response::Versioned {
+            version: r.u64()?,
+            inner: Box::new(read_response(r, true)?),
+        },
+        // Every slot costs at least its 1-byte presence flag.
+        18 => Response::MultiValues(r.list(1, read_optional)?),
+        _ => return Err(WireError::Invalid),
+    })
 }
 
 #[cfg(test)]
@@ -1597,6 +1326,9 @@ mod tests {
         let mut bytes = vec![10u8];
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_response(&bytes).is_err());
+        // Values response likewise: these five bytes used to abort the
+        // process inside `Vec::with_capacity`.
+        assert!(decode_response(&[6, 0xFF, 0xFF, 0xFF, 0xFF]).is_err());
         // Handoff with a hostile entry count.
         let mut bytes = raw_request(21);
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());

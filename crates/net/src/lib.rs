@@ -18,6 +18,10 @@
 //! ([`StreamConn`]): MTU-fragmented `Data` chunks under `Open`/`Close`
 //! control flow, so framed protocols (the gateway's ingress codec) face
 //! realistic segmentation and must reassemble.
+//!
+//! [`wire`] holds the checked reader/writer every codec that crosses the
+//! fabric is built on (length-prefixed fields, counted lists, the
+//! truncation / hostile-count / trailing-bytes rules).
 
 #![warn(missing_docs)]
 
@@ -25,6 +29,7 @@ pub mod bucket;
 pub mod fabric;
 pub mod stats;
 pub mod stream;
+pub mod wire;
 
 pub use bucket::TokenBucket;
 pub use fabric::{

@@ -23,8 +23,8 @@ pub use decide::{decide, Decision, Placement};
 pub use queue::SharingQueue;
 pub use rr::RoundRobin;
 pub use types::{
-    decode_call, decode_result, encode_call, encode_result, CallId, CallResult, CallSpec,
-    CallStatus,
+    decode_call, decode_result, encode_call, encode_call_into, encode_result, encode_result_into,
+    read_call, read_result, CallId, CallResult, CallSpec, CallStatus,
 };
 // Re-exported so consumers building `CallSpec`s can name the trace context
 // without depending on the telemetry crate directly.

@@ -1,6 +1,6 @@
 //! Function-call types shared by the scheduler, runtime and message bus.
 
-use bytes::{Buf, BufMut};
+use faasm_net::wire::{self, put_bytes, put_i32, put_u64, put_u8, Reader, WireError};
 pub use faasm_telemetry::TraceCtx;
 
 /// A unique call identifier, as returned by `chain_call` (Tab. 2).
@@ -86,106 +86,80 @@ impl CallResult {
 /// Encode a call spec for the fabric (used when sharing work across hosts).
 pub fn encode_call(call: &CallSpec) -> Vec<u8> {
     let mut out = Vec::new();
-    out.put_u64_le(call.id.0);
-    out.put_u64_le(call.trace.trace_id);
-    out.put_u64_le(call.trace.span_id);
-    out.put_u32_le(call.user.len() as u32);
-    out.put_slice(call.user.as_bytes());
-    out.put_u32_le(call.function.len() as u32);
-    out.put_slice(call.function.as_bytes());
-    out.put_u32_le(call.input.len() as u32);
-    out.put_slice(&call.input);
+    encode_call_into(&mut out, call);
     out
 }
 
+/// Append a call spec's encoding to `out` — how bus messages embed calls
+/// without a per-call temporary.
+pub fn encode_call_into(out: &mut Vec<u8>, call: &CallSpec) {
+    put_u64(out, call.id.0);
+    put_u64(out, call.trace.trace_id);
+    put_u64(out, call.trace.span_id);
+    put_bytes(out, call.user.as_bytes());
+    put_bytes(out, call.function.as_bytes());
+    put_bytes(out, &call.input);
+}
+
 /// Decode a call spec from the fabric.
-pub fn decode_call(mut buf: &[u8]) -> Option<CallSpec> {
-    if buf.remaining() < 24 {
-        return None;
-    }
-    let id = CallId(buf.get_u64_le());
-    let trace = TraceCtx {
-        trace_id: buf.get_u64_le(),
-        span_id: buf.get_u64_le(),
-    };
-    let user = get_string(&mut buf)?;
-    let function = get_string(&mut buf)?;
-    let input = get_blob(&mut buf)?;
-    if buf.has_remaining() {
-        return None;
-    }
-    Some(CallSpec {
-        id,
-        user,
-        function,
-        input,
-        trace,
+pub fn decode_call(buf: &[u8]) -> Option<CallSpec> {
+    wire::decode(buf, read_call).ok()
+}
+
+/// Read one call spec off `r`, leaving whatever follows it.
+pub fn read_call(r: &mut Reader<'_>) -> Result<CallSpec, WireError> {
+    Ok(CallSpec {
+        id: CallId(r.u64()?),
+        trace: TraceCtx {
+            trace_id: r.u64()?,
+            span_id: r.u64()?,
+        },
+        user: r.string()?,
+        function: r.string()?,
+        input: r.bytes()?.to_vec(),
     })
 }
 
 /// Encode a call result for the fabric.
 pub fn encode_result(r: &CallResult) -> Vec<u8> {
     let mut out = Vec::new();
-    out.put_u64_le(r.id.0);
-    match &r.status {
-        CallStatus::Success => out.put_u8(0),
-        CallStatus::Failed(code) => {
-            out.put_u8(1);
-            out.put_i32_le(*code);
-        }
-        CallStatus::Error(msg) => {
-            out.put_u8(2);
-            out.put_u32_le(msg.len() as u32);
-            out.put_slice(msg.as_bytes());
-        }
-    }
-    out.put_u32_le(r.output.len() as u32);
-    out.put_slice(&r.output);
+    encode_result_into(&mut out, r);
     out
 }
 
+/// Append a call result's encoding to `out`.
+pub fn encode_result_into(out: &mut Vec<u8>, r: &CallResult) {
+    put_u64(out, r.id.0);
+    match &r.status {
+        CallStatus::Success => put_u8(out, 0),
+        CallStatus::Failed(code) => {
+            put_u8(out, 1);
+            put_i32(out, *code);
+        }
+        CallStatus::Error(msg) => {
+            put_u8(out, 2);
+            put_bytes(out, msg.as_bytes());
+        }
+    }
+    put_bytes(out, &r.output);
+}
+
 /// Decode a call result from the fabric.
-pub fn decode_result(mut buf: &[u8]) -> Option<CallResult> {
-    if buf.remaining() < 9 {
-        return None;
-    }
-    let id = CallId(buf.get_u64_le());
-    let status = match buf.get_u8() {
+pub fn decode_result(buf: &[u8]) -> Option<CallResult> {
+    wire::decode(buf, read_result).ok()
+}
+
+/// Read one call result off `r`, leaving whatever follows it.
+pub fn read_result(r: &mut Reader<'_>) -> Result<CallResult, WireError> {
+    let id = CallId(r.u64()?);
+    let status = match r.u8()? {
         0 => CallStatus::Success,
-        1 => {
-            if buf.remaining() < 4 {
-                return None;
-            }
-            CallStatus::Failed(buf.get_i32_le())
-        }
-        2 => {
-            let msg = get_string(&mut buf)?;
-            CallStatus::Error(msg)
-        }
-        _ => return None,
+        1 => CallStatus::Failed(r.i32()?),
+        2 => CallStatus::Error(r.string()?),
+        _ => return Err(WireError::Invalid),
     };
-    let output = get_blob(&mut buf)?;
-    if buf.has_remaining() {
-        return None;
-    }
-    Some(CallResult { id, status, output })
-}
-
-fn get_blob(buf: &mut &[u8]) -> Option<Vec<u8>> {
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return None;
-    }
-    let mut v = vec![0u8; len];
-    buf.copy_to_slice(&mut v);
-    Some(v)
-}
-
-fn get_string(buf: &mut &[u8]) -> Option<String> {
-    String::from_utf8(get_blob(buf)?).ok()
+    let output = r.bytes()?.to_vec();
+    Ok(CallResult { id, status, output })
 }
 
 #[cfg(test)]

@@ -1,0 +1,156 @@
+//! Two clusters in one process never see each other, and a cluster can be
+//! torn down from any thread — including one of its own.
+
+use std::sync::mpsc;
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
+
+use faasm::core::{Cluster, ClusterConfig, InstanceConfig, NativeApi};
+use faasm::gateway::{Gateway, GatewayConfig, GatewayRequest, GatewayStatus};
+use faasm::telemetry::TraceCtx;
+use faasm::CallStatus;
+
+/// `parent` chains `child` (which doubles its input byte) and adds one.
+fn register_chain(cluster: &Cluster, user: &str) {
+    cluster.register_native(
+        user,
+        "child",
+        Arc::new(|api: &mut NativeApi<'_>| {
+            let doubled = api.input()[0] * 2;
+            api.write_output(&[doubled]);
+            Ok(0)
+        }),
+        false,
+    );
+    cluster.register_native(
+        user,
+        "parent",
+        Arc::new(|api: &mut NativeApi<'_>| {
+            let input = api.input().to_vec();
+            let id = api.chain("child", input);
+            if api.await_call(id) != 0 {
+                return Ok(1);
+            }
+            let out = api.call_output(id).expect("child output")[0] + 1;
+            api.write_output(&[out]);
+            Ok(0)
+        }),
+        false,
+    );
+}
+
+#[test]
+fn two_clusters_chain_concurrently_without_seeing_each_other() {
+    // Every fabric numbers its hosts from zero, so the two clusters'
+    // instances share host ids. Each registers its functions under its own
+    // user: a chained call handed to the other cluster's instance could
+    // only fail ("unknown function") or never be answered.
+    let barrier = Arc::new(Barrier::new(2));
+    let threads: Vec<_> = ["left", "right"]
+        .into_iter()
+        .map(|user| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let cluster = Cluster::with_config(ClusterConfig {
+                    hosts: 1,
+                    invoke_timeout: Duration::from_secs(20),
+                    ..ClusterConfig::default()
+                });
+                register_chain(&cluster, user);
+                // Both clusters exist before either runs a call ...
+                barrier.wait();
+                for i in 0..50u8 {
+                    let r = cluster.invoke(user, "parent", vec![i]);
+                    assert_eq!(r.status, CallStatus::Success, "{user} call {i}: {r:?}");
+                    assert_eq!(r.output, vec![i * 2 + 1]);
+                }
+                // ... and neither is torn down while the other still runs.
+                barrier.wait();
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("cluster thread");
+    }
+}
+
+/// Reports, when the function registry that owns it is finally dropped,
+/// whether the dropping thread was unwinding from a panic.
+struct TornDown(mpsc::Sender<bool>);
+
+impl Drop for TornDown {
+    fn drop(&mut self) {
+        let _ = self.0.send(std::thread::panicking());
+    }
+}
+
+#[test]
+fn last_cluster_handle_can_be_released_from_a_completion_callback() {
+    // One worker, so the thread that runs the completion callback is the
+    // last thread the instance's shutdown would join.
+    let cluster = Arc::new(Cluster::with_config(ClusterConfig {
+        hosts: 1,
+        instance: InstanceConfig {
+            workers: 1,
+            ..InstanceConfig::default()
+        },
+        ..ClusterConfig::default()
+    }));
+    let (down_tx, down_rx) = mpsc::channel();
+    let torn_down = TornDown(down_tx);
+    cluster.register_native(
+        "u",
+        "echo",
+        Arc::new(move |api: &mut NativeApi<'_>| {
+            let _owned_by_the_registry = &torn_down;
+            let input = api.input().to_vec();
+            api.write_output(&input);
+            Ok(0)
+        }),
+        false,
+    );
+    let gateway = Gateway::start(
+        Arc::clone(&cluster),
+        GatewayConfig {
+            autoscale: None,
+            ..GatewayConfig::default()
+        },
+    );
+
+    let (in_callback_tx, in_callback_rx) = mpsc::channel();
+    let (released_tx, released_rx) = mpsc::channel::<()>();
+    gateway.submit_async(
+        GatewayRequest {
+            seq: 1,
+            tenant: "u".into(),
+            function: "echo".into(),
+            deadline_ms: 0,
+            trace: TraceCtx::NONE,
+            input: vec![7],
+        },
+        move |resp| {
+            // On the instance's worker thread, inside the gateway's
+            // completion path (which holds the gateway state, and through
+            // it the cluster, for the duration of this callback).
+            let _ = in_callback_tx.send(resp.status);
+            let _ = released_rx.recv_timeout(Duration::from_secs(30));
+        },
+    );
+    let status = in_callback_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("completion callback ran");
+    assert_eq!(status, GatewayStatus::Ok);
+    // Release every other handle while the callback is parked: when it
+    // returns, the worker thread drops the last one and `Cluster::drop`
+    // runs on a thread the cluster itself would join.
+    drop(gateway);
+    drop(cluster);
+    released_tx.send(()).expect("callback still parked");
+    let panicking = down_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("cluster tear-down hung or leaked its instance");
+    assert!(
+        !panicking,
+        "Cluster::drop panicked on its own worker thread"
+    );
+}

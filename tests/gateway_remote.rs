@@ -215,7 +215,11 @@ fn abandoned_tickets_are_swept() {
         server.host_id(),
         GatewayClientConfig {
             mtu: 1400,
-            wait_timeout: Duration::from_millis(300),
+            // The ticket TTL. Long enough that the burst below finishes
+            // well inside it even with every test of this file sharing two
+            // cores — a sweep that ran mid-burst would age out the first
+            // tickets before the pre-sweep count is taken.
+            wait_timeout: Duration::from_millis(1000),
         },
     )
     .unwrap();
@@ -232,7 +236,7 @@ fn abandoned_tickets_are_swept() {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(client.outstanding(), 300, "all tickets tracked pre-sweep");
-    std::thread::sleep(Duration::from_millis(350));
+    std::thread::sleep(Duration::from_millis(1050));
     // The next fulfilment triggers the sweep.
     let r = client.call("alice", "echo", vec![1]).unwrap();
     assert_eq!(r.status, GatewayStatus::Ok);

@@ -1,20 +1,110 @@
 //! Property-based tests on the workspace's core invariants.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use faasm::core::msg::{decode_msg, encode_msg, InstanceMsg};
-use faasm::core::{CallId, CallSpec, PendingMap};
+use faasm::core::{
+    assemble_proto, chunk_proto, CallId, CallResult, CallSpec, CallStatus, PendingMap,
+    ProtoFaaslet, ProtoManifest,
+};
+use faasm::fvm::InstanceSnapshot;
 use faasm::fvm::{decode_module, encode_module, ObjectModule};
 use faasm::gateway::codec::{self, FrameBuf, GatewayRequest, MAX_FRAME};
 use faasm::gateway::{GatewayResponse, GatewayStatus};
 use faasm::kvs::{self, KvClient, KvStore, ShardedKvClient};
 use faasm::lang;
-use faasm::mem::{LinearMemory, MemorySnapshot, SharedRegion, PAGE_SIZE};
+use faasm::mem::{LinearMemory, MemorySnapshot, Page, SharedRegion, PAGE_SIZE};
 use faasm::net::HostId;
+use faasm::sched::{decode_call, decode_result, encode_call, encode_result};
 use faasm::telemetry::TraceCtx;
 use proptest::prelude::*;
+
+/// The system allocator, noting each thread's largest single request — so a
+/// decoder property can check that no allocation outgrows what its input
+/// could back (a hostile count behind `Vec::with_capacity` may not abort:
+/// with overcommit a 24 GiB reservation that is never touched succeeds).
+struct NotingAlloc;
+
+thread_local! {
+    static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_request(size: usize) {
+    // `try_with`: the allocator still runs while a thread's locals are
+    // being torn down.
+    let _ = LARGEST_REQUEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the bookkeeping beside it touches only
+// a const-initialised thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for NotingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size());
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size());
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` and `layout` came from this allocator, i.e. `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_request(new_size);
+        // SAFETY: `ptr` and `layout` came from this allocator, i.e. `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: NotingAlloc = NotingAlloc;
+
+/// The decoders' allocation budget: the widest decoded element
+/// (`KeyMigration`, 112 bytes) over the narrowest wire element (1 byte)
+/// bounds any honest `with_capacity`; hostile counts miss it by gigabytes.
+const ALLOC_BYTES_PER_INPUT_BYTE: usize = 128;
+const ALLOC_SLACK: usize = 4096;
+
+/// Mutate-a-valid-encoding: `decode` must return (a value or an error) on
+/// every prefix of `valid` and on every 4-byte overwrite of it with
+/// `u32::MAX` / `0x4000_0000` — at *any* offset, since count and length
+/// fields follow tags and strings and are rarely aligned — without a panic,
+/// an abort or an allocation the input could not back. Uniform garbage
+/// almost never lands a hostile value on a count field; this always does.
+fn assert_total_on_hostile_rewrites<T>(valid: &[u8], decode: impl Fn(&[u8]) -> T) {
+    let check = |bytes: &[u8], rewrite: &str, at: usize| {
+        LARGEST_REQUEST.with(|largest| largest.set(0));
+        let _ = decode(bytes);
+        let largest = LARGEST_REQUEST.with(Cell::get);
+        assert!(
+            largest <= ALLOC_BYTES_PER_INPUT_BYTE * bytes.len() + ALLOC_SLACK,
+            "{rewrite} at {at}: one allocation of {largest} bytes for {} input bytes",
+            bytes.len()
+        );
+    };
+    for cut in 0..valid.len() {
+        check(&valid[..cut], "truncated", cut);
+    }
+    let mut bytes = valid.to_vec();
+    for at in 0..valid.len().saturating_sub(3) {
+        for (hostile, name) in [(u32::MAX, "u32::MAX"), (0x4000_0000, "0x4000_0000")] {
+            bytes[at..at + 4].copy_from_slice(&hostile.to_le_bytes());
+            check(&bytes, name, at);
+            bytes[at..at + 4].copy_from_slice(&valid[at..at + 4]);
+        }
+    }
+}
 
 /// Arbitrary printable-ASCII strings (the vendored proptest shim has no
 /// regex strategies).
@@ -108,6 +198,154 @@ fn apply_store_op(store: &KvStore, op: &StoreOp) {
             store.sadd(&key, m);
         }
     }
+}
+
+/// Arbitrary migration entries: values, set members, and every lock shape.
+fn migration_entries_strategy() -> impl Strategy<Value = Vec<kvs::KeyMigration>> {
+    let lock = prop_oneof![
+        Just(None),
+        (any::<u64>(), any::<u32>()).prop_map(|(owner, ms)| Some(kvs::LockMigration::Writer {
+            owner,
+            remaining_ms: u64::from(ms),
+        })),
+        prop::collection::vec((any::<u64>(), any::<u64>()), 0..4)
+            .prop_map(|readers| Some(kvs::LockMigration::Readers(readers))),
+    ];
+    prop::collection::vec(
+        (
+            ascii_string(16),
+            (any::<bool>(), prop::collection::vec(any::<u8>(), 0..40)),
+            prop::collection::vec(prop::collection::vec(any::<u8>(), 0..12), 0..4),
+            lock,
+            any::<u64>(),
+        )
+            .prop_map(
+                |(key, (has_value, value), set, lock, version)| kvs::KeyMigration {
+                    key,
+                    value: has_value.then_some(value),
+                    set,
+                    lock,
+                    version,
+                },
+            ),
+        0..5,
+    )
+}
+
+/// The KVS requests that carry counted lists — the shapes a hostile count
+/// can target.
+fn kvs_list_request_strategy() -> impl Strategy<Value = kvs::codec::Request> {
+    use kvs::codec::Request;
+    let u32s = || prop::collection::vec(any::<u32>(), 0..6);
+    prop_oneof![
+        (
+            ascii_string(12),
+            prop::collection::vec((any::<u64>(), any::<u64>()), 0..6)
+        )
+            .prop_map(|(key, spans)| Request::MultiGetRange { key, spans }),
+        (
+            ascii_string(12),
+            prop::collection::vec(
+                (any::<u64>(), prop::collection::vec(any::<u8>(), 0..24)),
+                0..6
+            )
+        )
+            .prop_map(|(key, writes)| Request::MultiSetRange { key, writes }),
+        migration_entries_strategy().prop_map(|entries| Request::Handoff { entries }),
+        migration_entries_strategy().prop_map(|entries| Request::Replicate { entries }),
+        (
+            any::<u64>(),
+            any::<u32>(),
+            any::<bool>(),
+            migration_entries_strategy()
+        )
+            .prop_map(|(xfer, seq, last, entries)| Request::HandoffFrame {
+                xfer,
+                seq,
+                last,
+                entries,
+            }),
+        (any::<u64>(), any::<u64>(), u32s(), u32s()).prop_map(
+            |(epoch, shard_count, dead, hosts)| Request::EpochCommit {
+                epoch,
+                shard_count,
+                dead,
+                hosts,
+            }
+        ),
+        u32s().prop_map(|prev_dead| Request::Rebuild { prev_dead }),
+        prop::collection::vec(ascii_string(12), 0..6).prop_map(|keys| Request::MultiGet { keys }),
+    ]
+}
+
+/// KVS responses with payloads: every counted-list shape, bare and behind
+/// a version stamp.
+fn kvs_response_strategy() -> impl Strategy<Value = kvs::Response> {
+    use kvs::Response;
+    let blobs = || prop::collection::vec(prop::collection::vec(any::<u8>(), 0..24), 0..6);
+    let plain = prop_oneof![
+        blobs().prop_map(Response::Values),
+        blobs().prop_map(|runs| Response::Spans(Some(runs))),
+        prop::collection::vec(
+            (any::<bool>(), prop::collection::vec(any::<u8>(), 0..24)),
+            0..6
+        )
+        .prop_map(|vs| Response::MultiValues(
+            vs.into_iter().map(|(some, v)| some.then_some(v)).collect()
+        )),
+        migration_entries_strategy().prop_map(Response::Handoff),
+        prop::collection::vec(any::<u8>(), 0..64).prop_map(|v| Response::Value(Some(v))),
+        ascii_string(24).prop_map(Response::Err),
+        any::<u64>().prop_map(Response::Len),
+    ];
+    (plain, any::<bool>(), any::<u64>()).prop_map(|(inner, versioned, version)| {
+        if versioned {
+            Response::Versioned {
+                version,
+                inner: Box::new(inner),
+            }
+        } else {
+            inner
+        }
+    })
+}
+
+fn call_spec_strategy() -> impl Strategy<Value = CallSpec> {
+    (
+        (any::<u64>(), ascii_string(16), ascii_string(16)),
+        (
+            prop::collection::vec(any::<u8>(), 0..64),
+            any::<u64>(),
+            any::<u64>(),
+        ),
+    )
+        .prop_map(
+            |((id, user, function), (input, trace_id, span_id))| CallSpec {
+                id: CallId(id),
+                user,
+                function,
+                input,
+                trace: TraceCtx { trace_id, span_id },
+            },
+        )
+}
+
+fn call_result_strategy() -> impl Strategy<Value = CallResult> {
+    let status = prop_oneof![
+        Just(CallStatus::Success),
+        any::<i32>().prop_map(CallStatus::Failed),
+        ascii_string(40).prop_map(CallStatus::Error),
+    ];
+    (
+        any::<u64>(),
+        status,
+        prop::collection::vec(any::<u8>(), 0..64),
+    )
+        .prop_map(|(id, status, output)| CallResult {
+            id: CallId(id),
+            status,
+            output,
+        })
 }
 
 fn gateway_status_strategy() -> impl Strategy<Value = GatewayStatus> {
@@ -559,24 +797,8 @@ proptest! {
     fn invoke_batch_codec_roundtrip(
         reply_to in any::<u32>(),
         sent_at_ns in any::<u64>(),
-        raw_calls in prop::collection::vec(
-            (
-                (any::<u64>(), ascii_string(16), ascii_string(16)),
-                (prop::collection::vec(any::<u8>(), 0..64), any::<u64>(), any::<u64>()),
-            ),
-            0..6,
-        ),
+        calls in prop::collection::vec(call_spec_strategy(), 0..6),
     ) {
-        let calls: Vec<CallSpec> = raw_calls
-            .into_iter()
-            .map(|((id, user, function), (input, trace_id, span_id))| CallSpec {
-                id: CallId(id),
-                user,
-                function,
-                input,
-                trace: TraceCtx { trace_id, span_id },
-            })
-            .collect();
         let msg = InstanceMsg::InvokeBatch {
             calls,
             reply_to: HostId(reply_to),
@@ -728,6 +950,118 @@ proptest! {
     fn kvs_codec_total_on_garbage(garbage in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = kvs::codec::decode_request(&garbage);
         let _ = kvs::codec::decode_response(&garbage);
+    }
+
+    /// `kvs::codec::decode_request` under hostile rewrites of valid
+    /// encodings, list-bearing shapes included.
+    #[test]
+    fn kvs_request_decoder_total_on_hostile_rewrites(
+        req in prop_oneof![kvs_request_strategy(), kvs_list_request_strategy()],
+    ) {
+        assert_total_on_hostile_rewrites(
+            &kvs::codec::encode_request(&req),
+            kvs::codec::decode_request_traced,
+        );
+    }
+
+    /// `kvs::codec::decode_response` likewise (tag 6, `Values`, allocated
+    /// for its count unchecked until the codecs shared one reader).
+    #[test]
+    fn kvs_response_decoder_total_on_hostile_rewrites(resp in kvs_response_strategy()) {
+        assert_total_on_hostile_rewrites(
+            &kvs::codec::encode_response(&resp),
+            kvs::codec::decode_response,
+        );
+    }
+
+    /// The gateway's request decoder and frame splitter.
+    #[test]
+    fn gateway_request_decoder_total_on_hostile_rewrites(
+        nums in (any::<u64>(), any::<u64>()),
+        tenant in ascii_string(24),
+        function in ascii_string(24),
+        input in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let (seq, deadline_ms) = nums;
+        let trace = TraceCtx::NONE;
+        let req = GatewayRequest { seq, tenant, function, deadline_ms, trace, input };
+        let payload = codec::encode_request(&req);
+        assert_total_on_hostile_rewrites(&payload, codec::decode_request);
+        assert_total_on_hostile_rewrites(&codec::encode_frame(&payload), |bytes| {
+            codec::try_decode_frame(bytes).map(|frame| frame.map(|(p, n)| (p.len(), n)))
+        });
+    }
+
+    /// The gateway's response decoder.
+    #[test]
+    fn gateway_response_decoder_total_on_hostile_rewrites(
+        seq in any::<u64>(),
+        status in gateway_status_strategy(),
+        output in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let resp = GatewayResponse { seq, status, output };
+        assert_total_on_hostile_rewrites(&codec::encode_response(&resp), codec::decode_response);
+    }
+
+    /// The bus decoder, every message kind.
+    #[test]
+    fn bus_decoder_total_on_hostile_rewrites(
+        calls in prop::collection::vec(call_spec_strategy(), 1..5),
+        result in call_result_strategy(),
+        manifest in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let reply_to = HostId(3);
+        let msgs = [
+            InstanceMsg::Invoke { call: calls[0].clone(), reply_to, forwarded: true },
+            InstanceMsg::Result { result },
+            InstanceMsg::PreStage {
+                user: calls[0].user.clone(),
+                function: calls[0].function.clone(),
+                manifest,
+            },
+            InstanceMsg::InvokeBatch { calls, reply_to, sent_at_ns: 7 },
+        ];
+        for msg in &msgs {
+            assert_total_on_hostile_rewrites(&encode_msg(msg), decode_msg);
+        }
+    }
+
+    /// The call-spec and call-result decoders.
+    #[test]
+    fn call_decoders_total_on_hostile_rewrites(
+        call in call_spec_strategy(),
+        result in call_result_strategy(),
+    ) {
+        assert_total_on_hostile_rewrites(&encode_call(&call), decode_call);
+        assert_total_on_hostile_rewrites(&encode_result(&result), decode_result);
+    }
+
+    /// The snapshot plane's two decoders: the manifest and the meta chunk
+    /// (through `assemble_proto`, its only way in).
+    #[test]
+    fn proto_decoders_total_on_hostile_rewrites(
+        globals in prop::collection::vec(any::<u64>(), 0..6),
+        table in prop::collection::vec((any::<bool>(), any::<u32>()), 0..6),
+        pages in 0usize..3,
+    ) {
+        let table = table.into_iter().map(|(some, f)| some.then_some(f)).collect();
+        let mem = (pages > 0).then(|| {
+            let pages = (0..pages).map(|_| Arc::new(Page::zeroed())).collect();
+            MemorySnapshot::from_pages(pages, 4).expect("within max")
+        });
+        let proto = ProtoFaaslet {
+            user: "u".into(),
+            function: "f".into(),
+            snapshot: InstanceSnapshot { mem, globals, table },
+        };
+        let chunked = chunk_proto(&proto).expect("chunks");
+        assert_total_on_hostile_rewrites(&chunked.manifest.to_bytes(), ProtoManifest::from_bytes);
+        // No page chunks: the meta chunk is decoded in full either way, and
+        // a proto with memory then stops at the page-count check instead of
+        // copying pages the meta bytes did not pay for.
+        assert_total_on_hostile_rewrites(&chunked.chunks[&chunked.manifest.meta], |meta| {
+            assemble_proto(meta, &[]).map(|proto| proto.size_bytes())
+        });
     }
 
     /// Rendezvous routing is deterministic and stable: two independently
@@ -887,32 +1221,9 @@ proptest! {
     /// set members and lock owners survive the wire bit-exact.
     #[test]
     fn kvs_handoff_roundtrips(
-        entries in prop::collection::vec(
-            (
-                ascii_string(16),
-                (any::<bool>(), prop::collection::vec(any::<u8>(), 0..40)),
-                prop::collection::vec(prop::collection::vec(any::<u8>(), 0..12), 0..4),
-                (any::<bool>(), any::<u64>(), any::<u32>(), any::<u64>()),
-            ),
-            0..6,
-        ),
+        entries in migration_entries_strategy(),
         epoch in any::<u64>(),
     ) {
-        let entries: Vec<kvs::KeyMigration> = entries
-            .into_iter()
-            .map(|(key, (has_value, value), set, (locked, owner, ms, version))| {
-                kvs::KeyMigration {
-                    key,
-                    value: has_value.then_some(value),
-                    set,
-                    lock: locked.then_some(kvs::LockMigration::Writer {
-                        owner,
-                        remaining_ms: u64::from(ms),
-                    }),
-                    version,
-                }
-            })
-            .collect();
         let req = kvs::Request::Handoff { entries: entries.clone() };
         let bytes = kvs::codec::encode_request_at(&req, epoch);
         prop_assert_eq!(

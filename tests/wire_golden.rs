@@ -1,0 +1,482 @@
+//! Golden wire vectors: the exact bytes of one encoding per message variant,
+//! captured at the commit before the codecs moved onto `faasm_net::wire`.
+//! "Byte-identical on the wire" is this test — a codec change that moves a
+//! byte (and with it `net_kb_per_call`) fails here, not in a benchmark.
+
+use std::sync::Arc;
+
+use faasm::core::msg::{encode_msg, InstanceMsg};
+use faasm::core::{chunk_proto, ProtoFaaslet, ProtoManifest};
+use faasm::fvm::InstanceSnapshot;
+use faasm::gateway::codec as gw;
+use faasm::gateway::{GatewayRequest, GatewayResponse, GatewayStatus};
+use faasm::kvs::codec::{encode_request_traced, encode_response};
+use faasm::kvs::{Digest, KeyMigration, LockMigration, LockMode, Request, Response, ShardStats};
+use faasm::mem::{MemorySnapshot, Page, PAGE_SIZE};
+use faasm::net::HostId;
+use faasm::sched::{encode_call, encode_result, CallId, CallResult, CallSpec, CallStatus};
+use faasm::telemetry::TraceCtx;
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+const TRACE: TraceCtx = TraceCtx {
+    trace_id: 0x1122_3344_5566_7788,
+    span_id: 0x99aa_bbcc_ddee_ff00,
+};
+
+fn entries() -> Vec<KeyMigration> {
+    vec![
+        KeyMigration {
+            key: "plain".into(),
+            value: Some(b"v".to_vec()),
+            set: Vec::new(),
+            lock: None,
+            version: 3,
+        },
+        KeyMigration {
+            key: "locked".into(),
+            value: None,
+            set: vec![b"m1".to_vec(), Vec::new()],
+            lock: Some(LockMigration::Writer {
+                owner: 42,
+                remaining_ms: 1000,
+            }),
+            version: 0,
+        },
+        KeyMigration {
+            key: "readers".into(),
+            value: Some(Vec::new()),
+            set: Vec::new(),
+            lock: Some(LockMigration::Readers(vec![(1, 10), (2, 20)])),
+            version: u64::MAX,
+        },
+    ]
+}
+
+fn kvs_requests() -> Vec<(&'static str, Request)> {
+    let key = || "k".to_string();
+    vec![
+        ("req.get", Request::Get { key: key() }),
+        (
+            "req.set",
+            Request::Set {
+                key: key(),
+                value: b"value".to_vec(),
+            },
+        ),
+        (
+            "req.get_range",
+            Request::GetRange {
+                key: key(),
+                offset: 5,
+                len: 10,
+            },
+        ),
+        (
+            "req.set_range",
+            Request::SetRange {
+                key: key(),
+                offset: 3,
+                data: b"xyz".to_vec(),
+            },
+        ),
+        (
+            "req.append",
+            Request::Append {
+                key: key(),
+                data: b"tail".to_vec(),
+            },
+        ),
+        ("req.del", Request::Del { key: key() }),
+        ("req.exists", Request::Exists { key: key() }),
+        ("req.strlen", Request::StrLen { key: key() }),
+        (
+            "req.incr",
+            Request::Incr {
+                key: key(),
+                delta: -3,
+            },
+        ),
+        (
+            "req.sadd",
+            Request::SAdd {
+                key: "s".into(),
+                member: b"m".to_vec(),
+            },
+        ),
+        (
+            "req.srem",
+            Request::SRem {
+                key: "s".into(),
+                member: b"m".to_vec(),
+            },
+        ),
+        ("req.smembers", Request::SMembers { key: "s".into() }),
+        ("req.scard", Request::SCard { key: "s".into() }),
+        (
+            "req.try_lock",
+            Request::TryLock {
+                key: key(),
+                mode: LockMode::Read,
+                owner: 42,
+            },
+        ),
+        (
+            "req.unlock",
+            Request::Unlock {
+                key: key(),
+                mode: LockMode::Write,
+                owner: 42,
+            },
+        ),
+        ("req.ping", Request::Ping),
+        ("req.flush", Request::Flush),
+        (
+            "req.multi_get_range",
+            Request::MultiGetRange {
+                key: key(),
+                spans: vec![(0, 16), (32, 16), (64, 8)],
+            },
+        ),
+        (
+            "req.multi_set_range",
+            Request::MultiSetRange {
+                key: key(),
+                writes: vec![(0, b"aa".to_vec()), (7, Vec::new()), (100, b"z".to_vec())],
+            },
+        ),
+        ("req.stats", Request::Stats),
+        (
+            "req.migrate",
+            Request::Migrate {
+                epoch: 4,
+                shard_count: 3,
+            },
+        ),
+        ("req.handoff", Request::Handoff { entries: entries() }),
+        (
+            "req.epoch_commit",
+            Request::EpochCommit {
+                epoch: 9,
+                shard_count: 5,
+                dead: vec![1, 3],
+                hosts: vec![10, 11, 12, 13, 14],
+            },
+        ),
+        ("req.replicate", Request::Replicate { entries: entries() }),
+        (
+            "req.handoff_frame",
+            Request::HandoffFrame {
+                xfer: 77,
+                seq: 2,
+                last: true,
+                entries: entries(),
+            },
+        ),
+        (
+            "req.rebuild",
+            Request::Rebuild {
+                prev_dead: vec![0, 4],
+            },
+        ),
+        ("req.version_of", Request::VersionOf { key: key() }),
+        (
+            "req.multi_get",
+            Request::MultiGet {
+                keys: vec!["a".into(), "bb".into(), String::new()],
+            },
+        ),
+    ]
+}
+
+fn kvs_responses() -> Vec<(&'static str, Response)> {
+    vec![
+        ("resp.value_none", Response::Value(None)),
+        ("resp.value_some", Response::Value(Some(b"v".to_vec()))),
+        ("resp.ok", Response::Ok),
+        ("resp.len", Response::Len(9)),
+        ("resp.int", Response::Int(-1)),
+        ("resp.bool", Response::Bool(true)),
+        (
+            "resp.values",
+            Response::Values(vec![b"a".to_vec(), b"bb".to_vec()]),
+        ),
+        ("resp.pong", Response::Pong),
+        ("resp.err", Response::Err("boom".into())),
+        ("resp.spans_none", Response::Spans(None)),
+        (
+            "resp.spans_some",
+            Response::Spans(Some(vec![b"run1".to_vec(), Vec::new(), b"r".to_vec()])),
+        ),
+        (
+            "resp.wrong_epoch",
+            Response::WrongEpoch {
+                epoch: 7,
+                shard_count: 4,
+            },
+        ),
+        (
+            "resp.stats",
+            Response::Stats(ShardStats {
+                epoch: 3,
+                keys: 10,
+                value_bytes: 4096,
+                reads: 100,
+                writes: 50,
+                lock_ops: 5,
+                wrong_epoch_redirects: 2,
+                freeze_wait_ns: 1_500_000,
+                batched_ops: 12,
+                batched_items: 480,
+                replication: 2,
+                repl_forwards: 31,
+                repl_lag_ns: 9_000,
+                promotions: 1,
+                primary_keys: 7,
+                backup_keys: 3,
+            }),
+        ),
+        ("resp.handoff", Response::Handoff(entries())),
+        ("resp.repl_ack", Response::ReplAck { applied: 6 }),
+        (
+            "resp.not_primary",
+            Response::NotPrimary {
+                epoch: 5,
+                shard_count: 3,
+            },
+        ),
+        (
+            "resp.unavailable",
+            Response::Unavailable {
+                epoch: 6,
+                shard_count: 2,
+            },
+        ),
+        (
+            "resp.multi_values",
+            Response::MultiValues(vec![Some(b"v".to_vec()), None, Some(Vec::new())]),
+        ),
+        (
+            "resp.versioned",
+            Response::Versioned {
+                version: 12,
+                inner: Box::new(Response::Value(Some(b"bytes".to_vec()))),
+            },
+        ),
+    ]
+}
+
+fn call(i: u64) -> CallSpec {
+    CallSpec {
+        id: CallId(100 + i),
+        user: "tenant".into(),
+        function: format!("f{i}"),
+        input: vec![i as u8; i as usize],
+        trace: if i == 1 { TRACE } else { TraceCtx::NONE },
+    }
+}
+
+fn gateway_and_bus() -> Vec<(&'static str, Vec<u8>)> {
+    let request = GatewayRequest {
+        seq: 42,
+        tenant: "alice".into(),
+        function: "double".into(),
+        deadline_ms: 250,
+        trace: TRACE,
+        input: vec![1, 2, 3, 4],
+    };
+    let response = |status| {
+        gw::encode_response(&GatewayResponse {
+            seq: 9,
+            status,
+            output: b"out".to_vec(),
+        })
+    };
+    let result = |status| CallResult {
+        id: CallId(4),
+        status,
+        output: b"data".to_vec(),
+    };
+    vec![
+        ("gw.request", gw::encode_request(&request)),
+        ("gw.frame", gw::encode_frame(b"payload")),
+        ("gw.resp_ok", response(GatewayStatus::Ok)),
+        ("gw.resp_failed", response(GatewayStatus::Failed(7))),
+        (
+            "gw.resp_error",
+            response(GatewayStatus::Error("boom".into())),
+        ),
+        ("gw.resp_overloaded", response(GatewayStatus::Overloaded)),
+        ("gw.resp_expired", response(GatewayStatus::Expired)),
+        ("sched.call", encode_call(&call(1))),
+        (
+            "sched.result_success",
+            encode_result(&result(CallStatus::Success)),
+        ),
+        (
+            "sched.result_failed",
+            encode_result(&result(CallStatus::Failed(-2))),
+        ),
+        (
+            "sched.result_error",
+            encode_result(&result(CallStatus::Error("trap: out of fuel".into()))),
+        ),
+        (
+            "msg.invoke",
+            encode_msg(&InstanceMsg::Invoke {
+                call: call(1),
+                reply_to: HostId(3),
+                forwarded: true,
+            }),
+        ),
+        (
+            "msg.result",
+            encode_msg(&InstanceMsg::Result {
+                result: result(CallStatus::Failed(2)),
+            }),
+        ),
+        (
+            "msg.invoke_batch",
+            encode_msg(&InstanceMsg::InvokeBatch {
+                calls: (0..3).map(call).collect(),
+                reply_to: HostId(9),
+                sent_at_ns: 12_345,
+            }),
+        ),
+        (
+            "msg.prestage",
+            encode_msg(&InstanceMsg::PreStage {
+                user: "tenant".into(),
+                function: "hot".into(),
+                manifest: vec![7u8; 8],
+            }),
+        ),
+    ]
+}
+
+/// A hand-built proto (no compiler in the loop, so its bytes cannot drift
+/// with codegen): two pages, one dirty; two globals; a three-slot table.
+fn proto() -> ProtoFaaslet {
+    let mut dirty = vec![0u8; PAGE_SIZE];
+    dirty[10..14].copy_from_slice(b"warm");
+    let pages = vec![Arc::new(Page::zeroed()), Arc::new(Page::from_bytes(&dirty))];
+    ProtoFaaslet {
+        user: "alice".into(),
+        function: "f".into(),
+        snapshot: InstanceSnapshot {
+            mem: Some(MemorySnapshot::from_pages(pages, 4).expect("2 <= 4 pages")),
+            globals: vec![7, u64::MAX],
+            table: vec![Some(5), None, Some(0)],
+        },
+    }
+}
+
+fn snapshot_plane() -> Vec<(&'static str, Vec<u8>)> {
+    let chunked = chunk_proto(&proto()).expect("chunks");
+    let meta = chunked.chunks[&chunked.manifest.meta].as_ref().clone();
+    let manifest = ProtoManifest {
+        meta: Digest([0xAB; 32]),
+        pages: vec![Digest([1; 32]), Digest([2; 32])],
+    };
+    vec![
+        ("proto.meta_chunk", meta),
+        ("proto.manifest", manifest.to_bytes()),
+        // The real manifest pins the meta digest and the page payload
+        // bytes too: any moved byte in either changes a digest.
+        ("proto.chunked_manifest", chunked.manifest.to_bytes()),
+    ]
+}
+
+fn all() -> Vec<(&'static str, Vec<u8>)> {
+    let mut out = Vec::new();
+    for (name, req) in kvs_requests() {
+        out.push((name, encode_request_traced(&req, 17, TRACE)));
+    }
+    for (name, resp) in kvs_responses() {
+        out.push((name, encode_response(&resp)));
+    }
+    out.extend(gateway_and_bus());
+    out.extend(snapshot_plane());
+    out
+}
+
+#[test]
+fn encodings_match_the_golden_vectors() {
+    let actual = all();
+    assert_eq!(actual.len(), GOLDEN.len(), "one golden vector per encoding");
+    for ((name, bytes), (golden_name, golden)) in actual.iter().zip(GOLDEN) {
+        assert_eq!(name, golden_name);
+        assert_eq!(hex(bytes), *golden, "{name} moved on the wire");
+    }
+}
+
+#[rustfmt::skip]
+const GOLDEN: &[(&str, &str)] = &[
+    ("req.get", "1100000000000000887766554433221100ffeeddccbbaa9900010000006b"),
+    ("req.set", "1100000000000000887766554433221100ffeeddccbbaa9901010000006b0500000076616c7565"),
+    ("req.get_range", "1100000000000000887766554433221100ffeeddccbbaa9902010000006b05000000000000000a00000000000000"),
+    ("req.set_range", "1100000000000000887766554433221100ffeeddccbbaa9903010000006b03000000000000000300000078797a"),
+    ("req.append", "1100000000000000887766554433221100ffeeddccbbaa9904010000006b040000007461696c"),
+    ("req.del", "1100000000000000887766554433221100ffeeddccbbaa9905010000006b"),
+    ("req.exists", "1100000000000000887766554433221100ffeeddccbbaa9906010000006b"),
+    ("req.strlen", "1100000000000000887766554433221100ffeeddccbbaa9907010000006b"),
+    ("req.incr", "1100000000000000887766554433221100ffeeddccbbaa9908010000006bfdffffffffffffff"),
+    ("req.sadd", "1100000000000000887766554433221100ffeeddccbbaa99090100000073010000006d"),
+    ("req.srem", "1100000000000000887766554433221100ffeeddccbbaa990a0100000073010000006d"),
+    ("req.smembers", "1100000000000000887766554433221100ffeeddccbbaa990b0100000073"),
+    ("req.scard", "1100000000000000887766554433221100ffeeddccbbaa990c0100000073"),
+    ("req.try_lock", "1100000000000000887766554433221100ffeeddccbbaa990d010000006b002a00000000000000"),
+    ("req.unlock", "1100000000000000887766554433221100ffeeddccbbaa990e010000006b012a00000000000000"),
+    ("req.ping", "1100000000000000887766554433221100ffeeddccbbaa990f"),
+    ("req.flush", "1100000000000000887766554433221100ffeeddccbbaa9910"),
+    ("req.multi_get_range", "1100000000000000887766554433221100ffeeddccbbaa9911010000006b03000000000000000000000010000000000000002000000000000000100000000000000040000000000000000800000000000000"),
+    ("req.multi_set_range", "1100000000000000887766554433221100ffeeddccbbaa9912010000006b0300000000000000000000000200000061610700000000000000000000006400000000000000010000007a"),
+    ("req.stats", "1100000000000000887766554433221100ffeeddccbbaa9913"),
+    ("req.migrate", "1100000000000000887766554433221100ffeeddccbbaa991404000000000000000300000000000000"),
+    ("req.handoff", "1100000000000000887766554433221100ffeeddccbbaa99150300000005000000706c61696e01010000007600000000000300000000000000060000006c6f636b65640002000000020000006d3100000000022a00000000000000e80300000000000000000000000000000700000072656164657273010000000000000000010200000001000000000000000a0000000000000002000000000000001400000000000000ffffffffffffffff"),
+    ("req.epoch_commit", "1100000000000000887766554433221100ffeeddccbbaa991609000000000000000500000000000000020000000100000003000000050000000a0000000b0000000c0000000d0000000e000000"),
+    ("req.replicate", "1100000000000000887766554433221100ffeeddccbbaa99170300000005000000706c61696e01010000007600000000000300000000000000060000006c6f636b65640002000000020000006d3100000000022a00000000000000e80300000000000000000000000000000700000072656164657273010000000000000000010200000001000000000000000a0000000000000002000000000000001400000000000000ffffffffffffffff"),
+    ("req.handoff_frame", "1100000000000000887766554433221100ffeeddccbbaa99184d0000000000000002000000010300000005000000706c61696e01010000007600000000000300000000000000060000006c6f636b65640002000000020000006d3100000000022a00000000000000e80300000000000000000000000000000700000072656164657273010000000000000000010200000001000000000000000a0000000000000002000000000000001400000000000000ffffffffffffffff"),
+    ("req.rebuild", "1100000000000000887766554433221100ffeeddccbbaa9919020000000000000004000000"),
+    ("req.version_of", "1100000000000000887766554433221100ffeeddccbbaa991a010000006b"),
+    ("req.multi_get", "1100000000000000887766554433221100ffeeddccbbaa991b03000000010000006102000000626200000000"),
+    ("resp.value_none", "00"),
+    ("resp.value_some", "010100000076"),
+    ("resp.ok", "02"),
+    ("resp.len", "030900000000000000"),
+    ("resp.int", "04ffffffffffffffff"),
+    ("resp.bool", "0501"),
+    ("resp.values", "06020000000100000061020000006262"),
+    ("resp.pong", "07"),
+    ("resp.err", "0804000000626f6f6d"),
+    ("resp.spans_none", "09"),
+    ("resp.spans_some", "0a030000000400000072756e31000000000100000072"),
+    ("resp.wrong_epoch", "0b07000000000000000400000000000000"),
+    ("resp.stats", "0c03000000000000000a000000000000000010000000000000640000000000000032000000000000000500000000000000020000000000000060e31600000000000c00000000000000e00100000000000002000000000000001f000000000000002823000000000000010000000000000007000000000000000300000000000000"),
+    ("resp.handoff", "0d0300000005000000706c61696e01010000007600000000000300000000000000060000006c6f636b65640002000000020000006d3100000000022a00000000000000e80300000000000000000000000000000700000072656164657273010000000000000000010200000001000000000000000a0000000000000002000000000000001400000000000000ffffffffffffffff"),
+    ("resp.repl_ack", "0e0600000000000000"),
+    ("resp.not_primary", "0f05000000000000000300000000000000"),
+    ("resp.unavailable", "1006000000000000000200000000000000"),
+    ("resp.multi_values", "1203000000010100000076000100000000"),
+    ("resp.versioned", "110c0000000000000001050000006279746573"),
+    ("gw.request", "012a0000000000000005000000616c69636506000000646f75626c65fa00000000000000887766554433221100ffeeddccbbaa990400000001020304"),
+    ("gw.frame", "070000007061796c6f6164"),
+    ("gw.resp_ok", "02090000000000000000030000006f7574"),
+    ("gw.resp_failed", "0209000000000000000107000000030000006f7574"),
+    ("gw.resp_error", "0209000000000000000204000000626f6f6d030000006f7574"),
+    ("gw.resp_overloaded", "02090000000000000003030000006f7574"),
+    ("gw.resp_expired", "02090000000000000004030000006f7574"),
+    ("sched.call", "6500000000000000887766554433221100ffeeddccbbaa990600000074656e616e740200000066310100000001"),
+    ("sched.result_success", "0400000000000000000400000064617461"),
+    ("sched.result_failed", "040000000000000001feffffff0400000064617461"),
+    ("sched.result_error", "04000000000000000211000000747261703a206f7574206f66206675656c0400000064617461"),
+    ("msg.invoke", "0003000000016500000000000000887766554433221100ffeeddccbbaa990600000074656e616e740200000066310100000001"),
+    ("msg.result", "01040000000000000001020000000400000064617461"),
+    ("msg.invoke_batch", "02090000003930000000000000030000002c0000006400000000000000000000000000000000000000000000000600000074656e616e74020000006630000000002d0000006500000000000000887766554433221100ffeeddccbbaa990600000074656e616e7402000000663101000000012e0000006600000000000000000000000000000000000000000000000600000074656e616e74020000006632020000000202"),
+    ("msg.prestage", "030600000074656e616e7403000000686f74080000000707070707070707"),
+    ("proto.meta_chunk", "05000000616c6963650100000066010200000004000000020000000700000000000000ffffffffffffffff030000000105000000000100000000"),
+    ("proto.manifest", "abababababababababababababababababababababababababababababababab0200000001010101010101010101010101010101010101010101010101010101010101010202020202020202020202020202020202020202020202020202020202020202"),
+    ("proto.chunked_manifest", "73e9d5ff22f27dbc1cc4ef8ae80d4901ab5f4421584b077f8f55049d07f80b6f02000000de2f256064a0af797747c2b97505dc0b9f3df0de4f489eac731c23ae9ca9cc31aa7044933b0fe0bada1ef4ed7708ba86bac17271094442e7149c6f0a7efd7c03"),
+];
