@@ -20,6 +20,20 @@ if grep -rn "use bytes::" crates/ ||
     exit 1
 fi
 
+echo "== one request seam: typed keyed ops are written once, in KvBackend"
+keyed='Request::(Get|Set|GetRange|SetRange|MultiGetRange|MultiSetRange|Append|Del|Exists|StrLen|Incr|SAdd|SRem|SMembers|SCard|VersionOf|TryLock|Unlock)\b'
+if grep -rn "forward_kv_passthrough" crates/ src/ tests/ examples/; then
+    echo "per-method KvBackend forwarding macro is back; intercept in call() instead" >&2
+    exit 1
+fi
+for f in client sharded cache; do
+    # Non-test code only: everything above the file's first #[cfg(test)].
+    if sed '/#\[cfg(test)\]/,$d' "crates/kvs/src/$f.rs" | grep -nE "$keyed"; then
+        echo "crates/kvs/src/$f.rs builds a keyed request; typed ops live in backend.rs" >&2
+        exit 1
+    fi
+done
+
 # Tier-1 must hold serially and oversubscribed: no test may depend on
 # having the process, or a core, to itself.
 for threads in 1 8; do

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use faasm_kvs::KvClient;
+use faasm_kvs::{KvBackend, KvClient};
 use faasm_sched::{CallId, CallResult};
 
 use crate::image::{materialise_container, ImageConfig};

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use faasm_kvs::{KvClient, KvServer, KvStore};
+use faasm_kvs::{KvBackend, KvClient, KvServer, KvStore};
 use faasm_net::Fabric;
 
 fn bench(c: &mut Criterion) {

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use faasm_kvs::{KvClient, KvServer, KvStore};
+use faasm_kvs::{KvBackend, KvClient, KvServer, KvStore};
 use faasm_mem::{LinearMemory, SharedRegion, PAGE_SIZE};
 use faasm_net::Fabric;
 

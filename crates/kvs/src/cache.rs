@@ -43,6 +43,7 @@ use parking_lot::Mutex;
 
 use crate::backend::{KvBackend, SharedKv};
 use crate::client::KvError;
+use crate::codec::{Request, Response};
 use crate::store::{LockMode, ShardStats};
 
 /// The cache's telemetry recorder (cached; `tier()` takes a registry lock).
@@ -760,8 +761,15 @@ fn merge_run(runs: &mut BTreeMap<u64, Vec<u8>>, off: u64, data: &[u8]) {
 }
 
 impl KvBackend for CachedKv {
-    fn get(&self, key: &str) -> Result<Option<Vec<u8>>, KvError> {
-        Ok(self.get_versioned(key)?.0)
+    /// Keyed requests the cache has no behaviour for ride straight to the
+    /// wrapped backend; the ops it caches or invalidates on are overridden
+    /// below, each in its versioned form only.
+    fn call(&self, req: &Request) -> Result<(Response, u64), KvError> {
+        self.inner.call(req)
+    }
+
+    fn lock_owner(&self) -> u64 {
+        self.inner.lock_owner()
     }
 
     fn get_versioned(&self, key: &str) -> Result<(Option<Vec<u8>>, u64), KvError> {
@@ -776,10 +784,6 @@ impl KvBackend for CachedKv {
             || self.inner.get_versioned(key),
             |v| Some(CachedBytes::Full(v.clone())),
         )
-    }
-
-    fn set(&self, key: &str, value: Vec<u8>) -> Result<(), KvError> {
-        self.set_versioned(key, value).map(|_| ())
     }
 
     fn set_versioned(&self, key: &str, value: Vec<u8>) -> Result<u64, KvError> {
@@ -797,10 +801,6 @@ impl KvBackend for CachedKv {
     fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Option<Vec<u8>>, KvError> {
         let (runs, _) = self.multi_get_range_versioned(key, &[(offset, len)])?;
         Ok(runs.map(|mut r| r.remove(0)))
-    }
-
-    fn set_range(&self, key: &str, offset: u64, data: Vec<u8>) -> Result<(), KvError> {
-        self.set_range_versioned(key, offset, data).map(|_| ())
     }
 
     fn set_range_versioned(&self, key: &str, offset: u64, data: Vec<u8>) -> Result<u64, KvError> {
@@ -837,14 +837,6 @@ impl KvBackend for CachedKv {
         Ok(version)
     }
 
-    fn multi_get_range(
-        &self,
-        key: &str,
-        spans: &[(u64, u64)],
-    ) -> Result<Option<Vec<Vec<u8>>>, KvError> {
-        Ok(self.multi_get_range_versioned(key, spans)?.0)
-    }
-
     fn multi_get_range_versioned(
         &self,
         key: &str,
@@ -862,10 +854,6 @@ impl KvBackend for CachedKv {
                 Some(CachedBytes::Runs(map))
             },
         )
-    }
-
-    fn multi_set_range(&self, key: &str, writes: Vec<(u64, Vec<u8>)>) -> Result<(), KvError> {
-        self.multi_set_range_versioned(key, writes).map(|_| ())
     }
 
     fn multi_set_range_versioned(
@@ -908,24 +896,11 @@ impl KvBackend for CachedKv {
         Ok(version)
     }
 
-    fn append(&self, key: &str, data: Vec<u8>) -> Result<u64, KvError> {
+    fn append_versioned(&self, key: &str, data: Vec<u8>) -> Result<(u64, u64), KvError> {
         let mode = self.mode_for_write(key);
-        let len = self.inner.append(key, data)?;
-        // Appends carry no versioned ack; probe the shard so the own-ack
-        // floor covers this write (the probed version is ≥ the append's —
-        // over-invalidation is safe, under is not). Eventual keys skip the
-        // probe and accept lease-bounded staleness.
-        let version = if mode == Consistency::Eventual {
-            0
-        } else {
-            self.inner.version_of(key)?
-        };
+        let (len, version) = self.inner.append_versioned(key, data)?;
         self.after_write(key, version, mode, |_| None);
-        Ok(len)
-    }
-
-    fn del(&self, key: &str) -> Result<bool, KvError> {
-        Ok(self.del_versioned(key)?.0)
+        Ok((len, version))
     }
 
     fn del_versioned(&self, key: &str) -> Result<(bool, u64), KvError> {
@@ -935,43 +910,13 @@ impl KvBackend for CachedKv {
         Ok((existed, version))
     }
 
-    fn exists(&self, key: &str) -> Result<bool, KvError> {
-        self.inner.exists(key)
-    }
-
-    fn strlen(&self, key: &str) -> Result<u64, KvError> {
-        self.inner.strlen(key)
-    }
-
-    fn incr(&self, key: &str, delta: i64) -> Result<i64, KvError> {
+    fn incr_versioned(&self, key: &str, delta: i64) -> Result<(i64, u64), KvError> {
         // Counters share the value namespace on the shard: the mutation
-        // changes the key's bytes, so drop any snapshot. Like `append`, the
-        // ack carries no version — probe so the own-ack floor covers it.
+        // changes the key's bytes, so drop any snapshot.
         let mode = self.mode_for_write(key);
-        let value = self.inner.incr(key, delta)?;
-        let version = if mode == Consistency::Eventual {
-            0
-        } else {
-            self.inner.version_of(key)?
-        };
+        let (value, version) = self.inner.incr_versioned(key, delta)?;
         self.after_write(key, version, mode, |_| None);
-        Ok(value)
-    }
-
-    fn sadd(&self, key: &str, member: &[u8]) -> Result<bool, KvError> {
-        self.inner.sadd(key, member)
-    }
-
-    fn srem(&self, key: &str, member: &[u8]) -> Result<bool, KvError> {
-        self.inner.srem(key, member)
-    }
-
-    fn smembers(&self, key: &str) -> Result<Vec<Vec<u8>>, KvError> {
-        self.inner.smembers(key)
-    }
-
-    fn scard(&self, key: &str) -> Result<u64, KvError> {
-        self.inner.scard(key)
+        Ok((value, version))
     }
 
     fn try_lock(&self, key: &str, mode: LockMode) -> Result<bool, KvError> {
@@ -980,16 +925,6 @@ impl KvBackend for CachedKv {
             self.drop_snapshot(key);
         }
         Ok(held)
-    }
-
-    fn lock(&self, key: &str, mode: LockMode) -> Result<(), KvError> {
-        self.inner.lock(key, mode)?;
-        self.drop_snapshot(key);
-        Ok(())
-    }
-
-    fn unlock(&self, key: &str, mode: LockMode) -> Result<(), KvError> {
-        self.inner.unlock(key, mode)
     }
 
     fn ping(&self) -> Result<(), KvError> {
@@ -1021,154 +956,12 @@ impl KvBackend for CachedKv {
     fn routing_epoch(&self) -> u64 {
         self.inner.routing_epoch()
     }
-
-    fn version_of(&self, key: &str) -> Result<u64, KvError> {
-        self.inner.version_of(key)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::KvStore;
-
-    /// An in-process backend over a bare store, with version support and a
-    /// controllable routing epoch — wire-free harness for cache semantics.
-    struct LocalKv {
-        store: KvStore,
-        epoch: AtomicU64,
-        reads: AtomicU64,
-    }
-
-    impl LocalKv {
-        fn new() -> LocalKv {
-            LocalKv {
-                store: KvStore::new(),
-                epoch: AtomicU64::new(1),
-                reads: AtomicU64::new(0),
-            }
-        }
-
-        fn bump_epoch(&self) {
-            self.epoch.fetch_add(1, Ordering::Relaxed);
-        }
-
-        fn wire_reads(&self) -> u64 {
-            self.reads.load(Ordering::Relaxed)
-        }
-    }
-
-    impl KvBackend for LocalKv {
-        fn get(&self, key: &str) -> Result<Option<Vec<u8>>, KvError> {
-            Ok(self.get_versioned(key)?.0)
-        }
-        fn get_versioned(&self, key: &str) -> Result<(Option<Vec<u8>>, u64), KvError> {
-            self.reads.fetch_add(1, Ordering::Relaxed);
-            Ok(self.store.get_versioned(key))
-        }
-        fn set(&self, key: &str, value: Vec<u8>) -> Result<(), KvError> {
-            self.set_versioned(key, value).map(|_| ())
-        }
-        fn set_versioned(&self, key: &str, value: Vec<u8>) -> Result<u64, KvError> {
-            Ok(self.store.set(key, value))
-        }
-        fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Option<Vec<u8>>, KvError> {
-            self.reads.fetch_add(1, Ordering::Relaxed);
-            Ok(self.store.get_range(key, offset as usize, len as usize))
-        }
-        fn set_range(&self, key: &str, offset: u64, data: Vec<u8>) -> Result<(), KvError> {
-            self.set_range_versioned(key, offset, data).map(|_| ())
-        }
-        fn set_range_versioned(
-            &self,
-            key: &str,
-            offset: u64,
-            data: Vec<u8>,
-        ) -> Result<u64, KvError> {
-            Ok(self.store.set_range(key, offset as usize, &data))
-        }
-        fn multi_get_range(
-            &self,
-            key: &str,
-            spans: &[(u64, u64)],
-        ) -> Result<Option<Vec<Vec<u8>>>, KvError> {
-            Ok(self.multi_get_range_versioned(key, spans)?.0)
-        }
-        fn multi_get_range_versioned(
-            &self,
-            key: &str,
-            spans: &[(u64, u64)],
-        ) -> Result<(Option<Vec<Vec<u8>>>, u64), KvError> {
-            self.reads.fetch_add(1, Ordering::Relaxed);
-            Ok(self.store.multi_get_range_versioned(key, spans))
-        }
-        fn multi_set_range(&self, key: &str, writes: Vec<(u64, Vec<u8>)>) -> Result<(), KvError> {
-            self.multi_set_range_versioned(key, writes).map(|_| ())
-        }
-        fn multi_set_range_versioned(
-            &self,
-            key: &str,
-            writes: Vec<(u64, Vec<u8>)>,
-        ) -> Result<u64, KvError> {
-            Ok(self.store.multi_set_range(key, &writes))
-        }
-        fn append(&self, key: &str, data: Vec<u8>) -> Result<u64, KvError> {
-            Ok(self.store.append(key, &data).0 as u64)
-        }
-        fn del(&self, key: &str) -> Result<bool, KvError> {
-            Ok(self.del_versioned(key)?.0)
-        }
-        fn del_versioned(&self, key: &str) -> Result<(bool, u64), KvError> {
-            Ok(self.store.del(key))
-        }
-        fn exists(&self, key: &str) -> Result<bool, KvError> {
-            Ok(self.store.exists(key))
-        }
-        fn strlen(&self, key: &str) -> Result<u64, KvError> {
-            Ok(self.store.strlen(key) as u64)
-        }
-        fn incr(&self, key: &str, delta: i64) -> Result<i64, KvError> {
-            Ok(self.store.incr(key, delta).0)
-        }
-        fn sadd(&self, key: &str, member: &[u8]) -> Result<bool, KvError> {
-            Ok(self.store.sadd(key, member).0)
-        }
-        fn srem(&self, key: &str, member: &[u8]) -> Result<bool, KvError> {
-            Ok(self.store.srem(key, member).0)
-        }
-        fn smembers(&self, key: &str) -> Result<Vec<Vec<u8>>, KvError> {
-            Ok(self.store.smembers(key))
-        }
-        fn scard(&self, key: &str) -> Result<u64, KvError> {
-            Ok(self.store.scard(key) as u64)
-        }
-        fn try_lock(&self, key: &str, mode: LockMode) -> Result<bool, KvError> {
-            Ok(self.store.try_lock(key, mode, 0))
-        }
-        fn lock(&self, key: &str, mode: LockMode) -> Result<(), KvError> {
-            while !self.store.try_lock(key, mode, 0) {
-                std::thread::yield_now();
-            }
-            Ok(())
-        }
-        fn unlock(&self, key: &str, mode: LockMode) -> Result<(), KvError> {
-            self.store.unlock(key, mode, 0);
-            Ok(())
-        }
-        fn ping(&self) -> Result<(), KvError> {
-            Ok(())
-        }
-        fn flush(&self) -> Result<(), KvError> {
-            self.store.flush();
-            Ok(())
-        }
-        fn routing_epoch(&self) -> u64 {
-            self.epoch.load(Ordering::Relaxed)
-        }
-        fn version_of(&self, key: &str) -> Result<u64, KvError> {
-            Ok(self.store.version_of(key))
-        }
-    }
+    use crate::testutil::LocalKv;
 
     fn harness(cfg: CacheConfig) -> (Arc<LocalKv>, CachedKv) {
         let local = Arc::new(LocalKv::new());
@@ -1387,6 +1180,23 @@ mod tests {
         // deletion's floor).
         local.set("k", b"back".to_vec()).unwrap();
         assert_eq!(cache.get("k").unwrap(), Some(b"back".to_vec()));
+    }
+
+    #[test]
+    fn append_and_incr_floor_on_their_own_ack_in_one_request() {
+        let (local, cache) = harness(long_lease());
+        cache.set("log", b"ab".to_vec()).unwrap();
+        let before = local.requests();
+        assert_eq!(cache.append("log", b"cd".to_vec()).unwrap(), 4);
+        assert_eq!(local.requests(), before + 1, "no follow-up version probe");
+        assert_eq!(cache.incr("n", 5).unwrap(), 5);
+        assert_eq!(local.requests(), before + 2, "no follow-up version probe");
+        // The floor is the version the store installed for each write,
+        // read off the write's own ack.
+        let s = cache.state.lock();
+        assert_eq!(s.floor("log"), local.store.version_of("log"));
+        assert_eq!(s.floor("n"), local.store.version_of("n"));
+        assert!(!s.map.contains_key("log"), "an append drops the snapshot");
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The KVS client used by every host's runtime to reach the global tier.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use faasm_net::{HostId, NetError, Nic};
 
+use crate::backend::KvBackend;
 use crate::codec::{
     decode_request_traced, decode_response, encode_request_at, Request, Response, EPOCH_ANY,
 };
 use crate::server::apply_traced;
-use crate::store::{KvStore, LockMode, ShardStats};
+use crate::store::{KvStore, ShardStats};
 
 static NEXT_OWNER: AtomicU64 = AtomicU64::new(1);
 
@@ -183,357 +183,13 @@ impl KvClient {
         }
     }
 
-    /// Execute a pre-built request, mapping server-side errors. Borrowing
-    /// the request lets the sharded client retry one built request across
-    /// epochs without cloning megabyte write payloads per attempt.
-    pub(crate) fn request(&self, req: &Request) -> Result<Response, KvError> {
-        self.check(self.exec(req)?)
-    }
-
-    /// [`KvClient::request`] keeping the key's mutation-version counter
-    /// from a [`Response::Versioned`] reply (0 when the server did not
-    /// widen the reply).
-    pub(crate) fn request_versioned(&self, req: &Request) -> Result<(Response, u64), KvError> {
-        self.check_v(self.exec(req)?)
-    }
-
-    fn check(&self, resp: Response) -> Result<Response, KvError> {
-        self.check_v(resp).map(|(inner, _)| inner)
-    }
-
-    /// Map server-side errors and unwrap the version envelope: the plain
-    /// API stays version-oblivious while versioned callers (the
-    /// function-side cache) read the exact counter the shard stamped.
-    fn check_v(&self, resp: Response) -> Result<(Response, u64), KvError> {
-        match resp {
-            Response::Err(m) => Err(KvError::Server(m)),
-            Response::WrongEpoch { epoch, shard_count } => {
-                Err(KvError::WrongEpoch { epoch, shard_count })
-            }
-            Response::NotPrimary { epoch, shard_count } => {
-                Err(KvError::NotPrimary { epoch, shard_count })
-            }
-            Response::Unavailable { epoch, shard_count } => {
-                Err(KvError::Unavailable { epoch, shard_count })
-            }
-            Response::Versioned { version, inner } => Ok((*inner, version)),
-            other => Ok((other, 0)),
-        }
-    }
-
-    /// Get a value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn get(&self, key: &str) -> Result<Option<Vec<u8>>, KvError> {
-        match self.check(self.exec(&Request::Get { key: key.into() })?)? {
-            Response::Value(v) => Ok(v),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Set a value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn set(&self, key: &str, value: Vec<u8>) -> Result<(), KvError> {
-        match self.check(self.exec(&Request::Set {
-            key: key.into(),
-            value,
-        })?)? {
-            Response::Ok => Ok(()),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Read a byte range (`None` if the key is missing).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Option<Vec<u8>>, KvError> {
-        match self.check(self.exec(&Request::GetRange {
-            key: key.into(),
-            offset,
-            len,
-        })?)? {
-            Response::Value(v) => Ok(v),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Write a byte range, zero-extending the value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn set_range(&self, key: &str, offset: u64, data: Vec<u8>) -> Result<(), KvError> {
-        match self.check(self.exec(&Request::SetRange {
-            key: key.into(),
-            offset,
-            data,
-        })?)? {
-            Response::Ok => Ok(()),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Read several byte ranges of one value in a single round-trip
-    /// (`None` if the key is missing).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn multi_get_range(
-        &self,
-        key: &str,
-        spans: &[(u64, u64)],
-    ) -> Result<Option<Vec<Vec<u8>>>, KvError> {
-        match self.check(self.exec(&Request::MultiGetRange {
-            key: key.into(),
-            spans: spans.to_vec(),
-        })?)? {
-            // A reply must answer every span: a short run list silently
-            // accepted would leave chunks unfetched behind an Ok.
-            Response::Spans(Some(runs)) if runs.len() != spans.len() => Err(KvError::Protocol),
-            Response::Spans(runs) => Ok(runs),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Write several byte ranges of one value in a single round-trip,
-    /// zero-extending it as needed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn multi_set_range(&self, key: &str, writes: Vec<(u64, Vec<u8>)>) -> Result<(), KvError> {
-        match self.check(self.exec(&Request::MultiSetRange {
-            key: key.into(),
-            writes,
-        })?)? {
-            Response::Ok => Ok(()),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Append bytes; returns the new length.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn append(&self, key: &str, data: Vec<u8>) -> Result<u64, KvError> {
-        match self.check(self.exec(&Request::Append {
-            key: key.into(),
-            data,
-        })?)? {
-            Response::Len(n) => Ok(n),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Delete a key; returns whether it existed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn del(&self, key: &str) -> Result<bool, KvError> {
-        match self.check(self.exec(&Request::Del { key: key.into() })?)? {
-            Response::Bool(b) => Ok(b),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Get several whole values in one round-trip, in request order (the
-    /// snapshot plane's chunk fetch).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn multi_get(&self, keys: &[String]) -> Result<Vec<Option<Vec<u8>>>, KvError> {
-        match self.check(self.exec(&Request::MultiGet {
-            keys: keys.to_vec(),
-        })?)? {
-            Response::MultiValues(vs) if vs.len() == keys.len() => Ok(vs),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Whether the key exists.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn exists(&self, key: &str) -> Result<bool, KvError> {
-        match self.check(self.exec(&Request::Exists { key: key.into() })?)? {
-            Response::Bool(b) => Ok(b),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Value length in bytes (0 if missing).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn strlen(&self, key: &str) -> Result<u64, KvError> {
-        match self.check(self.exec(&Request::StrLen { key: key.into() })?)? {
-            Response::Len(n) => Ok(n),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Atomically add to a counter; returns the new value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn incr(&self, key: &str, delta: i64) -> Result<i64, KvError> {
-        match self.check(self.exec(&Request::Incr {
-            key: key.into(),
-            delta,
-        })?)? {
-            Response::Int(n) => Ok(n),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Add a set member; returns true if newly added.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn sadd(&self, key: &str, member: &[u8]) -> Result<bool, KvError> {
-        match self.check(self.exec(&Request::SAdd {
-            key: key.into(),
-            member: member.to_vec(),
-        })?)? {
-            Response::Bool(b) => Ok(b),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Remove a set member; returns true if it was present.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn srem(&self, key: &str, member: &[u8]) -> Result<bool, KvError> {
-        match self.check(self.exec(&Request::SRem {
-            key: key.into(),
-            member: member.to_vec(),
-        })?)? {
-            Response::Bool(b) => Ok(b),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// List set members.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn smembers(&self, key: &str) -> Result<Vec<Vec<u8>>, KvError> {
-        match self.check(self.exec(&Request::SMembers { key: key.into() })?)? {
-            Response::Values(v) => Ok(v),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Set cardinality.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn scard(&self, key: &str) -> Result<u64, KvError> {
-        match self.check(self.exec(&Request::SCard { key: key.into() })?)? {
-            Response::Len(n) => Ok(n),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Try to acquire a global lock once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn try_lock(&self, key: &str, mode: LockMode) -> Result<bool, KvError> {
-        match self.check(self.exec(&Request::TryLock {
-            key: key.into(),
-            mode,
-            owner: self.owner,
-        })?)? {
-            Response::Bool(b) => Ok(b),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Acquire a global lock, retrying with backoff (the blocking
-    /// `lock_state_global_*` of Tab. 2).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn lock(&self, key: &str, mode: LockMode) -> Result<(), KvError> {
-        let mut backoff = Duration::from_micros(50);
-        loop {
-            if self.try_lock(key, mode)? {
-                return Ok(());
-            }
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(Duration::from_millis(5));
-        }
-    }
-
-    /// Release a global lock.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn unlock(&self, key: &str, mode: LockMode) -> Result<(), KvError> {
-        match self.check(self.exec(&Request::Unlock {
-            key: key.into(),
-            mode,
-            owner: self.owner,
-        })?)? {
-            Response::Ok => Ok(()),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Liveness probe.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn ping(&self) -> Result<(), KvError> {
-        match self.check(self.exec(&Request::Ping)?)? {
-            Response::Pong => Ok(()),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Clear the store.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn flush(&self) -> Result<(), KvError> {
-        match self.check(self.exec(&Request::Flush)?)? {
-            Response::Ok => Ok(()),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
     /// The shard's load report (key count, value bytes, per-op counters).
     ///
     /// # Errors
     ///
     /// Returns [`KvError`] on network/server failure.
     pub fn stats(&self) -> Result<ShardStats, KvError> {
-        match self.check(self.exec(&Request::Stats)?)? {
+        match self.call(&Request::Stats)?.0 {
             Response::Stats(stats) => Ok(stats),
             _ => Err(KvError::Protocol),
         }
@@ -552,7 +208,7 @@ impl KvClient {
         epoch: u64,
         shard_count: u64,
     ) -> Result<Vec<crate::store::KeyMigration>, KvError> {
-        match self.check(self.exec(&Request::Migrate { epoch, shard_count })?)? {
+        match self.call(&Request::Migrate { epoch, shard_count })?.0 {
             Response::Handoff(entries) => Ok(entries),
             _ => Err(KvError::Protocol),
         }
@@ -564,7 +220,7 @@ impl KvClient {
     ///
     /// Returns [`KvError`] on network/server failure.
     pub fn handoff(&self, entries: Vec<crate::store::KeyMigration>) -> Result<(), KvError> {
-        match self.check(self.exec(&Request::Handoff { entries })?)? {
+        match self.call(&Request::Handoff { entries })?.0 {
             Response::Ok => Ok(()),
             _ => Err(KvError::Protocol),
         }
@@ -585,12 +241,15 @@ impl KvClient {
         dead: &[u32],
         hosts: &[u32],
     ) -> Result<(), KvError> {
-        match self.check(self.exec(&Request::EpochCommit {
-            epoch,
-            shard_count,
-            dead: dead.to_vec(),
-            hosts: hosts.to_vec(),
-        })?)? {
+        match self
+            .call(&Request::EpochCommit {
+                epoch,
+                shard_count,
+                dead: dead.to_vec(),
+                hosts: hosts.to_vec(),
+            })?
+            .0
+        {
             Response::Ok => Ok(()),
             _ => Err(KvError::Protocol),
         }
@@ -603,7 +262,7 @@ impl KvClient {
     ///
     /// Returns [`KvError`] on network/server failure.
     pub fn replicate(&self, entries: Vec<crate::store::KeyMigration>) -> Result<u64, KvError> {
-        match self.check(self.exec(&Request::Replicate { entries })?)? {
+        match self.call(&Request::Replicate { entries })?.0 {
             Response::ReplAck { applied } => Ok(applied),
             _ => Err(KvError::Protocol),
         }
@@ -622,12 +281,15 @@ impl KvClient {
         last: bool,
         entries: Vec<crate::store::KeyMigration>,
     ) -> Result<(), KvError> {
-        match self.check(self.exec(&Request::HandoffFrame {
-            xfer,
-            seq,
-            last,
-            entries,
-        })?)? {
+        match self
+            .call(&Request::HandoffFrame {
+                xfer,
+                seq,
+                last,
+                entries,
+            })?
+            .0
+        {
             Response::Ok => Ok(()),
             _ => Err(KvError::Protocol),
         }
@@ -641,126 +303,76 @@ impl KvClient {
     ///
     /// Returns [`KvError`] on network/server failure.
     pub fn rebuild(&self, prev_dead: &[u32]) -> Result<u64, KvError> {
-        match self.check(self.exec(&Request::Rebuild {
-            prev_dead: prev_dead.to_vec(),
-        })?)? {
+        match self
+            .call(&Request::Rebuild {
+                prev_dead: prev_dead.to_vec(),
+            })?
+            .0
+        {
             Response::Len(n) => Ok(n),
             _ => Err(KvError::Protocol),
         }
     }
+}
 
-    /// The key's mutation-version counter (0 if never mutated) — the cheap
-    /// revalidation probe: no value bytes cross the wire.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn version_of(&self, key: &str) -> Result<u64, KvError> {
-        match self.check(self.exec(&Request::VersionOf { key: key.into() })?)? {
-            Response::Len(n) => Ok(n),
+/// Map server-side errors and unwrap the version envelope: the plain API
+/// stays version-oblivious while versioned callers (the function-side
+/// cache) read the exact counter the shard stamped.
+pub(crate) fn check_v(resp: Response) -> Result<(Response, u64), KvError> {
+    match resp {
+        Response::Err(m) => Err(KvError::Server(m)),
+        Response::WrongEpoch { epoch, shard_count } => {
+            Err(KvError::WrongEpoch { epoch, shard_count })
+        }
+        Response::NotPrimary { epoch, shard_count } => {
+            Err(KvError::NotPrimary { epoch, shard_count })
+        }
+        Response::Unavailable { epoch, shard_count } => {
+            Err(KvError::Unavailable { epoch, shard_count })
+        }
+        Response::Versioned { version, inner } => Ok((*inner, version)),
+        other => Ok((other, 0)),
+    }
+}
+
+impl KvBackend for KvClient {
+    /// Borrowing the request lets the sharded client retry one built
+    /// request across epochs without cloning megabyte write payloads per
+    /// attempt (the encode copy is unavoidable). Unlike a routing backend
+    /// this one also executes shard-addressed (keyless) requests.
+    fn call(&self, req: &Request) -> Result<(Response, u64), KvError> {
+        check_v(self.exec(req)?)
+    }
+
+    fn lock_owner(&self) -> u64 {
+        self.owner
+    }
+
+    fn multi_get(&self, keys: &[String]) -> Result<Vec<Option<Vec<u8>>>, KvError> {
+        let want = keys.len();
+        let keys = keys.to_vec();
+        match self.call(&Request::MultiGet { keys })?.0 {
+            Response::MultiValues(vs) if vs.len() == want => Ok(vs),
             _ => Err(KvError::Protocol),
         }
     }
 
-    /// [`KvClient::get`] with the version the bytes were observed at.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn get_versioned(&self, key: &str) -> Result<(Option<Vec<u8>>, u64), KvError> {
-        match self.check_v(self.exec(&Request::Get { key: key.into() })?)? {
-            (Response::Value(v), version) => Ok((v, version)),
+    fn ping(&self) -> Result<(), KvError> {
+        match self.call(&Request::Ping)?.0 {
+            Response::Pong => Ok(()),
             _ => Err(KvError::Protocol),
         }
     }
 
-    /// [`KvClient::set`] returning the version the write installed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn set_versioned(&self, key: &str, value: Vec<u8>) -> Result<u64, KvError> {
-        match self.check_v(self.exec(&Request::Set {
-            key: key.into(),
-            value,
-        })?)? {
-            (Response::Ok, version) => Ok(version),
+    fn flush(&self) -> Result<(), KvError> {
+        match self.call(&Request::Flush)?.0 {
+            Response::Ok => Ok(()),
             _ => Err(KvError::Protocol),
         }
     }
 
-    /// [`KvClient::set_range`] returning the version the write installed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn set_range_versioned(
-        &self,
-        key: &str,
-        offset: u64,
-        data: Vec<u8>,
-    ) -> Result<u64, KvError> {
-        match self.check_v(self.exec(&Request::SetRange {
-            key: key.into(),
-            offset,
-            data,
-        })?)? {
-            (Response::Ok, version) => Ok(version),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// [`KvClient::del`] returning the version the deletion installed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn del_versioned(&self, key: &str) -> Result<(bool, u64), KvError> {
-        match self.check_v(self.exec(&Request::Del { key: key.into() })?)? {
-            (Response::Bool(b), version) => Ok((b, version)),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// [`KvClient::multi_get_range`] with the version the runs were
-    /// observed at (one version for the whole atomic read).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn multi_get_range_versioned(
-        &self,
-        key: &str,
-        spans: &[(u64, u64)],
-    ) -> crate::backend::VersionedRunsResult {
-        match self.check_v(self.exec(&Request::MultiGetRange {
-            key: key.into(),
-            spans: spans.to_vec(),
-        })?)? {
-            (Response::Spans(Some(runs)), _) if runs.len() != spans.len() => Err(KvError::Protocol),
-            (Response::Spans(runs), version) => Ok((runs, version)),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// [`KvClient::multi_set_range`] returning the version the batch
-    /// installed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn multi_set_range_versioned(
-        &self,
-        key: &str,
-        writes: Vec<(u64, Vec<u8>)>,
-    ) -> Result<u64, KvError> {
-        match self.check_v(self.exec(&Request::MultiSetRange {
-            key: key.into(),
-            writes,
-        })?)? {
-            (Response::Ok, version) => Ok(version),
-            _ => Err(KvError::Protocol),
-        }
+    fn shard_stats(&self) -> Result<Vec<ShardStats>, KvError> {
+        Ok(vec![self.stats()?])
     }
 }
 
@@ -768,8 +380,10 @@ impl KvClient {
 mod tests {
     use super::*;
     use crate::server::KvServer;
+    use crate::store::LockMode;
     use faasm_net::Fabric;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn remote_pair() -> (KvClient, KvServer) {
         let fabric = Fabric::new();
@@ -855,6 +469,23 @@ mod tests {
             "payload bytes must be charged: {delta:?}"
         );
         server.shutdown();
+    }
+
+    #[test]
+    fn short_multi_get_reply_is_a_protocol_error() {
+        let fabric = Fabric::new();
+        let server_nic = fabric.add_host();
+        let client = KvClient::connect(fabric.add_host(), server_nic.id());
+        let server = std::thread::spawn(move || {
+            let env = server_nic.recv().unwrap();
+            let short = Response::MultiValues(vec![None]);
+            server_nic
+                .respond(&env, crate::codec::encode_response(&short))
+                .unwrap();
+        });
+        let keys = ["a".to_string(), "b".to_string()];
+        assert_eq!(client.multi_get(&keys), Err(KvError::Protocol));
+        server.join().unwrap();
     }
 
     #[test]

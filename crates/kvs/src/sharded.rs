@@ -26,7 +26,7 @@ use faasm_telemetry::SpanKind;
 use crate::backend::KvBackend;
 use crate::client::{KvClient, KvError};
 use crate::codec::{Request, Response, EPOCH_ANY};
-use crate::store::{LockMode, ShardStats};
+use crate::store::ShardStats;
 
 /// The sharded client's telemetry recorder (cached; see
 /// [`faasm_telemetry::tier`]).
@@ -398,11 +398,8 @@ impl ShardedKvClient {
         self.current().epoch
     }
 
-    /// This client's lock-owner token, stable across epoch changes.
-    /// Meaningful for cell-connected clients ([`ShardedKvClient::connect`]),
-    /// whose rebuilt per-shard connections all carry it; a static client
-    /// ([`ShardedKvClient::new`]) locks with the *inner* clients' own
-    /// tokens and never uses this one.
+    /// This client's lock-owner token, stable across epoch changes: every
+    /// lock request carries it whichever shard connection sends it.
     pub fn owner(&self) -> u64 {
         self.owner
     }
@@ -487,81 +484,58 @@ impl ShardedKvClient {
         Ok(())
     }
 
-    /// Run `op` against `key`'s primary shard, transparently following
-    /// routing-epoch changes: `WrongEpoch` and `NotPrimary` wait out the
-    /// migration (or failover) and retry on the new table; `Unavailable`
-    /// (a primary that cannot reach its write quorum) and network errors
-    /// against a cell-connected tier park for the *next* epoch — the
-    /// liveness monitor's failover — and retry, so a shard crash is a
-    /// bounded stall, not a lost operation.
-    fn with_retry<T>(
+    /// Absorb a routing error from an operation attempted under the shard
+    /// set at `set_epoch`: `Ok` means park is over and the caller retries
+    /// on the freshly loaded table, `Err` surfaces the error. `WrongEpoch`
+    /// and `NotPrimary` wait out the migration (or failover) that named
+    /// their epoch; `Unavailable` (a primary that cannot reach its write
+    /// quorum) and network errors against a cell-connected tier park for
+    /// the *next* epoch — the liveness monitor's failover — so a shard
+    /// crash is a bounded stall, not a lost operation.
+    fn park_on(
         &self,
-        key: &str,
-        op: impl Fn(&KvClient) -> Result<T, KvError>,
-    ) -> Result<T, KvError> {
-        let mut attempt = 0u32;
-        let mut waited = Duration::ZERO;
-        loop {
-            let set = self.current();
-            let client = &set.clients[set.primary_for(key)];
-            match op(client) {
-                Err(err @ (KvError::WrongEpoch { .. } | KvError::NotPrimary { .. })) => {
-                    let (epoch, retryable) = match &err {
-                        KvError::WrongEpoch { epoch, .. } => (*epoch, err.clone()),
-                        KvError::NotPrimary { epoch, .. } => (*epoch, err.clone()),
-                        _ => unreachable!(),
-                    };
-                    // The park+retry is a first-class latency stage: record
-                    // it as a span under the caller's active trace so epoch
-                    // storms show up in the ingress call's tree.
-                    let parked_ns = faasm_telemetry::now_ns();
-                    let outcome = self.wait_for_epoch(epoch, &mut attempt, &mut waited, retryable);
-                    let ctx = faasm_telemetry::current();
-                    if !ctx.is_none() {
-                        client_recorder().span(
-                            SpanKind::WrongEpochRetry,
-                            ctx,
-                            parked_ns,
-                            u64::from(attempt),
-                        );
-                    }
-                    outcome?;
+        err: KvError,
+        set_epoch: u64,
+        attempt: &mut u32,
+        waited: &mut Duration,
+    ) -> Result<(), KvError> {
+        match err {
+            KvError::WrongEpoch { epoch, .. } | KvError::NotPrimary { epoch, .. } => {
+                // The park+retry is a first-class latency stage: record
+                // it as a span under the caller's active trace so epoch
+                // storms show up in the ingress call's tree.
+                let parked_ns = faasm_telemetry::now_ns();
+                let outcome = self.wait_for_epoch(epoch, attempt, waited, err);
+                let ctx = faasm_telemetry::current();
+                if !ctx.is_none() {
+                    client_recorder().span(
+                        SpanKind::WrongEpochRetry,
+                        ctx,
+                        parked_ns,
+                        u64::from(*attempt),
+                    );
                 }
-                Err(KvError::Unavailable { epoch, shard_count }) => {
-                    // The primary applied nothing it will ack: its quorum is
-                    // short a backup. Park for the epoch that removes the
-                    // dead replica (the liveness monitor's failover) and
-                    // retry; the budget inside `wait_for_epoch` bounds the
-                    // stall.
-                    self.wait_for_epoch(
-                        epoch + 1,
-                        &mut attempt,
-                        &mut waited,
-                        KvError::Unavailable { epoch, shard_count },
-                    )?;
-                }
-                Err(KvError::Net(e)) => {
-                    // A dead or partitioned shard: if a newer table is
-                    // already out, retry against it now; otherwise (cell
-                    // tiers only) park for the failover epoch like
-                    // `Unavailable` — the blackout between a crash and its
-                    // epoch bump must redirect in-flight ops, not fail them.
-                    match &self.source {
-                        Source::Static(_) => return Err(KvError::Net(e)),
-                        Source::Cell { cell, .. } => {
-                            if cell.epoch() == set.epoch {
-                                self.wait_for_epoch(
-                                    set.epoch + 1,
-                                    &mut attempt,
-                                    &mut waited,
-                                    KvError::Net(e),
-                                )?;
-                            }
-                        }
-                    }
-                }
-                other => return other,
+                outcome
             }
+            // The primary applied nothing it will ack: its quorum is short
+            // a backup. Park for the epoch that removes the dead replica;
+            // the budget inside `wait_for_epoch` bounds the stall.
+            KvError::Unavailable { epoch, .. } => {
+                self.wait_for_epoch(epoch + 1, attempt, waited, err)
+            }
+            // A dead or partitioned shard: if a newer table is already
+            // out, retry against it now; otherwise (cell tiers only) park
+            // for the failover epoch like `Unavailable` — the blackout
+            // between a crash and its epoch bump must redirect in-flight
+            // ops, not fail them.
+            KvError::Net(_) => match &self.source {
+                Source::Static(_) => Err(err),
+                Source::Cell { cell, .. } if cell.epoch() == set_epoch => {
+                    self.wait_for_epoch(set_epoch + 1, attempt, waited, err)
+                }
+                Source::Cell { .. } => Ok(()),
+            },
+            other => Err(other),
         }
     }
 
@@ -597,62 +571,31 @@ fn build_set(nic: &Nic, table: &Arc<RoutingTable>, owner: u64) -> ShardSet {
 }
 
 impl KvBackend for ShardedKvClient {
-    fn get(&self, key: &str) -> Result<Option<Vec<u8>>, KvError> {
-        self.with_retry(key, |c| c.get(key))
-    }
-
-    fn set(&self, key: &str, value: Vec<u8>) -> Result<(), KvError> {
-        // Write payloads are moved into one request and retried by
-        // reference: no per-attempt clone of megabyte values on the hot
-        // path (the encode copy inside the client is unavoidable).
-        let req = Request::Set {
-            key: key.into(),
-            value,
-        };
-        match self.with_retry(key, |c| c.request(&req))? {
-            Response::Ok => Ok(()),
-            _ => Err(KvError::Protocol),
+    /// Run `req` against its key's primary shard, transparently following
+    /// routing-epoch changes (see `park_on`). The
+    /// request is built once by the caller and retried by reference: no
+    /// per-attempt clone of megabyte write payloads on the hot path.
+    fn call(&self, req: &Request) -> Result<(Response, u64), KvError> {
+        // Only keyed requests have an owning shard to route to.
+        let key = req.key().ok_or(KvError::Protocol)?;
+        let mut attempt = 0u32;
+        let mut waited = Duration::ZERO;
+        loop {
+            let set = self.current();
+            match set.clients[set.primary_for(key)].call(req) {
+                Ok(reply) => return Ok(reply),
+                Err(err) => self.park_on(err, set.epoch, &mut attempt, &mut waited)?,
+            }
         }
     }
 
-    fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Option<Vec<u8>>, KvError> {
-        self.with_retry(key, |c| c.get_range(key, offset, len))
-    }
-
-    fn set_range(&self, key: &str, offset: u64, data: Vec<u8>) -> Result<(), KvError> {
-        let req = Request::SetRange {
-            key: key.into(),
-            offset,
-            data,
-        };
-        match self.with_retry(key, |c| c.request(&req))? {
-            Response::Ok => Ok(()),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    fn multi_get_range(
-        &self,
-        key: &str,
-        spans: &[(u64, u64)],
-    ) -> Result<Option<Vec<Vec<u8>>>, KvError> {
-        self.with_retry(key, |c| c.multi_get_range(key, spans))
-    }
-
-    fn multi_set_range(&self, key: &str, writes: Vec<(u64, Vec<u8>)>) -> Result<(), KvError> {
-        let req = Request::MultiSetRange {
-            key: key.into(),
-            writes,
-        };
-        match self.with_retry(key, |c| c.request(&req))? {
-            Response::Ok => Ok(()),
-            _ => Err(KvError::Protocol),
-        }
+    fn lock_owner(&self) -> u64 {
+        self.owner
     }
 
     fn multi_get(&self, keys: &[String]) -> Result<Vec<Option<Vec<u8>>>, KvError> {
         // The batched chunk fetch: group keys by owning shard, one
-        // round-trip per shard. This cannot ride `with_retry` — that loop
+        // round-trip per shard. This cannot ride `call` — that loop
         // re-routes on a *single* key, but an epoch change mid-batch can
         // split a group across shards, so every retry re-groups the
         // still-pending keys under the freshly loaded table.
@@ -670,7 +613,6 @@ impl KvBackend for ShardedKvClient {
             for &i in &pending {
                 groups.entry(set.primary_for(&keys[i])).or_default().push(i);
             }
-            let mut parked = false;
             for (shard, idxs) in groups {
                 let batch: Vec<String> = idxs.iter().map(|&i| keys[i].clone()).collect();
                 match set.clients[shard].multi_get(&batch) {
@@ -680,124 +622,17 @@ impl KvBackend for ShardedKvClient {
                         }
                         pending.retain(|i| !idxs.contains(i));
                     }
-                    Err(err @ (KvError::WrongEpoch { .. } | KvError::NotPrimary { .. })) => {
-                        let epoch = match &err {
-                            KvError::WrongEpoch { epoch, .. }
-                            | KvError::NotPrimary { epoch, .. } => *epoch,
-                            _ => unreachable!(),
-                        };
-                        let parked_ns = faasm_telemetry::now_ns();
-                        let outcome = self.wait_for_epoch(epoch, &mut attempt, &mut waited, err);
-                        let ctx = faasm_telemetry::current();
-                        if !ctx.is_none() {
-                            client_recorder().span(
-                                SpanKind::WrongEpochRetry,
-                                ctx,
-                                parked_ns,
-                                u64::from(attempt),
-                            );
-                        }
-                        outcome?;
-                        parked = true;
+                    Err(err) => {
+                        self.park_on(err, set.epoch, &mut attempt, &mut waited)?;
+                        // Re-group the pending keys under the new table
+                        // before touching the remaining shards of the
+                        // stale grouping.
+                        break;
                     }
-                    Err(KvError::Unavailable { epoch, shard_count }) => {
-                        self.wait_for_epoch(
-                            epoch + 1,
-                            &mut attempt,
-                            &mut waited,
-                            KvError::Unavailable { epoch, shard_count },
-                        )?;
-                        parked = true;
-                    }
-                    Err(KvError::Net(e)) => match &self.source {
-                        Source::Static(_) => return Err(KvError::Net(e)),
-                        Source::Cell { cell, .. } => {
-                            if cell.epoch() == set.epoch {
-                                self.wait_for_epoch(
-                                    set.epoch + 1,
-                                    &mut attempt,
-                                    &mut waited,
-                                    KvError::Net(e),
-                                )?;
-                            }
-                            parked = true;
-                        }
-                    },
-                    Err(other) => return Err(other),
-                }
-                if parked {
-                    // Re-group the pending keys under the new table before
-                    // touching the remaining shards of the stale grouping.
-                    break;
                 }
             }
         }
         Ok(out)
-    }
-
-    fn append(&self, key: &str, data: Vec<u8>) -> Result<u64, KvError> {
-        let req = Request::Append {
-            key: key.into(),
-            data,
-        };
-        match self.with_retry(key, |c| c.request(&req))? {
-            Response::Len(n) => Ok(n),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    fn del(&self, key: &str) -> Result<bool, KvError> {
-        self.with_retry(key, |c| c.del(key))
-    }
-
-    fn exists(&self, key: &str) -> Result<bool, KvError> {
-        self.with_retry(key, |c| c.exists(key))
-    }
-
-    fn strlen(&self, key: &str) -> Result<u64, KvError> {
-        self.with_retry(key, |c| c.strlen(key))
-    }
-
-    fn incr(&self, key: &str, delta: i64) -> Result<i64, KvError> {
-        self.with_retry(key, |c| c.incr(key, delta))
-    }
-
-    fn sadd(&self, key: &str, member: &[u8]) -> Result<bool, KvError> {
-        self.with_retry(key, |c| c.sadd(key, member))
-    }
-
-    fn srem(&self, key: &str, member: &[u8]) -> Result<bool, KvError> {
-        self.with_retry(key, |c| c.srem(key, member))
-    }
-
-    fn smembers(&self, key: &str) -> Result<Vec<Vec<u8>>, KvError> {
-        self.with_retry(key, |c| c.smembers(key))
-    }
-
-    fn scard(&self, key: &str) -> Result<u64, KvError> {
-        self.with_retry(key, |c| c.scard(key))
-    }
-
-    fn try_lock(&self, key: &str, mode: LockMode) -> Result<bool, KvError> {
-        self.with_retry(key, |c| c.try_lock(key, mode))
-    }
-
-    fn lock(&self, key: &str, mode: LockMode) -> Result<(), KvError> {
-        // The blocking loop lives here (not in the per-shard client) so a
-        // reshard landing mid-wait re-routes the next attempt to the key's
-        // new owner instead of spinning on the donor.
-        let mut backoff = Duration::from_micros(50);
-        loop {
-            if self.try_lock(key, mode)? {
-                return Ok(());
-            }
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(Duration::from_millis(5));
-        }
-    }
-
-    fn unlock(&self, key: &str, mode: LockMode) -> Result<(), KvError> {
-        self.with_retry(key, |c| c.unlock(key, mode))
     }
 
     fn ping(&self) -> Result<(), KvError> {
@@ -831,70 +666,12 @@ impl KvBackend for ShardedKvClient {
     fn routing_epoch(&self) -> u64 {
         self.epoch()
     }
-
-    fn version_of(&self, key: &str) -> Result<u64, KvError> {
-        self.with_retry(key, |c| c.version_of(key))
-    }
-
-    fn get_versioned(&self, key: &str) -> Result<(Option<Vec<u8>>, u64), KvError> {
-        self.with_retry(key, |c| c.get_versioned(key))
-    }
-
-    fn set_versioned(&self, key: &str, value: Vec<u8>) -> Result<u64, KvError> {
-        let req = Request::Set {
-            key: key.into(),
-            value,
-        };
-        match self.with_retry(key, |c| c.request_versioned(&req))? {
-            (Response::Ok, version) => Ok(version),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    fn set_range_versioned(&self, key: &str, offset: u64, data: Vec<u8>) -> Result<u64, KvError> {
-        let req = Request::SetRange {
-            key: key.into(),
-            offset,
-            data,
-        };
-        match self.with_retry(key, |c| c.request_versioned(&req))? {
-            (Response::Ok, version) => Ok(version),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    fn del_versioned(&self, key: &str) -> Result<(bool, u64), KvError> {
-        self.with_retry(key, |c| c.del_versioned(key))
-    }
-
-    fn multi_get_range_versioned(
-        &self,
-        key: &str,
-        spans: &[(u64, u64)],
-    ) -> Result<(Option<Vec<Vec<u8>>>, u64), KvError> {
-        self.with_retry(key, |c| c.multi_get_range_versioned(key, spans))
-    }
-
-    fn multi_set_range_versioned(
-        &self,
-        key: &str,
-        writes: Vec<(u64, Vec<u8>)>,
-    ) -> Result<u64, KvError> {
-        let req = Request::MultiSetRange {
-            key: key.into(),
-            writes,
-        };
-        match self.with_retry(key, |c| c.request_versioned(&req))? {
-            (Response::Ok, version) => Ok(version),
-            _ => Err(KvError::Protocol),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::KvStore;
+    use crate::store::{KvStore, LockMode};
     use std::sync::Arc;
 
     fn sharded(n: usize) -> (Vec<Arc<KvStore>>, ShardedKvClient) {

@@ -1,4 +1,4 @@
-//! Deterministic fault injection for the state tier.
+//! Deterministic fault injection and a wire-free backend for the state tier.
 //!
 //! Tests and benches use these helpers to kill or partition a shard server
 //! mid-workload and then assert the replication invariants (no acked write
@@ -6,9 +6,92 @@
 //! library code — nothing here is test-gated — so the failover example and
 //! the bench harness can drive the same faults the integration tests do.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use faasm_net::Fabric;
 
-use crate::server::KvServer;
+use crate::backend::KvBackend;
+use crate::client::{check_v, KvError};
+use crate::codec::{Request, Response};
+use crate::server::{apply, KvServer};
+use crate::store::KvStore;
+
+/// An in-process [`KvBackend`] over a bare [`KvStore`]: every request is
+/// [`apply`]d exactly as a shard would (same replies, same versions), with
+/// a bumpable routing epoch and request counters — the wire-free harness
+/// for cache and state-entry semantics. "External" writers (another host)
+/// mutate [`LocalKv::store`] directly.
+pub struct LocalKv {
+    /// The authoritative store.
+    pub store: KvStore,
+    epoch: AtomicU64,
+    requests: AtomicU64,
+    reads: AtomicU64,
+}
+
+impl Default for LocalKv {
+    fn default() -> LocalKv {
+        LocalKv::new()
+    }
+}
+
+impl LocalKv {
+    /// An empty store serving at routing epoch 1.
+    pub fn new() -> LocalKv {
+        LocalKv {
+            store: KvStore::new(),
+            epoch: AtomicU64::new(1),
+            requests: AtomicU64::new(0),
+            reads: AtomicU64::new(0),
+        }
+    }
+
+    /// Bump the routing epoch, as a reshard or failover would.
+    pub fn bump_epoch(&self) {
+        self.epoch.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Keyed requests served so far.
+    pub fn requests(&self) -> u64 {
+        self.requests.load(Ordering::Relaxed)
+    }
+
+    /// Requests so far that carried value bytes back (`Get`, `GetRange`,
+    /// `MultiGetRange`) — what a cache hit saves.
+    pub fn wire_reads(&self) -> u64 {
+        self.reads.load(Ordering::Relaxed)
+    }
+}
+
+impl KvBackend for LocalKv {
+    fn call(&self, req: &Request) -> Result<(Response, u64), KvError> {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        if matches!(
+            req,
+            Request::Get { .. } | Request::GetRange { .. } | Request::MultiGetRange { .. }
+        ) {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+        }
+        check_v(apply(&self.store, req.clone()))
+    }
+
+    fn lock_owner(&self) -> u64 {
+        0
+    }
+
+    fn ping(&self) -> Result<(), KvError> {
+        Ok(())
+    }
+
+    fn flush(&self) -> Result<(), KvError> {
+        self.store.flush();
+        Ok(())
+    }
+
+    fn routing_epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Relaxed)
+    }
+}
 
 /// Kill a shard server abruptly: every fabric host it answers on (main and
 /// replica NIC) is removed *before* the workers stop, so in-flight callers

@@ -11,135 +11,12 @@
 //! revalidates, so a final bump-then-sweep must observe the tier exactly.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use faasm_kvs::{CacheConfig, CachedKv, KvBackend, KvError, KvStore, LockMode, SharedKv};
+use faasm_kvs::testutil::LocalKv;
+use faasm_kvs::{CacheConfig, CachedKv, KvBackend, SharedKv};
 use proptest::prelude::*;
-
-/// In-process backend over a bare store with a controllable routing epoch
-/// (the integration-test twin of the unit harness in `cache.rs`).
-struct LocalKv {
-    store: KvStore,
-    epoch: AtomicU64,
-}
-
-impl LocalKv {
-    fn new() -> LocalKv {
-        LocalKv {
-            store: KvStore::new(),
-            epoch: AtomicU64::new(1),
-        }
-    }
-}
-
-impl KvBackend for LocalKv {
-    fn get(&self, key: &str) -> Result<Option<Vec<u8>>, KvError> {
-        Ok(self.store.get(key))
-    }
-    fn get_versioned(&self, key: &str) -> Result<(Option<Vec<u8>>, u64), KvError> {
-        Ok(self.store.get_versioned(key))
-    }
-    fn set(&self, key: &str, value: Vec<u8>) -> Result<(), KvError> {
-        self.store.set(key, value);
-        Ok(())
-    }
-    fn set_versioned(&self, key: &str, value: Vec<u8>) -> Result<u64, KvError> {
-        Ok(self.store.set(key, value))
-    }
-    fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Option<Vec<u8>>, KvError> {
-        Ok(self.store.get_range(key, offset as usize, len as usize))
-    }
-    fn set_range(&self, key: &str, offset: u64, data: Vec<u8>) -> Result<(), KvError> {
-        self.store.set_range(key, offset as usize, &data);
-        Ok(())
-    }
-    fn set_range_versioned(&self, key: &str, offset: u64, data: Vec<u8>) -> Result<u64, KvError> {
-        Ok(self.store.set_range(key, offset as usize, &data))
-    }
-    fn multi_get_range(
-        &self,
-        key: &str,
-        spans: &[(u64, u64)],
-    ) -> Result<Option<Vec<Vec<u8>>>, KvError> {
-        Ok(self.multi_get_range_versioned(key, spans)?.0)
-    }
-    fn multi_get_range_versioned(
-        &self,
-        key: &str,
-        spans: &[(u64, u64)],
-    ) -> Result<(Option<Vec<Vec<u8>>>, u64), KvError> {
-        Ok(self.store.multi_get_range_versioned(key, spans))
-    }
-    fn multi_set_range(&self, key: &str, writes: Vec<(u64, Vec<u8>)>) -> Result<(), KvError> {
-        self.store.multi_set_range(key, &writes);
-        Ok(())
-    }
-    fn multi_set_range_versioned(
-        &self,
-        key: &str,
-        writes: Vec<(u64, Vec<u8>)>,
-    ) -> Result<u64, KvError> {
-        Ok(self.store.multi_set_range(key, &writes))
-    }
-    fn append(&self, key: &str, data: Vec<u8>) -> Result<u64, KvError> {
-        Ok(self.store.append(key, &data).0 as u64)
-    }
-    fn del(&self, key: &str) -> Result<bool, KvError> {
-        Ok(self.store.del(key).0)
-    }
-    fn del_versioned(&self, key: &str) -> Result<(bool, u64), KvError> {
-        Ok(self.store.del(key))
-    }
-    fn exists(&self, key: &str) -> Result<bool, KvError> {
-        Ok(self.store.exists(key))
-    }
-    fn strlen(&self, key: &str) -> Result<u64, KvError> {
-        Ok(self.store.strlen(key) as u64)
-    }
-    fn incr(&self, key: &str, delta: i64) -> Result<i64, KvError> {
-        Ok(self.store.incr(key, delta).0)
-    }
-    fn sadd(&self, key: &str, member: &[u8]) -> Result<bool, KvError> {
-        Ok(self.store.sadd(key, member).0)
-    }
-    fn srem(&self, key: &str, member: &[u8]) -> Result<bool, KvError> {
-        Ok(self.store.srem(key, member).0)
-    }
-    fn smembers(&self, key: &str) -> Result<Vec<Vec<u8>>, KvError> {
-        Ok(self.store.smembers(key))
-    }
-    fn scard(&self, key: &str) -> Result<u64, KvError> {
-        Ok(self.store.scard(key) as u64)
-    }
-    fn try_lock(&self, key: &str, mode: LockMode) -> Result<bool, KvError> {
-        Ok(self.store.try_lock(key, mode, 0))
-    }
-    fn lock(&self, key: &str, mode: LockMode) -> Result<(), KvError> {
-        while !self.store.try_lock(key, mode, 0) {
-            std::thread::yield_now();
-        }
-        Ok(())
-    }
-    fn unlock(&self, key: &str, mode: LockMode) -> Result<(), KvError> {
-        self.store.unlock(key, mode, 0);
-        Ok(())
-    }
-    fn ping(&self) -> Result<(), KvError> {
-        Ok(())
-    }
-    fn flush(&self) -> Result<(), KvError> {
-        self.store.flush();
-        Ok(())
-    }
-    fn routing_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-    fn version_of(&self, key: &str) -> Result<u64, KvError> {
-        Ok(self.store.version_of(key))
-    }
-}
 
 /// One step of the generated interleaving. `usize` selects a key from a
 /// small hot set so operations genuinely collide.
@@ -355,7 +232,7 @@ proptest! {
                     model.record(&key, ver, false);
                 }
                 Op::EpochBump => {
-                    local.epoch.fetch_add(1, Ordering::Relaxed);
+                    local.bump_epoch();
                 }
             }
         }
@@ -363,7 +240,7 @@ proptest! {
         // An epoch bump forces revalidation on the next touch of every
         // cached entry: the sweep must observe the tier exactly — zero
         // staleness survives a reshard/failover epoch.
-        local.epoch.fetch_add(1, Ordering::Relaxed);
+        local.bump_epoch();
         for k in 0..KEYS {
             let key = key_name(k);
             prop_assert_eq!(

@@ -589,7 +589,7 @@ impl StateEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faasm_kvs::{KvBackend, KvClient, KvError, KvStore};
+    use faasm_kvs::{KvBackend, KvClient, KvError, KvStore, Request, Response};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -599,72 +599,6 @@ mod tests {
         let region = SharedRegion::new(size.max(1));
         let e = StateEntry::new("k", size, region, Arc::clone(&kv) as SharedKv, chunk).unwrap();
         (kv, e)
-    }
-
-    /// Forwards every non-batched [`KvBackend`] method to an inner client
-    /// field, so test wrappers only spell out the batched ops they alter.
-    macro_rules! forward_kv_passthrough {
-        ($field:tt) => {
-            fn get(&self, key: &str) -> Result<Option<Vec<u8>>, KvError> {
-                self.$field.get(key)
-            }
-            fn set(&self, key: &str, value: Vec<u8>) -> Result<(), KvError> {
-                self.$field.set(key, value)
-            }
-            fn get_range(
-                &self,
-                key: &str,
-                offset: u64,
-                len: u64,
-            ) -> Result<Option<Vec<u8>>, KvError> {
-                self.$field.get_range(key, offset, len)
-            }
-            fn set_range(&self, key: &str, offset: u64, data: Vec<u8>) -> Result<(), KvError> {
-                self.$field.set_range(key, offset, data)
-            }
-            fn append(&self, key: &str, data: Vec<u8>) -> Result<u64, KvError> {
-                self.$field.append(key, data)
-            }
-            fn del(&self, key: &str) -> Result<bool, KvError> {
-                self.$field.del(key)
-            }
-            fn exists(&self, key: &str) -> Result<bool, KvError> {
-                self.$field.exists(key)
-            }
-            fn strlen(&self, key: &str) -> Result<u64, KvError> {
-                self.$field.strlen(key)
-            }
-            fn incr(&self, key: &str, delta: i64) -> Result<i64, KvError> {
-                self.$field.incr(key, delta)
-            }
-            fn sadd(&self, key: &str, member: &[u8]) -> Result<bool, KvError> {
-                self.$field.sadd(key, member)
-            }
-            fn srem(&self, key: &str, member: &[u8]) -> Result<bool, KvError> {
-                self.$field.srem(key, member)
-            }
-            fn smembers(&self, key: &str) -> Result<Vec<Vec<u8>>, KvError> {
-                self.$field.smembers(key)
-            }
-            fn scard(&self, key: &str) -> Result<u64, KvError> {
-                self.$field.scard(key)
-            }
-            fn try_lock(&self, key: &str, mode: LockMode) -> Result<bool, KvError> {
-                self.$field.try_lock(key, mode)
-            }
-            fn lock(&self, key: &str, mode: LockMode) -> Result<(), KvError> {
-                self.$field.lock(key, mode)
-            }
-            fn unlock(&self, key: &str, mode: LockMode) -> Result<(), KvError> {
-                self.$field.unlock(key, mode)
-            }
-            fn ping(&self) -> Result<(), KvError> {
-                self.$field.ping()
-            }
-            fn flush(&self) -> Result<(), KvError> {
-                self.$field.flush()
-            }
-        };
     }
 
     /// A backend that counts batched calls and stalls batched *reads* on
@@ -688,21 +622,29 @@ mod tests {
     }
 
     impl KvBackend for SlowKv {
-        forward_kv_passthrough!(inner);
-        fn multi_get_range(
-            &self,
-            key: &str,
-            spans: &[(u64, u64)],
-        ) -> Result<Option<Vec<Vec<u8>>>, KvError> {
-            self.multi_gets
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            std::thread::sleep(self.delay);
-            self.inner.multi_get_range(key, spans)
+        fn call(&self, req: &Request) -> Result<(Response, u64), KvError> {
+            match req {
+                Request::MultiGetRange { .. } => {
+                    self.multi_gets
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    std::thread::sleep(self.delay);
+                }
+                Request::MultiSetRange { .. } => {
+                    self.multi_sets
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                }
+                _ => {}
+            }
+            self.inner.call(req)
         }
-        fn multi_set_range(&self, key: &str, writes: Vec<(u64, Vec<u8>)>) -> Result<(), KvError> {
-            self.multi_sets
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.inner.multi_set_range(key, writes)
+        fn lock_owner(&self) -> u64 {
+            self.inner.lock_owner()
+        }
+        fn ping(&self) -> Result<(), KvError> {
+            self.inner.ping()
+        }
+        fn flush(&self) -> Result<(), KvError> {
+            self.inner.flush()
         }
     }
 
@@ -1042,16 +984,20 @@ mod tests {
     fn failed_push_restores_dirty_bits() {
         struct FailingSets(Arc<KvClient>);
         impl KvBackend for FailingSets {
-            forward_kv_passthrough!(0);
-            fn multi_get_range(
-                &self,
-                key: &str,
-                spans: &[(u64, u64)],
-            ) -> Result<Option<Vec<Vec<u8>>>, KvError> {
-                self.0.multi_get_range(key, spans)
+            fn call(&self, req: &Request) -> Result<(Response, u64), KvError> {
+                match req {
+                    Request::MultiSetRange { .. } => Err(KvError::Server("injected".into())),
+                    _ => self.0.call(req),
+                }
             }
-            fn multi_set_range(&self, _: &str, _: Vec<(u64, Vec<u8>)>) -> Result<(), KvError> {
-                Err(KvError::Server("injected".into()))
+            fn lock_owner(&self) -> u64 {
+                self.0.lock_owner()
+            }
+            fn ping(&self) -> Result<(), KvError> {
+                self.0.ping()
+            }
+            fn flush(&self) -> Result<(), KvError> {
+                self.0.flush()
             }
         }
         let store = Arc::new(KvStore::new());
