@@ -34,6 +34,17 @@ for f in client sharded cache; do
     fi
 done
 
+echo "== one front door, one placement scorer: no second ingress, chooser or formula"
+for f in $(find crates/*/src -name '*.rs'); do
+    # Non-test code only, as above.
+    if sed '/#\[cfg(test)\]/,$d' "$f" |
+        grep -nE 'forwarded: false|fn pick_instance|gateway-bus|DEPTH_WEIGHT' | sed "s|^|$f:|"; then
+        echo "$f revives the per-call Invoke ingress, a second instance chooser or a second scoring formula" >&2
+        echo "driver calls enter by Cluster::place -> submit_placed_batch; hosts are ranked by faasm_sched::Candidate::score" >&2
+        exit 1
+    fi
+done
+
 # Tier-1 must hold serially and oversubscribed: no test may depend on
 # having the process, or a core, to itself.
 for threads in 1 8; do
@@ -60,6 +71,9 @@ cargo run --release --example cache_locality
 
 echo "== coldstart-storm example (smoke): pre-staged 0→N scale-up, warm-restore rate >= 90%"
 cargo run --release --example coldstart_storm
+
+echo "== the repo benchmark, all five workloads at 1 s (smoke)"
+bash benchmark/run.sh --smoke
 
 echo "== gateway throughput bench, batched mode included (smoke)"
 cargo bench -p faasm-bench --bench gateway_throughput -- --test

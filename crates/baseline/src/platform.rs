@@ -38,8 +38,6 @@ pub struct BaselineConfig {
     pub host_memory_limit: usize,
     /// Extra bytes charged per gateway hop (HTTP framing).
     pub http_overhead_bytes: usize,
-    /// KVS worker threads.
-    pub kvs_workers: usize,
     /// Synchronous invoke timeout.
     pub invoke_timeout: Duration,
 }
@@ -52,11 +50,13 @@ impl Default for BaselineConfig {
             image: ImageConfig::default(),
             host_memory_limit: 2 * 1024 * 1024 * 1024,
             http_overhead_bytes: 256,
-            kvs_workers: 2,
             invoke_timeout: Duration::from_secs(60),
         }
     }
 }
+
+/// KVS server worker threads.
+const KVS_WORKERS: usize = 2;
 
 /// Frame a protocol message with HTTP-style padding overhead.
 fn frame(msg: &InstanceMsg, overhead: usize) -> Vec<u8> {
@@ -464,7 +464,7 @@ impl BaselinePlatform {
     pub fn with_config(config: BaselineConfig) -> BaselinePlatform {
         let fabric = Fabric::new();
         let kvs_nic = fabric.add_host();
-        let kvs = KvServer::start(kvs_nic, config.kvs_workers.max(1));
+        let kvs = KvServer::start(kvs_nic, KVS_WORKERS);
         let kvs_host = kvs.host_id();
         let object_store = Arc::new(ObjectStore::new());
         publish_image(&object_store, &config.image);

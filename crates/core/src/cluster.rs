@@ -2,10 +2,11 @@
 //!
 //! Mirrors the deployment of §5/§6.1: N runtime instances (one per host),
 //! a distributed KVS for the global state tier, a shared object store for
-//! uploaded code and Proto-Faaslets, and a front door that round-robins
-//! incoming calls to local schedulers (the unmodified-platform ingress).
+//! uploaded code and Proto-Faaslets, and the one front door: [`Cluster::place`]
+//! scores the live hosts and the call is handed to the chosen instance's
+//! batched placed-submit path, completing through a callback.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -15,14 +16,13 @@ use faasm_kvs::{
     ShardedKvClient, SharedKv,
 };
 use faasm_net::Fabric;
-use faasm_sched::{CallId, CallResult, CallSpec, RoundRobin};
+use faasm_sched::{entry_for, CallId, CallResult, Candidate};
 use faasm_vfs::ObjectStore;
 use parking_lot::Mutex;
 
 use crate::error::CoreError;
 use crate::guest::{FunctionDef, FunctionRegistry, GuestCode, NativeGuest};
-use crate::instance::{FaasmInstance, InstanceConfig};
-use crate::msg::{decode_msg, encode_msg, InstanceMsg};
+use crate::instance::{FaasmInstance, InstanceConfig, PlacedCall};
 use crate::pending::Pending;
 
 /// Cluster construction parameters.
@@ -30,8 +30,6 @@ use crate::pending::Pending;
 pub struct ClusterConfig {
     /// Number of runtime instances (hosts).
     pub hosts: usize,
-    /// KVS server worker threads (per shard).
-    pub kvs_workers: usize,
     /// Global-tier shard servers: each state key (value, counters, locks,
     /// warm sets) lives on exactly one shard, chosen by rendezvous hashing.
     /// 1 reproduces the paper's single-server tier.
@@ -66,7 +64,6 @@ impl Default for ClusterConfig {
     fn default() -> ClusterConfig {
         ClusterConfig {
             hosts: 2,
-            kvs_workers: 2,
             state_shards: 1,
             replication_factor: 1,
             instance: InstanceConfig::default(),
@@ -77,6 +74,9 @@ impl Default for ClusterConfig {
         }
     }
 }
+
+/// KVS server worker threads per state shard.
+const KVS_WORKERS: usize = 2;
 
 /// Options for uploading a function.
 #[derive(Debug, Clone)]
@@ -114,18 +114,17 @@ pub struct Cluster {
     monitor_stop: Arc<AtomicBool>,
     monitor_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     coord_nic: faasm_net::Nic,
-    kvs_workers: usize,
     object_store: Arc<ObjectStore>,
     registry: Arc<FunctionRegistry>,
     instances: Vec<Arc<FaasmInstance>>,
     /// Shared scheduling boards (peer load + state affinity), published to
-    /// every instance and read by the ingress tier's placement.
+    /// every instance and read by [`Cluster::place`].
     boards: Arc<faasm_sched::SchedBoards>,
-    rr: RoundRobin,
-    gateway_nic: faasm_net::Nic,
+    /// Seed for [`Cluster::place`]'s rotation among equally-scored hosts.
+    rotation: AtomicUsize,
+    /// Results of [`Cluster::invoke_async`] calls, parked by their
+    /// completion callbacks for [`Cluster::await_result`].
     gateway_pending: Arc<Pending>,
-    gateway_stop: Arc<AtomicBool>,
-    gateway_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     driver_kv: SharedKv,
     call_seq: Arc<AtomicU64>,
     invoke_timeout: Duration,
@@ -174,7 +173,7 @@ impl Cluster {
                     KvServer::start_replicated(
                         nic,
                         repl_nic,
-                        config.kvs_workers.max(1),
+                        KVS_WORKERS,
                         Arc::new(KvStore::new()),
                         ShardRouting::replicated(
                             1,
@@ -199,7 +198,7 @@ impl Cluster {
                 .map(|i| {
                     KvServer::start_routed(
                         fabric.add_host(),
-                        config.kvs_workers.max(1),
+                        KVS_WORKERS,
                         Arc::new(KvStore::new()),
                         ShardRouting::new(1, shards, i),
                     )
@@ -236,35 +235,6 @@ impl Cluster {
                 )
             })
             .collect();
-        let rr = RoundRobin::with_hosts(instances.iter().map(|i| i.host_id()).collect());
-
-        // The gateway: receives results for synchronous invocations.
-        let gateway_nic = fabric.add_host();
-        let gateway_pending = Arc::new(Pending::default());
-        let gateway_stop = Arc::new(AtomicBool::new(false));
-        let gateway_thread = {
-            let nic = gateway_nic.clone();
-            let pending = Arc::clone(&gateway_pending);
-            let stop = Arc::clone(&gateway_stop);
-            std::thread::Builder::new()
-                .name("gateway-bus".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        match nic.recv_timeout(Duration::from_millis(20)) {
-                            Ok(env) => {
-                                if let Some(InstanceMsg::Result { result }) =
-                                    decode_msg(&env.payload)
-                                {
-                                    pending.fulfill(result);
-                                }
-                            }
-                            Err(faasm_net::NetError::Timeout) => {}
-                            Err(_) => break,
-                        }
-                    }
-                })
-                .expect("spawn gateway thread")
-        };
 
         let driver_nic = fabric.add_host();
         let driver_kv: SharedKv = Arc::new(ShardedKvClient::connect(
@@ -293,16 +263,12 @@ impl Cluster {
             monitor_stop,
             monitor_thread: Mutex::new(monitor_thread),
             coord_nic: driver_nic,
-            kvs_workers: config.kvs_workers.max(1),
             object_store,
             registry,
             instances,
             boards,
-            rr,
-            gateway_nic,
-            gateway_pending,
-            gateway_stop,
-            gateway_thread: Mutex::new(Some(gateway_thread)),
+            rotation: AtomicUsize::new(0),
+            gateway_pending: Arc::new(Pending::default()),
             driver_kv,
             call_seq,
             invoke_timeout: config.invoke_timeout,
@@ -365,7 +331,8 @@ impl Cluster {
         Ok(())
     }
 
-    /// Register a trusted native guest (DESIGN.md S4 path).
+    /// Register a trusted native guest: host-compiled code run inside a
+    /// Faaslet with the same state, chaining and accounting as an FVM guest.
     pub fn register_native(
         &self,
         user: &str,
@@ -391,15 +358,19 @@ impl Cluster {
         self.await_result(id)
     }
 
-    /// Invoke asynchronously; returns the call id.
-    ///
-    /// Unreachable hosts are retried on the next rotation slot (re-dispatch
-    /// after host failure) before the call is failed.
+    /// Invoke asynchronously; returns the call id. The call is
+    /// [placed](Self::place) and batch-submitted to the chosen instance; its
+    /// completion callback parks the result for
+    /// [`await_result`](Self::await_result).
     pub fn invoke_async(&self, user: &str, function: &str, input: Vec<u8>) -> CallId {
-        let id = CallId(self.call_seq.fetch_add(1, Ordering::Relaxed));
-        self.gateway_pending.register(id.0);
-        let call = CallSpec {
-            id,
+        let Some(instance) = self.place(user, function) else {
+            let id = CallId(self.call_seq.fetch_add(1, Ordering::Relaxed));
+            self.gateway_pending
+                .fulfill(CallResult::error(id, "no reachable instances"));
+            return id;
+        };
+        let pending = Arc::clone(&self.gateway_pending);
+        let ids = instance.submit_placed_batch(vec![PlacedCall {
             user: user.to_string(),
             function: function.to_string(),
             input,
@@ -409,35 +380,40 @@ impl Cluster {
                 ctx if ctx.is_none() => faasm_telemetry::TraceCtx::new_root(),
                 ctx => ctx,
             },
-        };
-        let msg = encode_msg(&InstanceMsg::Invoke {
-            call,
-            reply_to: self.gateway_nic.id(),
-            forwarded: false,
-        });
-        let attempts = self.rr.len().max(1);
-        for _ in 0..attempts {
-            let Some(target) = self.rr.next() else { break };
-            if self.gateway_nic.send(target, msg.clone()).is_ok() {
-                return id;
-            }
-            // The host is gone: drop it from rotation and retry elsewhere.
-            self.rr.remove(target);
-        }
-        self.gateway_pending
-            .fulfill(CallResult::error(id, "no reachable instances"));
-        id
+            on_complete: Box::new(move |result| pending.fulfill(result)),
+        }]);
+        ids[0]
     }
 
-    /// Simulate the failure of instance `idx`: its fabric host disappears,
-    /// its threads stop and it leaves the ingress rotation. In-flight calls
-    /// that awaited results from it time out; new calls are re-dispatched
-    /// to the survivors (the failure-injection path of DESIGN.md §6).
+    /// Choose the instance for one call — the only instance chooser, used
+    /// by [`invoke_async`](Self::invoke_async) and the gateway's dispatchers
+    /// alike. Live hosts are ranked by the scheduler's one
+    /// [score](Candidate::score), rotating among equals; stopped instances
+    /// are never chosen, and `None` means none is left.
+    pub fn place(&self, user: &str, function: &str) -> Option<Arc<FaasmInstance>> {
+        let live: Vec<&Arc<FaasmInstance>> =
+            self.instances.iter().filter(|i| !i.is_stopped()).collect();
+        let hosts: Vec<faasm_net::HostId> = live.iter().map(|i| i.host_id()).collect();
+        let affinity = self.boards.affinities(user, function, &hosts);
+        let candidates: Vec<Candidate> = live
+            .iter()
+            .map(|i| Candidate {
+                idle_warm: i.idle_warmth(user, function),
+                depth: i.queue_depth(),
+                affinity: entry_for(&affinity, i.host_id()),
+            })
+            .collect();
+        let seed = self.rotation.fetch_add(1, Ordering::Relaxed);
+        faasm_sched::best(&candidates, seed).map(|i| Arc::clone(live[i]))
+    }
+
+    /// Simulate the failure of instance `idx`: its fabric host disappears
+    /// and its threads stop. Calls queued there are answered with an error;
+    /// [`place`](Self::place) sends new ones to the survivors.
     pub fn kill_instance(&self, idx: usize) {
         let Some(instance) = self.instances.get(idx) else {
             return;
         };
-        self.rr.remove(instance.host_id());
         self.fabric.remove_host(instance.host_id());
         instance.shutdown();
     }
@@ -521,7 +497,7 @@ impl Cluster {
             KvServer::start_replicated(
                 self.fabric.add_host(),
                 repl_nic,
-                self.kvs_workers,
+                KVS_WORKERS,
                 Arc::new(KvStore::new()),
                 ShardRouting::replicated(
                     table.epoch + 1,
@@ -535,7 +511,7 @@ impl Cluster {
         } else {
             KvServer::start_routed(
                 self.fabric.add_host(),
-                self.kvs_workers,
+                KVS_WORKERS,
                 Arc::new(KvStore::new()),
                 ShardRouting::new(table.epoch + 1, new_index + 1, new_index),
             )
@@ -661,10 +637,6 @@ impl Cluster {
         }
         for i in &self.instances {
             i.shutdown();
-        }
-        self.gateway_stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.gateway_thread.lock().take() {
-            let _ = t.join();
         }
     }
 }
@@ -1096,6 +1068,64 @@ mod tests {
             0,
             "a send that never left the host is not a forward"
         );
+    }
+
+    /// State-tier (reads, writes) served so far, over every shard.
+    fn tier_ops(cluster: &Cluster) -> (u64, u64) {
+        let stats = cluster.state_shard_stats().unwrap();
+        (
+            stats.iter().map(|s| s.reads).sum(),
+            stats.iter().map(|s| s.writes).sum(),
+        )
+    }
+
+    #[test]
+    fn warm_stateless_calls_cost_the_state_tier_nothing() {
+        // The host joins the warm set when it becomes warm, not per call:
+        // after the first call (cold start, proto publish, one SADD), 100
+        // warm echo calls through the front door move no shard counter.
+        let cluster = Cluster::new(1);
+        cluster
+            .upload_fl("u", "echo", ECHO, UploadOptions::default())
+            .unwrap();
+        assert_eq!(cluster.invoke("u", "echo", vec![0]).return_code(), 0);
+        let before = tier_ops(&cluster);
+        for i in 0..100u8 {
+            assert_eq!(cluster.invoke("u", "echo", vec![i]).output, vec![i]);
+        }
+        assert_eq!(tier_ops(&cluster), before, "(reads, writes) moved");
+        assert_eq!(cluster.kv().scard("sched:warm:u:echo"), Ok(1));
+        // Retiring the pool leaves the warm set; the next call re-joins.
+        assert_eq!(cluster.instances()[0].retire_idle("u", "echo", 8), 1);
+        assert_eq!(cluster.kv().scard("sched:warm:u:echo"), Ok(0));
+        assert_eq!(cluster.invoke("u", "echo", vec![1]).return_code(), 0);
+        assert_eq!(cluster.kv().scard("sched:warm:u:echo"), Ok(1));
+    }
+
+    #[test]
+    fn warm_local_chained_calls_read_nothing_from_the_tier() {
+        let cluster = Cluster::new(2);
+        cluster
+            .upload_fl("u", "child", ECHO, UploadOptions::default())
+            .unwrap();
+        let parent: Arc<dyn NativeGuest> = Arc::new(|api: &mut NativeApi<'_>| {
+            let id = api.chain("child", api.input().to_vec());
+            let code = api.await_call(id);
+            let echoed = api.call_output(id).unwrap_or_default().to_vec();
+            api.write_output(&echoed);
+            Ok(code)
+        });
+        cluster.register_native("u", "parent", parent, false);
+        // Warm both functions on one host; from then on `decide`'s first
+        // branch serves every hop, and it reads neither warm set nor board.
+        let host = &cluster.instances()[0];
+        assert_eq!(host.invoke_local("u", "parent", vec![1]).output, vec![1]);
+        let before = tier_ops(&cluster);
+        for i in 0..20u8 {
+            assert_eq!(host.invoke_local("u", "parent", vec![i]).output, vec![i]);
+        }
+        assert_eq!(tier_ops(&cluster), before, "(reads, writes) moved");
+        assert_eq!(host.metrics().forwarded(), 0);
     }
 
     #[test]

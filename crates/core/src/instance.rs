@@ -18,7 +18,8 @@ use faasm_kvs::{
 };
 use faasm_net::{Fabric, HostId, Nic};
 use faasm_sched::{
-    decide, CallId, CallResult, CallSpec, Decision, Placement, SchedBoards, WarmSets,
+    decide, runs_warm_local, CallId, CallResult, CallSpec, Decision, Placement, SchedBoards,
+    WarmSets,
 };
 use faasm_state::StateManager;
 use faasm_telemetry::{SpanKind, TraceCtx};
@@ -45,37 +46,30 @@ use crate::snapdist::{
 pub struct InstanceConfig {
     /// Worker threads (the instance's execution capacity).
     pub workers: usize,
-    /// Fuel tolerance for the CPU cgroup (how far a Faaslet may run ahead).
-    pub cgroup_tolerance: u64,
     /// Per-Faaslet egress shaping, if any.
     pub egress: Option<EgressLimit>,
-    /// State chunk size for the local tier.
-    pub chunk_size: usize,
-    /// Worker thread stack size (guest recursion uses the host stack).
-    pub worker_stack: usize,
     /// Function-side state cache over the global tier (`None` = every read
     /// rides the wire, the pre-cache behaviour). When set, the instance's
     /// `SharedKv` is a [`CachedKv`] and workers feed the scheduler's
     /// state-affinity board from per-call cache hits.
     pub cache: Option<CacheConfig>,
-    /// Byte budget for the host's snapshot chunk cache (verified
-    /// content-addressed proto chunks, LRU-evicted).
-    pub snapshot_cache_bytes: usize,
 }
 
 impl Default for InstanceConfig {
     fn default() -> InstanceConfig {
         InstanceConfig {
             workers: 4,
-            cgroup_tolerance: 1 << 22,
             egress: None,
-            chunk_size: faasm_state::DEFAULT_CHUNK_SIZE,
-            worker_stack: 16 * 1024 * 1024,
             cache: None,
-            snapshot_cache_bytes: DEFAULT_SNAPSHOT_CACHE_BYTES,
         }
     }
 }
+
+/// Fuel tolerance for the CPU cgroup (how far a Faaslet may run ahead).
+const CGROUP_TOLERANCE: u64 = 1 << 22;
+
+/// Worker thread stack size (guest recursion uses the host stack).
+const WORKER_STACK: usize = 16 * 1024 * 1024;
 
 #[derive(Debug)]
 struct QueuedCall {
@@ -142,10 +136,16 @@ pub struct FaasmInstance {
     warm: WarmSets,
     cgroup: Arc<CgroupCpu>,
     linker: Arc<Linker>,
+    /// Idle warm Faaslets per function. A key's presence — even with every
+    /// Faaslet checked out — is this host's membership of the function's
+    /// global warm set: the `pool_enter` that inserts it registers, the
+    /// `evict` or `retire_idle` that removes it deregisters.
     pool: Mutex<HashMap<(String, String), Vec<Faaslet>>>,
-    busy: Mutex<HashMap<(String, String), usize>>,
     queue_tx: Sender<QueuedCall>,
     queue_rx: Receiver<QueuedCall>,
+    /// Batched calls on the bus that the bus loop has not yet queued:
+    /// without them a burst of placements all read this host as idle.
+    in_transit: AtomicUsize,
     pending: Arc<Pending>,
     protos: RwLock<HashMap<(String, String), ProtoRef>>,
     metrics: Arc<Metrics>,
@@ -204,10 +204,7 @@ impl FaasmInstance {
             }
             None => (sharded, None),
         };
-        let state = Arc::new(StateManager::with_chunk_size(
-            Arc::clone(&kv),
-            config.chunk_size,
-        ));
+        let state = Arc::new(StateManager::new(Arc::clone(&kv)));
         let hostfs = HostFs::new(object_store);
         let warm = WarmSets::new(Arc::clone(&kv));
         let (queue_tx, queue_rx) = unbounded();
@@ -219,7 +216,7 @@ impl FaasmInstance {
             kv,
             cache,
             tier_kv,
-            snap_cache: Arc::new(SnapshotCache::new(config.snapshot_cache_bytes)),
+            snap_cache: Arc::new(SnapshotCache::new(DEFAULT_SNAPSHOT_CACHE_BYTES)),
             resolving: Mutex::new(HashMap::new()),
             prestage_tx,
             boards,
@@ -227,12 +224,12 @@ impl FaasmInstance {
             hostfs,
             registry,
             warm,
-            cgroup: CgroupCpu::new(config.cgroup_tolerance),
+            cgroup: CgroupCpu::new(CGROUP_TOLERANCE),
             linker: Arc::new(faaslet_linker()),
             pool: Mutex::new(HashMap::new()),
-            busy: Mutex::new(HashMap::new()),
             queue_tx,
             queue_rx,
+            in_transit: AtomicUsize::new(0),
             pending: Arc::new(Pending::default()),
             protos: RwLock::new(HashMap::new()),
             metrics: Arc::new(Metrics::new()),
@@ -269,7 +266,7 @@ impl FaasmInstance {
             let inst = Arc::clone(&instance);
             let handle = std::thread::Builder::new()
                 .name(format!("{}-worker{}", inst.host_id, w))
-                .stack_size(instance.config.worker_stack)
+                .stack_size(WORKER_STACK)
                 .spawn(move || inst.worker_loop())
                 .expect("spawn worker thread");
             instance.threads.lock().push(handle);
@@ -364,15 +361,17 @@ impl FaasmInstance {
 
     /// Idle warm Faaslets for a function.
     pub fn warm_count(&self, user: &str, function: &str) -> usize {
+        self.idle_warmth(user, function).unwrap_or(0)
+    }
+
+    /// This host's warmth for a function as placement scores it
+    /// ([`faasm_sched::Candidate::idle_warm`]): `None` when it holds no
+    /// Faaslet for it, else how many are idle.
+    pub fn idle_warmth(&self, user: &str, function: &str) -> Option<usize> {
         self.pool
             .lock()
             .get(&(user.to_string(), function.to_string()))
-            .map_or(0, Vec::len)
-    }
-
-    /// Total Faaslets currently pooled (idle).
-    pub fn pooled_faaslets(&self) -> usize {
-        self.pool.lock().values().map(Vec::len).sum()
+            .map(Vec::len)
     }
 
     /// Aggregate host memory: Faaslet RSS + local state tier + file cache
@@ -394,11 +393,32 @@ impl FaasmInstance {
         let _ = self.warm.deregister(user, function, self.host_id);
     }
 
-    /// Depth of this host's local run queue — calls accepted but not yet
-    /// executing. The backpressure signal read by the scheduler and by the
-    /// ingress tier when placing batches.
+    /// Calls this host has accepted but not started executing: its run
+    /// queue plus batches still on its bus. The backpressure signal read by
+    /// the local scheduler and by [`Cluster::place`](crate::Cluster::place).
     pub fn queue_depth(&self) -> usize {
-        self.queue_rx.len()
+        self.queue_rx.len() + self.in_transit.load(Ordering::Relaxed)
+    }
+
+    /// Whether [`shutdown`](Self::shutdown) has begun: a stopped instance
+    /// answers every submit with an error, so placement skips it.
+    pub fn is_stopped(&self) -> bool {
+        self.stop.load(Ordering::Relaxed)
+    }
+
+    /// Enter `faaslets` into the function's idle pool. Creating the pool
+    /// entry is the moment this host counts as warm for the function — the
+    /// first build claims it with no Faaslet yet, so calls placed during a
+    /// cold start follow it here instead of starting another host — and the
+    /// only moment that tells the global warm set.
+    fn pool_enter(&self, key: &(String, String), faaslets: Option<Faaslet>) {
+        let mut pool = self.pool.lock();
+        let became_warm = !pool.contains_key(key);
+        pool.entry(key.clone()).or_default().extend(faaslets);
+        drop(pool);
+        if became_warm {
+            let _ = self.warm.register(&key.0, &key.1, self.host_id);
+        }
     }
 
     /// Pre-warm up to `count` Faaslets for a function into the idle pool
@@ -410,7 +430,7 @@ impl FaasmInstance {
     ///
     /// [`CoreError::UnknownFunction`] or Faaslet construction errors, only
     /// when nothing could be built; a partial batch is reported as
-    /// `Ok(created)` and the host is registered warm for what it did build.
+    /// `Ok(created)`.
     pub fn prewarm(
         self: &Arc<Self>,
         user: &str,
@@ -418,31 +438,14 @@ impl FaasmInstance {
         count: usize,
     ) -> Result<usize, CoreError> {
         let key = (user.to_string(), function.to_string());
-        let mut created = 0;
-        let mut first_err = None;
-        for _ in 0..count {
+        for created in 0..count {
             match self.build_faaslet(&key) {
-                Ok(faaslet) => {
-                    self.pool
-                        .lock()
-                        .entry(key.clone())
-                        .or_default()
-                        .push(faaslet);
-                    created += 1;
-                }
-                Err(e) => {
-                    first_err = Some(e);
-                    break;
-                }
+                Ok(faaslet) => self.pool_enter(&key, Some(faaslet)),
+                Err(e) if created == 0 => return Err(e),
+                Err(_) => return Ok(created),
             }
         }
-        if created > 0 {
-            let _ = self.warm.register(user, function, self.host_id);
-        }
-        match first_err {
-            Some(e) if created == 0 => Err(e),
-            _ => Ok(created),
-        }
+        Ok(count)
     }
 
     /// Retire up to `count` idle Faaslets for a function from the pool (the
@@ -489,11 +492,12 @@ impl FaasmInstance {
         while !self.stop.load(Ordering::Relaxed) {
             match self.nic.recv_timeout(Duration::from_millis(20)) {
                 Ok(env) => match decode_msg(&env.payload) {
-                    Some(InstanceMsg::Invoke {
-                        call,
-                        reply_to,
-                        forwarded,
-                    }) => self.handle_invoke(call, reply_to, forwarded),
+                    // An `Invoke` on the bus is a call a peer's scheduler
+                    // shared with this host: it executes here — one hop
+                    // maximum, whatever its `forwarded` byte says.
+                    Some(InstanceMsg::Invoke { call, reply_to, .. }) => {
+                        let _ = self.queue_tx.send(QueuedCall { call, reply_to });
+                    }
                     Some(InstanceMsg::Result { result }) => self.pending.fulfill(result),
                     // Batched calls were already placed by an ingress tier:
                     // queue them all, skipping the local scheduling decision
@@ -505,6 +509,7 @@ impl FaasmInstance {
                         sent_at_ns,
                     }) => {
                         let recorder = worker_recorder();
+                        let arrived = calls.len();
                         for call in calls {
                             if sent_at_ns != 0 && !call.trace.is_none() {
                                 // One bus-transit span per call: encode +
@@ -514,6 +519,7 @@ impl FaasmInstance {
                             }
                             let _ = self.queue_tx.send(QueuedCall { call, reply_to });
                         }
+                        self.leave_transit(arrived);
                     }
                     // Pre-staged manifests are handed to the dedicated
                     // fetcher; the bus loop stays hot for invokes.
@@ -534,34 +540,43 @@ impl FaasmInstance {
         }
     }
 
-    /// The local scheduling decision (§5.1).
-    fn handle_invoke(self: &Arc<Self>, call: CallSpec, reply_to: HostId, forwarded: bool) {
-        let key = (call.user.clone(), call.function.clone());
-        if forwarded {
-            // Shared calls execute here — one hop maximum.
+    /// `n` batched calls left the bus. Saturating: a batch message this
+    /// host's own submit path did not send was never counted in.
+    fn leave_transit(&self, n: usize) {
+        let _ = self
+            .in_transit
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| {
+                Some(t.saturating_sub(n))
+            });
+    }
+
+    /// The local scheduling decision (§5.1), taken for chained calls.
+    fn handle_invoke(self: &Arc<Self>, call: CallSpec, reply_to: HostId) {
+        // Faaslets out on calls are not counted: the decision only ever asks
+        // for one that is warm *and* idle.
+        let idle = self.warm_count(&call.user, &call.function);
+        let depth = self.queue_depth();
+        self.boards.publish_depth(self.host_id, depth);
+        // The common case asks nobody; only a call that may need a forward
+        // target pays for the warm set (a state-tier read) and the boards.
+        if runs_warm_local(idle, idle, depth) {
             let _ = self.queue_tx.send(QueuedCall { call, reply_to });
             return;
         }
-        let idle = self.pool.lock().get(&key).map_or(0, Vec::len);
-        let busy = self.busy.lock().get(&key).copied().unwrap_or(0);
         let warm_hosts = self
             .warm
             .hosts(&call.user, &call.function)
             .unwrap_or_default();
-        // Publish our depth and read the peers' from the boards, so a
-        // forward lands on the least-loaded warm peer — nudged toward
-        // peers whose state caches already hold this function's keys.
-        self.boards.publish_depth(self.host_id, self.queue_rx.len());
         let peer_depths = self.boards.depths(&warm_hosts);
         let peer_affinity = self
             .boards
             .affinities(&call.user, &call.function, &warm_hosts);
         let placement = decide(&Decision {
             this_host: self.host_id,
-            warm_local: idle + busy,
+            warm_local: idle,
             idle_local: idle,
             warm_hosts: &warm_hosts,
-            queue_depth: self.queue_rx.len(),
+            queue_depth: depth,
             seed: self.rotation.fetch_add(1, Ordering::Relaxed),
             peer_depths: &peer_depths,
             peer_affinity: &peer_affinity,
@@ -608,8 +623,6 @@ impl FaasmInstance {
                 return;
             }
         };
-        *self.busy.lock().entry(key.clone()).or_insert(0) += 1;
-
         let t0 = Instant::now();
         let start_ns = faasm_telemetry::now_ns();
         // The worker-exec span is allocated *before* the run and installed
@@ -630,7 +643,7 @@ impl FaasmInstance {
                     .report_affinity(&q.call.user, &q.call.function, self.host_id, &touched);
             }
         }
-        self.boards.publish_depth(self.host_id, self.queue_rx.len());
+        self.boards.publish_depth(self.host_id, self.queue_depth());
         let exec_ns = t0.elapsed().as_nanos() as u64;
         if !exec_ctx.is_none() {
             worker_recorder().record(faasm_telemetry::SpanRecord {
@@ -650,12 +663,8 @@ impl FaasmInstance {
             faaslet.pss_bytes(),
         );
 
-        if let Some(b) = self.busy.lock().get_mut(&key) {
-            *b = b.saturating_sub(1);
-        }
-
         // Reset-after-call (multi-tenant hygiene, §5.2), then return to the
-        // warm pool and register in the global warm set.
+        // warm pool.
         let def = self.registry.get(&q.call.user, &q.call.function);
         let reset_ok = match def {
             Some(def) if def.reset_after_call => match &def.code {
@@ -668,14 +677,7 @@ impl FaasmInstance {
             _ => true,
         };
         if reset_ok {
-            self.pool
-                .lock()
-                .entry(key.clone())
-                .or_default()
-                .push(faaslet);
-            let _ = self
-                .warm
-                .register(&q.call.user, &q.call.function, self.host_id);
+            self.pool_enter(&key, Some(faaslet));
         }
         self.deliver(result, q.reply_to);
     }
@@ -701,6 +703,7 @@ impl FaasmInstance {
                 user: key.0.clone(),
                 function: key.1.clone(),
             })?;
+        self.pool_enter(key, None);
         let id = self.next_faaslet.fetch_add(1, Ordering::Relaxed);
         let env = self.env();
 
@@ -944,10 +947,10 @@ impl FaasmInstance {
     }
 
     /// Queue a call for execution on this instance, bypassing the local
-    /// scheduling decision — for ingress tiers that already placed the call
-    /// (the gateway scores hosts by warmth and queue depth before
-    /// dispatching; re-running `decide` here would forward by bare rotation
-    /// and fight that placement). Await with [`ChainRouter::await_call`].
+    /// scheduling decision — for callers that already chose this host
+    /// ([`Cluster::place`](crate::Cluster::place) scored it against its
+    /// peers; re-running `decide` here could forward the call away and
+    /// fight that placement). Await with [`ChainRouter::await_call`].
     pub fn submit_placed(&self, user: &str, function: &str, input: Vec<u8>) -> CallId {
         let id = CallId(self.call_seq.fetch_add(1, Ordering::Relaxed));
         self.pending.register(id.0);
@@ -1018,11 +1021,14 @@ impl FaasmInstance {
         // see the real coordination cost. The gate guarantees that if the
         // send happens, it happens before shutdown's drain (which will
         // answer it), and that a stop observed here is final.
+        self.in_transit
+            .fetch_add(registered.len(), Ordering::Relaxed);
         let failed = {
             let _submitting = self.shutdown_gate.read();
             self.stop.load(Ordering::Relaxed) || self.nic.send(self.host_id, msg).is_err()
         };
         if failed {
+            self.leave_transit(registered.len());
             // Instance shutting down or fabric host gone: the bus loop will
             // never queue these, so answer every registered callback now
             // (oversized calls were already answered above).
@@ -1115,7 +1121,7 @@ impl ChainRouter for FaasmInstance {
             trace: faasm_telemetry::current(),
         };
         if let Some(me) = self.me.upgrade() {
-            me.handle_invoke(call, self.host_id, false);
+            me.handle_invoke(call, self.host_id);
         } else {
             // The instance is being torn down; queue locally so the call
             // fails fast rather than vanishing.

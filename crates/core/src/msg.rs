@@ -11,12 +11,13 @@ use faasm_sched::{
     encode_call_into, encode_result_into, read_call, read_result, CallResult, CallSpec,
 };
 
-/// A message between runtime instances (and the cluster gateway).
+/// A message between runtime instances.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InstanceMsg {
-    /// Execute a call; send its result to `reply_to`. `forwarded` marks
-    /// calls already shared once — they must execute locally to prevent
-    /// forwarding loops (§5.1 shares at most one hop).
+    /// Execute a call a peer's scheduler shared with this host; send its
+    /// result to `reply_to`. Receivers always execute it locally (§5.1
+    /// shares at most one hop); `forwarded` is kept for the wire format
+    /// and every sender sets it.
     Invoke {
         /// The call to execute.
         call: CallSpec,

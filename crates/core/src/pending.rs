@@ -19,9 +19,10 @@
 //! **Register-before-fulfill invariant.** Waiter-style callers must
 //! [`PendingMap::register`] an id *before* the work that fulfils it is
 //! dispatched; otherwise a non-storing map drops the result and the waiter
-//! blocks out its timeout. The in-tree callers hold this: the cluster front
-//! door registers before `Nic::send`, the instance registers in
-//! `chain_call`/`submit_placed` before queueing, the baseline platform
+//! blocks out its timeout. The in-tree callers hold this: the instance
+//! registers in `chain_call`/`submit_placed`/`submit_placed_batch` before
+//! queueing (the cluster front door's results arrive through such a batch
+//! callback and are parked, store-unregistered), the baseline platform
 //! registers before its gateway send, and the gateway registers a ticket
 //! before admission. Callback waiters ([`PendingMap::register_callback`])
 //! are exempt — a callback registered after an early fulfilment is invoked

@@ -7,13 +7,12 @@
 //! drained to zero have surplus idle Faaslets retired so the host memory
 //! (the billable-memory curve of Fig. 6c) tracks demand.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use faasm_core::FaasmInstance;
 use faasm_net::HostId;
-use faasm_sched::SchedBoards;
+use faasm_sched::{entry_for, Candidate, SchedBoards};
 
 /// Autoscaler tuning.
 #[derive(Debug, Clone)]
@@ -64,12 +63,13 @@ pub fn tier_scale_wanted(ops_delta: u64, shard_count: usize, cfg: &AutoscaleConf
 }
 
 /// Pre-warm `count` Faaslets for a function, spread one at a time across
-/// the instances in ascending load order — instead of aiming the whole
+/// the instances best placement score first — instead of aiming the whole
 /// step at a single host, so calls the schedulers later forward also land
-/// warm. Ordering is run-queue depth first, then (given `boards`) the
-/// scheduler's hot-key affinity for this function descending, then pooled
-/// Faaslets: a host whose state cache already holds the function's working
-/// set beats an equally-loaded stranger.
+/// warm. The score is the scheduler's own ([`Candidate::score`]) over
+/// run-queue depth and (given `boards`) the function's hot-key affinity: a
+/// host whose state cache already holds the function's working set beats
+/// an equally-loaded stranger. Idle warmth is left out — a pre-warm adds
+/// it, so a host that already has some is no better a target.
 ///
 /// Before warming, the step's targets are **pre-staged**: the function's
 /// chunk manifest is pushed to them over the bus, so hosts that don't yet
@@ -84,20 +84,22 @@ pub fn spread_prewarm(
     function: &str,
     count: usize,
 ) -> usize {
-    if instances.is_empty() || count == 0 {
+    // Like placement, never a stopped host: its state-tier client can no
+    // longer be answered, and its pool must stay empty.
+    let mut order: Vec<&Arc<FaasmInstance>> =
+        instances.iter().filter(|i| !i.is_stopped()).collect();
+    if order.is_empty() || count == 0 {
         return 0;
     }
-    let hosts: Vec<HostId> = instances.iter().map(|i| i.host_id()).collect();
-    let affinity: HashMap<HostId, u64> = boards
-        .map(|b| b.affinities(user, function, &hosts).into_iter().collect())
-        .unwrap_or_default();
-    let mut order: Vec<&Arc<FaasmInstance>> = instances.iter().collect();
-    order.sort_by_key(|i| {
-        (
-            i.queue_depth(),
-            std::cmp::Reverse(affinity.get(&i.host_id()).copied().unwrap_or(0)),
-            i.pooled_faaslets(),
-        )
+    let hosts: Vec<HostId> = order.iter().map(|i| i.host_id()).collect();
+    let affinity = boards.map_or(Vec::new(), |b| b.affinities(user, function, &hosts));
+    order.sort_by_cached_key(|i| {
+        let candidate = Candidate {
+            idle_warm: None,
+            depth: i.queue_depth(),
+            affinity: entry_for(&affinity, i.host_id()),
+        };
+        std::cmp::Reverse(candidate.score())
     });
     // Pre-stage before warming: push the manifest to every target that
     // does not already hold the proto. Best-effort — with nothing

@@ -1,7 +1,7 @@
 //! The gateway runtime: admission, batching dispatch, autoscaling.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,8 +32,6 @@ pub struct GatewayConfig {
     /// Upper bound a caller blocks in [`Gateway::wait`] before getting an
     /// error response (covers runaway guests; normal sheds return fast).
     pub wait_timeout: Duration,
-    /// Policy for tenants without an explicit one.
-    pub default_policy: TenantPolicy,
     /// Autoscaler; `None` disables it.
     pub autoscale: Option<AutoscaleConfig>,
     /// Requests submitted to the cluster but not yet completed, across all
@@ -60,7 +58,6 @@ impl Default for GatewayConfig {
             batch_wait: Duration::from_millis(5),
             default_deadline: Duration::from_secs(5),
             wait_timeout: Duration::from_secs(120),
-            default_policy: TenantPolicy::default(),
             autoscale: Some(AutoscaleConfig::default()),
             max_inflight: 0,
             target_dispatch_latency: Duration::from_millis(25),
@@ -122,7 +119,6 @@ struct Inner {
     completions: Completions,
     metrics: Arc<GatewayMetrics>,
     seq: AtomicU64,
-    rotation: AtomicUsize,
     stop: AtomicBool,
     /// Calls submitted to the cluster whose completion callback has not yet
     /// fired. Dispatchers reserve room here before draining and completions
@@ -175,7 +171,6 @@ impl Gateway {
             completions,
             metrics: Arc::new(GatewayMetrics::new()),
             seq: AtomicU64::new(1),
-            rotation: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             inflight: Mutex::new(0),
             inflight_cv: Condvar::new(),
@@ -514,7 +509,7 @@ impl Inner {
             .lock()
             .get(tenant)
             .cloned()
-            .unwrap_or_else(|| self.config.default_policy.clone())
+            .unwrap_or_default()
     }
 
     fn bucket_for(&self, tenant: &str, policy: &TenantPolicy) -> Arc<TokenBucket> {
@@ -531,38 +526,6 @@ impl Inner {
                 bucket
             }
         }
-    }
-
-    /// Choose the instance for one call: prefer hosts with idle warm
-    /// Faaslets for the function, penalise deep run queues, nudge toward
-    /// hosts whose state caches already hold the function's working set
-    /// (log-scaled so cache warmth never outweighs real load), break ties
-    /// by rotation. The same signals `faasm_sched::decide` uses, applied
-    /// one tier earlier.
-    fn pick_instance(&self, tenant: &str, function: &str) -> Arc<FaasmInstance> {
-        let instances = self.cluster.instances();
-        debug_assert!(!instances.is_empty());
-        let hosts: Vec<faasm_net::HostId> = instances.iter().map(|i| i.host_id()).collect();
-        let affinity = self.cluster.boards().affinities(tenant, function, &hosts);
-        let affinity_of = |h: faasm_net::HostId| -> i64 {
-            let score = affinity
-                .iter()
-                .find(|(p, _)| *p == h)
-                .map_or(0, |(_, a)| *a);
-            (64 - score.leading_zeros()) as i64
-        };
-        let start = self.rotation.fetch_add(1, Ordering::Relaxed);
-        let mut best: Option<(i64, &Arc<FaasmInstance>)> = None;
-        for off in 0..instances.len() {
-            let inst = &instances[(start + off) % instances.len()];
-            let warm = inst.warm_count(tenant, function) as i64;
-            let depth = inst.queue_depth() as i64;
-            let score = warm * 4 - depth + affinity_of(inst.host_id());
-            if best.as_ref().is_none_or(|(s, _)| score > *s) {
-                best = Some((score, inst));
-            }
-        }
-        Arc::clone(best.expect("cluster has at least one instance").1)
     }
 
     /// A tenant's queue cap under the current back-pressure scale (never
@@ -720,17 +683,18 @@ impl Inner {
             }
             let now = Instant::now();
             // Group by placement target so each instance gets one batch
-            // submit. pick_instance scores hosts by warmth and queue depth;
-            // the instance skips its own `decide` for placed calls.
+            // submit. `Cluster::place` is the only chooser; the instance
+            // skips its own `decide` for placed calls.
             let mut groups: HashMap<faasm_net::HostId, (Arc<FaasmInstance>, Vec<Job>)> =
                 HashMap::new();
             let mut dispatched = 0usize;
-            let mut expired = 0usize;
+            // Jobs answered right here hold no in-flight slot afterwards.
+            let mut answered = 0usize;
             for job in batch {
                 // Deadline-based shedding: anything that aged out in the
                 // queue is answered immediately instead of wasting a worker.
                 if job.deadline <= now {
-                    expired += 1;
+                    answered += 1;
                     self.metrics.record_shed_expired();
                     self.completions
                         .fulfill(job.seq, GatewayResponse::expired(job.seq));
@@ -751,7 +715,16 @@ impl Inner {
                 // dispatch — NOT service time: a merely slow function on
                 // an idle cluster must not shrink anyone's caps.
                 self.record_dispatch_delay(queued_ns);
-                let inst = self.pick_instance(&job.tenant, &job.function);
+                let Some(inst) = self.cluster.place(&job.tenant, &job.function) else {
+                    // Every host is gone: answer now, like any other call
+                    // the cluster could not run.
+                    answered += 1;
+                    self.completions.fulfill(
+                        job.seq,
+                        GatewayResponse::error(job.seq, "no reachable instances"),
+                    );
+                    continue;
+                };
                 groups
                     .entry(inst.host_id())
                     .or_insert_with(|| (inst, Vec::new()))
@@ -759,7 +732,7 @@ impl Inner {
                     .push(job);
                 dispatched += 1;
             }
-            self.release_inflight(expired);
+            self.release_inflight(answered);
             if dispatched == 0 {
                 continue;
             }

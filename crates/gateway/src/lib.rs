@@ -9,8 +9,8 @@
 //!   client ──frame──▶ admission ──▶ pending queue ──▶ batch dispatch ──▶ Cluster
 //!                      │   │             │                  │
 //!                      ▼   ▼             ▼                  ▼
-//!               rate limit  bounded   deadline shed    warm-host +
-//!               (Overloaded) queue    (Expired)        queue-depth placement
+//!               rate limit  bounded   deadline shed    Cluster::place
+//!               (Overloaded) queue    (Expired)        (the one chooser)
 //!                           (Overloaded)
 //! ```
 //!
@@ -31,9 +31,9 @@
 //!   queued — never a hang.
 //! * **Batching dispatcher** ([`Gateway`]): drains the queue in weighted
 //!   deficit-round-robin order across tenants (a flooding tenant cannot
-//!   starve a quiet one) and fans batches out to the cluster, preferring
-//!   hosts with idle warm Faaslets and shallow run queues — the same
-//!   signals `faasm_sched::decide` uses, applied one tier earlier.
+//!   starve a quiet one) and fans batches out to the cluster, each call
+//!   placed by [`faasm_core::Cluster::place`] — the chooser
+//!   `Cluster::invoke` uses too.
 //! * **Autoscaler** ([`autoscale`]): watches per-function queue depth and
 //!   pre-warms Proto-Faaslet pool entries ahead of demand
 //!   ([`faasm_core::FaasmInstance::prewarm`]) or retires surplus idle

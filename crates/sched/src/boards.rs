@@ -133,6 +133,15 @@ impl SchedBoards {
     }
 }
 
+/// `host`'s value in a slice read off a board ([`SchedBoards::depths`],
+/// [`SchedBoards::affinities`]); a host the board omitted reads as zero.
+pub fn entry_for<T: Copy + Default>(entries: &[(HostId, T)], host: HostId) -> T {
+    entries
+        .iter()
+        .find(|(h, _)| *h == host)
+        .map_or(T::default(), |(_, v)| *v)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,6 +8,9 @@
 
 use faasm_net::HostId;
 
+use crate::boards::entry_for;
+use crate::score::{best, Candidate};
+
 /// Local run-queue depth beyond which a host stops accepting work it could
 /// otherwise run warm, and shares it with another warm host instead. Keeps
 /// one hot host from absorbing an entire burst while warm peers idle — the
@@ -24,11 +27,6 @@ pub enum Placement {
     /// Create a new Faaslet here (cold start).
     ColdStartLocal,
 }
-
-/// How many queued calls one step of log-scaled state affinity is worth
-/// when scoring forward targets: depth dominates (an overloaded peer is
-/// never preferred for its cache), affinity breaks meaningful gaps.
-const DEPTH_WEIGHT: i64 = 4;
 
 /// Inputs to one scheduling decision, gathered by the caller (warm-set
 /// lookup is the only global operation and is passed in pre-resolved).
@@ -58,51 +56,39 @@ pub struct Decision<'a> {
     pub peer_affinity: &'a [(HostId, u64)],
 }
 
-/// Log-scale an affinity score so raw hit counts cannot starve load
-/// balancing: 0 → 0, else `⌊log2⌋ + 1` (bounded by 64).
-fn affinity_bonus(score: u64) -> i64 {
-    (64 - score.leading_zeros()) as i64
+/// [`decide`]'s first branch: warm here, a Faaslet idle and the run queue
+/// shallow. It reads only the host's own pool and queue, so a scheduler
+/// can take it before resolving the warm set or the boards.
+pub fn runs_warm_local(warm_local: usize, idle_local: usize, queue_depth: usize) -> bool {
+    warm_local > 0 && idle_local > 0 && queue_depth < QUEUE_SHARE_THRESHOLD
 }
 
 /// Decide a placement.
 pub fn decide(d: &Decision<'_>) -> Placement {
-    let overloaded = d.queue_depth >= QUEUE_SHARE_THRESHOLD;
-    // Warm here with spare capacity and a shallow queue: run locally.
-    if d.warm_local > 0 && d.idle_local > 0 && !overloaded {
+    if runs_warm_local(d.warm_local, d.idle_local, d.queue_depth) {
         return Placement::WarmLocal;
     }
     // Otherwise share with another warm host if one exists: the
-    // least-loaded warm peer, nudged toward peers whose state caches
-    // already hold the function's working set, seed-rotating among ties.
+    // best-scoring warm peer (least loaded, nudged toward peers whose state
+    // caches already hold the function's working set), seed-rotating among
+    // ties. Every candidate is in the warm set; how many of its Faaslets
+    // are idle is not gossiped.
     let others: Vec<HostId> = d
         .warm_hosts
         .iter()
         .copied()
         .filter(|h| *h != d.this_host)
         .collect();
-    if !others.is_empty() {
-        let depth_of = |h: HostId| -> i64 {
-            d.peer_depths
-                .iter()
-                .find(|(p, _)| *p == h)
-                .map_or(0, |(_, depth)| *depth as i64)
-        };
-        let affinity_of = |h: HostId| -> u64 {
-            d.peer_affinity
-                .iter()
-                .find(|(p, _)| *p == h)
-                .map_or(0, |(_, a)| *a)
-        };
-        // Lower is better: queued work costs DEPTH_WEIGHT per call, cache
-        // warmth refunds its log2.
-        let score = |h: HostId| DEPTH_WEIGHT * depth_of(h) - affinity_bonus(affinity_of(h));
-        let best = others.iter().map(|&h| score(h)).min().expect("non-empty");
-        let tied: Vec<HostId> = others
-            .iter()
-            .copied()
-            .filter(|&h| score(h) == best)
-            .collect();
-        return Placement::Forward(tied[d.seed % tied.len()]);
+    let candidates: Vec<Candidate> = others
+        .iter()
+        .map(|&h| Candidate {
+            idle_warm: Some(0),
+            depth: entry_for(d.peer_depths, h),
+            affinity: entry_for(d.peer_affinity, h),
+        })
+        .collect();
+    if let Some(i) = best(&candidates, d.seed) {
+        return Placement::Forward(others[i]);
     }
     // No warm peer: run here even when deep — queueing beats failing.
     if d.warm_local > 0 && d.idle_local > 0 {
@@ -251,7 +237,8 @@ mod tests {
     fn affinity_breaks_close_calls_but_never_overrides_load() {
         let hosts = [HostId(1), HostId(2)];
         // Depths within one call of each other: the peer whose cache holds
-        // the function's working set wins (log2(100)+1 = 7 > 4·1).
+        // the function's working set wins (its bonus, log2(100)+1 = 7, is worth
+        // more than one queued call).
         let got = decide(&Decision {
             this_host: HostId(0),
             warm_local: 0,

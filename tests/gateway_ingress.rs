@@ -72,6 +72,70 @@ fn gateway_results_match_direct_invoke() {
     assert_eq!(direct.return_code(), 7);
 }
 
+/// Which instance ran the call that moved the per-host call counts from
+/// `before` to their current values.
+fn host_that_ran(cluster: &Cluster, before: &mut Vec<u64>) -> usize {
+    let now: Vec<u64> = cluster
+        .instances()
+        .iter()
+        .map(|i| i.metrics().calls())
+        .collect();
+    let ran: Vec<usize> = (0..now.len()).filter(|&h| now[h] > before[h]).collect();
+    assert_eq!(ran.len(), 1, "one call, one host: {before:?} -> {now:?}");
+    *before = now;
+    ran[0]
+}
+
+#[test]
+fn both_doors_place_on_the_same_hosts() {
+    // Twin clusters, identical warm pools, depths and boards: the cluster
+    // door and the gateway share one chooser, so call for call they must
+    // pick the same host and return the same result.
+    let direct = cluster_with_tenants(3);
+    let fronted = cluster_with_tenants(3);
+    let gateway = Gateway::start(
+        Arc::clone(&fronted),
+        GatewayConfig {
+            autoscale: None,
+            ..GatewayConfig::default()
+        },
+    );
+    let shape = |cluster: &Cluster, prewarm: [usize; 3], affine: Option<usize>| {
+        for (inst, n) in cluster.instances().iter().zip(prewarm) {
+            assert_eq!(inst.prewarm("alice", "echo", n).unwrap(), n);
+        }
+        if let Some(host) = affine.map(|h| cluster.instances()[h].host_id()) {
+            let touched = [("state/alice/hot".into(), 3)];
+            cluster
+                .boards()
+                .report_affinity("alice", "echo", host, &touched);
+        }
+    };
+    let mut ran_direct = vec![0; 3];
+    let mut ran_fronted = vec![0; 3];
+    let mut sequence = Vec::new();
+    // Two equally warm hosts tie and rotate; then the third is made both
+    // warmer and affine and takes over.
+    for (prewarm, affine) in [([1, 1, 0], None), ([0, 0, 3], Some(2))] {
+        shape(&direct, prewarm, affine);
+        shape(&fronted, prewarm, affine);
+        for i in 0..8u8 {
+            let a = direct.invoke("alice", "echo", vec![i, 7]);
+            let b = gateway.call("alice", "echo", vec![i, 7]);
+            assert_eq!(b.status, GatewayStatus::Ok);
+            assert_eq!(a.output, b.output, "call {i}");
+            let host = host_that_ran(&direct, &mut ran_direct);
+            assert_eq!(host, host_that_ran(&fronted, &mut ran_fronted), "call {i}");
+            sequence.push(host);
+        }
+    }
+    assert!(
+        sequence[..8].contains(&0) && sequence[..8].contains(&1),
+        "tied hosts rotate: {sequence:?}"
+    );
+    assert_eq!(sequence[8..], [2; 8], "the best host wins outright");
+}
+
 #[test]
 fn wire_frames_roundtrip_through_the_gateway() {
     let cluster = cluster_with_tenants(1);
