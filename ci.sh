@@ -45,6 +45,29 @@ for f in $(find crates/*/src -name '*.rs'); do
     fi
 done
 
+echo "== local state tier: no chunk-table mutex, no unconditional condvar wake, no per-range Vec, no allocating state_read"
+# Non-test code only, as above.
+nontest() { sed '/#\[cfg(test)\]/,$d' "$1"; }
+if nontest crates/state/src/entry.rs | grep -nE 'chunks\.lock\(\)|Mutex<ChunkTable>'; then
+    echo "crates/state/src/entry.rs: the chunk table is behind a mutex again; present/dirty are atomic bitsets" >&2
+    exit 1
+fi
+if nontest crates/state/src/rwlock.rs | sed '/fn wake_waiters/,/^    }/d' | grep -n 'notify_all'; then
+    echo "crates/state/src/rwlock.rs: notify_all outside wake_waiters; an uncontended unlock must not reach the condvar" >&2
+    exit 1
+fi
+for f in crates/kvs/src/*.rs crates/state/src/*.rs; do
+    if nontest "$f" | grep -nF 'Vec<(u64, Vec<u8>)>' | sed "s|^|$f:|"; then
+        echo "$f: a per-range Vec write list; batched writes travel as faasm_kvs::RangeWrites" >&2
+        exit 1
+    fi
+done
+if sed -n '/^pub trait FaasEnv/,/^}/p' crates/workloads/src/env.rs |
+    sed -n '/fn state_read(/,/;/p' | grep -n 'Vec<u8>'; then
+    echo "crates/workloads/src/env.rs: FaasEnv::state_read allocates its result; it fills the caller's buffer" >&2
+    exit 1
+fi
+
 # Tier-1 must hold serially and oversubscribed: no test may depend on
 # having the process, or a core, to itself.
 for threads in 1 8; do

@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use faasm_kvs::LockMode;
 use faasm_net::{HostId, NetError, VirtualInterface};
 use faasm_sched::{CallId, CallResult};
 use faasm_state::{StateEntry, StateError, StateManager};
@@ -93,6 +94,11 @@ pub struct FaasletCtx {
     pub cgroup: Option<Arc<CgroupShare>>,
     /// State keys mapped into this Faaslet.
     pub mapped_state: HashMap<String, MappedState>,
+    /// Local state locks the current call took through the host interface
+    /// and has not released, oldest first. A local lock has no lease, so
+    /// [`FaasletCtx::release_state_locks`] returns whatever is left here
+    /// when the call ends, however it ends.
+    pub(crate) held_locks: Vec<(Arc<StateEntry>, LockMode)>,
     /// Open sockets.
     pub sockets: HashMap<u32, Socket>,
     /// Next socket descriptor.
@@ -140,6 +146,53 @@ impl FaasletCtx {
             },
         );
         Ok(entry)
+    }
+
+    /// Take `key`'s local lock for the current call (`lock_state_read` /
+    /// `lock_state_write`), blocking like the entry's own lock does.
+    ///
+    /// # Errors
+    ///
+    /// State-layer errors.
+    pub fn lock_state_local(&mut self, key: &str, mode: LockMode) -> Result<(), StateError> {
+        let entry = self.state_entry(key, 1)?;
+        match mode {
+            LockMode::Read => entry.lock_read(),
+            LockMode::Write => entry.lock_write(),
+        }
+        self.held_locks.push((entry, mode));
+        Ok(())
+    }
+
+    /// Release a local lock the current call holds (`unlock_state_read` /
+    /// `unlock_state_write`). Returns `false`, and releases nothing, if
+    /// this call holds no such lock: the lock is a count, so an unmatched
+    /// unlock would release some other Faaslet's hold.
+    ///
+    /// # Errors
+    ///
+    /// State-layer errors.
+    pub fn unlock_state_local(&mut self, key: &str, mode: LockMode) -> Result<bool, StateError> {
+        let entry = self.state_entry(key, 1)?;
+        let held = self
+            .held_locks
+            .iter()
+            .rposition(|(e, m)| Arc::ptr_eq(e, &entry) && *m == mode);
+        let Some(at) = held else {
+            return Ok(false);
+        };
+        self.held_locks.remove(at);
+        release_local(&entry, mode);
+        Ok(true)
+    }
+
+    /// Release every local lock the call still holds, newest first. Runs
+    /// at the end of every call — return, non-zero exit, trap or fuel
+    /// exhaustion alike — before the Faaslet is reset or pooled.
+    pub fn release_state_locks(&mut self) {
+        while let Some((entry, mode)) = self.held_locks.pop() {
+            release_local(&entry, mode);
+        }
     }
 
     /// Open a socket; returns its descriptor.
@@ -240,9 +293,16 @@ impl FaasletCtx {
     }
 }
 
-/// The host interface as seen by trusted **native guests** (DESIGN.md S4:
-/// workloads the paper compiled to WebAssembly from large C++ codebases run
-/// here as native Rust against the same host objects).
+fn release_local(entry: &StateEntry, mode: LockMode) {
+    match mode {
+        LockMode::Read => entry.unlock_read(),
+        LockMode::Write => entry.unlock_write(),
+    }
+}
+
+/// The host interface as seen by trusted **native guests**: workloads the
+/// paper compiled to WebAssembly from large C++ codebases run here as
+/// native Rust against the same host objects.
 pub struct NativeApi<'a> {
     ctx: &'a mut FaasletCtx,
 }
@@ -370,6 +430,7 @@ pub(crate) mod tests {
             router: Arc::new(NoChain),
             cgroup: None,
             mapped_state: HashMap::new(),
+            held_locks: Vec::new(),
             sockets: HashMap::new(),
             next_socket: 1,
             started: Instant::now(),

@@ -122,6 +122,7 @@ fn build_ctx(
         router: Arc::clone(&env.router),
         cgroup: share,
         mapped_state: HashMap::new(),
+        held_locks: Vec::new(),
         sockets: HashMap::new(),
         next_socket: 1,
         started: Instant::now(),
@@ -243,46 +244,31 @@ impl Faaslet {
 
     /// Run one call to completion.
     pub fn run(&mut self, call: &CallSpec) -> CallResult {
-        match &mut self.guest {
+        self.ctx_mut().begin_call(call.id, call.input.clone());
+        let status = match &mut self.guest {
             GuestInstance::Fvm(inst) => {
-                let entry = self.def.entry.clone();
-                {
-                    let ctx = inst
-                        .data_as::<FaasletCtx>()
-                        .expect("faaslet instances carry FaasletCtx");
-                    ctx.begin_call(call.id, call.input.clone());
-                }
                 inst.fuel.reset_consumed();
                 inst.reset_instrs();
-                let status = match inst.invoke(&entry, &[]) {
+                match inst.invoke(&self.def.entry, &[]) {
                     Ok(Some(Val::I32(code))) if code != 0 => CallStatus::Failed(code),
                     Ok(_) => CallStatus::Success,
                     Err(trap) => CallStatus::Error(trap.to_string()),
-                };
-                let ctx = inst
-                    .data_as::<FaasletCtx>()
-                    .expect("faaslet instances carry FaasletCtx");
-                CallResult {
-                    id: call.id,
-                    status,
-                    output: std::mem::take(&mut ctx.output),
                 }
             }
-            GuestInstance::Native { guest, ctx } => {
-                ctx.begin_call(call.id, call.input.clone());
-                let guest = Arc::clone(guest);
-                let mut api = NativeApi::new(ctx);
-                let status = match guest.invoke(&mut api) {
-                    Ok(0) => CallStatus::Success,
-                    Ok(code) => CallStatus::Failed(code),
-                    Err(trap) => CallStatus::Error(trap.to_string()),
-                };
-                CallResult {
-                    id: call.id,
-                    status,
-                    output: std::mem::take(&mut ctx.output),
-                }
-            }
+            GuestInstance::Native { guest, ctx } => match guest.invoke(&mut NativeApi::new(ctx)) {
+                Ok(0) => CallStatus::Success,
+                Ok(code) => CallStatus::Failed(code),
+                Err(trap) => CallStatus::Error(trap.to_string()),
+            },
+        };
+        // Every way out of the guest passes here, so a local state lock
+        // cannot outlive the call that took it.
+        let ctx = self.ctx_mut();
+        ctx.release_state_locks();
+        CallResult {
+            id: call.id,
+            status,
+            output: std::mem::take(&mut ctx.output),
         }
     }
 
@@ -341,7 +327,7 @@ impl Faaslet {
     }
 
     /// Fuel consumed by the last call (FVM guests; 0 for native guests,
-    /// documented in DESIGN.md).
+    /// which are not metered).
     pub fn fuel_consumed(&self) -> u64 {
         match &self.guest {
             GuestInstance::Fvm(inst) => inst.fuel.consumed(),
@@ -558,6 +544,48 @@ pub(crate) mod tests {
         let mut f = Faaslet::create_cold(1, "u", "f", def, &env).unwrap();
         let r = f.run(&call(1, b""));
         assert!(matches!(r.status, CallStatus::Error(_)));
+    }
+
+    #[test]
+    fn foreign_unlock_traps_and_leaves_the_holder_exclusive() {
+        use faasm_kvs::LockMode;
+        let src = r#"
+            extern void unlock_state_write(ptr int key, int key_len);
+            int main() {
+                ptr int k = (ptr int) 64;
+                k[0] = 0x6b; // "k"
+                unlock_state_write(k, 1);
+                return 0;
+            }
+        "#;
+        let env = test_env();
+        let def = fl_def(src, None);
+        let mut holder = Faaslet::create_cold(1, "u", "f", Arc::clone(&def), &env).unwrap();
+        let mut thief = Faaslet::create_cold(2, "u", "f", def, &env).unwrap();
+        // The holder's call is mid-flight with the write lock on "k".
+        holder
+            .ctx_mut()
+            .lock_state_local("k", LockMode::Write)
+            .unwrap();
+        let r = thief.run(&call(1, b""));
+        assert!(
+            matches!(&r.status, CallStatus::Error(m) if m.contains("holds no such lock")),
+            "an unlock without a lock must trap: {:?}",
+            r.status
+        );
+        // Still exclusive: an implicit reader parks behind the holder.
+        let entry = env.state.get("k", 1).unwrap();
+        let reader = {
+            let entry = Arc::clone(&entry);
+            std::thread::spawn(move || entry.read(0, &mut [0u8; 1]).unwrap())
+        };
+        while entry.local_lock_waiters() == 0 {
+            std::thread::yield_now();
+        }
+        let ctx = holder.ctx_mut();
+        assert_eq!(ctx.unlock_state_local("k", LockMode::Write), Ok(true));
+        assert_eq!(ctx.unlock_state_local("k", LockMode::Write), Ok(false));
+        reader.join().unwrap();
     }
 
     #[test]

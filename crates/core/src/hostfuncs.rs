@@ -19,6 +19,7 @@
 //! | misc     | `gettime` `getrandom` |
 
 use faasm_fvm::{HostCtx, Instance, Linker, ObjectModule, Trap, Val};
+use faasm_kvs::LockMode;
 use faasm_mem::LinearMemory;
 use faasm_net::HostId;
 use faasm_sched::CallId;
@@ -301,7 +302,10 @@ pub fn faaslet_linker() -> Linker {
         Ok(vec![])
     });
 
-    // Local and global state locks. Each takes (key_ptr, key_len).
+    // Local and global state locks. Each takes (key_ptr, key_len). Global
+    // locks are leases the tier expires; local locks are not, so the
+    // context records what the call holds and an unlock of a lock this
+    // call does not hold traps instead of releasing another Faaslet's.
     macro_rules! state_lock_fn {
         ($name:literal, $method:ident, global) => {
             l.define_fn("faasm", $name, |ctx, args| {
@@ -313,21 +317,34 @@ pub fn faaslet_linker() -> Linker {
                 Ok(vec![])
             });
         };
-        ($name:literal, $method:ident, local) => {
+        ($name:literal, lock, $mode:expr) => {
             l.define_fn("faasm", $name, |ctx, args| {
                 let (kp, kl) = (arg_i32(args, 0)?, arg_i32(args, 1)?);
                 let (mem, fctx) = parts(ctx)?;
                 let key = read_str(mem, kp, kl)?;
-                let entry = fctx.state_entry(&key, 1).map_err(Trap::host)?;
-                entry.$method();
+                fctx.lock_state_local(&key, $mode).map_err(Trap::host)?;
+                Ok(vec![])
+            });
+        };
+        ($name:literal, unlock, $mode:expr) => {
+            l.define_fn("faasm", $name, |ctx, args| {
+                let (kp, kl) = (arg_i32(args, 0)?, arg_i32(args, 1)?);
+                let (mem, fctx) = parts(ctx)?;
+                let key = read_str(mem, kp, kl)?;
+                if !fctx.unlock_state_local(&key, $mode).map_err(Trap::host)? {
+                    let name = $name;
+                    return Err(Trap::host(format!(
+                        "{name}: this call holds no such lock on {key}"
+                    )));
+                }
                 Ok(vec![])
             });
         };
     }
-    state_lock_fn!("lock_state_read", lock_read, local);
-    state_lock_fn!("unlock_state_read", unlock_read, local);
-    state_lock_fn!("lock_state_write", lock_write, local);
-    state_lock_fn!("unlock_state_write", unlock_write, local);
+    state_lock_fn!("lock_state_read", lock, LockMode::Read);
+    state_lock_fn!("unlock_state_read", unlock, LockMode::Read);
+    state_lock_fn!("lock_state_write", lock, LockMode::Write);
+    state_lock_fn!("unlock_state_write", unlock, LockMode::Write);
     state_lock_fn!("lock_state_global_read", lock_global_read, global);
     state_lock_fn!("unlock_state_global_read", unlock_global_read, global);
     state_lock_fn!("lock_state_global_write", lock_global_write, global);

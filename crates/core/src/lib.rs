@@ -79,5 +79,7 @@ pub use snapdist::{
     SnapshotCache, DEFAULT_SNAPSHOT_CACHE_BYTES,
 };
 
-// Re-export the call types every embedder needs.
+// Re-export the call types every embedder needs, and the entry type
+// `NativeApi::state` hands a native guest.
 pub use faasm_sched::{CallId, CallResult, CallSpec, CallStatus, TraceCtx};
+pub use faasm_state::StateEntry;

@@ -18,6 +18,7 @@ use std::time::Duration;
 use crate::client::KvError;
 use crate::codec::{Request, Response};
 use crate::store::{LockMode, ShardStats};
+use crate::writes::RangeWrites;
 
 /// A handle to the global tier shared across a host's runtime.
 pub type SharedKv = Arc<dyn KvBackend>;
@@ -109,7 +110,7 @@ pub trait KvBackend: Send + Sync {
     /// # Errors
     ///
     /// Returns [`KvError`] on network/server failure.
-    fn multi_set_range(&self, key: &str, writes: Vec<(u64, Vec<u8>)>) -> Result<(), KvError> {
+    fn multi_set_range(&self, key: &str, writes: RangeWrites) -> Result<(), KvError> {
         self.multi_set_range_versioned(key, writes).map(|_| ())
     }
 
@@ -428,11 +429,7 @@ pub trait KvBackend: Send + Sync {
     /// # Errors
     ///
     /// Returns [`KvError`] on network/server failure.
-    fn multi_set_range_versioned(
-        &self,
-        key: &str,
-        writes: Vec<(u64, Vec<u8>)>,
-    ) -> Result<u64, KvError> {
+    fn multi_set_range_versioned(&self, key: &str, writes: RangeWrites) -> Result<u64, KvError> {
         let key = key.into();
         match self.call(&Request::MultiSetRange { key, writes })? {
             (Response::Ok, version) => Ok(version),
@@ -558,15 +555,15 @@ mod tests {
                 name: "multi_set_range",
                 want: Request::MultiSetRange {
                     key: k(),
-                    writes: vec![(0, b"ab".to_vec()), (4, b"cd".to_vec())],
+                    writes: [(0, b"ab"), (4, b"cd")].into_iter().collect(),
                 },
                 good: Response::Ok,
                 op: |b| {
-                    let writes = vec![(0u64, b"ab".to_vec()), (4, b"cd".to_vec())];
+                    let writes = [(0, b"ab"), (4, b"cd")].into_iter().collect();
                     versioned(b.multi_set_range_versioned("k", writes).map(|v| ((), v)))
                 },
                 twin: Some(|b| {
-                    let writes = vec![(0u64, b"ab".to_vec()), (4, b"cd".to_vec())];
+                    let writes = [(0, b"ab"), (4, b"cd")].into_iter().collect();
                     plain(b.multi_set_range("k", writes))
                 }),
             },

@@ -45,6 +45,7 @@ use crate::backend::{KvBackend, SharedKv};
 use crate::client::KvError;
 use crate::codec::{Request, Response};
 use crate::store::{LockMode, ShardStats};
+use crate::writes::RangeWrites;
 
 /// The cache's telemetry recorder (cached; `tier()` takes a registry lock).
 fn cache_recorder() -> &'static Arc<faasm_telemetry::Recorder> {
@@ -743,15 +744,13 @@ fn merge_run(runs: &mut BTreeMap<u64, Vec<u8>>, off: u64, data: &[u8]) {
         .filter(|&(&roff, run)| roff + run.len() as u64 >= start)
         .map(|(&roff, _)| roff)
         .collect();
-    let mut merged: Vec<(u64, Vec<u8>)> = Vec::with_capacity(overlapping.len());
-    for roff in overlapping {
-        let run = runs.remove(&roff).expect("run offset just seen");
-        start = start.min(roff);
-        end = end.max(roff + run.len() as u64);
-        merged.push((roff, run));
+    for roff in &overlapping {
+        start = start.min(*roff);
+        end = end.max(roff + runs[roff].len() as u64);
     }
     let mut combined = vec![0u8; (end - start) as usize];
-    for (roff, run) in merged {
+    for roff in overlapping {
+        let run = runs.remove(&roff).expect("run offset just seen");
         let at = (roff - start) as usize;
         combined[at..at + run.len()].copy_from_slice(&run);
     }
@@ -856,14 +855,10 @@ impl KvBackend for CachedKv {
         )
     }
 
-    fn multi_set_range_versioned(
-        &self,
-        key: &str,
-        writes: Vec<(u64, Vec<u8>)>,
-    ) -> Result<u64, KvError> {
+    fn multi_set_range_versioned(&self, key: &str, writes: RangeWrites) -> Result<u64, KvError> {
         let mode = self.mode_for_write(key);
-        let cached: Vec<(u64, Vec<u8>)> = if mode == Consistency::Strong {
-            Vec::new()
+        let cached = if mode == Consistency::Strong {
+            RangeWrites::new()
         } else {
             writes.clone()
         };
@@ -872,23 +867,23 @@ impl KvBackend for CachedKv {
             Some(e) if e.version + 1 == version => match &e.data {
                 CachedBytes::Full(v) => {
                     let mut v = v.clone();
-                    for (off, data) in &cached {
-                        apply_range(&mut v, *off, data);
+                    for (off, data) in cached.iter() {
+                        apply_range(&mut v, off, data);
                     }
                     Some(CachedBytes::Full(v))
                 }
                 CachedBytes::Runs(runs) => {
                     let mut runs = runs.clone();
-                    for (off, data) in &cached {
-                        merge_run(&mut runs, *off, data);
+                    for (off, data) in cached.iter() {
+                        merge_run(&mut runs, off, data);
                     }
                     Some(CachedBytes::Runs(runs))
                 }
             },
             _ => {
                 let mut runs = BTreeMap::new();
-                for (off, data) in &cached {
-                    merge_run(&mut runs, *off, data);
+                for (off, data) in cached.iter() {
+                    merge_run(&mut runs, off, data);
                 }
                 Some(CachedBytes::Runs(runs))
             }

@@ -6,11 +6,12 @@
 //! charges serialisation and transfer to the platform, §2.1).
 
 use faasm_net::wire::{
-    self, put_bytes, put_count, put_i64, put_u32, put_u64, put_u8, Reader, WireError,
+    self, put_bytes, put_count, put_i64, put_u32, put_u64, put_u8, put_varint, Reader, WireError,
 };
 use faasm_telemetry::TraceCtx;
 
 use crate::store::{KeyMigration, LockMigration, LockMode, ShardStats};
+use crate::writes::RangeWrites;
 
 /// The epoch sent by clients that do not track routing epochs (plain
 /// [`KvClient`](crate::KvClient)s and test drivers). Servers still apply the
@@ -139,8 +140,8 @@ pub enum Request {
     MultiSetRange {
         /// State key.
         key: String,
-        /// `(offset, data)` writes to apply, in order.
-        writes: Vec<(u64, Vec<u8>)>,
+        /// The writes to apply, in order.
+        writes: RangeWrites,
     },
     /// Report this shard's load (key count, value bytes, per-op counters) —
     /// the migration planner's and the tier autoscaler's skew signal.
@@ -383,6 +384,32 @@ fn read_mode(r: &mut Reader<'_>) -> Result<LockMode, WireError> {
     }
 }
 
+/// The span table of a [`Request::MultiSetRange`]: a count, then per span a
+/// varint offset — as the distance from the previous span's end (from zero
+/// for the first), so an ascending scatter of small writes costs a byte or
+/// two a span where a fixed offset costs eight — and a varint length. The
+/// distance wraps, so any order of any offsets roundtrips.
+fn put_write_spans(out: &mut Vec<u8>, spans: &[(u64, u32)]) {
+    put_count(out, spans.len());
+    let mut end = 0u64;
+    for &(offset, len) in spans {
+        put_varint(out, offset.wrapping_sub(end));
+        put_varint(out, u64::from(len));
+        end = offset.wrapping_add(u64::from(len));
+    }
+}
+
+fn read_write_spans(r: &mut Reader<'_>) -> Result<Vec<(u64, u32)>, WireError> {
+    let mut end = 0u64;
+    // Every span costs at least one byte of distance and one of length.
+    r.list(2, |r| {
+        let offset = end.wrapping_add(r.varint()?);
+        let len = u32::try_from(r.varint()?).map_err(|_| WireError::Invalid)?;
+        end = offset.wrapping_add(u64::from(len));
+        Ok((offset, len))
+    })
+}
+
 /// A presence flag, then the value it announces.
 fn put_optional(out: &mut Vec<u8>, value: Option<&[u8]>) {
     match value {
@@ -427,7 +454,7 @@ fn request_payload_len(req: &Request) -> usize {
         Request::SAdd { key, member } | Request::SRem { key, member } => key.len() + member.len(),
         Request::MultiGetRange { key, spans } => key.len() + spans.len() * 16,
         Request::MultiSetRange { key, writes } => {
-            key.len() + writes.iter().map(|(_, d)| d.len() + 12).sum::<usize>()
+            key.len() + 8 + writes.len() * 4 + writes.payload().len()
         }
         Request::Get { key }
         | Request::GetRange { key, .. }
@@ -629,11 +656,8 @@ pub fn encode_request_traced(req: &Request, epoch: u64, trace: TraceCtx) -> Vec<
         Request::MultiSetRange { key, writes } => {
             put_u8(&mut out, 18);
             put_bytes(&mut out, key.as_bytes());
-            put_count(&mut out, writes.len());
-            for (offset, data) in writes {
-                put_u64(&mut out, *offset);
-                put_bytes(&mut out, data);
-            }
+            put_write_spans(&mut out, writes.spans());
+            put_bytes(&mut out, writes.payload());
         }
         Request::Stats => put_u8(&mut out, 19),
         Request::Migrate { epoch, shard_count } => {
@@ -782,11 +806,16 @@ fn read_request(r: &mut Reader<'_>) -> Result<Request, WireError> {
             key: r.string()?,
             spans: r.list(16, |r| Ok((r.u64()?, r.u64()?)))?,
         },
-        18 => Request::MultiSetRange {
-            key: r.string()?,
-            // Each write carries at least an 8-byte offset + 4-byte length.
-            writes: r.list(12, |r| Ok((r.u64()?, r.bytes()?.to_vec())))?,
-        },
+        18 => {
+            let key = r.string()?;
+            let spans = read_write_spans(r)?;
+            // One borrowed field, one copy: no allocation per range.
+            let writes = RangeWrites::from_parts(spans, r.bytes()?.to_vec());
+            Request::MultiSetRange {
+                key,
+                writes: writes.ok_or(WireError::Invalid)?,
+            }
+        }
         19 => Request::Stats,
         20 => Request::Migrate {
             epoch: r.u64()?,
@@ -1082,7 +1111,20 @@ mod tests {
             },
             Request::MultiSetRange {
                 key: "k".into(),
-                writes: vec![(0, b"aa".to_vec()), (7, Vec::new()), (100, b"z".to_vec())],
+                writes: [(0, &b"aa"[..]), (7, b""), (100, b"z")]
+                    .into_iter()
+                    .collect(),
+            },
+            // Descending, overlapping and extreme offsets: the distance wraps.
+            Request::MultiSetRange {
+                key: "k".into(),
+                writes: [(u64::MAX, &b"aa"[..]), (5, b"b"), (5, b"c"), (0, b"")]
+                    .into_iter()
+                    .collect(),
+            },
+            Request::MultiSetRange {
+                key: "k".into(),
+                writes: RangeWrites::new(),
             },
             Request::Stats,
             Request::Migrate {
@@ -1402,7 +1444,7 @@ mod tests {
     fn batch_truncations_rejected() {
         let bytes = encode_request(&Request::MultiSetRange {
             key: "key".into(),
-            writes: vec![(4, vec![1, 2, 3]), (9, vec![4])],
+            writes: [(4, vec![1, 2, 3]), (9, vec![4])].into_iter().collect(),
         });
         for cut in 1..bytes.len() {
             assert!(decode_request(&bytes[..cut]).is_err(), "cut at {cut}");
@@ -1411,6 +1453,54 @@ mod tests {
         for cut in 1..bytes.len() {
             assert!(decode_response(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn scatter_spans_must_sum_to_the_payload() {
+        let req = Request::MultiSetRange {
+            key: "k".into(),
+            writes: [(4, &b"abc"[..]), (9, b"d")].into_iter().collect(),
+        };
+        let good = encode_request(&req);
+        assert_eq!(decode_request(&good).unwrap(), req);
+        // Layout after the 24-byte stamp: tag, key field, span count, two
+        // (distance, length) varint pairs, then the payload field.
+        let spans_at = 24 + 1 + 5 + 4;
+        assert_eq!(&good[spans_at..spans_at + 4], &[4, 3, 2, 1]);
+        for (at, len) in [(spans_at + 1, 2), (spans_at + 1, 4), (spans_at + 3, 0)] {
+            let mut bytes = good.clone();
+            bytes[at] = len;
+            assert!(decode_request(&bytes).is_err(), "length {len} at {at}");
+        }
+        // A length past u32 is no span at all.
+        let mut bytes = raw_request(18);
+        bytes.extend_from_slice(&[1, 0, 0, 0, b'k', 1, 0, 0, 0, 0]);
+        bytes.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x10]);
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        assert!(decode_request(&bytes).is_err());
+    }
+
+    #[test]
+    fn a_scattered_weight_flush_costs_a_dozen_bytes_a_range() {
+        // 650 eight-byte words spread over a 16 KiB value (a HOGWILD!
+        // flush): 8 payload bytes, a two-byte distance and a one-byte
+        // length each, against 20 bytes a range with fixed-width fields.
+        let writes: RangeWrites = (0..650u64).map(|i| (i * 24 + 8, [i as u8; 8])).collect();
+        let framing = encode_request(&Request::MultiSetRange {
+            key: "sgd:weights".into(),
+            writes: RangeWrites::new(),
+        })
+        .len();
+        let bytes = encode_request(&Request::MultiSetRange {
+            key: "sgd:weights".into(),
+            writes,
+        })
+        .len();
+        assert!(
+            bytes - framing <= 650 * 12,
+            "{} bytes for 650 ranges",
+            bytes - framing
+        );
     }
 
     #[test]

@@ -27,6 +27,7 @@ pub mod server;
 pub mod sharded;
 pub mod store;
 pub mod testutil;
+pub mod writes;
 
 pub use backend::{KvBackend, SharedKv};
 pub use cache::{CacheConfig, CacheStats, CachedKv, Consistency};
@@ -39,3 +40,4 @@ pub use sharded::{
     RoutingCell, RoutingTable, ShardedKvClient,
 };
 pub use store::{KeyMigration, KvStore, LockMigration, LockMode, ShardStats};
+pub use writes::RangeWrites;

@@ -568,8 +568,9 @@ pub fn apply(store: &KvStore, req: Request) -> Response {
         }
         Request::MultiSetRange { key, writes } => {
             if writes
+                .spans()
                 .iter()
-                .any(|(offset, data)| !write_in_bounds(*offset, data.len()))
+                .any(|&(offset, len)| !write_in_bounds(offset, len as usize))
             {
                 return Response::Err("multi_set_range beyond max value size".into());
             }
@@ -1140,7 +1141,7 @@ mod tests {
                 &store,
                 Request::MultiSetRange {
                     key: "m".into(),
-                    writes: vec![(0, b"ab".to_vec()), (4, b"cd".to_vec())]
+                    writes: [(0, b"ab"), (4, b"cd")].into_iter().collect()
                 }
             ),
             v(1, Response::Ok)
@@ -1216,7 +1217,9 @@ mod tests {
             },
             Request::MultiSetRange {
                 key: "k".into(),
-                writes: vec![(0, vec![1]), (u64::MAX - 1, vec![2, 3])],
+                writes: [(0, vec![1]), (u64::MAX - 1, vec![2, 3])]
+                    .into_iter()
+                    .collect(),
             },
         ] {
             let resp = client

@@ -698,7 +698,7 @@ mod tests {
         assert_eq!(c.scard("s").unwrap(), 1);
         assert_eq!(c.smembers("s").unwrap(), vec![b"m".to_vec()]);
         assert!(c.srem("s", b"m").unwrap());
-        c.multi_set_range("mk", vec![(0, b"ab".to_vec()), (4, b"cd".to_vec())])
+        c.multi_set_range("mk", [(0, b"ab"), (4, b"cd")].into_iter().collect())
             .unwrap();
         assert_eq!(
             c.multi_get_range("mk", &[(0, 2), (4, 2)]).unwrap(),

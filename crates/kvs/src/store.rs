@@ -12,6 +12,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use crate::writes::RangeWrites;
+
 const SHARDS: usize = 16;
 
 /// Lock modes for global state locks (Tab. 2:
@@ -318,7 +320,7 @@ impl KvStore {
     /// Writes land in order, so overlapping ranges resolve last-writer-wins.
     /// Returns the new version (unchanged for an empty batch, which creates
     /// nothing).
-    pub fn multi_set_range(&self, key: &str, writes: &[(u64, Vec<u8>)]) -> u64 {
+    pub fn multi_set_range(&self, key: &str, writes: &RangeWrites) -> u64 {
         self.count_write();
         self.count_batch(writes.len());
         let mut shard = self.shard(key).lock();
@@ -326,8 +328,8 @@ impl KvStore {
             return shard.version(key);
         }
         let v = shard.values.entry(key.to_string()).or_default();
-        for (offset, data) in writes {
-            let offset = *offset as usize;
+        for (offset, data) in writes.iter() {
+            let offset = offset as usize;
             if v.len() < offset + data.len() {
                 v.resize(offset + data.len(), 0);
             }
@@ -736,6 +738,10 @@ impl KvStore {
 mod tests {
     use super::*;
 
+    fn writes(list: &[(u64, &[u8])]) -> RangeWrites {
+        list.iter().copied().collect()
+    }
+
     #[test]
     fn get_set_del_roundtrip() {
         let s = KvStore::new();
@@ -766,17 +772,17 @@ mod tests {
     fn multi_range_ops() {
         let s = KvStore::new();
         assert_eq!(s.multi_get_range("missing", &[(0, 4)]), None);
-        s.multi_set_range("k", &[(0, b"abcd".to_vec()), (8, b"ef".to_vec())]);
+        s.multi_set_range("k", &writes(&[(0, b"abcd"), (8, b"ef")]));
         assert_eq!(s.get("k"), Some(b"abcd\0\0\0\0ef".to_vec()));
         assert_eq!(
             s.multi_get_range("k", &[(0, 2), (8, 100), (100, 4), (9, 0)]),
             Some(vec![b"ab".to_vec(), b"ef".to_vec(), Vec::new(), Vec::new()])
         );
         // Overlaps resolve in order (last writer wins).
-        s.multi_set_range("k", &[(0, b"XX".to_vec()), (1, b"Y".to_vec())]);
+        s.multi_set_range("k", &writes(&[(0, b"XX"), (1, b"Y")]));
         assert_eq!(s.get_range("k", 0, 3), Some(b"XYc".to_vec()));
         // An empty batch creates nothing.
-        s.multi_set_range("fresh", &[]);
+        s.multi_set_range("fresh", &RangeWrites::new());
         assert!(!s.exists("fresh"));
     }
 
@@ -1021,7 +1027,7 @@ mod tests {
         assert_eq!(s.get_versioned("k"), (Some(b"again".to_vec()), v5));
         assert_eq!(s.get_range_versioned("k", 0, 2).1, v5);
         // An empty multi-set batch reports the version without bumping it.
-        assert_eq!(s.multi_set_range("k", &[]), v5);
+        assert_eq!(s.multi_set_range("k", &RangeWrites::new()), v5);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!   ([`put_bytes`] / [`Reader::bytes`], [`Reader::string`] for UTF-8);
 //! * a **list**: a `u32` element count, then the elements
 //!   ([`put_count`] / [`Reader::list`], or [`Reader::count`] for a bare
-//!   count).
+//!   count);
+//! * a **varint**: a `u64` as unsigned LEB128, seven bits a byte, low bits
+//!   first ([`put_varint`] / [`Reader::varint`]) — for tables of small
+//!   numbers, where a fixed `u64` would be mostly zeros.
 //!
 //! The rules a decoder has to get right live here and nowhere else:
 //!
@@ -109,6 +112,25 @@ impl<'a> Reader<'a> {
         self.array().map(i64::from_le_bytes)
     }
 
+    /// An unsigned LEB128 `u64`: at most ten bytes, the tenth carrying only
+    /// the top bit. A longer or overflowing encoding is
+    /// [`WireError::Invalid`], not a silently wrapped value.
+    pub fn varint(&mut self) -> Result<u64, WireError> {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            let bits = u64::from(byte & 0x7f);
+            if shift == 63 && bits > 1 {
+                return Err(WireError::Invalid);
+            }
+            value |= bits << shift;
+            if byte & 0x80 == 0 {
+                return Ok(value);
+            }
+        }
+        Err(WireError::Invalid)
+    }
+
     /// A length-prefixed field, borrowed from the buffer: the caller copies
     /// it (`to_vec`) only if it keeps it, so megabyte state payloads are
     /// never zero-filled and then overwritten.
@@ -203,6 +225,15 @@ pub fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Append a `u64` as unsigned LEB128 (one byte below 128, two below 16 384).
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
 /// Append a list count (see the module docs for the wrap policy).
 pub fn put_count(out: &mut Vec<u8>, n: usize) {
     debug_assert!(len_u32(n).is_some(), "length {n} wraps its u32 prefix");
@@ -255,6 +286,40 @@ mod tests {
         assert_eq!(r.array::<8>(), Ok([0xAA; 8]));
         assert_eq!(r.bytes(), Ok(&5u64.to_le_bytes()[..]));
         assert_eq!(r.finish(), Ok(()));
+    }
+
+    #[test]
+    fn varints_roundtrip_and_reject_what_does_not_fit() {
+        let mut sizes = Vec::new();
+        for v in [
+            0,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ] {
+            let mut out = Vec::new();
+            put_varint(&mut out, v);
+            assert_eq!(decode(&out, Reader::varint), Ok(v), "value {v}");
+            for cut in 0..out.len() {
+                assert_eq!(
+                    Reader::new(&out[..cut]).varint(),
+                    Err(WireError::Truncated),
+                    "value {v} cut at {cut}"
+                );
+            }
+            sizes.push(out.len());
+        }
+        assert_eq!(sizes, [1, 1, 1, 2, 2, 3, 5, 10]);
+        // Ten bytes whose last carries more than bit 63, and an eleventh
+        // byte, would both wrap: rejected.
+        let mut wraps = vec![0xff; 9];
+        wraps.push(0x02);
+        assert_eq!(Reader::new(&wraps).varint(), Err(WireError::Invalid));
+        assert_eq!(Reader::new(&[0x80; 11]).varint(), Err(WireError::Invalid));
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! waits out the failover blackout and lands on the promoted backup — no
 //! code here knows replication exists.
 
-use faasm_kvs::{LockMode, SharedKv};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+
+use faasm_kvs::{LockMode, RangeWrites, SharedKv};
 use faasm_mem::SharedRegion;
 use faasm_telemetry::{Recorder, SpanKind};
 use parking_lot::Mutex;
@@ -62,10 +64,65 @@ fn state_span<T>(kind: SpanKind, extra: u64, f: impl FnOnce() -> T) -> T {
 /// overhead (the paper treats chunks as "smaller independent state values").
 pub const DEFAULT_CHUNK_SIZE: usize = 16 * 1024;
 
+/// One bit per chunk, 64 chunks to an atomic word. Every access is
+/// `SeqCst`: the bits order region bytes between threads (a reconcile's
+/// fetched bytes behind `present`, a write's store ahead of `dirty`), and
+/// the write/push protocol below reasons in one total order.
 #[derive(Debug)]
-struct ChunkTable {
-    present: Vec<bool>,
-    dirty: Vec<bool>,
+struct ChunkBits(Box<[AtomicU64]>);
+
+impl ChunkBits {
+    fn new(chunks: usize) -> ChunkBits {
+        ChunkBits(
+            (0..chunks.div_ceil(64))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+        )
+    }
+
+    fn get(&self, idx: usize) -> bool {
+        self.0[idx / 64].load(SeqCst) & (1 << (idx % 64)) != 0
+    }
+
+    /// Set one bit. A bit that already reads set is left alone: the hot
+    /// callers re-mark bits that are nearly always set, and a load shares
+    /// the cache line where a read-modify-write would take it.
+    fn set(&self, idx: usize) {
+        if !self.get(idx) {
+            self.0[idx / 64].fetch_or(1 << (idx % 64), SeqCst);
+        }
+    }
+
+    /// Clear one bit (likewise only if it reads set); returns whether this
+    /// call cleared it.
+    fn clear(&self, idx: usize) -> bool {
+        let bit = 1 << (idx % 64);
+        self.get(idx) && self.0[idx / 64].fetch_and(!bit, SeqCst) & bit != 0
+    }
+
+    fn clear_all(&self) {
+        self.0.iter().for_each(|w| w.store(0, SeqCst));
+    }
+
+    /// Clear every set bit, a word per atomic swap; returns the indices
+    /// that were set, ascending.
+    fn take_all(&self) -> Vec<usize> {
+        let mut taken = Vec::new();
+        for (w, word) in self.0.iter().enumerate() {
+            if word.load(SeqCst) != 0 {
+                let bits = word.swap(0, SeqCst);
+                taken.extend((0..64).filter(|b| bits >> b & 1 != 0).map(|b| w * 64 + b));
+            }
+        }
+        taken
+    }
+
+    fn count(&self) -> usize {
+        self.0
+            .iter()
+            .map(|w| w.load(SeqCst).count_ones() as usize)
+            .sum()
+    }
 }
 
 /// One state key's local replica plus its synchronisation state.
@@ -74,7 +131,19 @@ pub struct StateEntry {
     region: SharedRegion,
     size: usize,
     chunk_size: usize,
-    chunks: Mutex<ChunkTable>,
+    n_chunks: usize,
+    /// Chunks whose region bytes are at least as new as the global value
+    /// was when they were fetched or written. Set only under
+    /// `transition`; a warm access only loads it.
+    present: ChunkBits,
+    /// Chunks holding local writes not yet pushed.
+    dirty: ChunkBits,
+    /// Serialises absent→present transitions (a pull's reconcile, a
+    /// write's claim, `push_full`) with each other and with `invalidate`,
+    /// so a reconcile's "still absent?" check and its region write are one
+    /// step against a claiming write. Nothing that finds its chunks
+    /// present takes it.
+    transition: Mutex<()>,
     local_lock: SyncRwLock,
     kv: SharedKv,
 }
@@ -115,10 +184,10 @@ impl StateEntry {
             region,
             size,
             chunk_size,
-            chunks: Mutex::new(ChunkTable {
-                present: vec![false; n_chunks],
-                dirty: vec![false; n_chunks],
-            }),
+            n_chunks,
+            present: ChunkBits::new(n_chunks),
+            dirty: ChunkBits::new(n_chunks),
+            transition: Mutex::new(()),
             local_lock: SyncRwLock::new(),
             kv,
         })
@@ -149,12 +218,12 @@ impl StateEntry {
 
     /// Number of chunks currently present in the local tier.
     pub fn present_chunks(&self) -> usize {
-        self.chunks.lock().present.iter().filter(|p| **p).count()
+        self.present.count()
     }
 
     /// Number of chunks dirtied by local writes since the last push.
     pub fn dirty_chunks(&self) -> usize {
-        self.chunks.lock().dirty.iter().filter(|d| **d).count()
+        self.dirty.count()
     }
 
     fn check_range(&self, offset: usize, len: usize) -> Result<(), StateError> {
@@ -184,15 +253,15 @@ impl StateEntry {
         (start, end)
     }
 
-    /// Coalesce sorted chunk indices into contiguous `(start, end)` byte
+    /// Coalesce sorted chunk indices into contiguous `(offset, len)` byte
     /// spans (adjacent chunks merge into one wire span).
     fn coalesce(&self, chunks: &[usize]) -> Vec<(usize, usize)> {
         let mut spans: Vec<(usize, usize)> = Vec::new();
         for &idx in chunks {
             let (start, end) = self.chunk_bounds(idx);
             match spans.last_mut() {
-                Some((_, e)) if *e == start => *e = end,
-                _ => spans.push((start, end)),
+                Some((offset, len)) if *offset + *len == start => *len = end - *offset,
+                _ => spans.push((start, end - start)),
             }
         }
         spans
@@ -203,9 +272,10 @@ impl StateEntry {
     /// data is present... only replicates the necessary subsets", §4.1).
     ///
     /// Missing chunks are coalesced into contiguous spans and fetched with
-    /// **one** batched round-trip; the chunk table is never locked while
-    /// the request is on the wire, so concurrent operations on other
-    /// chunks of this key proceed at memory speed.
+    /// **one** batched round-trip; no lock is held while the request is on
+    /// the wire, so concurrent operations on other chunks of this key
+    /// proceed at memory speed. A range already present costs one atomic
+    /// load per chunk and nothing else.
     ///
     /// # Errors
     ///
@@ -213,18 +283,24 @@ impl StateEntry {
     pub fn pull_range(&self, offset: usize, len: usize) -> Result<(), StateError> {
         self.check_range(offset, len)?;
         let (first, last) = self.chunk_span(offset, len);
-        // Snapshot the missing set, then release the lock before the fetch.
-        let missing: Vec<usize> = {
-            let table = self.chunks.lock();
-            (first..=last).filter(|&i| !table.present[i]).collect()
-        };
+        if (first..=last).all(|i| self.present.get(i)) {
+            return Ok(());
+        }
+        self.pull_missing(first, last)
+    }
+
+    /// The slow half of [`StateEntry::pull_range`]: fetch the absent chunks
+    /// of `first..=last` and reconcile them into the region.
+    #[inline(never)]
+    fn pull_missing(&self, first: usize, last: usize) -> Result<(), StateError> {
+        let missing: Vec<usize> = (first..=last).filter(|&i| !self.present.get(i)).collect();
         if missing.is_empty() {
             return Ok(());
         }
         let spans = self.coalesce(&missing);
         let wire_spans: Vec<(u64, u64)> = spans
             .iter()
-            .map(|&(s, e)| (s as u64, (e - s) as u64))
+            .map(|&(offset, len)| (offset as u64, len as u64))
             .collect();
         let pulled_bytes: u64 = wire_spans.iter().map(|&(_, len)| len).sum();
         let fetched = state_span(SpanKind::StatePull, pulled_bytes, || {
@@ -234,17 +310,18 @@ impl StateEntry {
         // (a concurrent write dirtied it, or another pull landed first)
         // keeps its local bytes — global data fetched before the race
         // resolved must not clobber it.
-        let mut table = self.chunks.lock();
+        let _transition = self.transition.lock();
         match fetched {
             Some(runs) => {
-                for (&(span_start, span_end), run) in spans.iter().zip(&runs) {
+                for (&(span_start, span_len), run) in spans.iter().zip(&runs) {
+                    let span_end = span_start + span_len;
                     let mut idx = span_start / self.chunk_size;
                     loop {
                         let (start, end) = self.chunk_bounds(idx);
                         if start >= span_end {
                             break;
                         }
-                        if !table.present[idx] {
+                        if !self.present.get(idx) {
                             // The run may be truncated if the global value
                             // is shorter than the span.
                             let have = run.len().saturating_sub(start - span_start);
@@ -253,14 +330,14 @@ impl StateEntry {
                                 let rel = start - span_start;
                                 self.region.write(start, &run[rel..rel + take])?;
                             }
-                            table.present[idx] = true;
+                            self.present.set(idx);
                         }
                         idx += 1;
                     }
                 }
             }
             // Key absent globally: the zeroed region is authoritative.
-            None => missing.iter().for_each(|&i| table.present[i] = true),
+            None => missing.iter().for_each(|&i| self.present.set(i)),
         }
         Ok(())
     }
@@ -286,39 +363,29 @@ impl StateEntry {
         // this push re-dirties its chunk and is owed the *next* push —
         // clearing after the send would silently absorb it into this one.
         // On error the claimed bits are restored so no write is lost.
-        let dirty: Vec<usize> = {
-            let mut table = self.chunks.lock();
-            let dirty: Vec<usize> = table
-                .dirty
-                .iter()
-                .enumerate()
-                .filter_map(|(i, d)| d.then_some(i))
-                .collect();
-            dirty.iter().for_each(|&i| table.dirty[i] = false);
-            dirty
-        };
+        let dirty = self.dirty.take_all();
         if dirty.is_empty() {
             return Ok(());
         }
-        let result = (|| {
-            let spans = self.coalesce(&dirty);
-            let mut writes = Vec::with_capacity(spans.len());
-            for &(start, end) in &spans {
-                let mut buf = vec![0u8; end - start];
-                self.region.read(start, &mut buf)?;
-                writes.push((start as u64, buf));
-            }
-            let pushed_bytes: u64 = writes.iter().map(|(_, buf)| buf.len() as u64).sum();
-            state_span(SpanKind::StatePush, pushed_bytes, || {
-                self.kv.multi_set_range(&self.key, writes)
-            })?;
-            Ok(())
-        })();
+        let result = self.send_ranges(&self.coalesce(&dirty));
         if result.is_err() {
-            let mut table = self.chunks.lock();
-            dirty.iter().for_each(|&i| table.dirty[i] = true);
+            dirty.iter().for_each(|&i| self.dirty.set(i));
         }
         result
+    }
+
+    /// Read each `(offset, len)` range of the region straight into one
+    /// flat batch and send it in a single round-trip.
+    fn send_ranges(&self, ranges: &[(usize, usize)]) -> Result<(), StateError> {
+        let bytes: usize = ranges.iter().map(|&(_, len)| len).sum();
+        let mut writes = RangeWrites::with_capacity(ranges.len(), bytes);
+        for &(offset, len) in ranges {
+            writes.push_with(offset as u64, len, |buf| self.region.read(offset, buf))?;
+        }
+        state_span(SpanKind::StatePush, bytes as u64, || {
+            self.kv.multi_set_range(&self.key, writes)
+        })?;
+        Ok(())
     }
 
     /// Push the entire value regardless of dirty state (`push_state`,
@@ -336,9 +403,9 @@ impl StateEntry {
         state_span(SpanKind::StatePush, self.size as u64, || {
             self.kv.set(&self.key, buf)
         })?;
-        let mut table = self.chunks.lock();
-        table.present.iter_mut().for_each(|p| *p = true);
-        table.dirty.iter_mut().for_each(|d| *d = false);
+        let _transition = self.transition.lock();
+        (0..self.n_chunks).for_each(|i| self.present.set(i));
+        self.dirty.clear_all();
         Ok(())
     }
 
@@ -370,37 +437,24 @@ impl StateEntry {
         // a write racing this flush re-dirties its chunk *after* the claim
         // and is owed the next push — clearing after the send would mark a
         // racing write clean without its bytes ever leaving the host.
-        let claimed: Vec<usize> = {
-            let mut table = self.chunks.lock();
-            let mut claimed = Vec::new();
-            for &(offset, len) in ranges {
-                let (first, last) = self.chunk_span(offset, len);
-                for idx in first..=last {
-                    let (start, end) = self.chunk_bounds(idx);
-                    if offset <= start && offset + len >= end && table.dirty[idx] {
-                        table.dirty[idx] = false;
-                        claimed.push(idx);
-                    }
+        let mut claimed = Vec::new();
+        // Only a range as long as the shortest chunk (the last) can cover one.
+        let (last_start, last_end) = self.chunk_bounds(self.n_chunks - 1);
+        for &(offset, len) in ranges {
+            if len < last_end - last_start {
+                continue;
+            }
+            let (first, last) = self.chunk_span(offset, len);
+            for idx in first..=last {
+                let (start, end) = self.chunk_bounds(idx);
+                if offset <= start && offset + len >= end && self.dirty.clear(idx) {
+                    claimed.push(idx);
                 }
             }
-            claimed
-        };
-        let result = (|| {
-            let mut writes = Vec::with_capacity(ranges.len());
-            for &(offset, len) in ranges {
-                let mut buf = vec![0u8; len];
-                self.region.read(offset, &mut buf)?;
-                writes.push((offset as u64, buf));
-            }
-            let pushed_bytes: u64 = writes.iter().map(|(_, buf)| buf.len() as u64).sum();
-            state_span(SpanKind::StatePush, pushed_bytes, || {
-                self.kv.multi_set_range(&self.key, writes)
-            })?;
-            Ok(())
-        })();
+        }
+        let result = self.send_ranges(ranges);
         if result.is_err() {
-            let mut table = self.chunks.lock();
-            claimed.iter().for_each(|&i| table.dirty[i] = true);
+            claimed.iter().for_each(|&i| self.dirty.set(i));
         }
         result
     }
@@ -413,14 +467,13 @@ impl StateEntry {
     /// would re-upload whole stale chunks and, on a shared-output value,
     /// clobber other writers' bytes. Out-of-range entries are ignored.
     pub fn clear_dirty_ranges(&self, ranges: &[(usize, usize)]) {
-        let mut table = self.chunks.lock();
         for &(offset, len) in ranges {
             if offset.checked_add(len).is_none_or(|end| end > self.size) {
                 continue;
             }
             let (first, last) = self.chunk_span(offset, len);
             for idx in first..=last {
-                table.dirty[idx] = false;
+                self.dirty.clear(idx);
             }
         }
     }
@@ -451,41 +504,49 @@ impl StateEntry {
     pub fn write(&self, offset: usize, data: &[u8]) -> Result<(), StateError> {
         self.check_range(offset, data.len())?;
         let (first, last) = self.chunk_span(offset, data.len());
-        // Pull partially-covered, absent chunks.
-        {
-            let table = self.chunks.lock();
-            let mut need_pull = Vec::new();
-            for idx in first..=last {
-                let (start, end) = self.chunk_bounds(idx);
-                let fully_covered = offset <= start && offset + data.len() >= end;
-                if !table.present[idx] && !fully_covered {
-                    need_pull.push((start, end));
-                }
-            }
-            drop(table);
-            for (start, end) in need_pull {
-                self.pull_range(start, end - start)?;
-            }
-        }
-        // Claim every covered chunk present *before* touching the region:
-        // a pull whose batched fetch is already on the wire reconciles
-        // under the table lock and skips present chunks, so the claim is
-        // what stops stale global bytes from overwriting this write once
-        // it lands (the fetch-in-flight/write race).
-        {
-            let mut table = self.chunks.lock();
-            for idx in first..=last {
-                table.present[idx] = true;
-            }
+        if !(first..=last).all(|i| self.present.get(i)) {
+            self.claim_absent(offset, data.len(), first, last)?;
         }
         self.local_lock.lock_write();
         let r = self.region.write(offset, data);
         self.local_lock.unlock_write();
         r?;
-        let mut table = self.chunks.lock();
+        // Re-mark dirty *after* the store: a push that claimed the bit
+        // before this store landed read the region too early to carry it,
+        // so the write is owed the next push. A bit `set` finds still set
+        // was read after the store (both behind the `SeqCst` unlock
+        // above), so whichever push claims it reads the region after the
+        // store too.
+        (first..=last).for_each(|idx| self.dirty.set(idx));
+        Ok(())
+    }
+
+    /// The slow half of [`StateEntry::write`], for a write of
+    /// `offset..offset + len` (chunks `first..=last`) that found a chunk
+    /// absent: pull what the write only partly covers, then claim it all.
+    #[inline(never)]
+    fn claim_absent(
+        &self,
+        offset: usize,
+        len: usize,
+        first: usize,
+        last: usize,
+    ) -> Result<(), StateError> {
+        // Pull partially-covered, absent chunks.
         for idx in first..=last {
-            table.dirty[idx] = true;
+            let (start, end) = self.chunk_bounds(idx);
+            let fully_covered = offset <= start && offset + len >= end;
+            if !self.present.get(idx) && !fully_covered {
+                self.pull_range(start, end - start)?;
+            }
         }
+        // Claim every covered chunk present *before* touching the region:
+        // a pull whose batched fetch is already on the wire reconciles
+        // under the transition lock and skips present chunks, so the claim
+        // is what stops stale global bytes from overwriting this write
+        // once it lands (the fetch-in-flight/write race).
+        let _transition = self.transition.lock();
+        (first..=last).for_each(|idx| self.present.set(idx));
         Ok(())
     }
 
@@ -537,6 +598,11 @@ impl StateEntry {
         self.local_lock.unlock_write();
     }
 
+    /// Threads parked on the local lock behind its current holder.
+    pub fn local_lock_waiters(&self) -> usize {
+        self.local_lock.waiters()
+    }
+
     /// Acquire the global read lock (`lock_state_global_read`), blocking.
     ///
     /// # Errors
@@ -580,9 +646,9 @@ impl StateEntry {
     /// Forget local presence so the next access re-pulls (used after another
     /// party is known to have changed the global value, and by tests).
     pub fn invalidate(&self) {
-        let mut table = self.chunks.lock();
-        table.present.iter_mut().for_each(|p| *p = false);
-        table.dirty.iter_mut().for_each(|d| *d = false);
+        let _transition = self.transition.lock();
+        self.present.clear_all();
+        self.dirty.clear_all();
     }
 }
 
@@ -1011,6 +1077,116 @@ mod tests {
         // must also restore them when the send fails.
         assert!(e.push_range(0, 16).is_err());
         assert_eq!(e.dirty_chunks(), 2, "failed push_ranges must not lose dirt");
+    }
+
+    /// One seeded round of the table's three races at once: writers on
+    /// disjoint words (claiming absent chunks as they go), one pusher
+    /// alternating `push` and `push_ranges`, and pullers fetching absent
+    /// chunks through a backend that stalls every batched read.
+    fn stress_round(seed: u64) {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        const WORDS: usize = 128;
+        const CHUNK: usize = 16; // two words a chunk
+        const WRITERS: usize = 3;
+        const UNTOUCHED: u64 = 0xEEEE_EEEE_EEEE_EEEE;
+        let rng = |stream: u64| {
+            let mut x = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as usize
+            }
+        };
+        let plain = Arc::new(KvClient::local(Arc::new(KvStore::new())));
+        let initial: Vec<u8> = (0..WORDS).flat_map(|_| UNTOUCHED.to_le_bytes()).collect();
+        plain.set("k", initial).unwrap();
+        let slow = Arc::new(SlowKv::new(Arc::clone(&plain), Duration::from_micros(150)));
+        let e = StateEntry::new(
+            "k",
+            WORDS * 8,
+            SharedRegion::new(WORDS * 8),
+            slow as SharedKv,
+            CHUNK,
+        )
+        .unwrap();
+        // The last value each writer stored in each word (0: never written).
+        let last: Vec<AtomicU64> = (0..WORDS).map(|_| AtomicU64::new(0)).collect();
+        let writing = AtomicBool::new(true);
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|id| {
+                    let (e, last, mut next) = (&e, &last, rng(id as u64));
+                    s.spawn(move || {
+                        for round in 1..=200u64 {
+                            let word = next() % (WORDS / WRITERS) * WRITERS + id;
+                            let value = round << 8 | id as u64;
+                            e.write(word * 8, &value.to_le_bytes()).unwrap();
+                            last[word].store(value, Ordering::SeqCst);
+                        }
+                    })
+                })
+                .collect();
+            let (e, last, writing) = (&e, &last, &writing);
+            let mut next = rng(100);
+            s.spawn(move || {
+                while writing.load(Ordering::SeqCst) {
+                    e.push().unwrap();
+                    // A written word's chunk is present, so its bytes are
+                    // pushable: the word alone, or its whole chunk (which
+                    // claims the chunk's dirty bit like `push`).
+                    let word = next() % WORDS;
+                    if last[word].load(Ordering::SeqCst) != 0 {
+                        let chunk = word * 8 / CHUNK * CHUNK;
+                        e.push_ranges(&[(word * 8, 8), (chunk, CHUNK)]).unwrap();
+                    }
+                }
+            });
+            for id in 0..2 {
+                let mut next = rng(200 + id);
+                s.spawn(move || {
+                    while writing.load(Ordering::SeqCst) {
+                        let first = next() % WORDS;
+                        let len = (1 + next() % 8).min(WORDS - first);
+                        e.pull_range(first * 8, len * 8).unwrap();
+                    }
+                });
+            }
+            for w in writers {
+                w.join().unwrap();
+            }
+            writing.store(false, Ordering::SeqCst);
+        });
+        e.push().unwrap();
+        assert_eq!(e.dirty_chunks(), 0, "seed {seed}");
+        let global = plain.get("k").unwrap().unwrap();
+        let mut local = vec![0u8; WORDS * 8];
+        e.read(0, &mut local).unwrap();
+        for (word, last) in last.iter().enumerate() {
+            let want = match last.load(Ordering::SeqCst) {
+                0 => UNTOUCHED,
+                value => value,
+            };
+            let at = word * 8..word * 8 + 8;
+            let got = |bytes: &[u8]| u64::from_le_bytes(bytes[at.clone()].try_into().unwrap());
+            assert_eq!(
+                got(&local),
+                want,
+                "seed {seed}: word {word} of the replica (a stale fetch overwrote a claimed chunk?)"
+            );
+            assert_eq!(
+                got(&global),
+                want,
+                "seed {seed}: word {word} of the global value (a write missed every push?)"
+            );
+        }
+    }
+
+    #[test]
+    fn writers_pushes_and_pulls_race_without_losing_a_write() {
+        for seed in 1..=12 {
+            stress_round(seed);
+        }
     }
 
     #[test]

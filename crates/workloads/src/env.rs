@@ -9,8 +9,10 @@
 //! they do: Faaslets pull state chunks into *shared* regions, containers
 //! ship *whole values* into private copies.
 
+use std::sync::Arc;
+
 use faasm_baseline::ContainerApi;
-use faasm_core::NativeApi;
+use faasm_core::{NativeApi, StateEntry};
 
 /// The operations workloads need from their platform.
 pub trait FaasEnv {
@@ -20,19 +22,21 @@ pub trait FaasEnv {
     /// Append output bytes.
     fn write_output(&mut self, data: &[u8]);
 
-    /// Read `len` bytes of state `key` at `offset`; `total_size` is the
-    /// value's full size (needed to size replicas on first touch).
+    /// Fill `buf` with the bytes of state `key` at `offset`; `total_size`
+    /// is the value's full size (needed to size replicas on first touch).
+    /// The caller owns the buffer, so a loop of small reads allocates
+    /// nothing.
     ///
     /// # Errors
     ///
-    /// A platform error message.
+    /// A platform error message; a range past the end of the value is one.
     fn state_read(
         &mut self,
         key: &str,
         total_size: usize,
         offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, String>;
+        buf: &mut [u8],
+    ) -> Result<(), String>;
 
     /// Write state bytes at `offset`.
     ///
@@ -152,12 +156,32 @@ pub trait FaasEnv {
 /// [`FaasEnv`] over the Faaslet host interface.
 pub struct FaasmEnv<'a, 'b> {
     api: &'a mut NativeApi<'b>,
+    /// The entries this call has touched, resolved through the Faaslet's
+    /// mapping table once each: a call names a handful of keys and then
+    /// reads them thousands of times. Dropped with the call, so the
+    /// sharer count behind `Faaslet::pss_bytes` is as it was.
+    entries: Vec<(String, Arc<StateEntry>)>,
 }
 
 impl<'a, 'b> FaasmEnv<'a, 'b> {
     /// Wrap a native-guest API.
     pub fn new(api: &'a mut NativeApi<'b>) -> FaasmEnv<'a, 'b> {
-        FaasmEnv { api }
+        FaasmEnv {
+            api,
+            entries: Vec::new(),
+        }
+    }
+
+    fn entry(&mut self, key: &str, total_size: usize) -> Result<&StateEntry, String> {
+        let at = match self.entries.iter().position(|(k, _)| k == key) {
+            Some(at) => at,
+            None => {
+                let entry = self.api.state(key, total_size).map_err(|e| e.to_string())?;
+                self.entries.push((key.to_string(), entry));
+                self.entries.len() - 1
+            }
+        };
+        Ok(&self.entries[at].1)
     }
 }
 
@@ -175,12 +199,10 @@ impl FaasEnv for FaasmEnv<'_, '_> {
         key: &str,
         total_size: usize,
         offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, String> {
-        let entry = self.api.state(key, total_size).map_err(|e| e.to_string())?;
-        let mut buf = vec![0u8; len];
-        entry.read(offset, &mut buf).map_err(|e| e.to_string())?;
-        Ok(buf)
+        buf: &mut [u8],
+    ) -> Result<(), String> {
+        let entry = self.entry(key, total_size)?;
+        entry.read(offset, buf).map_err(|e| e.to_string())
     }
 
     fn state_write(
@@ -190,12 +212,12 @@ impl FaasEnv for FaasmEnv<'_, '_> {
         offset: usize,
         data: &[u8],
     ) -> Result<(), String> {
-        let entry = self.api.state(key, total_size).map_err(|e| e.to_string())?;
+        let entry = self.entry(key, total_size)?;
         entry.write(offset, data).map_err(|e| e.to_string())
     }
 
     fn state_push(&mut self, key: &str, total_size: usize) -> Result<(), String> {
-        let entry = self.api.state(key, total_size).map_err(|e| e.to_string())?;
+        let entry = self.entry(key, total_size)?;
         entry.push().map_err(|e| e.to_string())
     }
 
@@ -206,7 +228,7 @@ impl FaasEnv for FaasmEnv<'_, '_> {
         offset: usize,
         len: usize,
     ) -> Result<(), String> {
-        let entry = self.api.state(key, total_size).map_err(|e| e.to_string())?;
+        let entry = self.entry(key, total_size)?;
         entry.push_range(offset, len).map_err(|e| e.to_string())
     }
 
@@ -216,7 +238,7 @@ impl FaasEnv for FaasmEnv<'_, '_> {
         total_size: usize,
         ranges: &[(usize, usize)],
     ) -> Result<(), String> {
-        let entry = self.api.state(key, total_size).map_err(|e| e.to_string())?;
+        let entry = self.entry(key, total_size)?;
         entry.push_ranges(ranges).map_err(|e| e.to_string())
     }
 
@@ -226,7 +248,7 @@ impl FaasEnv for FaasmEnv<'_, '_> {
         total_size: usize,
         ranges: &[(usize, usize)],
     ) -> Result<(), String> {
-        let entry = self.api.state(key, total_size).map_err(|e| e.to_string())?;
+        let entry = self.entry(key, total_size)?;
         entry.clear_dirty_ranges(ranges);
         Ok(())
     }
@@ -307,9 +329,20 @@ impl FaasEnv for ContainerEnv<'_, '_> {
         key: &str,
         _total_size: usize,
         offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, String> {
-        self.api.state_read(key, offset, len)
+        buf: &mut [u8],
+    ) -> Result<(), String> {
+        // The container's own API is untouched — whole-value fetch, a
+        // private copy, a fresh `Vec` per read — so the baseline's traffic
+        // and timings are what they were.
+        let bytes = self.api.state_read(key, offset, buf.len())?;
+        if bytes.len() != buf.len() {
+            return Err(format!(
+                "read of {} bytes at {offset} runs past the end of {key}",
+                buf.len()
+            ));
+        }
+        buf.copy_from_slice(&bytes);
+        Ok(())
     }
 
     fn state_write(
@@ -395,7 +428,8 @@ mod tests {
         let input = env.input();
         env.state_write("wk", 16, 0, &input)?;
         env.state_push("wk", 16)?;
-        let back = env.state_read("wk", 16, 0, input.len())?;
+        let mut back = vec![0u8; input.len()];
+        env.state_read("wk", 16, 0, &mut back)?;
         if back != input {
             return Err("state roundtrip mismatch".into());
         }

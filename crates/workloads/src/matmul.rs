@@ -70,10 +70,11 @@ fn read_block<E: FaasEnv>(
 ) -> Result<Vec<f64>, String> {
     let total = n * n * 8;
     let mut out = Vec::with_capacity(block * block);
+    let mut bytes = vec![0u8; block * 8];
     for r in 0..block {
         let row = bi * block + r;
         let offset = (row * n + bj * block) * 8;
-        let bytes = env.state_read(key, total, offset, block * 8)?;
+        env.state_read(key, total, offset, &mut bytes)?;
         out.extend_from_slice(&bytes_to_f64s(&bytes));
     }
     Ok(out)
@@ -156,9 +157,10 @@ pub fn mm_merge<E: FaasEnv>(env: &mut E) -> Result<i32, String> {
     let (n, i, j) = (t[0] as usize, t[1] as usize, t[2] as usize);
     let block = n / GRID;
     let mut acc = vec![0.0f64; block * block];
+    let mut bytes = vec![0u8; block * block * 8];
     for k in 0..GRID {
         let pkey = keys::product(i, j, k);
-        let bytes = env.state_read(&pkey, block * block * 8, 0, block * block * 8)?;
+        env.state_read(&pkey, block * block * 8, 0, &mut bytes)?;
         for (a, v) in acc.iter_mut().zip(bytes_to_f64s(&bytes)) {
             *a += v;
         }

@@ -18,7 +18,7 @@ use faasm_baseline::{BaselinePlatform, ContainerApi, ContainerGuest};
 use faasm_core::{Cluster, NativeApi, NativeGuest};
 use faasm_kvs::KvBackend;
 
-use crate::data::{bytes_to_f64s, bytes_to_u32s, f64s_to_bytes, u32s_to_bytes, SparseDataset};
+use crate::data::{bytes_to_f64s, f64s_to_bytes, u32s_to_bytes, SparseDataset};
 use crate::env::{ContainerEnv, FaasEnv, FaasmEnv};
 
 /// State keys used by the SGD application.
@@ -118,6 +118,28 @@ fn coalesce_ranges(offsets: &mut Vec<usize>, width: usize) -> Vec<(usize, usize)
     ranges
 }
 
+/// Read elements `range` of `key`, a little-endian array of `total`
+/// `N`-byte elements, into `out`. Both buffers are the caller's, so the
+/// per-example reads of [`weight_update`] reuse one allocation each.
+fn read_elems<E: FaasEnv, T, const N: usize>(
+    env: &mut E,
+    key: &str,
+    total: usize,
+    range: std::ops::Range<usize>,
+    raw: &mut Vec<u8>,
+    out: &mut Vec<T>,
+    decode: fn([u8; N]) -> T,
+) -> Result<(), String> {
+    raw.resize(range.len() * N, 0);
+    env.state_read(key, total * N, range.start * N, raw)?;
+    out.clear();
+    out.extend(
+        raw.chunks_exact(N)
+            .map(|c| decode(c.try_into().expect("N bytes"))),
+    );
+    Ok(())
+}
+
 /// The `weight_update` function of Listing 1, over [`FaasEnv`].
 ///
 /// The weights vector is a **shared-output** value: many workers update
@@ -135,46 +157,74 @@ pub fn weight_update<E: FaasEnv>(env: &mut E) -> Result<i32, String> {
     let task = SgdTask::from_bytes(&env.input()).ok_or("bad sgd task input")?;
     let wsize = task.features as usize * 8;
     let nnz_total = env.state_size(keys::VALS)? / 8;
+    let (start, end, examples) = (
+        task.start as usize,
+        task.end as usize,
+        task.examples as usize,
+    );
+    let mut raw = Vec::new();
 
     // Pointer window for this worker's example range (a chunked pull on
     // Faasm; whole-value ship on containers).
-    let ptr_bytes = env.state_read(
+    let (mut ptrs, mut labels) = (Vec::new(), Vec::new());
+    read_elems(
+        env,
         keys::COLPTR,
-        (task.examples as usize + 1) * 4,
-        task.start as usize * 4,
-        (task.end - task.start + 1) as usize * 4,
+        examples + 1,
+        start..end + 1,
+        &mut raw,
+        &mut ptrs,
+        u32::from_le_bytes,
     )?;
-    let ptrs = bytes_to_u32s(&ptr_bytes);
-
-    let label_bytes = env.state_read(
+    read_elems(
+        env,
         keys::LABELS,
-        task.examples as usize * 8,
-        task.start as usize * 8,
-        (task.end - task.start) as usize * 8,
+        examples,
+        start..end,
+        &mut raw,
+        &mut labels,
+        f64::from_le_bytes,
     )?;
-    let labels = bytes_to_f64s(&label_bytes);
 
     let mut since_push = 0u32;
     // Feature byte offsets written since the last flush, and every range
     // flushed so far (settled at the end of the call).
     let mut touched: Vec<usize> = Vec::new();
     let mut flushed: Vec<(usize, usize)> = Vec::new();
+    // One example's values, feature ids and weights, reused across examples.
+    let (mut vals, mut feats, mut w) = (Vec::new(), Vec::new(), Vec::new());
     for (i, ex) in (task.start..task.end).enumerate() {
         let lo = ptrs[i] as usize;
         let hi = ptrs[i + 1] as usize;
         if hi > nnz_total || lo > hi {
             return Err(format!("corrupt colptr for example {ex}"));
         }
-        let vals =
-            bytes_to_f64s(&env.state_read(keys::VALS, nnz_total * 8, lo * 8, (hi - lo) * 8)?);
-        let feats =
-            bytes_to_u32s(&env.state_read(keys::FEATS, nnz_total * 4, lo * 4, (hi - lo) * 4)?);
+        read_elems(
+            env,
+            keys::VALS,
+            nnz_total,
+            lo..hi,
+            &mut raw,
+            &mut vals,
+            f64::from_le_bytes,
+        )?;
+        read_elems(
+            env,
+            keys::FEATS,
+            nnz_total,
+            lo..hi,
+            &mut raw,
+            &mut feats,
+            u32::from_le_bytes,
+        )?;
 
         // Prediction with the current (possibly stale — HOGWILD!) weights.
         let mut dot = 0.0;
-        let mut w = Vec::with_capacity(feats.len());
+        w.clear();
         for (f, v) in feats.iter().zip(&vals) {
-            let wf = bytes_to_f64s(&env.state_read(keys::WEIGHTS, wsize, *f as usize * 8, 8)?)[0];
+            let mut word = [0u8; 8];
+            env.state_read(keys::WEIGHTS, wsize, *f as usize * 8, &mut word)?;
+            let wf = f64::from_le_bytes(word);
             w.push(wf);
             dot += wf * v;
         }
@@ -343,7 +393,7 @@ mod tests {
                 let mut env = FaasmEnv::new(api);
                 let phase = env.input();
                 // Pull the whole value into this host's local replica.
-                env.state_read("w", 128, 0, 128)
+                env.state_read("w", 128, 0, &mut [0u8; 128])
                     .map_err(faasm_fvm::Trap::host)?;
                 if phase == b"write" {
                     for i in 0..8 {
@@ -373,6 +423,41 @@ mod tests {
         let w = crate::data::bytes_to_f64s(&cluster.kv().get("w").unwrap().unwrap());
         assert_eq!(&w[..8], &[1.0; 8], "left half survives the right flush");
         assert_eq!(&w[8..], &[2.0; 8], "right half survives the left flush");
+    }
+
+    #[test]
+    fn weight_update_is_the_sequential_arithmetic_bit_for_bit() {
+        let dataset = rcv1_like(96, 48, 6, 7);
+        let (lr, push_interval) = (0.5, 16);
+        let cluster = Cluster::new(1);
+        register_faasm(&cluster, "ml");
+        upload_dataset(cluster.kv().as_ref(), &dataset).unwrap();
+        for task in partition(96, 1, 48, lr, push_interval) {
+            let r = cluster.invoke("ml", "sgd_update", task.to_bytes());
+            assert_eq!(r.return_code(), 0, "worker failed: {:?}", r.status);
+        }
+        let trained = bytes_to_f64s(&cluster.kv().get(keys::WEIGHTS).unwrap().unwrap());
+
+        // Listing 1 with nothing in between: one pass over the examples in
+        // order, each predicting from the weights as the last one left them.
+        let (vals, feats, col_ptr) = dataset.to_csc();
+        let mut weights = vec![0.0f64; dataset.features];
+        for ex in 0..dataset.examples {
+            let nz = col_ptr[ex] as usize..col_ptr[ex + 1] as usize;
+            let w: Vec<f64> = nz.clone().map(|i| weights[feats[i] as usize]).collect();
+            let mut dot = 0.0;
+            for (wf, i) in w.iter().zip(nz.clone()) {
+                dot += wf * vals[i];
+            }
+            let pred = 1.0 / (1.0 + (-dot).exp());
+            let adj = lr * ((dataset.labels[ex] + 1.0) / 2.0 - pred);
+            for (wf, i) in w.iter().zip(nz) {
+                weights[feats[i] as usize] = wf + vals[i] * adj;
+            }
+        }
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&trained), bits(&weights));
+        assert!(weights.iter().any(|w| *w != 0.0), "the task trained");
     }
 
     #[test]

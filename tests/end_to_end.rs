@@ -199,6 +199,61 @@ fn guest_traps_surface_as_errors_and_do_not_poison_the_instance() {
 }
 
 #[test]
+fn local_state_locks_die_with_the_call_that_took_them() {
+    // A local lock has no lease: a call that exits holding one — by a
+    // trap, or by simply returning — used to park every later toucher of
+    // the key on that host until its invoke timeout.
+    const LOCKS: &str = r#"
+        extern void lock_state_read(ptr int key, int key_len);
+        extern void lock_state_write(ptr int key, int key_len);
+        extern void unlock_state_write(ptr int key, int key_len);
+    "#;
+    let key = "ptr int k = (ptr int) 64; k[0] = 0x6b;";
+    let cluster = Cluster::with_config(ClusterConfig {
+        hosts: 1,
+        invoke_timeout: std::time::Duration::from_secs(3),
+        ..ClusterConfig::default()
+    });
+    for (name, body) in [
+        // Out-of-bounds store while holding the write lock.
+        (
+            "trap",
+            "lock_state_write(k, 1); ptr int wild = (ptr int) -8; wild[0] = 1; return 0;",
+        ),
+        ("leave", "lock_state_read(k, 1); return 3;"),
+        (
+            "touch",
+            "lock_state_write(k, 1); unlock_state_write(k, 1); return 0;",
+        ),
+        // Unlocking what this call never locked is refused with a trap.
+        ("steal", "unlock_state_write(k, 1); return 0;"),
+    ] {
+        let src = format!("{LOCKS} int main() {{ {key} {body} }}");
+        cluster
+            .upload_fl("it", name, &src, UploadOptions::default())
+            .unwrap();
+    }
+    let r = cluster.invoke("it", "trap", vec![]);
+    assert!(matches!(r.status, CallStatus::Error(_)), "{:?}", r.status);
+    assert_eq!(
+        cluster.invoke("it", "touch", vec![]).status,
+        CallStatus::Success
+    );
+    assert_eq!(
+        cluster.invoke("it", "leave", vec![]).status,
+        CallStatus::Failed(3)
+    );
+    assert_eq!(
+        cluster.invoke("it", "touch", vec![]).status,
+        CallStatus::Success
+    );
+    match cluster.invoke("it", "steal", vec![]).status {
+        CallStatus::Error(msg) => assert!(msg.contains("holds no such lock"), "{msg}"),
+        other => panic!("an unlock without a lock must trap, got {other:?}"),
+    }
+}
+
+#[test]
 fn cross_host_proto_restore_via_state_tier() {
     // First call on host A generates + publishes the proto as
     // content-addressed chunks; a later call on host B must restore from

@@ -250,7 +250,10 @@ fn kvs_list_request_strategy() -> impl Strategy<Value = kvs::codec::Request> {
                 0..6
             )
         )
-            .prop_map(|(key, writes)| Request::MultiSetRange { key, writes }),
+            .prop_map(|(key, writes)| Request::MultiSetRange {
+                key,
+                writes: writes.into_iter().collect(),
+            }),
         migration_entries_strategy().prop_map(|entries| Request::Handoff { entries }),
         migration_entries_strategy().prop_map(|entries| Request::Replicate { entries }),
         (
