@@ -68,6 +68,28 @@ if sed -n '/^pub trait FaasEnv/,/^}/p' crates/workloads/src/env.rs |
     exit 1
 fi
 
+echo "== lowered tier: register ops only, one value stack, no unsafe"
+for f in $(find crates/fvm/src -name '*.rs'); do
+    if nontest "$f" | grep -nE 'Op::Plain|fn fuse\b|FBinLL|FImmLS|FBrCmpLL|FAddLoad' | sed "s|^|$f:|"; then
+        echo "$f: the stack-form op stream (Plain fallback, fusion pass, F* superinstructions) is back" >&2
+        echo "operands are resolved at lowering time; every numeric op is one register Op from num::numeric_ops!" >&2
+        exit 1
+    fi
+done
+# The lowered call path is Instance::call_func -> instance/lowered.rs; the
+# reference interpreter (instance/interp.rs) keeps its per-call Vecs.
+if nontest crates/fvm/src/instance/lowered.rs |
+    grep -nE 'stack\.push\(|stack\.pop\(|Arc::clone\(&self\.object\)' ||
+    cat crates/fvm/src/instance.rs crates/fvm/src/instance/lowered.rs | grep -n 'split_off'; then
+    echo "crates/fvm/src/instance{.rs,/lowered.rs}: operand push/pop, a per-call Vec or a per-call Arc clone on the lowered call path" >&2
+    echo "frames are windows of the instance's one value stack; a guest call allocates and clones nothing" >&2
+    exit 1
+fi
+if grep -rnw 'unsafe' crates/fvm/src; then
+    echo "crates/fvm/src: unsafe code in the VM" >&2
+    exit 1
+fi
+
 # Tier-1 must hold serially and oversubscribed: no test may depend on
 # having the process, or a core, to itself.
 for threads in 1 8; do
@@ -76,6 +98,11 @@ for threads in 1 8; do
     cargo test --workspace -q -- --test-threads="$threads"
     echo "== cargo test --test-threads=$threads took $((SECONDS - start)) s"
 done
+
+# Release is the build the benchmark measures, and overflow checks differ
+# between the two profiles.
+echo "== cargo test --release -p faasm-fvm"
+cargo test --release -p faasm-fvm -q
 
 echo "== remote-ingress example (smoke)"
 cargo run --release --example gateway_remote

@@ -13,6 +13,11 @@
 //! minimum vruntime among *runnable* members. Threads running ahead block on
 //! a condvar until the laggards catch up, so co-located Faaslets progress at
 //! equal rates regardless of how the OS schedules the underlying threads.
+//!
+//! Runnable means *running a call*: a Faaslet's share is created parked,
+//! unparked for the duration of `Faaslet::run` and parked again while the
+//! Faaslet sits idle in the warm pool — an idle Faaslet's frozen vruntime
+//! must not stall its siblings.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,6 +30,19 @@ use parking_lot::{Condvar, Mutex};
 struct GroupState {
     /// vruntime (fuel granted so far) per runnable member.
     runnable: HashMap<u64, u64>,
+    /// Members blocked in `acquire`. A state change wakes the condvar only
+    /// when this is non-zero: a wake-up is a futex syscall whether or not
+    /// anyone waits, and nearly every call runs with nobody waiting.
+    waiting: usize,
+}
+
+impl GroupState {
+    /// Make `id` runnable at the current minimum vruntime (a newcomer must
+    /// not be owed the group's entire history).
+    fn admit(&mut self, id: u64) {
+        let start = self.runnable.values().min().copied().unwrap_or(0);
+        self.runnable.insert(id, start);
+    }
 }
 
 /// A CPU control group shared by the Faaslets of one runtime instance.
@@ -48,17 +66,19 @@ impl CgroupCpu {
         })
     }
 
-    /// Join the group, becoming runnable at the current minimum vruntime (a
-    /// new Faaslet must not be owed the cluster's entire history).
+    /// Join the group as a runnable member.
     pub fn join(self: &Arc<CgroupCpu>) -> CgroupShare {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut s = self.state.lock();
-        let start = s.runnable.values().min().copied().unwrap_or(0);
-        s.runnable.insert(id, start);
-        drop(s);
+        let share = self.join_parked();
+        share.unpark();
+        share
+    }
+
+    /// Join the group parked: a member that constrains nobody until its
+    /// first [`CgroupShare::unpark`].
+    pub fn join_parked(self: &Arc<CgroupCpu>) -> CgroupShare {
         CgroupShare {
             group: Arc::clone(self),
-            id,
+            id: self.next_id.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -67,32 +87,33 @@ impl CgroupCpu {
         self.state.lock().runnable.len()
     }
 
-    fn leave(&self, id: u64) {
+    /// Apply a membership change and wake the waiters it may unblock.
+    fn update(&self, change: impl FnOnce(&mut GroupState)) {
         let mut s = self.state.lock();
-        s.runnable.remove(&id);
+        change(&mut s);
+        let wake = s.waiting > 0;
         drop(s);
-        self.cond.notify_all();
+        if wake {
+            self.cond.notify_all();
+        }
     }
 
+    /// Leaving and parking are the same thing to the group: the member stops
+    /// being runnable.
     fn park(&self, id: u64) {
-        let mut s = self.state.lock();
-        s.runnable.remove(&id);
-        drop(s);
-        self.cond.notify_all();
+        self.update(|s| {
+            s.runnable.remove(&id);
+        });
     }
 
     fn unpark(&self, id: u64) {
-        let mut s = self.state.lock();
-        let start = s.runnable.values().min().copied().unwrap_or(0);
-        s.runnable.insert(id, start);
-        drop(s);
-        self.cond.notify_all();
+        self.update(|s| s.admit(id));
     }
 
     fn acquire(&self, id: u64, slice: u64) -> Result<(), Trap> {
         let mut s = self.state.lock();
-        // A member that never joined (or left) runs unconstrained; this only
-        // happens through misuse, so it fails safe toward progress.
+        // A parked member runs unconstrained; this only happens through
+        // misuse, so it fails safe toward progress.
         let Some(v) = s.runnable.get(&id).copied() else {
             return Ok(());
         };
@@ -103,11 +124,16 @@ impl CgroupCpu {
             if new_v <= min + self.tolerance {
                 break;
             }
+            s.waiting += 1;
             self.cond.wait(&mut s);
+            s.waiting -= 1;
         }
-        drop(s);
         // Our own progression may unblock siblings when we were the minimum.
-        self.cond.notify_all();
+        let wake = s.waiting > 0;
+        drop(s);
+        if wake {
+            self.cond.notify_all();
+        }
         Ok(())
     }
 }
@@ -120,13 +146,13 @@ pub struct CgroupShare {
 }
 
 impl CgroupShare {
-    /// Mark this member not-runnable (it is blocking on I/O or `await_call`)
-    /// so it does not hold back the rest of the group.
+    /// Mark this member not-runnable (its call is over, or it is blocking on
+    /// I/O or `await_call`) so it does not hold back the rest of the group.
     pub fn park(&self) {
         self.group.park(self.id);
     }
 
-    /// Mark runnable again after a park.
+    /// Mark runnable: a call starts, or resumes after a park.
     pub fn unpark(&self) {
         self.group.unpark(self.id);
     }
@@ -140,7 +166,7 @@ impl CpuController for CgroupShare {
 
 impl Drop for CgroupShare {
     fn drop(&mut self) {
-        self.group.leave(self.id);
+        self.group.park(self.id);
     }
 }
 
@@ -213,6 +239,29 @@ mod tests {
         // B rejoins at current minimum, so neither side deadlocks.
         b.acquire_slice(10).unwrap();
         a.acquire_slice(10).unwrap();
+    }
+
+    #[test]
+    fn a_member_joined_parked_holds_nobody_back_until_it_runs() {
+        let g = CgroupCpu::new(10);
+        let a = g.join();
+        let idle = g.join_parked();
+        assert_eq!(g.runnable(), 1);
+        // Far past the tolerance: the idle member is not in the way.
+        for _ in 0..100 {
+            a.acquire_slice(10).unwrap();
+        }
+        // Once it runs it starts at the group's minimum, owed nothing, and
+        // is held to the tolerance like everyone else.
+        idle.unpark();
+        assert_eq!(g.runnable(), 2);
+        idle.acquire_slice(10).unwrap();
+        a.acquire_slice(10).unwrap();
+        idle.park();
+        assert_eq!(g.runnable(), 1);
+        drop(idle);
+        drop(a);
+        assert_eq!(g.runnable(), 0);
     }
 
     #[test]

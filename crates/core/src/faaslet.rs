@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use faasm_fvm::{FuelMeter, Instance, Linker, Val};
+use faasm_fvm::{ExecTier, FuelMeter, Instance, Linker, Val};
 use faasm_net::{Nic, TokenBucket};
 use faasm_sched::{CallResult, CallSpec, CallStatus};
 use faasm_state::StateManager;
@@ -67,7 +67,7 @@ impl std::fmt::Debug for FaasletEnv {
 }
 
 enum GuestInstance {
-    Fvm(Instance),
+    Fvm(Box<Instance>),
     Native {
         guest: Arc<dyn crate::guest::NativeGuest>,
         ctx: Box<FaasletCtx>,
@@ -104,6 +104,7 @@ fn build_ctx(
     function: &str,
     env: &FaasletEnv,
     share: Option<Arc<CgroupShare>>,
+    exec_tier: ExecTier,
 ) -> FaasletCtx {
     let bucket = match env.egress {
         Some(e) => TokenBucket::new(e.rate, e.burst),
@@ -130,6 +131,7 @@ fn build_ctx(
         chained: Vec::new(),
         results: HashMap::new(),
         dl_modules: Vec::new(),
+        exec_tier,
     }
 }
 
@@ -149,9 +151,23 @@ impl Faaslet {
     ) -> Result<Faaslet, CoreError> {
         let guest = match &def.code {
             GuestCode::Fvm(object) => {
-                let share = Arc::new(env.cgroup.join());
-                let ctx = build_ctx(id, user, function, env, Some(Arc::clone(&share)));
-                let fuel = FuelMeter::with_controller(share, faasm_fvm::fuel::DEFAULT_SLICE);
+                let share = Arc::new(env.cgroup.join_parked());
+                let ctx = build_ctx(
+                    id,
+                    user,
+                    function,
+                    env,
+                    Some(Arc::clone(&share)),
+                    object.tier(),
+                );
+                let fuel = FuelMeter::with_controller(
+                    Arc::<CgroupShare>::clone(&share),
+                    faasm_fvm::fuel::DEFAULT_SLICE,
+                );
+                // The start function and `init` are guest code: they run as
+                // a cgroup member like a call does (dropping the share on an
+                // error path parks it too).
+                share.unpark();
                 let mut instance =
                     Instance::with_fuel(Arc::clone(object), &env.linker, Box::new(ctx), fuel)
                         .map_err(|e| CoreError::Instantiate(e.to_string()))?;
@@ -160,11 +176,12 @@ impl Faaslet {
                         .invoke(init, &[])
                         .map_err(|t| CoreError::Instantiate(format!("init trapped: {t}")))?;
                 }
-                GuestInstance::Fvm(instance)
+                share.park();
+                GuestInstance::Fvm(Box::new(instance))
             }
             GuestCode::Native(g) => {
-                let share = Arc::new(env.cgroup.join());
-                let ctx = build_ctx(id, user, function, env, Some(share));
+                let share = Arc::new(env.cgroup.join_parked());
+                let ctx = build_ctx(id, user, function, env, Some(share), ExecTier::default());
                 GuestInstance::Native {
                     guest: Arc::clone(g),
                     ctx: Box::new(ctx),
@@ -201,13 +218,14 @@ impl Faaslet {
                 "native guests have no proto-faaslets".into(),
             ));
         };
-        let share = Arc::new(env.cgroup.join());
+        let share = Arc::new(env.cgroup.join_parked());
         let ctx = build_ctx(
             id,
             &proto.user,
             &proto.function,
             env,
             Some(Arc::clone(&share)),
+            object.tier(),
         );
         let fuel = FuelMeter::with_controller(share, faasm_fvm::fuel::DEFAULT_SLICE);
         let instance = Instance::restore(
@@ -224,7 +242,7 @@ impl Faaslet {
             function: proto.function.clone(),
             def,
             env: env.clone(),
-            guest: GuestInstance::Fvm(instance),
+            guest: GuestInstance::Fvm(Box::new(instance)),
             created: Instant::now(),
         })
     }
@@ -244,7 +262,12 @@ impl Faaslet {
 
     /// Run one call to completion.
     pub fn run(&mut self, call: &CallSpec) -> CallResult {
-        self.ctx_mut().begin_call(call.id, call.input.clone());
+        let ctx = self.ctx_mut();
+        ctx.begin_call(call.id, call.input.clone());
+        // A cgroup member only while a call runs: see the epilogue below.
+        if let Some(cg) = &ctx.cgroup {
+            cg.unpark();
+        }
         let status = match &mut self.guest {
             GuestInstance::Fvm(inst) => {
                 inst.fuel.reset_consumed();
@@ -262,9 +285,13 @@ impl Faaslet {
             },
         };
         // Every way out of the guest passes here, so a local state lock
-        // cannot outlive the call that took it.
+        // cannot outlive the call that took it, and an idle Faaslet in the
+        // warm pool does not hold the host's cgroup back.
         let ctx = self.ctx_mut();
         ctx.release_state_locks();
+        if let Some(cg) = &ctx.cgroup {
+            cg.park();
+        }
         CallResult {
             id: call.id,
             status,
@@ -285,20 +312,21 @@ impl Faaslet {
                 let proto = proto.ok_or_else(|| {
                     CoreError::BadProto("reset of an FVM faaslet requires its proto".into())
                 })?;
-                let share = Arc::new(self.env.cgroup.join());
+                let object = match &self.def.code {
+                    GuestCode::Fvm(o) => Arc::clone(o),
+                    GuestCode::Native(_) => unreachable!("FVM guest has FVM code"),
+                };
+                let share = Arc::new(self.env.cgroup.join_parked());
                 let ctx = build_ctx(
                     self.id,
                     &self.user,
                     &self.function,
                     &self.env,
                     Some(Arc::clone(&share)),
+                    object.tier(),
                 );
                 let fuel = FuelMeter::with_controller(share, faasm_fvm::fuel::DEFAULT_SLICE);
-                let object = match &self.def.code {
-                    GuestCode::Fvm(o) => Arc::clone(o),
-                    GuestCode::Native(_) => unreachable!("FVM guest has FVM code"),
-                };
-                *inst = Instance::restore(
+                **inst = Instance::restore(
                     object,
                     &proto.snapshot,
                     &self.env.linker,
@@ -309,8 +337,15 @@ impl Faaslet {
                 Ok(())
             }
             GuestInstance::Native { ctx, .. } => {
-                let share = Arc::new(self.env.cgroup.join());
-                **ctx = build_ctx(self.id, &self.user, &self.function, &self.env, Some(share));
+                let share = Arc::new(self.env.cgroup.join_parked());
+                **ctx = build_ctx(
+                    self.id,
+                    &self.user,
+                    &self.function,
+                    &self.env,
+                    Some(share),
+                    ExecTier::default(),
+                );
                 Ok(())
             }
         }
@@ -336,8 +371,8 @@ impl Faaslet {
     }
 
     /// VM operations dispatched by the last call (FVM guests; 0 for native
-    /// guests). Tier-dependent: the lowered tier retires one op per
-    /// superinstruction, so this is ≤ [`Faaslet::fuel_consumed`].
+    /// guests). Tier-dependent: one lowered op may stand for several source
+    /// instructions, so this is ≤ [`Faaslet::fuel_consumed`].
     pub fn instrs_retired(&self) -> u64 {
         match &self.guest {
             GuestInstance::Fvm(inst) => inst.instrs_retired(),

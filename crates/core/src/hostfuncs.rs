@@ -368,10 +368,9 @@ pub fn faaslet_linker() -> Linker {
             .unwrap_or_default();
         let _ = fctx.fdtable.close(fd);
         // "All dynamically loaded code must first be compiled to
-        // WebAssembly and undergo the same validation process" (§3.2).
-        // Plugins stay on the reference interpreter: dlopen is a cold,
-        // one-off path where lowering latency would not amortise.
-        let Ok(object) = ObjectModule::compile(&bytes) else {
+        // WebAssembly and undergo the same validation process" (§3.2) —
+        // and run on the tier of the module that loads it.
+        let Ok(object) = ObjectModule::compile_tier(&bytes, fctx.exec_tier) else {
             return ok_i32(-1);
         };
         // Plugins are self-contained: they may not import host functions.

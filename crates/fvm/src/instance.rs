@@ -2,11 +2,13 @@
 //!
 //! An [`Instance`] is the "executable" of Fig. 3: a prepared
 //! [`ObjectModule`] linked with its host-interface thunks, given a private
-//! linear memory, globals and an indirect-call table. Execution is a
-//! stack-machine interpreter over untyped 64-bit slots — validation makes
-//! runtime type tags redundant. Every linear-memory access is bounds-checked
-//! by `faasm-mem` and surfaces as [`Trap::OutOfBoundsMemory`]; every
-//! instruction is fuel-metered for cgroup-style CPU accounting.
+//! linear memory, globals and an indirect-call table. Execution is either
+//! the reference stack-machine interpreter in this file or the register loop
+//! in `lowered`, both over untyped 64-bit slots — validation makes runtime
+//! type tags redundant — and both calling the one set of per-instruction
+//! functions in [`crate::num`]. Every linear-memory access is bounds-checked
+//! and surfaces as [`Trap::OutOfBoundsMemory`]; every instruction is
+//! fuel-metered for cgroup-style CPU accounting.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -15,8 +17,7 @@ use faasm_mem::{LinearMemory, MemError, MemorySnapshot};
 
 use crate::fuel::FuelMeter;
 use crate::host::{HostCtx, HostFunc, LinkError, Linker};
-use crate::instr::Instr;
-use crate::module::ExportKind;
+use crate::module::{ExportKind, Module};
 use crate::object::ObjectModule;
 use crate::trap::Trap;
 use crate::types::Val;
@@ -79,17 +80,6 @@ impl InstanceSnapshot {
     }
 }
 
-struct Label {
-    /// Where a branch to this label continues execution.
-    cont: usize,
-    /// Value-stack height at label entry.
-    height: usize,
-    /// Values a branch out of this label carries (0 or 1).
-    arity: usize,
-    /// Loops keep their label on branch; blocks pop it.
-    is_loop: bool,
-}
-
 /// A linked, executable module instance.
 pub struct Instance {
     object: Arc<ObjectModule>,
@@ -104,6 +94,11 @@ pub struct Instance {
     /// Ops retired by the execution engine (telemetry; the lowered tier
     /// retires fewer ops than the interpreter for the same work).
     instrs: u64,
+    /// The lowered tier's value stack and control stack. They live as long
+    /// as the instance and only grow, so a warmed-up instance calls without
+    /// allocating. Not guest-visible state (empty between calls), so not
+    /// part of snapshots or memory stats.
+    stacks: lowered::Stacks,
 }
 
 impl std::fmt::Debug for Instance {
@@ -193,11 +188,11 @@ impl Instance {
             fuel,
             max_call_depth: DEFAULT_MAX_CALL_DEPTH,
             instrs: 0,
+            stacks: lowered::Stacks::default(),
         };
 
         if let Some(start) = inst.object.module.start {
-            let mut stack = Vec::new();
-            inst.dispatch_call(start, &mut stack, 0)
+            inst.call_func(start, &[])
                 .map_err(InstantiateError::StartTrap)?;
         }
         Ok(inst)
@@ -242,6 +237,7 @@ impl Instance {
             fuel,
             max_call_depth: DEFAULT_MAX_CALL_DEPTH,
             instrs: 0,
+            stacks: lowered::Stacks::default(),
         })
     }
 
@@ -291,8 +287,8 @@ impl Instance {
     }
 
     /// Ops retired since construction (guest-CPU telemetry). On the lowered
-    /// tier one fused op may stand for several source instructions, so this
-    /// counts engine dispatches; fuel remains the tier-independent
+    /// tier one register op may stand for several source instructions, so
+    /// this counts engine dispatches; fuel remains the tier-independent
     /// instruction count.
     pub fn instrs_retired(&self) -> u64 {
         self.instrs
@@ -328,77 +324,63 @@ impl Instance {
     /// Returns [`Trap::BadSignature`] on arity/type mismatch, or any runtime
     /// trap.
     pub fn call_func(&mut self, func_idx: u32, args: &[Val]) -> Result<Option<Val>, Trap> {
-        let ty = self
-            .object
+        // One reference-count bump per host-side invoke; guest→guest calls
+        // below borrow from it.
+        let object = Arc::clone(&self.object);
+        let ty = object
             .module
             .func_type(func_idx)
-            .ok_or(Trap::BadSignature {
+            .ok_or_else(|| Trap::BadSignature {
                 expected: format!("function index {func_idx} in range"),
-            })?
-            .clone();
+            })?;
         if args.len() != ty.params.len() || args.iter().zip(&ty.params).any(|(a, p)| a.ty() != *p) {
             return Err(Trap::BadSignature {
                 expected: ty.to_string(),
             });
         }
-        let mut stack: Vec<u64> = args.iter().map(|v| v.to_slot()).collect();
-        self.dispatch_call(func_idx, &mut stack, 0)?;
-        Ok(ty
-            .results
-            .first()
-            .map(|t| Val::from_slot(stack.pop().expect("validated result"), *t)))
-    }
-
-    /// Call a function index with arguments already on `stack`; leaves
-    /// results on `stack`.
-    fn dispatch_call(
-        &mut self,
-        func_idx: u32,
-        stack: &mut Vec<u64>,
-        depth: usize,
-    ) -> Result<(), Trap> {
-        let n_imports = self.object.module.imports.len();
-        if (func_idx as usize) < n_imports {
-            self.call_host(func_idx as usize, stack)
+        let result = if object.lowered.is_some() {
+            self.call_lowered(&object, func_idx, args)?
         } else {
-            let object = Arc::clone(&self.object);
-            let local_idx = func_idx as usize - n_imports;
-            let func = &object.module.funcs[local_idx];
-            let ty = &object.module.types[func.type_idx as usize];
-            let n_params = ty.params.len();
-            debug_assert!(stack.len() >= n_params, "validated call arity");
-            let mut locals: Vec<u64> = stack.split_off(stack.len() - n_params);
-            locals.resize(n_params + func.locals.len(), 0);
-            let result = self.exec_body(&object, local_idx, locals, depth)?;
-            if let Some(v) = result {
-                stack.push(v);
-            }
-            Ok(())
-        }
+            self.call_interp(func_idx, args)?
+        };
+        Ok(ty.results.first().map(|t| Val::from_slot(result, *t)))
     }
 
-    /// Marshal a host call: slots → typed values → host thunk → slots.
-    fn call_host(&mut self, import_idx: usize, stack: &mut Vec<u64>) -> Result<(), Trap> {
-        let object = Arc::clone(&self.object);
-        let imp = &object.module.imports[import_idx];
-        let ty = &object.module.types[imp.type_idx as usize];
-        let n = ty.params.len();
-        debug_assert!(stack.len() >= n, "validated host call arity");
-        let arg_slots = stack.split_off(stack.len() - n);
-        let args: Vec<Val> = arg_slots
+    /// Marshal a host call: argument slots → typed values → host thunk →
+    /// result slot. Shared by both tiers.
+    fn call_host(
+        &mut self,
+        module: &Module,
+        import_idx: usize,
+        args: &[u64],
+    ) -> Result<Option<u64>, Trap> {
+        /// Arguments marshalled without touching the heap.
+        const INLINE_ARGS: usize = 16;
+        let imp = &module.imports[import_idx];
+        let ty = &module.types[imp.type_idx as usize];
+        let typed = args
             .iter()
             .zip(&ty.params)
-            .map(|(s, t)| Val::from_slot(*s, *t))
-            .collect();
+            .map(|(s, t)| Val::from_slot(*s, *t));
+        let mut inline = [Val::I32(0); INLINE_ARGS];
+        let spilled: Vec<Val>;
+        let vals: &[Val] = if args.len() <= INLINE_ARGS {
+            for (slot, v) in inline.iter_mut().zip(typed) {
+                *slot = v;
+            }
+            &inline[..args.len()]
+        } else {
+            spilled = typed.collect();
+            &spilled
+        };
         // Host work is charged a flat fuel cost so that guest code cannot
         // spin through free host calls.
         self.fuel.charge(16)?;
-        let f = Arc::clone(&self.host_fns[import_idx]);
         let mut ctx = HostCtx {
             mem: self.mem.as_mut(),
             data: &mut *self.data,
         };
-        let results = f.call(&mut ctx, &args)?;
+        let results = self.host_fns[import_idx].call(&mut ctx, vals)?;
         if results.len() != ty.results.len()
             || results.iter().zip(&ty.results).any(|(r, t)| r.ty() != *t)
         {
@@ -407,763 +389,54 @@ impl Instance {
                 imp.module, imp.name
             )));
         }
-        stack.extend(results.iter().map(|v| v.to_slot()));
-        Ok(())
+        Ok(results.first().map(|v| v.to_slot()))
     }
 
-    /// Execute one function body on whichever tier the object module was
-    /// prepared for. The `trace_enabled()` check is hoisted out of the hot
-    /// loop here: the interpreter monomorphises into a traced and an
-    /// untraced variant and the branch happens once per invoke.
-    fn exec_body(
-        &mut self,
-        object: &Arc<ObjectModule>,
-        local_idx: usize,
-        locals: Vec<u64>,
-        depth: usize,
-    ) -> Result<Option<u64>, Trap> {
-        if depth >= self.max_call_depth {
-            return Err(Trap::CallStackExhausted);
-        }
-        if object.lowered.is_some() {
-            return self.exec_lowered(object, local_idx, locals, depth);
-        }
-        if trace_enabled() {
-            self.exec_body_impl::<true>(object, local_idx, locals, depth)
-        } else {
-            self.exec_body_impl::<false>(object, local_idx, locals, depth)
-        }
+    fn memory_size(&self) -> u64 {
+        self.mem.as_ref().expect("validated").size_pages() as u32 as u64
     }
 
-    /// The interpreter main loop for one function body.
-    #[allow(clippy::too_many_lines)]
-    fn exec_body_impl<const TRACED: bool>(
-        &mut self,
-        object: &Arc<ObjectModule>,
-        local_idx: usize,
-        mut locals: Vec<u64>,
-        depth: usize,
-    ) -> Result<Option<u64>, Trap> {
-        let func = &object.module.funcs[local_idx];
-        let func_arity = object.module.types[func.type_idx as usize].results.len();
-        let body: &[Instr] = &func.body;
-
-        let mut stack: Vec<u64> = Vec::with_capacity(32);
-        let mut labels: Vec<Label> = Vec::with_capacity(8);
-        let mut pc: usize = 0;
-
-        // Performs a branch to relative `depth`; returns the function result
-        // if the branch leaves the function body.
-        macro_rules! branch {
-            ($d:expr) => {{
-                let d = $d as usize;
-                if d >= labels.len() {
-                    // Branch to the function frame: return.
-                    return Ok(take_result(&mut stack, func_arity));
-                }
-                let idx = labels.len() - 1 - d;
-                if labels[idx].is_loop {
-                    let height = labels[idx].height;
-                    let cont = labels[idx].cont;
-                    labels.truncate(idx + 1);
-                    stack.truncate(height);
-                    pc = cont;
-                } else {
-                    let arity = labels[idx].arity;
-                    let height = labels[idx].height;
-                    let cont = labels[idx].cont;
-                    let carried = if arity == 1 { stack.pop() } else { None };
-                    labels.truncate(idx);
-                    stack.truncate(height);
-                    if let Some(v) = carried {
-                        stack.push(v);
-                    }
-                    pc = cont;
-                }
-                continue;
-            }};
-        }
-
-        loop {
-            self.fuel.charge(1)?;
-            self.instrs += 1;
-            debug_assert!(pc < body.len(), "validated bodies end with End");
-            let instr = &body[pc];
-            if TRACED {
-                eprintln!(
-                    "pc {pc:3} {instr:?} stack={stack:?} labels={}",
-                    labels.len()
-                );
-            }
-            match instr {
-                Instr::Unreachable => return Err(Trap::Unreachable),
-                Instr::Block(bt) => {
-                    let meta = object.meta(local_idx, pc);
-                    labels.push(Label {
-                        cont: meta.end_pc as usize + 1,
-                        height: stack.len(),
-                        arity: bt.arity(),
-                        is_loop: false,
-                    });
-                }
-                Instr::Loop(_) => {
-                    labels.push(Label {
-                        cont: pc + 1,
-                        height: stack.len(),
-                        arity: 0,
-                        is_loop: true,
-                    });
-                }
-                Instr::If(bt) => {
-                    let meta = object.meta(local_idx, pc);
-                    let cond = pop_u32(&mut stack);
-                    labels.push(Label {
-                        cont: meta.end_pc as usize + 1,
-                        height: stack.len(),
-                        arity: bt.arity(),
-                        is_loop: false,
-                    });
-                    if cond == 0 {
-                        if meta.else_pc != u32::MAX {
-                            pc = meta.else_pc as usize + 1;
-                        } else {
-                            // No else: jump to the End, which pops the label.
-                            pc = meta.end_pc as usize;
-                        }
-                        continue;
-                    }
-                }
-                Instr::Else => {
-                    // Fell out of the then-arm: skip to the matching end,
-                    // which pops the label.
-                    let meta = object.meta(local_idx, pc);
-                    pc = meta.end_pc as usize;
-                    continue;
-                }
-                Instr::End => {
-                    if labels.pop().is_none() {
-                        // Function-level end.
-                        return Ok(take_result(&mut stack, func_arity));
-                    }
-                }
-                Instr::Br(d) => branch!(*d),
-                Instr::BrIf(d) => {
-                    if pop_u32(&mut stack) != 0 {
-                        branch!(*d);
-                    }
-                }
-                Instr::BrTable(t) => {
-                    let i = pop_u32(&mut stack) as usize;
-                    let d = t.targets.get(i).copied().unwrap_or(t.default);
-                    branch!(d);
-                }
-                Instr::Return => return Ok(take_result(&mut stack, func_arity)),
-                Instr::Call(idx) => {
-                    let idx = *idx;
-                    self.dispatch_call(idx, &mut stack, depth + 1)?;
-                }
-                Instr::CallIndirect(type_idx) => {
-                    let type_idx = *type_idx;
-                    let i = pop_u32(&mut stack);
-                    let slot = self
-                        .table
-                        .get(i as usize)
-                        .ok_or(Trap::OutOfBoundsTable { index: i })?;
-                    let func_idx = slot.ok_or(Trap::UninitializedElement { index: i })?;
-                    let expected = &object.module.types[type_idx as usize];
-                    let actual = object
-                        .module
-                        .func_type(func_idx)
-                        .ok_or(Trap::IndirectCallTypeMismatch)?;
-                    if actual != expected {
-                        return Err(Trap::IndirectCallTypeMismatch);
-                    }
-                    self.dispatch_call(func_idx, &mut stack, depth + 1)?;
-                }
-                other => self.step_plain(other, &mut locals, &mut stack)?,
-            }
-            pc += 1;
-        }
+    /// `memory.grow`, shared by both tiers; off the steady path. Growing
+    /// costs fuel proportional to pages zeroed.
+    #[cold]
+    #[inline(never)]
+    fn memory_grow(&mut self, delta: u32) -> Result<u64, Trap> {
+        self.fuel.charge(64 * delta as u64)?;
+        let mem = self.mem.as_mut().expect("validated");
+        Ok(match mem.grow(delta as usize) {
+            Ok(old) => old as u32 as u64,
+            Err(_) => -1i32 as u32 as u64,
+        })
     }
 
-    /// Execute one non-control instruction on the operand stack.
-    ///
-    /// This is the single evaluator shared by the interpreter and the
-    /// lowered tier's `Plain` fallback, which keeps per-instruction
-    /// semantics identical across tiers by construction. The per-instruction
-    /// base fuel unit is charged by the caller; only the variable charges
-    /// (`memory.grow`/`copy`/`fill`) live here, in exactly the interpreter's
-    /// pop/charge order.
-    #[allow(clippy::too_many_lines)]
-    #[inline]
-    fn step_plain(
-        &mut self,
-        instr: &Instr,
-        locals: &mut [u64],
-        stack: &mut Vec<u64>,
-    ) -> Result<(), Trap> {
-        macro_rules! bin {
-            ($pop:ident, $push:ident, $f:expr) => {{
-                let b = $pop(stack);
-                let a = $pop(stack);
-                $push(stack, $f(a, b));
-            }};
-        }
-        macro_rules! un {
-            ($pop:ident, $push:ident, $f:expr) => {{
-                let a = $pop(stack);
-                $push(stack, $f(a));
-            }};
-        }
-        macro_rules! cmp {
-            ($pop:ident, $f:expr) => {{
-                let b = $pop(stack);
-                let a = $pop(stack);
-                push_bool(stack, $f(&a, &b));
-            }};
-        }
-        macro_rules! load {
-            ($marg:expr, $read:ident, $size:expr, $map:expr) => {{
-                let base = pop_u32(stack);
-                let addr = base as u64 + $marg.offset as u64;
-                let mem = self.mem.as_ref().expect("validated memory presence");
-                match mem.$read(addr as usize) {
-                    Ok(v) => stack.push($map(v)),
-                    Err(_) => return Err(Trap::OutOfBoundsMemory { addr, len: $size }),
-                }
-            }};
-        }
-        macro_rules! store {
-            ($marg:expr, $write:ident, $size:expr, $pop:ident, $map:expr) => {{
-                let v = $pop(stack);
-                let base = pop_u32(stack);
-                let addr = base as u64 + $marg.offset as u64;
-                let mem = self.mem.as_mut().expect("validated memory presence");
-                if mem.$write(addr as usize, $map(v)).is_err() {
-                    return Err(Trap::OutOfBoundsMemory { addr, len: $size });
-                }
-            }};
-        }
+    /// `memory.copy`, shared by both tiers; off the steady path.
+    #[cold]
+    #[inline(never)]
+    fn memory_copy(&mut self, dst: u32, src: u32, len: u32) -> Result<(), Trap> {
+        self.fuel.charge(len as u64 / 8)?;
+        let mem = self.mem.as_mut().expect("validated");
+        mem.copy_within(src as usize, dst as usize, len as usize)
+            .map_err(|_| Trap::OutOfBoundsMemory {
+                addr: src.max(dst) as u64,
+                len,
+            })
+    }
 
-        match instr {
-            Instr::Nop => {}
-            Instr::Drop => {
-                stack.pop();
-            }
-            Instr::Select => {
-                let c = pop_u32(stack);
-                let b = pop_raw(stack);
-                let a = pop_raw(stack);
-                stack.push(if c != 0 { a } else { b });
-            }
-            Instr::LocalGet(i) => stack.push(locals[*i as usize]),
-            Instr::LocalSet(i) => locals[*i as usize] = pop_raw(stack),
-            Instr::LocalTee(i) => {
-                locals[*i as usize] = *stack.last().expect("validated stack");
-            }
-            Instr::GlobalGet(i) => stack.push(self.globals[*i as usize]),
-            Instr::GlobalSet(i) => self.globals[*i as usize] = pop_raw(stack),
-            Instr::I32Load(m) => load!(m, read_u32, 4, |v: u32| v as u64),
-            Instr::I64Load(m) => load!(m, read_u64, 8, |v: u64| v),
-            Instr::F32Load(m) => load!(m, read_u32, 4, |v: u32| v as u64),
-            Instr::F64Load(m) => load!(m, read_u64, 8, |v: u64| v),
-            Instr::I32Load8S(m) => load!(m, read_i8, 1, |v: i8| v as i32 as u32 as u64),
-            Instr::I32Load8U(m) => load!(m, read_u8, 1, |v: u8| v as u64),
-            Instr::I32Load16S(m) => load!(m, read_i16, 2, |v: i16| v as i32 as u32 as u64),
-            Instr::I32Load16U(m) => load!(m, read_u16, 2, |v: u16| v as u64),
-            Instr::I64Load8S(m) => load!(m, read_i8, 1, |v: i8| v as i64 as u64),
-            Instr::I64Load8U(m) => load!(m, read_u8, 1, |v: u8| v as u64),
-            Instr::I64Load16S(m) => load!(m, read_i16, 2, |v: i16| v as i64 as u64),
-            Instr::I64Load16U(m) => load!(m, read_u16, 2, |v: u16| v as u64),
-            Instr::I64Load32S(m) => load!(m, read_i32, 4, |v: i32| v as i64 as u64),
-            Instr::I64Load32U(m) => load!(m, read_u32, 4, |v: u32| v as u64),
-            Instr::I32Store(m) => store!(m, write_u32, 4, pop_raw, |v: u64| v as u32),
-            Instr::I64Store(m) => store!(m, write_u64, 8, pop_raw, |v: u64| v),
-            Instr::F32Store(m) => store!(m, write_u32, 4, pop_raw, |v: u64| v as u32),
-            Instr::F64Store(m) => store!(m, write_u64, 8, pop_raw, |v: u64| v),
-            Instr::I32Store8(m) => store!(m, write_u8, 1, pop_raw, |v: u64| v as u8),
-            Instr::I32Store16(m) => store!(m, write_u16, 2, pop_raw, |v: u64| v as u16),
-            Instr::I64Store8(m) => store!(m, write_u8, 1, pop_raw, |v: u64| v as u8),
-            Instr::I64Store16(m) => store!(m, write_u16, 2, pop_raw, |v: u64| v as u16),
-            Instr::I64Store32(m) => store!(m, write_u32, 4, pop_raw, |v: u64| v as u32),
-            Instr::MemorySize => {
-                let pages = self.mem.as_ref().expect("validated").size_pages();
-                push_u32(stack, pages as u32);
-            }
-            Instr::MemoryGrow => {
-                let delta = pop_u32(stack);
-                let mem = self.mem.as_mut().expect("validated");
-                // Growing costs fuel proportional to pages zeroed.
-                self.fuel.charge(64 * delta as u64)?;
-                match mem.grow(delta as usize) {
-                    Ok(old) => push_u32(stack, old as u32),
-                    Err(_) => push_i32(stack, -1),
-                }
-            }
-            Instr::MemoryCopy => {
-                let len = pop_u32(stack);
-                let src = pop_u32(stack);
-                let dst = pop_u32(stack);
-                self.fuel.charge(len as u64 / 8)?;
-                let mem = self.mem.as_mut().expect("validated");
-                mem.copy_within(src as usize, dst as usize, len as usize)
-                    .map_err(|_| Trap::OutOfBoundsMemory {
-                        addr: src.max(dst) as u64,
-                        len,
-                    })?;
-            }
-            Instr::MemoryFill => {
-                let len = pop_u32(stack);
-                let val = pop_u32(stack);
-                let dst = pop_u32(stack);
-                self.fuel.charge(len as u64 / 8)?;
-                let mem = self.mem.as_mut().expect("validated");
-                mem.fill(dst as usize, len as usize, val as u8)
-                    .map_err(|_| Trap::OutOfBoundsMemory {
-                        addr: dst as u64,
-                        len,
-                    })?;
-            }
-            Instr::I32Const(v) => push_i32(stack, *v),
-            Instr::I64Const(v) => push_i64(stack, *v),
-            Instr::F32Const(v) => push_f32(stack, *v),
-            Instr::F64Const(v) => push_f64(stack, *v),
-            Instr::I32Eqz => {
-                let v = pop_u32(stack);
-                push_bool(stack, v == 0);
-            }
-            Instr::I64Eqz => {
-                let v = pop_raw(stack);
-                push_bool(stack, v == 0);
-            }
-            Instr::I32Eq => cmp!(pop_u32, |a, b| a == b),
-            Instr::I32Ne => cmp!(pop_u32, |a, b| a != b),
-            Instr::I32LtS => cmp!(pop_i32, |a, b| a < b),
-            Instr::I32LtU => cmp!(pop_u32, |a, b| a < b),
-            Instr::I32GtS => cmp!(pop_i32, |a, b| a > b),
-            Instr::I32GtU => cmp!(pop_u32, |a, b| a > b),
-            Instr::I32LeS => cmp!(pop_i32, |a, b| a <= b),
-            Instr::I32LeU => cmp!(pop_u32, |a, b| a <= b),
-            Instr::I32GeS => cmp!(pop_i32, |a, b| a >= b),
-            Instr::I32GeU => cmp!(pop_u32, |a, b| a >= b),
-            Instr::I64Eq => cmp!(pop_raw, |a, b| a == b),
-            Instr::I64Ne => cmp!(pop_raw, |a, b| a != b),
-            Instr::I64LtS => cmp!(pop_i64, |a, b| a < b),
-            Instr::I64LtU => cmp!(pop_raw, |a, b| a < b),
-            Instr::I64GtS => cmp!(pop_i64, |a, b| a > b),
-            Instr::I64GtU => cmp!(pop_raw, |a, b| a > b),
-            Instr::I64LeS => cmp!(pop_i64, |a, b| a <= b),
-            Instr::I64LeU => cmp!(pop_raw, |a, b| a <= b),
-            Instr::I64GeS => cmp!(pop_i64, |a, b| a >= b),
-            Instr::I64GeU => cmp!(pop_raw, |a, b| a >= b),
-            Instr::F32Eq => cmp!(pop_f32, |a, b| a == b),
-            Instr::F32Ne => cmp!(pop_f32, |a, b| a != b),
-            Instr::F32Lt => cmp!(pop_f32, |a, b| a < b),
-            Instr::F32Gt => cmp!(pop_f32, |a, b| a > b),
-            Instr::F32Le => cmp!(pop_f32, |a, b| a <= b),
-            Instr::F32Ge => cmp!(pop_f32, |a, b| a >= b),
-            Instr::F64Eq => cmp!(pop_f64, |a, b| a == b),
-            Instr::F64Ne => cmp!(pop_f64, |a, b| a != b),
-            Instr::F64Lt => cmp!(pop_f64, |a, b| a < b),
-            Instr::F64Gt => cmp!(pop_f64, |a, b| a > b),
-            Instr::F64Le => cmp!(pop_f64, |a, b| a <= b),
-            Instr::F64Ge => cmp!(pop_f64, |a, b| a >= b),
-            Instr::I32Clz => un!(pop_u32, push_u32, |a: u32| a.leading_zeros()),
-            Instr::I32Ctz => un!(pop_u32, push_u32, |a: u32| a.trailing_zeros()),
-            Instr::I32Popcnt => un!(pop_u32, push_u32, |a: u32| a.count_ones()),
-            Instr::I32Add => bin!(pop_i32, push_i32, |a: i32, b: i32| a.wrapping_add(b)),
-            Instr::I32Sub => bin!(pop_i32, push_i32, |a: i32, b: i32| a.wrapping_sub(b)),
-            Instr::I32Mul => bin!(pop_i32, push_i32, |a: i32, b: i32| a.wrapping_mul(b)),
-            Instr::I32DivS => {
-                let b = pop_i32(stack);
-                let a = pop_i32(stack);
-                if b == 0 {
-                    return Err(Trap::IntegerDivideByZero);
-                }
-                if a == i32::MIN && b == -1 {
-                    return Err(Trap::IntegerOverflow);
-                }
-                push_i32(stack, a.wrapping_div(b));
-            }
-            Instr::I32DivU => {
-                let b = pop_u32(stack);
-                let a = pop_u32(stack);
-                if b == 0 {
-                    return Err(Trap::IntegerDivideByZero);
-                }
-                push_u32(stack, a / b);
-            }
-            Instr::I32RemS => {
-                let b = pop_i32(stack);
-                let a = pop_i32(stack);
-                if b == 0 {
-                    return Err(Trap::IntegerDivideByZero);
-                }
-                push_i32(stack, a.wrapping_rem(b));
-            }
-            Instr::I32RemU => {
-                let b = pop_u32(stack);
-                let a = pop_u32(stack);
-                if b == 0 {
-                    return Err(Trap::IntegerDivideByZero);
-                }
-                push_u32(stack, a % b);
-            }
-            Instr::I32And => bin!(pop_u32, push_u32, |a: u32, b: u32| a & b),
-            Instr::I32Or => bin!(pop_u32, push_u32, |a: u32, b: u32| a | b),
-            Instr::I32Xor => bin!(pop_u32, push_u32, |a: u32, b: u32| a ^ b),
-            Instr::I32Shl => bin!(pop_u32, push_u32, |a: u32, b: u32| a << (b & 31)),
-            Instr::I32ShrS => {
-                bin!(pop_i32, push_i32, |a: i32, b: i32| a >> (b & 31))
-            }
-            Instr::I32ShrU => bin!(pop_u32, push_u32, |a: u32, b: u32| a >> (b & 31)),
-            Instr::I32Rotl => {
-                bin!(pop_u32, push_u32, |a: u32, b: u32| a.rotate_left(b & 31))
-            }
-            Instr::I32Rotr => {
-                bin!(pop_u32, push_u32, |a: u32, b: u32| a.rotate_right(b & 31))
-            }
-            Instr::I64Clz => un!(pop_u64, push_u64, |a: u64| a.leading_zeros() as u64),
-            Instr::I64Ctz => un!(pop_u64, push_u64, |a: u64| a.trailing_zeros() as u64),
-            Instr::I64Popcnt => un!(pop_u64, push_u64, |a: u64| a.count_ones() as u64),
-            Instr::I64Add => bin!(pop_i64, push_i64, |a: i64, b: i64| a.wrapping_add(b)),
-            Instr::I64Sub => bin!(pop_i64, push_i64, |a: i64, b: i64| a.wrapping_sub(b)),
-            Instr::I64Mul => bin!(pop_i64, push_i64, |a: i64, b: i64| a.wrapping_mul(b)),
-            Instr::I64DivS => {
-                let b = pop_i64(stack);
-                let a = pop_i64(stack);
-                if b == 0 {
-                    return Err(Trap::IntegerDivideByZero);
-                }
-                if a == i64::MIN && b == -1 {
-                    return Err(Trap::IntegerOverflow);
-                }
-                push_i64(stack, a.wrapping_div(b));
-            }
-            Instr::I64DivU => {
-                let b = pop_u64(stack);
-                let a = pop_u64(stack);
-                if b == 0 {
-                    return Err(Trap::IntegerDivideByZero);
-                }
-                push_u64(stack, a / b);
-            }
-            Instr::I64RemS => {
-                let b = pop_i64(stack);
-                let a = pop_i64(stack);
-                if b == 0 {
-                    return Err(Trap::IntegerDivideByZero);
-                }
-                push_i64(stack, a.wrapping_rem(b));
-            }
-            Instr::I64RemU => {
-                let b = pop_u64(stack);
-                let a = pop_u64(stack);
-                if b == 0 {
-                    return Err(Trap::IntegerDivideByZero);
-                }
-                push_u64(stack, a % b);
-            }
-            Instr::I64And => bin!(pop_u64, push_u64, |a: u64, b: u64| a & b),
-            Instr::I64Or => bin!(pop_u64, push_u64, |a: u64, b: u64| a | b),
-            Instr::I64Xor => bin!(pop_u64, push_u64, |a: u64, b: u64| a ^ b),
-            Instr::I64Shl => bin!(pop_u64, push_u64, |a: u64, b: u64| a << (b & 63)),
-            Instr::I64ShrS => {
-                bin!(pop_i64, push_i64, |a: i64, b: i64| a >> (b & 63))
-            }
-            Instr::I64ShrU => bin!(pop_u64, push_u64, |a: u64, b: u64| a >> (b & 63)),
-            Instr::I64Rotl => bin!(pop_u64, push_u64, |a: u64, b: u64| a
-                .rotate_left((b & 63) as u32)),
-            Instr::I64Rotr => bin!(pop_u64, push_u64, |a: u64, b: u64| a
-                .rotate_right((b & 63) as u32)),
-            Instr::F32Abs => un!(pop_f32, push_f32, |a: f32| a.abs()),
-            Instr::F32Neg => un!(pop_f32, push_f32, |a: f32| -a),
-            Instr::F32Ceil => un!(pop_f32, push_f32, |a: f32| a.ceil()),
-            Instr::F32Floor => un!(pop_f32, push_f32, |a: f32| a.floor()),
-            Instr::F32Trunc => un!(pop_f32, push_f32, |a: f32| a.trunc()),
-            Instr::F32Nearest => un!(pop_f32, push_f32, |a: f32| a.round_ties_even()),
-            Instr::F32Sqrt => un!(pop_f32, push_f32, |a: f32| a.sqrt()),
-            Instr::F32Add => bin!(pop_f32, push_f32, |a: f32, b: f32| a + b),
-            Instr::F32Sub => bin!(pop_f32, push_f32, |a: f32, b: f32| a - b),
-            Instr::F32Mul => bin!(pop_f32, push_f32, |a: f32, b: f32| a * b),
-            Instr::F32Div => bin!(pop_f32, push_f32, |a: f32, b: f32| a / b),
-            Instr::F32Min => bin!(pop_f32, push_f32, wasm_min_f32),
-            Instr::F32Max => bin!(pop_f32, push_f32, wasm_max_f32),
-            Instr::F32Copysign => bin!(pop_f32, push_f32, |a: f32, b: f32| a.copysign(b)),
-            Instr::F64Abs => un!(pop_f64, push_f64, |a: f64| a.abs()),
-            Instr::F64Neg => un!(pop_f64, push_f64, |a: f64| -a),
-            Instr::F64Ceil => un!(pop_f64, push_f64, |a: f64| a.ceil()),
-            Instr::F64Floor => un!(pop_f64, push_f64, |a: f64| a.floor()),
-            Instr::F64Trunc => un!(pop_f64, push_f64, |a: f64| a.trunc()),
-            Instr::F64Nearest => un!(pop_f64, push_f64, |a: f64| a.round_ties_even()),
-            Instr::F64Sqrt => un!(pop_f64, push_f64, |a: f64| a.sqrt()),
-            Instr::F64Add => bin!(pop_f64, push_f64, |a: f64, b: f64| a + b),
-            Instr::F64Sub => bin!(pop_f64, push_f64, |a: f64, b: f64| a - b),
-            Instr::F64Mul => bin!(pop_f64, push_f64, |a: f64, b: f64| a * b),
-            Instr::F64Div => bin!(pop_f64, push_f64, |a: f64, b: f64| a / b),
-            Instr::F64Min => bin!(pop_f64, push_f64, wasm_min_f64),
-            Instr::F64Max => bin!(pop_f64, push_f64, wasm_max_f64),
-            Instr::F64Copysign => bin!(pop_f64, push_f64, |a: f64, b: f64| a.copysign(b)),
-            Instr::I32WrapI64 => un!(pop_u64, push_u32, |a: u64| a as u32),
-            Instr::I32TruncF32S => {
-                let v = pop_f32(stack);
-                push_i32(stack, trunc_f32_to_i32(v)?);
-            }
-            Instr::I32TruncF32U => {
-                let v = pop_f32(stack);
-                push_u32(stack, trunc_f32_to_u32(v)?);
-            }
-            Instr::I32TruncF64S => {
-                let v = pop_f64(stack);
-                push_i32(stack, trunc_f64_to_i32(v)?);
-            }
-            Instr::I32TruncF64U => {
-                let v = pop_f64(stack);
-                push_u32(stack, trunc_f64_to_u32(v)?);
-            }
-            Instr::I64ExtendI32S => un!(pop_i32, push_i64, |a: i32| a as i64),
-            Instr::I64ExtendI32U => un!(pop_u32, push_u64, |a: u32| a as u64),
-            Instr::I64TruncF32S => {
-                let v = pop_f32(stack);
-                push_i64(stack, trunc_f32_to_i64(v)?);
-            }
-            Instr::I64TruncF32U => {
-                let v = pop_f32(stack);
-                push_u64(stack, trunc_f32_to_u64(v)?);
-            }
-            Instr::I64TruncF64S => {
-                let v = pop_f64(stack);
-                push_i64(stack, trunc_f64_to_i64(v)?);
-            }
-            Instr::I64TruncF64U => {
-                let v = pop_f64(stack);
-                push_u64(stack, trunc_f64_to_u64(v)?);
-            }
-            Instr::F32ConvertI32S => un!(pop_i32, push_f32, |a: i32| a as f32),
-            Instr::F32ConvertI32U => un!(pop_u32, push_f32, |a: u32| a as f32),
-            Instr::F32ConvertI64S => un!(pop_i64, push_f32, |a: i64| a as f32),
-            Instr::F32ConvertI64U => un!(pop_u64, push_f32, |a: u64| a as f32),
-            Instr::F32DemoteF64 => un!(pop_f64, push_f32, |a: f64| a as f32),
-            Instr::F64ConvertI32S => un!(pop_i32, push_f64, |a: i32| a as f64),
-            Instr::F64ConvertI32U => un!(pop_u32, push_f64, |a: u32| a as f64),
-            Instr::F64ConvertI64S => un!(pop_i64, push_f64, |a: i64| a as f64),
-            Instr::F64ConvertI64U => un!(pop_u64, push_f64, |a: u64| a as f64),
-            Instr::F64PromoteF32 => un!(pop_f32, push_f64, |a: f32| a as f64),
-            Instr::I32ReinterpretF32 => { /* bits already in slot */ }
-            Instr::I64ReinterpretF64 => { /* bits already in slot */ }
-            Instr::F32ReinterpretI32 => { /* bits already in slot */ }
-            Instr::F64ReinterpretI64 => { /* bits already in slot */ }
-            Instr::Unreachable
-            | Instr::Block(_)
-            | Instr::Loop(_)
-            | Instr::If(_)
-            | Instr::Else
-            | Instr::End
-            | Instr::Br(_)
-            | Instr::BrIf(_)
-            | Instr::BrTable(_)
-            | Instr::Return
-            | Instr::Call(_)
-            | Instr::CallIndirect(_) => {
-                unreachable!("control instruction in step_plain: {instr:?}")
-            }
-        }
-        Ok(())
+    /// `memory.fill`, shared by both tiers; off the steady path.
+    #[cold]
+    #[inline(never)]
+    fn memory_fill(&mut self, dst: u32, val: u32, len: u32) -> Result<(), Trap> {
+        self.fuel.charge(len as u64 / 8)?;
+        let mem = self.mem.as_mut().expect("validated");
+        mem.fill(dst as usize, len as usize, val as u8)
+            .map_err(|_| Trap::OutOfBoundsMemory {
+                addr: dst as u64,
+                len,
+            })
     }
 }
 
-/// Whether `FVM_TRACE` instruction tracing is on (checked once per process).
-fn trace_enabled() -> bool {
-    static TRACE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *TRACE.get_or_init(|| std::env::var_os("FVM_TRACE").is_some())
-}
-
-#[inline]
-fn pop_raw(s: &mut Vec<u64>) -> u64 {
-    s.pop().expect("validated stack")
-}
-
-#[inline]
-fn pop_u32(s: &mut Vec<u64>) -> u32 {
-    pop_raw(s) as u32
-}
-
-#[inline]
-fn pop_i32(s: &mut Vec<u64>) -> i32 {
-    pop_raw(s) as u32 as i32
-}
-
-#[inline]
-fn pop_u64(s: &mut Vec<u64>) -> u64 {
-    pop_raw(s)
-}
-
-#[inline]
-fn pop_i64(s: &mut Vec<u64>) -> i64 {
-    pop_raw(s) as i64
-}
-
-#[inline]
-fn pop_f32(s: &mut Vec<u64>) -> f32 {
-    f32::from_bits(pop_raw(s) as u32)
-}
-
-#[inline]
-fn pop_f64(s: &mut Vec<u64>) -> f64 {
-    f64::from_bits(pop_raw(s))
-}
-
-#[inline]
-fn push_u32(s: &mut Vec<u64>, v: u32) {
-    s.push(v as u64);
-}
-
-#[inline]
-fn push_i32(s: &mut Vec<u64>, v: i32) {
-    s.push(v as u32 as u64);
-}
-
-#[inline]
-fn push_u64(s: &mut Vec<u64>, v: u64) {
-    s.push(v);
-}
-
-#[inline]
-fn push_i64(s: &mut Vec<u64>, v: i64) {
-    s.push(v as u64);
-}
-
-#[inline]
-fn push_f32(s: &mut Vec<u64>, v: f32) {
-    s.push(v.to_bits() as u64);
-}
-
-#[inline]
-fn push_f64(s: &mut Vec<u64>, v: f64) {
-    s.push(v.to_bits());
-}
-
-#[inline]
-fn push_bool(s: &mut Vec<u64>, v: bool) {
-    s.push(v as u64);
-}
-
-#[inline]
-fn take_result(stack: &mut Vec<u64>, arity: usize) -> Option<u64> {
-    if arity == 1 {
-        stack.pop()
-    } else {
-        None
-    }
-}
-
-macro_rules! wasm_minmax {
-    ($min:ident, $max:ident, $ty:ty, $nan:expr) => {
-        /// WebAssembly `min`: NaN-propagating; `-0` beats `+0`.
-        fn $min(a: $ty, b: $ty) -> $ty {
-            if a.is_nan() || b.is_nan() {
-                $nan
-            } else if a == b {
-                // Equal compares include `-0 == +0`: only the zero pair
-                // needs a sign tie-break; other equal values are identical.
-                if a == 0.0 && (a.is_sign_negative() || b.is_sign_negative()) {
-                    -0.0
-                } else {
-                    a
-                }
-            } else if a < b {
-                a
-            } else {
-                b
-            }
-        }
-
-        /// WebAssembly `max`: NaN-propagating; `+0` beats `-0`.
-        fn $max(a: $ty, b: $ty) -> $ty {
-            if a.is_nan() || b.is_nan() {
-                $nan
-            } else if a == b {
-                if a == 0.0 && (a.is_sign_positive() || b.is_sign_positive()) {
-                    0.0
-                } else {
-                    a
-                }
-            } else if a > b {
-                a
-            } else {
-                b
-            }
-        }
-    };
-}
-
-wasm_minmax!(wasm_min_f32, wasm_max_f32, f32, f32::NAN);
-wasm_minmax!(wasm_min_f64, wasm_max_f64, f64, f64::NAN);
-
-macro_rules! trunc_fn {
-    ($name:ident, $from:ty, $to:ty, $min:expr, $max:expr) => {
-        /// Checked float→int truncation with WebAssembly trap semantics.
-        // The bounds are type-specific constants; a range literal in the
-        // macro would lose the per-instantiation doc value.
-        #[allow(clippy::manual_range_contains)]
-        fn $name(v: $from) -> Result<$to, Trap> {
-            if v.is_nan() {
-                return Err(Trap::InvalidConversionToInteger);
-            }
-            let t = v.trunc();
-            if t < $min || t > $max {
-                return Err(Trap::IntegerOverflow);
-            }
-            Ok(t as $to)
-        }
-    };
-}
-
-trunc_fn!(
-    trunc_f32_to_i32,
-    f32,
-    i32,
-    -2147483648.0f32,
-    2147483520.0f32
-);
-trunc_fn!(trunc_f32_to_u32, f32, u32, 0.0f32, 4294967040.0f32);
-trunc_fn!(
-    trunc_f64_to_i32,
-    f64,
-    i32,
-    -2147483648.0f64,
-    2147483647.0f64
-);
-trunc_fn!(trunc_f64_to_u32, f64, u32, 0.0f64, 4294967295.0f64);
-trunc_fn!(
-    trunc_f32_to_i64,
-    f32,
-    i64,
-    -9223372036854775808.0f32,
-    9223371487098961920.0f32
-);
-trunc_fn!(
-    trunc_f32_to_u64,
-    f32,
-    u64,
-    0.0f32,
-    18446742974197923840.0f32
-);
-trunc_fn!(
-    trunc_f64_to_i64,
-    f64,
-    i64,
-    -9223372036854775808.0f64,
-    9223372036854774784.0f64
-);
-trunc_fn!(
-    trunc_f64_to_u64,
-    f64,
-    u64,
-    0.0f64,
-    18446744073709549568.0f64
-);
-
+mod interp;
 mod lowered;
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! memory, fuel and snapshots.
 
 use super::*;
-use crate::instr::{BrTableData, Instr::*, MemArg};
+use crate::instr::{BrTableData, Instr, Instr::*, MemArg};
 use crate::module::ModuleBuilder;
 use crate::types::{BlockType, FuncType, ValType::*};
 

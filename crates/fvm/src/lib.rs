@@ -48,6 +48,7 @@ pub mod instr;
 pub mod leb128;
 mod lower;
 pub mod module;
+mod num;
 pub mod object;
 mod opcodes;
 pub mod trap;

@@ -1,22 +1,46 @@
-//! Lowering: from structured `Instr` bodies to flat, direct-threaded ops.
+//! Lowering: from structured, stack-form `Instr` bodies to flat register ops.
 //!
 //! The plain interpreter walks the tree-form body, paying for structure on
-//! every instruction: a label stack, `fuel.charge(1)` per instruction, and a
-//! bounds check per memory access. Validation already proved the structure,
-//! so this pass compiles each body into a flat array of [`Op`]s once, at
-//! `ObjectModule` preparation time:
+//! every instruction: a label stack, an operand `Vec`, `fuel.charge(1)` per
+//! instruction. Validation already proved the structure and every stack
+//! height, so this pass compiles each body once, at `ObjectModule`
+//! preparation time, into a flat array of three-address [`Op`]s.
 //!
-//! * **Direct threading** — `Block`/`Loop`/`If`/`Else`/`End`/`Nop` (and the
-//!   bit-cast reinterpret ops) disappear as runtime ops. Branches carry an
-//!   absolute target index, the stack height to truncate to, and whether a
-//!   result value is carried, all pre-resolved from the `CtrlMeta` tables.
-//! * **Superinstruction fusion** — the hot sequences real codegen emits
-//!   (`LocalGet,LocalGet,op[,LocalSet]`, `LocalGet,I32Const,op[,LocalSet]`,
-//!   compare+`BrIf`, `LocalGet`+load/store, `I32Add`+load) collapse into
-//!   single fused ops with one dispatch and, for memory ops, one bounds
-//!   check.
-//! * **Fuel hoisting** — fuel is charged once per basic block instead of per
-//!   instruction. See the fuel-equivalence contract below.
+//! # The frame
+//!
+//! A function runs in a window of the instance's one value stack:
+//!
+//! ```text
+//! [ params | declared locals | operand slot 0 .. operand slot max_height )
+//! ```
+//!
+//! The operand at static stack height `h` has the *canonical* frame index
+//! `n_locals + h`. Every op names its sources and destination as frame
+//! indices (or carries a 32-bit immediate), so there is no push/pop traffic
+//! and no `block`/`loop`/`end` at run time. A callee's frame starts at its
+//! arguments, exactly where the caller's canonical slots already hold them,
+//! and it leaves its result in its own frame index 0 — the caller's slot for
+//! the call's result.
+//!
+//! # Deferral and materialisation
+//!
+//! `local.get` and `*.const` emit nothing. The abstract operand stack the
+//! scan keeps records them as *deferred* entries, and the op that pops one
+//! reads the local's frame index (or takes the constant as its immediate)
+//! in place. A value-producing instruction followed by `local.set`/`tee`
+//! writes the local directly. A deferred entry is *materialised* — copied
+//! to its canonical slot — only where the abstract stack must be canonical:
+//!
+//! * before a write to a local that still has a deferred read on the stack,
+//! * at a block boundary (`block`/`loop`/`if` entry: the whole stack; a
+//!   block's `end`/`else` and every branch: the carried result),
+//! * for a call's outgoing arguments,
+//! * for a constant no immediate form can hold.
+//!
+//! Two more instructions are deferred, each only when the very next
+//! instruction consumes it: an i32 comparison (and `i32.eqz`) feeding
+//! `br_if`/`if` becomes a compare-and-branch, and an `i32.add` feeding a
+//! full-width zero-offset load becomes the load's base + index address.
 //!
 //! # The fuel-equivalence contract
 //!
@@ -26,19 +50,25 @@
 //! return, the trap kind and value, and `FuelMeter::consumed()` at those
 //! points. The lowered tier reproduces those observables exactly:
 //!
-//! * Every erased structural instruction is accounted to the *edge* that
-//!   executes it: the linear fall-through edge into an op pays its [`LOp::pre`]
-//!   count, each branch edge pays its [`BranchArgs::extra`] count (walked out
-//!   of the side tables at lowering time, so back-edges to a loop do not
-//!   re-pay the `Loop` opener, exactly like the interpreter).
-//! * A basic block's member costs (plus the fall-through `pre` of its
-//!   successor) are charged in one [`FuelMeter::charge_block`] at the block
-//!   leader. If the block would cross the fuel limit, the charge is refused
-//!   and execution switches permanently to a per-op metered mode that charges
-//!   with [`FuelMeter::charge_steps`], so the out-of-fuel trap lands at the
-//!   same consumed value (`limit + 1`) the interpreter observes.
+//! * Every instruction that emits no op — erased structure, or a deferred
+//!   instruction — is accounted to the *edge* that executes it: its unit is
+//!   carried by the next op emitted at or after its source position (never
+//!   by its consumer) as that op's [`OpFuel::pre`], and each branch edge
+//!   pays its [`Edge::extra`] count (walked out of the side tables at
+//!   lowering time, so back-edges to a loop do not re-pay the `Loop`
+//!   opener, exactly like the interpreter). Deferred instructions have no
+//!   effect a trap could observe, so moving their *work* later is invisible;
+//!   their *fuel* never moves past an op that can trap or write guest state.
+//! * A basic block's member costs — plus, when it falls straight through
+//!   into the next block, that block's — are charged in one
+//!   [`FuelMeter::charge_block`] on the control edge that enters it
+//!   ([`Edge::bulk`], [`Edge::fall`], the function-entry charge). If the
+//!   charge would cross the fuel limit it is refused and execution switches
+//!   to a per-op metered mode that charges with
+//!   [`FuelMeter::charge_steps`], so the out-of-fuel trap lands at the same
+//!   consumed value (`limit + 1`) the interpreter observes.
 //! * A non-fuel trap mid-block refunds the not-yet-executed remainder
-//!   ([`LOp::rest`]), so consumed fuel equals exactly what the interpreter
+//!   ([`OpFuel::rest`]), so consumed fuel equals exactly what the interpreter
 //!   charged up to and through the trapping instruction.
 //! * Variable charges (host-call flat 16, `memory.grow` 64/page,
 //!   `memory.copy`/`fill` len/8) terminate basic blocks and use the same
@@ -47,376 +77,223 @@
 //! Dead code (instructions the validator types with a polymorphic stack
 //! because they can never execute) is not lowered at all: it can never
 //! contribute fuel or effects on any tier.
+//!
+//! [`FuelMeter::charge`]: crate::fuel::FuelMeter::charge
+//! [`FuelMeter::charge_block`]: crate::fuel::FuelMeter::charge_block
+//! [`FuelMeter::charge_steps`]: crate::fuel::FuelMeter::charge_steps
 
-use crate::instr::{Instr, MemArg};
-use crate::module::Module;
+use crate::instr::Instr;
+use crate::module::{FuncDef, Module};
+use crate::num::numeric_ops;
 use crate::object::CtrlMeta;
 
-/// Branch target meaning "return from the function".
-pub(crate) const RETURN_TARGET: u32 = u32::MAX;
+type MkBin = fn(u32, u32, u32) -> Op;
+type MkBinImm = fn(u32, u32, i32) -> Op;
+type MkUn = fn(u32, u32) -> Op;
 
-/// Pre-resolved branch: absolute target plus the stack fix-up the
-/// interpreter's label machinery would have performed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct BranchArgs {
-    /// Absolute index of the op to jump to, or [`RETURN_TARGET`].
+/// Generates [`Op`], the `Instr` → `Op` constructors and [`Cmp`] from the
+/// numeric table; every non-numeric op is written out below.
+macro_rules! define_ops {
+    (int_bin: [$(($ib:ident, $ibi:ident, $ibf:ident)),* $(,)?]
+     int_bin_trap: [$(($it:ident, $iti:ident, $itf:ident)),* $(,)?]
+     float_bin: [$(($fb:ident, $fbf:ident)),* $(,)?]
+     un: [$(($un:ident, $unf:ident)),* $(,)?]
+     un_trap: [$(($ut:ident, $utf:ident)),* $(,)?]
+     br_cmp: [$(($c:ident, $cneg:ident, $br:ident, $bri:ident, $cf:ident)),* $(,)?]) => {
+        /// One lowered op: at most three frame indices / immediates, one
+        /// dispatch each. `dst`, `a`, `b`, `src`, `addr`, … are frame
+        /// indices; `imm` is the right operand, sign-extended to the slot;
+        /// `edge` indexes [`LoweredFunc::edges`].
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub(crate) enum Op {
+            $($ib { dst: u32, a: u32, b: u32 }, $ibi { dst: u32, a: u32, imm: i32 },)*
+            $($it { dst: u32, a: u32, b: u32 }, $iti { dst: u32, a: u32, imm: i32 },)*
+            $($fb { dst: u32, a: u32, b: u32 },)*
+            $($un { dst: u32, a: u32 },)*
+            $($ut { dst: u32, a: u32 },)*
+            /// Branch when the i32 comparison of two frame slots holds.
+            $($br { a: u32, b: u32, edge: u32 }, $bri { a: u32, imm: i32, edge: u32 },)*
+            Unreachable,
+            Jump { edge: u32 },
+            /// Branch when the i32 in `cond` is zero / non-zero.
+            BrZ { cond: u32, edge: u32 },
+            BrNz { cond: u32, edge: u32 },
+            /// `edges[first + min(frame[idx], len)]`; the default is last.
+            BrTable { idx: u32, first: u32, len: u32 },
+            /// Copy `src` to frame index 0 (the caller's result slot), return.
+            Ret { src: u32 },
+            RetVoid,
+            /// Call local function `func`; its frame starts at `base`.
+            Call { func: u32, base: u32 },
+            CallHost { import: u32, base: u32 },
+            CallIndirect { type_idx: u32, idx: u32, base: u32 },
+            MemorySize { dst: u32 },
+            MemoryGrow { dst: u32, delta: u32 },
+            MemoryCopy { dst: u32, src: u32, len: u32 },
+            MemoryFill { dst: u32, val: u32, len: u32 },
+            GlobalGet { dst: u32, idx: u32 },
+            GlobalSet { idx: u32, src: u32 },
+            Mov { dst: u32, src: u32 },
+            /// Zero-extended 32-bit constant.
+            Const { dst: u32, imm: u32 },
+            Const64 { dst: u32, bits: u64 },
+            /// `dst = frame[base + 2] != 0 ? frame[base] : frame[base + 1]`.
+            Select { dst: u32, base: u32 },
+            // Loads: access width, then the extension into the slot.
+            // i32/f32 and i64/f64 are indistinguishable — slots are raw bits.
+            Load8U { dst: u32, addr: u32, offset: u32 },
+            Load8S32 { dst: u32, addr: u32, offset: u32 },
+            Load8S64 { dst: u32, addr: u32, offset: u32 },
+            Load16U { dst: u32, addr: u32, offset: u32 },
+            Load16S32 { dst: u32, addr: u32, offset: u32 },
+            Load16S64 { dst: u32, addr: u32, offset: u32 },
+            Load32 { dst: u32, addr: u32, offset: u32 },
+            Load32S64 { dst: u32, addr: u32, offset: u32 },
+            Load64 { dst: u32, addr: u32, offset: u32 },
+            /// Base + index: the address is the wrapping i32 sum `a + b`.
+            Load32X { dst: u32, a: u32, b: u32 },
+            Load64X { dst: u32, a: u32, b: u32 },
+            Store8 { addr: u32, val: u32, offset: u32 },
+            Store16 { addr: u32, val: u32, offset: u32 },
+            Store32 { addr: u32, val: u32, offset: u32 },
+            Store64 { addr: u32, val: u32, offset: u32 },
+        }
+
+        /// Register and (integer ops only) immediate constructors of a
+        /// binary numeric instruction.
+        fn bin_ctor(i: &Instr) -> Option<(MkBin, Option<MkBinImm>)> {
+            Some(match i {
+                $(Instr::$ib => {
+                    let (rr, ri): (MkBin, MkBinImm) = (
+                        |dst, a, b| Op::$ib { dst, a, b },
+                        |dst, a, imm| Op::$ibi { dst, a, imm },
+                    );
+                    (rr, Some(ri))
+                })*
+                $(Instr::$it => {
+                    let (rr, ri): (MkBin, MkBinImm) = (
+                        |dst, a, b| Op::$it { dst, a, b },
+                        |dst, a, imm| Op::$iti { dst, a, imm },
+                    );
+                    (rr, Some(ri))
+                })*
+                $(Instr::$fb => {
+                    let rr: MkBin = |dst, a, b| Op::$fb { dst, a, b };
+                    (rr, None)
+                })*
+                _ => return None,
+            })
+        }
+
+        /// Constructor of a unary numeric instruction or conversion.
+        fn un_ctor(i: &Instr) -> Option<MkUn> {
+            Some(match i {
+                $(Instr::$un => |dst, a| Op::$un { dst, a },)*
+                $(Instr::$ut => |dst, a| Op::$ut { dst, a },)*
+                _ => return None,
+            })
+        }
+
+        /// An i32 comparison a conditional branch can absorb.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum Cmp {
+            $($c,)*
+        }
+
+        impl Cmp {
+            fn of(i: &Instr) -> Option<Cmp> {
+                match i {
+                    $(Instr::$c => Some(Cmp::$c),)*
+                    _ => None,
+                }
+            }
+
+            /// The comparison that holds exactly when `self` does not.
+            fn negated(self) -> Cmp {
+                match self {
+                    $(Cmp::$c => Cmp::$cneg,)*
+                }
+            }
+
+            fn branch(self, a: u32, b: Rhs, edge: u32) -> Op {
+                match (self, b) {
+                    $((Cmp::$c, Rhs::Reg(b)) => Op::$br { a, b, edge },
+                      (Cmp::$c, Rhs::Imm(imm)) => Op::$bri { a, imm, edge },)*
+                }
+            }
+        }
+
+        impl Op {
+            /// The edge of a two-way conditional branch.
+            fn cond_edge(&self) -> Option<u32> {
+                match *self {
+                    $(Op::$br { edge, .. } | Op::$bri { edge, .. } => Some(edge),)*
+                    Op::BrZ { edge, .. } | Op::BrNz { edge, .. } => Some(edge),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+numeric_ops!(define_ops);
+
+// The hot loop copies one op per dispatch; keep it two words.
+const _: () = assert!(std::mem::size_of::<Op>() <= 16);
+
+impl Op {
+    /// True for ops that end a basic block: control transfers, calls (the
+    /// callee charges its own fuel) and variable-fuel memory ops.
+    fn is_terminator(&self) -> bool {
+        self.cond_edge().is_some()
+            || matches!(
+                self,
+                Op::Unreachable
+                    | Op::Jump { .. }
+                    | Op::BrTable { .. }
+                    | Op::Ret { .. }
+                    | Op::RetVoid
+                    | Op::Call { .. }
+                    | Op::CallHost { .. }
+                    | Op::CallIndirect { .. }
+                    | Op::MemoryGrow { .. }
+                    | Op::MemoryCopy { .. }
+                    | Op::MemoryFill { .. }
+            )
+    }
+}
+
+/// One control edge out of a branch op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct Edge {
+    /// Absolute index of the op the taken edge lands on.
     pub target: u32,
-    /// Value-stack height to truncate to.
-    pub height: u32,
-    /// Whether the branch carries the top-of-stack value past truncation.
-    pub carry: bool,
-    /// Fuel for structural instructions the interpreter executes along this
-    /// edge (`End`s walked over, an `Else` skip, ...).
+    /// Fuel for the instructions the interpreter executes along the taken
+    /// edge without the lowered tier emitting an op (`End`s walked over, an
+    /// `Else` skip, deferred instructions) — what metered mode charges.
     pub extra: u32,
+    /// Bulk-mode charge of the taken edge: `extra` plus the target block.
+    pub bulk: u32,
+    /// Bulk-mode charge of a conditional branch's not-taken edge: the
+    /// successor's `pre` plus its block.
+    pub fall: u32,
 }
 
-/// A conditional branch: taken args plus the fall-through edge's fuel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CondBr {
-    /// Where the taken edge goes.
-    pub args: BranchArgs,
-    /// Fuel for elided instructions on the not-taken edge (charged in bulk
-    /// mode only; metered mode pays it via the successor's `pre`).
-    pub fall_extra: u32,
-}
-
-/// Lowered `br_table`: every entry fully resolved.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct LBrTable {
-    pub entries: Vec<BranchArgs>,
-    pub default: BranchArgs,
-}
-
-/// Binary ops eligible for `LocalGet,LocalGet,op[,LocalSet]` fusion.
-/// All are non-trapping, so a fused op never traps mid-sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FusedBin {
-    I32Add,
-    I32Sub,
-    I32Mul,
-    I32And,
-    I32Or,
-    I32Xor,
-    I64Add,
-    I64Sub,
-    I64Mul,
-    F32Add,
-    F32Sub,
-    F32Mul,
-    F32Div,
-    F64Add,
-    F64Sub,
-    F64Mul,
-    F64Div,
-}
-
-impl FusedBin {
-    pub(crate) fn from_instr(i: &Instr) -> Option<FusedBin> {
-        Some(match i {
-            Instr::I32Add => FusedBin::I32Add,
-            Instr::I32Sub => FusedBin::I32Sub,
-            Instr::I32Mul => FusedBin::I32Mul,
-            Instr::I32And => FusedBin::I32And,
-            Instr::I32Or => FusedBin::I32Or,
-            Instr::I32Xor => FusedBin::I32Xor,
-            Instr::I64Add => FusedBin::I64Add,
-            Instr::I64Sub => FusedBin::I64Sub,
-            Instr::I64Mul => FusedBin::I64Mul,
-            Instr::F32Add => FusedBin::F32Add,
-            Instr::F32Sub => FusedBin::F32Sub,
-            Instr::F32Mul => FusedBin::F32Mul,
-            Instr::F32Div => FusedBin::F32Div,
-            Instr::F64Add => FusedBin::F64Add,
-            Instr::F64Sub => FusedBin::F64Sub,
-            Instr::F64Mul => FusedBin::F64Mul,
-            Instr::F64Div => FusedBin::F64Div,
-            _ => return None,
-        })
-    }
-
-    /// Evaluate on raw slots with exactly the interpreter's pop/push
-    /// conversions (i32 results are zero-extended low bits, floats travel as
-    /// bits).
-    #[inline]
-    pub(crate) fn eval(self, a: u64, b: u64) -> u64 {
-        let i32s = |x: u64| x as u32 as i32;
-        let f32s = |x: u64| f32::from_bits(x as u32);
-        match self {
-            FusedBin::I32Add => i32s(a).wrapping_add(i32s(b)) as u32 as u64,
-            FusedBin::I32Sub => i32s(a).wrapping_sub(i32s(b)) as u32 as u64,
-            FusedBin::I32Mul => i32s(a).wrapping_mul(i32s(b)) as u32 as u64,
-            FusedBin::I32And => (a as u32 & b as u32) as u64,
-            FusedBin::I32Or => (a as u32 | b as u32) as u64,
-            FusedBin::I32Xor => (a as u32 ^ b as u32) as u64,
-            FusedBin::I64Add => (a as i64).wrapping_add(b as i64) as u64,
-            FusedBin::I64Sub => (a as i64).wrapping_sub(b as i64) as u64,
-            FusedBin::I64Mul => (a as i64).wrapping_mul(b as i64) as u64,
-            FusedBin::F32Add => (f32s(a) + f32s(b)).to_bits() as u64,
-            FusedBin::F32Sub => (f32s(a) - f32s(b)).to_bits() as u64,
-            FusedBin::F32Mul => (f32s(a) * f32s(b)).to_bits() as u64,
-            FusedBin::F32Div => (f32s(a) / f32s(b)).to_bits() as u64,
-            FusedBin::F64Add => (f64::from_bits(a) + f64::from_bits(b)).to_bits(),
-            FusedBin::F64Sub => (f64::from_bits(a) - f64::from_bits(b)).to_bits(),
-            FusedBin::F64Mul => (f64::from_bits(a) * f64::from_bits(b)).to_bits(),
-            FusedBin::F64Div => (f64::from_bits(a) / f64::from_bits(b)).to_bits(),
-        }
-    }
-}
-
-/// i32 ops eligible for `I32Const`-immediate fusion (the constant is the
-/// right operand). All non-trapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FusedImm {
-    Add,
-    Sub,
-    Mul,
-    And,
-    Or,
-    Xor,
-    Shl,
-    ShrS,
-    ShrU,
-}
-
-impl FusedImm {
-    pub(crate) fn from_instr(i: &Instr) -> Option<FusedImm> {
-        Some(match i {
-            Instr::I32Add => FusedImm::Add,
-            Instr::I32Sub => FusedImm::Sub,
-            Instr::I32Mul => FusedImm::Mul,
-            Instr::I32And => FusedImm::And,
-            Instr::I32Or => FusedImm::Or,
-            Instr::I32Xor => FusedImm::Xor,
-            Instr::I32Shl => FusedImm::Shl,
-            Instr::I32ShrS => FusedImm::ShrS,
-            Instr::I32ShrU => FusedImm::ShrU,
-            _ => return None,
-        })
-    }
-
-    #[inline]
-    pub(crate) fn eval(self, a: u64, k: i32) -> u64 {
-        let ai = a as u32 as i32;
-        let au = a as u32;
-        match self {
-            FusedImm::Add => ai.wrapping_add(k) as u32 as u64,
-            FusedImm::Sub => ai.wrapping_sub(k) as u32 as u64,
-            FusedImm::Mul => ai.wrapping_mul(k) as u32 as u64,
-            FusedImm::And => (au & k as u32) as u64,
-            FusedImm::Or => (au | k as u32) as u64,
-            FusedImm::Xor => (au ^ k as u32) as u64,
-            FusedImm::Shl => (au << (k as u32 & 31)) as u64,
-            FusedImm::ShrS => (ai >> (k & 31)) as u32 as u64,
-            FusedImm::ShrU => (au >> (k as u32 & 31)) as u64,
-        }
-    }
-}
-
-/// i32 comparisons eligible for compare+branch fusion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FusedCmp {
-    Eq,
-    Ne,
-    LtS,
-    LtU,
-    GtS,
-    GtU,
-    LeS,
-    LeU,
-    GeS,
-    GeU,
-}
-
-impl FusedCmp {
-    pub(crate) fn from_instr(i: &Instr) -> Option<FusedCmp> {
-        Some(match i {
-            Instr::I32Eq => FusedCmp::Eq,
-            Instr::I32Ne => FusedCmp::Ne,
-            Instr::I32LtS => FusedCmp::LtS,
-            Instr::I32LtU => FusedCmp::LtU,
-            Instr::I32GtS => FusedCmp::GtS,
-            Instr::I32GtU => FusedCmp::GtU,
-            Instr::I32LeS => FusedCmp::LeS,
-            Instr::I32LeU => FusedCmp::LeU,
-            Instr::I32GeS => FusedCmp::GeS,
-            Instr::I32GeU => FusedCmp::GeU,
-            _ => return None,
-        })
-    }
-
-    #[inline]
-    pub(crate) fn eval(self, a: u64, b: u64) -> bool {
-        let (ai, bi) = (a as u32 as i32, b as u32 as i32);
-        let (au, bu) = (a as u32, b as u32);
-        match self {
-            FusedCmp::Eq => au == bu,
-            FusedCmp::Ne => au != bu,
-            FusedCmp::LtS => ai < bi,
-            FusedCmp::LtU => au < bu,
-            FusedCmp::GtS => ai > bi,
-            FusedCmp::GtU => au > bu,
-            FusedCmp::LeS => ai <= bi,
-            FusedCmp::LeU => au <= bu,
-            FusedCmp::GeS => ai >= bi,
-            FusedCmp::GeU => au >= bu,
-        }
-    }
-}
-
-/// Access width of a fused full-width load/store. i32/f32 and i64/f64 are
-/// indistinguishable at this level — slots carry raw bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LsWidth {
-    W4,
-    W8,
-}
-
-impl LsWidth {
-    pub(crate) fn bytes(self) -> u32 {
-        match self {
-            LsWidth::W4 => 4,
-            LsWidth::W8 => 8,
-        }
-    }
-
-    fn of_load(i: &Instr) -> Option<(LsWidth, u32)> {
-        match i {
-            Instr::I32Load(m) | Instr::F32Load(m) => Some((LsWidth::W4, m.offset)),
-            Instr::I64Load(m) | Instr::F64Load(m) => Some((LsWidth::W8, m.offset)),
-            _ => None,
-        }
-    }
-
-    fn of_store(i: &Instr) -> Option<(LsWidth, u32)> {
-        match i {
-            Instr::I32Store(m) | Instr::F32Store(m) => Some((LsWidth::W4, m.offset)),
-            Instr::I64Store(m) | Instr::F64Store(m) => Some((LsWidth::W8, m.offset)),
-            _ => None,
-        }
-    }
-}
-
-/// One lowered op. Control flow and the fusion targets get dedicated
-/// variants; everything else executes through the shared single-instruction
-/// evaluator (`Instance::step_plain`), which keeps the two tiers semantically
-/// identical by construction.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Op {
-    Unreachable,
-    Jump(BranchArgs),
-    /// Branch when the popped condition is non-zero (`br_if`).
-    BrNz(CondBr),
-    /// Branch when the popped condition is zero (`if` false-edge, or fused
-    /// `I32Eqz`+`br_if`).
-    BrZ(CondBr),
-    BrTable(Box<LBrTable>),
-    Ret,
-    Call {
-        idx: u32,
-        extra: u32,
-    },
-    CallIndirect {
-        type_idx: u32,
-        extra: u32,
-    },
-    /// Variable-fuel memory ops terminate basic blocks; `extra` is the
-    /// fall-through edge's elided-instruction fuel.
-    MemoryGrow {
-        extra: u32,
-    },
-    MemoryCopy {
-        extra: u32,
-    },
-    MemoryFill {
-        extra: u32,
-    },
-    LocalGet(u32),
-    LocalSet(u32),
-    LocalTee(u32),
-    I32Const(i32),
-    I64Const(i64),
-    /// `LocalGet a; LocalGet b; op`
-    FBinLL {
-        a: u32,
-        b: u32,
-        op: FusedBin,
-    },
-    /// `LocalGet a; LocalGet b; op; LocalSet dst`
-    FBinLLS {
-        a: u32,
-        b: u32,
-        dst: u32,
-        op: FusedBin,
-    },
-    /// `I32Const k; op` (stack operand on the left)
-    FImm {
-        imm: i32,
-        op: FusedImm,
-    },
-    /// `LocalGet src; I32Const k; op`
-    FImmL {
-        src: u32,
-        imm: i32,
-        op: FusedImm,
-    },
-    /// `LocalGet src; I32Const k; op; LocalSet dst`
-    FImmLS {
-        src: u32,
-        imm: i32,
-        dst: u32,
-        op: FusedImm,
-    },
-    /// `LocalGet a; LocalGet b; cmp; [I32Eqz;] br_if` — taken when the
-    /// comparison result equals `when`.
-    FBrCmpLL {
-        a: u32,
-        b: u32,
-        cmp: FusedCmp,
-        when: bool,
-        br: CondBr,
-    },
-    /// `LocalGet a; I32Const k; cmp; [I32Eqz;] br_if`
-    FBrCmpLI {
-        a: u32,
-        imm: i32,
-        cmp: FusedCmp,
-        when: bool,
-        br: CondBr,
-    },
-    /// `LocalGet local; load` — one bounds check, raw read.
-    FLocalLoad {
-        local: u32,
-        offset: u32,
-        width: LsWidth,
-    },
-    /// `LocalGet local; store` — address from the stack, value from a local.
-    FStoreL {
-        local: u32,
-        offset: u32,
-        width: LsWidth,
-    },
-    /// `I32Add; load` — address computed from two stack operands.
-    FAddLoad {
-        offset: u32,
-        width: LsWidth,
-    },
-    /// Any other instruction, executed by the shared evaluator.
-    Plain(Instr),
-}
-
-/// One lowered op plus its fuel metadata.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct LOp {
-    pub op: Op,
-    /// Interpreter fuel units this op stands for (fused ops: the sum of their
-    /// constituents; non-leaders also fold their `pre`).
+/// Per-op fuel side table, indexed by pc. Bulk mode reads it only on a trap
+/// (`rest`), after a call or variable-fuel op (`pre + charge` of the
+/// successor) and when a refused charge switches to metered mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct OpFuel {
+    /// Interpreter fuel units this op stands for (non-leaders also fold
+    /// their `pre`).
     pub cost: u32,
-    /// Elided structural instructions on the linear fall-through edge into
+    /// Units of op-less instructions on the linear fall-through edge into
     /// this op. Non-zero only on block leaders (folded into `cost`
     /// otherwise).
     pub pre: u32,
-    /// Basic-block bulk charge (non-zero only on block leaders): member
-    /// costs plus the fall-through successor's `pre`.
+    /// Bulk charge of the block this op leads (zero on non-leaders): member
+    /// costs, plus `pre + charge` of the next block when this one falls
+    /// straight through into it.
     pub charge: u32,
     /// Portion of the block charge not yet executed once this op traps —
     /// refunded on a non-fuel trap so consumed fuel matches the interpreter.
@@ -424,12 +301,29 @@ pub(crate) struct LOp {
 }
 
 /// A lowered function body. `ops` is never empty: the smallest body lowers
-/// to a single `Ret`.
+/// to a single `RetVoid`.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LoweredFunc {
-    pub ops: Vec<LOp>,
-    /// Elided instructions before the first op on the function-entry edge.
-    pub entry_pre: u32,
+    pub ops: Vec<Op>,
+    /// Fuel side table, parallel to `ops`.
+    pub fuel: Vec<OpFuel>,
+    pub edges: Vec<Edge>,
+    /// Bulk-mode charge on entry: the entry edge's `pre` plus the first
+    /// block (kept beside `fuel[0]` because every call reads it).
+    pub entry_bulk: u32,
+    pub n_params: u32,
+    /// Params plus declared locals: the frame index of operand slot 0.
+    pub n_locals: u32,
+    /// `n_locals` plus the body's maximum operand-stack height.
+    pub frame_size: u32,
+}
+
+impl LoweredFunc {
+    /// Units of the op-less instructions before the first op: what the
+    /// function-entry edge costs on its own.
+    pub fn entry_pre(&self) -> u32 {
+        self.fuel[0].pre
+    }
 }
 
 /// Lower every function body of a validated module.
@@ -438,177 +332,95 @@ pub(crate) fn lower_module(module: &Module, ctrl: &[Vec<CtrlMeta>]) -> Vec<Lower
         .funcs
         .iter()
         .zip(ctrl)
-        .map(|(f, meta)| lower_func(module, &f.body, meta))
+        .map(|(f, meta)| {
+            let mut l = Lowerer::new(module, f, meta);
+            l.scan();
+            l.finish()
+        })
         .collect()
 }
 
-/// True for instructions that are erased by lowering (but still cost one
-/// fuel unit each in the interpreter, accounted via `pre`/`extra` counts).
-fn is_elided(i: &Instr) -> bool {
-    matches!(
-        i,
-        Instr::Nop
-            | Instr::Block(_)
-            | Instr::Loop(_)
-            | Instr::I32ReinterpretF32
-            | Instr::I64ReinterpretF64
-            | Instr::F32ReinterpretI32
-            | Instr::F64ReinterpretI64
-    )
-}
-
-/// Net value-stack effect of a non-control instruction (used to track the
-/// absolute heights branches truncate to). Control flow is handled
-/// explicitly by the scan.
-#[allow(clippy::match_same_arms)]
-fn stack_delta(module: &Module, i: &Instr) -> i32 {
+/// Full-width loads (`i32`/`f32`, `i64`/`f64`): `(is 64-bit, offset)`.
+fn full_width_load(i: &Instr) -> Option<(bool, u32)> {
     match i {
-        Instr::Call(idx) => {
-            let ty = module.func_type(*idx).expect("validated call target");
-            ty.results.len() as i32 - ty.params.len() as i32
-        }
-        Instr::CallIndirect(type_idx) => {
-            let ty = &module.types[*type_idx as usize];
-            ty.results.len() as i32 - ty.params.len() as i32 - 1
-        }
-        Instr::Drop => -1,
-        Instr::Select => -2,
-        Instr::LocalGet(_) | Instr::GlobalGet(_) | Instr::MemorySize => 1,
-        Instr::LocalSet(_) | Instr::GlobalSet(_) => -1,
-        Instr::LocalTee(_) => 0,
-        Instr::I32Const(_) | Instr::I64Const(_) | Instr::F32Const(_) | Instr::F64Const(_) => 1,
-        // Loads pop an address and push a value.
-        Instr::I32Load(_)
-        | Instr::I64Load(_)
-        | Instr::F32Load(_)
-        | Instr::F64Load(_)
-        | Instr::I32Load8S(_)
-        | Instr::I32Load8U(_)
-        | Instr::I32Load16S(_)
-        | Instr::I32Load16U(_)
-        | Instr::I64Load8S(_)
-        | Instr::I64Load8U(_)
-        | Instr::I64Load16S(_)
-        | Instr::I64Load16U(_)
-        | Instr::I64Load32S(_)
-        | Instr::I64Load32U(_) => 0,
-        Instr::I32Store(_)
-        | Instr::I64Store(_)
-        | Instr::F32Store(_)
-        | Instr::F64Store(_)
-        | Instr::I32Store8(_)
-        | Instr::I32Store16(_)
-        | Instr::I64Store8(_)
-        | Instr::I64Store16(_)
-        | Instr::I64Store32(_) => -2,
-        Instr::MemoryGrow => 0,
-        Instr::MemoryCopy | Instr::MemoryFill => -3,
-        // Binary numeric/comparison ops: two in, one out.
-        Instr::I32Eq
-        | Instr::I32Ne
-        | Instr::I32LtS
-        | Instr::I32LtU
-        | Instr::I32GtS
-        | Instr::I32GtU
-        | Instr::I32LeS
-        | Instr::I32LeU
-        | Instr::I32GeS
-        | Instr::I32GeU
-        | Instr::I64Eq
-        | Instr::I64Ne
-        | Instr::I64LtS
-        | Instr::I64LtU
-        | Instr::I64GtS
-        | Instr::I64GtU
-        | Instr::I64LeS
-        | Instr::I64LeU
-        | Instr::I64GeS
-        | Instr::I64GeU
-        | Instr::F32Eq
-        | Instr::F32Ne
-        | Instr::F32Lt
-        | Instr::F32Gt
-        | Instr::F32Le
-        | Instr::F32Ge
-        | Instr::F64Eq
-        | Instr::F64Ne
-        | Instr::F64Lt
-        | Instr::F64Gt
-        | Instr::F64Le
-        | Instr::F64Ge
-        | Instr::I32Add
-        | Instr::I32Sub
-        | Instr::I32Mul
-        | Instr::I32DivS
-        | Instr::I32DivU
-        | Instr::I32RemS
-        | Instr::I32RemU
-        | Instr::I32And
-        | Instr::I32Or
-        | Instr::I32Xor
-        | Instr::I32Shl
-        | Instr::I32ShrS
-        | Instr::I32ShrU
-        | Instr::I32Rotl
-        | Instr::I32Rotr
-        | Instr::I64Add
-        | Instr::I64Sub
-        | Instr::I64Mul
-        | Instr::I64DivS
-        | Instr::I64DivU
-        | Instr::I64RemS
-        | Instr::I64RemU
-        | Instr::I64And
-        | Instr::I64Or
-        | Instr::I64Xor
-        | Instr::I64Shl
-        | Instr::I64ShrS
-        | Instr::I64ShrU
-        | Instr::I64Rotl
-        | Instr::I64Rotr
-        | Instr::F32Add
-        | Instr::F32Sub
-        | Instr::F32Mul
-        | Instr::F32Div
-        | Instr::F32Min
-        | Instr::F32Max
-        | Instr::F32Copysign
-        | Instr::F64Add
-        | Instr::F64Sub
-        | Instr::F64Mul
-        | Instr::F64Div
-        | Instr::F64Min
-        | Instr::F64Max
-        | Instr::F64Copysign => -1,
-        // Everything else (unary ops, conversions, eqz, reinterprets) is
-        // one-in-one-out.
-        _ => 0,
+        Instr::I32Load(m) | Instr::F32Load(m) => Some((false, m.offset)),
+        Instr::I64Load(m) | Instr::F64Load(m) => Some((true, m.offset)),
+        _ => None,
     }
 }
 
-/// True for ops that end a basic block: control transfers, calls (the callee
-/// charges its own fuel) and variable-fuel memory ops.
-fn is_terminator(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Unreachable
-            | Op::Jump(_)
-            | Op::BrNz(_)
-            | Op::BrZ(_)
-            | Op::BrTable(_)
-            | Op::Ret
-            | Op::Call { .. }
-            | Op::CallIndirect { .. }
-            | Op::MemoryGrow { .. }
-            | Op::MemoryCopy { .. }
-            | Op::MemoryFill { .. }
-            | Op::FBrCmpLL { .. }
-            | Op::FBrCmpLI { .. }
-    )
+type MkMem = fn(u32, u32, u32) -> Op;
+
+/// `(dst, addr, offset)` constructor of a load instruction.
+fn load_ctor(i: &Instr) -> Option<(MkMem, u32)> {
+    let (mk, m): (MkMem, _) = match i {
+        Instr::I32Load8U(m) | Instr::I64Load8U(m) => {
+            (|dst, addr, offset| Op::Load8U { dst, addr, offset }, m)
+        }
+        Instr::I32Load8S(m) => (|dst, addr, offset| Op::Load8S32 { dst, addr, offset }, m),
+        Instr::I64Load8S(m) => (|dst, addr, offset| Op::Load8S64 { dst, addr, offset }, m),
+        Instr::I32Load16U(m) | Instr::I64Load16U(m) => {
+            (|dst, addr, offset| Op::Load16U { dst, addr, offset }, m)
+        }
+        Instr::I32Load16S(m) => (|dst, addr, offset| Op::Load16S32 { dst, addr, offset }, m),
+        Instr::I64Load16S(m) => (|dst, addr, offset| Op::Load16S64 { dst, addr, offset }, m),
+        Instr::I32Load(m) | Instr::F32Load(m) | Instr::I64Load32U(m) => {
+            (|dst, addr, offset| Op::Load32 { dst, addr, offset }, m)
+        }
+        Instr::I64Load32S(m) => (|dst, addr, offset| Op::Load32S64 { dst, addr, offset }, m),
+        Instr::I64Load(m) | Instr::F64Load(m) => {
+            (|dst, addr, offset| Op::Load64 { dst, addr, offset }, m)
+        }
+        _ => return None,
+    };
+    Some((mk, m.offset))
+}
+
+/// `(addr, val, offset)` constructor of a store instruction.
+fn store_ctor(i: &Instr) -> Option<(MkMem, u32)> {
+    let (mk, m): (MkMem, _) = match i {
+        Instr::I32Store8(m) | Instr::I64Store8(m) => {
+            (|addr, val, offset| Op::Store8 { addr, val, offset }, m)
+        }
+        Instr::I32Store16(m) | Instr::I64Store16(m) => {
+            (|addr, val, offset| Op::Store16 { addr, val, offset }, m)
+        }
+        Instr::I32Store(m) | Instr::F32Store(m) | Instr::I64Store32(m) => {
+            (|addr, val, offset| Op::Store32 { addr, val, offset }, m)
+        }
+        Instr::I64Store(m) | Instr::F64Store(m) => {
+            (|addr, val, offset| Op::Store64 { addr, val, offset }, m)
+        }
+        _ => return None,
+    };
+    Some((mk, m.offset))
+}
+
+/// Right operand of an integer op or an absorbed comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rhs {
+    Reg(u32),
+    Imm(i32),
+}
+
+/// One entry of the abstract operand stack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Entry {
+    /// The value is in the entry's canonical slot.
+    Canon,
+    /// A deferred `local.get`: the value is the local itself.
+    Local(u32),
+    /// A deferred constant; `imm` is set when an integer op can take it as
+    /// its sign-extended 32-bit immediate.
+    Const { bits: u64, imm: Option<i32> },
+    /// A deferred `i32.add` whose only consumer is the next load.
+    Sum(u32, u32),
+    /// A deferred i32 comparison whose only consumer is the next branch.
+    Cmp { cmp: Cmp, a: u32, b: Rhs },
 }
 
 /// An op during lowering, before fuel-block assignment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct PreOp {
     op: Op,
     cost: u32,
@@ -635,743 +447,862 @@ struct Frame {
     in_else: bool,
 }
 
-/// Which field of an op a fixup patches.
-enum Slot {
-    Main,
-    Entry(usize),
-    Default,
-}
-
-/// A branch target to resolve once the whole body has been scanned.
+/// An edge whose target is resolved once the whole body has been scanned.
 struct Fixup {
-    op: usize,
-    slot: Slot,
+    edge: u32,
     /// Walk start, in original pc space.
     start: usize,
-    /// Extra fuel charged before the walk begins (the `Else` skip itself).
+    /// Fuel of the instructions the edge executes before the walk begins
+    /// (an `Else` skip and the `End` it lands on).
     bias: u32,
 }
 
-fn lower_func(module: &Module, body: &[Instr], meta: &[CtrlMeta]) -> LoweredFunc {
-    let (mut ops, fixups, flat_of) = scan(module, body, meta);
-    resolve(body, meta, &flat_of, &fixups, &mut ops);
-    let ops = fuse(ops);
-    assign_blocks(ops)
+/// Where a branch of relative depth `d` goes.
+enum Dest {
+    Return,
+    Label {
+        /// Stack height the label's result (if any) lands at.
+        height: u32,
+        carry: bool,
+        cont: usize,
+    },
 }
 
-/// Pass 1: walk the body once, tracking liveness and stack heights, emitting
-/// flat ops for live non-structural instructions.
-#[allow(clippy::too_many_lines)]
-fn scan(module: &Module, body: &[Instr], meta: &[CtrlMeta]) -> (Vec<PreOp>, Vec<Fixup>, Vec<u32>) {
-    let mut ops: Vec<PreOp> = Vec::new();
-    let mut fixups: Vec<Fixup> = Vec::new();
-    let mut flat_of = vec![u32::MAX; body.len()];
-    let mut frames: Vec<Frame> = Vec::new();
-    let mut live = true;
-    let mut dead_nest: u32 = 0;
-    let mut height: u32 = 0;
-    let mut elided: u32 = 0;
+/// Out-of-line tail of a conditional or table branch whose taken edge has
+/// work of its own: a result to move down the stack, or a return. Appended
+/// after the body, reached only through `edge_in`.
+struct Trampoline {
+    edge_in: u32,
+    /// The move of the carried value, if it is not already in place.
+    mov: Option<Op>,
+    /// `Jump` to the real target, or the return.
+    exit: Op,
+}
 
-    // Builds the taken-edge args for a branch to relative depth `d` and
-    // registers the walk fixup; returns None for a function return.
-    let branch_args = |frames: &mut Vec<Frame>,
-                       fixups: &mut Vec<Fixup>,
-                       d: u32,
-                       op: usize,
-                       slot: Slot|
-     -> BranchArgs {
-        let d = d as usize;
-        if d >= frames.len() {
-            return BranchArgs {
-                target: RETURN_TARGET,
-                height: 0,
-                carry: false,
-                extra: 0,
-            };
+struct Lowerer<'a> {
+    module: &'a Module,
+    body: &'a [Instr],
+    meta: &'a [CtrlMeta],
+    n_params: u32,
+    n_locals: u32,
+    has_result: bool,
+    ops: Vec<PreOp>,
+    edges: Vec<Edge>,
+    fixups: Vec<Fixup>,
+    trampolines: Vec<Trampoline>,
+    /// First op emitted at each source position (`u32::MAX`: none).
+    flat_of: Vec<u32>,
+    frames: Vec<Frame>,
+    stack: Vec<Entry>,
+    max_height: u32,
+    /// Fuel units of op-less instructions since the last emitted op.
+    elided: u32,
+}
+
+impl<'a> Lowerer<'a> {
+    fn new(module: &'a Module, func: &'a FuncDef, meta: &'a [CtrlMeta]) -> Lowerer<'a> {
+        let ty = &module.types[func.type_idx as usize];
+        Lowerer {
+            module,
+            body: &func.body,
+            meta,
+            n_params: ty.params.len() as u32,
+            n_locals: (ty.params.len() + func.locals.len()) as u32,
+            has_result: !ty.results.is_empty(),
+            ops: Vec::new(),
+            edges: Vec::new(),
+            fixups: Vec::new(),
+            trampolines: Vec::new(),
+            flat_of: vec![u32::MAX; func.body.len()],
+            frames: Vec::new(),
+            stack: Vec::new(),
+            max_height: 0,
+            elided: 0,
         }
-        let fi = frames.len() - 1 - d;
-        frames[fi].branched = true;
-        let f = &frames[fi];
-        fixups.push(Fixup {
-            op,
-            slot,
-            start: f.cont_orig as usize,
-            bias: 0,
-        });
-        BranchArgs {
-            target: 0, // patched by the fixup
+    }
+
+    // ── Emission ───────────────────────────────────────────────────────
+
+    /// Emit an op standing for `cost` source instructions (0 for a
+    /// materialisation); it also carries every op-less unit before it.
+    fn emit(&mut self, op: Op, cost: u32) {
+        let pre = std::mem::take(&mut self.elided);
+        self.ops.push(PreOp { op, cost, pre });
+    }
+
+    fn new_edge(&mut self) -> u32 {
+        self.edges.push(Edge::default());
+        self.edges.len() as u32 - 1
+    }
+
+    /// A new edge that continues at original pc `start`.
+    fn edge_to(&mut self, start: usize, bias: u32) -> u32 {
+        let edge = self.new_edge();
+        self.fixups.push(Fixup { edge, start, bias });
+        edge
+    }
+
+    // ── The abstract stack ─────────────────────────────────────────────
+
+    fn canon(&self, pos: usize) -> u32 {
+        self.n_locals + pos as u32
+    }
+
+    fn push(&mut self, e: Entry) {
+        self.stack.push(e);
+        self.max_height = self.max_height.max(self.stack.len() as u32);
+    }
+
+    /// Pop the top entry, returning it with its stack position.
+    fn pop(&mut self) -> (Entry, usize) {
+        let e = self.stack.pop().expect("validated stack");
+        (e, self.stack.len())
+    }
+
+    /// Emit the op that puts `e` (at stack position `pos`) into `dst`.
+    fn emit_move(&mut self, dst: u32, e: Entry, pos: usize, cost: u32) {
+        let op = match e {
+            Entry::Canon => Op::Mov {
+                dst,
+                src: self.canon(pos),
+            },
+            Entry::Local(src) => Op::Mov { dst, src },
+            Entry::Const { bits, .. } => match u32::try_from(bits) {
+                Ok(imm) => Op::Const { dst, imm },
+                Err(_) => Op::Const64 { dst, bits },
+            },
+            Entry::Sum(..) | Entry::Cmp { .. } => {
+                unreachable!("consumed by the instruction after it")
+            }
+        };
+        self.emit(op, cost);
+    }
+
+    /// Copy a deferred entry still on the stack to its canonical slot.
+    fn materialise(&mut self, pos: usize) {
+        let e = self.stack[pos];
+        if e != Entry::Canon {
+            self.emit_move(self.canon(pos), e, pos, 0);
+            self.stack[pos] = Entry::Canon;
+        }
+    }
+
+    /// Block boundary: the whole stack becomes canonical.
+    fn flush(&mut self) {
+        for pos in 0..self.stack.len() {
+            self.materialise(pos);
+        }
+    }
+
+    /// Local `c` is about to be written: deferred reads of it still on the
+    /// stack must see the old value.
+    fn spill_reads_of(&mut self, c: u32) {
+        for pos in 0..self.stack.len() {
+            if self.stack[pos] == Entry::Local(c) {
+                self.materialise(pos);
+            }
+        }
+    }
+
+    /// Frame index holding a popped entry's value; a constant is written to
+    /// the entry's own canonical slot first.
+    fn reg(&mut self, e: Entry, pos: usize) -> u32 {
+        match e {
+            Entry::Canon => self.canon(pos),
+            Entry::Local(i) => i,
+            Entry::Const { .. } => {
+                let dst = self.canon(pos);
+                self.emit_move(dst, e, pos, 0);
+                dst
+            }
+            Entry::Sum(..) | Entry::Cmp { .. } => {
+                unreachable!("consumed by the instruction after it")
+            }
+        }
+    }
+
+    fn pop_reg(&mut self) -> u32 {
+        let (e, pos) = self.pop();
+        self.reg(e, pos)
+    }
+
+    /// Pop a right operand: a constant stays an immediate when the
+    /// consuming op has an immediate form (`allow_imm`) and it fits.
+    fn pop_rhs(&mut self, allow_imm: bool) -> Rhs {
+        match self.pop() {
+            (Entry::Const { imm: Some(imm), .. }, _) if allow_imm => Rhs::Imm(imm),
+            (e, pos) => Rhs::Reg(self.reg(e, pos)),
+        }
+    }
+
+    /// Destination of a value produced at `pc` onto stack position `pos`,
+    /// and the entry to push for it: a following `local.set`/`tee` makes
+    /// the op write the local itself.
+    fn dst_for(&mut self, pc: usize, pos: usize) -> (u32, Entry) {
+        match self.body.get(pc + 1) {
+            Some(Instr::LocalSet(c) | Instr::LocalTee(c)) => {
+                self.spill_reads_of(*c);
+                (*c, Entry::Local(*c))
+            }
+            _ => (self.canon(pos), Entry::Canon),
+        }
+    }
+
+    /// Whether the instruction after `pc` is a conditional branch, directly
+    /// or through one `i32.eqz`. Neither position can be a branch target
+    /// (those follow `end` or `loop`), so the pair always runs together.
+    fn feeds_branch(&self, pc: usize) -> bool {
+        let is_branch = |i: Option<&Instr>| matches!(i, Some(Instr::BrIf(_) | Instr::If(_)));
+        is_branch(self.body.get(pc + 1))
+            || (matches!(self.body.get(pc + 1), Some(Instr::I32Eqz))
+                && is_branch(self.body.get(pc + 2)))
+    }
+
+    // ── Control ────────────────────────────────────────────────────────
+
+    fn dest(&mut self, d: u32) -> Dest {
+        let d = d as usize;
+        if d >= self.frames.len() {
+            return Dest::Return;
+        }
+        let fi = self.frames.len() - 1 - d;
+        let f = &mut self.frames[fi];
+        f.branched = true;
+        Dest::Label {
             height: f.height,
             carry: !f.is_loop && f.arity == 1,
-            extra: 0,
+            cont: f.cont_orig as usize,
         }
-    };
+    }
 
-    for (pc, instr) in body.iter().enumerate() {
-        if !live {
-            // Dead code is never emitted; only track the frame structure so
-            // we know where liveness resumes.
-            match instr {
-                Instr::Block(_) | Instr::Loop(_) | Instr::If(_) => dead_nest += 1,
-                Instr::Else if dead_nest == 0 => {
-                    // The then-arm ended in a branch/return; the else-arm is
-                    // still reachable via the if's false edge.
-                    let f = frames.last_mut().expect("validated else inside if");
-                    f.in_else = true;
-                    live = true;
-                    height = f.height;
-                    elided = 0;
-                }
-                Instr::End => {
-                    if dead_nest > 0 {
-                        dead_nest -= 1;
-                    } else if let Some(f) = frames.pop() {
-                        let resurrect = if f.is_loop {
-                            // A loop's `end` is only reachable by falling
-                            // out of the body; back-edges don't help.
-                            false
-                        } else if f.is_if && !f.in_else && f.else_pc == u32::MAX {
-                            // `if` without `else`: the false edge always
-                            // lands on this `end`.
-                            true
-                        } else {
-                            f.branched || f.then_fell
-                        };
-                        if resurrect {
-                            live = true;
-                            height = f.height + f.arity;
-                            elided = 0;
-                        }
+    /// The function's return op; the result, if any, is the top entry.
+    fn ret_op(&mut self) -> Op {
+        if self.has_result {
+            let pos = self.stack.len() - 1;
+            let e = self.stack[pos];
+            Op::Ret {
+                src: self.reg(e, pos),
+            }
+        } else {
+            Op::RetVoid
+        }
+    }
+
+    /// Point `edge`, the taken edge of a conditional or table branch, at
+    /// label `d`. The value a label carries is the top entry; if it is
+    /// already where the label wants it the edge goes straight to the
+    /// target, otherwise through a trampoline that moves it (or returns it)
+    /// first.
+    fn branch_into(&mut self, d: u32, edge: u32) {
+        match self.dest(d) {
+            Dest::Return => {
+                let exit = self.ret_op();
+                self.trampolines.push(Trampoline {
+                    edge_in: edge,
+                    mov: None,
+                    exit,
+                });
+            }
+            Dest::Label {
+                height,
+                carry,
+                cont,
+            } => {
+                let height = height as usize;
+                if carry {
+                    let top = self.stack.len() - 1;
+                    self.materialise(top);
+                    if top != height {
+                        let edge_out = self.edge_to(cont, 0);
+                        self.trampolines.push(Trampoline {
+                            edge_in: edge,
+                            mov: Some(Op::Mov {
+                                dst: self.canon(height),
+                                src: self.canon(top),
+                            }),
+                            exit: Op::Jump { edge: edge_out },
+                        });
+                        return;
                     }
                 }
-                _ => {}
-            }
-            continue;
-        }
-
-        match instr {
-            i if is_elided(i) && !i.opens_block() => elided += 1,
-            Instr::Block(bt) => {
-                elided += 1;
-                frames.push(Frame {
-                    height,
-                    arity: bt.arity() as u32,
-                    is_loop: false,
-                    is_if: false,
-                    else_pc: u32::MAX,
-                    end_pc: meta[pc].end_pc,
-                    cont_orig: meta[pc].end_pc + 1,
-                    branched: false,
-                    then_fell: false,
-                    in_else: false,
-                });
-            }
-            Instr::Loop(bt) => {
-                elided += 1;
-                frames.push(Frame {
-                    height,
-                    arity: bt.arity() as u32,
-                    is_loop: true,
-                    is_if: false,
-                    else_pc: u32::MAX,
-                    end_pc: meta[pc].end_pc,
-                    // Back-edges re-enter after the opener, so they never
-                    // re-pay the `Loop` instruction — same as the
-                    // interpreter's label cont.
-                    cont_orig: pc as u32 + 1,
-                    branched: false,
-                    then_fell: false,
-                    in_else: false,
-                });
-            }
-            Instr::If(bt) => {
-                height -= 1; // condition
-                let m = meta[pc];
-                let idx = ops.len();
-                flat_of[pc] = idx as u32;
-                ops.push(PreOp {
-                    op: Op::BrZ(CondBr {
-                        args: BranchArgs {
-                            target: 0,
-                            height,
-                            carry: false,
-                            extra: 0,
-                        },
-                        fall_extra: 0,
-                    }),
-                    cost: 1,
-                    pre: std::mem::take(&mut elided),
-                });
-                // False edge: past the `else`, or onto the `end` (which the
-                // interpreter executes) when there is none.
-                let start = if m.else_pc != u32::MAX {
-                    m.else_pc as usize + 1
-                } else {
-                    m.end_pc as usize
-                };
-                fixups.push(Fixup {
-                    op: idx,
-                    slot: Slot::Main,
-                    start,
+                self.fixups.push(Fixup {
+                    edge,
+                    start: cont,
                     bias: 0,
                 });
-                frames.push(Frame {
-                    height,
-                    arity: bt.arity() as u32,
-                    is_loop: false,
-                    is_if: true,
-                    else_pc: m.else_pc,
-                    end_pc: m.end_pc,
-                    cont_orig: m.end_pc + 1,
-                    branched: false,
-                    then_fell: false,
-                    in_else: false,
-                });
             }
-            Instr::Else => {
-                // Live then-arm falls into `else`: synthesize the jump over
-                // the else-arm. The interpreter executes the `Else` (1 fuel)
-                // and the matching `End` (counted by the walk from end_pc).
-                let f = frames.last_mut().expect("validated else inside if");
-                f.then_fell = true;
+        }
+    }
+
+    /// Pop a branch condition and build the op that branches on it (or,
+    /// `negate`d, on its absence) along an edge chosen afterwards.
+    fn pop_cond(&mut self, negate: bool) -> impl Fn(u32) -> Op {
+        let (e, pos) = self.pop();
+        let (cmp, a, b) = match e {
+            Entry::Cmp { cmp, a, b } => (cmp, a, b),
+            e => (Cmp::I32Ne, self.reg(e, pos), Rhs::Imm(0)),
+        };
+        let cmp = if negate { cmp.negated() } else { cmp };
+        move |edge| match (cmp, b) {
+            (Cmp::I32Ne, Rhs::Imm(0)) => Op::BrNz { cond: a, edge },
+            (Cmp::I32Eq, Rhs::Imm(0)) => Op::BrZ { cond: a, edge },
+            _ => cmp.branch(a, b, edge),
+        }
+    }
+
+    fn open(&mut self, pc: usize, arity: usize, is_loop: bool, is_if: bool) {
+        let m = self.meta[pc];
+        self.frames.push(Frame {
+            height: self.stack.len() as u32,
+            arity: arity as u32,
+            is_loop,
+            is_if,
+            else_pc: if is_if { m.else_pc } else { u32::MAX },
+            end_pc: m.end_pc,
+            // Back-edges re-enter after the opener, so they never re-pay
+            // the `Loop` instruction — same as the interpreter's label cont.
+            cont_orig: if is_loop { pc as u32 + 1 } else { m.end_pc + 1 },
+            branched: false,
+            then_fell: false,
+            in_else: false,
+        });
+    }
+
+    /// Dead code is never emitted; only track the frame structure so we
+    /// know where liveness resumes. Returns whether it did.
+    fn skip_dead(&mut self, instr: &Instr, dead_nest: &mut u32) -> bool {
+        match instr {
+            Instr::Block(_) | Instr::Loop(_) | Instr::If(_) => *dead_nest += 1,
+            Instr::Else if *dead_nest == 0 => {
+                // The then-arm ended in a branch/return; the else-arm is
+                // still reachable via the if's false edge.
+                let f = self.frames.last_mut().expect("validated else inside if");
                 f.in_else = true;
-                let idx = ops.len();
-                ops.push(PreOp {
-                    op: Op::Jump(BranchArgs {
-                        target: 0,
-                        height: f.height + f.arity,
-                        carry: false,
-                        extra: 0,
-                    }),
-                    cost: 0,
-                    pre: std::mem::take(&mut elided),
-                });
-                fixups.push(Fixup {
-                    op: idx,
-                    slot: Slot::Main,
-                    start: f.end_pc as usize,
-                    bias: 1,
-                });
-                height = f.height;
+                let height = f.height as usize;
+                self.stack.truncate(height);
+                self.elided = 0;
+                return true;
             }
             Instr::End => {
-                if let Some(f) = frames.pop() {
-                    elided += 1;
-                    height = f.height + f.arity;
+                if *dead_nest > 0 {
+                    *dead_nest -= 1;
+                } else if let Some(f) = self.frames.pop() {
+                    let resurrect = if f.is_loop {
+                        // A loop's `end` is only reachable by falling out
+                        // of the body; back-edges don't help.
+                        false
+                    } else if f.is_if && !f.in_else && f.else_pc == u32::MAX {
+                        // `if` without `else`: the false edge always lands
+                        // on this `end`.
+                        true
+                    } else {
+                        f.branched || f.then_fell
+                    };
+                    if resurrect {
+                        self.stack.truncate(f.height as usize);
+                        for _ in 0..f.arity {
+                            self.push(Entry::Canon);
+                        }
+                        self.elided = 0;
+                        return true;
+                    }
+                }
+            }
+            _ => {}
+        }
+        false
+    }
+
+    /// Pass 1: walk the body once, tracking liveness and the abstract
+    /// operand stack, emitting register ops for live instructions.
+    fn scan(&mut self) {
+        let body = self.body;
+        let mut live = true;
+        let mut dead_nest: u32 = 0;
+        for (pc, instr) in body.iter().enumerate() {
+            if !live {
+                live = self.skip_dead(instr, &mut dead_nest);
+                continue;
+            }
+            let first = self.ops.len();
+            live = self.lower_instr(pc, instr);
+            if self.ops.len() > first {
+                self.flat_of[pc] = first as u32;
+            }
+        }
+        debug_assert!(self.frames.is_empty(), "validated nesting");
+    }
+
+    /// Lower one live instruction; returns whether the next one is live.
+    #[allow(clippy::too_many_lines)]
+    fn lower_instr(&mut self, pc: usize, instr: &Instr) -> bool {
+        match instr {
+            Instr::Nop
+            | Instr::I32ReinterpretF32
+            | Instr::I64ReinterpretF64
+            | Instr::F32ReinterpretI32
+            | Instr::F64ReinterpretI64 => self.elided += 1,
+            Instr::Block(bt) => {
+                self.flush();
+                self.elided += 1;
+                self.open(pc, bt.arity(), false, false);
+            }
+            Instr::Loop(bt) => {
+                self.flush();
+                self.elided += 1;
+                self.open(pc, bt.arity(), true, false);
+            }
+            Instr::If(bt) => {
+                let branch_if_not = self.pop_cond(true);
+                self.flush();
+                // False edge: past the `else`, or past the `end` (which the
+                // interpreter executes) when there is none.
+                let m = self.meta[pc];
+                let edge = if m.else_pc != u32::MAX {
+                    self.edge_to(m.else_pc as usize + 1, 0)
+                } else {
+                    self.edge_to(m.end_pc as usize + 1, 1)
+                };
+                self.emit(branch_if_not(edge), 1);
+                self.open(pc, bt.arity(), false, true);
+            }
+            Instr::Else => {
+                // Live then-arm falls into `else`: put the result where the
+                // join expects it and jump over the else-arm — past its
+                // `end`, where the else-arm puts *its* result in place. The
+                // interpreter executes the `Else` and the matching `End`
+                // (2 fuel) on this edge.
+                let f = self.frames.last_mut().expect("validated else inside if");
+                f.then_fell = true;
+                f.in_else = true;
+                let (height, arity, end_pc) = (f.height as usize, f.arity, f.end_pc as usize);
+                if arity == 1 {
+                    self.materialise(height);
+                }
+                let edge = self.edge_to(end_pc + 1, 2);
+                self.emit(Op::Jump { edge }, 0);
+                self.stack.truncate(height);
+            }
+            Instr::End => {
+                if let Some(f) = self.frames.pop() {
+                    if f.arity == 1 {
+                        self.materialise(f.height as usize);
+                    }
+                    self.elided += 1;
                 } else {
                     // Function-level `end`: a real op (it costs 1 fuel and
                     // returns), and the terminator every fall-through walk
                     // lands on.
-                    flat_of[pc] = ops.len() as u32;
-                    ops.push(PreOp {
-                        op: Op::Ret,
-                        cost: 1,
-                        pre: std::mem::take(&mut elided),
-                    });
-                    live = false;
+                    let ret = self.ret_op();
+                    self.emit(ret, 1);
+                    return false;
                 }
             }
             Instr::Br(d) => {
-                let idx = ops.len();
-                flat_of[pc] = idx as u32;
-                let pre = std::mem::take(&mut elided);
-                let args = branch_args(&mut frames, &mut fixups, *d, idx, Slot::Main);
-                let op = if args.target == RETURN_TARGET {
-                    Op::Ret
-                } else {
-                    Op::Jump(args)
-                };
-                ops.push(PreOp { op, cost: 1, pre });
-                live = false;
+                match self.dest(*d) {
+                    Dest::Return => {
+                        let ret = self.ret_op();
+                        self.emit(ret, 1);
+                    }
+                    Dest::Label {
+                        height,
+                        carry,
+                        cont,
+                    } => {
+                        if carry {
+                            let pos = self.stack.len() - 1;
+                            let dst = self.canon(height as usize);
+                            if self.stack[pos] != Entry::Canon || pos != height as usize {
+                                self.emit_move(dst, self.stack[pos], pos, 0);
+                            }
+                        }
+                        let edge = self.edge_to(cont, 0);
+                        self.emit(Op::Jump { edge }, 1);
+                    }
+                }
+                return false;
             }
             Instr::BrIf(d) => {
-                height -= 1;
-                let idx = ops.len();
-                flat_of[pc] = idx as u32;
-                let pre = std::mem::take(&mut elided);
-                let args = branch_args(&mut frames, &mut fixups, *d, idx, Slot::Main);
-                ops.push(PreOp {
-                    op: Op::BrNz(CondBr {
-                        args,
-                        fall_extra: 0,
-                    }),
-                    cost: 1,
-                    pre,
-                });
+                let branch_if = self.pop_cond(false);
+                let edge = self.new_edge();
+                self.branch_into(*d, edge);
+                self.emit(branch_if(edge), 1);
             }
             Instr::BrTable(t) => {
-                height -= 1;
-                let idx = ops.len();
-                flat_of[pc] = idx as u32;
-                let pre = std::mem::take(&mut elided);
-                let entries: Vec<BranchArgs> = t
-                    .targets
-                    .iter()
-                    .enumerate()
-                    .map(|(e, d)| branch_args(&mut frames, &mut fixups, *d, idx, Slot::Entry(e)))
-                    .collect();
-                let default = branch_args(&mut frames, &mut fixups, t.default, idx, Slot::Default);
-                ops.push(PreOp {
-                    op: Op::BrTable(Box::new(LBrTable { entries, default })),
-                    cost: 1,
-                    pre,
-                });
-                live = false;
+                let idx = self.pop_reg();
+                let first = self.edges.len() as u32;
+                // Table edges must be consecutive: reserve them before any
+                // trampoline takes an edge of its own.
+                let n = t.targets.len() + 1;
+                self.edges.resize(self.edges.len() + n, Edge::default());
+                for (i, d) in t.targets.iter().chain([&t.default]).enumerate() {
+                    self.branch_into(*d, first + i as u32);
+                }
+                self.emit(
+                    Op::BrTable {
+                        idx,
+                        first,
+                        len: t.targets.len() as u32,
+                    },
+                    1,
+                );
+                return false;
             }
             Instr::Return => {
-                flat_of[pc] = ops.len() as u32;
-                ops.push(PreOp {
-                    op: Op::Ret,
-                    cost: 1,
-                    pre: std::mem::take(&mut elided),
-                });
-                live = false;
+                let ret = self.ret_op();
+                self.emit(ret, 1);
+                return false;
             }
             Instr::Unreachable => {
-                flat_of[pc] = ops.len() as u32;
-                ops.push(PreOp {
-                    op: Op::Unreachable,
-                    cost: 1,
-                    pre: std::mem::take(&mut elided),
-                });
-                live = false;
+                self.emit(Op::Unreachable, 1);
+                return false;
             }
-            _ => {
-                // A plain (non-control) instruction.
-                flat_of[pc] = ops.len() as u32;
-                let pre = std::mem::take(&mut elided);
-                let op = match instr {
-                    Instr::Call(i) => Op::Call { idx: *i, extra: 0 },
-                    Instr::CallIndirect(ti) => Op::CallIndirect {
-                        type_idx: *ti,
-                        extra: 0,
-                    },
-                    Instr::MemoryGrow => Op::MemoryGrow { extra: 0 },
-                    Instr::MemoryCopy => Op::MemoryCopy { extra: 0 },
-                    Instr::MemoryFill => Op::MemoryFill { extra: 0 },
-                    Instr::LocalGet(i) => Op::LocalGet(*i),
-                    Instr::LocalSet(i) => Op::LocalSet(*i),
-                    Instr::LocalTee(i) => Op::LocalTee(*i),
-                    Instr::I32Const(v) => Op::I32Const(*v),
-                    Instr::I64Const(v) => Op::I64Const(*v),
-                    other => Op::Plain(other.clone()),
+            Instr::Call(idx) => {
+                let ty = self.module.func_type(*idx).expect("validated call target");
+                let (n_args, n_results) = (ty.params.len(), ty.results.len());
+                let base = self.call_args(n_args, n_results);
+                let n_imports = self.module.imports.len() as u32;
+                let op = if *idx < n_imports {
+                    Op::CallHost { import: *idx, base }
+                } else {
+                    Op::Call {
+                        func: *idx - n_imports,
+                        base,
+                    }
                 };
-                ops.push(PreOp { op, cost: 1, pre });
-                height = (height as i64 + stack_delta(module, instr) as i64) as u32;
+                self.emit(op, 1);
             }
-        }
-    }
-    debug_assert!(frames.is_empty(), "validated nesting");
-    (ops, fixups, flat_of)
-}
-
-/// Walk forward from an original pc over elided instructions until a real
-/// (registered) op, counting the fuel the interpreter would charge along the
-/// way. Every walk starts on a live edge, so it must land on a live op.
-fn walk(body: &[Instr], meta: &[CtrlMeta], flat_of: &[u32], mut p: usize) -> (u32, u32) {
-    let mut extra: u32 = 0;
-    loop {
-        debug_assert!(p < body.len(), "walks terminate at the function Ret");
-        if flat_of[p] != u32::MAX {
-            return (flat_of[p], extra);
-        }
-        match &body[p] {
-            Instr::Else => {
-                // Executing `else` skips to the matching `end`.
-                extra += 1;
-                p = meta[p].end_pc as usize;
+            Instr::CallIndirect(type_idx) => {
+                let ty = &self.module.types[*type_idx as usize];
+                let (n_args, n_results) = (ty.params.len(), ty.results.len());
+                let idx = self.pop_reg();
+                let base = self.call_args(n_args, n_results);
+                self.emit(
+                    Op::CallIndirect {
+                        type_idx: *type_idx,
+                        idx,
+                        base,
+                    },
+                    1,
+                );
+            }
+            Instr::Drop => {
+                self.pop();
+                self.elided += 1;
+            }
+            Instr::Select => {
+                let base = self.stack.len() - 3;
+                for pos in base..base + 3 {
+                    self.materialise(pos);
+                }
+                self.stack.truncate(base);
+                let (dst, e) = self.dst_for(pc, base);
+                self.emit(
+                    Op::Select {
+                        dst,
+                        base: self.canon(base),
+                    },
+                    1,
+                );
+                self.push(e);
+            }
+            Instr::LocalGet(i) => {
+                self.push(Entry::Local(*i));
+                self.elided += 1;
+            }
+            Instr::LocalSet(c) => self.local_set(*c),
+            Instr::LocalTee(c) => {
+                self.local_set(*c);
+                self.push(Entry::Local(*c));
+            }
+            Instr::GlobalGet(idx) => {
+                let (dst, e) = self.dst_for(pc, self.stack.len());
+                self.emit(Op::GlobalGet { dst, idx: *idx }, 1);
+                self.push(e);
+            }
+            Instr::GlobalSet(idx) => {
+                let src = self.pop_reg();
+                self.emit(Op::GlobalSet { idx: *idx, src }, 1);
+            }
+            Instr::MemorySize => {
+                let (dst, e) = self.dst_for(pc, self.stack.len());
+                self.emit(Op::MemorySize { dst }, 1);
+                self.push(e);
+            }
+            Instr::MemoryGrow => {
+                let (e, pos) = self.pop();
+                let delta = self.reg(e, pos);
+                self.emit(
+                    Op::MemoryGrow {
+                        dst: self.canon(pos),
+                        delta,
+                    },
+                    1,
+                );
+                self.push(Entry::Canon);
+            }
+            Instr::MemoryCopy => {
+                let len = self.pop_reg();
+                let src = self.pop_reg();
+                let dst = self.pop_reg();
+                self.emit(Op::MemoryCopy { dst, src, len }, 1);
+            }
+            Instr::MemoryFill => {
+                let len = self.pop_reg();
+                let val = self.pop_reg();
+                let dst = self.pop_reg();
+                self.emit(Op::MemoryFill { dst, val, len }, 1);
+            }
+            Instr::I32Const(v) => self.push_const(*v as u32 as u64, Some(*v)),
+            Instr::I64Const(v) => self.push_const(*v as u64, i32::try_from(*v).ok()),
+            Instr::F32Const(v) => self.push_const(v.to_bits() as u64, None),
+            Instr::F64Const(v) => self.push_const(v.to_bits(), None),
+            Instr::I32Eqz if matches!(self.stack.last(), Some(Entry::Cmp { .. })) => {
+                let Some(Entry::Cmp { cmp, .. }) = self.stack.last_mut() else {
+                    unreachable!("matched above")
+                };
+                *cmp = cmp.negated();
+                self.elided += 1;
+            }
+            Instr::I32Eqz if self.feeds_branch(pc) => {
+                let a = self.pop_reg();
+                self.push(Entry::Cmp {
+                    cmp: Cmp::I32Eq,
+                    a,
+                    b: Rhs::Imm(0),
+                });
+                self.elided += 1;
+            }
+            i if Cmp::of(i).is_some() && self.feeds_branch(pc) => {
+                let cmp = Cmp::of(i).expect("checked by the guard");
+                let b = self.pop_rhs(true);
+                let a = self.pop_reg();
+                self.push(Entry::Cmp { cmp, a, b });
+                self.elided += 1;
+            }
+            Instr::I32Add if self.feeds_indexed_load(pc) => {
+                let b = self.pop_reg();
+                let a = self.pop_reg();
+                self.push(Entry::Sum(a, b));
+                self.elided += 1;
             }
             i => {
-                debug_assert!(
-                    is_elided(i) || matches!(i, Instr::End),
-                    "live walks only cross elided instructions, found {i:?}"
-                );
-                extra += 1;
-                p += 1;
-            }
-        }
-    }
-}
-
-/// Pass 2: resolve every branch fixup to a flat target + edge fuel.
-fn resolve(
-    body: &[Instr],
-    meta: &[CtrlMeta],
-    flat_of: &[u32],
-    fixups: &[Fixup],
-    ops: &mut [PreOp],
-) {
-    for fx in fixups {
-        let (target, walked) = walk(body, meta, flat_of, fx.start);
-        let extra = fx.bias + walked;
-        let args = match (&mut ops[fx.op].op, &fx.slot) {
-            (Op::Jump(a), Slot::Main) => a,
-            (Op::BrNz(c) | Op::BrZ(c), Slot::Main) => &mut c.args,
-            (Op::BrTable(t), Slot::Entry(e)) => &mut t.entries[*e],
-            (Op::BrTable(t), Slot::Default) => &mut t.default,
-            _ => unreachable!("fixup does not match op shape"),
-        };
-        args.target = target;
-        args.extra = extra;
-    }
-}
-
-/// Every flat index some resolved branch can land on.
-fn branch_targets(ops: &[PreOp]) -> Vec<bool> {
-    let mut t = vec![false; ops.len()];
-    let mut mark = |a: &BranchArgs| {
-        if a.target != RETURN_TARGET {
-            t[a.target as usize] = true;
-        }
-    };
-    for p in ops {
-        match &p.op {
-            Op::Jump(a) => mark(a),
-            Op::BrNz(c) | Op::BrZ(c) => mark(&c.args),
-            Op::BrTable(tb) => {
-                for e in &tb.entries {
-                    mark(e);
-                }
-                mark(&tb.default);
-            }
-            _ => {}
-        }
-    }
-    t
-}
-
-/// Pass 3: greedy superinstruction fusion. A sequence fuses only if no
-/// branch lands on an interior constituent; the fused op keeps the first
-/// constituent's `pre` and absorbs the rest's `cost + pre`.
-#[allow(clippy::too_many_lines)]
-fn fuse(ops: Vec<PreOp>) -> Vec<PreOp> {
-    let n = ops.len();
-    let is_target = branch_targets(&ops);
-    let mut map = vec![u32::MAX; n];
-    let mut out: Vec<PreOp> = Vec::with_capacity(n);
-
-    // Pattern matcher: returns the fused op and the constituent count.
-    let try_fuse = |i: usize| -> Option<(Op, usize)> {
-        let free = |len: usize| -> bool { i + len <= n && (i + 1..i + len).all(|j| !is_target[j]) };
-        let plain = |j: usize| -> Option<&Instr> {
-            match &ops[j].op {
-                Op::Plain(p) => Some(p),
-                _ => None,
-            }
-        };
-
-        // local, local, cmp, [eqz,] br_if
-        if let (Op::LocalGet(a), Op::LocalGet(b)) = (&ops[i].op, ops.get(i + 1).map(|p| &p.op)?) {
-            let (a, b) = (*a, *b);
-            if let Some(cmp) = plain(i + 2).and_then(FusedCmp::from_instr) {
-                if free(5)
-                    && matches!(plain(i + 3), Some(Instr::I32Eqz))
-                    && matches!(&ops[i + 4].op, Op::BrNz(_))
-                {
-                    if let Op::BrNz(br) = &ops[i + 4].op {
-                        return Some((
-                            Op::FBrCmpLL {
-                                a,
-                                b,
-                                cmp,
-                                when: false,
-                                br: *br,
-                            },
-                            5,
-                        ));
-                    }
-                }
-                if free(4) {
-                    if let Op::BrNz(br) = &ops[i + 3].op {
-                        return Some((
-                            Op::FBrCmpLL {
-                                a,
-                                b,
-                                cmp,
-                                when: true,
-                                br: *br,
-                            },
-                            4,
-                        ));
-                    }
-                }
-            }
-            if let Some(op) = plain(i + 2).and_then(FusedBin::from_instr) {
-                if free(4) {
-                    if let Op::LocalSet(dst) = ops[i + 3].op {
-                        return Some((Op::FBinLLS { a, b, dst, op }, 4));
-                    }
-                }
-                if free(3) {
-                    return Some((Op::FBinLL { a, b, op }, 3));
+                if let Some((rr, ri)) = bin_ctor(i) {
+                    let b = self.pop_rhs(ri.is_some());
+                    let (ea, pa) = self.pop();
+                    let a = self.reg(ea, pa);
+                    let (dst, e) = self.dst_for(pc, pa);
+                    let op = match (b, ri) {
+                        (Rhs::Reg(b), _) => rr(dst, a, b),
+                        (Rhs::Imm(imm), Some(ri)) => ri(dst, a, imm),
+                        (Rhs::Imm(_), None) => unreachable!("no immediate was asked for"),
+                    };
+                    self.emit(op, 1);
+                    self.push(e);
+                } else if let Some(mk) = un_ctor(i) {
+                    let (ea, pa) = self.pop();
+                    let a = self.reg(ea, pa);
+                    let (dst, e) = self.dst_for(pc, pa);
+                    self.emit(mk(dst, a), 1);
+                    self.push(e);
+                } else if let Some((mk, offset)) = load_ctor(i) {
+                    let (ea, pa) = self.pop();
+                    // Base + index is only ever set up for a full-width
+                    // load (see `feeds_indexed_load`).
+                    let addr = match ea {
+                        Entry::Sum(a, b) => Err((a, b)),
+                        e => Ok(self.reg(e, pa)),
+                    };
+                    let (dst, e) = self.dst_for(pc, pa);
+                    let op = match (addr, full_width_load(i)) {
+                        (Ok(addr), _) => mk(dst, addr, offset),
+                        (Err((a, b)), Some((true, _))) => Op::Load64X { dst, a, b },
+                        (Err((a, b)), _) => Op::Load32X { dst, a, b },
+                    };
+                    self.emit(op, 1);
+                    self.push(e);
+                } else if let Some((mk, offset)) = store_ctor(i) {
+                    let val = self.pop_reg();
+                    let addr = self.pop_reg();
+                    self.emit(mk(addr, val, offset), 1);
+                } else {
+                    unreachable!("every instruction is lowered: {i:?}");
                 }
             }
         }
-        // local, const, cmp/op, ...
-        if let (Op::LocalGet(l), Op::I32Const(k)) = (&ops[i].op, ops.get(i + 1).map(|p| &p.op)?) {
-            let (l, k) = (*l, *k);
-            if let Some(cmp) = plain(i + 2).and_then(FusedCmp::from_instr) {
-                if free(5)
-                    && matches!(plain(i + 3), Some(Instr::I32Eqz))
-                    && matches!(&ops[i + 4].op, Op::BrNz(_))
-                {
-                    if let Op::BrNz(br) = &ops[i + 4].op {
-                        return Some((
-                            Op::FBrCmpLI {
-                                a: l,
-                                imm: k,
-                                cmp,
-                                when: false,
-                                br: *br,
-                            },
-                            5,
-                        ));
-                    }
-                }
-                if free(4) {
-                    if let Op::BrNz(br) = &ops[i + 3].op {
-                        return Some((
-                            Op::FBrCmpLI {
-                                a: l,
-                                imm: k,
-                                cmp,
-                                when: true,
-                                br: *br,
-                            },
-                            4,
-                        ));
-                    }
-                }
-            }
-            if let Some(op) = plain(i + 2).and_then(FusedImm::from_instr) {
-                if free(4) {
-                    if let Op::LocalSet(dst) = ops[i + 3].op {
-                        return Some((
-                            Op::FImmLS {
-                                src: l,
-                                imm: k,
-                                dst,
-                                op,
-                            },
-                            4,
-                        ));
-                    }
-                }
-                if free(3) {
-                    return Some((Op::FImmL { src: l, imm: k, op }, 3));
-                }
-            }
-        }
-        // local + full-width load/store
-        if let Op::LocalGet(l) = ops[i].op {
-            if free(2) {
-                if let Some((width, offset)) = plain(i + 1).and_then(LsWidth::of_load) {
-                    return Some((
-                        Op::FLocalLoad {
-                            local: l,
-                            offset,
-                            width,
-                        },
-                        2,
-                    ));
-                }
-                if let Some((width, offset)) = plain(i + 1).and_then(LsWidth::of_store) {
-                    return Some((
-                        Op::FStoreL {
-                            local: l,
-                            offset,
-                            width,
-                        },
-                        2,
-                    ));
-                }
-            }
-        }
-        // i32.add + full-width load (element addressing)
-        if matches!(plain(i), Some(Instr::I32Add)) && free(2) {
-            if let Some((width, offset)) = plain(i + 1).and_then(LsWidth::of_load) {
-                return Some((Op::FAddLoad { offset, width }, 2));
-            }
-        }
-        // const + i32 op
-        if let Op::I32Const(k) = ops[i].op {
-            if free(2) {
-                if let Some(op) = plain(i + 1).and_then(FusedImm::from_instr) {
-                    return Some((Op::FImm { imm: k, op }, 2));
-                }
-            }
-        }
-        // eqz + br_if → br_z
-        if matches!(plain(i), Some(Instr::I32Eqz)) && free(2) {
-            if let Op::BrNz(br) = &ops[i + 1].op {
-                return Some((Op::BrZ(*br), 2));
-            }
-        }
-        None
-    };
-
-    let mut i = 0;
-    while i < n {
-        let (op, len) = match try_fuse(i) {
-            Some((op, len)) => (op, len),
-            None => (ops[i].op.clone(), 1),
-        };
-        map[i] = out.len() as u32;
-        let cost: u32 = ops[i..i + len].iter().map(|p| p.cost).sum::<u32>()
-            + ops[i + 1..i + len].iter().map(|p| p.pre).sum::<u32>();
-        out.push(PreOp {
-            op,
-            cost,
-            pre: ops[i].pre,
-        });
-        i += len;
+        true
     }
 
-    // Remap branch targets from pre-fusion to post-fusion indices.
-    let remap = |a: &mut BranchArgs| {
-        if a.target != RETURN_TARGET {
-            let t = map[a.target as usize];
-            debug_assert!(t != u32::MAX, "branch into a fused interior");
-            a.target = t;
-        }
-    };
-    for p in &mut out {
-        match &mut p.op {
-            Op::Jump(a) => remap(a),
-            Op::BrNz(c) | Op::BrZ(c) => remap(&mut c.args),
-            Op::FBrCmpLL { br, .. } | Op::FBrCmpLI { br, .. } => remap(&mut br.args),
-            Op::BrTable(t) => {
-                for e in &mut t.entries {
-                    remap(e);
-                }
-                remap(&mut t.default);
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Post-fusion branch targets (fused conditionals included).
-fn final_targets(ops: &[PreOp]) -> Vec<bool> {
-    let mut t = vec![false; ops.len()];
-    let mut mark = |a: &BranchArgs| {
-        if a.target != RETURN_TARGET {
-            t[a.target as usize] = true;
-        }
-    };
-    for p in ops {
-        match &p.op {
-            Op::Jump(a) => mark(a),
-            Op::BrNz(c) | Op::BrZ(c) => mark(&c.args),
-            Op::FBrCmpLL { br, .. } | Op::FBrCmpLI { br, .. } => mark(&br.args),
-            Op::BrTable(tb) => {
-                for e in &tb.entries {
-                    mark(e);
-                }
-                mark(&tb.default);
-            }
-            _ => {}
-        }
-    }
-    t
-}
-
-/// Pass 4: split into basic blocks and attach the bulk-fuel metadata.
-fn assign_blocks(ops: Vec<PreOp>) -> LoweredFunc {
-    let n = ops.len();
-    let targets = final_targets(&ops);
-    let mut leader = vec![false; n];
-    if n > 0 {
-        leader[0] = true;
-    }
-    for (i, p) in ops.iter().enumerate() {
-        if is_terminator(&p.op) && i + 1 < n {
-            leader[i + 1] = true;
-        }
-    }
-    for (i, is_t) in targets.iter().enumerate() {
-        if *is_t {
-            leader[i] = true;
-        }
+    fn push_const(&mut self, bits: u64, imm: Option<i32>) {
+        self.push(Entry::Const { bits, imm });
+        self.elided += 1;
     }
 
-    let mut lops: Vec<LOp> = ops
-        .into_iter()
-        .map(|p| LOp {
-            op: p.op,
-            cost: p.cost,
-            pre: p.pre,
-            charge: 0,
-            rest: 0,
-        })
-        .collect();
-
-    // Non-leaders can only be reached linearly: fold their edge fuel into
-    // their cost.
-    for (i, l) in lops.iter_mut().enumerate() {
-        if !leader[i] {
-            l.cost += l.pre;
-            l.pre = 0;
-        }
-    }
-
-    // Ops that fall through into the next (leader) op at runtime carry that
-    // leader's `pre` as their edge fuel.
-    for i in 0..n {
-        let next_pre = if i + 1 < n { lops[i + 1].pre } else { 0 };
-        match &mut lops[i].op {
-            Op::BrNz(c) | Op::BrZ(c) => c.fall_extra = next_pre,
-            Op::FBrCmpLL { br, .. } | Op::FBrCmpLI { br, .. } => br.fall_extra = next_pre,
-            Op::Call { extra, .. }
-            | Op::CallIndirect { extra, .. }
-            | Op::MemoryGrow { extra }
-            | Op::MemoryCopy { extra }
-            | Op::MemoryFill { extra } => *extra = next_pre,
-            _ => {}
-        }
-    }
-
-    // Per block: bulk charge on the leader, un-executed remainder per op.
-    let mut s = 0;
-    while s < n {
-        let mut e = s + 1;
-        while e < n && !leader[e] {
-            e += 1;
-        }
-        // A block ending in a plain op falls into the next leader; its
-        // `pre` is part of this block's edge and is refunded if the last op
-        // traps.
-        let tail = if !is_terminator(&lops[e - 1].op) && e < n {
-            lops[e].pre
+    /// `local.set c`: after a producer that already wrote `c` (see
+    /// [`Lowerer::dst_for`]) the value *is* the local and nothing is left to
+    /// do; otherwise one move.
+    fn local_set(&mut self, c: u32) {
+        let (e, pos) = self.pop();
+        if e == Entry::Local(c) {
+            self.elided += 1;
         } else {
-            0
-        };
-        let total: u32 = lops[s..e].iter().map(|l| l.cost).sum::<u32>() + tail;
-        let mut run = total;
-        for l in &mut lops[s..e] {
-            run -= l.cost;
-            l.rest = if is_terminator(&l.op) { 0 } else { run };
+            self.spill_reads_of(c);
+            self.emit_move(c, e, pos, 1);
         }
-        lops[s].charge = total;
-        s = e;
     }
 
-    let entry_pre = lops.first().map_or(0, |l| l.pre);
-    LoweredFunc {
-        ops: lops,
-        entry_pre,
+    /// Whether the `i32.add` at `pc` only computes the next instruction's
+    /// address: a full-width, zero-offset load, both addends in registers.
+    fn feeds_indexed_load(&self, pc: usize) -> bool {
+        let n = self.stack.len();
+        let in_reg = |e: &Entry| matches!(e, Entry::Canon | Entry::Local(_));
+        matches!(
+            self.body.get(pc + 1).and_then(full_width_load),
+            Some((_, 0))
+        ) && in_reg(&self.stack[n - 1])
+            && in_reg(&self.stack[n - 2])
     }
-}
 
-/// Keep `MemArg` referenced so fused offsets stay documented at the source.
-#[allow(dead_code)]
-fn _memarg_offsets_are_u32(m: MemArg) -> u32 {
-    m.offset
+    /// Materialise a call's outgoing arguments, pop them and push its
+    /// results; returns the frame index the callee's frame starts at.
+    fn call_args(&mut self, n_args: usize, n_results: usize) -> u32 {
+        let base = self.stack.len() - n_args;
+        for pos in base..base + n_args {
+            self.materialise(pos);
+        }
+        self.stack.truncate(base);
+        for _ in 0..n_results {
+            self.push(Entry::Canon);
+        }
+        self.canon(base)
+    }
+
+    // ── Resolution and fuel blocks ─────────────────────────────────────
+
+    /// Walk forward from an original pc over op-less instructions until a
+    /// position that emitted an op, counting the fuel the interpreter would
+    /// charge along the way. Every walk starts on a live edge, so it must
+    /// land on a live op.
+    fn walk(&self, mut p: usize) -> (u32, u32) {
+        let mut extra: u32 = 0;
+        loop {
+            debug_assert!(p < self.body.len(), "walks terminate at the function Ret");
+            if self.flat_of[p] != u32::MAX {
+                return (self.flat_of[p], extra);
+            }
+            debug_assert!(
+                !matches!(self.body[p], Instr::Else),
+                "a live `else` always emits its jump"
+            );
+            extra += 1;
+            p += 1;
+        }
+    }
+
+    /// Passes 2 and 3: append the trampolines, resolve every edge, split
+    /// into basic blocks and attach the bulk-fuel metadata.
+    fn finish(mut self) -> LoweredFunc {
+        for t in std::mem::take(&mut self.trampolines) {
+            self.edges[t.edge_in as usize].target = self.ops.len() as u32;
+            for op in t.mov.into_iter().chain([t.exit]) {
+                self.ops.push(PreOp {
+                    op,
+                    cost: 0,
+                    pre: 0,
+                });
+            }
+        }
+        for fx in &self.fixups {
+            let (target, walked) = self.walk(fx.start);
+            let e = &mut self.edges[fx.edge as usize];
+            e.target = target;
+            e.extra = fx.bias + walked;
+        }
+
+        let n = self.ops.len();
+        let mut leader = vec![false; n];
+        leader[0] = true;
+        for (i, p) in self.ops.iter().enumerate() {
+            if p.op.is_terminator() && i + 1 < n {
+                leader[i + 1] = true;
+            }
+        }
+        for e in &self.edges {
+            leader[e.target as usize] = true;
+        }
+
+        let ops: Vec<Op> = self.ops.iter().map(|p| p.op).collect();
+        let mut fuel: Vec<OpFuel> = self
+            .ops
+            .iter()
+            .zip(&leader)
+            .map(|(p, leads)| {
+                // Non-leaders can only be reached linearly: fold their edge
+                // fuel into their cost.
+                if *leads {
+                    OpFuel {
+                        cost: p.cost,
+                        pre: p.pre,
+                        ..OpFuel::default()
+                    }
+                } else {
+                    OpFuel {
+                        cost: p.cost + p.pre,
+                        ..OpFuel::default()
+                    }
+                }
+            })
+            .collect();
+
+        // Per block, last to first (a block that falls straight through
+        // prepays its successor): bulk charge on the leader, un-executed
+        // remainder per op.
+        let mut e = n;
+        while e > 0 {
+            let mut s = e - 1;
+            while !leader[s] {
+                s -= 1;
+            }
+            let falls_through = !ops[e - 1].is_terminator() && e < n;
+            let mut run = if falls_through {
+                fuel[e].pre + fuel[e].charge
+            } else {
+                0
+            };
+            for i in (s..e).rev() {
+                fuel[i].rest = if ops[i].is_terminator() { 0 } else { run };
+                run += fuel[i].cost;
+            }
+            fuel[s].charge = run;
+            e = s;
+        }
+
+        let mut edges = self.edges;
+        for e in &mut edges {
+            e.bulk = e.extra + fuel[e.target as usize].charge;
+        }
+        for (i, op) in ops.iter().enumerate() {
+            if let Some(edge) = op.cond_edge() {
+                edges[edge as usize].fall = fuel[i + 1].pre + fuel[i + 1].charge;
+            }
+        }
+
+        LoweredFunc {
+            entry_bulk: fuel[0].pre + fuel[0].charge,
+            ops,
+            fuel,
+            edges,
+            n_params: self.n_params,
+            n_locals: self.n_locals,
+            frame_size: self.n_locals + self.max_height,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instr::MemArg;
     use crate::module::ModuleBuilder;
     use crate::object::ObjectModule;
     use crate::types::{BlockType, FuncType, ValType};
@@ -1387,24 +1318,68 @@ mod tests {
         lower_module(&obj.module, &obj.ctrl).remove(0)
     }
 
+    fn i32s(n: usize) -> Vec<ValType> {
+        vec![ValType::I32; n]
+    }
+
     #[test]
     fn minimal_body_lowers_to_ret() {
         let lf = lower_body(vec![], vec![], vec![End]);
-        assert_eq!(lf.ops.len(), 1);
-        assert_eq!(lf.ops[0].op, Op::Ret);
-        assert_eq!(lf.ops[0].cost, 1);
-        assert_eq!(lf.ops[0].charge, 1);
-        assert_eq!(lf.entry_pre, 0);
+        assert_eq!(lf.ops, [Op::RetVoid]);
+        assert_eq!(lf.fuel[0].cost, 1);
+        assert_eq!(lf.fuel[0].charge, 1);
+        assert_eq!((lf.entry_pre(), lf.entry_bulk), (0, 1));
+        assert_eq!(lf.frame_size, 0);
     }
 
     #[test]
     fn structural_ops_disappear_with_fuel_accounted() {
-        // block; nop; end; end → one Ret carrying 3 elided units as pre.
+        // block; nop; end; end → one RetVoid carrying 3 op-less units as pre.
         let lf = lower_body(vec![], vec![], vec![Block(BlockType::Empty), Nop, End, End]);
-        assert_eq!(lf.ops.len(), 1);
-        assert_eq!(lf.ops[0].op, Op::Ret);
-        assert_eq!(lf.entry_pre, 3, "block + nop + end on the entry edge");
-        assert_eq!(lf.ops[0].cost, 1);
+        assert_eq!(lf.ops, [Op::RetVoid]);
+        assert_eq!(lf.entry_pre(), 3, "block + nop + end on the entry edge");
+        assert_eq!(lf.fuel[0].cost, 1);
+        assert_eq!(lf.entry_bulk, 4);
+    }
+
+    #[test]
+    fn operands_are_resolved_at_lowering_time() {
+        // (a + b) * 5 - c: no local.get, const or stack traffic survives.
+        let lf = lower_body(
+            i32s(3),
+            i32s(1),
+            vec![
+                LocalGet(0),
+                LocalGet(1),
+                I32Add,
+                I32Const(5),
+                I32Mul,
+                LocalGet(2),
+                I32Sub,
+                End,
+            ],
+        );
+        // Operand slot 0 is frame index 3.
+        assert_eq!(
+            lf.ops,
+            [
+                Op::I32Add { dst: 3, a: 0, b: 1 },
+                Op::I32MulI {
+                    dst: 3,
+                    a: 3,
+                    imm: 5
+                },
+                Op::I32Sub { dst: 3, a: 3, b: 2 },
+                Op::Ret { src: 3 },
+            ]
+        );
+        assert_eq!((lf.n_params, lf.n_locals, lf.frame_size), (3, 3, 5));
+        // A deferred instruction's unit rides the next op emitted at or
+        // after it — never its consumer's successor: 3 + 2 + 2 + 1.
+        let costs: Vec<u32> = lf.fuel.iter().map(|f| f.cost).collect();
+        assert_eq!(lf.entry_pre(), 2, "both local.gets precede the first op");
+        assert_eq!(costs, [1, 2, 2, 1]);
+        assert_eq!(lf.entry_bulk, 8);
     }
 
     #[test]
@@ -1420,7 +1395,7 @@ mod tests {
         // 7: end
         // 8: end
         let lf = lower_body(
-            vec![ValType::I32],
+            i32s(1),
             vec![],
             vec![
                 Loop(BlockType::Empty),
@@ -1434,33 +1409,28 @@ mod tests {
                 End,
             ],
         );
-        // Fusion: [FImmLS, LocalGet, BrNz, Ret]
-        assert_eq!(lf.ops.len(), 4, "ops: {:?}", lf.ops);
-        assert!(matches!(
-            lf.ops[0].op,
-            Op::FImmLS {
-                src: 0,
-                imm: 1,
-                dst: 0,
-                op: FusedImm::Sub
-            }
-        ));
-        assert_eq!(lf.entry_pre, 1, "the Loop opener");
-        // The back-edge re-enters at the fused op without the opener's fuel.
-        match &lf.ops[2].op {
-            Op::BrNz(c) => {
-                assert_eq!(c.args.target, 0);
-                assert_eq!(c.args.extra, 0, "back-edge pays no elided fuel");
-                assert_eq!(c.fall_extra, 1, "falling out executes the loop End");
-            }
-            other => panic!("expected BrNz, got {other:?}"),
-        }
-        // Fuel: whole loop body is one block of 6 interpreter units
-        // (LocalGet, Const, Sub, Set, LocalGet, BrIf).
-        assert_eq!(lf.ops[0].charge, 6);
-        assert_eq!(lf.ops[0].cost, 4);
-        assert_eq!(lf.ops[1].cost, 1);
-        assert_eq!(lf.ops[2].cost, 1);
+        assert_eq!(
+            lf.ops,
+            [
+                Op::I32SubI {
+                    dst: 0,
+                    a: 0,
+                    imm: 1
+                },
+                Op::BrNz { cond: 0, edge: 0 },
+                Op::RetVoid,
+            ]
+        );
+        assert_eq!(lf.entry_pre(), 3, "the Loop opener + local.get + const");
+        // The back-edge re-enters at the subtraction without the opener's
+        // fuel, paying for the two deferred operands it walks over.
+        let back = lf.edges[0];
+        assert_eq!(back.target, 0);
+        assert_eq!(back.extra, 2, "local.get + const, not the Loop");
+        // Loop block: sub (1) + [set, get] + br_if (3) = 4 past the edge.
+        assert_eq!(lf.fuel[0].charge, 4);
+        assert_eq!(back.bulk, 6);
+        assert_eq!(back.fall, 2, "falling out executes the loop End, then Ret");
     }
 
     #[test]
@@ -1470,7 +1440,7 @@ mod tests {
         // br_if 1; local.get 0; i32.const 1; i32.add; local.set 0;
         // br 0; end; end; end
         let lf = lower_body(
-            vec![ValType::I32],
+            i32s(1),
             vec![],
             vec![
                 Block(BlockType::Empty),
@@ -1490,39 +1460,46 @@ mod tests {
                 End,
             ],
         );
-        // [FBrCmpLI(when=false), FImmLS, Jump, Ret]
-        assert_eq!(lf.ops.len(), 4, "ops: {:?}", lf.ops);
-        match &lf.ops[0].op {
-            Op::FBrCmpLI {
-                a: 0,
-                imm: 10,
-                cmp: FusedCmp::LtS,
-                when: false,
-                br,
-            } => {
-                assert_eq!(br.args.target, 3, "exit lands on Ret");
-                // The branch jumps past both `end`s — the interpreter never
-                // executes them on this edge.
-                assert_eq!(br.args.extra, 0);
-            }
-            other => panic!("expected FBrCmpLI, got {other:?}"),
-        }
-        assert_eq!(lf.ops[0].cost, 5, "5 interpreter instructions fused");
-        assert_eq!(lf.ops[0].charge, 5, "conditional terminates its block");
-        match &lf.ops[2].op {
-            Op::Jump(a) => {
-                assert_eq!(a.target, 0, "back to the loop head");
-                assert_eq!(a.extra, 0);
-            }
-            other => panic!("expected Jump, got {other:?}"),
-        }
-        // Second block: FImmLS(4 units) + Br(1 unit).
-        assert_eq!(lf.ops[1].charge, 5);
-        assert_eq!(lf.entry_pre, 2, "block + loop openers");
+        // `!(x < 10)` is `x >= 10`: one compare-and-branch, no eqz.
+        assert_eq!(
+            lf.ops,
+            [
+                Op::BrGeSI {
+                    a: 0,
+                    imm: 10,
+                    edge: 0
+                },
+                Op::I32AddI {
+                    dst: 0,
+                    a: 0,
+                    imm: 1
+                },
+                Op::Jump { edge: 1 },
+                Op::RetVoid,
+            ]
+        );
+        let exit = lf.edges[0];
+        assert_eq!(exit.target, 3, "exit lands on the return");
+        // The branch jumps past both `end`s — the interpreter never
+        // executes them on this edge.
+        assert_eq!(exit.extra, 0);
+        assert_eq!(
+            lf.entry_pre(),
+            6,
+            "block + loop + the four absorbed instructions"
+        );
+        assert_eq!(lf.fuel[0].cost, 1, "the br_if itself");
+        assert_eq!(lf.fuel[0].charge, 1, "a conditional ends its block");
+        let back = lf.edges[1];
+        assert_eq!(back.target, 0, "back to the loop head");
+        assert_eq!(back.extra, 4, "get, const, lt_s, eqz ride the back-edge");
+        // Second block: get + const on the edge in, add (1), set + br (2).
+        assert_eq!(exit.fall, 5);
+        assert_eq!(lf.fuel[1].charge, 3);
     }
 
     #[test]
-    fn if_else_lowers_to_brz_and_jump() {
+    fn if_else_joins_on_the_canonical_slot() {
         // 0: local.get 0
         // 1: if (i32)
         // 2:   i32.const 1
@@ -1531,8 +1508,8 @@ mod tests {
         // 5: end
         // 6: end
         let lf = lower_body(
-            vec![ValType::I32],
-            vec![ValType::I32],
+            i32s(1),
+            i32s(1),
             vec![
                 LocalGet(0),
                 If(BlockType::Value(ValType::I32)),
@@ -1543,32 +1520,75 @@ mod tests {
                 End,
             ],
         );
-        // [LocalGet, BrZ, I32Const 1, Jump, I32Const 2, Ret]
-        assert_eq!(lf.ops.len(), 6, "ops: {:?}", lf.ops);
-        match &lf.ops[1].op {
-            Op::BrZ(c) => {
-                assert_eq!(c.args.target, 4, "false edge lands on the else-arm");
-                assert_eq!(c.args.extra, 0);
-            }
-            other => panic!("expected BrZ, got {other:?}"),
-        }
-        match &lf.ops[3].op {
-            Op::Jump(a) => {
-                assert_eq!(a.target, 5, "then-arm jumps past the else-arm");
-                assert_eq!(a.extra, 2, "executes Else and End");
-                assert!(!a.carry);
-            }
-            other => panic!("expected Jump, got {other:?}"),
-        }
         assert_eq!(
-            lf.ops[3].cost, 0,
-            "synthetic jump is free; Else is edge fuel"
+            lf.ops,
+            [
+                Op::BrZ { cond: 0, edge: 0 },
+                Op::Const { dst: 1, imm: 1 },
+                Op::Jump { edge: 1 },
+                Op::Const { dst: 1, imm: 2 },
+                Op::Ret { src: 1 },
+            ]
         );
-        // Else-arm leader's pre is 0; its charge covers const only, plus
-        // the Ret's pre (the if End) as fall-through tail... the const falls
-        // into the Ret leader.
-        assert_eq!(lf.ops[4].pre, 0);
-        assert_eq!(lf.ops[5].pre, 1, "the if End before the function end");
+        assert_eq!(lf.edges[0].target, 3, "false edge lands on the else-arm");
+        assert_eq!(lf.edges[0].extra, 1, "… walking over its deferred const");
+        // The then-arm jumps past the else-arm *and* its materialisation.
+        assert_eq!(lf.edges[1].target, 4);
+        assert_eq!(lf.edges[1].extra, 2, "executes Else and End");
+        assert_eq!(lf.fuel[1].cost, 0, "a materialisation is free …");
+        assert_eq!(lf.fuel[1].pre, 1, "… but carries the deferred const");
+        assert_eq!(lf.fuel[2].cost, 0, "synthetic jump; Else is edge fuel");
+        assert_eq!(lf.fuel[3].pre, 1, "the else-arm's const");
+        assert_eq!(lf.fuel[4].pre, 1, "the if End before the function end");
+    }
+
+    #[test]
+    fn else_skip_fuel_matches_the_interpreter() {
+        // if/else without a result: then-arm pays Else + End on its jump;
+        // the false edge of an else-less `if` pays the End it lands on.
+        let lf = lower_body(
+            i32s(1),
+            vec![],
+            vec![
+                LocalGet(0),
+                If(BlockType::Empty),
+                Nop,
+                Else,
+                Nop,
+                End,
+                LocalGet(0),
+                If(BlockType::Empty),
+                Nop,
+                End,
+                End,
+            ],
+        );
+        assert_eq!(
+            lf.ops,
+            [
+                Op::BrZ { cond: 0, edge: 0 },
+                Op::Jump { edge: 1 },
+                Op::BrZ { cond: 0, edge: 2 },
+                Op::RetVoid,
+            ]
+        );
+        assert_eq!(lf.fuel[1].pre, 1, "then-arm nop");
+        assert_eq!(
+            (lf.edges[1].target, lf.edges[1].extra),
+            (2, 3),
+            "Else + End + get"
+        );
+        assert_eq!(
+            (lf.edges[0].target, lf.edges[0].extra),
+            (2, 3),
+            "nop + End + get"
+        );
+        assert_eq!(
+            (lf.edges[2].target, lf.edges[2].extra),
+            (3, 1),
+            "the if's End"
+        );
+        assert_eq!(lf.edges[2].fall, 3, "nop + End, then the Ret");
     }
 
     #[test]
@@ -1584,25 +1604,17 @@ mod tests {
             vec![],
             vec![Block(BlockType::Empty), Br(0), I32Const(7), Drop, End, End],
         );
-        // [Jump, Ret]
-        assert_eq!(lf.ops.len(), 2, "ops: {:?}", lf.ops);
-        match &lf.ops[0].op {
-            Op::Jump(a) => {
-                assert_eq!(a.target, 1);
-                // The branch continuation is the function End itself (a real
-                // Ret op), so no elided fuel rides the edge.
-                assert_eq!(a.extra, 0);
-            }
-            other => panic!("expected Jump, got {other:?}"),
-        }
-        assert_eq!(lf.ops[1].op, Op::Ret);
+        assert_eq!(lf.ops, [Op::Jump { edge: 0 }, Op::RetVoid]);
+        // The branch continuation is the function End itself (a real op),
+        // so no op-less fuel rides the edge.
+        assert_eq!((lf.edges[0].target, lf.edges[0].extra), (1, 0));
+        assert_eq!(lf.frame_size, 0, "dead pushes reserve no slots");
     }
 
     #[test]
-    fn branch_target_blocks_interior_fusion() {
-        // The br_if's continuation (first op after the block) lands on the
-        // I32Const in the middle of a would-be LocalGet+Const+Add pattern;
-        // fusion must not swallow the branch target.
+    fn a_branch_target_sees_a_canonical_stack() {
+        // The br_if carries local 0 out of the block; the fall-through path
+        // carries local 2. Both must be in operand slot 0 at the join.
         // 0: block (i32)
         // 1:   local.get 0   ; carried value
         // 2:   local.get 1   ; condition
@@ -1615,7 +1627,7 @@ mod tests {
         // 9: drop
         // 10: end
         let lf = lower_body(
-            vec![ValType::I32, ValType::I32, ValType::I32],
+            i32s(3),
             vec![],
             vec![
                 Block(BlockType::Value(ValType::I32)),
@@ -1631,57 +1643,233 @@ mod tests {
                 End,
             ],
         );
-        // Pre-fusion flat ops: [LocalGet0, LocalGet1, BrNz, Drop, LocalGet2,
-        // I32Const, I32Add, Drop, Ret] with the branch targeting the const.
-        // LocalGet2+Const+Add must NOT fuse (interior target); Const+Add
-        // still fuses starting at the target itself.
-        let get2 = lf
-            .ops
-            .iter()
-            .position(|l| matches!(l.op, Op::LocalGet(2)))
-            .expect("LocalGet(2) stays unfused");
-        match &lf.ops[get2 + 1].op {
-            Op::FImm {
-                imm: 1,
-                op: FusedImm::Add,
-            } => {}
-            other => panic!("expected FImm at the branch target, got {other:?}"),
-        }
-        match &lf.ops[2].op {
-            Op::BrNz(c) => {
-                assert_eq!(c.args.target as usize, get2 + 1);
-                assert!(c.args.carry, "block has arity 1");
-                assert_eq!(c.args.extra, 0);
-            }
-            other => panic!("expected BrNz, got {other:?}"),
-        }
+        assert_eq!(
+            lf.ops,
+            [
+                Op::Mov { dst: 3, src: 0 },
+                Op::BrNz { cond: 1, edge: 0 },
+                Op::Mov { dst: 3, src: 2 },
+                Op::I32AddI {
+                    dst: 3,
+                    a: 3,
+                    imm: 1
+                },
+                Op::RetVoid,
+            ]
+        );
+        assert_eq!(lf.edges[0].target, 3, "past the fall-through path's move");
+        assert_eq!(lf.edges[0].extra, 1, "the deferred const");
+        assert_eq!(lf.fuel[3].pre, 2, "fall-through: End + const");
     }
 
     #[test]
-    fn local_load_store_fuse_full_width_only() {
+    fn a_displaced_carry_goes_through_a_trampoline() {
+        // The carried value sits above another operand, so only the taken
+        // edge may move it down.
+        // block (i32); local.get 0; local.get 1; local.get 2; br_if 0;
+        // i32.add; end; drop; end
         let lf = lower_body(
-            vec![ValType::I32],
-            vec![ValType::I32],
+            i32s(3),
+            vec![],
+            vec![
+                Block(BlockType::Value(ValType::I32)),
+                LocalGet(0),
+                LocalGet(1),
+                LocalGet(2),
+                BrIf(0),
+                I32Add,
+                End,
+                Drop,
+                End,
+            ],
+        );
+        assert_eq!(
+            lf.ops,
+            [
+                Op::Mov { dst: 4, src: 1 },
+                Op::BrNz { cond: 2, edge: 0 },
+                Op::I32Add { dst: 3, a: 0, b: 4 },
+                Op::RetVoid,
+                // Trampoline: move the carry to the label's slot, go on.
+                Op::Mov { dst: 3, src: 4 },
+                Op::Jump { edge: 1 },
+            ]
+        );
+        // Not taken: the add, then (falling through) Drop + End + the Ret.
+        assert_eq!(
+            lf.edges[0],
+            Edge {
+                target: 4,
+                extra: 0,
+                bulk: 0,
+                fall: 4
+            }
+        );
+        assert_eq!((lf.edges[1].target, lf.edges[1].extra), (3, 1), "the Drop");
+        assert_eq!(lf.fuel[4], OpFuel::default(), "trampolines cost nothing");
+    }
+
+    #[test]
+    fn a_local_write_spills_pending_reads_of_it() {
+        // local.get 0; local.get 0; i32.const 1; i32.add; local.set 0;
+        // i32.add — the first read must see the old value.
+        let lf = lower_body(
+            i32s(1),
+            i32s(1),
             vec![
                 LocalGet(0),
-                I32Load(MemArg::zero()),
                 LocalGet(0),
-                I32Load8U(MemArg::zero()),
+                I32Const(1),
+                I32Add,
+                LocalSet(0),
+                LocalGet(0),
                 I32Add,
                 End,
             ],
         );
-        assert!(matches!(
-            lf.ops[0].op,
-            Op::FLocalLoad {
-                local: 0,
-                offset: 0,
-                width: LsWidth::W4
-            }
-        ));
-        // Narrow load does not fuse.
-        assert!(matches!(lf.ops[1].op, Op::LocalGet(0)));
-        assert!(matches!(lf.ops[2].op, Op::Plain(Instr::I32Load8U(_))));
+        assert_eq!(
+            lf.ops,
+            [
+                Op::Mov { dst: 1, src: 0 },
+                Op::I32AddI {
+                    dst: 0,
+                    a: 0,
+                    imm: 1
+                },
+                Op::I32Add { dst: 1, a: 1, b: 0 },
+                Op::Ret { src: 1 },
+            ]
+        );
+        // A producer that wrote the local leaves `local.set` op-less; its
+        // unit moves to the next op, not onto the (possibly trapping) add.
+        let costs: Vec<u32> = lf.fuel.iter().map(|f| f.cost).collect();
+        assert_eq!(lf.entry_pre(), 3);
+        assert_eq!(costs, [0, 1, 3, 1]);
+    }
+
+    #[test]
+    fn tee_leaves_a_deferred_read_of_the_local() {
+        // local.get 0; i32.const 3; i32.mul; local.tee 1; local.get 1;
+        // i32.add
+        let lf = lower_body(
+            i32s(2),
+            i32s(1),
+            vec![
+                LocalGet(0),
+                I32Const(3),
+                I32Mul,
+                LocalTee(1),
+                LocalGet(1),
+                I32Add,
+                End,
+            ],
+        );
+        assert_eq!(
+            lf.ops,
+            [
+                Op::I32MulI {
+                    dst: 1,
+                    a: 0,
+                    imm: 3
+                },
+                Op::I32Add { dst: 2, a: 1, b: 1 },
+                Op::Ret { src: 2 },
+            ]
+        );
+    }
+
+    #[test]
+    fn loads_read_locals_in_place_and_only_full_width_ones_index() {
+        let lf = lower_body(
+            i32s(2),
+            i32s(1),
+            vec![
+                LocalGet(0),
+                I32Load(MemArg::at(8)),
+                LocalGet(0),
+                I32Load8U(MemArg::zero()),
+                I32Add,
+                LocalGet(0),
+                LocalGet(1),
+                I32Add,
+                I32Load(MemArg::zero()),
+                I32Add,
+                LocalGet(0),
+                LocalGet(1),
+                I32Add,
+                I32Load16U(MemArg::zero()),
+                I32Add,
+                End,
+            ],
+        );
+        assert_eq!(
+            lf.ops,
+            [
+                Op::Load32 {
+                    dst: 2,
+                    addr: 0,
+                    offset: 8
+                },
+                Op::Load8U {
+                    dst: 3,
+                    addr: 0,
+                    offset: 0
+                },
+                Op::I32Add { dst: 2, a: 2, b: 3 },
+                // i32.add + full-width zero-offset load: base + index.
+                Op::Load32X { dst: 3, a: 0, b: 1 },
+                Op::I32Add { dst: 2, a: 2, b: 3 },
+                // A narrow load keeps its add.
+                Op::I32Add { dst: 3, a: 0, b: 1 },
+                Op::Load16U {
+                    dst: 3,
+                    addr: 3,
+                    offset: 0
+                },
+                Op::I32Add { dst: 2, a: 2, b: 3 },
+                Op::Ret { src: 2 },
+            ]
+        );
+        assert_eq!(lf.fuel[3].cost, 4, "get, get, add, load");
+    }
+
+    #[test]
+    fn call_arguments_are_materialised_where_the_callee_starts() {
+        let mut b = ModuleBuilder::new();
+        let t2 = b.sig(FuncType::new(i32s(2), i32s(1)));
+        let leaf = b.func(t2, vec![], vec![LocalGet(0), LocalGet(1), I32Add, End]);
+        b.func(
+            t2,
+            i32s(1),
+            vec![
+                LocalGet(1),
+                LocalGet(0),
+                I32Const(9),
+                Call(leaf),
+                I32Add,
+                LocalSet(2),
+                LocalGet(2),
+                End,
+            ],
+        );
+        let obj = ObjectModule::prepare(b.build()).unwrap();
+        let lf = lower_module(&obj.module, &obj.ctrl).remove(1);
+        assert_eq!(
+            lf.ops,
+            [
+                // local 1 stays deferred across the call: the callee cannot
+                // touch the caller's locals.
+                Op::Mov { dst: 4, src: 0 },
+                Op::Const { dst: 5, imm: 9 },
+                Op::Call { func: 0, base: 4 },
+                Op::I32Add { dst: 2, a: 1, b: 4 },
+                Op::Ret { src: 2 },
+            ]
+        );
+        assert_eq!((lf.n_params, lf.n_locals, lf.frame_size), (2, 3, 6));
+        assert_eq!(lf.entry_pre(), 3, "the three deferred operands");
+        assert_eq!(lf.fuel[0].charge, 1, "the call ends the entry block");
+        assert_eq!(lf.fuel[3].charge, 4, "add, set, get, end after the call");
     }
 
     #[test]
@@ -1692,13 +1880,68 @@ mod tests {
             vec![],
             vec![I32Const(1), I32Const(2), I32Add, Drop, End],
         );
-        // const+add fuse at index 1: [I32Const, FImm, Drop, Ret] — one block.
-        let total: u32 = lf.ops.iter().map(|l| l.cost).sum();
+        assert_eq!(
+            lf.ops,
+            [
+                Op::Const { dst: 0, imm: 1 },
+                Op::I32AddI {
+                    dst: 0,
+                    a: 0,
+                    imm: 2
+                },
+                Op::RetVoid,
+            ]
+        );
+        let total: u32 = lf.fuel.iter().map(|f| f.cost + f.pre).sum();
         assert_eq!(total, 5);
-        assert_eq!(lf.ops[0].charge, 5, "single leader charges everything");
-        assert!(lf.ops[1..].iter().all(|l| l.charge == 0));
+        assert_eq!(lf.entry_bulk, 5, "the entry edge charges everything");
+        assert!(lf.fuel[1..].iter().all(|f| f.charge == 0));
         // rest decreases to zero along the block.
-        assert_eq!(lf.ops[0].rest, lf.ops[0].charge - lf.ops[0].cost);
-        assert_eq!(lf.ops.last().unwrap().rest, 0, "Ret is a terminator");
+        assert_eq!(lf.fuel[0].rest, lf.fuel[0].charge - lf.fuel[0].cost);
+        assert_eq!(lf.fuel.last().unwrap().rest, 0, "Ret is a terminator");
+    }
+
+    #[test]
+    fn a_block_that_falls_through_prepays_its_successor() {
+        // The loop head is a branch target reached first by falling in.
+        // i32.const 0; local.set 0; loop; local.get 0; br_if 0; end; end
+        let lf = lower_body(
+            i32s(1),
+            vec![],
+            vec![
+                I32Const(0),
+                LocalSet(0),
+                Loop(BlockType::Empty),
+                LocalGet(0),
+                BrIf(0),
+                End,
+                End,
+            ],
+        );
+        assert_eq!(
+            lf.ops,
+            [
+                Op::Const { dst: 0, imm: 0 },
+                Op::BrNz { cond: 0, edge: 0 },
+                Op::RetVoid,
+            ]
+        );
+        assert_eq!(lf.fuel[1].pre, 2, "loop + local.get on the way in");
+        assert_eq!(lf.fuel[1].charge, 1);
+        assert_eq!(
+            lf.fuel[0].charge,
+            1 + 2 + 1,
+            "own cost, then pre + charge of the head"
+        );
+        assert_eq!(lf.entry_bulk, 5);
+        assert_eq!(
+            lf.fuel[0].rest, 3,
+            "a trap in the first block refunds the prepayment"
+        );
+        assert_eq!(
+            lf.edges[0].bulk,
+            1 + 1,
+            "back-edge: local.get + the head block"
+        );
     }
 }

@@ -161,6 +161,16 @@ impl ObjectModule {
         self.lowered.is_some()
     }
 
+    /// The execution tier this object module was prepared for — what a
+    /// module it loads at run time (`dlopen`) is prepared for too.
+    pub fn tier(&self) -> ExecTier {
+        if self.is_lowered() {
+            ExecTier::Lowered
+        } else {
+            ExecTier::Interpreter
+        }
+    }
+
     /// Serialise the module for the shared object store.
     pub fn to_bytes(&self) -> Vec<u8> {
         encode_module(&self.module)

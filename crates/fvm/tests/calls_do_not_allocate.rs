@@ -1,0 +1,141 @@
+//! The lowered tier's call path is allocation-free: frames are windows of
+//! the instance's one value stack, which only grows. After a warm-up invoke
+//! has sized it, guest→guest calls — a tight leaf-call loop and a 200-deep
+//! recursion — and the host-side `invoke` around them never reach the
+//! allocator. This is its own test binary because it installs a counting
+//! `#[global_allocator]`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use faasm_fvm::prelude::*;
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: defers every operation to `System` unchanged; the counter is a
+// relaxed statistic.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: same contract as the caller's.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const LEAF: u32 = 0;
+const DOWN: u32 = 2;
+
+/// `leaf(a, b) = a + b + 1`; `calls(n)` folds `leaf` n times (the
+/// benchmark's call kernel); `down(n)` recurses n frames deep with a
+/// pending operand and a declared local in every frame.
+fn module() -> Module {
+    use Instr::*;
+    let mut b = ModuleBuilder::new();
+    let t2 = b.sig(FuncType::new(
+        vec![ValType::I32, ValType::I32],
+        vec![ValType::I32],
+    ));
+    let t1 = b.sig(FuncType::new(vec![ValType::I32], vec![ValType::I32]));
+    let leaf = b.func(
+        t2,
+        vec![],
+        vec![LocalGet(0), LocalGet(1), I32Add, I32Const(1), I32Add, End],
+    );
+    let calls = b.func(
+        t1,
+        vec![ValType::I32, ValType::I32],
+        vec![
+            Block(BlockType::Empty),
+            Loop(BlockType::Empty),
+            LocalGet(2),
+            LocalGet(0),
+            I32LtS,
+            I32Eqz,
+            BrIf(1),
+            LocalGet(1),
+            LocalGet(2),
+            Call(LEAF),
+            LocalSet(1),
+            LocalGet(2),
+            I32Const(1),
+            I32Add,
+            LocalSet(2),
+            Br(0),
+            End,
+            End,
+            LocalGet(1),
+            End,
+        ],
+    );
+    let down = b.func(
+        t1,
+        vec![ValType::I32],
+        vec![
+            LocalGet(0),
+            I32Eqz,
+            If(BlockType::Value(ValType::I32)),
+            I32Const(0),
+            Else,
+            I32Const(1),
+            LocalGet(0),
+            I32Const(1),
+            I32Sub,
+            LocalTee(1),
+            Call(DOWN),
+            I32Add,
+            End,
+            End,
+        ],
+    );
+    assert_eq!((leaf, down), (LEAF, DOWN));
+    b.export_func("calls", calls);
+    b.export_func("down", down);
+    b.build()
+}
+
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn warmed_up_guest_calls_do_not_allocate() {
+    let object = ObjectModule::prepare_lowered(module()).expect("validates");
+    let mut inst = Instance::new(object, &Linker::new(), Box::new(())).expect("links");
+    // The deepest frame chain the default limit (200) admits: the invoked
+    // function plus 199 nested calls. One more traps.
+    let (calls, depth) = ([Val::I32(10_000)], [Val::I32(199)]);
+    assert_eq!(
+        inst.invoke("down", &[Val::I32(200)]),
+        Err(Trap::CallStackExhausted)
+    );
+
+    // Warm-up: sizes the value stack and the control stack once.
+    assert_eq!(inst.invoke("down", &depth), Ok(Some(Val::I32(199))));
+    assert_eq!(inst.invoke("calls", &calls), Ok(Some(Val::I32(50_005_000))));
+
+    let mut results = (Ok(None), Ok(None));
+    let n = allocations_during(|| {
+        results = (inst.invoke("calls", &calls), inst.invoke("down", &depth));
+    });
+    assert_eq!(results.0, Ok(Some(Val::I32(50_005_000))));
+    assert_eq!(results.1, Ok(Some(Val::I32(199))));
+    assert_eq!(n, 0, "10 000 leaf calls and a 200-deep recursion allocated");
+}

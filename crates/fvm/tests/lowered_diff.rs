@@ -1,10 +1,13 @@
 //! Differential properties: the lowered tier must be observationally
 //! identical to the reference interpreter.
 //!
-//! Generated modules (realistic codegen shapes: local arithmetic, fused-able
-//! patterns, while loops, if/else, br_table, calls, memory traffic, float
-//! conversions, dead code, elided structural instructions) run on both tiers
-//! and must agree bitwise on:
+//! Generated modules (realistic codegen shapes: local arithmetic, immediate
+//! and compare-and-branch patterns, while loops, if/else, br_table, calls,
+//! memory traffic, float conversions, dead code, elided structural
+//! instructions — and the hazards of the lowered tier's register form: a
+//! local written under a pending read of it, results carried across
+//! branches over other operands, deferred operands under a trap) run on
+//! both tiers and must agree bitwise on:
 //!
 //! * the result value / trap kind (including trap payloads, which pin the
 //!   trap *location* observably — e.g. the faulting address),
@@ -29,13 +32,15 @@ use proptest::prelude::*;
 //   3     i32 scratch   4 i64 scratch   5 f32   6 f64
 //   7,8,9 i32 loop counters (one per nesting level; bodies never touch them)
 // imports: func 0 = env::bump (i32)->i32, returns x+7
-// funcs:   1 = main, 2 = helper (i32)->i32 (x+3), 3 = noop ()->()
+// funcs:   1 = main, 2 = helper (i32)->i32 (x+3), 3 = noop ()->(),
+//          4 = rec (i32)->i32 (x == 0 ? 0 : rec(x-1) + 1, one frame per unit)
 // table:   size 4, elems [helper, noop] at 0 (slots 2,3 uninitialised)
 // globals: g0 i32 mut = 5, g1 i64 mut = -7
 // memory:  1 page initial, max 4
 
 const IMPORT_BUMP: u32 = 0;
 const FUNC_HELPER: u32 = 2;
+const FUNC_REC: u32 = 4;
 
 /// i32 scratch locals statements may read/write.
 fn i32_local(sel: u8) -> u32 {
@@ -90,7 +95,28 @@ fn build_module(stmts: &[Stmt]) -> Module {
         ],
     );
     let noop = b.func(t2, vec![], vec![Instr::End]);
-    assert_eq!((main, helper, noop), (1, FUNC_HELPER, 3));
+    let rec = b.func(
+        t1,
+        vec![],
+        vec![
+            Instr::LocalGet(0),
+            Instr::I32Eqz,
+            Instr::If(BlockType::Value(ValType::I32)),
+            Instr::I32Const(0),
+            Instr::Else,
+            // The pending `1` sits in an operand slot below the call's
+            // argument, in every frame of the recursion.
+            Instr::I32Const(1),
+            Instr::LocalGet(0),
+            Instr::I32Const(1),
+            Instr::I32Sub,
+            Instr::Call(FUNC_REC),
+            Instr::I32Add,
+            Instr::End,
+            Instr::End,
+        ],
+    );
+    assert_eq!((main, helper, noop, rec), (1, FUNC_HELPER, 3, FUNC_REC));
     b.table(4);
     b.elem(0, vec![helper, noop]);
     b.export_func("main", main);
@@ -157,6 +183,31 @@ enum Stmt {
     EarlyRet { cond: u8, k: i32 },
     /// Guarded trap: unreachable when the condition local is nonzero.
     Unreach { cond: u8 },
+    /// A local written (`local.set` / `local.tee`) while an earlier read of
+    /// it is still on the operand stack, and `select` over deferred operands.
+    PendingRead {
+        which: u8,
+        a: u8,
+        b: u8,
+        k: i32,
+        dst: u8,
+    },
+    /// A block result carried across `br` / `br_if` / `br_table` with other
+    /// operands beneath it, inside and outside the block.
+    Carry {
+        which: u8,
+        a: u8,
+        b: u8,
+        c: u8,
+        dst: u8,
+    },
+    /// Calls whose arguments come from operand slots: the helper, a
+    /// `call_indirect` (hit / type mismatch / bad slot), and a recursion
+    /// that may run into `CallStackExhausted`.
+    SlotCall { which: u8, a: u8, k: i32, dst: u8 },
+    /// A trap (memory out of bounds, `i32.div_s`, `i32.trunc_f64_s`) with
+    /// deferred operands pending beneath it in the same block.
+    TrapUnderDeferred { which: u8, a: u8, b: u8, dst: u8 },
 }
 
 const I32_BIN: &[Instr] = &[
@@ -532,6 +583,177 @@ impl Stmt {
                 out.push(Instr::Unreachable);
                 out.push(Instr::End);
             }
+            Stmt::PendingRead {
+                which,
+                a,
+                b,
+                k,
+                dst,
+            } => {
+                let (a, b) = (i32_local(*a), i32_local(*b));
+                match which % 4 {
+                    // a_old + (a = a + 1)
+                    0 => out.extend([
+                        Instr::LocalGet(a),
+                        Instr::LocalGet(a),
+                        Instr::I32Const(1),
+                        Instr::I32Add,
+                        Instr::LocalSet(a),
+                        Instr::LocalGet(a),
+                        Instr::I32Add,
+                    ]),
+                    // a_old - (a = b * k), the tee'd value read back
+                    1 => out.extend([
+                        Instr::LocalGet(a),
+                        Instr::LocalGet(b),
+                        Instr::I32Const(*k),
+                        Instr::I32Mul,
+                        Instr::LocalTee(a),
+                        Instr::I32Sub,
+                        Instr::LocalGet(a),
+                        Instr::I32Xor,
+                    ]),
+                    // a_old ^ (a = k) with a plain set of a constant
+                    2 => out.extend([
+                        Instr::LocalGet(a),
+                        Instr::I32Const(*k),
+                        Instr::LocalSet(a),
+                        Instr::LocalGet(a),
+                        Instr::I32Xor,
+                    ]),
+                    // select(a, k, b) — every operand deferred
+                    _ => out.extend([
+                        Instr::LocalGet(a),
+                        Instr::I32Const(*k),
+                        Instr::LocalGet(b),
+                        Instr::Select,
+                    ]),
+                }
+                out.push(Instr::LocalSet(i32_local(*dst)));
+            }
+            Stmt::Carry {
+                which,
+                a,
+                b,
+                c,
+                dst,
+            } => {
+                let (a, b, c) = (i32_local(*a), i32_local(*b), i32_local(*c));
+                let i32_block = Instr::Block(BlockType::Value(ValType::I32));
+                // An operand beneath the block on the outside.
+                out.push(Instr::LocalGet(c));
+                match which % 4 {
+                    // br_if: taken carries b over a; not taken adds them.
+                    0 => out.extend([
+                        i32_block,
+                        Instr::LocalGet(a),
+                        Instr::LocalGet(b),
+                        Instr::LocalGet(c),
+                        Instr::BrIf(0),
+                        Instr::I32Add,
+                        Instr::End,
+                    ]),
+                    // br: a constant carried over a, then dead code.
+                    1 => out.extend([
+                        i32_block,
+                        Instr::LocalGet(a),
+                        Instr::I32Const(77),
+                        Instr::Br(0),
+                        Instr::I32Add,
+                        Instr::End,
+                    ]),
+                    // br_table: the same value lands in the inner or the
+                    // outer label's slot.
+                    2 => out.extend([
+                        i32_block.clone(),
+                        Instr::LocalGet(b),
+                        i32_block,
+                        Instr::LocalGet(a),
+                        Instr::LocalGet(b),
+                        Instr::I32Const(3),
+                        Instr::I32Mul,
+                        Instr::LocalGet(c),
+                        Instr::BrTable(Box::new(BrTableData {
+                            targets: vec![0, 1],
+                            default: 0,
+                        })),
+                        Instr::End,
+                        Instr::I32Sub,
+                        Instr::End,
+                    ]),
+                    // br_if out of a loop body to the enclosing block.
+                    _ => out.extend([
+                        i32_block,
+                        Instr::Loop(BlockType::Empty),
+                        Instr::LocalGet(a),
+                        Instr::LocalGet(b),
+                        Instr::I32Const(1),
+                        Instr::I32Or,
+                        Instr::BrIf(1),
+                        Instr::Drop,
+                        Instr::End,
+                        Instr::I32Const(-5),
+                        Instr::End,
+                    ]),
+                }
+                out.push(Instr::I32Xor);
+                out.push(Instr::LocalSet(i32_local(*dst)));
+            }
+            Stmt::SlotCall { which, a, k, dst } => {
+                let a = i32_local(*a);
+                // A pending operand below the arguments.
+                out.push(Instr::LocalGet(a));
+                match which % 3 {
+                    0 => out.extend([
+                        Instr::LocalGet(a),
+                        Instr::I32Const(*k),
+                        Instr::I32Add,
+                        Instr::Call(FUNC_HELPER),
+                    ]),
+                    1 => out.extend([
+                        Instr::LocalGet(a),
+                        Instr::I32Const(*k),
+                        Instr::I32Xor,
+                        Instr::LocalGet(a),
+                        Instr::I32Const(7),
+                        Instr::I32And,
+                        Instr::CallIndirect(t1),
+                    ]),
+                    // Depth 0..=255 against the default limit of 200.
+                    _ => out.extend([
+                        Instr::LocalGet(a),
+                        Instr::I32Const(*k),
+                        Instr::I32Add,
+                        Instr::I32Const(255),
+                        Instr::I32And,
+                        Instr::Call(FUNC_REC),
+                    ]),
+                }
+                out.push(Instr::I32Add);
+                out.push(Instr::LocalSet(i32_local(*dst)));
+            }
+            Stmt::TrapUnderDeferred { which, a, b, dst } => {
+                let (a, b) = (i32_local(*a), i32_local(*b));
+                out.push(Instr::LocalGet(a));
+                out.push(Instr::I32Const(9));
+                match which % 3 {
+                    // Traps when b is within 16 bytes of the address space's
+                    // end or past the memory's.
+                    0 => out.extend([
+                        Instr::LocalGet(b),
+                        Instr::I32Const(-64),
+                        Instr::I32Or,
+                        Instr::I32Load(MemArg::at(60)),
+                    ]),
+                    // Traps when b is 0 (and on MIN / -1).
+                    1 => out.extend([Instr::LocalGet(a), Instr::LocalGet(b), Instr::I32DivS]),
+                    // Traps when local 6 is NaN or out of i32 range.
+                    _ => out.extend([Instr::LocalGet(6), Instr::I32TruncF64S]),
+                }
+                out.push(Instr::I32Add);
+                out.push(Instr::I32Add);
+                out.push(Instr::LocalSet(i32_local(*dst)));
+            }
         }
     }
 }
@@ -585,6 +807,38 @@ fn leaf_stmt() -> BoxedStrategy<Stmt> {
         }),
         (any::<u8>(), any::<i32>()).prop_map(|(cond, k)| Stmt::EarlyRet { cond, k }),
         any::<u8>().prop_map(|cond| Stmt::Unreach { cond }),
+        (
+            any::<u8>(),
+            any::<u8>(),
+            any::<u8>(),
+            any::<i32>(),
+            any::<u8>()
+        )
+            .prop_map(|(which, a, b, k, dst)| Stmt::PendingRead {
+                which,
+                a,
+                b,
+                k,
+                dst
+            }),
+        (
+            any::<u8>(),
+            any::<u8>(),
+            any::<u8>(),
+            any::<u8>(),
+            any::<u8>()
+        )
+            .prop_map(|(which, a, b, c, dst)| Stmt::Carry {
+                which,
+                a,
+                b,
+                c,
+                dst
+            }),
+        (any::<u8>(), any::<u8>(), any::<i32>(), any::<u8>())
+            .prop_map(|(which, a, k, dst)| Stmt::SlotCall { which, a, k, dst }),
+        (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>())
+            .prop_map(|(which, a, b, dst)| Stmt::TrapUnderDeferred { which, a, b, dst }),
     ]
     .boxed()
 }

@@ -199,6 +199,47 @@ fn guest_traps_surface_as_errors_and_do_not_poison_the_instance() {
 }
 
 #[test]
+fn a_long_call_beside_an_idle_warm_faaslet_finishes() {
+    // An idle Faaslet in the warm pool is not running: its frozen vruntime
+    // must not hold the host's cgroup back once another call runs more than
+    // the tolerance (1 << 22 fuel) past it.
+    let cluster = Cluster::with_config(ClusterConfig {
+        hosts: 1,
+        invoke_timeout: std::time::Duration::from_secs(3),
+        ..ClusterConfig::default()
+    });
+    let long = "int main() { int acc = 0; \
+                for (int i = 0; i < 600000; i = i + 1) { acc = acc + i; } \
+                return acc == 7; }";
+    cluster
+        .upload_fl("it", "long", long, UploadOptions::default())
+        .unwrap();
+    cluster
+        .upload_fl(
+            "it",
+            "short",
+            "int main() { return 0; }",
+            UploadOptions::default(),
+        )
+        .unwrap();
+    assert_eq!(
+        cluster.invoke("it", "long", vec![]).status,
+        CallStatus::Success
+    );
+    assert_eq!(
+        cluster.invoke("it", "short", vec![]).status,
+        CallStatus::Success
+    );
+    // `short`'s Faaslet now sits warm and idle beside the one running this.
+    let r = cluster.invoke("it", "long", vec![]);
+    if r.status != CallStatus::Success {
+        // The stuck worker would also hang the cluster's shutdown.
+        std::mem::forget(cluster);
+        panic!("long call beside an idle Faaslet: {:?}", r.status);
+    }
+}
+
+#[test]
 fn local_state_locks_die_with_the_call_that_took_them() {
     // A local lock has no lease: a call that exits holding one — by a
     // trap, or by simply returning — used to park every later toucher of

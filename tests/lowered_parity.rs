@@ -227,3 +227,84 @@ fn inference_through_proto_restore_bitwise_identical_across_tiers() {
     // live, not a constant function).
     assert_ne!(interp[0], interp[7]);
 }
+
+/// A `dlopen` plugin behind the `dl_entry(buf, len) -> len` convention:
+/// integer and float work over the argument, result written back in place.
+const PLUGIN_FL: &str = r#"
+    int dl_entry(ptr int buf, int len) {
+        int x = buf[0];
+        int acc = x;
+        double f = 0.5;
+        for (int i = 0; i < 2000; i = i + 1) {
+            acc = acc + (i ^ x) % 7;
+            f = f * 1.0001 + (double) (acc % 5) / 3.0;
+        }
+        buf[0] = acc;
+        ptr double out = (ptr double) (buf + 2);
+        out[0] = f;
+        return 16;
+    }
+"#;
+
+/// Loads `plugin.fvm`, resolves `dl_entry` and calls it on the call input.
+const DLCALL_FL: &str = r#"
+    extern int read_call_input(ptr int buf, int len);
+    extern void write_call_output(ptr int buf, int len);
+    extern int dlopen(ptr int path, int len);
+    extern int dlsym(int handle, ptr int name, int len);
+    extern int dlcall(int sym, ptr int arg, int arg_len, ptr int out, int out_cap);
+    int main() {
+        ptr int p = (ptr int) 64;
+        p[0] = 0x67756c70; // "plug"
+        p[1] = 0x662e6e69; // "in.f"
+        p[2] = 0x6d76;     // "vm"
+        int h = dlopen((ptr int) 64, 10);
+        if (h < 0) { return 1; }
+        ptr int n = (ptr int) 128;
+        n[0] = 0x655f6c64; // "dl_e"
+        n[1] = 0x7972746e; // "ntry"
+        int sym = dlsym(h, (ptr int) 128, 8);
+        if (sym < 0) { return 2; }
+        read_call_input((ptr int) 192, 4);
+        if (dlcall(sym, (ptr int) 192, 16, (ptr int) 256, 16) != 16) { return 3; }
+        write_call_output((ptr int) 256, 16);
+        return 0;
+    }
+"#;
+
+#[test]
+fn dlcall_bitwise_identical_across_tiers() {
+    // The plugin runs on the tier of the module that loads it, so the two
+    // clusters compare like with like — and must still agree to the bit.
+    let plugin = faasm::fvm::encode_module(&faasm::lang::compile(PLUGIN_FL).unwrap());
+    let inputs: Vec<Vec<u8>> = [3i32, 12_345, -7]
+        .iter()
+        .map(|x| x.to_le_bytes().to_vec())
+        .collect();
+    let transcripts: Vec<Transcript> = [ExecTier::Interpreter, ExecTier::Lowered]
+        .iter()
+        .map(|tier| {
+            let c = cluster(*tier, 1);
+            c.object_store().put("user:par/plugin.fvm", plugin.clone());
+            c.upload_fl("par", "dl", DLCALL_FL, UploadOptions::default())
+                .unwrap();
+            inputs
+                .iter()
+                .map(|input| {
+                    let r = c.invoke("par", "dl", input.clone());
+                    assert_eq!(r.return_code(), 0, "{tier:?} dlcall: {:?}", r.status);
+                    r.output
+                })
+                .collect()
+        })
+        .collect();
+    assert_eq!(
+        transcripts[0], transcripts[1],
+        "a plugin's tier is invisible"
+    );
+    assert_eq!(transcripts[0][0].len(), 16);
+    assert_ne!(
+        transcripts[0][0], transcripts[0][1],
+        "the plugin really ran"
+    );
+}
