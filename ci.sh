@@ -12,81 +12,104 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release"
 cargo build --release
 
-echo "== one set of wire primitives: no codec outside faasm_net::wire"
-if grep -rn "use bytes::" crates/ ||
-    grep -rnE "fn (get_blob|get_string|get_bytes|get_block|put_blob|put_bytes)\b" crates/ |
-    grep -v "^crates/net/src/wire.rs:"; then
-    echo "wire helpers re-implemented outside crates/net/src/wire.rs" >&2
-    exit 1
-fi
-
-echo "== one request seam: typed keyed ops are written once, in KvBackend"
-keyed='Request::(Get|Set|GetRange|SetRange|MultiGetRange|MultiSetRange|Append|Del|Exists|StrLen|Incr|SAdd|SRem|SMembers|SCard|VersionOf|TryLock|Unlock)\b'
-if grep -rn "forward_kv_passthrough" crates/ src/ tests/ examples/; then
-    echo "per-method KvBackend forwarding macro is back; intercept in call() instead" >&2
-    exit 1
-fi
-for f in client sharded cache; do
-    # Non-test code only: everything above the file's first #[cfg(test)].
-    if sed '/#\[cfg(test)\]/,$d' "crates/kvs/src/$f.rs" | grep -nE "$keyed"; then
-        echo "crates/kvs/src/$f.rs builds a keyed request; typed ops live in backend.rs" >&2
-        exit 1
-    fi
-done
-
-echo "== one front door, one placement scorer: no second ingress, chooser or formula"
-for f in $(find crates/*/src -name '*.rs'); do
-    # Non-test code only, as above.
-    if sed '/#\[cfg(test)\]/,$d' "$f" |
-        grep -nE 'forwarded: false|fn pick_instance|gateway-bus|DEPTH_WEIGHT' | sed "s|^|$f:|"; then
-        echo "$f revives the per-call Invoke ingress, a second instance chooser or a second scoring formula" >&2
-        echo "driver calls enter by Cluster::place -> submit_placed_batch; hosts are ranked by faasm_sched::Candidate::score" >&2
-        exit 1
-    fi
-done
-
-echo "== local state tier: no chunk-table mutex, no unconditional condvar wake, no per-range Vec, no allocating state_read"
-# Non-test code only, as above.
+echo "== grep gates: shapes a past PR deleted on purpose must not come back"
+# Views of a file a gate can ask for. The default is the non-test code:
+# everything above the file's first #[cfg(test)].
 nontest() { sed '/#\[cfg(test)\]/,$d' "$1"; }
-if nontest crates/state/src/entry.rs | grep -nE 'chunks\.lock\(\)|Mutex<ChunkTable>'; then
-    echo "crates/state/src/entry.rs: the chunk table is behind a mutex again; present/dirty are atomic bitsets" >&2
-    exit 1
-fi
-if nontest crates/state/src/rwlock.rs | sed '/fn wake_waiters/,/^    }/d' | grep -n 'notify_all'; then
-    echo "crates/state/src/rwlock.rs: notify_all outside wake_waiters; an uncontended unlock must not reach the condvar" >&2
-    exit 1
-fi
-for f in crates/kvs/src/*.rs crates/state/src/*.rs; do
-    if nontest "$f" | grep -nF 'Vec<(u64, Vec<u8>)>' | sed "s|^|$f:|"; then
-        echo "$f: a per-range Vec write list; batched writes travel as faasm_kvs::RangeWrites" >&2
-        exit 1
-    fi
-done
-if sed -n '/^pub trait FaasEnv/,/^}/p' crates/workloads/src/env.rs |
-    sed -n '/fn state_read(/,/;/p' | grep -n 'Vec<u8>'; then
-    echo "crates/workloads/src/env.rs: FaasEnv::state_read allocates its result; it fills the caller's buffer" >&2
-    exit 1
-fi
+whole() { cat "$1"; }
+outside_wake_waiters() { nontest "$1" | sed '/fn wake_waiters/,/^    }/d'; }
+faasenv_state_read() { sed -n '/^pub trait FaasEnv/,/^}/{/fn state_read(/,/;/p}' "$1"; }
 
-echo "== lowered tier: register ops only, one value stack, no unsafe"
-for f in $(find crates/fvm/src -name '*.rs'); do
-    if nontest "$f" | grep -nE 'Op::Plain|fn fuse\b|FBinLL|FImmLS|FBrCmpLL|FAddLoad' | sed "s|^|$f:|"; then
-        echo "$f: the stack-form op stream (Plain fallback, fusion pass, F* superinstructions) is back" >&2
-        echo "operands are resolved at lowering time; every numeric op is one register Op from num::numeric_ops!" >&2
-        exit 1
-    fi
+keyed='Request::(Get|Set|GetRange|SetRange|MultiGetRange|MultiSetRange|Append|Del|Exists|StrLen|Incr|SAdd|SRem|SMembers|SCard|VersionOf|TryLock|Unlock)\b'
+
+# One gate per row: an extended regex, where it must not match, and what to
+# tell whoever brought it back. A scope is a list of files and directories
+# (every *.rs below; globs expand); `path@view` picks one of the views
+# above, `!file` leaves a file out.
+gates=(
+    # One set of wire primitives: no codec outside faasm_net::wire.
+    'use bytes::|fn (get_blob|get_string|get_bytes|get_block|put_blob|put_bytes)\b'
+    'crates@whole !crates/net/src/wire.rs'
+    'wire helpers re-implemented outside crates/net/src/wire.rs'
+
+    # One request seam: typed keyed ops are written once, in KvBackend.
+    'forward_kv_passthrough'
+    'crates@whole src@whole tests@whole examples@whole'
+    'per-method KvBackend forwarding macro is back; intercept in call() instead'
+
+    "$keyed"
+    'crates/kvs/src/client.rs crates/kvs/src/sharded.rs crates/kvs/src/cache.rs'
+    'a KvBackend client builds a keyed request; typed ops live in backend.rs'
+
+    # One front door, one placement scorer.
+    'forwarded: false|fn pick_instance|gateway-bus|DEPTH_WEIGHT'
+    'crates/*/src'
+    'the per-call Invoke ingress, a second instance chooser or a second scoring formula is back; driver calls enter by Cluster::place -> submit_placed_batch, hosts are ranked by faasm_sched::Candidate::score'
+
+    # Local state tier: no chunk-table mutex, no unconditional condvar
+    # wake, no per-range Vec, no allocating state_read.
+    'chunks\.lock\(\)|Mutex<ChunkTable>'
+    'crates/state/src/entry.rs'
+    'the chunk table is behind a mutex again; present/dirty are atomic bitsets'
+
+    'notify_all'
+    'crates/state/src/rwlock.rs@outside_wake_waiters'
+    'notify_all outside wake_waiters; an uncontended unlock must not reach the condvar'
+
+    'Vec<\(u64, Vec<u8>\)>'
+    'crates/kvs/src crates/state/src'
+    'a per-range Vec write list; batched writes travel as faasm_kvs::RangeWrites'
+
+    'Vec<u8>'
+    'crates/workloads/src/env.rs@faasenv_state_read'
+    'FaasEnv::state_read allocates its result; it fills the caller'"'"'s buffer'
+
+    # Lowered tier: register ops only, one value stack, no unsafe. The
+    # lowered call path is Instance::call_func -> instance/lowered.rs; the
+    # reference interpreter (instance/interp.rs) keeps its per-call Vecs.
+    'Op::Plain|fn fuse\b|FBinLL|FImmLS|FBrCmpLL|FAddLoad'
+    'crates/fvm/src'
+    'the stack-form op stream (Plain fallback, fusion pass, F* superinstructions) is back; operands are resolved at lowering time and every numeric op is one register Op from num::numeric_ops!'
+
+    'stack\.push\(|stack\.pop\(|Arc::clone\(&self\.object\)'
+    'crates/fvm/src/instance/lowered.rs'
+    'operand push/pop or a per-call Arc clone on the lowered call path; frames are windows of the instance'"'"'s one value stack'
+
+    'split_off'
+    'crates/fvm/src/instance.rs@whole crates/fvm/src/instance/lowered.rs@whole'
+    'a per-call Vec on the lowered call path; a guest call allocates and clones nothing'
+
+    '\bunsafe\b'
+    'crates/fvm/src@whole'
+    'unsafe code in the VM'
+
+    # One record per function per host, one production engine.
+    'struct Flight|FlightGuard|resolving:|protos: RwLock<HashMap'
+    'crates/core/src/instance.rs'
+    'a second (user, function) map or a hand-rolled single-flight is back; pool, proto and resolve lock live in the one FunctionRecord'
+
+    'exec_tier'
+    'crates/core/src'
+    'the execution tier is a cluster or Faaslet setting again; it is a property of an ObjectModule, and uploads compile ExecTier::Lowered'
+)
+failed=0
+for ((row = 0; row < ${#gates[@]}; row += 3)); do
+    pattern=${gates[row]} scope=${gates[row + 1]} message=${gates[row + 2]}
+    for word in $scope; do
+        [[ $word == !* ]] && continue
+        path=${word%@*}
+        view=nontest
+        [[ $word == *@* ]] && view=${word#*@}
+        for f in $(find "$path" -name '*.rs' | sort); do
+            [[ " $scope " == *" !$f "* ]] && continue
+            if "$view" "$f" | grep -nE "$pattern" | sed "s|^|$f:|"; then
+                echo "$f: $message" >&2
+                failed=1
+            fi
+        done
+    done
 done
-# The lowered call path is Instance::call_func -> instance/lowered.rs; the
-# reference interpreter (instance/interp.rs) keeps its per-call Vecs.
-if nontest crates/fvm/src/instance/lowered.rs |
-    grep -nE 'stack\.push\(|stack\.pop\(|Arc::clone\(&self\.object\)' ||
-    cat crates/fvm/src/instance.rs crates/fvm/src/instance/lowered.rs | grep -n 'split_off'; then
-    echo "crates/fvm/src/instance{.rs,/lowered.rs}: operand push/pop, a per-call Vec or a per-call Arc clone on the lowered call path" >&2
-    echo "frames are windows of the instance's one value stack; a guest call allocates and clones nothing" >&2
-    exit 1
-fi
-if grep -rnw 'unsafe' crates/fvm/src; then
-    echo "crates/fvm/src: unsafe code in the VM" >&2
+if ((failed)); then
     exit 1
 fi
 

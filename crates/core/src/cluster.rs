@@ -52,12 +52,6 @@ pub struct ClusterConfig {
     /// Consistency mode for cached keys without a per-key override (only
     /// meaningful when `cache_bytes > 0`).
     pub default_consistency: faasm_kvs::Consistency,
-    /// FVM execution tier for uploaded modules. [`ExecTier::Lowered`] (the
-    /// default) runs the direct-threaded compiled tier;
-    /// [`ExecTier::Interpreter`] keeps the reference tree-walking
-    /// interpreter. Both are observationally identical (results, traps,
-    /// fuel) — see `crates/fvm/tests/lowered_diff.rs`.
-    pub exec_tier: ExecTier,
 }
 
 impl Default for ClusterConfig {
@@ -70,7 +64,6 @@ impl Default for ClusterConfig {
             invoke_timeout: Duration::from_secs(60),
             cache_bytes: 0,
             default_consistency: faasm_kvs::Consistency::ReadYourWrites,
-            exec_tier: ExecTier::default(),
         }
     }
 }
@@ -128,7 +121,6 @@ pub struct Cluster {
     driver_kv: SharedKv,
     call_seq: Arc<AtomicU64>,
     invoke_timeout: Duration,
-    exec_tier: ExecTier,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -272,7 +264,6 @@ impl Cluster {
             driver_kv,
             call_seq,
             invoke_timeout: config.invoke_timeout,
-            exec_tier: config.exec_tier,
         }
     }
 
@@ -308,17 +299,9 @@ impl Cluster {
         bytes: &[u8],
         options: UploadOptions,
     ) -> Result<(), CoreError> {
-        let object = ObjectModule::compile_tier(bytes, self.exec_tier)
+        let object = ObjectModule::compile_tier(bytes, ExecTier::Lowered)
             .map_err(|e| CoreError::Compile(e.to_string()))?;
-        check_entry(&object, &options.entry)?;
-        if let Some(init) = &options.init {
-            check_entry(&object, init)?;
-        }
-        // Object file artefact in the shared store (what hosts would fetch
-        // in a multi-process deployment).
-        self.object_store
-            .put(&format!("shared/obj/{user}/{function}"), object.to_bytes());
-        self.registry.insert(
+        self.register(
             user,
             function,
             FunctionDef {
@@ -327,8 +310,7 @@ impl Cluster {
                 init: options.init,
                 reset_after_call: options.reset_after_call,
             },
-        );
-        Ok(())
+        )
     }
 
     /// Register a trusted native guest: host-compiled code run inside a
@@ -340,16 +322,38 @@ impl Cluster {
         guest: Arc<dyn NativeGuest>,
         reset_after_call: bool,
     ) {
-        self.registry.insert(
-            user,
-            function,
-            FunctionDef {
-                code: GuestCode::Native(guest),
-                entry: "main".into(),
-                init: None,
-                reset_after_call,
-            },
-        );
+        let def = FunctionDef {
+            code: GuestCode::Native(guest),
+            entry: "main".into(),
+            init: None,
+            reset_after_call,
+        };
+        self.register(user, function, def)
+            .expect("a native guest has no exports to check");
+    }
+
+    /// Deploy `def` as `user/function` — the one way a function enters the
+    /// cluster, each time as a **new upload**: no call placed after this
+    /// returns uses what hosts hold of an earlier one (warm Faaslets, its
+    /// Proto-Faaslet, its manifest in the tier). FVM code has its exports
+    /// checked and its object file put in the shared store (what hosts
+    /// would fetch in a multi-process deployment).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BadEntry`] if an FVM module's entry/init export is
+    /// missing or ill-typed.
+    pub fn register(&self, user: &str, function: &str, def: FunctionDef) -> Result<(), CoreError> {
+        if let GuestCode::Fvm(object) = &def.code {
+            check_entry(object, &def.entry)?;
+            if let Some(init) = &def.init {
+                check_entry(object, init)?;
+            }
+            self.object_store
+                .put(&format!("shared/obj/{user}/{function}"), object.to_bytes());
+        }
+        self.registry.insert(user, function, def);
+        Ok(())
     }
 
     /// Invoke a function and wait for its result.

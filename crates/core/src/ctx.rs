@@ -114,9 +114,6 @@ pub struct FaasletCtx {
     /// Dynamically loaded modules (`dlopen`); slots are `None` after
     /// `dlclose`.
     pub dl_modules: Vec<Option<faasm_fvm::Instance>>,
-    /// The tier the Faaslet's own module runs on; `dlopen` prepares plugins
-    /// for the same one.
-    pub exec_tier: faasm_fvm::ExecTier,
 }
 
 impl std::fmt::Debug for FaasletCtx {
@@ -441,7 +438,6 @@ pub(crate) mod tests {
             chained: Vec::new(),
             results: HashMap::new(),
             dl_modules: Vec::new(),
-            exec_tier: faasm_fvm::ExecTier::default(),
         }
     }
 

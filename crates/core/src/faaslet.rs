@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use faasm_fvm::{ExecTier, FuelMeter, Instance, Linker, Val};
+use faasm_fvm::{FuelMeter, Instance, InstanceSnapshot, Linker, Val};
 use faasm_net::{Nic, TokenBucket};
 use faasm_sched::{CallResult, CallSpec, CallStatus};
 use faasm_state::StateManager;
@@ -85,7 +85,6 @@ pub struct Faaslet {
     def: Arc<FunctionDef>,
     env: FaasletEnv,
     guest: GuestInstance,
-    created: Instant,
 }
 
 impl std::fmt::Debug for Faaslet {
@@ -103,8 +102,7 @@ fn build_ctx(
     user: &str,
     function: &str,
     env: &FaasletEnv,
-    share: Option<Arc<CgroupShare>>,
-    exec_tier: ExecTier,
+    share: Arc<CgroupShare>,
 ) -> FaasletCtx {
     let bucket = match env.egress {
         Some(e) => TokenBucket::new(e.rate, e.burst),
@@ -121,7 +119,7 @@ fn build_ctx(
         fdtable: FdTable::new(Arc::clone(&env.hostfs), user),
         vif: Arc::new(env.nic.virtual_interface(bucket)),
         router: Arc::clone(&env.router),
-        cgroup: share,
+        cgroup: Some(share),
         mapped_state: HashMap::new(),
         held_locks: Vec::new(),
         sockets: HashMap::new(),
@@ -131,8 +129,61 @@ fn build_ctx(
         chained: Vec::new(),
         results: HashMap::new(),
         dl_modules: Vec::new(),
-        exec_tier,
     }
+}
+
+/// The one way a guest comes to be: a parked cgroup share, a fresh context
+/// holding it, and — for FVM code — an instance metered by that share,
+/// either instantiated from the module (running `init`) or, given a
+/// `snapshot`, restored from it copy-on-write with no guest code run.
+fn build_guest(
+    id: u64,
+    user: &str,
+    function: &str,
+    def: &FunctionDef,
+    snapshot: Option<&InstanceSnapshot>,
+    env: &FaasletEnv,
+) -> Result<GuestInstance, CoreError> {
+    let share = Arc::new(env.cgroup.join_parked());
+    let ctx = Box::new(build_ctx(id, user, function, env, Arc::clone(&share)));
+    let object = match &def.code {
+        GuestCode::Fvm(object) => Arc::clone(object),
+        GuestCode::Native(_) if snapshot.is_some() => {
+            return Err(CoreError::BadProto(
+                "native guests have no proto-faaslets".into(),
+            ));
+        }
+        GuestCode::Native(guest) => {
+            return Ok(GuestInstance::Native {
+                guest: Arc::clone(guest),
+                ctx,
+            });
+        }
+    };
+    let fuel = FuelMeter::with_controller(
+        Arc::<CgroupShare>::clone(&share),
+        faasm_fvm::fuel::DEFAULT_SLICE,
+    );
+    let instance = match snapshot {
+        Some(snapshot) => Instance::restore(object, snapshot, &env.linker, ctx, fuel)
+            .map_err(|e| CoreError::BadProto(e.to_string()))?,
+        None => {
+            // The start function and `init` are guest code: they run as a
+            // cgroup member like a call does (dropping the share on an
+            // error path parks it too).
+            share.unpark();
+            let mut instance = Instance::with_fuel(object, &env.linker, ctx, fuel)
+                .map_err(|e| CoreError::Instantiate(e.to_string()))?;
+            if let Some(init) = &def.init {
+                instance
+                    .invoke(init, &[])
+                    .map_err(|t| CoreError::Instantiate(format!("init trapped: {t}")))?;
+            }
+            share.park();
+            instance
+        }
+    };
+    Ok(GuestInstance::Fvm(Box::new(instance)))
 }
 
 impl Faaslet {
@@ -149,53 +200,13 @@ impl Faaslet {
         def: Arc<FunctionDef>,
         env: &FaasletEnv,
     ) -> Result<Faaslet, CoreError> {
-        let guest = match &def.code {
-            GuestCode::Fvm(object) => {
-                let share = Arc::new(env.cgroup.join_parked());
-                let ctx = build_ctx(
-                    id,
-                    user,
-                    function,
-                    env,
-                    Some(Arc::clone(&share)),
-                    object.tier(),
-                );
-                let fuel = FuelMeter::with_controller(
-                    Arc::<CgroupShare>::clone(&share),
-                    faasm_fvm::fuel::DEFAULT_SLICE,
-                );
-                // The start function and `init` are guest code: they run as
-                // a cgroup member like a call does (dropping the share on an
-                // error path parks it too).
-                share.unpark();
-                let mut instance =
-                    Instance::with_fuel(Arc::clone(object), &env.linker, Box::new(ctx), fuel)
-                        .map_err(|e| CoreError::Instantiate(e.to_string()))?;
-                if let Some(init) = &def.init {
-                    instance
-                        .invoke(init, &[])
-                        .map_err(|t| CoreError::Instantiate(format!("init trapped: {t}")))?;
-                }
-                share.park();
-                GuestInstance::Fvm(Box::new(instance))
-            }
-            GuestCode::Native(g) => {
-                let share = Arc::new(env.cgroup.join_parked());
-                let ctx = build_ctx(id, user, function, env, Some(share), ExecTier::default());
-                GuestInstance::Native {
-                    guest: Arc::clone(g),
-                    ctx: Box::new(ctx),
-                }
-            }
-        };
         Ok(Faaslet {
             id,
             user: user.to_string(),
             function: function.to_string(),
+            guest: build_guest(id, user, function, &def, None, env)?,
             def,
             env: env.clone(),
-            guest,
-            created: Instant::now(),
         })
     }
 
@@ -213,47 +224,26 @@ impl Faaslet {
         def: Arc<FunctionDef>,
         env: &FaasletEnv,
     ) -> Result<Faaslet, CoreError> {
-        let GuestCode::Fvm(object) = &def.code else {
-            return Err(CoreError::BadProto(
-                "native guests have no proto-faaslets".into(),
-            ));
-        };
-        let share = Arc::new(env.cgroup.join_parked());
-        let ctx = build_ctx(
-            id,
-            &proto.user,
-            &proto.function,
-            env,
-            Some(Arc::clone(&share)),
-            object.tier(),
-        );
-        let fuel = FuelMeter::with_controller(share, faasm_fvm::fuel::DEFAULT_SLICE);
-        let instance = Instance::restore(
-            Arc::clone(object),
-            &proto.snapshot,
-            &env.linker,
-            Box::new(ctx),
-            fuel,
-        )
-        .map_err(|e| CoreError::BadProto(e.to_string()))?;
+        let (user, function) = (&proto.user, &proto.function);
         Ok(Faaslet {
             id,
-            user: proto.user.clone(),
-            function: proto.function.clone(),
+            user: user.clone(),
+            function: function.clone(),
+            guest: build_guest(id, user, function, &def, Some(&proto.snapshot), env)?,
             def,
             env: env.clone(),
-            guest: GuestInstance::Fvm(Box::new(instance)),
-            created: Instant::now(),
         })
     }
 
     /// Capture a Proto-Faaslet from this Faaslet's current state (FVM
-    /// guests only).
+    /// guests only). A Faaslet does not know which upload its definition
+    /// came from: the runtime instance stamps the generation.
     pub fn capture_proto(&mut self) -> Option<ProtoFaaslet> {
         match &mut self.guest {
             GuestInstance::Fvm(inst) => Some(ProtoFaaslet {
                 user: self.user.clone(),
                 function: self.function.clone(),
+                generation: 0,
                 snapshot: inst.snapshot(),
             }),
             GuestInstance::Native { .. } => None,
@@ -299,56 +289,30 @@ impl Faaslet {
         }
     }
 
-    /// Reset after a call: restore the Proto-Faaslet state and drop every
-    /// capability of the previous call, so "no information from the previous
-    /// call is disclosed" (§5.2). Native guests get a fresh context.
+    /// Reset after a call — a restore in place: the guest is rebuilt from
+    /// the Proto-Faaslet with every capability of the previous call dropped,
+    /// so "no information from the previous call is disclosed" (§5.2).
+    /// Native guests (no proto) get a fresh context.
     ///
     /// # Errors
     ///
-    /// [`CoreError::BadProto`] on snapshot/module mismatch.
+    /// [`CoreError::BadProto`] on snapshot/module mismatch, or when an FVM
+    /// Faaslet is reset without its proto.
     pub fn reset(&mut self, proto: Option<&ProtoFaaslet>) -> Result<(), CoreError> {
-        match &mut self.guest {
-            GuestInstance::Fvm(inst) => {
-                let proto = proto.ok_or_else(|| {
-                    CoreError::BadProto("reset of an FVM faaslet requires its proto".into())
-                })?;
-                let object = match &self.def.code {
-                    GuestCode::Fvm(o) => Arc::clone(o),
-                    GuestCode::Native(_) => unreachable!("FVM guest has FVM code"),
-                };
-                let share = Arc::new(self.env.cgroup.join_parked());
-                let ctx = build_ctx(
-                    self.id,
-                    &self.user,
-                    &self.function,
-                    &self.env,
-                    Some(Arc::clone(&share)),
-                    object.tier(),
-                );
-                let fuel = FuelMeter::with_controller(share, faasm_fvm::fuel::DEFAULT_SLICE);
-                **inst = Instance::restore(
-                    object,
-                    &proto.snapshot,
-                    &self.env.linker,
-                    Box::new(ctx),
-                    fuel,
-                )
-                .map_err(|e| CoreError::BadProto(e.to_string()))?;
-                Ok(())
-            }
-            GuestInstance::Native { ctx, .. } => {
-                let share = Arc::new(self.env.cgroup.join_parked());
-                **ctx = build_ctx(
-                    self.id,
-                    &self.user,
-                    &self.function,
-                    &self.env,
-                    Some(share),
-                    ExecTier::default(),
-                );
-                Ok(())
-            }
+        if proto.is_none() && matches!(self.guest, GuestInstance::Fvm(_)) {
+            return Err(CoreError::BadProto(
+                "reset of an FVM faaslet requires its proto".into(),
+            ));
         }
+        self.guest = build_guest(
+            self.id,
+            &self.user,
+            &self.function,
+            &self.def,
+            proto.map(|p| &p.snapshot),
+            &self.env,
+        )?;
+        Ok(())
     }
 
     /// The Faaslet's context (for inspection by the runtime).
@@ -410,11 +374,6 @@ impl Faaslet {
                         .sum::<usize>()
             }
         }
-    }
-
-    /// Age of the Faaslet.
-    pub fn age(&self) -> std::time::Duration {
-        self.created.elapsed()
     }
 }
 

@@ -1,6 +1,7 @@
 //! Guest code and the cluster-wide function registry.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use faasm_fvm::{ObjectModule, Trap};
@@ -65,10 +66,20 @@ pub struct FunctionDef {
     pub reset_after_call: bool,
 }
 
+/// A function's current upload and the generation it was assigned.
+type Upload = (Arc<FunctionDef>, u64);
+
 /// Cluster-wide function registry, shared by every runtime instance.
+///
+/// Every [`insert`](Self::insert) is one *upload* and is assigned the next
+/// **generation**, a registry-wide, strictly increasing number: the
+/// identity of everything a host builds from the upload (warm Faaslets,
+/// the Proto-Faaslet and its meta chunk in the tier), so none of it is ever
+/// used under another upload. A function is replaced, never removed.
 #[derive(Debug, Default)]
 pub struct FunctionRegistry {
-    funcs: RwLock<HashMap<(String, String), Arc<FunctionDef>>>,
+    funcs: RwLock<HashMap<(String, String), Upload>>,
+    generation: AtomicU64,
 }
 
 impl FunctionRegistry {
@@ -77,27 +88,24 @@ impl FunctionRegistry {
         FunctionRegistry::default()
     }
 
-    /// Register (or replace) a function.
+    /// Register (or replace) a function as a new upload.
     pub fn insert(&self, user: &str, function: &str, def: FunctionDef) {
-        self.funcs
-            .write()
-            .insert((user.to_string(), function.to_string()), Arc::new(def));
+        let mut funcs = self.funcs.write();
+        // Bumped under the write lock, so generations order the uploads of
+        // one function the way the map saw them.
+        let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
+        funcs.insert(
+            (user.to_string(), function.to_string()),
+            (Arc::new(def), generation),
+        );
     }
 
-    /// Look up a function.
-    pub fn get(&self, user: &str, function: &str) -> Option<Arc<FunctionDef>> {
+    /// Look up a function: its current upload and that upload's generation.
+    pub fn get(&self, user: &str, function: &str) -> Option<(Arc<FunctionDef>, u64)> {
         self.funcs
             .read()
             .get(&(user.to_string(), function.to_string()))
             .cloned()
-    }
-
-    /// Remove a function; returns whether it existed.
-    pub fn remove(&self, user: &str, function: &str) -> bool {
-        self.funcs
-            .write()
-            .remove(&(user.to_string(), function.to_string()))
-            .is_some()
     }
 
     /// Number of registered functions.
@@ -132,11 +140,13 @@ mod tests {
             },
         );
         assert_eq!(r.len(), 1);
-        assert!(r.get("u", "f").is_some());
+        let (first, generation) = r.get("u", "f").unwrap();
         assert!(r.get("u", "g").is_none());
         assert!(r.get("other", "f").is_none(), "functions are per-user");
-        assert!(r.remove("u", "f"));
-        assert!(!r.remove("u", "f"));
+        // Re-inserting the same definition is a new upload all the same.
+        r.insert("u", "f", (*first).clone());
+        assert!(r.get("u", "f").unwrap().1 > generation);
+        assert_eq!(r.len(), 1);
     }
 
     #[test]
@@ -156,7 +166,7 @@ mod tests {
                 reset_after_call: false,
             },
         );
-        let def = r.get("u", "n").unwrap();
+        let (def, _) = r.get("u", "n").unwrap();
         assert!(matches!(def.code, GuestCode::Native(_)));
         let dbg = format!("{:?}", def.code);
         assert!(dbg.contains("Native"));

@@ -1,14 +1,16 @@
 //! The FAASM runtime instance: one per host (Fig. 5).
 //!
-//! Each instance owns a pool of warm Faaslets, a local scheduler fed by the
-//! message bus, worker threads that execute calls, the host's local state
-//! tier and filesystem, and the host-wide CPU cgroup. Instances coordinate
-//! only through the global tier (warm sets) and the fabric (shared calls and
-//! results) — the distributed shared-state scheduling of §5.1.
+//! Each instance owns one record per deployed function (the upload it was
+//! built from, its Proto-Faaslet and its warm Faaslets, under one
+//! lifetime), a local scheduler fed by the message bus, worker threads that
+//! execute calls, the host's local state tier and filesystem, and the
+//! host-wide CPU cgroup. Instances coordinate only through the global tier
+//! (warm sets) and the fabric (shared calls and results) — the distributed
+//! shared-state scheduling of §5.1.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -24,13 +26,13 @@ use faasm_sched::{
 use faasm_state::StateManager;
 use faasm_telemetry::{SpanKind, TraceCtx};
 use faasm_vfs::{HostFs, ObjectStore};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 use crate::cgroup::CgroupCpu;
 use crate::ctx::ChainRouter;
 use crate::error::CoreError;
 use crate::faaslet::{EgressLimit, Faaslet, FaasletEnv};
-use crate::guest::{FunctionRegistry, GuestCode};
+use crate::guest::{FunctionDef, FunctionRegistry, GuestCode};
 use crate::hostfuncs::faaslet_linker;
 use crate::metrics::{Metrics, StartKind};
 use crate::msg::{decode_msg, encode_msg, InstanceMsg};
@@ -105,6 +107,50 @@ impl std::fmt::Debug for PlacedCall {
     }
 }
 
+/// Everything this host knows about one upload of one function: the
+/// definition it runs, the Proto-Faaslet captured from it and the Faaslets
+/// restored from that, under one lifetime. A Faaslet returns to the record
+/// it was built from and is reset from that record's proto, so code and
+/// snapshot can never come from different uploads; a re-upload makes the
+/// record stale and [`FaasmInstance::record`] drops it whole.
+struct FunctionRecord {
+    user: String,
+    function: String,
+    def: Arc<FunctionDef>,
+    /// The generation the registry assigned the upload.
+    generation: u64,
+    /// The upload's Proto-Faaslet, installed once — captured here, fetched
+    /// from the tier or pre-staged. Reads take no lock.
+    proto: OnceLock<ProtoRef>,
+    /// Held across fetch-or-capture: concurrent cold starts cost one.
+    resolve: Mutex<()>,
+    pool: Mutex<Pool>,
+}
+
+#[derive(Default)]
+struct Pool {
+    /// This host's membership of the function's global warm set: set by
+    /// the first [`FaasmInstance::pool_enter`] (even with every Faaslet
+    /// checked out, or none built yet), cleared by `evict` and
+    /// `retire_idle`, and only those transitions talk to the warm set. A
+    /// pre-staged record holds a proto without being warm.
+    warm: bool,
+    idle: Vec<Faaslet>,
+}
+
+impl FunctionRecord {
+    /// Install `proto` unless it is another upload's snapshot (or one is
+    /// installed already) — the one identity check, whether the proto was
+    /// captured here, fetched from the tier or pushed by a pre-stage.
+    fn install(&self, proto: ProtoRef) {
+        let ours = (&proto.user, &proto.function, proto.generation)
+            == (&self.user, &self.function, self.generation);
+        if ours {
+            let _ = self.proto.set(proto);
+        }
+    }
+}
+
 /// One FAASM runtime instance.
 pub struct FaasmInstance {
     /// Weak self, so `&self` trait methods ([`ChainRouter`]) can reach the
@@ -123,9 +169,6 @@ pub struct FaasmInstance {
     tier_kv: SharedKv,
     /// Host-local cache of verified content-addressed proto chunks.
     snap_cache: Arc<SnapshotCache>,
-    /// Single-flight proto resolution: one leader per `(user, function)`
-    /// fetches or captures while concurrent cold starts park.
-    resolving: Mutex<HashMap<(String, String), Arc<Flight>>>,
     /// Hands pre-stage manifests to the dedicated fetch thread so the bus
     /// loop never blocks on chunk round-trips.
     prestage_tx: Sender<(String, String, Vec<u8>)>,
@@ -136,18 +179,15 @@ pub struct FaasmInstance {
     warm: WarmSets,
     cgroup: Arc<CgroupCpu>,
     linker: Arc<Linker>,
-    /// Idle warm Faaslets per function. A key's presence — even with every
-    /// Faaslet checked out — is this host's membership of the function's
-    /// global warm set: the `pool_enter` that inserts it registers, the
-    /// `evict` or `retire_idle` that removes it deregisters.
-    pool: Mutex<HashMap<(String, String), Vec<Faaslet>>>,
+    /// The one map keyed by `(user, function)`: this host's record of the
+    /// function's current upload.
+    records: Mutex<HashMap<(String, String), Arc<FunctionRecord>>>,
     queue_tx: Sender<QueuedCall>,
     queue_rx: Receiver<QueuedCall>,
     /// Batched calls on the bus that the bus loop has not yet queued:
     /// without them a burst of placements all read this host as idle.
     in_transit: AtomicUsize,
     pending: Arc<Pending>,
-    protos: RwLock<HashMap<(String, String), ProtoRef>>,
     metrics: Arc<Metrics>,
     next_faaslet: AtomicU64,
     call_seq: Arc<AtomicU64>,
@@ -217,7 +257,6 @@ impl FaasmInstance {
             cache,
             tier_kv,
             snap_cache: Arc::new(SnapshotCache::new(DEFAULT_SNAPSHOT_CACHE_BYTES)),
-            resolving: Mutex::new(HashMap::new()),
             prestage_tx,
             boards,
             state,
@@ -226,12 +265,11 @@ impl FaasmInstance {
             warm,
             cgroup: CgroupCpu::new(CGROUP_TOLERANCE),
             linker: Arc::new(faaslet_linker()),
-            pool: Mutex::new(HashMap::new()),
+            records: Mutex::new(HashMap::new()),
             queue_tx,
             queue_rx,
             in_transit: AtomicUsize::new(0),
             pending: Arc::new(Pending::default()),
-            protos: RwLock::new(HashMap::new()),
             metrics: Arc::new(Metrics::new()),
             next_faaslet: AtomicU64::new(1),
             call_seq,
@@ -308,22 +346,8 @@ impl FaasmInstance {
     /// Whether this host already holds an assembled proto for a function
     /// (restores from here are pure local CoW mappings).
     pub fn has_proto(&self, user: &str, function: &str) -> bool {
-        self.protos
-            .read()
-            .contains_key(&(user.to_string(), function.to_string()))
-    }
-
-    /// The chunk manifest of the host's assembled proto — for bitwise
-    /// parity checks between a locally-captured and a chunk-fetched proto
-    /// (the manifest digests every byte of the meta chunk and of each page).
-    #[cfg(test)]
-    pub(crate) fn proto_manifest(&self, user: &str, function: &str) -> Option<ProtoManifest> {
-        let proto = self
-            .protos
-            .read()
-            .get(&(user.to_string(), function.to_string()))
-            .cloned()?;
-        Some(chunk_proto(&proto).ok()?.manifest)
+        self.record(user, function)
+            .is_ok_and(|rec| rec.proto.get().is_some())
     }
 
     /// Push `function`'s chunk manifest to `target` over the bus — the
@@ -368,28 +392,32 @@ impl FaasmInstance {
     /// ([`faasm_sched::Candidate::idle_warm`]): `None` when it holds no
     /// Faaslet for it, else how many are idle.
     pub fn idle_warmth(&self, user: &str, function: &str) -> Option<usize> {
-        self.pool
-            .lock()
-            .get(&(user.to_string(), function.to_string()))
-            .map(Vec::len)
+        let rec = self.record(user, function).ok()?;
+        let pool = rec.pool.lock();
+        pool.warm.then(|| pool.idle.len())
     }
 
     /// Aggregate host memory: Faaslet RSS + local state tier + file cache
     /// (the per-host footprint behind Fig. 6c and Tab. 3).
     pub fn host_memory_bytes(&self) -> usize {
-        let pool_mem: usize = self
-            .pool
-            .lock()
-            .values()
-            .flat_map(|v| v.iter().map(Faaslet::rss_bytes))
-            .sum();
+        let mut pool_mem = 0;
+        for rec in self.records.lock().values() {
+            pool_mem += rec
+                .pool
+                .lock()
+                .idle
+                .iter()
+                .map(Faaslet::rss_bytes)
+                .sum::<usize>();
+        }
         pool_mem + self.state.local_bytes() + self.hostfs.cached_bytes()
     }
 
     /// Evict all warm Faaslets for a function (scale-down / tests).
     pub fn evict(&self, user: &str, function: &str) {
-        let key = (user.to_string(), function.to_string());
-        self.pool.lock().remove(&key);
+        if let Ok(rec) = self.record(user, function) {
+            *rec.pool.lock() = Pool::default();
+        }
         let _ = self.warm.deregister(user, function, self.host_id);
     }
 
@@ -406,18 +434,61 @@ impl FaasmInstance {
         self.stop.load(Ordering::Relaxed)
     }
 
-    /// Enter `faaslets` into the function's idle pool. Creating the pool
-    /// entry is the moment this host counts as warm for the function — the
-    /// first build claims it with no Faaslet yet, so calls placed during a
-    /// cold start follow it here instead of starting another host — and the
-    /// only moment that tells the global warm set.
-    fn pool_enter(&self, key: &(String, String), faaslets: Option<Faaslet>) {
-        let mut pool = self.pool.lock();
-        let became_warm = !pool.contains_key(key);
-        pool.entry(key.clone()).or_default().extend(faaslets);
+    /// This host's record of `user/function`'s current upload — every
+    /// access to a function's Faaslets or proto starts here, once per call.
+    /// A record built from an upload the registry has since replaced is
+    /// dropped whole: its idle Faaslets and proto go with it, and Faaslets
+    /// still out on calls follow when those calls return them to a record
+    /// nothing can reach any more.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnknownFunction`] when nothing is registered.
+    fn record(&self, user: &str, function: &str) -> Result<Arc<FunctionRecord>, CoreError> {
+        let Some((def, generation)) = self.registry.get(user, function) else {
+            return Err(CoreError::UnknownFunction {
+                user: user.to_string(),
+                function: function.to_string(),
+            });
+        };
+        let key = (user.to_string(), function.to_string());
+        let mut records = self.records.lock();
+        if let Some(rec) = records.get(&key) {
+            // `>`: a caller that read the registry before a re-upload may
+            // arrive after the caller that read it afterwards.
+            if rec.generation >= generation {
+                return Ok(Arc::clone(rec));
+            }
+        }
+        let rec = Arc::new(FunctionRecord {
+            user: key.0.clone(),
+            function: key.1.clone(),
+            def,
+            generation,
+            proto: OnceLock::new(),
+            resolve: Mutex::new(()),
+            pool: Mutex::default(),
+        });
+        let stale = records.insert(key, Arc::clone(&rec));
+        drop(records);
+        if stale.is_some_and(|stale| stale.pool.lock().warm) {
+            let _ = self.warm.deregister(user, function, self.host_id);
+        }
+        Ok(rec)
+    }
+
+    /// Enter `faaslet` into the record's idle pool. The first entry is the
+    /// moment this host counts as warm for the function — the first build
+    /// claims it with no Faaslet yet, so calls placed during a cold start
+    /// follow it here instead of starting another host — and the only
+    /// moment that tells the global warm set.
+    fn pool_enter(&self, rec: &FunctionRecord, faaslet: Option<Faaslet>) {
+        let mut pool = rec.pool.lock();
+        let became_warm = !std::mem::replace(&mut pool.warm, true);
+        pool.idle.extend(faaslet);
         drop(pool);
         if became_warm {
-            let _ = self.warm.register(&key.0, &key.1, self.host_id);
+            let _ = self.warm.register(&rec.user, &rec.function, self.host_id);
         }
     }
 
@@ -437,10 +508,10 @@ impl FaasmInstance {
         function: &str,
         count: usize,
     ) -> Result<usize, CoreError> {
-        let key = (user.to_string(), function.to_string());
+        let rec = self.record(user, function)?;
         for created in 0..count {
-            match self.build_faaslet(&key) {
-                Ok(faaslet) => self.pool_enter(&key, Some(faaslet)),
+            match self.build_faaslet(&rec) {
+                Ok(faaslet) => self.pool_enter(&rec, Some(faaslet)),
                 Err(e) if created == 0 => return Err(e),
                 Err(_) => return Ok(created),
             }
@@ -452,22 +523,17 @@ impl FaasmInstance {
     /// autoscaler's scale-down hook). Deregisters from the global warm set
     /// when the pool empties. Returns how many were dropped.
     pub fn retire_idle(&self, user: &str, function: &str, count: usize) -> usize {
-        let key = (user.to_string(), function.to_string());
-        let mut pool = self.pool.lock();
-        let Some(idle) = pool.get_mut(&key) else {
+        let Ok(rec) = self.record(user, function) else {
             return 0;
         };
-        let n = count.min(idle.len());
-        if n == 0 {
-            // Checkout leaves empty entries behind; retiring nothing must
-            // not deregister a host whose Faaslets are merely all busy.
-            return 0;
-        }
-        idle.truncate(idle.len() - n);
-        let emptied = idle.is_empty();
-        if emptied {
-            pool.remove(&key);
-        }
+        let mut pool = rec.pool.lock();
+        let n = count.min(pool.idle.len());
+        let kept = pool.idle.len() - n;
+        pool.idle.truncate(kept);
+        // Retiring nothing must not deregister a host whose Faaslets are
+        // merely all busy.
+        let emptied = n > 0 && kept == 0;
+        pool.warm &= !emptied;
         drop(pool);
         if emptied {
             let _ = self.warm.deregister(user, function, self.host_id);
@@ -614,10 +680,11 @@ impl FaasmInstance {
     }
 
     fn execute(self: &Arc<Self>, q: QueuedCall) {
-        let key = (q.call.user.clone(), q.call.function.clone());
-        let faaslet = self.checkout(&key);
-        let mut faaslet = match faaslet {
-            Ok(f) => f,
+        let checked_out = self
+            .record(&q.call.user, &q.call.function)
+            .and_then(|rec| Ok((self.checkout(&rec)?, rec)));
+        let (mut faaslet, rec) = match checked_out {
+            Ok(pair) => pair,
             Err(e) => {
                 self.deliver(CallResult::error(q.call.id, e.to_string()), q.reply_to);
                 return;
@@ -663,145 +730,108 @@ impl FaasmInstance {
             faaslet.pss_bytes(),
         );
 
-        // Reset-after-call (multi-tenant hygiene, §5.2), then return to the
-        // warm pool.
-        let def = self.registry.get(&q.call.user, &q.call.function);
-        let reset_ok = match def {
-            Some(def) if def.reset_after_call => match &def.code {
-                GuestCode::Fvm(_) => {
-                    let proto = self.protos.read().get(&key).cloned();
-                    faaslet.reset(proto.as_deref()).is_ok()
-                }
-                GuestCode::Native(_) => faaslet.reset(None).is_ok(),
-            },
-            _ => true,
-        };
+        // Reset-after-call (multi-tenant hygiene, §5.2) from the record's
+        // own proto (native guests have none), then back to its pool.
+        let reset_ok =
+            !rec.def.reset_after_call || faaslet.reset(rec.proto.get().map(Arc::as_ref)).is_ok();
         if reset_ok {
-            self.pool_enter(&key, Some(faaslet));
+            self.pool_enter(&rec, Some(faaslet));
         }
         self.deliver(result, q.reply_to);
     }
 
     /// Obtain a Faaslet: warm pool first, then Proto-Faaslet restore, then
     /// full cold start (which also generates the function's proto).
-    fn checkout(self: &Arc<Self>, key: &(String, String)) -> Result<Faaslet, CoreError> {
-        if let Some(f) = self.pool.lock().get_mut(key).and_then(Vec::pop) {
+    fn checkout(self: &Arc<Self>, rec: &FunctionRecord) -> Result<Faaslet, CoreError> {
+        if let Some(f) = rec.pool.lock().idle.pop() {
             self.metrics.record_start(StartKind::Warm, 0);
             return Ok(f);
         }
-        self.build_faaslet(key)
+        self.build_faaslet(rec)
     }
 
     /// Build a fresh Faaslet (proto restore or cold start), bypassing the
     /// pool. Shared by the call path ([`checkout`](Self::checkout)) and the
     /// autoscaler's [`prewarm`](Self::prewarm).
-    fn build_faaslet(self: &Arc<Self>, key: &(String, String)) -> Result<Faaslet, CoreError> {
-        let def = self
-            .registry
-            .get(&key.0, &key.1)
-            .ok_or_else(|| CoreError::UnknownFunction {
-                user: key.0.clone(),
-                function: key.1.clone(),
-            })?;
-        self.pool_enter(key, None);
+    fn build_faaslet(self: &Arc<Self>, rec: &FunctionRecord) -> Result<Faaslet, CoreError> {
+        self.pool_enter(rec, None);
         let id = self.next_faaslet.fetch_add(1, Ordering::Relaxed);
         let env = self.env();
-
-        match &def.code {
-            GuestCode::Native(_) => {
-                let t0 = Instant::now();
-                let f = Faaslet::create_cold(id, &key.0, &key.1, def, &env)?;
-                self.metrics
-                    .record_start(StartKind::Cold, t0.elapsed().as_nanos() as u64);
-                Ok(f)
-            }
-            GuestCode::Fvm(_) => loop {
-                // Resolve order (§5.2 at cluster scale): assembled proto on
-                // this host → chunk fetch through the snapshot plane → cold
-                // start. The expensive steps are single-flight per function:
-                // one leader fetches or captures while concurrent cold
-                // starts park, so a barrier-released burst costs exactly one
-                // capture.
-                if let Some(proto) = self.protos.read().get(key).cloned() {
-                    let s0 = faasm_telemetry::now_ns();
-                    let t0 = Instant::now();
-                    let f = Faaslet::restore(id, &proto, def, &env)?;
-                    self.metrics
-                        .record_start(StartKind::ProtoRestore, t0.elapsed().as_nanos() as u64);
-                    let ctx = faasm_telemetry::current();
-                    if !ctx.is_none() {
-                        worker_recorder().span(SpanKind::ProtoRestore, ctx, s0, 0);
-                    }
-                    return Ok(f);
-                }
-                let flight = {
-                    let mut resolving = self.resolving.lock();
-                    match resolving.get(key) {
-                        Some(f) => Some(Arc::clone(f)),
-                        None => {
-                            resolving.insert(key.clone(), Arc::new(Flight::new()));
-                            None
+        let cold_start = || {
+            let t0 = Instant::now();
+            let f = Faaslet::create_cold(id, &rec.user, &rec.function, Arc::clone(&rec.def), &env)?;
+            self.metrics
+                .record_start(StartKind::Cold, t0.elapsed().as_nanos() as u64);
+            Ok(f)
+        };
+        if matches!(rec.def.code, GuestCode::Native(_)) {
+            return cold_start();
+        }
+        // Resolve order (§5.2 at cluster scale): the record's proto → chunk
+        // fetch through the snapshot plane → cold start. The expensive
+        // steps are double-checked under the record's resolve lock: whoever
+        // takes it first fetches or captures while concurrent cold starts
+        // wait on it and then find the proto installed, so a
+        // barrier-released burst costs exactly one capture.
+        let proto = match rec.proto.get() {
+            Some(proto) => proto,
+            None => {
+                let _resolving = rec.resolve.lock();
+                match rec.proto.get().or_else(|| self.fetch_proto(rec)) {
+                    Some(proto) => proto,
+                    None => {
+                        // First cold start of this upload anywhere:
+                        // instantiate, run init, capture and publish the
+                        // proto (§5.2: generated as part of upload / first
+                        // use, stored for cross-host restores).
+                        let mut f = cold_start()?;
+                        if let Some(proto) = f.capture_proto() {
+                            let proto = Arc::new(ProtoFaaslet {
+                                generation: rec.generation,
+                                ..proto
+                            });
+                            self.publish_proto(&proto);
+                            rec.install(proto);
                         }
+                        return Ok(f);
                     }
-                };
-                if let Some(flight) = flight {
-                    // Another resolver is fetching or capturing this
-                    // function's proto: park until it settles, then
-                    // re-resolve (usually a pure CoW restore).
-                    flight.wait();
-                    continue;
                 }
-                // Leader. The guard wakes every parked resolver when this
-                // attempt ends by any path, including errors.
-                let _flight = FlightGuard {
-                    instance: self,
-                    key,
-                };
-                if self.protos.read().contains_key(key) {
-                    // A pre-stage or a just-finished leader landed between
-                    // the resolve check and leadership.
-                    continue;
-                }
-                if let Some(proto) = self.fetch_proto(key) {
-                    self.protos.write().insert(key.clone(), proto);
-                    continue;
-                }
-                // First cold start anywhere: instantiate, run init, capture
-                // and publish the proto (§5.2: generated as part of upload /
-                // first use, stored for cross-host restores).
-                let t0 = Instant::now();
-                let mut f = Faaslet::create_cold(id, &key.0, &key.1, def, &env)?;
-                self.metrics
-                    .record_start(StartKind::Cold, t0.elapsed().as_nanos() as u64);
-                if let Some(proto) = f.capture_proto() {
-                    let proto = Arc::new(proto);
-                    self.publish_proto(key, &proto);
-                    self.protos.write().insert(key.clone(), proto);
-                }
-                return Ok(f);
-            },
+            }
+        };
+        let s0 = faasm_telemetry::now_ns();
+        let t0 = Instant::now();
+        let f = Faaslet::restore(id, proto, Arc::clone(&rec.def), &env)?;
+        self.metrics
+            .record_start(StartKind::ProtoRestore, t0.elapsed().as_nanos() as u64);
+        let ctx = faasm_telemetry::current();
+        if !ctx.is_none() {
+            worker_recorder().span(SpanKind::ProtoRestore, ctx, s0, 0);
         }
+        Ok(f)
     }
 
-    /// Fetch a function's proto through the snapshot plane: manifest from
+    /// Fetch the record's proto through the snapshot plane: manifest from
     /// the tier, then cache-checked chunk reads. `None` when nothing is
-    /// published or the fetch failed — the caller cold-starts.
-    fn fetch_proto(&self, key: &(String, String)) -> Option<ProtoRef> {
-        let manifest_bytes = self.tier_kv.get(&manifest_key(&key.0, &key.1)).ok()??;
-        let manifest = ProtoManifest::from_bytes(&manifest_bytes)?;
-        let proto = self.fetch_by_manifest(&manifest)?;
-        // The manifest key is the plane's only mutable key: a stale or
-        // crossed write must never bind another function's proto here.
-        if proto.user != key.0 || proto.function != key.1 {
-            return None;
-        }
-        Some(proto)
+    /// published, the fetch failed, or the manifest — the plane's only
+    /// mutable key — names another upload's proto: the caller cold-starts,
+    /// and its publish overwrites the manifest.
+    fn fetch_proto<'a>(&self, rec: &'a FunctionRecord) -> Option<&'a ProtoRef> {
+        let published = self
+            .tier_kv
+            .get(&manifest_key(&rec.user, &rec.function))
+            .ok()??;
+        rec.install(self.fetch_by_manifest(&published)?);
+        rec.proto.get()
     }
 
-    /// Pull and verify every chunk a manifest names — local snapshot cache
-    /// first, then one batched tier read for the rest — and assemble the
-    /// proto. Verified bytes land in the cache on the way through.
-    fn fetch_by_manifest(&self, manifest: &ProtoManifest) -> Option<ProtoRef> {
+    /// Pull and verify every chunk a serialised manifest names — local
+    /// snapshot cache first, then one batched tier read for the rest — and
+    /// assemble the proto. Verified bytes land in the cache on the way
+    /// through. The digests vouch for the bytes, not for whose proto they
+    /// are: a manifest is a mutable tier key or unauthenticated bus
+    /// traffic, so the result goes through [`FunctionRecord::install`].
+    fn fetch_by_manifest(&self, manifest: &[u8]) -> Option<ProtoRef> {
+        let manifest = ProtoManifest::from_bytes(manifest)?;
         let stats = self.snap_cache.stats();
         stats.fetches.fetch_add(1, Ordering::Relaxed);
         let s0 = faasm_telemetry::now_ns();
@@ -873,10 +903,10 @@ impl FaasmInstance {
     /// pages identical across proto versions (or functions) ship once.
     /// Errors are swallowed: a failed publish only costs peers a cold
     /// start, never a corrupt restore (fetchers verify digests).
-    fn publish_proto(&self, key: &(String, String), proto: &ProtoFaaslet) {
+    fn publish_proto(&self, proto: &ProtoFaaslet) {
         let Ok(chunked) = chunk_proto(proto) else {
             // A snapshot section too large for the wire encoding stays
-            // host-local: restores here still work from `protos`.
+            // host-local: restores here still work from the record.
             return;
         };
         let stats = self.snap_cache.stats();
@@ -897,9 +927,10 @@ impl FaasmInstance {
             // to be the hottest restorer of this function.
             self.snap_cache.insert(*d, Arc::clone(bytes));
         }
-        let _ = self
-            .tier_kv
-            .set(&manifest_key(&key.0, &key.1), chunked.manifest.to_bytes());
+        let _ = self.tier_kv.set(
+            &manifest_key(&proto.user, &proto.function),
+            chunked.manifest.to_bytes(),
+        );
     }
 
     fn prestage_loop(self: Arc<Self>, rx: Receiver<(String, String, Vec<u8>)>) {
@@ -914,26 +945,21 @@ impl FaasmInstance {
 
     /// Handle a pushed pre-stage manifest: fetch its chunks into the
     /// snapshot cache and install the assembled proto, so the first call
-    /// after a scale-up restores from warm local bytes.
-    fn handle_prestage(&self, user: &str, function: &str, manifest_bytes: &[u8]) {
+    /// after a scale-up restores from warm local bytes. The record holds
+    /// the proto without becoming warm.
+    fn handle_prestage(&self, user: &str, function: &str, manifest: &[u8]) {
         self.snap_cache
             .stats()
             .prestages
             .fetch_add(1, Ordering::Relaxed);
-        let Some(manifest) = ProtoManifest::from_bytes(manifest_bytes) else {
+        let Ok(rec) = self.record(user, function) else {
             return;
         };
-        let key = (user.to_string(), function.to_string());
-        if self.protos.read().contains_key(&key) {
+        if rec.proto.get().is_some() {
             return;
         }
-        if let Some(proto) = self.fetch_by_manifest(&manifest) {
-            // A pushed manifest is unauthenticated bus traffic: the chunk
-            // digests verified it byte-for-byte, but the decoded identity
-            // must still match the key it claims to pre-stage.
-            if proto.user == key.0 && proto.function == key.1 {
-                self.protos.write().insert(key, proto);
-            }
+        if let Some(proto) = self.fetch_by_manifest(manifest) {
+            rec.install(proto);
         }
     }
 
@@ -1103,7 +1129,7 @@ impl FaasmInstance {
             }
         }
         // Break the Arc cycle (pool faaslets hold the instance as router).
-        self.pool.lock().clear();
+        self.records.lock().clear();
     }
 }
 
@@ -1160,54 +1186,20 @@ impl ChainRouter for FaasmInstance {
     }
 }
 
-/// A single-flight slot: concurrent proto resolvers for one function park
-/// here while a leader fetches or captures.
-struct Flight {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Flight {
-    fn new() -> Flight {
-        Flight {
-            done: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn wait(&self) {
-        let mut done = self.done.lock();
-        while !*done {
-            self.cv.wait(&mut done);
-        }
-    }
-
-    fn finish(&self) {
-        *self.done.lock() = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Ends a single-flight attempt: removes the slot and wakes every parked
-/// resolver. A `Drop` guard so leader errors (and early `continue`s) can
-/// never strand followers.
-struct FlightGuard<'a> {
-    instance: &'a FaasmInstance,
-    key: &'a (String, String),
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        let flight = self.instance.resolving.lock().remove(self.key);
-        if let Some(flight) = flight {
-            flight.finish();
-        }
-    }
-}
-
 /// The runtime instances' telemetry recorder (one per process; cached so
 /// bus and worker loops never touch the registry lock).
 fn worker_recorder() -> &'static Arc<faasm_telemetry::Recorder> {
     static REC: std::sync::OnceLock<Arc<faasm_telemetry::Recorder>> = std::sync::OnceLock::new();
     REC.get_or_init(|| faasm_telemetry::tier("worker"))
+}
+
+#[cfg(test)]
+impl FaasmInstance {
+    /// The chunk manifest of the host's assembled proto — for bitwise
+    /// parity checks between a locally-captured and a chunk-fetched proto
+    /// (the manifest digests every byte of the meta chunk and of each page).
+    pub(crate) fn proto_manifest(&self, user: &str, function: &str) -> Option<ProtoManifest> {
+        let rec = self.record(user, function).ok()?;
+        Some(chunk_proto(rec.proto.get()?).ok()?.manifest)
+    }
 }

@@ -43,6 +43,10 @@ pub struct ProtoFaaslet {
     pub user: String,
     /// Function name.
     pub function: String,
+    /// The upload it was captured from: the generation the cluster's
+    /// [`FunctionRegistry`](crate::FunctionRegistry) assigned (0 outside a
+    /// cluster). A host restores a proto only under the upload it names.
+    pub generation: u64,
     /// The captured execution state.
     pub snapshot: InstanceSnapshot,
 }
@@ -74,6 +78,7 @@ mod tests {
         let proto = ProtoFaaslet {
             user: "alice".into(),
             function: "f".into(),
+            generation: 3,
             snapshot: inst.snapshot(),
         };
         assert!(proto.size_bytes() >= 2 * faasm_mem::PAGE_SIZE);

@@ -3,7 +3,8 @@
 //! A restore is only microseconds if the snapshot bytes are already
 //! on-host (§5.2). This module turns a [`ProtoFaaslet`] into immutable,
 //! hash-keyed chunks shipped through the sharded state tier: one **meta
-//! chunk** (user, function, globals, indirect-call table, memory header)
+//! chunk** (user, function, upload generation, globals, indirect-call
+//! table, memory header)
 //! plus one chunk per 64 KiB memory page, all addressed by SHA-256 digest.
 //! A **manifest** — the only mutable key — names the meta digest and the
 //! ordered page digests. Content addressing buys two properties at once:
@@ -151,6 +152,7 @@ pub fn assemble_proto(meta_bytes: &[u8], page_chunks: &[Arc<Vec<u8>>]) -> Option
     Some(ProtoFaaslet {
         user: meta.user,
         function: meta.function,
+        generation: meta.generation,
         snapshot: InstanceSnapshot {
             mem,
             globals: meta.globals,
@@ -163,6 +165,7 @@ pub fn assemble_proto(meta_bytes: &[u8], page_chunks: &[Arc<Vec<u8>>]) -> Option
 struct ProtoMeta {
     user: String,
     function: String,
+    generation: u64,
     /// `(size_pages, max_pages)` when the proto captured a memory.
     mem: Option<(usize, usize)>,
     globals: Vec<u64>,
@@ -174,8 +177,8 @@ fn checked(len: usize, section: &'static str) -> Result<u32, ProtoEncodeError> {
     len_u32(len).ok_or(ProtoEncodeError { section, len })
 }
 
-/// Encode the meta chunk: `user | function | mem tag (+ size/max pages) |
-/// globals | table`.
+/// Encode the meta chunk: `user | function | generation | mem tag (+
+/// size/max pages) | globals | table`.
 ///
 /// Every variable-length section carries a `u32` length prefix, so one at
 /// or beyond 4 GiB cannot be represented: the bound is checked in all
@@ -190,6 +193,7 @@ fn encode_meta(proto: &ProtoFaaslet) -> Result<Vec<u8>, ProtoEncodeError> {
     let mut out = Vec::new();
     put_bytes(&mut out, proto.user.as_bytes());
     put_bytes(&mut out, proto.function.as_bytes());
+    put_u64(&mut out, proto.generation);
     match &snapshot.mem {
         Some(mem) => {
             put_u8(&mut out, 1);
@@ -218,6 +222,7 @@ fn encode_meta(proto: &ProtoFaaslet) -> Result<Vec<u8>, ProtoEncodeError> {
 fn read_meta(r: &mut Reader<'_>) -> Result<ProtoMeta, WireError> {
     let user = r.string()?;
     let function = r.string()?;
+    let generation = r.u64()?;
     let mem = match r.u8()? {
         0 => None,
         1 => {
@@ -233,6 +238,7 @@ fn read_meta(r: &mut Reader<'_>) -> Result<ProtoMeta, WireError> {
     Ok(ProtoMeta {
         user,
         function,
+        generation,
         mem,
         globals: r.list(8, Reader::u64)?,
         // Each table entry costs at least its 1-byte presence flag.
@@ -439,6 +445,7 @@ mod tests {
         ProtoFaaslet {
             user: "u".into(),
             function: format!("f{seed}"),
+            generation: u64::from(seed),
             snapshot: inst.snapshot(),
         }
     }
@@ -490,6 +497,7 @@ mod tests {
         let back = assemble_proto(meta, &pages).unwrap();
         assert_eq!(back.user, proto.user);
         assert_eq!(back.function, proto.function);
+        assert_eq!(back.generation, proto.generation);
         assert_eq!(back.snapshot.globals, proto.snapshot.globals);
         assert_eq!(back.snapshot.table, proto.snapshot.table);
         assert_eq!(
@@ -546,6 +554,7 @@ mod tests {
         let bare = ProtoFaaslet {
             user: "u".into(),
             function: "f".into(),
+            generation: 1,
             snapshot: InstanceSnapshot {
                 mem: None,
                 globals: vec![],

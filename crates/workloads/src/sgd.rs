@@ -496,8 +496,9 @@ mod tests {
 
     #[test]
     fn sgd_learns_on_baseline() {
+        const HOSTS: usize = 2;
         let platform = BaselinePlatform::with_config(faasm_baseline::BaselineConfig {
-            hosts: 2,
+            hosts: HOSTS,
             image: faasm_baseline::ImageConfig {
                 image_bytes: 128 * 1024,
                 layers: 2,
@@ -510,14 +511,22 @@ mod tests {
         upload_dataset(platform.kv().as_ref(), &dataset).unwrap();
 
         let tasks = partition(128, 4, 64, 0.5, 16);
+        // A container trains on the private copy of the weights it fetched
+        // on its first call, so what is learnt depends on which container
+        // runs which task. One task per host at a time pins that down: the
+        // gateway round-robins, each host only ever needs (and so keeps)
+        // one container, and it sees the same tasks in the same order on
+        // every run. The two tasks of a wave still race, HOGWILD!-style.
         for _epoch in 0..3 {
-            let ids: Vec<_> = tasks
-                .iter()
-                .map(|t| platform.invoke_async("ml", "sgd_update", t.to_bytes()))
-                .collect();
-            for id in ids {
-                let r = platform.await_result(id);
-                assert_eq!(r.return_code(), 0, "worker failed: {:?}", r.status);
+            for wave in tasks.chunks(HOSTS) {
+                let ids: Vec<_> = wave
+                    .iter()
+                    .map(|t| platform.invoke_async("ml", "sgd_update", t.to_bytes()))
+                    .collect();
+                for id in ids {
+                    let r = platform.await_result(id);
+                    assert_eq!(r.return_code(), 0, "worker failed: {:?}", r.status);
+                }
             }
         }
         let acc = accuracy(platform.kv().as_ref(), &dataset).unwrap();

@@ -407,6 +407,238 @@ fn scale_up_storm_restores_warm_without_duplicate_captures() {
     );
 }
 
+/// A function whose answer names both halves of its upload: `init` leaves
+/// `state` in memory (so it reaches a call only through the snapshot), the
+/// entry adds `code` (so it reaches a call only through the module).
+/// `init_spins` stretches the cold start.
+fn versioned(state: i32, code: i32, init_spins: u32) -> String {
+    format!(
+        r#"
+        extern void write_call_output(ptr int buf, int len);
+        void init() {{
+            ptr int m = (ptr int) 2048;
+            int i = 0;
+            while (i < {init_spins}) {{ m[2] = m[2] + i; i = i + 1; }}
+            m[0] = {state};
+        }}
+        int main() {{
+            ptr int m = (ptr int) 2048;
+            m[1] = {code};
+            write_call_output((ptr int) 2048, 8);
+            return 0;
+        }}
+    "#
+    )
+}
+
+fn upload_versioned(cluster: &Cluster, state: i32, code: i32, init_spins: u32) {
+    let options = UploadOptions {
+        init: Some("init".into()),
+        ..UploadOptions::default()
+    };
+    cluster
+        .upload_fl("it", "f", &versioned(state, code, init_spins), options)
+        .unwrap();
+}
+
+/// The `(init state, code)` pair a [`versioned`] call answered with.
+fn answer(r: &faasm::core::CallResult) -> (i32, i32) {
+    assert_eq!(r.status, CallStatus::Success, "{:?}", r.status);
+    (
+        i32::from_le_bytes(r.output[..4].try_into().unwrap()),
+        i32::from_le_bytes(r.output[4..8].try_into().unwrap()),
+    )
+}
+
+fn call_on(inst: &Arc<faasm::core::FaasmInstance>) -> (i32, i32) {
+    use faasm::core::ChainRouter;
+    let id = inst.submit_placed("it", "f", Vec::new());
+    answer(&inst.await_call(id))
+}
+
+#[test]
+fn a_reupload_replaces_code_and_snapshot_on_the_warm_host_and_after_evict() {
+    let cluster = Cluster::new(1);
+    let host = &cluster.instances()[0];
+    upload_versioned(&cluster, 1, 10, 0);
+    for _ in 0..2 {
+        assert_eq!(answer(&cluster.invoke("it", "f", Vec::new())), (1, 10));
+    }
+    upload_versioned(&cluster, 2, 20, 0);
+    // Warm host: v1's idle Faaslet must not serve another call.
+    for _ in 0..4 {
+        assert_eq!(answer(&cluster.invoke("it", "f", Vec::new())), (2, 20));
+    }
+    // After evict the next start builds from what the host kept: that must
+    // be v2's snapshot (v2's `init` ran), not v1's under v2's code.
+    host.evict("it", "f");
+    assert_eq!(answer(&cluster.invoke("it", "f", Vec::new())), (2, 20));
+    let m = host.metrics();
+    assert_eq!(m.cold_starts(), 2, "one capture per upload");
+    assert_eq!(m.proto_restores(), 1, "the start after evict restored");
+    assert_eq!(cluster.kv().scard("sched:warm:it:f"), Ok(1));
+}
+
+#[test]
+fn a_host_that_never_ran_v1_does_not_restore_it_from_a_stale_manifest() {
+    let cluster = Cluster::new(2);
+    let (a, b) = (&cluster.instances()[0], &cluster.instances()[1]);
+    upload_versioned(&cluster, 1, 10, 0);
+    assert_eq!(call_on(a), (1, 10));
+    // The tier's manifest still names v1's proto when v2 is uploaded.
+    upload_versioned(&cluster, 2, 20, 0);
+    assert_eq!(call_on(b), (2, 20));
+    assert_eq!(
+        (b.metrics().cold_starts(), b.metrics().proto_restores()),
+        (1, 0),
+        "a stale manifest costs one cold start"
+    );
+    // ...which republished: A drops its v1 record whole and restores v2
+    // through the tier instead of capturing again.
+    assert_eq!(call_on(a), (2, 20));
+    assert_eq!(a.metrics().cold_starts(), 1);
+    assert_eq!(a.metrics().proto_restores(), 1);
+}
+
+#[test]
+fn a_prestage_carrying_another_uploads_manifest_is_refused() {
+    use faasm::core::msg::{encode_msg, InstanceMsg};
+
+    let cluster = Cluster::new(2);
+    let (a, b) = (&cluster.instances()[0], &cluster.instances()[1]);
+    upload_versioned(&cluster, 1, 10, 0);
+    assert_eq!(call_on(a), (1, 10));
+    let v1_manifest = cluster
+        .kv()
+        .get(&faasm::kvs::manifest_key("it", "f"))
+        .unwrap()
+        .expect("v1 published");
+    upload_versioned(&cluster, 2, 20, 0);
+    // The fetcher handles pushes in order, so once the second is counted
+    // the first has been fetched, checked and dropped.
+    for manifest in [v1_manifest, b"not a manifest".to_vec()] {
+        let push = InstanceMsg::PreStage {
+            user: "it".into(),
+            function: "f".into(),
+            manifest,
+        };
+        a.nic().send(b.host_id(), encode_msg(&push)).unwrap();
+    }
+    while b.snapshot_stats().prestages < 2 {
+        std::thread::yield_now();
+    }
+    assert!(!b.has_proto("it", "f"), "v1's proto installed under v2");
+    assert_eq!(call_on(b), (2, 20));
+    // The current upload's manifest still pre-stages.
+    assert_eq!(call_on(a), (2, 20));
+    a.evict("it", "f");
+    b.evict("it", "f");
+    upload_versioned(&cluster, 3, 30, 0);
+    assert_eq!(call_on(a), (3, 30));
+    assert!(a.push_prestage("it", "f", b.host_id()));
+    while !b.has_proto("it", "f") {
+        std::thread::yield_now();
+    }
+    assert_eq!(call_on(b), (3, 30));
+    assert_eq!(
+        b.metrics().cold_starts(),
+        1,
+        "v3 restored from the pre-stage"
+    );
+}
+
+#[test]
+fn a_reupload_racing_a_capture_never_mixes_code_and_snapshot() {
+    use faasm::core::{FunctionDef, GuestCode};
+
+    const CALLS: usize = 3;
+    for seed in 0..20u64 {
+        let mut rng = faasm::core::rng::SplitMix64::new(seed);
+        let cluster = Arc::new(Cluster::new(2));
+        upload_versioned(&cluster, 1, 10, 20_000);
+        // Compiled ahead, so the race is with the registration alone.
+        let module = faasm::lang::compile(&versioned(2, 20, 0)).unwrap();
+        let v2 = FunctionDef {
+            code: GuestCode::Fvm(faasm::fvm::ObjectModule::prepare_lowered(module).unwrap()),
+            entry: "main".into(),
+            init: Some("init".into()),
+            reset_after_call: true,
+        };
+        let callers = 2 + (rng.next_u64() % 5) as usize;
+        let start = Arc::new(std::sync::Barrier::new(callers + 1));
+        let racing: Vec<_> = (0..callers)
+            .map(|_| {
+                let (cluster, start) = (Arc::clone(&cluster), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    [(); CALLS].map(|()| answer(&cluster.invoke("it", "f", Vec::new())))
+                })
+            })
+            .collect();
+        start.wait();
+        // Re-upload once a cold start is under way (building claims the
+        // host's warmth before it instantiates), a seeded beat later.
+        while cluster
+            .instances()
+            .iter()
+            .all(|i| i.idle_warmth("it", "f").is_none())
+        {
+            std::thread::yield_now();
+        }
+        for _ in 0..rng.next_u64() % 2_000 {
+            std::thread::yield_now();
+        }
+        cluster.register("it", "f", v2).unwrap();
+        for h in racing {
+            let pairs = h.join().unwrap();
+            let v1_calls = pairs.iter().take_while(|p| **p == (1, 10)).count();
+            assert!(
+                pairs[v1_calls..].iter().all(|p| *p == (2, 20)),
+                "seed {seed}: a racing caller saw {pairs:?}"
+            );
+        }
+        for host in cluster.instances() {
+            for _ in 0..2 {
+                assert_eq!(call_on(host), (2, 20), "seed {seed}: placed after v2");
+            }
+        }
+    }
+}
+
+#[test]
+fn dropping_a_stale_record_releases_its_faaslets() {
+    let cluster = Cluster::new(1);
+    let host = &cluster.instances()[0];
+    upload_versioned(&cluster, 1, 10, 0);
+    assert_eq!(host.prewarm("it", "f", 4).unwrap(), 4);
+    assert_eq!(host.warm_count("it", "f"), 4);
+    let held = host.host_memory_bytes();
+    upload_versioned(&cluster, 2, 20, 0);
+    assert_eq!(host.warm_count("it", "f"), 0, "v1's Faaslets outlived v1");
+    assert!(!host.has_proto("it", "f"), "v1's proto outlived v1");
+    assert!(host.host_memory_bytes() < held);
+    assert_eq!(cluster.kv().scard("sched:warm:it:f"), Ok(0));
+}
+
+#[test]
+fn reregistering_a_native_guest_replaces_the_warm_one() {
+    use faasm::core::{NativeApi, NativeGuest};
+
+    let cluster = Cluster::new(1);
+    for reset_after_call in [false, true] {
+        for version in [b"one", b"two"] {
+            let guest: Arc<dyn NativeGuest> = Arc::new(move |api: &mut NativeApi<'_>| {
+                api.write_output(version);
+                Ok(0)
+            });
+            cluster.register_native("it", "n", guest, reset_after_call);
+            for _ in 0..2 {
+                assert_eq!(cluster.invoke("it", "n", Vec::new()).output, version);
+            }
+        }
+    }
+}
+
 #[test]
 fn kvs_flush_failure_injection_recovers() {
     // Flushing the global tier mid-run loses state values (as a KVS node

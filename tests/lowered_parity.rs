@@ -1,20 +1,27 @@
 //! Lowered-vs-interpreter parity through the full cluster path: the FVM
 //! execution tier must change speed, never answers. Each FL workload
-//! (matmul, SGD, inference) is uploaded to two clusters that differ only in
-//! `ClusterConfig::exec_tier` and must produce bitwise identical outputs —
+//! (matmul, SGD, inference) is deployed on two clusters that differ only in
+//! the tier its `ObjectModule` was compiled for — a cluster always uploads
+//! lowered, so the interpreter build is registered through
+//! `Cluster::register` — and must produce bitwise identical outputs —
 //! including the inference run, whose model is built by an `init` export so
 //! every start after the first restores a Proto-Faaslet snapshot taken
 //! mid-workload (model materialised, forward passes still to come).
 
-use faasm::core::{Cluster, ClusterConfig, UploadOptions};
-use faasm::fvm::ExecTier;
+use faasm::core::{Cluster, FunctionDef, GuestCode, UploadOptions};
+use faasm::fvm::{ExecTier, ObjectModule};
 
-fn cluster(tier: ExecTier, hosts: usize) -> Cluster {
-    Cluster::with_config(ClusterConfig {
-        hosts,
-        exec_tier: tier,
-        ..ClusterConfig::default()
-    })
+/// Deploy `src` compiled for `tier`: what `Cluster::upload_fl` does, with
+/// the tier chosen here instead of fixed at lowered.
+fn deploy(c: &Cluster, tier: ExecTier, name: &str, src: &str, options: UploadOptions) {
+    let bytes = faasm::fvm::encode_module(&faasm::lang::compile(src).unwrap());
+    let def = FunctionDef {
+        code: GuestCode::Fvm(ObjectModule::compile_tier(&bytes, tier).unwrap()),
+        entry: options.entry,
+        init: options.init,
+        reset_after_call: options.reset_after_call,
+    };
+    c.register("par", name, def).unwrap();
 }
 
 /// Dense f64 matmul with deterministic in-guest operands; outputs the full
@@ -147,8 +154,8 @@ fn run_on_both(
         .iter()
         .enumerate()
     {
-        let c = cluster(*tier, hosts);
-        c.upload_fl("par", name, src, options.clone()).unwrap();
+        let c = Cluster::new(hosts);
+        deploy(&c, *tier, name, src, options.clone());
         let mut transcript = Vec::new();
         for input in inputs {
             let r = c.invoke("par", name, input.clone());
@@ -274,8 +281,8 @@ const DLCALL_FL: &str = r#"
 
 #[test]
 fn dlcall_bitwise_identical_across_tiers() {
-    // The plugin runs on the tier of the module that loads it, so the two
-    // clusters compare like with like — and must still agree to the bit.
+    // The plugin always runs lowered; the module that loads it runs on
+    // either tier — and the two must still agree to the bit.
     let plugin = faasm::fvm::encode_module(&faasm::lang::compile(PLUGIN_FL).unwrap());
     let inputs: Vec<Vec<u8>> = [3i32, 12_345, -7]
         .iter()
@@ -284,10 +291,9 @@ fn dlcall_bitwise_identical_across_tiers() {
     let transcripts: Vec<Transcript> = [ExecTier::Interpreter, ExecTier::Lowered]
         .iter()
         .map(|tier| {
-            let c = cluster(*tier, 1);
+            let c = Cluster::new(1);
             c.object_store().put("user:par/plugin.fvm", plugin.clone());
-            c.upload_fl("par", "dl", DLCALL_FL, UploadOptions::default())
-                .unwrap();
+            deploy(&c, *tier, "dl", DLCALL_FL, UploadOptions::default());
             inputs
                 .iter()
                 .map(|input| {

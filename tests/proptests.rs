@@ -1046,6 +1046,7 @@ proptest! {
         globals in prop::collection::vec(any::<u64>(), 0..6),
         table in prop::collection::vec((any::<bool>(), any::<u32>()), 0..6),
         pages in 0usize..3,
+        generation in any::<u64>(),
     ) {
         let table = table.into_iter().map(|(some, f)| some.then_some(f)).collect();
         let mem = (pages > 0).then(|| {
@@ -1055,6 +1056,7 @@ proptest! {
         let proto = ProtoFaaslet {
             user: "u".into(),
             function: "f".into(),
+            generation,
             snapshot: InstanceSnapshot { mem, globals, table },
         };
         let chunked = chunk_proto(&proto).expect("chunks");

@@ -367,6 +367,7 @@ fn proto() -> ProtoFaaslet {
     ProtoFaaslet {
         user: "alice".into(),
         function: "f".into(),
+        generation: 0x0102,
         snapshot: InstanceSnapshot {
             mem: Some(MemorySnapshot::from_pages(pages, 4).expect("2 <= 4 pages")),
             globals: vec![7, u64::MAX],
@@ -481,7 +482,11 @@ const GOLDEN: &[(&str, &str)] = &[
     ("msg.result", "01040000000000000001020000000400000064617461"),
     ("msg.invoke_batch", "02090000003930000000000000030000002c0000006400000000000000000000000000000000000000000000000600000074656e616e74020000006630000000002d0000006500000000000000887766554433221100ffeeddccbbaa990600000074656e616e7402000000663101000000012e0000006600000000000000000000000000000000000000000000000600000074656e616e74020000006632020000000202"),
     ("msg.prestage", "030600000074656e616e7403000000686f74080000000707070707070707"),
-    ("proto.meta_chunk", "05000000616c6963650100000066010200000004000000020000000700000000000000ffffffffffffffff030000000105000000000100000000"),
+    // Re-captured on purpose, with `proto.chunked_manifest` (whose meta
+    // digest moves with it), when the meta chunk gained the upload
+    // generation (u64, after the function name): the two vectors that PR
+    // changed.
+    ("proto.meta_chunk", "05000000616c69636501000000660201000000000000010200000004000000020000000700000000000000ffffffffffffffff030000000105000000000100000000"),
     ("proto.manifest", "abababababababababababababababababababababababababababababababab0200000001010101010101010101010101010101010101010101010101010101010101010202020202020202020202020202020202020202020202020202020202020202"),
-    ("proto.chunked_manifest", "73e9d5ff22f27dbc1cc4ef8ae80d4901ab5f4421584b077f8f55049d07f80b6f02000000de2f256064a0af797747c2b97505dc0b9f3df0de4f489eac731c23ae9ca9cc31aa7044933b0fe0bada1ef4ed7708ba86bac17271094442e7149c6f0a7efd7c03"),
+    ("proto.chunked_manifest", "01dedb76cf7378a2b67693a69be7d50e01e0c4923e7e4fae98079415a46f89df02000000de2f256064a0af797747c2b97505dc0b9f3df0de4f489eac731c23ae9ca9cc31aa7044933b0fe0bada1ef4ed7708ba86bac17271094442e7149c6f0a7efd7c03"),
 ];
