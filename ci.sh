@@ -19,6 +19,7 @@ nontest() { sed '/#\[cfg(test)\]/,$d' "$1"; }
 whole() { cat "$1"; }
 outside_wake_waiters() { nontest "$1" | sed '/fn wake_waiters/,/^    }/d'; }
 faasenv_state_read() { sed -n '/^pub trait FaasEnv/,/^}/{/fn state_read(/,/;/p}' "$1"; }
+outside_message_tables() { nontest "$1" | sed '/^messages! {/,/^}/d'; }
 
 keyed='Request::(Get|Set|GetRange|SetRange|MultiGetRange|MultiSetRange|Append|Del|Exists|StrLen|Incr|SAdd|SRem|SMembers|SCard|VersionOf|TryLock|Unlock)\b'
 
@@ -91,6 +92,20 @@ gates=(
     'exec_tier'
     'crates/core/src'
     'the execution tier is a cluster or Faaslet setting again; it is a property of an ObjectModule, and uploads compile ExecTier::Lowered'
+
+    # One protocol table: a KVS tag is written once, in its messages! row;
+    # sizes, key() and mutates_key come from the row, not from a match.
+    'put_u8\([^,]+, [0-9]+\)|^\s+[0-9]+ (if .*)?=>'
+    'crates/kvs/src/codec.rs@outside_message_tables'
+    'a KVS tag is written or matched by hand; add or edit the row in the Request/Response messages! table'
+
+    '^fn (entry_weight|mutates_key|request_payload_len|response_payload_len)\b'
+    'crates/kvs/src'
+    'a hand-kept per-variant match or size estimate is back; Request::mutates_key() and Wire::wire_len come from the protocol table'
+
+    'SharingQueue'
+    'crates@whole'
+    'the unused bounded sharing queue is back; forwarded calls ride the bus into the instance run queue'
 )
 failed=0
 for ((row = 0; row < ${#gates[@]}; row += 3)); do

@@ -1,5 +1,5 @@
 //! The container-based serverless baseline ("Knative" in the paper's
-//! evaluation, §6.1; DESIGN.md substitution S5).
+//! evaluation, §6.1).
 //!
 //! Containers here are honest simulations, not sleeps: cold starts copy a
 //! multi-megabyte image into a private writable layer, assemble overlay

@@ -1,6 +1,6 @@
 //! The container platform: hosts, HTTP-style gateway and autoscaling pools.
 //!
-//! The stand-in for Knative on Kubernetes (§6.1, DESIGN.md S5): an ingress
+//! The stand-in for Knative on Kubernetes (§6.1): an ingress
 //! gateway round-robins calls over hosts; each host runs containers from a
 //! shared image, keeps finished containers warm, and refuses new containers
 //! once its memory limit is reached (the OOM behaviour behind Knative's

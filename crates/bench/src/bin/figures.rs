@@ -30,10 +30,9 @@
 //! dump. `metrics` runs the same scenario and prints the cluster-wide
 //! per-tier histogram table plus gateway counters (`json` likewise).
 //!
-//! Workloads are scaled to laptop size (factors printed with each figure);
-//! EXPERIMENTS.md records these outputs next to the paper's numbers. Shapes
-//! — who wins, the crossovers, the saturation knees — are the reproduction
-//! target, not absolute values (see DESIGN.md).
+//! Workloads are scaled to laptop size (factors printed with each figure).
+//! Shapes — who wins, the crossovers, the saturation knees — are the
+//! reproduction target, not absolute values.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -1250,7 +1249,7 @@ fn fig9b() {
     println!("note: the paper compares WASM-compiled CPython against native");
     println!("CPython; MiniDyn is native Rust in both modes, so this measures");
     println!("the host-interface + filesystem overhead of hosting the runtime");
-    println!("in a Faaslet (see DESIGN.md S3).");
+    println!("in a Faaslet.");
     let cluster = faasm_cluster(1, 2);
     dynprogs::setup_faasm(&cluster, "py");
     let mut t = Table::new(&["benchmark", "direct", "in-faaslet", "ratio"]);
@@ -1457,7 +1456,7 @@ fn table3() {
     t.print();
     println!("paper: init 2.8s/5.2ms/0.5ms; PSS 1.3MB/200KB/90KB; RSS 5MB/200KB;");
     println!("capacity ~8K/~70K/>100K. The container column here reflects the");
-    println!("scaled image-materialisation model (DESIGN.md S5).");
+    println!("scaled image-materialisation model.");
 
     // §6.5's Python-runtime variant: init builds a large interpreter heap.
     let dyn_src = r#"

@@ -3,8 +3,7 @@
 //!
 //! Every experiment of the paper's §6 maps to one function in
 //! `src/bin/figures.rs`; this library holds the plumbing: scaled platform
-//! constructors, timing helpers and the plain-text table printer whose
-//! output EXPERIMENTS.md records.
+//! constructors, timing helpers and the plain-text table printer.
 
 pub mod telemetry_export;
 pub mod vm_tiers;

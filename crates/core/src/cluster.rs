@@ -205,15 +205,12 @@ impl Cluster {
 
         let boards = Arc::new(faasm_sched::SchedBoards::new());
         // `cache_bytes` turns the function-side state cache on for every
-        // instance, unless the per-instance config already chose one.
-        let mut instance_config = config.instance.clone();
-        if instance_config.cache.is_none() && config.cache_bytes > 0 {
-            instance_config.cache = Some(faasm_kvs::CacheConfig {
-                max_bytes: config.cache_bytes,
-                default_consistency: config.default_consistency,
-                ..faasm_kvs::CacheConfig::default()
-            });
-        }
+        // instance.
+        let cache = (config.cache_bytes > 0).then(|| faasm_kvs::CacheConfig {
+            max_bytes: config.cache_bytes,
+            default_consistency: config.default_consistency,
+            ..faasm_kvs::CacheConfig::default()
+        });
         let instances: Vec<Arc<FaasmInstance>> = (0..config.hosts.max(1))
             .map(|_| {
                 FaasmInstance::start(
@@ -223,7 +220,8 @@ impl Cluster {
                     Arc::clone(&registry),
                     Arc::clone(&call_seq),
                     Arc::clone(&boards),
-                    instance_config.clone(),
+                    config.instance.clone(),
+                    cache.clone(),
                 )
             })
             .collect();

@@ -11,7 +11,7 @@ use crate::ctx::NativeApi;
 
 /// A trusted native guest: workloads the paper compiled from large C/C++
 /// codebases to WebAssembly (e.g. TensorFlow Lite) run in this reproduction
-/// as native Rust against the same host interface (DESIGN.md S4). Native
+/// as native Rust against the same host interface. Native
 /// guests receive no linear memory; all interaction goes through
 /// [`NativeApi`].
 pub trait NativeGuest: Send + Sync {

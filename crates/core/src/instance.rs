@@ -50,11 +50,6 @@ pub struct InstanceConfig {
     pub workers: usize,
     /// Per-Faaslet egress shaping, if any.
     pub egress: Option<EgressLimit>,
-    /// Function-side state cache over the global tier (`None` = every read
-    /// rides the wire, the pre-cache behaviour). When set, the instance's
-    /// `SharedKv` is a [`CachedKv`] and workers feed the scheduler's
-    /// state-affinity board from per-call cache hits.
-    pub cache: Option<CacheConfig>,
 }
 
 impl Default for InstanceConfig {
@@ -62,7 +57,6 @@ impl Default for InstanceConfig {
         InstanceConfig {
             workers: 4,
             egress: None,
-            cache: None,
         }
     }
 }
@@ -218,7 +212,12 @@ impl FaasmInstance {
     /// Start an instance on a new fabric host. `routing` is the global
     /// tier's live routing cell: the instance routes every state key to its
     /// owning shard under the published epoch, and transparently follows
-    /// epoch changes when the tier reshards.
+    /// epoch changes when the tier reshards. `cache` is the function-side
+    /// state cache over the global tier (`None` = every read rides the
+    /// wire): when set, the instance's `SharedKv` is a [`CachedKv`] and
+    /// workers feed the scheduler's state-affinity board from per-call
+    /// cache hits.
+    #[allow(clippy::too_many_arguments)]
     pub fn start(
         fabric: &Fabric,
         routing: &Arc<RoutingCell>,
@@ -227,6 +226,7 @@ impl FaasmInstance {
         call_seq: Arc<AtomicU64>,
         boards: Arc<SchedBoards>,
         config: InstanceConfig,
+        cache: Option<CacheConfig>,
     ) -> Arc<FaasmInstance> {
         let nic = fabric.add_host();
         let sharded: SharedKv =
@@ -237,9 +237,9 @@ impl FaasmInstance {
         let tier_kv = Arc::clone(&sharded);
         // The function-side cache interposes at the backend seam: state
         // entries, warm sets and workloads all read through it unchanged.
-        let (kv, cache): (SharedKv, Option<Arc<CachedKv>>) = match &config.cache {
+        let (kv, cache): (SharedKv, Option<Arc<CachedKv>>) = match cache {
             Some(cc) => {
-                let cached = Arc::new(CachedKv::new(sharded, cc.clone()));
+                let cached = Arc::new(CachedKv::new(sharded, cc));
                 (Arc::clone(&cached) as SharedKv, Some(cached))
             }
             None => (sharded, None),

@@ -2,7 +2,7 @@
 //!
 //! The paper's `getrandom` "uses underlying host /dev/urandom" (Tab. 2); for
 //! a reproducible test/bench suite we substitute a per-Faaslet splitmix64
-//! stream seeded from the Faaslet id (documented in DESIGN.md §7).
+//! stream seeded from the Faaslet id.
 
 /// A splitmix64 pseudo-random generator.
 #[derive(Debug, Clone)]

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use faasm_fvm::InstanceSnapshot;
-use faasm_kvs::Digest;
+use faasm_kvs::{BoundedLru, Digest};
 use faasm_mem::{MemorySnapshot, Page, PAGE_SIZE};
 use faasm_net::wire::{
     self, len_u32, put_bytes, put_count, put_u32, put_u64, put_u8, Reader, WireError,
@@ -324,24 +324,12 @@ impl SnapStats {
 /// typical protos; a full cache evicts least-recently-used chunks).
 pub const DEFAULT_SNAPSHOT_CACHE_BYTES: usize = 64 * 1024 * 1024;
 
-struct CacheEntry {
-    bytes: Arc<Vec<u8>>,
-    last_used: u64,
-}
-
-struct CacheInner {
-    chunks: HashMap<Digest, CacheEntry>,
-    bytes: usize,
-    clock: u64,
-}
-
 /// The host-local snapshot cache: verified chunk payloads keyed by digest,
 /// bounded by a byte budget with least-recently-used eviction. Only
 /// *verified* bytes are ever inserted (the fetch path checks the digest
 /// first), so a cache hit needs no re-verification.
 pub struct SnapshotCache {
-    inner: Mutex<CacheInner>,
-    budget: usize,
+    chunks: Mutex<BoundedLru<Digest, Arc<Vec<u8>>>>,
     stats: SnapStats,
 }
 
@@ -349,69 +337,32 @@ impl SnapshotCache {
     /// A cache bounded at `budget` bytes of chunk payload.
     pub fn new(budget: usize) -> SnapshotCache {
         SnapshotCache {
-            inner: Mutex::new(CacheInner {
-                chunks: HashMap::new(),
-                bytes: 0,
-                clock: 0,
-            }),
-            budget,
+            chunks: Mutex::new(BoundedLru::new(budget, usize::MAX, |_, bytes| bytes.len())),
             stats: SnapStats::default(),
         }
     }
 
-    /// The chunk's payload if cached (refreshes its LRU stamp). Does not
-    /// count toward fetch-path hit stats — callers attribute hits to the
-    /// operation they serve.
+    /// The chunk's payload if cached (marks it most recently used). Does
+    /// not count toward fetch-path hit stats — callers attribute hits to
+    /// the operation they serve.
     pub fn get(&self, d: &Digest) -> Option<Arc<Vec<u8>>> {
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        let entry = inner.chunks.get_mut(d)?;
-        entry.last_used = clock;
-        Some(Arc::clone(&entry.bytes))
+        let mut chunks = self.chunks.lock();
+        chunks.touch(d);
+        chunks.peek(d).cloned()
     }
 
     /// Insert a verified chunk, evicting least-recently-used entries while
     /// over budget. A chunk larger than the whole budget is not cached.
     pub fn insert(&self, d: Digest, bytes: Arc<Vec<u8>>) {
-        if bytes.len() > self.budget {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        let len = bytes.len();
-        if let Some(prev) = inner.chunks.insert(
-            d,
-            CacheEntry {
-                bytes,
-                last_used: clock,
-            },
-        ) {
-            inner.bytes -= prev.bytes.len();
-        }
-        inner.bytes += len;
-        while inner.bytes > self.budget {
-            // Eviction is rare (budget overflow only) — a linear scan for
-            // the oldest stamp beats maintaining an order structure on
-            // every hit.
-            let Some((&victim, _)) = inner
-                .chunks
-                .iter()
-                .filter(|(k, _)| **k != d)
-                .min_by_key(|(_, e)| e.last_used)
-            else {
-                break;
-            };
-            let evicted = inner.chunks.remove(&victim).expect("victim present");
-            inner.bytes -= evicted.bytes.len();
-            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        let evicted = self.chunks.lock().insert(d, bytes).unwrap_or(0);
+        self.stats
+            .evictions
+            .fetch_add(evicted as u64, Ordering::Relaxed);
     }
 
     /// Current payload bytes held.
     pub fn bytes(&self) -> usize {
-        self.inner.lock().bytes
+        self.chunks.lock().cost()
     }
 
     /// The plane's per-instance counters.

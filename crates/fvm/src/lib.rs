@@ -2,7 +2,7 @@
 //! software-fault-isolation engine.
 //!
 //! This crate is the reproduction's substitute for WebAssembly + WAVM in the
-//! paper (§2.2, §3.4 — see DESIGN.md substitution S1). It provides:
+//! paper (§2.2, §3.4). It provides:
 //!
 //! * a binary **module format** with LEB128 encoding ([`encode`]/[`decode`]),
 //! * a specification-style **validator** ([`validate()`]) performing full stack

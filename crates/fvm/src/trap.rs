@@ -40,7 +40,7 @@ pub enum Trap {
     /// Guest recursion exceeded the configured call-depth limit.
     CallStackExhausted,
     /// The Faaslet's fuel allowance was exhausted (CPU limit; the cgroup
-    /// analogue described in DESIGN.md §S7).
+    /// analogue).
     OutOfFuel,
     /// `memory.grow` or a host `mmap`/`brk` exceeded the function's memory
     /// limit (§3.2).

@@ -22,10 +22,6 @@ pub struct AutoscaleConfig {
     /// Backlog (queued requests for one function) above which Faaslets are
     /// pre-warmed.
     pub backlog_high: usize,
-    /// Faaslets pre-warmed per trigger.
-    pub scale_step: usize,
-    /// Idle Faaslets to keep per function once its backlog drains.
-    pub idle_target: usize,
     /// Hard cap on pooled Faaslets per function across the cluster.
     pub max_warm: usize,
     /// Global-tier scale-up trigger: when the KVS ops served per shard in
@@ -42,14 +38,18 @@ impl Default for AutoscaleConfig {
         AutoscaleConfig {
             interval: Duration::from_millis(10),
             backlog_high: 4,
-            scale_step: 2,
-            idle_target: 1,
             max_warm: 64,
             tier_ops_high: None,
             tier_max_shards: 8,
         }
     }
 }
+
+/// Faaslets pre-warmed per backlog trigger.
+pub(crate) const SCALE_STEP: usize = 2;
+
+/// Idle Faaslets kept per function once its backlog drains.
+pub(crate) const IDLE_TARGET: usize = 1;
 
 /// Whether one sampling interval's tier load warrants adding a shard:
 /// `ops_delta` KVS ops were served since the previous tick across

@@ -10,7 +10,9 @@ use faasm_net::TokenBucket;
 use faasm_telemetry::{Recorder, SpanKind, TraceCtx};
 use parking_lot::{Condvar, Mutex};
 
-use crate::autoscale::{spread_prewarm, tier_scale_wanted, AutoscaleConfig};
+use crate::autoscale::{
+    spread_prewarm, tier_scale_wanted, AutoscaleConfig, IDLE_TARGET, SCALE_STEP,
+};
 use crate::codec::{self, GatewayRequest};
 use crate::queue::{FairQueue, Job};
 use crate::response::GatewayResponse;
@@ -821,12 +823,12 @@ impl Inner {
                     // Spread the pre-warm step across the least-loaded
                     // instances (affinity-weighted, pre-staged), so
                     // forwarded calls also land warm.
-                    let n = cfg.scale_step.min(cfg.max_warm - idle);
+                    let n = SCALE_STEP.min(cfg.max_warm - idle);
                     let created =
                         spread_prewarm(instances, Some(self.cluster.boards()), tenant, function, n);
                     self.metrics.record_prewarm(created);
-                } else if depth == 0 && idle > cfg.idle_target {
-                    let mut surplus = idle - cfg.idle_target;
+                } else if depth == 0 && idle > IDLE_TARGET {
+                    let mut surplus = idle - IDLE_TARGET;
                     for inst in instances {
                         if surplus == 0 {
                             break;
@@ -837,7 +839,7 @@ impl Inner {
                     }
                 }
                 // Keep only keys that may still need action next tick.
-                depth > 0 || idle > cfg.idle_target
+                depth > 0 || idle > IDLE_TARGET
             });
         }
     }

@@ -44,7 +44,8 @@ use parking_lot::Mutex;
 use crate::backend::{KvBackend, SharedKv};
 use crate::client::KvError;
 use crate::codec::{Request, Response};
-use crate::store::{LockMode, ShardStats};
+use crate::lru::BoundedLru;
+use crate::store::{slice_range, LockMode, ShardStats};
 use crate::writes::RangeWrites;
 
 /// The cache's telemetry recorder (cached; `tier()` takes a registry lock).
@@ -122,27 +123,6 @@ pub enum Consistency {
     Strong,
 }
 
-impl Consistency {
-    /// Stable config/display name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Consistency::Eventual => "eventual",
-            Consistency::ReadYourWrites => "read_your_writes",
-            Consistency::Strong => "strong",
-        }
-    }
-
-    /// Parse a config name (`"eventual"`, `"read_your_writes"`, `"strong"`).
-    pub fn parse(s: &str) -> Option<Consistency> {
-        match s {
-            "eventual" => Some(Consistency::Eventual),
-            "read_your_writes" | "ryw" => Some(Consistency::ReadYourWrites),
-            "strong" => Some(Consistency::Strong),
-            _ => None,
-        }
-    }
-}
-
 /// Sizing and behaviour knobs for a [`CachedKv`].
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
@@ -215,7 +195,7 @@ impl CachedBytes {
     }
 }
 
-/// Fixed per-entry bookkeeping charge (map nodes, LRU index, stamps).
+/// Fixed per-entry bookkeeping charge (map nodes, LRU links, stamps).
 const ENTRY_OVERHEAD: usize = 96;
 
 #[derive(Debug)]
@@ -226,26 +206,17 @@ struct Entry {
     epoch: u64,
     /// Lease expiry; serving past it requires revalidation.
     expires_at: Instant,
-    /// LRU stamp (key into the recency index).
-    tick: u64,
     data: CachedBytes,
 }
 
-impl Entry {
-    fn charged_bytes(&self, key: &str) -> usize {
-        key.len() + self.data.byte_len() + ENTRY_OVERHEAD
-    }
+/// What a snapshot of `data` under `key` is charged against the byte budget.
+fn charged_bytes(key: &str, data: &CachedBytes) -> usize {
+    key.len() + data.byte_len() + ENTRY_OVERHEAD
 }
 
-#[derive(Default)]
 struct Inner {
-    map: HashMap<String, Entry>,
-    /// Recency index: tick → key, oldest first.
-    lru: BTreeMap<u64, String>,
-    /// Charged bytes across all entries.
-    bytes: usize,
-    /// Monotone LRU clock.
-    tick: u64,
+    /// The snapshots, bounded by charged bytes and by entries.
+    entries: BoundedLru<String, Entry>,
     /// Per-key floor of this instance's own acked write versions — the
     /// read-your-writes guarantee. Never removed while the cache lives.
     last_acked: HashMap<String, u64>,
@@ -257,24 +228,9 @@ struct Inner {
 }
 
 impl Inner {
-    fn touch(&mut self, key: &str) {
-        if let Some(e) = self.map.get_mut(key) {
-            self.lru.remove(&e.tick);
-            self.tick += 1;
-            e.tick = self.tick;
-            self.lru.insert(self.tick, key.to_string());
-        }
-    }
-
     /// Remove an entry, returning whether it existed.
     fn remove(&mut self, key: &str) -> bool {
-        if let Some(e) = self.map.remove(key) {
-            self.lru.remove(&e.tick);
-            self.bytes -= e.charged_bytes(key);
-            true
-        } else {
-            false
-        }
+        self.entries.remove(key).is_some()
     }
 
     /// Install (or replace) an entry unless a *newer* version is already
@@ -282,13 +238,14 @@ impl Inner {
     /// round-trip completed — keep the higher version, versions are
     /// monotone per key). Equal-version snapshots are combined: a full
     /// value subsumes runs, and two run sets merge (bytes at one version
-    /// agree wherever they overlap).
-    fn upsert(&mut self, key: &str, mut entry: Entry) {
+    /// agree wherever they overlap). Returns how many other snapshots the
+    /// budget evicted to make room.
+    fn upsert(&mut self, key: &str, mut entry: Entry) -> usize {
         enum Action {
             KeepExisting,
             Replace,
         }
-        let action = match self.map.get_mut(key) {
+        let action = match self.entries.peek_mut(key) {
             Some(existing) if existing.version > entry.version => Action::KeepExisting,
             Some(existing) if existing.version == entry.version => {
                 match (&mut existing.data, &mut entry.data) {
@@ -309,15 +266,18 @@ impl Inner {
             _ => Action::Replace,
         };
         match action {
-            Action::KeepExisting => self.touch(key),
-            Action::Replace => {
-                self.remove(key);
-                self.tick += 1;
-                entry.tick = self.tick;
-                self.bytes += entry.charged_bytes(key);
-                self.lru.insert(self.tick, key.to_string());
-                self.map.insert(key.to_string(), entry);
+            Action::KeepExisting => {
+                self.entries.touch(key);
+                0
             }
+            Action::Replace => match self.entries.insert(key.to_string(), entry) {
+                Some(evicted) => evicted,
+                // Merged runs outgrew the whole budget: keep neither half.
+                None => {
+                    self.entries.remove(key);
+                    0
+                }
+            },
         }
     }
 
@@ -362,19 +322,21 @@ impl CachedKv {
     pub fn new(inner: SharedKv, cfg: CacheConfig) -> CachedKv {
         CachedKv {
             inner,
+            state: Mutex::new(Inner {
+                entries: BoundedLru::new(cfg.max_bytes, cfg.max_entries, |key, e| {
+                    charged_bytes(key, &e.data)
+                }),
+                last_acked: HashMap::new(),
+                accesses: HashMap::new(),
+                modes: HashMap::new(),
+            }),
             cfg,
-            state: Mutex::new(Inner::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
             revalidations: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// The wrapped backend (escape hatch for maintenance paths).
-    pub fn backend(&self) -> &SharedKv {
-        &self.inner
     }
 
     /// Override the consistency mode for one key.
@@ -407,12 +369,12 @@ impl CachedKv {
 
     /// Bytes currently charged against the budget.
     pub fn cached_bytes(&self) -> usize {
-        self.state.lock().bytes
+        self.state.lock().entries.cost()
     }
 
     /// Entries currently cached.
     pub fn cached_entries(&self) -> usize {
-        self.state.lock().map.len()
+        self.state.lock().entries.len()
     }
 
     /// Drain the per-key read counters accumulated since the last call —
@@ -430,24 +392,33 @@ impl CachedKv {
     /// floor, not cached data).
     pub fn clear(&self) {
         let mut s = self.state.lock();
-        let dropped = s.map.len() as u64;
-        s.map.clear();
-        s.lru.clear();
-        s.bytes = 0;
+        let dropped = s.entries.len() as u64;
+        s.entries.clear();
         self.invalidations.fetch_add(dropped, Ordering::Relaxed);
     }
 
-    fn evict_to_budget(&self, s: &mut Inner) {
-        while s.bytes > self.cfg.max_bytes || s.map.len() > self.cfg.max_entries {
-            let Some((&tick, _)) = s.lru.iter().next() else {
-                break;
-            };
-            let key = s.lru.remove(&tick).expect("lru index entry just seen");
-            if let Some(e) = s.map.remove(&key) {
-                s.bytes -= e.charged_bytes(&key);
-            }
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+    /// Cache `data` for `key` as read or acked at `version` under `epoch`,
+    /// unless it alone outweighs the budget (returns `false`).
+    fn install(
+        &self,
+        s: &mut Inner,
+        key: &str,
+        version: u64,
+        epoch: u64,
+        data: CachedBytes,
+    ) -> bool {
+        if charged_bytes(key, &data) > self.cfg.max_bytes {
+            return false;
         }
+        let entry = Entry {
+            version,
+            epoch,
+            expires_at: Instant::now() + self.cfg.lease,
+            data,
+        };
+        let evicted = s.upsert(key, entry);
+        self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
+        true
     }
 
     /// Validity checks shared by both read shapes. Returns `None` when the
@@ -479,12 +450,12 @@ impl CachedKv {
         cache_recorder().span(SpanKind::Revalidate, faasm_telemetry::current(), t0, live);
         let mut s = self.state.lock();
         if live == expected && live >= s.floor(key) {
-            if let Some(e) = s.map.get_mut(key) {
+            if let Some(e) = s.entries.peek_mut(key) {
                 if e.version == expected {
                     e.expires_at = Instant::now() + self.cfg.lease;
                     e.epoch = self.inner.routing_epoch();
                     if let Some(out) = read(e) {
-                        s.touch(key);
+                        s.entries.touch(key);
                         self.revalidations.fetch_add(1, Ordering::Relaxed);
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         note_touch(key);
@@ -495,7 +466,7 @@ impl CachedKv {
         }
         // Stale (or raced past): drop the snapshot we probed for, but never
         // a newer one a concurrent write-through just installed.
-        if s.map.get(key).is_some_and(|e| e.version == expected) && live != expected {
+        if s.entries.peek(key).is_some_and(|e| e.version == expected) && live != expected {
             s.remove(key);
             self.invalidations.fetch_add(1, Ordering::Relaxed);
         }
@@ -524,12 +495,12 @@ impl CachedKv {
                 return fetch();
             }
             *s.accesses.entry(key.to_string()).or_insert(0) += 1;
-            match s.map.get(key) {
+            match s.entries.peek(key) {
                 Some(e) => match self.entry_state(&s, key, e, mode) {
                     Some(true) => match lookup(e) {
                         Some(out) => {
                             let version = e.version;
-                            s.touch(key);
+                            s.entries.touch(key);
                             Lookup::Hit(out, version)
                         }
                         None => Lookup::Miss,
@@ -577,26 +548,13 @@ impl CachedKv {
             Some(v) => {
                 if mode == Consistency::Eventual || version >= s.floor(key) {
                     if let Some(data) = fill(v) {
-                        let charged = key.len() + data.byte_len() + ENTRY_OVERHEAD;
-                        if charged <= self.cfg.max_bytes {
-                            s.upsert(
-                                key,
-                                Entry {
-                                    version,
-                                    epoch,
-                                    expires_at: Instant::now() + self.cfg.lease,
-                                    tick: 0,
-                                    data,
-                                },
-                            );
-                            self.evict_to_budget(&mut s);
-                        }
+                        self.install(&mut s, key, version, epoch, data);
                     }
                 }
             }
             None => {
                 // The key is gone at `version`; drop any older snapshot.
-                if s.map.get(key).is_some_and(|e| e.version < version) {
+                if s.entries.peek(key).is_some_and(|e| e.version < version) {
                     s.remove(key);
                     self.invalidations.fetch_add(1, Ordering::Relaxed);
                 }
@@ -655,32 +613,11 @@ impl CachedKv {
         let epoch = self.inner.routing_epoch();
         // An empty run set carries no servable bytes — treat it as a drop
         // (a Full empty value stays cacheable: empty values exist).
-        let updated =
-            update(s.map.get(key)).filter(|d| !matches!(d, CachedBytes::Runs(r) if r.is_empty()));
-        match updated {
-            Some(data) => {
-                let charged = key.len() + data.byte_len() + ENTRY_OVERHEAD;
-                if charged <= self.cfg.max_bytes {
-                    s.upsert(
-                        key,
-                        Entry {
-                            version,
-                            epoch,
-                            expires_at: Instant::now() + self.cfg.lease,
-                            tick: 0,
-                            data,
-                        },
-                    );
-                    self.evict_to_budget(&mut s);
-                } else if s.remove(key) {
-                    self.invalidations.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            None => {
-                if s.remove(key) {
-                    self.invalidations.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        let updated = update(s.entries.peek(key))
+            .filter(|d| !matches!(d, CachedBytes::Runs(r) if r.is_empty()));
+        let installed = updated.is_some_and(|data| self.install(&mut s, key, version, epoch, data));
+        if !installed && s.remove(key) {
+            self.invalidations.fetch_add(1, Ordering::Relaxed);
         }
         drop(s);
         cache_recorder().span(
@@ -707,17 +644,6 @@ impl CachedKv {
             self.invalidations.fetch_add(1, Ordering::Relaxed);
         }
     }
-}
-
-/// [`KvStore`](crate::KvStore)'s range-read semantics, reproduced locally:
-/// truncate (possibly to empty) where the value is shorter.
-fn slice_range(v: &[u8], offset: u64, len: u64) -> Vec<u8> {
-    let offset = offset as usize;
-    if offset >= v.len() {
-        return Vec::new();
-    }
-    let end = offset.saturating_add(len as usize).min(v.len());
-    v[offset..end].to_vec()
 }
 
 /// Overlay `data` at `offset` onto a full value, zero-extending — the
@@ -931,10 +857,8 @@ impl KvBackend for CachedKv {
         // The store clears its version counters too; reset the floors so a
         // flushed tier starts from a clean slate.
         let mut s = self.state.lock();
-        let dropped = s.map.len() as u64;
-        s.map.clear();
-        s.lru.clear();
-        s.bytes = 0;
+        let dropped = s.entries.len() as u64;
+        s.entries.clear();
         s.last_acked.clear();
         self.invalidations.fetch_add(dropped, Ordering::Relaxed);
         Ok(())
@@ -1016,7 +940,6 @@ mod tests {
                     version: acked - 1,
                     epoch: local.routing_epoch(),
                     expires_at: Instant::now() + Duration::from_secs(3600),
-                    tick: 0,
                     data: CachedBytes::Full(b"stale".to_vec()),
                 },
             );
@@ -1191,7 +1114,10 @@ mod tests {
         let s = cache.state.lock();
         assert_eq!(s.floor("log"), local.store.version_of("log"));
         assert_eq!(s.floor("n"), local.store.version_of("n"));
-        assert!(!s.map.contains_key("log"), "an append drops the snapshot");
+        assert!(
+            s.entries.peek("log").is_none(),
+            "an append drops the snapshot"
+        );
     }
 
     #[test]
@@ -1219,6 +1145,19 @@ mod tests {
         assert_eq!(local.wire_reads(), before); // survivors still cached
         cache.get("b").unwrap();
         assert_eq!(local.wire_reads(), before + 1); // "b" was evicted
+    }
+
+    #[test]
+    fn merging_runs_read_at_one_version_keeps_the_byte_account_exact() {
+        let (local, cache) = harness(long_lease());
+        local.set("k", vec![7u8; 4096]).unwrap();
+        cache.multi_get_range("k", &[(0, 1024)]).unwrap();
+        let one_run = cache.cached_bytes();
+        // A second range at the same version misses and merges into the
+        // first: the snapshot grows by exactly the new run.
+        cache.multi_get_range("k", &[(2048, 1024)]).unwrap();
+        assert_eq!(cache.cached_entries(), 1);
+        assert_eq!(cache.cached_bytes(), one_run + 1024);
     }
 
     #[test]

@@ -4,9 +4,18 @@
 //! so the byte counts the fabric records for the global tier are faithful to
 //! the protocol (no hidden zero-cost serialisation — the paper's evaluation
 //! charges serialisation and transfer to the platform, §2.1).
+//!
+//! The protocol is declared once. A message field is a type that is
+//! [`Wire`]: it appends itself, reads itself back and knows its encoded
+//! length. [`Request`] and [`Response`] are each one `messages!` table
+//! whose row, `tag => Variant { field: Type, … }` plus the attributes
+//! `keyed` and `mutates`, yields the enum variant, its encoding, its
+//! decoding, its size, [`Request::key`], [`Request::mutates_key`] and its
+//! entry in `TAGS`. A tag literal is written nowhere else.
 
 use faasm_net::wire::{
-    self, put_bytes, put_count, put_i64, put_u32, put_u64, put_u8, put_varint, Reader, WireError,
+    self, put_bytes, put_count, put_i64, put_u32, put_u64, put_u8, put_varint, varint_len, Reader,
+    WireError,
 };
 use faasm_telemetry::TraceCtx;
 
@@ -19,329 +28,727 @@ use crate::writes::RangeWrites;
 /// "epochs match" fast path, never out of correctness.
 pub const EPOCH_ANY: u64 = u64::MAX;
 
-/// A client → server command.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// Get the value of a key.
-    Get {
-        /// State key.
-        key: String,
-    },
-    /// Set the value of a key.
-    Set {
-        /// State key.
-        key: String,
-        /// New value.
-        value: Vec<u8>,
-    },
-    /// Read a byte range of a value.
-    GetRange {
-        /// State key.
-        key: String,
-        /// Byte offset.
-        offset: u64,
-        /// Bytes to read.
-        len: u64,
-    },
-    /// Write a byte range of a value, zero-extending it.
-    SetRange {
-        /// State key.
-        key: String,
-        /// Byte offset.
-        offset: u64,
-        /// Bytes to write.
-        data: Vec<u8>,
-    },
-    /// Append bytes to a value.
-    Append {
-        /// State key.
-        key: String,
-        /// Bytes to append.
-        data: Vec<u8>,
-    },
-    /// Delete a key.
-    Del {
-        /// State key.
-        key: String,
-    },
-    /// Does the key exist?
-    Exists {
-        /// State key.
-        key: String,
-    },
-    /// Length of a value.
-    StrLen {
-        /// State key.
-        key: String,
-    },
-    /// Add to an 8-byte counter.
-    Incr {
-        /// Counter key.
-        key: String,
-        /// Signed delta.
-        delta: i64,
-    },
-    /// Add a set member.
-    SAdd {
-        /// Set key.
-        key: String,
-        /// Member bytes.
-        member: Vec<u8>,
-    },
-    /// Remove a set member.
-    SRem {
-        /// Set key.
-        key: String,
-        /// Member bytes.
-        member: Vec<u8>,
-    },
-    /// List set members.
-    SMembers {
-        /// Set key.
-        key: String,
-    },
-    /// Set cardinality.
-    SCard {
-        /// Set key.
-        key: String,
-    },
-    /// Try to acquire a global lock.
-    TryLock {
-        /// State key.
-        key: String,
-        /// Read or write.
-        mode: LockMode,
-        /// Caller-chosen owner token.
-        owner: u64,
-    },
-    /// Release a global lock.
-    Unlock {
-        /// State key.
-        key: String,
-        /// Read or write.
-        mode: LockMode,
-        /// Owner token used at acquisition.
-        owner: u64,
-    },
-    /// Liveness probe.
-    Ping,
-    /// Clear the store (tests / failure injection).
-    Flush,
-    /// Read several byte ranges of one value in a single round-trip (the
-    /// batched chunk pull: one request for every missing chunk span).
-    MultiGetRange {
-        /// State key.
-        key: String,
-        /// `(offset, len)` spans to read.
-        spans: Vec<(u64, u64)>,
-    },
-    /// Write several byte ranges of one value in a single round-trip (the
-    /// batched chunk push), zero-extending it as needed.
-    MultiSetRange {
-        /// State key.
-        key: String,
-        /// The writes to apply, in order.
-        writes: RangeWrites,
-    },
-    /// Report this shard's load (key count, value bytes, per-op counters) —
-    /// the migration planner's and the tier autoscaler's skew signal.
-    Stats,
-    /// Begin migrating this shard toward a new routing table: the shard
-    /// freezes every key it will no longer own under `shard_count` shards
-    /// (answering [`Response::WrongEpoch`] until the epoch commits) and
-    /// replies [`Response::Handoff`] with the complete exported state of
-    /// exactly those moving keys.
-    Migrate {
-        /// The routing epoch being migrated to.
-        epoch: u64,
-        /// The shard count of the new routing table.
-        shard_count: u64,
-    },
-    /// Install migrated key state on the receiving shard (values, set
-    /// members, counters-as-values and lock state with owners preserved).
-    Handoff {
-        /// The moving keys' exported state.
-        entries: Vec<KeyMigration>,
-    },
-    /// Commit a routing epoch: the shard adopts the named table as its
-    /// serving table and purges every key outside its replica sets (the
-    /// donor's post-handoff cleanup). Also the failover path: a commit
-    /// with no pending migration installs the table directly, which is how
-    /// a backup learns it has been promoted.
-    EpochCommit {
-        /// The committed routing epoch.
-        epoch: u64,
-        /// The committed slot count (dead slots included).
-        shard_count: u64,
-        /// Tombstoned slot indices of the committed table.
-        dead: Vec<u32>,
-        /// Per-slot replication endpoints (the hosts primaries forward
-        /// [`Request::Replicate`] to); empty for replication factor 1.
-        hosts: Vec<u32>,
-    },
-    /// Primary → backup state shipping: install the full exported state of
-    /// the carried keys (an entry with no value, members or lock deletes
-    /// the key). Shard-addressed — backups accept it even for keys they
-    /// are not primary for.
-    Replicate {
-        /// Exported state of the replicated keys.
-        entries: Vec<KeyMigration>,
-    },
-    /// One bounded frame of a chunked handoff: frames of one transfer
-    /// carry consecutive sequence numbers and are imported as they arrive;
-    /// the receiver rejects gaps or reordering.
-    HandoffFrame {
-        /// Transfer id (unique per migration stream).
-        xfer: u64,
-        /// 0-based frame sequence number within the transfer.
-        seq: u32,
-        /// Whether this is the transfer's final frame.
-        last: bool,
-        /// This frame's slice of the exported entries.
-        entries: Vec<KeyMigration>,
-    },
-    /// Post-failover replica rebuild: the shard re-ships, for every key it
-    /// is now primary for, the key's state to replica-set members added by
-    /// the last tombstone (computed against `prev_dead`, the dead list
-    /// *before* the failover).
-    Rebuild {
-        /// The tombstoned slots of the previous epoch's table.
-        prev_dead: Vec<u32>,
-    },
-    /// Read a key's mutation-version counter without its bytes — the cheap
-    /// revalidation probe a function-side cache sends when a lease expires:
-    /// if the version is unchanged the cached snapshot is still current and
-    /// the value bytes never cross the wire. Replies [`Response::Len`].
-    VersionOf {
-        /// State key.
-        key: String,
-    },
-    /// Get several whole values in one round-trip (the snapshot plane's
-    /// chunk fetch: every content-addressed chunk a shard owns, in one
-    /// request). Multi-key, so the server checks ownership of *every* key
-    /// and redirects if any is misrouted. Replies
-    /// [`Response::MultiValues`].
-    MultiGet {
-        /// State keys, in reply order.
-        keys: Vec<String>,
-    },
+/// A value with one wire layout.
+pub(crate) trait Wire: Sized {
+    /// The least bytes one value occupies: what a list of them bounds its
+    /// count with before it allocates.
+    const MIN_BYTES: usize;
+    /// Append the encoding.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Read one value back, every count checked against the bytes left.
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError>;
+    /// Exactly the bytes [`put`](Wire::put) appends — sizing the output
+    /// buffer up front keeps megabyte-scale batched pushes from paying
+    /// doubling reallocations. A fixed-width value is as long as its least.
+    fn wire_len(&self) -> usize {
+        Self::MIN_BYTES
+    }
 }
 
-impl Request {
-    /// The state key this request routes on, if any — migration, stats and
-    /// liveness commands are shard-addressed, not key-addressed, and skip
-    /// the server's ownership check.
-    pub fn key(&self) -> Option<&str> {
+macro_rules! wire_int {
+    ($($ty:ident $put:ident),*) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = std::mem::size_of::<$ty>();
+            fn put(&self, out: &mut Vec<u8>) {
+                $put(out, *self);
+            }
+            fn read(r: &mut Reader<'_>) -> Result<$ty, WireError> {
+                r.$ty()
+            }
+        }
+    )*};
+}
+wire_int!(u32 put_u32, u64 put_u64, i64 put_i64);
+
+/// One byte, 0 or 1.
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u8(out, u8::from(*self));
+    }
+    fn read(r: &mut Reader<'_>) -> Result<bool, WireError> {
+        let flag = r.u8()?;
+        if flag > 1 {
+            return Err(WireError::Invalid);
+        }
+        Ok(flag == 1)
+    }
+}
+
+impl Wire for LockMode {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self == LockMode::Write).put(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<LockMode, WireError> {
+        Ok(if bool::read(r)? {
+            LockMode::Write
+        } else {
+            LockMode::Read
+        })
+    }
+}
+
+impl Wire for Vec<u8> {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_bytes(out, self);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Vec<u8>, WireError> {
+        Ok(r.bytes()?.to_vec())
+    }
+    fn wire_len(&self) -> usize {
+        4 + self.len()
+    }
+}
+
+impl Wire for String {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_bytes(out, self.as_bytes());
+    }
+    fn read(r: &mut Reader<'_>) -> Result<String, WireError> {
+        r.string()
+    }
+    fn wire_len(&self) -> usize {
+        4 + self.len()
+    }
+}
+
+/// An `(offset, len)` span or an `(owner, remaining_ms)` lease.
+impl Wire for (u64, u64) {
+    const MIN_BYTES: usize = 16;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.0);
+        put_u64(out, self.1);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<(u64, u64), WireError> {
+        Ok((r.u64()?, r.u64()?))
+    }
+}
+
+/// A presence flag, then the value it announces.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(value) = self {
+            value.put(out);
+        }
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Option<T>, WireError> {
+        bool::read(r)?.then(|| T::read(r)).transpose()
+    }
+    fn wire_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, T::wire_len)
+    }
+}
+
+/// A count, bounded by what the elements must at least cost, then the
+/// elements.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_count(out, self.len());
+        for elem in self {
+            elem.put(out);
+        }
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Vec<T>, WireError> {
+        r.list(T::MIN_BYTES, T::read)
+    }
+    fn wire_len(&self) -> usize {
+        4 + self.iter().map(T::wire_len).sum::<usize>()
+    }
+}
+
+/// The span table as it travels: per span its distance from the previous
+/// span's end (from zero for the first), so an ascending scatter of small
+/// writes costs a byte or two a span where a fixed offset costs eight, and
+/// its length. The distance wraps, so any order of any offsets roundtrips.
+fn span_distances(spans: &[(u64, u32)]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let mut end = 0u64;
+    spans.iter().map(move |&(offset, len)| {
+        let distance = offset.wrapping_sub(end);
+        end = offset.wrapping_add(u64::from(len));
+        (distance, u64::from(len))
+    })
+}
+
+/// A count, a varint `(distance, length)` pair a span, then one payload
+/// field: decoding borrows that field once and copies it once, with no
+/// allocation per range.
+impl Wire for RangeWrites {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_count(out, self.len());
+        for (distance, len) in span_distances(self.spans()) {
+            put_varint(out, distance);
+            put_varint(out, len);
+        }
+        put_bytes(out, self.payload());
+    }
+    fn read(r: &mut Reader<'_>) -> Result<RangeWrites, WireError> {
+        let mut end = 0u64;
+        // Every span costs at least one byte of distance and one of length.
+        let spans = r.list(2, |r| {
+            let offset = end.wrapping_add(r.varint()?);
+            let len = u32::try_from(r.varint()?).map_err(|_| WireError::Invalid)?;
+            end = offset.wrapping_add(u64::from(len));
+            Ok((offset, len))
+        })?;
+        RangeWrites::from_parts(spans, r.bytes()?.to_vec()).ok_or(WireError::Invalid)
+    }
+    fn wire_len(&self) -> usize {
+        let table: usize = span_distances(self.spans())
+            .map(|(distance, len)| varint_len(distance) + varint_len(len))
+            .sum();
+        8 + table + self.payload().len()
+    }
+}
+
+const LOCK_FREE: u8 = 0;
+const LOCK_READERS: u8 = 1;
+const LOCK_WRITER: u8 = 2;
+
+/// A lock kind, then the holders that kind has.
+impl Wire for Option<LockMigration> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
         match self {
-            Request::Get { key }
-            | Request::Set { key, .. }
-            | Request::GetRange { key, .. }
-            | Request::SetRange { key, .. }
-            | Request::Append { key, .. }
-            | Request::Del { key }
-            | Request::Exists { key }
-            | Request::StrLen { key }
-            | Request::Incr { key, .. }
-            | Request::SAdd { key, .. }
-            | Request::SRem { key, .. }
-            | Request::SMembers { key }
-            | Request::SCard { key }
-            | Request::TryLock { key, .. }
-            | Request::Unlock { key, .. }
-            | Request::MultiGetRange { key, .. }
-            | Request::MultiSetRange { key, .. }
-            | Request::VersionOf { key } => Some(key),
-            // MultiGet routes on *all* its keys; the server special-cases
-            // its ownership check instead of this single-key accessor.
-            Request::Ping
-            | Request::Flush
-            | Request::Stats
-            | Request::Migrate { .. }
-            | Request::Handoff { .. }
-            | Request::EpochCommit { .. }
-            | Request::Replicate { .. }
-            | Request::HandoffFrame { .. }
-            | Request::Rebuild { .. }
-            | Request::MultiGet { .. } => None,
+            None => put_u8(out, LOCK_FREE),
+            Some(LockMigration::Readers(readers)) => {
+                put_u8(out, LOCK_READERS);
+                readers.put(out);
+            }
+            Some(LockMigration::Writer {
+                owner,
+                remaining_ms,
+            }) => {
+                put_u8(out, LOCK_WRITER);
+                (*owner, *remaining_ms).put(out);
+            }
+        }
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Option<LockMigration>, WireError> {
+        Ok(match r.u8()? {
+            LOCK_FREE => None,
+            LOCK_READERS => Some(LockMigration::Readers(Wire::read(r)?)),
+            LOCK_WRITER => {
+                let (owner, remaining_ms) = Wire::read(r)?;
+                Some(LockMigration::Writer {
+                    owner,
+                    remaining_ms,
+                })
+            }
+            _ => return Err(WireError::Invalid),
+        })
+    }
+    fn wire_len(&self) -> usize {
+        match self {
+            None => 1,
+            Some(LockMigration::Readers(readers)) => 1 + readers.wire_len(),
+            Some(LockMigration::Writer { .. }) => 17,
         }
     }
 }
 
-/// A server → client reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Response {
-    /// A possibly-missing value.
-    Value(Option<Vec<u8>>),
-    /// Success with no payload.
-    Ok,
-    /// A length or cardinality.
-    Len(u64),
-    /// A counter value.
-    Int(i64),
-    /// A boolean outcome.
-    Bool(bool),
-    /// A list of values.
-    Values(Vec<Vec<u8>>),
-    /// Reply to [`Request::Ping`].
-    Pong,
-    /// Server-side failure.
-    Err(String),
-    /// Reply to [`Request::MultiGetRange`]: `None` if the key is missing,
-    /// otherwise one (possibly truncated) byte run per requested span.
-    Spans(Option<Vec<Vec<u8>>>),
-    /// The shard does not own the request's key under its current routing
-    /// table: the client should refresh its table to at least `epoch` and
-    /// retry against the owning shard.
-    WrongEpoch {
-        /// The epoch the client must reach before retrying.
-        epoch: u64,
-        /// The shard count of that epoch's routing table.
-        shard_count: u64,
-    },
-    /// Reply to [`Request::Stats`].
-    Stats(ShardStats),
-    /// Reply to [`Request::Migrate`]: the exported state of every moving
-    /// key (also the payload shape of [`Request::Handoff`]).
-    Handoff(Vec<KeyMigration>),
-    /// Reply to [`Request::Replicate`]: the backup installed the entries.
-    ReplAck {
-        /// Number of entries applied.
-        applied: u64,
-    },
-    /// The request's key is replicated on this shard but served by a
-    /// different primary: the client should refresh its table to at least
-    /// `epoch` and retry — the same redirect-and-retry loop as
-    /// [`Response::WrongEpoch`].
-    NotPrimary {
-        /// The epoch the client should reach before retrying.
-        epoch: u64,
-        /// The slot count of that epoch's routing table.
-        shard_count: u64,
-    },
-    /// The primary could not assemble its write quorum (a backup is dead
-    /// or partitioned): nothing was acked. The client should park for the
-    /// failover epoch (`epoch + 1`) and retry.
-    Unavailable {
-        /// The primary's current epoch.
-        epoch: u64,
-        /// The slot count of that epoch's routing table.
-        shard_count: u64,
-    },
-    /// Reply to [`Request::MultiGet`]: one possibly-missing value per
-    /// requested key, in request order.
-    MultiValues(Vec<Option<Vec<u8>>>),
-    /// A successful keyed reply widened with the key's mutation-version
-    /// counter — what a function-side cache stamps its snapshots with
-    /// (reads carry the version the bytes were observed at, mutation acks
-    /// the version the write installed, both taken under the same stripe
-    /// lock as the operation). Never wraps an error or redirect, and never
-    /// nests.
-    Versioned {
-        /// The key's mutation-version counter at the time of the operation.
-        version: u64,
-        /// The plain reply being widened.
-        inner: Box<Response>,
-    },
+/// A struct whose layout is its fields in order.
+macro_rules! wire_struct {
+    ($name:ident { $($field:ident: $ty:ty),* $(,)? }) => {
+        impl Wire for $name {
+            const MIN_BYTES: usize = 0 $(+ <$ty as Wire>::MIN_BYTES)*;
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+            fn read(r: &mut Reader<'_>) -> Result<$name, WireError> {
+                Ok($name { $($field: Wire::read(r)?),* })
+            }
+            fn wire_len(&self) -> usize {
+                0 $(+ self.$field.wire_len())*
+            }
+        }
+    };
+}
+
+// What one migrated key costs on the wire is `KeyMigration::wire_len`, for
+// the codec's buffer sizing and for the senders that cut exports into
+// bounded frames alike.
+wire_struct!(KeyMigration {
+    key: String,
+    value: Option<Vec<u8>>,
+    set: Vec<Vec<u8>>,
+    lock: Option<LockMigration>,
+    version: u64,
+});
+
+wire_struct!(ShardStats {
+    epoch: u64,
+    keys: u64,
+    value_bytes: u64,
+    reads: u64,
+    writes: u64,
+    lock_ops: u64,
+    wrong_epoch_redirects: u64,
+    freeze_wait_ns: u64,
+    batched_ops: u64,
+    batched_items: u64,
+    replication: u64,
+    repl_forwards: u64,
+    repl_lag_ns: u64,
+    promotions: u64,
+    primary_keys: u64,
+    backup_keys: u64,
+});
+
+/// The reply a [`Response::Versioned`] widens. A versioned reply never
+/// wraps another: rejected on the tag, before recursing.
+impl Wire for Box<Response> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        debug_assert!(
+            !matches!(**self, Response::Versioned { .. }),
+            "versioned responses never nest"
+        );
+        (**self).put(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Box<Response>, WireError> {
+        match r.u8()? {
+            VERSIONED => Err(WireError::Invalid),
+            tag => Response::read_tagged(tag, r).map(Box::new),
+        }
+    }
+    fn wire_len(&self) -> usize {
+        (**self).wire_len()
+    }
+}
+
+/// What a row's attributes say: `keyed` — the message routes on its first
+/// field, a state key the serving shard must own; `mutates` — applying it
+/// changes that key's state, so a replicated shard forwards the key to its
+/// backups afterwards. Any other spelling matches no rule.
+macro_rules! attr {
+    (key [keyed $($mutates:ident)?] $key:ident $($field:ident)*) => {
+        Some($key.as_str())
+    };
+    (key [] $($field:ident)*) => {
+        None
+    };
+    (mutates [keyed mutates]) => {
+        true
+    };
+    (mutates [keyed]) => {
+        false
+    };
+    (mutates []) => {
+        false
+    };
+}
+
+/// One protocol table. A row is `tag => Variant`, with named fields, one
+/// named field in parentheses or none, then the row's attributes (see
+/// `attr!`); `tag as NAME` also names the tag for code outside the table. A
+/// `tag_carried_options` row is an `Option` whose presence flag is the tag
+/// itself: the first tag is `None`, the second announces the value.
+macro_rules! messages {
+    (
+        $(#[$emeta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal $(as $tag_name:ident)? => $variant:ident
+                $({ $($(#[$fmeta:meta])* $field:ident: $fty:ty),+ $(,)? })?
+                $(($tfield:ident: $tty:ty))?
+                $($flag:ident)*
+            ),+ $(,)?
+        }
+        $(tag_carried_options {
+            $($(#[$ometa:meta])* $none:literal | $some:literal => $ovariant:ident(Option<$oty:ty>)),+ $(,)?
+        })?
+    ) => {
+        $(#[$emeta])*
+        pub enum $name {
+            $($($(#[$ometa])* $ovariant(Option<$oty>),)+)?
+            $(
+                $(#[$vmeta])*
+                $variant $({ $($(#[$fmeta])* $field: $fty),+ })? $(($tty))?,
+            )+
+        }
+
+        $($(const $tag_name: u8 = $tag;)?)+
+
+        impl $name {
+            /// Every tag of the protocol: the first byte of an encoded
+            /// message is one of these, and each decodes to one variant.
+            pub const TAGS: &'static [u8] = &[$($($none, $some,)+)? $($tag),+];
+
+            fn read_tagged(tag: u8, r: &mut Reader<'_>) -> Result<$name, WireError> {
+                Ok(match tag {
+                    $($(
+                        $none => $name::$ovariant(None),
+                        $some => $name::$ovariant(Some(Wire::read(r)?)),
+                    )+)?
+                    $(
+                        $tag => $name::$variant
+                            $({ $($field: Wire::read(r)?),+ })?
+                            $((<$tty as Wire>::read(r)?))?,
+                    )+
+                    _ => return Err(WireError::Invalid),
+                })
+            }
+        }
+
+        impl Wire for $name {
+            const MIN_BYTES: usize = 1;
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($(
+                        $name::$ovariant(None) => put_u8(out, $none),
+                        $name::$ovariant(Some(value)) => {
+                            put_u8(out, $some);
+                            value.put(out);
+                        }
+                    )+)?
+                    $(
+                        $name::$variant $({ $($field),+ })? $(($tfield))? => {
+                            put_u8(out, $tag);
+                            $($($field.put(out);)+)?
+                            $($tfield.put(out);)?
+                        }
+                    )+
+                }
+            }
+            fn read(r: &mut Reader<'_>) -> Result<$name, WireError> {
+                let tag = r.u8()?;
+                $name::read_tagged(tag, r)
+            }
+            fn wire_len(&self) -> usize {
+                1 + match self {
+                    $($($name::$ovariant(value) => value.as_ref().map_or(0, Wire::wire_len),)+)?
+                    $(
+                        $name::$variant $({ $($field),+ })? $(($tfield))? =>
+                            0 $($(+ $field.wire_len())+)? $(+ $tfield.wire_len())?,
+                    )+
+                }
+            }
+        }
+
+        messages!(@routing $name $($variant [$($flag)*] [$($($field)+)?])+);
+    };
+    // No row carries an attribute: nothing routes on this message.
+    (@routing $name:ident $($variant:ident [] [$($field:ident)*])+) => {};
+    (@routing $name:ident $($variant:ident [$($flag:ident)*] [$($field:ident)*])+) => {
+        impl $name {
+            /// The state key this request routes on, if any — migration,
+            /// stats and liveness commands are shard-addressed, not
+            /// key-addressed, and skip the server's ownership check.
+            #[allow(unused_variables)]
+            pub fn key(&self) -> Option<&str> {
+                match self {
+                    $($name::$variant { $($field,)* .. } => attr!(key [$($flag)*] $($field)*),)+
+                }
+            }
+
+            /// Does applying this request change its key's state (and
+            /// therefore need forwarding to backup replicas afterwards)?
+            pub fn mutates_key(&self) -> bool {
+                match self {
+                    $($name::$variant { .. } => attr!(mutates [$($flag)*]),)+
+                }
+            }
+        }
+    };
+}
+
+messages! {
+    /// A client → server command.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Request {
+        /// Get the value of a key.
+        0 => Get {
+            /// State key.
+            key: String,
+        } keyed,
+        /// Set the value of a key.
+        1 => Set {
+            /// State key.
+            key: String,
+            /// New value.
+            value: Vec<u8>,
+        } keyed mutates,
+        /// Read a byte range of a value.
+        2 => GetRange {
+            /// State key.
+            key: String,
+            /// Byte offset.
+            offset: u64,
+            /// Bytes to read.
+            len: u64,
+        } keyed,
+        /// Write a byte range of a value, zero-extending it.
+        3 => SetRange {
+            /// State key.
+            key: String,
+            /// Byte offset.
+            offset: u64,
+            /// Bytes to write.
+            data: Vec<u8>,
+        } keyed mutates,
+        /// Append bytes to a value.
+        4 => Append {
+            /// State key.
+            key: String,
+            /// Bytes to append.
+            data: Vec<u8>,
+        } keyed mutates,
+        /// Delete a key.
+        5 => Del {
+            /// State key.
+            key: String,
+        } keyed mutates,
+        /// Does the key exist?
+        6 => Exists {
+            /// State key.
+            key: String,
+        } keyed,
+        /// Length of a value.
+        7 => StrLen {
+            /// State key.
+            key: String,
+        } keyed,
+        /// Add to an 8-byte counter.
+        8 => Incr {
+            /// Counter key.
+            key: String,
+            /// Signed delta.
+            delta: i64,
+        } keyed mutates,
+        /// Add a set member.
+        9 => SAdd {
+            /// Set key.
+            key: String,
+            /// Member bytes.
+            member: Vec<u8>,
+        } keyed mutates,
+        /// Remove a set member.
+        10 => SRem {
+            /// Set key.
+            key: String,
+            /// Member bytes.
+            member: Vec<u8>,
+        } keyed mutates,
+        /// List set members.
+        11 => SMembers {
+            /// Set key.
+            key: String,
+        } keyed,
+        /// Set cardinality.
+        12 => SCard {
+            /// Set key.
+            key: String,
+        } keyed,
+        /// Try to acquire a global lock.
+        13 => TryLock {
+            /// State key.
+            key: String,
+            /// Read or write.
+            mode: LockMode,
+            /// Caller-chosen owner token.
+            owner: u64,
+        } keyed mutates,
+        /// Release a global lock.
+        14 => Unlock {
+            /// State key.
+            key: String,
+            /// Read or write.
+            mode: LockMode,
+            /// Owner token used at acquisition.
+            owner: u64,
+        } keyed mutates,
+        /// Liveness probe.
+        15 => Ping,
+        /// Clear the store (tests / failure injection).
+        16 => Flush,
+        /// Read several byte ranges of one value in a single round-trip (the
+        /// batched chunk pull: one request for every missing chunk span).
+        17 => MultiGetRange {
+            /// State key.
+            key: String,
+            /// `(offset, len)` spans to read.
+            spans: Vec<(u64, u64)>,
+        } keyed,
+        /// Write several byte ranges of one value in a single round-trip (the
+        /// batched chunk push), zero-extending it as needed.
+        18 => MultiSetRange {
+            /// State key.
+            key: String,
+            /// The writes to apply, in order.
+            writes: RangeWrites,
+        } keyed mutates,
+        /// Report this shard's load (key count, value bytes, per-op counters) —
+        /// the migration planner's and the tier autoscaler's skew signal.
+        19 => Stats,
+        /// Begin migrating this shard toward a new routing table: the shard
+        /// freezes every key it will no longer own under `shard_count` shards
+        /// (answering [`Response::WrongEpoch`] until the epoch commits) and
+        /// replies [`Response::Handoff`] with the complete exported state of
+        /// exactly those moving keys.
+        20 => Migrate {
+            /// The routing epoch being migrated to.
+            epoch: u64,
+            /// The shard count of the new routing table.
+            shard_count: u64,
+        },
+        /// Install migrated key state on the receiving shard (values, set
+        /// members, counters-as-values and lock state with owners preserved).
+        21 => Handoff {
+            /// The moving keys' exported state.
+            entries: Vec<KeyMigration>,
+        },
+        /// Commit a routing epoch: the shard adopts the named table as its
+        /// serving table and purges every key outside its replica sets (the
+        /// donor's post-handoff cleanup). Also the failover path: a commit
+        /// with no pending migration installs the table directly, which is how
+        /// a backup learns it has been promoted.
+        22 => EpochCommit {
+            /// The committed routing epoch.
+            epoch: u64,
+            /// The committed slot count (dead slots included).
+            shard_count: u64,
+            /// Tombstoned slot indices of the committed table.
+            dead: Vec<u32>,
+            /// Per-slot replication endpoints (the hosts primaries forward
+            /// [`Request::Replicate`] to); empty for replication factor 1.
+            hosts: Vec<u32>,
+        },
+        /// Primary → backup state shipping: install the full exported state of
+        /// the carried keys (an entry with no value, members or lock deletes
+        /// the key). Shard-addressed — backups accept it even for keys they
+        /// are not primary for.
+        23 => Replicate {
+            /// Exported state of the replicated keys.
+            entries: Vec<KeyMigration>,
+        },
+        /// One bounded frame of a chunked handoff: frames of one transfer
+        /// carry consecutive sequence numbers and are imported as they arrive;
+        /// the receiver rejects gaps or reordering.
+        24 => HandoffFrame {
+            /// Transfer id (unique per migration stream).
+            xfer: u64,
+            /// 0-based frame sequence number within the transfer.
+            seq: u32,
+            /// Whether this is the transfer's final frame.
+            last: bool,
+            /// This frame's slice of the exported entries.
+            entries: Vec<KeyMigration>,
+        },
+        /// Post-failover replica rebuild: the shard re-ships, for every key it
+        /// is now primary for, the key's state to replica-set members added by
+        /// the last tombstone (computed against `prev_dead`, the dead list
+        /// *before* the failover).
+        25 => Rebuild {
+            /// The tombstoned slots of the previous epoch's table.
+            prev_dead: Vec<u32>,
+        },
+        /// Read a key's mutation-version counter without its bytes — the cheap
+        /// revalidation probe a function-side cache sends when a lease expires:
+        /// if the version is unchanged the cached snapshot is still current and
+        /// the value bytes never cross the wire. Replies [`Response::Len`].
+        26 => VersionOf {
+            /// State key.
+            key: String,
+        } keyed,
+        /// Get several whole values in one round-trip (the snapshot plane's
+        /// chunk fetch: every content-addressed chunk a shard owns, in one
+        /// request). Multi-key, so it is not `keyed`: the server checks
+        /// ownership of *every* key and redirects if any is misrouted.
+        /// Replies [`Response::MultiValues`].
+        27 => MultiGet {
+            /// State keys, in reply order.
+            keys: Vec<String>,
+        },
+    }
+}
+
+messages! {
+    /// A server → client reply.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Response {
+        /// Success with no payload.
+        2 => Ok,
+        /// A length or cardinality.
+        3 => Len(n: u64),
+        /// A counter value.
+        4 => Int(n: i64),
+        /// A boolean outcome.
+        5 => Bool(outcome: bool),
+        /// A list of values.
+        6 => Values(values: Vec<Vec<u8>>),
+        /// Reply to [`Request::Ping`].
+        7 => Pong,
+        /// Server-side failure.
+        8 => Err(message: String),
+        /// The shard does not own the request's key under its current routing
+        /// table: the client should refresh its table to at least `epoch` and
+        /// retry against the owning shard.
+        11 => WrongEpoch {
+            /// The epoch the client must reach before retrying.
+            epoch: u64,
+            /// The shard count of that epoch's routing table.
+            shard_count: u64,
+        },
+        /// Reply to [`Request::Stats`].
+        12 => Stats(stats: ShardStats),
+        /// Reply to [`Request::Migrate`]: the exported state of every moving
+        /// key (also the payload shape of [`Request::Handoff`]).
+        13 => Handoff(entries: Vec<KeyMigration>),
+        /// Reply to [`Request::Replicate`]: the backup installed the entries.
+        14 => ReplAck {
+            /// Number of entries applied.
+            applied: u64,
+        },
+        /// The request's key is replicated on this shard but served by a
+        /// different primary: the client should refresh its table to at least
+        /// `epoch` and retry — the same redirect-and-retry loop as
+        /// [`Response::WrongEpoch`].
+        15 => NotPrimary {
+            /// The epoch the client should reach before retrying.
+            epoch: u64,
+            /// The slot count of that epoch's routing table.
+            shard_count: u64,
+        },
+        /// The primary could not assemble its write quorum (a backup is dead
+        /// or partitioned): nothing was acked. The client should park for the
+        /// failover epoch (`epoch + 1`) and retry.
+        16 => Unavailable {
+            /// The primary's current epoch.
+            epoch: u64,
+            /// The slot count of that epoch's routing table.
+            shard_count: u64,
+        },
+        /// A successful keyed reply widened with the key's mutation-version
+        /// counter — what a function-side cache stamps its snapshots with
+        /// (reads carry the version the bytes were observed at, mutation acks
+        /// the version the write installed, both taken under the same stripe
+        /// lock as the operation). Never wraps an error or redirect, and never
+        /// nests.
+        17 as VERSIONED => Versioned {
+            /// The key's mutation-version counter at the time of the operation.
+            version: u64,
+            /// The plain reply being widened.
+            inner: Box<Response>,
+        },
+        /// Reply to [`Request::MultiGet`]: one possibly-missing value per
+        /// requested key, in request order.
+        18 => MultiValues(values: Vec<Option<Vec<u8>>>),
+    }
+    tag_carried_options {
+        /// A possibly-missing value.
+        0 | 1 => Value(Option<Vec<u8>>),
+        /// Reply to [`Request::MultiGetRange`]: `None` if the key is missing,
+        /// otherwise one (possibly truncated) byte run per requested span.
+        9 | 10 => Spans(Option<Vec<Vec<u8>>>),
+    }
 }
 
 /// A malformed message.
@@ -362,188 +769,6 @@ impl From<WireError> for CodecError {
     }
 }
 
-fn put_u32_list(out: &mut Vec<u8>, list: &[u32]) {
-    put_count(out, list.len());
-    for v in list {
-        put_u32(out, *v);
-    }
-}
-
-fn mode_byte(m: LockMode) -> u8 {
-    match m {
-        LockMode::Read => 0,
-        LockMode::Write => 1,
-    }
-}
-
-fn read_mode(r: &mut Reader<'_>) -> Result<LockMode, WireError> {
-    match r.u8()? {
-        0 => Ok(LockMode::Read),
-        1 => Ok(LockMode::Write),
-        _ => Err(WireError::Invalid),
-    }
-}
-
-/// The span table of a [`Request::MultiSetRange`]: a count, then per span a
-/// varint offset — as the distance from the previous span's end (from zero
-/// for the first), so an ascending scatter of small writes costs a byte or
-/// two a span where a fixed offset costs eight — and a varint length. The
-/// distance wraps, so any order of any offsets roundtrips.
-fn put_write_spans(out: &mut Vec<u8>, spans: &[(u64, u32)]) {
-    put_count(out, spans.len());
-    let mut end = 0u64;
-    for &(offset, len) in spans {
-        put_varint(out, offset.wrapping_sub(end));
-        put_varint(out, u64::from(len));
-        end = offset.wrapping_add(u64::from(len));
-    }
-}
-
-fn read_write_spans(r: &mut Reader<'_>) -> Result<Vec<(u64, u32)>, WireError> {
-    let mut end = 0u64;
-    // Every span costs at least one byte of distance and one of length.
-    r.list(2, |r| {
-        let offset = end.wrapping_add(r.varint()?);
-        let len = u32::try_from(r.varint()?).map_err(|_| WireError::Invalid)?;
-        end = offset.wrapping_add(u64::from(len));
-        Ok((offset, len))
-    })
-}
-
-/// A presence flag, then the value it announces.
-fn put_optional(out: &mut Vec<u8>, value: Option<&[u8]>) {
-    match value {
-        Some(v) => {
-            put_u8(out, 1);
-            put_bytes(out, v);
-        }
-        None => put_u8(out, 0),
-    }
-}
-
-fn read_optional(r: &mut Reader<'_>) -> Result<Option<Vec<u8>>, WireError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.bytes()?.to_vec())),
-        _ => Err(WireError::Invalid),
-    }
-}
-
-/// Payload bytes one migration entry needs on the wire.
-fn entry_payload_len(e: &KeyMigration) -> usize {
-    let lock = match &e.lock {
-        None => 1,
-        Some(LockMigration::Readers(r)) => 5 + r.len() * 16,
-        Some(LockMigration::Writer { .. }) => 17,
-    };
-    17 + e.key.len()
-        + e.value.as_ref().map_or(0, |v| v.len() + 4)
-        + e.set.iter().map(|m| m.len() + 4).sum::<usize>()
-        + lock
-}
-
-/// Payload bytes a request encoding will need beyond its fixed fields —
-/// sizing the output buffer up front keeps megabyte-scale batched pushes
-/// from paying doubling reallocations.
-fn request_payload_len(req: &Request) -> usize {
-    match req {
-        Request::Set { key, value } => key.len() + value.len(),
-        Request::SetRange { key, data, .. } | Request::Append { key, data } => {
-            key.len() + data.len()
-        }
-        Request::SAdd { key, member } | Request::SRem { key, member } => key.len() + member.len(),
-        Request::MultiGetRange { key, spans } => key.len() + spans.len() * 16,
-        Request::MultiSetRange { key, writes } => {
-            key.len() + 8 + writes.len() * 4 + writes.payload().len()
-        }
-        Request::Get { key }
-        | Request::GetRange { key, .. }
-        | Request::Del { key }
-        | Request::Exists { key }
-        | Request::StrLen { key }
-        | Request::Incr { key, .. }
-        | Request::SMembers { key }
-        | Request::SCard { key }
-        | Request::TryLock { key, .. }
-        | Request::Unlock { key, .. }
-        | Request::VersionOf { key } => key.len(),
-        Request::Ping | Request::Flush | Request::Stats => 0,
-        Request::Migrate { .. } => 16,
-        Request::EpochCommit { dead, hosts, .. } => 24 + (dead.len() + hosts.len()) * 4,
-        Request::Handoff { entries } | Request::Replicate { entries } => {
-            entries.iter().map(entry_payload_len).sum()
-        }
-        Request::HandoffFrame { entries, .. } => {
-            17 + entries.iter().map(entry_payload_len).sum::<usize>()
-        }
-        Request::Rebuild { prev_dead } => 4 + prev_dead.len() * 4,
-        Request::MultiGet { keys } => 4 + keys.iter().map(|k| k.len() + 4).sum::<usize>(),
-    }
-}
-
-fn put_entry(out: &mut Vec<u8>, e: &KeyMigration) {
-    put_bytes(out, e.key.as_bytes());
-    put_optional(out, e.value.as_deref());
-    put_count(out, e.set.len());
-    for member in &e.set {
-        put_bytes(out, member);
-    }
-    match &e.lock {
-        None => put_u8(out, 0),
-        Some(LockMigration::Readers(readers)) => {
-            put_u8(out, 1);
-            put_count(out, readers.len());
-            for (owner, remaining) in readers {
-                put_u64(out, *owner);
-                put_u64(out, *remaining);
-            }
-        }
-        Some(LockMigration::Writer {
-            owner,
-            remaining_ms,
-        }) => {
-            put_u8(out, 2);
-            put_u64(out, *owner);
-            put_u64(out, *remaining_ms);
-        }
-    }
-    put_u64(out, e.version);
-}
-
-fn put_entries(out: &mut Vec<u8>, entries: &[KeyMigration]) {
-    put_count(out, entries.len());
-    for entry in entries {
-        put_entry(out, entry);
-    }
-}
-
-fn read_entry(r: &mut Reader<'_>) -> Result<KeyMigration, WireError> {
-    Ok(KeyMigration {
-        key: r.string()?,
-        value: read_optional(r)?,
-        // Every member costs at least its 4-byte length prefix.
-        set: r.list(4, |r| Ok(r.bytes()?.to_vec()))?,
-        lock: match r.u8()? {
-            0 => None,
-            1 => Some(LockMigration::Readers(
-                r.list(16, |r| Ok((r.u64()?, r.u64()?)))?,
-            )),
-            2 => Some(LockMigration::Writer {
-                owner: r.u64()?,
-                remaining_ms: r.u64()?,
-            }),
-            _ => return Err(WireError::Invalid),
-        },
-        version: r.u64()?,
-    })
-}
-
-/// Every entry costs at least 17 bytes of fixed framing (key length, value
-/// flag, member count, lock kind, version).
-fn read_entries(r: &mut Reader<'_>) -> Result<Vec<KeyMigration>, WireError> {
-    r.list(17, read_entry)
-}
-
 /// Encode a request for the wire without epoch information
 /// ([`encode_request_at`] with [`EPOCH_ANY`]).
 pub fn encode_request(req: &Request) -> Vec<u8> {
@@ -558,161 +783,20 @@ pub fn encode_request_at(req: &Request, epoch: u64) -> Vec<u8> {
     encode_request_traced(req, epoch, faasm_telemetry::current())
 }
 
+/// The epoch and trace context every request is stamped with.
+const STAMP_BYTES: usize = 24;
+
 /// Encode a request for the wire, stamped with the client's routing epoch
 /// and an explicit trace context. Every request carries the epoch so a
 /// shard can recognise stale routing at a glance (and skip the per-key
 /// ownership hash when epochs match); the trace context lets the shard
 /// parent its apply spans under the ingress call that caused the work.
 pub fn encode_request_traced(req: &Request, epoch: u64, trace: TraceCtx) -> Vec<u8> {
-    let mut out = Vec::with_capacity(56 + request_payload_len(req));
+    let mut out = Vec::with_capacity(STAMP_BYTES + req.wire_len());
     put_u64(&mut out, epoch);
     put_u64(&mut out, trace.trace_id);
     put_u64(&mut out, trace.span_id);
-    match req {
-        Request::Get { key } => {
-            put_u8(&mut out, 0);
-            put_bytes(&mut out, key.as_bytes());
-        }
-        Request::Set { key, value } => {
-            put_u8(&mut out, 1);
-            put_bytes(&mut out, key.as_bytes());
-            put_bytes(&mut out, value);
-        }
-        Request::GetRange { key, offset, len } => {
-            put_u8(&mut out, 2);
-            put_bytes(&mut out, key.as_bytes());
-            put_u64(&mut out, *offset);
-            put_u64(&mut out, *len);
-        }
-        Request::SetRange { key, offset, data } => {
-            put_u8(&mut out, 3);
-            put_bytes(&mut out, key.as_bytes());
-            put_u64(&mut out, *offset);
-            put_bytes(&mut out, data);
-        }
-        Request::Append { key, data } => {
-            put_u8(&mut out, 4);
-            put_bytes(&mut out, key.as_bytes());
-            put_bytes(&mut out, data);
-        }
-        Request::Del { key } => {
-            put_u8(&mut out, 5);
-            put_bytes(&mut out, key.as_bytes());
-        }
-        Request::Exists { key } => {
-            put_u8(&mut out, 6);
-            put_bytes(&mut out, key.as_bytes());
-        }
-        Request::StrLen { key } => {
-            put_u8(&mut out, 7);
-            put_bytes(&mut out, key.as_bytes());
-        }
-        Request::Incr { key, delta } => {
-            put_u8(&mut out, 8);
-            put_bytes(&mut out, key.as_bytes());
-            put_i64(&mut out, *delta);
-        }
-        Request::SAdd { key, member } => {
-            put_u8(&mut out, 9);
-            put_bytes(&mut out, key.as_bytes());
-            put_bytes(&mut out, member);
-        }
-        Request::SRem { key, member } => {
-            put_u8(&mut out, 10);
-            put_bytes(&mut out, key.as_bytes());
-            put_bytes(&mut out, member);
-        }
-        Request::SMembers { key } => {
-            put_u8(&mut out, 11);
-            put_bytes(&mut out, key.as_bytes());
-        }
-        Request::SCard { key } => {
-            put_u8(&mut out, 12);
-            put_bytes(&mut out, key.as_bytes());
-        }
-        Request::TryLock { key, mode, owner } => {
-            put_u8(&mut out, 13);
-            put_bytes(&mut out, key.as_bytes());
-            put_u8(&mut out, mode_byte(*mode));
-            put_u64(&mut out, *owner);
-        }
-        Request::Unlock { key, mode, owner } => {
-            put_u8(&mut out, 14);
-            put_bytes(&mut out, key.as_bytes());
-            put_u8(&mut out, mode_byte(*mode));
-            put_u64(&mut out, *owner);
-        }
-        Request::Ping => put_u8(&mut out, 15),
-        Request::Flush => put_u8(&mut out, 16),
-        Request::MultiGetRange { key, spans } => {
-            put_u8(&mut out, 17);
-            put_bytes(&mut out, key.as_bytes());
-            put_count(&mut out, spans.len());
-            for (offset, len) in spans {
-                put_u64(&mut out, *offset);
-                put_u64(&mut out, *len);
-            }
-        }
-        Request::MultiSetRange { key, writes } => {
-            put_u8(&mut out, 18);
-            put_bytes(&mut out, key.as_bytes());
-            put_write_spans(&mut out, writes.spans());
-            put_bytes(&mut out, writes.payload());
-        }
-        Request::Stats => put_u8(&mut out, 19),
-        Request::Migrate { epoch, shard_count } => {
-            put_u8(&mut out, 20);
-            put_u64(&mut out, *epoch);
-            put_u64(&mut out, *shard_count);
-        }
-        Request::Handoff { entries } => {
-            put_u8(&mut out, 21);
-            put_entries(&mut out, entries);
-        }
-        Request::EpochCommit {
-            epoch,
-            shard_count,
-            dead,
-            hosts,
-        } => {
-            put_u8(&mut out, 22);
-            put_u64(&mut out, *epoch);
-            put_u64(&mut out, *shard_count);
-            put_u32_list(&mut out, dead);
-            put_u32_list(&mut out, hosts);
-        }
-        Request::Replicate { entries } => {
-            put_u8(&mut out, 23);
-            put_entries(&mut out, entries);
-        }
-        Request::HandoffFrame {
-            xfer,
-            seq,
-            last,
-            entries,
-        } => {
-            put_u8(&mut out, 24);
-            put_u64(&mut out, *xfer);
-            put_u32(&mut out, *seq);
-            put_u8(&mut out, *last as u8);
-            put_entries(&mut out, entries);
-        }
-        Request::Rebuild { prev_dead } => {
-            put_u8(&mut out, 25);
-            put_u32_list(&mut out, prev_dead);
-        }
-        Request::VersionOf { key } => {
-            put_u8(&mut out, 26);
-            put_bytes(&mut out, key.as_bytes());
-        }
-        Request::MultiGet { keys } => {
-            put_u8(&mut out, 27);
-            put_count(&mut out, keys.len());
-            for key in keys {
-                put_bytes(&mut out, key.as_bytes());
-            }
-        }
-    }
+    req.put(&mut out);
     out
 }
 
@@ -748,237 +832,15 @@ pub fn decode_request_traced(buf: &[u8]) -> Result<(Request, u64, TraceCtx), Cod
             trace_id: r.u64()?,
             span_id: r.u64()?,
         };
-        Ok((read_request(r)?, epoch, trace))
+        Ok((Request::read(r)?, epoch, trace))
     })?)
-}
-
-fn read_request(r: &mut Reader<'_>) -> Result<Request, WireError> {
-    Ok(match r.u8()? {
-        0 => Request::Get { key: r.string()? },
-        1 => Request::Set {
-            key: r.string()?,
-            value: r.bytes()?.to_vec(),
-        },
-        2 => Request::GetRange {
-            key: r.string()?,
-            offset: r.u64()?,
-            len: r.u64()?,
-        },
-        3 => Request::SetRange {
-            key: r.string()?,
-            offset: r.u64()?,
-            data: r.bytes()?.to_vec(),
-        },
-        4 => Request::Append {
-            key: r.string()?,
-            data: r.bytes()?.to_vec(),
-        },
-        5 => Request::Del { key: r.string()? },
-        6 => Request::Exists { key: r.string()? },
-        7 => Request::StrLen { key: r.string()? },
-        8 => Request::Incr {
-            key: r.string()?,
-            delta: r.i64()?,
-        },
-        9 => Request::SAdd {
-            key: r.string()?,
-            member: r.bytes()?.to_vec(),
-        },
-        10 => Request::SRem {
-            key: r.string()?,
-            member: r.bytes()?.to_vec(),
-        },
-        11 => Request::SMembers { key: r.string()? },
-        12 => Request::SCard { key: r.string()? },
-        13 => Request::TryLock {
-            key: r.string()?,
-            mode: read_mode(r)?,
-            owner: r.u64()?,
-        },
-        14 => Request::Unlock {
-            key: r.string()?,
-            mode: read_mode(r)?,
-            owner: r.u64()?,
-        },
-        15 => Request::Ping,
-        16 => Request::Flush,
-        17 => Request::MultiGetRange {
-            key: r.string()?,
-            spans: r.list(16, |r| Ok((r.u64()?, r.u64()?)))?,
-        },
-        18 => {
-            let key = r.string()?;
-            let spans = read_write_spans(r)?;
-            // One borrowed field, one copy: no allocation per range.
-            let writes = RangeWrites::from_parts(spans, r.bytes()?.to_vec());
-            Request::MultiSetRange {
-                key,
-                writes: writes.ok_or(WireError::Invalid)?,
-            }
-        }
-        19 => Request::Stats,
-        20 => Request::Migrate {
-            epoch: r.u64()?,
-            shard_count: r.u64()?,
-        },
-        21 => Request::Handoff {
-            entries: read_entries(r)?,
-        },
-        22 => Request::EpochCommit {
-            epoch: r.u64()?,
-            shard_count: r.u64()?,
-            dead: r.list(4, Reader::u32)?,
-            hosts: r.list(4, Reader::u32)?,
-        },
-        23 => Request::Replicate {
-            entries: read_entries(r)?,
-        },
-        24 => Request::HandoffFrame {
-            xfer: r.u64()?,
-            seq: r.u32()?,
-            last: match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::Invalid),
-            },
-            entries: read_entries(r)?,
-        },
-        25 => Request::Rebuild {
-            prev_dead: r.list(4, Reader::u32)?,
-        },
-        26 => Request::VersionOf { key: r.string()? },
-        27 => Request::MultiGet {
-            // Every key costs at least its 4-byte length prefix.
-            keys: r.list(4, Reader::string)?,
-        },
-        _ => return Err(WireError::Invalid),
-    })
-}
-
-/// Payload bytes a response encoding will need beyond its fixed fields.
-fn response_payload_len(resp: &Response) -> usize {
-    match resp {
-        Response::Value(Some(v)) => v.len(),
-        Response::Values(vs) => vs.iter().map(|v| v.len() + 4).sum(),
-        Response::Spans(Some(runs)) => runs.iter().map(|r| r.len() + 4).sum(),
-        Response::Err(msg) => msg.len(),
-        Response::MultiValues(vs) => vs
-            .iter()
-            .map(|v| v.as_ref().map_or(1, |b| b.len() + 5))
-            .sum(),
-        Response::Handoff(entries) => entries.iter().map(entry_payload_len).sum(),
-        Response::Stats(_) => 128,
-        Response::Versioned { inner, .. } => 9 + response_payload_len(inner),
-        _ => 0,
-    }
 }
 
 /// Encode a response for the wire.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + response_payload_len(resp));
-    write_response(&mut out, resp);
+    let mut out = Vec::with_capacity(resp.wire_len());
+    resp.put(&mut out);
     out
-}
-
-fn write_response(out: &mut Vec<u8>, resp: &Response) {
-    match resp {
-        Response::Value(None) => put_u8(out, 0),
-        Response::Value(Some(v)) => {
-            put_u8(out, 1);
-            put_bytes(out, v);
-        }
-        Response::Ok => put_u8(out, 2),
-        Response::Len(n) => {
-            put_u8(out, 3);
-            put_u64(out, *n);
-        }
-        Response::Int(n) => {
-            put_u8(out, 4);
-            put_i64(out, *n);
-        }
-        Response::Bool(b) => {
-            put_u8(out, 5);
-            put_u8(out, *b as u8);
-        }
-        Response::Values(vs) => {
-            put_u8(out, 6);
-            put_count(out, vs.len());
-            for v in vs {
-                put_bytes(out, v);
-            }
-        }
-        Response::Pong => put_u8(out, 7),
-        Response::Err(msg) => {
-            put_u8(out, 8);
-            put_bytes(out, msg.as_bytes());
-        }
-        Response::Spans(None) => put_u8(out, 9),
-        Response::Spans(Some(runs)) => {
-            put_u8(out, 10);
-            put_count(out, runs.len());
-            for run in runs {
-                put_bytes(out, run);
-            }
-        }
-        Response::WrongEpoch { epoch, shard_count } => {
-            put_u8(out, 11);
-            put_u64(out, *epoch);
-            put_u64(out, *shard_count);
-        }
-        Response::Stats(stats) => {
-            put_u8(out, 12);
-            put_u64(out, stats.epoch);
-            put_u64(out, stats.keys);
-            put_u64(out, stats.value_bytes);
-            put_u64(out, stats.reads);
-            put_u64(out, stats.writes);
-            put_u64(out, stats.lock_ops);
-            put_u64(out, stats.wrong_epoch_redirects);
-            put_u64(out, stats.freeze_wait_ns);
-            put_u64(out, stats.batched_ops);
-            put_u64(out, stats.batched_items);
-            put_u64(out, stats.replication);
-            put_u64(out, stats.repl_forwards);
-            put_u64(out, stats.repl_lag_ns);
-            put_u64(out, stats.promotions);
-            put_u64(out, stats.primary_keys);
-            put_u64(out, stats.backup_keys);
-        }
-        Response::Handoff(entries) => {
-            put_u8(out, 13);
-            put_entries(out, entries);
-        }
-        Response::ReplAck { applied } => {
-            put_u8(out, 14);
-            put_u64(out, *applied);
-        }
-        Response::NotPrimary { epoch, shard_count } => {
-            put_u8(out, 15);
-            put_u64(out, *epoch);
-            put_u64(out, *shard_count);
-        }
-        Response::Unavailable { epoch, shard_count } => {
-            put_u8(out, 16);
-            put_u64(out, *epoch);
-            put_u64(out, *shard_count);
-        }
-        Response::MultiValues(vs) => {
-            put_u8(out, 18);
-            put_count(out, vs.len());
-            for v in vs {
-                put_optional(out, v.as_deref());
-            }
-        }
-        Response::Versioned { version, inner } => {
-            debug_assert!(
-                !matches!(**inner, Response::Versioned { .. }),
-                "versioned responses never nest"
-            );
-            put_u8(out, 17);
-            put_u64(out, *version);
-            write_response(out, inner);
-        }
-    }
 }
 
 /// Decode a response.
@@ -987,64 +849,7 @@ fn write_response(out: &mut Vec<u8>, resp: &Response) {
 ///
 /// Returns [`CodecError`] on malformed input.
 pub fn decode_response(buf: &[u8]) -> Result<Response, CodecError> {
-    Ok(wire::decode(buf, |r| read_response(r, false))?)
-}
-
-fn read_response(r: &mut Reader<'_>, nested: bool) -> Result<Response, WireError> {
-    Ok(match r.u8()? {
-        0 => Response::Value(None),
-        1 => Response::Value(Some(r.bytes()?.to_vec())),
-        2 => Response::Ok,
-        3 => Response::Len(r.u64()?),
-        4 => Response::Int(r.i64()?),
-        5 => Response::Bool(r.u8()? != 0),
-        // Every value and every run costs at least its 4-byte length prefix.
-        6 => Response::Values(r.list(4, |r| Ok(r.bytes()?.to_vec()))?),
-        7 => Response::Pong,
-        8 => Response::Err(r.string()?),
-        9 => Response::Spans(None),
-        10 => Response::Spans(Some(r.list(4, |r| Ok(r.bytes()?.to_vec()))?)),
-        11 => Response::WrongEpoch {
-            epoch: r.u64()?,
-            shard_count: r.u64()?,
-        },
-        12 => Response::Stats(ShardStats {
-            epoch: r.u64()?,
-            keys: r.u64()?,
-            value_bytes: r.u64()?,
-            reads: r.u64()?,
-            writes: r.u64()?,
-            lock_ops: r.u64()?,
-            wrong_epoch_redirects: r.u64()?,
-            freeze_wait_ns: r.u64()?,
-            batched_ops: r.u64()?,
-            batched_items: r.u64()?,
-            replication: r.u64()?,
-            repl_forwards: r.u64()?,
-            repl_lag_ns: r.u64()?,
-            promotions: r.u64()?,
-            primary_keys: r.u64()?,
-            backup_keys: r.u64()?,
-        }),
-        13 => Response::Handoff(read_entries(r)?),
-        14 => Response::ReplAck { applied: r.u64()? },
-        15 => Response::NotPrimary {
-            epoch: r.u64()?,
-            shard_count: r.u64()?,
-        },
-        16 => Response::Unavailable {
-            epoch: r.u64()?,
-            shard_count: r.u64()?,
-        },
-        // A versioned reply never wraps another: rejected before recursing.
-        17 if !nested => Response::Versioned {
-            version: r.u64()?,
-            inner: Box::new(read_response(r, true)?),
-        },
-        // Every slot costs at least its 1-byte presence flag.
-        18 => Response::MultiValues(r.list(1, read_optional)?),
-        _ => return Err(WireError::Invalid),
-    })
+    Ok(wire::decode(buf, Response::read)?)
 }
 
 #[cfg(test)]
@@ -1319,6 +1124,23 @@ mod tests {
         for resp in all_responses() {
             let bytes = encode_response(&resp);
             assert_eq!(decode_response(&bytes).unwrap(), resp, "resp {resp:?}");
+        }
+    }
+
+    #[test]
+    fn every_encoding_fills_exactly_the_buffer_it_was_sized_for() {
+        // A size that falls short costs a doubling reallocation (a
+        // megabyte-scale one on a batched push); one that overshoots wastes
+        // the same memory up front.
+        for req in all_requests() {
+            let bytes = encode_request(&req);
+            assert_eq!(bytes.capacity(), STAMP_BYTES + req.wire_len(), "{req:?}");
+            assert_eq!(bytes.len(), bytes.capacity(), "{req:?}");
+        }
+        for resp in all_responses() {
+            let bytes = encode_response(&resp);
+            assert_eq!(bytes.capacity(), resp.wire_len(), "{resp:?}");
+            assert_eq!(bytes.len(), bytes.capacity(), "{resp:?}");
         }
     }
 

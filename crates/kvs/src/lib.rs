@@ -1,8 +1,8 @@
 //! Distributed key-value store: the global state tier.
 //!
-//! This crate is the reproduction's Redis substitute (DESIGN.md substitution
-//! S6). It holds the authoritative value for every state key (§4.2), serves
-//! range reads/writes for chunked state, atomic counters, the scheduler's
+//! This crate is the reproduction's Redis substitute. It holds the
+//! authoritative value for every state key (§4.2), serves range
+//! reads/writes for chunked state, atomic counters, the scheduler's
 //! warm sets, and lease-based global read/write locks — everything the
 //! two-tier state architecture and the distributed scheduler need from the
 //! global tier.
@@ -22,6 +22,7 @@ pub mod cache;
 pub mod client;
 pub mod codec;
 pub mod content;
+pub mod lru;
 pub mod reshard;
 pub mod server;
 pub mod sharded;
@@ -34,6 +35,7 @@ pub use cache::{CacheConfig, CacheStats, CachedKv, Consistency};
 pub use client::{KvClient, KvError};
 pub use codec::{Request, Response, EPOCH_ANY};
 pub use content::{chunk_key, manifest_key, Digest};
+pub use lru::BoundedLru;
 pub use server::{KvServer, ServerShaping, ShardRouting};
 pub use sharded::{
     primary_index_live, rendezvous_delta, replica_set_for, replica_set_live, shard_index_for,

@@ -45,7 +45,7 @@ use std::sync::Arc;
 use faasm_net::{HostId, Nic};
 
 use crate::client::{KvClient, KvError};
-use crate::codec::EPOCH_ANY;
+use crate::codec::{Wire, EPOCH_ANY};
 use crate::sharded::{shard_index_for, RoutingCell, RoutingTable};
 use crate::store::KeyMigration;
 
@@ -57,39 +57,38 @@ fn control(coord: &Nic, host: HostId) -> KvClient {
 /// migrations to one receiver can never interleave frame sequences.
 static NEXT_XFER: AtomicU64 = AtomicU64::new(1);
 
-fn entry_weight(e: &KeyMigration) -> usize {
-    e.key.len()
-        + e.value.as_ref().map_or(0, |v| v.len())
-        + e.set.iter().map(|m| m.len()).sum::<usize>()
-        + 17
-}
-
-/// Stream `entries` to `target` as bounded, sequence-numbered
-/// [`HandoffFrame`](crate::codec::Request::HandoffFrame)s — no single
-/// fabric message carries an unbounded export.
-pub fn send_handoff_chunked(target: &KvClient, entries: Vec<KeyMigration>) -> Result<(), KvError> {
-    if entries.is_empty() {
-        return Ok(());
-    }
-    let mut frames: Vec<Vec<KeyMigration>> = vec![Vec::new()];
+/// Cut an export into frames of at most
+/// [`HANDOFF_FRAME_ENTRIES`](crate::server::HANDOFF_FRAME_ENTRIES) entries
+/// and [`HANDOFF_FRAME_BYTES`](crate::server::HANDOFF_FRAME_BYTES) encoded
+/// bytes (one entry larger than that travels alone) — no single fabric
+/// message carries an unbounded export. No frame is empty.
+pub(crate) fn handoff_frames(entries: Vec<KeyMigration>) -> Vec<Vec<KeyMigration>> {
+    let mut frames: Vec<Vec<KeyMigration>> = Vec::new();
     let mut bytes = 0usize;
     for e in entries {
-        let w = entry_weight(&e);
-        let cur = frames.last_mut().expect("one frame always exists");
-        if !cur.is_empty()
-            && (cur.len() >= crate::server::HANDOFF_FRAME_ENTRIES
-                || bytes + w > crate::server::HANDOFF_FRAME_BYTES)
-        {
+        let w = e.wire_len();
+        let full = |cur: &Vec<KeyMigration>| {
+            cur.len() >= crate::server::HANDOFF_FRAME_ENTRIES
+                || bytes + w > crate::server::HANDOFF_FRAME_BYTES
+        };
+        if frames.last().is_none_or(full) {
             frames.push(Vec::new());
             bytes = 0;
         }
         bytes += w;
-        frames.last_mut().expect("one frame always exists").push(e);
+        frames.last_mut().expect("a frame was just ensured").push(e);
     }
+    frames
+}
+
+/// Stream `entries` to `target` as bounded, sequence-numbered
+/// [`HandoffFrame`](crate::codec::Request::HandoffFrame)s.
+pub fn send_handoff_chunked(target: &KvClient, entries: Vec<KeyMigration>) -> Result<(), KvError> {
+    let frames = handoff_frames(entries);
     let xfer = NEXT_XFER.fetch_add(1, Ordering::Relaxed);
-    let last = frames.len() - 1;
+    let count = frames.len();
     for (seq, frame) in frames.into_iter().enumerate() {
-        target.handoff_frame(xfer, seq as u32, seq == last, frame)?;
+        target.handoff_frame(xfer, seq as u32, seq + 1 == count, frame)?;
     }
     Ok(())
 }

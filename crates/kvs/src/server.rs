@@ -13,7 +13,8 @@ use parking_lot::{Mutex, RwLock};
 use crate::codec::{
     decode_request_traced, decode_response, encode_request_at, encode_response, Request, Response,
 };
-use crate::sharded::{primary_index_live, replica_set_live};
+use crate::reshard::handoff_frames;
+use crate::sharded::{fnv1a, primary_index_live, replica_set_live};
 use crate::store::{KeyMigration, KvStore};
 
 /// The state tier's telemetry recorder (shared by every shard server in the
@@ -50,12 +51,7 @@ struct RouteState {
 const REPL_STRIPES: usize = 16;
 
 fn repl_stripe(key: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h as usize) % REPL_STRIPES
+    (fnv1a(key.as_bytes()) as usize) % REPL_STRIPES
 }
 
 /// One shard server's view of the cluster routing table: which epoch it
@@ -162,24 +158,10 @@ impl ShardRouting {
         self.state.read().cur.epoch
     }
 
-    /// The shard count of the serving table (live and dead slots).
-    pub fn shard_count(&self) -> usize {
-        self.state.read().cur.shard_count
-    }
-
-    /// The tombstoned slot indices of the serving table.
-    pub fn dead_slots(&self) -> Vec<usize> {
-        self.state.read().cur.dead.clone()
-    }
-
-    /// This shard's index in the table.
-    pub fn index(&self) -> usize {
-        self.state.read().index
-    }
-
-    /// Replicas per key (primary included).
-    pub fn replication(&self) -> usize {
-        self.replication
+    /// The serving table and this shard's slot in it.
+    fn serving(&self) -> (TableInfo, usize) {
+        let s = self.state.read();
+        (s.cur.clone(), s.index)
     }
 
     /// Keyed requests rejected with `WrongEpoch`/`NotPrimary` so far.
@@ -191,11 +173,6 @@ impl ShardRouting {
     /// gate.
     pub fn freeze_wait_ns(&self) -> u64 {
         self.freeze_wait.load(Ordering::Relaxed)
-    }
-
-    /// Failover epochs this replica has installed (see `promotions` field).
-    pub fn promotions_count(&self) -> u64 {
-        self.promotions.load(Ordering::Relaxed)
     }
 
     /// Ownership check for one keyed request: `None` when this shard is
@@ -303,25 +280,20 @@ impl std::fmt::Debug for KvServer {
 impl KvServer {
     /// Start a server on `nic` with `workers` threads.
     pub fn start(nic: Nic, workers: usize) -> KvServer {
-        KvServer::start_with_store(nic, workers, Arc::new(KvStore::new()))
+        KvServer::start_shaped(nic, workers, Arc::new(KvStore::new()), None)
     }
 
-    /// Start a server over an existing store (used to simulate restart with
-    /// retained state, or to inspect state from tests).
-    pub fn start_with_store(nic: Nic, workers: usize, store: Arc<KvStore>) -> KvServer {
-        KvServer::start_shaped(nic, workers, store, None)
-    }
-
-    /// [`KvServer::start_with_store`] with optional NIC bandwidth shaping:
-    /// every served request debits its request + response bytes from the
-    /// bucket before the reply leaves the host.
+    /// Start a server over an existing store (a restart with retained
+    /// state, or a store a test inspects) with optional NIC bandwidth
+    /// shaping: every served request debits its request + response bytes
+    /// from the bucket before the reply leaves the host.
     pub fn start_shaped(
         nic: Nic,
         workers: usize,
         store: Arc<KvStore>,
         shaping: ServerShaping,
     ) -> KvServer {
-        KvServer::start_full(nic, workers, store, shaping, None)
+        KvServer::start_replicated_full(nic, None, workers, store, shaping, None)
     }
 
     /// Start a shard server with an explicit routing view: keyed requests
@@ -334,18 +306,7 @@ impl KvServer {
         store: Arc<KvStore>,
         routing: Arc<ShardRouting>,
     ) -> KvServer {
-        KvServer::start_full(nic, workers, store, None, Some(routing))
-    }
-
-    /// The fully general constructor: store, shaping and routing view.
-    pub fn start_full(
-        nic: Nic,
-        workers: usize,
-        store: Arc<KvStore>,
-        shaping: ServerShaping,
-        routing: Option<Arc<ShardRouting>>,
-    ) -> KvServer {
-        KvServer::start_replicated_full(nic, None, workers, store, shaping, routing)
+        KvServer::start_replicated_full(nic, None, workers, store, None, Some(routing))
     }
 
     /// Start a replicated shard server: `nic` serves clients (and forwards
@@ -439,13 +400,8 @@ impl KvServer {
         self.routing.as_ref()
     }
 
-    /// Stop the worker threads and wait for them.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
+    /// Stop the worker threads and wait for them (what dropping does).
+    pub fn shutdown(self) {}
 }
 
 impl Drop for KvServer {
@@ -581,11 +537,7 @@ pub fn apply(store: &KvStore, req: Request) -> Response {
         Request::MultiGet { keys } => Response::MultiValues(store.multi_get(&keys)),
         Request::Stats => Response::Stats(store.stats()),
         Request::Handoff { entries } => {
-            if entries.iter().any(|e| {
-                e.value
-                    .as_ref()
-                    .is_some_and(|v| v.len() as u64 > MAX_VALUE_BYTES)
-            }) {
+            if oversized(&entries) {
                 return Response::Err("handoff value beyond max value size".into());
             }
             store.import_keys(&entries);
@@ -600,19 +552,6 @@ pub fn apply(store: &KvStore, req: Request) -> Response {
     }
 }
 
-/// Apply one command through a shard's routing view: keyed requests are
-/// ownership-checked (and rejected with [`Response::WrongEpoch`] when the
-/// key routes elsewhere), and the resharding protocol messages mutate the
-/// view. With `routing: None` this is plain [`apply`].
-pub fn apply_routed(
-    store: &KvStore,
-    routing: Option<&ShardRouting>,
-    req: Request,
-    client_epoch: u64,
-) -> Response {
-    apply_traced(store, routing, None, req, client_epoch, TraceCtx::NONE)
-}
-
 /// How long a primary waits for one backup's `ReplAck` before declaring
 /// the write quorum unavailable. Short relative to the fabric default so a
 /// dead backup stalls writers for at most one forward, not 30 s.
@@ -624,37 +563,12 @@ pub const HANDOFF_FRAME_ENTRIES: usize = 512;
 /// See [`HANDOFF_FRAME_ENTRIES`].
 pub const HANDOFF_FRAME_BYTES: usize = 256 * 1024;
 
-fn entry_weight(e: &KeyMigration) -> usize {
-    e.key.len()
-        + e.value.as_ref().map_or(0, |v| v.len())
-        + e.set.iter().map(|m| m.len()).sum::<usize>()
-        + 17
-}
-
 fn oversized(entries: &[KeyMigration]) -> bool {
     entries.iter().any(|e| {
         e.value
             .as_ref()
             .is_some_and(|v| v.len() as u64 > MAX_VALUE_BYTES)
     })
-}
-
-/// Does this request mutate key state (and therefore need forwarding to
-/// backup replicas once applied)?
-fn mutates_key(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::Set { .. }
-            | Request::SetRange { .. }
-            | Request::MultiSetRange { .. }
-            | Request::Append { .. }
-            | Request::Del { .. }
-            | Request::Incr { .. }
-            | Request::SAdd { .. }
-            | Request::SRem { .. }
-            | Request::TryLock { .. }
-            | Request::Unlock { .. }
-    )
 }
 
 /// Forward `key`'s post-apply state to every backup replica and gate the
@@ -671,10 +585,8 @@ fn forward_replicas(
     resp: Response,
     trace: TraceCtx,
 ) -> Response {
-    let (epoch, count, dead, index) = {
-        let s = routing.state.read();
-        (s.cur.epoch, s.cur.shard_count, s.cur.dead.clone(), s.index)
-    };
+    let (cur, index) = routing.serving();
+    let (epoch, count, dead) = (cur.epoch, cur.shard_count, cur.dead);
     let set = replica_set_live(key, count, &dead, routing.replication);
     if set.len() <= 1 || set.first() != Some(&index) {
         return resp;
@@ -739,10 +651,8 @@ fn rebuild_replicas(
     nic: &Nic,
     prev_dead: &[usize],
 ) -> u64 {
-    let (epoch, count, dead, index) = {
-        let s = routing.state.read();
-        (s.cur.epoch, s.cur.shard_count, s.cur.dead.clone(), s.index)
-    };
+    let (cur, index) = routing.serving();
+    let (epoch, count, dead) = (cur.epoch, cur.shard_count, cur.dead);
     let r = routing.replication;
     let peers = routing.peers.read().clone();
     // Group this shard's primary keys by (gained member, stripe) so each
@@ -772,42 +682,25 @@ fn rebuild_replicas(
         // forwarding concurrently waits here, then re-exports newer state,
         // so a rebuild frame can never regress a backup.
         let _ordered = routing.repl_stripes[stripe].lock();
-        let entries = store.export_keys(|k| keys.contains(k));
-        let mut batch: Vec<KeyMigration> = Vec::new();
-        let mut batch_bytes = 0usize;
-        let flush = |batch: &mut Vec<KeyMigration>, batch_bytes: &mut usize| {
-            if batch.is_empty() {
-                return;
-            }
-            let msg = encode_request_at(
-                &Request::Replicate {
-                    entries: std::mem::take(batch),
-                },
-                epoch,
-            );
+        for entries in handoff_frames(store.export_keys(|k| keys.contains(k))) {
+            shipped += entries.len() as u64;
+            let msg = encode_request_at(&Request::Replicate { entries }, epoch);
             let _ = nic.call_timeout(host, msg, REPL_CALL_TIMEOUT);
-            *batch_bytes = 0;
-        };
-        for e in entries {
-            batch_bytes += entry_weight(&e);
-            batch.push(e);
-            shipped += 1;
-            if batch.len() >= HANDOFF_FRAME_ENTRIES || batch_bytes >= HANDOFF_FRAME_BYTES {
-                flush(&mut batch, &mut batch_bytes);
-            }
         }
-        flush(&mut batch, &mut batch_bytes);
     }
     shipped
 }
 
-/// [`apply_routed`] with the request's decoded trace context and fabric
-/// access: a traced keyed op records a [`SpanKind::ShardApply`] span
-/// (parented under the client's stamp) covering freeze-gate wait +
-/// ownership check + apply, so the state tier appears in the ingress
-/// call's span tree. With `net: Some(..)` on a replicated tier, a
-/// successful keyed write additionally forwards the key's state to its
-/// backup replicas and gates the ack on the write quorum.
+/// Apply one command through a shard's routing view: keyed requests are
+/// ownership-checked (and rejected with [`Response::WrongEpoch`] when the
+/// key routes elsewhere), and the resharding protocol messages mutate the
+/// view. With `routing: None` this is plain [`apply`]. A traced keyed op
+/// records a [`SpanKind::ShardApply`] span (parented under the client's
+/// stamp) covering freeze-gate wait + ownership check + apply, so the state
+/// tier appears in the ingress call's span tree. With `net: Some(..)` on a
+/// replicated tier, a successful keyed write additionally forwards the
+/// key's state to its backup replicas and gates the ack on the write
+/// quorum.
 pub fn apply_traced(
     store: &KvStore,
     routing: Option<&ShardRouting>,
@@ -830,13 +723,10 @@ pub fn apply_traced(
             stats.repl_lag_ns = routing.repl_lag_ns.load(Ordering::Relaxed);
             stats.promotions = routing.promotions.load(Ordering::Relaxed);
             if routing.replication > 1 {
-                let (count, dead, index) = {
-                    let s = routing.state.read();
-                    (s.cur.shard_count, s.cur.dead.clone(), s.index)
-                };
+                let (cur, index) = routing.serving();
                 let (mut primary, mut backup) = (0u64, 0u64);
                 for (key, _) in store.key_sizes() {
-                    if primary_index_live(&key, count, &dead) == index {
+                    if primary_index_live(&key, cur.shard_count, &cur.dead) == index {
                         primary += 1;
                     } else {
                         backup += 1;
@@ -854,10 +744,7 @@ pub fn apply_traced(
             // Write side of the gate: from here on no in-flight keyed op
             // can land between the freeze and the export snapshot.
             let _migrating = routing.gate.write();
-            let (cur, index) = {
-                let s = routing.state.read();
-                (s.cur.clone(), s.index)
-            };
+            let (cur, index) = routing.serving();
             let new_count = shard_count as usize;
             routing.begin(TableInfo {
                 epoch,
@@ -893,12 +780,11 @@ pub fn apply_traced(
             };
             let peers = (!hosts.is_empty()).then(|| hosts.iter().map(|h| HostId(*h)).collect());
             let promoted = routing.commit(info, peers);
-            let (count, dead, index) = {
-                let s = routing.state.read();
-                (s.cur.shard_count, s.cur.dead.clone(), s.index)
-            };
+            let (cur, index) = routing.serving();
             let r = routing.replication;
-            store.purge_keys(|key| !replica_set_live(key, count, &dead, r).contains(&index));
+            store.purge_keys(|key| {
+                !replica_set_live(key, cur.shard_count, &cur.dead, r).contains(&index)
+            });
             if promoted {
                 shard_recorder().note_anomaly("replica promotion: failover epoch installed");
             }
@@ -979,7 +865,7 @@ pub fn apply_traced(
             // request (the key, and whether a TryLock refusal — a no-op on
             // the store — can skip the forward).
             let repl_key = match (net, routing.replication > 1, req.key()) {
-                (Some(_), true, Some(key)) if mutates_key(&req) => {
+                (Some(_), true, Some(key)) if req.mutates_key() => {
                     Some((key.to_string(), matches!(req, Request::TryLock { .. })))
                 }
                 _ => None,
@@ -1015,171 +901,198 @@ mod tests {
         }
     }
 
+    /// Every command against one store, in order, with the reply it must
+    /// get. The script holds a step for every tag in [`Request::TAGS`], and
+    /// at each keyed step the row's `mutates` attribute must agree with the
+    /// store: the key's version or lock holder changes iff the row says so.
     #[test]
     fn apply_covers_every_command() {
-        let store = KvStore::new();
-        assert_eq!(
-            apply(
-                &store,
+        let k = || "k".to_string();
+        let unrouted = |what: &str| Response::Err(format!("{what} requires a routed shard"));
+        let script = vec![
+            (Request::Stats, Response::Stats(KvStore::new().stats())),
+            (
                 Request::Set {
-                    key: "k".into(),
-                    value: b"v".to_vec()
-                }
+                    key: k(),
+                    value: b"v".to_vec(),
+                },
+                v(1, Response::Ok),
             ),
-            v(1, Response::Ok)
-        );
-        assert_eq!(
-            apply(&store, Request::Get { key: "k".into() }),
-            v(1, Response::Value(Some(b"v".to_vec())))
-        );
-        assert_eq!(
-            apply(
-                &store,
+            (
+                Request::Get { key: k() },
+                v(1, Response::Value(Some(b"v".to_vec()))),
+            ),
+            (
                 Request::GetRange {
-                    key: "k".into(),
+                    key: k(),
                     offset: 0,
-                    len: 1
-                }
+                    len: 1,
+                },
+                v(1, Response::Value(Some(b"v".to_vec()))),
             ),
-            v(1, Response::Value(Some(b"v".to_vec())))
-        );
-        assert_eq!(
-            apply(
-                &store,
+            (
                 Request::SetRange {
-                    key: "k".into(),
+                    key: k(),
                     offset: 1,
-                    data: b"w".to_vec()
-                }
+                    data: b"w".to_vec(),
+                },
+                v(2, Response::Ok),
             ),
-            v(2, Response::Ok)
-        );
-        assert_eq!(
-            apply(&store, Request::StrLen { key: "k".into() }),
-            Response::Len(2)
-        );
-        assert_eq!(
-            apply(
-                &store,
+            (Request::StrLen { key: k() }, Response::Len(2)),
+            (
                 Request::Append {
-                    key: "k".into(),
-                    data: b"x".to_vec()
-                }
+                    key: k(),
+                    data: b"x".to_vec(),
+                },
+                v(3, Response::Len(3)),
             ),
-            v(3, Response::Len(3))
-        );
-        assert_eq!(
-            apply(&store, Request::Exists { key: "k".into() }),
-            Response::Bool(true)
-        );
-        assert_eq!(
-            apply(&store, Request::VersionOf { key: "k".into() }),
-            Response::Len(3)
-        );
-        assert_eq!(
-            apply(
-                &store,
+            (Request::Exists { key: k() }, Response::Bool(true)),
+            (Request::VersionOf { key: k() }, Response::Len(3)),
+            (
+                Request::MultiGet {
+                    keys: vec![k(), "absent".into()],
+                },
+                Response::MultiValues(vec![Some(b"vwx".to_vec()), None]),
+            ),
+            (
                 Request::Incr {
                     key: "c".into(),
-                    delta: 2
-                }
+                    delta: 2,
+                },
+                v(1, Response::Int(2)),
             ),
-            v(1, Response::Int(2))
-        );
-        assert_eq!(
-            apply(
-                &store,
+            (
                 Request::SAdd {
                     key: "s".into(),
-                    member: b"m".to_vec()
-                }
+                    member: b"m".to_vec(),
+                },
+                v(1, Response::Bool(true)),
             ),
-            v(1, Response::Bool(true))
-        );
-        assert_eq!(
-            apply(&store, Request::SCard { key: "s".into() }),
-            Response::Len(1)
-        );
-        assert_eq!(
-            apply(&store, Request::SMembers { key: "s".into() }),
-            Response::Values(vec![b"m".to_vec()])
-        );
-        assert_eq!(
-            apply(
-                &store,
+            (Request::SCard { key: "s".into() }, Response::Len(1)),
+            (
+                Request::SMembers { key: "s".into() },
+                Response::Values(vec![b"m".to_vec()]),
+            ),
+            (
                 Request::SRem {
                     key: "s".into(),
-                    member: b"m".to_vec()
-                }
+                    member: b"m".to_vec(),
+                },
+                v(2, Response::Bool(true)),
             ),
-            v(2, Response::Bool(true))
-        );
-        assert_eq!(
-            apply(
-                &store,
+            (
                 Request::TryLock {
-                    key: "k".into(),
+                    key: k(),
                     mode: LockMode::Write,
-                    owner: 1
-                }
+                    owner: 1,
+                },
+                Response::Bool(true),
             ),
-            Response::Bool(true)
-        );
-        assert_eq!(
-            apply(
-                &store,
+            (
                 Request::Unlock {
-                    key: "k".into(),
+                    key: k(),
                     mode: LockMode::Write,
-                    owner: 1
-                }
+                    owner: 1,
+                },
+                Response::Ok,
             ),
-            Response::Ok
-        );
-        assert_eq!(
-            apply(
-                &store,
+            (
                 Request::MultiSetRange {
                     key: "m".into(),
-                    writes: [(0, b"ab"), (4, b"cd")].into_iter().collect()
-                }
+                    writes: [(0, b"ab"), (4, b"cd")].into_iter().collect(),
+                },
+                v(1, Response::Ok),
             ),
-            v(1, Response::Ok)
-        );
-        assert_eq!(
-            apply(
-                &store,
+            (
                 Request::MultiGetRange {
                     key: "m".into(),
-                    spans: vec![(0, 2), (4, 2)]
-                }
+                    spans: vec![(0, 2), (4, 2)],
+                },
+                v(
+                    1,
+                    Response::Spans(Some(vec![b"ab".to_vec(), b"cd".to_vec()])),
+                ),
             ),
-            v(
-                1,
-                Response::Spans(Some(vec![b"ab".to_vec(), b"cd".to_vec()]))
-            )
-        );
-        assert_eq!(
-            apply(
-                &store,
+            (
                 Request::MultiGetRange {
                     key: "absent".into(),
-                    spans: vec![(0, 2)]
-                }
+                    spans: vec![(0, 2)],
+                },
+                v(0, Response::Spans(None)),
             ),
-            v(0, Response::Spans(None))
-        );
-        assert_eq!(
-            apply(&store, Request::Del { key: "m".into() }),
-            v(2, Response::Bool(true))
-        );
-        assert_eq!(apply(&store, Request::Ping), Response::Pong);
-        assert_eq!(
-            apply(&store, Request::Del { key: "k".into() }),
-            v(4, Response::Bool(true))
-        );
-        assert_eq!(apply(&store, Request::Flush), Response::Ok);
+            (Request::Del { key: "m".into() }, v(2, Response::Bool(true))),
+            (Request::Ping, Response::Pong),
+            (Request::Del { key: k() }, v(4, Response::Bool(true))),
+            (
+                Request::Handoff {
+                    entries: Vec::new(),
+                },
+                Response::Ok,
+            ),
+            (
+                Request::Migrate {
+                    epoch: 2,
+                    shard_count: 2,
+                },
+                unrouted("resharding"),
+            ),
+            (
+                Request::EpochCommit {
+                    epoch: 2,
+                    shard_count: 2,
+                    dead: Vec::new(),
+                    hosts: Vec::new(),
+                },
+                unrouted("resharding"),
+            ),
+            (
+                Request::Replicate {
+                    entries: Vec::new(),
+                },
+                unrouted("replication"),
+            ),
+            (
+                Request::HandoffFrame {
+                    xfer: 1,
+                    seq: 0,
+                    last: true,
+                    entries: Vec::new(),
+                },
+                unrouted("replication"),
+            ),
+            (
+                Request::Rebuild {
+                    prev_dead: Vec::new(),
+                },
+                unrouted("replication"),
+            ),
+            (Request::Flush, Response::Ok),
+        ];
+        // What forwarding to a backup would have to carry: the key's
+        // version and who holds its lock.
+        let state = |store: &KvStore, key: &str| {
+            let lock = store
+                .export_keys(|k| k == key)
+                .pop()
+                .and_then(|e| e.lock.as_ref().map(std::mem::discriminant));
+            (store.version_of(key), lock)
+        };
+        let store = KvStore::new();
+        let mut applied = Vec::new();
+        for (req, reply) in script {
+            applied.push(crate::codec::encode_request(&req)[24]);
+            let key = req.key().map(str::to_owned);
+            let before = key.as_deref().map(|key| state(&store, key));
+            assert_eq!(apply(&store, req.clone()), reply, "{req:?}");
+            let after = key.as_deref().map(|key| state(&store, key));
+            assert_eq!(after != before, req.mutates_key(), "{req:?}");
+        }
         assert_eq!(store.key_count(), 0);
+        applied.sort_unstable();
+        applied.dedup();
+        let mut declared = Request::TAGS.to_vec();
+        declared.sort_unstable();
+        assert_eq!(applied, declared, "a step for every declared tag");
     }
 
     #[test]
@@ -1282,10 +1195,10 @@ mod tests {
         let nic = fabric.add_host();
         let store = Arc::new(KvStore::new());
         store.set("persist", b"yes".to_vec());
-        let server = KvServer::start_with_store(nic.clone(), 1, Arc::clone(&store));
+        let server = KvServer::start_shaped(nic.clone(), 1, Arc::clone(&store), None);
         server.shutdown();
         // "Restart" the server process on the same authoritative state.
-        let server2 = KvServer::start_with_store(nic, 1, store);
+        let server2 = KvServer::start_shaped(nic, 1, store, None);
         assert_eq!(server2.store().get("persist"), Some(b"yes".to_vec()));
         server2.shutdown();
     }

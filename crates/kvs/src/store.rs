@@ -137,6 +137,20 @@ pub struct ShardStats {
     pub backup_keys: u64,
 }
 
+/// Slice `v[offset..offset+len]` with truncation (possibly empty) where the
+/// value is shorter — the range-read semantics the store and the
+/// function-side cache share.
+pub(crate) fn slice_range(v: &[u8], offset: u64, len: u64) -> Vec<u8> {
+    let offset = offset as usize;
+    if offset >= v.len() {
+        return Vec::new();
+    }
+    // Saturate: a wire-supplied `len` near usize::MAX must truncate, not
+    // wrap the slice bounds.
+    let end = offset.saturating_add(len as usize).min(v.len());
+    v[offset..end].to_vec()
+}
+
 /// A sharded in-memory key-value store with global locks.
 #[derive(Debug)]
 pub struct KvStore {
@@ -177,12 +191,7 @@ impl KvStore {
     }
 
     fn shard(&self, key: &str) -> &Mutex<Shard> {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        &self.shards[(h as usize) % SHARDS]
+        &self.shards[(crate::sharded::fnv1a(key.as_bytes()) as usize) % SHARDS]
     }
 
     fn count_read(&self) {
@@ -236,19 +245,6 @@ impl KvStore {
         shard.bump(key)
     }
 
-    /// Slice `v[offset..offset+len]` with truncation (possibly empty) where
-    /// the value is shorter — the shared range-read semantics.
-    fn slice_range(v: &[u8], offset: u64, len: u64) -> Vec<u8> {
-        let offset = offset as usize;
-        if offset >= v.len() {
-            return Vec::new();
-        }
-        // Saturate: a wire-supplied `len` near usize::MAX must truncate,
-        // not wrap the slice bounds.
-        let end = offset.saturating_add(len as usize).min(v.len());
-        v[offset..end].to_vec()
-    }
-
     /// Read `len` bytes at `offset`; the result is truncated (possibly
     /// empty) if the value is shorter. Missing keys yield `None`.
     pub fn get_range(&self, key: &str, offset: usize, len: usize) -> Option<Vec<u8>> {
@@ -268,7 +264,7 @@ impl KvStore {
             shard
                 .values
                 .get(key)
-                .map(|v| KvStore::slice_range(v, offset as u64, len as u64)),
+                .map(|v| slice_range(v, offset as u64, len as u64)),
             shard.version(key),
         )
     }
@@ -308,7 +304,7 @@ impl KvStore {
             shard.values.get(key).map(|v| {
                 spans
                     .iter()
-                    .map(|&(offset, len)| KvStore::slice_range(v, offset, len))
+                    .map(|&(offset, len)| slice_range(v, offset, len))
                     .collect()
             }),
             shard.version(key),

@@ -1,10 +1,10 @@
 //! FL: a small C-like language compiled to FVM modules.
 //!
 //! FL is the reproduction's untrusted guest toolchain — the stand-in for the
-//! paper's LLVM C/C++→WebAssembly pipeline (Fig. 3, DESIGN.md substitution
-//! S2). Guest workloads (Polybench kernels, SGD inner loops, example
-//! functions) are written in FL, compiled to module binaries on the
-//! "user side", uploaded, and then re-validated by the trusted runtime.
+//! paper's LLVM C/C++→WebAssembly pipeline (Fig. 3). Guest workloads
+//! (Polybench kernels, SGD inner loops, example functions) are written in
+//! FL, compiled to module binaries on the "user side", uploaded, and then
+//! re-validated by the trusted runtime.
 //!
 //! # Language summary
 //!

@@ -1,7 +1,7 @@
 //! Simulated cluster network: fabric, NICs, traffic shaping and accounting.
 //!
 //! This crate replaces the 20-host, 1 Gbps testbed network of the paper's
-//! evaluation (§6.1; DESIGN.md substitution S5/S7). Three properties matter
+//! evaluation (§6.1). Three properties matter
 //! for reproducing the experiments:
 //!
 //! 1. **Measured bytes** — every message is counted (payload + header) at

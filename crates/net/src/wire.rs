@@ -234,6 +234,12 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
+/// The bytes [`put_varint`] appends for `v`.
+pub fn varint_len(v: u64) -> usize {
+    let bits = 64 - (v | 1).leading_zeros() as usize;
+    bits.div_ceil(7)
+}
+
 /// Append a list count (see the module docs for the wrap policy).
 pub fn put_count(out: &mut Vec<u8>, n: usize) {
     debug_assert!(len_u32(n).is_some(), "length {n} wraps its u32 prefix");
@@ -311,6 +317,7 @@ mod tests {
                     "value {v} cut at {cut}"
                 );
             }
+            assert_eq!(varint_len(v), out.len(), "value {v}");
             sizes.push(out.len());
         }
         assert_eq!(sizes, [1, 1, 1, 2, 2, 3, 5, 10]);

@@ -5,15 +5,13 @@
 //! and either runs the call in a warm local Faaslet, forwards it to another
 //! warm host's **sharing queue**, or cold-starts a new Faaslet. This crate
 //! provides the pieces (call types + wire codec, warm sets, the placement
-//! decision and the one host score ([`Candidate::score`]) behind every chooser, the bounded
-//! sharing queue, a round-robin dispatcher); `faasm-core` wires them to
-//! actual Faaslet pools.
+//! decision and the one host score ([`Candidate::score`]) behind every chooser, a
+//! round-robin dispatcher); `faasm-core` wires them to actual Faaslet pools.
 
 #![warn(missing_docs)]
 
 pub mod boards;
 pub mod decide;
-pub mod queue;
 pub mod rr;
 pub mod score;
 pub mod types;
@@ -21,7 +19,6 @@ pub mod warm;
 
 pub use boards::{entry_for, SchedBoards};
 pub use decide::{decide, runs_warm_local, Decision, Placement};
-pub use queue::SharingQueue;
 pub use rr::RoundRobin;
 pub use score::{best, Candidate};
 pub use types::{

@@ -1,4 +1,4 @@
-//! Synthetic dataset generators (DESIGN.md S8).
+//! Synthetic dataset generators.
 //!
 //! The paper trains on Reuters RCV1 (~800 K documents, ~47 K features,
 //! highly sparse) and serves inference on images. Both are replaced by

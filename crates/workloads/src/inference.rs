@@ -1,4 +1,4 @@
-//! Machine-learning inference serving (§6.3, Fig. 7; DESIGN.md S4).
+//! Machine-learning inference serving (§6.3, Fig. 7).
 //!
 //! The paper serves MobileNet through TensorFlow Lite compiled to
 //! WebAssembly; this reproduction serves **mobilenet-lite**, a from-scratch

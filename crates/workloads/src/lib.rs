@@ -7,7 +7,7 @@
 //! * [`inference`] — mobilenet-lite model serving (§6.3, Fig. 7).
 //! * [`matmul`] — chained divide-and-conquer matrix multiplication
 //!   (§6.4, Fig. 8).
-//! * [`data`] — seeded dataset/image generators (DESIGN.md S8).
+//! * [`data`] — seeded dataset/image generators.
 
 #![warn(missing_docs)]
 

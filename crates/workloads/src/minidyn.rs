@@ -1,4 +1,4 @@
-//! MiniDyn: a small dynamic-language runtime (DESIGN.md S3).
+//! MiniDyn: a small dynamic-language runtime.
 //!
 //! The paper runs CPython inside Faaslets to show that full dynamic language
 //! runtimes work behind the host interface (§6.4). MiniDyn is this

@@ -20,8 +20,8 @@
 //! * [`baseline`] — the container-platform baseline ("Knative").
 //! * [`workloads`] — the paper's evaluation workloads.
 //!
-//! See `README.md` for a quickstart, `DESIGN.md` for the system inventory
-//! and substitutions, and `EXPERIMENTS.md` for paper-vs-measured results.
+//! See `README.md` for a quickstart and the workspace layout, and
+//! `benchmark/README.md` for the measured results.
 
 #![warn(missing_docs)]
 

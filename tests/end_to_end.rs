@@ -865,11 +865,7 @@ fn faaslet_egress_is_traffic_shaped() {
     fn run_with(egress: Option<EgressLimit>) -> std::time::Duration {
         let cluster = Cluster::with_config(ClusterConfig {
             hosts: 1,
-            instance: InstanceConfig {
-                workers: 1,
-                egress,
-                ..InstanceConfig::default()
-            },
+            instance: InstanceConfig { workers: 1, egress },
             ..ClusterConfig::default()
         });
         // An echo service on its own fabric host.

@@ -503,8 +503,6 @@ fn autoscaler_prewarms_under_backlog_and_retires_when_idle() {
             autoscale: Some(AutoscaleConfig {
                 interval: Duration::from_millis(2),
                 backlog_high: 2,
-                scale_step: 2,
-                idle_target: 1,
                 max_warm: 16,
                 ..AutoscaleConfig::default()
             }),

@@ -723,7 +723,7 @@ proptest! {
 
     /// Random expression trees: the FL compiler + FVM interpreter agree with
     /// a Rust reference evaluator on every tree and input (the compiler
-    /// differential test promised by DESIGN.md §6).
+    /// differential test).
     #[test]
     fn fl_random_expression_trees_match_reference(
         tree in expr_strategy(),
@@ -975,6 +975,19 @@ proptest! {
             &kvs::codec::encode_response(&resp),
             kvs::codec::decode_response,
         );
+    }
+
+    /// A KVS encoding fills exactly the buffer it was sized for: a size that
+    /// falls short costs a doubling reallocation on a batched push.
+    #[test]
+    fn kvs_encodings_are_sized_exactly(
+        req in prop_oneof![kvs_request_strategy(), kvs_list_request_strategy()],
+        resp in kvs_response_strategy(),
+    ) {
+        let bytes = kvs::codec::encode_request(&req);
+        prop_assert_eq!(bytes.capacity(), bytes.len());
+        let bytes = kvs::codec::encode_response(&resp);
+        prop_assert_eq!(bytes.capacity(), bytes.len());
     }
 
     /// The gateway's request decoder and frame splitter.

@@ -10,7 +10,9 @@ use faasm::core::{chunk_proto, ProtoFaaslet, ProtoManifest};
 use faasm::fvm::InstanceSnapshot;
 use faasm::gateway::codec as gw;
 use faasm::gateway::{GatewayRequest, GatewayResponse, GatewayStatus};
-use faasm::kvs::codec::{encode_request_traced, encode_response};
+use faasm::kvs::codec::{
+    decode_request_traced, decode_response, encode_request_traced, encode_response,
+};
 use faasm::kvs::{Digest, KeyMigration, LockMigration, LockMode, Request, Response, ShardStats};
 use faasm::mem::{MemorySnapshot, Page, PAGE_SIZE};
 use faasm::net::HostId;
@@ -19,6 +21,13 @@ use faasm::telemetry::TraceCtx;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+        .collect()
 }
 
 const TRACE: TraceCtx = TraceCtx {
@@ -413,6 +422,37 @@ fn encodings_match_the_golden_vectors() {
         assert_eq!(name, golden_name);
         assert_eq!(hex(bytes), *golden, "{name} moved on the wire");
     }
+}
+
+/// Every declared KVS tag has a golden vector, and a vector decodes to a
+/// message of the tag it was filed under: a protocol row added without a
+/// vector fails here.
+#[test]
+fn every_kvs_tag_has_a_golden_vector() {
+    let sorted = |mut tags: Vec<u8>| {
+        tags.sort_unstable();
+        tags.dedup();
+        tags
+    };
+    let mut filed = Vec::new();
+    for (name, golden) in GOLDEN.iter().filter(|(name, _)| name.starts_with("req.")) {
+        let bytes = unhex(golden);
+        let (req, epoch, trace) = decode_request_traced(&bytes).expect(name);
+        let again = encode_request_traced(&req, epoch, trace);
+        assert_eq!(again, bytes, "{name} decodes to the message it encodes");
+        assert_eq!(again.capacity(), again.len(), "{name} sized exactly");
+        filed.push(bytes[24]);
+    }
+    assert_eq!(sorted(filed), sorted(Request::TAGS.to_vec()));
+    let mut filed = Vec::new();
+    for (name, golden) in GOLDEN.iter().filter(|(name, _)| name.starts_with("resp.")) {
+        let bytes = unhex(golden);
+        let again = encode_response(&decode_response(&bytes).expect(name));
+        assert_eq!(again, bytes, "{name} decodes to the message it encodes");
+        assert_eq!(again.capacity(), again.len(), "{name} sized exactly");
+        filed.push(bytes[0]);
+    }
+    assert_eq!(sorted(filed), sorted(Response::TAGS.to_vec()));
 }
 
 #[rustfmt::skip]
