@@ -103,6 +103,12 @@ gates=(
     'crates/kvs/src'
     'a hand-kept per-variant match or size estimate is back; Request::mutates_key() and Wire::wire_len come from the protocol table'
 
+    # One declaration per stat set: the live struct, its snapshot struct,
+    # snapshot(), merge and delta all come from the counters! field list.
+    '^\s+\w+: self\.\w+\.load\(Ordering::Relaxed\),'
+    'crates/*/src !crates/telemetry/src/lib.rs'
+    'a snapshot literal filled counter by counter; declare the set with `faasm_telemetry::counters!`'
+
     'SharingQueue'
     'crates@whole'
     'the unused bounded sharing queue is back; forwarded calls ride the bus into the instance run queue'

@@ -170,17 +170,9 @@ fn storm(hosts: usize, threads_per_host: usize, calls_per_thread: usize) -> Stor
         .collect();
     let failed: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
 
-    let (mut captures, mut restores, mut warm) = (0u64, 0u64, 0u64);
-    let (mut chunks_fetched, mut chunk_hits) = (0u64, 0u64);
-    for inst in cluster.instances() {
-        let m = inst.metrics();
-        captures += m.cold_starts();
-        restores += m.proto_restores();
-        warm += m.warm_starts();
-        let s = inst.snapshot_stats();
-        chunks_fetched += s.chunks_fetched;
-        chunk_hits += s.chunk_hits;
-    }
+    let t = cluster.telemetry();
+    let [captures, restores, warm] =
+        ["cold_starts", "proto_restores", "warm_starts"].map(|n| t.get("worker", n));
     let starts = captures + restores + warm;
     StormOutcome {
         hosts,
@@ -190,8 +182,8 @@ fn storm(hosts: usize, threads_per_host: usize, calls_per_thread: usize) -> Stor
         restores,
         warm,
         warm_restore_rate: (starts - captures) as f64 / starts.max(1) as f64,
-        chunks_fetched,
-        chunk_hits,
+        chunks_fetched: t.get("snapdist", "chunks_fetched"),
+        chunk_hits: t.get("snapdist", "chunk_hits"),
     }
 }
 
@@ -212,14 +204,13 @@ fn dedup() -> DedupOutcome {
     inst.invoke_local("bench", "work_v1", vec![1]);
     let before = inst.snapshot_stats();
     inst.invoke_local("bench", "work_v2", vec![1]);
-    let after = inst.snapshot_stats();
-    let published = after.chunks_published - before.chunks_published;
-    let deduped = after.chunks_deduped - before.chunks_deduped;
+    let v2 = inst.snapshot_stats().delta(&before);
     DedupOutcome {
-        chunks_published_v2: published,
-        chunks_deduped_v2: deduped,
-        bytes_deduped_v2: after.bytes_deduped - before.bytes_deduped,
-        dedup_ratio: deduped as f64 / (published + deduped).max(1) as f64,
+        chunks_published_v2: v2.chunks_published,
+        chunks_deduped_v2: v2.chunks_deduped,
+        bytes_deduped_v2: v2.bytes_deduped,
+        dedup_ratio: v2.chunks_deduped as f64
+            / (v2.chunks_published + v2.chunks_deduped).max(1) as f64,
     }
 }
 

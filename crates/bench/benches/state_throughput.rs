@@ -504,10 +504,7 @@ fn bench_failover(secs: f64) -> FailoverPoint {
             }
         }
     }
-    let promotions = cluster
-        .state_shard_stats()
-        .map(|stats| stats.iter().map(|s| s.promotions).sum())
-        .unwrap_or(0);
+    let promotions = cluster.telemetry().get("state-shard", "promotions");
     cluster.shutdown();
     FailoverPoint {
         blackout_ms,

@@ -179,18 +179,20 @@ fn coldstart_cmd(json: bool) {
     let a = &cluster.instances()[0];
     let b = &cluster.instances()[1];
     a.invoke_local("fig", "work_v1", vec![1]);
-    let pub_before = a.snapshot_stats();
+    let before = cluster.telemetry();
     a.invoke_local("fig", "work_v2", vec![1]);
-    let pub_after = a.snapshot_stats();
-    let published = pub_after.chunks_published - pub_before.chunks_published;
-    let deduped = pub_after.chunks_deduped - pub_before.chunks_deduped;
-    let dedup_ratio = deduped as f64 / (published + deduped).max(1) as f64;
     for f in ["work_v1", "work_v2"] {
         let id = b.submit_placed("fig", f, vec![1]);
         b.await_call(id);
     }
-    let s = b.snapshot_stats();
-    let hit_rate = s.chunk_hits as f64 / (s.chunk_hits + s.chunks_fetched).max(1) as f64;
+    // Publishing is host A's alone and fetching host B's, so the cluster
+    // totals over the window are each side's numbers.
+    let window = cluster.telemetry().delta(&before);
+    let snap = |name| window.get("snapdist", name);
+    let (published, deduped) = (snap("chunks_published"), snap("chunks_deduped"));
+    let dedup_ratio = deduped as f64 / (published + deduped).max(1) as f64;
+    let (hits, fetched) = (snap("chunk_hits"), snap("chunks_fetched"));
+    let hit_rate = hits as f64 / (hits + fetched).max(1) as f64;
 
     if json {
         println!(
@@ -222,8 +224,8 @@ fn coldstart_cmd(json: bool) {
         published + deduped,
         dedup_ratio * 100.0,
         hit_rate * 100.0,
-        s.chunk_hits,
-        s.chunks_fetched,
+        hits,
+        fetched,
     );
 }
 
@@ -474,9 +476,9 @@ fn cache_cmd(json: bool) {
         "misses",
         "affinity share",
     ]);
-    for inst in cluster.instances().iter() {
-        let cache = inst.cache().expect("cache_bytes > 0 wires a cache");
-        let s = cache.stats();
+    for row in cluster.telemetry().rows("kvs-cache") {
+        let inst = &cluster.instances()[row.slot];
+        let cache = inst.cache().expect("a kvs-cache row means a cache");
         let score = affinity
             .iter()
             .find(|(h, _)| *h == inst.host_id())
@@ -484,8 +486,8 @@ fn cache_cmd(json: bool) {
         t.row(&[
             format!("host {}", inst.host_id().0),
             cache.cached_bytes().to_string(),
-            s.hits.to_string(),
-            s.misses.to_string(),
+            row.get("hits").to_string(),
+            row.get("misses").to_string(),
             if total_affinity == 0 {
                 "-".into()
             } else {
@@ -619,60 +621,36 @@ fn trace_cmd(json: bool) {
 }
 
 fn metrics_cmd(json: bool) {
-    let (_, gw, cluster) = telemetry_scenario();
-    let g = gw.metrics().snapshot();
-    // Cluster-wide runtime counters (merged across hosts), including the
-    // guest-CPU pair: fuel (source instructions, tier-independent) and
-    // retired ops (engine dispatches — fewer on the lowered tier).
-    let mut rt = faasm_core::MetricsSnapshot::default();
-    for inst in cluster.instances() {
-        rt.merge(&inst.metrics().snapshot());
-    }
+    let (_, gw, _cluster) = telemetry_scenario();
+    let t = gw.telemetry();
     if json {
-        let tele = faasm_bench::telemetry_export::metrics_json();
-        println!(
-            "{{\"gateway\":{{\"admitted\":{},\"completed\":{},\"shed\":{},\"batches\":{},\
-             \"batch_items\":{},\"queue_delay_p50_ns\":{},\"queue_delay_p99_ns\":{}}},\
-             \"runtime\":{{\"calls\":{},\"guest_fuel\":{},\"guest_instrs\":{},\
-             \"exec_ns\":{}}},\
-             \"telemetry\":{tele}}}",
-            g.admitted,
-            g.completed,
-            g.shed_total(),
-            g.batches,
-            g.batch_items,
-            g.queue_delay.percentile(50.0),
-            g.queue_delay.percentile(99.0),
-            rt.calls,
-            rt.fuel,
-            rt.guest_instrs,
-            rt.exec_ns,
-        );
+        println!("{}", faasm_bench::telemetry_export::metrics_json(&t));
         return;
     }
     println!(
         "
 === Cluster-wide telemetry snapshot ==="
     );
-    faasm_bench::telemetry_export::print_metrics_table();
+    faasm_bench::telemetry_export::print_metrics_table(&t);
+    let delay = t.hist("gateway", "queue_delay");
+    let shed = ["shed_overloaded", "shed_ratelimited", "shed_expired"].map(|n| t.get("gateway", n));
     println!(
         "gateway: {} admitted, {} completed, {} shed; {} batches ({:.1} calls/batch); queue delay p50 {}us p99 {}us",
-        g.admitted,
-        g.completed,
-        g.shed_total(),
-        g.batches,
-        g.batch_occupancy(),
-        g.queue_delay.percentile(50.0) / 1_000,
-        g.queue_delay.percentile(99.0) / 1_000,
+        t.get("gateway", "admitted"),
+        t.get("gateway", "completed"),
+        shed.iter().sum::<u64>(),
+        t.get("gateway", "batches"),
+        t.get("gateway", "batch_items") as f64 / t.get("gateway", "batches").max(1) as f64,
+        delay.percentile(50.0) / 1_000,
+        delay.percentile(99.0) / 1_000,
     );
-    let width = if rt.guest_instrs > 0 {
-        rt.fuel as f64 / rt.guest_instrs as f64
-    } else {
-        0.0
-    };
+    // The guest-CPU pair: fuel (source instructions, tier-independent) and
+    // retired ops (engine dispatches — fewer on the lowered tier).
+    let (fuel, instrs) = (t.get("worker", "fuel"), t.get("worker", "guest_instrs"));
     println!(
-        "guest CPU: {} calls, {} fuel, {} ops retired ({width:.2} instrs/dispatch on the lowered tier)",
-        rt.calls, rt.fuel, rt.guest_instrs,
+        "guest CPU: {} calls, {fuel} fuel, {instrs} ops retired ({:.2} instrs/dispatch on the lowered tier)",
+        t.get("worker", "calls"),
+        fuel as f64 / instrs.max(1) as f64,
     );
 }
 
@@ -706,7 +684,7 @@ fn replicas_cmd() {
 
     let shard_rec = faasm_telemetry::tier("state-shard");
     let print_roles = |label: &str| {
-        let stats = cluster.state_shard_stats().expect("shard stats");
+        let telemetry = cluster.telemetry();
         let table = cluster.state_routing().load();
         let mut t = Table::new(&[
             "slot",
@@ -716,20 +694,23 @@ fn replicas_cmd() {
             "lag us/fwd",
             "promotions",
         ]);
-        // `shard_stats` reports live slots only, in slot order.
-        for (&slot, s) in table.live_slots().iter().zip(stats.iter()) {
-            let lag = if s.repl_forwards == 0 {
+        for shard in telemetry.rows("state-shard") {
+            let forwards = shard.get("repl_forwards");
+            let lag = if forwards == 0 {
                 "-".to_string()
             } else {
-                format!("{:.1}", s.repl_lag_ns as f64 / s.repl_forwards as f64 / 1e3)
+                format!(
+                    "{:.1}",
+                    shard.get("repl_lag_ns") as f64 / forwards as f64 / 1e3
+                )
             };
             t.row(&[
-                slot.to_string(),
-                s.primary_keys.to_string(),
-                s.backup_keys.to_string(),
-                s.repl_forwards.to_string(),
+                shard.slot.to_string(),
+                shard.get("primary_keys").to_string(),
+                shard.get("backup_keys").to_string(),
+                forwards.to_string(),
                 lag,
-                s.promotions.to_string(),
+                shard.get("promotions").to_string(),
             ]);
         }
         println!(
@@ -739,10 +720,10 @@ fn replicas_cmd() {
             table.dead.len()
         );
         t.print();
-        let qw = shard_rec.hist(faasm_telemetry::SpanKind::QuorumWait);
+        let qw = telemetry.hist("state-shard", "quorum_wait");
         println!(
             "quorum wait: {} forwards, p50 {} us, p99 {} us",
-            qw.count(),
+            qw.count,
             qw.percentile(50.0) / 1_000,
             qw.percentile(99.0) / 1_000
         );
@@ -801,7 +782,8 @@ fn replicas_cmd() {
 // ── Shard skew: the global tier's load distribution ─────────────────────
 
 /// Per-shard load of the global tier (key count, value bytes, per-op
-/// counters via `Request::Stats`) before and after a live shard join —
+/// counters: the `state-shard` rows of `Cluster::telemetry()`) before and
+/// after a live shard join —
 /// what the migration planner and the tier autoscaler see.
 fn shard_skew() {
     println!("\n=== Global-tier shard skew (live reshard 4 -> 5 shards) ===");
@@ -817,7 +799,6 @@ fn shard_skew() {
             .unwrap();
     }
     let print_stats = |label: &str| {
-        let stats = cluster.state_shard_stats().expect("shard stats");
         let mut t = Table::new(&[
             "shard",
             "keys",
@@ -829,21 +810,24 @@ fn shard_skew() {
             "batched ops",
             "batch width",
         ]);
-        for (i, s) in stats.iter().enumerate() {
-            let width = if s.batched_ops == 0 {
+        for shard in cluster.telemetry().rows("state-shard") {
+            let width = if shard.get("batched_ops") == 0 {
                 "-".to_string()
             } else {
-                format!("{:.1}", s.batched_items as f64 / s.batched_ops as f64)
+                format!(
+                    "{:.1}",
+                    shard.get("batched_items") as f64 / shard.get("batched_ops") as f64
+                )
             };
             t.row(&[
-                format!("{i}"),
-                s.keys.to_string(),
-                format!("{:.1}", s.value_bytes as f64 / 1024.0),
-                s.reads.to_string(),
-                s.writes.to_string(),
-                s.wrong_epoch_redirects.to_string(),
-                (s.freeze_wait_ns / 1_000).to_string(),
-                s.batched_ops.to_string(),
+                shard.slot.to_string(),
+                shard.get("keys").to_string(),
+                format!("{:.1}", shard.get("value_bytes") as f64 / 1024.0),
+                shard.get("reads").to_string(),
+                shard.get("writes").to_string(),
+                shard.get("wrong_epoch_redirects").to_string(),
+                (shard.get("freeze_wait_ns") / 1_000).to_string(),
+                shard.get("batched_ops").to_string(),
                 width,
             ]);
         }

@@ -1,14 +1,14 @@
 //! Telemetry exporters: span-tree and metrics rendering for `figures
 //! trace` / `figures metrics`, plus machine-readable JSON dumps.
 //!
-//! The renderers read the process-global recorder registry
-//! (`faasm_telemetry::tiers()`), so they work for any in-process cluster —
-//! the bench harness, the integration tests and the example binaries all
-//! share them. JSON is hand-rolled (the workspace is offline; no serde):
+//! The trace renderers read the process-global recorder registry, the
+//! metrics renderers the one [`Telemetry`] snapshot `Cluster::telemetry()`
+//! / `Gateway::telemetry()` return; the bench harness, the integration
+//! tests and the example binaries all share them. JSON is hand-rolled (the workspace is offline; no serde):
 //! the fields are all integers and tier/kind names, so escaping reduces to
 //! quoting known-safe identifiers.
 
-use faasm_telemetry::{HistSnapshot, SpanKind, SpanRecord};
+use faasm_telemetry::{SpanKind, SpanRecord, Telemetry};
 
 use crate::Table;
 
@@ -132,82 +132,79 @@ pub fn trace_tree_json(trace_id: u64) -> String {
     out
 }
 
-/// Print the cluster-wide per-tier span histograms as a table: count, mean
-/// and percentiles per (tier, span kind) with at least one sample.
-pub fn print_metrics_table() {
-    let snap = faasm_telemetry::metrics_snapshot();
+/// Print one [`Telemetry`] snapshot: every histogram with a sample (span
+/// kinds per recorder tier, then stat-set members), then every non-zero
+/// counter and gauge.
+pub fn print_metrics_table(telemetry: &Telemetry) {
     let mut t = Table::new(&["tier", "span", "count", "mean", "p50", "p99", "max"]);
-    for (tier, hists) in &snap {
-        for (kind, h) in hists {
-            t.row(&[
-                tier.to_string(),
-                kind.as_str().to_string(),
-                h.count.to_string(),
-                fmt_ns(h.mean()),
-                fmt_ns(h.percentile(50.0)),
-                fmt_ns(h.percentile(99.0)),
-                fmt_ns(h.max),
-            ]);
+    for (tier, name, h) in telemetry.hists().filter(|(_, _, h)| h.count > 0) {
+        t.row(&[
+            tier.to_string(),
+            name.to_string(),
+            h.count.to_string(),
+            fmt_ns(h.mean()),
+            fmt_ns(h.percentile(50.0)),
+            fmt_ns(h.percentile(99.0)),
+            fmt_ns(h.max),
+        ]);
+    }
+    t.print();
+    let mut t = Table::new(&["set", "slot", "counter", "value"]);
+    for row in &telemetry.sets {
+        let members = row.counters.iter().chain(&row.gauges);
+        for (name, value) in members.filter(|(_, v)| *v > 0) {
+            let slot = row.slot.to_string();
+            t.row(&[row.tier.into(), slot, name.to_string(), value.to_string()]);
         }
     }
     t.print();
 }
 
-fn hist_json(kind: SpanKind, h: &HistSnapshot) -> String {
-    format!(
-        "{{\"span\":\"{}\",\"count\":{},\"sum_ns\":{},\"min_ns\":{},\"max_ns\":{},\
-         \"mean_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
-        kind.as_str(),
-        h.count,
-        h.sum,
-        h.min,
-        h.max,
-        h.mean(),
-        h.percentile(50.0),
-        h.percentile(99.0)
-    )
+fn join(items: impl Iterator<Item = String>) -> String {
+    items.collect::<Vec<_>>().join(",")
 }
 
-/// The cluster-wide telemetry snapshot as JSON: per-tier histograms plus
-/// each tier's anomaly dumps (reason + captured span count).
-pub fn metrics_json() -> String {
-    let snap = faasm_telemetry::metrics_snapshot();
-    let mut out = String::from("{\"tiers\":[");
-    for (i, (tier, hists)) in snap.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"tier\":\"{tier}\",\"spans\":["));
-        for (j, (kind, h)) in hists.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&hist_json(*kind, h));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("],\"anomalies\":[");
-    let mut first = true;
-    for rec in faasm_telemetry::tiers() {
-        for a in rec.anomalies() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
+/// One [`Telemetry`] snapshot as JSON: every stat-set row (counters and
+/// gauges by declared name), every histogram, and each recorder tier's
+/// anomaly dumps (reason + captured span count).
+pub fn metrics_json(telemetry: &Telemetry) -> String {
+    let sets = join(telemetry.sets.iter().map(|row| {
+        let counters = row.counters.iter().chain(&row.gauges);
+        format!(
+            "{{\"set\":\"{}\",\"slot\":{},\"counters\":{{{}}}}}",
+            row.tier,
+            row.slot,
+            join(counters.map(|(name, v)| format!("\"{name}\":{v}"))),
+        )
+    }));
+    let hists = join(telemetry.hists().map(|(tier, name, h)| {
+        format!(
+            "{{\"tier\":\"{tier}\",\"span\":\"{name}\",\"count\":{},\"sum_ns\":{},\
+             \"min_ns\":{},\"max_ns\":{},\"mean_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
+            h.count,
+            h.sum,
+            h.min,
+            h.max,
+            h.mean(),
+            h.percentile(50.0),
+            h.percentile(99.0)
+        )
+    }));
+    let anomalies = join(faasm_telemetry::tiers().iter().flat_map(|rec| {
+        rec.anomalies().into_iter().map(|a| {
             // Reasons are generated in-tree from fixed format strings;
             // escape quotes/backslashes anyway so the dump stays valid
             // JSON if one ever embeds a key name.
             let reason = a.reason.replace('\\', "\\\\").replace('"', "\\\"");
-            out.push_str(&format!(
+            format!(
                 "{{\"tier\":\"{}\",\"at_ns\":{},\"reason\":\"{reason}\",\"spans\":{}}}",
                 rec.tier(),
                 a.at_ns,
                 a.spans.len()
-            ));
-        }
-    }
-    out.push_str("]}");
-    out
+            )
+        })
+    }));
+    format!("{{\"sets\":[{sets}],\"hists\":[{hists}],\"anomalies\":[{anomalies}]}}")
 }
 
 /// Kinds present in one trace, for causal-coverage assertions.

@@ -17,6 +17,7 @@ use faasm_kvs::{
 };
 use faasm_net::Fabric;
 use faasm_sched::{entry_for, CallId, CallResult, Candidate};
+use faasm_telemetry::Telemetry;
 use faasm_vfs::ObjectStore;
 use parking_lot::Mutex;
 
@@ -611,6 +612,30 @@ impl Cluster {
     /// The shared scheduling boards (peer load + state affinity).
     pub fn boards(&self) -> &Arc<faasm_sched::SchedBoards> {
         &self.boards
+    }
+
+    /// Every counter in the cluster, read in one pass: one row per stat-set
+    /// instance — `fabric` (the fabric total, slot 0), `worker`, `snapdist`
+    /// and `kvs-cache` per host (slot = index into [`Cluster::instances`]),
+    /// `state-shard` per live shard (slot = its routing slot; read in place,
+    /// so taking a snapshot moves no counter) — under the names the sets
+    /// were declared with, plus the per-tier span histograms. The rows are
+    /// this cluster's alone; the span histograms come from the process-wide
+    /// recorders and are shared with any other cluster in the process.
+    pub fn telemetry(&self) -> Telemetry {
+        let mut sets = vec![self.fabric.stats().snapshot().row("fabric", 0)];
+        for (host, inst) in self.instances.iter().enumerate() {
+            sets.push(inst.metrics().snapshot().row("worker", host));
+            sets.push(inst.snapshot_stats().row("snapdist", host));
+            if let Some(cache) = inst.cache() {
+                sets.push(cache.stats().row("kvs-cache", host));
+            }
+        }
+        for shard in self.kvs.lock().iter() {
+            let routing = shard.routing().expect("cluster shards are routed");
+            sets.push(shard.stats().row("state-shard", routing.slot()));
+        }
+        Telemetry::capture(sets)
     }
 
     /// Sum of a metric across instances.

@@ -338,11 +338,6 @@ impl FaasmInstance {
         self.snap_cache.stats().snapshot()
     }
 
-    /// Bytes currently held by the host's snapshot chunk cache.
-    pub fn snapshot_cache_bytes(&self) -> usize {
-        self.snap_cache.bytes()
-    }
-
     /// Whether this host already holds an assembled proto for a function
     /// (restores from here are pure local CoW mappings).
     pub fn has_proto(&self, user: &str, function: &str) -> bool {
@@ -660,7 +655,7 @@ impl FaasmInstance {
                 if self.nic.send(other, msg).is_ok() {
                     // Counted only after the send succeeds: a vanished peer
                     // forwards nothing ("stats measured, not modelled").
-                    self.metrics.record_forward();
+                    self.metrics.forwarded.inc();
                 } else {
                     // Peer vanished: run it here after all.
                     let _ = self.queue_tx.send(QueuedCall { call, reply_to });
@@ -833,7 +828,7 @@ impl FaasmInstance {
     fn fetch_by_manifest(&self, manifest: &[u8]) -> Option<ProtoRef> {
         let manifest = ProtoManifest::from_bytes(manifest)?;
         let stats = self.snap_cache.stats();
-        stats.fetches.fetch_add(1, Ordering::Relaxed);
+        stats.fetches.inc();
         let s0 = faasm_telemetry::now_ns();
         let mut have: HashMap<Digest, Arc<Vec<u8>>> = HashMap::new();
         let mut missing: Vec<Digest> = Vec::new();
@@ -843,7 +838,7 @@ impl FaasmInstance {
             }
             match self.snap_cache.get(&d) {
                 Some(bytes) => {
-                    stats.chunk_hits.fetch_add(1, Ordering::Relaxed);
+                    stats.chunk_hits.inc();
                     have.insert(d, bytes);
                 }
                 None => missing.push(d),
@@ -866,12 +861,12 @@ impl FaasmInstance {
                     // skipped: the publisher's exists-check would otherwise
                     // dedup against the bad bytes forever. Deleting lets
                     // the next publish repair it.
-                    stats.verify_failures.fetch_add(1, Ordering::Relaxed);
+                    stats.verify_failures.inc();
                     let _ = self.tier_kv.del(&chunk_key(d));
                     complete = false;
                     continue;
                 }
-                stats.chunks_fetched.fetch_add(1, Ordering::Relaxed);
+                stats.chunks_fetched.inc();
                 let bytes = Arc::new(bytes);
                 self.snap_cache.insert(*d, Arc::clone(&bytes));
                 have.insert(*d, bytes);
@@ -913,15 +908,11 @@ impl FaasmInstance {
         for (d, bytes) in &chunked.chunks {
             let ck = chunk_key(d);
             if matches!(self.tier_kv.exists(&ck), Ok(true)) {
-                stats.chunks_deduped.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .bytes_deduped
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+                stats.chunks_deduped.inc();
+                stats.bytes_deduped.add(bytes.len() as u64);
             } else if self.tier_kv.set(&ck, (**bytes).clone()).is_ok() {
-                stats.chunks_published.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .bytes_published
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+                stats.chunks_published.inc();
+                stats.bytes_published.add(bytes.len() as u64);
             }
             // Seed the local cache either way: the publishing host is about
             // to be the hottest restorer of this function.
@@ -948,10 +939,7 @@ impl FaasmInstance {
     /// after a scale-up restores from warm local bytes. The record holds
     /// the proto without becoming warm.
     fn handle_prestage(&self, user: &str, function: &str, manifest: &[u8]) {
-        self.snap_cache
-            .stats()
-            .prestages
-            .fetch_add(1, Ordering::Relaxed);
+        self.snap_cache.stats().prestages.inc();
         let Ok(rec) = self.record(user, function) else {
             return;
         };

@@ -71,7 +71,7 @@ pub use faaslet::{EgressLimit, Faaslet, FaasletEnv, NATIVE_BASE_BYTES};
 pub use guest::{FunctionDef, FunctionRegistry, GuestCode, NativeGuest};
 pub use hostfuncs::faaslet_linker;
 pub use instance::{FaasmInstance, InstanceConfig, PlacedCall};
-pub use metrics::{percentile, GatewayMetrics, Metrics, MetricsSnapshot, StartKind};
+pub use metrics::{GatewayMetrics, Metrics, MetricsSnapshot, StartKind};
 pub use pending::{Pending, PendingCallback, PendingMap};
 pub use proto::{ProtoEncodeError, ProtoFaaslet, ProtoRef};
 pub use snapdist::{

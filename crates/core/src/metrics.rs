@@ -9,11 +9,6 @@
 //!   timed separately.
 //! * **CPU cycles** (Tab. 3): total interpreter fuel.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use faasm_telemetry::{Hist, HistSnapshot};
-use parking_lot::Mutex;
-
 /// Which path created a Faaslet for a call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StartKind {
@@ -25,387 +20,149 @@ pub enum StartKind {
     ProtoRestore,
 }
 
-/// Aggregated runtime metrics for one instance (or summed cluster-wide).
-#[derive(Debug, Default)]
-pub struct Metrics {
-    calls: AtomicU64,
-    warm_starts: AtomicU64,
-    cold_starts: AtomicU64,
-    proto_restores: AtomicU64,
-    forwarded: AtomicU64,
-    exec_ns: AtomicU64,
-    fuel: AtomicU64,
-    guest_instrs: AtomicU64,
-    /// Σ (pss_bytes × duration_ns) per call; converted to GB-s on read.
-    billable_byte_ns: Mutex<f64>,
-    init_ns: Mutex<Vec<u64>>,
+faasm_telemetry::counters! {
+    /// Aggregated runtime metrics for one instance.
+    pub struct Metrics => MetricsSnapshot {
+        /// Completed calls.
+        calls,
+        /// Calls that reused an idle warm Faaslet.
+        warm_starts,
+        /// Cold starts (full instantiations).
+        cold_starts,
+        /// Proto-Faaslet restores.
+        proto_restores,
+        /// Calls forwarded to other hosts.
+        forwarded,
+        /// Total guest execution time in nanoseconds.
+        exec_ns,
+        /// Total interpreter fuel (the CPU-cycles analogue of Tab. 3).
+        fuel,
+        /// Total VM operations retired (guest CPU). Unlike `fuel` — a
+        /// tier-independent *source* instruction count — this counts ops
+        /// the engine actually dispatched, so the lowered tier reports
+        /// fewer for the same work; fuel ÷ instrs is the mean
+        /// superinstruction width.
+        guest_instrs,
+        /// Σ (PSS bytes × execution µs) per call, each product rounded to
+        /// the nearest byte-µs (10⁻¹⁵ GB-s; a `u64` holds 18 000 GB-s).
+        billable_byte_us,
+        /// Σ initialisation ns over cold starts and proto restores.
+        init_ns,
+    }
 }
 
 impl Metrics {
-    /// Fresh zeroed metrics.
-    pub fn new() -> Metrics {
-        Metrics::default()
-    }
-
     /// Record a completed call.
     pub fn record_call(&self, exec_ns: u64, fuel: u64, guest_instrs: u64, pss_bytes: f64) {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.exec_ns.fetch_add(exec_ns, Ordering::Relaxed);
-        self.fuel.fetch_add(fuel, Ordering::Relaxed);
-        self.guest_instrs.fetch_add(guest_instrs, Ordering::Relaxed);
-        *self.billable_byte_ns.lock() += pss_bytes * exec_ns as f64;
+        self.calls.inc();
+        self.exec_ns.add(exec_ns);
+        self.fuel.add(fuel);
+        self.guest_instrs.add(guest_instrs);
+        self.billable_byte_us
+            .add((pss_bytes * exec_ns as f64 / 1e3).round() as u64);
     }
 
     /// Record how a Faaslet was obtained and how long that took.
     pub fn record_start(&self, kind: StartKind, init_ns: u64) {
         match kind {
-            StartKind::Warm => {
-                self.warm_starts.fetch_add(1, Ordering::Relaxed);
-            }
+            StartKind::Warm => self.warm_starts.inc(),
             StartKind::Cold => {
-                self.cold_starts.fetch_add(1, Ordering::Relaxed);
-                self.init_ns.lock().push(init_ns);
+                self.cold_starts.inc();
+                self.init_ns.add(init_ns);
             }
             StartKind::ProtoRestore => {
-                self.proto_restores.fetch_add(1, Ordering::Relaxed);
-                self.init_ns.lock().push(init_ns);
+                self.proto_restores.inc();
+                self.init_ns.add(init_ns);
             }
         }
-    }
-
-    /// Record a call forwarded to another host.
-    pub fn record_forward(&self) {
-        self.forwarded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Completed calls.
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    /// Warm-start count.
-    pub fn warm_starts(&self) -> u64 {
-        self.warm_starts.load(Ordering::Relaxed)
-    }
-
-    /// Cold-start count (full instantiations).
-    pub fn cold_starts(&self) -> u64 {
-        self.cold_starts.load(Ordering::Relaxed)
-    }
-
-    /// Proto-Faaslet restore count.
-    pub fn proto_restores(&self) -> u64 {
-        self.proto_restores.load(Ordering::Relaxed)
-    }
-
-    /// Calls forwarded to other hosts.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded.load(Ordering::Relaxed)
-    }
-
-    /// Total guest execution time in nanoseconds.
-    pub fn exec_ns(&self) -> u64 {
-        self.exec_ns.load(Ordering::Relaxed)
-    }
-
-    /// Total interpreter fuel (the CPU-cycles analogue of Tab. 3).
-    pub fn fuel(&self) -> u64 {
-        self.fuel.load(Ordering::Relaxed)
-    }
-
-    /// Total VM operations retired (guest CPU). Unlike [`Metrics::fuel`]
-    /// — a tier-independent *source* instruction count — this counts ops
-    /// the engine actually dispatched, so the lowered tier reports fewer
-    /// for the same work; fuel ÷ instrs is the mean superinstruction width.
-    pub fn guest_instrs(&self) -> u64 {
-        self.guest_instrs.load(Ordering::Relaxed)
     }
 
     /// Billable memory in GB-seconds (Fig. 6c).
     pub fn billable_gb_seconds(&self) -> f64 {
-        *self.billable_byte_ns.lock() / 1e18
-    }
-
-    /// Initialisation times (cold + proto restores), nanoseconds.
-    pub fn init_times_ns(&self) -> Vec<u64> {
-        self.init_ns.lock().clone()
+        self.snapshot().billable_gb_seconds()
     }
 
     /// Mean initialisation time in nanoseconds (0 when none recorded).
     pub fn mean_init_ns(&self) -> u64 {
-        let times = self.init_ns.lock();
-        if times.is_empty() {
-            return 0;
-        }
-        times.iter().sum::<u64>() / times.len() as u64
+        self.snapshot().mean_init_ns()
     }
-
-    /// A coherent point-in-time copy of every counter. Individual getters
-    /// race against concurrent recording, so an exporter reading them one
-    /// by one can tabulate counters from different instants (e.g. more
-    /// completed calls than started ones); tables and JSON dumps should
-    /// read one snapshot instead.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            calls: self.calls.load(Ordering::Relaxed),
-            warm_starts: self.warm_starts.load(Ordering::Relaxed),
-            cold_starts: self.cold_starts.load(Ordering::Relaxed),
-            proto_restores: self.proto_restores.load(Ordering::Relaxed),
-            forwarded: self.forwarded.load(Ordering::Relaxed),
-            exec_ns: self.exec_ns.load(Ordering::Relaxed),
-            fuel: self.fuel.load(Ordering::Relaxed),
-            guest_instrs: self.guest_instrs.load(Ordering::Relaxed),
-            billable_gb_seconds: self.billable_gb_seconds(),
-            mean_init_ns: self.mean_init_ns(),
-        }
-    }
-}
-
-/// A point-in-time copy of [`Metrics`], taken in one pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Completed calls.
-    pub calls: u64,
-    /// Warm starts.
-    pub warm_starts: u64,
-    /// Cold starts.
-    pub cold_starts: u64,
-    /// Proto-Faaslet restores.
-    pub proto_restores: u64,
-    /// Calls forwarded to other hosts.
-    pub forwarded: u64,
-    /// Total guest execution nanoseconds.
-    pub exec_ns: u64,
-    /// Total interpreter fuel.
-    pub fuel: u64,
-    /// Total VM operations retired (dispatch count, tier-dependent).
-    pub guest_instrs: u64,
-    /// Billable memory in GB-seconds.
-    pub billable_gb_seconds: f64,
-    /// Mean initialisation time (cold + restore), nanoseconds.
-    pub mean_init_ns: u64,
 }
 
 impl MetricsSnapshot {
-    /// Sum two snapshots (cluster-wide aggregation).
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        self.calls += other.calls;
-        self.warm_starts += other.warm_starts;
-        self.cold_starts += other.cold_starts;
-        self.proto_restores += other.proto_restores;
-        self.forwarded += other.forwarded;
-        self.exec_ns += other.exec_ns;
-        self.fuel += other.fuel;
-        self.guest_instrs += other.guest_instrs;
-        self.billable_gb_seconds += other.billable_gb_seconds;
-        // Means do not sum; keep the max as a representative figure.
-        self.mean_init_ns = self.mean_init_ns.max(other.mean_init_ns);
+    /// Billable memory in GB-seconds (Fig. 6c).
+    pub fn billable_gb_seconds(&self) -> f64 {
+        self.billable_byte_us as f64 / 1e15
+    }
+
+    /// Mean initialisation time over cold starts and proto restores, in
+    /// nanoseconds (0 when none recorded). Exact under `merge`: the sum and
+    /// the counts add, so instances weigh in by how often they initialised.
+    pub fn mean_init_ns(&self) -> u64 {
+        self.init_ns
+            .checked_div(self.cold_starts + self.proto_restores)
+            .unwrap_or(0)
     }
 }
 
-/// Ingress-tier metrics: what the gateway in front of a cluster observes.
-///
-/// Kept here (rather than in `faasm-gateway`) so every metrics consumer —
-/// the figures binary, benches, embedders — reads one crate, and so the
-/// gateway's numbers compose with [`percentile`] like the runtime's do.
-#[derive(Debug, Default)]
-pub struct GatewayMetrics {
-    admitted: AtomicU64,
-    completed: AtomicU64,
-    shed_overloaded: AtomicU64,
-    shed_ratelimited: AtomicU64,
-    shed_expired: AtomicU64,
-    batches: AtomicU64,
-    batch_items: AtomicU64,
-    prewarmed: AtomicU64,
-    retired: AtomicU64,
-    tier_scaleups: AtomicU64,
-    /// Queueing-delay distribution: a lock-free log2-bucket histogram.
-    /// One sample lands per dispatched request, so the previous sorted-Vec
-    /// ring cost a lock plus an O(n log n) sort per percentile read and
-    /// 512 KiB of samples; the histogram is 64 atomic counters — fixed
-    /// memory at any sample volume, and percentile reads never allocate.
-    queue_delay_ns: Hist,
+faasm_telemetry::counters! {
+    /// Ingress-tier metrics: what the gateway in front of a cluster observes.
+    ///
+    /// Kept here (rather than in `faasm-gateway`) so every metrics consumer —
+    /// the figures binary, benches, embedders — reads one crate, and so the
+    /// gateway's numbers sit beside the runtime's.
+    pub struct GatewayMetrics => GatewayMetricsSnapshot {
+        /// Requests admitted past admission control.
+        admitted,
+        /// Requests completed end to end.
+        completed,
+        /// Requests shed with `Overloaded` because their tenant queue was full.
+        shed_overloaded,
+        /// Requests shed with `Overloaded` by a tenant token bucket.
+        shed_ratelimited,
+        /// Requests shed with `Expired`: their deadline passed while queued.
+        shed_expired,
+        /// Dispatched batches.
+        batches,
+        /// Requests carried by those batches.
+        batch_items,
+        /// Faaslets pre-warmed by the autoscaler.
+        prewarmed,
+        /// Idle Faaslets retired by the autoscaler.
+        retired,
+        /// State shards added live by the tier autoscaler.
+        tier_scaleups,
+    }
+    hists {
+        /// Time requests spent queued before dispatch, in nanoseconds: one
+        /// sample per dispatched request into 64 atomic log2 buckets, so
+        /// memory is fixed at any sample volume and percentile reads never
+        /// allocate (estimates land within a factor of two of the exact
+        /// sample, clamped to the observed min/max).
+        queue_delay,
+    }
 }
 
 impl GatewayMetrics {
-    /// Fresh zeroed metrics.
-    pub fn new() -> GatewayMetrics {
-        GatewayMetrics::default()
-    }
-
-    /// Record a request admitted past admission control.
-    pub fn record_admitted(&self) {
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a request completed end to end.
-    pub fn record_completed(&self) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a request shed because its tenant queue was full.
-    pub fn record_shed_overloaded(&self) {
-        self.shed_overloaded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a request shed by the tenant's token bucket.
-    pub fn record_shed_ratelimited(&self) {
-        self.shed_ratelimited.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a request shed because its deadline passed while queued.
-    pub fn record_shed_expired(&self) {
-        self.shed_expired.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record one dispatched batch of `items` requests.
     pub fn record_batch(&self, items: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_items.fetch_add(items as u64, Ordering::Relaxed);
-    }
-
-    /// Record time a request spent queued before dispatch.
-    pub fn record_queue_delay_ns(&self, ns: u64) {
-        self.queue_delay_ns.record(ns);
-    }
-
-    /// Record `n` Faaslets pre-warmed by the autoscaler.
-    pub fn record_prewarm(&self, n: usize) {
-        self.prewarmed.fetch_add(n as u64, Ordering::Relaxed);
-    }
-
-    /// Record `n` idle Faaslets retired by the autoscaler.
-    pub fn record_retire(&self, n: usize) {
-        self.retired.fetch_add(n as u64, Ordering::Relaxed);
-    }
-
-    /// Record one live state-shard addition driven by tier load.
-    pub fn record_tier_scale(&self) {
-        self.tier_scaleups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests admitted past admission control.
-    pub fn admitted(&self) -> u64 {
-        self.admitted.load(Ordering::Relaxed)
-    }
-
-    /// Requests completed end to end.
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// Requests shed with `Overloaded` (full queue).
-    pub fn shed_overloaded(&self) -> u64 {
-        self.shed_overloaded.load(Ordering::Relaxed)
-    }
-
-    /// Requests shed with `Overloaded` (rate limit).
-    pub fn shed_ratelimited(&self) -> u64 {
-        self.shed_ratelimited.load(Ordering::Relaxed)
-    }
-
-    /// Requests shed with `Expired` (deadline passed in queue).
-    pub fn shed_expired(&self) -> u64 {
-        self.shed_expired.load(Ordering::Relaxed)
-    }
-
-    /// Total requests shed for any reason.
-    pub fn shed_total(&self) -> u64 {
-        self.shed_overloaded() + self.shed_ratelimited() + self.shed_expired()
-    }
-
-    /// Dispatched batches.
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
+        self.batches.inc();
+        self.batch_items.add(items as u64);
     }
 
     /// Mean requests per dispatched batch (0 when none dispatched).
     pub fn batch_occupancy(&self) -> f64 {
-        let b = self.batches.load(Ordering::Relaxed);
-        if b == 0 {
-            return 0.0;
-        }
-        self.batch_items.load(Ordering::Relaxed) as f64 / b as f64
-    }
-
-    /// Faaslets pre-warmed by the autoscaler.
-    pub fn prewarmed(&self) -> u64 {
-        self.prewarmed.load(Ordering::Relaxed)
-    }
-
-    /// Idle Faaslets retired by the autoscaler.
-    pub fn retired(&self) -> u64 {
-        self.retired.load(Ordering::Relaxed)
-    }
-
-    /// State shards added live by the tier autoscaler.
-    pub fn tier_scaleups(&self) -> u64 {
-        self.tier_scaleups.load(Ordering::Relaxed)
-    }
-
-    /// Queueing-delay percentile in nanoseconds (0.0–1.0; 0 when empty).
-    /// Log2-bucket approximation: the estimate lands within a factor of
-    /// two of the exact sample, clamped to the observed min/max.
-    pub fn queue_delay_percentile_ns(&self, p: f64) -> u64 {
-        self.queue_delay_ns.percentile(p.clamp(0.0, 1.0) * 100.0)
+        self.snapshot().batch_occupancy()
     }
 
     /// p50 queueing delay in nanoseconds.
     pub fn queue_delay_p50_ns(&self) -> u64 {
-        self.queue_delay_percentile_ns(0.5)
+        self.queue_delay.percentile(50.0)
     }
 
     /// p99 queueing delay in nanoseconds.
     pub fn queue_delay_p99_ns(&self) -> u64 {
-        self.queue_delay_percentile_ns(0.99)
+        self.queue_delay.percentile(99.0)
     }
-
-    /// A coherent point-in-time copy of every gateway counter plus the
-    /// queue-delay histogram — see [`Metrics::snapshot`] for why exporters
-    /// must not assemble tables from individual getters.
-    pub fn snapshot(&self) -> GatewayMetricsSnapshot {
-        GatewayMetricsSnapshot {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            shed_overloaded: self.shed_overloaded.load(Ordering::Relaxed),
-            shed_ratelimited: self.shed_ratelimited.load(Ordering::Relaxed),
-            shed_expired: self.shed_expired.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batch_items: self.batch_items.load(Ordering::Relaxed),
-            prewarmed: self.prewarmed.load(Ordering::Relaxed),
-            retired: self.retired.load(Ordering::Relaxed),
-            tier_scaleups: self.tier_scaleups.load(Ordering::Relaxed),
-            queue_delay: self.queue_delay_ns.snapshot(),
-        }
-    }
-}
-
-/// A point-in-time copy of [`GatewayMetrics`], taken in one pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct GatewayMetricsSnapshot {
-    /// Requests admitted past admission control.
-    pub admitted: u64,
-    /// Requests completed end to end.
-    pub completed: u64,
-    /// Requests shed because their tenant queue was full.
-    pub shed_overloaded: u64,
-    /// Requests shed by a tenant token bucket.
-    pub shed_ratelimited: u64,
-    /// Requests shed because their deadline passed while queued.
-    pub shed_expired: u64,
-    /// Dispatched batches.
-    pub batches: u64,
-    /// Requests carried by those batches.
-    pub batch_items: u64,
-    /// Faaslets pre-warmed by the autoscaler.
-    pub prewarmed: u64,
-    /// Idle Faaslets retired by the autoscaler.
-    pub retired: u64,
-    /// State shards added live by the tier autoscaler.
-    pub tier_scaleups: u64,
-    /// Queue-delay histogram at snapshot time.
-    pub queue_delay: HistSnapshot,
 }
 
 impl GatewayMetricsSnapshot {
@@ -421,19 +178,6 @@ impl GatewayMetricsSnapshot {
         }
         self.batch_items as f64 / self.batches as f64
     }
-}
-
-/// Compute a latency percentile (0.0–1.0) from a sample set.
-///
-/// Returns 0 for empty input. Uses nearest-rank on a sorted copy.
-pub fn percentile(samples: &[u64], p: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((p.clamp(0.0, 1.0)) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank]
 }
 
 #[cfg(test)]
@@ -463,25 +207,38 @@ mod tests {
         assert_eq!(m.cold_starts(), 1);
         assert_eq!(m.proto_restores(), 1);
         // Warm starts do not contribute init samples.
-        assert_eq!(m.init_times_ns().len(), 2);
+        assert_eq!(m.init_ns(), 1100);
         assert_eq!(m.mean_init_ns(), 550);
-        m.record_forward();
-        assert_eq!(m.forwarded(), 1);
+    }
+
+    #[test]
+    fn merged_mean_init_is_weighted_by_initialisations() {
+        // One instance initialised once, slowly; another nine times,
+        // quickly. The cluster-wide mean weighs all ten, where keeping the
+        // larger of the two means reported 1000.
+        let (slow, fast) = (Metrics::new(), Metrics::new());
+        slow.record_start(StartKind::Cold, 1000);
+        for _ in 0..9 {
+            fast.record_start(StartKind::ProtoRestore, 100);
+        }
+        let mut merged = slow.snapshot();
+        merged.merge(&fast.snapshot());
+        assert_eq!(merged.mean_init_ns(), (1000 + 9 * 100) / 10);
     }
 
     #[test]
     fn gateway_metrics_accounting() {
         let m = GatewayMetrics::new();
-        m.record_admitted();
+        m.admitted.inc();
         m.record_batch(3);
         m.record_batch(1);
-        m.record_shed_overloaded();
-        m.record_shed_ratelimited();
-        m.record_shed_expired();
-        m.record_prewarm(2);
-        m.record_retire(1);
+        m.shed_overloaded.inc();
+        m.shed_ratelimited.inc();
+        m.shed_expired.inc();
+        m.prewarmed.add(2);
+        m.retired.add(1);
         assert_eq!(m.admitted(), 1);
-        assert_eq!(m.shed_total(), 3);
+        assert_eq!(m.snapshot().shed_total(), 3);
         assert_eq!(m.batches(), 2);
         assert!((m.batch_occupancy() - 2.0).abs() < 1e-9);
         assert_eq!(m.prewarmed(), 2);
@@ -494,7 +251,7 @@ mod tests {
         // heap growth, no eviction bookkeeping — and reads stay coherent.
         let m = GatewayMetrics::new();
         for i in 0..1_000_000u64 {
-            m.record_queue_delay_ns(i);
+            m.queue_delay.record(i);
         }
         let snap = m.snapshot();
         assert_eq!(snap.queue_delay.count, 1_000_000);
@@ -512,41 +269,19 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_are_coherent_copies() {
-        let m = Metrics::new();
-        m.record_call(1_000, 5, 3, 0.0);
-        m.record_start(StartKind::Cold, 400);
-        let snap = m.snapshot();
-        assert_eq!(snap.calls, 1);
-        assert_eq!(snap.cold_starts, 1);
-        assert_eq!(snap.mean_init_ns, 400);
-        let mut merged = snap;
-        merged.merge(&snap);
-        assert_eq!(merged.calls, 2);
-
+    fn a_gateway_snapshot_is_a_frozen_copy() {
         let g = GatewayMetrics::new();
-        g.record_admitted();
+        g.admitted.inc();
         g.record_batch(4);
-        g.record_shed_expired();
-        g.record_queue_delay_ns(77);
+        g.shed_expired.inc();
+        g.queue_delay.record(77);
         let gs = g.snapshot();
         assert_eq!(gs.admitted, 1);
         assert_eq!(gs.shed_total(), 1);
         assert!((gs.batch_occupancy() - 4.0).abs() < 1e-9);
         assert_eq!(gs.queue_delay.count, 1);
         // The snapshot is frozen: later recording does not change it.
-        g.record_admitted();
+        g.admitted.inc();
         assert_eq!(gs.admitted, 1);
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let samples: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&samples, 0.0), 1);
-        assert_eq!(percentile(&samples, 0.5), 51, "round half away from zero");
-        assert_eq!(percentile(&samples, 0.99), 99);
-        assert_eq!(percentile(&samples, 1.0), 100);
-        assert_eq!(percentile(&[], 0.5), 0);
-        assert_eq!(percentile(&[7], 0.9), 7);
     }
 }

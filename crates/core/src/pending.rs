@@ -190,17 +190,22 @@ impl<T: Send> PendingMap<T> {
     /// Block up to `timeout` for a value. On timeout, non-storing maps
     /// abandon the slot (a late value is dropped, not leaked);
     /// store-unregistered maps keep it so a later wait or take still
-    /// succeeds.
+    /// succeeds. A non-storing map answers `None` at once for an id it
+    /// does not track: nothing can ever fulfil it.
     pub fn wait(&self, id: u64, timeout: Duration) -> Option<T> {
         let deadline = Instant::now() + timeout;
         let mut slots = self.slots.lock();
         loop {
-            if matches!(slots.map.get(&id), Some(Slot::Ready(..))) {
-                slots.fulfilled = slots.fulfilled.saturating_sub(1);
-                match slots.map.remove(&id) {
-                    Some(Slot::Ready(v, _)) => return Some(v),
-                    _ => unreachable!("checked Ready above"),
+            match slots.map.get(&id) {
+                Some(Slot::Ready(..)) => {
+                    slots.fulfilled = slots.fulfilled.saturating_sub(1);
+                    match slots.map.remove(&id) {
+                        Some(Slot::Ready(v, _)) => return Some(v),
+                        _ => unreachable!("checked Ready above"),
+                    }
                 }
+                None if !self.store_unregistered => return None,
+                _ => {}
             }
             let now = Instant::now();
             if now >= deadline {
@@ -210,6 +215,39 @@ impl<T: Send> PendingMap<T> {
                 return None;
             }
             self.cv.wait_for(&mut slots, deadline - now);
+        }
+    }
+
+    /// Resolve every id still waiting — blocking or callback — with
+    /// `make(id)`: what a dead connection owes the calls in flight on it.
+    /// Callbacks run outside the map lock, as in [`PendingMap::fulfill`].
+    pub fn fulfill_waiting(&self, make: impl Fn(u64) -> T) {
+        let callbacks: Vec<(u64, PendingCallback<T>)> = {
+            let mut slots = self.slots.lock();
+            let Slots { map, fulfilled, .. } = &mut *slots;
+            let now = Instant::now();
+            let mut callback_ids = Vec::new();
+            for (id, slot) in map.iter_mut() {
+                match slot {
+                    Slot::Waiting => {
+                        *slot = Slot::Ready(make(*id), now);
+                        *fulfilled += 1;
+                    }
+                    Slot::Callback(_) => callback_ids.push(*id),
+                    Slot::Ready(..) => {}
+                }
+            }
+            self.cv.notify_all();
+            callback_ids
+                .into_iter()
+                .filter_map(|id| match map.remove(&id) {
+                    Some(Slot::Callback(cb)) => Some((id, cb)),
+                    _ => None,
+                })
+                .collect()
+        };
+        for (id, cb) in callbacks {
+            cb(make(id));
         }
     }
 
@@ -322,6 +360,35 @@ mod tests {
         // Slot abandoned: the late result is dropped.
         dropping.fulfill(1, 10);
         assert_eq!(dropping.try_take(1), None);
+    }
+
+    #[test]
+    fn non_storing_wait_on_an_untracked_id_answers_at_once() {
+        let m: PendingMap<u32> = PendingMap::new(false, None);
+        let t0 = Instant::now();
+        assert_eq!(m.wait(1, Duration::from_secs(30)), None);
+        assert!(t0.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn fulfill_waiting_resolves_waiters_and_callbacks_but_not_ready_slots() {
+        let m: PendingMap<u32> = PendingMap::new(false, None);
+        m.register(1);
+        m.register(2);
+        m.fulfill(2, 20);
+        let fired = Arc::new(AtomicU32::new(0));
+        let f = Arc::clone(&fired);
+        m.register_callback(
+            3,
+            Box::new(move |v| {
+                f.store(v, Ordering::Relaxed);
+            }),
+        );
+        m.fulfill_waiting(|id| id as u32 * 100);
+        assert_eq!(m.try_take(1), Some(100));
+        assert_eq!(m.try_take(2), Some(20), "an answered id keeps its answer");
+        assert_eq!(fired.load(Ordering::Relaxed), 300);
+        assert!(m.is_empty());
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //! verified chunks shared by every fetch/pre-stage on the instance.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use faasm_fvm::InstanceSnapshot;
@@ -88,13 +87,6 @@ pub struct ChunkedProto {
     /// already collapse here, so `chunks.len()` can be smaller than
     /// `1 + manifest.pages.len()`.
     pub chunks: HashMap<Digest, Arc<Vec<u8>>>,
-}
-
-impl ChunkedProto {
-    /// Total unique payload bytes (what a publish ships at worst).
-    pub fn unique_bytes(&self) -> usize {
-        self.chunks.values().map(|c| c.len()).sum()
-    }
 }
 
 /// Explode a proto into its meta chunk + per-page chunks.
@@ -250,73 +242,30 @@ fn read_meta(r: &mut Reader<'_>) -> Result<ProtoMeta, WireError> {
     })
 }
 
-/// Counters the snapshot plane keeps per instance (all relaxed atomics —
-/// read by `figures coldstart` and the storm bench).
-#[derive(Debug, Default)]
-pub struct SnapStats {
-    /// Manifest-driven fetch attempts (peer-fetch resolve steps).
-    pub fetches: AtomicU64,
-    /// Chunks pulled over the wire.
-    pub chunks_fetched: AtomicU64,
-    /// Chunks served from the local cache during a fetch.
-    pub chunk_hits: AtomicU64,
-    /// Fetched chunks whose digest did not match their key.
-    pub verify_failures: AtomicU64,
-    /// Chunks this instance published (absent from the tier).
-    pub chunks_published: AtomicU64,
-    /// Bytes this instance published.
-    pub bytes_published: AtomicU64,
-    /// Chunks skipped at publish because the tier already held them — the
-    /// cross-version dedup counter.
-    pub chunks_deduped: AtomicU64,
-    /// Bytes dedup saved at publish.
-    pub bytes_deduped: AtomicU64,
-    /// Pre-stage pushes handled (manifests landed over the bus).
-    pub prestages: AtomicU64,
-    /// Chunks evicted by the cache's byte budget.
-    pub evictions: AtomicU64,
-}
-
-/// A coherent copy of [`SnapStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapStatsSnapshot {
-    /// See [`SnapStats::fetches`].
-    pub fetches: u64,
-    /// See [`SnapStats::chunks_fetched`].
-    pub chunks_fetched: u64,
-    /// See [`SnapStats::chunk_hits`].
-    pub chunk_hits: u64,
-    /// See [`SnapStats::verify_failures`].
-    pub verify_failures: u64,
-    /// See [`SnapStats::chunks_published`].
-    pub chunks_published: u64,
-    /// See [`SnapStats::bytes_published`].
-    pub bytes_published: u64,
-    /// See [`SnapStats::chunks_deduped`].
-    pub chunks_deduped: u64,
-    /// See [`SnapStats::bytes_deduped`].
-    pub bytes_deduped: u64,
-    /// See [`SnapStats::prestages`].
-    pub prestages: u64,
-    /// See [`SnapStats::evictions`].
-    pub evictions: u64,
-}
-
-impl SnapStats {
-    /// Snapshot every counter.
-    pub fn snapshot(&self) -> SnapStatsSnapshot {
-        SnapStatsSnapshot {
-            fetches: self.fetches.load(Ordering::Relaxed),
-            chunks_fetched: self.chunks_fetched.load(Ordering::Relaxed),
-            chunk_hits: self.chunk_hits.load(Ordering::Relaxed),
-            verify_failures: self.verify_failures.load(Ordering::Relaxed),
-            chunks_published: self.chunks_published.load(Ordering::Relaxed),
-            bytes_published: self.bytes_published.load(Ordering::Relaxed),
-            chunks_deduped: self.chunks_deduped.load(Ordering::Relaxed),
-            bytes_deduped: self.bytes_deduped.load(Ordering::Relaxed),
-            prestages: self.prestages.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+faasm_telemetry::counters! {
+    /// Counters the snapshot plane keeps per instance.
+    pub struct SnapStats => SnapStatsSnapshot {
+        /// Manifest-driven fetch attempts (peer-fetch resolve steps).
+        fetches,
+        /// Chunks pulled over the wire.
+        chunks_fetched,
+        /// Chunks served from the local cache during a fetch.
+        chunk_hits,
+        /// Fetched chunks whose digest did not match their key.
+        verify_failures,
+        /// Chunks this instance published (absent from the tier).
+        chunks_published,
+        /// Bytes this instance published.
+        bytes_published,
+        /// Chunks skipped at publish because the tier already held them —
+        /// the cross-version dedup counter.
+        chunks_deduped,
+        /// Bytes dedup saved at publish.
+        bytes_deduped,
+        /// Pre-stage pushes handled (manifests landed over the bus).
+        prestages,
+        /// Chunks evicted by the cache's byte budget.
+        evictions,
     }
 }
 
@@ -355,9 +304,7 @@ impl SnapshotCache {
     /// over budget. A chunk larger than the whole budget is not cached.
     pub fn insert(&self, d: Digest, bytes: Arc<Vec<u8>>) {
         let evicted = self.chunks.lock().insert(d, bytes).unwrap_or(0);
-        self.stats
-            .evictions
-            .fetch_add(evicted as u64, Ordering::Relaxed);
+        self.stats.evictions.add(evicted as u64);
     }
 
     /// Current payload bytes held.

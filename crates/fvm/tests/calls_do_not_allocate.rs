@@ -14,11 +14,24 @@ struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the measuring thread only: the test harness's own threads
+    /// allocate whenever they like, and that is not the guest's doing.
+    static MEASURED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+fn count_if_measured() {
+    if MEASURED.with(std::cell::Cell::get) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: defers every operation to `System` unchanged; the counter is a
-// relaxed statistic.
+// relaxed statistic, and the thread-local it consults is const-initialised
+// and has no destructor, so reading it never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_if_measured();
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc(layout) }
     }
@@ -29,7 +42,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_if_measured();
         // SAFETY: same contract as the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -111,7 +124,9 @@ fn module() -> Module {
 
 fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    MEASURED.with(|m| m.set(true));
     f();
+    MEASURED.with(|m| m.set(false));
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
@@ -131,6 +146,11 @@ fn warmed_up_guest_calls_do_not_allocate() {
     assert_eq!(inst.invoke("down", &depth), Ok(Some(Val::I32(199))));
     assert_eq!(inst.invoke("calls", &calls), Ok(Some(Val::I32(50_005_000))));
 
+    // The counter is live on this thread.
+    assert_eq!(
+        allocations_during(|| drop(std::hint::black_box(vec![0u8; 64]))),
+        1
+    );
     let mut results = (Ok(None), Ok(None));
     let n = allocations_during(|| {
         results = (inst.invoke("calls", &calls), inst.invoke("down", &depth));

@@ -225,13 +225,7 @@ mod tests {
         // Every target got a manifest push (counted even when the pre-warm's
         // own synchronous fetch wins the race to install the proto), and no
         // host compiled from scratch. The push is asynchronous, so poll.
-        let prestaged = |cluster: &Cluster| -> u64 {
-            cluster
-                .instances()
-                .iter()
-                .map(|i| i.snapshot_stats().prestages)
-                .sum()
-        };
+        let prestaged = |cluster: &Cluster| cluster.telemetry().get("snapdist", "prestages");
         for _ in 0..400 {
             if prestaged(&cluster) >= 2 {
                 break;

@@ -9,11 +9,11 @@
 //! to tickets by sequence number, so N outstanding calls cost N map
 //! entries, not N blocked RPCs.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use faasm_core::PendingMap;
 use faasm_net::stream::{decode_stream_msg, StreamConn, StreamKind};
 use faasm_net::{HostId, NetError, Nic};
 
@@ -65,43 +65,18 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// Fulfilled-but-unclaimed ticket count above which `fulfill` runs the TTL
-/// sweep (mirrors the gateway's `Completions` sweep: fire-and-forget
-/// submitters must not grow the map without bound).
-const SWEEP_THRESHOLD: usize = 256;
-
-#[derive(Debug)]
-struct ClientState {
-    /// Ticket → response slot (`None` until the response frame arrives)
-    /// plus the instant of its last transition, for the TTL sweep.
-    pending: HashMap<u64, (Option<GatewayResponse>, Instant)>,
-    /// Delivered-but-unclaimed slots; live waiters never trigger sweeps.
-    unclaimed: usize,
-    /// Rate-limits full-map sweep scans.
-    last_sweep: Instant,
-    /// Set when the connection dies; new submits fail fast.
-    closed: Option<String>,
-}
-
-impl ClientState {
-    fn new() -> ClientState {
-        ClientState {
-            pending: HashMap::new(),
-            unclaimed: 0,
-            last_sweep: Instant::now(),
-            closed: None,
-        }
-    }
-}
-
 struct ClientInner {
     nic: Nic,
     conn: parking_lot::Mutex<StreamConn>,
     server: HostId,
     wait_timeout: Duration,
     next_seq: AtomicU64,
-    state: parking_lot::Mutex<ClientState>,
-    cv: parking_lot::Condvar,
+    /// Ticket → response. Non-storing (a response nobody holds a ticket
+    /// for is dropped), TTL-swept at the wait timeout (fire-and-forget
+    /// submitters must not grow it without bound).
+    pending: PendingMap<GatewayResponse>,
+    /// Why the connection died, once it has; new submits fail fast.
+    closed: parking_lot::Mutex<Option<String>>,
     stop: AtomicBool,
 }
 
@@ -147,8 +122,8 @@ impl GatewayClient {
             server,
             wait_timeout: config.wait_timeout,
             next_seq: AtomicU64::new(1),
-            state: parking_lot::Mutex::new(ClientState::new()),
-            cv: parking_lot::Condvar::new(),
+            pending: PendingMap::new(false, Some(config.wait_timeout)),
+            closed: parking_lot::Mutex::new(None),
             stop: AtomicBool::new(false),
         });
         let recv_thread = {
@@ -239,17 +214,21 @@ impl GatewayClient {
         let frame = codec::try_encode_frame(&codec::encode_request(&req))
             .map_err(ClientError::Oversized)?;
         {
-            let mut state = self.inner.state.lock();
-            if let Some(reason) = &state.closed {
+            // Checked and registered under the `closed` lock, which
+            // `fail_all` takes to set it: a ticket is either refused here or
+            // registered before `fail_all` resolves the waiting ones.
+            let closed = self.inner.closed.lock();
+            if let Some(reason) = &*closed {
                 return Err(ClientError::Closed(reason.clone()));
             }
-            state.pending.insert(seq, (None, Instant::now()));
+            self.inner.pending.register(seq);
         }
         // The connection lock serialises fragmented writes: interleaved
         // chunks from concurrent submitters would corrupt the stream.
         let sent = self.inner.conn.lock().send(&frame);
         if let Err(e) = sent {
-            self.inner.state.lock().pending.remove(&seq);
+            // Abandon the slot: a zero wait on a non-storing map drops it.
+            self.inner.pending.wait(seq, Duration::ZERO);
             return Err(ClientError::Net(e));
         }
         Ok((seq, trace.trace_id))
@@ -257,37 +236,16 @@ impl GatewayClient {
 
     /// Block for a submitted ticket's response. Tickets the server never
     /// answers (connection cut mid-call) resolve to an error response at
-    /// the wait timeout; unknown tickets resolve immediately.
+    /// the wait timeout; tickets this client does not track (never issued,
+    /// already claimed, or abandoned by an earlier timed-out wait) resolve
+    /// immediately.
     pub fn wait(&self, ticket: u64) -> GatewayResponse {
-        let deadline = Instant::now() + self.inner.wait_timeout;
-        let mut state = self.inner.state.lock();
-        loop {
-            match state.pending.get(&ticket) {
-                Some((Some(_), _)) => {
-                    state.unclaimed = state.unclaimed.saturating_sub(1);
-                    let resp = state
-                        .pending
-                        .remove(&ticket)
-                        .and_then(|(r, _)| r)
-                        .expect("checked above");
-                    return resp;
-                }
-                Some((None, _)) => {
-                    if let Some(reason) = &state.closed {
-                        let reason = reason.clone();
-                        state.pending.remove(&ticket);
-                        return GatewayResponse::error(ticket, reason);
-                    }
-                }
-                None => return GatewayResponse::error(ticket, "unknown ticket"),
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                state.pending.remove(&ticket);
-                return GatewayResponse::error(ticket, "client wait timed out");
-            }
-            self.inner.cv.wait_for(&mut state, deadline - now);
-        }
+        self.inner
+            .pending
+            .wait(ticket, self.inner.wait_timeout)
+            .unwrap_or_else(|| {
+                GatewayResponse::error(ticket, "unknown ticket or client wait timed out")
+            })
     }
 
     /// Submit and wait (the synchronous surface).
@@ -308,14 +266,14 @@ impl GatewayClient {
 
     /// True once the server (or shutdown) closed the connection.
     pub fn is_closed(&self) -> bool {
-        self.inner.state.lock().closed.is_some()
+        self.inner.closed.lock().is_some()
     }
 
     /// Tickets currently tracked (in flight or fulfilled-but-unclaimed).
     /// Abandoned tickets are TTL-swept, so this stays bounded under
     /// fire-and-forget traffic.
     pub fn outstanding(&self) -> usize {
-        self.inner.state.lock().pending.len()
+        self.inner.pending.len()
     }
 
     /// Close the connection and stop the receiver thread. Idempotent; also
@@ -367,7 +325,7 @@ impl ClientInner {
                     loop {
                         match fb.next_frame() {
                             Ok(Some(frame)) => match codec::decode_response(&frame) {
-                                Some(resp) => self.fulfill(resp),
+                                Some(resp) => self.pending.fulfill(resp.seq, resp),
                                 None => {
                                     self.fail_all("malformed response from server");
                                     return;
@@ -386,50 +344,11 @@ impl ClientInner {
         }
     }
 
-    fn fulfill(&self, resp: GatewayResponse) {
-        let mut state = self.state.lock();
-        // Responses for tickets nobody holds any more (abandoned waits)
-        // are dropped.
-        let ClientState {
-            pending, unclaimed, ..
-        } = &mut *state;
-        if let Some(slot) = pending.get_mut(&resp.seq) {
-            if slot.0.is_none() {
-                *unclaimed += 1;
-            }
-            *slot = (Some(resp), Instant::now());
-            self.cv.notify_all();
-        }
-        // Sweep responses nobody ever claimed (fire-and-forget submits) —
-        // but only when enough have accumulated and not more often than
-        // ttl/4, so steady traffic never pays an O(n) scan per response.
-        if state.unclaimed > SWEEP_THRESHOLD && state.last_sweep.elapsed() >= self.wait_timeout / 4
-        {
-            let ttl = self.wait_timeout;
-            state
-                .pending
-                .retain(|_, (resp, at)| resp.is_none() || at.elapsed() < ttl);
-            state.unclaimed = state.pending.values().filter(|(r, _)| r.is_some()).count();
-            state.last_sweep = Instant::now();
-        }
-    }
-
     /// Resolve every outstanding ticket with an error and mark the
     /// connection closed so new submits fail fast.
     fn fail_all(&self, reason: &str) {
-        let mut state = self.state.lock();
-        if state.closed.is_none() {
-            state.closed = Some(reason.to_string());
-        }
-        let ClientState {
-            pending, unclaimed, ..
-        } = &mut *state;
-        for (seq, slot) in pending.iter_mut() {
-            if slot.0.is_none() {
-                *unclaimed += 1;
-                *slot = (Some(GatewayResponse::error(*seq, reason)), Instant::now());
-            }
-        }
-        self.cv.notify_all();
+        self.closed.lock().get_or_insert_with(|| reason.to_string());
+        self.pending
+            .fulfill_waiting(|seq| GatewayResponse::error(seq, reason));
     }
 }

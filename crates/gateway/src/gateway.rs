@@ -31,9 +31,6 @@ pub struct GatewayConfig {
     /// Queueing deadline applied to requests that do not carry their own: a
     /// request still queued after this long is shed with `Expired`.
     pub default_deadline: Duration,
-    /// Upper bound a caller blocks in [`Gateway::wait`] before getting an
-    /// error response (covers runaway guests; normal sheds return fast).
-    pub wait_timeout: Duration,
     /// Autoscaler; `None` disables it.
     pub autoscale: Option<AutoscaleConfig>,
     /// Requests submitted to the cluster but not yet completed, across all
@@ -59,13 +56,17 @@ impl Default for GatewayConfig {
             max_batch: 16,
             batch_wait: Duration::from_millis(5),
             default_deadline: Duration::from_secs(5),
-            wait_timeout: Duration::from_secs(120),
             autoscale: Some(AutoscaleConfig::default()),
             max_inflight: 0,
             target_dispatch_latency: Duration::from_millis(25),
         }
     }
 }
+
+/// Upper bound a caller blocks in [`Gateway::wait`] before getting an error
+/// response (covers runaway guests; normal sheds return fast), and the age
+/// at which a response nobody claimed is swept.
+const WAIT_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Admission cap scale denominator: a scale of `CAP_SCALE_ONE` applies
 /// tenants' configured queue caps unchanged.
@@ -162,7 +163,7 @@ impl Gateway {
     /// Start a gateway in front of `cluster`: spawns the dispatcher threads
     /// and (if configured) the autoscaler.
     pub fn start(cluster: Arc<Cluster>, config: GatewayConfig) -> Gateway {
-        let completions = Completions::new(false, Some(config.wait_timeout));
+        let completions = Completions::new(false, Some(WAIT_TIMEOUT));
         let inner = Arc::new(Inner {
             cluster,
             config,
@@ -217,6 +218,15 @@ impl Gateway {
     /// The gateway's metrics.
     pub fn metrics(&self) -> &Arc<GatewayMetrics> {
         &self.inner.metrics
+    }
+
+    /// [`Cluster::telemetry`] of the cluster behind this gateway plus the
+    /// gateway's own set (`gateway`, slot 0), in one snapshot.
+    pub fn telemetry(&self) -> faasm_telemetry::Telemetry {
+        let mut telemetry = self.inner.cluster.telemetry();
+        let own = self.inner.metrics.snapshot();
+        telemetry.sets.push(own.row("gateway", 0));
+        telemetry
     }
 
     /// Requests currently pending dispatch.
@@ -294,7 +304,7 @@ impl Gateway {
     pub fn wait(&self, ticket: u64) -> GatewayResponse {
         self.inner
             .completions
-            .wait(ticket, self.inner.config.wait_timeout)
+            .wait(ticket, WAIT_TIMEOUT)
             .unwrap_or_else(|| GatewayResponse::error(ticket, "gateway wait timed out"))
     }
 
@@ -445,7 +455,7 @@ impl Inner {
         // Admission gate 1: the tenant's token bucket.
         let bucket = self.bucket_for(tenant, &policy);
         if !bucket.try_acquire_one() {
-            self.metrics.record_shed_ratelimited();
+            self.metrics.shed_ratelimited.inc();
             self.completions
                 .fulfill(seq, GatewayResponse::overloaded(seq));
             return seq;
@@ -467,7 +477,7 @@ impl Inner {
         };
         match self.queue.push(job, policy.weight, queue_cap) {
             Ok(()) => {
-                self.metrics.record_admitted();
+                self.metrics.admitted.inc();
                 gw_recorder().span(SpanKind::Admission, trace, admit_start_ns, seq);
             }
             Err(job) => {
@@ -475,7 +485,7 @@ impl Inner {
                 // a tenant at its queue cap is not also drained of rate
                 // budget (shed once, not twice).
                 bucket.refund_one();
-                self.metrics.record_shed_overloaded();
+                self.metrics.shed_overloaded.inc();
                 self.completions
                     .fulfill(job.seq, GatewayResponse::overloaded(job.seq));
             }
@@ -650,7 +660,7 @@ impl Inner {
     /// submit slot is occupied by slow work.
     fn shed_expired_jobs(&self) {
         for job in self.queue.shed_expired(Instant::now()) {
-            self.metrics.record_shed_expired();
+            self.metrics.shed_expired.inc();
             self.completions
                 .fulfill(job.seq, GatewayResponse::expired(job.seq));
         }
@@ -697,13 +707,13 @@ impl Inner {
                 // queue is answered immediately instead of wasting a worker.
                 if job.deadline <= now {
                     answered += 1;
-                    self.metrics.record_shed_expired();
+                    self.metrics.shed_expired.inc();
                     self.completions
                         .fulfill(job.seq, GatewayResponse::expired(job.seq));
                     continue;
                 }
                 let queued_ns = now.duration_since(job.enqueued).as_nanos() as u64;
-                self.metrics.record_queue_delay_ns(queued_ns);
+                self.metrics.queue_delay.record(queued_ns);
                 // The sojourn span's start is reconstructed from the queue
                 // delay: enqueue happened `queued_ns` before this drain.
                 gw_recorder().span(
@@ -767,7 +777,7 @@ impl Inner {
                                 let Some(inner) = inner.upgrade() else {
                                     return;
                                 };
-                                inner.metrics.record_completed();
+                                inner.metrics.completed.inc();
                                 inner
                                     .completions
                                     .fulfill(seq, GatewayResponse::from_call(seq, result));
@@ -805,7 +815,7 @@ impl Inner {
                     if tier_scale_wanted(delta, stats.len(), &cfg)
                         && self.cluster.add_state_shard().is_ok()
                     {
-                        self.metrics.record_tier_scale();
+                        self.metrics.tier_scaleups.inc();
                     }
                 }
             }
@@ -826,7 +836,7 @@ impl Inner {
                     let n = SCALE_STEP.min(cfg.max_warm - idle);
                     let created =
                         spread_prewarm(instances, Some(self.cluster.boards()), tenant, function, n);
-                    self.metrics.record_prewarm(created);
+                    self.metrics.prewarmed.add(created as u64);
                 } else if depth == 0 && idle > IDLE_TARGET {
                     let mut surplus = idle - IDLE_TARGET;
                     for inst in instances {
@@ -834,7 +844,7 @@ impl Inner {
                             break;
                         }
                         let retired = inst.retire_idle(tenant, function, surplus);
-                        self.metrics.record_retire(retired);
+                        self.metrics.retired.add(retired as u64);
                         surplus -= retired;
                     }
                 }

@@ -77,13 +77,4 @@ impl GatewayResponse {
     pub fn is_ok(&self) -> bool {
         self.status == GatewayStatus::Ok
     }
-
-    /// True for the admission-control outcomes (`Overloaded` / `Expired`):
-    /// the function never ran.
-    pub fn was_shed(&self) -> bool {
-        matches!(
-            self.status,
-            GatewayStatus::Overloaded | GatewayStatus::Expired
-        )
-    }
 }

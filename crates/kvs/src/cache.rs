@@ -34,7 +34,6 @@
 //! trace context.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -130,9 +129,6 @@ pub struct CacheConfig {
     /// cache under it. A single value larger than the budget is never
     /// cached.
     pub max_bytes: usize,
-    /// Entry-count budget (second bound, so many tiny keys cannot make
-    /// eviction scans unbounded).
-    pub max_entries: usize,
     /// Snapshot lease: how long a cached snapshot may be served without
     /// revalidation. Bounds staleness for `Eventual` keys.
     pub lease: Duration,
@@ -144,27 +140,27 @@ impl Default for CacheConfig {
     fn default() -> CacheConfig {
         CacheConfig {
             max_bytes: 64 << 20,
-            max_entries: 65_536,
             lease: Duration::from_millis(100),
             default_consistency: Consistency::ReadYourWrites,
         }
     }
 }
 
-/// Point-in-time counters for cache effectiveness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Reads served from the cache (including successful revalidations).
-    pub hits: u64,
-    /// Reads that went to the global tier.
-    pub misses: u64,
-    /// Snapshots dropped because they failed a version/epoch check or were
-    /// deleted.
-    pub invalidations: u64,
-    /// `VersionOf` probes that confirmed a snapshot and extended its lease.
-    pub revalidations: u64,
-    /// Snapshots dropped by the LRU to stay under budget.
-    pub evictions: u64,
+faasm_telemetry::counters! {
+    /// Cache-effectiveness counters of one [`CachedKv`].
+    pub struct CacheCounters => CacheStats {
+        /// Reads served from the cache (including successful revalidations).
+        hits,
+        /// Reads that went to the global tier.
+        misses,
+        /// Snapshots dropped because they failed a version/epoch check or
+        /// were deleted.
+        invalidations,
+        /// `VersionOf` probes that confirmed a snapshot and extended its lease.
+        revalidations,
+        /// Snapshots dropped by the LRU to stay under budget.
+        evictions,
+    }
 }
 
 impl CacheStats {
@@ -197,6 +193,10 @@ impl CachedBytes {
 
 /// Fixed per-entry bookkeeping charge (map nodes, LRU links, stamps).
 const ENTRY_OVERHEAD: usize = 96;
+
+/// Entry-count bound beside the byte budget, so a cache of many tiny keys
+/// stays a bounded map.
+const MAX_ENTRIES: usize = 65_536;
 
 #[derive(Debug)]
 struct Entry {
@@ -310,11 +310,7 @@ pub struct CachedKv {
     inner: SharedKv,
     cfg: CacheConfig,
     state: Mutex<Inner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
-    revalidations: AtomicU64,
-    evictions: AtomicU64,
+    counters: CacheCounters,
 }
 
 impl CachedKv {
@@ -323,7 +319,7 @@ impl CachedKv {
         CachedKv {
             inner,
             state: Mutex::new(Inner {
-                entries: BoundedLru::new(cfg.max_bytes, cfg.max_entries, |key, e| {
+                entries: BoundedLru::new(cfg.max_bytes, MAX_ENTRIES, |key, e| {
                     charged_bytes(key, &e.data)
                 }),
                 last_acked: HashMap::new(),
@@ -331,11 +327,7 @@ impl CachedKv {
                 modes: HashMap::new(),
             }),
             cfg,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            revalidations: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            counters: CacheCounters::new(),
         }
     }
 
@@ -346,7 +338,7 @@ impl CachedKv {
         if mode == Consistency::Strong {
             // Strong keys never serve from cache; drop any snapshot now.
             if s.remove(key) {
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
+                self.counters.invalidations.inc();
             }
         }
     }
@@ -358,13 +350,7 @@ impl CachedKv {
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            revalidations: self.revalidations.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// Bytes currently charged against the budget.
@@ -394,7 +380,7 @@ impl CachedKv {
         let mut s = self.state.lock();
         let dropped = s.entries.len() as u64;
         s.entries.clear();
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
+        self.counters.invalidations.add(dropped);
     }
 
     /// Cache `data` for `key` as read or acked at `version` under `epoch`,
@@ -417,7 +403,7 @@ impl CachedKv {
             data,
         };
         let evicted = s.upsert(key, entry);
-        self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
+        self.counters.evictions.add(evicted as u64);
         true
     }
 
@@ -456,8 +442,8 @@ impl CachedKv {
                     e.epoch = self.inner.routing_epoch();
                     if let Some(out) = read(e) {
                         s.entries.touch(key);
-                        self.revalidations.fetch_add(1, Ordering::Relaxed);
-                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        self.counters.revalidations.inc();
+                        self.counters.hits.inc();
                         note_touch(key);
                         return Ok(Some((out, expected)));
                     }
@@ -468,7 +454,7 @@ impl CachedKv {
         // a newer one a concurrent write-through just installed.
         if s.entries.peek(key).is_some_and(|e| e.version == expected) && live != expected {
             s.remove(key);
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
+            self.counters.invalidations.inc();
         }
         Ok(None)
     }
@@ -514,7 +500,7 @@ impl CachedKv {
                     }
                     None => {
                         s.remove(key);
-                        self.invalidations.fetch_add(1, Ordering::Relaxed);
+                        self.counters.invalidations.inc();
                         Lookup::Miss
                     }
                 },
@@ -524,7 +510,7 @@ impl CachedKv {
 
         match decision {
             Lookup::Hit(out, version) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.hits.inc();
                 note_touch(key);
                 cache_recorder().span(SpanKind::CacheHit, faasm_telemetry::current(), t0, 0);
                 return Ok((Some(out), version));
@@ -542,7 +528,7 @@ impl CachedKv {
         // (forcing revalidation) instead of masking it.
         let epoch = self.inner.routing_epoch();
         let (value, version) = fetch()?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.misses.inc();
         let mut s = self.state.lock();
         match &value {
             Some(v) => {
@@ -556,7 +542,7 @@ impl CachedKv {
                 // The key is gone at `version`; drop any older snapshot.
                 if s.entries.peek(key).is_some_and(|e| e.version < version) {
                     s.remove(key);
-                    self.invalidations.fetch_add(1, Ordering::Relaxed);
+                    self.counters.invalidations.inc();
                 }
             }
         }
@@ -606,7 +592,7 @@ impl CachedKv {
         s.raise_floor(key, version);
         if mode == Consistency::Strong {
             if s.remove(key) {
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
+                self.counters.invalidations.inc();
             }
             return;
         }
@@ -617,7 +603,7 @@ impl CachedKv {
             .filter(|d| !matches!(d, CachedBytes::Runs(r) if r.is_empty()));
         let installed = updated.is_some_and(|data| self.install(&mut s, key, version, epoch, data));
         if !installed && s.remove(key) {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
+            self.counters.invalidations.inc();
         }
         drop(s);
         cache_recorder().span(
@@ -641,7 +627,7 @@ impl CachedKv {
     fn drop_snapshot(&self, key: &str) {
         let mut s = self.state.lock();
         if s.remove(key) {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
+            self.counters.invalidations.inc();
         }
     }
 }
@@ -860,7 +846,7 @@ impl KvBackend for CachedKv {
         let dropped = s.entries.len() as u64;
         s.entries.clear();
         s.last_acked.clear();
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
+        self.counters.invalidations.add(dropped);
         Ok(())
     }
 
@@ -1124,7 +1110,6 @@ mod tests {
     fn lru_eviction_respects_byte_budget() {
         let cfg = CacheConfig {
             max_bytes: 3 * (1 + 1024 + ENTRY_OVERHEAD),
-            max_entries: 1024,
             ..long_lease()
         };
         let (local, cache) = harness(cfg);

@@ -490,7 +490,12 @@ mod tests {
             "the delta for 32 keys over 2→3 shards is virtually never empty"
         );
         assert!(
-            newcomer.routing().unwrap().wrong_epoch_count() == 0,
+            newcomer
+                .routing()
+                .unwrap()
+                .counters()
+                .wrong_epoch_redirects()
+                == 0,
             "nothing should hit the new shard before the table was published"
         );
     }

@@ -1,7 +1,7 @@
 //! The KVS server: serves a [`KvStore`] over the fabric.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -15,7 +15,7 @@ use crate::codec::{
 };
 use crate::reshard::handoff_frames;
 use crate::sharded::{fnv1a, primary_index_live, replica_set_live};
-use crate::store::{KeyMigration, KvStore};
+use crate::store::{KeyMigration, KvStore, ShardCounters, ShardStats};
 
 /// The state tier's telemetry recorder (shared by every shard server in the
 /// process; cached so the hot path never touches the registry lock).
@@ -83,17 +83,8 @@ pub struct ShardRouting {
     repl_stripes: Vec<Mutex<()>>,
     /// Chunked-handoff reassembly: transfer id → next expected frame seq.
     xfers: Mutex<HashMap<u64, u32>>,
-    wrong_epoch: AtomicU64,
-    /// Total ns keyed requests spent blocked on `gate` while a migration
-    /// held the write side (the freeze cost clients actually observed).
-    freeze_wait: AtomicU64,
-    /// `Replicate` frames this primary has sent to backups.
-    repl_forwards: AtomicU64,
-    /// Total ns writes spent waiting for their backup acks (quorum wait).
-    repl_lag_ns: AtomicU64,
-    /// Epochs installed directly (no pending migration) that tombstoned a
-    /// new slot — each one is a failover this replica lived through.
-    promotions: AtomicU64,
+    /// The routing and replication half of the shard's counters.
+    counters: ShardCounters,
 }
 
 impl std::fmt::Debug for ShardRouting {
@@ -145,11 +136,7 @@ impl ShardRouting {
             peers: RwLock::new(peers),
             repl_stripes: (0..REPL_STRIPES).map(|_| Mutex::new(())).collect(),
             xfers: Mutex::new(HashMap::new()),
-            wrong_epoch: AtomicU64::new(0),
-            freeze_wait: AtomicU64::new(0),
-            repl_forwards: AtomicU64::new(0),
-            repl_lag_ns: AtomicU64::new(0),
-            promotions: AtomicU64::new(0),
+            counters: ShardCounters::new(),
         })
     }
 
@@ -164,15 +151,15 @@ impl ShardRouting {
         (s.cur.clone(), s.index)
     }
 
-    /// Keyed requests rejected with `WrongEpoch`/`NotPrimary` so far.
-    pub fn wrong_epoch_count(&self) -> u64 {
-        self.wrong_epoch.load(Ordering::Relaxed)
+    /// This shard's slot in the table it serves.
+    pub fn slot(&self) -> usize {
+        self.state.read().index
     }
 
-    /// Total ns keyed requests have spent blocked on the migration freeze
-    /// gate.
-    pub fn freeze_wait_ns(&self) -> u64 {
-        self.freeze_wait.load(Ordering::Relaxed)
+    /// The routing and replication counters (redirects, freeze wait,
+    /// forwards, quorum wait, promotions).
+    pub fn counters(&self) -> &ShardCounters {
+        &self.counters
     }
 
     /// Ownership check for one keyed request: `None` when this shard is
@@ -218,7 +205,7 @@ impl ShardRouting {
                 }
             }
         };
-        self.wrong_epoch.fetch_add(1, Ordering::Relaxed);
+        self.counters.wrong_epoch_redirects.inc();
         Some(resp)
     }
 
@@ -235,7 +222,7 @@ impl ShardRouting {
             && self.replication > 1
             && info.dead.iter().any(|d| !s.cur.dead.contains(d));
         if promoted {
-            self.promotions.fetch_add(1, Ordering::Relaxed);
+            self.counters.promotions.inc();
         }
         s.cur = info;
         s.pending = None;
@@ -398,6 +385,12 @@ impl KvServer {
     /// The shard's routing view, if it serves one.
     pub fn routing(&self) -> Option<&Arc<ShardRouting>> {
         self.routing.as_ref()
+    }
+
+    /// This shard's load report, read in place (no fabric round-trip, so
+    /// reading it moves no counter).
+    pub fn stats(&self) -> ShardStats {
+        shard_stats(&self.store, self.routing.as_deref())
     }
 
     /// Stop the worker threads and wait for them (what dropping does).
@@ -617,7 +610,7 @@ fn forward_replicas(
                 .and_then(|b| decode_response(&b).ok())
                 .is_some_and(|r| matches!(r, Response::ReplAck { .. }))
         });
-        routing.repl_forwards.fetch_add(1, Ordering::Relaxed);
+        routing.counters.repl_forwards.inc();
         if !trace.is_none() {
             shard_recorder().span(SpanKind::ReplForward, trace, fwd_start, 0);
         }
@@ -625,10 +618,10 @@ fn forward_replicas(
             acked += 1;
         }
     }
-    routing.repl_lag_ns.fetch_add(
-        faasm_telemetry::now_ns().saturating_sub(start),
-        Ordering::Relaxed,
-    );
+    routing
+        .counters
+        .repl_lag_ns
+        .add(faasm_telemetry::now_ns().saturating_sub(start));
     if !trace.is_none() {
         shard_recorder().span(SpanKind::QuorumWait, trace, start, 0);
     }
@@ -691,6 +684,30 @@ fn rebuild_replicas(
     shipped
 }
 
+/// One shard's load report: the store's op counters and sizes plus, on a
+/// routed shard, its epoch, routing/replication counters and replica roles.
+/// Computed in place — what `Request::Stats` answers and what
+/// [`KvServer::stats`] reads without a round-trip.
+fn shard_stats(store: &KvStore, routing: Option<&ShardRouting>) -> ShardStats {
+    let mut stats = store.stats();
+    let Some(routing) = routing else {
+        return stats;
+    };
+    stats.merge(&routing.counters.snapshot());
+    let (cur, index) = routing.serving();
+    stats.epoch = cur.epoch;
+    stats.replication = routing.replication as u64;
+    if routing.replication > 1 {
+        let held = store.key_sizes();
+        stats.primary_keys = held
+            .iter()
+            .filter(|(key, _)| primary_index_live(key, cur.shard_count, &cur.dead) == index)
+            .count() as u64;
+        stats.backup_keys = held.len() as u64 - stats.primary_keys;
+    }
+    stats
+}
+
 /// Apply one command through a shard's routing view: keyed requests are
 /// ownership-checked (and rejected with [`Response::WrongEpoch`] when the
 /// key routes elsewhere), and the resharding protocol messages mutate the
@@ -713,30 +730,7 @@ pub fn apply_traced(
         return apply(store, req);
     };
     match req {
-        Request::Stats => {
-            let mut stats = store.stats();
-            stats.epoch = routing.epoch();
-            stats.wrong_epoch_redirects = routing.wrong_epoch_count();
-            stats.freeze_wait_ns = routing.freeze_wait_ns();
-            stats.replication = routing.replication as u64;
-            stats.repl_forwards = routing.repl_forwards.load(Ordering::Relaxed);
-            stats.repl_lag_ns = routing.repl_lag_ns.load(Ordering::Relaxed);
-            stats.promotions = routing.promotions.load(Ordering::Relaxed);
-            if routing.replication > 1 {
-                let (cur, index) = routing.serving();
-                let (mut primary, mut backup) = (0u64, 0u64);
-                for (key, _) in store.key_sizes() {
-                    if primary_index_live(&key, cur.shard_count, &cur.dead) == index {
-                        primary += 1;
-                    } else {
-                        backup += 1;
-                    }
-                }
-                stats.primary_keys = primary;
-                stats.backup_keys = backup;
-            }
-            Response::Stats(stats)
-        }
+        Request::Stats => Response::Stats(shard_stats(store, Some(routing))),
         Request::Migrate { epoch, shard_count } => {
             if shard_count == 0 {
                 return Response::Err("migrate to an empty table".into());
@@ -839,10 +833,10 @@ pub fn apply_traced(
                 // Contended: a migration holds the write side. Account the
                 // block so `figures shards` can show the freeze cost.
                 let g = routing.gate.read();
-                routing.freeze_wait.fetch_add(
-                    faasm_telemetry::now_ns().saturating_sub(entered_ns),
-                    Ordering::Relaxed,
-                );
+                routing
+                    .counters
+                    .freeze_wait_ns
+                    .add(faasm_telemetry::now_ns().saturating_sub(entered_ns));
                 g
             });
             if let Some(key) = req.key() {

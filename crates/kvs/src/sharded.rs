@@ -117,11 +117,6 @@ impl RoutingTable {
             primary_index_live(key, self.hosts.len(), &self.dead)
         }
     }
-
-    /// `key`'s ordered replica set over this table's live slots.
-    pub fn replica_set(&self, key: &str) -> Vec<usize> {
-        replica_set_live(key, self.hosts.len(), &self.dead, self.replication)
-    }
 }
 
 /// An epoch-versioned routing-table cell (ArcSwap-style): readers `load` a

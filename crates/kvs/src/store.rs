@@ -7,7 +7,6 @@
 //! `server.rs` exposes it over the fabric.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -95,46 +94,54 @@ pub struct KeyMigration {
     pub version: u64,
 }
 
-/// A per-shard load report: size plus coarse per-op counters
-/// (the migration planner's and the tier autoscaler's skew signal).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// The shard's routing epoch (0 for unrouted/standalone servers).
-    pub epoch: u64,
-    /// Distinct keys holding a value.
-    pub keys: u64,
-    /// Total value bytes held.
-    pub value_bytes: u64,
-    /// Read-side ops served (gets, range/batched reads, membership probes).
-    pub reads: u64,
-    /// Write-side ops served (sets, range/batched writes, counters, sets).
-    pub writes: u64,
-    /// Lock ops served (try_lock / unlock).
-    pub lock_ops: u64,
-    /// Keyed requests rejected because this shard does not own the key —
-    /// the retry-pressure signal during migrations.
-    pub wrong_epoch_redirects: u64,
-    /// Total ns keyed requests spent blocked on the migration freeze gate.
-    pub freeze_wait_ns: u64,
-    /// Batched requests served (`MultiGetRange` / `MultiSetRange` calls).
-    pub batched_ops: u64,
-    /// Items carried by those batched requests (spans read + ranges
-    /// written); `batched_items / batched_ops` is the realised batch width.
-    pub batched_items: u64,
-    /// The tier's replica-set size R (1 for unreplicated shards).
-    pub replication: u64,
-    /// Primary → backup `Replicate` forwards sent by this shard.
-    pub repl_forwards: u64,
-    /// Total ns primaries spent waiting on replica quorums (replication
-    /// lag; `repl_lag_ns / repl_forwards` is the mean per-forward wait).
-    pub repl_lag_ns: u64,
-    /// Failover promotions observed (epoch installs that tombstoned a
-    /// live slot, promoting this shard's backup copies to primary).
-    pub promotions: u64,
-    /// Keys this shard currently serves as primary.
-    pub primary_keys: u64,
-    /// Keys this shard currently holds as a backup replica.
-    pub backup_keys: u64,
+faasm_telemetry::counters! {
+    /// What one shard counts. A shard's [`KvStore`] holds one of these for
+    /// the op counters and its `ShardRouting` another for the routing and
+    /// replication ones; a [`ShardStats`] report is their sum plus the
+    /// gauges.
+    pub struct ShardCounters => ShardStats {
+        /// Read-side ops served (gets, range/batched reads, membership probes).
+        reads,
+        /// Write-side ops served (sets, range/batched writes, counters, sets).
+        writes,
+        /// Lock ops served (try_lock / unlock).
+        lock_ops,
+        /// Keyed requests rejected because this shard does not own the key
+        /// (`WrongEpoch`/`NotPrimary`) — the retry-pressure signal during
+        /// migrations.
+        wrong_epoch_redirects,
+        /// Total ns keyed requests spent blocked on the migration freeze
+        /// gate while a migration held its write side.
+        freeze_wait_ns,
+        /// Batched requests served (`MultiGetRange` / `MultiSetRange` calls).
+        batched_ops,
+        /// Items carried by those batched requests (spans read + ranges
+        /// written); `batched_items / batched_ops` is the realised batch width.
+        batched_items,
+        /// Primary → backup `Replicate` forwards sent by this shard.
+        repl_forwards,
+        /// Total ns primaries spent waiting on replica quorums (replication
+        /// lag; `repl_lag_ns / repl_forwards` is the mean per-forward wait).
+        repl_lag_ns,
+        /// Failover promotions observed (epochs installed with no migration
+        /// pending that tombstoned a live slot, promoting this shard's
+        /// backup copies to primary).
+        promotions,
+    }
+    gauges {
+        /// The shard's routing epoch (0 for unrouted/standalone servers).
+        epoch,
+        /// Distinct keys holding a value.
+        keys,
+        /// Total value bytes held.
+        value_bytes,
+        /// The tier's replica-set size R (1 for unreplicated shards).
+        replication,
+        /// Keys this shard currently serves as primary.
+        primary_keys,
+        /// Keys this shard currently holds as a backup replica.
+        backup_keys,
+    }
 }
 
 /// Slice `v[offset..offset+len]` with truncation (possibly empty) where the
@@ -158,11 +165,7 @@ pub struct KvStore {
     /// Lock lease duration; expired locks are reaped lazily so a crashed
     /// client cannot deadlock the cluster.
     lease: Duration,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    lock_ops: AtomicU64,
-    batched_ops: AtomicU64,
-    batched_items: AtomicU64,
+    counters: ShardCounters,
 }
 
 impl Default for KvStore {
@@ -182,11 +185,7 @@ impl KvStore {
         KvStore {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             lease,
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            lock_ops: AtomicU64::new(0),
-            batched_ops: AtomicU64::new(0),
-            batched_items: AtomicU64::new(0),
+            counters: ShardCounters::new(),
         }
     }
 
@@ -195,17 +194,16 @@ impl KvStore {
     }
 
     fn count_read(&self) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.counters.reads.inc();
     }
 
     fn count_write(&self) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.counters.writes.inc();
     }
 
     fn count_batch(&self, items: usize) {
-        self.batched_ops.fetch_add(1, Ordering::Relaxed);
-        self.batched_items
-            .fetch_add(items as u64, Ordering::Relaxed);
+        self.counters.batched_ops.inc();
+        self.counters.batched_items.add(items as u64);
     }
 
     /// Get a value.
@@ -429,7 +427,7 @@ impl KvStore {
     /// Try to acquire a global lock; `owner` is a caller-chosen token used
     /// to release and to make re-acquisition idempotent.
     pub fn try_lock(&self, key: &str, mode: LockMode, owner: u64) -> bool {
-        self.lock_ops.fetch_add(1, Ordering::Relaxed);
+        self.counters.lock_ops.inc();
         let now = Instant::now();
         let expires = now + self.lease;
         let mut shard = self.shard(key).lock();
@@ -508,7 +506,7 @@ impl KvStore {
     /// Release a lock held by `owner`; unknown owners are ignored (the lease
     /// may have already expired and been taken over).
     pub fn unlock(&self, key: &str, mode: LockMode, owner: u64) {
-        self.lock_ops.fetch_add(1, Ordering::Relaxed);
+        self.counters.lock_ops.inc();
         let mut shard = self.shard(key).lock();
         let remove = match (mode, shard.locks.get_mut(key)) {
             (LockMode::Read, Some(LockState::Readers(readers))) => {
@@ -571,26 +569,16 @@ impl KvStore {
         out.into_iter().collect()
     }
 
-    /// Load/size counters for this store (the per-shard half of
-    /// [`ShardStats`]; the serving layer adds epoch and rejection counts).
+    /// This store's load report: its op counters and sizes, as an
+    /// unrouted, unreplicated shard (the serving layer adds the rest).
     pub fn stats(&self) -> ShardStats {
+        let keys = self.key_count() as u64;
         ShardStats {
-            epoch: 0,
-            keys: self.key_count() as u64,
+            keys,
             value_bytes: self.total_value_bytes() as u64,
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            lock_ops: self.lock_ops.load(Ordering::Relaxed),
-            wrong_epoch_redirects: 0,
-            freeze_wait_ns: 0,
-            batched_ops: self.batched_ops.load(Ordering::Relaxed),
-            batched_items: self.batched_items.load(Ordering::Relaxed),
             replication: 1,
-            repl_forwards: 0,
-            repl_lag_ns: 0,
-            promotions: 0,
-            primary_keys: self.key_count() as u64,
-            backup_keys: 0,
+            primary_keys: keys,
+            ..self.counters.snapshot()
         }
     }
 

@@ -5,99 +5,43 @@
 //! including a fixed per-message header overhead so that chatty protocols
 //! are charged realistically.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Monotonic counters for one direction of an endpoint (or the fabric
-/// total).
-#[derive(Debug, Default)]
-pub struct TrafficStats {
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    msgs_sent: AtomicU64,
-    msgs_received: AtomicU64,
+faasm_telemetry::counters! {
+    /// Monotonic counters for one endpoint (or the fabric total).
+    pub struct TrafficStats => TrafficSnapshot {
+        /// Bytes sent.
+        bytes_sent,
+        /// Bytes received.
+        bytes_received,
+        /// Messages sent.
+        msgs_sent,
+        /// Messages received.
+        msgs_received,
+    }
 }
 
 impl TrafficStats {
-    /// New zeroed counters.
-    pub fn new() -> TrafficStats {
-        TrafficStats::default()
-    }
-
     /// Record an outgoing message of `bytes` bytes.
     pub fn record_send(&self, bytes: u64) {
-        self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-        self.msgs_sent.fetch_add(1, Ordering::Relaxed);
+        self.bytes_sent.add(bytes);
+        self.msgs_sent.inc();
     }
 
     /// Record an incoming message of `bytes` bytes.
     pub fn record_recv(&self, bytes: u64) {
-        self.bytes_received.fetch_add(bytes, Ordering::Relaxed);
-        self.msgs_received.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total bytes sent.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes received.
-    pub fn bytes_received(&self) -> u64 {
-        self.bytes_received.load(Ordering::Relaxed)
-    }
-
-    /// Messages sent.
-    pub fn msgs_sent(&self) -> u64 {
-        self.msgs_sent.load(Ordering::Relaxed)
-    }
-
-    /// Messages received.
-    pub fn msgs_received(&self) -> u64 {
-        self.msgs_received.load(Ordering::Relaxed)
+        self.bytes_received.add(bytes);
+        self.msgs_received.inc();
     }
 
     /// Sent + received bytes — the "Sent + recv (GB)" metric of Fig. 6b/8b.
     pub fn total_bytes(&self) -> u64 {
-        self.bytes_sent() + self.bytes_received()
+        self.snapshot().total_bytes()
     }
-
-    /// A point-in-time copy, for before/after deltas.
-    pub fn snapshot(&self) -> TrafficSnapshot {
-        TrafficSnapshot {
-            bytes_sent: self.bytes_sent(),
-            bytes_received: self.bytes_received(),
-            msgs_sent: self.msgs_sent(),
-            msgs_received: self.msgs_received(),
-        }
-    }
-}
-
-/// An immutable copy of [`TrafficStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TrafficSnapshot {
-    /// Bytes sent at snapshot time.
-    pub bytes_sent: u64,
-    /// Bytes received at snapshot time.
-    pub bytes_received: u64,
-    /// Messages sent at snapshot time.
-    pub msgs_sent: u64,
-    /// Messages received at snapshot time.
-    pub msgs_received: u64,
 }
 
 impl TrafficSnapshot {
     /// Sent + received bytes.
     pub fn total_bytes(&self) -> u64 {
         self.bytes_sent + self.bytes_received
-    }
-
-    /// Counter-wise difference `self - earlier`.
-    pub fn delta(&self, earlier: &TrafficSnapshot) -> TrafficSnapshot {
-        TrafficSnapshot {
-            bytes_sent: self.bytes_sent - earlier.bytes_sent,
-            bytes_received: self.bytes_received - earlier.bytes_received,
-            msgs_sent: self.msgs_sent - earlier.msgs_sent,
-            msgs_received: self.msgs_received - earlier.msgs_received,
-        }
     }
 }
 
@@ -116,20 +60,6 @@ mod tests {
         assert_eq!(s.msgs_sent(), 2);
         assert_eq!(s.msgs_received(), 1);
         assert_eq!(s.total_bytes(), 160);
-    }
-
-    #[test]
-    fn snapshot_delta() {
-        let s = TrafficStats::new();
-        s.record_send(100);
-        let a = s.snapshot();
-        s.record_send(40);
-        s.record_recv(5);
-        let b = s.snapshot();
-        let d = b.delta(&a);
-        assert_eq!(d.bytes_sent, 40);
-        assert_eq!(d.bytes_received, 5);
-        assert_eq!(d.total_bytes(), 45);
     }
 
     #[test]

@@ -11,12 +11,20 @@
 //!   ([`Recorder`]), dumpable on anomaly triggers and merged cluster-wide by
 //!   trace id ([`trace_tree`]).
 //!
+//! Counters are the third kind of telemetry: every stat set in the
+//! workspace is one [`counters!`] declaration, and a [`Telemetry`] snapshot
+//! carries all of a cluster's sets plus the histograms above.
+//!
 //! The crate sits at the bottom of the workspace dependency graph (below
-//! `faasm-kvs`) so every tier can record without new plumbing: tiers obtain
+//! `faasm-kvs` and `faasm-net`) so every tier can record without new plumbing: tiers obtain
 //! their recorder from the process-global registry ([`tier`]) and worker
 //! threads publish the active context through a thread-local
 //! ([`set_current`] / [`current`]) so deep layers (state chunks, the KVS
 //! client) can stamp requests without signature churn.
+
+mod counters;
+
+pub use counters::{Counter, SetRow, Telemetry};
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -415,6 +423,20 @@ impl HistSnapshot {
         }
     }
 
+    /// The samples recorded between `earlier` and `self`: count, sum and
+    /// buckets are exact; min and max stay the later snapshot's (a
+    /// histogram cannot forget an extreme), which only widens the clamp on
+    /// p0/p100.
+    pub fn delta(&self, earlier: &HistSnapshot) -> HistSnapshot {
+        let mut gained = *self;
+        gained.count -= earlier.count;
+        gained.sum -= earlier.sum;
+        for (g, e) in gained.buckets.iter_mut().zip(earlier.buckets.iter()) {
+            *g -= e;
+        }
+        gained
+    }
+
     /// Mean sample value (0 when empty).
     pub fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
@@ -620,7 +642,7 @@ pub fn trace_tree(trace_id: u64) -> Vec<(&'static str, SpanRecord)> {
     spans
 }
 
-/// A coherent cluster-wide metrics view: per-tier, per-kind histogram
+/// A coherent process-wide metrics view: per-tier, per-kind histogram
 /// snapshots taken in one pass.
 pub fn metrics_snapshot() -> Vec<(&'static str, Vec<(SpanKind, HistSnapshot)>)> {
     tiers()
@@ -639,6 +661,10 @@ pub fn metrics_snapshot() -> Vec<(&'static str, Vec<(SpanKind, HistSnapshot)>)> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Held by every test that records spans or turns recording off: the
+    /// switch is process-wide, and the tests of one binary share a process.
+    static RECORDING: Mutex<()> = Mutex::new(());
 
     #[test]
     fn ids_are_unique_and_nonzero() {
@@ -728,6 +754,7 @@ mod tests {
 
     #[test]
     fn recorder_ring_is_bounded() {
+        let _recording = RECORDING.lock();
         let rec = Recorder::new("test-bounded");
         let ctx = TraceCtx::new_root();
         for i in 0..(RING_CAP + 100) {
@@ -751,6 +778,7 @@ mod tests {
 
     #[test]
     fn trace_tree_merges_across_tiers() {
+        let _recording = RECORDING.lock();
         let a = tier("test-tier-a");
         let b = tier("test-tier-b");
         let root = TraceCtx::new_root();
@@ -769,6 +797,7 @@ mod tests {
 
     #[test]
     fn disabled_recording_is_dropped() {
+        let _recording = RECORDING.lock();
         let rec = tier("test-tier-disabled");
         set_enabled(false);
         rec.span(SpanKind::Dispatch, TraceCtx::new_root(), now_ns(), 0);
@@ -779,6 +808,7 @@ mod tests {
 
     #[test]
     fn anomalies_capture_ring_tail() {
+        let _recording = RECORDING.lock();
         let rec = tier("test-tier-anomaly");
         let ctx = TraceCtx::new_root();
         rec.span(SpanKind::QueueSojourn, ctx, now_ns(), 0);

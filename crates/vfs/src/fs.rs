@@ -150,11 +150,6 @@ impl HostFs {
         self.cache.read().values().map(|v| v.len()).sum()
     }
 
-    /// Bytes held in the write-local overlay.
-    pub fn overlay_bytes(&self) -> usize {
-        self.overlay.read().values().map(|v| v.read().len()).sum()
-    }
-
     /// Drop cached global objects (failure injection / cold host).
     pub fn drop_cache(&self) {
         self.cache.write().clear();

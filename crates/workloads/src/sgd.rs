@@ -323,17 +323,6 @@ pub fn accuracy(kv: &dyn KvBackend, dataset: &SparseDataset) -> Result<f64, Stri
     Ok(correct as f64 / dataset.examples as f64)
 }
 
-/// Run one training epoch: dispatch every task and await completion.
-/// `invoke` abstracts the platform front door.
-pub fn run_epoch<FA, FW>(tasks: &[SgdTask], invoke: FA, await_all: FW)
-where
-    FA: Fn(&SgdTask) -> u64,
-    FW: Fn(Vec<u64>),
-{
-    let ids: Vec<u64> = tasks.iter().map(&invoke).collect();
-    await_all(ids);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -113,20 +113,19 @@ fn main() {
     let failed: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
     let storm = t0.elapsed();
 
-    let (mut captures, mut restores, mut warm) = (0u64, 0u64, 0u64);
+    let telemetry = cluster.telemetry();
     println!("\nper-host starts after the storm:");
-    for (i, inst) in cluster.instances().iter().enumerate() {
-        let m = inst.metrics();
+    for host in telemetry.rows("worker") {
         println!(
-            "  host {i}: {} cold, {} proto-restores, {} warm",
-            m.cold_starts(),
-            m.proto_restores(),
-            m.warm_starts()
+            "  host {}: {} cold, {} proto-restores, {} warm",
+            host.slot,
+            host.get("cold_starts"),
+            host.get("proto_restores"),
+            host.get("warm_starts")
         );
-        captures += m.cold_starts();
-        restores += m.proto_restores();
-        warm += m.warm_starts();
     }
+    let [captures, restores, warm] =
+        ["cold_starts", "proto_restores", "warm_starts"].map(|n| telemetry.get("worker", n));
     let starts = captures + restores + warm;
     let warm_rate = (starts - captures) as f64 / starts.max(1) as f64;
     let calls = HOSTS * THREADS_PER_HOST * CALLS_PER_THREAD;

@@ -112,12 +112,7 @@ fn main() {
         }
     }
     let total: u64 = written.iter().sum();
-    let promotions: u64 = cluster
-        .state_shard_stats()
-        .expect("stats")
-        .iter()
-        .map(|s| s.promotions)
-        .sum();
+    let promotions = cluster.telemetry().get("state-shard", "promotions");
     assert!(promotions >= 1, "survivors must report the promotion");
     println!(
         "OK: {total} acknowledged writes verified across the kill \

@@ -136,7 +136,8 @@ fn main() {
         println!("{tenant:>8}: {ok:>5} ok  {failed:>3} failed  {shed:>5} shed");
     }
 
-    let m = gateway.metrics();
+    let t = gateway.telemetry();
+    let delay = t.hist("gateway", "queue_delay");
     let total_ok: u64 = per_tenant.values().map(|v| v.0).sum();
     println!("\n== gateway ==");
     println!("wall time          {:.2?}", elapsed);
@@ -146,32 +147,28 @@ fn main() {
     );
     println!(
         "queueing delay     p50 {:.2} ms   p99 {:.2} ms",
-        m.queue_delay_p50_ns() as f64 / 1e6,
-        m.queue_delay_p99_ns() as f64 / 1e6
+        delay.percentile(50.0) as f64 / 1e6,
+        delay.percentile(99.0) as f64 / 1e6
     );
     println!(
         "batch occupancy    {:.2} requests/batch",
-        m.batch_occupancy()
+        t.get("gateway", "batch_items") as f64 / t.get("gateway", "batches").max(1) as f64
     );
     println!(
         "shed               {} queue-full, {} rate-limited, {} expired",
-        m.shed_overloaded(),
-        m.shed_ratelimited(),
-        m.shed_expired()
+        t.get("gateway", "shed_overloaded"),
+        t.get("gateway", "shed_ratelimited"),
+        t.get("gateway", "shed_expired")
     );
     println!(
         "autoscaler         {} pre-warmed, {} retired",
-        m.prewarmed(),
-        m.retired()
+        t.get("gateway", "prewarmed"),
+        t.get("gateway", "retired")
     );
     println!(
         "cluster            {} calls, {} forwarded, {:.4} GB-s billable",
-        cluster.total_calls(),
-        cluster
-            .instances()
-            .iter()
-            .map(|i| i.metrics().forwarded())
-            .sum::<u64>(),
+        t.get("worker", "calls"),
+        t.get("worker", "forwarded"),
         cluster.billable_gb_seconds()
     );
 }

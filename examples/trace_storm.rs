@@ -93,8 +93,8 @@ fn main() {
     println!("\n== one call, admission to state and back ==");
     print!("{}", telemetry_export::render_trace_tree(trace_id));
 
-    println!("\n== cluster-wide span histograms ==");
-    telemetry_export::print_metrics_table();
+    println!("\n== cluster-wide histograms and counters ==");
+    telemetry_export::print_metrics_table(&gw.telemetry());
 
     // Smoke assertions: the tree is non-empty, covers every tier of the
     // pipeline, and is causally ordered.

@@ -3,7 +3,7 @@
 
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use faasm::core::{Cluster, ClusterConfig, InstanceConfig, NativeApi};
 use faasm::gateway::{Gateway, GatewayConfig, GatewayRequest, GatewayStatus};
@@ -71,6 +71,79 @@ fn two_clusters_chain_concurrently_without_seeing_each_other() {
         .collect();
     for t in threads {
         t.join().expect("cluster thread");
+    }
+}
+
+#[test]
+fn two_clusters_driven_concurrently_count_only_their_own_work() {
+    // Each cluster is driven with its own number of chained calls and
+    // driver-side state writes while the other runs, and must then report,
+    // through `Cluster::telemetry()`, exactly its own. A counter shared
+    // between the clusters would show the sum on both sides.
+    //
+    // Only the counter rows are compared: the span histograms in the same
+    // snapshot come from the process-wide recorders (one "worker" recorder
+    // for every cluster in the process), so each cluster sees both
+    // clusters' spans there until the recorders are handed down per cluster.
+    let barrier = Arc::new(Barrier::new(2));
+    let threads: Vec<_> = [("left", 30u64, 7u64), ("right", 50, 13)]
+        .into_iter()
+        .map(|(user, calls, writes)| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let cluster = Cluster::with_config(ClusterConfig {
+                    hosts: 1,
+                    invoke_timeout: Duration::from_secs(20),
+                    ..ClusterConfig::default()
+                });
+                register_chain(&cluster, user);
+                // Warm both functions, so the window holds no cold start
+                // and none of the state-tier traffic a first start costs.
+                let warmed = cluster.invoke(user, "parent", vec![1]).status;
+                barrier.wait();
+                let before = cluster.telemetry();
+                let failed = (0..calls)
+                    .filter(|i| {
+                        cluster.invoke(user, "parent", vec![*i as u8]).status != CallStatus::Success
+                    })
+                    .count();
+                for i in 0..writes {
+                    cluster.kv().set(&format!("{user}:{i}"), vec![1]).unwrap();
+                }
+                // One placed batch per driver call, a request and a reply
+                // per state write. A shard counts its reply just after
+                // handing it over, so the driver can get here ahead of the
+                // last one: a shortfall is waited out, an excess is not.
+                let msgs = calls + 2 * writes;
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while cluster.fabric().stats().msgs_sent() - before.get("fabric", "msgs_sent")
+                    < msgs
+                    && Instant::now() < deadline
+                {
+                    std::thread::yield_now();
+                }
+                barrier.wait();
+                let own = cluster.telemetry().delta(&before);
+                // Neither is torn down while the other still reads. (The
+                // verdict is left to the joining thread: an assertion
+                // failing here would strand the other side at the barrier.)
+                barrier.wait();
+                (user, warmed, failed, calls, writes, msgs, own)
+            })
+        })
+        .collect();
+    for t in threads {
+        let (user, warmed, failed, calls, writes, msgs, own) = t.join().expect("cluster thread");
+        assert_eq!((warmed, failed), (CallStatus::Success, 0), "{user}");
+        // A parent and the child it chains, each on a warm Faaslet.
+        assert_eq!(own.get("worker", "calls"), 2 * calls, "{user}");
+        assert_eq!(own.get("worker", "warm_starts"), 2 * calls, "{user}");
+        assert_eq!(own.get("worker", "cold_starts"), 0, "{user}");
+        // A warm stateless call costs the state tier nothing.
+        assert_eq!(own.get("state-shard", "writes"), writes, "{user}");
+        assert_eq!(own.get("state-shard", "reads"), 0, "{user}");
+        assert_eq!(own.get("state-shard", "lock_ops"), 0, "{user}");
+        assert_eq!(own.get("fabric", "msgs_sent"), msgs, "{user}");
     }
 }
 

@@ -692,6 +692,105 @@ fn metrics_align_with_traffic_accounting() {
 }
 
 #[test]
+fn telemetry_totals_equal_the_sum_of_the_typed_per_instance_snapshots() {
+    use faasm::core::{ChainRouter, MetricsSnapshot, NativeApi, SnapStatsSnapshot};
+    use faasm::kvs::{CacheStats, ShardStats};
+
+    let cluster = Cluster::with_config(ClusterConfig {
+        hosts: 2,
+        state_shards: 2,
+        cache_bytes: 1 << 20,
+        ..ClusterConfig::default()
+    });
+    // A small mixed run: a cold call and warm ones, a pre-stage and the
+    // restore it feeds, and a state read served by the function-side cache.
+    cluster
+        .upload_fl("it", "echo", ECHO, UploadOptions::default())
+        .unwrap();
+    let (a, b) = (&cluster.instances()[0], &cluster.instances()[1]);
+    for i in 0..3 {
+        let r = a.invoke_local("it", "echo", vec![i]);
+        assert_eq!(r.status, CallStatus::Success);
+    }
+    assert!(a.push_prestage("it", "echo", b.host_id()));
+    for _ in 0..2_000 {
+        if b.has_proto("it", "echo") {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    // Placed, so B runs it itself instead of forwarding to warm A.
+    let id = b.submit_placed("it", "echo", vec![9]);
+    assert_eq!(b.await_call(id).status, CallStatus::Success);
+    cluster.kv().set("it:model", vec![7u8; 512]).unwrap();
+    cluster.register_native(
+        "it",
+        "read",
+        Arc::new(|api: &mut NativeApi<'_>| {
+            let entry = api.state("it:model", 512).map_err(faasm::fvm::Trap::host)?;
+            for _ in 0..2 {
+                entry.invalidate();
+                entry.pull().map_err(faasm::fvm::Trap::host)?;
+            }
+            Ok(0)
+        }),
+        false,
+    );
+    assert_eq!(cluster.invoke("it", "read", Vec::new()).return_code(), 0);
+
+    // Nothing is in flight: the typed snapshots and the one-call snapshot
+    // read the same instants.
+    let t = cluster.telemetry();
+    let (mut workers, mut snaps, mut caches, mut shards) = (
+        MetricsSnapshot::default(),
+        SnapStatsSnapshot::default(),
+        CacheStats::default(),
+        ShardStats::default(),
+    );
+    for inst in cluster.instances() {
+        workers.merge(&inst.metrics().snapshot());
+        snaps.merge(&inst.snapshot_stats());
+        caches.merge(&inst.cache().expect("cache_bytes > 0").stats());
+    }
+    for s in cluster.state_shards().iter() {
+        shards.merge(&s.stats());
+    }
+    // (The fabric's set is one row, with nothing to sum, and a reply's
+    // sender counts it just after handing it over — two reads of it can
+    // straddle that.)
+    for typed in [
+        workers.row("worker", 0),
+        snaps.row("snapdist", 0),
+        caches.row("kvs-cache", 0),
+        shards.row("state-shard", 0),
+    ] {
+        assert!(!typed.counters.is_empty());
+        for (name, sum) in typed.counters.iter().chain(&typed.gauges) {
+            assert_eq!(t.get(typed.tier, name), *sum, "{}.{name}", typed.tier);
+        }
+    }
+    // The run was the mixed one described, and names mean what the typed
+    // fields mean.
+    assert_eq!(t.get("worker", "proto_restores"), workers.proto_restores);
+    assert!(
+        workers.cold_starts >= 1 && workers.proto_restores >= 1 && workers.warm_starts >= 2,
+        "{workers:?}"
+    );
+    assert_eq!(t.get("snapdist", "prestages"), 1);
+    assert!(t.get("kvs-cache", "hits") >= 1, "{caches:?}");
+    assert_eq!(t.get("worker", "calls"), cluster.total_calls());
+    // The shard reports a fabric round-trip fetches agree with the ones
+    // read in place (fetching them is itself fabric traffic, hence last).
+    let wire: u64 = cluster
+        .state_shard_stats()
+        .unwrap()
+        .iter()
+        .map(|s| s.writes)
+        .sum();
+    assert_eq!(wire, shards.writes);
+}
+
+#[test]
 fn host_failure_calls_are_redispatched() {
     let cluster = Arc::new(Cluster::new(3));
     cluster
