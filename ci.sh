@@ -84,6 +84,12 @@ gates=(
     'crates/fvm/src@whole'
     'unsafe code in the VM'
 
+    # One dirty record per linear memory: the written-block masks, cleared
+    # only together with the frames they describe (LinearMemory::reset_to).
+    'clear_dirty|dirty: Vec<bool>'
+    'crates/mem/src'
+    'the per-page dirty bool is back; written-block masks are the one dirty record'
+
     # One record per function per host, one production engine.
     'struct Flight|FlightGuard|resolving:|protos: RwLock<HashMap'
     'crates/core/src/instance.rs'

@@ -85,6 +85,8 @@ pub struct Faaslet {
     def: Arc<FunctionDef>,
     env: FaasletEnv,
     guest: GuestInstance,
+    /// Bytes the last [`Faaslet::reset`] copied back.
+    reset_bytes: usize,
 }
 
 impl std::fmt::Debug for Faaslet {
@@ -135,7 +137,9 @@ fn build_ctx(
 /// The one way a guest comes to be: a parked cgroup share, a fresh context
 /// holding it, and — for FVM code — an instance metered by that share,
 /// either instantiated from the module (running `init`) or, given a
-/// `snapshot`, restored from it copy-on-write with no guest code run.
+/// `snapshot`, restored from it copy-on-write with no guest code run. (An
+/// FVM guest's reset keeps the instance and the share; its fresh context
+/// still comes from [`build_ctx`].)
 fn build_guest(
     id: u64,
     user: &str,
@@ -207,6 +211,7 @@ impl Faaslet {
             guest: build_guest(id, user, function, &def, None, env)?,
             def,
             env: env.clone(),
+            reset_bytes: 0,
         })
     }
 
@@ -232,6 +237,7 @@ impl Faaslet {
             guest: build_guest(id, user, function, &def, Some(&proto.snapshot), env)?,
             def,
             env: env.clone(),
+            reset_bytes: 0,
         })
     }
 
@@ -289,30 +295,53 @@ impl Faaslet {
         }
     }
 
-    /// Reset after a call — a restore in place: the guest is rebuilt from
-    /// the Proto-Faaslet with every capability of the previous call dropped,
-    /// so "no information from the previous call is disclosed" (§5.2).
-    /// Native guests (no proto) get a fresh context.
+    /// Reset after a call — a restore in place, so "no information from the
+    /// previous call is disclosed" (§5.2). An FVM guest keeps its instance:
+    /// memory, globals and table are put back to the Proto-Faaslet's at the
+    /// cost of the 4 KiB blocks the call wrote
+    /// ([`faasm_fvm::Instance::reset_to`]), the linked imports and the
+    /// cgroup share stay, and the context — every capability the call
+    /// acquired: descriptors, sockets, state mappings, chained results,
+    /// loaded modules, the shaped interface — is replaced by a fresh one.
+    /// Native guests (no proto) are rebuilt.
     ///
     /// # Errors
     ///
     /// [`CoreError::BadProto`] on snapshot/module mismatch, or when an FVM
     /// Faaslet is reset without its proto.
     pub fn reset(&mut self, proto: Option<&ProtoFaaslet>) -> Result<(), CoreError> {
-        if proto.is_none() && matches!(self.guest, GuestInstance::Fvm(_)) {
+        let GuestInstance::Fvm(inst) = &mut self.guest else {
+            self.guest = build_guest(
+                self.id,
+                &self.user,
+                &self.function,
+                &self.def,
+                proto.map(|p| &p.snapshot),
+                &self.env,
+            )?;
+            return Ok(());
+        };
+        let Some(proto) = proto else {
             return Err(CoreError::BadProto(
                 "reset of an FVM faaslet requires its proto".into(),
             ));
-        }
-        self.guest = build_guest(
-            self.id,
-            &self.user,
-            &self.function,
-            &self.def,
-            proto.map(|p| &p.snapshot),
-            &self.env,
-        )?;
+        };
+        self.reset_bytes = inst
+            .reset_to(&proto.snapshot)
+            .map_err(|e| CoreError::BadProto(e.to_string()))?;
+        let share = inst
+            .data_as::<FaasletCtx>()
+            .and_then(|ctx| ctx.cgroup.take())
+            .expect("faaslet instances carry a FaasletCtx holding their cgroup share");
+        let ctx = build_ctx(self.id, &self.user, &self.function, &self.env, share);
+        inst.replace_data(Box::new(ctx));
         Ok(())
+    }
+
+    /// Bytes of guest memory the last [`Faaslet::reset`] copied back (0
+    /// before the first reset and for native guests).
+    pub fn reset_bytes(&self) -> usize {
+        self.reset_bytes
     }
 
     /// The Faaslet's context (for inspection by the runtime).

@@ -570,7 +570,11 @@ impl FaasmInstance {
                         sent_at_ns,
                     }) => {
                         let recorder = worker_recorder();
-                        let arrived = calls.len();
+                        // Out of transit *before* the run queue counts
+                        // them: a worker can finish a call and its caller
+                        // place the next while this loop is still here, and
+                        // `queue_depth` must not still hold the finished one.
+                        self.leave_transit(calls.len());
                         for call in calls {
                             if sent_at_ns != 0 && !call.trace.is_none() {
                                 // One bus-transit span per call: encode +
@@ -580,7 +584,6 @@ impl FaasmInstance {
                             }
                             let _ = self.queue_tx.send(QueuedCall { call, reply_to });
                         }
-                        self.leave_transit(arrived);
                     }
                     // Pre-staged manifests are handed to the dedicated
                     // fetcher; the bus loop stays hot for invokes.
@@ -730,6 +733,8 @@ impl FaasmInstance {
         let reset_ok =
             !rec.def.reset_after_call || faaslet.reset(rec.proto.get().map(Arc::as_ref)).is_ok();
         if reset_ok {
+            // 0 for a Faaslet that is never reset.
+            self.metrics.reset_bytes.add(faaslet.reset_bytes() as u64);
             self.pool_enter(&rec, Some(faaslet));
         }
         self.deliver(result, q.reply_to);

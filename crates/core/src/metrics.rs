@@ -48,6 +48,10 @@ faasm_telemetry::counters! {
         billable_byte_us,
         /// Σ initialisation ns over cold starts and proto restores.
         init_ns,
+        /// Bytes of guest memory copied back by in-place resets: 4 KiB per
+        /// block the reset call had written. A warm call whose reset copies
+        /// a whole 64 KiB page, or nothing at all, shows here.
+        reset_bytes,
     }
 }
 

@@ -80,6 +80,16 @@ impl InstanceSnapshot {
     }
 }
 
+/// Whether `snap` can be the state of an instance of `object`.
+fn check_shape(object: &ObjectModule, snap: &InstanceSnapshot) -> Result<(), InstantiateError> {
+    if snap.globals.len() != object.module.globals.len()
+        || snap.mem.is_some() != object.module.memory.is_some()
+    {
+        return Err(InstantiateError::BadSnapshot);
+    }
+    Ok(())
+}
+
 /// A linked, executable module instance.
 pub struct Instance {
     object: Arc<ObjectModule>,
@@ -95,9 +105,10 @@ pub struct Instance {
     /// retires fewer ops than the interpreter for the same work).
     instrs: u64,
     /// The lowered tier's value stack and control stack. They live as long
-    /// as the instance and only grow, so a warmed-up instance calls without
-    /// allocating. Not guest-visible state (empty between calls), so not
-    /// part of snapshots or memory stats.
+    /// as the instance and grow on demand, so a warmed-up instance calls
+    /// without allocating; [`Instance::reset_to`] empties them and keeps a
+    /// bounded capacity. Not guest-visible state, so not part of snapshots
+    /// or memory stats.
     stacks: lowered::Stacks,
 }
 
@@ -222,11 +233,7 @@ impl Instance {
                     .map_err(InstantiateError::Link)?,
             );
         }
-        if snap.globals.len() != object.module.globals.len()
-            || snap.mem.is_some() != object.module.memory.is_some()
-        {
-            return Err(InstantiateError::BadSnapshot);
-        }
+        check_shape(&object, snap)?;
         Ok(Instance {
             object,
             mem: snap.mem.as_ref().map(LinearMemory::restore),
@@ -239,6 +246,31 @@ impl Instance {
             instrs: 0,
             stacks: lowered::Stacks::default(),
         })
+    }
+
+    /// Reset in place: afterwards the guest-visible state — memory, globals,
+    /// table — is what [`Instance::restore`] of `snap` would build, at a cost
+    /// proportional to what was written since (see
+    /// [`LinearMemory::reset_to`]). The resolved imports stay, as do the
+    /// lowered tier's stacks, emptied; the per-instance data, the fuel meter,
+    /// the retired-op counter and the call-depth limit are the embedder's
+    /// and are left alone.
+    /// Returns the number of memory bytes copied back.
+    ///
+    /// # Errors
+    ///
+    /// [`InstantiateError::BadSnapshot`], with the instance untouched, if
+    /// the snapshot's shape does not match the module.
+    pub fn reset_to(&mut self, snap: &InstanceSnapshot) -> Result<usize, InstantiateError> {
+        check_shape(&self.object, snap)?;
+        let copied = match (&mut self.mem, &snap.mem) {
+            (Some(mem), Some(snap)) => mem.reset_to(snap),
+            _ => 0,
+        };
+        self.globals.clone_from(&snap.globals);
+        self.table.clone_from(&snap.table);
+        self.stacks.reset();
+        Ok(copied)
     }
 
     /// Capture the instance's mutable state.

@@ -46,8 +46,27 @@ struct Code<'a> {
 pub(super) struct Stacks {
     /// The one value stack: every frame of every call is a window of it.
     values: Vec<u64>,
-    /// Suspended callers, one per guest call in flight.
+    /// Suspended callers, one per guest call in flight (at most the
+    /// instance's call-depth limit).
     calls: Vec<Activation>,
+}
+
+/// Value-stack slots (64 KiB) an instance keeps allocated across
+/// [`Stacks::reset`]. Between resets the stack grows on demand and never
+/// shrinks; without this bound one deep call would pin its high-water mark
+/// for as long as the instance sits in a warm pool.
+const KEPT_VALUE_SLOTS: usize = 8 * 1024;
+
+impl Stacks {
+    /// Empty both stacks — whatever a call that trapped or ran out of fuel
+    /// mid-frame left behind included — keeping their allocations up to
+    /// [`KEPT_VALUE_SLOTS`]. Regrowth zero-fills, so nothing a previous
+    /// call computed is there to be read.
+    pub(super) fn reset(&mut self) {
+        self.calls.clear();
+        self.values.clear();
+        self.values.shrink_to(KEPT_VALUE_SLOTS);
+    }
 }
 
 /// A suspended caller: where a `Ret` resumes.
@@ -78,8 +97,9 @@ enum Exit {
     Metered(Cursor),
 }
 
-/// Make room for a frame ending at `top`. Off the steady path: the stack
-/// only ever grows, so a warmed-up instance never gets here.
+/// Make room for a frame ending at `top`. Off the steady path: a call that
+/// has reached its depth before does not get here again until the instance
+/// is reset, and then only to re-zero capacity it kept.
 #[cold]
 #[inline(never)]
 fn grow_stack(stack: &mut Vec<u64>, top: usize) {

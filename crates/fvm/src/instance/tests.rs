@@ -866,7 +866,7 @@ fn restore_shape_mismatch_rejected() {
     let object2 = ObjectModule::prepare(b2.build()).unwrap();
     assert!(matches!(
         Instance::restore(
-            object2,
+            Arc::clone(&object2),
             &snap,
             &Linker::new(),
             Box::new(()),
@@ -874,6 +874,13 @@ fn restore_shape_mismatch_rejected() {
         ),
         Err(InstantiateError::BadSnapshot)
     ));
+    // The in-place reset makes the same check.
+    let mut inst2 = Instance::new(object2, &Linker::new(), Box::new(())).unwrap();
+    assert!(matches!(
+        inst2.reset_to(&snap),
+        Err(InstantiateError::BadSnapshot)
+    ));
+    assert_eq!(inst1.reset_to(&snap).unwrap(), 0);
 }
 
 #[test]

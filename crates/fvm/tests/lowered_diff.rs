@@ -17,6 +17,11 @@
 //! A second property bisects the fuel budget so exhaustion lands mid-block,
 //! pinning the lowered tier's bulk-charge/refund bookkeeping against the
 //! interpreter's per-instruction metering.
+//!
+//! The last property is the isolation contract of the warm path: one
+//! instance reset in place between calls is indistinguishable from a fresh
+//! restore per call, on both tiers, whatever state the previous call died
+//! in.
 
 use std::sync::Arc;
 
@@ -891,19 +896,20 @@ fn linker() -> Linker {
     l
 }
 
-fn run_tier(object: Arc<ObjectModule>, args: &[Val], fuel: FuelMeter) -> Outcome {
-    let mut inst = Instance::with_fuel(object, &linker(), Box::new(()), fuel).expect("instantiate");
-    let result = inst.invoke("main", args);
-    let globals = (0..2).map(|i| inst.global(i).expect("global")).collect();
-    let mem = inst.memory().expect("memory");
-    let mut memory = vec![0u8; mem.size_bytes()];
-    mem.read(0, &mut memory).expect("memory read");
+/// Everything a caller can see of `inst` once a call returned `result`.
+fn observe(inst: &Instance, result: Result<Option<Val>, Trap>) -> Outcome {
     Outcome {
         result,
         fuel: inst.fuel.consumed(),
-        globals,
-        memory,
+        globals: (0..2).map(|i| inst.global(i).expect("global")).collect(),
+        memory: inst.memory().expect("memory").to_vec(),
     }
+}
+
+fn run_tier(object: Arc<ObjectModule>, args: &[Val], fuel: FuelMeter) -> Outcome {
+    let mut inst = Instance::with_fuel(object, &linker(), Box::new(()), fuel).expect("instantiate");
+    let result = inst.invoke("main", args);
+    observe(&inst, result)
 }
 
 fn run_both(module: &Module, args: &[Val], limit: Option<u64>) -> (Outcome, Outcome) {
@@ -1009,5 +1015,71 @@ proptest! {
         let i2 = run_twice(ObjectModule::prepare(module.clone()).expect("validates"));
         let l2 = run_twice(ObjectModule::prepare_lowered(module.clone()).expect("validates"));
         prop_assert_eq!(i2, l2);
+    }
+
+    /// Calls on one instance with `reset_to` between them agree with a
+    /// fresh `Instance::restore` per call on result, trap, fuel, globals,
+    /// table and every memory byte. Every run includes a call that returns,
+    /// one that traps 200 frames deep and one that runs out of fuel half-way
+    /// — the last two leave the kept instance's stacks non-empty.
+    #[test]
+    fn reset_in_place_matches_a_fresh_restore_per_call(
+        stmts in prop::collection::vec(stmt_strategy(), 0..8),
+        calls in prop::collection::vec((any::<i32>(), any::<i32>(), any::<i64>()), 3..7),
+    ) {
+        // Every call first leaves a fingerprint of its arguments in memory
+        // (local3 = a | 1 stored at b & 0x7FF8), then recurses
+        // `local0 & 255` frames deep (limit: 200), so the low byte of the
+        // first argument picks how the call ends.
+        let mut body = vec![
+            Stmt::ImmOp { src: 0, k: 1, dst: 2, op: 4 },
+            Stmt::Store { al: 1, masked: true, offset: 0, which: 0 },
+            Stmt::SlotCall { which: 2, a: 0, k: 0, dst: 2 },
+        ];
+        body.extend(stmts);
+        let module = build_module(&body);
+        let lk = linker();
+        for prepare in [ObjectModule::prepare, ObjectModule::prepare_lowered] {
+            let object = prepare(module.clone()).expect("validates");
+            // The proto: an instance that has already run once.
+            let mut donor = Instance::new(object.clone(), &lk, Box::new(())).expect("instantiate");
+            let _ = donor.invoke("main", &args_of(3, 1, 2));
+            let snap = donor.snapshot();
+            let restore = |fuel| {
+                Instance::restore(object.clone(), &snap, &lk, Box::new(()), fuel).expect("restore")
+            };
+
+            let mut kept = restore(FuelMeter::unlimited());
+            for (n, &(a, b, c)) in calls.iter().enumerate() {
+                let depth = [3, 250, 150][n % 3];
+                let args = args_of(a & !255 | depth, b, c);
+                let limit = (n % 3 == 2).then(|| {
+                    let mut probe = restore(FuelMeter::unlimited());
+                    let _ = probe.invoke("main", &args);
+                    probe.fuel.consumed() / 2
+                });
+                let meter = || limit.map_or_else(FuelMeter::unlimited, FuelMeter::with_limit);
+
+                let mut fresh = restore(meter());
+                let want = fresh.invoke("main", &args);
+                kept.fuel = meter();
+                let got = kept.invoke("main", &args);
+                match n % 3 {
+                    1 => prop_assert_eq!(&want, &Err(Trap::CallStackExhausted)),
+                    2 => prop_assert_eq!(&want, &Err(Trap::OutOfFuel)),
+                    _ => {}
+                }
+                prop_assert_eq!(observe(&kept, got), observe(&fresh, want), "call {}", n);
+                kept.reset_to(&snap).expect("same module");
+            }
+            // After the last reset: the proto's state, table included, and
+            // the snapshot itself was never written through.
+            let (mut fresh, after) = (restore(FuelMeter::unlimited()), kept.snapshot());
+            let pristine = fresh.snapshot();
+            prop_assert_eq!(&after.globals, &pristine.globals);
+            prop_assert_eq!(&after.table, &pristine.table);
+            let bytes = |inst: &Instance| inst.memory().expect("memory").to_vec();
+            prop_assert!(bytes(&kept) == bytes(&fresh), "memory differs after the last reset");
+        }
     }
 }

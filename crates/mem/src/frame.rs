@@ -11,7 +11,9 @@ pub enum FrameKind {
     /// through.
     Private,
     /// The page is shared with one or more [`crate::MemorySnapshot`]s; the
-    /// first write materialises a private copy (copy-on-write, §5.2).
+    /// first write materialises a private copy (copy-on-write, §5.2) that
+    /// remembers the page it was copied from, so a reset to that snapshot
+    /// can undo the writes in place instead of copying again.
     Cow,
     /// The page belongs to a [`crate::SharedRegion`] mapped into this memory
     /// (§3.3); reads and writes operate on the common page, visible to every
@@ -24,6 +26,8 @@ pub enum FrameKind {
 pub struct Frame {
     page: Arc<Page>,
     kind: FrameKind,
+    /// The snapshot page a private frame was materialised from, if it was.
+    origin: Option<Arc<Page>>,
 }
 
 impl Frame {
@@ -32,6 +36,7 @@ impl Frame {
         Frame {
             page: Arc::new(Page::zeroed()),
             kind: FrameKind::Private,
+            origin: None,
         }
     }
 
@@ -40,6 +45,7 @@ impl Frame {
         Frame {
             page,
             kind: FrameKind::Private,
+            origin: None,
         }
     }
 
@@ -48,6 +54,7 @@ impl Frame {
         Frame {
             page,
             kind: FrameKind::Cow,
+            origin: None,
         }
     }
 
@@ -56,6 +63,7 @@ impl Frame {
         Frame {
             page,
             kind: FrameKind::Shared,
+            origin: None,
         }
     }
 
@@ -73,10 +81,29 @@ impl Frame {
     /// frame is copy-on-write. Returns the writable page.
     pub fn page_for_write(&mut self) -> &Arc<Page> {
         if self.kind == FrameKind::Cow {
-            self.page = self.page.clone_data();
+            let copy = self.page.clone_data();
+            self.origin = Some(std::mem::replace(&mut self.page, copy));
             self.kind = FrameKind::Private;
         }
         &self.page
+    }
+
+    /// Make the frame read as `page` again, given the blocks `written`
+    /// since the frame last did. A private copy *of that very page*
+    /// (identity, not contents) gets its written blocks copied back and
+    /// stays private; one left unwritten goes back to sharing the page, as
+    /// does every other kind of frame. Returns the bytes copied.
+    pub fn reset_to(&mut self, page: &Arc<Page>, written: u16) -> usize {
+        match (self.kind, &self.origin) {
+            (FrameKind::Private, Some(origin)) if written != 0 && Arc::ptr_eq(origin, page) => {
+                self.page.copy_blocks_from(page, written)
+            }
+            (FrameKind::Cow, _) if Arc::ptr_eq(&self.page, page) => 0,
+            _ => {
+                *self = Frame::cow(Arc::clone(page));
+                0
+            }
+        }
     }
 
     /// Demote a private frame to copy-on-write so its page can also be held
@@ -86,6 +113,7 @@ impl Frame {
     pub fn demote_to_cow(&mut self) {
         if self.kind == FrameKind::Private {
             self.kind = FrameKind::Cow;
+            self.origin = None;
         }
     }
 
@@ -135,6 +163,46 @@ mod tests {
         let after_first = Arc::as_ptr(f.page());
         f.page_for_write().write(1, b"b");
         assert_eq!(Arc::as_ptr(f.page()), after_first);
+    }
+
+    #[test]
+    fn reset_to_undoes_a_private_copy_in_place_and_repoints_the_rest() {
+        let base = Arc::new(Page::from_bytes(b"orig"));
+        let read4 = |f: &Frame| {
+            let mut buf = [0u8; 4];
+            f.page().read(0, &mut buf);
+            buf
+        };
+        // A written private copy of `base`: block 0 copied back, kept.
+        let mut f = Frame::cow(base.clone());
+        f.page_for_write().write(0, b"new!");
+        let private = Arc::as_ptr(f.page());
+        assert_eq!(f.reset_to(&base, 1), crate::page::BLOCK_SIZE);
+        assert_eq!(
+            (f.kind(), Arc::as_ptr(f.page())),
+            (FrameKind::Private, private)
+        );
+        assert_eq!(&read4(&f), b"orig");
+        // Left clean by the next call: it goes back to sharing.
+        assert_eq!(f.reset_to(&base, 0), 0);
+        assert_eq!(f.kind(), FrameKind::Cow);
+        assert!(Arc::ptr_eq(f.page(), &base));
+        // A private copy of some *other* page with equal contents is not
+        // trusted: identity, not contents.
+        let twin = Arc::new(Page::from_bytes(b"orig"));
+        let mut g = Frame::cow(twin);
+        g.page_for_write().write(8, b"leak");
+        assert_eq!(g.reset_to(&base, 1), 0);
+        assert!(Arc::ptr_eq(g.page(), &base));
+        // Shared and never-snapshotted private frames are re-pointed.
+        for mut other in [
+            Frame::shared(Arc::new(Page::zeroed())),
+            Frame::private_zeroed(),
+        ] {
+            assert_eq!(other.reset_to(&base, u16::MAX), 0);
+            assert_eq!(other.kind(), FrameKind::Cow);
+            assert_eq!(&read4(&other), b"orig");
+        }
     }
 
     #[test]

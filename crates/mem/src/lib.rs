@@ -11,7 +11,10 @@
 //! * [`MemorySnapshot`] captures the full contents of a memory in O(pages)
 //!   pointer copies; [`LinearMemory::restore`] rebuilds a memory from a
 //!   snapshot using copy-on-write mappings, which is what makes Proto-Faaslet
-//!   restores run in microseconds (§5.2).
+//!   restores run in microseconds (§5.2). A memory records which 4 KiB
+//!   blocks of each page it wrote, so [`LinearMemory::reset_to`] puts a used
+//!   memory back to its snapshot by copying those blocks alone — the
+//!   reset-after-call path, whose cost is what the call dirtied.
 //! * [`SharedRegion`] is a standalone run of pages that can be concurrently
 //!   mapped into many linear memories. Concurrent access is word-atomic
 //!   (see [`page::Page`]), which matches the data-race-tolerant HOGWILD!
@@ -34,7 +37,7 @@ pub mod stats;
 pub use error::MemError;
 pub use frame::{Frame, FrameKind};
 pub use linear::LinearMemory;
-pub use page::{Page, PAGE_SIZE};
+pub use page::{Page, BLOCK_SIZE, PAGE_SIZE};
 pub use region::{SharedRegion, SharedRegionRegistry};
 pub use snapshot::MemorySnapshot;
 pub use stats::MemStats;

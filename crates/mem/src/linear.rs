@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use crate::error::MemError;
 use crate::frame::{Frame, FrameKind};
-use crate::page::PAGE_SIZE;
+use crate::page::{BLOCK_SIZE, PAGE_SIZE};
 use crate::region::SharedRegion;
 use crate::snapshot::MemorySnapshot;
 use crate::stats::MemStats;
@@ -37,8 +37,22 @@ use crate::stats::MemStats;
 #[derive(Debug)]
 pub struct LinearMemory {
     frames: Vec<Frame>,
-    dirty: Vec<bool>,
+    /// Per page, the 4 KiB blocks written since the memory was created or
+    /// last reset (bit `i` = block `i`): the one dirty record. It is only
+    /// ever cleared together with the frame it describes, which is what
+    /// lets [`LinearMemory::reset_to`] copy back masked blocks alone.
+    written: Vec<u16>,
     max_pages: usize,
+}
+
+/// The blocks of a page that a write of `len` bytes at `in_page` touches.
+#[inline]
+fn blocks(in_page: usize, len: usize) -> u16 {
+    if len == 0 {
+        return 0;
+    }
+    let (first, last) = (in_page / BLOCK_SIZE, (in_page + len - 1) / BLOCK_SIZE);
+    (u16::MAX << first) & (u16::MAX >> (15 - last))
 }
 
 impl LinearMemory {
@@ -59,7 +73,7 @@ impl LinearMemory {
             frames: (0..initial_pages)
                 .map(|_| Frame::private_zeroed())
                 .collect(),
-            dirty: vec![false; initial_pages],
+            written: vec![0; initial_pages],
             max_pages,
         })
     }
@@ -98,7 +112,7 @@ impl LinearMemory {
         }
         self.frames
             .extend((0..delta).map(|_| Frame::private_zeroed()));
-        self.dirty.extend((0..delta).map(|_| false));
+        self.written.resize(requested, 0);
         Ok(old)
     }
 
@@ -124,7 +138,7 @@ impl LinearMemory {
     }
 
     /// Write `data` starting at `addr`, materialising copy-on-write pages as
-    /// needed and marking touched pages dirty.
+    /// needed and recording the blocks touched.
     ///
     /// # Errors
     ///
@@ -140,7 +154,7 @@ impl LinearMemory {
             self.frames[page]
                 .page_for_write()
                 .write(in_page, &data[pos..pos + n]);
-            self.dirty[page] = true;
+            self.written[page] |= blocks(in_page, n);
             pos += n;
         }
         Ok(())
@@ -172,7 +186,7 @@ impl LinearMemory {
 
     /// Write `N` bytes at `addr` without a bounds check; see
     /// [`LinearMemory::read_raw`] for the contract. Materialises
-    /// copy-on-write pages and marks them dirty exactly like
+    /// copy-on-write pages and records the blocks touched exactly like
     /// [`LinearMemory::write`].
     #[inline]
     pub fn write_raw<const N: usize>(&mut self, addr: usize, data: [u8; N]) {
@@ -181,7 +195,7 @@ impl LinearMemory {
         let in_page = addr % PAGE_SIZE;
         if in_page + N <= PAGE_SIZE {
             self.frames[page].page_for_write().write(in_page, &data);
-            self.dirty[page] = true;
+            self.written[page] |= blocks(in_page, N);
         } else {
             let split = PAGE_SIZE - in_page;
             self.frames[page]
@@ -190,8 +204,8 @@ impl LinearMemory {
             self.frames[page + 1]
                 .page_for_write()
                 .write(0, &data[split..]);
-            self.dirty[page] = true;
-            self.dirty[page + 1] = true;
+            self.written[page] |= blocks(in_page, split);
+            self.written[page + 1] |= blocks(0, N - split);
         }
     }
 
@@ -209,7 +223,7 @@ impl LinearMemory {
             let in_page = a % PAGE_SIZE;
             let n = (PAGE_SIZE - in_page).min(len - pos);
             self.frames[page].page_for_write().fill(in_page, n, value);
-            self.dirty[page] = true;
+            self.written[page] |= blocks(in_page, n);
             pos += n;
         }
         Ok(())
@@ -275,7 +289,7 @@ impl LinearMemory {
             let grow_by = end - self.frames.len();
             self.frames
                 .extend((0..grow_by).map(|_| Frame::private_zeroed()));
-            self.dirty.extend((0..grow_by).map(|_| false));
+            self.written.resize(end, 0);
         }
         for (i, page) in region.pages().iter().enumerate() {
             self.frames[page_idx + i] = Frame::shared(Arc::clone(page));
@@ -300,7 +314,7 @@ impl LinearMemory {
         }
         for i in page_idx..end {
             self.frames[i] = Frame::private_zeroed();
-            self.dirty[i] = false;
+            self.written[i] = 0;
         }
         Ok(())
     }
@@ -339,31 +353,54 @@ impl LinearMemory {
     ///
     /// Cost is O(pages) reference-count increments; no page data is copied
     /// until the restored memory is written — the Proto-Faaslet restore path
-    /// (§5.2).
+    /// (§5.2). It is [`LinearMemory::reset_to`] on an empty memory.
     pub fn restore(snap: &MemorySnapshot) -> LinearMemory {
-        LinearMemory {
-            frames: snap
-                .pages
-                .iter()
-                .map(|p| Frame::cow(Arc::clone(p)))
-                .collect(),
-            dirty: vec![false; snap.pages.len()],
+        let mut mem = LinearMemory {
+            frames: Vec::with_capacity(snap.pages.len()),
+            written: Vec::with_capacity(snap.pages.len()),
             max_pages: snap.max_pages,
-        }
+        };
+        mem.reset_to(snap);
+        mem
     }
 
-    /// Indices of pages written since the last [`LinearMemory::clear_dirty`].
+    /// Make this memory read exactly as [`LinearMemory::restore`] of `snap`
+    /// would — same bytes, size and page limit — at a cost proportional to
+    /// what was written since: the reset-after-call path (§5.2). Returns the
+    /// number of bytes copied.
+    ///
+    /// A page this memory privately copied *from `snap`'s own page* has only
+    /// its written 4 KiB blocks copied back and stays private, so the next
+    /// call's first store to it copies nothing; a private copy left
+    /// unwritten since the previous reset goes back to sharing the snapshot
+    /// page, so an idle memory holds private copies only of the pages its
+    /// last call wrote. Every other frame (shared mappings, unmapped or
+    /// grown pages, copies of some other snapshot's pages) is re-pointed
+    /// copy-on-write, and pages beyond the snapshot are dropped. The
+    /// snapshot's pages are never written.
+    pub fn reset_to(&mut self, snap: &MemorySnapshot) -> usize {
+        self.max_pages = snap.max_pages;
+        self.frames.truncate(snap.pages.len());
+        let mut copied = 0;
+        for (i, page) in snap.pages.iter().enumerate() {
+            match self.frames.get_mut(i) {
+                Some(frame) => copied += frame.reset_to(page, self.written[i]),
+                None => self.frames.push(Frame::cow(Arc::clone(page))),
+            }
+        }
+        self.written.clear();
+        self.written.resize(snap.pages.len(), 0);
+        copied
+    }
+
+    /// Indices of pages written since the memory was created, restored or
+    /// last [`LinearMemory::reset_to`] a snapshot.
     pub fn dirty_pages(&self) -> Vec<usize> {
-        self.dirty
+        self.written
             .iter()
             .enumerate()
-            .filter_map(|(i, &d)| d.then_some(i))
+            .filter_map(|(i, &blocks)| (blocks != 0).then_some(i))
             .collect()
-    }
-
-    /// Reset all dirty bits.
-    pub fn clear_dirty(&mut self) {
-        self.dirty.iter_mut().for_each(|d| *d = false);
     }
 
     /// Point-in-time footprint accounting (see [`MemStats`]).
@@ -665,10 +702,63 @@ mod tests {
         mem.write(PAGE_SIZE + 5, &[1]).unwrap();
         mem.write(2 * PAGE_SIZE, &[2]).unwrap();
         assert_eq!(mem.dirty_pages(), vec![1, 2]);
-        mem.clear_dirty();
-        assert!(mem.dirty_pages().is_empty());
         mem.fill(0, 1, 9).unwrap();
-        assert_eq!(mem.dirty_pages(), vec![0]);
+        assert_eq!(mem.dirty_pages(), vec![0, 1, 2]);
+        // Only a reset clears the record, together with the writes.
+        let snap = LinearMemory::new(3, 3).unwrap().snapshot();
+        mem.reset_to(&snap);
+        assert!(mem.dirty_pages().is_empty());
+    }
+
+    #[test]
+    fn blocks_cover_exactly_the_bytes_written() {
+        assert_eq!(blocks(0, 0), 0);
+        assert_eq!(blocks(0, 1), 0b1);
+        assert_eq!(blocks(BLOCK_SIZE - 1, 1), 0b1);
+        assert_eq!(blocks(BLOCK_SIZE - 1, 2), 0b11);
+        assert_eq!(blocks(BLOCK_SIZE, BLOCK_SIZE), 0b10);
+        assert_eq!(blocks(PAGE_SIZE - 1, 1), 1 << 15);
+        assert_eq!(blocks(0, PAGE_SIZE), u16::MAX);
+        assert_eq!(blocks(3 * BLOCK_SIZE + 7, 2 * BLOCK_SIZE), 0b111 << 3);
+    }
+
+    #[test]
+    fn reset_to_copies_back_written_blocks_and_keeps_the_frame() {
+        let mut donor = LinearMemory::new(3, 8).unwrap();
+        donor.write(0, b"proto").unwrap();
+        let snap = donor.snapshot();
+        let mut mem = LinearMemory::restore(&snap);
+        // Round 1 writes pages 0 (one block) and 1 (a straddle: two blocks).
+        mem.write(1, b"SECRET").unwrap();
+        mem.write_raw::<8>(PAGE_SIZE + 2 * BLOCK_SIZE - 4, [0xff; 8]);
+        mem.grow(2).unwrap();
+        assert_eq!(mem.reset_to(&snap), 3 * BLOCK_SIZE);
+        assert_eq!(mem.to_vec(), LinearMemory::restore(&snap).to_vec());
+        assert_eq!(mem.size_pages(), 3);
+        let kinds = |m: &LinearMemory| [0, 1, 2].map(|p| m.frame_kind(p).unwrap());
+        use FrameKind::{Cow, Private};
+        assert_eq!(kinds(&mem), [Private, Private, Cow]);
+        // Round 2 writes page 0 only — no copy-on-write fault — and page 1,
+        // left clean, goes back to sharing the snapshot page.
+        mem.write(9, b"x").unwrap();
+        assert_eq!(mem.reset_to(&snap), BLOCK_SIZE);
+        assert_eq!(kinds(&mem), [Private, Cow, Cow]);
+        assert_eq!(mem.to_vec(), LinearMemory::restore(&snap).to_vec());
+    }
+
+    #[test]
+    fn reset_to_another_snapshot_trusts_no_private_copy() {
+        let mut donor = LinearMemory::new(1, 2).unwrap();
+        donor.write(5 * BLOCK_SIZE, b"aaaa").unwrap();
+        let snap_a = donor.snapshot();
+        let mut donor = LinearMemory::new(2, 4).unwrap();
+        donor.write(0, b"bbbb").unwrap();
+        let snap_b = donor.snapshot();
+        let mut mem = LinearMemory::restore(&snap_a);
+        mem.write(100, b"from a").unwrap();
+        assert_eq!(mem.reset_to(&snap_b), 0, "a copy of a's page is not b's");
+        assert_eq!(mem.to_vec(), LinearMemory::restore(&snap_b).to_vec());
+        assert_eq!((mem.size_pages(), mem.max_pages()), (2, 4));
     }
 
     #[test]
@@ -678,5 +768,108 @@ mod tests {
         let mut restored = LinearMemory::restore(&snap);
         assert!(restored.grow(1).is_ok());
         assert!(restored.grow(1).is_err());
+    }
+
+    /// xorshift64*: the property below needs replayable seeds, not quality.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// An address `len` bytes short of `size`, half the time hugging a
+        /// block or page boundary so that writes straddle it.
+        fn addr(&mut self, size: usize, len: usize) -> usize {
+            let room = size - len;
+            if self.below(2) == 0 {
+                return self.below(room + 1);
+            }
+            let unit = [BLOCK_SIZE, PAGE_SIZE][self.below(2)];
+            let edge = (1 + self.below(size / unit)) * unit;
+            edge.saturating_sub(self.below(len + 1)).min(room)
+        }
+    }
+
+    /// One random mutation of `mem`; every error (limit, overlap) is a
+    /// legal outcome and leaves a state `reset_to` must cope with too.
+    fn mutate(mem: &mut LinearMemory, region: &SharedRegion, rng: &mut Rng) {
+        let size = mem.size_bytes();
+        let pages = mem.size_pages();
+        match rng.below(if size == 0 { 3 } else { 9 }) {
+            0 => drop(mem.grow(rng.below(3))),
+            1 => drop(mem.map_shared(region)),
+            2 => drop(mem.map_shared_at(rng.below(pages + 2), region)),
+            3 => drop(mem.unmap(rng.below(pages), 1 + rng.below(2))),
+            4 => {
+                let data: Vec<u8> = (0..1 + rng.below(3 * BLOCK_SIZE))
+                    .map(|_| rng.next() as u8 | 1)
+                    .collect();
+                let len = data.len().min(size);
+                mem.write(rng.addr(size, len), &data[..len]).unwrap();
+            }
+            5 => mem.write_raw::<8>(rng.addr(size, 8), [rng.next() as u8 | 1; 8]),
+            6 => mem.write_raw::<1>(rng.addr(size, 1), [rng.next() as u8 | 1]),
+            7 => {
+                let len = rng.below((2 * PAGE_SIZE).min(size) + 1);
+                mem.fill(rng.addr(size, len), len, rng.next() as u8 | 1)
+                    .unwrap();
+            }
+            _ => {
+                let len = rng.below(PAGE_SIZE.min(size) + 1);
+                let (src, dst) = (rng.addr(size, len), rng.addr(size, len));
+                mem.copy_within(src, dst, len).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn reset_to_equals_restore_after_any_mutations() {
+        for seed in 1..=256u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let region = SharedRegion::new((1 + rng.below(2)) * PAGE_SIZE);
+            // The proto: a mutated memory, snapshotted (its shared pages
+            // are captured by value).
+            let mut donor = LinearMemory::new(1 + rng.below(3), 8).unwrap();
+            for _ in 0..rng.below(12) {
+                mutate(&mut donor, &region, &mut rng);
+            }
+            let snap = donor.snapshot();
+            let want = LinearMemory::restore(&snap).to_vec();
+
+            // Several rounds on the *same* memory: what one round leaves
+            // private is what the next one's reset has to get right.
+            let mut mem = LinearMemory::restore(&snap);
+            for round in 0..5 {
+                for _ in 0..rng.below(16) {
+                    mutate(&mut mem, &region, &mut rng);
+                }
+                if round == 3 {
+                    // A capture in between demotes the private frames.
+                    let _ = mem.snapshot();
+                }
+                let copied = mem.reset_to(&snap);
+                assert_eq!(copied % BLOCK_SIZE, 0, "seed {seed} round {round}");
+                assert!(mem.to_vec() == want, "seed {seed} round {round}: bytes");
+                assert_eq!(
+                    (mem.size_pages(), mem.max_pages()),
+                    (snap.size_pages(), snap.max_pages()),
+                    "seed {seed} round {round}"
+                );
+                assert!(mem.dirty_pages().is_empty(), "seed {seed} round {round}");
+                // The snapshot was not written through.
+                assert!(
+                    LinearMemory::restore(&snap).to_vec() == want,
+                    "seed {seed} round {round}: snapshot changed"
+                );
+            }
+        }
     }
 }

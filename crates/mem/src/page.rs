@@ -1,4 +1,5 @@
-//! The 64 KiB page: the unit of mapping, sharing and snapshotting.
+//! The 64 KiB page: the unit of mapping, sharing and snapshotting. (Writes
+//! are recorded, and undone on reset, by 4 KiB block: [`BLOCK_SIZE`].)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -6,8 +7,16 @@ use std::sync::Arc;
 /// Size of one memory page in bytes (the WebAssembly page size).
 pub const PAGE_SIZE: usize = 64 * 1024;
 
+/// Size of one block in bytes: the unit a linear memory records writes in
+/// and copies back on an in-place reset. Sixteen blocks make a page, so a
+/// page's written blocks fit one `u16` mask.
+pub const BLOCK_SIZE: usize = 4 * 1024;
+
 /// Number of 64-bit words in a page.
 const WORDS_PER_PAGE: usize = PAGE_SIZE / 8;
+
+/// Number of 64-bit words in a block.
+const WORDS_PER_BLOCK: usize = BLOCK_SIZE / 8;
 
 /// A single 64 KiB page of memory.
 ///
@@ -153,6 +162,22 @@ impl Page {
         Arc::new(copy)
     }
 
+    /// Overwrite the blocks named by `blocks` (bit `i` = bytes
+    /// `i * BLOCK_SIZE..(i + 1) * BLOCK_SIZE`) with `src`'s — the copy-back
+    /// step of an in-place reset. Returns the number of bytes copied.
+    pub fn copy_blocks_from(&self, src: &Page, blocks: u16) -> usize {
+        let mut rest = blocks;
+        while rest != 0 {
+            let first = rest.trailing_zeros() as usize * WORDS_PER_BLOCK;
+            let words = first..first + WORDS_PER_BLOCK;
+            for (to, from) in self.words[words.clone()].iter().zip(&src.words[words]) {
+                to.store(from.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+            rest &= rest - 1;
+        }
+        blocks.count_ones() as usize * BLOCK_SIZE
+    }
+
     /// True if every byte of the page is zero.
     pub fn is_zero(&self) -> bool {
         self.words.iter().all(|w| w.load(Ordering::Relaxed) == 0)
@@ -242,6 +267,21 @@ mod tests {
         let mut buf = [0u8; 5];
         c.read(0, &mut buf);
         assert_eq!(&buf, b"hello");
+    }
+
+    #[test]
+    fn copy_blocks_from_copies_exactly_the_named_blocks() {
+        let src = Page::zeroed();
+        src.fill(0, PAGE_SIZE, 0x5a);
+        let dst = Page::zeroed();
+        let copied = dst.copy_blocks_from(&src, 1 << 0 | 1 << 7 | 1 << 15);
+        assert_eq!(copied, 3 * BLOCK_SIZE);
+        let bytes = dst.to_bytes();
+        for (block, chunk) in bytes.chunks(BLOCK_SIZE).enumerate() {
+            let want = if [0, 7, 15].contains(&block) { 0x5a } else { 0 };
+            assert!(chunk.iter().all(|&b| b == want), "block {block}");
+        }
+        assert_eq!(dst.copy_blocks_from(&src, 0), 0);
     }
 
     #[test]

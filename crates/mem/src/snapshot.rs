@@ -5,7 +5,10 @@
 //! is cloned into the snapshot. Restoring builds a fresh memory whose frames
 //! all reference the snapshot pages copy-on-write, so restore cost is
 //! independent of how much data the snapshot holds — pages are physically
-//! copied only when the restored Faaslet first writes them.
+//! copied only when the restored Faaslet first writes them. A memory that
+//! keeps running calls against one snapshot pays that copy once per page:
+//! [`crate::LinearMemory::reset_to`] undoes a call's writes in the private
+//! copy, by 4 KiB block, and never writes a snapshot page.
 //!
 //! Snapshots are plain data (`Arc`s over immutable-by-convention pages), so
 //! they can be serialised with [`MemorySnapshot::to_bytes`] and shipped to

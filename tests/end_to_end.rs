@@ -33,6 +33,10 @@ fn fl_pipeline_compiles_uploads_and_executes() {
         assert_eq!(r.output, vec![i; 8]);
     }
     assert_eq!(cluster.total_calls(), 10);
+    // Each call was undone in place before its Faaslet was pooled again:
+    // the one 4 KiB block the echo wrote, not its 64 KiB page.
+    let reset_bytes = cluster.telemetry().get("worker", "reset_bytes");
+    assert_eq!(reset_bytes, 10 * faasm::mem::BLOCK_SIZE as u64);
 }
 
 #[test]
