@@ -538,8 +538,8 @@ pub(crate) mod tests {
 
     #[test]
     fn without_reset_data_leaks_across_calls() {
-        // The control experiment for the test above: this is the unsafe
-        // behaviour reset-after-call prevents.
+        // The control experiment for the test above: this is the leak
+        // reset-after-call prevents.
         let src = r#"
             extern int input_size();
             extern int read_call_input(ptr int buf, int len);

@@ -8,7 +8,7 @@
 //! (warm sets) and the fabric (shared calls and results) — the distributed
 //! shared-state scheduling of §5.1.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
@@ -837,8 +837,11 @@ impl FaasmInstance {
         let s0 = faasm_telemetry::now_ns();
         let mut have: HashMap<Digest, Arc<Vec<u8>>> = HashMap::new();
         let mut missing: Vec<Digest> = Vec::new();
+        // A pre-staged manifest's length is bounded only by its message:
+        // dedupe in O(1) per digest.
+        let mut seen: HashSet<Digest> = HashSet::new();
         for d in manifest.all_digests() {
-            if have.contains_key(&d) || missing.contains(&d) {
+            if !seen.insert(d) {
                 continue;
             }
             match self.snap_cache.get(&d) {
@@ -1194,5 +1197,43 @@ impl FaasmInstance {
     pub(crate) fn proto_manifest(&self, user: &str, function: &str) -> Option<ProtoManifest> {
         let rec = self.record(user, function).ok()?;
         Some(chunk_proto(rec.proto.get()?).ok()?.manifest)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Cluster;
+
+    /// A manifest is unauthenticated bus traffic whose length is bounded
+    /// only by its message: one that names thousands of unpublished chunks,
+    /// each many times over, costs one tier read per distinct digest and
+    /// yields no proto.
+    #[test]
+    fn a_manifest_of_repeated_missing_digests_asks_the_tier_once_per_digest() {
+        let cluster = Cluster::new(1);
+        let host = &cluster.instances()[0];
+        let distinct: Vec<Digest> = (0u32..4_000)
+            .map(|i| Digest::of(&i.to_le_bytes()))
+            .collect();
+        let manifest = ProtoManifest {
+            meta: distinct[1],
+            pages: distinct
+                .iter()
+                .cycle()
+                .take(5 * distinct.len())
+                .copied()
+                .collect(),
+        };
+        let before = cluster.telemetry();
+        assert!(host.fetch_by_manifest(&manifest.to_bytes()).is_none());
+        let after = cluster.telemetry().delta(&before);
+        assert_eq!(
+            after.get("state-shard", "batched_items"),
+            distinct.len() as u64,
+            "one key per distinct digest"
+        );
+        assert_eq!(after.get("snapdist", "chunk_hits"), 0);
+        assert_eq!(after.get("snapdist", "chunks_fetched"), 0);
     }
 }

@@ -21,8 +21,7 @@
 //!   access pattern used by the paper's SGD workload; synchronisation
 //!   discipline (local read/write locks) is layered above in `faasm-state`.
 //!
-//! The crate has no dependencies on the rest of the workspace and no unsafe
-//! code.
+//! The crate has no dependencies on the rest of the workspace.
 
 #![warn(missing_docs)]
 
