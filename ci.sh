@@ -75,6 +75,15 @@ gates=(
     'crates/workloads/src/env.rs@faasenv_state_read'
     'FaasEnv::state_read allocates its result; it fills the caller'"'"'s buffer'
 
+    # A native FaasEnv access is a mapped one: no implicit lock, no dirty bit.
+    'state_settle_ranges|clear_dirty_ranges'
+    'crates@whole src@whole tests@whole examples@whole'
+    'the range-settle step is back; mapped writes leave no dirty bits to settle'
+
+    'entry\.(read|write)\('
+    'crates/workloads/src/env.rs'
+    'FaasmEnv went back to the implicitly locked copy API'
+
     # Lowered tier: register ops only, one value stack, no unsafe. The
     # lowered call path is Instance::call_func -> instance/lowered.rs; the
     # reference interpreter (instance/interp.rs) keeps its per-call Vecs.

@@ -132,7 +132,10 @@ impl SharedVector {
         self.entry.write(i * 8, &v.to_le_bytes())
     }
 
-    /// `v[i] += delta` — the HOGWILD! update: lock-free, racy by design.
+    /// `v[i] += delta` — the HOGWILD! update, racy by design: a
+    /// [`SharedVector::get`] then a [`SharedVector::set`], each under the
+    /// implicit local lock, with nothing held between them, so concurrent
+    /// adds to one element can lose updates.
     ///
     /// # Errors
     ///

