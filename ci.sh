@@ -115,6 +115,11 @@ gates=(
     'crates/mem/src'
     'the per-page dirty bool is back; written-block masks are the one dirty record'
 
+    # A page costs the blocks stored to: no whole-page word array.
+    'WORDS_PER_PAGE|PAGE_SIZE / 8'
+    'crates/mem/src/page.rs'
+    'pages are backed per 4 KiB block on first non-zero store'
+
     # One record per function per host, one production engine.
     'struct Flight|FlightGuard|resolving:|protos: RwLock<HashMap'
     'crates/core/src/instance.rs'

@@ -373,33 +373,39 @@ impl Faaslet {
         }
     }
 
-    /// Proportional-set-size footprint in bytes: linear memory PSS for FVM
-    /// guests (shared regions divided among their sharers); a base constant
-    /// plus attributed state shares for native guests.
+    /// Proportional-set-size footprint in bytes: linear memory PSS (shared
+    /// regions divided among their sharers) plus the VM's retained stacks
+    /// for FVM guests; a base constant plus attributed state shares for
+    /// native guests. Memory counts its backed 4 KiB blocks only.
     pub fn pss_bytes(&self) -> f64 {
         match &self.guest {
-            GuestInstance::Fvm(inst) => inst.memory().map_or(0.0, |m| m.stats().pss_bytes),
+            GuestInstance::Fvm(inst) => {
+                inst.memory().map_or(0.0, |m| m.stats().pss_bytes) + inst.stack_bytes() as f64
+            }
             GuestInstance::Native { ctx, .. } => {
                 let mut total = NATIVE_BASE_BYTES;
                 for m in ctx.mapped_state.values() {
                     let sharers = Arc::strong_count(&m.entry).saturating_sub(1).max(1);
-                    total += m.entry.region().capacity() as f64 / sharers as f64;
+                    total += m.entry.region().resident_bytes() as f64 / sharers as f64;
                 }
                 total
             }
         }
     }
 
-    /// Resident-set-size footprint in bytes (all pages counted in full).
+    /// Resident-set-size footprint in bytes (every backed block counted in
+    /// full, plus an FVM guest's retained stacks).
     pub fn rss_bytes(&self) -> usize {
         match &self.guest {
-            GuestInstance::Fvm(inst) => inst.memory().map_or(0, |m| m.stats().rss_bytes),
+            GuestInstance::Fvm(inst) => {
+                inst.memory().map_or(0, |m| m.stats().rss_bytes) + inst.stack_bytes()
+            }
             GuestInstance::Native { ctx, .. } => {
                 NATIVE_BASE_BYTES as usize
                     + ctx
                         .mapped_state
                         .values()
-                        .map(|m| m.entry.region().capacity())
+                        .map(|m| m.entry.region().resident_bytes())
                         .sum::<usize>()
             }
         }

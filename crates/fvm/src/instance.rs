@@ -108,7 +108,7 @@ pub struct Instance {
     /// as the instance and grow on demand, so a warmed-up instance calls
     /// without allocating; [`Instance::reset_to`] empties them and keeps a
     /// bounded capacity. Not guest-visible state, so not part of snapshots
-    /// or memory stats.
+    /// or memory stats; [`Instance::stack_bytes`] is what they hold.
     stacks: lowered::Stacks,
 }
 
@@ -290,6 +290,13 @@ impl Instance {
     /// The instance's linear memory, if any.
     pub fn memory(&self) -> Option<&LinearMemory> {
         self.mem.as_ref()
+    }
+
+    /// Bytes the lowered tier's stacks hold allocated (their capacity,
+    /// not their depth): part of the instance's footprint beside its
+    /// memory.
+    pub fn stack_bytes(&self) -> usize {
+        self.stacks.capacity_bytes()
     }
 
     /// Mutable access to the linear memory (host-side state mapping).

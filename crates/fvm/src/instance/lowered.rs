@@ -67,6 +67,12 @@ impl Stacks {
         self.values.clear();
         self.values.shrink_to(KEPT_VALUE_SLOTS);
     }
+
+    /// Bytes the two stacks hold allocated.
+    pub(super) fn capacity_bytes(&self) -> usize {
+        self.values.capacity() * std::mem::size_of::<u64>()
+            + self.calls.capacity() * std::mem::size_of::<Activation>()
+    }
 }
 
 /// A suspended caller: where a `Ret` resumes.

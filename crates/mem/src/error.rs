@@ -47,11 +47,6 @@ pub enum MemError {
         /// First overlapping page index in the linear memory.
         page: usize,
     },
-    /// A named shared region was not found in the registry.
-    RegionNotFound {
-        /// The requested region key.
-        key: String,
-    },
 }
 
 impl fmt::Display for MemError {
@@ -83,7 +78,6 @@ impl fmt::Display for MemError {
             MemError::MappingOverlap { page } => {
                 write!(f, "mapping overlaps existing shared mapping at page {page}")
             }
-            MemError::RegionNotFound { key } => write!(f, "shared region not found: {key:?}"),
         }
     }
 }
@@ -107,7 +101,5 @@ mod tests {
             max_pages: 4,
         };
         assert!(e.to_string().contains("limit"));
-        let e = MemError::RegionNotFound { key: "k".into() };
-        assert!(e.to_string().contains("\"k\""));
     }
 }

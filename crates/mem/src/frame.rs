@@ -8,7 +8,7 @@ use crate::page::Page;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
     /// The linear memory exclusively owns the page; writes go straight
-    /// through.
+    /// through, and a store inside one word is a plain load and store.
     Private,
     /// The page is shared with one or more [`crate::MemorySnapshot`]s; the
     /// first write materialises a private copy (copy-on-write, §5.2) that
@@ -22,6 +22,12 @@ pub enum FrameKind {
 }
 
 /// One page-sized frame of a linear memory.
+///
+/// Invariant: a [`FrameKind::Private`] frame's page is reachable only
+/// through that frame. Private frames are built zeroed or by a
+/// copy-on-write fault, and a snapshot demotes a frame to copy-on-write
+/// before it shares the page. That is what lets a sub-word store to a
+/// private page skip the compare-and-swap a shared page needs.
 #[derive(Debug)]
 pub struct Frame {
     page: Arc<Page>,
@@ -35,15 +41,6 @@ impl Frame {
     pub fn private_zeroed() -> Frame {
         Frame {
             page: Arc::new(Page::zeroed()),
-            kind: FrameKind::Private,
-            origin: None,
-        }
-    }
-
-    /// Create a private frame from existing page data.
-    pub fn private(page: Arc<Page>) -> Frame {
-        Frame {
-            page,
             kind: FrameKind::Private,
             origin: None,
         }
@@ -79,13 +76,34 @@ impl Frame {
 
     /// Prepare the frame for writing, materialising a private copy if the
     /// frame is copy-on-write. Returns the writable page.
+    #[inline]
     pub fn page_for_write(&mut self) -> &Arc<Page> {
         if self.kind == FrameKind::Cow {
-            let copy = self.page.clone_data();
-            self.origin = Some(std::mem::replace(&mut self.page, copy));
-            self.kind = FrameKind::Private;
+            self.fault();
         }
         &self.page
+    }
+
+    /// The copy-on-write fault: take a private copy of the page.
+    #[cold]
+    fn fault(&mut self) {
+        let copy = self.page.clone_data();
+        self.origin = Some(std::mem::replace(&mut self.page, copy));
+        self.kind = FrameKind::Private;
+    }
+
+    /// Store `data` at `in_page`, inside one aligned word, copy-on-write
+    /// first. Only a shared page's store takes a compare-and-swap: by the
+    /// type's invariant no one else can write a private page.
+    #[inline]
+    pub(crate) fn store_in_word<const N: usize>(&mut self, in_page: usize, data: [u8; N]) {
+        let exclusive = self.kind != FrameKind::Shared;
+        let page = self.page_for_write();
+        debug_assert!(
+            !exclusive || Arc::strong_count(page) == 1,
+            "a private frame's page is reachable only through that frame"
+        );
+        page.store_in_word(in_page, data, exclusive);
     }
 
     /// Make the frame read as `page` again, given the blocks `written`
@@ -120,7 +138,8 @@ impl Frame {
     /// Number of memories/snapshots currently referencing the backing page.
     ///
     /// Used for proportional-set-size accounting: a page shared `n` ways
-    /// contributes `PAGE_SIZE / n` to each holder's PSS (§6.5, Tab. 3).
+    /// contributes its resident bytes / `n` to each holder's PSS (§6.5,
+    /// Tab. 3).
     pub fn sharers(&self) -> usize {
         Arc::strong_count(&self.page)
     }

@@ -8,6 +8,10 @@
 //!   memory), **copy-on-write** (shared with a snapshot until first write), or
 //!   **shared** (mapped into several linear memories at once — the paper's
 //!   *shared regions*, Fig. 2).
+//! * A [`Page`] is a 64 KiB address range backed per 4 KiB block, on the
+//!   first non-zero store: what a page costs is its backed blocks
+//!   ([`Page::resident_bytes`]), and [`MemStats`] and
+//!   [`SharedRegion::resident_bytes`] are sums of that.
 //! * [`MemorySnapshot`] captures the full contents of a memory in O(pages)
 //!   pointer copies; [`LinearMemory::restore`] rebuilds a memory from a
 //!   snapshot using copy-on-write mappings, which is what makes Proto-Faaslet
@@ -37,7 +41,7 @@ pub use error::MemError;
 pub use frame::{Frame, FrameKind};
 pub use linear::LinearMemory;
 pub use page::{Page, BLOCK_SIZE, PAGE_SIZE};
-pub use region::{SharedRegion, SharedRegionRegistry};
+pub use region::SharedRegion;
 pub use snapshot::MemorySnapshot;
 pub use stats::MemStats;
 

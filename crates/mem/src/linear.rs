@@ -164,12 +164,16 @@ impl LinearMemory {
     /// range-checked `[addr, addr + N)` against [`LinearMemory::size_bytes`].
     /// This is the raw half of a *hoisted* bounds check: the FVM's fused
     /// superinstructions do one range comparison per access and then call
-    /// this. Panics (safe, out-of-bounds index) if the caller lied.
+    /// this. Panics (safe, out-of-bounds index) if the caller lied. An
+    /// access inside one aligned word is one block lookup and one load.
     #[inline]
     pub fn read_raw<const N: usize>(&self, addr: usize) -> [u8; N] {
         debug_assert!(addr + N <= self.size_bytes(), "caller must range-check");
-        let mut buf = [0u8; N];
         let in_page = addr % PAGE_SIZE;
+        if addr % 8 + N <= 8 {
+            return self.frames[addr / PAGE_SIZE].page().load_in_word(in_page);
+        }
+        let mut buf = [0u8; N];
         if in_page + N <= PAGE_SIZE {
             self.frames[addr / PAGE_SIZE].page().read(in_page, &mut buf);
         } else {
@@ -187,13 +191,18 @@ impl LinearMemory {
     /// Write `N` bytes at `addr` without a bounds check; see
     /// [`LinearMemory::read_raw`] for the contract. Materialises
     /// copy-on-write pages and records the blocks touched exactly like
-    /// [`LinearMemory::write`].
+    /// [`LinearMemory::write`]. An access inside one aligned word is one
+    /// block lookup and one store; only on a shared page does a partial
+    /// word take a compare-and-swap.
     #[inline]
     pub fn write_raw<const N: usize>(&mut self, addr: usize, data: [u8; N]) {
         debug_assert!(addr + N <= self.size_bytes(), "caller must range-check");
         let page = addr / PAGE_SIZE;
         let in_page = addr % PAGE_SIZE;
-        if in_page + N <= PAGE_SIZE {
+        if addr % 8 + N <= 8 {
+            self.frames[page].store_in_word(in_page, data);
+            self.written[page] |= 1 << (in_page / BLOCK_SIZE);
+        } else if in_page + N <= PAGE_SIZE {
             self.frames[page].page_for_write().write(in_page, &data);
             self.written[page] |= blocks(in_page, N);
         } else {
@@ -407,22 +416,23 @@ impl LinearMemory {
     pub fn stats(&self) -> MemStats {
         let mut s = MemStats::default();
         for frame in &self.frames {
+            let resident = frame.page().resident_bytes();
+            s.rss_bytes += resident;
             match frame.kind() {
                 FrameKind::Private => {
                     s.private_pages += 1;
-                    s.pss_bytes += PAGE_SIZE as f64;
+                    s.pss_bytes += resident as f64;
                 }
                 FrameKind::Cow => {
                     s.cow_pages += 1;
-                    s.pss_bytes += PAGE_SIZE as f64 / frame.sharers() as f64;
+                    s.pss_bytes += resident as f64 / frame.sharers() as f64;
                 }
                 FrameKind::Shared => {
                     s.shared_pages += 1;
-                    s.pss_bytes += PAGE_SIZE as f64 / frame.sharers() as f64;
+                    s.pss_bytes += resident as f64 / frame.sharers() as f64;
                 }
             }
         }
-        s.rss_bytes = self.frames.len() * PAGE_SIZE;
         s
     }
 
@@ -868,6 +878,114 @@ mod tests {
                 assert!(
                     LinearMemory::restore(&snap).to_vec() == want,
                     "seed {seed} round {round}: snapshot changed"
+                );
+            }
+        }
+    }
+
+    /// Bytes to store: all zero a third of the time, otherwise with a
+    /// zero byte here and there.
+    fn store_bytes(rng: &mut Rng, len: usize) -> Vec<u8> {
+        let zero = rng.below(3) == 0;
+        (0..len)
+            .map(|_| if zero { 0 } else { rng.next() as u8 & 0xf7 })
+            .collect()
+    }
+
+    #[test]
+    fn sparse_memory_matches_a_dense_model() {
+        for seed in 1..=64u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let mut mem = LinearMemory::new(1 + rng.below(2), 6).unwrap();
+            let mut model = vec![0u8; mem.size_bytes()];
+            // Every block (by address) that was ever stored a non-zero byte:
+            // the most memory may hold, since each page in it was zero when
+            // it entered at its address (a grow, a fresh region, a copy or
+            // capture of a page at that same address).
+            let mut touched = std::collections::BTreeSet::new();
+            let mut snaps: Vec<(MemorySnapshot, Vec<u8>)> = Vec::new();
+            for step in 0..40 {
+                let size = mem.size_bytes();
+                let rss = mem.stats().rss_bytes;
+                // (address, bytes) of a store, if this step made one.
+                let mut stored: Option<(usize, Vec<u8>)> = None;
+                match rng.below(10) {
+                    0 => {
+                        if mem.grow(rng.below(3)).is_ok() {
+                            model.resize(mem.size_bytes(), 0);
+                        }
+                    }
+                    1 => {
+                        let region = SharedRegion::new((1 + rng.below(2)) * PAGE_SIZE);
+                        if mem.map_shared(&region).is_ok() {
+                            model.resize(mem.size_bytes(), 0);
+                        }
+                    }
+                    2 => {
+                        if let Some((snap, bytes)) = snaps.get(rng.below(snaps.len() + 1)) {
+                            mem.reset_to(snap);
+                            model.clone_from(bytes);
+                        } else {
+                            snaps.push((mem.snapshot(), model.clone()));
+                        }
+                    }
+                    3 => {
+                        let len = 1 + rng.below((3 * BLOCK_SIZE).min(size));
+                        let (addr, data) = (rng.addr(size, len), store_bytes(&mut rng, len));
+                        mem.write(addr, &data).unwrap();
+                        stored = Some((addr, data));
+                    }
+                    4..=6 => {
+                        let n = [1, 4, 8][rng.below(3)];
+                        let (addr, data) = (rng.addr(size, n), store_bytes(&mut rng, n));
+                        match n {
+                            1 => mem.write_raw::<1>(addr, [data[0]]),
+                            4 => mem.write_raw::<4>(addr, data[..].try_into().unwrap()),
+                            _ => mem.write_raw::<8>(addr, data[..].try_into().unwrap()),
+                        }
+                        stored = Some((addr, data));
+                    }
+                    7 => {
+                        let len = rng.below((2 * PAGE_SIZE).min(size) + 1);
+                        let value = store_bytes(&mut rng, 1)[0];
+                        let addr = rng.addr(size, len);
+                        mem.fill(addr, len, value).unwrap();
+                        stored = Some((addr, vec![value; len]));
+                    }
+                    8 => {
+                        let len = rng.below(PAGE_SIZE.min(size) + 1);
+                        let (src, dst) = (rng.addr(size, len), rng.addr(size, len));
+                        mem.copy_within(src, dst, len).unwrap();
+                        stored = Some((dst, model[src..src + len].to_vec()));
+                    }
+                    _ => {
+                        // Loads: the raw word paths against the model.
+                        let a = rng.addr(size, 1);
+                        assert_eq!(mem.read_raw::<1>(a), [model[a]], "seed {seed}");
+                        let a = rng.addr(size, 4);
+                        assert_eq!(mem.read_raw::<4>(a)[..], model[a..a + 4], "seed {seed}");
+                        let a = rng.addr(size, 8);
+                        assert_eq!(mem.read_raw::<8>(a)[..], model[a..a + 8], "seed {seed}");
+                    }
+                }
+                if let Some((addr, data)) = stored {
+                    model[addr..addr + data.len()].copy_from_slice(&data);
+                    for (i, &b) in data.iter().enumerate() {
+                        if b != 0 {
+                            touched.insert((addr + i) / BLOCK_SIZE);
+                        }
+                    }
+                    if data.iter().all(|&b| b == 0) {
+                        let after = mem.stats().rss_bytes;
+                        assert_eq!(after, rss, "seed {seed} step {step}: zeros backed a block");
+                    }
+                }
+                assert!(mem.to_vec() == model, "seed {seed} step {step}: bytes");
+                let rss = mem.stats().rss_bytes;
+                assert!(
+                    rss <= touched.len() * BLOCK_SIZE,
+                    "seed {seed} step {step}: {rss} B resident, {} blocks stored to",
+                    touched.len()
                 );
             }
         }

@@ -1,30 +1,49 @@
-//! The 64 KiB page: the unit of mapping, sharing and snapshotting. (Writes
-//! are recorded, and undone on reset, by 4 KiB block: [`BLOCK_SIZE`].)
+//! The 64 KiB page: the unit of mapping, sharing and snapshotting, backed
+//! by 4 KiB block ([`BLOCK_SIZE`]) — also the unit in which writes are
+//! recorded, and undone on reset.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Size of one memory page in bytes (the WebAssembly page size).
 pub const PAGE_SIZE: usize = 64 * 1024;
 
-/// Size of one block in bytes: the unit a linear memory records writes in
-/// and copies back on an in-place reset. Sixteen blocks make a page, so a
-/// page's written blocks fit one `u16` mask.
+/// Size of one block in bytes: the unit a page is backed in, and the unit a
+/// linear memory records writes in and copies back on an in-place reset.
+/// Sixteen blocks make a page, so a page's written blocks fit one `u16`
+/// mask.
 pub const BLOCK_SIZE: usize = 4 * 1024;
 
-/// Number of 64-bit words in a page.
-const WORDS_PER_PAGE: usize = PAGE_SIZE / 8;
+/// Number of blocks in a page.
+const BLOCKS_PER_PAGE: usize = PAGE_SIZE / BLOCK_SIZE;
 
 /// Number of 64-bit words in a block.
 const WORDS_PER_BLOCK: usize = BLOCK_SIZE / 8;
 
-/// A single 64 KiB page of memory.
+/// The words of one backed block.
+type Block = [AtomicU64; WORDS_PER_BLOCK];
+
+/// A block holding `word(i)` at word `i`.
+fn new_block(word: impl Fn(usize) -> u64) -> Box<Block> {
+    Box::new(std::array::from_fn(|i| AtomicU64::new(word(i))))
+}
+
+/// A single 64 KiB page of memory: an address range backed per 4 KiB
+/// block.
 ///
-/// Pages are stored as arrays of [`AtomicU64`] words so that a page placed in
-/// a shared region can be read and written concurrently from several Faaslet
-/// threads without undefined behaviour. Whole-word accesses are single relaxed
-/// atomic operations; sub-word writes use a compare-and-swap loop so racing
-/// writers never lose each other's neighbouring bytes.
+/// A block no store has backed reads as zero and costs nothing; the first
+/// store of a non-zero byte backs it (a store of zeros backs nothing), and
+/// a backed block stays backed. [`Page::resident_bytes`] — backed blocks ×
+/// [`BLOCK_SIZE`] — is what the page costs, and every footprint number in
+/// the workspace is a sum of it.
+///
+/// Backed blocks are arrays of [`AtomicU64`] words so that a page placed in
+/// a shared region can be read and written concurrently from several
+/// Faaslet threads without undefined behaviour, and backing a block is a
+/// [`OnceLock`] initialisation, so racing first stores meet on one block.
+/// Whole-word accesses are single relaxed atomic operations; sub-word
+/// writes use a compare-and-swap loop so racing writers never lose each
+/// other's neighbouring bytes.
 ///
 /// Relaxed ordering is sufficient for the data itself: callers that need
 /// cross-thread ordering (the state API's local read/write locks, §4.2)
@@ -32,19 +51,19 @@ const WORDS_PER_BLOCK: usize = BLOCK_SIZE / 8;
 /// Lock-free concurrent writers (the HOGWILD! pattern of Listing 1) tolerate
 /// word-granularity tearing by design.
 pub struct Page {
-    words: Box<[AtomicU64]>,
+    blocks: [OnceLock<Box<Block>>; BLOCKS_PER_PAGE],
 }
 
 impl Page {
-    /// Create a zero-filled page.
+    /// Create a zero page: no block is backed.
     pub fn zeroed() -> Page {
-        let words: Vec<AtomicU64> = (0..WORDS_PER_PAGE).map(|_| AtomicU64::new(0)).collect();
         Page {
-            words: words.into_boxed_slice(),
+            blocks: [const { OnceLock::new() }; BLOCKS_PER_PAGE],
         }
     }
 
-    /// Create a page initialised from `data`.
+    /// Create a page initialised from `data`; only the blocks holding a
+    /// non-zero byte are backed.
     ///
     /// # Panics
     ///
@@ -57,6 +76,78 @@ impl Page {
         page
     }
 
+    /// The block holding byte `offset`, if a store has backed it.
+    #[inline]
+    fn block(&self, offset: usize) -> Option<&Block> {
+        self.blocks[offset / BLOCK_SIZE].get().map(|b| &**b)
+    }
+
+    /// The block a store at `offset` lands in, backing it if needed — or
+    /// `None` if it is unbacked and `zero()` says the store writes only
+    /// zeros, which it already reads as.
+    #[inline]
+    fn block_for_store(&self, offset: usize, zero: impl FnOnce() -> bool) -> Option<&Block> {
+        match self.block(offset) {
+            None if zero() => None,
+            None => Some(self.back(offset / BLOCK_SIZE)),
+            backed => backed,
+        }
+    }
+
+    /// Block `idx`, backed (zero-filled) if no store has backed it yet.
+    fn back(&self, idx: usize) -> &Block {
+        self.blocks[idx].get_or_init(|| new_block(|_| 0))
+    }
+
+    /// Read the `N` bytes at `offset`, which lie inside one aligned word:
+    /// one block lookup and one relaxed load.
+    #[inline]
+    pub(crate) fn load_in_word<const N: usize>(&self, offset: usize) -> [u8; N] {
+        debug_assert!(offset % 8 + N <= 8, "the bytes lie inside one word");
+        let word = self
+            .block(offset)
+            .map_or(0, |b| b[offset % BLOCK_SIZE / 8].load(Ordering::Relaxed));
+        let bytes = (word >> (offset % 8 * 8)).to_le_bytes();
+        std::array::from_fn(|i| bytes[i])
+    }
+
+    /// Store `data` at `offset`, inside one aligned word: one block lookup
+    /// and one relaxed store for a whole word. A partial word is a load and
+    /// a store when `exclusive` — no other thread can reach the page — and
+    /// a compare-and-swap loop otherwise.
+    #[inline]
+    pub(crate) fn store_in_word<const N: usize>(
+        &self,
+        offset: usize,
+        data: [u8; N],
+        exclusive: bool,
+    ) {
+        debug_assert!(offset % 8 + N <= 8, "the bytes lie inside one word");
+        let shift = offset % 8 * 8;
+        let mut bytes = [0u8; 8];
+        bytes[..N].copy_from_slice(&data);
+        let value = u64::from_le_bytes(bytes) << shift;
+        let Some(block) = self.block_for_store(offset, || value == 0) else {
+            return;
+        };
+        let word = &block[offset % BLOCK_SIZE / 8];
+        if N == 8 {
+            word.store(value, Ordering::Relaxed);
+            return;
+        }
+        let mask = (u64::MAX >> (64 - 8 * N)) << shift;
+        if exclusive {
+            word.store(
+                word.load(Ordering::Relaxed) & !mask | value,
+                Ordering::Relaxed,
+            );
+        } else {
+            let _ = word.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                Some(cur & !mask | value)
+            });
+        }
+    }
+
     /// Read `buf.len()` bytes starting at byte `offset` within the page.
     ///
     /// # Panics
@@ -64,29 +155,33 @@ impl Page {
     /// Panics if the range exceeds the page; bounds are the caller's
     /// responsibility ([`crate::LinearMemory`] checks them and returns
     /// [`crate::MemError::OutOfBounds`] instead).
+    #[inline]
     pub fn read(&self, offset: usize, buf: &mut [u8]) {
         assert!(offset + buf.len() <= PAGE_SIZE, "page read out of range");
-        let mut pos = 0;
-        while pos < buf.len() {
-            let byte_addr = offset + pos;
-            let word_idx = byte_addr / 8;
-            let in_word = byte_addr % 8;
-            let avail = (8 - in_word).min(buf.len() - pos);
-            let word = self.words[word_idx].load(Ordering::Relaxed);
-            if in_word == 0 && avail == 8 {
-                // Aligned whole-word fast path, mirroring [`Page::write`]:
-                // the fixed-length copy lets bulk reads (state pushes read
-                // whole replicas) compile to straight-line code.
-                buf[pos..pos + 8].copy_from_slice(&word.to_le_bytes());
-            } else {
-                let bytes = word.to_le_bytes();
-                buf[pos..pos + avail].copy_from_slice(&bytes[in_word..in_word + avail]);
-            }
-            pos += avail;
+        if buf.len() == 8 && offset.is_multiple_of(8) {
+            buf.copy_from_slice(&self.load_in_word::<8>(offset));
+        } else {
+            self.read_blocks(offset, buf);
         }
     }
 
-    /// Write `data` starting at byte `offset` within the page.
+    /// [`Page::read`] off the word fast path: block by block.
+    fn read_blocks(&self, offset: usize, buf: &mut [u8]) {
+        let mut pos = 0;
+        while pos < buf.len() {
+            let at = offset + pos;
+            let n = (BLOCK_SIZE - at % BLOCK_SIZE).min(buf.len() - pos);
+            let out = &mut buf[pos..pos + n];
+            match self.block(at) {
+                Some(block) => read_words(block, at % BLOCK_SIZE, out),
+                None => out.fill(0),
+            }
+            pos += n;
+        }
+    }
+
+    /// Write `data` starting at byte `offset` within the page, backing the
+    /// blocks it stores a non-zero byte in.
     ///
     /// Whole aligned words are stored with single atomic stores; partial words
     /// use a CAS loop so that concurrent writers to *other* bytes of the same
@@ -95,36 +190,28 @@ impl Page {
     /// # Panics
     ///
     /// Panics if the range exceeds the page (see [`Page::read`]).
+    #[inline]
     pub fn write(&self, offset: usize, data: &[u8]) {
         assert!(offset + data.len() <= PAGE_SIZE, "page write out of range");
+        if let (0, Ok(word)) = (offset % 8, <[u8; 8]>::try_from(data)) {
+            self.store_in_word(offset, word, false);
+        } else {
+            self.write_blocks(offset, data);
+        }
+    }
+
+    /// [`Page::write`] off the word fast path: block by block, backing
+    /// only blocks that get a non-zero byte.
+    fn write_blocks(&self, offset: usize, data: &[u8]) {
         let mut pos = 0;
         while pos < data.len() {
-            let byte_addr = offset + pos;
-            let word_idx = byte_addr / 8;
-            let in_word = byte_addr % 8;
-            let avail = (8 - in_word).min(data.len() - pos);
-            if in_word == 0 && avail == 8 {
-                let mut bytes = [0u8; 8];
-                bytes.copy_from_slice(&data[pos..pos + 8]);
-                self.words[word_idx].store(u64::from_le_bytes(bytes), Ordering::Relaxed);
-            } else {
-                let slot = &self.words[word_idx];
-                let mut cur = slot.load(Ordering::Relaxed);
-                loop {
-                    let mut bytes = cur.to_le_bytes();
-                    bytes[in_word..in_word + avail].copy_from_slice(&data[pos..pos + avail]);
-                    match slot.compare_exchange_weak(
-                        cur,
-                        u64::from_le_bytes(bytes),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => break,
-                        Err(actual) => cur = actual,
-                    }
-                }
+            let at = offset + pos;
+            let n = (BLOCK_SIZE - at % BLOCK_SIZE).min(data.len() - pos);
+            let src = &data[pos..pos + n];
+            if let Some(block) = self.block_for_store(at, || src.iter().all(|&b| b == 0)) {
+                write_words(block, at % BLOCK_SIZE, src);
             }
-            pos += avail;
+            pos += n;
         }
     }
 
@@ -153,25 +240,34 @@ impl Page {
     }
 
     /// Create a new page whose contents equal this page at the time of the
-    /// call (the materialisation step of a copy-on-write fault).
+    /// call (the materialisation step of a copy-on-write fault). Only the
+    /// backed blocks are copied; the rest stay unbacked.
     pub fn clone_data(&self) -> Arc<Page> {
-        let copy = Page::zeroed();
-        for i in 0..WORDS_PER_PAGE {
-            copy.words[i].store(self.words[i].load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        Arc::new(copy)
+        Arc::new(Page {
+            blocks: std::array::from_fn(|i| match self.blocks[i].get() {
+                Some(from) => OnceLock::from(new_block(|w| from[w].load(Ordering::Relaxed))),
+                None => OnceLock::new(),
+            }),
+        })
     }
 
     /// Overwrite the blocks named by `blocks` (bit `i` = bytes
     /// `i * BLOCK_SIZE..(i + 1) * BLOCK_SIZE`) with `src`'s — the copy-back
-    /// step of an in-place reset. Returns the number of bytes copied.
+    /// step of an in-place reset. A block `src` never backed reads as zero,
+    /// so it is zero-filled here (or left unbacked). Returns the number of
+    /// bytes the named blocks hold.
     pub fn copy_blocks_from(&self, src: &Page, blocks: u16) -> usize {
         let mut rest = blocks;
         while rest != 0 {
-            let first = rest.trailing_zeros() as usize * WORDS_PER_BLOCK;
-            let words = first..first + WORDS_PER_BLOCK;
-            for (to, from) in self.words[words.clone()].iter().zip(&src.words[words]) {
-                to.store(from.load(Ordering::Relaxed), Ordering::Relaxed);
+            let idx = rest.trailing_zeros() as usize;
+            match (src.blocks[idx].get(), self.blocks[idx].get()) {
+                (Some(from), _) => {
+                    for (to, from) in self.back(idx).iter().zip(from.iter()) {
+                        to.store(from.load(Ordering::Relaxed), Ordering::Relaxed);
+                    }
+                }
+                (None, Some(to)) => to.iter().for_each(|w| w.store(0, Ordering::Relaxed)),
+                (None, None) => {}
             }
             rest &= rest - 1;
         }
@@ -180,7 +276,60 @@ impl Page {
 
     /// True if every byte of the page is zero.
     pub fn is_zero(&self) -> bool {
-        self.words.iter().all(|w| w.load(Ordering::Relaxed) == 0)
+        self.blocks.iter().all(|b| {
+            b.get()
+                .is_none_or(|b| b.iter().all(|w| w.load(Ordering::Relaxed) == 0))
+        })
+    }
+
+    /// Bytes of memory the page holds: its backed blocks × [`BLOCK_SIZE`].
+    pub fn resident_bytes(&self) -> usize {
+        self.blocks.iter().filter(|b| b.get().is_some()).count() * BLOCK_SIZE
+    }
+}
+
+/// Read `out.len()` bytes at byte `in_block` of `block`.
+fn read_words(block: &Block, in_block: usize, out: &mut [u8]) {
+    let mut pos = 0;
+    while pos < out.len() {
+        let byte_addr = in_block + pos;
+        let in_word = byte_addr % 8;
+        let avail = (8 - in_word).min(out.len() - pos);
+        let word = block[byte_addr / 8].load(Ordering::Relaxed);
+        if in_word == 0 && avail == 8 {
+            // Aligned whole-word fast path, mirroring `write_words`: the
+            // fixed-length copy lets bulk reads (state pushes read whole
+            // replicas) compile to straight-line code.
+            out[pos..pos + 8].copy_from_slice(&word.to_le_bytes());
+        } else {
+            let bytes = word.to_le_bytes();
+            out[pos..pos + avail].copy_from_slice(&bytes[in_word..in_word + avail]);
+        }
+        pos += avail;
+    }
+}
+
+/// Write `data` at byte `in_block` of `block`: whole aligned words with one
+/// store, partial words with a CAS loop.
+fn write_words(block: &Block, in_block: usize, data: &[u8]) {
+    let mut pos = 0;
+    while pos < data.len() {
+        let byte_addr = in_block + pos;
+        let in_word = byte_addr % 8;
+        let avail = (8 - in_word).min(data.len() - pos);
+        let slot = &block[byte_addr / 8];
+        if in_word == 0 && avail == 8 {
+            let mut bytes = [0u8; 8];
+            bytes.copy_from_slice(&data[pos..pos + 8]);
+            slot.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
+        } else {
+            let _ = slot.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                let mut bytes = cur.to_le_bytes();
+                bytes[in_word..in_word + avail].copy_from_slice(&data[pos..pos + avail]);
+                Some(u64::from_le_bytes(bytes))
+            });
+        }
+        pos += avail;
     }
 }
 
@@ -282,6 +431,39 @@ mod tests {
             assert!(chunk.iter().all(|&b| b == want), "block {block}");
         }
         assert_eq!(dst.copy_blocks_from(&src, 0), 0);
+    }
+
+    #[test]
+    fn blocks_are_backed_by_the_first_non_zero_store() {
+        let p = Page::zeroed();
+        assert_eq!(p.resident_bytes(), 0);
+        // Zeros back nothing, however they are stored.
+        p.write(0, &[0; 100]);
+        p.fill(BLOCK_SIZE, 3 * BLOCK_SIZE, 0);
+        p.store_in_word(8, [0u8; 4], true);
+        p.store_in_word(16, [0u8; 8], false);
+        assert_eq!(p.resident_bytes(), 0);
+        // One non-zero byte backs its block and no other.
+        p.write(2 * BLOCK_SIZE - 1, &[0, 7, 0]);
+        assert_eq!(p.resident_bytes(), BLOCK_SIZE);
+        p.store_in_word(5 * BLOCK_SIZE + 3, [1u8], true);
+        p.store_in_word(9 * BLOCK_SIZE + 8, [0, 0, 0, 0, 0, 0, 0, 2], false);
+        assert_eq!(p.resident_bytes(), 3 * BLOCK_SIZE);
+        // A backed block stays backed, and zeros stored into it land.
+        p.write(2 * BLOCK_SIZE, &[0]);
+        assert_eq!(p.resident_bytes(), 3 * BLOCK_SIZE);
+        assert!(!p.is_zero());
+        assert_eq!(p.load_in_word::<1>(2 * BLOCK_SIZE), [0]);
+        assert_eq!(p.load_in_word::<2>(5 * BLOCK_SIZE + 2), [0, 1]);
+        assert_eq!(p.load_in_word::<8>(9 * BLOCK_SIZE + 8)[7], 2);
+        // A copy-on-write copy backs what its source backs; a copy-back
+        // from an unbacked source block zero-fills.
+        let copy = p.clone_data();
+        assert_eq!(copy.resident_bytes(), 3 * BLOCK_SIZE);
+        assert_eq!(copy.to_bytes(), p.to_bytes());
+        copy.copy_blocks_from(&Page::zeroed(), 1 << 5 | 1 << 6);
+        assert_eq!(copy.resident_bytes(), 3 * BLOCK_SIZE);
+        assert_eq!(copy.load_in_word::<2>(5 * BLOCK_SIZE + 2), [0, 0]);
     }
 
     #[test]

@@ -5,14 +5,12 @@
 //! address spaces; their guest code sees ordinary in-bounds offsets while the
 //! underlying accesses land on the common pages — exactly the remapping trick
 //! of Fig. 2. The local state tier (`faasm-state`) stores every state-value
-//! replica in such regions, so co-located functions share data with zero
-//! copies.
+//! replica in such a region, so co-located functions share data with zero
+//! copies. A region's pages are backed per 4 KiB block on the first non-zero
+//! store, so a 4 KiB value costs 4 KiB whatever its page-rounded capacity.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-use parking_lot::RwLock;
 
 use crate::error::MemError;
 use crate::page::{Page, PAGE_SIZE};
@@ -30,8 +28,8 @@ pub struct SharedRegion {
 }
 
 impl SharedRegion {
-    /// Allocate a zero-filled shared region of at least `len_bytes` bytes
-    /// (rounded up to whole pages).
+    /// Allocate a zero shared region of at least `len_bytes` bytes (rounded
+    /// up to whole pages). No block is backed until a non-zero store.
     pub fn new(len_bytes: usize) -> SharedRegion {
         let n = pages_for_bytes(len_bytes.max(1));
         let pages = (0..n).map(|_| Arc::new(Page::zeroed())).collect();
@@ -69,9 +67,17 @@ impl SharedRegion {
         self.pages.len()
     }
 
-    /// Capacity in bytes (whole pages).
+    /// Capacity in bytes (whole pages): the bound accesses are checked
+    /// against, not what the region costs (see
+    /// [`SharedRegion::resident_bytes`]).
     pub fn capacity(&self) -> usize {
         self.pages.len() * PAGE_SIZE
+    }
+
+    /// Bytes of memory the region holds: the sum of its pages'
+    /// [`Page::resident_bytes`].
+    pub fn resident_bytes(&self) -> usize {
+        self.pages.iter().map(|p| p.resident_bytes()).sum()
     }
 
     /// The backing pages, for mapping into a linear memory.
@@ -140,77 +146,6 @@ impl SharedRegion {
     }
 }
 
-/// A host-wide registry of named shared regions.
-///
-/// The local state tier allocates one region per state value (or per chunk
-/// run) and registers it here under the state key, so that every Faaslet on
-/// the host maps the *same* pages (Fig. 4's local tier).
-#[derive(Debug, Default)]
-pub struct SharedRegionRegistry {
-    regions: RwLock<HashMap<String, SharedRegion>>,
-}
-
-impl SharedRegionRegistry {
-    /// Create an empty registry.
-    pub fn new() -> SharedRegionRegistry {
-        SharedRegionRegistry::default()
-    }
-
-    /// Get the region registered under `key`, or create a zeroed region of
-    /// `len_bytes` and register it. Concurrent callers receive clones of the
-    /// same region.
-    pub fn get_or_create(&self, key: &str, len_bytes: usize) -> SharedRegion {
-        if let Some(r) = self.regions.read().get(key) {
-            return r.clone();
-        }
-        let mut w = self.regions.write();
-        w.entry(key.to_string())
-            .or_insert_with(|| SharedRegion::new(len_bytes))
-            .clone()
-    }
-
-    /// Look up an existing region.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::RegionNotFound`] if no region is registered under
-    /// `key`.
-    pub fn get(&self, key: &str) -> Result<SharedRegion, MemError> {
-        self.regions
-            .read()
-            .get(key)
-            .cloned()
-            .ok_or_else(|| MemError::RegionNotFound {
-                key: key.to_string(),
-            })
-    }
-
-    /// Replace or insert a region under `key`.
-    pub fn insert(&self, key: &str, region: SharedRegion) {
-        self.regions.write().insert(key.to_string(), region);
-    }
-
-    /// Remove the region registered under `key`, returning it if present.
-    pub fn remove(&self, key: &str) -> Option<SharedRegion> {
-        self.regions.write().remove(key)
-    }
-
-    /// Number of registered regions.
-    pub fn len(&self) -> usize {
-        self.regions.read().len()
-    }
-
-    /// True if no regions are registered.
-    pub fn is_empty(&self) -> bool {
-        self.regions.read().is_empty()
-    }
-
-    /// Total bytes held by all registered regions (page-rounded).
-    pub fn total_bytes(&self) -> usize {
-        self.regions.read().values().map(|r| r.capacity()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,48 +193,5 @@ mod tests {
         a.read(0, &mut buf).unwrap();
         assert_eq!(&buf, b"SHARED");
         assert_eq!(a.id(), b.id());
-    }
-
-    #[test]
-    fn registry_get_or_create_is_idempotent() {
-        let reg = SharedRegionRegistry::new();
-        let a = reg.get_or_create("k", 100);
-        let b = reg.get_or_create("k", 999_999);
-        assert_eq!(a.id(), b.id());
-        assert_eq!(reg.len(), 1);
-    }
-
-    #[test]
-    fn registry_get_missing_errors() {
-        let reg = SharedRegionRegistry::new();
-        assert!(matches!(
-            reg.get("nope"),
-            Err(MemError::RegionNotFound { .. })
-        ));
-    }
-
-    #[test]
-    fn registry_remove_and_total_bytes() {
-        let reg = SharedRegionRegistry::new();
-        reg.get_or_create("a", PAGE_SIZE);
-        reg.get_or_create("b", 1);
-        assert_eq!(reg.total_bytes(), 2 * PAGE_SIZE);
-        assert!(reg.remove("a").is_some());
-        assert!(reg.remove("a").is_none());
-        assert_eq!(reg.len(), 1);
-    }
-
-    #[test]
-    fn concurrent_get_or_create_returns_same_region() {
-        let reg = Arc::new(SharedRegionRegistry::new());
-        let mut handles = vec![];
-        for _ in 0..8 {
-            let reg = reg.clone();
-            handles.push(std::thread::spawn(move || {
-                reg.get_or_create("key", 1000).id()
-            }));
-        }
-        let ids: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert!(ids.windows(2).all(|w| w[0] == w[1]));
     }
 }

@@ -2,13 +2,18 @@
 
 /// A point-in-time accounting of a linear memory's footprint.
 ///
-/// * **RSS** (resident set size) counts every mapped page in full, the way a
-///   container's private copy of shared libraries is charged to it.
-/// * **PSS** (proportional set size) divides each page by the number of
-///   memories/snapshots referencing it, so copy-on-write pages restored from
-///   a common Proto-Faaslet and shared-region pages are charged
-///   proportionally — this is the measurement that gives Faaslets their
-///   order-of-magnitude footprint advantage in Tab. 3.
+/// A page costs its backed 4 KiB blocks ([`crate::Page::resident_bytes`]):
+/// a page never stored a non-zero byte to holds no memory, however it is
+/// mapped. On that one definition of resident bytes:
+///
+/// * **RSS** (resident set size) counts every mapped page's resident bytes
+///   in full, the way a container's private copy of shared libraries is
+///   charged to it.
+/// * **PSS** (proportional set size) divides each page's resident bytes by
+///   the number of memories/snapshots referencing it, so copy-on-write
+///   pages restored from a common Proto-Faaslet and shared-region pages are
+///   charged proportionally — this is the measurement that gives Faaslets
+///   their order-of-magnitude footprint advantage in Tab. 3.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MemStats {
     /// Pages exclusively owned by this memory.
@@ -17,10 +22,11 @@ pub struct MemStats {
     pub cow_pages: usize,
     /// Pages belonging to mapped shared regions.
     pub shared_pages: usize,
-    /// Resident set size in bytes (all mapped pages counted in full).
+    /// Resident set size in bytes (every mapped page's backed blocks,
+    /// counted in full).
     pub rss_bytes: usize,
-    /// Proportional set size in bytes (shared/CoW pages divided by their
-    /// reference counts).
+    /// Proportional set size in bytes (the backed blocks of shared/CoW
+    /// pages divided by the pages' reference counts).
     pub pss_bytes: f64,
 }
 
@@ -34,19 +40,23 @@ impl MemStats {
 #[cfg(test)]
 mod tests {
     use crate::linear::LinearMemory;
-    use crate::page::PAGE_SIZE;
+    use crate::page::{BLOCK_SIZE, PAGE_SIZE};
     use crate::region::SharedRegion;
 
     #[test]
     fn fresh_memory_is_all_private() {
-        let mem = LinearMemory::new(3, 10).unwrap();
+        let mut mem = LinearMemory::new(3, 10).unwrap();
         let s = mem.stats();
         assert_eq!(s.private_pages, 3);
         assert_eq!(s.cow_pages, 0);
         assert_eq!(s.shared_pages, 0);
-        assert_eq!(s.rss_bytes, 3 * PAGE_SIZE);
-        assert!((s.pss_bytes - (3 * PAGE_SIZE) as f64).abs() < 1.0);
+        assert_eq!(s.rss_bytes, 0, "a page nothing was stored to holds nothing");
+        assert_eq!(s.pss_bytes, 0.0);
         assert_eq!(s.total_pages(), 3);
+        mem.write(PAGE_SIZE + 7, &[1]).unwrap();
+        let s = mem.stats();
+        assert_eq!(s.rss_bytes, BLOCK_SIZE, "one byte backs one block");
+        assert_eq!(s.pss_bytes, BLOCK_SIZE as f64);
     }
 
     #[test]
@@ -58,10 +68,11 @@ mod tests {
         let r2 = LinearMemory::restore(&snap);
         let s = r1.stats();
         assert_eq!(s.cow_pages, 4);
-        assert_eq!(s.rss_bytes, 4 * PAGE_SIZE);
-        // Pages are referenced by: snapshot, original (as CoW), r1, r2 → PSS
-        // should be well under RSS.
-        assert!(s.pss_bytes < s.rss_bytes as f64 / 2.0);
+        // One block of page 0 is backed; the other pages hold nothing.
+        assert_eq!(s.rss_bytes, BLOCK_SIZE);
+        // Page 0 is referenced by the snapshot, the original (as CoW), r1
+        // and r2: a quarter of its block is r1's.
+        assert_eq!(s.pss_bytes, BLOCK_SIZE as f64 / 4.0);
         drop(r2);
     }
 

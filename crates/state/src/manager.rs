@@ -135,13 +135,14 @@ impl StateManager {
         v
     }
 
-    /// Bytes held by the local tier (page-rounded region capacities) — the
-    /// state component of the host's memory footprint.
+    /// Bytes held by the local tier (the replicas' resident bytes: 4 KiB
+    /// per block holding a non-zero byte) — the state component of the
+    /// host's memory footprint.
     pub fn local_bytes(&self) -> usize {
         self.entries
             .read()
             .values()
-            .map(|e| e.region().capacity())
+            .map(|e| e.region().resident_bytes())
             .sum()
     }
 
@@ -213,8 +214,14 @@ mod tests {
     fn local_bytes_accounts_regions() {
         let m = manager();
         m.get("a", 10).unwrap();
-        m.get("b", faasm_mem::PAGE_SIZE + 1).unwrap();
-        assert_eq!(m.local_bytes(), 3 * faasm_mem::PAGE_SIZE);
+        let b = m.get("b", faasm_mem::PAGE_SIZE + 1).unwrap();
+        assert_eq!(m.local_bytes(), 0, "a replica nothing was stored to");
+        b.write(faasm_mem::PAGE_SIZE, &[1]).unwrap();
+        assert_eq!(
+            m.local_bytes(),
+            faasm_mem::BLOCK_SIZE,
+            "one byte, one block"
+        );
         m.clear();
         assert_eq!(m.local_bytes(), 0);
     }

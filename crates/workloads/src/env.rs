@@ -474,22 +474,26 @@ pub(crate) mod tests {
 
     #[test]
     fn co_located_stores_to_one_weight_are_word_atomic() {
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+        use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering::SeqCst};
         use std::time::{Duration, Instant};
         const PATTERNS: [u64; 2] = [0xAAAA_AAAA_5555_5555, 0x5555_5555_AAAA_AAAA];
         let cluster = Cluster::new(1);
-        // The stores start once the loads have, and the loads run until
-        // both store calls are done, so the two windows overlap.
+        // The stores start once the loads have and run until the loads have
+        // seen each pattern (bit `i` of `seen` = `PATTERNS[i]`), and the
+        // loads run until both store calls are done, so the two windows
+        // overlap however fast a store is.
         let loading = Arc::new(AtomicBool::new(false));
+        let seen = Arc::new(AtomicU8::new(0));
         let done = Arc::new(AtomicUsize::new(0));
         for (name, bits) in ["left", "right"].into_iter().zip(PATTERNS) {
-            let (loading, done) = (Arc::clone(&loading), Arc::clone(&done));
+            let (loading, seen, done) =
+                (Arc::clone(&loading), Arc::clone(&seen), Arc::clone(&done));
             let store = native(move |env| {
                 let end = Instant::now() + Duration::from_secs(30);
                 while !loading.load(SeqCst) && Instant::now() < end {
                     std::thread::yield_now();
                 }
-                for _ in 0..100_000 {
+                while seen.load(SeqCst) != 0b11 && Instant::now() < end {
                     env.state_write("w", 64, 8, &f64::from_bits(bits).to_le_bytes())?;
                 }
                 done.fetch_add(1, SeqCst);
@@ -508,6 +512,9 @@ pub(crate) mod tests {
                 let bits = u64::from_le_bytes(word);
                 if bits != 0 && !PATTERNS.contains(&bits) {
                     return Err(format!("torn read {bits:#x}"));
+                }
+                if let Some(i) = PATTERNS.iter().position(|&p| p == bits) {
+                    seen.fetch_or(1 << i, SeqCst);
                 }
                 if bits != 0 && done.load(SeqCst) < 2 {
                     mid_store += 1;
