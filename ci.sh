@@ -120,6 +120,12 @@ gates=(
     'crates/mem/src/page.rs'
     'pages are backed per 4 KiB block on first non-zero store'
 
+    # A page chunk is the page's block mask and non-zero blocks: the
+    # snapshot plane builds no 64 KiB page image and sizes no chunk by page.
+    '\.to_bytes\(\)\.into_vec|PAGE_SIZE'
+    'crates/core/src/snapdist.rs'
+    'page chunks carry only non-zero 4 KiB blocks; encode and decode through Page::{to_chunk, from_chunk}'
+
     # One record per function per host, one production engine.
     'struct Flight|FlightGuard|resolving:|protos: RwLock<HashMap'
     'crates/core/src/instance.rs'

@@ -1318,6 +1318,65 @@ mod tests {
         assert_eq!(b.metrics().proto_restores(), 1);
     }
 
+    /// The benchmark's storm guest: `init` writes 8 000 four-byte ints at
+    /// 1024, 65536 and 131072, so of its four pages the first holds data in
+    /// blocks 0..=8, the next two in blocks 0..=7, and the last in none.
+    const STORM: &str = r#"
+        extern int input_size();
+        extern int read_call_input(ptr int buf, int len);
+        extern void write_call_output(ptr int buf, int len);
+        int init() {
+            ptr int a = (ptr int) 1024;
+            for (int i = 0; i < 8000; i = i + 1) { a[i] = 7 + i; }
+            ptr int b = (ptr int) 65536;
+            for (int i = 0; i < 8000; i = i + 1) { b[i] = i * 3; }
+            ptr int c = (ptr int) 131072;
+            for (int i = 0; i < 8000; i = i + 1) { c[i] = i * 5; }
+            return 0;
+        }
+        int main() {
+            int n = input_size();
+            read_call_input((ptr int) 512, n);
+            write_call_output((ptr int) 512, n);
+            return 0;
+        }
+    "#;
+
+    #[test]
+    fn a_storm_proto_ships_and_is_stored_as_the_blocks_init_wrote() {
+        let cluster = Cluster::new(2);
+        let options = UploadOptions {
+            init: Some("init".into()),
+            ..UploadOptions::default()
+        };
+        cluster.upload_fl("u", "storm", STORM, options).unwrap();
+        let a = &cluster.instances()[0];
+        let b = &cluster.instances()[1];
+        let id = a.submit_placed("u", "storm", vec![1]);
+        assert_eq!(a.await_call(id).status, CallStatus::Success);
+        let captured = a.proto("u", "storm").expect("A captured the proto");
+        let chunked = crate::snapdist::chunk_proto(&captured).unwrap();
+        let chunk_len = |d| chunked.chunks[d].len();
+        let pages: Vec<usize> = chunked.manifest.pages.iter().map(chunk_len).collect();
+        assert_eq!(pages, [36_866, 32_770, 32_770, 2], "mask + non-zero blocks");
+        // The first upload publishes every chunk: the pages and the meta.
+        assert_eq!(
+            a.snapshot_stats().bytes_published,
+            (pages.iter().sum::<usize>() + chunk_len(&chunked.manifest.meta)) as u64
+        );
+        // B fetches those chunks and restores the footprint A captured.
+        let id = b.submit_placed("u", "storm", vec![2]);
+        assert_eq!(b.await_call(id).status, CallStatus::Success);
+        assert_eq!(b.metrics().cold_starts(), 0, "B restored, never compiled");
+        let fetched = b.proto("u", "storm").expect("B fetched the proto");
+        let resident = |proto: &crate::ProtoRef| {
+            let mem = proto.snapshot.mem.as_ref().expect("a memory");
+            faasm_mem::LinearMemory::restore(mem).stats().rss_bytes
+        };
+        assert_eq!(resident(&captured), 25 * faasm_mem::BLOCK_SIZE);
+        assert_eq!(resident(&fetched), resident(&captured));
+    }
+
     #[test]
     fn billable_memory_accumulates() {
         let cluster = Cluster::new(1);

@@ -1191,12 +1191,21 @@ fn worker_recorder() -> &'static Arc<faasm_telemetry::Recorder> {
 
 #[cfg(test)]
 impl FaasmInstance {
+    /// The host's assembled proto, captured here or fetched.
+    pub(crate) fn proto(&self, user: &str, function: &str) -> Option<ProtoRef> {
+        self.record(user, function)
+            .ok()?
+            .proto
+            .get()
+            .map(Arc::clone)
+    }
+
     /// The chunk manifest of the host's assembled proto — for bitwise
     /// parity checks between a locally-captured and a chunk-fetched proto
     /// (the manifest digests every byte of the meta chunk and of each page).
     pub(crate) fn proto_manifest(&self, user: &str, function: &str) -> Option<ProtoManifest> {
-        let rec = self.record(user, function).ok()?;
-        Some(chunk_proto(rec.proto.get()?).ok()?.manifest)
+        let proto = self.proto(user, function)?;
+        Some(chunk_proto(&proto).ok()?.manifest)
     }
 }
 

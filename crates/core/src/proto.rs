@@ -6,7 +6,8 @@
 //! between calls by construction). Restores use copy-on-write page mappings,
 //! so their cost is O(pages touched), not O(snapshot size). Snapshots are
 //! plain data: [`crate::snapdist`] ships one across hosts as
-//! content-addressed chunks, which gives the paper's cross-host,
+//! content-addressed chunks — a meta chunk, and per page only the 4 KiB
+//! blocks that hold data — which gives the paper's cross-host,
 //! OS-independent restores.
 
 use std::sync::Arc;
@@ -51,36 +52,5 @@ pub struct ProtoFaaslet {
     pub snapshot: InstanceSnapshot,
 }
 
-impl ProtoFaaslet {
-    /// Approximate in-memory size (bytes) — snapshot accounting for Tab. 3.
-    pub fn size_bytes(&self) -> usize {
-        self.snapshot.size_bytes()
-    }
-}
-
 /// Shared handle used throughout the runtime.
 pub type ProtoRef = Arc<ProtoFaaslet>;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use faasm_fvm::prelude::*;
-
-    #[test]
-    fn size_accounts_memory() {
-        let mut b = ModuleBuilder::new();
-        b.memory(2, 4);
-        let sig = b.sig(FuncType::default());
-        let f = b.func(sig, vec![], vec![Instr::End]);
-        b.export_func("main", f);
-        let object = ObjectModule::prepare(b.build()).unwrap();
-        let mut inst = Instance::new(object, &Linker::new(), Box::new(())).unwrap();
-        let proto = ProtoFaaslet {
-            user: "alice".into(),
-            function: "f".into(),
-            generation: 3,
-            snapshot: inst.snapshot(),
-        };
-        assert!(proto.size_bytes() >= 2 * faasm_mem::PAGE_SIZE);
-    }
-}

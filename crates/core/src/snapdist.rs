@@ -4,15 +4,20 @@
 //! on-host (§5.2). This module turns a [`ProtoFaaslet`] into immutable,
 //! hash-keyed chunks shipped through the sharded state tier: one **meta
 //! chunk** (user, function, upload generation, globals, indirect-call
-//! table, memory header)
-//! plus one chunk per 64 KiB memory page, all addressed by SHA-256 digest.
-//! A **manifest** — the only mutable key — names the meta digest and the
-//! ordered page digests. Content addressing buys two properties at once:
+//! table, memory header) plus one **page chunk** per memory page, all
+//! addressed by SHA-256 digest. A page chunk carries only the page's 4 KiB
+//! blocks that hold a non-zero byte, behind a `u16` mask naming them
+//! ([`Page::to_chunk`] and [`Page::from_chunk`] are the one encoder and
+//! decoder), so a zero page is 2 bytes and a page costs the tier, the wire
+//! and the host cache what it holds. A **manifest** — the only mutable
+//! key — names the meta digest and the ordered page digests. Content
+//! addressing buys two properties at once:
 //!
 //! * **Dedup across versions.** Memory pages identical between proto
 //!   versions (or between different functions) hash to the same chunk and
 //!   are stored/shipped once; republishing after a small change ships only
-//!   the changed pages.
+//!   the changed pages. A page's chunk depends only on its contents, so
+//!   this holds however the page came to hold them.
 //! * **Verified fetches.** A fetcher recomputes every chunk's digest
 //!   against the key it asked for, so a corrupt or substituted chunk is
 //!   rejected at the cache boundary and never reaches a restore.
@@ -25,7 +30,7 @@ use std::sync::Arc;
 
 use faasm_fvm::InstanceSnapshot;
 use faasm_kvs::{BoundedLru, Digest};
-use faasm_mem::{MemorySnapshot, Page, PAGE_SIZE};
+use faasm_mem::{MemorySnapshot, Page};
 use faasm_net::wire::{
     self, len_u32, put_bytes, put_count, put_u32, put_u64, put_u8, Reader, WireError,
 };
@@ -102,7 +107,7 @@ pub fn chunk_proto(proto: &ProtoFaaslet) -> Result<ChunkedProto, ProtoEncodeErro
     let mut pages = Vec::new();
     if let Some(mem) = &proto.snapshot.mem {
         for page in mem.pages() {
-            let bytes = page.to_bytes().into_vec();
+            let bytes = page.to_chunk();
             let d = Digest::of(&bytes);
             pages.push(d);
             chunks.entry(d).or_insert_with(|| Arc::new(bytes));
@@ -115,9 +120,9 @@ pub fn chunk_proto(proto: &ProtoFaaslet) -> Result<ChunkedProto, ProtoEncodeErro
 }
 
 /// Reassemble a proto from its verified chunks: the meta chunk plus one
-/// `PAGE_SIZE` payload per manifest page, in address order. Returns `None`
-/// on any structural mismatch (malformed meta, wrong page count or size) —
-/// the caller falls back to a cold start.
+/// page chunk per manifest page, in address order. Returns `None` on any
+/// structural mismatch (malformed meta, wrong page count, a malformed page
+/// chunk) — the caller falls back to a cold start.
 pub fn assemble_proto(meta_bytes: &[u8], page_chunks: &[Arc<Vec<u8>>]) -> Option<ProtoFaaslet> {
     let meta = wire::decode(meta_bytes, read_meta).ok()?;
     let mem = match meta.mem {
@@ -125,13 +130,10 @@ pub fn assemble_proto(meta_bytes: &[u8], page_chunks: &[Arc<Vec<u8>>]) -> Option
             if page_chunks.len() != size_pages {
                 return None;
             }
-            let mut pages = Vec::with_capacity(size_pages);
-            for chunk in page_chunks {
-                if chunk.len() != PAGE_SIZE {
-                    return None;
-                }
-                pages.push(Arc::new(Page::from_bytes(chunk)));
-            }
+            let pages = page_chunks
+                .iter()
+                .map(|chunk| Page::from_chunk(chunk).map(Arc::new))
+                .collect::<Option<_>>()?;
             Some(MemorySnapshot::from_pages(pages, max_pages)?)
         }
         None => {
@@ -255,12 +257,14 @@ faasm_telemetry::counters! {
         verify_failures,
         /// Chunks this instance published (absent from the tier).
         chunks_published,
-        /// Bytes this instance published.
+        /// Chunk bytes this instance published: a page counts the 4 KiB
+        /// blocks its chunk carries, plus the 2-byte block mask.
         bytes_published,
         /// Chunks skipped at publish because the tier already held them —
         /// the cross-version dedup counter.
         chunks_deduped,
-        /// Bytes dedup saved at publish.
+        /// Chunk bytes dedup saved at publish (counted like
+        /// `bytes_published`).
         bytes_deduped,
         /// Pre-stage pushes handled (manifests landed over the bus).
         prestages,
@@ -269,8 +273,10 @@ faasm_telemetry::counters! {
     }
 }
 
-/// Default byte budget for a host's snapshot cache (enough for tens of
-/// typical protos; a full cache evicts least-recently-used chunks).
+/// Default byte budget for a host's snapshot cache, counted in chunk bytes:
+/// a page costs its block mask and the blocks that hold data, so 64 MiB is
+/// a thousand fully written pages or sixteen thousand one-block ones. A
+/// full cache evicts least-recently-used chunks.
 pub const DEFAULT_SNAPSHOT_CACHE_BYTES: usize = 64 * 1024 * 1024;
 
 /// The host-local snapshot cache: verified chunk payloads keyed by digest,
@@ -322,6 +328,7 @@ impl SnapshotCache {
 mod tests {
     use super::*;
     use faasm_fvm::prelude::*;
+    use faasm_mem::{LinearMemory, PAGE_SIZE};
 
     fn proto_with_mem(seed: u8) -> ProtoFaaslet {
         let mut b = ModuleBuilder::new();
@@ -399,8 +406,8 @@ mod tests {
         assert_eq!(back.snapshot.globals, proto.snapshot.globals);
         assert_eq!(back.snapshot.table, proto.snapshot.table);
         assert_eq!(
-            back.snapshot.mem.as_ref().unwrap().to_bytes(),
-            proto.snapshot.mem.as_ref().unwrap().to_bytes()
+            LinearMemory::restore(back.snapshot.mem.as_ref().unwrap()).to_vec(),
+            LinearMemory::restore(proto.snapshot.mem.as_ref().unwrap()).to_vec()
         );
         // And a memory restored from the reassembled snapshot reads back
         // the warm state the original captured.

@@ -71,15 +71,6 @@ pub struct InstanceSnapshot {
     pub table: Vec<Option<u32>>,
 }
 
-impl InstanceSnapshot {
-    /// Approximate serialised size in bytes (used for snapshot accounting).
-    pub fn size_bytes(&self) -> usize {
-        self.mem.as_ref().map_or(0, |m| m.size_bytes())
-            + self.globals.len() * 8
-            + self.table.len() * 5
-    }
-}
-
 /// Whether `snap` can be the state of an instance of `object`.
 fn check_shape(object: &ObjectModule, snap: &InstanceSnapshot) -> Result<(), InstantiateError> {
     if snap.globals.len() != object.module.globals.len()

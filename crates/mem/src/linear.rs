@@ -493,7 +493,7 @@ typed_access!(read_f32, write_f32, f32);
 typed_access!(read_f64, write_f64, f64);
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -780,8 +780,8 @@ mod tests {
         assert!(restored.grow(1).is_err());
     }
 
-    /// xorshift64*: the property below needs replayable seeds, not quality.
-    struct Rng(u64);
+    /// xorshift64*: the properties need replayable seeds, not quality.
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
         fn next(&mut self) -> u64 {
@@ -791,7 +791,7 @@ mod tests {
             self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
         }
 
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             (self.next() % n as u64) as usize
         }
 

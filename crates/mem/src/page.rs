@@ -1,6 +1,7 @@
 //! The 64 KiB page: the unit of mapping, sharing and snapshotting, backed
 //! by 4 KiB block ([`BLOCK_SIZE`]) — also the unit in which writes are
-//! recorded, and undone on reset.
+//! recorded, undone on reset, and shipped in a snapshot chunk
+//! ([`Page::to_chunk`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -232,11 +233,60 @@ impl Page {
         }
     }
 
-    /// Return an owned copy of the page contents.
-    pub fn to_bytes(&self) -> Box<[u8]> {
-        let mut out = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        self.read(0, &mut out);
+    /// Encode the page as a snapshot chunk: a little-endian `u16` mask of
+    /// the blocks that hold a non-zero byte, then those blocks in address
+    /// order. A zero page is 2 bytes. Backed blocks are read in place, and
+    /// a backed block of zeros is left out, so the encoding depends only on
+    /// the contents: one page has one chunk, and one digest.
+    pub fn to_chunk(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(2 + self.resident_bytes());
+        out.extend_from_slice(&[0, 0]);
+        let mut mask = 0u16;
+        for (idx, block) in self.blocks.iter().enumerate() {
+            let Some(block) = block.get() else {
+                continue;
+            };
+            let start = out.len();
+            let mut any = 0;
+            for word in block.iter() {
+                let word = word.load(Ordering::Relaxed);
+                any |= word;
+                out.extend_from_slice(&word.to_le_bytes());
+            }
+            if any == 0 {
+                out.truncate(start);
+            } else {
+                mask |= 1 << idx;
+            }
+        }
+        out[..2].copy_from_slice(&mask.to_le_bytes());
         out
+    }
+
+    /// Decode a chunk written by [`Page::to_chunk`], backing exactly the
+    /// blocks it carries. `None` unless the chunk is its mask and the
+    /// mask's blocks, each holding a non-zero byte, and nothing after them.
+    /// The length is checked against the mask before anything is
+    /// allocated, and no input panics.
+    pub fn from_chunk(chunk: &[u8]) -> Option<Page> {
+        let (mask, body) = chunk.split_first_chunk::<2>()?;
+        let mask = u16::from_le_bytes(*mask);
+        if body.len() != mask.count_ones() as usize * BLOCK_SIZE {
+            return None;
+        }
+        let mut body = body.chunks_exact(BLOCK_SIZE);
+        let mut blocks = [const { OnceLock::new() }; BLOCKS_PER_PAGE];
+        for (idx, slot) in blocks.iter_mut().enumerate() {
+            if mask & 1 << idx == 0 {
+                continue;
+            }
+            let (words, _) = body.next()?.as_chunks::<8>();
+            if words.iter().all(|w| u64::from_ne_bytes(*w) == 0) {
+                return None;
+            }
+            *slot = OnceLock::from(new_block(|w| u64::from_le_bytes(words[w])));
+        }
+        Some(Page { blocks })
     }
 
     /// Create a new page whose contents equal this page at the time of the
@@ -342,7 +392,15 @@ impl std::fmt::Debug for Page {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linear::tests::Rng;
     use std::sync::Arc;
+
+    /// The page's 64 KiB of contents.
+    fn contents(p: &Page) -> Vec<u8> {
+        let mut out = vec![0u8; PAGE_SIZE];
+        p.read(0, &mut out);
+        out
+    }
 
     #[test]
     fn zeroed_page_reads_zero() {
@@ -425,7 +483,7 @@ mod tests {
         let dst = Page::zeroed();
         let copied = dst.copy_blocks_from(&src, 1 << 0 | 1 << 7 | 1 << 15);
         assert_eq!(copied, 3 * BLOCK_SIZE);
-        let bytes = dst.to_bytes();
+        let bytes = contents(&dst);
         for (block, chunk) in bytes.chunks(BLOCK_SIZE).enumerate() {
             let want = if [0, 7, 15].contains(&block) { 0x5a } else { 0 };
             assert!(chunk.iter().all(|&b| b == want), "block {block}");
@@ -460,7 +518,7 @@ mod tests {
         // from an unbacked source block zero-fills.
         let copy = p.clone_data();
         assert_eq!(copy.resident_bytes(), 3 * BLOCK_SIZE);
-        assert_eq!(copy.to_bytes(), p.to_bytes());
+        assert_eq!(contents(&copy), contents(&p));
         copy.copy_blocks_from(&Page::zeroed(), 1 << 5 | 1 << 6);
         assert_eq!(copy.resident_bytes(), 3 * BLOCK_SIZE);
         assert_eq!(copy.load_in_word::<2>(5 * BLOCK_SIZE + 2), [0, 0]);
@@ -494,11 +552,83 @@ mod tests {
     }
 
     #[test]
-    fn to_bytes_copies_contents() {
+    fn chunks_of_seeded_sparse_pages_roundtrip() {
+        for seed in 1..=32u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            for blocks in [0, 1, BLOCKS_PER_PAGE] {
+                let mut chosen = 0u16;
+                while (chosen.count_ones() as usize) < blocks {
+                    chosen |= 1 << rng.below(BLOCKS_PER_PAGE);
+                }
+                let page = Page::zeroed();
+                for idx in (0..BLOCKS_PER_PAGE).filter(|i| chosen & 1 << i != 0) {
+                    for _ in 0..1 + rng.below(8) {
+                        let at = idx * BLOCK_SIZE + rng.below(BLOCK_SIZE);
+                        page.write(at, &[1 + rng.below(255) as u8]);
+                    }
+                }
+                let chunk = page.to_chunk();
+                assert_eq!(chunk.len(), 2 + blocks * BLOCK_SIZE, "seed {seed}");
+                assert_eq!(chunk[..2], chosen.to_le_bytes(), "seed {seed}");
+                let back = Page::from_chunk(&chunk).expect("a chunk decodes");
+                assert!(contents(&back) == contents(&page), "seed {seed}");
+                assert_eq!(back.resident_bytes(), blocks * BLOCK_SIZE, "seed {seed}");
+                assert_eq!(back.to_chunk(), chunk, "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_block_written_and_zeroed_again_is_left_out_of_the_chunk() {
         let p = Page::zeroed();
-        p.write(1000, &[9, 8, 7]);
-        let bytes = p.to_bytes();
-        assert_eq!(bytes.len(), PAGE_SIZE);
-        assert_eq!(&bytes[1000..1003], &[9, 8, 7]);
+        p.write(3 * BLOCK_SIZE + 5, &[7]);
+        p.write(9 * BLOCK_SIZE, &[1, 2]);
+        p.write(3 * BLOCK_SIZE + 5, &[0]);
+        assert_eq!(p.resident_bytes(), 2 * BLOCK_SIZE);
+        let chunk = p.to_chunk();
+        assert_eq!(chunk.len(), 2 + BLOCK_SIZE);
+        assert_eq!(chunk[..2], (1u16 << 9).to_le_bytes());
+        // One content, one chunk, however the page came to hold it.
+        let fresh = Page::zeroed();
+        fresh.write(9 * BLOCK_SIZE, &[1, 2]);
+        assert_eq!(fresh.to_chunk(), chunk);
+        assert_eq!(
+            Page::from_chunk(&chunk).unwrap().resident_bytes(),
+            BLOCK_SIZE
+        );
+        assert_eq!(Page::zeroed().to_chunk(), [0, 0]);
+    }
+
+    #[test]
+    fn malformed_chunks_are_rejected() {
+        let p = Page::zeroed();
+        p.write(0, &[1]);
+        p.write(5 * BLOCK_SIZE + 100, &[2]);
+        let chunk = p.to_chunk();
+        assert_eq!(chunk.len(), 2 + 2 * BLOCK_SIZE);
+        assert!(Page::from_chunk(&chunk).is_some());
+        // No mask, or fewer blocks than the mask names.
+        assert!(Page::from_chunk(&[]).is_none());
+        assert!(Page::from_chunk(&[0]).is_none());
+        assert!(Page::from_chunk(&chunk[..chunk.len() - 1]).is_none());
+        assert!(Page::from_chunk(&chunk[..2 + BLOCK_SIZE]).is_none());
+        // A mask naming one block more or one fewer than the chunk carries.
+        let mut more = chunk.clone();
+        more[1] |= 0x80;
+        assert!(Page::from_chunk(&more).is_none());
+        let mut fewer = chunk.clone();
+        fewer[0] &= !1;
+        assert!(Page::from_chunk(&fewer).is_none());
+        // Trailing bytes, even a whole zero block.
+        for extra in [1, BLOCK_SIZE] {
+            let mut trailing = chunk.clone();
+            trailing.resize(chunk.len() + extra, 0);
+            assert!(Page::from_chunk(&trailing).is_none(), "{extra}");
+        }
+        // An included block that is all zeros.
+        let mut zero_block = chunk.clone();
+        zero_block[2] = 0;
+        assert!(Page::from_chunk(&zero_block).is_none());
+        assert!(Page::from_chunk(&[0, 0]).is_some_and(|p| p.resident_bytes() == 0));
     }
 }

@@ -11,12 +11,15 @@
 //! copy, by 4 KiB block, and never writes a snapshot page.
 //!
 //! Snapshots are plain data (`Arc`s over immutable-by-convention pages), so
-//! they can be serialised with [`MemorySnapshot::to_bytes`] and shipped to
-//! other hosts, giving the paper's cross-host, OS-independent restores.
+//! they can be shipped to other hosts, giving the paper's cross-host,
+//! OS-independent restores: each page travels as its own chunk, the 4 KiB
+//! blocks that hold data ([`Page::to_chunk`]), and the receiver rebuilds the
+//! snapshot from the decoded pages with [`MemorySnapshot::from_pages`]. The
+//! snapshot plane in `faasm-core` is the one place that does this.
 
 use std::sync::Arc;
 
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::Page;
 
 /// An immutable capture of a linear memory's private pages.
 #[derive(Debug, Clone)]
@@ -30,11 +33,6 @@ impl MemorySnapshot {
     /// Number of pages captured.
     pub fn size_pages(&self) -> usize {
         self.size_pages
-    }
-
-    /// Size of the captured memory in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.size_pages * PAGE_SIZE
     }
 
     /// The page limit of the memory the snapshot was taken from.
@@ -63,44 +61,6 @@ impl MemorySnapshot {
             max_pages,
         })
     }
-
-    /// Serialise the snapshot to a flat byte buffer (for cross-host
-    /// distribution via the global tier).
-    ///
-    /// Layout: `size_pages:u32 | max_pages:u32 | page bytes...`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.pages.len() * PAGE_SIZE);
-        out.extend_from_slice(&(self.size_pages as u32).to_le_bytes());
-        out.extend_from_slice(&(self.max_pages as u32).to_le_bytes());
-        for p in &self.pages {
-            out.extend_from_slice(&p.to_bytes());
-        }
-        out
-    }
-
-    /// Deserialise a snapshot previously produced by
-    /// [`MemorySnapshot::to_bytes`].
-    ///
-    /// Returns `None` if the buffer is malformed.
-    pub fn from_bytes(data: &[u8]) -> Option<MemorySnapshot> {
-        if data.len() < 8 {
-            return None;
-        }
-        let size_pages = u32::from_le_bytes(data[0..4].try_into().ok()?) as usize;
-        let max_pages = u32::from_le_bytes(data[4..8].try_into().ok()?) as usize;
-        let body = &data[8..];
-        if body.len() != size_pages * PAGE_SIZE || max_pages < size_pages {
-            return None;
-        }
-        let pages = (0..size_pages)
-            .map(|i| Arc::new(Page::from_bytes(&body[i * PAGE_SIZE..(i + 1) * PAGE_SIZE])))
-            .collect();
-        Some(MemorySnapshot {
-            pages,
-            size_pages,
-            max_pages,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -109,34 +69,17 @@ mod tests {
     use crate::linear::LinearMemory;
 
     #[test]
-    fn roundtrip_serialisation() {
+    fn pages_reassemble_into_a_restorable_snapshot_within_the_limit() {
         let mut mem = LinearMemory::new(2, 4).unwrap();
         mem.write(100, b"snapshot me").unwrap();
         let snap = mem.snapshot();
-        let bytes = snap.to_bytes();
-        let back = MemorySnapshot::from_bytes(&bytes).unwrap();
+        let back = MemorySnapshot::from_pages(snap.pages().to_vec(), 4).unwrap();
         assert_eq!(back.size_pages(), 2);
         assert_eq!(back.max_pages(), 4);
         let restored = LinearMemory::restore(&back);
         let mut buf = vec![0u8; 11];
         restored.read(100, &mut buf).unwrap();
         assert_eq!(&buf, b"snapshot me");
-    }
-
-    #[test]
-    fn from_bytes_rejects_malformed() {
-        assert!(MemorySnapshot::from_bytes(&[]).is_none());
-        assert!(MemorySnapshot::from_bytes(&[0u8; 7]).is_none());
-        // Header claims 1 page but no body.
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&1u32.to_le_bytes());
-        bad.extend_from_slice(&1u32.to_le_bytes());
-        assert!(MemorySnapshot::from_bytes(&bad).is_none());
-        // max_pages < size_pages.
-        let mut bad2 = Vec::new();
-        bad2.extend_from_slice(&1u32.to_le_bytes());
-        bad2.extend_from_slice(&0u32.to_le_bytes());
-        bad2.extend_from_slice(&vec![0u8; PAGE_SIZE]);
-        assert!(MemorySnapshot::from_bytes(&bad2).is_none());
+        assert!(MemorySnapshot::from_pages(snap.pages().to_vec(), 1).is_none());
     }
 }

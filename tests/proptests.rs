@@ -17,7 +17,7 @@ use faasm::gateway::codec::{self, FrameBuf, GatewayRequest, MAX_FRAME};
 use faasm::gateway::{GatewayResponse, GatewayStatus};
 use faasm::kvs::{self, KvClient, KvStore, ShardedKvClient};
 use faasm::lang;
-use faasm::mem::{LinearMemory, MemorySnapshot, Page, SharedRegion, PAGE_SIZE};
+use faasm::mem::{LinearMemory, MemorySnapshot, Page, SharedRegion, BLOCK_SIZE, PAGE_SIZE};
 use faasm::net::HostId;
 use faasm::sched::{decode_call, decode_result, encode_call, encode_result};
 use faasm::telemetry::TraceCtx;
@@ -588,7 +588,9 @@ proptest! {
         prop_assert_eq!(restored2.to_vec(), expected);
     }
 
-    /// Memory snapshots survive serialisation (the cross-host path).
+    /// Memory snapshots survive the cross-host path: `chunk_proto` →
+    /// `assemble_proto` → `LinearMemory::restore` gives back the same bytes
+    /// in the same number of resident blocks.
     #[test]
     fn snapshot_serialisation_roundtrip(
         writes in prop::collection::vec((0usize..2 * PAGE_SIZE - 8, any::<u64>()), 0..8)
@@ -599,8 +601,23 @@ proptest! {
         }
         let expected = mem.to_vec();
         let snap = mem.snapshot();
-        let back = MemorySnapshot::from_bytes(&snap.to_bytes()).unwrap();
-        prop_assert_eq!(LinearMemory::restore(&back).to_vec(), expected);
+        let proto = ProtoFaaslet {
+            user: "u".into(),
+            function: "f".into(),
+            generation: 1,
+            snapshot: InstanceSnapshot { mem: Some(snap.clone()), globals: vec![], table: vec![] },
+        };
+        let chunked = chunk_proto(&proto).expect("chunks");
+        let pages: Vec<_> =
+            chunked.manifest.pages.iter().map(|d| Arc::clone(&chunked.chunks[d])).collect();
+        let back = assemble_proto(&chunked.chunks[&chunked.manifest.meta], &pages)
+            .expect("assembles");
+        let restored = LinearMemory::restore(back.snapshot.mem.as_ref().expect("a memory"));
+        prop_assert_eq!(restored.to_vec(), expected);
+        prop_assert_eq!(
+            restored.stats().rss_bytes,
+            LinearMemory::restore(&snap).stats().rss_bytes
+        );
     }
 
     /// Shared-region writes through one mapping are exactly what every other
@@ -1052,14 +1069,19 @@ proptest! {
         assert_total_on_hostile_rewrites(&encode_result(&result), decode_result);
     }
 
-    /// The snapshot plane's two decoders: the manifest and the meta chunk
-    /// (through `assemble_proto`, its only way in).
+    /// The snapshot plane's three decoders: the manifest, and the meta chunk
+    /// and a page chunk through `assemble_proto`, their only way in. Chunk
+    /// keys are shared across tenants, so a page chunk is outside input too.
     #[test]
     fn proto_decoders_total_on_hostile_rewrites(
         globals in prop::collection::vec(any::<u64>(), 0..6),
         table in prop::collection::vec((any::<bool>(), any::<u32>()), 0..6),
         pages in 0usize..3,
         generation in any::<u64>(),
+        stores in (
+            0usize..PAGE_SIZE / BLOCK_SIZE,
+            prop::collection::vec((0usize..BLOCK_SIZE, 1u8..=255), 1..4),
+        ),
     ) {
         let table = table.into_iter().map(|(some, f)| some.then_some(f)).collect();
         let mem = (pages > 0).then(|| {
@@ -1078,7 +1100,26 @@ proptest! {
         // a proto with memory then stops at the page-count check instead of
         // copying pages the meta bytes did not pay for.
         assert_total_on_hostile_rewrites(&chunked.chunks[&chunked.manifest.meta], |meta| {
-            assemble_proto(meta, &[]).map(|proto| proto.size_bytes())
+            assemble_proto(meta, &[]).map(|proto| proto.generation)
+        });
+        // A one-page proto's real page chunk: its mask and one block.
+        let (block, stores) = stores;
+        let page = Page::zeroed();
+        for (at, byte) in &stores {
+            page.write(block * BLOCK_SIZE + at, &[*byte]);
+        }
+        let one_page = ProtoFaaslet {
+            snapshot: InstanceSnapshot {
+                mem: MemorySnapshot::from_pages(vec![Arc::new(page)], 1),
+                globals: vec![],
+                table: vec![],
+            },
+            ..proto
+        };
+        let chunked = chunk_proto(&one_page).expect("chunks");
+        let meta = &chunked.chunks[&chunked.manifest.meta];
+        assert_total_on_hostile_rewrites(&chunked.chunks[&chunked.manifest.pages[0]], |chunk| {
+            assemble_proto(meta, &[Arc::new(chunk.to_vec())]).map(|proto| proto.generation)
         });
     }
 

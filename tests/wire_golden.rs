@@ -14,7 +14,7 @@ use faasm::kvs::codec::{
     decode_request_traced, decode_response, encode_request_traced, encode_response,
 };
 use faasm::kvs::{Digest, KeyMigration, LockMigration, LockMode, Request, Response, ShardStats};
-use faasm::mem::{MemorySnapshot, Page, PAGE_SIZE};
+use faasm::mem::{MemorySnapshot, Page, BLOCK_SIZE, PAGE_SIZE};
 use faasm::net::HostId;
 use faasm::sched::{encode_call, encode_result, CallId, CallResult, CallSpec, CallStatus};
 use faasm::telemetry::TraceCtx;
@@ -385,6 +385,19 @@ fn proto() -> ProtoFaaslet {
     }
 }
 
+/// A page with blocks 0 and 5 written, pinned by its chunk's block mask,
+/// length (`u32`) and SHA-256 rather than by 8 KiB of hex.
+fn page_chunk() -> Vec<u8> {
+    let page = Page::zeroed();
+    page.write(10, b"warm");
+    page.write(5 * BLOCK_SIZE + 4000, b"cold");
+    let chunk = page.to_chunk();
+    let mut pinned = chunk[..2].to_vec();
+    pinned.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
+    pinned.extend_from_slice(&Digest::of(&chunk).0);
+    pinned
+}
+
 fn snapshot_plane() -> Vec<(&'static str, Vec<u8>)> {
     let chunked = chunk_proto(&proto()).expect("chunks");
     let meta = chunked.chunks[&chunked.manifest.meta].as_ref().clone();
@@ -398,6 +411,7 @@ fn snapshot_plane() -> Vec<(&'static str, Vec<u8>)> {
         // The real manifest pins the meta digest and the page payload
         // bytes too: any moved byte in either changes a digest.
         ("proto.chunked_manifest", chunked.manifest.to_bytes()),
+        ("proto.page_chunk", page_chunk()),
     ]
 }
 
@@ -528,5 +542,11 @@ const GOLDEN: &[(&str, &str)] = &[
     // changed.
     ("proto.meta_chunk", "05000000616c69636501000000660201000000000000010200000004000000020000000700000000000000ffffffffffffffff030000000105000000000100000000"),
     ("proto.manifest", "abababababababababababababababababababababababababababababababab0200000001010101010101010101010101010101010101010101010101010101010101010202020202020202020202020202020202020202020202020202020202020202"),
-    ("proto.chunked_manifest", "01dedb76cf7378a2b67693a69be7d50e01e0c4923e7e4fae98079415a46f89df02000000de2f256064a0af797747c2b97505dc0b9f3df0de4f489eac731c23ae9ca9cc31aa7044933b0fe0bada1ef4ed7708ba86bac17271094442e7149c6f0a7efd7c03"),
+    // Re-captured on purpose when a page chunk became the page's block mask
+    // and non-zero 4 KiB blocks (`Page::to_chunk`): the page digests now
+    // hash that encoding (a zero page is SHA-256 of `0000`), and the meta
+    // digest did not move.
+    ("proto.chunked_manifest", "01dedb76cf7378a2b67693a69be7d50e01e0c4923e7e4fae98079415a46f89df0200000096a296d224f285c67bee93c30f8a309157f0daa35dc5b87e410b78630a09cfc7a27450b127a268df4a1f0e2ef4dedafc298399e0f21c9feccf7170a5df932788"),
+    // Mask 0x0021 (blocks 0 and 5), 8 194 bytes, then the SHA-256.
+    ("proto.page_chunk", "210002200000d24989b9c70830d793fe7dc2e9f7b47160dcd600294d1270449fc06f188e4bf5"),
 ];
