@@ -154,6 +154,15 @@ gates=(
     'SharingQueue'
     'crates@whole'
     'the unused bounded sharing queue is back; forwarded calls ride the bus into the instance run queue'
+
+    # The state tier keeps only what the runtime calls.
+    'pub mod ddo|SharedVector|fn set_mode\b|fn take_hot_keys\b|fn hot_key_shards\b|accesses:'
+    'crates@whole src@whole tests@whole examples@whole'
+    'a deleted state-tier surface is back; Listing 1 runs through FaasEnv, consistency is per cache, hits are attributed by touch_scope'
+
+    'state_entry\(&?key, 1\)'
+    'crates/core/src'
+    'a lock sized a replica; locks belong to the key'
 )
 failed=0
 for ((row = 0; row < ${#gates[@]}; row += 3)); do

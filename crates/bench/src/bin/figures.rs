@@ -15,8 +15,9 @@
 //! `cache` storms the function-side state cache with a zipfian read-heavy
 //! mix at each consistency tier (plus an uncached baseline and a
 //! live-reshard run), printing per-tier hit rates, throughput and the
-//! hot-key → owning-shard view the affinity board steers by; pass `json`
-//! for a machine-readable dump.
+//! hot-key → owning-shard view: the live-reshard run's hits per key, as a
+//! `touch_scope` counts them for the affinity board; pass `json` for a
+//! machine-readable dump.
 //!
 //! `coldstart` measures the snapshot-distribution resolve paths: first-call
 //! latency local-restore vs chunk-fetch vs cold-start, the cross-version
@@ -279,6 +280,7 @@ struct CacheRow {
 /// takes a live reshard mid-storm so the epoch-checked invalidation shows
 /// up as revalidations instead of stale serves.
 fn cache_cmd(json: bool) {
+    use faasm_kvs::cache::touch_scope;
     use faasm_kvs::{CacheConfig, CachedKv, Consistency, KvBackend, SharedKv};
 
     const KEYS: usize = 64;
@@ -358,7 +360,11 @@ fn cache_cmd(json: bool) {
                 ..CacheConfig::default()
             },
         );
+        // The storm runs on this thread: one scope counts its cache hits
+        // per key, the view a worker reports to the affinity board.
+        let touched = touch_scope();
         let (secs, reads) = storm(&cache, reshard);
+        let touched = touched.finish();
         let stats = cache.stats();
         rows.push(CacheRow {
             series: label.into(),
@@ -368,7 +374,7 @@ fn cache_cmd(json: bool) {
             invalidations: stats.invalidations,
         });
         if reshard.is_some() {
-            hot = cache.take_hot_keys();
+            hot = touched;
         }
     }
 
@@ -388,7 +394,7 @@ fn cache_cmd(json: bool) {
             .take(8)
             .map(|(k, n)| {
                 format!(
-                    "{{\"key\":\"{k}\",\"reads\":{n},\"shard\":{}}}",
+                    "{{\"key\":\"{k}\",\"hits\":{n},\"shard\":{}}}",
                     faasm_kvs::shard_index_for(k, shard_count)
                 )
             })

@@ -50,8 +50,8 @@ pub struct ClusterConfig {
     /// caching entirely (every read rides the wire — the pre-cache
     /// behaviour, and the default).
     pub cache_bytes: usize,
-    /// Consistency mode for cached keys without a per-key override (only
-    /// meaningful when `cache_bytes > 0`).
+    /// Consistency mode of every instance's cache, for all of its keys
+    /// (only meaningful when `cache_bytes > 0`).
     pub default_consistency: faasm_kvs::Consistency,
 }
 
@@ -446,7 +446,7 @@ impl Cluster {
         &self.object_store
     }
 
-    /// A driver-side KVS client (dataset upload, DDO initialisation),
+    /// A driver-side KVS client (dataset upload, state initialisation),
     /// routing over every state shard and following routing epochs.
     pub fn kv(&self) -> &SharedKv {
         &self.driver_kv

@@ -14,7 +14,7 @@ use std::time::Instant;
 use faasm_kvs::LockMode;
 use faasm_net::{HostId, NetError, VirtualInterface};
 use faasm_sched::{CallId, CallResult};
-use faasm_state::{StateEntry, StateError, StateManager};
+use faasm_state::{StateEntry, StateError, StateManager, SyncRwLock};
 use faasm_vfs::FdTable;
 
 use crate::cgroup::CgroupShare;
@@ -98,7 +98,7 @@ pub struct FaasletCtx {
     /// and has not released, oldest first. A local lock has no lease, so
     /// [`FaasletCtx::release_state_locks`] returns whatever is left here
     /// when the call ends, however it ends.
-    pub(crate) held_locks: Vec<(Arc<StateEntry>, LockMode)>,
+    pub(crate) held_locks: Vec<(Arc<SyncRwLock>, LockMode)>,
     /// Open sockets.
     pub sockets: HashMap<u32, Socket>,
     /// Next socket descriptor.
@@ -132,9 +132,17 @@ impl FaasletCtx {
     ///
     /// # Errors
     ///
-    /// State-layer errors.
+    /// State-layer errors; [`StateError::CapacityExceeded`] if the key is
+    /// already mapped with a replica smaller than `size`.
     pub fn state_entry(&mut self, key: &str, size: usize) -> Result<Arc<StateEntry>, StateError> {
         if let Some(m) = self.mapped_state.get(key) {
+            let capacity = m.entry.size();
+            if size > capacity {
+                return Err(StateError::CapacityExceeded {
+                    requested: size,
+                    capacity,
+                });
+            }
             return Ok(Arc::clone(&m.entry));
         }
         let entry = self.state.get(key, size)?;
@@ -149,18 +157,20 @@ impl FaasletCtx {
     }
 
     /// Take `key`'s local lock for the current call (`lock_state_read` /
-    /// `lock_state_write`), blocking like the entry's own lock does.
+    /// `lock_state_write`), blocking. The lock is the key's
+    /// ([`StateManager::local_lock`]): it maps, creates and sizes no
+    /// replica, and excludes replicas created while it is held.
     ///
     /// # Errors
     ///
-    /// State-layer errors.
+    /// None: the `Result` is the host interface's shape for state calls.
     pub fn lock_state_local(&mut self, key: &str, mode: LockMode) -> Result<(), StateError> {
-        let entry = self.state_entry(key, 1)?;
+        let lock = self.state.local_lock(key);
         match mode {
-            LockMode::Read => entry.lock_read(),
-            LockMode::Write => entry.lock_write(),
+            LockMode::Read => lock.lock_read(),
+            LockMode::Write => lock.lock_write(),
         }
-        self.held_locks.push((entry, mode));
+        self.held_locks.push((lock, mode));
         Ok(())
     }
 
@@ -171,18 +181,18 @@ impl FaasletCtx {
     ///
     /// # Errors
     ///
-    /// State-layer errors.
+    /// None, as for [`FaasletCtx::lock_state_local`].
     pub fn unlock_state_local(&mut self, key: &str, mode: LockMode) -> Result<bool, StateError> {
-        let entry = self.state_entry(key, 1)?;
+        let lock = self.state.local_lock(key);
         let held = self
             .held_locks
             .iter()
-            .rposition(|(e, m)| Arc::ptr_eq(e, &entry) && *m == mode);
+            .rposition(|(l, m)| Arc::ptr_eq(l, &lock) && *m == mode);
         let Some(at) = held else {
             return Ok(false);
         };
         self.held_locks.remove(at);
-        release_local(&entry, mode);
+        release_local(&lock, mode);
         Ok(true)
     }
 
@@ -190,8 +200,8 @@ impl FaasletCtx {
     /// at the end of every call — return, non-zero exit, trap or fuel
     /// exhaustion alike — before the Faaslet is reset or pooled.
     pub fn release_state_locks(&mut self) {
-        while let Some((entry, mode)) = self.held_locks.pop() {
-            release_local(&entry, mode);
+        while let Some((lock, mode)) = self.held_locks.pop() {
+            release_local(&lock, mode);
         }
     }
 
@@ -293,10 +303,10 @@ impl FaasletCtx {
     }
 }
 
-fn release_local(entry: &StateEntry, mode: LockMode) {
+fn release_local(lock: &SyncRwLock, mode: LockMode) {
     match mode {
-        LockMode::Read => entry.unlock_read(),
-        LockMode::Write => entry.unlock_write(),
+        LockMode::Read => lock.unlock_read(),
+        LockMode::Write => lock.unlock_write(),
     }
 }
 
@@ -332,7 +342,8 @@ impl<'a> NativeApi<'a> {
         self.ctx.state_entry(key, size)
     }
 
-    /// The host's state manager (for DDO construction).
+    /// The host's state manager, for key-level calls that need no
+    /// replica: global locks, and counters through its `kv()`.
     pub fn state_manager(&self) -> &Arc<StateManager> {
         &self.ctx.state
     }
@@ -448,6 +459,14 @@ pub(crate) mod tests {
         let b = ctx.state_entry("k", 100).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(ctx.mapped_state.len(), 1);
+        assert_eq!(
+            ctx.state_entry("k", 101).unwrap_err(),
+            StateError::CapacityExceeded {
+                requested: 101,
+                capacity: 100
+            },
+            "a mapped replica is never handed out smaller than asked"
+        );
     }
 
     #[test]

@@ -306,14 +306,14 @@ pub fn faaslet_linker() -> Linker {
     // locks are leases the tier expires; local locks are not, so the
     // context records what the call holds and an unlock of a lock this
     // call does not hold traps instead of releasing another Faaslet's.
+    // Neither kind maps or sizes a replica: both belong to the key.
     macro_rules! state_lock_fn {
-        ($name:literal, $method:ident, global) => {
+        ($name:literal, global $method:ident, $mode:expr) => {
             l.define_fn("faasm", $name, |ctx, args| {
                 let (kp, kl) = (arg_i32(args, 0)?, arg_i32(args, 1)?);
                 let (mem, fctx) = parts(ctx)?;
                 let key = read_str(mem, kp, kl)?;
-                let entry = fctx.state_entry(&key, 1).map_err(Trap::host)?;
-                entry.$method().map_err(Trap::host)?;
+                fctx.state.$method(&key, $mode).map_err(Trap::host)?;
                 Ok(vec![])
             });
         };
@@ -345,10 +345,10 @@ pub fn faaslet_linker() -> Linker {
     state_lock_fn!("unlock_state_read", unlock, LockMode::Read);
     state_lock_fn!("lock_state_write", lock, LockMode::Write);
     state_lock_fn!("unlock_state_write", unlock, LockMode::Write);
-    state_lock_fn!("lock_state_global_read", lock_global_read, global);
-    state_lock_fn!("unlock_state_global_read", unlock_global_read, global);
-    state_lock_fn!("lock_state_global_write", lock_global_write, global);
-    state_lock_fn!("unlock_state_global_write", unlock_global_write, global);
+    state_lock_fn!("lock_state_global_read", global lock_global, LockMode::Read);
+    state_lock_fn!("unlock_state_global_read", global unlock_global, LockMode::Read);
+    state_lock_fn!("lock_state_global_write", global lock_global, LockMode::Write);
+    state_lock_fn!("unlock_state_global_write", global unlock_global, LockMode::Write);
 
     // ── Dynamic linking ────────────────────────────────────────────────
     l.define_fn("faasm", "dlopen", |ctx, args| {

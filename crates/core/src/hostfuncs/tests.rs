@@ -145,6 +145,62 @@ fn state_locks_do_not_deadlock_single_faaslet() {
 }
 
 #[test]
+fn locking_a_key_before_get_state_keeps_its_value() {
+    // A lock belongs to the key: taking one before the first get_state
+    // must not leave behind a replica too small for the value.
+    let src = r#"
+        extern void lock_state_write(ptr int key, int key_len);
+        extern void unlock_state_write(ptr int key, int key_len);
+        extern void lock_state_global_write(ptr int key, int key_len);
+        extern void unlock_state_global_write(ptr int key, int key_len);
+        extern int get_state(ptr int key, int key_len, int size);
+        extern void push_state(ptr int key, int key_len);
+        extern void write_call_output(ptr int buf, int len);
+        int main() {
+            ptr int l = (ptr int) 64;
+            l[0] = 0x6c; // "l": under the local lock
+            ptr int g = (ptr int) 72;
+            g[0] = 0x67; // "g": under the global lock
+            ptr int out = (ptr int) 128;
+            lock_state_write(l, 1);
+            ptr int s = (ptr int) get_state(l, 1, 4096);
+            out[0] = s[100];
+            s[10] = 5;
+            push_state(l, 1);
+            unlock_state_write(l, 1);
+            lock_state_global_write(g, 1);
+            ptr int t = (ptr int) get_state(g, 1, 4096);
+            out[1] = t[100];
+            t[10] = 5;
+            push_state(g, 1);
+            unlock_state_global_write(g, 1);
+            write_call_output(out, 8);
+            return 0;
+        }
+    "#;
+    let ctx = test_ctx();
+    for key in ["l", "g"] {
+        ctx.state.kv().set(key, vec![7u8; 4096]).unwrap();
+    }
+    let mut inst = guest(src, ctx);
+    assert_eq!(inst.invoke("main", &[]).unwrap(), Some(Val::I32(0)));
+    let fctx = inst.data_as::<FaasletCtx>().unwrap();
+    let sevens = i32::from_le_bytes([7; 4]);
+    let read = |at: usize| i32::from_le_bytes(fctx.output[at..at + 4].try_into().unwrap());
+    assert_eq!(
+        (read(0), read(4)),
+        (sevens, sevens),
+        "get_state after a lock reads the global value"
+    );
+    for key in ["l", "g"] {
+        let global = fctx.state.kv().get(key).unwrap().unwrap();
+        assert_eq!(global.len(), 4096, "push_state kept {key}'s size");
+        assert_eq!(&global[40..44], &5i32.to_le_bytes());
+        assert!(global[..40].iter().chain(&global[44..]).all(|&b| b == 7));
+    }
+}
+
+#[test]
 fn memory_host_calls() {
     let src = r#"
         int main() {

@@ -154,7 +154,7 @@ pub struct FaasmInstance {
     nic: Nic,
     kv: SharedKv,
     /// The function-side state cache, when enabled — the same object `kv`
-    /// points at, kept concretely typed for stats and hot-key draining.
+    /// points at, kept concretely typed for its stats.
     cache: Option<Arc<CachedKv>>,
     /// The raw sharded tier client, *under* any function-side cache: the
     /// snapshot plane's chunk traffic rides this so immutable chunk bytes

@@ -7,7 +7,8 @@
 //! [`KvBackend`], interposed at the same seam tests already use for fault
 //! injection — everything above (state entries, workloads) is unchanged.
 //!
-//! Three per-key [`Consistency`] modes:
+//! One [`Consistency`] mode per cache, set by
+//! [`CacheConfig::default_consistency`] (Cloudburst's levels, PAPERS.md):
 //!
 //! * [`Eventual`](Consistency::Eventual) — serve any leased snapshot until
 //!   its TTL expires; staleness is bounded by the lease, nothing else.
@@ -31,7 +32,9 @@
 //! records [`SpanKind::CacheHit`]/[`CacheMiss`](SpanKind::CacheMiss)/
 //! [`CacheInvalidate`](SpanKind::CacheInvalidate)/
 //! [`Revalidate`](SpanKind::Revalidate) spans under the calling thread's
-//! trace context.
+//! trace context. A hit allocates its reply and nothing else
+//! (`tests/cache_hit_allocations.rs`); hits are attributed to keys only
+//! inside a [`touch_scope`], which a worker opens around one call.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -105,7 +108,7 @@ fn note_touch(key: &str) {
     });
 }
 
-/// Per-key consistency mode for reads through a [`CachedKv`].
+/// Consistency mode of reads and writes through a [`CachedKv`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Consistency {
     /// Serve leased snapshots until the TTL expires; no epoch or version
@@ -130,9 +133,9 @@ pub struct CacheConfig {
     /// cached.
     pub max_bytes: usize,
     /// Snapshot lease: how long a cached snapshot may be served without
-    /// revalidation. Bounds staleness for `Eventual` keys.
+    /// revalidation. Bounds staleness under `Eventual`.
     pub lease: Duration,
-    /// Mode for keys without a per-key override.
+    /// The mode every key of this cache reads and writes under.
     pub default_consistency: Consistency,
 }
 
@@ -220,11 +223,6 @@ struct Inner {
     /// Per-key floor of this instance's own acked write versions — the
     /// read-your-writes guarantee. Never removed while the cache lives.
     last_acked: HashMap<String, u64>,
-    /// Per-key read counts since the last [`CachedKv::take_hot_keys`] —
-    /// the scheduler's state-affinity signal.
-    accesses: HashMap<String, u64>,
-    /// Per-key consistency overrides.
-    modes: HashMap<String, Consistency>,
 }
 
 impl Inner {
@@ -290,10 +288,6 @@ impl Inner {
         let slot = self.last_acked.entry(key.to_string()).or_insert(0);
         *slot = (*slot).max(version);
     }
-
-    fn mode_of(&self, key: &str, default: Consistency) -> Consistency {
-        self.modes.get(key).copied().unwrap_or(default)
-    }
 }
 
 /// What a locked lookup decided; wire work (if any) happens after unlock —
@@ -323,29 +317,10 @@ impl CachedKv {
                     charged_bytes(key, &e.data)
                 }),
                 last_acked: HashMap::new(),
-                accesses: HashMap::new(),
-                modes: HashMap::new(),
             }),
             cfg,
             counters: CacheCounters::new(),
         }
-    }
-
-    /// Override the consistency mode for one key.
-    pub fn set_mode(&self, key: &str, mode: Consistency) {
-        let mut s = self.state.lock();
-        s.modes.insert(key.to_string(), mode);
-        if mode == Consistency::Strong {
-            // Strong keys never serve from cache; drop any snapshot now.
-            if s.remove(key) {
-                self.counters.invalidations.inc();
-            }
-        }
-    }
-
-    /// The mode a key currently reads under.
-    pub fn mode_of(&self, key: &str) -> Consistency {
-        self.state.lock().mode_of(key, self.cfg.default_consistency)
     }
 
     /// Counter snapshot.
@@ -361,17 +336,6 @@ impl CachedKv {
     /// Entries currently cached.
     pub fn cached_entries(&self) -> usize {
         self.state.lock().entries.len()
-    }
-
-    /// Drain the per-key read counters accumulated since the last call —
-    /// the scheduler's per-instance hot-key signal (the affinity board maps
-    /// each key to its owning shard and scores hosts by overlap).
-    pub fn take_hot_keys(&self) -> Vec<(String, u64)> {
-        let mut keys: Vec<(String, u64)> = std::mem::take(&mut self.state.lock().accesses)
-            .into_iter()
-            .collect();
-        keys.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        keys
     }
 
     /// Drop every snapshot (own-ack floors survive — they are a correctness
@@ -410,7 +374,8 @@ impl CachedKv {
     /// Validity checks shared by both read shapes. Returns `None` when the
     /// entry must be dropped (below the own-ack floor), `Some(true)` when it
     /// may be served as-is, `Some(false)` when it needs revalidation.
-    fn entry_state(&self, s: &Inner, key: &str, e: &Entry, mode: Consistency) -> Option<bool> {
+    fn entry_state(&self, s: &Inner, key: &str, e: &Entry) -> Option<bool> {
+        let mode = self.cfg.default_consistency;
         if mode != Consistency::Eventual && e.version < s.floor(key) {
             // A concurrent miss refilled the cache with pre-write bytes
             // after this instance's own write acked — never serve them.
@@ -471,18 +436,14 @@ impl CachedKv {
         fetch: impl FnOnce() -> Result<(Option<T>, u64), KvError>,
         fill: impl FnOnce(&T) -> Option<CachedBytes>,
     ) -> Result<(Option<T>, u64), KvError> {
+        if self.strong() {
+            return fetch();
+        }
         let t0 = faasm_telemetry::now_ns();
-        let mode;
         let decision: Lookup<T> = {
             let mut s = self.state.lock();
-            mode = s.mode_of(key, self.cfg.default_consistency);
-            if mode == Consistency::Strong {
-                drop(s);
-                return fetch();
-            }
-            *s.accesses.entry(key.to_string()).or_insert(0) += 1;
             match s.entries.peek(key) {
-                Some(e) => match self.entry_state(&s, key, e, mode) {
+                Some(e) => match self.entry_state(&s, key, e) {
                     Some(true) => match lookup(e) {
                         Some(out) => {
                             let version = e.version;
@@ -532,7 +493,8 @@ impl CachedKv {
         let mut s = self.state.lock();
         match &value {
             Some(v) => {
-                if mode == Consistency::Eventual || version >= s.floor(key) {
+                if self.cfg.default_consistency == Consistency::Eventual || version >= s.floor(key)
+                {
                     if let Some(data) = fill(v) {
                         self.install(&mut s, key, version, epoch, data);
                     }
@@ -585,12 +547,11 @@ impl CachedKv {
         &self,
         key: &str,
         version: u64,
-        mode: Consistency,
         update: impl FnOnce(Option<&Entry>) -> Option<CachedBytes>,
     ) {
         let mut s = self.state.lock();
         s.raise_floor(key, version);
-        if mode == Consistency::Strong {
+        if self.strong() {
             if s.remove(key) {
                 self.counters.invalidations.inc();
             }
@@ -614,8 +575,10 @@ impl CachedKv {
         );
     }
 
-    fn mode_for_write(&self, key: &str) -> Consistency {
-        self.state.lock().mode_of(key, self.cfg.default_consistency)
+    /// Whether this cache is `Strong`: nothing is served from, or kept in,
+    /// the cache.
+    fn strong(&self) -> bool {
+        self.cfg.default_consistency == Consistency::Strong
     }
 
     /// Drop any leased snapshot of `key` without touching its floor.
@@ -698,14 +661,13 @@ impl KvBackend for CachedKv {
     }
 
     fn set_versioned(&self, key: &str, value: Vec<u8>) -> Result<u64, KvError> {
-        let mode = self.mode_for_write(key);
-        let cached = if mode == Consistency::Strong {
+        let cached = if self.strong() {
             Vec::new()
         } else {
             value.clone()
         };
         let version = self.inner.set_versioned(key, value)?;
-        self.after_write(key, version, mode, |_| Some(CachedBytes::Full(cached)));
+        self.after_write(key, version, |_| Some(CachedBytes::Full(cached)));
         Ok(version)
     }
 
@@ -715,14 +677,13 @@ impl KvBackend for CachedKv {
     }
 
     fn set_range_versioned(&self, key: &str, offset: u64, data: Vec<u8>) -> Result<u64, KvError> {
-        let mode = self.mode_for_write(key);
-        let cached = if mode == Consistency::Strong {
+        let cached = if self.strong() {
             Vec::new()
         } else {
             data.clone()
         };
         let version = self.inner.set_range_versioned(key, offset, data)?;
-        self.after_write(key, version, mode, |existing| match existing {
+        self.after_write(key, version, |existing| match existing {
             // No writer slipped in between our snapshot and our ack: the
             // snapshot plus this write is exactly the value at `version`.
             Some(e) if e.version + 1 == version => match &e.data {
@@ -768,14 +729,13 @@ impl KvBackend for CachedKv {
     }
 
     fn multi_set_range_versioned(&self, key: &str, writes: RangeWrites) -> Result<u64, KvError> {
-        let mode = self.mode_for_write(key);
-        let cached = if mode == Consistency::Strong {
+        let cached = if self.strong() {
             RangeWrites::new()
         } else {
             writes.clone()
         };
         let version = self.inner.multi_set_range_versioned(key, writes)?;
-        self.after_write(key, version, mode, |existing| match existing {
+        self.after_write(key, version, |existing| match existing {
             Some(e) if e.version + 1 == version => match &e.data {
                 CachedBytes::Full(v) => {
                     let mut v = v.clone();
@@ -804,25 +764,22 @@ impl KvBackend for CachedKv {
     }
 
     fn append_versioned(&self, key: &str, data: Vec<u8>) -> Result<(u64, u64), KvError> {
-        let mode = self.mode_for_write(key);
         let (len, version) = self.inner.append_versioned(key, data)?;
-        self.after_write(key, version, mode, |_| None);
+        self.after_write(key, version, |_| None);
         Ok((len, version))
     }
 
     fn del_versioned(&self, key: &str) -> Result<(bool, u64), KvError> {
-        let mode = self.mode_for_write(key);
         let (existed, version) = self.inner.del_versioned(key)?;
-        self.after_write(key, version, mode, |_| None);
+        self.after_write(key, version, |_| None);
         Ok((existed, version))
     }
 
     fn incr_versioned(&self, key: &str, delta: i64) -> Result<(i64, u64), KvError> {
         // Counters share the value namespace on the shard: the mutation
         // changes the key's bytes, so drop any snapshot.
-        let mode = self.mode_for_write(key);
         let (value, version) = self.inner.incr_versioned(key, delta)?;
-        self.after_write(key, version, mode, |_| None);
+        self.after_write(key, version, |_| None);
         Ok((value, version))
     }
 
@@ -1002,23 +959,29 @@ mod tests {
 
     #[test]
     fn eventual_serves_lease_strong_bypasses() {
-        let (local, cache) = harness(long_lease());
-        cache.set_mode("e", Consistency::Eventual);
-        cache.set_mode("s", Consistency::Strong);
+        let local = Arc::new(LocalKv::new());
+        let with = |mode| {
+            let cfg = CacheConfig {
+                default_consistency: mode,
+                ..long_lease()
+            };
+            CachedKv::new(local.clone() as SharedKv, cfg)
+        };
+        let (eventual, strong) = (with(Consistency::Eventual), with(Consistency::Strong));
 
         local.set("e", b"e1".to_vec()).unwrap();
-        assert_eq!(cache.get("e").unwrap(), Some(b"e1".to_vec()));
+        assert_eq!(eventual.get("e").unwrap(), Some(b"e1".to_vec()));
         local.set("e", b"e2".to_vec()).unwrap();
         local.bump_epoch(); // Eventual ignores epochs within the lease.
-        assert_eq!(cache.get("e").unwrap(), Some(b"e1".to_vec()));
+        assert_eq!(eventual.get("e").unwrap(), Some(b"e1".to_vec()));
 
         local.set("s", b"s1".to_vec()).unwrap();
         let before = local.wire_reads();
-        assert_eq!(cache.get("s").unwrap(), Some(b"s1".to_vec()));
-        assert_eq!(cache.get("s").unwrap(), Some(b"s1".to_vec()));
+        assert_eq!(strong.get("s").unwrap(), Some(b"s1".to_vec()));
+        assert_eq!(strong.get("s").unwrap(), Some(b"s1".to_vec()));
         // Strong never serves from cache: every read hit the wire.
         assert_eq!(local.wire_reads(), before + 2);
-        assert_eq!(cache.stats().hits, 1); // only the leased "e" hit
+        assert_eq!(eventual.stats().hits + strong.stats().hits, 1); // only the leased "e" hit
     }
 
     #[test]
@@ -1157,21 +1120,6 @@ mod tests {
         assert_eq!(cache.get("big").unwrap(), Some(vec![1u8; 4096]));
         assert_eq!(cache.cached_entries(), 0);
         assert_eq!(local.wire_reads(), 1);
-    }
-
-    #[test]
-    fn hot_keys_drain_for_affinity() {
-        let (local, cache) = harness(long_lease());
-        local.set("hot", b"h".to_vec()).unwrap();
-        local.set("cold", b"c".to_vec()).unwrap();
-        for _ in 0..5 {
-            cache.get("hot").unwrap();
-        }
-        cache.get("cold").unwrap();
-        let keys = cache.take_hot_keys();
-        assert_eq!(keys[0], ("hot".to_string(), 5));
-        assert_eq!(keys[1], ("cold".to_string(), 1));
-        assert!(cache.take_hot_keys().is_empty()); // drained
     }
 
     #[test]

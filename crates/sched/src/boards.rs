@@ -11,8 +11,8 @@
 //!   (per-call cache-hit counts from the function-side cache). Placement
 //!   prefers hosts whose caches already hold the function's hot keys —
 //!   state-locality scheduling: the call moves to the data, not the data to
-//!   the call. The board also keeps the function's hot keys themselves, so
-//!   diagnostics can map a working set to the shards that own it.
+//!   the call. A report is one call's `touch_scope` hits; the board folds
+//!   only their total into the reporting host's score and keeps no keys.
 //!
 //! Both boards are advisory: scores decay as new reports fold in (an EWMA,
 //! so a host that stops serving a function fades), absent entries read as
@@ -23,24 +23,13 @@ use std::collections::HashMap;
 use faasm_net::HostId;
 use parking_lot::RwLock;
 
-/// Hot keys retained per function on the affinity board.
-const HOT_KEYS_PER_FN: usize = 64;
-
-/// One function's affinity state.
-#[derive(Debug, Default)]
-struct FnAffinity {
-    /// EWMA of per-call cache-hit weight, per host.
-    hosts: HashMap<HostId, u64>,
-    /// Decayed hit counts for the function's hottest keys.
-    keys: HashMap<String, u64>,
-}
-
 /// Shared scheduling boards — see the module docs. One per cluster,
 /// published to every instance and the ingress tier.
 #[derive(Debug, Default)]
 pub struct SchedBoards {
     depths: RwLock<HashMap<HostId, usize>>,
-    affinity: RwLock<HashMap<(String, String), FnAffinity>>,
+    /// Per function: EWMA of per-call cache-hit weight, per host.
+    affinity: RwLock<HashMap<(String, String), HashMap<HostId, u64>>>,
 }
 
 impl SchedBoards {
@@ -66,9 +55,7 @@ impl SchedBoards {
 
     /// Fold one call's cache-touch report into the function's affinity:
     /// the host's score moves as an EWMA of the call's total cache-hit
-    /// weight (`new = old*3/4 + weight`, so it is bounded and self-decays),
-    /// and the touched keys fold into the function's hot-key set the same
-    /// way.
+    /// weight (`new = old*3/4 + weight`, so it is bounded and self-decays).
     pub fn report_affinity(
         &self,
         user: &str,
@@ -78,58 +65,24 @@ impl SchedBoards {
     ) {
         let weight: u64 = touched.iter().map(|(_, n)| n).sum();
         let mut board = self.affinity.write();
-        let f = board
+        let hosts = board
             .entry((user.to_string(), function.to_string()))
             .or_default();
-        let slot = f.hosts.entry(host).or_insert(0);
+        let slot = hosts.entry(host).or_insert(0);
         *slot = *slot - *slot / 4 + weight;
-        for (key, n) in touched {
-            let slot = f.keys.entry(key.clone()).or_insert(0);
-            *slot = *slot - *slot / 4 + n;
-        }
-        if f.keys.len() > HOT_KEYS_PER_FN {
-            // Keep only the hottest keys; the map stays bounded per
-            // function regardless of working-set churn.
-            let mut counts: Vec<u64> = f.keys.values().copied().collect();
-            counts.sort_unstable_by(|a, b| b.cmp(a));
-            let cutoff = counts[HOT_KEYS_PER_FN - 1];
-            f.keys.retain(|_, v| *v >= cutoff);
-        }
     }
 
     /// Known affinity scores for `hosts`, in input order (hosts with no
     /// score are omitted — absent reads as zero at the decision).
     pub fn affinities(&self, user: &str, function: &str, hosts: &[HostId]) -> Vec<(HostId, u64)> {
         let board = self.affinity.read();
-        let Some(f) = board.get(&(user.to_string(), function.to_string())) else {
+        let Some(scores) = board.get(&(user.to_string(), function.to_string())) else {
             return Vec::new();
         };
         hosts
             .iter()
-            .filter_map(|h| f.hosts.get(h).map(|&a| (*h, a)))
+            .filter_map(|h| scores.get(h).map(|&a| (*h, a)))
             .collect()
-    }
-
-    /// The function's hottest keys (score-descending, then by key), and the
-    /// global-tier shard each would route to under `shard_count` shards —
-    /// the hot-key → owning-shard map behind the affinity signal.
-    pub fn hot_key_shards(
-        &self,
-        user: &str,
-        function: &str,
-        shard_count: usize,
-    ) -> Vec<(String, u64, usize)> {
-        let board = self.affinity.read();
-        let Some(f) = board.get(&(user.to_string(), function.to_string())) else {
-            return Vec::new();
-        };
-        let mut keys: Vec<(String, u64, usize)> = f
-            .keys
-            .iter()
-            .map(|(k, &n)| (k.clone(), n, faasm_kvs::shard_index_for(k, shard_count)))
-            .collect();
-        keys.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        keys
     }
 }
 
@@ -177,31 +130,5 @@ mod tests {
         // Other functions and hosts are independent.
         assert!(b.affinities("u", "g", &[HostId(1)]).is_empty());
         assert!(b.affinities("u", "f", &[HostId(2)]).is_empty());
-    }
-
-    #[test]
-    fn hot_keys_map_to_owning_shards() {
-        let b = SchedBoards::new();
-        b.report_affinity(
-            "u",
-            "f",
-            HostId(1),
-            &[("u/a".to_string(), 9), ("u/b".to_string(), 2)],
-        );
-        let hot = b.hot_key_shards("u", "f", 4);
-        assert_eq!(hot.len(), 2);
-        assert_eq!(hot[0].0, "u/a"); // hottest first
-        assert_eq!(hot[0].2, faasm_kvs::shard_index_for("u/a", 4));
-        assert!(hot.iter().all(|(_, _, s)| *s < 4));
-    }
-
-    #[test]
-    fn hot_key_set_stays_bounded() {
-        let b = SchedBoards::new();
-        for i in 0..(HOT_KEYS_PER_FN * 4) {
-            b.report_affinity("u", "f", HostId(1), &[(format!("u/k{i}"), 1 + i as u64)]);
-        }
-        let hot = b.hot_key_shards("u", "f", 2);
-        assert!(hot.len() <= HOT_KEYS_PER_FN + 1, "got {}", hot.len());
     }
 }

@@ -68,39 +68,6 @@ impl WarmSets {
         out.sort();
         Ok(out)
     }
-
-    /// A warm host other than `not`, if any (round-robin'd by `seed` so
-    /// repeated shares spread over the warm set).
-    ///
-    /// # Errors
-    ///
-    /// Global-tier errors.
-    pub fn pick_other(
-        &self,
-        user: &str,
-        function: &str,
-        not: HostId,
-        seed: usize,
-    ) -> Result<Option<HostId>, KvError> {
-        let candidates: Vec<HostId> = self
-            .hosts(user, function)?
-            .into_iter()
-            .filter(|h| *h != not)
-            .collect();
-        if candidates.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(candidates[seed % candidates.len()]))
-    }
-
-    /// Number of warm hosts.
-    ///
-    /// # Errors
-    ///
-    /// Global-tier errors.
-    pub fn count(&self, user: &str, function: &str) -> Result<u64, KvError> {
-        self.kv.scard(&warm_key(user, function))
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +87,6 @@ mod tests {
         assert!(!w.register("u", "f", HostId(1)).unwrap(), "idempotent");
         w.register("u", "f", HostId(3)).unwrap();
         assert_eq!(w.hosts("u", "f").unwrap(), vec![HostId(1), HostId(3)]);
-        assert_eq!(w.count("u", "f").unwrap(), 2);
         assert!(w.deregister("u", "f", HostId(1)).unwrap());
         assert_eq!(w.hosts("u", "f").unwrap(), vec![HostId(3)]);
     }
@@ -134,25 +100,5 @@ mod tests {
         assert_eq!(w.hosts("u1", "f").unwrap(), vec![HostId(1)]);
         assert_eq!(w.hosts("u2", "f").unwrap(), vec![HostId(2)]);
         assert_eq!(w.hosts("u1", "g").unwrap(), vec![HostId(3)]);
-    }
-
-    #[test]
-    fn pick_other_excludes_self_and_rotates() {
-        let w = warm();
-        assert_eq!(w.pick_other("u", "f", HostId(0), 0).unwrap(), None);
-        w.register("u", "f", HostId(0)).unwrap();
-        assert_eq!(
-            w.pick_other("u", "f", HostId(0), 0).unwrap(),
-            None,
-            "only self warm"
-        );
-        w.register("u", "f", HostId(1)).unwrap();
-        w.register("u", "f", HostId(2)).unwrap();
-        let picks: Vec<HostId> = (0..4)
-            .map(|seed| w.pick_other("u", "f", HostId(0), seed).unwrap().unwrap())
-            .collect();
-        assert_eq!(picks[0], picks[2], "rotation cycles");
-        assert_ne!(picks[0], picks[1], "rotation spreads");
-        assert!(picks.iter().all(|h| *h != HostId(0)));
     }
 }

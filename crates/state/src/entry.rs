@@ -16,8 +16,9 @@
 //! code here knows replication exists.
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::Arc;
 
-use faasm_kvs::{LockMode, RangeWrites, SharedKv};
+use faasm_kvs::{RangeWrites, SharedKv};
 use faasm_mem::SharedRegion;
 use faasm_telemetry::{Recorder, SpanKind};
 use parking_lot::Mutex;
@@ -27,8 +28,8 @@ use crate::rwlock::SyncRwLock;
 
 /// The state tier's flight recorder, fetched once (the `tier()` registry
 /// lock must not sit on the pull/push hot path).
-fn state_recorder() -> &'static std::sync::Arc<Recorder> {
-    static RECORDER: std::sync::OnceLock<std::sync::Arc<Recorder>> = std::sync::OnceLock::new();
+fn state_recorder() -> &'static Arc<Recorder> {
+    static RECORDER: std::sync::OnceLock<Arc<Recorder>> = std::sync::OnceLock::new();
     RECORDER.get_or_init(|| faasm_telemetry::tier("state"))
 }
 
@@ -37,7 +38,7 @@ fn state_recorder() -> &'static std::sync::Arc<Recorder> {
 /// KVS requests encoded inside `f` carry it — the shard's `ShardApply`
 /// span (and any `WrongEpochRetry` park) nests under this pull/push span
 /// in the trace tree. Untraced callers pay one thread-local read.
-fn state_span<T>(kind: SpanKind, extra: u64, f: impl FnOnce() -> T) -> T {
+pub(crate) fn state_span<T>(kind: SpanKind, extra: u64, f: impl FnOnce() -> T) -> T {
     let parent = faasm_telemetry::current();
     if parent.is_none() {
         return f();
@@ -144,7 +145,9 @@ pub struct StateEntry {
     /// step against a claiming write. Nothing that finds its chunks
     /// present takes it.
     transition: Mutex<()>,
-    local_lock: SyncRwLock,
+    /// The key's local lock: the implicit lock of [`StateEntry::read`] /
+    /// [`StateEntry::write`] and the explicit one of `lock_state_*`.
+    local_lock: Arc<SyncRwLock>,
     kv: SharedKv,
 }
 
@@ -188,9 +191,16 @@ impl StateEntry {
             present: ChunkBits::new(n_chunks),
             dirty: ChunkBits::new(n_chunks),
             transition: Mutex::new(()),
-            local_lock: SyncRwLock::new(),
+            local_lock: Arc::default(),
             kv,
         })
+    }
+
+    /// This replica, excluded by `lock` (its key's lock on the host)
+    /// instead of a lock of its own.
+    pub(crate) fn sharing_lock(mut self, lock: Arc<SyncRwLock>) -> StateEntry {
+        self.local_lock = lock;
+        self
     }
 
     /// The state key.
@@ -548,45 +558,9 @@ impl StateEntry {
         Ok(())
     }
 
-    /// Append to the authoritative global value (`append_state`). Appended
-    /// data bypasses the fixed-size local replica; readers use
-    /// [`StateEntry::read_appended`].
-    ///
-    /// # Errors
-    ///
-    /// Global-tier errors.
-    pub fn append(&self, data: &[u8]) -> Result<u64, StateError> {
-        let len = data.len() as u64;
-        Ok(state_span(SpanKind::StatePush, len, || {
-            self.kv.append(&self.key, data.to_vec())
-        })?)
-    }
-
-    /// Read the full current global value, including appended data beyond
-    /// the local replica size.
-    ///
-    /// # Errors
-    ///
-    /// Global-tier errors; [`StateError::NotFound`] if the key is absent.
-    pub fn read_appended(&self) -> Result<Vec<u8>, StateError> {
-        state_span(SpanKind::StatePull, 0, || self.kv.get(&self.key))?.ok_or_else(|| {
-            StateError::NotFound {
-                key: self.key.clone(),
-            }
-        })
-    }
-
-    /// Explicit local read lock (`lock_state_read`).
-    pub fn lock_read(&self) {
-        self.local_lock.lock_read();
-    }
-
-    /// Explicit local read unlock.
-    pub fn unlock_read(&self) {
-        self.local_lock.unlock_read();
-    }
-
-    /// Explicit local write lock (`lock_state_write`).
+    /// Take the local write lock explicitly: the lock of this entry's key,
+    /// which [`StateManager`](crate::StateManager) hands every replica of
+    /// the key on the host.
     pub fn lock_write(&self) {
         self.local_lock.lock_write();
     }
@@ -599,46 +573,6 @@ impl StateEntry {
     /// Threads parked on the local lock behind its current holder.
     pub fn local_lock_waiters(&self) -> usize {
         self.local_lock.waiters()
-    }
-
-    /// Acquire the global read lock (`lock_state_global_read`), blocking.
-    ///
-    /// # Errors
-    ///
-    /// Global-tier errors.
-    pub fn lock_global_read(&self) -> Result<(), StateError> {
-        Ok(state_span(SpanKind::LockWait, 0, || {
-            self.kv.lock(&self.key, LockMode::Read)
-        })?)
-    }
-
-    /// Release the global read lock.
-    ///
-    /// # Errors
-    ///
-    /// Global-tier errors.
-    pub fn unlock_global_read(&self) -> Result<(), StateError> {
-        Ok(self.kv.unlock(&self.key, LockMode::Read)?)
-    }
-
-    /// Acquire the global write lock (`lock_state_global_write`), blocking.
-    ///
-    /// # Errors
-    ///
-    /// Global-tier errors.
-    pub fn lock_global_write(&self) -> Result<(), StateError> {
-        Ok(state_span(SpanKind::LockWait, 1, || {
-            self.kv.lock(&self.key, LockMode::Write)
-        })?)
-    }
-
-    /// Release the global write lock.
-    ///
-    /// # Errors
-    ///
-    /// Global-tier errors.
-    pub fn unlock_global_write(&self) -> Result<(), StateError> {
-        Ok(self.kv.unlock(&self.key, LockMode::Write)?)
     }
 
     /// Forget local presence so the next access re-pulls (used after another
@@ -654,7 +588,6 @@ impl StateEntry {
 mod tests {
     use super::*;
     use faasm_kvs::{KvBackend, KvClient, KvError, KvStore, Request, Response};
-    use std::sync::Arc;
     use std::time::Duration;
 
     fn entry_with(size: usize, chunk: usize) -> (Arc<KvClient>, StateEntry) {
@@ -804,33 +737,10 @@ mod tests {
     }
 
     #[test]
-    fn append_and_read_appended() {
-        let (_kv, e) = entry_with(4, 16);
-        e.write(0, b"base").unwrap();
-        e.push().unwrap();
-        assert_eq!(e.append(b"+one").unwrap(), 8);
-        assert_eq!(e.append(b"+two").unwrap(), 12);
-        assert_eq!(e.read_appended().unwrap(), b"base+one+two");
-    }
-
-    #[test]
     fn explicit_local_locks() {
         let (_kv, e) = entry_with(8, 16);
         e.lock_write();
         e.unlock_write();
-        e.lock_read();
-        e.lock_read();
-        e.unlock_read();
-        e.unlock_read();
-    }
-
-    #[test]
-    fn global_locks_roundtrip() {
-        let (_kv, e) = entry_with(8, 16);
-        e.lock_global_write().unwrap();
-        e.unlock_global_write().unwrap();
-        e.lock_global_read().unwrap();
-        e.unlock_global_read().unwrap();
     }
 
     #[test]

@@ -26,11 +26,6 @@ pub enum StateError {
         /// Backing capacity.
         capacity: usize,
     },
-    /// The key does not exist in the global tier.
-    NotFound {
-        /// The state key.
-        key: String,
-    },
 }
 
 impl std::fmt::Display for StateError {
@@ -49,7 +44,6 @@ impl std::fmt::Display for StateError {
                 requested,
                 capacity,
             } => write!(f, "state size {requested} exceeds capacity {capacity}"),
-            StateError::NotFound { key } => write!(f, "state key not found: {key:?}"),
         }
     }
 }
@@ -80,8 +74,5 @@ mod tests {
             size: 12,
         };
         assert!(e.to_string().contains("10..14"));
-        assert!(StateError::NotFound { key: "k".into() }
-            .to_string()
-            .contains("k"));
     }
 }

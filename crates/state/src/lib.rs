@@ -1,4 +1,4 @@
-//! Two-tier state architecture and distributed data objects (§4).
+//! Two-tier state architecture (§4).
 //!
 //! "A local tier provides in-memory sharing, and a global tier supports
 //! distributed access to state across hosts." This crate implements both
@@ -6,26 +6,21 @@
 //!
 //! * [`StateEntry`] — one key's local replica in a `faasm-mem` shared
 //!   region (zero-copy across co-located Faaslets), with chunk-granular
-//!   pull/push, implicit local read/write locking, and global lock hooks.
-//! * [`StateManager`] — the per-host local tier handing out shared entries.
-//! * [`ddo`] — the high-level distributed data objects of Listing 1:
-//!   [`SharedVector`] (`VectorAsync`), [`MatrixReadOnly`],
-//!   [`SparseMatrixReadOnly`], plus a lazy dictionary, an atomic append
-//!   list and a strongly-consistent counter, each choosing its own
-//!   consistency point on the push/pull spectrum (§4.1).
+//!   pull/push and implicit local read/write locking.
+//! * [`StateManager`] — the per-host local tier handing out shared entries,
+//!   owner of each key's local lock and the door to its global lock.
+//!
+//! Listing 1's distributed data objects have no type of their own here:
+//! workloads speak this API through `faasm_workloads::env::FaasEnv`, which runs
+//! one worker body on Faasm and on the container baseline alike.
 
 #![warn(missing_docs)]
 
-pub mod ddo;
 pub mod entry;
 pub mod error;
 pub mod manager;
 pub mod rwlock;
 
-pub use ddo::{
-    bytes_to_f64s, f64s_to_bytes, MatrixReadOnly, SharedCounter, SharedDict, SharedList,
-    SharedVector, SparseMatrixBuilder, SparseMatrixReadOnly,
-};
 pub use entry::{StateEntry, DEFAULT_CHUNK_SIZE};
 pub use error::StateError;
 pub use manager::StateManager;

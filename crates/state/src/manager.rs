@@ -5,21 +5,30 @@
 //! Faaslet on the host asking for the same key gets the *same* memory — the
 //! local tier is "held exclusively in Faaslet shared memory regions", with
 //! no separate local storage service (§4.2).
+//!
+//! Locks belong to the key, not to a replica: the manager keeps one local
+//! lock per key and hands it to the key's replica when it creates one, so
+//! a `lock_state_*` taken before any replica exists still excludes the
+//! replica's users, and no lock call creates or sizes a replica.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use faasm_kvs::SharedKv;
+use faasm_kvs::{LockMode, SharedKv};
 use faasm_mem::SharedRegion;
+use faasm_telemetry::SpanKind;
 use parking_lot::RwLock;
 
-use crate::entry::{StateEntry, DEFAULT_CHUNK_SIZE};
+use crate::entry::{state_span, StateEntry, DEFAULT_CHUNK_SIZE};
 use crate::error::StateError;
+use crate::rwlock::SyncRwLock;
 
 /// Per-host local-tier manager.
 pub struct StateManager {
     kv: SharedKv,
     entries: RwLock<HashMap<String, Arc<StateEntry>>>,
+    /// Each key's local lock on this host, shared with the key's replica.
+    locks: RwLock<HashMap<String, Arc<SyncRwLock>>>,
     chunk_size: usize,
 }
 
@@ -43,6 +52,7 @@ impl StateManager {
         StateManager {
             kv,
             entries: RwLock::new(HashMap::new()),
+            locks: RwLock::new(HashMap::new()),
             chunk_size: chunk_size.max(1),
         }
     }
@@ -82,37 +92,47 @@ impl StateManager {
             });
         }
         let region = SharedRegion::new(size);
-        let entry = Arc::new(StateEntry::new(
-            key,
-            size,
-            region,
-            Arc::clone(&self.kv),
-            self.chunk_size,
-        )?);
+        let entry = StateEntry::new(key, size, region, Arc::clone(&self.kv), self.chunk_size)?;
+        let entry = Arc::new(entry.sharing_lock(self.local_lock(key)));
         entries.insert(key.to_string(), Arc::clone(&entry));
         Ok(entry)
     }
 
-    /// Open a replica of an existing global value, sized from the global
-    /// tier.
+    /// `key`'s local lock on this host (`lock_state_read` /
+    /// `lock_state_write`), created unlocked on first use. Every replica
+    /// of the key, past or future, is excluded by this one lock.
+    pub fn local_lock(&self, key: &str) -> Arc<SyncRwLock> {
+        if let Some(lock) = self.locks.read().get(key) {
+            return Arc::clone(lock);
+        }
+        Arc::clone(self.locks.write().entry(key.to_string()).or_default())
+    }
+
+    /// Acquire `key`'s global lock (`lock_state_global_read` /
+    /// `lock_state_global_write`), blocking. The lock is a lease the global
+    /// tier holds; no replica is involved.
     ///
     /// # Errors
     ///
-    /// [`StateError::NotFound`] if the key has no global value.
-    pub fn get_existing(&self, key: &str) -> Result<Arc<StateEntry>, StateError> {
-        if let Some(e) = self.entries.read().get(key) {
-            return Ok(Arc::clone(e));
-        }
-        if !self.kv.exists(key)? {
-            return Err(StateError::NotFound {
-                key: key.to_string(),
-            });
-        }
-        let size = self.kv.strlen(key)? as usize;
-        self.get(key, size)
+    /// Global-tier errors.
+    pub fn lock_global(&self, key: &str, mode: LockMode) -> Result<(), StateError> {
+        let write = u64::from(mode == LockMode::Write);
+        Ok(state_span(SpanKind::LockWait, write, || {
+            self.kv.lock(key, mode)
+        })?)
     }
 
-    /// Drop the local replica for `key` (the global value is untouched).
+    /// Release `key`'s global lock.
+    ///
+    /// # Errors
+    ///
+    /// Global-tier errors.
+    pub fn unlock_global(&self, key: &str, mode: LockMode) -> Result<(), StateError> {
+        Ok(self.kv.unlock(key, mode)?)
+    }
+
+    /// Drop the local replica for `key` (the global value and the key's
+    /// local lock are untouched).
     pub fn evict(&self, key: &str) -> bool {
         self.entries.write().remove(key).is_some()
     }
@@ -128,13 +148,6 @@ impl StateManager {
         Ok(())
     }
 
-    /// Keys with local replicas on this host.
-    pub fn local_keys(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.entries.read().keys().cloned().collect();
-        v.sort();
-        v
-    }
-
     /// Bytes held by the local tier (the replicas' resident bytes: 4 KiB
     /// per block holding a non-zero byte) — the state component of the
     /// host's memory footprint.
@@ -146,9 +159,11 @@ impl StateManager {
             .sum()
     }
 
-    /// Drop every local replica (host reset).
+    /// Drop every local replica and every local lock (host reset).
     pub fn clear(&self) {
-        self.entries.write().clear();
+        let mut entries = self.entries.write();
+        entries.clear();
+        self.locks.write().clear();
     }
 }
 
@@ -169,7 +184,6 @@ mod tests {
         let b = m.get("k", 100).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.region().id(), b.region().id());
-        assert_eq!(m.local_keys(), vec!["k"]);
     }
 
     #[test]
@@ -185,15 +199,37 @@ mod tests {
     }
 
     #[test]
-    fn get_existing_uses_global_size() {
+    fn a_lock_taken_before_the_replica_excludes_its_users() {
+        let m = Arc::new(manager());
+        let lock = m.local_lock("k");
+        lock.lock_write();
+        let e = m.get("k", 8).unwrap();
+        assert!(Arc::ptr_eq(&lock, &m.local_lock("k")), "one lock per key");
+        let reader = {
+            let e = Arc::clone(&e);
+            std::thread::spawn(move || e.read(0, &mut [0u8; 8]).unwrap())
+        };
+        while e.local_lock_waiters() == 0 {
+            std::thread::yield_now();
+        }
+        lock.unlock_write();
+        reader.join().unwrap();
+        // Evicting the replica keeps the lock; a host reset drops both.
+        m.evict("k");
+        assert!(Arc::ptr_eq(&lock, &m.local_lock("k")));
+        m.clear();
+        assert!(!Arc::ptr_eq(&lock, &m.local_lock("k")));
+    }
+
+    #[test]
+    fn global_locks_roundtrip_without_a_replica() {
         let m = manager();
-        m.kv().set("g", vec![1u8; 77]).unwrap();
-        let e = m.get_existing("g").unwrap();
-        assert_eq!(e.size(), 77);
-        assert!(matches!(
-            m.get_existing("absent"),
-            Err(StateError::NotFound { .. })
-        ));
+        m.lock_global("g", LockMode::Write).unwrap();
+        m.unlock_global("g", LockMode::Write).unwrap();
+        m.lock_global("g", LockMode::Read).unwrap();
+        m.unlock_global("g", LockMode::Read).unwrap();
+        assert_eq!(m.local_bytes(), 0);
+        assert!(!m.evict("g"), "no replica was created");
     }
 
     #[test]
@@ -207,7 +243,7 @@ mod tests {
         assert!(m.kv().exists("d").unwrap());
         m.delete("d").unwrap();
         assert!(!m.kv().exists("d").unwrap());
-        assert!(m.local_keys().is_empty());
+        assert!(!m.evict("d"), "delete dropped the replica");
     }
 
     #[test]

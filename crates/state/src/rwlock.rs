@@ -142,22 +142,6 @@ impl SyncRwLock {
         }
     }
 
-    /// Run `f` under the read lock.
-    pub fn with_read<T>(&self, f: impl FnOnce() -> T) -> T {
-        self.lock_read();
-        let out = f();
-        self.unlock_read();
-        out
-    }
-
-    /// Run `f` under the write lock.
-    pub fn with_write<T>(&self, f: impl FnOnce() -> T) -> T {
-        self.lock_write();
-        let out = f();
-        self.unlock_write();
-        out
-    }
-
     /// Threads currently parked (or committed to parking) on this lock.
     pub fn waiters(&self) -> usize {
         self.waiters.load(SeqCst)
@@ -231,13 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn with_helpers() {
-        let l = SyncRwLock::new();
-        assert_eq!(l.with_read(|| 1), 1);
-        assert_eq!(l.with_write(|| 2), 2);
-    }
-
-    #[test]
     fn mutual_exclusion_of_writers() {
         let l = Arc::new(SyncRwLock::new());
         let shared = Arc::new(AtomicUsize::new(0));
@@ -284,12 +261,18 @@ mod tests {
         let readers: Vec<_> = (0..3)
             .map(|_| {
                 let l = Arc::clone(&l);
-                std::thread::spawn(move || l.with_read(|| ()))
+                std::thread::spawn(move || {
+                    l.lock_read();
+                    l.unlock_read();
+                })
             })
             .collect();
         let writer = {
             let l = Arc::clone(&l);
-            std::thread::spawn(move || l.with_write(|| ()))
+            std::thread::spawn(move || {
+                l.lock_write();
+                l.unlock_write();
+            })
         };
         await_waiters(&l, 4);
         assert_eq!(l.parks(), 4);

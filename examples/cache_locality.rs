@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use faasm::core::{Cluster, ClusterConfig};
+use faasm::kvs::cache::touch_scope;
 use faasm::kvs::{CacheConfig, CachedKv, KvBackend, SharedKv};
 
 /// Hot-set size for the zipfian storm.
@@ -72,6 +73,9 @@ fn main() {
     let mut violations = 0usize;
     let mut reads = 0usize;
     let mut writes = 0usize;
+    // The storm runs on this thread, so one scope counts its cache hits per
+    // key: the per-call view a worker reports to the affinity board.
+    let touched = touch_scope();
     let t0 = Instant::now();
     for op in 0..OPS {
         // A state shard joins mid-storm: the routing epoch bumps and every
@@ -103,6 +107,7 @@ fn main() {
         }
     }
     let elapsed = t0.elapsed();
+    let hot = touched.finish();
 
     let stats = cache.stats();
     let hit_rate = stats.hit_rate();
@@ -123,7 +128,6 @@ fn main() {
     );
 
     // The function-side working set, as the affinity board would see it.
-    let hot = cache.take_hot_keys();
     let shard_count = cluster.state_shard_count();
     print!("hottest keys → owning shard:");
     for (key, n) in hot.iter().take(5) {

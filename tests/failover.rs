@@ -21,7 +21,10 @@ fn bump_guest() -> Arc<dyn NativeGuest> {
         let idx = u32::from_le_bytes(api.input()[..4].try_into().expect("4-byte input"));
         let key = format!("chain:{idx}");
         let entry = api.state(&key, 8).map_err(faasm_fvm::Trap::host)?;
-        entry.lock_global_write().map_err(faasm_fvm::Trap::host)?;
+        let state = Arc::clone(api.state_manager());
+        state
+            .lock_global(&key, LockMode::Write)
+            .map_err(faasm_fvm::Trap::host)?;
         entry.invalidate();
         let mut buf = [0u8; 8];
         entry.read(0, &mut buf).map_err(faasm_fvm::Trap::host)?;
@@ -30,7 +33,9 @@ fn bump_guest() -> Arc<dyn NativeGuest> {
             .write(0, &v.to_le_bytes())
             .map_err(faasm_fvm::Trap::host)?;
         entry.push_full().map_err(faasm_fvm::Trap::host)?;
-        entry.unlock_global_write().map_err(faasm_fvm::Trap::host)?;
+        state
+            .unlock_global(&key, LockMode::Write)
+            .map_err(faasm_fvm::Trap::host)?;
         api.write_output(&v.to_le_bytes());
         Ok(0)
     })

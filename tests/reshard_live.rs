@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use faasm::core::{Cluster, ClusterConfig, NativeApi, NativeGuest};
 use faasm::kvs::{
-    reshard, KvBackend, KvClient, KvServer, KvStore, RoutingCell, RoutingTable, ShardRouting,
-    ShardedKvClient, SharedKv,
+    reshard, KvBackend, KvClient, KvServer, KvStore, LockMode, RoutingCell, RoutingTable,
+    ShardRouting, ShardedKvClient, SharedKv,
 };
 use faasm::mem::SharedRegion;
 use faasm::net::Fabric;
@@ -27,7 +27,10 @@ fn bump_guest() -> Arc<dyn NativeGuest> {
         let idx = u32::from_le_bytes(api.input()[..4].try_into().expect("4-byte input"));
         let key = format!("chain:{idx}");
         let entry = api.state(&key, 8).map_err(faasm_fvm::Trap::host)?;
-        entry.lock_global_write().map_err(faasm_fvm::Trap::host)?;
+        let state = Arc::clone(api.state_manager());
+        state
+            .lock_global(&key, LockMode::Write)
+            .map_err(faasm_fvm::Trap::host)?;
         // Authoritative read under the lock: drop the local replica first.
         entry.invalidate();
         let mut buf = [0u8; 8];
@@ -37,7 +40,9 @@ fn bump_guest() -> Arc<dyn NativeGuest> {
             .write(0, &v.to_le_bytes())
             .map_err(faasm_fvm::Trap::host)?;
         entry.push_full().map_err(faasm_fvm::Trap::host)?;
-        entry.unlock_global_write().map_err(faasm_fvm::Trap::host)?;
+        state
+            .unlock_global(&key, LockMode::Write)
+            .map_err(faasm_fvm::Trap::host)?;
         api.write_output(&v.to_le_bytes());
         Ok(0)
     })
