@@ -410,6 +410,16 @@ impl Faaslet {
             }
         }
     }
+
+    /// The resident bytes this Faaslet adds to its host: [`Self::rss_bytes`]
+    /// without a native guest's mapped state, whose replica the host's
+    /// state tier counts once however many Faaslets map it.
+    pub fn private_bytes(&self) -> usize {
+        match &self.guest {
+            GuestInstance::Fvm(_) => self.rss_bytes(),
+            GuestInstance::Native { .. } => NATIVE_BASE_BYTES as usize,
+        }
+    }
 }
 
 #[cfg(test)]

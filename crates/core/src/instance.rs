@@ -392,8 +392,9 @@ impl FaasmInstance {
         pool.warm.then(|| pool.idle.len())
     }
 
-    /// Aggregate host memory: Faaslet RSS + local state tier + file cache
-    /// (the per-host footprint behind Fig. 6c and Tab. 3).
+    /// Aggregate host memory: each idle Faaslet's private bytes + local
+    /// state tier (every replica once, however many Faaslets map it) + file
+    /// cache (the per-host footprint behind Fig. 6c and Tab. 3).
     pub fn host_memory_bytes(&self) -> usize {
         let mut pool_mem = 0;
         for rec in self.records.lock().values() {
@@ -402,7 +403,7 @@ impl FaasmInstance {
                 .lock()
                 .idle
                 .iter()
-                .map(Faaslet::rss_bytes)
+                .map(Faaslet::private_bytes)
                 .sum::<usize>();
         }
         pool_mem + self.state.local_bytes() + self.hostfs.cached_bytes()
@@ -1244,5 +1245,49 @@ mod tests {
         );
         assert_eq!(after.get("snapdist", "chunk_hits"), 0);
         assert_eq!(after.get("snapdist", "chunks_fetched"), 0);
+    }
+
+    /// Co-located native Faaslets share one mapped replica (§4, Fig. 6), so
+    /// an idle Faaslet that mapped it adds only its own base to the host's
+    /// footprint, not another copy of the replica.
+    #[test]
+    fn host_memory_counts_a_mapped_replica_once_however_many_faaslets_map_it() {
+        use crate::faaslet::NATIVE_BASE_BYTES;
+        use crate::{NativeApi, NativeGuest};
+        use faasm_mem::BLOCK_SIZE;
+
+        let cluster = Cluster::new(1);
+        let host = &cluster.instances()[0];
+        let guest: Arc<dyn NativeGuest> = Arc::new(|api: &mut NativeApi<'_>| {
+            let entry = api
+                .state("shared", 8 * BLOCK_SIZE)
+                .map_err(faasm_fvm::Trap::host)?;
+            entry
+                .write(0, &[7; 8 * BLOCK_SIZE])
+                .map_err(faasm_fvm::Trap::host)?;
+            Ok(0)
+        });
+        cluster.register_native("it", "map", guest, false);
+        let rec = host.record("it", "map").unwrap();
+        for n in 0..4 {
+            let mut faaslet = host.build_faaslet(&rec).unwrap();
+            let result = faaslet.run(&CallSpec {
+                id: CallId(n),
+                user: "it".into(),
+                function: "map".into(),
+                input: Vec::new(),
+                trace: TraceCtx::NONE,
+            });
+            assert_eq!(result.return_code(), 0, "{:?}", result.status);
+            assert_eq!(
+                faaslet.rss_bytes(),
+                NATIVE_BASE_BYTES as usize + 8 * BLOCK_SIZE
+            );
+            host.pool_enter(&rec, Some(faaslet));
+        }
+        assert_eq!(
+            host.host_memory_bytes(),
+            4 * NATIVE_BASE_BYTES as usize + 8 * BLOCK_SIZE
+        );
     }
 }

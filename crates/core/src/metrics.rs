@@ -112,8 +112,8 @@ faasm_telemetry::counters! {
     /// Ingress-tier metrics: what the gateway in front of a cluster observes.
     ///
     /// Kept here (rather than in `faasm-gateway`) so every metrics consumer —
-    /// the figures binary, benches, embedders — reads one crate, and so the
-    /// gateway's numbers sit beside the runtime's.
+    /// the telemetry snapshot, the benchmark, embedders — reads one crate,
+    /// and so the gateway's numbers sit beside the runtime's.
     pub struct GatewayMetrics => GatewayMetricsSnapshot {
         /// Requests admitted past admission control.
         admitted,

@@ -831,7 +831,7 @@ pub fn apply_traced(
             // apply are atomic with respect to a concurrent freeze.
             let serving = routing.gate.try_read().unwrap_or_else(|| {
                 // Contended: a migration holds the write side. Account the
-                // block so `figures shards` can show the freeze cost.
+                // block: `freeze_wait_ns` is what a freeze cost the callers.
                 let g = routing.gate.read();
                 routing
                     .counters

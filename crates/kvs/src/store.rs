@@ -549,9 +549,9 @@ impl KvStore {
     /// only a set or a lock) — the per-key enumeration a migration planner
     /// snapshots to *preview* a reshard (pair it with
     /// [`rendezvous_delta`](crate::rendezvous_delta) to see exactly which
-    /// keys and how many bytes an epoch change would move; the `figures
-    /// shards` table does). The migration itself exports by predicate
-    /// ([`KvStore::export_keys`]) and never needs the full listing.
+    /// keys and how many bytes an epoch change would move). The migration
+    /// itself exports by predicate ([`KvStore::export_keys`]) and never
+    /// needs the full listing.
     pub fn key_sizes(&self) -> Vec<(String, u64)> {
         let mut out: HashMap<String, u64> = HashMap::new();
         for shard in &self.shards {

@@ -4,8 +4,6 @@
 //! (§6.1). Every host registers a [`Nic`]; messages are delivered through
 //! in-process channels while being counted by [`TrafficStats`] and subject
 //! to token-bucket shaping, so byte metrics are *measured*, not modelled.
-//! A [`NetModel`] converts measured bytes into modelled wire time for the
-//! latency figures.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -471,39 +469,6 @@ impl VirtualInterface {
     }
 }
 
-/// Bandwidth/latency model used to convert measured bytes into modelled wire
-/// time (the paper's testbed: 1 Gbps links).
-#[derive(Debug, Clone, Copy)]
-pub struct NetModel {
-    /// Link bandwidth in bits per second.
-    pub bandwidth_bps: u64,
-    /// One-way message latency.
-    pub latency: Duration,
-}
-
-impl Default for NetModel {
-    fn default() -> NetModel {
-        NetModel {
-            bandwidth_bps: 1_000_000_000,
-            latency: Duration::from_micros(100),
-        }
-    }
-}
-
-impl NetModel {
-    /// Modelled time to move `bytes` across one link.
-    pub fn transfer_time(&self, bytes: u64) -> Duration {
-        let secs = (bytes as f64 * 8.0) / self.bandwidth_bps as f64;
-        self.latency + Duration::from_secs_f64(secs)
-    }
-
-    /// Modelled time for `msgs` messages totalling `bytes`.
-    pub fn batch_time(&self, msgs: u64, bytes: u64) -> Duration {
-        let secs = (bytes as f64 * 8.0) / self.bandwidth_bps as f64;
-        self.latency * msgs as u32 + Duration::from_secs_f64(secs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -704,17 +669,6 @@ mod tests {
             a.recv_timeout(Duration::from_millis(10)).unwrap_err(),
             NetError::Timeout
         );
-    }
-
-    #[test]
-    fn net_model_times() {
-        let m = NetModel::default();
-        // 1 Gbps: 125 MB/s; 125 MB takes ~1 s + latency.
-        let t = m.transfer_time(125_000_000);
-        assert!(t >= Duration::from_secs(1));
-        assert!(t < Duration::from_millis(1200));
-        let b = m.batch_time(10, 0);
-        assert_eq!(b, m.latency * 10);
     }
 
     #[test]

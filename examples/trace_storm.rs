@@ -4,22 +4,23 @@
 //! A state-touching function is stormed through the gateway while a state
 //! shard joins; then one traced exhibit call races a second live reshard so
 //! its state round trip can park on `WrongEpoch` and retry. The run prints
-//! that call's span tree (every tier, causally linked) and the
-//! cluster-wide per-tier span histograms, then asserts the tree is
-//! non-empty, complete and causally ordered — this doubles as the CI smoke
-//! test for the telemetry tier.
+//! that call's span tree (every tier, causally linked), the cluster-wide
+//! per-tier span histograms and counters, and the flight recorder's
+//! anomaly dumps, then asserts the tree is non-empty, complete and
+//! causally ordered and that the reshard left a dump — this doubles as the
+//! CI smoke test for the telemetry tier.
 //!
 //! ```sh
 //! cargo run --release --example trace_storm
 //! ```
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use faasm::core::{NativeApi, NativeGuest};
 use faasm::gateway::{Gateway, GatewayConfig, GatewayStatus};
-use faasm::telemetry::SpanKind;
+use faasm::telemetry::{SpanKind, SpanRecord, Telemetry};
 use faasm::{Cluster, ClusterConfig};
-use faasm_bench::telemetry_export;
 
 const STORM_CALLS: usize = 256;
 
@@ -43,6 +44,82 @@ fn bump_guest() -> Arc<dyn NativeGuest> {
         api.write_output(&v.to_le_bytes());
         Ok(0)
     })
+}
+
+fn fmt_ns(ns: u64) -> String {
+    format!("{:.1?}", Duration::from_nanos(ns))
+}
+
+/// Append `parent`'s children (in start order) and their subtrees.
+fn render_children(
+    spans: &[(&'static str, SpanRecord)],
+    parent: u64,
+    origin_ns: u64,
+    depth: usize,
+    out: &mut String,
+) {
+    for (tier, span) in spans.iter().filter(|(_, s)| s.parent_id == parent) {
+        out.push_str(&format!(
+            "{}{:<18} {:<12} +{:<10} dur {:<10} span {:016x}{}\n",
+            "  ".repeat(depth),
+            span.kind.as_str(),
+            format!("[{tier}]"),
+            fmt_ns(span.start_ns.saturating_sub(origin_ns)),
+            fmt_ns(span.duration_ns()),
+            span.span_id,
+            if span.extra != 0 {
+                format!("  extra {}", span.extra)
+            } else {
+                String::new()
+            },
+        ));
+        render_children(spans, span.span_id, origin_ns, depth + 1, out);
+    }
+}
+
+/// One trace's spans as a tree: kind, owning tier, start offset from the
+/// trace's first span, duration and span id per line. A span whose parent
+/// was not recorded (the ingress root context has no span) is a root.
+fn render_trace_tree(trace_id: u64) -> String {
+    let mut spans = faasm::telemetry::trace_tree(trace_id);
+    let origin_ns = spans.iter().map(|(_, s)| s.start_ns).min().unwrap_or(0);
+    let ids: Vec<u64> = spans.iter().map(|(_, s)| s.span_id).collect();
+    for (_, span) in &mut spans {
+        if !ids.contains(&span.parent_id) {
+            span.parent_id = 0;
+        }
+    }
+    let mut out = format!("trace {trace_id:016x}\n");
+    render_children(&spans, 0, origin_ns, 1, &mut out);
+    out
+}
+
+/// Every histogram with a sample, then every non-zero counter and gauge.
+fn print_metrics_table(telemetry: &Telemetry) {
+    println!(
+        "  {:<11} {:<22} {:>8} {:>10} {:>10} {:>10} {:>10}",
+        "tier", "span", "count", "mean", "p50", "p99", "max"
+    );
+    for (tier, name, h) in telemetry.hists().filter(|(_, _, h)| h.count > 0) {
+        println!(
+            "  {tier:<11} {name:<22} {:>8} {:>10} {:>10} {:>10} {:>10}",
+            h.count,
+            fmt_ns(h.mean()),
+            fmt_ns(h.percentile(50.0)),
+            fmt_ns(h.percentile(99.0)),
+            fmt_ns(h.max),
+        );
+    }
+    println!(
+        "\n  {:<11} {:>4}  {:<28} {:>12}",
+        "set", "slot", "counter", "value"
+    );
+    for row in &telemetry.sets {
+        let members = row.counters.iter().chain(&row.gauges);
+        for (name, value) in members.filter(|(_, v)| *v > 0) {
+            println!("  {:<11} {:>4}  {name:<28} {value:>12}", row.tier, row.slot);
+        }
+    }
 }
 
 fn main() {
@@ -83,18 +160,38 @@ fn main() {
         let done = resharder.is_finished();
         let (resp, tid) = gw.call_traced("storm", "bump", vec![7]);
         assert_eq!(resp.status, GatewayStatus::Ok, "exhibit call failed");
-        let kinds = telemetry_export::trace_kinds(tid);
-        if kinds.contains(&SpanKind::WrongEpochRetry) || done {
+        let retried = faasm::telemetry::trace_tree(tid)
+            .iter()
+            .any(|(_, s)| s.kind == SpanKind::WrongEpochRetry);
+        if retried || done {
             break tid;
         }
     };
     resharder.join().expect("resharder thread");
 
     println!("\n== one call, admission to state and back ==");
-    print!("{}", telemetry_export::render_trace_tree(trace_id));
+    print!("{}", render_trace_tree(trace_id));
 
     println!("\n== cluster-wide histograms and counters ==");
-    telemetry_export::print_metrics_table(&gw.telemetry());
+    print_metrics_table(&gw.telemetry());
+
+    println!("\n== flight-recorder dumps, one per anomaly trigger ==");
+    let mut reasons = Vec::new();
+    for rec in faasm::telemetry::tiers() {
+        for dump in rec.anomalies() {
+            println!(
+                "  [{}] {} ({} spans)",
+                rec.tier(),
+                dump.reason,
+                dump.spans.len()
+            );
+            reasons.push(dump.reason);
+        }
+    }
+    assert!(
+        reasons.iter().any(|r| r == "reshard grow commit"),
+        "a live shard join left no flight-recorder dump: {reasons:?}"
+    );
 
     // Smoke assertions: the tree is non-empty, covers every tier of the
     // pipeline, and is causally ordered.

@@ -10,8 +10,8 @@
 //! * [`lang`] — the FL guest-language compiler.
 //! * [`mem`] — page-table virtual memory with shared regions and
 //!   copy-on-write snapshots.
-//! * [`state`] — the two-tier state architecture and distributed data
-//!   objects.
+//! * [`state`] — the two-tier state architecture: host-local replicas
+//!   shared between Faaslets over the global key-value tier.
 //! * [`gateway`] — the multi-tenant ingress tier: admission control,
 //!   weighted-fair batching and warm-pool autoscaling in front of the
 //!   cluster.

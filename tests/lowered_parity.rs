@@ -198,6 +198,57 @@ fn matmul_bitwise_identical_across_tiers() {
     );
 }
 
+/// Three dispatch-bound loops — pure arithmetic, load/store traffic and
+/// call-heavy control flow — as (name, helper functions, loop over `acc`).
+const DISPATCH_LOOPS: [(&str, &str, &str); 3] = [
+    (
+        "arith_loop",
+        "",
+        "for (int i = 0; i < 10000; i = i + 1) { acc = acc + i; }",
+    ),
+    (
+        "memory_loop",
+        "",
+        "ptr int p = (ptr int) 1024;
+         for (int i = 0; i < 5000; i = i + 1) {
+             p[i % 1000] = i;
+             acc = acc + p[(i * 7) % 1000];
+         }",
+    ),
+    (
+        "call_loop",
+        "int leaf(int x) { return x + 1; }",
+        "for (int i = 0; i < 2000; i = i + 1) { acc = leaf(acc); }",
+    ),
+];
+
+#[test]
+fn dispatch_loops_retire_fewer_ops_lowered_for_the_same_fuel() {
+    for (name, helpers, body) in DISPATCH_LOOPS {
+        let src = format!(
+            "extern void write_call_output(ptr int buf, int len);
+             {helpers}
+             int main() {{
+                 int acc = 0;
+                 {body}
+                 ptr int out = (ptr int) 64;
+                 out[0] = acc;
+                 write_call_output(out, 4);
+                 return 0;
+             }}"
+        );
+        let (interp, lowered, cpu) =
+            run_on_both(name, &src, &UploadOptions::default(), &[Vec::new()], 1);
+        assert_eq!(interp, lowered, "{name}: tier must be invisible in answers");
+        let [(i_fuel, i_instrs), (l_fuel, l_instrs)] = cpu;
+        assert_eq!(i_fuel, l_fuel, "{name}: identical work, identical fuel");
+        assert!(
+            l_instrs < i_instrs,
+            "{name}: lowering must retire fewer ops ({l_instrs} vs {i_instrs})"
+        );
+    }
+}
+
 #[test]
 fn sgd_weights_bitwise_identical_across_tiers() {
     let (interp, lowered, _) = run_on_both(
