@@ -262,19 +262,12 @@ impl FaasEnv for FaasmEnv<'_, '_> {
 /// [`FaasEnv`] over the container API.
 pub struct ContainerEnv<'a, 'b> {
     api: &'a mut ContainerApi<'b>,
-    /// Container-side "filesystem": private copies fetched from the object
-    /// store through the platform KVS (containers have no shared read-global
-    /// filesystem).
-    files: std::collections::HashMap<String, Vec<u8>>,
 }
 
 impl<'a, 'b> ContainerEnv<'a, 'b> {
     /// Wrap a container API.
     pub fn new(api: &'a mut ContainerApi<'b>) -> ContainerEnv<'a, 'b> {
-        ContainerEnv {
-            api,
-            files: std::collections::HashMap::new(),
-        }
+        ContainerEnv { api }
     }
 }
 
@@ -346,17 +339,15 @@ impl FaasEnv for ContainerEnv<'_, '_> {
     }
 
     fn load_file(&mut self, path: &str) -> Result<Vec<u8>, String> {
-        if let Some(f) = self.files.get(path) {
-            return Ok(f.clone());
-        }
-        // Containers fetch files as state values keyed by path: a private,
-        // per-container copy shipped over the network every cold start.
-        let size = self.api.state_size(&format!("file:{path}"))?;
-        if size == 0 {
+        // Containers have no shared read-global filesystem: a file is a
+        // state value keyed by its path, shipped whole into the container's
+        // private copy on the first read and served from that copy after.
+        let data = self
+            .api
+            .state_read(&format!("file:{path}"), 0, usize::MAX)?;
+        if data.is_empty() {
             return Err(format!("no such file: {path}"));
         }
-        let data = self.api.state_read(&format!("file:{path}"), 0, size)?;
-        self.files.insert(path.to_string(), data.clone());
         Ok(data)
     }
 }

@@ -308,8 +308,8 @@ const ECHO_WARM: Budget = row(2, 725, 0, 0, 1, 262_144, 0);
 const CHAIN_COLD: Budget = row(4, 1_425, 2, 2, 0, 524_288, 0);
 const CHAIN_WARM: Budget = row(4, 1_425, 0, 0, 2, 524_288, 0);
 const INFER_SETUP: Budget = row(2, 2_100, 0, 0, 0, 0, 0);
-const INFER_COLD: Budget = row(6, 3_842, 1, 1, 0, 264_036, 0);
-const INFER_WARM_10: Budget = row(40, 17_420, 0, 0, 10, 264_036, 0);
+const INFER_COLD: Budget = row(4, 3_639, 1, 1, 0, 264_036, 0);
+const INFER_WARM_10: Budget = row(20, 15_390, 0, 0, 10, 264_036, 0);
 const SGD_UPLOAD: Budget = row(10, 22_155, 0, 0, 0, 0, 0);
 const SGD_COLD: Budget = row(782, 99_105, 1, 1, 0, 283_396, 0);
 const SGD_WARM: Budget = row(772, 76_950, 0, 0, 1, 283_396, 0);
