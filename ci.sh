@@ -57,6 +57,12 @@ gates=(
     'crates/*/src'
     'the per-call Invoke ingress, a second instance chooser or a second scoring formula is back; driver calls enter by Cluster::place -> submit_placed_batch, hosts are ranked by faasm_sched::Candidate::score'
 
+    # One runtime, two isolation mechanisms: the baseline is a Cluster whose
+    # functions run in containers.
+    'RoundRobin|recv_timeout|KvServer::|thread::Builder|fn (bus|worker)_loop'
+    'crates/baseline/src crates/sched/src'
+    'the baseline is a Cluster with container isolation; a second bus, worker pool, router or KVS is back'
+
     # Local state tier: no chunk-table mutex, no unconditional condvar
     # wake, no per-range Vec, no allocating state_read.
     'chunks\.lock\(\)|Mutex<ChunkTable>'
@@ -192,7 +198,8 @@ if ((failed)); then
 fi
 
 # Tier-1 must hold serially and oversubscribed: no test may depend on
-# having the process, or a core, to itself.
+# having the process, or a core, to itself. That includes the exact
+# per-call budget rows of tests/call_budgets.rs.
 for threads in 1 8; do
     echo "== cargo test --test-threads=$threads"
     start=$SECONDS

@@ -8,25 +8,29 @@
 //! offers the same operations as the Faaslet host interface, but every state
 //! access goes to the global tier and lands in a **private, serialised
 //! copy** — the data-shipping architecture of §2.1.
+//!
+//! On a cluster, a container takes a Faaslet's place through the runtime's
+//! one seam, [`ContainerCode`]: the runtime places, queues, pools, times and
+//! bills it, and the container keeps what is its own — the private image
+//! copy, the private state copies, the host memory limit it is refused at
+//! and the HTTP framing of its calls.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, Weak};
 
-use faasm_kvs::{KvBackend, KvClient};
-use faasm_sched::{CallId, CallResult};
+use faasm_core::{Cluster, ContainerCode, FaasmInstance, Sandbox};
+use faasm_kvs::{KvBackend, ShardedKvClient, SharedKv};
+use faasm_net::HostId;
+use faasm_sched::{CallId, CallResult, CallSpec};
+use faasm_vfs::ObjectStore;
+use parking_lot::Mutex;
 
-use crate::image::{materialise_container, ImageConfig};
+use crate::image::{materialise_container, pull_image, ImageConfig};
+use crate::platform::BaselineConfig;
 
-/// Chained-call routing for containers (implemented by the platform's HTTP
-/// gateway).
-pub trait HttpRouter: Send + Sync {
-    /// Dispatch a chained call through the gateway.
-    fn chain_call(&self, user: &str, function: &str, input: Vec<u8>) -> CallId;
-
-    /// Block for a result.
-    fn await_call(&self, id: CallId) -> CallResult;
-}
+/// Chained-call routing for containers: the runtime's own router trait. On
+/// a cluster it is the HTTP gateway back into the front door.
+pub use faasm_core::ChainRouter as HttpRouter;
 
 /// A guest function running in a container.
 pub trait ContainerGuest: Send + Sync {
@@ -62,8 +66,8 @@ pub fn serialise(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// One container: private writable layer, private state copies, its own
-/// clock — process-level isolation with no memory sharing.
+/// One container: private writable layer and private state copies —
+/// process-level isolation with no memory sharing.
 pub struct Container {
     /// Container id on its host.
     pub id: u64,
@@ -75,9 +79,8 @@ pub struct Container {
     writable: Vec<u8>,
     /// Private deserialised copies of state values.
     state_cache: HashMap<String, Vec<u8>>,
-    kv: Arc<KvClient>,
+    kv: SharedKv,
     router: Arc<dyn HttpRouter>,
-    created: Instant,
 }
 
 impl std::fmt::Debug for Container {
@@ -92,13 +95,14 @@ impl std::fmt::Debug for Container {
 
 impl Container {
     /// Cold-start a container: the real-work materialisation of the image.
-    pub fn cold_start(
+    /// `kv` is its client of the global tier.
+    pub fn cold_start<K: KvBackend + 'static>(
         id: u64,
         user: &str,
         function: &str,
         image: &[u8],
         config: &ImageConfig,
-        kv: Arc<KvClient>,
+        kv: Arc<K>,
         router: Arc<dyn HttpRouter>,
     ) -> Container {
         let (writable, _checksum) = materialise_container(image, config);
@@ -110,7 +114,6 @@ impl Container {
             state_cache: HashMap::new(),
             kv,
             router,
-            created: Instant::now(),
         }
     }
 
@@ -128,11 +131,6 @@ impl Container {
     pub fn pss_bytes(&self, co_located_same_image: usize) -> f64 {
         let image_share = self.writable.len() as f64 / co_located_same_image.max(1) as f64;
         image_share + self.state_cache.values().map(Vec::len).sum::<usize>() as f64
-    }
-
-    /// Container age.
-    pub fn age(&self) -> std::time::Duration {
-        self.created.elapsed()
     }
 
     /// Run one call.
@@ -292,10 +290,182 @@ impl<'a> ContainerApi<'a> {
     }
 }
 
+/// What one host keeps for its containers: a client of the cluster's
+/// sharded state tier, the image (pulled from the registry once) and the
+/// bytes its containers hold against the memory limit.
+struct Host {
+    tier: Arc<ShardedKvClient>,
+    image: Mutex<Option<Arc<Vec<u8>>>>,
+    resident: Mutex<usize>,
+}
+
+impl Host {
+    /// Replace a charge of `from` bytes with one of `to`.
+    fn recharge(&self, from: usize, to: usize) {
+        let mut resident = self.resident.lock();
+        *resident = resident.saturating_sub(from) + to;
+    }
+}
+
+/// A cluster's container isolation, shared by every function run with it.
+pub(crate) struct Containers {
+    config: BaselineConfig,
+    hosts: HashMap<HostId, Arc<Host>>,
+    /// The image registry: the cluster's object store.
+    registry: Arc<ObjectStore>,
+    cluster: Weak<Cluster>,
+}
+
+impl Containers {
+    /// Containers for every host of `cluster`.
+    pub(crate) fn new(cluster: &Arc<Cluster>, config: BaselineConfig) -> Containers {
+        let host = |instance: &Arc<FaasmInstance>| {
+            let routing = Arc::clone(cluster.state_routing());
+            let host = Host {
+                tier: Arc::new(ShardedKvClient::connect(instance.nic().clone(), routing)),
+                image: Mutex::new(None),
+                resident: Mutex::new(0),
+            };
+            (instance.host_id(), Arc::new(host))
+        };
+        Containers {
+            hosts: cluster.instances().iter().map(host).collect(),
+            registry: Arc::clone(cluster.object_store()),
+            cluster: Arc::downgrade(cluster),
+            config,
+        }
+    }
+
+    /// Resident container bytes across hosts.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.hosts.values().map(|host| *host.resident.lock()).sum()
+    }
+}
+
+/// One function's code on a cluster: its guest, run in containers.
+pub(crate) struct ContainerFn {
+    pub(crate) guest: Arc<dyn ContainerGuest>,
+    pub(crate) containers: Arc<Containers>,
+}
+
+impl ContainerCode for ContainerFn {
+    fn cold_start(
+        &self,
+        id: u64,
+        user: &str,
+        function: &str,
+        instance: &Arc<FaasmInstance>,
+    ) -> Result<Box<dyn Sandbox>, String> {
+        let containers = &self.containers;
+        let config = &containers.config;
+        let host = containers.hosts.get(&instance.host_id());
+        let host = Arc::clone(host.ok_or("the host is not one of this platform's")?);
+        // Reserve the image under the lock, so concurrent cold starts cannot
+        // jointly overshoot the limit (§6.2's OOM at high parallelism).
+        let reserved = config.image.image_bytes;
+        {
+            let mut resident = host.resident.lock();
+            let projected = *resident + reserved;
+            if projected > config.host_memory_limit {
+                let limit = config.host_memory_limit;
+                return Err(format!(
+                    "OOMKilled: container would exceed host memory ({projected} > {limit})"
+                ));
+            }
+            *resident = projected;
+        }
+        // Registry pull, once per host (counted by the object store).
+        let image = {
+            let mut image = host.image.lock();
+            if image.is_none() {
+                *image = pull_image(&containers.registry);
+            }
+            image.clone()
+        };
+        let Some(image) = image else {
+            host.recharge(reserved, 0);
+            return Err("image missing from registry".to_string());
+        };
+        let gateway = Arc::new(Gateway {
+            cluster: Weak::clone(&containers.cluster),
+            host: Arc::clone(instance),
+        });
+        let tier = Arc::clone(&host.tier);
+        let container =
+            Container::cold_start(id, user, function, &image, &config.image, tier, gateway);
+        // The reservation becomes the container's actual footprint.
+        let charged = container.rss_bytes();
+        host.recharge(reserved, charged);
+        let guest = Arc::clone(&self.guest);
+        Ok(Box::new(Hosted {
+            container,
+            guest,
+            host,
+            charged,
+        }))
+    }
+
+    fn http_overhead(&self) -> usize {
+        self.containers.config.http_overhead_bytes
+    }
+}
+
+/// A container charged to its host for as long as it lives, busy or idle.
+struct Hosted {
+    container: Container,
+    guest: Arc<dyn ContainerGuest>,
+    host: Arc<Host>,
+    charged: usize,
+}
+
+impl Sandbox for Hosted {
+    fn run(&mut self, call: &CallSpec) -> CallResult {
+        let result = self
+            .container
+            .run(self.guest.as_ref(), call.id, &call.input);
+        // Charge the growth of its private state copies.
+        let rss = self.container.rss_bytes();
+        self.host
+            .recharge(std::mem::replace(&mut self.charged, rss), rss);
+        result
+    }
+
+    fn rss_bytes(&self) -> usize {
+        self.container.rss_bytes()
+    }
+}
+
+impl Drop for Hosted {
+    fn drop(&mut self) {
+        self.host.recharge(self.charged, 0);
+    }
+}
+
+/// A container's way back through the gateway: a chained call enters the
+/// cluster's front door like an ingress call, and its result comes back to
+/// the container's host, which runs queued work while it waits.
+struct Gateway {
+    cluster: Weak<Cluster>,
+    host: Arc<FaasmInstance>,
+}
+
+impl HttpRouter for Gateway {
+    fn chain_call(&self, user: &str, function: &str, input: Vec<u8>) -> CallId {
+        let cluster = self.cluster.upgrade();
+        let target = cluster.and_then(|cluster| cluster.place(user, function));
+        let target = target.map(|instance| instance.host_id());
+        self.host.chain_to(target, user, function, input)
+    }
+
+    fn await_call(&self, id: CallId) -> CallResult {
+        self.host.await_call(id)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faasm_kvs::KvStore;
+    use faasm_kvs::{KvClient, KvStore};
     use faasm_sched::CallStatus;
 
     struct NoHttp;

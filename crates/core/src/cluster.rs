@@ -366,25 +366,28 @@ impl Cluster {
     /// completion callback parks the result for
     /// [`await_result`](Self::await_result).
     pub fn invoke_async(&self, user: &str, function: &str, input: Vec<u8>) -> CallId {
-        let Some(instance) = self.place(user, function) else {
+        let Some((instance, http)) = self.place_framed(user, function) else {
             let id = CallId(self.call_seq.fetch_add(1, Ordering::Relaxed));
             self.gateway_pending
                 .fulfill(CallResult::error(id, "no reachable instances"));
             return id;
         };
         let pending = Arc::clone(&self.gateway_pending);
-        let ids = instance.submit_placed_batch(vec![PlacedCall {
-            user: user.to_string(),
-            function: function.to_string(),
-            input,
-            // Driver-ingress calls root a fresh trace (unless the caller is
-            // itself traced, e.g. a test following one call end to end).
-            trace: match faasm_telemetry::current() {
-                ctx if ctx.is_none() => faasm_telemetry::TraceCtx::new_root(),
-                ctx => ctx,
-            },
-            on_complete: Box::new(move |result| pending.fulfill(result)),
-        }]);
+        let ids = instance.submit_framed(
+            vec![PlacedCall {
+                user: user.to_string(),
+                function: function.to_string(),
+                input,
+                // Driver-ingress calls root a fresh trace (unless the caller is
+                // itself traced, e.g. a test following one call end to end).
+                trace: match faasm_telemetry::current() {
+                    ctx if ctx.is_none() => faasm_telemetry::TraceCtx::new_root(),
+                    ctx => ctx,
+                },
+                on_complete: Box::new(move |result| pending.fulfill(result)),
+            }],
+            http,
+        );
         ids[0]
     }
 
@@ -394,20 +397,36 @@ impl Cluster {
     /// [score](Candidate::score), rotating among equals; stopped instances
     /// are never chosen, and `None` means none is left.
     pub fn place(&self, user: &str, function: &str) -> Option<Arc<FaasmInstance>> {
+        self.place_framed(user, function)
+            .map(|(instance, _)| instance)
+    }
+
+    /// [`place`](Self::place), and the HTTP padding each hop of the call
+    /// carries ([`GuestCode::http_overhead`]). A container function is
+    /// routed the way Knative's ingress routes, blind to state and queues:
+    /// every candidate is the default one — no warmth, depth or affinity —
+    /// so every live host ties and the rotation takes them in turn.
+    fn place_framed(&self, user: &str, function: &str) -> Option<(Arc<FaasmInstance>, usize)> {
         let live: Vec<&Arc<FaasmInstance>> =
             self.instances.iter().filter(|i| !i.is_stopped()).collect();
-        let hosts: Vec<faasm_net::HostId> = live.iter().map(|i| i.host_id()).collect();
-        let affinity = self.boards.affinities(user, function, &hosts);
-        let candidates: Vec<Candidate> = live
-            .iter()
-            .map(|i| Candidate {
-                idle_warm: i.idle_warmth(user, function),
-                depth: i.queue_depth(),
-                affinity: entry_for(&affinity, i.host_id()),
-            })
-            .collect();
+        let code = self.registry.get(user, function).map(|(def, _)| def);
+        let candidates: Vec<Candidate> = match code.as_ref().map(|def| &def.code) {
+            Some(GuestCode::Container(_)) => vec![Candidate::default(); live.len()],
+            _ => {
+                let hosts: Vec<faasm_net::HostId> = live.iter().map(|i| i.host_id()).collect();
+                let affinity = self.boards.affinities(user, function, &hosts);
+                live.iter()
+                    .map(|i| Candidate {
+                        idle_warm: i.idle_warmth(user, function),
+                        depth: i.queue_depth(),
+                        affinity: entry_for(&affinity, i.host_id()),
+                    })
+                    .collect()
+            }
+        };
         let seed = self.rotation.fetch_add(1, Ordering::Relaxed);
-        faasm_sched::best(&candidates, seed).map(|i| Arc::clone(live[i]))
+        let http = code.map_or(0, |def| def.code.http_overhead());
+        faasm_sched::best(&candidates, seed).map(|i| (Arc::clone(live[i]), http))
     }
 
     /// Simulate the failure of instance `idx`: its fabric host disappears

@@ -20,7 +20,7 @@ use faasm_vfs::{FdTable, HostFs};
 use crate::cgroup::{CgroupCpu, CgroupShare};
 use crate::ctx::{ChainRouter, FaasletCtx, NativeApi};
 use crate::error::CoreError;
-use crate::guest::{FunctionDef, GuestCode};
+use crate::guest::{FunctionDef, GuestCode, Sandbox};
 use crate::proto::ProtoFaaslet;
 use crate::rng::SplitMix64;
 
@@ -72,6 +72,9 @@ enum GuestInstance {
         guest: Arc<dyn crate::guest::NativeGuest>,
         ctx: Box<FaasletCtx>,
     },
+    /// A container in a Faaslet's place: it keeps its own host interface,
+    /// so it has no [`FaasletCtx`].
+    Container(Box<dyn Sandbox>),
 }
 
 /// One Faaslet.
@@ -134,6 +137,21 @@ fn build_ctx(
     }
 }
 
+/// An FVM guest's context: its instance's data.
+fn fvm_ctx(inst: &mut Instance) -> &mut FaasletCtx {
+    inst.data_as::<FaasletCtx>()
+        .expect("faaslet instances carry FaasletCtx")
+}
+
+/// Start a call on a guest's context. A Faaslet is a cgroup member only
+/// while a call runs: [`Faaslet::run`] parks it again on every way out.
+fn enter(ctx: &mut FaasletCtx, call: &CallSpec) {
+    ctx.begin_call(call.id, call.input.clone());
+    if let Some(cg) = &ctx.cgroup {
+        cg.unpark();
+    }
+}
+
 /// The one way a guest comes to be: a parked cgroup share, a fresh context
 /// holding it, and — for FVM code — an instance metered by that share,
 /// either instantiated from the module (running `init`) or, given a
@@ -162,6 +180,11 @@ fn build_guest(
                 guest: Arc::clone(guest),
                 ctx,
             });
+        }
+        GuestCode::Container(_) => {
+            return Err(CoreError::Instantiate(
+                "a container is started by its code, not built as a guest".into(),
+            ));
         }
     };
     let fuel = FuelMeter::with_controller(
@@ -241,6 +264,27 @@ impl Faaslet {
         })
     }
 
+    /// Pool, run and bill a container started by its
+    /// [`ContainerCode`](crate::ContainerCode) like any Faaslet.
+    pub(crate) fn container(
+        id: u64,
+        user: &str,
+        function: &str,
+        def: Arc<FunctionDef>,
+        sandbox: Box<dyn Sandbox>,
+        env: &FaasletEnv,
+    ) -> Faaslet {
+        Faaslet {
+            id,
+            user: user.to_string(),
+            function: function.to_string(),
+            def,
+            env: env.clone(),
+            guest: GuestInstance::Container(sandbox),
+            reset_bytes: 0,
+        }
+    }
+
     /// Capture a Proto-Faaslet from this Faaslet's current state (FVM
     /// guests only). A Faaslet does not know which upload its definition
     /// came from: the runtime instance stamps the generation.
@@ -252,20 +296,17 @@ impl Faaslet {
                 generation: 0,
                 snapshot: inst.snapshot(),
             }),
-            GuestInstance::Native { .. } => None,
+            GuestInstance::Native { .. } | GuestInstance::Container(_) => None,
         }
     }
 
     /// Run one call to completion.
     pub fn run(&mut self, call: &CallSpec) -> CallResult {
-        let ctx = self.ctx_mut();
-        ctx.begin_call(call.id, call.input.clone());
-        // A cgroup member only while a call runs: see the epilogue below.
-        if let Some(cg) = &ctx.cgroup {
-            cg.unpark();
-        }
         let status = match &mut self.guest {
+            // A container runs the call behind its own host interface.
+            GuestInstance::Container(sandbox) => return sandbox.run(call),
             GuestInstance::Fvm(inst) => {
+                enter(fvm_ctx(inst), call);
                 inst.fuel.reset_consumed();
                 inst.reset_instrs();
                 match inst.invoke(&self.def.entry, &[]) {
@@ -274,16 +315,19 @@ impl Faaslet {
                     Err(trap) => CallStatus::Error(trap.to_string()),
                 }
             }
-            GuestInstance::Native { guest, ctx } => match guest.invoke(&mut NativeApi::new(ctx)) {
-                Ok(0) => CallStatus::Success,
-                Ok(code) => CallStatus::Failed(code),
-                Err(trap) => CallStatus::Error(trap.to_string()),
-            },
+            GuestInstance::Native { guest, ctx } => {
+                enter(ctx, call);
+                match guest.invoke(&mut NativeApi::new(ctx)) {
+                    Ok(0) => CallStatus::Success,
+                    Ok(code) => CallStatus::Failed(code),
+                    Err(trap) => CallStatus::Error(trap.to_string()),
+                }
+            }
         };
         // Every way out of the guest passes here, so a local state lock
         // cannot outlive the call that took it, and an idle Faaslet in the
         // warm pool does not hold the host's cgroup back.
-        let ctx = self.ctx_mut();
+        let ctx = self.ctx_mut().expect("a Faaslet guest carries its context");
         ctx.release_state_locks();
         if let Some(cg) = &ctx.cgroup {
             cg.park();
@@ -344,13 +388,13 @@ impl Faaslet {
         self.reset_bytes
     }
 
-    /// The Faaslet's context (for inspection by the runtime).
-    pub fn ctx_mut(&mut self) -> &mut FaasletCtx {
+    /// The Faaslet's context (for inspection by the runtime); a container
+    /// has none.
+    pub fn ctx_mut(&mut self) -> Option<&mut FaasletCtx> {
         match &mut self.guest {
-            GuestInstance::Fvm(inst) => inst
-                .data_as::<FaasletCtx>()
-                .expect("faaslet instances carry FaasletCtx"),
-            GuestInstance::Native { ctx, .. } => ctx,
+            GuestInstance::Fvm(inst) => Some(fvm_ctx(inst)),
+            GuestInstance::Native { ctx, .. } => Some(ctx),
+            GuestInstance::Container(_) => None,
         }
     }
 
@@ -359,7 +403,7 @@ impl Faaslet {
     pub fn fuel_consumed(&self) -> u64 {
         match &self.guest {
             GuestInstance::Fvm(inst) => inst.fuel.consumed(),
-            GuestInstance::Native { .. } => 0,
+            GuestInstance::Native { .. } | GuestInstance::Container(_) => 0,
         }
     }
 
@@ -369,14 +413,15 @@ impl Faaslet {
     pub fn instrs_retired(&self) -> u64 {
         match &self.guest {
             GuestInstance::Fvm(inst) => inst.instrs_retired(),
-            GuestInstance::Native { .. } => 0,
+            GuestInstance::Native { .. } | GuestInstance::Container(_) => 0,
         }
     }
 
     /// Proportional-set-size footprint in bytes: linear memory PSS (shared
     /// regions divided among their sharers) plus the VM's retained stacks
     /// for FVM guests; a base constant plus attributed state shares for
-    /// native guests. Memory counts its backed 4 KiB blocks only.
+    /// native guests; the whole resident set for a container, which shares
+    /// no pages. Memory counts its backed 4 KiB blocks only.
     pub fn pss_bytes(&self) -> f64 {
         match &self.guest {
             GuestInstance::Fvm(inst) => {
@@ -390,6 +435,7 @@ impl Faaslet {
                 }
                 total
             }
+            GuestInstance::Container(sandbox) => sandbox.rss_bytes() as f64,
         }
     }
 
@@ -408,6 +454,7 @@ impl Faaslet {
                         .map(|m| m.entry.region().resident_bytes())
                         .sum::<usize>()
             }
+            GuestInstance::Container(sandbox) => sandbox.rss_bytes(),
         }
     }
 
@@ -416,7 +463,7 @@ impl Faaslet {
     /// state tier counts once however many Faaslets map it.
     pub fn private_bytes(&self) -> usize {
         match &self.guest {
-            GuestInstance::Fvm(_) => self.rss_bytes(),
+            GuestInstance::Fvm(_) | GuestInstance::Container(_) => self.rss_bytes(),
             GuestInstance::Native { .. } => NATIVE_BASE_BYTES as usize,
         }
     }
@@ -604,6 +651,7 @@ pub(crate) mod tests {
         // The holder's call is mid-flight with the write lock on "k".
         holder
             .ctx_mut()
+            .unwrap()
             .lock_state_local("k", LockMode::Write)
             .unwrap();
         let r = thief.run(&call(1, b""));
@@ -621,7 +669,7 @@ pub(crate) mod tests {
         while entry.local_lock_waiters() == 0 {
             std::thread::yield_now();
         }
-        let ctx = holder.ctx_mut();
+        let ctx = holder.ctx_mut().unwrap();
         assert_eq!(ctx.unlock_state_local("k", LockMode::Write), Ok(true));
         assert_eq!(ctx.unlock_state_local("k", LockMode::Write), Ok(false));
         reader.join().unwrap();

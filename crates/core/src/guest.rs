@@ -5,9 +5,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use faasm_fvm::{ObjectModule, Trap};
+use faasm_sched::{CallResult, CallSpec};
 use parking_lot::RwLock;
 
 use crate::ctx::NativeApi;
+use crate::instance::FaasmInstance;
 
 /// A trusted native guest: workloads the paper compiled from large C/C++
 /// codebases to WebAssembly (e.g. TensorFlow Lite) run in this reproduction
@@ -32,6 +34,43 @@ where
     }
 }
 
+/// A function isolated by a container instead of a Faaslet: the other
+/// isolation mechanism, the one the paper's Knative baseline uses (§6.1).
+/// Everything around the container is the runtime's own — placement, bus,
+/// workers, the warm pool, start metrics and billing. The container brings
+/// what differs: its private image copy and state copies, the host memory
+/// limit it is refused at, and the HTTP framing its calls travel in.
+pub trait ContainerCode: Send + Sync {
+    /// Cold-start a container for `user/function` on `host`; the runtime
+    /// counts it as the call's cold start and pools it warm afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Why no container could start, e.g. `OOMKilled` at the host's memory
+    /// limit.
+    fn cold_start(
+        &self,
+        id: u64,
+        user: &str,
+        function: &str,
+        host: &Arc<FaasmInstance>,
+    ) -> Result<Box<dyn Sandbox>, String>;
+
+    /// Padding bytes every hop of a call to the function carries —
+    /// ingress, chain and result (see [`crate::msg::frame_msg`]).
+    fn http_overhead(&self) -> usize;
+}
+
+/// A started container: it runs one call at a time and is billed its whole
+/// resident set, since it shares no pages with its neighbours.
+pub trait Sandbox: Send {
+    /// Run one call to completion.
+    fn run(&mut self, call: &CallSpec) -> CallResult;
+
+    /// Resident bytes: the private image copy plus private state copies.
+    fn rss_bytes(&self) -> usize;
+}
+
 /// The executable form of a function.
 #[derive(Clone)]
 pub enum GuestCode {
@@ -39,6 +78,19 @@ pub enum GuestCode {
     Fvm(Arc<ObjectModule>),
     /// A trusted native guest.
     Native(Arc<dyn NativeGuest>),
+    /// Code isolated in a container rather than a Faaslet.
+    Container(Arc<dyn ContainerCode>),
+}
+
+impl GuestCode {
+    /// The HTTP padding each hop of a call to this code carries: none but
+    /// for a container.
+    pub(crate) fn http_overhead(&self) -> usize {
+        match self {
+            GuestCode::Container(code) => code.http_overhead(),
+            GuestCode::Fvm(_) | GuestCode::Native(_) => 0,
+        }
+    }
 }
 
 impl std::fmt::Debug for GuestCode {
@@ -46,6 +98,7 @@ impl std::fmt::Debug for GuestCode {
         match self {
             GuestCode::Fvm(o) => write!(f, "Fvm({} funcs)", o.module.func_count()),
             GuestCode::Native(_) => write!(f, "Native"),
+            GuestCode::Container(_) => write!(f, "Container"),
         }
     }
 }

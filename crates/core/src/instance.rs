@@ -35,7 +35,7 @@ use crate::faaslet::{EgressLimit, Faaslet, FaasletEnv};
 use crate::guest::{FunctionDef, FunctionRegistry, GuestCode};
 use crate::hostfuncs::faaslet_linker;
 use crate::metrics::{Metrics, StartKind};
-use crate::msg::{decode_msg, encode_msg, InstanceMsg};
+use crate::msg::{decode_msg, encode_msg, frame_msg, InstanceMsg};
 use crate::pending::{Pending, PendingCallback};
 use crate::proto::{ProtoFaaslet, ProtoRef};
 use crate::snapdist::{
@@ -133,6 +133,13 @@ struct Pool {
 }
 
 impl FunctionRecord {
+    /// Whether this host tells the function's global warm set when it
+    /// becomes warm or cold: not for a container, which is placed without
+    /// regard to warmth.
+    fn in_warm_sets(&self) -> bool {
+        !matches!(self.def.code, GuestCode::Container(_))
+    }
+
     /// Install `proto` unless it is another upload's snapshot (or one is
     /// installed already) — the one identity check, whether the proto was
     /// captured here, fetched from the tier or pushed by a pre-stage.
@@ -411,10 +418,22 @@ impl FaasmInstance {
 
     /// Evict all warm Faaslets for a function (scale-down / tests).
     pub fn evict(&self, user: &str, function: &str) {
-        if let Ok(rec) = self.record(user, function) {
+        let rec = self.record(user, function);
+        if let Ok(rec) = &rec {
             *rec.pool.lock() = Pool::default();
         }
-        let _ = self.warm.deregister(user, function, self.host_id);
+        if rec.map_or(true, |rec| rec.in_warm_sets()) {
+            let _ = self.warm.deregister(user, function, self.host_id);
+        }
+    }
+
+    /// Evict the warm Faaslets of every function this host holds (scale to
+    /// zero).
+    pub fn evict_all(&self) {
+        let functions: Vec<(String, String)> = self.records.lock().keys().cloned().collect();
+        for (user, function) in functions {
+            self.evict(&user, &function);
+        }
     }
 
     /// Calls this host has accepted but not started executing: its run
@@ -467,7 +486,7 @@ impl FaasmInstance {
         });
         let stale = records.insert(key, Arc::clone(&rec));
         drop(records);
-        if stale.is_some_and(|stale| stale.pool.lock().warm) {
+        if stale.is_some_and(|stale| stale.in_warm_sets() && stale.pool.lock().warm) {
             let _ = self.warm.deregister(user, function, self.host_id);
         }
         Ok(rec)
@@ -483,7 +502,7 @@ impl FaasmInstance {
         let became_warm = !std::mem::replace(&mut pool.warm, true);
         pool.idle.extend(faaslet);
         drop(pool);
-        if became_warm {
+        if became_warm && rec.in_warm_sets() {
             let _ = self.warm.register(&rec.user, &rec.function, self.host_id);
         }
     }
@@ -531,7 +550,7 @@ impl FaasmInstance {
         let emptied = n > 0 && kept == 0;
         pool.warm &= !emptied;
         drop(pool);
-        if emptied {
+        if emptied && rec.in_warm_sets() {
             let _ = self.warm.deregister(user, function, self.host_id);
         }
         n
@@ -679,14 +698,20 @@ impl FaasmInstance {
     }
 
     fn execute(self: &Arc<Self>, q: QueuedCall) {
-        let checked_out = self
-            .record(&q.call.user, &q.call.function)
-            .and_then(|rec| Ok((self.checkout(&rec)?, rec)));
-        let (mut faaslet, rec) = match checked_out {
-            Ok(pair) => pair,
+        let rec = match self.record(&q.call.user, &q.call.function) {
+            Ok(rec) => rec,
+            Err(e) => return self.deliver(CallResult::error(q.call.id, e.to_string()), q.reply_to),
+        };
+        // A container's result is an HTTP response, refusals included.
+        let http = rec.def.code.http_overhead();
+        let mut faaslet = match self.checkout(&rec) {
+            Ok(faaslet) => faaslet,
             Err(e) => {
-                self.deliver(CallResult::error(q.call.id, e.to_string()), q.reply_to);
-                return;
+                return self.respond(
+                    CallResult::error(q.call.id, e.to_string()),
+                    q.reply_to,
+                    http,
+                )
             }
         };
         let t0 = Instant::now();
@@ -738,7 +763,7 @@ impl FaasmInstance {
             self.metrics.reset_bytes.add(faaslet.reset_bytes() as u64);
             self.pool_enter(&rec, Some(faaslet));
         }
-        self.deliver(result, q.reply_to);
+        self.respond(result, q.reply_to, http);
     }
 
     /// Obtain a Faaslet: warm pool first, then Proto-Faaslet restore, then
@@ -755,9 +780,28 @@ impl FaasmInstance {
     /// pool. Shared by the call path ([`checkout`](Self::checkout)) and the
     /// autoscaler's [`prewarm`](Self::prewarm).
     fn build_faaslet(self: &Arc<Self>, rec: &FunctionRecord) -> Result<Faaslet, CoreError> {
-        self.pool_enter(rec, None);
         let id = self.next_faaslet.fetch_add(1, Ordering::Relaxed);
         let env = self.env();
+        if let GuestCode::Container(code) = &rec.def.code {
+            // The other isolation mechanism: the container's code starts
+            // it, and the runtime times, pools and bills it like a Faaslet.
+            let t0 = Instant::now();
+            let sandbox = code
+                .cold_start(id, &rec.user, &rec.function, self)
+                .map_err(CoreError::Instantiate)?;
+            self.metrics
+                .record_start(StartKind::Cold, t0.elapsed().as_nanos() as u64);
+            let def = Arc::clone(&rec.def);
+            return Ok(Faaslet::container(
+                id,
+                &rec.user,
+                &rec.function,
+                def,
+                sandbox,
+                &env,
+            ));
+        }
+        self.pool_enter(rec, None);
         let cold_start = || {
             let t0 = Instant::now();
             let f = Faaslet::create_cold(id, &rec.user, &rec.function, Arc::clone(&rec.def), &env)?;
@@ -969,25 +1013,43 @@ impl FaasmInstance {
         }
     }
 
+    /// [`deliver`](Self::deliver) a call's result, framed in `http` padding
+    /// bytes when it has any: a container's HTTP response, which crosses
+    /// the fabric even to a caller on this host.
+    fn respond(&self, result: CallResult, reply_to: HostId, http: usize) {
+        if http == 0 {
+            return self.deliver(result, reply_to);
+        }
+        let msg = frame_msg(&InstanceMsg::Result { result }, http);
+        let _ = self.nic.send(reply_to, msg);
+    }
+
     /// Queue a call for execution on this instance, bypassing the local
     /// scheduling decision — for callers that already chose this host
     /// ([`Cluster::place`](crate::Cluster::place) scored it against its
     /// peers; re-running `decide` here could forward the call away and
     /// fight that placement). Await with [`ChainRouter::await_call`].
     pub fn submit_placed(&self, user: &str, function: &str, input: Vec<u8>) -> CallId {
+        let call = self.new_call(user, function, input);
+        let id = call.id;
+        let reply_to = self.host_id;
+        let _ = self.queue_tx.send(QueuedCall { call, reply_to });
+        id
+    }
+
+    /// A call made from this host, awaited here: a fresh id registered with
+    /// the pending table, in the caller's active trace context (so a chain's
+    /// workers all nest under the ingress trace).
+    fn new_call(&self, user: &str, function: &str, input: Vec<u8>) -> CallSpec {
         let id = CallId(self.call_seq.fetch_add(1, Ordering::Relaxed));
         self.pending.register(id.0);
-        let _ = self.queue_tx.send(QueuedCall {
-            call: CallSpec {
-                id,
-                user: user.to_string(),
-                function: function.to_string(),
-                input,
-                trace: faasm_telemetry::current(),
-            },
-            reply_to: self.host_id,
-        });
-        id
+        CallSpec {
+            id,
+            user: user.to_string(),
+            function: function.to_string(),
+            input,
+            trace: faasm_telemetry::current(),
+        }
     }
 
     /// Queue `calls` for execution on this instance as **one bus message**
@@ -999,6 +1061,13 @@ impl FaasmInstance {
     ///
     /// Returns the assigned call ids, in input order.
     pub fn submit_placed_batch(&self, calls: Vec<PlacedCall>) -> Vec<CallId> {
+        self.submit_framed(calls, 0)
+    }
+
+    /// [`submit_placed_batch`](Self::submit_placed_batch) with the bus
+    /// message [framed](frame_msg) in `http` padding bytes: the ingress hop
+    /// of a container function's call.
+    pub(crate) fn submit_framed(&self, calls: Vec<PlacedCall>, http: usize) -> Vec<CallId> {
         let mut specs = Vec::with_capacity(calls.len());
         let mut ids = Vec::with_capacity(calls.len());
         for call in calls {
@@ -1034,11 +1103,14 @@ impl FaasmInstance {
             return ids;
         }
         let registered: Vec<CallId> = specs.iter().map(|s| s.id).collect();
-        let msg = encode_msg(&InstanceMsg::InvokeBatch {
-            calls: specs,
-            reply_to: self.host_id,
-            sent_at_ns: faasm_telemetry::now_ns(),
-        });
+        let msg = frame_msg(
+            &InstanceMsg::InvokeBatch {
+                calls: specs,
+                reply_to: self.host_id,
+                sent_at_ns: faasm_telemetry::now_ns(),
+            },
+            http,
+        );
         // One self-addressed bus message for the whole batch: N calls cost
         // one message-bus hop instead of N, and the fabric's byte counters
         // see the real coordination cost. The gate guarantees that if the
@@ -1072,6 +1144,35 @@ impl FaasmInstance {
     ) -> CallResult {
         let id = self.chain_call(user, function, input);
         self.await_call(id)
+    }
+
+    /// Send a call to run on `target`, its result coming back to this host
+    /// (await it with [`ChainRouter::await_call`]); with no target it fails
+    /// at once. How a container's chained call goes back through the front
+    /// door: [`Cluster::place`](crate::Cluster::place) chose the host, and
+    /// a container function's invoke is HTTP-framed.
+    pub fn chain_to(
+        &self,
+        target: Option<HostId>,
+        user: &str,
+        function: &str,
+        input: Vec<u8>,
+    ) -> CallId {
+        let (def, _) = self.registry.get(user, function).unzip();
+        let http = def.map_or(0, |def| def.code.http_overhead());
+        let call = self.new_call(user, function, input);
+        let id = call.id;
+        let reply_to = self.host_id;
+        let msg = InstanceMsg::Invoke {
+            call,
+            reply_to,
+            forwarded: true,
+        };
+        if target.is_none_or(|host| self.nic.send(host, frame_msg(&msg, http)).is_err()) {
+            self.pending
+                .fulfill(CallResult::error(id, "no reachable instances"));
+        }
+        id
     }
 
     /// Stop threads and drop pooled Faaslets. Idempotent.
@@ -1132,17 +1233,8 @@ impl FaasmInstance {
 
 impl ChainRouter for FaasmInstance {
     fn chain_call(&self, user: &str, function: &str, input: Vec<u8>) -> CallId {
-        let id = CallId(self.call_seq.fetch_add(1, Ordering::Relaxed));
-        self.pending.register(id.0);
-        let call = CallSpec {
-            id,
-            user: user.to_string(),
-            function: function.to_string(),
-            input,
-            // Chained calls inherit the caller Faaslet's active context,
-            // so a chain's workers all nest under the ingress trace.
-            trace: faasm_telemetry::current(),
-        };
+        let call = self.new_call(user, function, input);
+        let id = call.id;
         if let Some(me) = self.me.upgrade() {
             me.handle_invoke(call, self.host_id);
         } else {

@@ -14,6 +14,9 @@
 //!   message bus and the Omega-style local scheduler (§5.1).
 //! * [`Cluster`] — instances + global KVS tier + object store + upload
 //!   service + ingress.
+//! * [`ContainerCode`] — the one seam where a container takes a Faaslet's
+//!   place: the isolation of the paper's container baseline (§6.1), run by
+//!   the same instances.
 //!
 //! # Examples
 //!
@@ -68,7 +71,7 @@ pub use cluster::{Cluster, ClusterConfig, UploadOptions};
 pub use ctx::{ChainRouter, FaasletCtx, NativeApi, NoChain};
 pub use error::CoreError;
 pub use faaslet::{EgressLimit, Faaslet, FaasletEnv, NATIVE_BASE_BYTES};
-pub use guest::{FunctionDef, FunctionRegistry, GuestCode, NativeGuest};
+pub use guest::{ContainerCode, FunctionDef, FunctionRegistry, GuestCode, NativeGuest, Sandbox};
 pub use hostfuncs::faaslet_linker;
 pub use instance::{FaasmInstance, InstanceConfig, PlacedCall};
 pub use metrics::{GatewayMetrics, Metrics, MetricsSnapshot, StartKind};

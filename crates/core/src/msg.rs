@@ -112,9 +112,35 @@ pub fn encode_msg(msg: &InstanceMsg) -> Vec<u8> {
     out
 }
 
-/// Decode a fabric message; `None` on malformed input.
+/// The tag of an HTTP-framed message: a wrapper, never a message itself.
+const FRAMED: u8 = 4;
+
+/// Encode a message in HTTP-style framing: the encoding, length-prefixed,
+/// then `padding` bytes standing for the request or response headers of a
+/// hop through a container platform's gateway, so the fabric carries and
+/// counts them. No padding is the plain [`encode_msg`]; [`decode_msg`]
+/// reads both.
+pub fn frame_msg(msg: &InstanceMsg, padding: usize) -> Vec<u8> {
+    if padding == 0 {
+        return encode_msg(msg);
+    }
+    let body = encode_msg(msg);
+    let mut out = Vec::with_capacity(5 + body.len() + padding);
+    put_u8(&mut out, FRAMED);
+    put_bytes(&mut out, &body);
+    out.resize(out.len() + padding, 0);
+    out
+}
+
+/// Decode a fabric message, plain or [framed](frame_msg); `None` on
+/// malformed input.
 pub fn decode_msg(buf: &[u8]) -> Option<InstanceMsg> {
-    wire::decode(buf, read_msg).ok()
+    let body = match buf.split_first() {
+        // The padding after the framed message is skipped unread.
+        Some((&FRAMED, framed)) => Reader::new(framed).bytes().ok()?,
+        _ => buf,
+    };
+    wire::decode(body, read_msg).ok()
 }
 
 fn read_msg(r: &mut Reader<'_>) -> Result<InstanceMsg, WireError> {
@@ -172,6 +198,22 @@ mod tests {
             forwarded: true,
         };
         assert_eq!(decode_msg(&encode_msg(&msg)), Some(msg));
+    }
+
+    #[test]
+    fn a_framed_message_carries_its_padding_and_decodes_as_the_plain_one() {
+        let msg = InstanceMsg::Result {
+            result: CallResult::success(CallId(4), b"out".to_vec()),
+        };
+        let plain = encode_msg(&msg);
+        assert_eq!(frame_msg(&msg, 0), plain);
+        let framed = frame_msg(&msg, 256);
+        assert_eq!(framed.len(), 1 + 4 + plain.len() + 256);
+        assert_eq!(decode_msg(&framed), Some(msg));
+        // A frame holds a plain message, never another frame.
+        let mut nested = vec![FRAMED];
+        put_bytes(&mut nested, &framed);
+        assert_eq!(decode_msg(&nested), None);
     }
 
     #[test]

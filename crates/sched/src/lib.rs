@@ -5,21 +5,19 @@
 //! and either runs the call in a warm local Faaslet, forwards it to another
 //! warm host's **sharing queue**, or cold-starts a new Faaslet. This crate
 //! provides the pieces (call types + wire codec, warm sets, the placement
-//! decision and the one host score ([`Candidate::score`]) behind every chooser, a
-//! round-robin dispatcher); `faasm-core` wires them to actual Faaslet pools.
+//! decision and the one host score ([`Candidate::score`]) behind every
+//! chooser); `faasm-core` wires them to actual Faaslet pools.
 
 #![warn(missing_docs)]
 
 pub mod boards;
 pub mod decide;
-pub mod rr;
 pub mod score;
 pub mod types;
 pub mod warm;
 
 pub use boards::{entry_for, SchedBoards};
 pub use decide::{decide, runs_warm_local, Decision, Placement};
-pub use rr::RoundRobin;
 pub use score::{best, Candidate};
 pub use types::{
     decode_call, decode_result, encode_call, encode_call_into, encode_result, encode_result_into,

@@ -6,7 +6,7 @@
 use crate::decide::QUEUE_SHARE_THRESHOLD;
 
 /// What a placement knows about one candidate host.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Candidate {
     /// The host's warmth for the function: `None` when it holds no Faaslet
     /// for it (a call placed there fetches the proto or cold-starts, and

@@ -180,8 +180,10 @@ fn echo(rows: &mut Vec<(String, Budget, Budget)>) {
     l.phase("warm call", ECHO_WARM, call);
 }
 
-fn chain(rows: &mut Vec<(String, Budget, Budget)>) {
-    let p = platform(2, 2, 256 * KIB, GIB);
+/// A parent that chains one child, on two hosts (the child runs on the
+/// other one) and on one.
+fn chain(rows: &mut Vec<(String, Budget, Budget)>, hosts: usize, pins: [Budget; 2]) {
+    let p = platform(hosts, 2, 256 * KIB, GIB);
     p.register(
         "u",
         "child",
@@ -204,14 +206,19 @@ fn chain(rows: &mut Vec<(String, Budget, Budget)>) {
             Ok(0)
         }),
     );
-    let mut l = Ledger::new(&p, "chain", rows);
+    let name = if hosts == 1 {
+        "chain, one host"
+    } else {
+        "chain"
+    };
+    let mut l = Ledger::new(&p, name, rows);
     let call = |p: &BaselinePlatform| {
         let r = p.invoke("u", "parent", vec![20]);
         assert_eq!(r.output, vec![41]);
         ok(&r)
     };
-    l.phase("cold parent→child", CHAIN_COLD, call);
-    l.phase("warm parent→child", CHAIN_WARM, call);
+    l.phase("cold parent→child", pins[0], call);
+    l.phase("warm parent→child", pins[1], call);
 }
 
 fn infer(rows: &mut Vec<(String, Budget, Budget)>) {
@@ -303,34 +310,37 @@ fn burst(rows: &mut Vec<(String, Budget, Budget)>) {
 }
 
 //                                msgs   bytes  pulls cold warm resident oom
-const ECHO_COLD: Budget = row(2, 725, 1, 1, 0, 262_144, 0);
-const ECHO_WARM: Budget = row(2, 725, 0, 0, 1, 262_144, 0);
-const CHAIN_COLD: Budget = row(4, 1_425, 2, 2, 0, 524_288, 0);
-const CHAIN_WARM: Budget = row(4, 1_425, 0, 0, 2, 524_288, 0);
+const ECHO_COLD: Budget = row(2, 742, 1, 1, 0, 262_144, 0);
+const ECHO_WARM: Budget = row(2, 742, 0, 0, 1, 262_144, 0);
+const CHAIN_COLD: Budget = row(4, 1_444, 2, 2, 0, 524_288, 0);
+const CHAIN_WARM: Budget = row(4, 1_444, 0, 0, 2, 524_288, 0);
+const CHAIN_1_COLD: Budget = row(4, 1_444, 1, 2, 0, 524_288, 0);
+const CHAIN_1_WARM: Budget = row(4, 1_444, 0, 0, 2, 524_288, 0);
 const INFER_SETUP: Budget = row(2, 2_100, 0, 0, 0, 0, 0);
-const INFER_COLD: Budget = row(4, 3_639, 1, 1, 0, 264_036, 0);
-const INFER_WARM_10: Budget = row(20, 15_390, 0, 0, 10, 264_036, 0);
+const INFER_COLD: Budget = row(4, 3_656, 1, 1, 0, 264_036, 0);
+const INFER_WARM_10: Budget = row(20, 15_560, 0, 0, 10, 264_036, 0);
 const SGD_UPLOAD: Budget = row(10, 22_155, 0, 0, 0, 0, 0);
-const SGD_COLD: Budget = row(782, 99_105, 1, 1, 0, 283_396, 0);
-const SGD_WARM: Budget = row(772, 76_950, 0, 0, 1, 283_396, 0);
+const SGD_COLD: Budget = row(782, 99_122, 1, 1, 0, 283_396, 0);
+const SGD_WARM: Budget = row(772, 76_967, 0, 0, 1, 283_396, 0);
 const BURST_UPLOAD: Budget = row(10, 29_067, 0, 0, 0, 0, 0);
-const BURST: Budget = row(3_424, 1_030_288, 4, 24, 0, 51_007_584, 8);
+const BURST: Budget = row(3_424, 1_031_000, 4, 24, 0, 51_007_584, 8);
 
 #[test]
 fn every_call_shape_costs_its_pinned_budget() {
     let mut rows = Vec::new();
     echo(&mut rows);
-    chain(&mut rows);
+    chain(&mut rows, 2, [CHAIN_COLD, CHAIN_WARM]);
+    chain(&mut rows, 1, [CHAIN_1_COLD, CHAIN_1_WARM]);
     infer(&mut rows);
     sgd_task(&mut rows);
     burst(&mut rows);
     println!(
-        "{:<34} {:>6} {:>9} {:>5} {:>4} {:>4} {:>10} {:>3}",
+        "{:<36} {:>6} {:>9} {:>5} {:>4} {:>4} {:>10} {:>3}",
         "phase", "msgs", "bytes", "pulls", "cold", "warm", "resident", "oom"
     );
     for (label, got, _) in &rows {
         println!(
-            "{label:<34} {:>6} {:>9} {:>5} {:>4} {:>4} {:>10} {:>3}",
+            "{label:<36} {:>6} {:>9} {:>5} {:>4} {:>4} {:>10} {:>3}",
             got.msgs, got.bytes, got.pulls, got.cold, got.warm, got.resident, got.oom
         );
     }
