@@ -57,6 +57,10 @@ gates=(
     'crates/*/src'
     'the per-call Invoke ingress, a second instance chooser or a second scoring formula is back; driver calls enter by Cluster::place -> submit_placed_batch, hosts are ranked by faasm_sched::Candidate::score'
 
+    'WarmSets|sched:warm|publish_depth|fn handle_invoke|forwarded\.inc|impl (HttpRouter|ChainRouter) for Gateway'
+    'crates/*/src'
+    'a second chooser or a second record of warmth or load is back; chained calls are placed by Cluster::place'
+
     # One runtime, two isolation mechanisms: the baseline is a Cluster whose
     # functions run in containers.
     'RoundRobin|recv_timeout|KvServer::|thread::Builder|fn (bus|worker)_loop'
@@ -159,7 +163,7 @@ gates=(
 
     'SharingQueue'
     'crates@whole'
-    'the unused bounded sharing queue is back; forwarded calls ride the bus into the instance run queue'
+    'the unused bounded sharing queue is back; a chained call placed on a peer rides the bus into its run queue'
 
     # The state tier keeps only what the runtime calls.
     'pub mod ddo|SharedVector|fn set_mode\b|fn take_hot_keys\b|fn hot_key_shards\b|accesses:'

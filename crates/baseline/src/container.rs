@@ -16,7 +16,7 @@
 //! and the HTTP framing of its calls.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use faasm_core::{Cluster, ContainerCode, FaasmInstance, Sandbox};
 use faasm_kvs::{KvBackend, ShardedKvClient, SharedKv};
@@ -29,7 +29,8 @@ use crate::image::{materialise_container, pull_image, ImageConfig};
 use crate::platform::BaselineConfig;
 
 /// Chained-call routing for containers: the runtime's own router trait. On
-/// a cluster it is the HTTP gateway back into the front door.
+/// a cluster it is the container's host instance, which places the call as
+/// it places a Faaslet's and frames every hop of it in HTTP.
 pub use faasm_core::ChainRouter as HttpRouter;
 
 /// A guest function running in a container.
@@ -264,7 +265,7 @@ impl<'a> ContainerApi<'a> {
             .map_err(|e| e.to_string())
     }
 
-    /// Chain a call through the HTTP gateway.
+    /// Chain a call: the cluster places it, and it travels HTTP-framed.
     pub fn chain(&mut self, function: &str, input: Vec<u8>) -> CallId {
         self.container
             .router
@@ -313,12 +314,11 @@ pub(crate) struct Containers {
     hosts: HashMap<HostId, Arc<Host>>,
     /// The image registry: the cluster's object store.
     registry: Arc<ObjectStore>,
-    cluster: Weak<Cluster>,
 }
 
 impl Containers {
     /// Containers for every host of `cluster`.
-    pub(crate) fn new(cluster: &Arc<Cluster>, config: BaselineConfig) -> Containers {
+    pub(crate) fn new(cluster: &Cluster, config: BaselineConfig) -> Containers {
         let host = |instance: &Arc<FaasmInstance>| {
             let routing = Arc::clone(cluster.state_routing());
             let host = Host {
@@ -331,7 +331,6 @@ impl Containers {
         Containers {
             hosts: cluster.instances().iter().map(host).collect(),
             registry: Arc::clone(cluster.object_store()),
-            cluster: Arc::downgrade(cluster),
             config,
         }
     }
@@ -386,13 +385,10 @@ impl ContainerCode for ContainerFn {
             host.recharge(reserved, 0);
             return Err("image missing from registry".to_string());
         };
-        let gateway = Arc::new(Gateway {
-            cluster: Weak::clone(&containers.cluster),
-            host: Arc::clone(instance),
-        });
         let tier = Arc::clone(&host.tier);
+        let router = Arc::clone(instance) as Arc<dyn HttpRouter>;
         let container =
-            Container::cold_start(id, user, function, &image, &config.image, tier, gateway);
+            Container::cold_start(id, user, function, &image, &config.image, tier, router);
         // The reservation becomes the container's actual footprint.
         let charged = container.rss_bytes();
         host.recharge(reserved, charged);
@@ -438,27 +434,6 @@ impl Sandbox for Hosted {
 impl Drop for Hosted {
     fn drop(&mut self) {
         self.host.recharge(self.charged, 0);
-    }
-}
-
-/// A container's way back through the gateway: a chained call enters the
-/// cluster's front door like an ingress call, and its result comes back to
-/// the container's host, which runs queued work while it waits.
-struct Gateway {
-    cluster: Weak<Cluster>,
-    host: Arc<FaasmInstance>,
-}
-
-impl HttpRouter for Gateway {
-    fn chain_call(&self, user: &str, function: &str, input: Vec<u8>) -> CallId {
-        let cluster = self.cluster.upgrade();
-        let target = cluster.and_then(|cluster| cluster.place(user, function));
-        let target = target.map(|instance| instance.host_id());
-        self.host.chain_to(target, user, function, input)
-    }
-
-    fn await_call(&self, id: CallId) -> CallResult {
-        self.host.await_call(id)
     }
 }
 

@@ -51,7 +51,7 @@ impl Default for BaselineConfig {
 /// The running container platform. It is a [`Cluster`], and every cluster
 /// method (`invoke`, `fabric`, `kv`, `billable_gb_seconds`, …) applies.
 pub struct BaselinePlatform {
-    cluster: Arc<Cluster>,
+    cluster: Cluster,
     containers: Arc<Containers>,
 }
 
@@ -74,7 +74,7 @@ impl BaselinePlatform {
 
     /// Start a platform from explicit configuration.
     pub fn with_config(config: BaselineConfig) -> BaselinePlatform {
-        let cluster = Arc::new(Cluster::with_config(ClusterConfig {
+        let cluster = Cluster::with_config(ClusterConfig {
             hosts: config.hosts,
             instance: InstanceConfig {
                 workers: config.workers,
@@ -82,7 +82,7 @@ impl BaselinePlatform {
             },
             invoke_timeout: config.invoke_timeout,
             ..ClusterConfig::default()
-        }));
+        });
         publish_image(cluster.object_store(), &config.image);
         let containers = Arc::new(Containers::new(&cluster, config));
         BaselinePlatform {

@@ -2,12 +2,13 @@
 //!
 //! Mirrors the deployment of §5/§6.1: N runtime instances (one per host),
 //! a distributed KVS for the global state tier, a shared object store for
-//! uploaded code and Proto-Faaslets, and the one front door: [`Cluster::place`]
-//! scores the live hosts and the call is handed to the chosen instance's
-//! batched placed-submit path, completing through a callback.
+//! uploaded code and Proto-Faaslets, and the one chooser: [`Cluster::place`]
+//! scores the live hosts for every call. An ingress call is handed to the
+//! chosen instance's batched placed-submit path, completing through a
+//! callback; a chained call is queued on, or sent to, the chosen host.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use faasm_fvm::{ExecTier, ExportKind, ObjectModule};
@@ -15,7 +16,7 @@ use faasm_kvs::{
     reshard, KvError, KvServer, KvStore, RoutingCell, RoutingTable, ShardRouting, ShardStats,
     ShardedKvClient, SharedKv,
 };
-use faasm_net::Fabric;
+use faasm_net::{Fabric, HostId};
 use faasm_sched::{entry_for, CallId, CallResult, Candidate};
 use faasm_telemetry::Telemetry;
 use faasm_vfs::ObjectStore;
@@ -32,7 +33,8 @@ pub struct ClusterConfig {
     /// Number of runtime instances (hosts).
     pub hosts: usize,
     /// Global-tier shard servers: each state key (value, counters, locks,
-    /// warm sets) lives on exactly one shard, chosen by rendezvous hashing.
+    /// proto chunks) lives on exactly one shard, chosen by rendezvous
+    /// hashing.
     /// 1 reproduces the paper's single-server tier.
     pub state_shards: usize,
     /// Replicas per state key (primary included): the key's top-R
@@ -109,13 +111,7 @@ pub struct Cluster {
     monitor_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     coord_nic: faasm_net::Nic,
     object_store: Arc<ObjectStore>,
-    registry: Arc<FunctionRegistry>,
-    instances: Vec<Arc<FaasmInstance>>,
-    /// Shared scheduling boards (peer load + state affinity), published to
-    /// every instance and read by [`Cluster::place`].
-    boards: Arc<faasm_sched::SchedBoards>,
-    /// Seed for [`Cluster::place`]'s rotation among equally-scored hosts.
-    rotation: AtomicUsize,
+    placer: Arc<Placer>,
     /// Results of [`Cluster::invoke_async`] calls, parked by their
     /// completion callbacks for [`Cluster::await_result`].
     gateway_pending: Arc<Pending>,
@@ -127,8 +123,67 @@ pub struct Cluster {
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
-            .field("hosts", &self.instances.len())
+            .field("hosts", &self.placer.instances.len())
             .finish()
+    }
+}
+
+/// The one instance chooser: the cluster's instances and what ranking them
+/// reads. The cluster owns it and places ingress calls with it; each
+/// instance holds it by `Weak` to place its chained calls, so no `Arc`
+/// cycle outlives the cluster.
+pub(crate) struct Placer {
+    instances: Vec<Arc<FaasmInstance>>,
+    registry: Arc<FunctionRegistry>,
+    /// The affinity board: every instance reports to it, placement reads it.
+    boards: Arc<faasm_sched::SchedBoards>,
+    /// Seed for the rotation among equally-scored hosts.
+    rotation: AtomicUsize,
+}
+
+impl Placer {
+    /// Choose the instance for one call, and the HTTP padding each hop of
+    /// the call carries ([`GuestCode::http_overhead`]). Live hosts are
+    /// ranked by the scheduler's one [score](Candidate::score): the warmth
+    /// and run queue each host's pool reports, and the affinity board.
+    /// Among equals `caller` wins when it is one of them (a chained call
+    /// nobody is better placed for starts where it was made, as in §5.1),
+    /// and otherwise the rotation takes them in turn. Stopped instances are
+    /// never chosen, and `None` means none is left.
+    ///
+    /// A container function is routed the way Knative's ingress routes,
+    /// blind to state, queues and the caller: every candidate is the
+    /// default one — no warmth, depth or affinity — so every live host ties
+    /// and the rotation takes them in turn.
+    pub(crate) fn place(
+        &self,
+        user: &str,
+        function: &str,
+        caller: Option<HostId>,
+    ) -> Option<(Arc<FaasmInstance>, usize)> {
+        let live: Vec<&Arc<FaasmInstance>> =
+            self.instances.iter().filter(|i| !i.is_stopped()).collect();
+        let code = self.registry.get(user, function).map(|(def, _)| def);
+        let (candidates, prefer) = match code.as_ref().map(|def| &def.code) {
+            Some(GuestCode::Container(_)) => (vec![Candidate::default(); live.len()], None),
+            _ => {
+                let hosts: Vec<HostId> = live.iter().map(|i| i.host_id()).collect();
+                let affinity = self.boards.affinities(user, function, &hosts);
+                let candidates: Vec<Candidate> = live
+                    .iter()
+                    .map(|i| Candidate {
+                        idle_warm: i.idle_warmth(user, function),
+                        depth: i.queue_depth(),
+                        affinity: entry_for(&affinity, i.host_id()),
+                    })
+                    .collect();
+                let prefer = caller.and_then(|c| hosts.iter().position(|&h| h == c));
+                (candidates, prefer)
+            }
+        };
+        let seed = self.rotation.fetch_add(1, Ordering::Relaxed);
+        let http = code.map_or(0, |def| def.code.http_overhead());
+        faasm_sched::best(&candidates, seed, prefer).map(|i| (Arc::clone(live[i]), http))
     }
 }
 
@@ -212,20 +267,26 @@ impl Cluster {
             default_consistency: config.default_consistency,
             ..faasm_kvs::CacheConfig::default()
         });
-        let instances: Vec<Arc<FaasmInstance>> = (0..config.hosts.max(1))
-            .map(|_| {
-                FaasmInstance::start(
-                    &fabric,
-                    &routing,
-                    Arc::clone(&object_store),
-                    Arc::clone(&registry),
-                    Arc::clone(&call_seq),
-                    Arc::clone(&boards),
-                    config.instance.clone(),
-                    cache.clone(),
-                )
-            })
-            .collect();
+        let placer = Arc::new_cyclic(|placer: &Weak<Placer>| Placer {
+            instances: (0..config.hosts.max(1))
+                .map(|_| {
+                    FaasmInstance::start(
+                        &fabric,
+                        &routing,
+                        Arc::clone(&object_store),
+                        Arc::clone(&registry),
+                        Arc::clone(&call_seq),
+                        Arc::clone(&boards),
+                        Weak::clone(placer),
+                        config.instance.clone(),
+                        cache.clone(),
+                    )
+                })
+                .collect(),
+            registry,
+            boards,
+            rotation: AtomicUsize::new(0),
+        });
 
         let driver_nic = fabric.add_host();
         let driver_kv: SharedKv = Arc::new(ShardedKvClient::connect(
@@ -255,10 +316,7 @@ impl Cluster {
             monitor_thread: Mutex::new(monitor_thread),
             coord_nic: driver_nic,
             object_store,
-            registry,
-            instances,
-            boards,
-            rotation: AtomicUsize::new(0),
+            placer,
             gateway_pending: Arc::new(Pending::default()),
             driver_kv,
             call_seq,
@@ -351,7 +409,7 @@ impl Cluster {
             self.object_store
                 .put(&format!("shared/obj/{user}/{function}"), object.to_bytes());
         }
-        self.registry.insert(user, function, def);
+        self.placer.registry.insert(user, function, def);
         Ok(())
     }
 
@@ -366,7 +424,7 @@ impl Cluster {
     /// completion callback parks the result for
     /// [`await_result`](Self::await_result).
     pub fn invoke_async(&self, user: &str, function: &str, input: Vec<u8>) -> CallId {
-        let Some((instance, http)) = self.place_framed(user, function) else {
+        let Some((instance, http)) = self.placer.place(user, function, None) else {
             let id = CallId(self.call_seq.fetch_add(1, Ordering::Relaxed));
             self.gateway_pending
                 .fulfill(CallResult::error(id, "no reachable instances"));
@@ -391,49 +449,23 @@ impl Cluster {
         ids[0]
     }
 
-    /// Choose the instance for one call — the only instance chooser, used
-    /// by [`invoke_async`](Self::invoke_async) and the gateway's dispatchers
-    /// alike. Live hosts are ranked by the scheduler's one
-    /// [score](Candidate::score), rotating among equals; stopped instances
-    /// are never chosen, and `None` means none is left.
+    /// Choose the instance for one call — the only instance chooser: used
+    /// by [`invoke_async`](Self::invoke_async), the gateway's dispatchers
+    /// and every instance's chained calls alike. Live hosts are ranked by
+    /// the scheduler's one [score](Candidate::score), rotating among
+    /// equals; stopped instances are never chosen, and `None` means none is
+    /// left.
     pub fn place(&self, user: &str, function: &str) -> Option<Arc<FaasmInstance>> {
-        self.place_framed(user, function)
+        self.placer
+            .place(user, function, None)
             .map(|(instance, _)| instance)
-    }
-
-    /// [`place`](Self::place), and the HTTP padding each hop of the call
-    /// carries ([`GuestCode::http_overhead`]). A container function is
-    /// routed the way Knative's ingress routes, blind to state and queues:
-    /// every candidate is the default one — no warmth, depth or affinity —
-    /// so every live host ties and the rotation takes them in turn.
-    fn place_framed(&self, user: &str, function: &str) -> Option<(Arc<FaasmInstance>, usize)> {
-        let live: Vec<&Arc<FaasmInstance>> =
-            self.instances.iter().filter(|i| !i.is_stopped()).collect();
-        let code = self.registry.get(user, function).map(|(def, _)| def);
-        let candidates: Vec<Candidate> = match code.as_ref().map(|def| &def.code) {
-            Some(GuestCode::Container(_)) => vec![Candidate::default(); live.len()],
-            _ => {
-                let hosts: Vec<faasm_net::HostId> = live.iter().map(|i| i.host_id()).collect();
-                let affinity = self.boards.affinities(user, function, &hosts);
-                live.iter()
-                    .map(|i| Candidate {
-                        idle_warm: i.idle_warmth(user, function),
-                        depth: i.queue_depth(),
-                        affinity: entry_for(&affinity, i.host_id()),
-                    })
-                    .collect()
-            }
-        };
-        let seed = self.rotation.fetch_add(1, Ordering::Relaxed);
-        let http = code.map_or(0, |def| def.code.http_overhead());
-        faasm_sched::best(&candidates, seed).map(|i| (Arc::clone(live[i]), http))
     }
 
     /// Simulate the failure of instance `idx`: its fabric host disappears
     /// and its threads stop. Calls queued there are answered with an error;
     /// [`place`](Self::place) sends new ones to the survivors.
     pub fn kill_instance(&self, idx: usize) {
-        let Some(instance) = self.instances.get(idx) else {
+        let Some(instance) = self.placer.instances.get(idx) else {
             return;
         };
         self.fabric.remove_host(instance.host_id());
@@ -625,12 +657,12 @@ impl Cluster {
 
     /// The runtime instances.
     pub fn instances(&self) -> &[Arc<FaasmInstance>] {
-        &self.instances
+        &self.placer.instances
     }
 
-    /// The shared scheduling boards (peer load + state affinity).
+    /// The affinity board.
     pub fn boards(&self) -> &Arc<faasm_sched::SchedBoards> {
-        &self.boards
+        &self.placer.boards
     }
 
     /// Every counter in the cluster, read in one pass: one row per stat-set
@@ -643,7 +675,7 @@ impl Cluster {
     /// recorders and are shared with any other cluster in the process.
     pub fn telemetry(&self) -> Telemetry {
         let mut sets = vec![self.fabric.stats().snapshot().row("fabric", 0)];
-        for (host, inst) in self.instances.iter().enumerate() {
+        for (host, inst) in self.instances().iter().enumerate() {
             sets.push(inst.metrics().snapshot().row("worker", host));
             sets.push(inst.snapshot_stats().row("snapdist", host));
             if let Some(cache) = inst.cache() {
@@ -659,12 +691,12 @@ impl Cluster {
 
     /// Sum of a metric across instances.
     pub fn total_calls(&self) -> u64 {
-        self.instances.iter().map(|i| i.metrics().calls()).sum()
+        self.instances().iter().map(|i| i.metrics().calls()).sum()
     }
 
     /// Total billable memory across instances (Fig. 6c).
     pub fn billable_gb_seconds(&self) -> f64 {
-        self.instances
+        self.instances()
             .iter()
             .map(|i| i.metrics().billable_gb_seconds())
             .sum()
@@ -672,7 +704,7 @@ impl Cluster {
 
     /// Aggregate host memory bytes (Faaslets + state + file caches).
     pub fn host_memory_bytes(&self) -> usize {
-        self.instances.iter().map(|i| i.host_memory_bytes()).sum()
+        self.instances().iter().map(|i| i.host_memory_bytes()).sum()
     }
 
     /// Stop every component. Called automatically on drop.
@@ -681,7 +713,7 @@ impl Cluster {
         if let Some(t) = self.monitor_thread.lock().take() {
             let _ = t.join();
         }
-        for i in &self.instances {
+        for i in self.instances() {
             i.shutdown();
         }
     }
@@ -1077,43 +1109,47 @@ mod tests {
     }
 
     #[test]
-    fn forward_is_counted_only_on_successful_send() {
+    fn a_chained_call_that_cannot_run_warm_locally_is_placed_by_the_score() {
         use crate::ctx::ChainRouter;
 
-        // Positive case: a live warm peer really receives the forward.
+        // The caller is cold for the function and a peer is warm and idle:
+        // the score sends the child to the peer.
         let cluster = Cluster::new(2);
         cluster
             .upload_fl("u", "echo", ECHO, UploadOptions::default())
             .unwrap();
         let a = &cluster.instances()[0];
         let b = &cluster.instances()[1];
-        // Warm the function on B only, so A's local decision forwards.
         let id = b.submit_placed("u", "echo", vec![1]);
         assert_eq!(b.await_call(id).status, CallStatus::Success);
-        let r = a.invoke_local("u", "echo", vec![2]);
-        assert_eq!(r.status, CallStatus::Success);
-        assert_eq!(a.metrics().forwarded(), 1, "delivered forward counts");
+        let id = a.chain_call("u", "echo", vec![2]);
+        let r = a.await_call(id);
+        assert_eq!((r.status, r.output), (CallStatus::Success, vec![2]));
+        assert_eq!(a.metrics().calls(), 0, "the cold caller ran nothing");
+        assert_eq!(b.metrics().calls(), 2, "the warm peer ran the child");
 
-        // Regression: a vanished peer that falls back to local execution
-        // must NOT count as forwarded (stats measured, not modelled).
+        // A dead peer is never chosen: the chained call still succeeds on
+        // a live host.
+        cluster.kill_instance(1);
+        let id = a.chain_call("u", "echo", vec![3]);
+        let r = a.await_call(id);
+        assert_eq!((r.status, r.output), (CallStatus::Success, vec![3]));
+        assert_eq!(a.metrics().calls(), 1);
+    }
+
+    #[test]
+    fn invoke_local_runs_on_its_own_instance_beside_a_warm_peer() {
         let cluster = Cluster::new(2);
         cluster
             .upload_fl("u", "echo", ECHO, UploadOptions::default())
             .unwrap();
-        let b = &cluster.instances()[1];
-        let id = b.submit_placed("u", "echo", vec![1]);
-        assert_eq!(b.await_call(id).status, CallStatus::Success);
-        // Kill B: it stays in the global warm set (stale entry), but the
-        // fabric send to it now fails.
-        cluster.kill_instance(1);
         let a = &cluster.instances()[0];
-        let r = a.invoke_local("u", "echo", vec![3]);
-        assert_eq!(r.status, CallStatus::Success, "local fallback executes");
-        assert_eq!(
-            a.metrics().forwarded(),
-            0,
-            "a send that never left the host is not a forward"
-        );
+        let b = &cluster.instances()[1];
+        assert_eq!(b.invoke_local("u", "echo", vec![1]).output, vec![1]);
+        let (a_calls, b_calls) = (a.metrics().calls(), b.metrics().calls());
+        assert_eq!(a.invoke_local("u", "echo", vec![2]).output, vec![2]);
+        assert_eq!(a.metrics().calls(), a_calls + 1);
+        assert_eq!(b.metrics().calls(), b_calls);
     }
 
     /// State-tier (reads, writes) served so far, over every shard.
@@ -1127,9 +1163,9 @@ mod tests {
 
     #[test]
     fn warm_stateless_calls_cost_the_state_tier_nothing() {
-        // The host joins the warm set when it becomes warm, not per call:
-        // after the first call (cold start, proto publish, one SADD), 100
-        // warm echo calls through the front door move no shard counter.
+        // After the first call (cold start, proto publish), 100 warm echo
+        // calls through the front door move no shard counter: placement
+        // reads warmth off the host's pool.
         let cluster = Cluster::new(1);
         cluster
             .upload_fl("u", "echo", ECHO, UploadOptions::default())
@@ -1140,12 +1176,13 @@ mod tests {
             assert_eq!(cluster.invoke("u", "echo", vec![i]).output, vec![i]);
         }
         assert_eq!(tier_ops(&cluster), before, "(reads, writes) moved");
-        assert_eq!(cluster.kv().scard("sched:warm:u:echo"), Ok(1));
-        // Retiring the pool leaves the warm set; the next call re-joins.
-        assert_eq!(cluster.instances()[0].retire_idle("u", "echo", 8), 1);
-        assert_eq!(cluster.kv().scard("sched:warm:u:echo"), Ok(0));
+        let host = &cluster.instances()[0];
+        assert_eq!(host.idle_warmth("u", "echo"), Some(1));
+        // Retiring the pool cools the host; the next call warms it again.
+        assert_eq!(host.retire_idle("u", "echo", 8), 1);
+        assert_eq!(host.idle_warmth("u", "echo"), None);
         assert_eq!(cluster.invoke("u", "echo", vec![1]).return_code(), 0);
-        assert_eq!(cluster.kv().scard("sched:warm:u:echo"), Ok(1));
+        assert_eq!(host.idle_warmth("u", "echo"), Some(1));
     }
 
     #[test]
@@ -1162,8 +1199,8 @@ mod tests {
             Ok(code)
         });
         cluster.register_native("u", "parent", parent, false);
-        // Warm both functions on one host; from then on `decide`'s first
-        // branch serves every hop, and it reads neither warm set nor board.
+        // Warm both functions on one host; from then on every hop runs warm
+        // locally (`runs_warm_local`), and asks no one.
         let host = &cluster.instances()[0];
         assert_eq!(host.invoke_local("u", "parent", vec![1]).output, vec![1]);
         let before = tier_ops(&cluster);
@@ -1171,7 +1208,7 @@ mod tests {
             assert_eq!(host.invoke_local("u", "parent", vec![i]).output, vec![i]);
         }
         assert_eq!(tier_ops(&cluster), before, "(reads, writes) moved");
-        assert_eq!(host.metrics().forwarded(), 0);
+        assert_eq!(host.metrics().calls(), cluster.total_calls());
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! built from, its Proto-Faaslet and its warm Faaslets, under one
 //! lifetime), a local scheduler fed by the message bus, worker threads that
 //! execute calls, the host's local state tier and filesystem, and the
-//! host-wide CPU cgroup. Instances coordinate only through the global tier
-//! (warm sets) and the fabric (shared calls and results) — the distributed
-//! shared-state scheduling of §5.1.
+//! host-wide CPU cgroup. A chained call that can run warm here is queued
+//! here; any other is placed by the cluster's one chooser and, if that
+//! picks a peer, sent over the fabric, its result coming back the same way
+//! (§5.1's call sharing).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -19,16 +20,14 @@ use faasm_kvs::{
     chunk_key, manifest_key, CacheConfig, CachedKv, Digest, RoutingCell, ShardedKvClient, SharedKv,
 };
 use faasm_net::{Fabric, HostId, Nic};
-use faasm_sched::{
-    decide, runs_warm_local, CallId, CallResult, CallSpec, Decision, Placement, SchedBoards,
-    WarmSets,
-};
+use faasm_sched::{runs_warm_local, CallId, CallResult, CallSpec, SchedBoards};
 use faasm_state::StateManager;
 use faasm_telemetry::{SpanKind, TraceCtx};
 use faasm_vfs::{HostFs, ObjectStore};
 use parking_lot::{Mutex, RwLock};
 
 use crate::cgroup::CgroupCpu;
+use crate::cluster::Placer;
 use crate::ctx::ChainRouter;
 use crate::error::CoreError;
 use crate::faaslet::{EgressLimit, Faaslet, FaasletEnv};
@@ -123,23 +122,17 @@ struct FunctionRecord {
 
 #[derive(Default)]
 struct Pool {
-    /// This host's membership of the function's global warm set: set by
-    /// the first [`FaasmInstance::pool_enter`] (even with every Faaslet
-    /// checked out, or none built yet), cleared by `evict` and
-    /// `retire_idle`, and only those transitions talk to the warm set. A
-    /// pre-staged record holds a proto without being warm.
+    /// Whether this host is warm for the function, as placement reads it
+    /// ([`FaasmInstance::idle_warmth`]): set by the first
+    /// [`FaasmInstance::pool_enter`] (even with every Faaslet checked out,
+    /// or none built yet), cleared by `evict` and by a `retire_idle` that
+    /// empties the pool. A pre-staged record holds a proto without being
+    /// warm.
     warm: bool,
     idle: Vec<Faaslet>,
 }
 
 impl FunctionRecord {
-    /// Whether this host tells the function's global warm set when it
-    /// becomes warm or cold: not for a container, which is placed without
-    /// regard to warmth.
-    fn in_warm_sets(&self) -> bool {
-        !matches!(self.def.code, GuestCode::Container(_))
-    }
-
     /// Install `proto` unless it is another upload's snapshot (or one is
     /// installed already) — the one identity check, whether the proto was
     /// captured here, fetched from the tier or pushed by a pre-stage.
@@ -173,11 +166,13 @@ pub struct FaasmInstance {
     /// Hands pre-stage manifests to the dedicated fetch thread so the bus
     /// loop never blocks on chunk round-trips.
     prestage_tx: Sender<(String, String, Vec<u8>)>,
+    /// The affinity board this host's calls report their cache hits to.
     boards: Arc<SchedBoards>,
+    /// The cluster's one chooser, which places this host's chained calls.
+    placer: Weak<Placer>,
     state: Arc<StateManager>,
     hostfs: Arc<HostFs>,
     registry: Arc<FunctionRegistry>,
-    warm: WarmSets,
     cgroup: Arc<CgroupCpu>,
     linker: Arc<Linker>,
     /// The one map keyed by `(user, function)`: this host's record of the
@@ -192,7 +187,6 @@ pub struct FaasmInstance {
     metrics: Arc<Metrics>,
     next_faaslet: AtomicU64,
     call_seq: Arc<AtomicU64>,
-    rotation: AtomicUsize,
     stop: Arc<AtomicBool>,
     /// Orders batch submits against shutdown: submitters hold a read guard
     /// across their stop-check + send, and shutdown barriers on the write
@@ -223,15 +217,16 @@ impl FaasmInstance {
     /// state cache over the global tier (`None` = every read rides the
     /// wire): when set, the instance's `SharedKv` is a [`CachedKv`] and
     /// workers feed the scheduler's state-affinity board from per-call
-    /// cache hits.
+    /// cache hits. `placer` is the cluster's chooser for chained calls.
     #[allow(clippy::too_many_arguments)]
-    pub fn start(
+    pub(crate) fn start(
         fabric: &Fabric,
         routing: &Arc<RoutingCell>,
         object_store: Arc<ObjectStore>,
         registry: Arc<FunctionRegistry>,
         call_seq: Arc<AtomicU64>,
         boards: Arc<SchedBoards>,
+        placer: Weak<Placer>,
         config: InstanceConfig,
         cache: Option<CacheConfig>,
     ) -> Arc<FaasmInstance> {
@@ -243,7 +238,7 @@ impl FaasmInstance {
         // through the function-side cache would only duplicate them.
         let tier_kv = Arc::clone(&sharded);
         // The function-side cache interposes at the backend seam: state
-        // entries, warm sets and workloads all read through it unchanged.
+        // entries and workloads all read through it unchanged.
         let (kv, cache): (SharedKv, Option<Arc<CachedKv>>) = match cache {
             Some(cc) => {
                 let cached = Arc::new(CachedKv::new(sharded, cc));
@@ -253,7 +248,6 @@ impl FaasmInstance {
         };
         let state = Arc::new(StateManager::new(Arc::clone(&kv)));
         let hostfs = HostFs::new(object_store);
-        let warm = WarmSets::new(Arc::clone(&kv));
         let (queue_tx, queue_rx) = unbounded();
         let (prestage_tx, prestage_rx) = unbounded();
         let instance = Arc::new_cyclic(|me| FaasmInstance {
@@ -266,10 +260,10 @@ impl FaasmInstance {
             snap_cache: Arc::new(SnapshotCache::new(DEFAULT_SNAPSHOT_CACHE_BYTES)),
             prestage_tx,
             boards,
+            placer,
             state,
             hostfs,
             registry,
-            warm,
             cgroup: CgroupCpu::new(CGROUP_TOLERANCE),
             linker: Arc::new(faaslet_linker()),
             records: Mutex::new(HashMap::new()),
@@ -280,7 +274,6 @@ impl FaasmInstance {
             metrics: Arc::new(Metrics::new()),
             next_faaslet: AtomicU64::new(1),
             call_seq,
-            rotation: AtomicUsize::new(0),
             stop: Arc::new(AtomicBool::new(false)),
             shutdown_gate: RwLock::new(()),
             threads: Mutex::new(Vec::new()),
@@ -418,12 +411,8 @@ impl FaasmInstance {
 
     /// Evict all warm Faaslets for a function (scale-down / tests).
     pub fn evict(&self, user: &str, function: &str) {
-        let rec = self.record(user, function);
-        if let Ok(rec) = &rec {
+        if let Ok(rec) = self.record(user, function) {
             *rec.pool.lock() = Pool::default();
-        }
-        if rec.map_or(true, |rec| rec.in_warm_sets()) {
-            let _ = self.warm.deregister(user, function, self.host_id);
         }
     }
 
@@ -438,7 +427,8 @@ impl FaasmInstance {
 
     /// Calls this host has accepted but not started executing: its run
     /// queue plus batches still on its bus. The backpressure signal read by
-    /// the local scheduler and by [`Cluster::place`](crate::Cluster::place).
+    /// a chained call's local check and by
+    /// [`Cluster::place`](crate::Cluster::place).
     pub fn queue_depth(&self) -> usize {
         self.queue_rx.len() + self.in_transit.load(Ordering::Relaxed)
     }
@@ -484,27 +474,18 @@ impl FaasmInstance {
             resolve: Mutex::new(()),
             pool: Mutex::default(),
         });
-        let stale = records.insert(key, Arc::clone(&rec));
-        drop(records);
-        if stale.is_some_and(|stale| stale.in_warm_sets() && stale.pool.lock().warm) {
-            let _ = self.warm.deregister(user, function, self.host_id);
-        }
+        records.insert(key, Arc::clone(&rec));
         Ok(rec)
     }
 
     /// Enter `faaslet` into the record's idle pool. The first entry is the
     /// moment this host counts as warm for the function — the first build
     /// claims it with no Faaslet yet, so calls placed during a cold start
-    /// follow it here instead of starting another host — and the only
-    /// moment that tells the global warm set.
+    /// follow it here instead of starting another host.
     fn pool_enter(&self, rec: &FunctionRecord, faaslet: Option<Faaslet>) {
         let mut pool = rec.pool.lock();
-        let became_warm = !std::mem::replace(&mut pool.warm, true);
+        pool.warm = true;
         pool.idle.extend(faaslet);
-        drop(pool);
-        if became_warm && rec.in_warm_sets() {
-            let _ = self.warm.register(&rec.user, &rec.function, self.host_id);
-        }
     }
 
     /// Pre-warm up to `count` Faaslets for a function into the idle pool
@@ -535,8 +516,8 @@ impl FaasmInstance {
     }
 
     /// Retire up to `count` idle Faaslets for a function from the pool (the
-    /// autoscaler's scale-down hook). Deregisters from the global warm set
-    /// when the pool empties. Returns how many were dropped.
+    /// autoscaler's scale-down hook). The host is cold for the function once
+    /// the pool empties. Returns how many were dropped.
     pub fn retire_idle(&self, user: &str, function: &str, count: usize) -> usize {
         let Ok(rec) = self.record(user, function) else {
             return 0;
@@ -545,14 +526,9 @@ impl FaasmInstance {
         let n = count.min(pool.idle.len());
         let kept = pool.idle.len() - n;
         pool.idle.truncate(kept);
-        // Retiring nothing must not deregister a host whose Faaslets are
-        // merely all busy.
-        let emptied = n > 0 && kept == 0;
-        pool.warm &= !emptied;
-        drop(pool);
-        if emptied && rec.in_warm_sets() {
-            let _ = self.warm.deregister(user, function, self.host_id);
-        }
+        // Retiring nothing must not cool a host whose Faaslets are merely
+        // all busy.
+        pool.warm &= n == 0 || kept > 0;
         n
     }
 
@@ -573,17 +549,15 @@ impl FaasmInstance {
         while !self.stop.load(Ordering::Relaxed) {
             match self.nic.recv_timeout(Duration::from_millis(20)) {
                 Ok(env) => match decode_msg(&env.payload) {
-                    // An `Invoke` on the bus is a call a peer's scheduler
-                    // shared with this host: it executes here — one hop
-                    // maximum, whatever its `forwarded` byte says.
+                    // An `Invoke` on the bus is a chained call placement
+                    // sent to this host: it executes here, whatever its
+                    // `forwarded` byte says.
                     Some(InstanceMsg::Invoke { call, reply_to, .. }) => {
                         let _ = self.queue_tx.send(QueuedCall { call, reply_to });
                     }
                     Some(InstanceMsg::Result { result }) => self.pending.fulfill(result),
                     // Batched calls were already placed by an ingress tier:
-                    // queue them all, skipping the local scheduling decision
-                    // (like forwarded calls — re-deciding would fight the
-                    // placement that chose this host).
+                    // queue them all.
                     Some(InstanceMsg::InvokeBatch {
                         calls,
                         reply_to,
@@ -634,59 +608,6 @@ impl FaasmInstance {
             });
     }
 
-    /// The local scheduling decision (§5.1), taken for chained calls.
-    fn handle_invoke(self: &Arc<Self>, call: CallSpec, reply_to: HostId) {
-        // Faaslets out on calls are not counted: the decision only ever asks
-        // for one that is warm *and* idle.
-        let idle = self.warm_count(&call.user, &call.function);
-        let depth = self.queue_depth();
-        self.boards.publish_depth(self.host_id, depth);
-        // The common case asks nobody; only a call that may need a forward
-        // target pays for the warm set (a state-tier read) and the boards.
-        if runs_warm_local(idle, idle, depth) {
-            let _ = self.queue_tx.send(QueuedCall { call, reply_to });
-            return;
-        }
-        let warm_hosts = self
-            .warm
-            .hosts(&call.user, &call.function)
-            .unwrap_or_default();
-        let peer_depths = self.boards.depths(&warm_hosts);
-        let peer_affinity = self
-            .boards
-            .affinities(&call.user, &call.function, &warm_hosts);
-        let placement = decide(&Decision {
-            this_host: self.host_id,
-            warm_local: idle,
-            idle_local: idle,
-            warm_hosts: &warm_hosts,
-            queue_depth: depth,
-            seed: self.rotation.fetch_add(1, Ordering::Relaxed),
-            peer_depths: &peer_depths,
-            peer_affinity: &peer_affinity,
-        });
-        match placement {
-            Placement::WarmLocal | Placement::ColdStartLocal => {
-                let _ = self.queue_tx.send(QueuedCall { call, reply_to });
-            }
-            Placement::Forward(other) => {
-                let msg = encode_msg(&InstanceMsg::Invoke {
-                    call: call.clone(),
-                    reply_to,
-                    forwarded: true,
-                });
-                if self.nic.send(other, msg).is_ok() {
-                    // Counted only after the send succeeds: a vanished peer
-                    // forwards nothing ("stats measured, not modelled").
-                    self.metrics.forwarded.inc();
-                } else {
-                    // Peer vanished: run it here after all.
-                    let _ = self.queue_tx.send(QueuedCall { call, reply_to });
-                }
-            }
-        }
-    }
-
     fn worker_loop(self: Arc<Self>) {
         while !self.stop.load(Ordering::Relaxed) {
             match self.queue_rx.recv_timeout(Duration::from_millis(20)) {
@@ -734,7 +655,6 @@ impl FaasmInstance {
                     .report_affinity(&q.call.user, &q.call.function, self.host_id, &touched);
             }
         }
-        self.boards.publish_depth(self.host_id, self.queue_depth());
         let exec_ns = t0.elapsed().as_nanos() as u64;
         if !exec_ctx.is_none() {
             worker_recorder().record(faasm_telemetry::SpanRecord {
@@ -1024,11 +944,9 @@ impl FaasmInstance {
         let _ = self.nic.send(reply_to, msg);
     }
 
-    /// Queue a call for execution on this instance, bypassing the local
-    /// scheduling decision — for callers that already chose this host
-    /// ([`Cluster::place`](crate::Cluster::place) scored it against its
-    /// peers; re-running `decide` here could forward the call away and
-    /// fight that placement). Await with [`ChainRouter::await_call`].
+    /// Queue a call for execution on this instance, which the caller has
+    /// already chosen: a chained call placed here, a test or a benchmark
+    /// driving one host. Await with [`ChainRouter::await_call`].
     pub fn submit_placed(&self, user: &str, function: &str, input: Vec<u8>) -> CallId {
         let call = self.new_call(user, function, input);
         let id = call.id;
@@ -1053,8 +971,8 @@ impl FaasmInstance {
     }
 
     /// Queue `calls` for execution on this instance as **one bus message**
-    /// ([`InstanceMsg::InvokeBatch`]), bypassing the local scheduling
-    /// decision like [`submit_placed`](Self::submit_placed). Each call's
+    /// ([`InstanceMsg::InvokeBatch`]), placed already like a
+    /// [`submit_placed`](Self::submit_placed) call. Each call's
     /// `on_complete` is invoked exactly once with its terminal result, from
     /// the worker that produced it — no thread parks per in-flight call, so
     /// an ingress dispatcher can return to draining immediately.
@@ -1136,30 +1054,22 @@ impl FaasmInstance {
     }
 
     /// Direct (test/benchmark) entry: run a call on this instance and wait.
-    pub fn invoke_local(
-        self: &Arc<Self>,
-        user: &str,
-        function: &str,
-        input: Vec<u8>,
-    ) -> CallResult {
-        let id = self.chain_call(user, function, input);
+    pub fn invoke_local(&self, user: &str, function: &str, input: Vec<u8>) -> CallResult {
+        let id = self.submit_placed(user, function, input);
         self.await_call(id)
     }
 
-    /// Send a call to run on `target`, its result coming back to this host
-    /// (await it with [`ChainRouter::await_call`]); with no target it fails
-    /// at once. How a container's chained call goes back through the front
-    /// door: [`Cluster::place`](crate::Cluster::place) chose the host, and
-    /// a container function's invoke is HTTP-framed.
-    pub fn chain_to(
+    /// Send a call to run on `target`'s host, [framed](frame_msg) in its
+    /// HTTP padding bytes (a container's call crosses the fabric even to
+    /// this host), its result coming back here: await it with
+    /// [`ChainRouter::await_call`]. With no target it fails at once.
+    fn chain_to(
         &self,
-        target: Option<HostId>,
+        target: Option<(HostId, usize)>,
         user: &str,
         function: &str,
         input: Vec<u8>,
     ) -> CallId {
-        let (def, _) = self.registry.get(user, function).unzip();
-        let http = def.map_or(0, |def| def.code.http_overhead());
         let call = self.new_call(user, function, input);
         let id = call.id;
         let reply_to = self.host_id;
@@ -1168,7 +1078,7 @@ impl FaasmInstance {
             reply_to,
             forwarded: true,
         };
-        if target.is_none_or(|host| self.nic.send(host, frame_msg(&msg, http)).is_err()) {
+        if target.is_none_or(|(host, http)| self.nic.send(host, frame_msg(&msg, http)).is_err()) {
             self.pending
                 .fulfill(CallResult::error(id, "no reachable instances"));
         }
@@ -1232,20 +1142,34 @@ impl FaasmInstance {
 }
 
 impl ChainRouter for FaasmInstance {
+    /// A chained call (§5.1) from a Faaslet or a container on this host. A
+    /// Faaslet's call that can run warm here — an idle Faaslet, a shallow
+    /// run queue — is queued here without asking anyone. Any other call is
+    /// placed by the cluster's one chooser: queued here when it picks this
+    /// host, sent to the host it picks otherwise. A container's call is
+    /// always placed and always crosses the fabric in its HTTP framing.
     fn chain_call(&self, user: &str, function: &str, input: Vec<u8>) -> CallId {
-        let call = self.new_call(user, function, input);
-        let id = call.id;
-        if let Some(me) = self.me.upgrade() {
-            me.handle_invoke(call, self.host_id);
-        } else {
-            // The instance is being torn down; queue locally so the call
-            // fails fast rather than vanishing.
-            let _ = self.queue_tx.send(QueuedCall {
-                call,
-                reply_to: self.host_id,
-            });
+        let container = self
+            .registry
+            .get(user, function)
+            .is_some_and(|(def, _)| matches!(def.code, GuestCode::Container(_)));
+        if !container {
+            let idle = self.warm_count(user, function);
+            if runs_warm_local(idle, idle, self.queue_depth()) {
+                return self.submit_placed(user, function, input);
+            }
         }
-        id
+        let placer = self.placer.upgrade();
+        let placed = placer.and_then(|placer| placer.place(user, function, Some(self.host_id)));
+        match placed {
+            Some((host, _)) if host.host_id == self.host_id && !container => {
+                self.submit_placed(user, function, input)
+            }
+            placed => {
+                let target = placed.map(|(host, http)| (host.host_id, http));
+                self.chain_to(target, user, function, input)
+            }
+        }
     }
 
     fn await_call(&self, id: CallId) -> CallResult {

@@ -31,8 +31,6 @@ faasm_telemetry::counters! {
         cold_starts,
         /// Proto-Faaslet restores.
         proto_restores,
-        /// Calls forwarded to other hosts.
-        forwarded,
         /// Total guest execution time in nanoseconds.
         exec_ns,
         /// Total interpreter fuel (the CPU-cycles analogue of Tab. 3).

@@ -14,16 +14,16 @@ use faasm_sched::{
 /// A message between runtime instances.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InstanceMsg {
-    /// Execute a call a peer's scheduler shared with this host; send its
-    /// result to `reply_to`. Receivers always execute it locally (§5.1
-    /// shares at most one hop); `forwarded` is kept for the wire format
-    /// and every sender sets it.
+    /// Execute a chained call that placement sent to this host; send its
+    /// result to `reply_to`. Receivers always execute it locally: the
+    /// sender's `Cluster::place` already chose this host.
     Invoke {
         /// The call to execute.
         call: CallSpec,
         /// Where the result goes.
         reply_to: HostId,
-        /// Set after one share hop.
+        /// Every sender sets it. Kept only because the wire format pins the
+        /// byte; receivers ignore it.
         forwarded: bool,
     },
     /// A completed call's result, delivered to the awaiting host.
@@ -33,8 +33,8 @@ pub enum InstanceMsg {
     },
     /// N already-placed calls in one bus message (batch-aware dispatch:
     /// the coordination cost the paper's scheduler counts is per-message,
-    /// not per-call). Batched calls skip the local scheduling decision and
-    /// execute on the receiving host, like forwarded calls.
+    /// not per-call). Like an `Invoke`, batched calls execute on the
+    /// receiving host: they were placed before they were sent.
     InvokeBatch {
         /// The calls to execute, in order.
         calls: Vec<CallSpec>,

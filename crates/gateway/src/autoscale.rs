@@ -64,7 +64,7 @@ pub fn tier_scale_wanted(ops_delta: u64, shard_count: usize, cfg: &AutoscaleConf
 
 /// Pre-warm `count` Faaslets for a function, spread one at a time across
 /// the instances best placement score first — instead of aiming the whole
-/// step at a single host, so calls the schedulers later forward also land
+/// step at a single host, so calls placed on other hosts later also land
 /// warm. The score is the scheduler's own ([`Candidate::score`]) over
 /// run-queue depth and (given `boards`) the function's hot-key affinity: a
 /// host whose state cache already holds the function's working set beats

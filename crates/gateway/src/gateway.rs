@@ -696,7 +696,7 @@ impl Inner {
             let now = Instant::now();
             // Group by placement target so each instance gets one batch
             // submit. `Cluster::place` is the only chooser; the instance
-            // skips its own `decide` for placed calls.
+            // queues placed calls as they are.
             let mut groups: HashMap<faasm_net::HostId, (Arc<FaasmInstance>, Vec<Job>)> =
                 HashMap::new();
             let mut dispatched = 0usize;
@@ -831,8 +831,8 @@ impl Inner {
                     .sum();
                 if depth > cfg.backlog_high && idle < cfg.max_warm {
                     // Spread the pre-warm step across the least-loaded
-                    // instances (affinity-weighted, pre-staged), so
-                    // forwarded calls also land warm.
+                    // instances (affinity-weighted, pre-staged), so calls
+                    // placed on other hosts also land warm.
                     let n = SCALE_STEP.min(cfg.max_warm - idle);
                     let created =
                         spread_prewarm(instances, Some(self.cluster.boards()), tenant, function, n);

@@ -1,6 +1,6 @@
 //! The routing abstraction over the global tier.
 //!
-//! Everything above the KVS (state entries, warm sets, workload drivers)
+//! Everything above the KVS (state entries, proto chunks, workload drivers)
 //! talks to the global tier through [`KvBackend`], not a concrete client.
 //! A [`KvClient`](crate::KvClient) is the single-server backend; a
 //! [`ShardedKvClient`](crate::ShardedKvClient) routes every key to exactly
@@ -27,8 +27,8 @@ pub type SharedKv = Arc<dyn KvBackend>;
 /// key is absent) and the per-key version they were observed at.
 pub type VersionedRunsResult = Result<(Option<Vec<Vec<u8>>>, u64), KvError>;
 
-/// Operations the global state tier serves (Tab. 2's state tier plus the
-/// scheduler's warm sets and counters). Every method routes on its key, so
+/// Operations the global state tier serves (Tab. 2's state tier plus sets
+/// and counters). Every method routes on its key, so
 /// a sharded backend places each key's value, locks, counters and sets on
 /// one owning shard.
 ///

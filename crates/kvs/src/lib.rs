@@ -2,10 +2,10 @@
 //!
 //! This crate is the reproduction's Redis substitute. It holds the
 //! authoritative value for every state key (§4.2), serves range
-//! reads/writes for chunked state, atomic counters, the scheduler's
-//! warm sets, and lease-based global read/write locks — everything the
-//! two-tier state architecture and the distributed scheduler need from the
-//! global tier.
+//! reads/writes for chunked state, atomic counters, sets, content-addressed
+//! proto chunks and lease-based global read/write locks — everything the
+//! two-tier state architecture and the snapshot plane need from the global
+//! tier.
 //!
 //! Structure: [`KvStore`] is the pure state machine; [`KvServer`] serves it
 //! over the `faasm-net` fabric with a hand-rolled binary codec ([`codec`]) so

@@ -1,33 +1,28 @@
-//! Shared scheduling boards: peer load and state affinity.
+//! The affinity board: state affinity, gossiped.
 //!
-//! Two gossip surfaces the local scheduling decision and the ingress tier
-//! read when choosing a host:
+//! Hosts running a function with a warm state cache report how much of the
+//! function's working set their cache served (per-call cache-hit counts
+//! from the function-side cache). Placement prefers hosts whose caches
+//! already hold the function's hot keys — state-locality scheduling: the
+//! call moves to the data, not the data to the call. A report is one call's
+//! `touch_scope` hits; the board folds only their total into the reporting
+//! host's score and keeps no keys.
 //!
-//! * **Load board** — every host publishes its run-queue depth; a
-//!   forwarding host picks the least-loaded warm peer instead of blind
-//!   rotation.
-//! * **Affinity board** — hosts running a function with a warm state cache
-//!   report how much of the function's working set their cache served
-//!   (per-call cache-hit counts from the function-side cache). Placement
-//!   prefers hosts whose caches already hold the function's hot keys —
-//!   state-locality scheduling: the call moves to the data, not the data to
-//!   the call. A report is one call's `touch_scope` hits; the board folds
-//!   only their total into the reporting host's score and keeps no keys.
-//!
-//! Both boards are advisory: scores decay as new reports fold in (an EWMA,
-//! so a host that stops serving a function fades), absent entries read as
-//! zero, and the decision's correctness never depends on board freshness.
+//! Load and warmth are not gossiped: placement reads them off each host's
+//! pool and run queue. The board is advisory: scores decay as new reports
+//! fold in (an EWMA, so a host that stops serving a function fades), absent
+//! entries read as zero, and no placement's correctness depends on board
+//! freshness.
 
 use std::collections::HashMap;
 
 use faasm_net::HostId;
 use parking_lot::RwLock;
 
-/// Shared scheduling boards — see the module docs. One per cluster,
-/// published to every instance and the ingress tier.
+/// The affinity board — see the module docs. One per cluster, shared by
+/// every instance and the ingress tier.
 #[derive(Debug, Default)]
 pub struct SchedBoards {
-    depths: RwLock<HashMap<HostId, usize>>,
     /// Per function: EWMA of per-call cache-hit weight, per host.
     affinity: RwLock<HashMap<(String, String), HashMap<HostId, u64>>>,
 }
@@ -36,21 +31,6 @@ impl SchedBoards {
     /// An empty board set.
     pub fn new() -> SchedBoards {
         SchedBoards::default()
-    }
-
-    /// Publish this host's current run-queue depth.
-    pub fn publish_depth(&self, host: HostId, depth: usize) {
-        self.depths.write().insert(host, depth);
-    }
-
-    /// Known queue depths for `hosts`, in input order (unpublished hosts
-    /// are omitted — unknown reads as zero at the decision).
-    pub fn depths(&self, hosts: &[HostId]) -> Vec<(HostId, usize)> {
-        let depths = self.depths.read();
-        hosts
-            .iter()
-            .filter_map(|h| depths.get(h).map(|&d| (*h, d)))
-            .collect()
     }
 
     /// Fold one call's cache-touch report into the function's affinity:
@@ -86,8 +66,8 @@ impl SchedBoards {
     }
 }
 
-/// `host`'s value in a slice read off a board ([`SchedBoards::depths`],
-/// [`SchedBoards::affinities`]); a host the board omitted reads as zero.
+/// `host`'s value in a slice read off the board
+/// ([`SchedBoards::affinities`]); a host the board omitted reads as zero.
 pub fn entry_for<T: Copy + Default>(entries: &[(HostId, T)], host: HostId) -> T {
     entries
         .iter()
@@ -98,19 +78,6 @@ pub fn entry_for<T: Copy + Default>(entries: &[(HostId, T)], host: HostId) -> T 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn depths_publish_and_read() {
-        let b = SchedBoards::new();
-        b.publish_depth(HostId(1), 3);
-        b.publish_depth(HostId(2), 0);
-        assert_eq!(
-            b.depths(&[HostId(1), HostId(2), HostId(9)]),
-            vec![(HostId(1), 3), (HostId(2), 0)]
-        );
-        b.publish_depth(HostId(1), 7); // latest wins
-        assert_eq!(b.depths(&[HostId(1)]), vec![(HostId(1), 7)]);
-    }
 
     #[test]
     fn affinity_accumulates_and_decays() {

@@ -5,16 +5,21 @@
 //! another warm host if one exists. If a function call is received and there
 //! are no instances with warm Faaslets, the instance that received the call
 //! creates a new Faaslet, incurring a 'cold start'."
+//!
+//! The runtime takes only the first branch, [`runs_warm_local`]: it is a
+//! chained call's one pre-check, and every other call is placed by
+//! `faasm_core::Cluster::place`'s score. [`decide`], [`Decision`] and
+//! [`Placement`] are kept only because the benchmark's `sched.decide_ns`
+//! probe names them.
 
 use faasm_net::HostId;
 
 use crate::boards::entry_for;
 use crate::score::{best, Candidate};
 
-/// Local run-queue depth beyond which a host stops accepting work it could
-/// otherwise run warm, and shares it with another warm host instead. Keeps
-/// one hot host from absorbing an entire burst while warm peers idle — the
-/// queue-depth signal the ingress tier also reads when placing batches.
+/// Local run-queue depth beyond which a chained call stops running warm on
+/// its caller's host and is placed by the score instead. Keeps one hot host
+/// from absorbing an entire fan-out while warm peers idle.
 pub const QUEUE_SHARE_THRESHOLD: usize = 8;
 
 /// Where a call should run.
@@ -38,7 +43,7 @@ pub struct Decision<'a> {
     pub warm_local: usize,
     /// Idle warm Faaslets (warm and not currently executing).
     pub idle_local: usize,
-    /// The function's warm hosts from the global tier.
+    /// The function's warm hosts (§5.1 keeps them in the global tier).
     pub warm_hosts: &'a [HostId],
     /// Depth of this host's local run queue (all functions), the
     /// backpressure signal: a warm host drowning in queued work shares
@@ -46,9 +51,8 @@ pub struct Decision<'a> {
     pub queue_depth: usize,
     /// Rotation seed for breaking ties between equally-scored peers.
     pub seed: usize,
-    /// Known run-queue depths of peers (from the load board); hosts not
-    /// listed read as depth 0. Empty when no board is wired — forwarding
-    /// then degrades to pure seed rotation.
+    /// Known run-queue depths of peers; hosts not listed read as depth 0.
+    /// Empty, forwarding degrades to pure seed rotation.
     pub peer_depths: &'a [(HostId, usize)],
     /// Known state-affinity scores of peers (from the affinity board:
     /// how much of this function's working set each host's state cache
@@ -57,8 +61,8 @@ pub struct Decision<'a> {
 }
 
 /// [`decide`]'s first branch: warm here, a Faaslet idle and the run queue
-/// shallow. It reads only the host's own pool and queue, so a scheduler
-/// can take it before resolving the warm set or the boards.
+/// shallow. It reads only the host's own pool and queue, so a chained call
+/// that passes it is queued on its caller's host without asking anyone.
 pub fn runs_warm_local(warm_local: usize, idle_local: usize, queue_depth: usize) -> bool {
     warm_local > 0 && idle_local > 0 && queue_depth < QUEUE_SHARE_THRESHOLD
 }
@@ -87,7 +91,7 @@ pub fn decide(d: &Decision<'_>) -> Placement {
             affinity: entry_for(d.peer_affinity, h),
         })
         .collect();
-    if let Some(i) = best(&candidates, d.seed) {
+    if let Some(i) = best(&candidates, d.seed, None) {
         return Placement::Forward(others[i]);
     }
     // No warm peer: run here even when deep — queueing beats failing.

@@ -1,12 +1,9 @@
-//! Omega-style distributed shared-state scheduling (§5.1).
-//!
-//! FAASM schedules without modifying the underlying platform's scheduler:
-//! each local scheduler consults the **warm sets** held in the global tier
-//! and either runs the call in a warm local Faaslet, forwards it to another
-//! warm host's **sharing queue**, or cold-starts a new Faaslet. This crate
-//! provides the pieces (call types + wire codec, warm sets, the placement
-//! decision and the one host score ([`Candidate::score`]) behind every
-//! chooser); `faasm-core` wires them to actual Faaslet pools.
+//! Scheduling pieces (§5.1): call types and their wire codec, the affinity
+//! board, and the one host score ([`Candidate::score`]) behind every
+//! placement. `faasm-core`'s `Cluster::place` ranks the live hosts with it
+//! for every call — ingress, gateway dispatch and chained calls alike —
+//! reading each host's warmth and run queue from its pool in process. A
+//! chained call that [`runs_warm_local`] on its caller's host asks nobody.
 
 #![warn(missing_docs)]
 
@@ -14,7 +11,6 @@ pub mod boards;
 pub mod decide;
 pub mod score;
 pub mod types;
-pub mod warm;
 
 pub use boards::{entry_for, SchedBoards};
 pub use decide::{decide, runs_warm_local, Decision, Placement};
@@ -26,4 +22,3 @@ pub use types::{
 // Re-exported so consumers building `CallSpec`s can name the trace context
 // without depending on the telemetry crate directly.
 pub use types::TraceCtx;
-pub use warm::WarmSets;

@@ -1,7 +1,7 @@
 //! The placement score (§5.1): the one place idle warmth, run-queue depth
-//! and state affinity are combined into a ranking of hosts. The cluster's
-//! ingress placement, [`decide`](crate::decide)'s forward target and the
-//! autoscaler's pre-warm order all rank with it.
+//! and state affinity are combined into a ranking of hosts. Every placement
+//! — ingress, gateway dispatch and chained calls — and the autoscaler's
+//! pre-warm order rank with it.
 
 use crate::decide::QUEUE_SHARE_THRESHOLD;
 
@@ -29,11 +29,12 @@ pub struct Candidate {
 const SLOT: i64 = 4;
 
 /// What being warm at all adds: a call costs such a host a local restore at
-/// worst. It is worth the queue a warm host absorbs before [`decide`]
-/// shares its calls, so a function stays on the hosts that already hold it
-/// until they are that far behind a cold one.
+/// worst. It is worth the queue a warm host absorbs before its chained
+/// calls stop running warm locally ([`runs_warm_local`]), so a function
+/// stays on the hosts that already hold it until they are that far behind
+/// a cold one.
 ///
-/// [`decide`]: crate::decide
+/// [`runs_warm_local`]: crate::runs_warm_local
 const WARM: i64 = SLOT * QUEUE_SHARE_THRESHOLD as i64;
 
 /// Log-scale an affinity score so raw hit counts cannot starve load
@@ -53,15 +54,20 @@ impl Candidate {
     }
 }
 
-/// Index of the best-scoring candidate, `seed`-rotating among equals so
-/// repeated placements spread over tied hosts. `None` when there are no
-/// candidates.
-pub fn best(candidates: &[Candidate], seed: usize) -> Option<usize> {
+/// Index of the best-scoring candidate. Among equals `prefer` wins when it
+/// is one of them — a chained call nobody is better placed for stays on
+/// its caller's host, as §5.1 cold-starts it where it was received — and
+/// otherwise `seed` rotates, so repeated placements spread over tied hosts.
+/// `None` when there are no candidates.
+pub fn best(candidates: &[Candidate], seed: usize, prefer: Option<usize>) -> Option<usize> {
     let top = candidates.iter().map(Candidate::score).max()?;
     let tied: Vec<usize> = (0..candidates.len())
         .filter(|&i| candidates[i].score() == top)
         .collect();
-    Some(tied[seed % tied.len()])
+    match prefer {
+        Some(i) if tied.contains(&i) => Some(i),
+        _ => Some(tied[seed % tied.len()]),
+    }
 }
 
 #[cfg(test)]
@@ -94,17 +100,20 @@ mod tests {
             let stranger = Candidate { idle_warm, depth, affinity: 0 };
             prop_assert!(drowning.score() < stranger.score());
             // `best` never picks a lower score, and consecutive seeds visit
-            // every tied host once before repeating.
+            // every tied host once before repeating; a preferred host wins
+            // only a tie it is part of.
             let loser = Candidate { depth: depth + worse_by, ..c };
             let mut hosts = vec![loser];
             hosts.extend(std::iter::repeat_n(c, tied));
             hosts.push(loser);
             let mut picks: Vec<usize> = (0..tied)
-                .map(|k| best(&hosts, seed.wrapping_add(k)).expect("non-empty"))
+                .map(|k| best(&hosts, seed.wrapping_add(k), None).expect("non-empty"))
                 .collect();
             picks.sort_unstable();
             prop_assert_eq!(picks, (1..=tied).collect::<Vec<_>>());
-            prop_assert_eq!(best(&[], seed), None);
+            prop_assert_eq!(best(&hosts, seed, Some(tied)), Some(tied));
+            prop_assert_eq!(best(&hosts, 0, Some(0)), Some(1));
+            prop_assert_eq!(best(&[], seed, Some(0)), None);
         }
     }
 }

@@ -166,9 +166,8 @@ fn main() {
         t.get("gateway", "retired")
     );
     println!(
-        "cluster            {} calls, {} forwarded, {:.4} GB-s billable",
+        "cluster            {} calls, {:.4} GB-s billable",
         t.get("worker", "calls"),
-        t.get("worker", "forwarded"),
         cluster.billable_gb_seconds()
     );
 }

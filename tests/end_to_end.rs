@@ -480,7 +480,7 @@ fn a_reupload_replaces_code_and_snapshot_on_the_warm_host_and_after_evict() {
     let m = host.metrics();
     assert_eq!(m.cold_starts(), 2, "one capture per upload");
     assert_eq!(m.proto_restores(), 1, "the start after evict restored");
-    assert_eq!(cluster.kv().scard("sched:warm:it:f"), Ok(1));
+    assert_eq!(host.idle_warmth("it", "f"), Some(1));
 }
 
 #[test]
@@ -621,7 +621,7 @@ fn dropping_a_stale_record_releases_its_faaslets() {
     assert_eq!(host.warm_count("it", "f"), 0, "v1's Faaslets outlived v1");
     assert!(!host.has_proto("it", "f"), "v1's proto outlived v1");
     assert!(host.host_memory_bytes() < held);
-    assert_eq!(cluster.kv().scard("sched:warm:it:f"), Ok(0));
+    assert_eq!(host.idle_warmth("it", "f"), None);
 }
 
 #[test]
