@@ -86,13 +86,13 @@ fn nussinov_init(n: usize, mem: &mut [f64]) {
     }
 }
 
-/// Compile and run a kernel in the FVM, returning the output buffer and the
-/// guest execution time.
+/// Compile `kernel` for problem size `n` on the production tier — the
+/// lowered tier `Cluster::upload_fl` compiles — and load its input buffer.
 ///
 /// # Panics
 ///
 /// Panics on FL compile errors (kernel sources are fixed test vectors).
-pub fn run_fvm(kernel: &Kernel, n: usize) -> (Vec<f64>, Duration) {
+pub fn instantiate(kernel: &Kernel, n: usize) -> Instance {
     let slots = (kernel.slots)(n);
     let bytes_needed = BASE as usize + slots * 8;
     let pages = faasm_mem::pages_for_bytes(bytes_needed) as u32 + 1;
@@ -104,7 +104,7 @@ pub fn run_fvm(kernel: &Kernel, n: usize) -> (Vec<f64>, Duration) {
         },
     )
     .unwrap_or_else(|e| panic!("{} failed to compile: {e}", kernel.name));
-    let object = ObjectModule::prepare(module)
+    let object = ObjectModule::prepare_lowered(module)
         .unwrap_or_else(|e| panic!("{} failed validation: {e}", kernel.name));
     let mut inst = Instance::new(object, &Linker::new(), Box::new(())).expect("links");
 
@@ -114,18 +114,45 @@ pub fn run_fvm(kernel: &Kernel, n: usize) -> (Vec<f64>, Duration) {
     for (i, v) in buf.iter().enumerate() {
         mem.write_f64(BASE as usize + i * 8, *v).expect("in bounds");
     }
+    inst
+}
 
+/// One guest run of a kernel.
+#[derive(Debug)]
+pub struct FvmRun {
+    /// The output buffer.
+    pub out: Vec<f64>,
+    /// Guest execution time of the `kernel` call.
+    pub elapsed: Duration,
+    /// Source instructions the call executed (its fuel).
+    pub fuel: u64,
+    /// Ops the lowered tier dispatched for it.
+    pub dispatches: u64,
+}
+
+/// Run a kernel in the FVM on the production tier (see [`instantiate`]).
+///
+/// # Panics
+///
+/// Panics on FL compile errors or a guest trap.
+pub fn run_fvm(kernel: &Kernel, n: usize) -> FvmRun {
+    let mut inst = instantiate(kernel, n);
     let t0 = Instant::now();
     inst.invoke("kernel", &[Val::I32(n as i32)])
         .unwrap_or_else(|t| panic!("{} trapped: {t}", kernel.name));
     let elapsed = t0.elapsed();
 
     let mem = inst.memory().expect("kernel module has memory");
-    let mut out = vec![0.0f64; slots];
+    let mut out = vec![0.0f64; (kernel.slots)(n)];
     for (i, v) in out.iter_mut().enumerate() {
         *v = mem.read_f64(BASE as usize + i * 8).expect("in bounds");
     }
-    (out, elapsed)
+    FvmRun {
+        out,
+        elapsed,
+        fuel: inst.fuel.consumed(),
+        dispatches: inst.instrs_retired(),
+    }
 }
 
 /// Run the native mirror, returning the output buffer and execution time.
@@ -146,7 +173,7 @@ mod tests {
 
     fn assert_outputs_match(kernel: &Kernel) {
         let n = kernel.default_n;
-        let (guest, _) = run_fvm(kernel, n);
+        let guest = run_fvm(kernel, n).out;
         let (native, _) = run_native(kernel, n);
         assert_eq!(guest.len(), native.len());
         for (i, (g, r)) in guest.iter().zip(&native).enumerate() {

@@ -1,8 +1,9 @@
 //! Runtime overhead (the paper's Fig. 9): what hosting code in a Faaslet
 //! costs over running it natively.
 //!
-//! * 9a — every Polybench kernel compiled to the FVM and run as a guest,
-//!   against its native Rust mirror.
+//! * 9a — every Polybench kernel compiled to the FVM and run as a guest on
+//!   the production (lowered) tier, against its native Rust mirror; beside
+//!   each ratio, the ops the call dispatched and the time per dispatch.
 //! * 9b — every MiniDyn program interpreted inside a Faaslet (the program
 //!   loaded from the Faaslet filesystem, through the host interface),
 //!   against the same interpreter called directly.
@@ -35,21 +36,24 @@ fn ratio(guest: Duration, native: Duration) -> f64 {
 }
 
 fn fig9a() {
-    println!("== Fig. 9a: Polybench, FVM guest vs native ==");
+    println!("== Fig. 9a: Polybench, FVM guest (lowered tier) vs native ==");
     println!(
-        "{:<14} {:>12} {:>12} {:>9}",
-        "kernel", "native", "fvm", "ratio"
+        "{:<14} {:>12} {:>12} {:>9} {:>12} {:>8}",
+        "kernel", "native", "fvm", "ratio", "dispatches", "ns/disp"
     );
     for kernel in polybench::all_kernels() {
         let n = kernel.default_n;
         let native = median3(|| polybench::run_native(&kernel, n).1);
-        let fvm = median3(|| polybench::run_fvm(&kernel, n).1);
+        let dispatches = polybench::run_fvm(&kernel, n).dispatches;
+        let fvm = median3(|| polybench::run_fvm(&kernel, n).elapsed);
         println!(
-            "{:<14} {:>12.1?} {:>12.1?} {:>8.1}x",
+            "{:<14} {:>12.1?} {:>12.1?} {:>8.1}x {:>12} {:>8.2}",
             kernel.name,
             native,
             fvm,
-            ratio(fvm, native)
+            ratio(fvm, native),
+            dispatches,
+            fvm.as_nanos() as f64 / dispatches.max(1) as f64
         );
     }
 }
