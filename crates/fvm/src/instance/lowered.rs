@@ -434,6 +434,12 @@ impl Instance {
                 r!($addr) as u32 as u64 + $offset as u64
             };
         }
+        // Scaled base + index: the wrapping i32 `a + (b << shift)`.
+        macro_rules! xa {
+            ($a:expr, $b:expr, $shift:expr) => {
+                (r!($a) as u32).wrapping_add((r!($b) as u32) << $shift) as u64
+            };
+        }
         // The whole dispatch `match`: numeric arms from the one table in
         // `num`, everything else written out.
         macro_rules! dispatch {
@@ -564,13 +570,11 @@ impl Instance {
                     Op::Load64 { dst, addr, offset } => {
                         load!(dst, ea!(addr, offset), 8, |b| u64::from_le_bytes(b))
                     }
-                    Op::Load32X { dst, a, b } => {
-                        let addr = (r!(a) as u32).wrapping_add(r!(b) as u32) as u64;
-                        load!(dst, addr, 4, |b| u32::from_le_bytes(b) as u64)
+                    Op::Load32X { dst, a, b, shift } => {
+                        load!(dst, xa!(a, b, shift), 4, |b| u32::from_le_bytes(b) as u64)
                     }
-                    Op::Load64X { dst, a, b } => {
-                        let addr = (r!(a) as u32).wrapping_add(r!(b) as u32) as u64;
-                        load!(dst, addr, 8, |b| u64::from_le_bytes(b))
+                    Op::Load64X { dst, a, b, shift } => {
+                        load!(dst, xa!(a, b, shift), 8, |b| u64::from_le_bytes(b))
                     }
                     Op::Store8 { addr, val, offset } => {
                         store!(ea!(addr, offset), 1, [r!(val) as u8])
@@ -583,6 +587,17 @@ impl Instance {
                     }
                     Op::Store64 { addr, val, offset } => {
                         store!(ea!(addr, offset), 8, r!(val).to_le_bytes())
+                    }
+                    Op::Store32X { a, b, val, shift } => {
+                        store!(xa!(a, b, shift), 4, (r!(val) as u32).to_le_bytes())
+                    }
+                    Op::Store64X { a, b, val, shift } => {
+                        store!(xa!(a, b, shift), 8, r!(val).to_le_bytes())
+                    }
+                    Op::DepthGuard => {
+                        if calls.len() + 1 >= self.max_call_depth {
+                            trap!(Trap::CallStackExhausted);
+                        }
                     }
                 }
             };

@@ -37,10 +37,31 @@
 //! * for a call's outgoing arguments,
 //! * for a constant no immediate form can hold.
 //!
-//! Two more instructions are deferred, each only when the very next
+//! Three more instructions are deferred, each only when the very next
 //! instruction consumes it: an i32 comparison (and `i32.eqz`) feeding
-//! `br_if`/`if` becomes a compare-and-branch, and an `i32.add` feeding a
-//! full-width zero-offset load becomes the load's base + index address.
+//! `br_if`/`if` becomes a compare-and-branch; an `i32.add` feeding a
+//! full-width zero-offset load — or a store whose value is a deferred entry
+//! — becomes the access's base + index address; and an `i32.mul` by 4 or 8
+//! (`i32.shl` by 2 or 3) feeding that add becomes the index's scale, a
+//! shift field of the `Load*X`/`Store*X` op. The address stays the wrapping
+//! i32 `a + (b << shift)`; no displacement is folded into an offset, whose
+//! sum does not wrap.
+//!
+//! # Loops and calls
+//!
+//! * **Bottom-tested loops.** A `br` back to a loop whose header is one
+//!   short basic block ending in a conditional branch emits a copy of the
+//!   header with the branch inverted: taken into the body, falling through
+//!   where the header's branch goes (through a `Jump` unless that is the
+//!   next op). An iteration dispatches one branch, not a `Jump` and the
+//!   header; the header runs once, on entry.
+//! * **Inlined leaves.** A `call` of a function whose lowered body is one
+//!   basic block of a few ops with no call and no variable-fuel memory op is
+//!   replaced by that body: parameters read the caller's entries in place,
+//!   the result lands where the caller wants it, and one
+//!   [`Op::DepthGuard`] keeps the call-depth trap at the call. Bodies
+//!   without calls are lowered first so their callers can inline them;
+//!   every body is still lowered once.
 //!
 //! # The fuel-equivalence contract
 //!
@@ -73,6 +94,12 @@
 //! * Variable charges (host-call flat 16, `memory.grow` 64/page,
 //!   `memory.copy`/`fill` len/8) terminate basic blocks and use the same
 //!   plain [`FuelMeter::charge`] the interpreter uses.
+//! * A copied loop header and an inlined body are ordinary ops of the block
+//!   they land in: their costs are the units of the instructions they stand
+//!   for (the `br` and the back-edge walk on the header's first op; the
+//!   `call` on the guard, the callee's entry walk on its first op, its
+//!   return as an op-less unit after it), so a trap or an exhausted limit
+//!   inside them lands where the interpreter's does.
 //!
 //! Dead code (instructions the validator types with a polymorphic stack
 //! because they can never execute) is not lowered at all: it can never
@@ -150,13 +177,20 @@ macro_rules! define_ops {
             Load32 { dst: u32, addr: u32, offset: u32 },
             Load32S64 { dst: u32, addr: u32, offset: u32 },
             Load64 { dst: u32, addr: u32, offset: u32 },
-            /// Base + index: the address is the wrapping i32 sum `a + b`.
-            Load32X { dst: u32, a: u32, b: u32 },
-            Load64X { dst: u32, a: u32, b: u32 },
+            /// Scaled base + index: the address is the wrapping i32
+            /// `a + (b << shift)`.
+            Load32X { dst: u32, a: u32, b: u32, shift: u8 },
+            Load64X { dst: u32, a: u32, b: u32, shift: u8 },
             Store8 { addr: u32, val: u32, offset: u32 },
             Store16 { addr: u32, val: u32, offset: u32 },
             Store32 { addr: u32, val: u32, offset: u32 },
             Store64 { addr: u32, val: u32, offset: u32 },
+            /// Store `val` at the wrapping i32 `a + (b << shift)`.
+            Store32X { a: u32, b: u32, val: u32, shift: u8 },
+            Store64X { a: u32, b: u32, val: u32, shift: u8 },
+            /// The depth check of an inlined call: trap exactly where the
+            /// call would have.
+            DepthGuard,
         }
 
         /// Register and (integer ops only) immediate constructors of a
@@ -232,16 +266,93 @@ macro_rules! define_ops {
                     _ => None,
                 }
             }
+
+            /// The conditional branch taken exactly when `self` is not,
+            /// along `edge`.
+            fn inverted(self, edge: u32) -> Option<Op> {
+                Some(match self {
+                    $(Op::$br { a, b, .. } => Cmp::$c.negated().branch(a, Rhs::Reg(b), edge),
+                      Op::$bri { a, imm, .. } => Cmp::$c.negated().branch(a, Rhs::Imm(imm), edge),)*
+                    Op::BrZ { cond, .. } => Op::BrNz { cond, edge },
+                    Op::BrNz { cond, .. } => Op::BrZ { cond, edge },
+                    _ => return None,
+                })
+            }
+
+            /// A numeric op with its written frame index mapped by `w` and
+            /// the ones it reads by `r`; `None` for any other op.
+            fn remap_numeric(
+                self,
+                w: &mut impl FnMut(u32) -> u32,
+                r: &mut impl FnMut(u32) -> u32,
+            ) -> Option<Op> {
+                Some(match self {
+                    $(Op::$ib { dst, a, b } => Op::$ib { a: r(a), b: r(b), dst: w(dst) },
+                      Op::$ibi { dst, a, imm } => Op::$ibi { a: r(a), imm, dst: w(dst) },)*
+                    $(Op::$it { dst, a, b } => Op::$it { a: r(a), b: r(b), dst: w(dst) },
+                      Op::$iti { dst, a, imm } => Op::$iti { a: r(a), imm, dst: w(dst) },)*
+                    $(Op::$fb { dst, a, b } => Op::$fb { a: r(a), b: r(b), dst: w(dst) },)*
+                    $(Op::$un { dst, a } => Op::$un { a: r(a), dst: w(dst) },)*
+                    $(Op::$ut { dst, a } => Op::$ut { a: r(a), dst: w(dst) },)*
+                    _ => return None,
+                })
+            }
         }
     };
 }
 
 numeric_ops!(define_ops);
 
-// The hot loop copies one op per dispatch; keep it two words.
-const _: () = assert!(std::mem::size_of::<Op>() <= 16);
+// The hot loop copies one op per dispatch; keep it two words, so that no
+// new op quietly widens every op array.
+const _: () = assert!(std::mem::size_of::<Op>() == 16);
 
 impl Op {
+    /// The op with the frame index it writes mapped by `w` and the ones it
+    /// reads by `r`; `None` for an op an inlined body does not hold:
+    /// control transfers, calls, variable-fuel memory ops, the return, and
+    /// `Select`, whose three operands need not stay adjacent.
+    fn remap(self, mut w: impl FnMut(u32) -> u32, mut r: impl FnMut(u32) -> u32) -> Option<Op> {
+        macro_rules! remap_arms {
+            (loads: $($l:ident),*; stores: $($st:ident),*; scaled_loads: $($lx:ident),*;
+             scaled_stores: $($sx:ident),*) => {
+                match self {
+                    $(Op::$l { dst, addr, offset } => Op::$l { addr: r(addr), offset, dst: w(dst) },)*
+                    $(Op::$st { addr, val, offset } => Op::$st { addr: r(addr), val: r(val), offset },)*
+                    $(Op::$lx { dst, a, b, shift } => Op::$lx { a: r(a), b: r(b), shift, dst: w(dst) },)*
+                    $(Op::$sx { a, b, val, shift } => Op::$sx { a: r(a), b: r(b), val: r(val), shift },)*
+                    Op::MemorySize { dst } => Op::MemorySize { dst: w(dst) },
+                    Op::GlobalGet { dst, idx } => Op::GlobalGet { dst: w(dst), idx },
+                    Op::GlobalSet { idx, src } => Op::GlobalSet { idx, src: r(src) },
+                    Op::Mov { dst, src } => Op::Mov { src: r(src), dst: w(dst) },
+                    Op::Const { dst, imm } => Op::Const { dst: w(dst), imm },
+                    Op::Const64 { dst, bits } => Op::Const64 { dst: w(dst), bits },
+                    op => return op.remap_numeric(&mut w, &mut r),
+                }
+            };
+        }
+        Some(remap_arms!(
+            loads: Load8U, Load8S32, Load8S64, Load16U, Load16S32, Load16S64, Load32,
+                Load32S64, Load64;
+            stores: Store8, Store16, Store32, Store64;
+            scaled_loads: Load32X, Load64X;
+            scaled_stores: Store32X, Store64X
+        ))
+    }
+
+    /// The frame index an op [`Op::remap`] takes writes, if any.
+    fn written(self) -> Option<u32> {
+        let mut written = None;
+        self.remap(
+            |d| {
+                written = Some(d);
+                d
+            },
+            |s| s,
+        );
+        written
+    }
+
     /// True for ops that end a basic block: control transfers, calls (the
     /// callee charges its own fuel) and variable-fuel memory ops.
     fn is_terminator(&self) -> bool {
@@ -326,27 +437,94 @@ impl LoweredFunc {
     }
 }
 
-/// Lower every function body of a validated module.
+/// Most ops, the return included, a callee may lower to and still be
+/// inlined at its call sites.
+const MAX_INLINE_OPS: usize = 8;
+
+/// Most ops a loop header may have for a back-edge to copy it.
+const MAX_HEADER_OPS: usize = 4;
+
+/// Lower every function body of a validated module, each exactly once.
+/// Bodies without calls go first: the straight-line ones among them are
+/// what the call sites in the other bodies inline.
 pub(crate) fn lower_module(module: &Module, ctrl: &[Vec<CtrlMeta>]) -> Vec<LoweredFunc> {
-    module
-        .funcs
+    let lower = |i: usize, leaves: &[Option<LoweredFunc>]| {
+        let mut l = Lowerer::new(module, &module.funcs[i], &ctrl[i], leaves);
+        l.scan();
+        l.finish()
+    };
+    let calls = |i: usize| {
+        module.funcs[i]
+            .body
+            .iter()
+            .any(|instr| matches!(instr, Instr::Call(_) | Instr::CallIndirect(_)))
+    };
+    let n = module.funcs.len();
+    let mut lowered: Vec<Option<LoweredFunc>> =
+        (0..n).map(|i| (!calls(i)).then(|| lower(i, &[]))).collect();
+    let leaves: Vec<Option<LoweredFunc>> = lowered
         .iter()
-        .zip(ctrl)
-        .map(|(f, meta)| {
-            let mut l = Lowerer::new(module, f, meta);
-            l.scan();
-            l.finish()
-        })
-        .collect()
+        .map(|lf| lf.as_ref().filter(|lf| inlinable(lf)).cloned())
+        .collect();
+    for (i, slot) in lowered.iter_mut().enumerate() {
+        if slot.is_none() {
+            *slot = Some(lower(i, &leaves));
+        }
+    }
+    lowered.into_iter().flatten().collect()
 }
 
-/// Full-width loads (`i32`/`f32`, `i64`/`f64`): `(is 64-bit, offset)`.
-fn full_width_load(i: &Instr) -> Option<(bool, u32)> {
-    match i {
-        Instr::I32Load(m) | Instr::F32Load(m) => Some((false, m.offset)),
-        Instr::I64Load(m) | Instr::F64Load(m) => Some((true, m.offset)),
-        _ => None,
+/// Whether a call site may inline `lf`: one basic block of at most
+/// [`MAX_INLINE_OPS`] ops ending in its return, with no call and no
+/// variable-fuel memory op, whose declared locals are written before they
+/// are read (an inlined body has no frame entry to zero them).
+fn inlinable(lf: &LoweredFunc) -> bool {
+    let Some((ret, body)) = lf.ops.split_last() else {
+        return false;
+    };
+    if lf.ops.len() > MAX_INLINE_OPS || !matches!(ret, Op::Ret { .. } | Op::RetVoid) {
+        return false;
     }
+    let mut set = vec![false; lf.frame_size as usize];
+    set[..lf.n_params as usize].fill(true);
+    for op in body {
+        let mut reads_unset = false;
+        if op
+            .remap(
+                |d| d,
+                |s| {
+                    reads_unset |= !set[s as usize];
+                    s
+                },
+            )
+            .is_none()
+            || reads_unset
+        {
+            return false;
+        }
+        if let Some(d) = op.written() {
+            set[d as usize] = true;
+        }
+    }
+    true
+}
+
+/// A full-width access (`i32`/`f32`, `i64`/`f64`) with no offset, whose
+/// address one `Load*X`/`Store*X` can compute: `(is a load, is 64-bit)`.
+fn indexed_access(i: &Instr) -> Option<(bool, bool)> {
+    let (load, wide, m) = match i {
+        Instr::I32Load(m) | Instr::F32Load(m) => (true, false, m),
+        Instr::I64Load(m) | Instr::F64Load(m) => (true, true, m),
+        Instr::I32Store(m) | Instr::F32Store(m) => (false, false, m),
+        Instr::I64Store(m) | Instr::F64Store(m) => (false, true, m),
+        _ => return None,
+    };
+    (m.offset == 0).then_some((load, wide))
+}
+
+/// Whether an entry's value is in a frame slot already.
+fn in_reg(e: &Entry) -> bool {
+    matches!(e, Entry::Canon | Entry::Local(_))
 }
 
 type MkMem = fn(u32, u32, u32) -> Op;
@@ -413,8 +591,13 @@ enum Entry {
     /// A deferred constant; `imm` is set when an integer op can take it as
     /// its sign-extended 32-bit immediate.
     Const { bits: u64, imm: Option<i32> },
-    /// A deferred `i32.add` whose only consumer is the next load.
-    Sum(u32, u32),
+    /// A deferred `i32.mul`/`i32.shl` of a register by 4 or 8 whose only
+    /// consumer is the next `i32.add`, itself deferred as a [`Entry::Sum`]:
+    /// `(index, shift)`.
+    Scaled(u32, u8),
+    /// A deferred `i32.add` whose only consumer is the next full-width
+    /// access: the address `a + (b << shift)`.
+    Sum(u32, u32, u8),
     /// A deferred i32 comparison whose only consumer is the next branch.
     Cmp { cmp: Cmp, a: u32, b: Rhs },
 }
@@ -448,6 +631,7 @@ struct Frame {
 }
 
 /// An edge whose target is resolved once the whole body has been scanned.
+#[derive(Clone, Copy)]
 struct Fixup {
     edge: u32,
     /// Walk start, in original pc space.
@@ -481,6 +665,8 @@ struct Trampoline {
 
 struct Lowerer<'a> {
     module: &'a Module,
+    /// Per local function, its lowered body if call sites inline it.
+    leaves: &'a [Option<LoweredFunc>],
     body: &'a [Instr],
     meta: &'a [CtrlMeta],
     n_params: u32,
@@ -497,13 +683,22 @@ struct Lowerer<'a> {
     max_height: u32,
     /// Fuel units of op-less instructions since the last emitted op.
     elided: u32,
+    /// Where the fall-through of a bottom-tested loop's copied header must
+    /// go, settled where the dead code after the back-edge ends.
+    exit: Option<Fixup>,
 }
 
 impl<'a> Lowerer<'a> {
-    fn new(module: &'a Module, func: &'a FuncDef, meta: &'a [CtrlMeta]) -> Lowerer<'a> {
+    fn new(
+        module: &'a Module,
+        func: &'a FuncDef,
+        meta: &'a [CtrlMeta],
+        leaves: &'a [Option<LoweredFunc>],
+    ) -> Lowerer<'a> {
         let ty = &module.types[func.type_idx as usize];
         Lowerer {
             module,
+            leaves,
             body: &func.body,
             meta,
             n_params: ty.params.len() as u32,
@@ -518,6 +713,7 @@ impl<'a> Lowerer<'a> {
             stack: Vec::new(),
             max_height: 0,
             elided: 0,
+            exit: None,
         }
     }
 
@@ -571,7 +767,7 @@ impl<'a> Lowerer<'a> {
                 Ok(imm) => Op::Const { dst, imm },
                 Err(_) => Op::Const64 { dst, bits },
             },
-            Entry::Sum(..) | Entry::Cmp { .. } => {
+            Entry::Scaled(..) | Entry::Sum(..) | Entry::Cmp { .. } => {
                 unreachable!("consumed by the instruction after it")
             }
         };
@@ -615,7 +811,7 @@ impl<'a> Lowerer<'a> {
                 self.emit_move(dst, e, pos, 0);
                 dst
             }
-            Entry::Sum(..) | Entry::Cmp { .. } => {
+            Entry::Scaled(..) | Entry::Sum(..) | Entry::Cmp { .. } => {
                 unreachable!("consumed by the instruction after it")
             }
         }
@@ -770,12 +966,13 @@ impl<'a> Lowerer<'a> {
 
     /// Dead code is never emitted; only track the frame structure so we
     /// know where liveness resumes. Returns whether it did.
-    fn skip_dead(&mut self, instr: &Instr, dead_nest: &mut u32) -> bool {
+    fn skip_dead(&mut self, pc: usize, instr: &Instr, dead_nest: &mut u32) -> bool {
         match instr {
             Instr::Block(_) | Instr::Loop(_) | Instr::If(_) => *dead_nest += 1,
             Instr::Else if *dead_nest == 0 => {
                 // The then-arm ended in a branch/return; the else-arm is
                 // still reachable via the if's false edge.
+                self.settle_exit(None);
                 let f = self.frames.last_mut().expect("validated else inside if");
                 f.in_else = true;
                 let height = f.height as usize;
@@ -799,6 +996,7 @@ impl<'a> Lowerer<'a> {
                         f.branched || f.then_fell
                     };
                     if resurrect {
+                        self.settle_exit(Some(pc + 1));
                         self.stack.truncate(f.height as usize);
                         for _ in 0..f.arity {
                             self.push(Entry::Canon);
@@ -821,7 +1019,7 @@ impl<'a> Lowerer<'a> {
         let mut dead_nest: u32 = 0;
         for (pc, instr) in body.iter().enumerate() {
             if !live {
-                live = self.skip_dead(instr, &mut dead_nest);
+                live = self.skip_dead(pc, instr, &mut dead_nest);
                 continue;
             }
             let first = self.ops.len();
@@ -830,6 +1028,7 @@ impl<'a> Lowerer<'a> {
                 self.flat_of[pc] = first as u32;
             }
         }
+        self.settle_exit(None);
         debug_assert!(self.frames.is_empty(), "validated nesting");
     }
 
@@ -898,6 +1097,7 @@ impl<'a> Lowerer<'a> {
                     return false;
                 }
             }
+            Instr::Br(d) if self.rotate(pc, *d) => return false,
             Instr::Br(d) => {
                 match self.dest(*d) {
                     Dest::Return => {
@@ -957,6 +1157,7 @@ impl<'a> Lowerer<'a> {
                 self.emit(Op::Unreachable, 1);
                 return false;
             }
+            Instr::Call(idx) if self.inline(pc, *idx) => {}
             Instr::Call(idx) => {
                 let ty = self.module.func_type(*idx).expect("validated call target");
                 let (n_args, n_results) = (ty.params.len(), ty.results.len());
@@ -1080,10 +1281,20 @@ impl<'a> Lowerer<'a> {
                 self.push(Entry::Cmp { cmp, a, b });
                 self.elided += 1;
             }
-            Instr::I32Add if self.feeds_indexed_load(pc) => {
+            Instr::I32Mul | Instr::I32Shl if self.index_scale(pc, instr).is_some() => {
+                let shift = self.index_scale(pc, instr).expect("checked by the guard");
+                self.pop();
                 let b = self.pop_reg();
+                self.push(Entry::Scaled(b, shift));
+                self.elided += 1;
+            }
+            Instr::I32Add if self.sums_an_address(pc) => {
+                let (b, shift) = match self.pop() {
+                    (Entry::Scaled(b, shift), _) => (b, shift),
+                    (e, pos) => (self.reg(e, pos), 0),
+                };
                 let a = self.pop_reg();
-                self.push(Entry::Sum(a, b));
+                self.push(Entry::Sum(a, b, shift));
                 self.elided += 1;
             }
             i => {
@@ -1108,23 +1319,47 @@ impl<'a> Lowerer<'a> {
                 } else if let Some((mk, offset)) = load_ctor(i) {
                     let (ea, pa) = self.pop();
                     // Base + index is only ever set up for a full-width
-                    // load (see `feeds_indexed_load`).
+                    // access (see `feeds_indexed_access`).
                     let addr = match ea {
-                        Entry::Sum(a, b) => Err((a, b)),
+                        Entry::Sum(a, b, shift) => Err((a, b, shift)),
                         e => Ok(self.reg(e, pa)),
                     };
                     let (dst, e) = self.dst_for(pc, pa);
-                    let op = match (addr, full_width_load(i)) {
+                    let op = match (addr, indexed_access(i)) {
                         (Ok(addr), _) => mk(dst, addr, offset),
-                        (Err((a, b)), Some((true, _))) => Op::Load64X { dst, a, b },
-                        (Err((a, b)), _) => Op::Load32X { dst, a, b },
+                        (Err((a, b, shift)), Some((_, true))) => Op::Load64X { dst, a, b, shift },
+                        (Err((a, b, shift)), _) => Op::Load32X { dst, a, b, shift },
                     };
                     self.emit(op, 1);
                     self.push(e);
                 } else if let Some((mk, offset)) = store_ctor(i) {
-                    let val = self.pop_reg();
-                    let addr = self.pop_reg();
-                    self.emit(mk(addr, val, offset), 1);
+                    let (ev, pv) = self.pop();
+                    let op = match self.pop() {
+                        (Entry::Sum(a, b, shift), _) => {
+                            // `a` and `b` are still to be added: a constant
+                            // value goes to the slot above its own, which
+                            // neither of them can be.
+                            let val = match ev {
+                                Entry::Const { .. } => {
+                                    let above = self.canon(pv + 1);
+                                    self.max_height = self.max_height.max(pv as u32 + 2);
+                                    self.emit_move(above, ev, pv, 0);
+                                    above
+                                }
+                                e => self.reg(e, pv),
+                            };
+                            if indexed_access(i) == Some((false, true)) {
+                                Op::Store64X { a, b, val, shift }
+                            } else {
+                                Op::Store32X { a, b, val, shift }
+                            }
+                        }
+                        (ea, pa) => {
+                            let val = self.reg(ev, pv);
+                            mk(self.reg(ea, pa), val, offset)
+                        }
+                    };
+                    self.emit(op, 1);
                 } else {
                     unreachable!("every instruction is lowered: {i:?}");
                 }
@@ -1151,16 +1386,54 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    /// Whether the `i32.add` at `pc` only computes the next instruction's
-    /// address: a full-width, zero-offset load, both addends in registers.
-    fn feeds_indexed_load(&self, pc: usize) -> bool {
+    /// Whether the `i32.add` at `pc` only computes the address of a
+    /// full-width, zero-offset access: the next instruction is the load,
+    /// or it pushes a deferred value (a `local.get` or a constant) and the
+    /// one after is the store.
+    fn feeds_indexed_access(&self, pc: usize) -> bool {
+        let access = |k: usize| self.body.get(pc + k).and_then(indexed_access);
+        let deferred_value = matches!(
+            self.body.get(pc + 1),
+            Some(
+                Instr::LocalGet(_)
+                    | Instr::I32Const(_)
+                    | Instr::I64Const(_)
+                    | Instr::F32Const(_)
+                    | Instr::F64Const(_)
+            )
+        );
+        matches!(access(1), Some((true, _)))
+            || (deferred_value && matches!(access(2), Some((false, _))))
+    }
+
+    /// Whether the `i32.add` at `pc` becomes the address of the access
+    /// after it: both addends in registers (the top one possibly scaled).
+    fn sums_an_address(&self, pc: usize) -> bool {
         let n = self.stack.len();
-        let in_reg = |e: &Entry| matches!(e, Entry::Canon | Entry::Local(_));
         matches!(
-            self.body.get(pc + 1).and_then(full_width_load),
-            Some((_, 0))
-        ) && in_reg(&self.stack[n - 1])
+            self.stack[n - 1],
+            Entry::Canon | Entry::Local(_) | Entry::Scaled(..)
+        ) && in_reg(&self.stack[n - 2])
+            && self.feeds_indexed_access(pc)
+    }
+
+    /// The shift of an `i32.mul` by 4 or 8 (`i32.shl` by 2 or 3) at `pc`
+    /// whose product only indexes the access after the next `i32.add`.
+    fn index_scale(&self, pc: usize, instr: &Instr) -> Option<u8> {
+        let n = self.stack.len();
+        let shift = match (instr, self.stack.last()?) {
+            (Instr::I32Mul, Entry::Const { imm: Some(4), .. })
+            | (Instr::I32Shl, Entry::Const { imm: Some(2), .. }) => 2,
+            (Instr::I32Mul, Entry::Const { imm: Some(8), .. })
+            | (Instr::I32Shl, Entry::Const { imm: Some(3), .. }) => 3,
+            _ => return None,
+        };
+        (n >= 3
             && in_reg(&self.stack[n - 2])
+            && in_reg(&self.stack[n - 3])
+            && matches!(self.body.get(pc + 1), Some(Instr::I32Add))
+            && self.feeds_indexed_access(pc + 1))
+        .then_some(shift)
     }
 
     /// Materialise a call's outgoing arguments, pop them and push its
@@ -1175,6 +1448,162 @@ impl<'a> Lowerer<'a> {
             self.push(Entry::Canon);
         }
         self.canon(base)
+    }
+
+    // ── Bottom-tested loops ────────────────────────────────────────────
+
+    /// The `br` at `pc` back to loop `d`, bottom-tested: when the loop's
+    /// header is one basic block of at most [`MAX_HEADER_OPS`] ops ending in
+    /// a conditional branch along a plain edge, emit a copy of the header
+    /// whose branch is inverted — taken into the body, falling through to
+    /// where the header's branch goes — and return true. Each iteration
+    /// then dispatches one branch instead of a `Jump` and the header.
+    ///
+    /// The copy stands for what the interpreter executes: the `br`, the
+    /// op-less instructions from the loop opener to the header (the
+    /// back-edge walk) and the header itself, so its first op carries all
+    /// their units. Its taken edge pays what the header's own fall-through
+    /// pays; its fall-through is settled by [`Lowerer::settle_exit`].
+    fn rotate(&mut self, pc: usize, d: u32) -> bool {
+        let Some(fi) = self.frames.len().checked_sub(1 + d as usize) else {
+            return false;
+        };
+        if !self.frames[fi].is_loop {
+            return false;
+        }
+        let mut head = self.frames[fi].cont_orig as usize;
+        let mut walked = 0;
+        while head < pc && self.flat_of[head] == u32::MAX {
+            walked += 1;
+            head += 1;
+        }
+        if head == pc {
+            return false;
+        }
+        let first = self.flat_of[head] as usize;
+        let Some(last) = (first..self.ops.len())
+            .take(MAX_HEADER_OPS)
+            .find(|&j| self.ops[j].op.is_terminator())
+        else {
+            return false;
+        };
+        let Some(exit) = self.ops[last]
+            .op
+            .cond_edge()
+            .and_then(|edge| self.fixups.iter().rev().find(|fx| fx.edge == edge))
+            .copied()
+        else {
+            return false;
+        };
+        for j in first..=last {
+            let p = self.ops[j];
+            let cost = if j == first {
+                1 + walked + p.cost
+            } else {
+                p.pre + p.cost
+            };
+            if j < last {
+                self.emit(p.op, cost);
+            } else {
+                let into_body = self.new_edge();
+                let op = p.op.inverted(into_body).expect("a conditional branch");
+                self.emit(op, cost);
+                self.edges[into_body as usize] = Edge {
+                    target: last as u32 + 1,
+                    extra: self.ops[last + 1].pre,
+                    ..Edge::default()
+                };
+            }
+        }
+        self.exit = Some(exit);
+        true
+    }
+
+    /// Liveness resumes after a bottom-tested loop's back-edge, at
+    /// `resume` (`None`: at an else-arm, or never). The copied header
+    /// falls through to the header branch's target only when that is where
+    /// liveness resumes, with no fuel of its own on the way; otherwise it
+    /// falls into a `Jump` there.
+    fn settle_exit(&mut self, resume: Option<usize>) {
+        if let Some(exit) = self.exit.take() {
+            if resume != Some(exit.start) || exit.bias != 0 {
+                let edge = self.edge_to(exit.start, exit.bias);
+                self.emit(Op::Jump { edge }, 0);
+            }
+        }
+    }
+
+    // ── Inlined leaf calls ─────────────────────────────────────────────
+
+    /// The `call` at `pc` of guest function `idx`, inlined when its body is
+    /// [`inlinable`]; returns whether it was.
+    ///
+    /// Each parameter binds to the caller's entry for its argument — a
+    /// local read in place, or the argument's canonical slot — unless the
+    /// body writes it, and the callee's other frame indices sit where its
+    /// frame would have started. A [`Op::DepthGuard`] carrying the call's
+    /// unit traps where the call would have; the body's ops carry their
+    /// units (the entry walk on the first) and the return's units ride the
+    /// next op, as an op-less instruction's would. The body's last op
+    /// writes the result where the caller's `local.set` wants it.
+    fn inline(&mut self, pc: usize, idx: u32) -> bool {
+        let leaves = self.leaves;
+        let Some(leaf) = idx
+            .checked_sub(self.module.imports.len() as u32)
+            .and_then(|f| leaves.get(f as usize)?.as_ref())
+        else {
+            return false;
+        };
+        let (ret, body) = leaf.ops.split_last().expect("inlinable");
+        let n_params = leaf.n_params as usize;
+        let base = self.stack.len() - n_params;
+        let frame = self.canon(base);
+        let mut own = vec![false; n_params];
+        for op in body {
+            if let Some(d) = op.written().filter(|&d| (d as usize) < n_params) {
+                own[d as usize] = true;
+            }
+        }
+        let mut bound = Vec::with_capacity(n_params);
+        for (j, own) in own.into_iter().enumerate() {
+            bound.push(match self.stack[base + j] {
+                Entry::Local(i) if !own => i,
+                _ => {
+                    self.materialise(base + j);
+                    frame + j as u32
+                }
+            });
+        }
+        self.stack.truncate(base);
+        self.max_height = self.max_height.max(base as u32 + leaf.frame_size);
+        let map = |j: u32| bound.get(j as usize).copied().unwrap_or(frame + j);
+        let result = match *ret {
+            Op::Ret { src } => Some((src, self.dst_for(pc, base))),
+            _ => None,
+        };
+        // The body's last op writes the result straight to its destination
+        // when it computes it; otherwise one move after the body.
+        let last_writes = result
+            .filter(|&(src, _)| body.last().and_then(|op| op.written()) == Some(src))
+            .map(|(_, (dst, _))| dst);
+        self.emit(Op::DepthGuard, 1);
+        for (j, op) in body.iter().enumerate() {
+            let into = last_writes.filter(|_| j + 1 == body.len());
+            let op = op
+                .remap(|d| into.unwrap_or_else(|| map(d)), map)
+                .expect("inlinable");
+            let entry_walk = if j == 0 { leaf.entry_pre() } else { 0 };
+            self.emit(op, leaf.fuel[j].cost + entry_walk);
+        }
+        if let Some((src, (dst, e))) = result {
+            if last_writes.is_none() && map(src) != dst {
+                self.emit(Op::Mov { dst, src: map(src) }, 0);
+            }
+            self.push(e);
+        }
+        let ret_fuel = leaf.fuel[body.len()];
+        self.elided += ret_fuel.cost + if body.is_empty() { ret_fuel.pre } else { 0 };
+        true
     }
 
     // ── Resolution and fuel blocks ─────────────────────────────────────
@@ -1434,7 +1863,7 @@ mod tests {
     }
 
     #[test]
-    fn while_shape_fuses_compare_and_branch() {
+    fn while_shape_is_bottom_tested() {
         // The faasm-lang while shape:
         // block; loop; local.get 0; i32.const 10; i32.lt_s; i32.eqz;
         // br_if 1; local.get 0; i32.const 1; i32.add; local.set 0;
@@ -1460,7 +1889,9 @@ mod tests {
                 End,
             ],
         );
-        // `!(x < 10)` is `x >= 10`: one compare-and-branch, no eqz.
+        // `!(x < 10)` is `x >= 10`: one compare-and-branch, no eqz. The
+        // back-edge is a copy of that header, inverted: taken back into the
+        // body, falling through to the loop exit.
         assert_eq!(
             lf.ops,
             [
@@ -1474,7 +1905,11 @@ mod tests {
                     a: 0,
                     imm: 1
                 },
-                Op::Jump { edge: 1 },
+                Op::BrLtSI {
+                    a: 0,
+                    imm: 10,
+                    edge: 1
+                },
                 Op::RetVoid,
             ]
         );
@@ -1490,12 +1925,19 @@ mod tests {
         );
         assert_eq!(lf.fuel[0].cost, 1, "the br_if itself");
         assert_eq!(lf.fuel[0].charge, 1, "a conditional ends its block");
+        assert_eq!(
+            lf.fuel[2].cost,
+            1 + 1 + 4 + 1,
+            "set, then the br, the back-edge walk and the header's br_if"
+        );
         let back = lf.edges[1];
-        assert_eq!(back.target, 0, "back to the loop head");
-        assert_eq!(back.extra, 4, "get, const, lt_s, eqz ride the back-edge");
-        // Second block: get + const on the edge in, add (1), set + br (2).
-        assert_eq!(exit.fall, 5);
-        assert_eq!(lf.fuel[1].charge, 3);
+        assert_eq!(back.target, 1, "into the body, past the header");
+        assert_eq!(back.extra, 2, "get + const, as the header's fall-through");
+        // The body block: get + const on the edge in, add (1), set + br +
+        // header (7) — one iteration of the interpreter, 10 units.
+        assert_eq!(lf.fuel[1].charge, 8);
+        assert_eq!((exit.fall, back.bulk), (10, 10));
+        assert_eq!(back.fall, 1, "out of the loop: the return");
     }
 
     #[test]
@@ -1817,7 +2259,12 @@ mod tests {
                 },
                 Op::I32Add { dst: 2, a: 2, b: 3 },
                 // i32.add + full-width zero-offset load: base + index.
-                Op::Load32X { dst: 3, a: 0, b: 1 },
+                Op::Load32X {
+                    dst: 3,
+                    a: 0,
+                    b: 1,
+                    shift: 0
+                },
                 Op::I32Add { dst: 2, a: 2, b: 3 },
                 // A narrow load keeps its add.
                 Op::I32Add { dst: 3, a: 0, b: 1 },
@@ -1837,7 +2284,12 @@ mod tests {
     fn call_arguments_are_materialised_where_the_callee_starts() {
         let mut b = ModuleBuilder::new();
         let t2 = b.sig(FuncType::new(i32s(2), i32s(1)));
-        let leaf = b.func(t2, vec![], vec![LocalGet(0), LocalGet(1), I32Add, End]);
+        // Two basic blocks, so the call stays a call.
+        let leaf = b.func(
+            t2,
+            vec![],
+            vec![LocalGet(0), LocalGet(1), I32Add, LocalGet(1), BrIf(0), End],
+        );
         b.func(
             t2,
             i32s(1),
@@ -1870,6 +2322,154 @@ mod tests {
         assert_eq!(lf.entry_pre(), 3, "the three deferred operands");
         assert_eq!(lf.fuel[0].charge, 1, "the call ends the entry block");
         assert_eq!(lf.fuel[3].charge, 4, "add, set, get, end after the call");
+    }
+
+    #[test]
+    fn straight_line_leaves_are_inlined() {
+        let mut b = ModuleBuilder::new();
+        let t2 = b.sig(FuncType::new(i32s(2), i32s(1)));
+        let t1 = b.sig(FuncType::new(i32s(1), i32s(1)));
+        // add1(a, b) = a + b + 1
+        let add1 = b.func(
+            t2,
+            vec![],
+            vec![LocalGet(0), LocalGet(1), I32Add, I32Const(1), I32Add, End],
+        );
+        // inc(a) = (a = a + 1): writes its parameter.
+        let inc = b.func(
+            t1,
+            vec![],
+            vec![
+                LocalGet(0),
+                I32Const(1),
+                I32Add,
+                LocalSet(0),
+                LocalGet(0),
+                End,
+            ],
+        );
+        // local 2 = add1(y, 9); return inc(x) + x
+        b.func(
+            t2,
+            i32s(1),
+            vec![
+                LocalGet(1),
+                I32Const(9),
+                Call(add1),
+                LocalSet(2),
+                LocalGet(0),
+                Call(inc),
+                LocalGet(0),
+                I32Add,
+                End,
+            ],
+        );
+        let obj = ObjectModule::prepare(b.build()).unwrap();
+        let lf = lower_module(&obj.module, &obj.ctrl).remove(2);
+        assert_eq!(
+            lf.ops,
+            [
+                // The constant argument needs a slot; `y` is read in place
+                // and the sum lands in local 2, where the `local.set` wants
+                // it. The callee's operand slot 0 is caller frame index 5.
+                Op::Const { dst: 4, imm: 9 },
+                Op::DepthGuard,
+                Op::I32Add { dst: 5, a: 1, b: 4 },
+                Op::I32AddI {
+                    dst: 2,
+                    a: 5,
+                    imm: 1
+                },
+                // `inc` writes its parameter: `x` is copied to the
+                // argument's own slot, which the caller's `x` never sees.
+                Op::Mov { dst: 3, src: 0 },
+                Op::DepthGuard,
+                Op::I32AddI {
+                    dst: 3,
+                    a: 3,
+                    imm: 1
+                },
+                Op::I32Add { dst: 3, a: 3, b: 0 },
+                Op::Ret { src: 3 },
+            ]
+        );
+        assert_eq!(lf.frame_size, 3 + 4, "room for add1's frame");
+        let costs: Vec<u32> = lf.fuel.iter().map(|f| f.cost).collect();
+        // get + const ride the first op; the guard is the call; the first
+        // body op carries the callee's entry walk (get, get); add1's return,
+        // the `local.set` and the `local.get` ride the next op, and inc's
+        // return (set, get, end) rides the add after it.
+        assert_eq!(lf.entry_pre(), 2);
+        assert_eq!(costs, [0, 1, 3, 2, 3, 1, 3, 5, 1]);
+        // One block: exactly the interpreter's units, the callees' included.
+        assert_eq!(lf.entry_bulk, 3 + 6 + 1 + 2 + 6 + 3);
+    }
+
+    #[test]
+    fn scaled_indices_fold_into_full_width_accesses() {
+        // p[i] = v (int), then return p[i]; q[i] = 1.5 (double), with
+        // i << 3 for the double.
+        let lf = lower_body(
+            i32s(3),
+            i32s(1),
+            vec![
+                LocalGet(0),
+                LocalGet(1),
+                I32Const(4),
+                I32Mul,
+                I32Add,
+                LocalGet(2),
+                I32Store(MemArg::zero()),
+                LocalGet(0),
+                LocalGet(1),
+                I32Const(3),
+                I32Shl,
+                I32Add,
+                F64Const(1.5),
+                F64Store(MemArg::zero()),
+                LocalGet(0),
+                LocalGet(1),
+                I32Const(4),
+                I32Mul,
+                I32Add,
+                I32Load(MemArg::zero()),
+                End,
+            ],
+        );
+        assert_eq!(
+            lf.ops,
+            [
+                Op::Store32X {
+                    a: 0,
+                    b: 1,
+                    val: 2,
+                    shift: 2
+                },
+                // The constant value goes above its own slot: the address
+                // is not added up yet.
+                Op::Const64 {
+                    dst: 5,
+                    bits: 1.5f64.to_bits()
+                },
+                Op::Store64X {
+                    a: 0,
+                    b: 1,
+                    val: 5,
+                    shift: 3
+                },
+                Op::Load32X {
+                    dst: 3,
+                    a: 0,
+                    b: 1,
+                    shift: 2
+                },
+                Op::Ret { src: 3 },
+            ]
+        );
+        let costs: Vec<u32> = lf.fuel.iter().map(|f| f.cost).collect();
+        // Each deferred mul, shl and add rides the next op emitted.
+        assert_eq!(costs, [1, 6, 1, 6, 1]);
+        assert_eq!(lf.entry_pre(), 6);
     }
 
     #[test]

@@ -86,13 +86,14 @@ fn nussinov_init(n: usize, mem: &mut [f64]) {
     }
 }
 
-/// Compile `kernel` for problem size `n` on the production tier — the
-/// lowered tier `Cluster::upload_fl` compiles — and load its input buffer.
+/// Compile and run a kernel in the FVM on the production tier — the
+/// lowered tier `Cluster::upload_fl` compiles.
 ///
 /// # Panics
 ///
-/// Panics on FL compile errors (kernel sources are fixed test vectors).
-pub fn instantiate(kernel: &Kernel, n: usize) -> Instance {
+/// Panics on FL compile errors (kernel sources are fixed test vectors) or a
+/// guest trap.
+pub fn run_fvm(kernel: &Kernel, n: usize) -> FvmRun {
     let slots = (kernel.slots)(n);
     let bytes_needed = BASE as usize + slots * 8;
     let pages = faasm_mem::pages_for_bytes(bytes_needed) as u32 + 1;
@@ -114,7 +115,23 @@ pub fn instantiate(kernel: &Kernel, n: usize) -> Instance {
     for (i, v) in buf.iter().enumerate() {
         mem.write_f64(BASE as usize + i * 8, *v).expect("in bounds");
     }
-    inst
+
+    let t0 = Instant::now();
+    inst.invoke("kernel", &[Val::I32(n as i32)])
+        .unwrap_or_else(|t| panic!("{} trapped: {t}", kernel.name));
+    let elapsed = t0.elapsed();
+
+    let mem = inst.memory().expect("kernel module has memory");
+    let mut out = vec![0.0f64; slots];
+    for (i, v) in out.iter_mut().enumerate() {
+        *v = mem.read_f64(BASE as usize + i * 8).expect("in bounds");
+    }
+    FvmRun {
+        out,
+        elapsed,
+        fuel: inst.fuel.consumed(),
+        dispatches: inst.instrs_retired(),
+    }
 }
 
 /// One guest run of a kernel.
@@ -128,31 +145,6 @@ pub struct FvmRun {
     pub fuel: u64,
     /// Ops the lowered tier dispatched for it.
     pub dispatches: u64,
-}
-
-/// Run a kernel in the FVM on the production tier (see [`instantiate`]).
-///
-/// # Panics
-///
-/// Panics on FL compile errors or a guest trap.
-pub fn run_fvm(kernel: &Kernel, n: usize) -> FvmRun {
-    let mut inst = instantiate(kernel, n);
-    let t0 = Instant::now();
-    inst.invoke("kernel", &[Val::I32(n as i32)])
-        .unwrap_or_else(|t| panic!("{} trapped: {t}", kernel.name));
-    let elapsed = t0.elapsed();
-
-    let mem = inst.memory().expect("kernel module has memory");
-    let mut out = vec![0.0f64; (kernel.slots)(n)];
-    for (i, v) in out.iter_mut().enumerate() {
-        *v = mem.read_f64(BASE as usize + i * 8).expect("in bounds");
-    }
-    FvmRun {
-        out,
-        elapsed,
-        fuel: inst.fuel.consumed(),
-        dispatches: inst.instrs_retired(),
-    }
 }
 
 /// Run the native mirror, returning the output buffer and execution time.
