@@ -44,8 +44,12 @@ fn fig9a() {
     for kernel in polybench::all_kernels() {
         let n = kernel.default_n;
         let native = median3(|| polybench::run_native(&kernel, n).1);
-        let dispatches = polybench::run_fvm(&kernel, n).dispatches;
-        let fvm = median3(|| polybench::run_fvm(&kernel, n).elapsed);
+        let mut dispatches = 0;
+        let fvm = median3(|| {
+            let run = polybench::run_fvm(&kernel, n);
+            dispatches = run.dispatches;
+            run.elapsed
+        });
         println!(
             "{:<14} {:>12.1?} {:>12.1?} {:>8.1}x {:>12} {:>8.2}",
             kernel.name,

@@ -2,12 +2,12 @@
 //! scaled addresses folded into loads and stores, straight-line leaf calls
 //! inlined — against the reference interpreter, at every fuel limit.
 //!
-//! Each case is a small-trip version of an `fvm_compute` kernel or of a
-//! Polybench stencil, run on both tiers from a fresh instance at every fuel
-//! limit from 1 to its total + 1: result or trap, consumed fuel and every
-//! byte of memory must agree at each. The depth cases call an inlined leaf
-//! exactly at the call-depth limit, and the trap cases trap inside an
-//! inlined body.
+//! Each sweep case — a small-trip version of an `fvm_compute` kernel or of
+//! a Polybench stencil, or a hand-built loop shape — runs on both tiers from
+//! a fresh instance at every fuel limit from 1 to its total + 1: result or
+//! trap, consumed fuel, globals and every byte of memory must agree at each.
+//! The depth case calls an inlined leaf exactly at the call-depth limit, and
+//! the trap cases trap inside an inlined body.
 
 use std::sync::Arc;
 
@@ -261,6 +261,45 @@ fn a_loop_headed_by_an_if_agrees_at_every_fuel_limit() {
     let case = Case::module("if-headed loop", b.build(), Vec::new());
     let out = case.sweep("count_down", &[Val::I32(4)]);
     assert_eq!(out.globals, [Val::I32(4)]);
+}
+
+#[test]
+fn an_endless_loop_agrees_at_every_fuel_limit() {
+    // loop; global 0 += 1; local.get 0; br_if 0; br 0; end; end — the
+    // header branches back to its own loop, and no code after the loop is
+    // live, so the copied header falls into a `Jump` back to the head.
+    let mut b = ModuleBuilder::new();
+    b.memory(1, 1);
+    let g = b.global(ValType::I32, true, Val::I32(0));
+    let sig = b.sig(FuncType::new(vec![ValType::I32], vec![]));
+    let f = b.func(
+        sig,
+        vec![],
+        vec![
+            Instr::Loop(BlockType::Empty),
+            Instr::GlobalGet(g),
+            Instr::I32Const(1),
+            Instr::I32Add,
+            Instr::GlobalSet(g),
+            Instr::LocalGet(0),
+            Instr::BrIf(0),
+            Instr::Br(0),
+            Instr::End,
+            Instr::End,
+        ],
+    );
+    b.export_func("spin", f);
+    let case = Case::module("endless loop", b.build(), Vec::new());
+    let depth = faasm::fvm::instance::DEFAULT_MAX_CALL_DEPTH;
+    for arg in [0, 1] {
+        for limit in 1..=100 {
+            let args = [Val::I32(arg)];
+            let interp = case.run(false, "spin", &args, FuelMeter::with_limit(limit), depth);
+            let lowered = case.run(true, "spin", &args, FuelMeter::with_limit(limit), depth);
+            assert_eq!(interp, lowered, "spin({arg}) at fuel limit {limit}");
+            assert_eq!(interp.result, Err(Trap::OutOfFuel));
+        }
+    }
 }
 
 /// A straight-line leaf, a recursion that calls it at its deepest frame,
