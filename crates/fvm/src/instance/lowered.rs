@@ -588,12 +588,6 @@ impl Instance {
                     Op::Store64 { addr, val, offset } => {
                         store!(ea!(addr, offset), 8, r!(val).to_le_bytes())
                     }
-                    Op::Store32X { a, b, val, shift } => {
-                        store!(xa!(a, b, shift), 4, (r!(val) as u32).to_le_bytes())
-                    }
-                    Op::Store64X { a, b, val, shift } => {
-                        store!(xa!(a, b, shift), 8, r!(val).to_le_bytes())
-                    }
                     Op::DepthGuard => {
                         if calls.len() + 1 >= self.max_call_depth {
                             trap!(Trap::CallStackExhausted);

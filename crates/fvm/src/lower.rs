@@ -40,10 +40,9 @@
 //! Three more instructions are deferred, each only when the very next
 //! instruction consumes it: an i32 comparison (and `i32.eqz`) feeding
 //! `br_if`/`if` becomes a compare-and-branch; an `i32.add` feeding a
-//! full-width zero-offset load — or a store whose value is a deferred entry
-//! — becomes the access's base + index address; and an `i32.mul` by 4 or 8
-//! (`i32.shl` by 2 or 3) feeding that add becomes the index's scale, a
-//! shift field of the `Load*X`/`Store*X` op. The address stays the wrapping
+//! full-width zero-offset load becomes the load's base + index address; and
+//! an `i32.mul` by 4 or 8 (`i32.shl` by 2 or 3) feeding that add becomes the
+//! index's scale, a shift field of the `Load*X` op. The address stays the wrapping
 //! i32 `a + (b << shift)`; no displacement is folded into an offset, whose
 //! sum does not wrap.
 //!
@@ -185,9 +184,6 @@ macro_rules! define_ops {
             Store16 { addr: u32, val: u32, offset: u32 },
             Store32 { addr: u32, val: u32, offset: u32 },
             Store64 { addr: u32, val: u32, offset: u32 },
-            /// Store `val` at the wrapping i32 `a + (b << shift)`.
-            Store32X { a: u32, b: u32, val: u32, shift: u8 },
-            Store64X { a: u32, b: u32, val: u32, shift: u8 },
             /// The depth check of an inlined call: trap exactly where the
             /// call would have.
             DepthGuard,
@@ -314,13 +310,11 @@ impl Op {
     /// `Select`, whose three operands need not stay adjacent.
     fn remap(self, mut w: impl FnMut(u32) -> u32, mut r: impl FnMut(u32) -> u32) -> Option<Op> {
         macro_rules! remap_arms {
-            (loads: $($l:ident),*; stores: $($st:ident),*; scaled_loads: $($lx:ident),*;
-             scaled_stores: $($sx:ident),*) => {
+            (loads: $($l:ident),*; stores: $($st:ident),*; scaled_loads: $($lx:ident),*) => {
                 match self {
                     $(Op::$l { dst, addr, offset } => Op::$l { addr: r(addr), offset, dst: w(dst) },)*
                     $(Op::$st { addr, val, offset } => Op::$st { addr: r(addr), val: r(val), offset },)*
                     $(Op::$lx { dst, a, b, shift } => Op::$lx { a: r(a), b: r(b), shift, dst: w(dst) },)*
-                    $(Op::$sx { a, b, val, shift } => Op::$sx { a: r(a), b: r(b), val: r(val), shift },)*
                     Op::MemorySize { dst } => Op::MemorySize { dst: w(dst) },
                     Op::GlobalGet { dst, idx } => Op::GlobalGet { dst: w(dst), idx },
                     Op::GlobalSet { idx, src } => Op::GlobalSet { idx, src: r(src) },
@@ -335,8 +329,7 @@ impl Op {
             loads: Load8U, Load8S32, Load8S64, Load16U, Load16S32, Load16S64, Load32,
                 Load32S64, Load64;
             stores: Store8, Store16, Store32, Store64;
-            scaled_loads: Load32X, Load64X;
-            scaled_stores: Store32X, Store64X
+            scaled_loads: Load32X, Load64X
         ))
     }
 
@@ -506,20 +499,18 @@ fn inlinable(lf: &LoweredFunc) -> bool {
             set[d as usize] = true;
         }
     }
-    true
+    !matches!(ret, Op::Ret { src } if !set[*src as usize])
 }
 
-/// A full-width access (`i32`/`f32`, `i64`/`f64`) with no offset, whose
-/// address one `Load*X`/`Store*X` can compute: `(is a load, is 64-bit)`.
-fn indexed_access(i: &Instr) -> Option<(bool, bool)> {
-    let (load, wide, m) = match i {
-        Instr::I32Load(m) | Instr::F32Load(m) => (true, false, m),
-        Instr::I64Load(m) | Instr::F64Load(m) => (true, true, m),
-        Instr::I32Store(m) | Instr::F32Store(m) => (false, false, m),
-        Instr::I64Store(m) | Instr::F64Store(m) => (false, true, m),
+/// A full-width load (`i32`/`f32`, `i64`/`f64`) with no offset, whose
+/// address one `Load32X`/`Load64X` can compute: whether it is 64-bit.
+fn indexed_load(i: &Instr) -> Option<bool> {
+    let (wide, m) = match i {
+        Instr::I32Load(m) | Instr::F32Load(m) => (false, m),
+        Instr::I64Load(m) | Instr::F64Load(m) => (true, m),
         _ => return None,
     };
-    (m.offset == 0).then_some((load, wide))
+    (m.offset == 0).then_some(wide)
 }
 
 /// Whether an entry's value is in a frame slot already.
@@ -596,7 +587,7 @@ enum Entry {
     /// `(index, shift)`.
     Scaled(u32, u8),
     /// A deferred `i32.add` whose only consumer is the next full-width
-    /// access: the address `a + (b << shift)`.
+    /// load: the address `a + (b << shift)`.
     Sum(u32, u32, u8),
     /// A deferred i32 comparison whose only consumer is the next branch.
     Cmp { cmp: Cmp, a: u32, b: Rhs },
@@ -1319,47 +1310,23 @@ impl<'a> Lowerer<'a> {
                 } else if let Some((mk, offset)) = load_ctor(i) {
                     let (ea, pa) = self.pop();
                     // Base + index is only ever set up for a full-width
-                    // access (see `feeds_indexed_access`).
+                    // load (see `feeds_indexed_load`).
                     let addr = match ea {
                         Entry::Sum(a, b, shift) => Err((a, b, shift)),
                         e => Ok(self.reg(e, pa)),
                     };
                     let (dst, e) = self.dst_for(pc, pa);
-                    let op = match (addr, indexed_access(i)) {
+                    let op = match (addr, indexed_load(i)) {
                         (Ok(addr), _) => mk(dst, addr, offset),
-                        (Err((a, b, shift)), Some((_, true))) => Op::Load64X { dst, a, b, shift },
+                        (Err((a, b, shift)), Some(true)) => Op::Load64X { dst, a, b, shift },
                         (Err((a, b, shift)), _) => Op::Load32X { dst, a, b, shift },
                     };
                     self.emit(op, 1);
                     self.push(e);
                 } else if let Some((mk, offset)) = store_ctor(i) {
-                    let (ev, pv) = self.pop();
-                    let op = match self.pop() {
-                        (Entry::Sum(a, b, shift), _) => {
-                            // `a` and `b` are still to be added: a constant
-                            // value goes to the slot above its own, which
-                            // neither of them can be.
-                            let val = match ev {
-                                Entry::Const { .. } => {
-                                    let above = self.canon(pv + 1);
-                                    self.max_height = self.max_height.max(pv as u32 + 2);
-                                    self.emit_move(above, ev, pv, 0);
-                                    above
-                                }
-                                e => self.reg(e, pv),
-                            };
-                            if indexed_access(i) == Some((false, true)) {
-                                Op::Store64X { a, b, val, shift }
-                            } else {
-                                Op::Store32X { a, b, val, shift }
-                            }
-                        }
-                        (ea, pa) => {
-                            let val = self.reg(ev, pv);
-                            mk(self.reg(ea, pa), val, offset)
-                        }
-                    };
-                    self.emit(op, 1);
+                    let val = self.pop_reg();
+                    let addr = self.pop_reg();
+                    self.emit(mk(addr, val, offset), 1);
                 } else {
                     unreachable!("every instruction is lowered: {i:?}");
                 }
@@ -1386,39 +1353,25 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    /// Whether the `i32.add` at `pc` only computes the address of a
-    /// full-width, zero-offset access: the next instruction is the load,
-    /// or it pushes a deferred value (a `local.get` or a constant) and the
-    /// one after is the store.
-    fn feeds_indexed_access(&self, pc: usize) -> bool {
-        let access = |k: usize| self.body.get(pc + k).and_then(indexed_access);
-        let deferred_value = matches!(
-            self.body.get(pc + 1),
-            Some(
-                Instr::LocalGet(_)
-                    | Instr::I32Const(_)
-                    | Instr::I64Const(_)
-                    | Instr::F32Const(_)
-                    | Instr::F64Const(_)
-            )
-        );
-        matches!(access(1), Some((true, _)))
-            || (deferred_value && matches!(access(2), Some((false, _))))
+    /// Whether the `i32.add` at `pc` only computes the address of the next
+    /// instruction, a full-width, zero-offset load.
+    fn feeds_indexed_load(&self, pc: usize) -> bool {
+        self.body.get(pc + 1).and_then(indexed_load).is_some()
     }
 
-    /// Whether the `i32.add` at `pc` becomes the address of the access
-    /// after it: both addends in registers (the top one possibly scaled).
+    /// Whether the `i32.add` at `pc` becomes the address of the load after
+    /// it: both addends in registers (the top one possibly scaled).
     fn sums_an_address(&self, pc: usize) -> bool {
         let n = self.stack.len();
         matches!(
             self.stack[n - 1],
             Entry::Canon | Entry::Local(_) | Entry::Scaled(..)
         ) && in_reg(&self.stack[n - 2])
-            && self.feeds_indexed_access(pc)
+            && self.feeds_indexed_load(pc)
     }
 
     /// The shift of an `i32.mul` by 4 or 8 (`i32.shl` by 2 or 3) at `pc`
-    /// whose product only indexes the access after the next `i32.add`.
+    /// whose product only indexes the load after the next `i32.add`.
     fn index_scale(&self, pc: usize, instr: &Instr) -> Option<u8> {
         let n = self.stack.len();
         let shift = match (instr, self.stack.last()?) {
@@ -1432,7 +1385,7 @@ impl<'a> Lowerer<'a> {
             && in_reg(&self.stack[n - 2])
             && in_reg(&self.stack[n - 3])
             && matches!(self.body.get(pc + 1), Some(Instr::I32Add))
-            && self.feeds_indexed_access(pc + 1))
+            && self.feeds_indexed_load(pc + 1))
         .then_some(shift)
     }
 
@@ -2406,11 +2359,10 @@ mod tests {
     }
 
     #[test]
-    fn scaled_indices_fold_into_full_width_accesses() {
-        // p[i] = v (int), then return p[i]; q[i] = 1.5 (double), with
-        // i << 3 for the double.
+    fn scaled_indices_fold_into_full_width_loads() {
+        // return p[i] (i32) + wrap(q[i]) (i64, the index shifted by 3)
         let lf = lower_body(
-            i32s(3),
+            i32s(2),
             i32s(1),
             vec![
                 LocalGet(0),
@@ -2418,58 +2370,43 @@ mod tests {
                 I32Const(4),
                 I32Mul,
                 I32Add,
-                LocalGet(2),
-                I32Store(MemArg::zero()),
+                I32Load(MemArg::zero()),
                 LocalGet(0),
                 LocalGet(1),
                 I32Const(3),
                 I32Shl,
                 I32Add,
-                F64Const(1.5),
-                F64Store(MemArg::zero()),
-                LocalGet(0),
-                LocalGet(1),
-                I32Const(4),
-                I32Mul,
+                I64Load(MemArg::zero()),
+                I32WrapI64,
                 I32Add,
-                I32Load(MemArg::zero()),
                 End,
             ],
         );
         assert_eq!(
             lf.ops,
             [
-                Op::Store32X {
+                Op::Load32X {
+                    dst: 2,
                     a: 0,
                     b: 1,
-                    val: 2,
                     shift: 2
                 },
-                // The constant value goes above its own slot: the address
-                // is not added up yet.
-                Op::Const64 {
-                    dst: 5,
-                    bits: 1.5f64.to_bits()
-                },
-                Op::Store64X {
-                    a: 0,
-                    b: 1,
-                    val: 5,
-                    shift: 3
-                },
-                Op::Load32X {
+                Op::Load64X {
                     dst: 3,
                     a: 0,
                     b: 1,
-                    shift: 2
+                    shift: 3
                 },
-                Op::Ret { src: 3 },
+                Op::I32WrapI64 { dst: 3, a: 3 },
+                Op::I32Add { dst: 2, a: 2, b: 3 },
+                Op::Ret { src: 2 },
             ]
         );
         let costs: Vec<u32> = lf.fuel.iter().map(|f| f.cost).collect();
-        // Each deferred mul, shl and add rides the next op emitted.
-        assert_eq!(costs, [1, 6, 1, 6, 1]);
-        assert_eq!(lf.entry_pre(), 6);
+        // Each deferred get, const, mul, shl and add rides the load after
+        // it; the first load's are the entry walk.
+        assert_eq!(costs, [1, 6, 1, 1, 1]);
+        assert_eq!(lf.entry_pre(), 5);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The lowered tier's three loop and call lowerings — bottom-tested loops,
-//! scaled addresses folded into loads and stores, straight-line leaf calls
-//! inlined — against the reference interpreter, at every fuel limit.
+//! scaled addresses folded into loads, straight-line leaf calls inlined —
+//! against the reference interpreter, at every fuel limit.
 //!
 //! Each sweep case — a small-trip version of an `fvm_compute` kernel or of
 //! a Polybench stencil, or a hand-built loop shape — runs on both tiers from
@@ -137,8 +137,8 @@ fn arith_loop_agrees_at_every_fuel_limit() {
 
 #[test]
 fn memory_loop_agrees_at_every_fuel_limit() {
-    // The last store's constant value must not land in the slot its
-    // unevaluated scaled index still occupies.
+    // Loads through a scaled index between stores of a computed value and
+    // of a constant.
     sweep_kernel(
         "memory",
         r#"
@@ -174,7 +174,7 @@ fn call_loop_agrees_at_every_fuel_limit() {
 #[test]
 fn float_loops_agree_at_every_fuel_limit() {
     // The power iteration of `fvm_compute`'s float kernel at n = 3, two
-    // rounds; `t[i] = acc` stores a local through a scaled address.
+    // rounds.
     sweep_kernel(
         "float",
         r#"
@@ -300,6 +300,21 @@ fn an_endless_loop_agrees_at_every_fuel_limit() {
             assert_eq!(interp.result, Err(Trap::OutOfFuel));
         }
     }
+}
+
+#[test]
+fn a_leaf_returning_an_unwritten_local_returns_zero() {
+    // `zero` returns a declared local it never writes: zero, whatever the
+    // caller's slot under the call last held (here `x + 1`).
+    let case = Case::fl(
+        "unwritten",
+        r#"
+        int zero() { int r; return r; }
+        int kernel(int x) { int a = (x + 1) * 2; return zero() + a; }
+        "#,
+    );
+    let out = case.sweep("kernel", &[Val::I32(20)]);
+    assert_eq!(out.result, Ok(Some(Val::I32(42))));
 }
 
 /// A straight-line leaf, a recursion that calls it at its deepest frame,
