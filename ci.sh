@@ -31,7 +31,7 @@ outside_sha_dispatch() {
     fi
 }
 
-keyed='Request::(Get|Set|GetRange|SetRange|MultiGetRange|MultiSetRange|Append|Del|Exists|StrLen|Incr|SAdd|SRem|SMembers|SCard|VersionOf|TryLock|Unlock)\b'
+keyed='Request::(Get|Set|GetRange|SetRange|MultiGetRange|MultiSetRange|Append|Del|Exists|StrLen|Incr|VersionOf|TryLock|Unlock)\b'
 
 # One gate per row: an extended regex, where it must not match, and what to
 # tell whoever brought it back. A scope is a list of files and directories
@@ -51,6 +51,16 @@ gates=(
     "$keyed"
     'crates/kvs/src/client.rs crates/kvs/src/sharded.rs crates/kvs/src/cache.rs'
     'a KvBackend client builds a keyed request; typed ops live in backend.rs'
+
+    # The wire carries only what the runtime sends: the KVS has no set
+    # value kind, and an Invoke carries no `forwarded` byte.
+    'SAdd|SRem|SMembers|SCard|Response::Values|fn (sadd|srem|smembers|scard)\b'
+    'crates@whole src@whole tests@whole examples@whole'
+    'a KVS set op or the Values reply is back; the state tier serves values, ranges, counters and locks'
+
+    'forwarded:'
+    'crates/core/src@whole'
+    'the Invoke forwarded byte is back; every Invoke executes where placement sent it'
 
     # One front door, one placement scorer.
     'forwarded: false|fn pick_instance|gateway-bus|DEPTH_WEIGHT'

@@ -550,9 +550,8 @@ impl FaasmInstance {
             match self.nic.recv_timeout(Duration::from_millis(20)) {
                 Ok(env) => match decode_msg(&env.payload) {
                     // An `Invoke` on the bus is a chained call placement
-                    // sent to this host: it executes here, whatever its
-                    // `forwarded` byte says.
-                    Some(InstanceMsg::Invoke { call, reply_to, .. }) => {
+                    // sent to this host: it executes here.
+                    Some(InstanceMsg::Invoke { call, reply_to }) => {
                         let _ = self.queue_tx.send(QueuedCall { call, reply_to });
                     }
                     Some(InstanceMsg::Result { result }) => self.pending.fulfill(result),
@@ -1073,11 +1072,7 @@ impl FaasmInstance {
         let call = self.new_call(user, function, input);
         let id = call.id;
         let reply_to = self.host_id;
-        let msg = InstanceMsg::Invoke {
-            call,
-            reply_to,
-            forwarded: true,
-        };
+        let msg = InstanceMsg::Invoke { call, reply_to };
         if target.is_none_or(|(host, http)| self.nic.send(host, frame_msg(&msg, http)).is_err()) {
             self.pending
                 .fulfill(CallResult::error(id, "no reachable instances"));
@@ -1114,7 +1109,7 @@ impl FaasmInstance {
         }
         while let Some(env) = self.nic.try_recv() {
             match decode_msg(&env.payload) {
-                Some(InstanceMsg::Invoke { call, reply_to, .. }) => {
+                Some(InstanceMsg::Invoke { call, reply_to }) => {
                     self.deliver(
                         CallResult::error(call.id, "runtime shutting down"),
                         reply_to,

@@ -22,9 +22,6 @@ pub enum InstanceMsg {
         call: CallSpec,
         /// Where the result goes.
         reply_to: HostId,
-        /// Every sender sets it. Kept only because the wire format pins the
-        /// byte; receivers ignore it.
-        forwarded: bool,
     },
     /// A completed call's result, delivered to the awaiting host.
     Result {
@@ -66,14 +63,9 @@ pub enum InstanceMsg {
 pub fn encode_msg(msg: &InstanceMsg) -> Vec<u8> {
     let mut out = Vec::new();
     match msg {
-        InstanceMsg::Invoke {
-            call,
-            reply_to,
-            forwarded,
-        } => {
+        InstanceMsg::Invoke { call, reply_to } => {
             put_u8(&mut out, 0);
             put_u32(&mut out, reply_to.0);
-            put_u8(&mut out, *forwarded as u8);
             encode_call_into(&mut out, call);
         }
         InstanceMsg::Result { result } => {
@@ -147,11 +139,9 @@ fn read_msg(r: &mut Reader<'_>) -> Result<InstanceMsg, WireError> {
     Ok(match r.u8()? {
         0 => {
             let reply_to = HostId(r.u32()?);
-            let forwarded = r.u8()? != 0;
             InstanceMsg::Invoke {
                 call: read_call(r)?,
                 reply_to,
-                forwarded,
             }
         }
         1 => InstanceMsg::Result {
@@ -195,7 +185,6 @@ mod tests {
                 },
             },
             reply_to: HostId(3),
-            forwarded: true,
         };
         assert_eq!(decode_msg(&encode_msg(&msg)), Some(msg));
     }

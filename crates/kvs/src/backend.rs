@@ -27,10 +27,9 @@ pub type SharedKv = Arc<dyn KvBackend>;
 /// key is absent) and the per-key version they were observed at.
 pub type VersionedRunsResult = Result<(Option<Vec<Vec<u8>>>, u64), KvError>;
 
-/// Operations the global state tier serves (Tab. 2's state tier plus sets
-/// and counters). Every method routes on its key, so
-/// a sharded backend places each key's value, locks, counters and sets on
-/// one owning shard.
+/// Operations the global state tier serves (Tab. 2's state tier plus
+/// counters). Every method routes on its key, so a sharded backend places
+/// each key's value, locks and counters on one owning shard.
 ///
 /// A backend implements [`call`](KvBackend::call),
 /// [`lock_owner`](KvBackend::lock_owner), [`ping`](KvBackend::ping) and
@@ -163,56 +162,6 @@ pub trait KvBackend: Send + Sync {
     /// Returns [`KvError`] on network/server failure.
     fn incr(&self, key: &str, delta: i64) -> Result<i64, KvError> {
         Ok(self.incr_versioned(key, delta)?.0)
-    }
-
-    /// Add a set member; returns true if newly added.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    fn sadd(&self, key: &str, member: &[u8]) -> Result<bool, KvError> {
-        let (key, member) = (key.into(), member.to_vec());
-        match self.call(&Request::SAdd { key, member })?.0 {
-            Response::Bool(b) => Ok(b),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Remove a set member; returns true if it was present.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    fn srem(&self, key: &str, member: &[u8]) -> Result<bool, KvError> {
-        let (key, member) = (key.into(), member.to_vec());
-        match self.call(&Request::SRem { key, member })?.0 {
-            Response::Bool(b) => Ok(b),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// List set members.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    fn smembers(&self, key: &str) -> Result<Vec<Vec<u8>>, KvError> {
-        match self.call(&Request::SMembers { key: key.into() })?.0 {
-            Response::Values(v) => Ok(v),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Set cardinality.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    fn scard(&self, key: &str) -> Result<u64, KvError> {
-        match self.call(&Request::SCard { key: key.into() })?.0 {
-            Response::Len(n) => Ok(n),
-            _ => Err(KvError::Protocol),
-        }
     }
 
     /// Try to acquire a global lock once.
@@ -609,40 +558,6 @@ mod tests {
                 twin: None,
             },
             Row {
-                name: "sadd",
-                want: Request::SAdd {
-                    key: k(),
-                    member: b"m".to_vec(),
-                },
-                good: Response::Bool(true),
-                op: |b| plain(b.sadd("k", b"m")),
-                twin: None,
-            },
-            Row {
-                name: "srem",
-                want: Request::SRem {
-                    key: k(),
-                    member: b"m".to_vec(),
-                },
-                good: Response::Bool(true),
-                op: |b| plain(b.srem("k", b"m")),
-                twin: None,
-            },
-            Row {
-                name: "smembers",
-                want: Request::SMembers { key: k() },
-                good: Response::Values(vec![b"m".to_vec()]),
-                op: |b| plain(b.smembers("k")),
-                twin: None,
-            },
-            Row {
-                name: "scard",
-                want: Request::SCard { key: k() },
-                good: Response::Len(1),
-                op: |b| plain(b.scard("k")),
-                twin: None,
-            },
-            Row {
                 name: "version_of",
                 want: Request::VersionOf { key: k() },
                 good: Response::Len(12),
@@ -683,7 +598,6 @@ mod tests {
             Response::Len(1),
             Response::Int(1),
             Response::Bool(true),
-            Response::Values(Vec::new()),
             Response::Spans(None),
             Response::Pong,
             Response::MultiValues(Vec::new()),

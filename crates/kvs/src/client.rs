@@ -408,10 +408,6 @@ mod tests {
         assert_eq!(c.append("k", b"!".to_vec()).unwrap(), 6);
         assert!(c.exists("k").unwrap());
         assert_eq!(c.incr("n", 7).unwrap(), 7);
-        assert!(c.sadd("s", b"a").unwrap());
-        assert_eq!(c.scard("s").unwrap(), 1);
-        assert_eq!(c.smembers("s").unwrap(), vec![b"a".to_vec()]);
-        assert!(c.srem("s", b"a").unwrap());
         assert!(c.del("k").unwrap());
         c.flush().unwrap();
         server.shutdown();

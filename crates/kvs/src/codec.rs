@@ -277,7 +277,6 @@ macro_rules! wire_struct {
 wire_struct!(KeyMigration {
     key: String,
     value: Option<Vec<u8>>,
-    set: Vec<Vec<u8>>,
     lock: Option<LockMigration>,
     version: u64,
 });
@@ -523,30 +522,6 @@ messages! {
             /// Signed delta.
             delta: i64,
         } keyed mutates,
-        /// Add a set member.
-        9 => SAdd {
-            /// Set key.
-            key: String,
-            /// Member bytes.
-            member: Vec<u8>,
-        } keyed mutates,
-        /// Remove a set member.
-        10 => SRem {
-            /// Set key.
-            key: String,
-            /// Member bytes.
-            member: Vec<u8>,
-        } keyed mutates,
-        /// List set members.
-        11 => SMembers {
-            /// Set key.
-            key: String,
-        } keyed,
-        /// Set cardinality.
-        12 => SCard {
-            /// Set key.
-            key: String,
-        } keyed,
         /// Try to acquire a global lock.
         13 => TryLock {
             /// State key.
@@ -599,8 +574,8 @@ messages! {
             /// The shard count of the new routing table.
             shard_count: u64,
         },
-        /// Install migrated key state on the receiving shard (values, set
-        /// members, counters-as-values and lock state with owners preserved).
+        /// Install migrated key state on the receiving shard (values,
+        /// counters-as-values and lock state with owners preserved).
         21 => Handoff {
             /// The moving keys' exported state.
             entries: Vec<KeyMigration>,
@@ -622,7 +597,7 @@ messages! {
             hosts: Vec<u32>,
         },
         /// Primary → backup state shipping: install the full exported state of
-        /// the carried keys (an entry with no value, members or lock deletes
+        /// the carried keys (an entry with no value or lock deletes
         /// the key). Shard-addressed — backups accept it even for keys they
         /// are not primary for.
         23 => Replicate {
@@ -676,14 +651,12 @@ messages! {
     pub enum Response {
         /// Success with no payload.
         2 => Ok,
-        /// A length or cardinality.
+        /// A length, or a key's version.
         3 => Len(n: u64),
         /// A counter value.
         4 => Int(n: i64),
         /// A boolean outcome.
         5 => Bool(outcome: bool),
-        /// A list of values.
-        6 => Values(values: Vec<Vec<u8>>),
         /// Reply to [`Request::Ping`].
         7 => Pong,
         /// Server-side failure.
@@ -884,16 +857,6 @@ mod tests {
                 key: "k".into(),
                 delta: -3,
             },
-            Request::SAdd {
-                key: "s".into(),
-                member: b"m".to_vec(),
-            },
-            Request::SRem {
-                key: "s".into(),
-                member: b"m".to_vec(),
-            },
-            Request::SMembers { key: "s".into() },
-            Request::SCard { key: "s".into() },
             Request::TryLock {
                 key: "k".into(),
                 mode: LockMode::Read,
@@ -991,14 +954,12 @@ mod tests {
             KeyMigration {
                 key: "plain".into(),
                 value: Some(b"v".to_vec()),
-                set: Vec::new(),
                 lock: None,
                 version: 3,
             },
             KeyMigration {
                 key: "locked".into(),
                 value: None,
-                set: vec![b"m1".to_vec(), Vec::new()],
                 lock: Some(LockMigration::Writer {
                     owner: 42,
                     remaining_ms: 1000,
@@ -1008,7 +969,6 @@ mod tests {
             KeyMigration {
                 key: "readers".into(),
                 value: Some(Vec::new()),
-                set: Vec::new(),
                 lock: Some(LockMigration::Readers(vec![(1, 10), (2, 20)])),
                 version: u64::MAX,
             },
@@ -1024,7 +984,6 @@ mod tests {
             Response::Int(-1),
             Response::Bool(true),
             Response::Bool(false),
-            Response::Values(vec![b"a".to_vec(), b"bb".to_vec()]),
             Response::Pong,
             Response::Err("boom".into()),
             Response::Spans(None),
@@ -1190,9 +1149,6 @@ mod tests {
         let mut bytes = vec![10u8];
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_response(&bytes).is_err());
-        // Values response likewise: these five bytes used to abort the
-        // process inside `Vec::with_capacity`.
-        assert!(decode_response(&[6, 0xFF, 0xFF, 0xFF, 0xFF]).is_err());
         // Handoff with a hostile entry count.
         let mut bytes = raw_request(21);
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
@@ -1236,7 +1192,6 @@ mod tests {
             entries: vec![KeyMigration {
                 key: "k".into(),
                 value: None,
-                set: Vec::new(),
                 lock: Some(LockMigration::Readers(vec![(1, 1)])),
                 version: 0,
             }],

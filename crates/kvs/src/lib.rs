@@ -2,7 +2,7 @@
 //!
 //! This crate is the reproduction's Redis substitute. It holds the
 //! authoritative value for every state key (§4.2), serves range
-//! reads/writes for chunked state, atomic counters, sets, content-addressed
+//! reads/writes for chunked state, atomic counters, content-addressed
 //! proto chunks and lease-based global read/write locks — everything the
 //! two-tier state architecture and the snapshot plane need from the global
 //! tier.

@@ -8,7 +8,7 @@
 //!    new_count}`: it atomically switches its ownership check to the new
 //!    table (in-flight and future operations on *moving* keys answer
 //!    `WrongEpoch` and are retried by clients), then exports exactly the
-//!    moving keys — values, counters, sets and lock state with owners and
+//!    moving keys — values, counters and lock state with owners and
 //!    remaining leases intact. The freeze-and-export runs behind the
 //!    shard's serving gate, so all of the donor's keyed traffic pauses
 //!    for the export snapshot itself; outside that snapshot, non-moving
@@ -426,7 +426,6 @@ mod tests {
         for (i, key) in keys.iter().enumerate() {
             client.set(key, vec![i as u8; 8]).unwrap();
             client.incr(&format!("{key}:ctr"), i as i64).unwrap();
-            client.sadd(&format!("{key}:set"), key.as_bytes()).unwrap();
         }
 
         let newcomer = joining_shard(&fabric, &cell);
@@ -438,7 +437,6 @@ mod tests {
         for (i, key) in keys.iter().enumerate() {
             assert_eq!(client.get(key).unwrap(), Some(vec![i as u8; 8]), "{key}");
             assert_eq!(client.incr(&format!("{key}:ctr"), 0).unwrap(), i as i64);
-            assert_eq!(client.scard(&format!("{key}:set")).unwrap(), 1);
         }
         // …and each key lives on exactly its new owner shard (no wrong-shard
         // copies left behind, no gratuitous movement beyond the delta).

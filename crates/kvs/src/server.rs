@@ -491,16 +491,6 @@ pub fn apply(store: &KvStore, req: Request) -> Response {
             let (n, v) = store.incr(&key, delta);
             versioned(v, Response::Int(n))
         }
-        Request::SAdd { key, member } => {
-            let (added, v) = store.sadd(&key, &member);
-            versioned(v, Response::Bool(added))
-        }
-        Request::SRem { key, member } => {
-            let (removed, v) = store.srem(&key, &member);
-            versioned(v, Response::Bool(removed))
-        }
-        Request::SMembers { key } => Response::Values(store.smembers(&key)),
-        Request::SCard { key } => Response::Len(store.scard(&key) as u64),
         Request::TryLock { key, mode, owner } => Response::Bool(store.try_lock(&key, mode, owner)),
         Request::Unlock { key, mode, owner } => {
             store.unlock(&key, mode, owner);
@@ -595,7 +585,6 @@ fn forward_replicas(
         entries.push(KeyMigration {
             key: key.to_string(),
             value: None,
-            set: Vec::new(),
             lock: None,
             version: store.version_of(key),
         });
@@ -651,7 +640,7 @@ fn rebuild_replicas(
     // Group this shard's primary keys by (gained member, stripe) so each
     // group re-exports and ships under one stripe lock.
     let mut groups: HashMap<(usize, usize), HashSet<String>> = HashMap::new();
-    for (key, _) in store.key_sizes() {
+    for key in store.keys() {
         let cur_set = replica_set_live(&key, count, &dead, r);
         if cur_set.first() != Some(&index) {
             continue;
@@ -698,10 +687,10 @@ fn shard_stats(store: &KvStore, routing: Option<&ShardRouting>) -> ShardStats {
     stats.epoch = cur.epoch;
     stats.replication = routing.replication as u64;
     if routing.replication > 1 {
-        let held = store.key_sizes();
+        let held = store.keys();
         stats.primary_keys = held
             .iter()
-            .filter(|(key, _)| primary_index_live(key, cur.shard_count, &cur.dead) == index)
+            .filter(|key| primary_index_live(key, cur.shard_count, &cur.dead) == index)
             .count() as u64;
         stats.backup_keys = held.len() as u64 - stats.primary_keys;
     }
@@ -954,25 +943,6 @@ mod tests {
                     delta: 2,
                 },
                 v(1, Response::Int(2)),
-            ),
-            (
-                Request::SAdd {
-                    key: "s".into(),
-                    member: b"m".to_vec(),
-                },
-                v(1, Response::Bool(true)),
-            ),
-            (Request::SCard { key: "s".into() }, Response::Len(1)),
-            (
-                Request::SMembers { key: "s".into() },
-                Response::Values(vec![b"m".to_vec()]),
-            ),
-            (
-                Request::SRem {
-                    key: "s".into(),
-                    member: b"m".to_vec(),
-                },
-                v(2, Response::Bool(true)),
             ),
             (
                 Request::TryLock {

@@ -689,10 +689,6 @@ mod tests {
         assert_eq!(c.append("k", b"!".to_vec()).unwrap(), 3);
         assert!(c.exists("k").unwrap());
         assert_eq!(c.incr("n", 2).unwrap(), 2);
-        assert!(c.sadd("s", b"m").unwrap());
-        assert_eq!(c.scard("s").unwrap(), 1);
-        assert_eq!(c.smembers("s").unwrap(), vec![b"m".to_vec()]);
-        assert!(c.srem("s", b"m").unwrap());
         c.multi_set_range("mk", [(0, b"ab"), (4, b"cd")].into_iter().collect())
             .unwrap();
         assert_eq!(
@@ -709,7 +705,6 @@ mod tests {
         for key in ["alpha", "mm:C", "sched:warm:u:f", "ctr:9"] {
             let owner = c.shard_index(key);
             c.set(key, b"v".to_vec()).unwrap();
-            c.sadd(key, b"m").unwrap();
             // The counter is its own key with its own owner shard.
             let ctr = format!("{key}:n");
             c.incr(&ctr, 1).unwrap();
@@ -723,20 +718,16 @@ mod tests {
             assert!(c.try_lock(key, LockMode::Write).unwrap());
             for (i, store) in stores.iter().enumerate() {
                 let holds_value = store.exists(key);
-                let holds_set = store.scard(key) > 0;
                 // The write lock is held, so only the owner can be blocked.
                 let lock_free = store.try_lock(key, LockMode::Write, u64::MAX);
                 if lock_free {
                     store.unlock(key, LockMode::Write, u64::MAX);
                 }
                 if i == owner {
-                    assert!(holds_value && holds_set, "owner shard {i} must hold {key}");
+                    assert!(holds_value, "owner shard {i} must hold {key}");
                     assert!(!lock_free, "owner shard {i} must hold the lock on {key}");
                 } else {
-                    assert!(
-                        !holds_value && !holds_set && lock_free,
-                        "shard {i} must not see {key}"
-                    );
+                    assert!(!holds_value && lock_free, "shard {i} must not see {key}");
                 }
             }
             c.unlock(key, LockMode::Write).unwrap();

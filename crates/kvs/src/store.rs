@@ -1,4 +1,4 @@
-//! The KVS state machine: sharded maps, range operations, counters, sets and
+//! The KVS state machine: sharded maps, range operations, counters and
 //! lease-based global read/write locks.
 //!
 //! This is the authoritative global tier of the two-tier state architecture
@@ -34,7 +34,6 @@ enum LockState {
 #[derive(Debug, Default)]
 struct Shard {
     values: HashMap<String, Vec<u8>>,
-    sets: HashMap<String, HashSet<Vec<u8>>>,
     locks: HashMap<String, LockState>,
     /// Per-key mutation counters: bumped once per mutating op, under the
     /// same stripe lock as the mutation itself, so the version a caller is
@@ -77,17 +76,15 @@ pub enum LockMigration {
 }
 
 /// One key's complete state as it moves between shards during resharding:
-/// value bytes, set members, lock state (with owners preserved) and the
-/// per-key version counter (merged max-wise on import, so versions never
-/// regress across migration, replication or failover promotion).
+/// value bytes, lock state (with owners preserved) and the per-key version
+/// counter (merged max-wise on import, so versions never regress across
+/// migration, replication or failover promotion).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyMigration {
     /// The state key.
     pub key: String,
     /// Value bytes, if the key holds a value.
     pub value: Option<Vec<u8>>,
-    /// Set members, if the key holds a set (empty = no set).
-    pub set: Vec<Vec<u8>>,
     /// Live (unexpired) lock state, if any.
     pub lock: Option<LockMigration>,
     /// The key's mutation-version counter at export time.
@@ -102,7 +99,7 @@ faasm_telemetry::counters! {
     pub struct ShardCounters => ShardStats {
         /// Read-side ops served (gets, range/batched reads, membership probes).
         reads,
-        /// Write-side ops served (sets, range/batched writes, counters, sets).
+        /// Write-side ops served (sets, range/batched writes, counters).
         writes,
         /// Lock ops served (try_lock / unlock).
         lock_ops,
@@ -382,48 +379,6 @@ impl KvStore {
         (next, shard.bump(key))
     }
 
-    /// Add a member to a set; returns true if newly added (warm-set
-    /// registration for the scheduler, §5.1), plus the new version.
-    pub fn sadd(&self, key: &str, member: &[u8]) -> (bool, u64) {
-        self.count_write();
-        let mut shard = self.shard(key).lock();
-        let added = shard
-            .sets
-            .entry(key.to_string())
-            .or_default()
-            .insert(member.to_vec());
-        (added, shard.bump(key))
-    }
-
-    /// Remove a member from a set; returns true if it was present, plus the
-    /// new version.
-    pub fn srem(&self, key: &str, member: &[u8]) -> (bool, u64) {
-        self.count_write();
-        let mut shard = self.shard(key).lock();
-        let removed = shard.sets.get_mut(key).is_some_and(|s| s.remove(member));
-        (removed, shard.bump(key))
-    }
-
-    /// All members of a set (sorted for determinism).
-    pub fn smembers(&self, key: &str) -> Vec<Vec<u8>> {
-        self.count_read();
-        let mut out: Vec<Vec<u8>> = self
-            .shard(key)
-            .lock()
-            .sets
-            .get(key)
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default();
-        out.sort();
-        out
-    }
-
-    /// Set cardinality.
-    pub fn scard(&self, key: &str) -> usize {
-        self.count_read();
-        self.shard(key).lock().sets.get(key).map_or(0, HashSet::len)
-    }
-
     /// Try to acquire a global lock; `owner` is a caller-chosen token used
     /// to release and to make re-acquisition idempotent.
     pub fn try_lock(&self, key: &str, mode: LockMode, owner: u64) -> bool {
@@ -526,7 +481,6 @@ impl KvStore {
         for shard in &self.shards {
             let mut s = shard.lock();
             s.values.clear();
-            s.sets.clear();
             s.locks.clear();
             s.versions.clear();
         }
@@ -545,26 +499,13 @@ impl KvStore {
         self.shards.iter().map(|s| s.lock().values.len()).sum()
     }
 
-    /// Every distinct key with its value size in bytes (0 for keys holding
-    /// only a set or a lock) — the per-key enumeration a migration planner
-    /// snapshots to *preview* a reshard (pair it with
-    /// [`rendezvous_delta`](crate::rendezvous_delta) to see exactly which
-    /// keys and how many bytes an epoch change would move). The migration
-    /// itself exports by predicate ([`KvStore::export_keys`]) and never
-    /// needs the full listing.
-    pub fn key_sizes(&self) -> Vec<(String, u64)> {
-        let mut out: HashMap<String, u64> = HashMap::new();
+    /// Every distinct key holding a value or a lock, in no particular order.
+    pub fn keys(&self) -> Vec<String> {
+        let mut out: HashSet<String> = HashSet::new();
         for shard in &self.shards {
             let s = shard.lock();
-            for (k, v) in &s.values {
-                out.insert(k.clone(), v.len() as u64);
-            }
-            for k in s.sets.keys() {
-                out.entry(k.clone()).or_insert(0);
-            }
-            for k in s.locks.keys() {
-                out.entry(k.clone()).or_insert(0);
-            }
+            out.extend(s.values.keys().cloned());
+            out.extend(s.locks.keys().cloned());
         }
         out.into_iter().collect()
     }
@@ -582,18 +523,17 @@ impl KvStore {
         }
     }
 
-    /// Export the complete state (value, set members, live lock with its
-    /// owners and remaining lease) of every key matching `moving` — the
-    /// donor half of a shard migration. Non-destructive: the caller purges
-    /// via [`KvStore::purge_keys`] once the new epoch commits, so an
-    /// aborted migration loses nothing.
+    /// Export the complete state (value, live lock with its owners and
+    /// remaining lease) of every key matching `moving` — the donor half of
+    /// a shard migration. Non-destructive: the caller purges via
+    /// [`KvStore::purge_keys`] once the new epoch commits, so an aborted
+    /// migration loses nothing.
     pub fn export_keys(&self, moving: impl Fn(&str) -> bool) -> Vec<KeyMigration> {
         let now = Instant::now();
         let mut out = Vec::new();
         for shard in &self.shards {
             let s = shard.lock();
             let mut keys: HashSet<&String> = s.values.keys().collect();
-            keys.extend(s.sets.keys());
             keys.extend(s.locks.keys());
             keys.extend(s.versions.keys());
             for key in keys {
@@ -621,15 +561,6 @@ impl KvStore {
                 out.push(KeyMigration {
                     key: key.clone(),
                     value: s.values.get(key.as_str()).cloned(),
-                    set: s
-                        .sets
-                        .get(key.as_str())
-                        .map(|m| {
-                            let mut v: Vec<Vec<u8>> = m.iter().cloned().collect();
-                            v.sort();
-                            v
-                        })
-                        .unwrap_or_default(),
                     lock,
                     version: s.version(key),
                 });
@@ -658,13 +589,6 @@ impl KvStore {
                     shard.values.remove(&entry.key);
                 }
             }
-            if entry.set.is_empty() {
-                shard.sets.remove(&entry.key);
-            } else {
-                shard
-                    .sets
-                    .insert(entry.key.clone(), entry.set.iter().cloned().collect());
-            }
             let lock = entry.lock.as_ref().map(|l| match l {
                 LockMigration::Readers(readers) => LockState::Readers(
                     readers
@@ -691,7 +615,7 @@ impl KvStore {
         }
     }
 
-    /// Drop every key matching `moved` (value, set and lock state) — the
+    /// Drop every key matching `moved` (value and lock state) — the
     /// donor's cleanup once the new routing epoch has committed and the
     /// receiving shard owns the keys. Returns how many keys were dropped.
     /// Version counters are deliberately retained: they are a monotone
@@ -704,13 +628,11 @@ impl KvStore {
             let doomed: HashSet<String> = s
                 .values
                 .keys()
-                .chain(s.sets.keys())
                 .chain(s.locks.keys())
                 .filter(|k| moved(k))
                 .cloned()
                 .collect();
             s.values.retain(|k, _| !doomed.contains(k));
-            s.sets.retain(|k, _| !doomed.contains(k));
             s.locks.retain(|k, _| !doomed.contains(k));
             purged += doomed.len();
         }
@@ -789,23 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn sets() {
-        let s = KvStore::new();
-        assert!(s.sadd("warm:f", b"host1").0);
-        assert!(!s.sadd("warm:f", b"host1").0);
-        assert!(s.sadd("warm:f", b"host0").0);
-        assert_eq!(s.scard("warm:f"), 2);
-        assert_eq!(
-            s.smembers("warm:f"),
-            vec![b"host0".to_vec(), b"host1".to_vec()]
-        );
-        assert!(s.srem("warm:f", b"host1").0);
-        assert!(!s.srem("warm:f", b"host1").0);
-        assert_eq!(s.scard("warm:f"), 1);
-        assert_eq!(s.smembers("missing"), Vec::<Vec<u8>>::new());
-    }
-
-    #[test]
     fn read_locks_are_shared() {
         let s = KvStore::new();
         assert!(s.try_lock("k", LockMode::Read, 1));
@@ -861,31 +766,21 @@ mod tests {
         let s = KvStore::new();
         s.set("a", vec![0; 100]);
         s.set("b", vec![0; 50]);
-        s.sadd("set", b"m");
         assert_eq!(s.total_value_bytes(), 150);
         assert_eq!(s.key_count(), 2);
         s.flush();
         assert_eq!(s.total_value_bytes(), 0);
         assert_eq!(s.key_count(), 0);
-        assert_eq!(s.scard("set"), 0);
     }
 
     #[test]
-    fn key_sizes_enumerates_values_sets_and_locks() {
+    fn keys_enumerates_values_and_locks() {
         let s = KvStore::new();
         s.set("v", vec![1u8; 10]);
-        s.sadd("members", b"m");
         assert!(s.try_lock("locked", LockMode::Write, 9));
-        let mut sizes = s.key_sizes();
-        sizes.sort();
-        assert_eq!(
-            sizes,
-            vec![
-                ("locked".to_string(), 0),
-                ("members".to_string(), 0),
-                ("v".to_string(), 10)
-            ]
-        );
+        let mut keys = s.keys();
+        keys.sort();
+        assert_eq!(keys, vec!["locked".to_string(), "v".to_string()]);
     }
 
     #[test]
@@ -906,35 +801,27 @@ mod tests {
     }
 
     #[test]
-    fn export_import_moves_values_sets_and_lock_owners() {
+    fn export_import_moves_values_and_lock_owners() {
         let donor = KvStore::new();
         donor.set("moves", b"payload".to_vec());
-        donor.sadd("moves", b"m1");
-        donor.sadd("moves", b"m2");
         assert!(donor.try_lock("moves", LockMode::Write, 42));
         donor.set("stays", b"here".to_vec());
-        // A set-only key and a lock-only key move too.
-        donor.sadd("set-only", b"s");
+        // A lock-only key moves too.
         assert!(donor.try_lock("lock-only", LockMode::Read, 7));
 
         let moving = |k: &str| k != "stays";
         let entries = donor.export_keys(moving);
-        assert_eq!(entries.len(), 3);
+        assert_eq!(entries.len(), 2);
 
         let target = KvStore::new();
         target.import_keys(&entries);
         assert_eq!(target.get("moves"), Some(b"payload".to_vec()));
-        assert_eq!(
-            target.smembers("moves"),
-            vec![b"m1".to_vec(), b"m2".to_vec()]
-        );
         // Lock state moved with its owner: a stranger cannot take it, the
         // original owner can re-enter and release it.
         assert!(!target.try_lock("moves", LockMode::Write, 99));
         assert!(target.try_lock("moves", LockMode::Write, 42));
         target.unlock("moves", LockMode::Write, 42);
         assert!(target.try_lock("moves", LockMode::Write, 99));
-        assert!(target.scard("set-only") == 1);
         assert!(!target.try_lock("lock-only", LockMode::Write, 99));
         assert!(
             target.try_lock("lock-only", LockMode::Read, 8),
@@ -944,9 +831,8 @@ mod tests {
         // Export was non-destructive; purge drops exactly the moved keys.
         assert!(donor.exists("moves"));
         let purged = donor.purge_keys(moving);
-        assert_eq!(purged, 3);
+        assert_eq!(purged, 2);
         assert!(!donor.exists("moves"));
-        assert_eq!(donor.scard("set-only"), 0);
         assert!(donor.exists("stays"));
     }
 

@@ -8,7 +8,10 @@
 //!   loaded from the Faaslet filesystem, through the host interface),
 //!   against the same interpreter called directly.
 //!
-//! Each cell is the median of three runs; the ratio is guest over native.
+//! Each cell is the fastest of [`RUNS`] runs, the one the rest of the
+//! machine disturbed least; the ratio is guest over native. 9a ends with
+//! one summary line: the median ratio, its range, and the ns per dispatch
+//! of the kernel at the median.
 //! The paper's FVM analogue is a JIT, so its Polybench ratios are mostly
 //! below 2x; this FVM dispatches a register bytecode, and the 9a column is
 //! the number an ahead-of-time tier would have to move. Timing, so release
@@ -24,11 +27,12 @@ use faasm::workloads::minidyn::programs;
 use faasm::workloads::polybench;
 use faasm::{Cluster, ClusterConfig};
 
-/// Median of three runs of `run`.
-fn median3(mut run: impl FnMut() -> Duration) -> Duration {
-    let mut samples = [run(), run(), run()];
-    samples.sort_unstable();
-    samples[1]
+/// Runs per cell.
+const RUNS: usize = 15;
+
+/// The fastest of [`RUNS`] runs of `run`.
+fn fastest(mut run: impl FnMut() -> Duration) -> Duration {
+    (0..RUNS).map(|_| run()).min().expect("RUNS > 0")
 }
 
 fn ratio(guest: Duration, native: Duration) -> f64 {
@@ -41,25 +45,33 @@ fn fig9a() {
         "{:<14} {:>12} {:>12} {:>9} {:>12} {:>8}",
         "kernel", "native", "fvm", "ratio", "dispatches", "ns/disp"
     );
+    let mut rows = Vec::new();
     for kernel in polybench::all_kernels() {
         let n = kernel.default_n;
-        let native = median3(|| polybench::run_native(&kernel, n).1);
+        let native = fastest(|| polybench::run_native(&kernel, n).1);
         let mut dispatches = 0;
-        let fvm = median3(|| {
+        let fvm = fastest(|| {
             let run = polybench::run_fvm(&kernel, n);
             dispatches = run.dispatches;
             run.elapsed
         });
+        let (r, ns) = (
+            ratio(fvm, native),
+            fvm.as_nanos() as f64 / dispatches.max(1) as f64,
+        );
         println!(
             "{:<14} {:>12.1?} {:>12.1?} {:>8.1}x {:>12} {:>8.2}",
-            kernel.name,
-            native,
-            fvm,
-            ratio(fvm, native),
-            dispatches,
-            fvm.as_nanos() as f64 / dispatches.max(1) as f64
+            kernel.name, native, fvm, r, dispatches, ns
         );
+        rows.push((r, ns, kernel.name));
     }
+    rows.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (median, ns, name) = rows[rows.len() / 2];
+    println!(
+        "9a: median ratio {median:.1}x (range {:.1}-{:.1}x); median kernel {name}: {ns:.2} ns/dispatch",
+        rows[0].0,
+        rows[rows.len() - 1].0
+    );
 }
 
 fn fig9b() {
@@ -74,7 +86,7 @@ fn fig9b() {
         "program", "direct", "in-faaslet", "ratio"
     );
     for b in programs::suite() {
-        let direct = median3(|| {
+        let direct = fastest(|| {
             let t0 = Instant::now();
             programs::run_direct(&b, b.default_n).expect("program runs");
             t0.elapsed()
@@ -82,7 +94,7 @@ fn fig9b() {
         let input = format!("{};{}", b.name, b.default_n).into_bytes();
         // Warm-up: the first call loads and caches the program file.
         cluster.invoke("py", "minidyn", input.clone());
-        let hosted = median3(|| {
+        let hosted = fastest(|| {
             let t0 = Instant::now();
             let r = cluster.invoke("py", "minidyn", input.clone());
             let elapsed = t0.elapsed();

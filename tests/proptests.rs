@@ -71,7 +71,7 @@ unsafe impl GlobalAlloc for NotingAlloc {
 static ALLOC: NotingAlloc = NotingAlloc;
 
 /// The decoders' allocation budget: the widest decoded element
-/// (`KeyMigration`, 112 bytes) over the narrowest wire element (1 byte)
+/// (`CallSpec`, 96 bytes) over the narrowest wire element (1 byte)
 /// bounds any honest `with_capacity`; hostile counts miss it by gigabytes.
 const ALLOC_BYTES_PER_INPUT_BYTE: usize = 128;
 const ALLOC_SLACK: usize = 4096;
@@ -144,7 +144,6 @@ enum StoreOp {
     Append(usize, Vec<u8>),
     Del(usize),
     Incr(usize, i8),
-    Sadd(usize, Vec<u8>),
 }
 
 fn store_op_strategy() -> impl Strategy<Value = StoreOp> {
@@ -159,8 +158,7 @@ fn store_op_strategy() -> impl Strategy<Value = StoreOp> {
         )),
         (key.clone(), bytes()).prop_map(|(k, v)| StoreOp::Append(k, v)),
         key.clone().prop_map(StoreOp::Del),
-        (key.clone(), any::<i8>()).prop_map(|(k, d)| StoreOp::Incr(k, d)),
-        (key, bytes()).prop_map(|(k, m)| StoreOp::Sadd(k, m)),
+        (key, any::<i8>()).prop_map(|(k, d)| StoreOp::Incr(k, d)),
     ]
 }
 
@@ -170,8 +168,7 @@ fn store_op_key(op: &StoreOp) -> String {
         | StoreOp::SetRange(k, _, _)
         | StoreOp::Append(k, _)
         | StoreOp::Del(k)
-        | StoreOp::Incr(k, _)
-        | StoreOp::Sadd(k, _) => k,
+        | StoreOp::Incr(k, _) => k,
     };
     format!("ver:{k}")
 }
@@ -194,13 +191,10 @@ fn apply_store_op(store: &KvStore, op: &StoreOp) {
         StoreOp::Incr(_, d) => {
             store.incr(&key, i64::from(*d));
         }
-        StoreOp::Sadd(_, m) => {
-            store.sadd(&key, m);
-        }
     }
 }
 
-/// Arbitrary migration entries: values, set members, and every lock shape.
+/// Arbitrary migration entries: values and every lock shape.
 fn migration_entries_strategy() -> impl Strategy<Value = Vec<kvs::KeyMigration>> {
     let lock = prop_oneof![
         Just(None),
@@ -215,15 +209,13 @@ fn migration_entries_strategy() -> impl Strategy<Value = Vec<kvs::KeyMigration>>
         (
             ascii_string(16),
             (any::<bool>(), prop::collection::vec(any::<u8>(), 0..40)),
-            prop::collection::vec(prop::collection::vec(any::<u8>(), 0..12), 0..4),
             lock,
             any::<u64>(),
         )
             .prop_map(
-                |(key, (has_value, value), set, lock, version)| kvs::KeyMigration {
+                |(key, (has_value, value), lock, version)| kvs::KeyMigration {
                     key,
                     value: has_value.then_some(value),
-                    set,
                     lock,
                     version,
                 },
@@ -285,10 +277,9 @@ fn kvs_list_request_strategy() -> impl Strategy<Value = kvs::codec::Request> {
 /// a version stamp.
 fn kvs_response_strategy() -> impl Strategy<Value = kvs::Response> {
     use kvs::Response;
-    let blobs = || prop::collection::vec(prop::collection::vec(any::<u8>(), 0..24), 0..6);
     let plain = prop_oneof![
-        blobs().prop_map(Response::Values),
-        blobs().prop_map(|runs| Response::Spans(Some(runs))),
+        prop::collection::vec(prop::collection::vec(any::<u8>(), 0..24), 0..6)
+            .prop_map(|runs| Response::Spans(Some(runs))),
         prop::collection::vec(
             (any::<bool>(), prop::collection::vec(any::<u8>(), 0..24)),
             0..6
@@ -984,8 +975,7 @@ proptest! {
         );
     }
 
-    /// `kvs::codec::decode_response` likewise (tag 6, `Values`, allocated
-    /// for its count unchecked until the codecs shared one reader).
+    /// `kvs::codec::decode_response` likewise.
     #[test]
     fn kvs_response_decoder_total_on_hostile_rewrites(resp in kvs_response_strategy()) {
         assert_total_on_hostile_rewrites(
@@ -1045,7 +1035,7 @@ proptest! {
     ) {
         let reply_to = HostId(3);
         let msgs = [
-            InstanceMsg::Invoke { call: calls[0].clone(), reply_to, forwarded: true },
+            InstanceMsg::Invoke { call: calls[0].clone(), reply_to },
             InstanceMsg::Result { result },
             InstanceMsg::PreStage {
                 user: calls[0].user.clone(),

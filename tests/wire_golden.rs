@@ -40,14 +40,12 @@ fn entries() -> Vec<KeyMigration> {
         KeyMigration {
             key: "plain".into(),
             value: Some(b"v".to_vec()),
-            set: Vec::new(),
             lock: None,
             version: 3,
         },
         KeyMigration {
             key: "locked".into(),
             value: None,
-            set: vec![b"m1".to_vec(), Vec::new()],
             lock: Some(LockMigration::Writer {
                 owner: 42,
                 remaining_ms: 1000,
@@ -57,7 +55,6 @@ fn entries() -> Vec<KeyMigration> {
         KeyMigration {
             key: "readers".into(),
             value: Some(Vec::new()),
-            set: Vec::new(),
             lock: Some(LockMigration::Readers(vec![(1, 10), (2, 20)])),
             version: u64::MAX,
         },
@@ -108,22 +105,6 @@ fn kvs_requests() -> Vec<(&'static str, Request)> {
                 delta: -3,
             },
         ),
-        (
-            "req.sadd",
-            Request::SAdd {
-                key: "s".into(),
-                member: b"m".to_vec(),
-            },
-        ),
-        (
-            "req.srem",
-            Request::SRem {
-                key: "s".into(),
-                member: b"m".to_vec(),
-            },
-        ),
-        ("req.smembers", Request::SMembers { key: "s".into() }),
-        ("req.scard", Request::SCard { key: "s".into() }),
         (
             "req.try_lock",
             Request::TryLock {
@@ -210,10 +191,6 @@ fn kvs_responses() -> Vec<(&'static str, Response)> {
         ("resp.len", Response::Len(9)),
         ("resp.int", Response::Int(-1)),
         ("resp.bool", Response::Bool(true)),
-        (
-            "resp.values",
-            Response::Values(vec![b"a".to_vec(), b"bb".to_vec()]),
-        ),
         ("resp.pong", Response::Pong),
         ("resp.err", Response::Err("boom".into())),
         ("resp.spans_none", Response::Spans(None)),
@@ -339,7 +316,6 @@ fn gateway_and_bus() -> Vec<(&'static str, Vec<u8>)> {
             encode_msg(&InstanceMsg::Invoke {
                 call: call(1),
                 reply_to: HostId(3),
-                forwarded: true,
             }),
         ),
         (
@@ -469,6 +445,41 @@ fn every_kvs_tag_has_a_golden_vector() {
     assert_eq!(sorted(filed), sorted(Response::TAGS.to_vec()));
 }
 
+/// The set ops' request tags (9–12) and the `Values` response tag (6) are
+/// no longer assigned: the frames a peer built for them, bare tags and tags
+/// followed by hostile counts all decode to an error.
+#[test]
+fn retired_set_tags_decode_to_errors() {
+    assert!(!Request::TAGS.iter().any(|t| (9..=12).contains(t)));
+    assert!(!Response::TAGS.contains(&6));
+    let stamp = unhex("1100000000000000887766554433221100ffeeddccbbaa99");
+    let payloads: [&[u8]; 4] = [
+        b"",
+        &[1, 0, 0, 0, b's', 1, 0, 0, 0, b'm'],
+        &[1, 0, 0, 0, b's'],
+        &[0xff; 9],
+    ];
+    for tag in 9u8..=12 {
+        for payload in payloads {
+            let mut frame = stamp.clone();
+            frame.push(tag);
+            frame.extend_from_slice(payload);
+            assert!(decode_request_traced(&frame).is_err(), "request tag {tag}");
+        }
+    }
+    let payloads: [&[u8]; 4] = [
+        b"",
+        &[2, 0, 0, 0, 1, 0, 0, 0, b'a', 2, 0, 0, 0, b'b', b'b'],
+        &[0xff, 0xff, 0xff, 0xff],
+        &[0; 9],
+    ];
+    for payload in payloads {
+        let mut frame = vec![6u8];
+        frame.extend_from_slice(payload);
+        assert!(decode_response(&frame).is_err(), "response tag 6");
+    }
+}
+
 #[rustfmt::skip]
 const GOLDEN: &[(&str, &str)] = &[
     ("req.get", "1100000000000000887766554433221100ffeeddccbbaa9900010000006b"),
@@ -480,10 +491,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("req.exists", "1100000000000000887766554433221100ffeeddccbbaa9906010000006b"),
     ("req.strlen", "1100000000000000887766554433221100ffeeddccbbaa9907010000006b"),
     ("req.incr", "1100000000000000887766554433221100ffeeddccbbaa9908010000006bfdffffffffffffff"),
-    ("req.sadd", "1100000000000000887766554433221100ffeeddccbbaa99090100000073010000006d"),
-    ("req.srem", "1100000000000000887766554433221100ffeeddccbbaa990a0100000073010000006d"),
-    ("req.smembers", "1100000000000000887766554433221100ffeeddccbbaa990b0100000073"),
-    ("req.scard", "1100000000000000887766554433221100ffeeddccbbaa990c0100000073"),
     ("req.try_lock", "1100000000000000887766554433221100ffeeddccbbaa990d010000006b002a00000000000000"),
     ("req.unlock", "1100000000000000887766554433221100ffeeddccbbaa990e010000006b012a00000000000000"),
     ("req.ping", "1100000000000000887766554433221100ffeeddccbbaa990f"),
@@ -495,10 +502,13 @@ const GOLDEN: &[(&str, &str)] = &[
     ("req.multi_set_range", "1100000000000000887766554433221100ffeeddccbbaa9912010000006b03000000000205005d010300000061617a"),
     ("req.stats", "1100000000000000887766554433221100ffeeddccbbaa9913"),
     ("req.migrate", "1100000000000000887766554433221100ffeeddccbbaa991404000000000000000300000000000000"),
-    ("req.handoff", "1100000000000000887766554433221100ffeeddccbbaa99150300000005000000706c61696e01010000007600000000000300000000000000060000006c6f636b65640002000000020000006d3100000000022a00000000000000e80300000000000000000000000000000700000072656164657273010000000000000000010200000001000000000000000a0000000000000002000000000000001400000000000000ffffffffffffffff"),
+    // Re-captured on purpose, with `req.replicate`, `req.handoff_frame`
+    // and `resp.handoff`, when a migrated key lost its set-member list
+    // (the u32 count after the value): the KVS has no set value kind.
+    ("req.handoff", "1100000000000000887766554433221100ffeeddccbbaa99150300000005000000706c61696e010100000076000300000000000000060000006c6f636b656400022a00000000000000e803000000000000000000000000000007000000726561646572730100000000010200000001000000000000000a0000000000000002000000000000001400000000000000ffffffffffffffff"),
     ("req.epoch_commit", "1100000000000000887766554433221100ffeeddccbbaa991609000000000000000500000000000000020000000100000003000000050000000a0000000b0000000c0000000d0000000e000000"),
-    ("req.replicate", "1100000000000000887766554433221100ffeeddccbbaa99170300000005000000706c61696e01010000007600000000000300000000000000060000006c6f636b65640002000000020000006d3100000000022a00000000000000e80300000000000000000000000000000700000072656164657273010000000000000000010200000001000000000000000a0000000000000002000000000000001400000000000000ffffffffffffffff"),
-    ("req.handoff_frame", "1100000000000000887766554433221100ffeeddccbbaa99184d0000000000000002000000010300000005000000706c61696e01010000007600000000000300000000000000060000006c6f636b65640002000000020000006d3100000000022a00000000000000e80300000000000000000000000000000700000072656164657273010000000000000000010200000001000000000000000a0000000000000002000000000000001400000000000000ffffffffffffffff"),
+    ("req.replicate", "1100000000000000887766554433221100ffeeddccbbaa99170300000005000000706c61696e010100000076000300000000000000060000006c6f636b656400022a00000000000000e803000000000000000000000000000007000000726561646572730100000000010200000001000000000000000a0000000000000002000000000000001400000000000000ffffffffffffffff"),
+    ("req.handoff_frame", "1100000000000000887766554433221100ffeeddccbbaa99184d0000000000000002000000010300000005000000706c61696e010100000076000300000000000000060000006c6f636b656400022a00000000000000e803000000000000000000000000000007000000726561646572730100000000010200000001000000000000000a0000000000000002000000000000001400000000000000ffffffffffffffff"),
     ("req.rebuild", "1100000000000000887766554433221100ffeeddccbbaa9919020000000000000004000000"),
     ("req.version_of", "1100000000000000887766554433221100ffeeddccbbaa991a010000006b"),
     ("req.multi_get", "1100000000000000887766554433221100ffeeddccbbaa991b03000000010000006102000000626200000000"),
@@ -508,14 +518,13 @@ const GOLDEN: &[(&str, &str)] = &[
     ("resp.len", "030900000000000000"),
     ("resp.int", "04ffffffffffffffff"),
     ("resp.bool", "0501"),
-    ("resp.values", "06020000000100000061020000006262"),
     ("resp.pong", "07"),
     ("resp.err", "0804000000626f6f6d"),
     ("resp.spans_none", "09"),
     ("resp.spans_some", "0a030000000400000072756e31000000000100000072"),
     ("resp.wrong_epoch", "0b07000000000000000400000000000000"),
     ("resp.stats", "0c03000000000000000a000000000000000010000000000000640000000000000032000000000000000500000000000000020000000000000060e31600000000000c00000000000000e00100000000000002000000000000001f000000000000002823000000000000010000000000000007000000000000000300000000000000"),
-    ("resp.handoff", "0d0300000005000000706c61696e01010000007600000000000300000000000000060000006c6f636b65640002000000020000006d3100000000022a00000000000000e80300000000000000000000000000000700000072656164657273010000000000000000010200000001000000000000000a0000000000000002000000000000001400000000000000ffffffffffffffff"),
+    ("resp.handoff", "0d0300000005000000706c61696e010100000076000300000000000000060000006c6f636b656400022a00000000000000e803000000000000000000000000000007000000726561646572730100000000010200000001000000000000000a0000000000000002000000000000001400000000000000ffffffffffffffff"),
     ("resp.repl_ack", "0e0600000000000000"),
     ("resp.not_primary", "0f05000000000000000300000000000000"),
     ("resp.unavailable", "1006000000000000000200000000000000"),
@@ -532,7 +541,9 @@ const GOLDEN: &[(&str, &str)] = &[
     ("sched.result_success", "0400000000000000000400000064617461"),
     ("sched.result_failed", "040000000000000001feffffff0400000064617461"),
     ("sched.result_error", "04000000000000000211000000747261703a206f7574206f66206675656c0400000064617461"),
-    ("msg.invoke", "0003000000016500000000000000887766554433221100ffeeddccbbaa990600000074656e616e740200000066310100000001"),
+    // Re-captured on purpose when `Invoke` lost its `forwarded` byte (after
+    // `reply_to`): every sender set it and no receiver read it.
+    ("msg.invoke", "00030000006500000000000000887766554433221100ffeeddccbbaa990600000074656e616e740200000066310100000001"),
     ("msg.result", "01040000000000000001020000000400000064617461"),
     ("msg.invoke_batch", "02090000003930000000000000030000002c0000006400000000000000000000000000000000000000000000000600000074656e616e74020000006630000000002d0000006500000000000000887766554433221100ffeeddccbbaa990600000074656e616e7402000000663101000000012e0000006600000000000000000000000000000000000000000000000600000074656e616e74020000006632020000000202"),
     ("msg.prestage", "030600000074656e616e7403000000686f74080000000707070707070707"),
