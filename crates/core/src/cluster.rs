@@ -25,7 +25,7 @@ use parking_lot::Mutex;
 use crate::error::CoreError;
 use crate::guest::{FunctionDef, FunctionRegistry, GuestCode, NativeGuest};
 use crate::instance::{FaasmInstance, InstanceConfig, PlacedCall};
-use crate::pending::Pending;
+use crate::pending::PendingMap;
 
 /// Cluster construction parameters.
 #[derive(Debug, Clone)]
@@ -114,7 +114,7 @@ pub struct Cluster {
     placer: Arc<Placer>,
     /// Results of [`Cluster::invoke_async`] calls, parked by their
     /// completion callbacks for [`Cluster::await_result`].
-    gateway_pending: Arc<Pending>,
+    gateway_pending: Arc<PendingMap<CallResult>>,
     driver_kv: SharedKv,
     call_seq: Arc<AtomicU64>,
     invoke_timeout: Duration,
@@ -317,7 +317,7 @@ impl Cluster {
             coord_nic: driver_nic,
             object_store,
             placer,
-            gateway_pending: Arc::new(Pending::default()),
+            gateway_pending: Arc::new(PendingMap::default()),
             driver_kv,
             call_seq,
             invoke_timeout: config.invoke_timeout,
@@ -427,7 +427,7 @@ impl Cluster {
         let Some((instance, http)) = self.placer.place(user, function, None) else {
             let id = CallId(self.call_seq.fetch_add(1, Ordering::Relaxed));
             self.gateway_pending
-                .fulfill(CallResult::error(id, "no reachable instances"));
+                .fulfill(id.0, CallResult::error(id, "no reachable instances"));
             return id;
         };
         let pending = Arc::clone(&self.gateway_pending);
@@ -442,7 +442,7 @@ impl Cluster {
                     ctx if ctx.is_none() => faasm_telemetry::TraceCtx::new_root(),
                     ctx => ctx,
                 },
-                on_complete: Box::new(move |result| pending.fulfill(result)),
+                on_complete: Box::new(move |result| pending.fulfill(result.id.0, result)),
             }],
             http,
         );

@@ -35,7 +35,7 @@ use crate::guest::{FunctionDef, FunctionRegistry, GuestCode};
 use crate::hostfuncs::faaslet_linker;
 use crate::metrics::{Metrics, StartKind};
 use crate::msg::{decode_msg, encode_msg, frame_msg, InstanceMsg};
-use crate::pending::{Pending, PendingCallback};
+use crate::pending::{PendingCallback, PendingMap};
 use crate::proto::{ProtoFaaslet, ProtoRef};
 use crate::snapdist::{
     assemble_proto, chunk_proto, ProtoManifest, SnapStatsSnapshot, SnapshotCache,
@@ -183,7 +183,9 @@ pub struct FaasmInstance {
     /// Batched calls on the bus that the bus loop has not yet queued:
     /// without them a burst of placements all read this host as idle.
     in_transit: AtomicUsize,
-    pending: Arc<Pending>,
+    /// Completion slots of the calls made from this host, keyed by call id
+    /// (store-unregistered: a result may beat its waiter here).
+    pending: PendingMap<CallResult>,
     metrics: Arc<Metrics>,
     next_faaslet: AtomicU64,
     call_seq: Arc<AtomicU64>,
@@ -270,7 +272,7 @@ impl FaasmInstance {
             queue_tx,
             queue_rx,
             in_transit: AtomicUsize::new(0),
-            pending: Arc::new(Pending::default()),
+            pending: PendingMap::default(),
             metrics: Arc::new(Metrics::new()),
             next_faaslet: AtomicU64::new(1),
             call_seq,
@@ -554,7 +556,9 @@ impl FaasmInstance {
                     Some(InstanceMsg::Invoke { call, reply_to }) => {
                         let _ = self.queue_tx.send(QueuedCall { call, reply_to });
                     }
-                    Some(InstanceMsg::Result { result }) => self.pending.fulfill(result),
+                    Some(InstanceMsg::Result { result }) => {
+                        self.pending.fulfill(result.id.0, result)
+                    }
                     // Batched calls were already placed by an ingress tier:
                     // queue them all.
                     Some(InstanceMsg::InvokeBatch {
@@ -925,7 +929,7 @@ impl FaasmInstance {
 
     fn deliver(&self, result: CallResult, reply_to: HostId) {
         if reply_to == self.host_id {
-            self.pending.fulfill(result);
+            self.pending.fulfill(result.id.0, result);
         } else {
             let msg = encode_msg(&InstanceMsg::Result { result });
             let _ = self.nic.send(reply_to, msg);
@@ -1046,7 +1050,7 @@ impl FaasmInstance {
             // (oversized calls were already answered above).
             for id in &registered {
                 self.pending
-                    .fulfill(CallResult::error(*id, "runtime shutting down"));
+                    .fulfill(id.0, CallResult::error(*id, "runtime shutting down"));
             }
         }
         ids
@@ -1075,7 +1079,7 @@ impl FaasmInstance {
         let msg = InstanceMsg::Invoke { call, reply_to };
         if target.is_none_or(|(host, http)| self.nic.send(host, frame_msg(&msg, http)).is_err()) {
             self.pending
-                .fulfill(CallResult::error(id, "no reachable instances"));
+                .fulfill(id.0, CallResult::error(id, "no reachable instances"));
         }
         id
     }
@@ -1125,7 +1129,7 @@ impl FaasmInstance {
                         );
                     }
                 }
-                Some(InstanceMsg::Result { result }) => self.pending.fulfill(result),
+                Some(InstanceMsg::Result { result }) => self.pending.fulfill(result.id.0, result),
                 // Pre-stages are pure prefetch hints; nothing awaits them.
                 Some(InstanceMsg::PreStage { .. }) => {}
                 None => {}

@@ -75,7 +75,7 @@ pub use guest::{ContainerCode, FunctionDef, FunctionRegistry, GuestCode, NativeG
 pub use hostfuncs::faaslet_linker;
 pub use instance::{FaasmInstance, InstanceConfig, PlacedCall};
 pub use metrics::{GatewayMetrics, Metrics, MetricsSnapshot, StartKind};
-pub use pending::{Pending, PendingCallback, PendingMap};
+pub use pending::{PendingCallback, PendingMap};
 pub use proto::{ProtoEncodeError, ProtoFaaslet, ProtoRef};
 pub use snapdist::{
     assemble_proto, chunk_proto, ChunkedProto, ProtoManifest, SnapStats, SnapStatsSnapshot,

@@ -1,6 +1,6 @@
 //! Completion slots shared by every submit/await pair in the system.
 //!
-//! The runtime instance's `Pending`, the cluster front door and the
+//! The runtime instance's call slots, the cluster front door and the
 //! gateway's completion table are all the same data structure — a slot map
 //! keyed by call/ticket id plus a condvar — differing only in two policies:
 //!
@@ -12,26 +12,24 @@
 //! * **TTL sweep**: whether fulfilled slots nobody ever claims
 //!   (fire-and-forget submits) are eventually swept.
 //!
-//! [`PendingMap`] captures both behind knobs; [`Pending`] is the
-//! store-unregistered instantiation over [`CallResult`] used by the runtime,
-//! the cluster ingress and the container baseline.
+//! [`PendingMap`] captures both behind knobs. The runtime instance and the
+//! cluster front door use a store-unregistered map over
+//! [`CallResult`](faasm_sched::CallResult), keyed by call id.
 //!
 //! **Register-before-fulfill invariant.** Waiter-style callers must
 //! [`PendingMap::register`] an id *before* the work that fulfils it is
 //! dispatched; otherwise a non-storing map drops the result and the waiter
 //! blocks out its timeout. The in-tree callers hold this: the instance
 //! registers in `chain_call`/`submit_placed`/`submit_placed_batch` before
-//! queueing (the cluster front door's results arrive through such a batch
-//! callback and are parked, store-unregistered), the baseline platform
-//! registers before its gateway send, and the gateway registers a ticket
-//! before admission. Callback waiters ([`PendingMap::register_callback`])
+//! queueing or sending (the cluster front door's results arrive through
+//! such a batch callback and are parked, store-unregistered), and the
+//! gateway registers a ticket before admission. Callback waiters ([`PendingMap::register_callback`])
 //! are exempt — a callback registered after an early fulfilment is invoked
 //! immediately when the map stores unregistered results.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use faasm_sched::CallResult;
 use parking_lot::{Condvar, Mutex};
 
 /// A completion hook invoked exactly once with the terminal value, from
@@ -282,43 +280,6 @@ impl<T: Send> PendingMap<T> {
     }
 }
 
-/// Blocking result slots shared between awaiters and the message bus; also
-/// used by embedders building their own gateways (e.g. the container
-/// baseline platform). A store-unregistered [`PendingMap`] over
-/// [`CallResult`], keyed by call id.
-#[derive(Debug, Default)]
-pub struct Pending {
-    map: PendingMap<CallResult>,
-}
-
-impl Pending {
-    /// Reserve a slot for a call about to be dispatched.
-    pub fn register(&self, id: u64) {
-        self.map.register(id);
-    }
-
-    /// Register a completion callback for a call about to be dispatched
-    /// (the batch-submit path: no thread parks per in-flight call).
-    pub fn register_callback(&self, id: u64, cb: PendingCallback<CallResult>) {
-        self.map.register_callback(id, cb);
-    }
-
-    /// Deliver a result, waking any waiter or invoking its callback.
-    pub fn fulfill(&self, result: CallResult) {
-        self.map.fulfill(result.id.0, result);
-    }
-
-    /// Take a completed result without blocking.
-    pub fn try_take(&self, id: u64) -> Option<CallResult> {
-        self.map.try_take(id)
-    }
-
-    /// Block up to `timeout` for a result.
-    pub fn wait(&self, id: u64, timeout: Duration) -> Option<CallResult> {
-        self.map.wait(id, timeout)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,18 +410,5 @@ mod tests {
         m.sweep();
         assert_eq!(m.len(), 2, "only the stale Ready slot is swept");
         assert_eq!(m.try_take(3), None);
-    }
-
-    #[test]
-    fn pending_wrapper_keeps_call_result_semantics() {
-        use faasm_sched::CallId;
-        let p = Pending::default();
-        p.register(4);
-        p.fulfill(CallResult::success(CallId(4), b"out".to_vec()));
-        let r = p.wait(4, Duration::from_millis(50)).expect("fulfilled");
-        assert_eq!(r.output, b"out");
-        // Unregistered results are parked (message-bus semantics).
-        p.fulfill(CallResult::success(CallId(5), vec![]));
-        assert!(p.try_take(5).is_some());
     }
 }

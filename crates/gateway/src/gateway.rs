@@ -96,8 +96,8 @@ pub(crate) type CompletionFn = faasm_core::PendingCallback<GatewayResponse>;
 ///
 /// A non-storing [`PendingMap`]: responses for tickets nobody registered
 /// (abandoned by a timed-out waiter) are dropped, and fulfilled slots
-/// nobody claims (fire-and-forget submits) are TTL-swept — the gateway
-/// half of the ROADMAP's `Pending`/`Completions` unification.
+/// nobody claims (fire-and-forget submits) are TTL-swept — the runtime's
+/// call slots are the same map with the opposite policies.
 type Completions = PendingMap<GatewayResponse>;
 
 /// A cached tenant bucket with the (rate, burst) it was built from.

@@ -881,8 +881,8 @@ proptest! {
 
     /// PendingMap agrees with a reference model across arbitrary
     /// register/fulfill/take/TTL-sweep interleavings, in all four policy
-    /// combinations (store-unregistered × TTL) — the invariant behind the
-    /// Pending/Completions unification.
+    /// combinations (store-unregistered × TTL) — the invariant behind one
+    /// slot map serving the runtime's calls and the gateway's tickets.
     #[test]
     fn pending_map_matches_model(
         ops in prop::collection::vec(pending_op_strategy(), 0..64),
