@@ -142,9 +142,7 @@ pub(crate) struct Placer {
 }
 
 impl Placer {
-    /// Choose the instance for one call, and the HTTP padding each hop of
-    /// the call carries ([`GuestCode::http_overhead`]). Live hosts are
-    /// ranked by the scheduler's one [score](Candidate::score): the warmth
+    /// Choose the instance for one call. Live hosts are ranked by the scheduler's one [score](Candidate::score): the warmth
     /// and run queue each host's pool reports, and the affinity board.
     /// Among equals `caller` wins when it is one of them (a chained call
     /// nobody is better placed for starts where it was made, as in §5.1),
@@ -160,7 +158,7 @@ impl Placer {
         user: &str,
         function: &str,
         caller: Option<HostId>,
-    ) -> Option<(Arc<FaasmInstance>, usize)> {
+    ) -> Option<Arc<FaasmInstance>> {
         let live: Vec<&Arc<FaasmInstance>> =
             self.instances.iter().filter(|i| !i.is_stopped()).collect();
         let code = self.registry.get(user, function).map(|(def, _)| def);
@@ -182,8 +180,7 @@ impl Placer {
             }
         };
         let seed = self.rotation.fetch_add(1, Ordering::Relaxed);
-        let http = code.map_or(0, |def| def.code.http_overhead());
-        faasm_sched::best(&candidates, seed, prefer).map(|i| (Arc::clone(live[i]), http))
+        faasm_sched::best(&candidates, seed, prefer).map(|i| Arc::clone(live[i]))
     }
 }
 
@@ -424,28 +421,25 @@ impl Cluster {
     /// completion callback parks the result for
     /// [`await_result`](Self::await_result).
     pub fn invoke_async(&self, user: &str, function: &str, input: Vec<u8>) -> CallId {
-        let Some((instance, http)) = self.placer.place(user, function, None) else {
+        let Some(instance) = self.placer.place(user, function, None) else {
             let id = CallId(self.call_seq.fetch_add(1, Ordering::Relaxed));
             self.gateway_pending
                 .fulfill(id.0, CallResult::error(id, "no reachable instances"));
             return id;
         };
         let pending = Arc::clone(&self.gateway_pending);
-        let ids = instance.submit_framed(
-            vec![PlacedCall {
-                user: user.to_string(),
-                function: function.to_string(),
-                input,
-                // Driver-ingress calls root a fresh trace (unless the caller is
-                // itself traced, e.g. a test following one call end to end).
-                trace: match faasm_telemetry::current() {
-                    ctx if ctx.is_none() => faasm_telemetry::TraceCtx::new_root(),
-                    ctx => ctx,
-                },
-                on_complete: Box::new(move |result| pending.fulfill(result.id.0, result)),
-            }],
-            http,
-        );
+        let ids = instance.submit_placed_batch(vec![PlacedCall {
+            user: user.to_string(),
+            function: function.to_string(),
+            input,
+            // Driver-ingress calls root a fresh trace (unless the caller is
+            // itself traced, e.g. a test following one call end to end).
+            trace: match faasm_telemetry::current() {
+                ctx if ctx.is_none() => faasm_telemetry::TraceCtx::new_root(),
+                ctx => ctx,
+            },
+            on_complete: Box::new(move |result| pending.fulfill(result.id.0, result)),
+        }]);
         ids[0]
     }
 
@@ -456,9 +450,7 @@ impl Cluster {
     /// equals; stopped instances are never chosen, and `None` means none is
     /// left.
     pub fn place(&self, user: &str, function: &str) -> Option<Arc<FaasmInstance>> {
-        self.placer
-            .place(user, function, None)
-            .map(|(instance, _)| instance)
+        self.placer.place(user, function, None)
     }
 
     /// Simulate the failure of instance `idx`: its fabric host disappears

@@ -180,7 +180,8 @@ pub struct FaasmInstance {
     records: Mutex<HashMap<(String, String), Arc<FunctionRecord>>>,
     queue_tx: Sender<QueuedCall>,
     queue_rx: Receiver<QueuedCall>,
-    /// Batched calls on the bus that the bus loop has not yet queued:
+    /// Calls sent to this host that its bus loop has not yet queued,
+    /// counted in by their sender's [`send_calls`](Self::send_calls):
     /// without them a burst of placements all read this host as idle.
     in_transit: AtomicUsize,
     /// Completion slots of the calls made from this host, keyed by call id
@@ -190,13 +191,13 @@ pub struct FaasmInstance {
     next_faaslet: AtomicU64,
     call_seq: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
-    /// Orders batch submits against shutdown: submitters hold a read guard
-    /// across their stop-check + send, and shutdown barriers on the write
-    /// side after setting `stop` — so every message a submitter managed to
-    /// send is already in the NIC queue when shutdown's drain runs, and
-    /// every later submitter observes `stop` and fails fast. Without this,
-    /// a submitter descheduled between check and send could land a batch
-    /// nobody will ever answer.
+    /// Orders sends to this host against its shutdown: a sender, on this
+    /// host or a peer, holds a read guard across its stop-check + send, and
+    /// shutdown barriers on the write side after setting `stop` — so every
+    /// message a sender managed to send is already in the NIC queue when
+    /// shutdown's drain runs, and every later sender observes `stop` and
+    /// fails fast. Without this, a sender descheduled between check and
+    /// send could land a batch nobody will ever answer.
     shutdown_gate: RwLock<()>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     config: InstanceConfig,
@@ -551,16 +552,11 @@ impl FaasmInstance {
         while !self.stop.load(Ordering::Relaxed) {
             match self.nic.recv_timeout(Duration::from_millis(20)) {
                 Ok(env) => match decode_msg(&env.payload) {
-                    // An `Invoke` on the bus is a chained call placement
-                    // sent to this host: it executes here.
-                    Some(InstanceMsg::Invoke { call, reply_to }) => {
-                        let _ = self.queue_tx.send(QueuedCall { call, reply_to });
-                    }
                     Some(InstanceMsg::Result { result }) => {
                         self.pending.fulfill(result.id.0, result)
                     }
-                    // Batched calls were already placed by an ingress tier:
-                    // queue them all.
+                    // Placement sent these calls to this host, from the
+                    // front door or as a chain: queue them all.
                     Some(InstanceMsg::InvokeBatch {
                         calls,
                         reply_to,
@@ -601,8 +597,9 @@ impl FaasmInstance {
         }
     }
 
-    /// `n` batched calls left the bus. Saturating: a batch message this
-    /// host's own submit path did not send was never counted in.
+    /// `n` calls sent to this host left its bus. Saturating: bytes that
+    /// reached the bus without a sender's `send_calls` (a guest socket can
+    /// aim at a runtime host) must not wrap the count.
     fn leave_transit(&self, n: usize) {
         let _ = self
             .in_transit
@@ -624,7 +621,9 @@ impl FaasmInstance {
     fn execute(self: &Arc<Self>, q: QueuedCall) {
         let rec = match self.record(&q.call.user, &q.call.function) {
             Ok(rec) => rec,
-            Err(e) => return self.deliver(CallResult::error(q.call.id, e.to_string()), q.reply_to),
+            Err(e) => {
+                return self.respond(CallResult::error(q.call.id, e.to_string()), q.reply_to, 0)
+            }
         };
         // A container's result is an HTTP response, refusals included.
         let http = rec.def.code.http_overhead();
@@ -927,21 +926,12 @@ impl FaasmInstance {
         }
     }
 
-    fn deliver(&self, result: CallResult, reply_to: HostId) {
-        if reply_to == self.host_id {
-            self.pending.fulfill(result.id.0, result);
-        } else {
-            let msg = encode_msg(&InstanceMsg::Result { result });
-            let _ = self.nic.send(reply_to, msg);
-        }
-    }
-
-    /// [`deliver`](Self::deliver) a call's result, framed in `http` padding
-    /// bytes when it has any: a container's HTTP response, which crosses
-    /// the fabric even to a caller on this host.
+    /// Send a call's result to `reply_to`, framed in `http` padding bytes
+    /// when it has any: a container's HTTP response crosses the fabric even
+    /// to a caller on this host.
     fn respond(&self, result: CallResult, reply_to: HostId, http: usize) {
-        if http == 0 {
-            return self.deliver(result, reply_to);
+        if reply_to == self.host_id && http == 0 {
+            return self.pending.fulfill(result.id.0, result);
         }
         let msg = frame_msg(&InstanceMsg::Result { result }, http);
         let _ = self.nic.send(reply_to, msg);
@@ -982,17 +972,42 @@ impl FaasmInstance {
     ///
     /// Returns the assigned call ids, in input order.
     pub fn submit_placed_batch(&self, calls: Vec<PlacedCall>) -> Vec<CallId> {
-        self.submit_framed(calls, 0)
+        let specs: Vec<CallSpec> = calls
+            .into_iter()
+            .map(|call| {
+                let id = CallId(self.call_seq.fetch_add(1, Ordering::Relaxed));
+                // Register-before-fulfill: the callback must be in place
+                // before any worker can deliver the result.
+                self.pending.register_callback(id.0, call.on_complete);
+                CallSpec {
+                    id,
+                    user: call.user,
+                    function: call.function,
+                    input: call.input,
+                    trace: call.trace,
+                }
+            })
+            .collect();
+        let ids = specs.iter().map(|spec| spec.id).collect();
+        self.send_calls(self, specs);
+        ids
     }
 
-    /// [`submit_placed_batch`](Self::submit_placed_batch) with the bus
-    /// message [framed](frame_msg) in `http` padding bytes: the ingress hop
-    /// of a container function's call.
-    pub(crate) fn submit_framed(&self, calls: Vec<PlacedCall>, http: usize) -> Vec<CallId> {
-        let mut specs = Vec::with_capacity(calls.len());
-        let mut ids = Vec::with_capacity(calls.len());
+    /// The one way a placed call reaches its host: send `calls`, already
+    /// registered in this host's pending table, to `target` (a peer or this
+    /// host) as one [`InstanceMsg::InvokeBatch`], their results coming back
+    /// here. N calls cost one message-bus hop, and the fabric's byte
+    /// counters see the real coordination cost. The message is
+    /// [framed](frame_msg) in the HTTP padding of every container call in
+    /// it, whichever door the call came in by. The calls count in
+    /// `target`'s [`queue_depth`](Self::queue_depth) until its bus loop
+    /// queues them, and `target`'s shutdown gate guarantees that if the
+    /// send happens, it happens before shutdown's drain (which answers it),
+    /// and that a stop observed here is final: no call is lost.
+    fn send_calls(&self, target: &FaasmInstance, calls: Vec<CallSpec>) {
+        let mut sent = Vec::with_capacity(calls.len());
+        let mut http = 0;
         for call in calls {
-            let id = CallId(self.call_seq.fetch_add(1, Ordering::Relaxed));
             // A call whose encoding would wrap the batch codec's u32
             // length prefix corrupts the whole message (the receiver drops
             // it, losing every call in the batch): fail just this call
@@ -1004,84 +1019,48 @@ impl FaasmInstance {
                 .saturating_add(call.input.len())
                 .saturating_add(24);
             if encoded > u32::MAX as usize {
-                (call.on_complete)(CallResult::error(id, "call too large for batch submit"));
-                ids.push(id);
+                let error = CallResult::error(call.id, "call too large for batch submit");
+                self.pending.fulfill(call.id.0, error);
                 continue;
             }
-            // Register-before-fulfill: the callback must be in place before
-            // any worker can deliver the result.
-            self.pending.register_callback(id.0, call.on_complete);
-            specs.push(CallSpec {
-                id,
-                user: call.user,
-                function: call.function,
-                input: call.input,
-                trace: call.trace,
-            });
-            ids.push(id);
+            http += self
+                .registry
+                .get(&call.user, &call.function)
+                .map_or(0, |(def, _)| def.code.http_overhead());
+            sent.push(call);
         }
-        if specs.is_empty() {
-            return ids;
+        if sent.is_empty() {
+            return;
         }
-        let registered: Vec<CallId> = specs.iter().map(|s| s.id).collect();
+        let ids: Vec<CallId> = sent.iter().map(|call| call.id).collect();
         let msg = frame_msg(
             &InstanceMsg::InvokeBatch {
-                calls: specs,
+                calls: sent,
                 reply_to: self.host_id,
                 sent_at_ns: faasm_telemetry::now_ns(),
             },
             http,
         );
-        // One self-addressed bus message for the whole batch: N calls cost
-        // one message-bus hop instead of N, and the fabric's byte counters
-        // see the real coordination cost. The gate guarantees that if the
-        // send happens, it happens before shutdown's drain (which will
-        // answer it), and that a stop observed here is final.
-        self.in_transit
-            .fetch_add(registered.len(), Ordering::Relaxed);
+        target.in_transit.fetch_add(ids.len(), Ordering::Relaxed);
         let failed = {
-            let _submitting = self.shutdown_gate.read();
-            self.stop.load(Ordering::Relaxed) || self.nic.send(self.host_id, msg).is_err()
+            let _sending = target.shutdown_gate.read();
+            target.is_stopped() || self.nic.send(target.host_id, msg).is_err()
         };
         if failed {
-            self.leave_transit(registered.len());
-            // Instance shutting down or fabric host gone: the bus loop will
-            // never queue these, so answer every registered callback now
-            // (oversized calls were already answered above).
-            for id in &registered {
+            target.leave_transit(ids.len());
+            // Target shutting down or its fabric host gone: its bus loop
+            // will never queue these, so answer every call now.
+            for id in ids {
                 self.pending
-                    .fulfill(id.0, CallResult::error(*id, "runtime shutting down"));
+                    .fulfill(id.0, CallResult::error(id, "runtime shutting down"));
             }
         }
-        ids
     }
 
     /// Direct (test/benchmark) entry: run a call on this instance and wait.
     pub fn invoke_local(&self, user: &str, function: &str, input: Vec<u8>) -> CallResult {
         let id = self.submit_placed(user, function, input);
         self.await_call(id)
-    }
-
-    /// Send a call to run on `target`'s host, [framed](frame_msg) in its
-    /// HTTP padding bytes (a container's call crosses the fabric even to
-    /// this host), its result coming back here: await it with
-    /// [`ChainRouter::await_call`]. With no target it fails at once.
-    fn chain_to(
-        &self,
-        target: Option<(HostId, usize)>,
-        user: &str,
-        function: &str,
-        input: Vec<u8>,
-    ) -> CallId {
-        let call = self.new_call(user, function, input);
-        let id = call.id;
-        let reply_to = self.host_id;
-        let msg = InstanceMsg::Invoke { call, reply_to };
-        if target.is_none_or(|(host, http)| self.nic.send(host, frame_msg(&msg, http)).is_err()) {
-            self.pending
-                .fulfill(id.0, CallResult::error(id, "no reachable instances"));
-        }
-        id
     }
 
     /// Stop threads and drop pooled Faaslets. Idempotent.
@@ -1106,27 +1085,17 @@ impl FaasmInstance {
         // submitters never fire — a gateway would leak its in-flight slots
         // and wedge once enough accumulated.
         while let Ok(q) = self.queue_rx.try_recv() {
-            self.deliver(
-                CallResult::error(q.call.id, "runtime shutting down"),
-                q.reply_to,
-            );
+            let answer = CallResult::error(q.call.id, "runtime shutting down");
+            self.respond(answer, q.reply_to, 0);
         }
         while let Some(env) = self.nic.try_recv() {
             match decode_msg(&env.payload) {
-                Some(InstanceMsg::Invoke { call, reply_to }) => {
-                    self.deliver(
-                        CallResult::error(call.id, "runtime shutting down"),
-                        reply_to,
-                    );
-                }
                 Some(InstanceMsg::InvokeBatch {
                     calls, reply_to, ..
                 }) => {
                     for call in calls {
-                        self.deliver(
-                            CallResult::error(call.id, "runtime shutting down"),
-                            reply_to,
-                        );
+                        let answer = CallResult::error(call.id, "runtime shutting down");
+                        self.respond(answer, reply_to, 0);
                     }
                 }
                 Some(InstanceMsg::Result { result }) => self.pending.fulfill(result.id.0, result),
@@ -1145,8 +1114,9 @@ impl ChainRouter for FaasmInstance {
     /// Faaslet's call that can run warm here — an idle Faaslet, a shallow
     /// run queue — is queued here without asking anyone. Any other call is
     /// placed by the cluster's one chooser: queued here when it picks this
-    /// host, sent to the host it picks otherwise. A container's call is
-    /// always placed and always crosses the fabric in its HTTP framing.
+    /// host, [sent](Self::send_calls) to the host it picks otherwise. A
+    /// container's call is always placed and always sent, framed in its
+    /// HTTP padding, even to this host.
     fn chain_call(&self, user: &str, function: &str, input: Vec<u8>) -> CallId {
         let container = self
             .registry
@@ -1160,15 +1130,21 @@ impl ChainRouter for FaasmInstance {
         }
         let placer = self.placer.upgrade();
         let placed = placer.and_then(|placer| placer.place(user, function, Some(self.host_id)));
-        match placed {
-            Some((host, _)) if host.host_id == self.host_id && !container => {
-                self.submit_placed(user, function, input)
-            }
-            placed => {
-                let target = placed.map(|(host, http)| (host.host_id, http));
-                self.chain_to(target, user, function, input)
-            }
+        if placed
+            .as_ref()
+            .is_some_and(|host| host.host_id == self.host_id && !container)
+        {
+            return self.submit_placed(user, function, input);
         }
+        let call = self.new_call(user, function, input);
+        let id = call.id;
+        match placed {
+            Some(target) => self.send_calls(&target, vec![call]),
+            None => self
+                .pending
+                .fulfill(id.0, CallResult::error(id, "no reachable instances")),
+        }
+        id
     }
 
     fn await_call(&self, id: CallId) -> CallResult {

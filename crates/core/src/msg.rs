@@ -14,24 +14,16 @@ use faasm_sched::{
 /// A message between runtime instances.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InstanceMsg {
-    /// Execute a chained call that placement sent to this host; send its
-    /// result to `reply_to`. Receivers always execute it locally: the
-    /// sender's `Cluster::place` already chose this host.
-    Invoke {
-        /// The call to execute.
-        call: CallSpec,
-        /// Where the result goes.
-        reply_to: HostId,
-    },
     /// A completed call's result, delivered to the awaiting host.
     Result {
         /// The result.
         result: CallResult,
     },
-    /// N already-placed calls in one bus message (batch-aware dispatch:
-    /// the coordination cost the paper's scheduler counts is per-message,
-    /// not per-call). Like an `Invoke`, batched calls execute on the
-    /// receiving host: they were placed before they were sent.
+    /// Already-placed calls in one bus message — the one way a call
+    /// reaches the host placement chose for it, whether it entered at the
+    /// front door or was chained (batch-aware dispatch: the coordination
+    /// cost the paper's scheduler counts is per-message, not per-call).
+    /// The receiving host executes every call: placement already chose it.
     InvokeBatch {
         /// The calls to execute, in order.
         calls: Vec<CallSpec>,
@@ -63,11 +55,6 @@ pub enum InstanceMsg {
 pub fn encode_msg(msg: &InstanceMsg) -> Vec<u8> {
     let mut out = Vec::new();
     match msg {
-        InstanceMsg::Invoke { call, reply_to } => {
-            put_u8(&mut out, 0);
-            put_u32(&mut out, reply_to.0);
-            encode_call_into(&mut out, call);
-        }
         InstanceMsg::Result { result } => {
             put_u8(&mut out, 1);
             encode_result_into(&mut out, result);
@@ -137,13 +124,6 @@ pub fn decode_msg(buf: &[u8]) -> Option<InstanceMsg> {
 
 fn read_msg(r: &mut Reader<'_>) -> Result<InstanceMsg, WireError> {
     Ok(match r.u8()? {
-        0 => {
-            let reply_to = HostId(r.u32()?);
-            InstanceMsg::Invoke {
-                call: read_call(r)?,
-                reply_to,
-            }
-        }
         1 => InstanceMsg::Result {
             result: read_result(r)?,
         },
@@ -170,24 +150,6 @@ fn read_msg(r: &mut Reader<'_>) -> Result<InstanceMsg, WireError> {
 mod tests {
     use super::*;
     use faasm_sched::{CallId, CallStatus};
-
-    #[test]
-    fn invoke_roundtrip() {
-        let msg = InstanceMsg::Invoke {
-            call: CallSpec {
-                id: CallId(9),
-                user: "u".into(),
-                function: "f".into(),
-                input: vec![1, 2],
-                trace: faasm_sched::TraceCtx {
-                    trace_id: 5,
-                    span_id: 6,
-                },
-            },
-            reply_to: HostId(3),
-        };
-        assert_eq!(decode_msg(&encode_msg(&msg)), Some(msg));
-    }
 
     #[test]
     fn a_framed_message_carries_its_padding_and_decodes_as_the_plain_one() {

@@ -784,10 +784,10 @@ const MATMUL: Pin = Pin::Placed {
 //                                msgs   bytes  pulls cold warm resident oom
 const ECHO_COLD: Budget = row(2, 742, 1, 1, 0, 262_144, 0);
 const ECHO_WARM: Budget = row(2, 742, 0, 0, 1, 262_144, 0);
-const CHAIN_COLD: Budget = row(4, 1_443, 2, 2, 0, 524_288, 0);
-const CHAIN_WARM: Budget = row(4, 1_443, 0, 0, 2, 524_288, 0);
-const CHAIN_1_COLD: Budget = row(4, 1_443, 1, 2, 0, 524_288, 0);
-const CHAIN_1_WARM: Budget = row(4, 1_443, 0, 0, 2, 524_288, 0);
+const CHAIN_COLD: Budget = row(4, 1_459, 2, 2, 0, 524_288, 0);
+const CHAIN_WARM: Budget = row(4, 1_459, 0, 0, 2, 524_288, 0);
+const CHAIN_1_COLD: Budget = row(4, 1_459, 1, 2, 0, 524_288, 0);
+const CHAIN_1_WARM: Budget = row(4, 1_459, 0, 0, 2, 524_288, 0);
 const INFER_SETUP: Budget = row(2, 2_100, 0, 0, 0, 0, 0);
 const INFER_COLD: Budget = row(4, 3_656, 1, 1, 0, 264_036, 0);
 const INFER_WARM_10: Budget = row(20, 15_560, 0, 0, 10, 264_036, 0);

@@ -1035,7 +1035,6 @@ proptest! {
     ) {
         let reply_to = HostId(3);
         let msgs = [
-            InstanceMsg::Invoke { call: calls[0].clone(), reply_to },
             InstanceMsg::Result { result },
             InstanceMsg::PreStage {
                 user: calls[0].user.clone(),

@@ -312,13 +312,6 @@ fn gateway_and_bus() -> Vec<(&'static str, Vec<u8>)> {
             encode_result(&result(CallStatus::Error("trap: out of fuel".into()))),
         ),
         (
-            "msg.invoke",
-            encode_msg(&InstanceMsg::Invoke {
-                call: call(1),
-                reply_to: HostId(3),
-            }),
-        ),
-        (
             "msg.result",
             encode_msg(&InstanceMsg::Result {
                 result: result(CallStatus::Failed(2)),
@@ -541,9 +534,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("sched.result_success", "0400000000000000000400000064617461"),
     ("sched.result_failed", "040000000000000001feffffff0400000064617461"),
     ("sched.result_error", "04000000000000000211000000747261703a206f7574206f66206675656c0400000064617461"),
-    // Re-captured on purpose when `Invoke` lost its `forwarded` byte (after
-    // `reply_to`): every sender set it and no receiver read it.
-    ("msg.invoke", "00030000006500000000000000887766554433221100ffeeddccbbaa990600000074656e616e740200000066310100000001"),
     ("msg.result", "01040000000000000001020000000400000064617461"),
     ("msg.invoke_batch", "02090000003930000000000000030000002c0000006400000000000000000000000000000000000000000000000600000074656e616e74020000006630000000002d0000006500000000000000887766554433221100ffeeddccbbaa990600000074656e616e7402000000663101000000012e0000006600000000000000000000000000000000000000000000000600000074656e616e74020000006632020000000202"),
     ("msg.prestage", "030600000074656e616e7403000000686f74080000000707070707070707"),
