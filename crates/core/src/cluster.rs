@@ -799,7 +799,8 @@ fn check_entry(object: &ObjectModule, name: &str) -> Result<(), CoreError> {
 mod tests {
     use super::*;
     use crate::ctx::{ChainRouter, NativeApi};
-    use faasm_sched::CallStatus;
+    use faasm_sched::{CallSpec, CallStatus};
+    use std::time::Instant;
 
     const ECHO: &str = r#"
         extern int input_size();
@@ -944,6 +945,15 @@ mod tests {
         let r = cluster.invoke("u", "parent", 20i32.to_le_bytes().to_vec());
         assert_eq!(r.status, CallStatus::Success, "status: {:?}", r.status);
         assert_eq!(i32::from_le_bytes(r.output[..4].try_into().unwrap()), 41);
+        assert_quiescent(&cluster);
+    }
+
+    /// Once every call a test made has returned, no host still counts one
+    /// in its run queue or on its bus — a chain sent to a peer included.
+    fn assert_quiescent(cluster: &Cluster) {
+        for (host, inst) in cluster.instances().iter().enumerate() {
+            assert_eq!(inst.queue_depth(), 0, "host {host} still counts a call");
+        }
     }
 
     #[test]
@@ -1127,6 +1137,94 @@ mod tests {
         let r = a.await_call(id);
         assert_eq!((r.status, r.output), (CallStatus::Success, vec![3]));
         assert_eq!(a.metrics().calls(), 1);
+        assert_quiescent(&cluster);
+    }
+
+    /// A container echo: pooled, run and billed by the runtime, its calls
+    /// framed in 256 bytes of HTTP padding.
+    struct EchoContainer;
+
+    impl crate::ContainerCode for EchoContainer {
+        fn cold_start(
+            &self,
+            _id: u64,
+            _user: &str,
+            _function: &str,
+            _host: &Arc<FaasmInstance>,
+        ) -> Result<Box<dyn crate::Sandbox>, String> {
+            Ok(Box::new(EchoContainer))
+        }
+
+        fn http_overhead(&self) -> usize {
+            256
+        }
+    }
+
+    impl crate::Sandbox for EchoContainer {
+        fn run(&mut self, call: &CallSpec) -> CallResult {
+            CallResult::success(call.id, call.input.clone())
+        }
+
+        fn rss_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    /// The submit seam frames a container's call whichever door it came in
+    /// by: one submitted the way the gateway submits it costs the fabric
+    /// exactly what one through `Cluster::invoke` does.
+    #[test]
+    fn a_container_call_costs_the_fabric_the_same_through_either_door() {
+        use crate::instance::PlacedCall;
+        use std::sync::mpsc;
+
+        let cluster = Cluster::new(1);
+        let def = FunctionDef {
+            code: GuestCode::Container(Arc::new(EchoContainer)),
+            entry: "main".into(),
+            init: None,
+            reset_after_call: false,
+        };
+        cluster.register("u", "echo", def).unwrap();
+        let inst = &cluster.instances()[0];
+        // (messages, bytes) one call moves: its bus message and its result.
+        // The fabric counts a send after routing it, so the caller can wake
+        // before the result is counted: wait for both, bounded.
+        let cost = |call: &dyn Fn() -> CallResult| {
+            let before = cluster.telemetry();
+            assert_eq!(call().output, vec![7; 8]);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                let delta = cluster.telemetry().delta(&before);
+                let got = (
+                    delta.get("fabric", "msgs_sent"),
+                    delta.get("fabric", "bytes_sent"),
+                );
+                if got.0 >= 2 || Instant::now() > deadline {
+                    return got;
+                }
+                std::thread::yield_now();
+            }
+        };
+        let front_door = || cluster.invoke("u", "echo", vec![7; 8]);
+        let gateway_seam = || {
+            let (tx, rx) = mpsc::channel();
+            inst.submit_placed_batch(vec![PlacedCall {
+                user: "u".into(),
+                function: "echo".into(),
+                input: vec![7; 8],
+                trace: faasm_telemetry::TraceCtx::new_root(),
+                on_complete: Box::new(move |result| drop(tx.send(result))),
+            }]);
+            rx.recv_timeout(Duration::from_secs(10)).unwrap()
+        };
+        // The cold start is the same either way; compare warm calls.
+        cost(&front_door);
+        let invoked = cost(&front_door);
+        let submitted = cost(&gateway_seam);
+        assert_eq!(invoked.0, 2, "a call and its result");
+        assert!(invoked.1 > 2 * 256, "both hops framed: {invoked:?}");
+        assert_eq!(submitted, invoked, "(messages, bytes) through the seam");
     }
 
     #[test]
@@ -1201,6 +1299,7 @@ mod tests {
         }
         assert_eq!(tier_ops(&cluster), before, "(reads, writes) moved");
         assert_eq!(host.metrics().calls(), cluster.total_calls());
+        assert_quiescent(&cluster);
     }
 
     #[test]
