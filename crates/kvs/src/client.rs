@@ -197,8 +197,8 @@ impl KvClient {
 
     /// Begin a migration on this shard toward `(epoch, shard_count)`:
     /// freezes the moving keys and returns their exported state (the
-    /// coordinator forwards them to the receiving shard via
-    /// [`KvClient::handoff`]).
+    /// coordinator streams them to the receiving shard with
+    /// [`send_handoff_chunked`](crate::reshard::send_handoff_chunked)).
     ///
     /// # Errors
     ///
@@ -210,18 +210,6 @@ impl KvClient {
     ) -> Result<Vec<crate::store::KeyMigration>, KvError> {
         match self.call(&Request::Migrate { epoch, shard_count })?.0 {
             Response::Handoff(entries) => Ok(entries),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
-    /// Install migrated key state on this shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn handoff(&self, entries: Vec<crate::store::KeyMigration>) -> Result<(), KvError> {
-        match self.call(&Request::Handoff { entries })?.0 {
-            Response::Ok => Ok(()),
             _ => Err(KvError::Protocol),
         }
     }

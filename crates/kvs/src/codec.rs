@@ -574,12 +574,6 @@ messages! {
             /// The shard count of the new routing table.
             shard_count: u64,
         },
-        /// Install migrated key state on the receiving shard (values,
-        /// counters-as-values and lock state with owners preserved).
-        21 => Handoff {
-            /// The moving keys' exported state.
-            entries: Vec<KeyMigration>,
-        },
         /// Commit a routing epoch: the shard adopts the named table as its
         /// serving table and purges every key outside its replica sets (the
         /// donor's post-handoff cleanup). Also the failover path: a commit
@@ -673,7 +667,8 @@ messages! {
         /// Reply to [`Request::Stats`].
         12 => Stats(stats: ShardStats),
         /// Reply to [`Request::Migrate`]: the exported state of every moving
-        /// key (also the payload shape of [`Request::Handoff`]).
+        /// key, which the coordinator streams on to the receiving shard as
+        /// [`Request::HandoffFrame`]s.
         13 => Handoff(entries: Vec<KeyMigration>),
         /// Reply to [`Request::Replicate`]: the backup installed the entries.
         14 => ReplAck {
@@ -898,12 +893,6 @@ mod tests {
             Request::Migrate {
                 epoch: 4,
                 shard_count: 3,
-            },
-            Request::Handoff {
-                entries: migration_entries(),
-            },
-            Request::Handoff {
-                entries: Vec::new(),
             },
             Request::EpochCommit {
                 epoch: 4,
@@ -1149,10 +1138,6 @@ mod tests {
         let mut bytes = vec![10u8];
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_response(&bytes).is_err());
-        // Handoff with a hostile entry count.
-        let mut bytes = raw_request(21);
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_request(&bytes).is_err());
         // Handoff response with a hostile entry count.
         let mut bytes = vec![13u8];
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
@@ -1188,7 +1173,7 @@ mod tests {
         assert!(decode_response(&bytes).is_err());
         // A hostile reader count inside one entry. The reader count sits
         // before one 16-byte reader and the trailing 8-byte version.
-        let req = Request::Handoff {
+        let req = Request::Replicate {
             entries: vec![KeyMigration {
                 key: "k".into(),
                 value: None,

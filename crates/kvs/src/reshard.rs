@@ -561,9 +561,7 @@ mod tests {
         assert!(!writer.is_finished(), "the write must wait out the freeze");
 
         // Complete the migration: handoff, commit, publish.
-        control(&coord, newcomer.host_id())
-            .handoff(exported)
-            .unwrap();
+        send_handoff_chunked(&control(&coord, newcomer.host_id()), exported).unwrap();
         let mut hosts: Vec<HostId> = servers.iter().map(KvServer::host_id).collect();
         hosts.push(newcomer.host_id());
         for &host in &hosts {

@@ -285,7 +285,7 @@ impl KvServer {
 
     /// Start a shard server with an explicit routing view: keyed requests
     /// for keys this shard does not own answer [`Response::WrongEpoch`],
-    /// and the server participates in the `Migrate`/`Handoff`/`EpochCommit`
+    /// and the server participates in the `Migrate`/`HandoffFrame`/`EpochCommit`
     /// resharding protocol.
     pub fn start_routed(
         nic: Nic,
@@ -519,13 +519,6 @@ pub fn apply(store: &KvStore, req: Request) -> Response {
         Request::VersionOf { key } => Response::Len(store.version_of(&key)),
         Request::MultiGet { keys } => Response::MultiValues(store.multi_get(&keys)),
         Request::Stats => Response::Stats(store.stats()),
-        Request::Handoff { entries } => {
-            if oversized(&entries) {
-                return Response::Err("handoff value beyond max value size".into());
-            }
-            store.import_keys(&entries);
-            Response::Ok
-        }
         Request::Migrate { .. } | Request::EpochCommit { .. } => {
             Response::Err("resharding requires a routed shard".into())
         }
@@ -987,12 +980,6 @@ mod tests {
             (Request::Del { key: "m".into() }, v(2, Response::Bool(true))),
             (Request::Ping, Response::Pong),
             (Request::Del { key: k() }, v(4, Response::Bool(true))),
-            (
-                Request::Handoff {
-                    entries: Vec::new(),
-                },
-                Response::Ok,
-            ),
             (
                 Request::Migrate {
                     epoch: 2,

@@ -246,7 +246,6 @@ fn kvs_list_request_strategy() -> impl Strategy<Value = kvs::codec::Request> {
                 key,
                 writes: writes.into_iter().collect(),
             }),
-        migration_entries_strategy().prop_map(|entries| Request::Handoff { entries }),
         migration_entries_strategy().prop_map(|entries| Request::Replicate { entries }),
         (
             any::<u64>(),
@@ -1266,13 +1265,13 @@ proptest! {
     }
 
     /// The migration-entry codec roundtrips arbitrary key state — values,
-    /// set members and lock owners survive the wire bit-exact.
+    /// versions and lock owners survive the wire bit-exact.
     #[test]
     fn kvs_handoff_roundtrips(
         entries in migration_entries_strategy(),
         epoch in any::<u64>(),
     ) {
-        let req = kvs::Request::Handoff { entries: entries.clone() };
+        let req = kvs::Request::Replicate { entries: entries.clone() };
         let bytes = kvs::codec::encode_request_at(&req, epoch);
         prop_assert_eq!(
             kvs::codec::decode_request_epoch(&bytes).unwrap(),

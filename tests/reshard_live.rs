@@ -280,7 +280,7 @@ fn state_entry_push_waits_out_migration_without_blocking_other_chunks() {
         Arc::new(KvStore::new()),
         ShardRouting::new(2, 3, 2),
     );
-    control(newcomer.host_id()).handoff(exported).unwrap();
+    reshard::send_handoff_chunked(&control(newcomer.host_id()), exported).unwrap();
     let mut hosts: Vec<_> = servers.iter().map(KvServer::host_id).collect();
     hosts.push(newcomer.host_id());
     for &host in &hosts {

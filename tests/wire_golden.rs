@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use faasm::core::msg::{encode_msg, InstanceMsg};
+use faasm::core::msg::{decode_msg, encode_msg, InstanceMsg};
 use faasm::core::{chunk_proto, ProtoFaaslet, ProtoManifest};
 use faasm::fvm::InstanceSnapshot;
 use faasm::gateway::codec as gw;
@@ -147,7 +147,6 @@ fn kvs_requests() -> Vec<(&'static str, Request)> {
                 shard_count: 3,
             },
         ),
-        ("req.handoff", Request::Handoff { entries: entries() }),
         (
             "req.epoch_commit",
             Request::EpochCommit {
@@ -438,9 +437,10 @@ fn every_kvs_tag_has_a_golden_vector() {
     assert_eq!(sorted(filed), sorted(Response::TAGS.to_vec()));
 }
 
-/// The set ops' request tags (9–12) and the `Values` response tag (6) are
-/// no longer assigned: the frames a peer built for them, bare tags and tags
-/// followed by hostile counts all decode to an error.
+/// The set ops' request tags (9–12), the `Values` response tag (6), the
+/// whole-state `Handoff` request tag (21) and the single-call `Invoke` bus
+/// tag (0) are no longer assigned: the frames a peer built for them, bare
+/// tags and tags followed by hostile counts all decode to an error.
 #[test]
 fn retired_set_tags_decode_to_errors() {
     assert!(!Request::TAGS.iter().any(|t| (9..=12).contains(t)));
@@ -471,6 +471,34 @@ fn retired_set_tags_decode_to_errors() {
         frame.extend_from_slice(payload);
         assert!(decode_response(&frame).is_err(), "response tag 6");
     }
+    // The last `Handoff` and `Invoke` vectors, as a peer sent them.
+    let handoff = unhex("1100000000000000887766554433221100ffeeddccbbaa99150300000005000000706c61696e010100000076000300000000000000060000006c6f636b656400022a00000000000000e803000000000000000000000000000007000000726561646572730100000000010200000001000000000000000a0000000000000002000000000000001400000000000000ffffffffffffffff");
+    assert!(!Request::TAGS.contains(&21));
+    for cut in [25, 29, handoff.len()] {
+        assert!(
+            decode_request_traced(&handoff[..cut]).is_err(),
+            "tag 21, {cut} B"
+        );
+    }
+    let invoke = unhex("00030000006500000000000000887766554433221100ffeeddccbbaa990600000074656e616e740200000066310100000001");
+    let frame = |body: &[u8]| {
+        // Tag 4, the length-prefixed body, then the padding.
+        let mut framed = vec![4u8];
+        framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        framed.extend_from_slice(body);
+        framed.extend_from_slice(&[0; 256]);
+        framed
+    };
+    for cut in [1, 5, invoke.len()] {
+        let plain = &invoke[..cut];
+        assert_eq!(decode_msg(plain), None, "bus tag 0, {cut} B");
+        assert_eq!(decode_msg(&frame(plain)), None, "framed bus tag 0, {cut} B");
+    }
+    // The same frame around a message that is still assigned decodes.
+    let result = encode_msg(&InstanceMsg::Result {
+        result: CallResult::success(CallId(4), b"out".to_vec()),
+    });
+    assert!(decode_msg(&frame(&result)).is_some());
 }
 
 #[rustfmt::skip]
@@ -495,11 +523,10 @@ const GOLDEN: &[(&str, &str)] = &[
     ("req.multi_set_range", "1100000000000000887766554433221100ffeeddccbbaa9912010000006b03000000000205005d010300000061617a"),
     ("req.stats", "1100000000000000887766554433221100ffeeddccbbaa9913"),
     ("req.migrate", "1100000000000000887766554433221100ffeeddccbbaa991404000000000000000300000000000000"),
-    // Re-captured on purpose, with `req.replicate`, `req.handoff_frame`
-    // and `resp.handoff`, when a migrated key lost its set-member list
-    // (the u32 count after the value): the KVS has no set value kind.
-    ("req.handoff", "1100000000000000887766554433221100ffeeddccbbaa99150300000005000000706c61696e010100000076000300000000000000060000006c6f636b656400022a00000000000000e803000000000000000000000000000007000000726561646572730100000000010200000001000000000000000a0000000000000002000000000000001400000000000000ffffffffffffffff"),
     ("req.epoch_commit", "1100000000000000887766554433221100ffeeddccbbaa991609000000000000000500000000000000020000000100000003000000050000000a0000000b0000000c0000000d0000000e000000"),
+    // Re-captured on purpose, with `req.handoff_frame` and `resp.handoff`,
+    // when a migrated key lost its set-member list (the u32 count after the
+    // value): the KVS has no set value kind.
     ("req.replicate", "1100000000000000887766554433221100ffeeddccbbaa99170300000005000000706c61696e010100000076000300000000000000060000006c6f636b656400022a00000000000000e803000000000000000000000000000007000000726561646572730100000000010200000001000000000000000a0000000000000002000000000000001400000000000000ffffffffffffffff"),
     ("req.handoff_frame", "1100000000000000887766554433221100ffeeddccbbaa99184d0000000000000002000000010300000005000000706c61696e010100000076000300000000000000060000006c6f636b656400022a00000000000000e803000000000000000000000000000007000000726561646572730100000000010200000001000000000000000a0000000000000002000000000000001400000000000000ffffffffffffffff"),
     ("req.rebuild", "1100000000000000887766554433221100ffeeddccbbaa9919020000000000000004000000"),
