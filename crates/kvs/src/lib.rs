@@ -36,7 +36,7 @@ pub use client::{KvClient, KvError};
 pub use codec::{Request, Response, EPOCH_ANY};
 pub use content::{chunk_key, manifest_key, Digest};
 pub use lru::BoundedLru;
-pub use server::{KvServer, ServerShaping, ShardRouting};
+pub use server::{KvServer, ShardRouting};
 pub use sharded::{
     primary_index_live, rendezvous_delta, replica_set_for, replica_set_live, shard_index_for,
     RoutingCell, RoutingTable, ShardedKvClient,

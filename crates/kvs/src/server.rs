@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use faasm_net::{Envelope, HostId, Nic, TokenBucket, MSG_HEADER_BYTES};
+use faasm_net::{Envelope, HostId, Nic};
 use faasm_telemetry::{SpanKind, TraceCtx};
 use parking_lot::{Mutex, RwLock};
 
@@ -249,12 +249,6 @@ pub struct KvServer {
     workers: Vec<JoinHandle<()>>,
 }
 
-/// Per-server NIC bandwidth shaping: request and response bytes debit one
-/// token bucket shared by all worker threads — the `tc` cap on the global
-/// tier host's interface (the paper's testbed runs the tier on 1 Gbps
-/// links, so a shard's NIC, not its CPU, is the contended resource).
-pub type ServerShaping = Option<Arc<TokenBucket>>;
-
 impl std::fmt::Debug for KvServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KvServer")
@@ -267,20 +261,7 @@ impl std::fmt::Debug for KvServer {
 impl KvServer {
     /// Start a server on `nic` with `workers` threads.
     pub fn start(nic: Nic, workers: usize) -> KvServer {
-        KvServer::start_shaped(nic, workers, Arc::new(KvStore::new()), None)
-    }
-
-    /// Start a server over an existing store (a restart with retained
-    /// state, or a store a test inspects) with optional NIC bandwidth
-    /// shaping: every served request debits its request + response bytes
-    /// from the bucket before the reply leaves the host.
-    pub fn start_shaped(
-        nic: Nic,
-        workers: usize,
-        store: Arc<KvStore>,
-        shaping: ServerShaping,
-    ) -> KvServer {
-        KvServer::start_replicated_full(nic, None, workers, store, shaping, None)
+        KvServer::start_replicated_full(nic, None, workers, Arc::new(KvStore::new()), None)
     }
 
     /// Start a shard server with an explicit routing view: keyed requests
@@ -293,7 +274,7 @@ impl KvServer {
         store: Arc<KvStore>,
         routing: Arc<ShardRouting>,
     ) -> KvServer {
-        KvServer::start_replicated_full(nic, None, workers, store, None, Some(routing))
+        KvServer::start_replicated_full(nic, None, workers, store, Some(routing))
     }
 
     /// Start a replicated shard server: `nic` serves clients (and forwards
@@ -306,7 +287,7 @@ impl KvServer {
         store: Arc<KvStore>,
         routing: Arc<ShardRouting>,
     ) -> KvServer {
-        KvServer::start_replicated_full(nic, Some(repl_nic), workers, store, None, Some(routing))
+        KvServer::start_replicated_full(nic, Some(repl_nic), workers, store, Some(routing))
     }
 
     fn start_replicated_full(
@@ -314,26 +295,17 @@ impl KvServer {
         repl_nic: Option<Nic>,
         workers: usize,
         store: Arc<KvStore>,
-        shaping: ServerShaping,
         routing: Option<Arc<ShardRouting>>,
     ) -> KvServer {
         let stop = Arc::new(AtomicBool::new(false));
         let spawn_loop = |nic: Nic, forwards: bool| {
             let store = Arc::clone(&store);
             let stop = Arc::clone(&stop);
-            let shaping = shaping.clone();
             let routing = routing.clone();
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     match nic.recv_timeout(Duration::from_millis(50)) {
-                        Ok(env) => serve_one(
-                            &store,
-                            routing.as_deref(),
-                            &nic,
-                            forwards,
-                            env,
-                            shaping.as_deref(),
-                        ),
+                        Ok(env) => serve_one(&store, routing.as_deref(), &nic, forwards, env),
                         Err(faasm_net::NetError::Timeout) => continue,
                         Err(_) => break,
                     }
@@ -412,7 +384,6 @@ fn serve_one(
     nic: &Nic,
     forwards: bool,
     env: Envelope,
-    shaper: Option<&TokenBucket>,
 ) {
     let resp = match decode_request_traced(&env.payload) {
         Ok((req, epoch, trace)) => {
@@ -422,13 +393,7 @@ fn serve_one(
     };
     // One-way requests (fire-and-forget writes) carry no reply tag.
     if env.reply_tag.is_some() {
-        let bytes = encode_response(&resp);
-        if let Some(bucket) = shaper {
-            bucket.acquire(env.payload.len() + bytes.len() + 2 * MSG_HEADER_BYTES as usize);
-        }
-        let _ = nic.respond(&env, bytes);
-    } else if let Some(bucket) = shaper {
-        bucket.acquire(env.payload.len() + MSG_HEADER_BYTES as usize);
+        let _ = nic.respond(&env, encode_response(&resp));
     }
 }
 
@@ -1146,10 +1111,11 @@ mod tests {
         let nic = fabric.add_host();
         let store = Arc::new(KvStore::new());
         store.set("persist", b"yes".to_vec());
-        let server = KvServer::start_shaped(nic.clone(), 1, Arc::clone(&store), None);
+        let routing = || ShardRouting::new(1, 1, 0);
+        let server = KvServer::start_routed(nic.clone(), 1, Arc::clone(&store), routing());
         server.shutdown();
         // "Restart" the server process on the same authoritative state.
-        let server2 = KvServer::start_shaped(nic, 1, store, None);
+        let server2 = KvServer::start_routed(nic, 1, store, routing());
         assert_eq!(server2.store().get("persist"), Some(b"yes".to_vec()));
         server2.shutdown();
     }
