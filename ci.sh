@@ -62,6 +62,18 @@ gates=(
     'crates/core/src@whole'
     'the Invoke forwarded byte is back; every Invoke executes where placement sent it'
 
+    # A placed call reaches its host one way: an InvokeBatch sent by
+    # FaasmInstance::send_calls, which frames it; results land in a
+    # PendingMap<CallResult>.
+    'InstanceMsg::Invoke \{|fn chain_to|fn submit_framed|struct Pending\b'
+    'crates/core/src@whole'
+    'a second way for a placed call to reach its host (or the Pending wrapper) is back; send an InvokeBatch through send_calls'
+
+    # Migrations ship only as HandoffFrames, and a shard NIC is not shaped.
+    'Request::Handoff \{|fn handoff\(|ServerShaping'
+    'crates@whole'
+    'the whole-state Handoff request or the ServerShaping knob is back; migrations stream HandoffFrames (reshard::send_handoff_chunked)'
+
     # One front door, one placement scorer.
     'forwarded: false|fn pick_instance|gateway-bus|DEPTH_WEIGHT'
     'crates/*/src'
