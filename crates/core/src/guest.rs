@@ -131,7 +131,10 @@ type Upload = (Arc<FunctionDef>, u64);
 /// used under another upload. A function is replaced, never removed.
 #[derive(Debug, Default)]
 pub struct FunctionRegistry {
-    funcs: RwLock<HashMap<(String, String), Upload>>,
+    /// User → function → upload: nested so a lookup borrows its names
+    /// instead of allocating a key (placing and sending a call look its
+    /// function up several times).
+    funcs: RwLock<HashMap<String, HashMap<String, Upload>>>,
     generation: AtomicU64,
 }
 
@@ -147,23 +150,20 @@ impl FunctionRegistry {
         // Bumped under the write lock, so generations order the uploads of
         // one function the way the map saw them.
         let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        funcs.insert(
-            (user.to_string(), function.to_string()),
-            (Arc::new(def), generation),
-        );
+        funcs
+            .entry(user.to_string())
+            .or_default()
+            .insert(function.to_string(), (Arc::new(def), generation));
     }
 
     /// Look up a function: its current upload and that upload's generation.
     pub fn get(&self, user: &str, function: &str) -> Option<(Arc<FunctionDef>, u64)> {
-        self.funcs
-            .read()
-            .get(&(user.to_string(), function.to_string()))
-            .cloned()
+        self.funcs.read().get(user)?.get(function).cloned()
     }
 
     /// Number of registered functions.
     pub fn len(&self) -> usize {
-        self.funcs.read().len()
+        self.funcs.read().values().map(HashMap::len).sum()
     }
 
     /// True if nothing is registered.
