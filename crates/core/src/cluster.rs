@@ -142,8 +142,9 @@ pub(crate) struct Placer {
 }
 
 impl Placer {
-    /// Choose the instance for one call. Live hosts are ranked by the scheduler's one [score](Candidate::score): the warmth
-    /// and run queue each host's pool reports, and the affinity board.
+    /// Choose the instance for one call. Live hosts are ranked by the
+    /// scheduler's one [score](Candidate::score): the warmth and run queue
+    /// each host's pool reports, and the affinity board.
     /// Among equals `caller` wins when it is one of them (a chained call
     /// nobody is better placed for starts where it was made, as in §5.1),
     /// and otherwise the rotation takes them in turn. Stopped instances are
@@ -432,7 +433,7 @@ impl Cluster {
             user: user.to_string(),
             function: function.to_string(),
             input,
-            // Driver-ingress calls root a fresh trace (unless the caller is
+            // Front-door calls root a fresh trace (unless the caller is
             // itself traced, e.g. a test following one call end to end).
             trace: match faasm_telemetry::current() {
                 ctx if ctx.is_none() => faasm_telemetry::TraceCtx::new_root(),

@@ -23,9 +23,10 @@
 //! registers in `chain_call`/`submit_placed`/`submit_placed_batch` before
 //! queueing or sending (the cluster front door's results arrive through
 //! such a batch callback and are parked, store-unregistered), and the
-//! gateway registers a ticket before admission. Callback waiters ([`PendingMap::register_callback`])
-//! are exempt — a callback registered after an early fulfilment is invoked
-//! immediately when the map stores unregistered results.
+//! gateway registers a ticket before admission. Callback waiters
+//! ([`PendingMap::register_callback`]) are exempt — a callback registered
+//! after an early fulfilment is invoked immediately when the map stores
+//! unregistered results.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
