@@ -69,36 +69,18 @@ impl Instance {
         }
     }
 
-    /// Execute one function body on the interpreter. The `trace_enabled()`
-    /// check is hoisted out of the hot loop here: the interpreter
-    /// monomorphises into a traced and an untraced variant and the branch
-    /// happens once per call.
-    fn exec_body(
-        &mut self,
-        object: &Arc<ObjectModule>,
-        local_idx: usize,
-        locals: Vec<u64>,
-        depth: usize,
-    ) -> Result<Option<u64>, Trap> {
-        if depth >= self.max_call_depth {
-            return Err(Trap::CallStackExhausted);
-        }
-        if trace_enabled() {
-            self.exec_body_impl::<true>(object, local_idx, locals, depth)
-        } else {
-            self.exec_body_impl::<false>(object, local_idx, locals, depth)
-        }
-    }
-
     /// The interpreter main loop for one function body.
     #[allow(clippy::too_many_lines)]
-    fn exec_body_impl<const TRACED: bool>(
+    fn exec_body(
         &mut self,
         object: &Arc<ObjectModule>,
         local_idx: usize,
         mut locals: Vec<u64>,
         depth: usize,
     ) -> Result<Option<u64>, Trap> {
+        if depth >= self.max_call_depth {
+            return Err(Trap::CallStackExhausted);
+        }
         let func = &object.module.funcs[local_idx];
         let func_arity = object.module.types[func.type_idx as usize].results.len();
         let body: &[Instr] = &func.body;
@@ -144,12 +126,6 @@ impl Instance {
             self.instrs += 1;
             debug_assert!(pc < body.len(), "validated bodies end with End");
             let instr = &body[pc];
-            if TRACED {
-                eprintln!(
-                    "pc {pc:3} {instr:?} stack={stack:?} labels={}",
-                    labels.len()
-                );
-            }
             match instr {
                 Instr::Unreachable => return Err(Trap::Unreachable),
                 Instr::Block(bt) => {
@@ -417,12 +393,6 @@ macro_rules! define_step_plain {
 }
 
 numeric_ops!(define_step_plain);
-
-/// Whether `FVM_TRACE` instruction tracing is on (checked once per process).
-fn trace_enabled() -> bool {
-    static TRACE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *TRACE.get_or_init(|| std::env::var_os("FVM_TRACE").is_some())
-}
 
 #[inline]
 fn pop_raw(s: &mut Vec<u64>) -> u64 {
