@@ -13,8 +13,7 @@ use std::time::Duration;
 
 use faasm_fvm::{ExecTier, ExportKind, ObjectModule};
 use faasm_kvs::{
-    reshard, KvError, KvServer, KvStore, RoutingCell, RoutingTable, ShardRouting, ShardStats,
-    ShardedKvClient, SharedKv,
+    reshard, KvError, KvServer, RoutingCell, RoutingTable, ShardStats, ShardedKvClient, SharedKv,
 };
 use faasm_net::{Fabric, HostId};
 use faasm_sched::{entry_for, CallId, CallResult, Candidate};
@@ -204,55 +203,7 @@ impl Cluster {
         // quorum calls.
         let shards = config.state_shards.max(1);
         let replication = config.replication_factor.clamp(1, shards);
-        let kvs: Vec<KvServer>;
-        let table;
-        if replication > 1 {
-            let main_nics: Vec<faasm_net::Nic> = (0..shards).map(|_| fabric.add_host()).collect();
-            let repl_nics: Vec<faasm_net::Nic> = (0..shards).map(|_| fabric.add_host()).collect();
-            let repl_hosts: Vec<faasm_net::HostId> =
-                repl_nics.iter().map(faasm_net::Nic::id).collect();
-            kvs = main_nics
-                .into_iter()
-                .zip(repl_nics)
-                .enumerate()
-                .map(|(i, (nic, repl_nic))| {
-                    KvServer::start_replicated(
-                        nic,
-                        repl_nic,
-                        KVS_WORKERS,
-                        Arc::new(KvStore::new()),
-                        ShardRouting::replicated(
-                            1,
-                            shards,
-                            i,
-                            replication,
-                            Vec::new(),
-                            repl_hosts.clone(),
-                        ),
-                    )
-                })
-                .collect();
-            table = RoutingTable::replicated(
-                1,
-                kvs.iter().map(KvServer::host_id).collect(),
-                replication,
-                Vec::new(),
-                repl_hosts,
-            );
-        } else {
-            kvs = (0..shards)
-                .map(|i| {
-                    KvServer::start_routed(
-                        fabric.add_host(),
-                        KVS_WORKERS,
-                        Arc::new(KvStore::new()),
-                        ShardRouting::new(1, shards, i),
-                    )
-                })
-                .collect();
-            table = RoutingTable::new(1, kvs.iter().map(KvServer::host_id).collect());
-        }
-        let routing = RoutingCell::new(table);
+        let (kvs, routing) = reshard::start_tier(&fabric, shards, replication, KVS_WORKERS);
         let object_store = Arc::new(ObjectStore::new());
         let registry = Arc::new(FunctionRegistry::new());
         let call_seq = Arc::new(AtomicU64::new(1));
@@ -535,40 +486,8 @@ impl Cluster {
     /// table and the new server is torn down.
     pub fn add_state_shard(&self) -> Result<usize, KvError> {
         let _one_at_a_time = self.reshard_lock.lock();
-        let table = self.routing.load();
-        let new_index = table.hosts.len();
-        let server = if table.replication > 1 {
-            let repl_nic = self.fabric.add_host();
-            let mut repl_hosts = table.repl_hosts.clone();
-            repl_hosts.push(repl_nic.id());
-            KvServer::start_replicated(
-                self.fabric.add_host(),
-                repl_nic,
-                KVS_WORKERS,
-                Arc::new(KvStore::new()),
-                ShardRouting::replicated(
-                    table.epoch + 1,
-                    new_index + 1,
-                    new_index,
-                    table.replication,
-                    table.dead.clone(),
-                    repl_hosts,
-                ),
-            )
-        } else {
-            KvServer::start_routed(
-                self.fabric.add_host(),
-                KVS_WORKERS,
-                Arc::new(KvStore::new()),
-                ShardRouting::new(table.epoch + 1, new_index + 1, new_index),
-            )
-        };
-        match reshard::grow_replicated(
-            &self.coord_nic,
-            &self.routing,
-            server.host_id(),
-            server.repl_host_id(),
-        ) {
+        let server = reshard::start_joiner(&self.fabric, &self.routing.load(), KVS_WORKERS);
+        match reshard::grow(&self.coord_nic, &self.routing, &server) {
             Ok(new_table) => {
                 let count = new_table.live_count();
                 self.kvs.lock().push(server);
@@ -614,28 +533,18 @@ impl Cluster {
         reshard::failover(&self.coord_nic, &self.routing, slot)
     }
 
-    /// Retire the tier's last shard, live: its keys migrate to their new
-    /// owners under the shrunk table, the epoch commits, the table
-    /// publishes, and the retired server leaves the fabric. Returns the
-    /// new shard count.
+    /// Retire the tier's last live shard, live ([`reshard::shrink`]): its
+    /// keys migrate to their new owners under the shrunk table (on a
+    /// replicated tier their backups already hold them), the epoch commits,
+    /// the table publishes, and the retired server leaves the fabric.
+    /// Returns the new shard count.
     ///
     /// # Errors
     ///
     /// [`KvError`] when only one shard remains or migration fails.
     pub fn remove_state_shard(&self) -> Result<usize, KvError> {
         let _one_at_a_time = self.reshard_lock.lock();
-        let table = self.routing.load();
-        let (new_table, retired) = if table.replication > 1 || !table.dead.is_empty() {
-            // Replicated (or tombstoned) tier: no migration needed — retire
-            // the last live slot; its keys' backups already hold everything.
-            let slot = *table
-                .live_slots()
-                .last()
-                .ok_or_else(|| KvError::Server("no live state shards".into()))?;
-            reshard::retire(&self.coord_nic, &self.routing, slot)?
-        } else {
-            reshard::shrink(&self.coord_nic, &self.routing)?
-        };
+        let (new_table, retired) = reshard::shrink(&self.coord_nic, &self.routing)?;
         let mut kvs = self.kvs.lock();
         if let Some(idx) = kvs.iter().position(|s| s.host_id() == retired) {
             let server = kvs.remove(idx);
@@ -676,8 +585,7 @@ impl Cluster {
             }
         }
         for shard in self.kvs.lock().iter() {
-            let routing = shard.routing().expect("cluster shards are routed");
-            sets.push(shard.stats().row("state-shard", routing.slot()));
+            sets.push(shard.stats().row("state-shard", shard.routing().slot()));
         }
         Telemetry::capture(sets)
     }

@@ -6,9 +6,9 @@ use faasm_net::{HostId, NetError, Nic};
 
 use crate::backend::KvBackend;
 use crate::codec::{
-    decode_request_traced, decode_response, encode_request_at, Request, Response, EPOCH_ANY,
+    decode_request, decode_response, encode_request_at, Request, Response, EPOCH_ANY,
 };
-use crate::server::apply_traced;
+use crate::server::apply;
 use crate::store::{KvStore, ShardStats};
 
 static NEXT_OWNER: AtomicU64 = AtomicU64::new(1);
@@ -25,8 +25,7 @@ pub enum KvError {
     /// The shard does not own the key under its routing table: refresh the
     /// routing table to at least `epoch` and retry on the owning shard.
     /// [`ShardedKvClient`](crate::ShardedKvClient) handles this internally;
-    /// it surfaces only when the retry budget is exhausted or the client
-    /// has no routing cell to refresh from.
+    /// it surfaces only when the retry budget is exhausted.
     WrongEpoch {
         /// The epoch the routing table must reach.
         epoch: u64,
@@ -175,10 +174,9 @@ impl KvClient {
             Transport::Local(store) => {
                 // Keep the codec on the path so local mode measures the same
                 // serialisation costs as remote mode, minus the fabric.
-                let (req, epoch, trace) =
-                    decode_request_traced(&encode_request_at(req, self.epoch))
-                        .map_err(|_| KvError::Protocol)?;
-                Ok(apply_traced(store, None, None, req, epoch, trace))
+                let req = decode_request(&encode_request_at(req, self.epoch))
+                    .map_err(|_| KvError::Protocol)?;
+                Ok(apply(store, req))
             }
         }
     }

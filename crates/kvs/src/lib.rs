@@ -9,10 +9,12 @@
 //!
 //! Structure: [`KvStore`] is the pure state machine; [`KvServer`] serves it
 //! over the `faasm-net` fabric with a hand-rolled binary codec ([`codec`]) so
-//! every byte is measured; [`KvClient`] is the synchronous client used by
-//! host runtimes. Consumers hold a [`SharedKv`] ([`KvBackend`] trait
-//! object): a single [`KvClient`] for one-server deployments, or a
-//! [`ShardedKvClient`] routing each key to one of N shard servers by
+//! every byte is measured, always as one shard of a routed tier; [`KvClient`]
+//! is the synchronous client of one server. The tier has one shape whatever
+//! its shard count and replication factor: [`reshard::start_tier`] boots it
+//! and [`reshard::start_joiner`] boots a shard that joins it. Consumers hold
+//! a [`SharedKv`] ([`KvBackend`] trait object), a [`ShardedKvClient`] that
+//! follows the tier's [`RoutingCell`] and routes each key to its shard by
 //! rendezvous hashing.
 
 #![warn(missing_docs)]

@@ -37,17 +37,76 @@
 //!   the tier returns to full redundancy.
 //! - [`retire`] — a planned removal: identical, except the victim also
 //!   receives the commit (purging its entire store) and is returned for
-//!   shutdown.
+//!   shutdown. [`shrink`] takes this path on such a tier.
+//!
+//! Every tier, whatever its shard count and replication factor, is booted
+//! by [`start_tier`], and every shard that joins one by [`start_joiner`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use faasm_net::{HostId, Nic};
+use faasm_net::{Fabric, HostId, Nic};
 
 use crate::client::{KvClient, KvError};
 use crate::codec::{Wire, EPOCH_ANY};
+use crate::server::KvServer;
 use crate::sharded::{shard_index_for, RoutingCell, RoutingTable};
-use crate::store::KeyMigration;
+use crate::store::{KeyMigration, KvStore};
+
+/// Boot a routed tier at epoch 1: `shards` shard servers of `workers`
+/// threads each, every key held by `replication` of them, and the routing
+/// cell publishing their table. The fabric hands out every main host first,
+/// in slot order, then — on a replicated tier only — every replica-traffic
+/// host.
+///
+/// # Panics
+///
+/// If `replication` is not in `1..=shards`.
+pub fn start_tier(
+    fabric: &Fabric,
+    shards: usize,
+    replication: usize,
+    workers: usize,
+) -> (Vec<KvServer>, Arc<RoutingCell>) {
+    assert!(
+        (1..=shards).contains(&replication),
+        "a tier of {shards} shards cannot hold {replication} replicas per key"
+    );
+    let nics: Vec<Nic> = (0..shards).map(|_| fabric.add_host()).collect();
+    // Only a replicated tier has replica traffic to serve.
+    let repl_nics: Vec<Nic> = (0..shards)
+        .filter(|_| replication > 1)
+        .map(|_| fabric.add_host())
+        .collect();
+    let table = RoutingTable::replicated(
+        1,
+        nics.iter().map(Nic::id).collect(),
+        replication,
+        Vec::new(),
+        repl_nics.iter().map(Nic::id).collect(),
+    );
+    let mut repl_nics = repl_nics.into_iter();
+    let servers = nics
+        .into_iter()
+        .enumerate()
+        .map(|(slot, nic)| {
+            let store = Arc::new(KvStore::new());
+            KvServer::start_shard(nic, repl_nics.next(), workers, store, &table, slot)
+        })
+        .collect();
+    (servers, RoutingCell::new(table))
+}
+
+/// Boot the shard that joins `table` as its next slot, routed at the next
+/// epoch and ready for [`grow`]. On a replicated tier it takes its
+/// replica-traffic host from the fabric before its main host.
+pub fn start_joiner(fabric: &Fabric, table: &RoutingTable, workers: usize) -> KvServer {
+    let repl_nic = (table.replication > 1).then(|| fabric.add_host());
+    let nic = fabric.add_host();
+    let next = table.joined(nic.id(), repl_nic.as_ref().map(Nic::id));
+    let store = Arc::new(KvStore::new());
+    KvServer::start_shard(nic, repl_nic, workers, store, &next, table.hosts.len())
+}
 
 fn control(coord: &Nic, host: HostId) -> KvClient {
     KvClient::connect_at(coord.clone(), host, EPOCH_ANY, KvClient::fresh_owner())
@@ -102,10 +161,13 @@ fn commit_args(table: &RoutingTable) -> (Vec<u32>, Vec<u32>) {
     )
 }
 
-/// Grow the tier by one shard: migrate every key whose rendezvous owner
-/// under `old_count + 1` shards is the new shard onto `new_host` (which
-/// must already be serving, routed at the next epoch), commit the epoch on
-/// every shard and publish the new table through `cell`.
+/// Grow the tier by one shard: migrate every key whose replica set under
+/// the grown table gains the new slot onto `joiner` (booted by
+/// [`start_joiner`] from the current table), commit the epoch on every
+/// shard and publish the new table through `cell`. Rendezvous ranking over
+/// the surviving slots is unchanged by the new slot, so the only member any
+/// key's replica set gains is the newcomer — every exported entry streams
+/// to it, chunked.
 ///
 /// On a mid-protocol failure the frozen donors are rolled back to the old
 /// table (their keys were never purged) and the error is returned; the
@@ -113,56 +175,29 @@ fn commit_args(table: &RoutingTable) -> (Vec<u32>, Vec<u32>) {
 ///
 /// # Errors
 ///
-/// Returns [`KvError`] when a shard cannot be reached or rejects a phase.
+/// Returns [`KvError`] when a shard cannot be reached or rejects a phase,
+/// or when a replicated tier's joiner has no replica-traffic host.
 pub fn grow(
     coord: &Nic,
     cell: &RoutingCell,
-    new_host: HostId,
-) -> Result<Arc<RoutingTable>, KvError> {
-    grow_replicated(coord, cell, new_host, None)
-}
-
-/// [`grow`] on a replicated tier: `new_repl_host` is the joining shard's
-/// replica-traffic host (required when the table replicates). Rendezvous
-/// ranking over the surviving slots is unchanged by the new slot, so the
-/// only member any key's replica set gains is the newcomer — every
-/// exported entry streams to it, chunked.
-///
-/// # Errors
-///
-/// Returns [`KvError`] when a shard cannot be reached or rejects a phase.
-pub fn grow_replicated(
-    coord: &Nic,
-    cell: &RoutingCell,
-    new_host: HostId,
-    new_repl_host: Option<HostId>,
+    joiner: &KvServer,
 ) -> Result<Arc<RoutingTable>, KvError> {
     // Flight-recorder trigger: snapshot recent shard activity at migration
     // boundaries, where retry storms and freeze waits cluster.
     faasm_telemetry::tier("state-shard").note_anomaly("reshard grow begin");
     let old = cell.load();
-    if old.replication > 1 && new_repl_host.is_none() {
+    if old.replication > 1 && joiner.repl_host_id().is_none() {
         return Err(KvError::Server(
             "a replicated tier's new shard needs a replica-traffic host".into(),
         ));
     }
-    let new_epoch = old.epoch + 1;
-    let mut hosts = old.hosts.clone();
-    hosts.push(new_host);
-    let mut repl_hosts = old.repl_hosts.clone();
-    repl_hosts.extend(new_repl_host);
-    let new_count = hosts.len() as u64;
-    let new_table = RoutingTable::replicated(
-        new_epoch,
-        hosts,
-        old.replication,
-        old.dead.clone(),
-        repl_hosts,
-    );
+    let new_table = old.joined(joiner.host_id(), joiner.repl_host_id());
+    let new_epoch = new_table.epoch;
+    let new_count = new_table.hosts.len() as u64;
     let (dead_u32, hosts_u32) = commit_args(&new_table);
     let (old_dead_u32, old_hosts_u32) = commit_args(&old);
 
-    let target = control(coord, new_host);
+    let target = control(coord, joiner.host_id());
     let mut frozen: Vec<HostId> = Vec::new();
     let migrated = (|| {
         for slot in old.live_slots() {
@@ -307,26 +342,29 @@ fn fail_slot(
     Ok((installed, victim))
 }
 
-/// Shrink the tier by one shard: the last shard of the table exports
-/// **all** of its keys (frozen for the duration), the coordinator hands
-/// each key to its owner under the shrunk table, the remaining shards
-/// commit the epoch and the new table is published. Returns the new table
-/// and the retired host (the caller owns shutting its server down).
+/// Shrink the tier by one shard. On an unreplicated, untombstoned table
+/// the last shard exports **all** of its keys (frozen for the duration),
+/// the coordinator hands each key to its owner under the shrunk table, the
+/// remaining shards commit the epoch and the new table is published. On a
+/// replicated (or tombstoned) table no migration is needed: the last live
+/// slot is [`retire`]d, since its keys' backups already hold everything.
+/// Returns the new table and the retired host (the caller owns shutting
+/// its server down).
 ///
 /// # Errors
 ///
-/// Returns [`KvError`] when the tier has only one shard, or a shard cannot
-/// be reached mid-protocol (the retiring shard is then rolled back).
+/// Returns [`KvError`] when the tier has only one live shard, or a shard
+/// cannot be reached mid-protocol (the retiring shard is then rolled back).
 pub fn shrink(coord: &Nic, cell: &RoutingCell) -> Result<(Arc<RoutingTable>, HostId), KvError> {
-    faasm_telemetry::tier("state-shard").note_anomaly("reshard shrink begin");
     let old = cell.load();
     if old.replication > 1 || !old.dead.is_empty() {
-        // On a replicated (or already-tombstoned) table a planned removal
-        // needs no migration at all: retire the last live slot instead.
-        return Err(KvError::Server(
-            "shrink is for unreplicated tables; use retire on a replicated tier".into(),
-        ));
+        let last = *old
+            .live_slots()
+            .last()
+            .expect("a published table has live slots");
+        return retire(coord, cell, last);
     }
+    faasm_telemetry::tier("state-shard").note_anomaly("reshard shrink begin");
     if old.hosts.len() <= 1 {
         return Err(KvError::Server("cannot retire the last state shard".into()));
     }
@@ -381,40 +419,70 @@ pub fn shrink(coord: &Nic, cell: &RoutingCell) -> Result<(Arc<RoutingTable>, Hos
 mod tests {
     use super::*;
     use crate::backend::KvBackend;
-    use crate::server::{KvServer, ShardRouting};
     use crate::sharded::ShardedKvClient;
-    use crate::store::{KvStore, LockMode};
-    use faasm_net::Fabric;
+    use crate::store::LockMode;
     use std::time::Duration;
 
-    /// A routed tier of `n` shards at epoch 1 plus its routing cell.
+    /// An unreplicated tier of `n` shards at epoch 1 plus its routing cell.
     fn routed_tier(fabric: &Fabric, n: usize) -> (Vec<KvServer>, Arc<RoutingCell>) {
-        let servers: Vec<KvServer> = (0..n)
-            .map(|i| {
-                KvServer::start_routed(
-                    fabric.add_host(),
-                    2,
-                    Arc::new(KvStore::new()),
-                    ShardRouting::new(1, n, i),
-                )
-            })
-            .collect();
-        let cell = RoutingCell::new(RoutingTable::new(
-            1,
-            servers.iter().map(KvServer::host_id).collect(),
-        ));
-        (servers, cell)
+        start_tier(fabric, n, 1, 2)
     }
 
-    /// Boot one more routed shard at the next epoch, ready to join.
+    /// Boot one more shard at the next epoch, ready to join.
     fn joining_shard(fabric: &Fabric, cell: &RoutingCell) -> KvServer {
+        start_joiner(fabric, &cell.load(), 2)
+    }
+
+    #[test]
+    fn an_unreplicated_tier_takes_one_host_per_shard_in_slot_order() {
+        let fabric = Fabric::new();
+        let (servers, cell) = start_tier(&fabric, 3, 1, 1);
         let table = cell.load();
-        KvServer::start_routed(
-            fabric.add_host(),
-            2,
-            Arc::new(KvStore::new()),
-            ShardRouting::new(table.epoch + 1, table.hosts.len() + 1, table.hosts.len()),
-        )
+        let ids = |raw: &[u32]| raw.iter().map(|&id| HostId(id)).collect::<Vec<_>>();
+        assert_eq!(table.epoch, 1);
+        assert_eq!(table.hosts, ids(&[0, 1, 2]));
+        assert!(table.repl_hosts.is_empty() && table.dead.is_empty());
+        assert_eq!(table.replication, 1);
+        for (slot, server) in servers.iter().enumerate() {
+            assert_eq!(server.host_ids(), vec![table.hosts[slot]]);
+            assert_eq!(server.routing().slot(), slot);
+            assert_eq!(server.routing().epoch(), 1);
+        }
+
+        let joiner = start_joiner(&fabric, &table, 1);
+        assert_eq!(joiner.host_ids(), ids(&[3]));
+        assert_eq!(joiner.routing().slot(), 3);
+        assert_eq!(joiner.routing().epoch(), 2);
+    }
+
+    #[test]
+    fn a_replicated_tier_takes_every_main_host_then_every_replica_host() {
+        let fabric = Fabric::new();
+        let (servers, cell) = start_tier(&fabric, 3, 2, 1);
+        let table = cell.load();
+        let ids = |raw: &[u32]| raw.iter().map(|&id| HostId(id)).collect::<Vec<_>>();
+        assert_eq!(table.epoch, 1);
+        assert_eq!(table.hosts, ids(&[0, 1, 2]));
+        assert_eq!(table.repl_hosts, ids(&[3, 4, 5]));
+        assert!(table.dead.is_empty());
+        assert_eq!(table.replication, 2);
+        for (slot, server) in servers.iter().enumerate() {
+            assert_eq!(
+                server.host_ids(),
+                vec![table.hosts[slot], table.repl_hosts[slot]]
+            );
+            assert_eq!(server.routing().slot(), slot);
+            assert_eq!(server.stats().replication, 2);
+        }
+
+        // The joiner takes its replica host first, then its main host.
+        let joiner = start_joiner(&fabric, &table, 1);
+        assert_eq!(joiner.repl_host_id(), Some(HostId(6)));
+        assert_eq!(joiner.host_id(), HostId(7));
+        assert_eq!(joiner.routing().slot(), 3);
+        assert_eq!(joiner.routing().epoch(), 2);
+        let grown = grow(&fabric.add_host(), &cell, &joiner).unwrap();
+        assert_eq!(*grown, table.joined(HostId(7), Some(HostId(6))));
     }
 
     #[test]
@@ -429,7 +497,7 @@ mod tests {
         }
 
         let newcomer = joining_shard(&fabric, &cell);
-        let table = grow(&fabric.add_host(), &cell, newcomer.host_id()).unwrap();
+        let table = grow(&fabric.add_host(), &cell, &newcomer).unwrap();
         assert_eq!(table.epoch, 2);
         assert_eq!(table.hosts.len(), 3);
 
@@ -475,7 +543,7 @@ mod tests {
         let epoch_before = stale.epoch();
 
         let newcomer = joining_shard(&fabric, &cell);
-        grow(&fabric.add_host(), &cell, newcomer.host_id()).unwrap();
+        grow(&fabric.add_host(), &cell, &newcomer).unwrap();
 
         // Some of these keys moved to the new shard; the stale client must
         // transparently refresh and serve all of them.
@@ -488,12 +556,7 @@ mod tests {
             "the delta for 32 keys over 2→3 shards is virtually never empty"
         );
         assert!(
-            newcomer
-                .routing()
-                .unwrap()
-                .counters()
-                .wrong_epoch_redirects()
-                == 0,
+            newcomer.routing().counters().wrong_epoch_redirects() == 0,
             "nothing should hit the new shard before the table was published"
         );
     }
@@ -510,7 +573,7 @@ mod tests {
         }
 
         let newcomer = joining_shard(&fabric, &cell);
-        grow(&fabric.add_host(), &cell, newcomer.host_id()).unwrap();
+        grow(&fabric.add_host(), &cell, &newcomer).unwrap();
 
         for key in &keys {
             assert!(

@@ -14,7 +14,7 @@ use crate::codec::{
     decode_request_traced, decode_response, encode_request_at, encode_response, Request, Response,
 };
 use crate::reshard::handoff_frames;
-use crate::sharded::{fnv1a, primary_index_live, replica_set_live};
+use crate::sharded::{fnv1a, primary_index_live, replica_set_live, RoutingTable};
 use crate::store::{KeyMigration, KvStore, ShardCounters, ShardStats};
 
 /// The state tier's telemetry recorder (shared by every shard server in the
@@ -102,38 +102,26 @@ impl std::fmt::Debug for ShardRouting {
 }
 
 impl ShardRouting {
-    /// A routing view serving `(epoch, shard_count)` as shard `index`,
-    /// unreplicated.
-    pub fn new(epoch: u64, shard_count: usize, index: usize) -> Arc<ShardRouting> {
-        ShardRouting::replicated(epoch, shard_count, index, 1, Vec::new(), Vec::new())
-    }
-
-    /// A routing view over a replicated tier: `replication` replicas per
-    /// key, `dead` tombstoned slots, and the replica-traffic host per slot
-    /// in `peers` (indexed by slot; may be empty when `replication == 1`).
-    pub fn replicated(
-        epoch: u64,
-        shard_count: usize,
-        index: usize,
-        replication: usize,
-        dead: Vec<usize>,
-        peers: Vec<HostId>,
-    ) -> Arc<ShardRouting> {
-        assert!(shard_count > 0, "a routed shard needs a non-empty table");
-        assert!(replication >= 1, "replication factor must be at least 1");
+    /// Slot `index`'s view of `table`: its epoch, slot count, tombstones,
+    /// replication factor and replica-traffic hosts.
+    fn new(table: &RoutingTable, index: usize) -> Arc<ShardRouting> {
+        assert!(
+            !table.hosts.is_empty(),
+            "a routed shard needs a non-empty table"
+        );
         Arc::new(ShardRouting {
             state: RwLock::new(RouteState {
                 cur: TableInfo {
-                    epoch,
-                    shard_count,
-                    dead,
+                    epoch: table.epoch,
+                    shard_count: table.hosts.len(),
+                    dead: table.dead.clone(),
                 },
                 index,
                 pending: None,
             }),
-            replication,
+            replication: table.replication,
             gate: RwLock::new(()),
-            peers: RwLock::new(peers),
+            peers: RwLock::new(table.repl_hosts.clone()),
             repl_stripes: (0..REPL_STRIPES).map(|_| Mutex::new(())).collect(),
             xfers: Mutex::new(HashMap::new()),
             counters: ShardCounters::new(),
@@ -235,10 +223,10 @@ impl ShardRouting {
 }
 
 /// A running KVS server: worker threads draining a NIC and applying
-/// commands to a shared store.
+/// commands to a shared store through the shard's routing view.
 pub struct KvServer {
     store: Arc<KvStore>,
-    routing: Option<Arc<ShardRouting>>,
+    routing: Arc<ShardRouting>,
     nic: Nic,
     /// Dedicated replica-traffic NIC (replicated tiers only). Its workers
     /// never issue outbound quorum calls, so two primaries forwarding to
@@ -259,53 +247,39 @@ impl std::fmt::Debug for KvServer {
 }
 
 impl KvServer {
-    /// Start a server on `nic` with `workers` threads.
+    /// Start the server of a one-shard tier on `nic` with `workers`
+    /// threads: slot 0 of a one-slot table at epoch 1, so it owns every key.
+    /// A tier of any size is booted by [`crate::reshard::start_tier`].
     pub fn start(nic: Nic, workers: usize) -> KvServer {
-        KvServer::start_replicated_full(nic, None, workers, Arc::new(KvStore::new()), None)
+        let table = RoutingTable::new(1, vec![nic.id()]);
+        KvServer::start_shard(nic, None, workers, Arc::new(KvStore::new()), &table, 0)
     }
 
-    /// Start a shard server with an explicit routing view: keyed requests
-    /// for keys this shard does not own answer [`Response::WrongEpoch`],
-    /// and the server participates in the `Migrate`/`HandoffFrame`/`EpochCommit`
-    /// resharding protocol.
-    pub fn start_routed(
-        nic: Nic,
-        workers: usize,
-        store: Arc<KvStore>,
-        routing: Arc<ShardRouting>,
-    ) -> KvServer {
-        KvServer::start_replicated_full(nic, None, workers, store, Some(routing))
-    }
-
-    /// Start a replicated shard server: `nic` serves clients (and forwards
-    /// writes to backups), `repl_nic` serves only inbound replica traffic
-    /// on dedicated workers so quorum forwards can never deadlock.
-    pub fn start_replicated(
-        nic: Nic,
-        repl_nic: Nic,
-        workers: usize,
-        store: Arc<KvStore>,
-        routing: Arc<ShardRouting>,
-    ) -> KvServer {
-        KvServer::start_replicated_full(nic, Some(repl_nic), workers, store, Some(routing))
-    }
-
-    fn start_replicated_full(
+    /// Start slot `slot` of `table` over `store`: keyed requests for keys
+    /// this shard does not own answer [`Response::WrongEpoch`],
+    /// and the server speaks the `Migrate`/`HandoffFrame`/`EpochCommit`
+    /// resharding protocol. `nic` serves clients (and forwards writes to
+    /// backups); `repl_nic`, on a replicated tier, serves only inbound
+    /// replica traffic on dedicated workers so quorum forwards can never
+    /// deadlock.
+    pub(crate) fn start_shard(
         nic: Nic,
         repl_nic: Option<Nic>,
         workers: usize,
         store: Arc<KvStore>,
-        routing: Option<Arc<ShardRouting>>,
+        table: &RoutingTable,
+        slot: usize,
     ) -> KvServer {
+        let routing = ShardRouting::new(table, slot);
         let stop = Arc::new(AtomicBool::new(false));
         let spawn_loop = |nic: Nic, forwards: bool| {
             let store = Arc::clone(&store);
             let stop = Arc::clone(&stop);
-            let routing = routing.clone();
+            let routing = Arc::clone(&routing);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     match nic.recv_timeout(Duration::from_millis(50)) {
-                        Ok(env) => serve_one(&store, routing.as_deref(), &nic, forwards, env),
+                        Ok(env) => serve_one(&store, &routing, &nic, forwards, env),
                         Err(faasm_net::NetError::Timeout) => continue,
                         Err(_) => break,
                     }
@@ -354,15 +328,15 @@ impl KvServer {
         &self.store
     }
 
-    /// The shard's routing view, if it serves one.
-    pub fn routing(&self) -> Option<&Arc<ShardRouting>> {
-        self.routing.as_ref()
+    /// The shard's routing view.
+    pub fn routing(&self) -> &Arc<ShardRouting> {
+        &self.routing
     }
 
     /// This shard's load report, read in place (no fabric round-trip, so
     /// reading it moves no counter).
     pub fn stats(&self) -> ShardStats {
-        shard_stats(&self.store, self.routing.as_deref())
+        shard_stats(&self.store, &self.routing)
     }
 
     /// Stop the worker threads and wait for them (what dropping does).
@@ -378,13 +352,7 @@ impl Drop for KvServer {
     }
 }
 
-fn serve_one(
-    store: &KvStore,
-    routing: Option<&ShardRouting>,
-    nic: &Nic,
-    forwards: bool,
-    env: Envelope,
-) {
+fn serve_one(store: &KvStore, routing: &ShardRouting, nic: &Nic, forwards: bool, env: Envelope) {
     let resp = match decode_request_traced(&env.payload) {
         Ok((req, epoch, trace)) => {
             apply_traced(store, routing, forwards.then_some(nic), req, epoch, trace)
@@ -631,15 +599,12 @@ fn rebuild_replicas(
     shipped
 }
 
-/// One shard's load report: the store's op counters and sizes plus, on a
-/// routed shard, its epoch, routing/replication counters and replica roles.
-/// Computed in place — what `Request::Stats` answers and what
-/// [`KvServer::stats`] reads without a round-trip.
-fn shard_stats(store: &KvStore, routing: Option<&ShardRouting>) -> ShardStats {
+/// One shard's load report: the store's op counters and sizes plus its
+/// epoch, routing/replication counters and replica roles. Computed in
+/// place — what `Request::Stats` answers and what [`KvServer::stats`] reads
+/// without a round-trip.
+fn shard_stats(store: &KvStore, routing: &ShardRouting) -> ShardStats {
     let mut stats = store.stats();
-    let Some(routing) = routing else {
-        return stats;
-    };
     stats.merge(&routing.counters.snapshot());
     let (cur, index) = routing.serving();
     stats.epoch = cur.epoch;
@@ -658,26 +623,23 @@ fn shard_stats(store: &KvStore, routing: Option<&ShardRouting>) -> ShardStats {
 /// Apply one command through a shard's routing view: keyed requests are
 /// ownership-checked (and rejected with [`Response::WrongEpoch`] when the
 /// key routes elsewhere), and the resharding protocol messages mutate the
-/// view. With `routing: None` this is plain [`apply`]. A traced keyed op
+/// view. A traced keyed op
 /// records a [`SpanKind::ShardApply`] span (parented under the client's
 /// stamp) covering freeze-gate wait + ownership check + apply, so the state
 /// tier appears in the ingress call's span tree. With `net: Some(..)` on a
 /// replicated tier, a successful keyed write additionally forwards the
 /// key's state to its backup replicas and gates the ack on the write
 /// quorum.
-pub fn apply_traced(
+fn apply_traced(
     store: &KvStore,
-    routing: Option<&ShardRouting>,
+    routing: &ShardRouting,
     net: Option<&Nic>,
     req: Request,
     client_epoch: u64,
     trace: TraceCtx,
 ) -> Response {
-    let Some(routing) = routing else {
-        return apply(store, req);
-    };
     match req {
-        Request::Stats => Response::Stats(shard_stats(store, Some(routing))),
+        Request::Stats => Response::Stats(shard_stats(store, routing)),
         Request::Migrate { epoch, shard_count } => {
             if shard_count == 0 {
                 return Response::Err("migrate to an empty table".into());
@@ -1111,11 +1073,11 @@ mod tests {
         let nic = fabric.add_host();
         let store = Arc::new(KvStore::new());
         store.set("persist", b"yes".to_vec());
-        let routing = || ShardRouting::new(1, 1, 0);
-        let server = KvServer::start_routed(nic.clone(), 1, Arc::clone(&store), routing());
+        let table = RoutingTable::new(1, vec![nic.id()]);
+        let server = KvServer::start_shard(nic.clone(), None, 1, Arc::clone(&store), &table, 0);
         server.shutdown();
         // "Restart" the server process on the same authoritative state.
-        let server2 = KvServer::start_routed(nic, 1, store, routing());
+        let server2 = KvServer::start_shard(nic, None, 1, store, &table, 0);
         assert_eq!(server2.store().get("persist"), Some(b"yes".to_vec()));
         server2.shutdown();
     }

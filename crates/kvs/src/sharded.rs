@@ -25,7 +25,7 @@ use faasm_telemetry::SpanKind;
 
 use crate::backend::KvBackend;
 use crate::client::{KvClient, KvError};
-use crate::codec::{Request, Response, EPOCH_ANY};
+use crate::codec::{Request, Response};
 use crate::store::ShardStats;
 
 /// The sharded client's telemetry recorder (cached; see
@@ -117,6 +117,16 @@ impl RoutingTable {
             primary_index_live(key, self.hosts.len(), &self.dead)
         }
     }
+
+    /// The next epoch's table with one more slot: `host` serves it and, on
+    /// a replicated tier, `repl_host` takes its replica traffic.
+    pub fn joined(&self, host: HostId, repl_host: Option<HostId>) -> RoutingTable {
+        let mut next = self.clone();
+        next.epoch += 1;
+        next.hosts.push(host);
+        next.repl_hosts.extend(repl_host);
+        next
+    }
 }
 
 /// An epoch-versioned routing-table cell (ArcSwap-style): readers `load` a
@@ -157,44 +167,32 @@ impl RoutingCell {
 
 /// One epoch's connections: the table it was built from, materialised as a
 /// `KvClient` per shard (all sharing the owning client's lock-owner token).
+/// Dead slots get a connection too (slot indexing stays direct) but are
+/// never routed to, and fan-out operations like `ping` and `flush` skip
+/// them.
 struct ShardSet {
-    epoch: u64,
+    table: Arc<RoutingTable>,
     clients: Vec<KvClient>,
-    /// The table the set was built from (`None` for static sets, which
-    /// have no tombstones and route by plain `shard_index_for`).
-    table: Option<Arc<RoutingTable>>,
 }
 
 impl ShardSet {
-    /// The slot index serving `key` (its primary).
-    fn primary_for(&self, key: &str) -> usize {
-        match &self.table {
-            Some(t) => t.primary_for(key),
-            None => shard_index_for(key, self.clients.len()),
-        }
+    fn new(nic: &Nic, table: Arc<RoutingTable>, owner: u64) -> ShardSet {
+        let clients = table
+            .hosts
+            .iter()
+            .map(|&host| KvClient::connect_at(nic.clone(), host, table.epoch, owner))
+            .collect();
+        ShardSet { table, clients }
     }
 
-    /// Whether `slot` may be routed to (dead slots are skipped by fan-out
-    /// operations like `ping` and `flush`).
-    fn is_live(&self, slot: usize) -> bool {
-        match &self.table {
-            Some(t) => t.is_live(slot),
-            None => true,
-        }
+    /// The live slots' connections, in slot order.
+    fn live(&self) -> impl Iterator<Item = &KvClient> {
+        self.clients
+            .iter()
+            .enumerate()
+            .filter(|(slot, _)| self.table.is_live(*slot))
+            .map(|(_, client)| client)
     }
-}
-
-enum Source {
-    /// A fixed shard set (tests, static single-epoch deployments): no cell
-    /// to refresh from, so `WrongEpoch` surfaces to the caller.
-    Static(Arc<ShardSet>),
-    /// Cell-connected: the client rebuilds its per-shard connections
-    /// whenever the published epoch moves past the one it is holding.
-    Cell {
-        nic: Nic,
-        cell: Arc<RoutingCell>,
-        current: RwLock<Arc<ShardSet>>,
-    },
 }
 
 /// How long one operation may wait, in total, for the routing cell to
@@ -202,14 +200,18 @@ enum Source {
 /// of a migration in flight) before the error surfaces to the caller.
 const MAX_ROUTING_WAIT: Duration = Duration::from_secs(10);
 
-/// A client routing each key to its owning shard.
+/// A client routing each key to its owning shard, following the tier's
+/// routing cell: it rebuilds its per-shard connections whenever the
+/// published epoch moves past the one it is holding.
 ///
 /// Lock ownership is consistent across resharding: the client carries one
 /// stable owner token, and rebuilt per-shard connections re-use it, so a
 /// global lock taken before a migration is still this client's lock after
 /// its key moves shards (the server migrates lock state owner-intact).
 pub struct ShardedKvClient {
-    source: Source,
+    nic: Nic,
+    cell: Arc<RoutingCell>,
+    current: RwLock<Arc<ShardSet>>,
     owner: u64,
 }
 
@@ -218,7 +220,7 @@ impl std::fmt::Debug for ShardedKvClient {
         let set = self.current();
         f.debug_struct("ShardedKvClient")
             .field("shards", &set.clients.len())
-            .field("epoch", &set.epoch)
+            .field("epoch", &set.table.epoch)
             .finish()
     }
 }
@@ -342,55 +344,30 @@ pub fn rendezvous_delta<S: AsRef<str>>(
 }
 
 impl ShardedKvClient {
-    /// A routing client over a fixed set of per-shard clients; panics if
-    /// `shards` is empty. The set never refreshes — use
-    /// [`ShardedKvClient::connect`] for tiers that reshard live.
-    pub fn new(shards: Vec<KvClient>) -> ShardedKvClient {
-        assert!(
-            !shards.is_empty(),
-            "sharded client needs at least one shard"
-        );
-        ShardedKvClient {
-            source: Source::Static(Arc::new(ShardSet {
-                epoch: EPOCH_ANY,
-                clients: shards,
-                table: None,
-            })),
-            owner: KvClient::fresh_owner(),
-        }
-    }
-
     /// A live-routed client over `nic`: per-shard connections are built
     /// from the cell's current table and rebuilt whenever the published
     /// epoch moves (a reshard landing mid-operation is retried against the
     /// new table instead of failing).
     pub fn connect(nic: Nic, cell: Arc<RoutingCell>) -> ShardedKvClient {
         let owner = KvClient::fresh_owner();
-        let current = RwLock::new(Arc::new(build_set(&nic, &cell.load(), owner)));
+        let current = RwLock::new(Arc::new(ShardSet::new(&nic, cell.load(), owner)));
         ShardedKvClient {
-            source: Source::Cell { nic, cell, current },
+            nic,
+            cell,
+            current,
             owner,
         }
-    }
-
-    /// The shard owning `key` among `shard_count` shards (the free function
-    /// [`shard_index_for`], kept here for discoverability). Usable for
-    /// placement questions without any live clients; panics if
-    /// `shard_count` is zero.
-    pub fn shard_index_for(key: &str, shard_count: usize) -> usize {
-        shard_index_for(key, shard_count)
     }
 
     /// The shard index serving `key` (its primary) on this client's
     /// current table.
     pub fn shard_index(&self, key: &str) -> usize {
-        self.current().primary_for(key)
+        self.current().table.primary_for(key)
     }
 
-    /// The routing epoch this client is currently operating at
-    /// ([`EPOCH_ANY`] for a static client).
+    /// The routing epoch this client is currently operating at.
     pub fn epoch(&self) -> u64 {
-        self.current().epoch
+        self.current().table.epoch
     }
 
     /// This client's lock-owner token, stable across epoch changes: every
@@ -403,23 +380,18 @@ impl ShardedKvClient {
     /// published epoch moved past the held one, per-shard connections are
     /// rebuilt (same owner token, new epoch stamp).
     fn current(&self) -> Arc<ShardSet> {
-        match &self.source {
-            Source::Static(set) => Arc::clone(set),
-            Source::Cell { nic, cell, current } => {
-                let held = Arc::clone(&current.read());
-                let table = cell.load();
-                if table.epoch == held.epoch {
-                    return held;
-                }
-                let mut slot = current.write();
-                // Double-check under the write lock: another thread may
-                // have rebuilt while we waited.
-                if slot.epoch != table.epoch {
-                    *slot = Arc::new(build_set(nic, &table, self.owner));
-                }
-                Arc::clone(&slot)
-            }
+        let held = Arc::clone(&self.current.read());
+        let table = self.cell.load();
+        if table.epoch == held.table.epoch {
+            return held;
         }
+        let mut slot = self.current.write();
+        // Double-check under the write lock: another thread may have
+        // rebuilt while we waited.
+        if slot.table.epoch != table.epoch {
+            *slot = Arc::new(ShardSet::new(&self.nic, table, self.owner));
+        }
+        Arc::clone(&slot)
     }
 
     /// Wait for the routing cell to publish at least `target` — the other
@@ -434,17 +406,13 @@ impl ShardedKvClient {
         waited: &mut Duration,
         err: KvError,
     ) -> Result<(), KvError> {
-        let Source::Cell { cell, .. } = &self.source else {
-            // No cell to refresh from: surface the stale-routing error.
-            return Err(err);
-        };
         // The budget bounds *every* wait path: repeated rejections at an
         // already-published epoch (a mis-paired table, a commit fan-out
         // that never lands) must surface the error, not retry forever.
         if *waited >= MAX_ROUTING_WAIT {
             return Err(err);
         }
-        if *attempt == 0 && cell.epoch() >= target {
+        if *attempt == 0 && self.cell.epoch() >= target {
             *attempt += 1;
             return Ok(());
         }
@@ -458,7 +426,7 @@ impl ShardedKvClient {
         const RETRY_SLICE: Duration = Duration::from_millis(100);
         let mut backoff = Duration::from_micros(50);
         let mut sliced = Duration::ZERO;
-        while cell.epoch() < target && sliced < RETRY_SLICE {
+        while self.cell.epoch() < target && sliced < RETRY_SLICE {
             if *waited >= MAX_ROUTING_WAIT {
                 return Err(err);
             }
@@ -467,7 +435,7 @@ impl ShardedKvClient {
             sliced += backoff;
             backoff = (backoff * 2).min(Duration::from_millis(2));
         }
-        if cell.epoch() >= target {
+        if self.cell.epoch() >= target {
             // The epoch is published but this op was still rejected (e.g.
             // the commit fan-out is mid-flight): pause — longer on each
             // repeat — before retrying so repeated rejections don't spin.
@@ -484,9 +452,9 @@ impl ShardedKvClient {
     /// on the freshly loaded table, `Err` surfaces the error. `WrongEpoch`
     /// and `NotPrimary` wait out the migration (or failover) that named
     /// their epoch; `Unavailable` (a primary that cannot reach its write
-    /// quorum) and network errors against a cell-connected tier park for
-    /// the *next* epoch — the liveness monitor's failover — so a shard
-    /// crash is a bounded stall, not a lost operation.
+    /// quorum) and network errors park for the *next* epoch — the liveness
+    /// monitor's failover — so a shard crash is a bounded stall, not a
+    /// lost operation.
     fn park_on(
         &self,
         err: KvError,
@@ -519,17 +487,13 @@ impl ShardedKvClient {
                 self.wait_for_epoch(epoch + 1, attempt, waited, err)
             }
             // A dead or partitioned shard: if a newer table is already
-            // out, retry against it now; otherwise (cell tiers only) park
-            // for the failover epoch like `Unavailable` — the blackout
-            // between a crash and its epoch bump must redirect in-flight
-            // ops, not fail them.
-            KvError::Net(_) => match &self.source {
-                Source::Static(_) => Err(err),
-                Source::Cell { cell, .. } if cell.epoch() == set_epoch => {
-                    self.wait_for_epoch(set_epoch + 1, attempt, waited, err)
-                }
-                Source::Cell { .. } => Ok(()),
-            },
+            // out, retry against it now; otherwise park for the failover
+            // epoch like `Unavailable` — the blackout between a crash and
+            // its epoch bump must redirect in-flight ops, not fail them.
+            KvError::Net(_) if self.cell.epoch() == set_epoch => {
+                self.wait_for_epoch(set_epoch + 1, attempt, waited, err)
+            }
+            KvError::Net(_) => Ok(()),
             other => Err(other),
         }
     }
@@ -540,28 +504,7 @@ impl ShardedKvClient {
     ///
     /// Returns [`KvError`] on network/server failure.
     pub fn shard_stats(&self) -> Result<Vec<ShardStats>, KvError> {
-        let set = self.current();
-        set.clients
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| set.is_live(*i))
-            .map(|(_, c)| c.stats())
-            .collect()
-    }
-}
-
-/// Materialise a routing table into per-shard connections sharing `owner`.
-/// Dead slots get a connection too (slot indexing stays direct) but are
-/// never routed to.
-fn build_set(nic: &Nic, table: &Arc<RoutingTable>, owner: u64) -> ShardSet {
-    ShardSet {
-        epoch: table.epoch,
-        clients: table
-            .hosts
-            .iter()
-            .map(|&host| KvClient::connect_at(nic.clone(), host, table.epoch, owner))
-            .collect(),
-        table: Some(Arc::clone(table)),
+        self.current().live().map(KvClient::stats).collect()
     }
 }
 
@@ -577,9 +520,9 @@ impl KvBackend for ShardedKvClient {
         let mut waited = Duration::ZERO;
         loop {
             let set = self.current();
-            match set.clients[set.primary_for(key)].call(req) {
+            match set.clients[set.table.primary_for(key)].call(req) {
                 Ok(reply) => return Ok(reply),
-                Err(err) => self.park_on(err, set.epoch, &mut attempt, &mut waited)?,
+                Err(err) => self.park_on(err, set.table.epoch, &mut attempt, &mut waited)?,
             }
         }
     }
@@ -606,7 +549,10 @@ impl KvBackend for ShardedKvClient {
             let mut groups: std::collections::HashMap<usize, Vec<usize>> =
                 std::collections::HashMap::new();
             for &i in &pending {
-                groups.entry(set.primary_for(&keys[i])).or_default().push(i);
+                groups
+                    .entry(set.table.primary_for(&keys[i]))
+                    .or_default()
+                    .push(i);
             }
             for (shard, idxs) in groups {
                 let batch: Vec<String> = idxs.iter().map(|&i| keys[i].clone()).collect();
@@ -618,7 +564,7 @@ impl KvBackend for ShardedKvClient {
                         pending.retain(|i| !idxs.contains(i));
                     }
                     Err(err) => {
-                        self.park_on(err, set.epoch, &mut attempt, &mut waited)?;
+                        self.park_on(err, set.table.epoch, &mut attempt, &mut waited)?;
                         // Re-group the pending keys under the new table
                         // before touching the remaining shards of the
                         // stale grouping.
@@ -631,23 +577,11 @@ impl KvBackend for ShardedKvClient {
     }
 
     fn ping(&self) -> Result<(), KvError> {
-        let set = self.current();
-        for (i, shard) in set.clients.iter().enumerate() {
-            if set.is_live(i) {
-                shard.ping()?;
-            }
-        }
-        Ok(())
+        self.current().live().try_for_each(KvClient::ping)
     }
 
     fn flush(&self) -> Result<(), KvError> {
-        let set = self.current();
-        for (i, shard) in set.clients.iter().enumerate() {
-            if set.is_live(i) {
-                shard.flush()?;
-            }
-        }
-        Ok(())
+        self.current().live().try_for_each(KvClient::flush)
     }
 
     fn shard_count(&self) -> usize {
@@ -666,21 +600,40 @@ impl KvBackend for ShardedKvClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reshard::start_tier;
+    use crate::server::KvServer;
     use crate::store::{KvStore, LockMode};
-    use std::sync::Arc;
+    use faasm_net::Fabric;
 
-    fn sharded(n: usize) -> (Vec<Arc<KvStore>>, ShardedKvClient) {
-        let stores: Vec<Arc<KvStore>> = (0..n).map(|_| Arc::new(KvStore::new())).collect();
-        let clients = stores
-            .iter()
-            .map(|s| KvClient::local(Arc::clone(s)))
-            .collect();
-        (stores, ShardedKvClient::new(clients))
+    /// A booted tier of `n` shards at replication `r`, its shards' stores
+    /// and a second cell-connected client on the same tier.
+    struct Tier {
+        servers: Vec<KvServer>,
+        client: ShardedKvClient,
+        rival: ShardedKvClient,
     }
 
-    #[test]
-    fn routing_is_deterministic_and_covers_full_api() {
-        let (_stores, c) = sharded(4);
+    impl Tier {
+        fn stores(&self) -> impl Iterator<Item = &Arc<KvStore>> {
+            self.servers.iter().map(KvServer::store)
+        }
+    }
+
+    fn sharded_at(n: usize, r: usize) -> Tier {
+        let fabric = Fabric::new();
+        let (servers, cell) = start_tier(&fabric, n, r, 1);
+        Tier {
+            servers,
+            client: ShardedKvClient::connect(fabric.add_host(), Arc::clone(&cell)),
+            rival: ShardedKvClient::connect(fabric.add_host(), cell),
+        }
+    }
+
+    fn sharded(n: usize) -> Tier {
+        sharded_at(n, 1)
+    }
+
+    fn covers_full_api(c: &ShardedKvClient) {
         c.set("k", b"v".to_vec()).unwrap();
         assert_eq!(c.get("k").unwrap(), Some(b"v".to_vec()));
         assert_eq!(c.strlen("k").unwrap(), 1);
@@ -700,15 +653,26 @@ mod tests {
     }
 
     #[test]
+    fn routing_is_deterministic_and_covers_full_api() {
+        covers_full_api(&sharded(4).client);
+    }
+
+    #[test]
+    fn the_full_api_holds_on_a_replicated_tier() {
+        covers_full_api(&sharded_at(4, 2).client);
+    }
+
+    #[test]
     fn every_op_on_a_key_lands_on_the_owning_shard() {
-        let (stores, c) = sharded(4);
+        let tier = sharded(4);
+        let c = &tier.client;
         for key in ["alpha", "mm:C", "sched:warm:u:f", "ctr:9"] {
             let owner = c.shard_index(key);
             c.set(key, b"v".to_vec()).unwrap();
             // The counter is its own key with its own owner shard.
             let ctr = format!("{key}:n");
             c.incr(&ctr, 1).unwrap();
-            for (i, store) in stores.iter().enumerate() {
+            for (i, store) in tier.stores().enumerate() {
                 assert_eq!(
                     store.exists(&ctr),
                     i == c.shard_index(&ctr),
@@ -716,7 +680,7 @@ mod tests {
                 );
             }
             assert!(c.try_lock(key, LockMode::Write).unwrap());
-            for (i, store) in stores.iter().enumerate() {
+            for (i, store) in tier.stores().enumerate() {
                 let holds_value = store.exists(key);
                 // The write lock is held, so only the owner can be blocked.
                 let lock_free = store.try_lock(key, LockMode::Write, u64::MAX);
@@ -736,23 +700,25 @@ mod tests {
 
     #[test]
     fn single_shard_routes_everything_to_it() {
-        let (stores, c) = sharded(1);
+        let tier = sharded(1);
+        let c = &tier.client;
         for i in 0..64 {
             c.set(&format!("k{i}"), vec![i]).unwrap();
         }
-        assert_eq!(stores[0].key_count(), 64);
+        assert_eq!(tier.servers[0].store().key_count(), 64);
         assert_eq!(c.shard_count(), 1);
     }
 
     #[test]
     fn load_is_balanced_across_shards() {
-        let (stores, c) = sharded(4);
+        let tier = sharded(4);
+        let c = &tier.client;
         let keys = 1000;
         for i in 0..keys {
             c.set(&format!("state:key:{i}"), vec![0u8; 8]).unwrap();
         }
         let mean = keys as f64 / 4.0;
-        for (i, store) in stores.iter().enumerate() {
+        for (i, store) in tier.stores().enumerate() {
             let n = store.key_count();
             assert!(
                 (n as f64) <= 2.0 * mean && n > 0,
@@ -763,31 +729,21 @@ mod tests {
 
     #[test]
     fn flush_clears_every_shard() {
-        let (stores, c) = sharded(3);
+        let tier = sharded(3);
+        let c = &tier.client;
         for i in 0..32 {
             c.set(&format!("k{i}"), vec![1]).unwrap();
         }
         c.flush().unwrap();
-        for store in &stores {
+        for store in tier.stores() {
             assert_eq!(store.key_count(), 0);
         }
     }
 
     #[test]
     fn locks_exclude_across_sharded_clients() {
-        let stores: Vec<Arc<KvStore>> = (0..2).map(|_| Arc::new(KvStore::new())).collect();
-        let a = ShardedKvClient::new(
-            stores
-                .iter()
-                .map(|s| KvClient::local(Arc::clone(s)))
-                .collect(),
-        );
-        let b = ShardedKvClient::new(
-            stores
-                .iter()
-                .map(|s| KvClient::local(Arc::clone(s)))
-                .collect(),
-        );
+        let tier = sharded(2);
+        let (a, b) = (&tier.client, &tier.rival);
         assert!(a.try_lock("k", LockMode::Write).unwrap());
         assert!(!b.try_lock("k", LockMode::Write).unwrap());
         a.unlock("k", LockMode::Write).unwrap();

@@ -15,7 +15,7 @@ use faasm::fvm::InstanceSnapshot;
 use faasm::fvm::{decode_module, encode_module, ObjectModule};
 use faasm::gateway::codec::{self, FrameBuf, GatewayRequest, MAX_FRAME};
 use faasm::gateway::{GatewayResponse, GatewayStatus};
-use faasm::kvs::{self, KvClient, KvStore, ShardedKvClient};
+use faasm::kvs::{self, KvStore};
 use faasm::lang;
 use faasm::mem::{LinearMemory, MemorySnapshot, Page, SharedRegion, BLOCK_SIZE, PAGE_SIZE};
 use faasm::net::HostId;
@@ -1119,22 +1119,16 @@ proptest! {
         shards in 1usize..6,
         keys in prop::collection::vec(any::<u64>(), 1..64),
     ) {
-        let build = |n: usize| {
-            ShardedKvClient::new(
-                (0..n)
-                    .map(|_| KvClient::local(std::sync::Arc::new(KvStore::new())))
-                    .collect(),
-            )
-        };
-        let a = build(shards);
-        let b = build(shards);
-        let grown = build(shards + 1);
         for k in &keys {
             let key = format!("state:{k}");
-            let owner = a.shard_index(&key);
+            let owner = kvs::shard_index_for(&key, shards);
             prop_assert!(owner < shards);
-            prop_assert_eq!(b.shard_index(&key), owner, "routing is a pure function");
-            let new_owner = grown.shard_index(&key);
+            prop_assert_eq!(
+                kvs::shard_index_for(&key, shards),
+                owner,
+                "routing is a pure function"
+            );
+            let new_owner = kvs::shard_index_for(&key, shards + 1);
             prop_assert!(
                 new_owner == owner || new_owner == shards,
                 "adding a shard may move a key only onto the new shard \
@@ -1340,15 +1334,10 @@ proptest! {
     /// leave no shard above twice the mean (and none empty).
     #[test]
     fn rendezvous_routing_is_balanced(salt in any::<u32>()) {
-        let client = ShardedKvClient::new(
-            (0..4)
-                .map(|_| KvClient::local(std::sync::Arc::new(KvStore::new())))
-                .collect(),
-        );
         let keys = 1000usize;
         let mut per = [0usize; 4];
         for i in 0..keys {
-            per[client.shard_index(&format!("key:{salt}:{i}"))] += 1;
+            per[kvs::shard_index_for(&format!("key:{salt}:{i}"), 4)] += 1;
         }
         let mean = keys as f64 / 4.0;
         for (shard, n) in per.iter().enumerate() {

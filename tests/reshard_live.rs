@@ -9,8 +9,7 @@ use std::time::Duration;
 
 use faasm::core::{Cluster, ClusterConfig, NativeApi, NativeGuest};
 use faasm::kvs::{
-    reshard, KvBackend, KvClient, KvServer, KvStore, LockMode, RoutingCell, RoutingTable,
-    ShardRouting, ShardedKvClient, SharedKv,
+    reshard, KvBackend, KvClient, KvServer, LockMode, RoutingTable, ShardedKvClient, SharedKv,
 };
 use faasm::mem::SharedRegion;
 use faasm::net::Fabric;
@@ -215,20 +214,7 @@ fn adding_and_removing_shards_under_chained_state_workload_loses_nothing() {
 #[test]
 fn state_entry_push_waits_out_migration_without_blocking_other_chunks() {
     let fabric = Fabric::new();
-    let servers: Vec<KvServer> = (0..2)
-        .map(|i| {
-            KvServer::start_routed(
-                fabric.add_host(),
-                2,
-                Arc::new(KvStore::new()),
-                ShardRouting::new(1, 2, i),
-            )
-        })
-        .collect();
-    let cell = RoutingCell::new(RoutingTable::new(
-        1,
-        servers.iter().map(KvServer::host_id).collect(),
-    ));
+    let (servers, cell) = reshard::start_tier(&fabric, 2, 1, 2);
     let kv: SharedKv = Arc::new(ShardedKvClient::connect(
         fabric.add_host(),
         Arc::clone(&cell),
@@ -274,12 +260,7 @@ fn state_entry_push_waits_out_migration_without_blocking_other_chunks() {
     );
 
     // Complete the migration; the parked push lands on the new owner.
-    let newcomer = KvServer::start_routed(
-        fabric.add_host(),
-        2,
-        Arc::new(KvStore::new()),
-        ShardRouting::new(2, 3, 2),
-    );
+    let newcomer = reshard::start_joiner(&fabric, &cell.load(), 2);
     reshard::send_handoff_chunked(&control(newcomer.host_id()), exported).unwrap();
     let mut hosts: Vec<_> = servers.iter().map(KvServer::host_id).collect();
     hosts.push(newcomer.host_id());
@@ -375,20 +356,7 @@ fn coordinator_grow_shrink_roundtrip_preserves_a_cluster_scale_dataset() {
     // A heavier grow→shrink→grow sequence at the kvs layer: the tier ends
     // where it started (count-wise) with every key intact and placed.
     let fabric = Fabric::new();
-    let servers: Vec<KvServer> = (0..2)
-        .map(|i| {
-            KvServer::start_routed(
-                fabric.add_host(),
-                2,
-                Arc::new(KvStore::new()),
-                ShardRouting::new(1, 2, i),
-            )
-        })
-        .collect();
-    let cell = RoutingCell::new(RoutingTable::new(
-        1,
-        servers.iter().map(KvServer::host_id).collect(),
-    ));
+    let (_servers, cell) = reshard::start_tier(&fabric, 2, 1, 2);
     let client = ShardedKvClient::connect(fabric.add_host(), Arc::clone(&cell));
     for i in 0..256u32 {
         client
@@ -397,13 +365,8 @@ fn coordinator_grow_shrink_roundtrip_preserves_a_cluster_scale_dataset() {
     }
     let coord = fabric.add_host();
 
-    let joiner = KvServer::start_routed(
-        fabric.add_host(),
-        2,
-        Arc::new(KvStore::new()),
-        ShardRouting::new(2, 3, 2),
-    );
-    reshard::grow(&coord, &cell, joiner.host_id()).unwrap();
+    let joiner = reshard::start_joiner(&fabric, &cell.load(), 2);
+    reshard::grow(&coord, &cell, &joiner).unwrap();
     let (_, retired) = reshard::shrink(&coord, &cell).unwrap();
     assert_eq!(retired, joiner.host_id());
     for i in 0..256u32 {
