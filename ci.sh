@@ -74,6 +74,17 @@ gates=(
     'crates@whole'
     'the whole-state Handoff request or the ServerShaping knob is back; migrations stream HandoffFrames (reshard::send_handoff_chunked)'
 
+    # One state-tier shape: every shard serves a routing view, every
+    # sharded client follows a routing cell, and reshard::start_tier /
+    # start_joiner boot every tier and every joining shard.
+    'Source::Static|ShardedKvClient::new\(|fn start_replicated|fn start_routed|routing: Option<'
+    'crates@whole'
+    'an unrouted shard, a static sharded client or a second shard constructor is back; boot tiers with reshard::start_tier and clients with ShardedKvClient::connect'
+
+    'ShardRouting::(new|replicated)\('
+    'crates/core/src@whole tests@whole'
+    'a tier is built by hand; boot it with reshard::start_tier and a joining shard with reshard::start_joiner'
+
     # One front door, one placement scorer.
     'forwarded: false|fn pick_instance|gateway-bus|DEPTH_WEIGHT'
     'crates/*/src'
