@@ -120,7 +120,7 @@ impl RoutingTable {
 
     /// The next epoch's table with one more slot: `host` serves it and, on
     /// a replicated tier, `repl_host` takes its replica traffic.
-    pub fn joined(&self, host: HostId, repl_host: Option<HostId>) -> RoutingTable {
+    pub(crate) fn joined(&self, host: HostId, repl_host: Option<HostId>) -> RoutingTable {
         let mut next = self.clone();
         next.epoch += 1;
         next.hosts.push(host);
@@ -605,8 +605,7 @@ mod tests {
     use crate::store::{KvStore, LockMode};
     use faasm_net::Fabric;
 
-    /// A booted tier of `n` shards at replication `r`, its shards' stores
-    /// and a second cell-connected client on the same tier.
+    /// A booted tier's shard servers and two cell-connected clients on it.
     struct Tier {
         servers: Vec<KvServer>,
         client: ShardedKvClient,
@@ -633,33 +632,28 @@ mod tests {
         sharded_at(n, 1)
     }
 
-    fn covers_full_api(c: &ShardedKvClient) {
-        c.set("k", b"v".to_vec()).unwrap();
-        assert_eq!(c.get("k").unwrap(), Some(b"v".to_vec()));
-        assert_eq!(c.strlen("k").unwrap(), 1);
-        c.set_range("k", 1, b"w".to_vec()).unwrap();
-        assert_eq!(c.get_range("k", 0, 2).unwrap(), Some(b"vw".to_vec()));
-        assert_eq!(c.append("k", b"!".to_vec()).unwrap(), 3);
-        assert!(c.exists("k").unwrap());
-        assert_eq!(c.incr("n", 2).unwrap(), 2);
-        c.multi_set_range("mk", [(0, b"ab"), (4, b"cd")].into_iter().collect())
-            .unwrap();
-        assert_eq!(
-            c.multi_get_range("mk", &[(0, 2), (4, 2)]).unwrap(),
-            Some(vec![b"ab".to_vec(), b"cd".to_vec()])
-        );
-        assert!(c.del("k").unwrap());
-        c.ping().unwrap();
-    }
-
     #[test]
     fn routing_is_deterministic_and_covers_full_api() {
-        covers_full_api(&sharded(4).client);
-    }
-
-    #[test]
-    fn the_full_api_holds_on_a_replicated_tier() {
-        covers_full_api(&sharded_at(4, 2).client);
+        for replication in [1, 2] {
+            let tier = sharded_at(4, replication);
+            let c = &tier.client;
+            c.set("k", b"v".to_vec()).unwrap();
+            assert_eq!(c.get("k").unwrap(), Some(b"v".to_vec()));
+            assert_eq!(c.strlen("k").unwrap(), 1);
+            c.set_range("k", 1, b"w".to_vec()).unwrap();
+            assert_eq!(c.get_range("k", 0, 2).unwrap(), Some(b"vw".to_vec()));
+            assert_eq!(c.append("k", b"!".to_vec()).unwrap(), 3);
+            assert!(c.exists("k").unwrap());
+            assert_eq!(c.incr("n", 2).unwrap(), 2);
+            c.multi_set_range("mk", [(0, b"ab"), (4, b"cd")].into_iter().collect())
+                .unwrap();
+            assert_eq!(
+                c.multi_get_range("mk", &[(0, 2), (4, 2)]).unwrap(),
+                Some(vec![b"ab".to_vec(), b"cd".to_vec()])
+            );
+            assert!(c.del("k").unwrap());
+            c.ping().unwrap();
+        }
     }
 
     #[test]
