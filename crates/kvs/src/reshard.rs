@@ -78,13 +78,13 @@ pub fn start_tier(
         .filter(|_| replication > 1)
         .map(|_| fabric.add_host())
         .collect();
-    let table = RoutingTable::replicated(
-        1,
-        nics.iter().map(Nic::id).collect(),
+    let table = RoutingTable {
+        epoch: 1,
+        hosts: nics.iter().map(Nic::id).collect(),
         replication,
-        Vec::new(),
-        repl_nics.iter().map(Nic::id).collect(),
-    );
+        dead: Vec::new(),
+        repl_hosts: repl_nics.iter().map(Nic::id).collect(),
+    };
     let mut repl_nics = repl_nics.into_iter();
     let servers = nics
         .into_iter()
@@ -305,13 +305,11 @@ fn fail_slot(
     let mut dead = old.dead.clone();
     dead.push(dead_slot);
     dead.sort_unstable();
-    let new_table = RoutingTable::replicated(
-        new_epoch,
-        old.hosts.clone(),
-        old.replication,
+    let new_table = RoutingTable {
+        epoch: new_epoch,
         dead,
-        old.repl_hosts.clone(),
-    );
+        ..RoutingTable::clone(&old)
+    };
     let (dead_u32, hosts_u32) = commit_args(&new_table);
     let count = old.hosts.len() as u64;
     if planned {

@@ -256,12 +256,11 @@ impl KvServer {
     }
 
     /// Start slot `slot` of `table` over `store`: keyed requests for keys
-    /// this shard does not own answer [`Response::WrongEpoch`],
-    /// and the server speaks the `Migrate`/`HandoffFrame`/`EpochCommit`
-    /// resharding protocol. `nic` serves clients (and forwards writes to
-    /// backups); `repl_nic`, on a replicated tier, serves only inbound
-    /// replica traffic on dedicated workers so quorum forwards can never
-    /// deadlock.
+    /// this shard does not own answer [`Response::WrongEpoch`], and the
+    /// server speaks the `Migrate`/`HandoffFrame`/`EpochCommit` resharding
+    /// protocol. `nic` serves clients (and forwards writes to backups);
+    /// `repl_nic`, on a replicated tier, serves only inbound replica traffic
+    /// on dedicated workers so quorum forwards can never deadlock.
     pub(crate) fn start_shard(
         nic: Nic,
         repl_nic: Option<Nic>,
@@ -623,13 +622,12 @@ fn shard_stats(store: &KvStore, routing: &ShardRouting) -> ShardStats {
 /// Apply one command through a shard's routing view: keyed requests are
 /// ownership-checked (and rejected with [`Response::WrongEpoch`] when the
 /// key routes elsewhere), and the resharding protocol messages mutate the
-/// view. A traced keyed op
-/// records a [`SpanKind::ShardApply`] span (parented under the client's
-/// stamp) covering freeze-gate wait + ownership check + apply, so the state
-/// tier appears in the ingress call's span tree. With `net: Some(..)` on a
-/// replicated tier, a successful keyed write additionally forwards the
-/// key's state to its backup replicas and gates the ack on the write
-/// quorum.
+/// view. A traced keyed op records a [`SpanKind::ShardApply`] span
+/// (parented under the client's stamp) covering freeze-gate wait +
+/// ownership check + apply, so the state tier appears in the ingress
+/// call's span tree. With `net: Some(..)` on a replicated tier, a
+/// successful keyed write additionally forwards the key's state to its
+/// backup replicas and gates the ack on the write quorum.
 fn apply_traced(
     store: &KvStore,
     routing: &ShardRouting,

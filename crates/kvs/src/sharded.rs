@@ -75,25 +75,6 @@ impl RoutingTable {
         }
     }
 
-    /// A replicated table: top-`replication` live ranks per key, with
-    /// `repl_hosts` as the per-slot forwarding endpoints.
-    pub fn replicated(
-        epoch: u64,
-        hosts: Vec<HostId>,
-        replication: usize,
-        dead: Vec<usize>,
-        repl_hosts: Vec<HostId>,
-    ) -> RoutingTable {
-        assert!(replication >= 1, "replication factor must be at least 1");
-        RoutingTable {
-            epoch,
-            hosts,
-            replication,
-            dead,
-            repl_hosts,
-        }
-    }
-
     /// Whether `slot` is live (in range and not tombstoned).
     pub fn is_live(&self, slot: usize) -> bool {
         slot < self.hosts.len() && !self.dead.contains(&slot)
