@@ -421,16 +421,6 @@ mod tests {
     use crate::store::LockMode;
     use std::time::Duration;
 
-    /// An unreplicated tier of `n` shards at epoch 1 plus its routing cell.
-    fn routed_tier(fabric: &Fabric, n: usize) -> (Vec<KvServer>, Arc<RoutingCell>) {
-        start_tier(fabric, n, 1, 2)
-    }
-
-    /// Boot one more shard at the next epoch, ready to join.
-    fn joining_shard(fabric: &Fabric, cell: &RoutingCell) -> KvServer {
-        start_joiner(fabric, &cell.load(), 2)
-    }
-
     #[test]
     fn an_unreplicated_tier_takes_one_host_per_shard_in_slot_order() {
         let fabric = Fabric::new();
@@ -486,7 +476,7 @@ mod tests {
     #[test]
     fn grow_moves_exactly_the_rendezvous_delta_and_loses_nothing() {
         let fabric = Fabric::new();
-        let (servers, cell) = routed_tier(&fabric, 2);
+        let (servers, cell) = start_tier(&fabric, 2, 1, 2);
         let client = ShardedKvClient::connect(fabric.add_host(), Arc::clone(&cell));
         let keys: Vec<String> = (0..64).map(|i| format!("reshard:k{i}")).collect();
         for (i, key) in keys.iter().enumerate() {
@@ -494,7 +484,7 @@ mod tests {
             client.incr(&format!("{key}:ctr"), i as i64).unwrap();
         }
 
-        let newcomer = joining_shard(&fabric, &cell);
+        let newcomer = start_joiner(&fabric, &cell.load(), 2);
         let table = grow(&fabric.add_host(), &cell, &newcomer).unwrap();
         assert_eq!(table.epoch, 2);
         assert_eq!(table.hosts.len(), 3);
@@ -531,7 +521,7 @@ mod tests {
     #[test]
     fn stale_clients_are_redirected_not_failed() {
         let fabric = Fabric::new();
-        let (_servers, cell) = routed_tier(&fabric, 2);
+        let (_servers, cell) = start_tier(&fabric, 2, 1, 2);
         // This client builds its connections now and learns of the grow
         // only through the WrongEpoch handshake.
         let stale = ShardedKvClient::connect(fabric.add_host(), Arc::clone(&cell));
@@ -540,7 +530,7 @@ mod tests {
         }
         let epoch_before = stale.epoch();
 
-        let newcomer = joining_shard(&fabric, &cell);
+        let newcomer = start_joiner(&fabric, &cell.load(), 2);
         grow(&fabric.add_host(), &cell, &newcomer).unwrap();
 
         // Some of these keys moved to the new shard; the stale client must
@@ -562,7 +552,7 @@ mod tests {
     #[test]
     fn lock_owners_survive_migration() {
         let fabric = Fabric::new();
-        let (_servers, cell) = routed_tier(&fabric, 2);
+        let (_servers, cell) = start_tier(&fabric, 2, 1, 2);
         let holder = ShardedKvClient::connect(fabric.add_host(), Arc::clone(&cell));
         let rival = ShardedKvClient::connect(fabric.add_host(), Arc::clone(&cell));
         let keys: Vec<String> = (0..16).map(|i| format!("locked:{i}")).collect();
@@ -570,7 +560,7 @@ mod tests {
             assert!(holder.try_lock(key, LockMode::Write).unwrap());
         }
 
-        let newcomer = joining_shard(&fabric, &cell);
+        let newcomer = start_joiner(&fabric, &cell.load(), 2);
         grow(&fabric.add_host(), &cell, &newcomer).unwrap();
 
         for key in &keys {
@@ -590,7 +580,7 @@ mod tests {
     #[test]
     fn writes_during_the_freeze_window_block_then_land_on_the_new_owner() {
         let fabric = Fabric::new();
-        let (servers, cell) = routed_tier(&fabric, 2);
+        let (servers, cell) = start_tier(&fabric, 2, 1, 2);
         let client = Arc::new(ShardedKvClient::connect(
             fabric.add_host(),
             Arc::clone(&cell),
@@ -605,7 +595,7 @@ mod tests {
         // Freeze the donors by hand (Migrate without commit): the key is
         // now in its migration window.
         let coord = fabric.add_host();
-        let newcomer = joining_shard(&fabric, &cell);
+        let newcomer = start_joiner(&fabric, &cell.load(), 2);
         let mut exported = Vec::new();
         for server in &servers {
             exported.extend(control(&coord, server.host_id()).migrate(2, 3).unwrap());
@@ -642,7 +632,7 @@ mod tests {
     #[test]
     fn shrink_returns_the_retired_shards_keys_to_the_survivors() {
         let fabric = Fabric::new();
-        let (servers, cell) = routed_tier(&fabric, 3);
+        let (servers, cell) = start_tier(&fabric, 3, 1, 2);
         let client = ShardedKvClient::connect(fabric.add_host(), Arc::clone(&cell));
         for i in 0..48 {
             client.set(&format!("shrink:{i}"), vec![i]).unwrap();
@@ -663,7 +653,7 @@ mod tests {
         }
         // One shard cannot be retired.
         let lone_fabric = Fabric::new();
-        let (_s, lone_cell) = routed_tier(&lone_fabric, 1);
+        let (_s, lone_cell) = start_tier(&lone_fabric, 1, 1, 2);
         assert!(shrink(&lone_fabric.add_host(), &lone_cell).is_err());
     }
 }
