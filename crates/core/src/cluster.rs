@@ -1227,9 +1227,9 @@ mod tests {
             .unwrap()
             .expect("first cold start publishes the manifest");
         let manifest = crate::snapdist::ProtoManifest::from_bytes(&manifest_bytes).unwrap();
-        for d in manifest.all_digests() {
+        for d in std::iter::once(&manifest.meta).chain(&manifest.pages) {
             assert_eq!(
-                inst.kv().exists(&faasm_kvs::chunk_key(&d)),
+                inst.kv().exists(&faasm_kvs::chunk_key(d)),
                 Ok(true),
                 "every manifest chunk is in the tier"
             );
@@ -1431,6 +1431,49 @@ mod tests {
         };
         assert_eq!(resident(&captured), 25 * faasm_mem::BLOCK_SIZE);
         assert_eq!(resident(&fetched), resident(&captured));
+    }
+
+    /// One page store per host: a second upload of the storm function
+    /// changes only its first page, so a host that fetched the first reads
+    /// just the new meta chunk and that page, and both protos map the three
+    /// pages they share from one `Arc` each.
+    #[test]
+    fn a_second_version_fetches_only_its_changed_page_and_shares_the_rest() {
+        let cluster = Cluster::new(2);
+        let options = || UploadOptions {
+            init: Some("init".into()),
+            ..UploadOptions::default()
+        };
+        let run = |host: &FaasmInstance| {
+            let id = host.submit_placed("u", "storm", vec![1]);
+            assert_eq!(host.await_call(id).status, CallStatus::Success);
+        };
+        let (a, b) = (&cluster.instances()[0], &cluster.instances()[1]);
+        cluster.upload_fl("u", "storm", STORM, options()).unwrap();
+        run(a);
+        run(b);
+        let v1 = b.proto("u", "storm").expect("B fetched v1");
+        // v2's init writes other values into the first page only.
+        let v2_src = STORM.replace("7 + i", "8 + i");
+        cluster.upload_fl("u", "storm", &v2_src, options()).unwrap();
+        run(a);
+        let before = cluster.telemetry();
+        run(b);
+        let fetch = cluster.telemetry().delta(&before);
+        assert_eq!(b.metrics().cold_starts(), 0, "B restored both versions");
+        assert_eq!(fetch.get("snapdist", "chunks_fetched"), 2, "meta + page 0");
+        assert_eq!(fetch.get("state-shard", "batched_items"), 2);
+        assert_eq!(fetch.get("snapdist", "chunk_hits"), 3);
+        let v2 = b.proto("u", "storm").expect("B fetched v2");
+        let pages = |proto: &crate::ProtoRef| proto.snapshot.mem.as_ref().unwrap().pages().to_vec();
+        let (v1, v2) = (pages(&v1), pages(&v2));
+        assert!(!Arc::ptr_eq(&v1[0], &v2[0]));
+        for i in 1..4 {
+            assert!(Arc::ptr_eq(&v1[i], &v2[i]), "page {i} is one Arc");
+        }
+        // Each unique page costs the store once: v1's pages back 9, 8, 8
+        // and 0 blocks, and v2 adds a first page of 9.
+        assert_eq!(b.page_store_bytes(), 34 * faasm_mem::BLOCK_SIZE);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::msg::{decode_msg, encode_msg, frame_msg, InstanceMsg};
 use crate::pending::{PendingCallback, PendingMap};
 use crate::proto::{ProtoFaaslet, ProtoRef};
 use crate::snapdist::{
-    assemble_proto, chunk_proto, ProtoManifest, SnapStatsSnapshot, SnapshotCache,
+    assemble_pages, chunk_proto, ProtoManifest, SnapStatsSnapshot, SnapshotCache,
     DEFAULT_SNAPSHOT_CACHE_BYTES,
 };
 
@@ -157,11 +157,12 @@ pub struct FaasmInstance {
     /// points at, kept concretely typed for its stats.
     cache: Option<Arc<CachedKv>>,
     /// The raw sharded tier client, *under* any function-side cache: the
-    /// snapshot plane's chunk traffic rides this so immutable chunk bytes
-    /// are not double-buffered through the state cache (the
-    /// [`SnapshotCache`] is their host-local home).
+    /// snapshot plane's chunk traffic rides this so immutable chunks are
+    /// not buffered in the state cache as well (a page's host-local home is
+    /// the [`SnapshotCache`], decoded).
     tier_kv: SharedKv,
-    /// Host-local cache of verified content-addressed proto chunks.
+    /// The host's one store of decoded, verified proto pages, shared by
+    /// every proto version that names them.
     snap_cache: Arc<SnapshotCache>,
     /// Hands pre-stage manifests to the dedicated fetch thread so the bus
     /// loop never blocks on chunk round-trips.
@@ -236,9 +237,9 @@ impl FaasmInstance {
         let nic = fabric.add_host();
         let sharded: SharedKv =
             Arc::new(ShardedKvClient::connect(nic.clone(), Arc::clone(routing)));
-        // The snapshot plane keeps the uncached handle: chunk payloads are
-        // content-addressed and live in the snapshot cache, so routing them
-        // through the function-side cache would only duplicate them.
+        // The snapshot plane keeps the uncached handle: chunks are
+        // content-addressed and their pages live in the page store, so the
+        // function-side cache would only hold them a second time.
         let tier_kv = Arc::clone(&sharded);
         // The function-side cache interposes at the backend seam: state
         // entries and workloads all read through it unchanged.
@@ -292,8 +293,8 @@ impl FaasmInstance {
                 .expect("spawn bus thread");
             instance.threads.lock().push(handle);
         }
-        // Pre-stage fetcher: pulls pushed manifests' chunks into the
-        // snapshot cache off the bus thread.
+        // Pre-stage fetcher: pulls pushed manifests' pages into the page
+        // store off the bus thread.
         {
             let inst = Arc::clone(&instance);
             let handle = std::thread::Builder::new()
@@ -349,8 +350,8 @@ impl FaasmInstance {
     }
 
     /// Push `function`'s chunk manifest to `target` over the bus — the
-    /// autoscaler's pre-stage step: the receiver pulls the chunks into its
-    /// snapshot cache *before* the first call lands, so its prewarmed
+    /// autoscaler's pre-stage step: the receiver pulls the pages into its
+    /// page store *before* the first call lands, so its prewarmed
     /// Faaslets restore from warm bytes. Best-effort: `false` when no
     /// manifest is published yet or the send failed, which only costs the
     /// target the peer-fetch it would have saved.
@@ -791,77 +792,71 @@ impl FaasmInstance {
         rec.proto.get()
     }
 
-    /// Pull and verify every chunk a serialised manifest names — local
-    /// snapshot cache first, then one batched tier read for the rest — and
-    /// assemble the proto. Verified bytes land in the cache on the way
-    /// through. The digests vouch for the bytes, not for whose proto they
-    /// are: a manifest is a mutable tier key or unauthenticated bus
-    /// traffic, so the result goes through [`FunctionRecord::install`].
+    /// Resolve every chunk a serialised manifest names — page store first,
+    /// then one batched tier read for the meta chunk and the missing pages —
+    /// and assemble the proto. A fetched chunk is verified against its
+    /// digest, and a page is decoded once, into the store; a chunk missing,
+    /// corrupt or not a page yields `None`, and the caller cold-starts. The
+    /// digests vouch for the bytes, not for whose proto they are: a
+    /// manifest is a mutable tier key or unauthenticated bus traffic, so
+    /// the result goes through [`FunctionRecord::install`].
     fn fetch_by_manifest(&self, manifest: &[u8]) -> Option<ProtoRef> {
         let manifest = ProtoManifest::from_bytes(manifest)?;
         let stats = self.snap_cache.stats();
         stats.fetches.inc();
         let s0 = faasm_telemetry::now_ns();
-        let mut have: HashMap<Digest, Arc<Vec<u8>>> = HashMap::new();
-        let mut missing: Vec<Digest> = Vec::new();
-        // A pre-staged manifest's length is bounded only by its message:
-        // dedupe in O(1) per digest.
-        let mut seen: HashSet<Digest> = HashSet::new();
-        for d in manifest.all_digests() {
+        let mut pages = HashMap::new();
+        // The meta chunk is never stored (it names its upload), so it always
+        // rides the read. A pre-staged manifest's length is bounded only by
+        // its message: dedupe in O(1) per digest.
+        let mut missing = vec![manifest.meta];
+        let mut seen = HashSet::from([manifest.meta]);
+        for &d in &manifest.pages {
             if !seen.insert(d) {
                 continue;
             }
             match self.snap_cache.get(&d) {
-                Some(bytes) => {
+                Some(page) => {
                     stats.chunk_hits.inc();
-                    have.insert(d, bytes);
+                    pages.insert(d, page);
                 }
                 None => missing.push(d),
             }
         }
-        let mut complete = true;
-        if !missing.is_empty() {
-            let keys: Vec<String> = missing.iter().map(chunk_key).collect();
-            let values = self.tier_kv.multi_get(&keys).ok()?;
-            let v0 = faasm_telemetry::now_ns();
-            for (d, value) in missing.iter().zip(values) {
-                let Some(bytes) = value else {
-                    // Chunk not in the tier (e.g. evicted, or the manifest
-                    // raced ahead of its chunks): this fetch cold-starts.
-                    complete = false;
-                    continue;
-                };
-                if Digest::of(&bytes) != *d {
-                    // A corrupt chunk must also be deleted, not just
-                    // skipped: the publisher's exists-check would otherwise
-                    // dedup against the bad bytes forever. Deleting lets
-                    // the next publish repair it.
-                    stats.verify_failures.inc();
-                    let _ = self.tier_kv.del(&chunk_key(d));
-                    complete = false;
-                    continue;
-                }
-                stats.chunks_fetched.inc();
-                let bytes = Arc::new(bytes);
-                self.snap_cache.insert(*d, Arc::clone(&bytes));
-                have.insert(*d, bytes);
+        let keys: Vec<String> = missing.iter().map(chunk_key).collect();
+        let values = self.tier_kv.multi_get(&keys).ok()?;
+        let v0 = faasm_telemetry::now_ns();
+        let mut meta = None;
+        for (d, value) in missing.iter().zip(values) {
+            // A chunk not in the tier: evicted, or the manifest raced ahead
+            // of its chunks.
+            let Some(bytes) = value else { continue };
+            if Digest::of(&bytes) != *d {
+                // A corrupt chunk must also be deleted, not just skipped:
+                // the publisher's exists-check would otherwise dedup
+                // against the bad bytes forever. Deleting lets the next
+                // publish repair it.
+                stats.verify_failures.inc();
+                let _ = self.tier_kv.del(&chunk_key(d));
+                continue;
             }
-            let ctx = faasm_telemetry::current();
-            if !ctx.is_none() {
-                worker_recorder().span(SpanKind::SnapshotVerify, ctx, v0, missing.len() as u64);
+            stats.chunks_fetched.inc();
+            if *d == manifest.meta {
+                meta = Some(bytes);
+            } else if let Some(page) = self.snap_cache.insert_chunk(*d, &bytes) {
+                pages.insert(*d, page);
             }
         }
-        if !complete {
-            return None;
+        let ctx = faasm_telemetry::current();
+        if !ctx.is_none() {
+            worker_recorder().span(SpanKind::SnapshotVerify, ctx, v0, missing.len() as u64);
         }
-        let meta = have.get(&manifest.meta)?;
-        let pages: Vec<Arc<Vec<u8>>> = manifest
+        let pages = manifest
             .pages
             .iter()
-            .map(|d| have.get(d).map(Arc::clone))
+            .map(|d| pages.get(d).map(Arc::clone))
             .collect::<Option<_>>()?;
-        let proto = assemble_proto(meta, &pages)?;
-        let ctx = faasm_telemetry::current();
+        let proto = assemble_pages(&meta?, pages)?;
         if !ctx.is_none() {
             worker_recorder().span(SpanKind::SnapshotFetch, ctx, s0, missing.len() as u64);
         }
@@ -889,9 +884,12 @@ impl FaasmInstance {
                 stats.chunks_published.inc();
                 stats.bytes_published.add(bytes.len() as u64);
             }
-            // Seed the local cache either way: the publishing host is about
-            // to be the hottest restorer of this function.
-            self.snap_cache.insert(*d, Arc::clone(bytes));
+        }
+        // Seed the page store with the proto's own pages, copying and
+        // decoding nothing: the publisher is this function's hottest host.
+        let pages = proto.snapshot.mem.iter().flat_map(|mem| mem.pages());
+        for (d, page) in chunked.manifest.pages.iter().zip(pages) {
+            self.snap_cache.insert(*d, Arc::clone(page));
         }
         let _ = self.tier_kv.set(
             &manifest_key(&proto.user, &proto.function),
@@ -909,8 +907,8 @@ impl FaasmInstance {
         }
     }
 
-    /// Handle a pushed pre-stage manifest: fetch its chunks into the
-    /// snapshot cache and install the assembled proto, so the first call
+    /// Handle a pushed pre-stage manifest: fetch its pages into the page
+    /// store and install the assembled proto, so the first call
     /// after a scale-up restores from warm local bytes. The record holds
     /// the proto without becoming warm.
     fn handle_prestage(&self, user: &str, function: &str, manifest: &[u8]) {
@@ -1198,6 +1196,11 @@ impl FaasmInstance {
     pub(crate) fn proto_manifest(&self, user: &str, function: &str) -> Option<ProtoManifest> {
         let proto = self.proto(user, function)?;
         Some(chunk_proto(&proto).ok()?.manifest)
+    }
+
+    /// Resident bytes held by the host's page store.
+    pub(crate) fn page_store_bytes(&self) -> usize {
+        self.snap_cache.bytes()
     }
 }
 

@@ -78,8 +78,8 @@ pub use metrics::{GatewayMetrics, Metrics, MetricsSnapshot, StartKind};
 pub use pending::{PendingCallback, PendingMap};
 pub use proto::{ProtoEncodeError, ProtoFaaslet, ProtoRef};
 pub use snapdist::{
-    assemble_proto, chunk_proto, ChunkedProto, ProtoManifest, SnapStats, SnapStatsSnapshot,
-    SnapshotCache, DEFAULT_SNAPSHOT_CACHE_BYTES,
+    assemble_pages, assemble_proto, chunk_proto, ChunkedProto, ProtoManifest, SnapStats,
+    SnapStatsSnapshot, SnapshotCache, DEFAULT_SNAPSHOT_CACHE_BYTES,
 };
 
 // Re-export the call types every embedder needs, and the entry type

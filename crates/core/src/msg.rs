@@ -36,7 +36,7 @@ pub enum InstanceMsg {
     },
     /// Pre-stage a function's proto snapshot: the autoscaler pushes the
     /// proto's chunk manifest to an instance it is about to pre-warm, so
-    /// the instance pulls the chunks into its snapshot cache *before* the
+    /// the instance pulls the pages into its page store *before* the
     /// first call lands — the prewarmed Faaslet restores from warm bytes
     /// instead of paying a cold start. Best-effort: a dropped or stale
     /// pre-stage only costs the peer-fetch it would have saved.

@@ -22,8 +22,9 @@
 //!   against the key it asked for, so a corrupt or substituted chunk is
 //!   rejected at the cache boundary and never reaches a restore.
 //!
-//! [`SnapshotCache`] is the host-local side: a bytes-bounded LRU of
-//! verified chunks shared by every fetch/pre-stage on the instance.
+//! [`SnapshotCache`] is the host-local side: one store of decoded pages per
+//! host, each verified page decoded once and its `Arc` shared by every proto
+//! version (and so every Faaslet) that maps it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -72,15 +73,6 @@ impl ProtoManifest {
         })
         .ok()
     }
-
-    /// Every chunk digest the manifest references (meta first, then pages
-    /// in address order) — the fetch list.
-    pub fn all_digests(&self) -> Vec<Digest> {
-        let mut out = Vec::with_capacity(1 + self.pages.len());
-        out.push(self.meta);
-        out.extend_from_slice(&self.pages);
-        out
-    }
 }
 
 /// A proto exploded into content-addressed chunks, ready to publish.
@@ -120,28 +112,27 @@ pub fn chunk_proto(proto: &ProtoFaaslet) -> Result<ChunkedProto, ProtoEncodeErro
 }
 
 /// Reassemble a proto from its verified chunks: the meta chunk plus one
-/// page chunk per manifest page, in address order. Returns `None` on any
-/// structural mismatch (malformed meta, wrong page count, a malformed page
-/// chunk) — the caller falls back to a cold start.
+/// page chunk per manifest page, in address order, decoded and handed to
+/// [`assemble_pages`]. `None` if a page chunk is malformed or they are.
 pub fn assemble_proto(meta_bytes: &[u8], page_chunks: &[Arc<Vec<u8>>]) -> Option<ProtoFaaslet> {
+    let pages = page_chunks
+        .iter()
+        .map(|chunk| Page::from_chunk(chunk).map(Arc::new))
+        .collect::<Option<_>>()?;
+    assemble_pages(meta_bytes, pages)
+}
+
+/// The one assembly path: a proto from its meta chunk and its decoded pages
+/// in address order, mapping the `Arc`s it is given. `None` on a malformed
+/// meta chunk or a page count it does not declare.
+pub fn assemble_pages(meta_bytes: &[u8], pages: Vec<Arc<Page>>) -> Option<ProtoFaaslet> {
     let meta = wire::decode(meta_bytes, read_meta).ok()?;
     let mem = match meta.mem {
-        Some((size_pages, max_pages)) => {
-            if page_chunks.len() != size_pages {
-                return None;
-            }
-            let pages = page_chunks
-                .iter()
-                .map(|chunk| Page::from_chunk(chunk).map(Arc::new))
-                .collect::<Option<_>>()?;
+        Some((size_pages, max_pages)) if pages.len() == size_pages => {
             Some(MemorySnapshot::from_pages(pages, max_pages)?)
         }
-        None => {
-            if !page_chunks.is_empty() {
-                return None;
-            }
-            None
-        }
+        None if pages.is_empty() => None,
+        _ => return None,
     };
     Some(ProtoFaaslet {
         user: meta.user,
@@ -251,7 +242,7 @@ faasm_telemetry::counters! {
         fetches,
         /// Chunks pulled over the wire.
         chunks_fetched,
-        /// Chunks served from the local cache during a fetch.
+        /// Pages served from the host's page store during a fetch.
         chunk_hits,
         /// Fetched chunks whose digest did not match their key.
         verify_failures,
@@ -268,54 +259,67 @@ faasm_telemetry::counters! {
         bytes_deduped,
         /// Pre-stage pushes handled (manifests landed over the bus).
         prestages,
-        /// Chunks evicted by the cache's byte budget.
+        /// Pages evicted by the store's byte budget.
         evictions,
     }
 }
 
-/// Default byte budget for a host's snapshot cache, counted in chunk bytes:
-/// a page costs its block mask and the blocks that hold data, so 64 MiB is
-/// a thousand fully written pages or sixteen thousand one-block ones. A
-/// full cache evicts least-recently-used chunks.
+/// Default byte budget for a host's page store, counted in resident bytes:
+/// a page costs the 4 KiB blocks it backs, so 64 MiB is a thousand fully
+/// written pages or sixteen thousand one-block ones. A full store evicts
+/// least-recently-used pages.
 pub const DEFAULT_SNAPSHOT_CACHE_BYTES: usize = 64 * 1024 * 1024;
 
-/// The host-local snapshot cache: verified chunk payloads keyed by digest,
-/// bounded by a byte budget with least-recently-used eviction. Only
-/// *verified* bytes are ever inserted (the fetch path checks the digest
-/// first), so a cache hit needs no re-verification.
+/// The host's page store: decoded proto pages keyed by the digest of their
+/// chunk, bounded by a byte budget with least-recently-used eviction. A
+/// page is decoded once, when its verified chunk is inserted; a hit clones
+/// its `Arc`, so every proto version that names the digest maps the same
+/// page. Eviction drops only the store's reference: a page lives on while
+/// a proto or a Faaslet maps it. Meta chunks are not stored — each names
+/// its upload, so a host meets one only once.
 pub struct SnapshotCache {
-    chunks: Mutex<BoundedLru<Digest, Arc<Vec<u8>>>>,
+    pages: Mutex<BoundedLru<Digest, Arc<Page>>>,
     stats: SnapStats,
 }
 
 impl SnapshotCache {
-    /// A cache bounded at `budget` bytes of chunk payload.
+    /// A store bounded at `budget` resident bytes.
     pub fn new(budget: usize) -> SnapshotCache {
         SnapshotCache {
-            chunks: Mutex::new(BoundedLru::new(budget, usize::MAX, |_, bytes| bytes.len())),
+            pages: Mutex::new(BoundedLru::new(budget, usize::MAX, |_, page| {
+                page.resident_bytes()
+            })),
             stats: SnapStats::default(),
         }
     }
 
-    /// The chunk's payload if cached (marks it most recently used). Does
-    /// not count toward fetch-path hit stats — callers attribute hits to
-    /// the operation they serve.
-    pub fn get(&self, d: &Digest) -> Option<Arc<Vec<u8>>> {
-        let mut chunks = self.chunks.lock();
-        chunks.touch(d);
-        chunks.peek(d).cloned()
+    /// The page if stored (marks it most recently used). Counts no hit:
+    /// callers attribute hits to the operation they serve.
+    pub fn get(&self, d: &Digest) -> Option<Arc<Page>> {
+        let mut pages = self.pages.lock();
+        pages.touch(d);
+        pages.peek(d).cloned()
     }
 
-    /// Insert a verified chunk, evicting least-recently-used entries while
-    /// over budget. A chunk larger than the whole budget is not cached.
-    pub fn insert(&self, d: Digest, bytes: Arc<Vec<u8>>) {
-        let evicted = self.chunks.lock().insert(d, bytes).unwrap_or(0);
+    /// Store `page` under the digest of its chunk, evicting
+    /// least-recently-used pages while over budget. A page larger than the
+    /// whole budget is not stored.
+    pub fn insert(&self, d: Digest, page: Arc<Page>) {
+        let evicted = self.pages.lock().insert(d, page).unwrap_or(0);
         self.stats.evictions.add(evicted as u64);
     }
 
-    /// Current payload bytes held.
+    /// Decode a page chunk already verified against `d`, store the page and
+    /// return it; `None`, storing nothing, if the chunk is not a page.
+    pub fn insert_chunk(&self, d: Digest, chunk: &[u8]) -> Option<Arc<Page>> {
+        let page = Arc::new(Page::from_chunk(chunk)?);
+        self.insert(d, Arc::clone(&page));
+        Some(page)
+    }
+
+    /// Current resident bytes held.
     pub fn bytes(&self) -> usize {
-        self.chunks.lock().cost()
+        self.pages.lock().cost()
     }
 
     /// The plane's per-instance counters.
@@ -328,7 +332,7 @@ impl SnapshotCache {
 mod tests {
     use super::*;
     use faasm_fvm::prelude::*;
-    use faasm_mem::{LinearMemory, PAGE_SIZE};
+    use faasm_mem::{LinearMemory, BLOCK_SIZE, PAGE_SIZE};
 
     fn proto_with_mem(seed: u8) -> ProtoFaaslet {
         let mut b = ModuleBuilder::new();
@@ -474,29 +478,40 @@ mod tests {
     }
 
     #[test]
-    fn cache_bounds_bytes_and_evicts_lru() {
-        let cache = SnapshotCache::new(3 * PAGE_SIZE);
-        let chunks: Vec<(Digest, Arc<Vec<u8>>)> = (0..4u8)
+    fn store_bounds_resident_bytes_and_evicts_lru() {
+        let store = SnapshotCache::new(3 * BLOCK_SIZE);
+        // Four one-block pages, each a different chunk.
+        let pages: Vec<(Digest, Arc<Page>)> = (1..=4u8)
             .map(|i| {
-                let bytes = Arc::new(vec![i; PAGE_SIZE]);
-                (Digest::of(&bytes), bytes)
+                let page = Page::from_bytes(&[i; 8]);
+                (Digest::of(&page.to_chunk()), Arc::new(page))
             })
             .collect();
-        for (d, b) in &chunks[..3] {
-            cache.insert(*d, Arc::clone(b));
+        for (d, page) in &pages[..3] {
+            store.insert(*d, Arc::clone(page));
         }
-        assert_eq!(cache.bytes(), 3 * PAGE_SIZE);
-        // Touch chunk 0 so chunk 1 becomes the LRU victim.
-        assert!(cache.get(&chunks[0].0).is_some());
-        cache.insert(chunks[3].0, Arc::clone(&chunks[3].1));
-        assert_eq!(cache.bytes(), 3 * PAGE_SIZE);
-        assert!(cache.get(&chunks[1].0).is_none());
-        assert!(cache.get(&chunks[0].0).is_some());
-        assert!(cache.get(&chunks[3].0).is_some());
-        assert_eq!(cache.stats().snapshot().evictions, 1);
-        // An over-budget chunk is refused outright.
-        let huge = Arc::new(vec![9u8; 4 * PAGE_SIZE]);
-        cache.insert(Digest::of(&huge), huge);
-        assert_eq!(cache.bytes(), 3 * PAGE_SIZE);
+        assert_eq!(store.bytes(), 3 * BLOCK_SIZE);
+        // Touch page 0 so page 1 becomes the LRU victim.
+        assert!(store.get(&pages[0].0).is_some());
+        store.insert(pages[3].0, Arc::clone(&pages[3].1));
+        assert_eq!(store.bytes(), 3 * BLOCK_SIZE);
+        assert!(store.get(&pages[1].0).is_none());
+        assert!(Arc::ptr_eq(&store.get(&pages[0].0).unwrap(), &pages[0].1));
+        assert!(store.get(&pages[3].0).is_some());
+        assert_eq!(store.stats().snapshot().evictions, 1);
+        // Eviction dropped only the store's reference.
+        assert_eq!(Arc::strong_count(&pages[1].1), 1);
+        // An over-budget page is refused outright.
+        let huge = Page::from_bytes(&[9u8; 4 * BLOCK_SIZE]);
+        store.insert(Digest::of(&huge.to_chunk()), Arc::new(huge));
+        assert_eq!(store.bytes(), 3 * BLOCK_SIZE);
+        // A verified chunk is decoded once, into the page a hit returns; a
+        // chunk that is not a page is not stored.
+        let chunk = pages[1].1.to_chunk();
+        let decoded = store.insert_chunk(pages[1].0, &chunk).unwrap();
+        assert!(Arc::ptr_eq(&store.get(&pages[1].0).unwrap(), &decoded));
+        let junk = b"not a page";
+        assert!(store.insert_chunk(Digest::of(junk), junk).is_none());
+        assert!(store.get(&Digest::of(junk)).is_none());
     }
 }

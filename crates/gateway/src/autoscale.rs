@@ -73,7 +73,7 @@ pub fn tier_scale_wanted(ops_delta: u64, shard_count: usize, cfg: &AutoscaleConf
 ///
 /// Before warming, the step's targets are **pre-staged**: the function's
 /// chunk manifest is pushed to them over the bus, so hosts that don't yet
-/// hold the proto pull its chunks into their snapshot caches and the
+/// hold the proto pull its pages into their page stores and the
 /// pre-warmed Faaslets restore from warm bytes instead of cold-starting.
 ///
 /// Returns how many Faaslets were actually created.

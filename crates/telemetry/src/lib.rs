@@ -206,7 +206,7 @@ pub enum SpanKind {
     /// (copy-on-write page mapping + globals + table install).
     ProtoRestore = 16,
     /// Snapshot chunk fetch: manifest + missing chunks pulled from the
-    /// state tier into the host-local snapshot cache.
+    /// state tier into the host's page store.
     SnapshotFetch = 17,
     /// Digest verification of fetched snapshot chunks (the
     /// content-address check standing between the wire and a restore).

@@ -73,7 +73,7 @@ fn main() {
     );
 
     // Pre-stage the manifest to every other host and wait for the pushes
-    // to land — each target pulls the chunks into its snapshot cache and
+    // to land — each target pulls the pages into its page store and
     // installs the proto before any call arrives.
     for inst in &cluster.instances()[1..] {
         cluster.instances()[0].push_prestage("demo", "work", inst.host_id());

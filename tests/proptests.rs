@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use faasm::core::msg::{decode_msg, encode_msg, InstanceMsg};
 use faasm::core::{
-    assemble_proto, chunk_proto, CallId, CallResult, CallSpec, CallStatus, PendingMap,
-    ProtoFaaslet, ProtoManifest,
+    assemble_pages, assemble_proto, chunk_proto, CallId, CallResult, CallSpec, CallStatus,
+    PendingMap, ProtoFaaslet, ProtoManifest, SnapshotCache, DEFAULT_SNAPSHOT_CACHE_BYTES,
 };
 use faasm::fvm::InstanceSnapshot;
 use faasm::fvm::{decode_module, encode_module, ObjectModule};
@@ -580,7 +580,8 @@ proptest! {
 
     /// Memory snapshots survive the cross-host path: `chunk_proto` →
     /// `assemble_proto` → `LinearMemory::restore` gives back the same bytes
-    /// in the same number of resident blocks.
+    /// in the same number of resident blocks, and so does assembly from the
+    /// pages a host's page store decoded from the same chunks.
     #[test]
     fn snapshot_serialisation_roundtrip(
         writes in prop::collection::vec((0usize..2 * PAGE_SIZE - 8, any::<u64>()), 0..8)
@@ -608,6 +609,23 @@ proptest! {
             restored.stats().rss_bytes,
             LinearMemory::restore(&snap).stats().rss_bytes
         );
+        let store = SnapshotCache::new(DEFAULT_SNAPSHOT_CACHE_BYTES);
+        let stored: Vec<_> = chunked
+            .manifest
+            .pages
+            .iter()
+            .map(|d| store.get(d).or_else(|| store.insert_chunk(*d, &chunked.chunks[d])))
+            .collect::<Option<_>>()
+            .expect("every page chunk decodes");
+        let from_store = assemble_pages(&chunked.chunks[&chunked.manifest.meta], stored)
+            .expect("assembles");
+        let back_pages = back.snapshot.mem.as_ref().expect("a memory").pages();
+        let store_pages = from_store.snapshot.mem.as_ref().expect("a memory").pages();
+        prop_assert_eq!(store_pages.len(), back_pages.len());
+        for (s, b) in store_pages.iter().zip(back_pages) {
+            prop_assert_eq!(s.to_chunk(), b.to_chunk());
+            prop_assert_eq!(s.resident_bytes(), b.resident_bytes());
+        }
     }
 
     /// Shared-region writes through one mapping are exactly what every other
