@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use faasm_fvm::Linker;
 use faasm_kvs::{
     chunk_key, manifest_key, CacheConfig, CachedKv, Digest, RoutingCell, ShardedKvClient, SharedKv,
@@ -65,6 +65,10 @@ const CGROUP_TOLERANCE: u64 = 1 << 22;
 
 /// Worker thread stack size (guest recursion uses the host stack).
 const WORKER_STACK: usize = 16 * 1024 * 1024;
+
+/// Pre-stage manifests waiting for the fetch thread. The bus drops one
+/// that finds the queue full: a lost pre-stage only costs a fetch.
+const PRESTAGE_QUEUE: usize = 64;
 
 #[derive(Debug)]
 struct QueuedCall {
@@ -165,7 +169,8 @@ pub struct FaasmInstance {
     /// every proto version that names them.
     snap_cache: Arc<SnapshotCache>,
     /// Hands pre-stage manifests to the dedicated fetch thread so the bus
-    /// loop never blocks on chunk round-trips.
+    /// loop never blocks on chunk round-trips; holds at most
+    /// [`PRESTAGE_QUEUE`] of them.
     prestage_tx: Sender<(String, String, Vec<u8>)>,
     /// The affinity board this host's calls report their cache hits to.
     boards: Arc<SchedBoards>,
@@ -253,7 +258,7 @@ impl FaasmInstance {
         let state = Arc::new(StateManager::new(Arc::clone(&kv)));
         let hostfs = HostFs::new(object_store);
         let (queue_tx, queue_rx) = unbounded();
-        let (prestage_tx, prestage_rx) = unbounded();
+        let (prestage_tx, prestage_rx) = bounded(PRESTAGE_QUEUE);
         let instance = Arc::new_cyclic(|me| FaasmInstance {
             me: Weak::clone(me),
             host_id: nic.id(),
@@ -580,13 +585,14 @@ impl FaasmInstance {
                         }
                     }
                     // Pre-staged manifests are handed to the dedicated
-                    // fetcher; the bus loop stays hot for invokes.
+                    // fetcher, or dropped if it is behind; the bus loop
+                    // stays hot for invokes.
                     Some(InstanceMsg::PreStage {
                         user,
                         function,
                         manifest,
                     }) => {
-                        let _ = self.prestage_tx.send((user, function, manifest));
+                        let _ = self.prestage_tx.try_send((user, function, manifest));
                     }
                     // Non-protocol traffic (e.g. a guest socket aimed at a
                     // runtime host) is dropped.
@@ -1239,6 +1245,49 @@ mod tests {
         );
         assert_eq!(after.get("snapdist", "chunk_hits"), 0);
         assert_eq!(after.get("snapdist", "chunks_fetched"), 0);
+    }
+
+    /// The bus hands pre-stages to the fetch thread through a bounded
+    /// queue: while the fetcher is stuck on one, a flood leaves the queue
+    /// full — the cap, or one less if the fetcher took its one last — and
+    /// the rest dropped.
+    #[test]
+    fn a_prestage_flood_holds_at_most_the_queue_cap() {
+        let cluster = Cluster::new(1);
+        let host = &cluster.instances()[0];
+        let guest: Arc<dyn crate::NativeGuest> = Arc::new(|_: &mut crate::NativeApi<'_>| Ok(0));
+        cluster.register_native("u", "f", guest, false);
+        let sender = cluster.add_fabric_host();
+        let prestage = encode_msg(&InstanceMsg::PreStage {
+            user: "u".into(),
+            function: "f".into(),
+            manifest: Vec::new(),
+        });
+        // The fetcher parks on the records lock with at most one pre-stage.
+        let records = host.records.lock();
+        for _ in 0..4 * PRESTAGE_QUEUE {
+            sender.send(host.host_id(), prestage.clone()).unwrap();
+        }
+        // The bus handles its messages in order: once this result lands,
+        // it has handed on or dropped every pre-stage before it.
+        let marker = CallId(u64::MAX);
+        host.pending.register(marker.0);
+        let result = encode_msg(&InstanceMsg::Result {
+            result: CallResult::error(marker, "marker"),
+        });
+        sender.send(host.host_id(), result).unwrap();
+        assert!(host
+            .pending
+            .wait(marker.0, Duration::from_secs(10))
+            .is_some());
+        let queued = host.prestage_tx.len();
+        let taken = host.snapshot_stats().prestages as usize;
+        assert!(queued <= PRESTAGE_QUEUE && queued + 1 >= PRESTAGE_QUEUE);
+        assert!(
+            queued + taken <= PRESTAGE_QUEUE + 1,
+            "the rest were dropped"
+        );
+        drop(records);
     }
 
     /// Co-located native Faaslets share one mapped replica (§4, Fig. 6), so
