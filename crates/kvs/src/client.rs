@@ -241,19 +241,6 @@ impl KvClient {
         }
     }
 
-    /// Ship replicated key state to a backup replica (primary-side call).
-    /// Returns the number of entries the backup applied.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError`] on network/server failure.
-    pub fn replicate(&self, entries: Vec<crate::store::KeyMigration>) -> Result<u64, KvError> {
-        match self.call(&Request::Replicate { entries })?.0 {
-            Response::ReplAck { applied } => Ok(applied),
-            _ => Err(KvError::Protocol),
-        }
-    }
-
     /// Install one bounded frame of a chunked handoff (`seq` starts at 0
     /// per transfer `xfer`; `last` marks the final frame).
     ///

@@ -125,11 +125,6 @@ impl StreamConn {
         self.conn
     }
 
-    /// The peer host.
-    pub fn peer(&self) -> HostId {
-        self.peer
-    }
-
     /// Send `bytes` down the stream, fragmented into `Data` chunks of at
     /// most the connection MTU.
     ///
