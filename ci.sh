@@ -175,6 +175,16 @@ gates=(
     'crates/core/src/snapdist.rs'
     'page chunks carry only non-zero 4 KiB blocks; encode and decode through Page::{to_chunk, from_chunk}'
 
+    # One page store per host: a fetched page is decoded once, into the
+    # store, and every proto version maps the store's Arc<Page>.
+    'Page::from_chunk|assemble_proto'
+    'crates/core/src/instance.rs@whole'
+    'the fetch path decodes page chunks itself; decode through SnapshotCache::insert_chunk and assemble with assemble_pages'
+
+    'BoundedLru<Digest, Arc<Vec<u8>>>'
+    'crates/core/src@whole'
+    'the snapshot cache holds encoded chunks again; the page store holds decoded Arc<Page>s'
+
     # One record per function per host, one production engine.
     'struct Flight|FlightGuard|resolving:|protos: RwLock<HashMap'
     'crates/core/src/instance.rs'
