@@ -478,7 +478,7 @@ mod tests {
     }
 
     #[test]
-    fn store_bounds_resident_bytes_and_evicts_lru() {
+    fn cache_bounds_bytes_and_evicts_lru() {
         let store = SnapshotCache::new(3 * BLOCK_SIZE);
         // Four one-block pages, each a different chunk.
         let pages: Vec<(Digest, Arc<Page>)> = (1..=4u8)
