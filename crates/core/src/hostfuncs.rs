@@ -55,23 +55,34 @@ fn parts<'a>(ctx: &'a mut HostCtx<'_>) -> Result<(&'a mut LinearMemory, &'a mut 
     Ok((mem, fctx))
 }
 
+fn out_of_bounds(ptr: i32, len: usize) -> Trap {
+    Trap::OutOfBoundsMemory {
+        addr: u64::from(ptr as u32),
+        len: len as u32,
+    }
+}
+
+/// The guest's `len` as a host buffer size, once `ptr..ptr + len` is known
+/// to lie inside guest memory: a guest never sizes a host allocation larger
+/// than its own memory.
+fn guest_len(mem: &LinearMemory, ptr: i32, len: i32) -> Result<usize, Trap> {
+    let len = len as u32 as usize;
+    match (ptr as u32 as usize).checked_add(len) {
+        Some(end) if end <= mem.size_bytes() => Ok(len),
+        _ => Err(out_of_bounds(ptr, len)),
+    }
+}
+
 fn read_bytes(mem: &LinearMemory, ptr: i32, len: i32) -> Result<Vec<u8>, Trap> {
-    let (ptr, len) = (ptr as u32, len as u32);
-    let mut buf = vec![0u8; len as usize];
-    mem.read(ptr as usize, &mut buf)
-        .map_err(|_| Trap::OutOfBoundsMemory {
-            addr: ptr as u64,
-            len,
-        })?;
+    let mut buf = vec![0u8; guest_len(mem, ptr, len)?];
+    mem.read(ptr as u32 as usize, &mut buf)
+        .map_err(|_| out_of_bounds(ptr, buf.len()))?;
     Ok(buf)
 }
 
 fn write_bytes(mem: &mut LinearMemory, ptr: i32, data: &[u8]) -> Result<(), Trap> {
     mem.write(ptr as u32 as usize, data)
-        .map_err(|_| Trap::OutOfBoundsMemory {
-            addr: ptr as u32 as u64,
-            len: data.len() as u32,
-        })
+        .map_err(|_| out_of_bounds(ptr, data.len()))
 }
 
 fn read_str(mem: &LinearMemory, ptr: i32, len: i32) -> Result<String, Trap> {
@@ -519,7 +530,7 @@ pub fn faaslet_linker() -> Linker {
     l.define_fn("faasm", "recv", |ctx, args| {
         let (sock, ptr, len) = (arg_i32(args, 0)?, arg_i32(args, 1)?, arg_i32(args, 2)?);
         let (mem, fctx) = parts(ctx)?;
-        let mut buf = vec![0u8; len as u32 as usize];
+        let mut buf = vec![0u8; guest_len(mem, ptr, len)?];
         let n = fctx.sock_recv(sock as u32, &mut buf);
         write_bytes(mem, ptr, &buf[..n])?;
         ok_i32(n as i32)
@@ -615,7 +626,7 @@ pub fn faaslet_linker() -> Linker {
     l.define_fn("faasm", "getrandom", |ctx, args| {
         let (ptr, len) = (arg_i32(args, 0)?, arg_i32(args, 1)?);
         let (mem, fctx) = parts(ctx)?;
-        let mut buf = vec![0u8; len as u32 as usize];
+        let mut buf = vec![0u8; guest_len(mem, ptr, len)?];
         fctx.rng.fill(&mut buf);
         write_bytes(mem, ptr, &buf)?;
         ok_i32(len)
