@@ -99,6 +99,10 @@ pub struct FaasletCtx {
     /// [`FaasletCtx::release_state_locks`] returns whatever is left here
     /// when the call ends, however it ends.
     pub(crate) held_locks: Vec<(Arc<SyncRwLock>, LockMode)>,
+    /// Global state locks the current call took and has not released,
+    /// oldest first; returned to the tier when the call ends, like
+    /// `held_locks`, rather than left for their leases to expire.
+    pub(crate) held_global: Vec<(String, LockMode)>,
     /// Open sockets.
     pub sockets: HashMap<u32, Socket>,
     /// Next socket descriptor.
@@ -196,12 +200,49 @@ impl FaasletCtx {
         Ok(true)
     }
 
-    /// Release every local lock the call still holds, newest first. Runs
-    /// at the end of every call — return, non-zero exit, trap or fuel
-    /// exhaustion alike — before the Faaslet is reset or pooled.
+    /// Take `key`'s global lock for the current call
+    /// (`lock_state_global_read` / `lock_state_global_write`), blocking.
+    ///
+    /// # Errors
+    ///
+    /// Global-tier errors.
+    pub fn lock_state_global(&mut self, key: &str, mode: LockMode) -> Result<(), StateError> {
+        self.state.lock_global(key, mode)?;
+        self.held_global.push((key.to_string(), mode));
+        Ok(())
+    }
+
+    /// Release a global lock the current call holds. Returns `false`, and
+    /// releases nothing, if this call holds no such lock: the tier keeps
+    /// one hold per host, so an unmatched unlock would release a sibling
+    /// Faaslet's.
+    ///
+    /// # Errors
+    ///
+    /// Global-tier errors.
+    pub fn unlock_state_global(&mut self, key: &str, mode: LockMode) -> Result<bool, StateError> {
+        let held = self
+            .held_global
+            .iter()
+            .rposition(|(k, m)| k == key && *m == mode);
+        let Some(at) = held else {
+            return Ok(false);
+        };
+        self.held_global.remove(at);
+        self.state.unlock_global(key, mode)?;
+        Ok(true)
+    }
+
+    /// Release every lock the call still holds, newest first. Runs at the
+    /// end of every call — return, non-zero exit, trap or fuel exhaustion
+    /// alike — before the Faaslet is reset or pooled. A global release
+    /// that fails leaves the hold to its lease.
     pub fn release_state_locks(&mut self) {
         while let Some((lock, mode)) = self.held_locks.pop() {
             release_local(&lock, mode);
+        }
+        while let Some((key, mode)) = self.held_global.pop() {
+            let _ = self.state.unlock_global(&key, mode);
         }
     }
 
@@ -442,6 +483,7 @@ pub(crate) mod tests {
             cgroup: None,
             mapped_state: HashMap::new(),
             held_locks: Vec::new(),
+            held_global: Vec::new(),
             sockets: HashMap::new(),
             next_socket: 1,
             started: Instant::now(),

@@ -127,6 +127,7 @@ fn build_ctx(
         cgroup: Some(share),
         mapped_state: HashMap::new(),
         held_locks: Vec::new(),
+        held_global: Vec::new(),
         sockets: HashMap::new(),
         next_socket: 1,
         started: Instant::now(),

@@ -10,7 +10,7 @@
 //!
 //! | class    | functions |
 //! |----------|-----------|
-//! | calls    | `input_size` `read_call_input` `write_call_output` `chain_call` `await_call` `get_call_output_size` `get_call_output` |
+//! | calls    | `input_size` `read_call_input` `write_call_output` `chain_call` `await_call` `get_call_output` |
 //! | state    | `get_state` `get_state_offset` `set_state` `set_state_offset` `push_state` `push_state_offset` `pull_state` `pull_state_offset` `append_state` `lock_state_read` `unlock_state_read` `lock_state_write` `unlock_state_write` `lock_state_global_read` `unlock_state_global_read` `lock_state_global_write` `unlock_state_global_write` |
 //! | dynlink  | `dlopen` `dlsym` `dlcall` `dlclose` |
 //! | memory   | `mmap` `munmap` `brk` `sbrk` |
@@ -165,15 +165,6 @@ pub fn faaslet_linker() -> Linker {
         let code = fctx.await_chained(CallId(id as u64));
         ok_i32(code)
     });
-    l.define_fn("faasm", "get_call_output_size", |ctx, args| {
-        let id = arg_i64(args, 0)?;
-        let (_mem, fctx) = parts(ctx)?;
-        let size = fctx
-            .results
-            .get(&CallId(id as u64))
-            .map_or(-1, |r| r.output.len() as i32);
-        ok_i32(size)
-    });
     l.define_fn("faasm", "get_call_output", |ctx, args| {
         let (id, ptr, len) = (arg_i64(args, 0)?, arg_i32(args, 1)?, arg_i32(args, 2)?);
         let (mem, fctx) = parts(ctx)?;
@@ -294,9 +285,9 @@ pub fn faaslet_linker() -> Linker {
         let (mem, fctx) = parts(ctx)?;
         let key = read_str(mem, kp, kl)?;
         let entry = fctx.state_entry(&key, size as usize).map_err(Trap::host)?;
-        entry
-            .pull_range(off as usize, len as usize)
-            .map_err(Trap::host)?;
+        let (off, len) = (off as usize, len as usize);
+        entry.invalidate_range(off, len).map_err(Trap::host)?;
+        entry.pull_range(off, len).map_err(Trap::host)?;
         Ok(vec![])
     });
     l.define_fn("faasm", "append_state", |ctx, args| {
@@ -313,36 +304,28 @@ pub fn faaslet_linker() -> Linker {
         Ok(vec![])
     });
 
-    // Local and global state locks. Each takes (key_ptr, key_len). Global
-    // locks are leases the tier expires; local locks are not, so the
-    // context records what the call holds and an unlock of a lock this
-    // call does not hold traps instead of releasing another Faaslet's.
-    // Neither kind maps or sizes a replica: both belong to the key.
+    // Local and global state locks. Each takes (key_ptr, key_len). The
+    // context records what the call holds, and an unlock of a lock this
+    // call does not hold traps instead of releasing another Faaslet's (a
+    // local lock is a count) or a hold the tier keeps for this host (a
+    // global lock is a lease per host). Neither kind maps or sizes a
+    // replica: both belong to the key.
     macro_rules! state_lock_fn {
-        ($name:literal, global $method:ident, $mode:expr) => {
+        ($name:literal, lock $method:ident, $mode:expr) => {
             l.define_fn("faasm", $name, |ctx, args| {
                 let (kp, kl) = (arg_i32(args, 0)?, arg_i32(args, 1)?);
                 let (mem, fctx) = parts(ctx)?;
                 let key = read_str(mem, kp, kl)?;
-                fctx.state.$method(&key, $mode).map_err(Trap::host)?;
+                fctx.$method(&key, $mode).map_err(Trap::host)?;
                 Ok(vec![])
             });
         };
-        ($name:literal, lock, $mode:expr) => {
+        ($name:literal, unlock $method:ident, $mode:expr) => {
             l.define_fn("faasm", $name, |ctx, args| {
                 let (kp, kl) = (arg_i32(args, 0)?, arg_i32(args, 1)?);
                 let (mem, fctx) = parts(ctx)?;
                 let key = read_str(mem, kp, kl)?;
-                fctx.lock_state_local(&key, $mode).map_err(Trap::host)?;
-                Ok(vec![])
-            });
-        };
-        ($name:literal, unlock, $mode:expr) => {
-            l.define_fn("faasm", $name, |ctx, args| {
-                let (kp, kl) = (arg_i32(args, 0)?, arg_i32(args, 1)?);
-                let (mem, fctx) = parts(ctx)?;
-                let key = read_str(mem, kp, kl)?;
-                if !fctx.unlock_state_local(&key, $mode).map_err(Trap::host)? {
+                if !fctx.$method(&key, $mode).map_err(Trap::host)? {
                     let name = $name;
                     return Err(Trap::host(format!(
                         "{name}: this call holds no such lock on {key}"
@@ -352,14 +335,14 @@ pub fn faaslet_linker() -> Linker {
             });
         };
     }
-    state_lock_fn!("lock_state_read", lock, LockMode::Read);
-    state_lock_fn!("unlock_state_read", unlock, LockMode::Read);
-    state_lock_fn!("lock_state_write", lock, LockMode::Write);
-    state_lock_fn!("unlock_state_write", unlock, LockMode::Write);
-    state_lock_fn!("lock_state_global_read", global lock_global, LockMode::Read);
-    state_lock_fn!("unlock_state_global_read", global unlock_global, LockMode::Read);
-    state_lock_fn!("lock_state_global_write", global lock_global, LockMode::Write);
-    state_lock_fn!("unlock_state_global_write", global unlock_global, LockMode::Write);
+    state_lock_fn!("lock_state_read", lock lock_state_local, LockMode::Read);
+    state_lock_fn!("unlock_state_read", unlock unlock_state_local, LockMode::Read);
+    state_lock_fn!("lock_state_write", lock lock_state_local, LockMode::Write);
+    state_lock_fn!("unlock_state_write", unlock unlock_state_local, LockMode::Write);
+    state_lock_fn!("lock_state_global_read", lock lock_state_global, LockMode::Read);
+    state_lock_fn!("unlock_state_global_read", unlock unlock_state_global, LockMode::Read);
+    state_lock_fn!("lock_state_global_write", lock lock_state_global, LockMode::Write);
+    state_lock_fn!("unlock_state_global_write", unlock unlock_state_global, LockMode::Write);
 
     // ── Dynamic linking ────────────────────────────────────────────────
     l.define_fn("faasm", "dlopen", |ctx, args| {

@@ -11,7 +11,7 @@ use crate::ctx::FaasletCtx;
 /// Compile an FL guest, link the host interface, and return the instance.
 fn guest(src: &str, ctx: FaasletCtx) -> Instance {
     let module = faasm_lang::compile(src).unwrap_or_else(|e| panic!("compile: {e}"));
-    let object = ObjectModule::prepare(module).expect("validates");
+    let object = ObjectModule::prepare_lowered(module).expect("validates");
     Instance::new(object, &faaslet_linker(), Box::new(ctx)).expect("links")
 }
 
@@ -117,6 +117,209 @@ fn state_offset_and_append() {
     assert_eq!(global.len(), 9);
     assert_eq!(&global[4..8], &[0xff, 0xff, 0xff, 0xff]);
     assert_eq!(global[8], 0x61);
+}
+
+/// Invoke `probe` with `args`, expecting a trap of the kind `want` names:
+/// a hostile argument traps, and never panics the host.
+fn assert_traps(inst: &mut Instance, args: &[i32], want: &str) {
+    let args: Vec<Val> = args.iter().map(|&a| Val::I32(a)).collect();
+    let r = inst.invoke("probe", &args);
+    let kind = match &r {
+        Err(Trap::OutOfBoundsMemory { .. }) => "oob",
+        Err(Trap::Host(_)) => "host",
+        _ => "none",
+    };
+    assert_eq!(kind, want, "probe{args:?} gave {r:?}");
+}
+
+/// A 32 KiB value of two 16 KiB chunks: chunk 0 all 1s, chunk 1 all 2s.
+fn two_chunk_value() -> Vec<u8> {
+    let mut value = vec![1u8; 32768];
+    value[16384..].fill(2);
+    value
+}
+
+#[test]
+fn get_state_offset_maps_base_plus_off_and_pulls_only_that_range() {
+    let src = r#"
+        extern int get_state_offset(ptr int key, int key_len, int size, int off, int len);
+        extern void write_call_output(ptr int buf, int len);
+        int main() {
+            ptr int k = (ptr int) 64;
+            k[0] = 0x6f; // "o"
+            int at = get_state_offset(k, 1, 32768, 16384, 16);
+            ptr int v = (ptr int) at;
+            ptr int out = (ptr int) 128;
+            out[0] = at;
+            out[1] = v[0];
+            write_call_output(out, 8);
+            return 0;
+        }
+        int probe(int key, int size, int off, int len) {
+            return get_state_offset((ptr int) key, 1, size, off, len);
+        }
+    "#;
+    let ctx = test_ctx();
+    ctx.state.kv().set("o", two_chunk_value()).unwrap();
+    // 64 chunks: an empty range at the very end names no chunk past them.
+    ctx.state.kv().set("m", vec![5u8; 1 << 20]).unwrap();
+    let mut inst = guest(src, ctx);
+    assert_eq!(inst.invoke("main", &[]).unwrap(), Some(Val::I32(0)));
+    let fctx = inst.data_as::<FaasletCtx>().unwrap();
+    let mapped = &fctx.mapped_state["o"];
+    let at = i32::from_le_bytes(fctx.output[0..4].try_into().unwrap());
+    assert_eq!(at as u32, mapped.guest_addr + 16384, "base + off");
+    assert_eq!(
+        &fctx.output[4..8],
+        &[2; 4],
+        "the range reads the global value"
+    );
+    assert_eq!(
+        mapped.entry.present_chunks(),
+        1,
+        "only the range's chunk pulled"
+    );
+    let mut head = [9u8; 4];
+    mapped.entry.region().read(0, &mut head).unwrap();
+    assert_eq!(head, [0; 4], "chunk 0 never left the tier");
+
+    let m = i32::from(b'm');
+    let oob = 99_999_999;
+    assert_traps(&mut inst, &[oob, 32768, 0, 16], "oob");
+    for (off, len) in [(-1, 16), (0, -1), (32768, 16), (16380, 100_000), (-16, 16)] {
+        // Key "o" lives at 64, written by main.
+        assert_traps(&mut inst, &[64, 32768, off, len], "host");
+    }
+    inst.memory_mut()
+        .unwrap()
+        .write(72, &m.to_le_bytes())
+        .unwrap();
+    let end = inst.invoke("probe", &[72, 1 << 20, 1 << 20, 0].map(Val::I32));
+    let base = inst.data_as::<FaasletCtx>().unwrap().mapped_state["m"].guest_addr;
+    assert_eq!(end, Ok(Some(Val::I32((base + (1 << 20)) as i32))));
+}
+
+#[test]
+fn pull_state_offset_refreshes_only_its_range() {
+    let src = r#"
+        extern int get_state(ptr int key, int key_len, int size);
+        extern void pull_state_offset(ptr int key, int key_len, int size, int off, int len);
+        int map() {
+            ptr int k = (ptr int) 64;
+            k[0] = 0x70; // "p"
+            return get_state(k, 1, 32768);
+        }
+        int refresh() {
+            pull_state_offset((ptr int) 64, 1, 32768, 16384, 16384);
+            return 0;
+        }
+        int probe(int key, int size, int off, int len) {
+            pull_state_offset((ptr int) key, 1, size, off, len);
+            return 0;
+        }
+    "#;
+    let ctx = test_ctx();
+    ctx.state.kv().set("p", two_chunk_value()).unwrap();
+    let mut inst = guest(src, ctx);
+    let Some(Val::I32(at)) = inst.invoke("map", &[]).unwrap() else {
+        panic!("get_state returns an address");
+    };
+    // Another writer pushes a new value to the global tier.
+    let fctx = inst.data_as::<FaasletCtx>().unwrap();
+    fctx.state.kv().set("p", vec![3u8; 32768]).unwrap();
+    assert_eq!(inst.invoke("refresh", &[]).unwrap(), Some(Val::I32(0)));
+    let mem = inst.memory().unwrap();
+    let byte = |off: usize| {
+        let mut b = [0u8; 1];
+        mem.read(at as usize + off, &mut b).unwrap();
+        b[0]
+    };
+    assert_eq!(
+        (byte(0), byte(16383)),
+        (1, 1),
+        "outside the range: the old value"
+    );
+    assert_eq!(
+        (byte(16384), byte(32767)),
+        (3, 3),
+        "the range: the new value"
+    );
+
+    assert_traps(&mut inst, &[99_999_999, 32768, 0, 16], "oob");
+    for (off, len) in [(-1, 16), (0, -1), (32768, 16), (16380, 100_000)] {
+        assert_traps(&mut inst, &[64, 32768, off, len], "host");
+    }
+}
+
+#[test]
+fn global_read_locks_share_and_an_unheld_unlock_traps() {
+    use faasm_kvs::{KvClient, KvStore, LockMode};
+    use faasm_state::StateManager;
+    let src = r#"
+        extern void lock_state_global_read(ptr int key, int key_len);
+        extern void unlock_state_global_read(ptr int key, int key_len);
+        int lock() {
+            ptr int k = (ptr int) 64;
+            k[0] = 0x72; // "r"
+            lock_state_global_read(k, 1);
+            return 0;
+        }
+        int unlock() {
+            unlock_state_global_read((ptr int) 64, 1);
+            return 0;
+        }
+        int probe(int key) {
+            lock_state_global_read((ptr int) key, 1);
+            return 0;
+        }
+    "#;
+    // The tier is visible here, so other hosts' holds can be taken on it.
+    let store = Arc::new(KvStore::new());
+    let mut ctx = test_ctx();
+    ctx.state = Arc::new(StateManager::new(Arc::new(KvClient::local(Arc::clone(
+        &store,
+    )))));
+    let (reader, writer) = (u64::MAX, u64::MAX - 1);
+    let mut inst = guest(src, ctx);
+
+    assert_eq!(inst.invoke("lock", &[]).unwrap(), Some(Val::I32(0)));
+    assert!(
+        store.try_lock("r", LockMode::Read, reader),
+        "a second read lock shares"
+    );
+    assert!(
+        !store.try_lock("r", LockMode::Write, writer),
+        "readers exclude a writer"
+    );
+    assert_eq!(inst.invoke("unlock", &[]).unwrap(), Some(Val::I32(0)));
+    assert!(
+        !store.try_lock("r", LockMode::Write, writer),
+        "the other reader holds on"
+    );
+    store.unlock("r", LockMode::Read, reader);
+
+    // This call holds nothing now: a second unlock traps.
+    let r = inst.invoke("unlock", &[]);
+    assert!(
+        matches!(&r, Err(Trap::Host(m)) if m.contains("holds no such lock")),
+        "{r:?}"
+    );
+    assert!(
+        store.try_lock("r", LockMode::Write, writer),
+        "nothing left held"
+    );
+    store.unlock("r", LockMode::Write, writer);
+
+    // A hold the call leaves is returned when the call ends.
+    assert_eq!(inst.invoke("lock", &[]).unwrap(), Some(Val::I32(0)));
+    inst.data_as::<FaasletCtx>().unwrap().release_state_locks();
+    assert!(
+        store.try_lock("r", LockMode::Write, writer),
+        "released at call end"
+    );
+
+    assert_traps(&mut inst, &[99_999_999], "oob");
+    assert_traps(&mut inst, &[-1], "oob");
 }
 
 #[test]

@@ -250,7 +250,8 @@ impl StateEntry {
     }
 
     fn chunk_span(&self, offset: usize, len: usize) -> (usize, usize) {
-        let first = offset / self.chunk_size;
+        // An empty range at the very end names the last chunk, not one past.
+        let first = (offset / self.chunk_size).min(self.n_chunks - 1);
         let last = if len == 0 {
             first
         } else {
@@ -582,6 +583,23 @@ impl StateEntry {
         self.present.clear_all();
         self.dirty.clear_all();
     }
+
+    /// [`StateEntry::invalidate`] for the chunks `offset..offset + len`
+    /// touches only (`pull_state_offset` refreshes its range).
+    ///
+    /// # Errors
+    ///
+    /// [`StateError::OutOfRange`] for a range past the value.
+    pub fn invalidate_range(&self, offset: usize, len: usize) -> Result<(), StateError> {
+        self.check_range(offset, len)?;
+        let (first, last) = self.chunk_span(offset, len);
+        let _transition = self.transition.lock();
+        for idx in first..=last {
+            self.present.clear(idx);
+            self.dirty.clear(idx);
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -596,6 +614,33 @@ mod tests {
         let region = SharedRegion::new(size.max(1));
         let e = StateEntry::new("k", size, region, Arc::clone(&kv) as SharedKv, chunk).unwrap();
         (kv, e)
+    }
+
+    #[test]
+    fn an_empty_range_at_the_end_names_no_chunk_past_it() {
+        // 64 chunks fill the bitsets' one word exactly.
+        let (kv, e) = entry_with(64 * 16, 16);
+        kv.set("k", vec![7u8; 64 * 16]).unwrap();
+        e.pull_range(64 * 16, 0).unwrap();
+        e.invalidate_range(64 * 16, 0).unwrap();
+        e.write(64 * 16, &[]).unwrap();
+        assert!(e.invalidate_range(64 * 16, 1).is_err());
+        assert!(e.present_chunks() <= 1, "at most the last chunk");
+    }
+
+    #[test]
+    fn invalidate_range_repulls_only_its_chunks() {
+        let (kv, e) = entry_with(64, 16);
+        kv.set("k", vec![1u8; 64]).unwrap();
+        e.pull().unwrap();
+        kv.set("k", vec![2u8; 64]).unwrap();
+        e.invalidate_range(20, 10).unwrap();
+        assert_eq!(e.present_chunks(), 3, "chunk 1 alone forgotten");
+        e.pull().unwrap();
+        let mut got = [0u8; 64];
+        e.region().read(0, &mut got).unwrap();
+        assert!(got[..16].iter().chain(&got[32..]).all(|&b| b == 1));
+        assert!(got[16..32].iter().all(|&b| b == 2));
     }
 
     /// A backend that counts batched calls and stalls batched *reads* on

@@ -34,11 +34,9 @@ impl std::fmt::Display for StateError {
             StateError::Kv(e) => write!(f, "global tier: {e}"),
             StateError::Mem(e) => write!(f, "local tier: {e}"),
             StateError::OutOfRange { offset, len, size } => {
-                write!(
-                    f,
-                    "state access {offset}..{} out of range (size {size})",
-                    offset + len
-                )
+                // A guest's offset and length may each be near usize::MAX.
+                let end = *offset as u128 + *len as u128;
+                write!(f, "state access {offset}..{end} out of range (size {size})")
             }
             StateError::CapacityExceeded {
                 requested,
