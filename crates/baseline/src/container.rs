@@ -137,7 +137,6 @@ impl Container {
     /// Run one call.
     pub fn run(&mut self, guest: &dyn ContainerGuest, call_id: CallId, input: &[u8]) -> CallResult {
         let mut api = ContainerApi {
-            call_id,
             input,
             output: Vec::new(),
             results: HashMap::new(),
@@ -160,7 +159,6 @@ impl Container {
 
 /// The host interface as containers see it: same operations, external state.
 pub struct ContainerApi<'a> {
-    call_id: CallId,
     input: &'a [u8],
     output: Vec<u8>,
     results: HashMap<CallId, CallResult>,
@@ -171,11 +169,6 @@ impl<'a> ContainerApi<'a> {
     /// The call's input.
     pub fn input(&self) -> &[u8] {
         self.input
-    }
-
-    /// The current call id.
-    pub fn call_id(&self) -> CallId {
-        self.call_id
     }
 
     /// Append output bytes.
@@ -247,12 +240,6 @@ impl<'a> ContainerApi<'a> {
             .map_err(|e| e.to_string())
     }
 
-    /// Drop the private copy so the next read re-fetches (a fresh container
-    /// would behave this way; long-lived ones must poll).
-    pub fn state_invalidate(&mut self, key: &str) {
-        self.container.state_cache.remove(key);
-    }
-
     /// Atomic counter in the global tier.
     ///
     /// # Errors
@@ -283,11 +270,6 @@ impl<'a> ContainerApi<'a> {
     /// Output of an awaited chained call.
     pub fn call_output(&self, id: CallId) -> Option<&[u8]> {
         self.results.get(&id).map(|r| r.output.as_slice())
-    }
-
-    /// The owning user.
-    pub fn user(&self) -> &str {
-        &self.container.user
     }
 }
 
@@ -549,14 +531,10 @@ mod tests {
         // ...is NOT visible to c1's stale private copy (unlike the Faaslet
         // shared local tier).
         assert_eq!(c1.run(&read_guest, CallId(3), &[]).output, b"v1");
-        // Only invalidation (or a fresh container) sees the update.
-        let refresh = |api: &mut ContainerApi<'_>| {
-            api.state_invalidate("k");
-            let v = api.state_read("k", 0, 2)?;
-            api.write_output(&v);
-            Ok(0)
-        };
-        assert_eq!(c1.run(&refresh, CallId(4), &[]).output, b"v2");
+        // Only a fresh container sees the update.
+        let mut c3 =
+            Container::cold_start(3, "u", "f", &image, &cfg, Arc::clone(&kv), Arc::new(NoHttp));
+        assert_eq!(c3.run(&read_guest, CallId(4), &[]).output, b"v2");
     }
 
     #[test]
@@ -582,7 +560,6 @@ mod tests {
         let guest = |api: &mut ContainerApi<'_>| {
             assert_eq!(api.state_size("sz")?, 77);
             assert_eq!(api.counter_add("n", 5)?, 5);
-            assert_eq!(api.user(), "u");
             Ok(0)
         };
         let r = c.run(&guest, CallId(1), &[]);

@@ -408,50 +408,6 @@ impl<'a> NativeApi<'a> {
     pub fn fs(&mut self) -> &mut FdTable {
         &mut self.ctx.fdtable
     }
-
-    /// Per-user monotonic clock, nanoseconds.
-    pub fn gettime_ns(&self) -> u64 {
-        self.ctx.gettime_ns()
-    }
-
-    /// Fill a buffer with random bytes (`getrandom`).
-    pub fn getrandom(&mut self, buf: &mut [u8]) {
-        self.ctx.rng.fill(buf);
-    }
-
-    /// Open a socket.
-    pub fn socket(&mut self) -> u32 {
-        self.ctx.socket()
-    }
-
-    /// Connect a socket.
-    pub fn connect(&mut self, sock: u32, remote: HostId) -> bool {
-        self.ctx.connect(sock, remote)
-    }
-
-    /// Send on a socket.
-    ///
-    /// # Errors
-    ///
-    /// Network errors.
-    pub fn send(&mut self, sock: u32, data: &[u8]) -> Result<usize, NetError> {
-        self.ctx.sock_send(sock, data)
-    }
-
-    /// Receive buffered bytes from a socket.
-    pub fn recv(&mut self, sock: u32, buf: &mut [u8]) -> usize {
-        self.ctx.sock_recv(sock, buf)
-    }
-
-    /// The executing user.
-    pub fn user(&self) -> &str {
-        &self.ctx.user
-    }
-
-    /// The current call id.
-    pub fn call_id(&self) -> CallId {
-        self.ctx.call_id
-    }
 }
 
 #[cfg(test)]
@@ -583,10 +539,6 @@ pub(crate) mod tests {
         assert_eq!(api.input(), b"payload");
         api.write_output(b"result");
         api.write_output(b"+more");
-        assert_eq!(api.user(), "tester");
-        assert_eq!(api.call_id(), CallId(1));
-        let mut rnd = [0u8; 4];
-        api.getrandom(&mut rnd);
         // End the borrow before inspecting the context.
         let _ = api;
         assert_eq!(ctx.output, b"result+more");
