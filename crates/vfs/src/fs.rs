@@ -41,26 +41,6 @@ impl OpenFlags {
         }
     }
 
-    /// `O_RDWR | O_CREAT`.
-    pub fn read_write() -> OpenFlags {
-        OpenFlags {
-            read: true,
-            write: true,
-            create: true,
-            ..Default::default()
-        }
-    }
-
-    /// `O_WRONLY | O_CREAT | O_TRUNC`.
-    pub fn write_truncate() -> OpenFlags {
-        OpenFlags {
-            write: true,
-            create: true,
-            truncate: true,
-            ..Default::default()
-        }
-    }
-
     /// `O_WRONLY | O_CREAT | O_APPEND`.
     pub fn append() -> OpenFlags {
         OpenFlags {
@@ -140,19 +120,9 @@ impl HostFs {
         &self.store
     }
 
-    /// Number of distinct global objects cached on this host.
-    pub fn cached_objects(&self) -> usize {
-        self.cache.read().len()
-    }
-
     /// Bytes held in the host cache (for footprint accounting).
     pub fn cached_bytes(&self) -> usize {
         self.cache.read().values().map(|v| v.len()).sum()
-    }
-
-    /// Drop cached global objects (failure injection / cold host).
-    pub fn drop_cache(&self) {
-        self.cache.write().clear();
     }
 
     fn cached_pull(&self, key: &str) -> Option<Arc<Vec<u8>>> {
@@ -227,11 +197,6 @@ impl FdTable {
     /// The host filesystem this table resolves against.
     pub fn host(&self) -> &Arc<HostFs> {
         &self.host
-    }
-
-    /// Number of open descriptors.
-    pub fn open_count(&self) -> usize {
-        self.fds.len()
     }
 
     /// Open a file, returning a new descriptor.
@@ -461,12 +426,6 @@ impl FdTable {
             path: path.to_string(),
         })
     }
-
-    /// Close every descriptor (used by reset-after-call, §5.2: restoring a
-    /// Proto-Faaslet must drop all capabilities of the previous call).
-    pub fn close_all(&mut self) {
-        self.fds.clear();
-    }
 }
 
 fn slice_from(data: &[u8], offset: usize, len: usize) -> Vec<u8> {
@@ -480,6 +439,24 @@ fn slice_from(data: &[u8], offset: usize, len: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `O_RDWR | O_CREAT`.
+    const READ_WRITE: OpenFlags = OpenFlags {
+        read: true,
+        write: true,
+        create: true,
+        truncate: false,
+        append: false,
+    };
+
+    /// `O_WRONLY | O_CREAT | O_TRUNC`.
+    const WRITE_TRUNCATE: OpenFlags = OpenFlags {
+        read: false,
+        write: true,
+        create: true,
+        truncate: true,
+        append: false,
+    };
 
     fn setup() -> (Arc<ObjectStore>, Arc<HostFs>) {
         let store = Arc::new(ObjectStore::new());
@@ -517,7 +494,7 @@ mod tests {
         let (_store, host) = setup();
         let mut fs = FdTable::new(host, "alice");
         assert!(matches!(
-            fs.open("shared/lib.py", OpenFlags::write_truncate()),
+            fs.open("shared/lib.py", WRITE_TRUNCATE),
             Err(FsError::ReadOnlyNamespace { .. })
         ));
     }
@@ -553,7 +530,7 @@ mod tests {
     fn write_local_does_not_touch_global() {
         let (store, host) = setup();
         let mut fs = FdTable::new(host, "alice");
-        let fd = fs.open("data.bin", OpenFlags::read_write()).unwrap();
+        let fd = fs.open("data.bin", READ_WRITE).unwrap();
         fs.write(fd, b"LOCAL").unwrap();
         // Global object unchanged.
         assert_eq!(
@@ -569,7 +546,7 @@ mod tests {
     fn overlay_shared_across_faaslets_on_host() {
         let (_store, host) = setup();
         let mut f1 = FdTable::new(Arc::clone(&host), "alice");
-        let fd1 = f1.open("cache.pyc", OpenFlags::write_truncate()).unwrap();
+        let fd1 = f1.open("cache.pyc", WRITE_TRUNCATE).unwrap();
         f1.write(fd1, b"bytecode").unwrap();
         // A second Faaslet of the same user on the same host sees it.
         let mut f2 = FdTable::new(host, "alice");
@@ -598,7 +575,7 @@ mod tests {
         let fd2 = fs.open("log.txt", OpenFlags::read_only()).unwrap();
         assert_eq!(fs.read(fd2, 100).unwrap(), b"onetwothree");
         // Truncate clears.
-        let fd3 = fs.open("log.txt", OpenFlags::write_truncate()).unwrap();
+        let fd3 = fs.open("log.txt", WRITE_TRUNCATE).unwrap();
         assert_eq!(fs.fstat(fd3).unwrap().size, 0);
     }
 
@@ -625,7 +602,11 @@ mod tests {
         let fd2 = fs.dup(fd).unwrap();
         fs.read(fd, 6).unwrap();
         assert_eq!(fs.read(fd2, 4).unwrap(), b"data", "offset shared via dup");
-        assert_eq!(fs.open_count(), 2);
+        fs.close(fd).unwrap();
+        assert!(
+            fs.read(fd2, 0).is_ok(),
+            "the dup is a descriptor of its own"
+        );
     }
 
     #[test]
@@ -635,7 +616,7 @@ mod tests {
         let st = fs.stat("data.bin").unwrap();
         assert_eq!(st.size, 10);
         assert!(st.read_only);
-        let fd = fs.open("new.txt", OpenFlags::write_truncate()).unwrap();
+        let fd = fs.open("new.txt", WRITE_TRUNCATE).unwrap();
         fs.write(fd, b"abc").unwrap();
         let st = fs.stat("new.txt").unwrap();
         assert_eq!(st.size, 3);
@@ -653,20 +634,22 @@ mod tests {
         let fd = fs.open("data.bin", OpenFlags::read_only()).unwrap();
         fs.close(fd).unwrap();
         assert_eq!(store.pulls() - base, 1, "second open served from cache");
-        assert_eq!(host.cached_objects(), 1);
-        host.drop_cache();
-        let fd = fs.open("data.bin", OpenFlags::read_only()).unwrap();
-        fs.close(fd).unwrap();
-        assert_eq!(store.pulls() - base, 2, "cache dropped, pulled again");
+        assert_eq!(host.cached_bytes(), b"alice data".len());
+        // A cold host pulls again.
+        let mut cold = FdTable::new(HostFs::new(Arc::clone(&store)), "alice");
+        let fd = cold.open("data.bin", OpenFlags::read_only()).unwrap();
+        cold.close(fd).unwrap();
+        assert_eq!(store.pulls() - base, 2, "cold host, pulled again");
     }
 
     #[test]
     fn close_all_drops_capabilities() {
+        // Reset-after-call (§5.2) drops every capability of the previous
+        // call by building the Faaslet a fresh table.
         let (_store, host) = setup();
-        let mut fs = FdTable::new(host, "alice");
+        let mut fs = FdTable::new(Arc::clone(&host), "alice");
         let fd = fs.open("data.bin", OpenFlags::read_only()).unwrap();
-        fs.close_all();
-        assert!(matches!(fs.read(fd, 1), Err(FsError::BadFd { .. })));
-        assert_eq!(fs.open_count(), 0);
+        let fresh = FdTable::new(host, "alice");
+        assert!(matches!(fresh.read(fd, 1), Err(FsError::BadFd { .. })));
     }
 }
