@@ -98,6 +98,12 @@ fn ok_i64(v: i64) -> Result<Vec<Val>, Trap> {
     Ok(vec![Val::I64(v)])
 }
 
+/// A guest's state `size` as a host size. A negative one traps before it
+/// can size a replica: as a `usize` it would ask for exabytes.
+fn state_size(size: i32) -> Result<usize, Trap> {
+    usize::try_from(size).map_err(|_| Trap::host(format!("negative state size {size}")))
+}
+
 /// Map a state entry's region into the guest and return its base address,
 /// reusing an existing mapping when present.
 fn map_state(
@@ -182,7 +188,7 @@ pub fn faaslet_linker() -> Linker {
         let (kp, kl, size) = (arg_i32(args, 0)?, arg_i32(args, 1)?, arg_i32(args, 2)?);
         let (mem, fctx) = parts(ctx)?;
         let key = read_str(mem, kp, kl)?;
-        let addr = map_state(mem, fctx, &key, size as usize)?;
+        let addr = map_state(mem, fctx, &key, state_size(size)?)?;
         let entry = &fctx.mapped_state[&key].entry;
         entry.pull().map_err(Trap::host)?;
         ok_i32(addr as i32)
@@ -197,7 +203,7 @@ pub fn faaslet_linker() -> Linker {
         );
         let (mem, fctx) = parts(ctx)?;
         let key = read_str(mem, kp, kl)?;
-        let addr = map_state(mem, fctx, &key, size as usize)?;
+        let addr = map_state(mem, fctx, &key, state_size(size)?)?;
         let entry = &fctx.mapped_state[&key].entry;
         entry
             .pull_range(off as usize, len as usize)
@@ -230,7 +236,9 @@ pub fn faaslet_linker() -> Linker {
         let (mem, fctx) = parts(ctx)?;
         let key = read_str(mem, kp, kl)?;
         let value = read_bytes(mem, vp, vl)?;
-        let entry = fctx.state_entry(&key, size as usize).map_err(Trap::host)?;
+        let entry = fctx
+            .state_entry(&key, state_size(size)?)
+            .map_err(Trap::host)?;
         entry.write(off as usize, &value).map_err(Trap::host)?;
         Ok(vec![])
     });
@@ -269,7 +277,9 @@ pub fn faaslet_linker() -> Linker {
         let (kp, kl, size) = (arg_i32(args, 0)?, arg_i32(args, 1)?, arg_i32(args, 2)?);
         let (mem, fctx) = parts(ctx)?;
         let key = read_str(mem, kp, kl)?;
-        let entry = fctx.state_entry(&key, size as usize).map_err(Trap::host)?;
+        let entry = fctx
+            .state_entry(&key, state_size(size)?)
+            .map_err(Trap::host)?;
         entry.invalidate();
         entry.pull().map_err(Trap::host)?;
         Ok(vec![])
@@ -284,7 +294,9 @@ pub fn faaslet_linker() -> Linker {
         );
         let (mem, fctx) = parts(ctx)?;
         let key = read_str(mem, kp, kl)?;
-        let entry = fctx.state_entry(&key, size as usize).map_err(Trap::host)?;
+        let entry = fctx
+            .state_entry(&key, state_size(size)?)
+            .map_err(Trap::host)?;
         let (off, len) = (off as usize, len as usize);
         entry.invalidate_range(off, len).map_err(Trap::host)?;
         entry.pull_range(off, len).map_err(Trap::host)?;

@@ -183,17 +183,15 @@ fn get_state_offset_maps_base_plus_off_and_pulls_only_that_range() {
     mapped.entry.region().read(0, &mut head).unwrap();
     assert_eq!(head, [0; 4], "chunk 0 never left the tier");
 
-    let m = i32::from(b'm');
-    let oob = 99_999_999;
-    assert_traps(&mut inst, &[oob, 32768, 0, 16], "oob");
+    assert_traps(&mut inst, &[99_999_999, 32768, 0, 16], "oob");
     for (off, len) in [(-1, 16), (0, -1), (32768, 16), (16380, 100_000), (-16, 16)] {
         // Key "o" lives at 64, written by main.
         assert_traps(&mut inst, &[64, 32768, off, len], "host");
     }
-    inst.memory_mut()
-        .unwrap()
-        .write(72, &m.to_le_bytes())
-        .unwrap();
+    // A negative size on a key no call has mapped yet ("z" at 76).
+    inst.memory_mut().unwrap().write(76, b"z\0").unwrap();
+    assert_traps(&mut inst, &[76, -1, 0, 16], "host");
+    inst.memory_mut().unwrap().write(72, b"m\0").unwrap();
     let end = inst.invoke("probe", &[72, 1 << 20, 1 << 20, 0].map(Val::I32));
     let base = inst.data_as::<FaasletCtx>().unwrap().mapped_state["m"].guest_addr;
     assert_eq!(end, Ok(Some(Val::I32((base + (1 << 20)) as i32))));
@@ -249,6 +247,9 @@ fn pull_state_offset_refreshes_only_its_range() {
     for (off, len) in [(-1, 16), (0, -1), (32768, 16), (16380, 100_000)] {
         assert_traps(&mut inst, &[64, 32768, off, len], "host");
     }
+    // A negative size on a key no call has mapped yet ("z" at 76).
+    inst.memory_mut().unwrap().write(76, b"z\0").unwrap();
+    assert_traps(&mut inst, &[76, -1, 0, 16], "host");
 }
 
 #[test]
