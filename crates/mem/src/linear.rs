@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use crate::error::MemError;
 use crate::frame::{Frame, FrameKind};
-use crate::page::{BLOCK_SIZE, PAGE_SIZE};
+use crate::page::{load_in_block, store_in_block, Block, BLOCKS_PER_PAGE, BLOCK_SIZE, PAGE_SIZE};
 use crate::region::SharedRegion;
 use crate::snapshot::MemorySnapshot;
 use crate::stats::MemStats;
@@ -42,7 +42,56 @@ pub struct LinearMemory {
     /// ever cleared together with the frame it describes, which is what
     /// lets [`LinearMemory::reset_to`] copy back masked blocks alone.
     written: Vec<u16>,
+    table: BlockTable,
     max_pages: usize,
+}
+
+/// The block table: what a one-word [`LinearMemory::load`] or
+/// [`LinearMemory::store`] reaches without going through frame and page.
+/// One entry per 4 KiB block of the address space (`addr / BLOCK_SIZE`), so
+/// finding the entry is also the access's bounds check.
+///
+/// An entry is a cache, never the truth: `None` sends the access the long
+/// way, through the frames. Every method that changes which page a frame
+/// holds, backs a block or sets or clears a written bit re-syncs the
+/// entries it touched ([`LinearMemory::sync`]); the blocks of a shared page
+/// that another memory backs are found the long way.
+#[derive(Default)]
+struct BlockTable {
+    /// The block's words, if its page has backed it.
+    reads: Vec<Option<Arc<Block>>>,
+    /// The same words, when a store may go straight to them: the frame is
+    /// private (so no other memory, snapshot or thread reaches the page)
+    /// and the block's written bit is already set.
+    writes: Vec<Option<Arc<Block>>>,
+}
+
+impl BlockTable {
+    /// Entries for `pages` pages, the ones past them dropped or new ones
+    /// empty.
+    fn resize(&mut self, pages: usize) {
+        self.reads.resize(pages * BLOCKS_PER_PAGE, None);
+        self.writes.resize(pages * BLOCKS_PER_PAGE, None);
+    }
+}
+
+impl std::fmt::Debug for BlockTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let cached = |t: &[Option<Arc<Block>>]| t.iter().filter(|e| e.is_some()).count();
+        f.debug_struct("BlockTable")
+            .field("blocks", &self.reads.len())
+            .field("readable", &cached(&self.reads))
+            .field("writable", &cached(&self.writes))
+            .finish()
+    }
+}
+
+/// Whether a table entry already holds `want`.
+fn holds(entry: &Option<Arc<Block>>, want: Option<&Arc<Block>>) -> bool {
+    match (entry, want) {
+        (Some(have), Some(want)) => Arc::ptr_eq(have, want),
+        (have, want) => have.is_none() && want.is_none(),
+    }
 }
 
 /// The blocks of a page that a write of `len` bytes at `in_page` touches.
@@ -69,11 +118,14 @@ impl LinearMemory {
                 max_pages,
             });
         }
+        let mut table = BlockTable::default();
+        table.resize(initial_pages);
         Ok(LinearMemory {
             frames: (0..initial_pages)
                 .map(|_| Frame::private_zeroed())
                 .collect(),
             written: vec![0; initial_pages],
+            table,
             max_pages,
         })
     }
@@ -113,7 +165,44 @@ impl LinearMemory {
         self.frames
             .extend((0..delta).map(|_| Frame::private_zeroed()));
         self.written.resize(requested, 0);
+        self.table.resize(requested);
         Ok(old)
+    }
+
+    /// Point the block table's entries for `blocks` of `page` at what the
+    /// frame holds now. An entry that already does is left alone, so a
+    /// re-sync of unchanged blocks touches no reference count.
+    fn sync(&mut self, page: usize, blocks: u16) {
+        let frame = &self.frames[page];
+        let private = frame.kind() == FrameKind::Private;
+        let mut rest = blocks;
+        while rest != 0 {
+            let block = rest.trailing_zeros() as usize;
+            let at = page * BLOCKS_PER_PAGE + block;
+            let words = frame.page().backed(block);
+            let writable = words.filter(|_| private && self.written[page] & 1 << block != 0);
+            if !holds(&self.table.reads[at], words) {
+                self.table.reads[at] = words.cloned();
+            }
+            if !holds(&self.table.writes[at], writable) {
+                self.table.writes[at] = writable.cloned();
+            }
+            rest &= rest - 1;
+        }
+    }
+
+    /// Record a store to `blocks` of `page`, made after the frame kind was
+    /// read as `before`: set their written bits and re-sync them — the
+    /// whole page if the store took the copy-on-write fault, which gave the
+    /// frame a new page.
+    fn wrote(&mut self, page: usize, blocks: u16, before: FrameKind) {
+        self.written[page] |= blocks;
+        let stale = if before == FrameKind::Cow {
+            u16::MAX
+        } else {
+            blocks
+        };
+        self.sync(page, stale);
     }
 
     /// Read `buf.len()` bytes starting at `addr`.
@@ -151,71 +240,79 @@ impl LinearMemory {
             let page = a / PAGE_SIZE;
             let in_page = a % PAGE_SIZE;
             let n = (PAGE_SIZE - in_page).min(data.len() - pos);
+            let before = self.frames[page].kind();
             self.frames[page]
                 .page_for_write()
                 .write(in_page, &data[pos..pos + n]);
-            self.written[page] |= blocks(in_page, n);
+            self.wrote(page, blocks(in_page, n), before);
             pos += n;
         }
         Ok(())
     }
 
-    /// Read `N` bytes at `addr` without a bounds check; the caller must have
-    /// range-checked `[addr, addr + N)` against [`LinearMemory::size_bytes`].
-    /// This is the raw half of a *hoisted* bounds check: the FVM's fused
-    /// superinstructions do one range comparison per access and then call
-    /// this. Panics (safe, out-of-bounds index) if the caller lied. An
-    /// access inside one aligned word is one block lookup and one load.
+    /// Read the `N` bytes at `addr`: the FVM's load. An access inside one
+    /// aligned word of a backed block is one block-table lookup — which is
+    /// also its bounds check — and one relaxed load; anything else (a block
+    /// no store has backed, a straddle) takes the checked path.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::OutOfBounds`] if the range exceeds the memory.
     #[inline]
-    pub fn read_raw<const N: usize>(&self, addr: usize) -> [u8; N] {
-        debug_assert!(addr + N <= self.size_bytes(), "caller must range-check");
-        let in_page = addr % PAGE_SIZE;
+    pub fn load<const N: usize>(&self, addr: usize) -> Result<[u8; N], MemError> {
+        // In one word, the whole access is in the block the table indexes.
         if addr % 8 + N <= 8 {
-            return self.frames[addr / PAGE_SIZE].page().load_in_word(in_page);
+            if let Some(Some(words)) = self.table.reads.get(addr / BLOCK_SIZE) {
+                return Ok(load_in_block(words, addr));
+            }
         }
-        let mut buf = [0u8; N];
-        if in_page + N <= PAGE_SIZE {
-            self.frames[addr / PAGE_SIZE].page().read(in_page, &mut buf);
-        } else {
-            let split = PAGE_SIZE - in_page;
-            self.frames[addr / PAGE_SIZE]
-                .page()
-                .read(in_page, &mut buf[..split]);
-            self.frames[addr / PAGE_SIZE + 1]
-                .page()
-                .read(0, &mut buf[split..]);
-        }
-        buf
+        self.load_slow(addr)
     }
 
-    /// Write `N` bytes at `addr` without a bounds check; see
-    /// [`LinearMemory::read_raw`] for the contract. Materialises
-    /// copy-on-write pages and records the blocks touched exactly like
-    /// [`LinearMemory::write`]. An access inside one aligned word is one
-    /// block lookup and one store; only on a shared page does a partial
-    /// word take a compare-and-swap.
+    #[cold]
+    #[inline(never)]
+    fn load_slow<const N: usize>(&self, addr: usize) -> Result<[u8; N], MemError> {
+        let mut buf = [0u8; N];
+        self.read(addr, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// Write the `N` bytes `data` at `addr`: the FVM's store. An access
+    /// inside one aligned word of a block the memory has already written
+    /// in a private frame is one block-table lookup (the bounds check) and
+    /// one store — a load and a store for a partial word, since no one else
+    /// can reach a private page. Anything else takes the checked path,
+    /// which materialises copy-on-write pages, records the blocks touched
+    /// exactly like [`LinearMemory::write`] and gives a partial word of a
+    /// shared page a compare-and-swap.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::OutOfBounds`] if the range exceeds the memory.
     #[inline]
-    pub fn write_raw<const N: usize>(&mut self, addr: usize, data: [u8; N]) {
-        debug_assert!(addr + N <= self.size_bytes(), "caller must range-check");
-        let page = addr / PAGE_SIZE;
-        let in_page = addr % PAGE_SIZE;
+    pub fn store<const N: usize>(&mut self, addr: usize, data: [u8; N]) -> Result<(), MemError> {
         if addr % 8 + N <= 8 {
-            self.frames[page].store_in_word(in_page, data);
-            self.written[page] |= 1 << (in_page / BLOCK_SIZE);
-        } else if in_page + N <= PAGE_SIZE {
-            self.frames[page].page_for_write().write(in_page, &data);
-            self.written[page] |= blocks(in_page, N);
-        } else {
-            let split = PAGE_SIZE - in_page;
-            self.frames[page]
-                .page_for_write()
-                .write(in_page, &data[..split]);
-            self.frames[page + 1]
-                .page_for_write()
-                .write(0, &data[split..]);
-            self.written[page] |= blocks(in_page, split);
-            self.written[page + 1] |= blocks(0, N - split);
+            if let Some(Some(words)) = self.table.writes.get(addr / BLOCK_SIZE) {
+                debug_assert_eq!(self.frames[addr / PAGE_SIZE].kind(), FrameKind::Private);
+                store_in_block(words, addr, data, true);
+                return Ok(());
+            }
         }
+        self.store_slow(addr, data)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn store_slow<const N: usize>(&mut self, addr: usize, data: [u8; N]) -> Result<(), MemError> {
+        if addr % 8 + N > 8 {
+            return self.write(addr, &data);
+        }
+        self.check(addr, N)?;
+        let (page, in_page) = (addr / PAGE_SIZE, addr % PAGE_SIZE);
+        let before = self.frames[page].kind();
+        self.frames[page].store_in_word(in_page, data);
+        self.wrote(page, 1 << (in_page / BLOCK_SIZE), before);
+        Ok(())
     }
 
     /// Fill `len` bytes starting at `addr` with `value` (`memset`).
@@ -231,8 +328,9 @@ impl LinearMemory {
             let page = a / PAGE_SIZE;
             let in_page = a % PAGE_SIZE;
             let n = (PAGE_SIZE - in_page).min(len - pos);
+            let before = self.frames[page].kind();
             self.frames[page].page_for_write().fill(in_page, n, value);
-            self.written[page] |= blocks(in_page, n);
+            self.wrote(page, blocks(in_page, n), before);
             pos += n;
         }
         Ok(())
@@ -299,9 +397,11 @@ impl LinearMemory {
             self.frames
                 .extend((0..grow_by).map(|_| Frame::private_zeroed()));
             self.written.resize(end, 0);
+            self.table.resize(end);
         }
         for (i, page) in region.pages().iter().enumerate() {
             self.frames[page_idx + i] = Frame::shared(Arc::clone(page));
+            self.sync(page_idx + i, u16::MAX);
         }
         Ok(())
     }
@@ -324,6 +424,7 @@ impl LinearMemory {
         for i in page_idx..end {
             self.frames[i] = Frame::private_zeroed();
             self.written[i] = 0;
+            self.sync(i, u16::MAX);
         }
         Ok(())
     }
@@ -341,11 +442,15 @@ impl LinearMemory {
     /// writes must not leak into the snapshot.
     pub fn snapshot(&mut self) -> MemorySnapshot {
         let mut pages = Vec::with_capacity(self.frames.len());
-        for frame in &mut self.frames {
+        for (i, frame) in self.frames.iter_mut().enumerate() {
             match frame.kind() {
                 FrameKind::Private => {
                     frame.demote_to_cow();
                     pages.push(Arc::clone(frame.page()));
+                    // The snapshot reaches the page now: no store may go
+                    // straight to its blocks.
+                    let blocks = i * BLOCKS_PER_PAGE..(i + 1) * BLOCKS_PER_PAGE;
+                    self.table.writes[blocks].fill(None);
                 }
                 FrameKind::Cow => pages.push(Arc::clone(frame.page())),
                 FrameKind::Shared => pages.push(frame.page().clone_data()),
@@ -367,6 +472,7 @@ impl LinearMemory {
         let mut mem = LinearMemory {
             frames: Vec::with_capacity(snap.pages.len()),
             written: Vec::with_capacity(snap.pages.len()),
+            table: BlockTable::default(),
             max_pages: snap.max_pages,
         };
         mem.reset_to(snap);
@@ -386,19 +492,32 @@ impl LinearMemory {
     /// last call wrote. Every other frame (shared mappings, unmapped or
     /// grown pages, copies of some other snapshot's pages) is re-pointed
     /// copy-on-write, and pages beyond the snapshot are dropped. The
-    /// snapshot's pages are never written.
+    /// snapshot's pages are never written. The block table is re-synced
+    /// only where a frame changed page or had written blocks.
     pub fn reset_to(&mut self, snap: &MemorySnapshot) -> usize {
+        let pages = snap.pages.len();
         self.max_pages = snap.max_pages;
-        self.frames.truncate(snap.pages.len());
+        self.frames.truncate(pages);
+        self.written.resize(self.frames.len(), 0);
+        self.table.resize(pages);
         let mut copied = 0;
         for (i, page) in snap.pages.iter().enumerate() {
-            match self.frames.get_mut(i) {
-                Some(frame) => copied += frame.reset_to(page, self.written[i]),
-                None => self.frames.push(Frame::cow(Arc::clone(page))),
-            }
+            let Some(frame) = self.frames.get_mut(i) else {
+                self.frames.push(Frame::cow(Arc::clone(page)));
+                self.written.push(0);
+                self.sync(i, u16::MAX);
+                continue;
+            };
+            let dirty = std::mem::take(&mut self.written[i]);
+            let before = Arc::as_ptr(frame.page());
+            copied += frame.reset_to(page, dirty);
+            let stale = if Arc::as_ptr(frame.page()) == before {
+                dirty
+            } else {
+                u16::MAX
+            };
+            self.sync(i, stale);
         }
-        self.written.clear();
-        self.written.resize(snap.pages.len(), 0);
         copied
     }
 
@@ -521,11 +640,11 @@ pub(crate) mod tests {
         // Straddle the page boundary and hit an interior offset.
         for addr in [100usize, PAGE_SIZE - 3, PAGE_SIZE - 1] {
             let data = [0xA1, 0xB2, 0xC3, 0xD4, 0xE5, 0xF6, 0x07, 0x18];
-            mem.write_raw::<8>(addr, data);
+            mem.store::<8>(addr, data).unwrap();
             let mut checked = [0u8; 8];
             mem.read(addr, &mut checked).unwrap();
             assert_eq!(checked, data);
-            assert_eq!(mem.read_raw::<8>(addr), data);
+            assert_eq!(mem.load::<8>(addr).unwrap(), data);
         }
     }
 
@@ -740,7 +859,8 @@ pub(crate) mod tests {
         let mut mem = LinearMemory::restore(&snap);
         // Round 1 writes pages 0 (one block) and 1 (a straddle: two blocks).
         mem.write(1, b"SECRET").unwrap();
-        mem.write_raw::<8>(PAGE_SIZE + 2 * BLOCK_SIZE - 4, [0xff; 8]);
+        mem.store::<8>(PAGE_SIZE + 2 * BLOCK_SIZE - 4, [0xff; 8])
+            .unwrap();
         mem.grow(2).unwrap();
         assert_eq!(mem.reset_to(&snap), 3 * BLOCK_SIZE);
         assert_eq!(mem.to_vec(), LinearMemory::restore(&snap).to_vec());
@@ -825,8 +945,12 @@ pub(crate) mod tests {
                 let len = data.len().min(size);
                 mem.write(rng.addr(size, len), &data[..len]).unwrap();
             }
-            5 => mem.write_raw::<8>(rng.addr(size, 8), [rng.next() as u8 | 1; 8]),
-            6 => mem.write_raw::<1>(rng.addr(size, 1), [rng.next() as u8 | 1]),
+            5 => mem
+                .store::<8>(rng.addr(size, 8), [rng.next() as u8 | 1; 8])
+                .unwrap(),
+            6 => mem
+                .store::<1>(rng.addr(size, 1), [rng.next() as u8 | 1])
+                .unwrap(),
             7 => {
                 let len = rng.below((2 * PAGE_SIZE).min(size) + 1);
                 mem.fill(rng.addr(size, len), len, rng.next() as u8 | 1)
@@ -878,6 +1002,228 @@ pub(crate) mod tests {
                 assert!(
                     LinearMemory::restore(&snap).to_vec() == want,
                     "seed {seed} round {round}: snapshot changed"
+                );
+            }
+        }
+    }
+
+    /// What a flat model needs to follow a memory: its bytes, and per page
+    /// the page of the one shared region mapped there, if any.
+    struct Model {
+        bytes: Vec<u8>,
+        mapped: Vec<Option<usize>>,
+    }
+
+    impl Model {
+        fn resize(&mut self, pages: usize) {
+            self.bytes.resize(pages * PAGE_SIZE, 0);
+            self.mapped.resize(pages, None);
+        }
+
+        /// The region's pages now appear at pages `at..`.
+        fn map(&mut self, at: usize, region: &SharedRegion) {
+            self.resize(self.mapped.len().max(at + region.page_count()));
+            for i in 0..region.page_count() {
+                let page = &mut self.bytes[(at + i) * PAGE_SIZE..(at + i + 1) * PAGE_SIZE];
+                region.read(i * PAGE_SIZE, page).unwrap();
+                self.mapped[at + i] = Some(i);
+            }
+        }
+
+        /// Bytes `data` were stored at `offset` of the region, by anyone.
+        fn region_wrote(&mut self, offset: usize, data: &[u8]) {
+            for (at, mapped) in self.mapped.iter().enumerate() {
+                for (i, &b) in data.iter().enumerate() {
+                    let o = offset + i;
+                    if *mapped == Some(o / PAGE_SIZE) {
+                        self.bytes[at * PAGE_SIZE + o % PAGE_SIZE] = b;
+                    }
+                }
+            }
+        }
+
+        /// Bytes `data` were stored at `addr` through the memory: a shared
+        /// page passes them on to the region, and so to its other mappings.
+        fn wrote(&mut self, addr: usize, data: &[u8]) {
+            self.bytes[addr..addr + data.len()].copy_from_slice(data);
+            for (i, &b) in data.iter().enumerate() {
+                let a = addr + i;
+                if let Some(rp) = self.mapped[a / PAGE_SIZE] {
+                    self.region_wrote(rp * PAGE_SIZE + a % PAGE_SIZE, &[b]);
+                }
+            }
+        }
+    }
+
+    /// The block table's invariant: an entry is empty or the very block
+    /// (by identity) its frame's page holds there, and a store entry also
+    /// needs a private frame and the block's written bit. An entry that
+    /// outlives its frame's page can still read the same bytes for a while
+    /// — a snapshot block equals its copy until the copy is written — so the
+    /// bytes alone would not show it.
+    fn assert_table_in_sync(mem: &LinearMemory, at: &str) {
+        assert_eq!(
+            mem.table.reads.len(),
+            mem.size_pages() * BLOCKS_PER_PAGE,
+            "{at}"
+        );
+        assert_eq!(mem.table.writes.len(), mem.table.reads.len(), "{at}");
+        for (i, (read, write)) in mem.table.reads.iter().zip(&mem.table.writes).enumerate() {
+            let (page, block) = (i / BLOCKS_PER_PAGE, i % BLOCKS_PER_PAGE);
+            let frame = &mem.frames[page];
+            let backed = frame.page().backed(block);
+            if let Some(read) = read {
+                assert!(
+                    backed.is_some_and(|b| Arc::ptr_eq(b, read)),
+                    "{at}: block {i} reads a block its page does not hold"
+                );
+            }
+            if let Some(write) = write {
+                assert!(
+                    frame.kind() == FrameKind::Private
+                        && mem.written[page] & 1 << block != 0
+                        && read.as_ref().is_some_and(|r| Arc::ptr_eq(r, write)),
+                    "{at}: block {i} takes stores it may not"
+                );
+            }
+        }
+    }
+
+    /// A one-word access of `n` bytes through the fast path, `n` = 1, 2, 4
+    /// or 8; `None` if it is out of bounds.
+    fn load_n(mem: &LinearMemory, n: usize, addr: usize) -> Option<Vec<u8>> {
+        Some(match n {
+            1 => mem.load::<1>(addr).ok()?.to_vec(),
+            2 => mem.load::<2>(addr).ok()?.to_vec(),
+            4 => mem.load::<4>(addr).ok()?.to_vec(),
+            _ => mem.load::<8>(addr).ok()?.to_vec(),
+        })
+    }
+
+    fn store_n(mem: &mut LinearMemory, addr: usize, data: &[u8]) -> Result<(), MemError> {
+        match data.len() {
+            1 => mem.store::<1>(addr, [data[0]]),
+            2 => mem.store::<2>(addr, data.try_into().unwrap()),
+            4 => mem.store::<4>(addr, data.try_into().unwrap()),
+            _ => mem.store::<8>(addr, data.try_into().unwrap()),
+        }
+    }
+
+    #[test]
+    fn the_block_table_fast_path_matches_a_flat_model() {
+        // The `mutate` mix (grow, map_shared/unmap, raw and bulk stores)
+        // plus captures, restores, in-place resets and another memory's
+        // stores into the mapped region, with every one-word load and store
+        // going through the block table: an entry left stale by a grow, a
+        // mapping, a copy-on-write fault, a capture or a reset reads or
+        // writes the wrong block, and breaks the table's invariant at once.
+        for seed in 1..=128u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let region = SharedRegion::new((1 + rng.below(2)) * PAGE_SIZE);
+            let mut mem = LinearMemory::new(1 + rng.below(2), 8).unwrap();
+            let mut model = Model {
+                bytes: vec![0; mem.size_bytes()],
+                mapped: vec![None; mem.size_pages()],
+            };
+            let mut snaps: Vec<(MemorySnapshot, Vec<u8>)> = Vec::new();
+            for step in 0..60 {
+                let size = mem.size_bytes();
+                let pages = mem.size_pages();
+                match rng.below(12) {
+                    0 => {
+                        if mem.grow(rng.below(3)).is_ok() {
+                            model.resize(mem.size_pages());
+                        }
+                    }
+                    1 => {
+                        if let Ok(base) = mem.map_shared(&region) {
+                            model.map(base / PAGE_SIZE, &region);
+                        }
+                    }
+                    2 => {
+                        let at = rng.below(pages + 2);
+                        if mem.map_shared_at(at, &region).is_ok() {
+                            model.map(at, &region);
+                        }
+                    }
+                    3 => {
+                        let (at, count) = (rng.below(pages + 1), 1 + rng.below(2));
+                        if mem.unmap(at, count).is_ok() {
+                            for p in at..at + count {
+                                model.bytes[p * PAGE_SIZE..(p + 1) * PAGE_SIZE].fill(0);
+                                model.mapped[p] = None;
+                            }
+                        }
+                    }
+                    4 => snaps.push((mem.snapshot(), model.bytes.clone())),
+                    5 if !snaps.is_empty() => {
+                        let (snap, bytes) = &snaps[rng.below(snaps.len())];
+                        if rng.below(2) == 0 {
+                            mem.reset_to(snap);
+                        } else {
+                            mem = LinearMemory::restore(snap);
+                        }
+                        model.bytes.clone_from(bytes);
+                        model.mapped = vec![None; mem.size_pages()];
+                    }
+                    6 if size > 0 => {
+                        let len = 1 + rng.below((2 * BLOCK_SIZE).min(size));
+                        let addr = rng.addr(size, len);
+                        let data = store_bytes(&mut rng, len);
+                        mem.write(addr, &data).unwrap();
+                        model.wrote(addr, &data);
+                    }
+                    7 => {
+                        // Another memory's store into the region.
+                        let len = 1 + rng.below(64);
+                        let offset = rng.addr(region.page_count() * PAGE_SIZE, len);
+                        let data = store_bytes(&mut rng, len);
+                        region.write(offset, &data).unwrap();
+                        model.region_wrote(offset, &data);
+                    }
+                    _ => {
+                        // Raw stores, each loaded straight back, and now
+                        // and then one past the end, which must fail and
+                        // change nothing.
+                        for _ in 0..1 + rng.below(8) {
+                            let n = [1, 2, 4, 8][rng.below(4)];
+                            let data = store_bytes(&mut rng, n);
+                            if rng.below(16) == 0 {
+                                let addr = size - n + 1 + rng.below(n + 64);
+                                assert!(store_n(&mut mem, addr, &data).is_err(), "seed {seed}");
+                                assert_eq!(load_n(&mem, n, addr), None, "seed {seed}");
+                                continue;
+                            }
+                            let addr = rng.addr(size, n);
+                            store_n(&mut mem, addr, &data).unwrap();
+                            model.wrote(addr, &data);
+                            let back = load_n(&mem, n, addr).unwrap();
+                            assert_eq!(back, data, "seed {seed} step {step}: load after store");
+                        }
+                    }
+                }
+                assert_table_in_sync(&mem, &format!("seed {seed} step {step}"));
+                // One word of every block, through the fast path.
+                for block in 0..mem.size_bytes() / BLOCK_SIZE {
+                    let n = [1, 2, 4, 8][rng.below(4)];
+                    let addr = block * BLOCK_SIZE + rng.below(BLOCK_SIZE / n) * n;
+                    assert_eq!(
+                        load_n(&mem, n, addr).unwrap()[..],
+                        model.bytes[addr..addr + n],
+                        "seed {seed} step {step}: {n} B at {addr}"
+                    );
+                }
+                assert!(
+                    mem.to_vec() == model.bytes,
+                    "seed {seed} step {step}: bytes"
+                );
+            }
+            // No store reached a captured page.
+            for (i, (snap, bytes)) in snaps.iter().enumerate() {
+                let restored = LinearMemory::restore(snap);
+                assert!(
+                    &restored.to_vec() == bytes,
+                    "seed {seed}: snapshot {i} changed"
                 );
             }
         }
@@ -939,9 +1285,9 @@ pub(crate) mod tests {
                         let n = [1, 4, 8][rng.below(3)];
                         let (addr, data) = (rng.addr(size, n), store_bytes(&mut rng, n));
                         match n {
-                            1 => mem.write_raw::<1>(addr, [data[0]]),
-                            4 => mem.write_raw::<4>(addr, data[..].try_into().unwrap()),
-                            _ => mem.write_raw::<8>(addr, data[..].try_into().unwrap()),
+                            1 => mem.store::<1>(addr, [data[0]]).unwrap(),
+                            4 => mem.store::<4>(addr, data[..].try_into().unwrap()).unwrap(),
+                            _ => mem.store::<8>(addr, data[..].try_into().unwrap()).unwrap(),
                         }
                         stored = Some((addr, data));
                     }
@@ -961,11 +1307,19 @@ pub(crate) mod tests {
                     _ => {
                         // Loads: the raw word paths against the model.
                         let a = rng.addr(size, 1);
-                        assert_eq!(mem.read_raw::<1>(a), [model[a]], "seed {seed}");
+                        assert_eq!(mem.load::<1>(a).unwrap(), [model[a]], "seed {seed}");
                         let a = rng.addr(size, 4);
-                        assert_eq!(mem.read_raw::<4>(a)[..], model[a..a + 4], "seed {seed}");
+                        assert_eq!(
+                            mem.load::<4>(a).unwrap()[..],
+                            model[a..a + 4],
+                            "seed {seed}"
+                        );
                         let a = rng.addr(size, 8);
-                        assert_eq!(mem.read_raw::<8>(a)[..], model[a..a + 8], "seed {seed}");
+                        assert_eq!(
+                            mem.load::<8>(a).unwrap()[..],
+                            model[a..a + 8],
+                            "seed {seed}"
+                        );
                     }
                 }
                 if let Some((addr, data)) = stored {

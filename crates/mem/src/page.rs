@@ -16,17 +16,67 @@ pub const PAGE_SIZE: usize = 64 * 1024;
 pub const BLOCK_SIZE: usize = 4 * 1024;
 
 /// Number of blocks in a page.
-const BLOCKS_PER_PAGE: usize = PAGE_SIZE / BLOCK_SIZE;
+pub(crate) const BLOCKS_PER_PAGE: usize = PAGE_SIZE / BLOCK_SIZE;
 
 /// Number of 64-bit words in a block.
 const WORDS_PER_BLOCK: usize = BLOCK_SIZE / 8;
 
-/// The words of one backed block.
-type Block = [AtomicU64; WORDS_PER_BLOCK];
+/// The words of one backed block. A block is reference-counted so that a
+/// linear memory's block table can reach it without going through its page.
+pub(crate) type Block = [AtomicU64; WORDS_PER_BLOCK];
 
 /// A block holding `word(i)` at word `i`.
-fn new_block(word: impl Fn(usize) -> u64) -> Box<Block> {
-    Box::new(std::array::from_fn(|i| AtomicU64::new(word(i))))
+fn new_block(word: impl Fn(usize) -> u64) -> Arc<Block> {
+    Arc::new(std::array::from_fn(|i| AtomicU64::new(word(i))))
+}
+
+/// The `N` bytes at `offset` of `block`, inside one aligned word: one
+/// relaxed load.
+#[inline]
+pub(crate) fn load_in_block<const N: usize>(block: &Block, offset: usize) -> [u8; N] {
+    debug_assert!(offset % 8 + N <= 8, "the bytes lie inside one word");
+    let word = block[offset % BLOCK_SIZE / 8].load(Ordering::Relaxed);
+    let bytes = (word >> (offset % 8 * 8)).to_le_bytes();
+    std::array::from_fn(|i| bytes[i])
+}
+
+/// Store `data` at `offset` of `block`, inside one aligned word: one relaxed
+/// store for a whole word. A partial word is a load and a store when
+/// `exclusive` — no other thread can reach the block — and a
+/// compare-and-swap loop otherwise.
+#[inline]
+pub(crate) fn store_in_block<const N: usize>(
+    block: &Block,
+    offset: usize,
+    data: [u8; N],
+    exclusive: bool,
+) {
+    debug_assert!(offset % 8 + N <= 8, "the bytes lie inside one word");
+    let word = &block[offset % BLOCK_SIZE / 8];
+    let value = word_of(offset, data);
+    if N == 8 {
+        word.store(value, Ordering::Relaxed);
+        return;
+    }
+    let mask = (u64::MAX >> (64 - 8 * N)) << (offset % 8 * 8);
+    if exclusive {
+        word.store(
+            word.load(Ordering::Relaxed) & !mask | value,
+            Ordering::Relaxed,
+        );
+    } else {
+        let _ = word.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+            Some(cur & !mask | value)
+        });
+    }
+}
+
+/// `data` placed at its byte position within the word holding `offset`.
+#[inline]
+fn word_of<const N: usize>(offset: usize, data: [u8; N]) -> u64 {
+    let mut bytes = [0u8; 8];
+    bytes[..N].copy_from_slice(&data);
+    u64::from_le_bytes(bytes) << (offset % 8 * 8)
 }
 
 /// A single 64 KiB page of memory: an address range backed per 4 KiB
@@ -52,7 +102,7 @@ fn new_block(word: impl Fn(usize) -> u64) -> Box<Block> {
 /// Lock-free concurrent writers (the HOGWILD! pattern of Listing 1) tolerate
 /// word-granularity tearing by design.
 pub struct Page {
-    blocks: [OnceLock<Box<Block>>; BLOCKS_PER_PAGE],
+    blocks: [OnceLock<Arc<Block>>; BLOCKS_PER_PAGE],
 }
 
 impl Page {
@@ -83,6 +133,12 @@ impl Page {
         self.blocks[offset / BLOCK_SIZE].get().map(|b| &**b)
     }
 
+    /// Block `idx` (bytes `idx * BLOCK_SIZE..`), if a store has backed it.
+    #[inline]
+    pub(crate) fn backed(&self, idx: usize) -> Option<&Arc<Block>> {
+        self.blocks[idx].get()
+    }
+
     /// The block a store at `offset` lands in, backing it if needed — or
     /// `None` if it is unbacked and `zero()` says the store writes only
     /// zeros, which it already reads as.
@@ -104,12 +160,8 @@ impl Page {
     /// one block lookup and one relaxed load.
     #[inline]
     pub(crate) fn load_in_word<const N: usize>(&self, offset: usize) -> [u8; N] {
-        debug_assert!(offset % 8 + N <= 8, "the bytes lie inside one word");
-        let word = self
-            .block(offset)
-            .map_or(0, |b| b[offset % BLOCK_SIZE / 8].load(Ordering::Relaxed));
-        let bytes = (word >> (offset % 8 * 8)).to_le_bytes();
-        std::array::from_fn(|i| bytes[i])
+        self.block(offset)
+            .map_or([0; N], |b| load_in_block(b, offset))
     }
 
     /// Store `data` at `offset`, inside one aligned word: one block lookup
@@ -123,29 +175,8 @@ impl Page {
         data: [u8; N],
         exclusive: bool,
     ) {
-        debug_assert!(offset % 8 + N <= 8, "the bytes lie inside one word");
-        let shift = offset % 8 * 8;
-        let mut bytes = [0u8; 8];
-        bytes[..N].copy_from_slice(&data);
-        let value = u64::from_le_bytes(bytes) << shift;
-        let Some(block) = self.block_for_store(offset, || value == 0) else {
-            return;
-        };
-        let word = &block[offset % BLOCK_SIZE / 8];
-        if N == 8 {
-            word.store(value, Ordering::Relaxed);
-            return;
-        }
-        let mask = (u64::MAX >> (64 - 8 * N)) << shift;
-        if exclusive {
-            word.store(
-                word.load(Ordering::Relaxed) & !mask | value,
-                Ordering::Relaxed,
-            );
-        } else {
-            let _ = word.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                Some(cur & !mask | value)
-            });
+        if let Some(block) = self.block_for_store(offset, || word_of(offset, data) == 0) {
+            store_in_block(block, offset, data, exclusive);
         }
     }
 
