@@ -338,6 +338,17 @@ impl Instance {
                 }
             };
         }
+        // Bulk mode, a fused back-edge: run the branch that follows it, at
+        // its own pc, so its edges charge and leave from where they would.
+        macro_rules! back_edge {
+            ($cond:expr, $edge:expr) => {{
+                pc += 1;
+                if $cond != 0 {
+                    take!($edge);
+                }
+                fall!($edge);
+            }};
+        }
         // Back from a call or a variable-fuel op: pay for the next block.
         macro_rules! resume {
             () => {
@@ -406,27 +417,25 @@ impl Instance {
                 frame[$idx as usize]
             };
         }
-        // Every access is range-checked against the memory's current size
-        // here; `read_raw`/`write_raw` do the page arithmetic only.
+        // Every access is range-checked by the memory itself: for a word
+        // the block table holds, the table lookup is the check.
         macro_rules! load {
             ($dst:expr, $addr:expr, $n:literal, |$bytes:ident| $value:expr) => {{
                 let addr: u64 = $addr;
                 let mem = self.mem.as_ref().expect("validated memory presence");
-                if addr + $n > mem.size_bytes() as u64 {
-                    trap!(Trap::OutOfBoundsMemory { addr, len: $n });
+                match mem.load::<$n>(addr as usize) {
+                    Ok($bytes) => r!($dst) = $value,
+                    Err(_) => trap!(Trap::OutOfBoundsMemory { addr, len: $n }),
                 }
-                let $bytes = mem.read_raw::<$n>(addr as usize);
-                r!($dst) = $value;
             }};
         }
         macro_rules! store {
             ($addr:expr, $n:literal, $bytes:expr) => {{
                 let addr: u64 = $addr;
                 let mem = self.mem.as_mut().expect("validated memory presence");
-                if addr + $n > mem.size_bytes() as u64 {
+                if mem.store::<$n>(addr as usize, $bytes).is_err() {
                     trap!(Trap::OutOfBoundsMemory { addr, len: $n });
                 }
-                mem.write_raw::<$n>(addr as usize, $bytes);
             }};
         }
         macro_rules! ea {
@@ -587,6 +596,25 @@ impl Instance {
                     }
                     Op::Store64 { addr, val, offset } => {
                         store!(ea!(addr, offset), 8, r!(val).to_le_bytes())
+                    }
+                    Op::Store32X { a, b, val, shift } => {
+                        store!(xa!(a, b, shift), 4, (r!(val) as u32).to_le_bytes())
+                    }
+                    Op::Store64X { a, b, val, shift } => {
+                        store!(xa!(a, b, shift), 8, r!(val).to_le_bytes())
+                    }
+                    Op::I32AddX { dst, a, b, shift } => r!(dst) = xa!(a, b, shift),
+                    Op::IncBrLtS { a, b, edge, step } => {
+                        r!(a) = num::i32_add(r!(a), step as i64 as u64);
+                        if !METERED {
+                            back_edge!(num::i32_lt_s(r!(a), r!(b)), edge);
+                        }
+                    }
+                    Op::IncBrLtSI { a, imm, edge, step } => {
+                        r!(a) = num::i32_add(r!(a), step as i64 as u64);
+                        if !METERED {
+                            back_edge!(num::i32_lt_s(r!(a), imm as i64 as u64), edge);
+                        }
                     }
                     Op::DepthGuard => {
                         if calls.len() + 1 >= self.max_call_depth {

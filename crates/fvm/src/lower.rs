@@ -37,14 +37,26 @@
 //! * for a call's outgoing arguments,
 //! * for a constant no immediate form can hold.
 //!
-//! Three more instructions are deferred, each only when the very next
-//! instruction consumes it: an i32 comparison (and `i32.eqz`) feeding
-//! `br_if`/`if` becomes a compare-and-branch; an `i32.add` feeding a
-//! full-width zero-offset load becomes the load's base + index address; and
-//! an `i32.mul` by 4 or 8 (`i32.shl` by 2 or 3) feeding that add becomes the
-//! index's scale, a shift field of the `Load*X` op. The address stays the wrapping
-//! i32 `a + (b << shift)`; no displacement is folded into an offset, whose
-//! sum does not wrap.
+//! Three more instructions are deferred, each only when its one consumer
+//! is known: an i32 comparison (and `i32.eqz`) feeding `br_if`/`if` becomes
+//! a compare-and-branch; an `i32.add` that only addresses a full-width
+//! zero-offset access becomes its base + index address; and an `i32.mul` by
+//! 4 or 8 (`i32.shl` by 2 or 3) feeding that add becomes the index's scale,
+//! a shift field of the access. The address stays the wrapping i32
+//! `a + (b << shift)`; no displacement is folded into an offset, whose sum
+//! does not wrap.
+//!
+//! * **Scaled loads** (`Load32X`/`Load64X`): the load is the instruction
+//!   right after the add.
+//! * **Scaled stores** (`Store32X`/`Store64X`): the store comes after the
+//!   straight-line computation of its value (at most [`MAX_STORE_VALUE`]
+//!   instructions with no call, store or control, see `value_effect`),
+//!   which runs first, exactly as it would after the address. When that
+//!   computation writes a frame index the address reads — the stored value
+//!   lands in the index's operand slot, or a `local.tee` writes the index
+//!   local — the address is computed into its own slot just before, by one
+//!   [`Op::I32AddX`], and the store takes it as a plain address: one op
+//!   where the `i32.mul` and `i32.add` were two.
 //!
 //! # Loops and calls
 //!
@@ -54,6 +66,16 @@
 //!   where the header's branch goes (through a `Jump` unless that is the
 //!   next op). An iteration dispatches one branch, not a `Jump` and the
 //!   header; the header runs once, on entry.
+//! * **Fused back-edges.** An increment (`i32.add`/`i32.sub` of an `i16`
+//!   step to a register) directly followed by a signed `<` branch on that
+//!   register — the shape a bottom-tested counting loop ends in — becomes
+//!   one [`Op::IncBrLtSI`]/[`Op::IncBrLtS`] in the increment's place, by a
+//!   pass over the finished op array. The branch stays after it, and the
+//!   fuel tables and edges are those of the pair: bulk mode runs the pair
+//!   as one dispatch and skips the branch, while metered mode, and an edge
+//!   that lands on the branch, run the fused op as the increment alone and
+//!   then the branch. An out-of-fuel limit that lands between the two
+//!   therefore stops where the interpreter does.
 //! * **Inlined leaves.** A `call` of a function whose lowered body is one
 //!   basic block of a few ops with no call and no variable-fuel memory op is
 //!   replaced by that body: parameters read the caller's entries in place,
@@ -184,6 +206,20 @@ macro_rules! define_ops {
             Store16 { addr: u32, val: u32, offset: u32 },
             Store32 { addr: u32, val: u32, offset: u32 },
             Store64 { addr: u32, val: u32, offset: u32 },
+            /// Scaled base + index stores: `val` to the wrapping i32
+            /// `a + (b << shift)`.
+            Store32X { a: u32, b: u32, val: u32, shift: u8 },
+            Store64X { a: u32, b: u32, val: u32, shift: u8 },
+            /// `dst = a + (b << shift)`, wrapping i32: a scaled store address
+            /// whose index slot the stored value is about to overwrite.
+            I32AddX { dst: u32, a: u32, b: u32, shift: u8 },
+            /// A loop's back-edge: `a += step` (wrapping i32), then branch
+            /// when `a < b` (`a < imm`), signed. It stands in place of the
+            /// increment and the branch stays after it: in bulk mode this op
+            /// runs both and skips the branch; in metered mode, and for an
+            /// edge landing on the branch, it is the increment alone.
+            IncBrLtS { a: u32, b: u32, edge: u32, step: i16 },
+            IncBrLtSI { a: u32, imm: i32, edge: u32, step: i16 },
             /// The depth check of an inlined call: trap exactly where the
             /// call would have.
             DepthGuard,
@@ -310,11 +346,14 @@ impl Op {
     /// `Select`, whose three operands need not stay adjacent.
     fn remap(self, mut w: impl FnMut(u32) -> u32, mut r: impl FnMut(u32) -> u32) -> Option<Op> {
         macro_rules! remap_arms {
-            (loads: $($l:ident),*; stores: $($st:ident),*; scaled_loads: $($lx:ident),*) => {
+            (loads: $($l:ident),*; stores: $($st:ident),*; scaled_loads: $($lx:ident),*;
+             scaled_stores: $($sx:ident),*) => {
                 match self {
                     $(Op::$l { dst, addr, offset } => Op::$l { addr: r(addr), offset, dst: w(dst) },)*
                     $(Op::$st { addr, val, offset } => Op::$st { addr: r(addr), val: r(val), offset },)*
                     $(Op::$lx { dst, a, b, shift } => Op::$lx { a: r(a), b: r(b), shift, dst: w(dst) },)*
+                    $(Op::$sx { a, b, val, shift } => Op::$sx { a: r(a), b: r(b), val: r(val), shift },)*
+                    Op::I32AddX { dst, a, b, shift } => Op::I32AddX { a: r(a), b: r(b), shift, dst: w(dst) },
                     Op::MemorySize { dst } => Op::MemorySize { dst: w(dst) },
                     Op::GlobalGet { dst, idx } => Op::GlobalGet { dst: w(dst), idx },
                     Op::GlobalSet { idx, src } => Op::GlobalSet { idx, src: r(src) },
@@ -329,7 +368,8 @@ impl Op {
             loads: Load8U, Load8S32, Load8S64, Load16U, Load16S32, Load16S64, Load32,
                 Load32S64, Load64;
             stores: Store8, Store16, Store32, Store64;
-            scaled_loads: Load32X, Load64X
+            scaled_loads: Load32X, Load64X;
+            scaled_stores: Store32X, Store64X
         ))
     }
 
@@ -513,6 +553,81 @@ fn indexed_load(i: &Instr) -> Option<bool> {
     (m.offset == 0).then_some(wide)
 }
 
+/// The store twin of [`indexed_load`]: a full-width store with no offset,
+/// whose address one `Store32X`/`Store64X` can compute.
+fn indexed_store(i: &Instr) -> Option<bool> {
+    let (wide, m) = match i {
+        Instr::I32Store(m) | Instr::F32Store(m) => (false, m),
+        Instr::I64Store(m) | Instr::F64Store(m) => (true, m),
+        _ => return None,
+    };
+    (m.offset == 0).then_some(wide)
+}
+
+/// Most instructions between a scaled store's address and the store
+/// itself: the value's computation.
+const MAX_STORE_VALUE: usize = 32;
+
+/// Stack effect `(pops, pushes)` of an instruction a scaled store's value
+/// may be computed by: straight-line, no call, no store, and lowered only to
+/// ops that name the frame index they write ([`Op::written`]), which is
+/// what lets [`Lowerer::emit`] see a write to the address's operands coming.
+fn value_effect(i: &Instr) -> Option<(usize, usize)> {
+    Some(match i {
+        Instr::LocalGet(_)
+        | Instr::GlobalGet(_)
+        | Instr::I32Const(_)
+        | Instr::I64Const(_)
+        | Instr::F32Const(_)
+        | Instr::F64Const(_) => (0, 1),
+        Instr::Nop => (0, 0),
+        Instr::LocalSet(_) | Instr::Drop => (1, 0),
+        Instr::LocalTee(_)
+        | Instr::I32ReinterpretF32
+        | Instr::I64ReinterpretF64
+        | Instr::F32ReinterpretI32
+        | Instr::F64ReinterpretI64 => (1, 1),
+        i if bin_ctor(i).is_some() => (2, 1),
+        i if un_ctor(i).is_some() || load_ctor(i).is_some() => (1, 1),
+        _ => return None,
+    })
+}
+
+/// `dst = a + (b << shift)`: one plain add when nothing is scaled.
+fn add_x(dst: u32, a: u32, b: u32, shift: u8) -> Op {
+    if shift == 0 {
+        Op::I32Add { dst, a, b }
+    } else {
+        Op::I32AddX { dst, a, b, shift }
+    }
+}
+
+/// Fuse each loop back-edge: an `i32.add`/`i32.sub` of an `i16` step to a
+/// register, directly followed by a signed `<` branch on that register,
+/// becomes [`Op::IncBrLtSI`]/[`Op::IncBrLtS`] in the increment's place. The
+/// branch stays where it was, and the fuel tables and edges stay those of
+/// the pair: the fused op is the pair in bulk mode and the increment alone
+/// in metered mode (see [`Op::IncBrLtS`]).
+fn fuse_back_edges(ops: &mut [Op]) {
+    for i in 1..ops.len() {
+        let (reg, step) = match ops[i - 1] {
+            Op::I32AddI { dst, a, imm } if dst == a => (a, i16::try_from(imm).ok()),
+            Op::I32SubI { dst, a, imm } if dst == a => {
+                (a, imm.checked_neg().and_then(|s| i16::try_from(s).ok()))
+            }
+            _ => continue,
+        };
+        let Some(step) = step else {
+            continue;
+        };
+        ops[i - 1] = match ops[i] {
+            Op::BrLtSI { a, imm, edge } if a == reg => Op::IncBrLtSI { a, imm, edge, step },
+            Op::BrLtS { a, b, edge } if a == reg => Op::IncBrLtS { a, b, edge, step },
+            _ => continue,
+        };
+    }
+}
+
 /// Whether an entry's value is in a frame slot already.
 fn in_reg(e: &Entry) -> bool {
     matches!(e, Entry::Canon | Entry::Local(_))
@@ -586,8 +701,11 @@ enum Entry {
     /// consumer is the next `i32.add`, itself deferred as a [`Entry::Sum`]:
     /// `(index, shift)`.
     Scaled(u32, u8),
-    /// A deferred `i32.add` whose only consumer is the next full-width
-    /// load: the address `a + (b << shift)`.
+    /// A deferred `i32.add` whose only consumer is a full-width,
+    /// zero-offset access — the next load, or the store after the
+    /// straight-line computation of its value: the address
+    /// `a + (b << shift)`. A write to `a` or `b` before the store computes
+    /// it into the entry's canonical slot first ([`Lowerer::emit`]).
     Sum(u32, u32, u8),
     /// A deferred i32 comparison whose only consumer is the next branch.
     Cmp { cmp: Cmp, a: u32, b: Rhs },
@@ -712,7 +830,22 @@ impl<'a> Lowerer<'a> {
 
     /// Emit an op standing for `cost` source instructions (0 for a
     /// materialisation); it also carries every op-less unit before it.
+    ///
+    /// A deferred store address ([`Entry::Sum`]) that reads the frame index
+    /// the op writes — the stored value's computation reusing the index's
+    /// slot, or writing the index local — is computed into its canonical
+    /// slot first, by one [`Op::I32AddX`].
     fn emit(&mut self, op: Op, cost: u32) {
+        if let Some(d) = op.written() {
+            for pos in 0..self.stack.len() {
+                if let Entry::Sum(a, b, shift) = self.stack[pos] {
+                    if a == d || b == d {
+                        self.stack[pos] = Entry::Canon;
+                        self.emit(add_x(self.canon(pos), a, b, shift), 0);
+                    }
+                }
+            }
+        }
         let pre = std::mem::take(&mut self.elided);
         self.ops.push(PreOp { op, cost, pre });
     }
@@ -758,7 +891,8 @@ impl<'a> Lowerer<'a> {
                 Ok(imm) => Op::Const { dst, imm },
                 Err(_) => Op::Const64 { dst, bits },
             },
-            Entry::Scaled(..) | Entry::Sum(..) | Entry::Cmp { .. } => {
+            Entry::Sum(a, b, shift) => add_x(dst, a, b, shift),
+            Entry::Scaled(..) | Entry::Cmp { .. } => {
                 unreachable!("consumed by the instruction after it")
             }
         };
@@ -1324,9 +1458,17 @@ impl<'a> Lowerer<'a> {
                     self.emit(op, 1);
                     self.push(e);
                 } else if let Some((mk, offset)) = store_ctor(i) {
+                    // Popping the value may materialise a constant over the
+                    // index's slot, which computes a deferred address first.
                     let val = self.pop_reg();
-                    let addr = self.pop_reg();
-                    self.emit(mk(addr, val, offset), 1);
+                    let op = match (self.pop(), indexed_store(i)) {
+                        ((Entry::Sum(a, b, shift), _), Some(true)) => {
+                            Op::Store64X { a, b, val, shift }
+                        }
+                        ((Entry::Sum(a, b, shift), _), _) => Op::Store32X { a, b, val, shift },
+                        ((e, pa), _) => mk(self.reg(e, pa), val, offset),
+                    };
+                    self.emit(op, 1);
                 } else {
                     unreachable!("every instruction is lowered: {i:?}");
                 }
@@ -1353,25 +1495,41 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    /// Whether the `i32.add` at `pc` only computes the address of the next
-    /// instruction, a full-width, zero-offset load.
-    fn feeds_indexed_load(&self, pc: usize) -> bool {
-        self.body.get(pc + 1).and_then(indexed_load).is_some()
+    /// Whether the `i32.add` at `pc` only computes the address of a
+    /// full-width, zero-offset access: the load right after it, or a store
+    /// whose value the straight-line instructions in between compute
+    /// without touching the address (see [`value_effect`]).
+    fn feeds_indexed_access(&self, pc: usize) -> bool {
+        if self.body.get(pc + 1).and_then(indexed_load).is_some() {
+            return true;
+        }
+        // Operands the instructions after the add hold above its result.
+        let mut above = 0;
+        for i in self.body.iter().skip(pc + 1).take(MAX_STORE_VALUE + 1) {
+            if above == 1 && indexed_store(i).is_some() {
+                return true;
+            }
+            match value_effect(i) {
+                Some((pops, pushes)) if pops <= above => above = above - pops + pushes,
+                _ => return false,
+            }
+        }
+        false
     }
 
-    /// Whether the `i32.add` at `pc` becomes the address of the load after
-    /// it: both addends in registers (the top one possibly scaled).
+    /// Whether the `i32.add` at `pc` becomes the address of a load or store
+    /// after it: both addends in registers (the top one possibly scaled).
     fn sums_an_address(&self, pc: usize) -> bool {
         let n = self.stack.len();
         matches!(
             self.stack[n - 1],
             Entry::Canon | Entry::Local(_) | Entry::Scaled(..)
         ) && in_reg(&self.stack[n - 2])
-            && self.feeds_indexed_load(pc)
+            && self.feeds_indexed_access(pc)
     }
 
     /// The shift of an `i32.mul` by 4 or 8 (`i32.shl` by 2 or 3) at `pc`
-    /// whose product only indexes the load after the next `i32.add`.
+    /// whose product only indexes the access the next `i32.add` addresses.
     fn index_scale(&self, pc: usize, instr: &Instr) -> Option<u8> {
         let n = self.stack.len();
         let shift = match (instr, self.stack.last()?) {
@@ -1385,7 +1543,7 @@ impl<'a> Lowerer<'a> {
             && in_reg(&self.stack[n - 2])
             && in_reg(&self.stack[n - 3])
             && matches!(self.body.get(pc + 1), Some(Instr::I32Add))
-            && self.feeds_indexed_load(pc + 1))
+            && self.feeds_indexed_access(pc + 1))
         .then_some(shift)
     }
 
@@ -1613,7 +1771,7 @@ impl<'a> Lowerer<'a> {
             leader[e.target as usize] = true;
         }
 
-        let ops: Vec<Op> = self.ops.iter().map(|p| p.op).collect();
+        let mut ops: Vec<Op> = self.ops.iter().map(|p| p.op).collect();
         let mut fuel: Vec<OpFuel> = self
             .ops
             .iter()
@@ -1668,6 +1826,7 @@ impl<'a> Lowerer<'a> {
                 edges[edge as usize].fall = fuel[i + 1].pre + fuel[i + 1].charge;
             }
         }
+        fuse_back_edges(&mut ops);
 
         LoweredFunc {
             entry_bulk: fuel[0].pre + fuel[0].charge,
@@ -1844,7 +2003,8 @@ mod tests {
         );
         // `!(x < 10)` is `x >= 10`: one compare-and-branch, no eqz. The
         // back-edge is a copy of that header, inverted: taken back into the
-        // body, falling through to the loop exit.
+        // body, falling through to the loop exit. The increment before it
+        // is fused with it, and the branch stays for metered mode.
         assert_eq!(
             lf.ops,
             [
@@ -1853,10 +2013,11 @@ mod tests {
                     imm: 10,
                     edge: 0
                 },
-                Op::I32AddI {
-                    dst: 0,
+                Op::IncBrLtSI {
                     a: 0,
-                    imm: 1
+                    imm: 10,
+                    edge: 1,
+                    step: 1
                 },
                 Op::BrLtSI {
                     a: 0,

@@ -2,8 +2,10 @@
 //! the instance's one value stack, which only grows. After a warm-up invoke
 //! has sized it, guest→guest calls — a tight leaf-call loop and a 200-deep
 //! recursion — and the host-side `invoke` around them never reach the
-//! allocator. This is its own test binary because it installs a counting
-//! `#[global_allocator]`.
+//! allocator. So is its memory path: once a warm-up has backed the blocks
+//! a load/store loop touches, the loop's loads and stores go through the
+//! memory's block table and allocate nothing. This is its own test binary
+//! because it installs a counting `#[global_allocator]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -158,4 +160,79 @@ fn warmed_up_guest_calls_do_not_allocate() {
     assert_eq!(results.0, Ok(Some(Val::I32(50_005_000))));
     assert_eq!(results.1, Ok(Some(Val::I32(199))));
     assert_eq!(n, 0, "10 000 leaf calls and a 200-deep recursion allocated");
+}
+
+/// `scatter(n)`: the benchmark's memory kernel — `p[i % 1000] = i + 7;
+/// acc += p[(i * 7) % 1000]` for `i < n`, `p` at 1024 — over one page.
+fn memory_module() -> Module {
+    use Instr::*;
+    let mut b = ModuleBuilder::new();
+    b.memory(1, 1);
+    let t1 = b.sig(FuncType::new(vec![ValType::I32], vec![ValType::I32]));
+    let (n, i, acc, p) = (0, 1, 2, 3);
+    let scaled = |index: Vec<Instr>| {
+        let mut v = vec![LocalGet(p)];
+        v.extend(index);
+        v.extend([I32Const(1000), I32RemS, I32Const(4), I32Mul, I32Add]);
+        v
+    };
+    let mut body = vec![
+        I32Const(1024),
+        LocalSet(p),
+        Block(BlockType::Empty),
+        Loop(BlockType::Empty),
+        LocalGet(i),
+        LocalGet(n),
+        I32LtS,
+        I32Eqz,
+        BrIf(1),
+    ];
+    body.extend(scaled(vec![LocalGet(i)]));
+    body.extend([LocalGet(i), I32Const(7), I32Add, I32Store(MemArg::zero())]);
+    body.push(LocalGet(acc));
+    body.extend(scaled(vec![LocalGet(i), I32Const(7), I32Mul]));
+    body.extend([
+        I32Load(MemArg::zero()),
+        I32Add,
+        LocalSet(acc),
+        LocalGet(i),
+        I32Const(1),
+        I32Add,
+        LocalSet(i),
+        Br(0),
+        End,
+        End,
+        LocalGet(acc),
+        End,
+    ]);
+    let f = b.func(t1, vec![ValType::I32; 3], body);
+    b.export_func("scatter", f);
+    b.build()
+}
+
+#[test]
+fn a_warm_load_store_loop_does_not_allocate() {
+    let object = ObjectModule::prepare_lowered(memory_module()).expect("validates");
+    let mut inst = Instance::new(object, &Linker::new(), Box::new(())).expect("links");
+    let n = 1_500;
+    // The loop natively, over memory that persists from call to call.
+    let mut p = [0i32; 1000];
+    let mut scatter = || {
+        let mut acc = 0i32;
+        for i in 0..n {
+            p[(i % 1000) as usize] = i + 7;
+            acc = acc.wrapping_add(p[(i * 7 % 1000) as usize]);
+        }
+        Ok(Some(Val::I32(acc)))
+    };
+    let args = [Val::I32(n)];
+    // Warm-up: backs the blocks the loop stores to.
+    assert_eq!(inst.invoke("scatter", &args), scatter());
+    let mut result = Ok(None);
+    let allocated = allocations_during(|| result = inst.invoke("scatter", &args));
+    assert_eq!(result, scatter());
+    assert_eq!(
+        allocated, 0,
+        "a warm load/store loop of {n} trips allocated"
+    );
 }

@@ -36,6 +36,7 @@ use proptest::prelude::*;
 //   0,1   i32 params    2 i64 param
 //   3     i32 scratch   4 i64 scratch   5 f32   6 f64
 //   7,8,9 i32 loop counters (one per nesting level; bodies never touch them)
+//   10,11,12 i32 loop bounds of `Count` loops (likewise)
 // imports: func 0 = env::bump (i32)->i32, returns x+7
 // funcs:   1 = main, 2 = helper (i32)->i32 (x+3), 3 = noop ()->(),
 //          4 = rec (i32)->i32 (x == 0 ? 0 : rec(x-1) + 1, one frame per unit)
@@ -83,6 +84,9 @@ fn build_module(stmts: &[Stmt]) -> Module {
             ValType::I64,
             ValType::F32,
             ValType::F64,
+            ValType::I32,
+            ValType::I32,
+            ValType::I32,
             ValType::I32,
             ValType::I32,
             ValType::I32,
@@ -161,6 +165,31 @@ enum Stmt {
     },
     /// Bounded counting loop in the toolchain's while shape.
     While { bound: u8, body: Vec<Stmt> },
+    /// A counting loop whose back-edge the lowered tier fuses: `ctr < bound`
+    /// against a constant or a register, stepped by `i32.add` or `i32.sub`
+    /// of a small or (`big`) a too-wide step. A negative step leaves the
+    /// loop by wrapping the counter past `i32::MIN`. At most 8 iterations.
+    Count {
+        trips: u8,
+        step: i8,
+        big: bool,
+        sub: bool,
+        bound: i8,
+        reg: bool,
+        body: Vec<Stmt>,
+    },
+    /// A full-width store to `base + (index << shift)`, the index a local or
+    /// a masked operand, the value a local, a constant, a computation, or
+    /// one that writes the index local (`local.tee`).
+    ScaledStore {
+        base: u8,
+        idx: u8,
+        masked: bool,
+        scale: u8,
+        value: u8,
+        kind: u8,
+        offset: bool,
+    },
     /// if/else (or if-without-else) on an i32 local.
     IfElse {
         cond: u8,
@@ -462,6 +491,136 @@ impl Stmt {
                 out.push(Instr::Br(0));
                 out.push(Instr::End);
                 out.push(Instr::End);
+            }
+            Stmt::Count {
+                trips,
+                step,
+                big,
+                sub,
+                bound,
+                reg,
+                body,
+            } => {
+                if loops >= 3 {
+                    for s in body {
+                        s.emit(out, loops, t1);
+                    }
+                    return;
+                }
+                let (ctr, bound_local) = (7 + loops, 10 + loops);
+                let step =
+                    i32::from(if *step == 0 { 1 } else { *step }) * if *big { 1024 } else { 1 };
+                let trips = i32::from(trips % 8);
+                let bound = i32::from(*bound);
+                let start = if step > 0 {
+                    bound - trips * step
+                } else {
+                    i32::MIN - trips * step
+                };
+                out.extend([Instr::I32Const(start), Instr::LocalSet(ctr)]);
+                if *reg {
+                    out.extend([Instr::I32Const(bound), Instr::LocalSet(bound_local)]);
+                }
+                out.extend([
+                    Instr::Block(BlockType::Empty),
+                    Instr::Loop(BlockType::Empty),
+                    Instr::LocalGet(ctr),
+                    if *reg {
+                        Instr::LocalGet(bound_local)
+                    } else {
+                        Instr::I32Const(bound)
+                    },
+                    Instr::I32LtS,
+                    Instr::I32Eqz,
+                    Instr::BrIf(1),
+                ]);
+                for s in body {
+                    s.emit(out, loops + 1, t1);
+                }
+                out.push(Instr::LocalGet(ctr));
+                if *sub {
+                    out.extend([Instr::I32Const(-step), Instr::I32Sub]);
+                } else {
+                    out.extend([Instr::I32Const(step), Instr::I32Add]);
+                }
+                out.extend([Instr::LocalSet(ctr), Instr::Br(0), Instr::End, Instr::End]);
+            }
+            Stmt::ScaledStore {
+                base,
+                idx,
+                masked,
+                scale,
+                value,
+                kind,
+                offset,
+            } => {
+                let idx = i32_local(*idx);
+                out.extend([
+                    Instr::LocalGet(i32_local(*base)),
+                    Instr::I32Const(0x7F00),
+                    Instr::I32And,
+                    Instr::LocalGet(idx),
+                ]);
+                if *masked {
+                    out.extend([Instr::I32Const(0xFF), Instr::I32And]);
+                }
+                match scale % 4 {
+                    0 => {}
+                    1 => out.extend([Instr::I32Const(4), Instr::I32Mul]),
+                    2 => out.extend([Instr::I32Const(2), Instr::I32Shl]),
+                    _ => out.extend([Instr::I32Const(8), Instr::I32Mul]),
+                }
+                out.push(Instr::I32Add);
+                let kind = kind % 4;
+                // (value local, a constant, a computation on the local, the
+                // conversion from the index's i32, the store)
+                type Shape = (u32, Instr, [Instr; 2], Instr, fn(MemArg) -> Instr);
+                let (local, konst, op, from_i32, store): Shape = match kind {
+                    0 => (
+                        3,
+                        Instr::I32Const(-7),
+                        [Instr::I32Const(5), Instr::I32Add],
+                        Instr::Nop,
+                        Instr::I32Store,
+                    ),
+                    1 => (
+                        4,
+                        Instr::I64Const(3 << 40),
+                        [Instr::I64Const(3), Instr::I64Mul],
+                        Instr::I64ExtendI32S,
+                        Instr::I64Store,
+                    ),
+                    2 => (
+                        5,
+                        Instr::F32Const(1.5),
+                        [Instr::F32Const(2.0), Instr::F32Mul],
+                        Instr::F32ConvertI32S,
+                        Instr::F32Store,
+                    ),
+                    _ => (
+                        6,
+                        Instr::F64Const(-2.25),
+                        [Instr::F64Const(0.5), Instr::F64Add],
+                        Instr::F64ConvertI32U,
+                        Instr::F64Store,
+                    ),
+                };
+                match value % 4 {
+                    0 => out.push(Instr::LocalGet(local)),
+                    1 => out.push(konst),
+                    2 => {
+                        out.push(Instr::LocalGet(local));
+                        out.extend(op);
+                    }
+                    _ => out.extend([
+                        Instr::LocalGet(idx),
+                        Instr::I32Const(1),
+                        Instr::I32Add,
+                        Instr::LocalTee(idx),
+                        from_i32,
+                    ]),
+                }
+                out.push(store(MemArg::at(if *offset { 8 } else { 0 })));
             }
             Stmt::IfElse {
                 cond,
@@ -844,6 +1003,21 @@ fn leaf_stmt() -> BoxedStrategy<Stmt> {
             .prop_map(|(which, a, k, dst)| Stmt::SlotCall { which, a, k, dst }),
         (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>())
             .prop_map(|(which, a, b, dst)| Stmt::TrapUnderDeferred { which, a, b, dst }),
+        (
+            (any::<u8>(), any::<u8>(), any::<bool>()),
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<bool>())
+        )
+            .prop_map(|((base, idx, masked), (scale, value, kind, offset))| {
+                Stmt::ScaledStore {
+                    base,
+                    idx,
+                    masked,
+                    scale,
+                    value,
+                    kind,
+                    offset,
+                }
+            }),
     ]
     .boxed()
 }
@@ -853,6 +1027,22 @@ fn stmt_strategy() -> BoxedStrategy<Stmt> {
         prop_oneof![
             (any::<u8>(), prop::collection::vec(inner.clone(), 0..4))
                 .prop_map(|(bound, body)| Stmt::While { bound, body }),
+            (
+                (any::<u8>(), any::<i8>(), any::<bool>(), any::<bool>()),
+                (any::<i8>(), any::<bool>()),
+                prop::collection::vec(inner.clone(), 0..4)
+            )
+                .prop_map(|((trips, step, big, sub), (bound, reg), body)| {
+                    Stmt::Count {
+                        trips,
+                        step,
+                        big,
+                        sub,
+                        bound,
+                        reg,
+                        body,
+                    }
+                }),
             (
                 any::<u8>(),
                 prop::collection::vec(inner.clone(), 0..3),

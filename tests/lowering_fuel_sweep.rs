@@ -1,6 +1,7 @@
-//! The lowered tier's three loop and call lowerings — bottom-tested loops,
-//! scaled addresses folded into loads, straight-line leaf calls inlined —
-//! against the reference interpreter, at every fuel limit.
+//! The lowered tier's loop, address and call lowerings — bottom-tested
+//! loops and their fused back-edges, scaled addresses folded into loads and
+//! stores, straight-line leaf calls inlined — against the reference
+//! interpreter, at every fuel limit.
 //!
 //! Each sweep case — a small-trip version of an `fvm_compute` kernel or of
 //! a Polybench stencil, or a hand-built loop shape — runs on both tiers from
@@ -299,6 +300,164 @@ fn an_endless_loop_agrees_at_every_fuel_limit() {
             assert_eq!(interp, lowered, "spin({arg}) at fuel limit {limit}");
             assert_eq!(interp.result, Err(Trap::OutOfFuel));
         }
+    }
+}
+
+#[test]
+fn fused_back_edges_agree_at_every_fuel_limit() {
+    // Every loop here ends in an increment directly followed by its signed
+    // `<` branch, which the lowered tier fuses into one op: a register
+    // bound, an immediate bound with a step of 2, a negative step whose
+    // induction variable wraps i32 to leave the loop, and a loop whose
+    // branch is itself a jump target (the then-arm jumps onto it, past the
+    // else-arm's fused increment). Every limit includes each one that lands
+    // between an increment and its branch.
+    sweep_kernel(
+        "fused",
+        r#"
+        int kernel(int x) {
+            int acc = 0;
+            int n = x % 5 + 3;
+            for (int i = 0; i < n; i = i + 1) { acc = acc + i; }
+            for (int i = 0; i < 5; i = i + 2) { acc = acc * 3 + i; }
+            for (int i = 0 - 2147483640; i < 10; i = i - 3) { acc = acc + 1; }
+            int j = 0;
+            while (j < 10) {
+                acc = acc + j;
+                if (acc % 2 == 0) { j = j + 1; } else { j = j + 3; }
+            }
+            return acc;
+        }"#,
+        12,
+    );
+
+    // In bulk mode a fused back-edge is one dispatch per iteration: the
+    // counter's start, the header's branch, ten back-edges and the return.
+    let case = Case::fl(
+        "count",
+        "int count(int n) { int i = 0; while (i < n) { i = i + 1; } return i; }",
+    );
+    let mut inst = Instance::new(Arc::clone(&case.lowered), &Linker::new(), Box::new(())).unwrap();
+    assert_eq!(
+        inst.invoke("count", &[Val::I32(10)]),
+        Ok(Some(Val::I32(10)))
+    );
+    assert_eq!(inst.instrs_retired(), 1 + 1 + 10 + 1);
+}
+
+#[test]
+fn scaled_stores_agree_at_every_fuel_limit() {
+    // scatter(base, i): six full-width stores to `base + (index << shift)`,
+    // each a shape the lowered tier addresses differently.
+    use Instr::*;
+    let mut b = ModuleBuilder::new();
+    b.memory(3, 4);
+    let sig = b.sig(FuncType::new(vec![ValType::I32; 2], vec![ValType::I32]));
+    let body = vec![
+        // v = i * 3
+        LocalGet(1),
+        I32Const(3),
+        I32Mul,
+        LocalSet(2),
+        // p[i] = v: a local index and a local value, one Store32X.
+        LocalGet(0),
+        LocalGet(1),
+        I32Const(4),
+        I32Mul,
+        I32Add,
+        LocalGet(2),
+        I32Store(MemArg::zero()),
+        // p[i & 15] = (i & 15) + v: the value is computed into the index's
+        // operand slot, so the address is computed first.
+        LocalGet(0),
+        LocalGet(1),
+        I32Const(15),
+        I32And,
+        I32Const(2),
+        I32Shl,
+        I32Add,
+        LocalGet(1),
+        I32Const(15),
+        I32And,
+        LocalGet(2),
+        I32Add,
+        I32Store(MemArg::zero()),
+        // ((i64 *) base)[i] = 2^32 + 1: a constant value above a local
+        // index, one Store64X.
+        LocalGet(0),
+        LocalGet(1),
+        I32Const(3),
+        I32Shl,
+        I32Add,
+        I64Const(0x1_0000_0001),
+        I64Store(MemArg::zero()),
+        // p[i] = (i = i + 1): the value writes the index local, so the
+        // address reads the old i.
+        LocalGet(0),
+        LocalGet(1),
+        I32Const(4),
+        I32Mul,
+        I32Add,
+        LocalGet(1),
+        I32Const(1),
+        I32Add,
+        LocalTee(1),
+        I32Store(MemArg::zero()),
+        // ((f64 *) base)[2i + 1] = v / 3.0: a computed index and a float
+        // value computed over it.
+        LocalGet(0),
+        LocalGet(1),
+        I32Const(2),
+        I32Mul,
+        I32Const(1),
+        I32Add,
+        I32Const(8),
+        I32Mul,
+        I32Add,
+        LocalGet(2),
+        F64ConvertI32S,
+        F64Const(3.0),
+        F64Div,
+        F64Store(MemArg::zero()),
+        // p[v] (unscaled) = i, and one store with an offset, which keeps
+        // its add.
+        LocalGet(0),
+        LocalGet(2),
+        I32Add,
+        LocalGet(1),
+        F32ConvertI32S,
+        F32Store(MemArg::zero()),
+        LocalGet(0),
+        LocalGet(1),
+        I32Add,
+        LocalGet(2),
+        I32Store(MemArg::at(4)),
+        LocalGet(1),
+        LocalGet(2),
+        I32Add,
+        End,
+    ];
+    let f = b.func(sig, vec![ValType::I32], body);
+    b.export_func("scatter", f);
+    let case = Case::module("scaled stores", b.build(), Vec::new());
+    let base = 1024;
+    // In bounds; out of bounds at the first store; and at the fifth, after
+    // four stores landed.
+    let out = case.sweep("scatter", &[Val::I32(base), Val::I32(5)]);
+    assert_eq!(out.result, Ok(Some(Val::I32(6 + 15))));
+    for (i, addr) in [
+        (1 << 27, base as u64 + (4 << 27)),
+        (20_000, 1024 + 40_003 * 8),
+    ] {
+        let out = case.sweep("scatter", &[Val::I32(base), Val::I32(i)]);
+        assert_eq!(
+            out.result,
+            Err(Trap::OutOfBoundsMemory {
+                addr,
+                len: if i == 20_000 { 8 } else { 4 }
+            }),
+            "i = {i}"
+        );
     }
 }
 
