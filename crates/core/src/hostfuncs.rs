@@ -412,6 +412,8 @@ pub fn faaslet_linker() -> Linker {
         );
         let (mem, fctx) = parts(ctx)?;
         let arg_data = read_bytes(mem, ap, al)?;
+        // The copy-out is sized by the plugin's answer, at most this.
+        let out_cap = guest_len(mem, op, oc)?;
         let handle = (symref as u32 >> 16) as usize;
         let func_idx = symref as u32 & 0xffff;
         let Some(Some(inst)) = fctx.dl_modules.get_mut(handle) else {
@@ -434,7 +436,7 @@ pub fn faaslet_linker() -> Linker {
         if ret_len < 0 {
             return ok_i32(-1);
         }
-        let n = (ret_len as usize).min(oc as usize);
+        let n = (ret_len as usize).min(out_cap);
         let mut out = vec![0u8; n];
         if inst
             .memory()

@@ -2,8 +2,10 @@
 //! own memory: `write_call_output`, `recv` and `getrandom` each check
 //! `ptr..ptr + len` against guest memory before they allocate a buffer of
 //! `len` bytes, so a 64 MiB `len` against a one-page guest traps without
-//! the host asking for 64 MiB. This is its own test binary because it
-//! installs a counting `#[global_allocator]`.
+//! the host asking for 64 MiB; `dlcall` checks its output range before the
+//! plugin's return value sizes the copy-out, so a negative `out_cap` traps
+//! however long a result the plugin claims. This is its own test binary
+//! because it installs a counting `#[global_allocator]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -76,11 +78,34 @@ fn largest_allocation_during(f: impl FnOnce()) -> usize {
     LARGEST_ALLOCATION.load(Ordering::Relaxed)
 }
 
-/// One export per host call, each handing it a 64 MiB `len` at address 0.
+/// A plugin whose one export claims a 2 GiB - 1 result.
+const PLUGIN: &str = r#"
+    int dl_entry(ptr int buf, int len) { return 2147483647; }
+"#;
+
+/// One export per host call, each handing it a 64 MiB `len` at address 0,
+/// and one calling the plugin with an `out_cap` of -1.
 const GUEST: &str = r#"
     extern void write_call_output(ptr int buf, int len);
     extern int recv(int sock, ptr int buf, int len);
     extern int getrandom(ptr int buf, int len);
+    extern int dlopen(ptr int path, int len);
+    extern int dlsym(int handle, ptr int name, int len);
+    extern int dlcall(int sym, ptr int arg, int arg_len, ptr int out, int out_cap);
+    int plugin() {
+        ptr int path = (ptr int) 64;
+        path[0] = 0x67756c70; // "plug"
+        path[1] = 0x662e6e69; // "in.f"
+        path[2] = 0x6d76;     // "vm"
+        int h = dlopen((ptr int) 64, 10);
+        if (h < 0) { return -1; }
+        ptr int name = (ptr int) 128;
+        name[0] = 0x655f6c64; // "dl_e"
+        name[1] = 0x7972746e; // "ntry"
+        int sym = dlsym(h, (ptr int) 128, 8);
+        if (sym < 0) { return -2; }
+        return dlcall(sym, (ptr int) 192, 4, (ptr int) 256, -1);
+    }
     int output() {
         write_call_output((ptr int) 0, 67108864);
         return 0;
@@ -97,11 +122,14 @@ const GUEST: &str = r#"
 
 #[test]
 fn a_64_mib_len_against_one_page_traps_before_the_host_allocates_it() {
+    let store = Arc::new(ObjectStore::new());
+    let plugin = faasm_lang::compile(PLUGIN).expect("compiles");
+    store.put("user:u/plugin.fvm", faasm_fvm::encode_module(&plugin));
     let env = FaasletEnv {
         state: Arc::new(StateManager::new(Arc::new(KvClient::local(Arc::new(
             KvStore::new(),
         ))))),
-        hostfs: HostFs::new(Arc::new(ObjectStore::new())),
+        hostfs: HostFs::new(store),
         nic: Fabric::new().add_host(),
         router: Arc::new(NoChain),
         cgroup: CgroupCpu::new(1 << 20),
@@ -120,7 +148,10 @@ fn a_64_mib_len_against_one_page_traps_before_the_host_allocates_it() {
         largest_allocation_during(|| drop(std::hint::black_box(vec![0u8; 2 << 20]))),
         2 << 20
     );
-    for (id, entry) in ["output", "receive", "random"].into_iter().enumerate() {
+    for (id, entry) in ["output", "receive", "random", "plugin"]
+        .into_iter()
+        .enumerate()
+    {
         let def = Arc::new(FunctionDef {
             code: GuestCode::Fvm(Arc::clone(&object)),
             entry: entry.into(),
