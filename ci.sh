@@ -291,9 +291,12 @@ for threads in 1 8; do
 done
 
 # Release is the build the benchmark measures, and overflow checks differ
-# between the two profiles.
+# between the two profiles: the VM's own tests, and the lowered tier's
+# census, fuel sweep and parity tests at the root.
 echo "== cargo test --release -p faasm-fvm"
 cargo test --release -p faasm-fvm -q
+echo "== cargo test --release: dispatch census, lowering fuel sweep, lowered parity"
+cargo test --release -q --test dispatch_census --test lowering_fuel_sweep --test lowered_parity
 
 echo "== remote-ingress example (smoke)"
 cargo run --release --example gateway_remote
