@@ -24,6 +24,9 @@
 //!
 //! Taken branch edges charge their pre-walked `extra` (the op-less
 //! instructions the interpreter executes along that edge) in both modes.
+//! A fused back-edge (`IncBrLtS*`, see [`crate::lower`]) is its increment
+//! and the branch after it in bulk mode, and the increment alone in
+//! metered mode, where the branch then runs as its own op.
 
 use crate::lower::{LoweredFunc, Op};
 use crate::module::Module;

@@ -891,9 +891,8 @@ impl<'a> Lowerer<'a> {
                 Ok(imm) => Op::Const { dst, imm },
                 Err(_) => Op::Const64 { dst, bits },
             },
-            Entry::Sum(a, b, shift) => add_x(dst, a, b, shift),
-            Entry::Scaled(..) | Entry::Cmp { .. } => {
-                unreachable!("consumed by the instruction after it")
+            Entry::Scaled(..) | Entry::Sum(..) | Entry::Cmp { .. } => {
+                unreachable!("consumed by the access or branch it feeds")
             }
         };
         self.emit(op, cost);
@@ -937,7 +936,7 @@ impl<'a> Lowerer<'a> {
                 dst
             }
             Entry::Scaled(..) | Entry::Sum(..) | Entry::Cmp { .. } => {
-                unreachable!("consumed by the instruction after it")
+                unreachable!("consumed by the access or branch it feeds")
             }
         }
     }
@@ -2568,6 +2567,139 @@ mod tests {
         // it; the first load's are the entry walk.
         assert_eq!(costs, [1, 6, 1, 1, 1]);
         assert_eq!(lf.entry_pre(), 5);
+    }
+
+    #[test]
+    fn scaled_stores_fold_their_address_unless_the_value_overwrites_it() {
+        // p[i] = v; p[i & 7] = (i & 7) + v; p[i] = (i = i + 1)
+        let store = |index: Vec<Instr>, value: Vec<Instr>| {
+            let mut v = vec![LocalGet(0)];
+            v.extend(index);
+            v.extend([I32Const(4), I32Mul, I32Add]);
+            v.extend(value);
+            v.push(I32Store(MemArg::zero()));
+            v
+        };
+        let mut body = store(vec![LocalGet(1)], vec![LocalGet(2)]);
+        body.extend(store(
+            vec![LocalGet(1), I32Const(7), I32And],
+            vec![LocalGet(1), I32Const(7), I32And, LocalGet(2), I32Add],
+        ));
+        body.extend(store(
+            vec![LocalGet(1)],
+            vec![LocalGet(1), I32Const(1), I32Add, LocalTee(1)],
+        ));
+        body.push(End);
+        let lf = lower_body(i32s(3), vec![], body);
+        assert_eq!(
+            lf.ops,
+            [
+                // A local index and a local value: one op.
+                Op::Store32X {
+                    a: 0,
+                    b: 1,
+                    val: 2,
+                    shift: 2
+                },
+                // The value is computed into the index's operand slot (4),
+                // so the address goes to its own slot (3) first.
+                Op::I32AndI {
+                    dst: 4,
+                    a: 1,
+                    imm: 7
+                },
+                Op::I32AddX {
+                    dst: 3,
+                    a: 0,
+                    b: 4,
+                    shift: 2
+                },
+                Op::I32AndI {
+                    dst: 4,
+                    a: 1,
+                    imm: 7
+                },
+                Op::I32Add { dst: 4, a: 4, b: 2 },
+                Op::Store32 {
+                    addr: 3,
+                    val: 4,
+                    offset: 0
+                },
+                // The value writes the index local: the address reads the
+                // old index first.
+                Op::I32AddX {
+                    dst: 3,
+                    a: 0,
+                    b: 1,
+                    shift: 2
+                },
+                Op::I32AddI {
+                    dst: 1,
+                    a: 1,
+                    imm: 1
+                },
+                Op::Store32 {
+                    addr: 3,
+                    val: 1,
+                    offset: 0
+                },
+                Op::RetVoid,
+            ]
+        );
+        let costs: Vec<u32> = lf.fuel.iter().map(|f| f.cost).collect();
+        // Every source instruction is carried once: the deferred multiply
+        // and add ride the next op, an address computed early is free.
+        assert_eq!(lf.entry_pre(), 6, "get, get, const, mul, add, get");
+        assert_eq!(costs, [1, 4, 5, 1, 2, 1, 7, 1, 2, 1]);
+        assert_eq!(lf.entry_bulk, 31, "one unit per source instruction");
+    }
+
+    #[test]
+    fn a_decrement_fuses_as_a_negative_step() {
+        // while (i < n) { i = i - 3 }, with n in local 0 and i in local 1.
+        let lf = lower_body(
+            i32s(2),
+            vec![],
+            vec![
+                Block(BlockType::Empty),
+                Loop(BlockType::Empty),
+                LocalGet(1),
+                LocalGet(0),
+                I32LtS,
+                I32Eqz,
+                BrIf(1),
+                LocalGet(1),
+                I32Const(3),
+                I32Sub,
+                LocalSet(1),
+                Br(0),
+                End,
+                End,
+                End,
+            ],
+        );
+        assert_eq!(
+            lf.ops,
+            [
+                Op::BrGeS {
+                    a: 1,
+                    b: 0,
+                    edge: 0
+                },
+                Op::IncBrLtS {
+                    a: 1,
+                    b: 0,
+                    edge: 1,
+                    step: -3
+                },
+                Op::BrLtS {
+                    a: 1,
+                    b: 0,
+                    edge: 1
+                },
+                Op::RetVoid,
+            ]
+        );
     }
 
     #[test]

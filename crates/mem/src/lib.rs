@@ -19,6 +19,10 @@
 //!   blocks of each page it wrote, so [`LinearMemory::reset_to`] puts a used
 //!   memory back to its snapshot by copying those blocks alone — the
 //!   reset-after-call path, whose cost is what the call dirtied.
+//! * A memory keeps a block table beside its frames, so the FVM's one-word
+//!   [`LinearMemory::load`] / [`LinearMemory::store`] is one lookup — its
+//!   bounds check too — and one word access; everything else takes the
+//!   checked path through frames and pages.
 //! * [`SharedRegion`] is a standalone run of pages that can be concurrently
 //!   mapped into many linear memories. Concurrent access is word-atomic
 //!   (see [`page::Page`]), which matches the data-race-tolerant HOGWILD!
