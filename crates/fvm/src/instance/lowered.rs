@@ -426,9 +426,9 @@ impl Instance {
             ($dst:expr, $addr:expr, $n:literal, |$bytes:ident| $value:expr) => {{
                 let addr: u64 = $addr;
                 let mem = self.mem.as_ref().expect("validated memory presence");
-                match mem.load::<$n>(addr as usize) {
-                    Ok($bytes) => r!($dst) = $value,
-                    Err(_) => trap!(Trap::OutOfBoundsMemory { addr, len: $n }),
+                match usize::try_from(addr).map(|addr| mem.load::<$n>(addr)) {
+                    Ok(Ok($bytes)) => r!($dst) = $value,
+                    _ => trap!(Trap::OutOfBoundsMemory { addr, len: $n }),
                 }
             }};
         }
@@ -436,7 +436,10 @@ impl Instance {
             ($addr:expr, $n:literal, $bytes:expr) => {{
                 let addr: u64 = $addr;
                 let mem = self.mem.as_mut().expect("validated memory presence");
-                if mem.store::<$n>(addr as usize, $bytes).is_err() {
+                if !matches!(
+                    usize::try_from(addr).map(|addr| mem.store::<$n>(addr, $bytes)),
+                    Ok(Ok(()))
+                ) {
                     trap!(Trap::OutOfBoundsMemory { addr, len: $n });
                 }
             }};

@@ -8,29 +8,30 @@
 //! because it installs a counting `#[global_allocator]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use faasm_fvm::prelude::*;
 
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     /// Set on the measuring thread only: the test harness's own threads
     /// allocate whenever they like, and that is not the guest's doing.
-    static MEASURED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static MEASURED: Cell<bool> = const { Cell::new(false) };
+    /// This thread's allocations while measured: per thread, so tests
+    /// measuring on parallel threads never see each other's.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count_if_measured() {
-    if MEASURED.with(std::cell::Cell::get) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if MEASURED.with(Cell::get) {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
     }
 }
 
-// SAFETY: defers every operation to `System` unchanged; the counter is a
-// relaxed statistic, and the thread-local it consults is const-initialised
-// and has no destructor, so reading it never allocates.
+// SAFETY: defers every operation to `System` unchanged; the flag and the
+// counter it keeps are const-initialised thread-locals without destructors,
+// so touching them never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_if_measured();
@@ -125,11 +126,11 @@ fn module() -> Module {
 }
 
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     MEASURED.with(|m| m.set(true));
     f();
     MEASURED.with(|m| m.set(false));
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[test]

@@ -24,10 +24,11 @@ pub enum FrameKind {
 /// One page-sized frame of a linear memory.
 ///
 /// Invariant: a [`FrameKind::Private`] frame's page is reachable only
-/// through that frame. Private frames are built zeroed or by a
-/// copy-on-write fault, and a snapshot demotes a frame to copy-on-write
-/// before it shares the page. That is what lets a sub-word store to a
-/// private page skip the compare-and-swap a shared page needs.
+/// through that frame (and its blocks only through the frame and the block
+/// table of the memory that holds it). Private frames are built zeroed or
+/// by a copy-on-write fault, and a snapshot demotes a frame to
+/// copy-on-write before it shares the page. That is what lets a sub-word
+/// store to a private page skip the compare-and-swap a shared page needs.
 #[derive(Debug)]
 pub struct Frame {
     page: Arc<Page>,
