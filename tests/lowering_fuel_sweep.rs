@@ -445,17 +445,15 @@ fn scaled_stores_agree_at_every_fuel_limit() {
     // four stores landed.
     let out = case.sweep("scatter", &[Val::I32(base), Val::I32(5)]);
     assert_eq!(out.result, Ok(Some(Val::I32(6 + 15))));
-    for (i, addr) in [
-        (1 << 27, base as u64 + (4 << 27)),
-        (20_000, 1024 + 40_003 * 8),
+    // (i, the faulting address, the access width)
+    for (i, addr, len) in [
+        (1 << 27, base as u64 + (4 << 27), 4),
+        (20_000, base as u64 + (2 * 20_001 + 1) * 8, 8),
     ] {
         let out = case.sweep("scatter", &[Val::I32(base), Val::I32(i)]);
         assert_eq!(
             out.result,
-            Err(Trap::OutOfBoundsMemory {
-                addr,
-                len: if i == 20_000 { 8 } else { 4 }
-            }),
+            Err(Trap::OutOfBoundsMemory { addr, len }),
             "i = {i}"
         );
     }
