@@ -147,11 +147,15 @@ gates=(
     'crates/fvm/src@whole'
     'unsafe code in the VM'
 
-    # Fig. 9a and every other measured guest run time the tier a cluster
-    # uploads, not the reference interpreter.
-    'ObjectModule::prepare\('
-    'crates/workloads/src examples crates/core/src/hostfuncs@whole'
-    'measured paths and the host-interface tests run the production (lowered) tier'
+    # One production engine: ObjectModule::prepare and compile lower, and
+    # only a test reaches the reference interpreter, by naming its tier.
+    'ExecTier::Interpreter'
+    'crates/*/src !crates/fvm/src/object.rs !crates/fvm/src/instance/tests.rs src examples@whole'
+    'the reference interpreter is named outside a parity test; production, measured and host-interface code runs what ObjectModule::prepare and compile build'
+
+    '::prepare_lowered\b'
+    'crates@whole src@whole tests@whole examples@whole'
+    'a call of prepare_lowered, the alias kept for benchmark/; call ObjectModule::prepare'
 
     # The workspace's one `unsafe` is the call into the SHA-extensions
     # compression, made after the CPU reported every feature it needs.

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use faasm_fvm::{ExecTier, ExportKind, ObjectModule};
+use faasm_fvm::{ExportKind, ObjectModule};
 use faasm_kvs::{
     reshard, KvError, KvServer, RoutingCell, RoutingTable, ShardStats, ShardedKvClient, SharedKv,
 };
@@ -305,8 +305,7 @@ impl Cluster {
         bytes: &[u8],
         options: UploadOptions,
     ) -> Result<(), CoreError> {
-        let object = ObjectModule::compile_tier(bytes, ExecTier::Lowered)
-            .map_err(|e| CoreError::Compile(e.to_string()))?;
+        let object = ObjectModule::compile(bytes).map_err(|e| CoreError::Compile(e.to_string()))?;
         self.register(
             user,
             function,

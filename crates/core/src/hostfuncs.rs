@@ -18,7 +18,7 @@
 //! | file I/O | `open` `close` `dup` `read` `write` `seek` `stat_size` |
 //! | misc     | `gettime` `getrandom` |
 
-use faasm_fvm::{ExecTier, HostCtx, Instance, Linker, ObjectModule, Trap, Val};
+use faasm_fvm::{HostCtx, Instance, Linker, ObjectModule, Trap, Val};
 use faasm_kvs::LockMode;
 use faasm_mem::LinearMemory;
 use faasm_net::HostId;
@@ -375,7 +375,7 @@ pub fn faaslet_linker() -> Linker {
         let _ = fctx.fdtable.close(fd);
         // "All dynamically loaded code must first be compiled to
         // WebAssembly and undergo the same validation process" (§3.2).
-        let Ok(object) = ObjectModule::compile_tier(&bytes, ExecTier::Lowered) else {
+        let Ok(object) = ObjectModule::compile(&bytes) else {
             return ok_i32(-1);
         };
         // Plugins are self-contained: they may not import host functions.

@@ -11,7 +11,7 @@ use crate::ctx::FaasletCtx;
 /// Compile an FL guest, link the host interface, and return the instance.
 fn guest(src: &str, ctx: FaasletCtx) -> Instance {
     let module = faasm_lang::compile(src).unwrap_or_else(|e| panic!("compile: {e}"));
-    let object = ObjectModule::prepare_lowered(module).expect("validates");
+    let object = ObjectModule::prepare(module).expect("validates");
     Instance::new(object, &faaslet_linker(), Box::new(ctx)).expect("links")
 }
 

@@ -141,7 +141,7 @@ fn a_64_mib_len_against_one_page_traps_before_the_host_allocates_it() {
         max_pages: 1,
     };
     let module = faasm_lang::compile_with(GUEST, one_page).expect("compiles");
-    let object = ObjectModule::prepare_lowered(module).expect("validates");
+    let object = ObjectModule::prepare(module).expect("validates");
 
     // The measure is live on this thread.
     assert_eq!(

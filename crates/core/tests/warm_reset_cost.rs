@@ -97,7 +97,7 @@ fn a_warm_echo_cycle_copies_one_block_and_allocates_no_guest() {
     };
     let module = faasm_lang::compile(ECHO).expect("compiles");
     let def = Arc::new(FunctionDef {
-        code: GuestCode::Fvm(ObjectModule::prepare_lowered(module).expect("validates")),
+        code: GuestCode::Fvm(ObjectModule::prepare(module).expect("validates")),
         entry: "main".into(),
         init: None,
         reset_after_call: true,

@@ -1,7 +1,7 @@
 //! The reference interpreter: a stack machine over the structured `Instr`
 //! bodies, one fuel unit and one label-stack step per instruction. It is the
-//! oracle the lowered tier is differentially tested against (and the engine
-//! under [`crate::ExecTier::Interpreter`]); it keeps its operands in a
+//! oracle the lowered tier is differentially tested against, and runs only
+//! where a caller names its [`crate::ExecTier`]. It keeps its operands in a
 //! per-call `Vec` and recurses on the host stack for guest calls.
 
 use std::sync::Arc;

@@ -4,9 +4,11 @@
 use super::*;
 use crate::instr::{BrTableData, Instr, Instr::*, MemArg};
 use crate::module::ModuleBuilder;
+use crate::object::ExecTier;
 use crate::types::{BlockType, FuncType, ValType::*};
 
-/// Build, validate and instantiate a single-function module exporting `f`.
+/// Build and validate a single-function module exporting `f`, and invoke
+/// it on both tiers: the result (bitwise) and the fuel must agree.
 fn run1(
     params: Vec<crate::types::ValType>,
     results: Vec<crate::types::ValType>,
@@ -19,9 +21,21 @@ fn run1(
     let sig = b.sig(FuncType::new(params, results));
     let f = b.func(sig, locals, body);
     b.export_func("f", f);
-    let object = ObjectModule::prepare(b.build()).unwrap();
-    let mut inst = Instance::new(object, &Linker::new(), Box::new(())).unwrap();
-    inst.invoke("f", args)
+    let module = b.build();
+    let [interp, lowered] = [ExecTier::Interpreter, ExecTier::Lowered].map(|tier| {
+        let object = ObjectModule::prepare_tier(module.clone(), tier).unwrap();
+        assert_eq!(object.is_lowered(), tier == ExecTier::Lowered, "{tier:?}");
+        let mut inst = Instance::new(object, &Linker::new(), Box::new(())).unwrap();
+        let result = inst.invoke("f", args);
+        let bits = result.clone().map(|v| v.map(Val::to_slot));
+        (result, bits, inst.fuel.consumed())
+    });
+    assert_eq!(
+        (&interp.1, interp.2),
+        (&lowered.1, lowered.2),
+        "tiers differ"
+    );
+    interp.0
 }
 
 fn eval_i32(body: Vec<Instr>) -> Result<i32, Trap> {

@@ -31,7 +31,7 @@
 //! b.export_func("inc", f);
 //! let bytes = encode_module(&b.build());
 //!
-//! // Trusted phase: validate + prepare, then link and run.
+//! // Trusted phase: validate and lower (the production tier), then run.
 //! let object = ObjectModule::compile(&bytes).unwrap();
 //! let mut inst = Instance::new(object, &Linker::new(), Box::new(())).unwrap();
 //! assert_eq!(inst.invoke("inc", &[Val::I32(41)]).unwrap(), Some(Val::I32(42)));

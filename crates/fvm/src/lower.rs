@@ -1855,7 +1855,7 @@ mod tests {
         b.func(sig, vec![], body);
         let m = b.build();
         let obj = ObjectModule::prepare(m).unwrap();
-        lower_module(&obj.module, &obj.ctrl).remove(0)
+        obj.lowered.as_ref().expect("prepare lowers")[0].clone()
     }
 
     fn i32s(n: usize) -> Vec<ValType> {
@@ -2418,7 +2418,7 @@ mod tests {
             ],
         );
         let obj = ObjectModule::prepare(b.build()).unwrap();
-        let lf = lower_module(&obj.module, &obj.ctrl).remove(1);
+        let lf = obj.lowered.as_ref().expect("prepare lowers")[1].clone();
         assert_eq!(
             lf.ops,
             [
@@ -2478,7 +2478,7 @@ mod tests {
             ],
         );
         let obj = ObjectModule::prepare(b.build()).unwrap();
-        let lf = lower_module(&obj.module, &obj.ctrl).remove(2);
+        let lf = obj.lowered.as_ref().expect("prepare lowers")[2].clone();
         assert_eq!(
             lf.ops,
             [

@@ -2,11 +2,15 @@
 //!
 //! After validation, the module's structured control flow is scanned once to
 //! produce branch side-tables (matching `end`/`else` positions for every
-//! `block`/`loop`/`if`). This is the FVM's analogue of machine-code
-//! generation: it turns the verified binary into a directly executable form
-//! that the interpreter can run without re-analysing control flow. Object
-//! modules are cached in the platform's object store and shared by every
-//! instance of a function.
+//! `block`/`loop`/`if`), and every body is lowered to the production tier's
+//! flat ops (see [`crate::lower`]). This is the FVM's analogue of
+//! machine-code generation. Object modules are cached in the platform's
+//! object store and shared by every instance of a function.
+//!
+//! [`ObjectModule::prepare`] and [`ObjectModule::compile`] build the
+//! production tier. The reference interpreter, the oracle the parity tests
+//! hold the lowered tier to, is reached only by naming it:
+//! `prepare_tier`/`compile_tier(…, ExecTier::Interpreter)`.
 
 use std::sync::Arc;
 
@@ -24,12 +28,11 @@ use crate::validate::{validate, ValidateError};
 /// direct-threaded, fused ops at preparation time (see [`crate::lower`]) and
 /// is observably identical — same results, traps and fuel accounting — while
 /// dispatching a fraction of the ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecTier {
-    /// Tree-walking reference interpreter.
+    /// Tree-walking reference interpreter: the test oracle.
     Interpreter,
-    /// Flat, fused, block-metered ops (the default production tier).
-    #[default]
+    /// Flat, fused, block-metered ops: the production tier.
     Lowered,
 }
 
@@ -95,23 +98,23 @@ pub struct ObjectModule {
 }
 
 impl ObjectModule {
-    /// Validate a structured module and build its side-tables, for the
-    /// reference interpreter.
+    /// Validate a structured module, build its side-tables and lower every
+    /// body: the production tier.
     ///
     /// # Errors
     ///
     /// Returns [`ValidateError`] if the module is malformed.
     pub fn prepare(module: Module) -> Result<Arc<ObjectModule>, ValidateError> {
-        ObjectModule::prepare_tier(module, ExecTier::Interpreter)
+        ObjectModule::prepare_tier(module, ExecTier::Lowered)
     }
 
-    /// Validate, build side-tables and lower every body for the fast tier.
+    /// [`ObjectModule::prepare`], under the name the benchmark calls it by.
     ///
     /// # Errors
     ///
     /// Returns [`ValidateError`] if the module is malformed.
     pub fn prepare_lowered(module: Module) -> Result<Arc<ObjectModule>, ValidateError> {
-        ObjectModule::prepare_tier(module, ExecTier::Lowered)
+        ObjectModule::prepare(module)
     }
 
     /// Validate and prepare for the requested execution tier.
@@ -137,13 +140,13 @@ impl ObjectModule {
     }
 
     /// Decode, validate and prepare untrusted bytes — the full trusted half
-    /// of the Fig. 3 pipeline — for the reference interpreter.
+    /// of the Fig. 3 pipeline — for the production tier.
     ///
     /// # Errors
     ///
     /// Returns [`CompileError`] if the bytes fail decoding or validation.
     pub fn compile(bytes: &[u8]) -> Result<Arc<ObjectModule>, CompileError> {
-        ObjectModule::compile_tier(bytes, ExecTier::Interpreter)
+        ObjectModule::compile_tier(bytes, ExecTier::Lowered)
     }
 
     /// Decode, validate and prepare untrusted bytes for a specific tier.
@@ -159,16 +162,6 @@ impl ObjectModule {
     /// Whether this module carries lowered bodies (the fast tier).
     pub fn is_lowered(&self) -> bool {
         self.lowered.is_some()
-    }
-
-    /// The execution tier this object module was prepared for — what a
-    /// module it loads at run time (`dlopen`) is prepared for too.
-    pub fn tier(&self) -> ExecTier {
-        if self.is_lowered() {
-            ExecTier::Lowered
-        } else {
-            ExecTier::Interpreter
-        }
     }
 
     /// Serialise the module for the shared object store.

@@ -135,7 +135,7 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn warmed_up_guest_calls_do_not_allocate() {
-    let object = ObjectModule::prepare_lowered(module()).expect("validates");
+    let object = ObjectModule::prepare(module()).expect("validates");
     let mut inst = Instance::new(object, &Linker::new(), Box::new(())).expect("links");
     // The deepest frame chain the default limit (200) admits: the invoked
     // function plus 199 nested calls. One more traps.
@@ -213,7 +213,7 @@ fn memory_module() -> Module {
 
 #[test]
 fn a_warm_load_store_loop_does_not_allocate() {
-    let object = ObjectModule::prepare_lowered(memory_module()).expect("validates");
+    let object = ObjectModule::prepare(memory_module()).expect("validates");
     let mut inst = Instance::new(object, &Linker::new(), Box::new(())).expect("links");
     let n = 1_500;
     // The loop natively, over memory that persists from call to call.

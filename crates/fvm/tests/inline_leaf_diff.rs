@@ -181,8 +181,10 @@ fn assert_tiers_agree(leaf: &Leaf, caller: &Caller, a: i32, b: i32) {
     let args = [Val::I32(a), Val::I32(b)];
     let run_both = |limit: Option<u64>| {
         let meter = || limit.map_or_else(FuelMeter::unlimited, FuelMeter::with_limit);
-        let interp = ObjectModule::prepare(module.clone()).expect("validates");
-        let lowered = ObjectModule::prepare_lowered(module.clone()).expect("validates");
+        let interp = ObjectModule::prepare_tier(module.clone(), ExecTier::Interpreter);
+        let interp = interp.expect("validates");
+        let lowered = ObjectModule::prepare(module.clone()).expect("validates");
+        assert!(!interp.is_lowered() && lowered.is_lowered());
         let (i, l) = (run(interp, &args, meter()), run(lowered, &args, meter()));
         ((i.result, i.fuel), (l.result, l.fuel))
     };
@@ -255,7 +257,7 @@ fn a_leaf_that_returns_what_it_computed_is_inlined() {
             body: Vec::new(),
             ret,
         };
-        let object = ObjectModule::prepare_lowered(build_module(&leaf, &caller));
+        let object = ObjectModule::prepare(build_module(&leaf, &caller));
         let args = [Val::I32(10), Val::I32(20)];
         let out = run(object.expect("validates"), &args, FuelMeter::unlimited());
         assert!(out.result.is_ok(), "{out:?}");

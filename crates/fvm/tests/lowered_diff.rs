@@ -1104,14 +1104,18 @@ fn run_tier(object: Arc<ObjectModule>, args: &[Val], fuel: FuelMeter) -> Outcome
 
 fn run_both(module: &Module, args: &[Val], limit: Option<u64>) -> (Outcome, Outcome) {
     let meter = || limit.map_or_else(FuelMeter::unlimited, FuelMeter::with_limit);
-    let interp = ObjectModule::prepare(module.clone()).expect("validates");
-    let lowered = ObjectModule::prepare_lowered(module.clone()).expect("validates");
-    assert!(!interp.is_lowered());
-    assert!(lowered.is_lowered());
     (
-        run_tier(interp, args, meter()),
-        run_tier(lowered, args, meter()),
+        run_tier(prepare(module, ExecTier::Interpreter), args, meter()),
+        run_tier(prepare(module, ExecTier::Lowered), args, meter()),
     )
+}
+
+/// `module` prepared for `tier`, checked to be what was asked for: an
+/// oracle that lowered would compare the lowered tier with itself.
+fn prepare(module: &Module, tier: ExecTier) -> Arc<ObjectModule> {
+    let object = ObjectModule::prepare_tier(module.clone(), tier).expect("validates");
+    assert_eq!(object.is_lowered(), tier == ExecTier::Lowered, "{tier:?}");
+    object
 }
 
 fn args_of(a: i32, b: i32, c: i64) -> [Val; 3] {
@@ -1202,8 +1206,8 @@ proptest! {
             mem.read(0, &mut memory).expect("memory read");
             (result, globals, memory)
         };
-        let i2 = run_twice(ObjectModule::prepare(module.clone()).expect("validates"));
-        let l2 = run_twice(ObjectModule::prepare_lowered(module.clone()).expect("validates"));
+        let i2 = run_twice(prepare(&module, ExecTier::Interpreter));
+        let l2 = run_twice(prepare(&module, ExecTier::Lowered));
         prop_assert_eq!(i2, l2);
     }
 
@@ -1229,8 +1233,8 @@ proptest! {
         body.extend(stmts);
         let module = build_module(&body);
         let lk = linker();
-        for prepare in [ObjectModule::prepare, ObjectModule::prepare_lowered] {
-            let object = prepare(module.clone()).expect("validates");
+        for tier in [ExecTier::Interpreter, ExecTier::Lowered] {
+            let object = prepare(&module, tier);
             // The proto: an instance that has already run once.
             let mut donor = Instance::new(object.clone(), &lk, Box::new(())).expect("instantiate");
             let _ = donor.invoke("main", &args_of(3, 1, 2));

@@ -33,7 +33,7 @@
 //!     }
 //! "#;
 //! let module = faasm_lang::compile(src).unwrap();
-//! let object = ObjectModule::prepare(module).unwrap();
+//! let object = ObjectModule::prepare(module).unwrap(); // the lowered tier
 //! let mut inst = Instance::new(object, &Linker::new(), Box::new(())).unwrap();
 //! assert_eq!(inst.invoke("fib", &[Val::I32(10)]).unwrap(), Some(Val::I32(55)));
 //! ```

@@ -105,7 +105,7 @@ pub fn run_fvm(kernel: &Kernel, n: usize) -> FvmRun {
         },
     )
     .unwrap_or_else(|e| panic!("{} failed to compile: {e}", kernel.name));
-    let object = ObjectModule::prepare_lowered(module)
+    let object = ObjectModule::prepare(module)
         .unwrap_or_else(|e| panic!("{} failed validation: {e}", kernel.name));
     let mut inst = Instance::new(object, &Linker::new(), Box::new(())).expect("links");
 

@@ -138,7 +138,7 @@ type Row = (&'static str, u64, u64);
 /// Fuel and dispatches of `export(arg)` on a fresh lowered instance.
 fn count(name: &'static str, fl: &str, export: &str, arg: i32) -> Row {
     let module = faasm::lang::compile(fl).expect(name);
-    let object = ObjectModule::prepare_lowered(module).expect(name);
+    let object = ObjectModule::prepare(module).expect(name);
     let linker = faasm::core::faaslet_linker();
     let mut inst = Instance::new(Arc::clone(&object), &linker, Box::new(())).expect(name);
     inst.invoke(export, &[Val::I32(arg)]).expect(name);

@@ -563,7 +563,7 @@ fn a_reupload_racing_a_capture_never_mixes_code_and_snapshot() {
         // Compiled ahead, so the race is with the registration alone.
         let module = faasm::lang::compile(&versioned(2, 20, 0)).unwrap();
         let v2 = FunctionDef {
-            code: GuestCode::Fvm(faasm::fvm::ObjectModule::prepare_lowered(module).unwrap()),
+            code: GuestCode::Fvm(faasm::fvm::ObjectModule::prepare(module).unwrap()),
             entry: "main".into(),
             init: Some("init".into()),
             reset_after_call: true,

@@ -15,8 +15,10 @@ use faasm::fvm::{ExecTier, ObjectModule};
 /// the tier chosen here instead of fixed at lowered.
 fn deploy(c: &Cluster, tier: ExecTier, name: &str, src: &str, options: UploadOptions) {
     let bytes = faasm::fvm::encode_module(&faasm::lang::compile(src).unwrap());
+    let object = ObjectModule::compile_tier(&bytes, tier).unwrap();
+    assert_eq!(object.is_lowered(), tier == ExecTier::Lowered, "{tier:?}");
     let def = FunctionDef {
-        code: GuestCode::Fvm(ObjectModule::compile_tier(&bytes, tier).unwrap()),
+        code: GuestCode::Fvm(object),
         entry: options.entry,
         init: options.init,
         reset_after_call: options.reset_after_call,
