@@ -21,6 +21,15 @@ outside_wake_waiters() { nontest "$1" | sed '/fn wake_waiters/,/^    }/d'; }
 native_api_impl() { sed -n "/^impl<'a> NativeApi<'a>/,/^}/p" "$1"; }
 faasenv_state_read() { sed -n '/^pub trait FaasEnv/,/^}/{/fn state_read(/,/;/p}' "$1"; }
 outside_message_tables() { nontest "$1" | sed '/^messages! {/,/^}/d'; }
+# The whole file, less the declarations of the benchmark-only span registry
+# in the telemetry crate (ROADMAP item 1(e) deletes them).
+outside_span_registry() {
+    if [[ $1 == crates/telemetry/src/lib.rs ]]; then
+        sed -E '/^(static REGISTRY: Mutex<Vec<Weak<Recorder>>>|pub fn (tier|metrics_snapshot)\()/d' "$1"
+    else
+        cat "$1"
+    fi
+}
 # The whole file, less the one line allowed to say `unsafe`: the first
 # SHA-extensions dispatch in content.rs (a second copy still shows).
 outside_sha_dispatch() {
@@ -214,6 +223,16 @@ gates=(
     '^\s+\w+: self\.\w+\.load\(Ordering::Relaxed\),'
     'crates/*/src !crates/telemetry/src/lib.rs'
     'a snapshot literal filled counter by counter; declare the set with `faasm_telemetry::counters!`'
+
+    # One span recorder per cluster: the fabric owns it, and every layer
+    # reaches it through the NIC or state backend it already holds.
+    '(static|OnceLock).*Recorder\b'
+    'crates@outside_span_registry'
+    'a Recorder is reachable through a static again; record through the cluster'"'"'s (Fabric::recorder, Nic::recorder, KvBackend::recorder)'
+
+    '(^|[^a-z_])(tier|metrics_snapshot|trace_tree|tiers)\('
+    'crates@outside_span_registry src@whole tests@whole examples@whole'
+    'a process-wide span reader is called; read the cluster'"'"'s recorder (Recorder::trace, Cluster::telemetry)'
 
     'SharingQueue'
     'crates@whole'

@@ -571,9 +571,9 @@ impl Cluster {
     /// and `kvs-cache` per host (slot = index into [`Cluster::instances`]),
     /// `state-shard` per live shard (slot = its routing slot; read in place,
     /// so taking a snapshot moves no counter) — under the names the sets
-    /// were declared with, plus the per-tier span histograms. The rows are
-    /// this cluster's alone; the span histograms come from the process-wide
-    /// recorders and are shared with any other cluster in the process.
+    /// were declared with, plus the span histograms, by kind, of the
+    /// recorder the cluster's fabric owns. All of it is this cluster's
+    /// alone.
     pub fn telemetry(&self) -> Telemetry {
         let mut sets = vec![self.fabric.stats().snapshot().row("fabric", 0)];
         for (host, inst) in self.instances().iter().enumerate() {
@@ -586,7 +586,7 @@ impl Cluster {
         for shard in self.kvs.lock().iter() {
             sets.push(shard.stats().row("state-shard", shard.routing().slot()));
         }
-        Telemetry::capture(sets)
+        Telemetry::capture(sets, self.fabric.recorder())
     }
 
     /// Sum of a metric across instances.

@@ -568,7 +568,7 @@ impl FaasmInstance {
                         reply_to,
                         sent_at_ns,
                     }) => {
-                        let recorder = worker_recorder();
+                        let recorder = self.nic.recorder();
                         // Out of transit *before* the run queue counts
                         // them: a worker can finish a call and its caller
                         // place the next while this loop is still here, and
@@ -666,15 +666,9 @@ impl FaasmInstance {
         }
         let exec_ns = t0.elapsed().as_nanos() as u64;
         if !exec_ctx.is_none() {
-            worker_recorder().record(faasm_telemetry::SpanRecord {
-                trace_id: exec_ctx.trace_id,
-                span_id: exec_ctx.span_id,
-                parent_id: q.call.trace.span_id,
-                kind: SpanKind::WorkerExec,
-                start_ns,
-                end_ns: faasm_telemetry::now_ns(),
-                extra: q.call.id.0,
-            });
+            let (parent, extra) = (q.call.trace.span_id, q.call.id.0);
+            let recorder = self.nic.recorder();
+            recorder.close(SpanKind::WorkerExec, exec_ctx, parent, start_ns, extra);
         }
         self.metrics.record_call(
             exec_ns,
@@ -779,7 +773,7 @@ impl FaasmInstance {
             .record_start(StartKind::ProtoRestore, t0.elapsed().as_nanos() as u64);
         let ctx = faasm_telemetry::current();
         if !ctx.is_none() {
-            worker_recorder().span(SpanKind::ProtoRestore, ctx, s0, 0);
+            self.nic.recorder().span(SpanKind::ProtoRestore, ctx, s0, 0);
         }
         Ok(f)
     }
@@ -853,9 +847,9 @@ impl FaasmInstance {
                 pages.insert(*d, page);
             }
         }
-        let ctx = faasm_telemetry::current();
+        let (ctx, recorder) = (faasm_telemetry::current(), self.nic.recorder());
         if !ctx.is_none() {
-            worker_recorder().span(SpanKind::SnapshotVerify, ctx, v0, missing.len() as u64);
+            recorder.span(SpanKind::SnapshotVerify, ctx, v0, missing.len() as u64);
         }
         let pages = manifest
             .pages
@@ -864,7 +858,7 @@ impl FaasmInstance {
             .collect::<Option<_>>()?;
         let proto = assemble_pages(&meta?, pages)?;
         if !ctx.is_none() {
-            worker_recorder().span(SpanKind::SnapshotFetch, ctx, s0, missing.len() as u64);
+            recorder.span(SpanKind::SnapshotFetch, ctx, s0, missing.len() as u64);
         }
         Some(Arc::new(proto))
     }
@@ -1176,13 +1170,6 @@ impl ChainRouter for FaasmInstance {
             }
         }
     }
-}
-
-/// The runtime instances' telemetry recorder (one per process; cached so
-/// bus and worker loops never touch the registry lock).
-fn worker_recorder() -> &'static Arc<faasm_telemetry::Recorder> {
-    static REC: std::sync::OnceLock<Arc<faasm_telemetry::Recorder>> = std::sync::OnceLock::new();
-    REC.get_or_init(|| faasm_telemetry::tier("worker"))
 }
 
 #[cfg(test)]

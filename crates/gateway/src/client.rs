@@ -179,7 +179,8 @@ impl GatewayClient {
 
     /// Submit under a fresh client-minted trace root; returns the ticket
     /// and the trace id, so after [`GatewayClient::wait`] the caller can
-    /// pull the call's full span tree with `faasm_telemetry::trace_tree`.
+    /// pull the call's full span tree from the serving cluster's recorder
+    /// (`cluster.fabric().recorder().trace(trace_id)`).
     /// An active thread-local trace context is adopted instead of minting,
     /// so chained remote calls stay on one trace.
     ///

@@ -81,13 +81,6 @@ const CAP_SCALE_STEP: u64 = CAP_SCALE_ONE / 32;
 /// How often the AIMD loop re-evaluates the EWMA.
 const ADJUST_EVERY: Duration = Duration::from_millis(10);
 
-/// The gateway tier's flight recorder, fetched once: `tier()` takes a
-/// registry lock, which the admission path must not pay per request.
-fn gw_recorder() -> &'static Arc<Recorder> {
-    static RECORDER: std::sync::OnceLock<Arc<Recorder>> = std::sync::OnceLock::new();
-    RECORDER.get_or_init(|| faasm_telemetry::tier("gateway"))
-}
-
 /// A remote waiter's completion hook, invoked exactly once with the
 /// terminal response (outside the completion lock).
 pub(crate) type CompletionFn = faasm_core::PendingCallback<GatewayResponse>;
@@ -108,6 +101,9 @@ type BucketEntry = (u64, u64, Arc<TokenBucket>);
 /// handle reliably reaches `Gateway::drop` and tears the threads down.
 struct Inner {
     cluster: Arc<Cluster>,
+    /// The cluster's span recorder, held so admission records without a
+    /// lookup.
+    recorder: Arc<Recorder>,
     config: GatewayConfig,
     queue: FairQueue,
     policies: Mutex<HashMap<String, TenantPolicy>>,
@@ -165,6 +161,7 @@ impl Gateway {
     pub fn start(cluster: Arc<Cluster>, config: GatewayConfig) -> Gateway {
         let completions = Completions::new(false, Some(WAIT_TIMEOUT));
         let inner = Arc::new(Inner {
+            recorder: Arc::clone(cluster.fabric().recorder()),
             cluster,
             config,
             queue: FairQueue::new(),
@@ -271,7 +268,7 @@ impl Gateway {
     }
 
     /// Submit under a fresh trace root and return `(ticket, trace_id)`:
-    /// after the call completes, `faasm_telemetry::trace_tree(trace_id)`
+    /// after the call completes, `cluster.fabric().recorder().trace(trace_id)`
     /// holds its admission→dispatch→execution→state span tree. This is the
     /// in-process equivalent of a wire client stamping
     /// [`GatewayRequest::trace`](crate::GatewayRequest).
@@ -478,7 +475,8 @@ impl Inner {
         match self.queue.push(job, policy.weight, queue_cap) {
             Ok(()) => {
                 self.metrics.admitted.inc();
-                gw_recorder().span(SpanKind::Admission, trace, admit_start_ns, seq);
+                self.recorder
+                    .span(SpanKind::Admission, trace, admit_start_ns, seq);
             }
             Err(job) => {
                 // The request consumed no capacity: give the token back so
@@ -596,7 +594,7 @@ impl Inner {
                 // A shed burst is an anomaly worth a flight-recorder dump:
                 // the spans leading into it show which tenants' sojourn
                 // times pushed the EWMA over target.
-                gw_recorder().note_anomaly(&format!(
+                self.recorder.note_anomaly(&format!(
                     "admission cap shrink to {next}/{CAP_SCALE_ONE} (dispatch ewma {} us over target)",
                     ewma / 1_000,
                 ));
@@ -716,7 +714,7 @@ impl Inner {
                 self.metrics.queue_delay.record(queued_ns);
                 // The sojourn span's start is reconstructed from the queue
                 // delay: enqueue happened `queued_ns` before this drain.
-                gw_recorder().span(
+                self.recorder.span(
                     SpanKind::QueueSojourn,
                     job.trace,
                     faasm_telemetry::now_ns().saturating_sub(queued_ns),
@@ -758,7 +756,7 @@ impl Inner {
                         let seq = job.seq;
                         // Dispatch span: grouping + batch-submit cost, with
                         // the realised group width in `extra`.
-                        gw_recorder().span(
+                        self.recorder.span(
                             SpanKind::Dispatch,
                             job.trace,
                             dispatch_start_ns,

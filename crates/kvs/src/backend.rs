@@ -15,6 +15,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use faasm_telemetry::Recorder;
+
 use crate::client::KvError;
 use crate::codec::{Request, Response};
 use crate::store::{LockMode, ShardStats};
@@ -32,11 +34,12 @@ pub type VersionedRunsResult = Result<(Option<Vec<Vec<u8>>>, u64), KvError>;
 /// each key's value, locks and counters on one owning shard.
 ///
 /// A backend implements [`call`](KvBackend::call),
-/// [`lock_owner`](KvBackend::lock_owner), [`ping`](KvBackend::ping) and
-/// [`flush`](KvBackend::flush). The versioned form of an op is the
-/// primitive — the shard stamps a version on every keyed ack anyway — and
-/// the plain form is the versioned form minus the version, so a wrapper
-/// that overrides the versioned form changes both.
+/// [`lock_owner`](KvBackend::lock_owner), [`ping`](KvBackend::ping),
+/// [`flush`](KvBackend::flush) and [`recorder`](KvBackend::recorder). The
+/// versioned form of an op is the primitive — the shard stamps a version
+/// on every keyed ack anyway — and the plain form is the versioned form
+/// minus the version, so a wrapper that overrides the versioned form
+/// changes both.
 pub trait KvBackend: Send + Sync {
     /// Execute one keyed request on the shard owning [`Request::key`] and
     /// return the unwrapped reply with the mutation version its ack
@@ -224,6 +227,10 @@ pub trait KvBackend: Send + Sync {
     /// Returns [`KvError`] on network/server failure.
     fn flush(&self) -> Result<(), KvError>;
 
+    /// The span recorder of the cluster this backend belongs to: the state
+    /// layers above record their spans into it.
+    fn recorder(&self) -> &Arc<Recorder>;
+
     /// Get several whole values, in request order — the snapshot plane's
     /// chunk fetch. Sharded backends group the keys per owning shard and
     /// issue one round-trip per shard; the default is a per-key loop so
@@ -399,6 +406,7 @@ mod tests {
     struct Recording {
         seen: Mutex<Vec<Request>>,
         reply: Mutex<Response>,
+        recorder: Arc<Recorder>,
     }
 
     impl KvBackend for Recording {
@@ -414,6 +422,9 @@ mod tests {
         }
         fn flush(&self) -> Result<(), KvError> {
             Ok(())
+        }
+        fn recorder(&self) -> &Arc<Recorder> {
+            &self.recorder
         }
     }
 
@@ -610,6 +621,7 @@ mod tests {
             let backend = Recording {
                 seen: Mutex::new(Vec::new()),
                 reply: Mutex::new(row.good.clone()),
+                recorder: Arc::default(),
             };
             let (value, version) = (row.op)(&backend).unwrap_or_else(|e| {
                 panic!("{}: legal reply rejected: {e}", row.name);
@@ -656,6 +668,7 @@ mod tests {
         let backend = Recording {
             seen: Mutex::new(Vec::new()),
             reply: Mutex::new(Response::Spans(Some(vec![b"ab".to_vec()]))),
+            recorder: Arc::default(),
         };
         let spans = [(0, 2), (4, 2)];
         assert_eq!(

@@ -37,10 +37,10 @@
 //! inside a [`touch_scope`], which a worker opens around one call.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use faasm_telemetry::SpanKind;
+use faasm_telemetry::{Recorder, SpanKind};
 use parking_lot::Mutex;
 
 use crate::backend::{KvBackend, SharedKv};
@@ -49,12 +49,6 @@ use crate::codec::{Request, Response};
 use crate::lru::BoundedLru;
 use crate::store::{slice_range, LockMode, ShardStats};
 use crate::writes::RangeWrites;
-
-/// The cache's telemetry recorder (cached; `tier()` takes a registry lock).
-fn cache_recorder() -> &'static Arc<faasm_telemetry::Recorder> {
-    static REC: OnceLock<Arc<faasm_telemetry::Recorder>> = OnceLock::new();
-    REC.get_or_init(|| faasm_telemetry::tier("kvs-cache"))
-}
 
 thread_local! {
     /// Per-call touched-key collection: a worker installs a scope around a
@@ -302,6 +296,9 @@ enum Lookup<T> {
 /// docs for the consistency model.
 pub struct CachedKv {
     inner: SharedKv,
+    /// The inner backend's recorder, held so a hit records without a
+    /// virtual call.
+    recorder: Arc<Recorder>,
     cfg: CacheConfig,
     state: Mutex<Inner>,
     counters: CacheCounters,
@@ -311,6 +308,7 @@ impl CachedKv {
     /// Wrap `inner` with a cache sized/behaving per `cfg`.
     pub fn new(inner: SharedKv, cfg: CacheConfig) -> CachedKv {
         CachedKv {
+            recorder: Arc::clone(inner.recorder()),
             inner,
             state: Mutex::new(Inner {
                 entries: BoundedLru::new(cfg.max_bytes, MAX_ENTRIES, |key, e| {
@@ -398,7 +396,7 @@ impl CachedKv {
     ) -> Result<Option<(T, u64)>, KvError> {
         let t0 = faasm_telemetry::now_ns();
         let live = self.inner.version_of(key)?;
-        cache_recorder().span(SpanKind::Revalidate, faasm_telemetry::current(), t0, live);
+        self.span(SpanKind::Revalidate, t0, live);
         let mut s = self.state.lock();
         if live == expected && live >= s.floor(key) {
             if let Some(e) = s.entries.peek_mut(key) {
@@ -473,7 +471,7 @@ impl CachedKv {
             Lookup::Hit(out, version) => {
                 self.counters.hits.inc();
                 note_touch(key);
-                cache_recorder().span(SpanKind::CacheHit, faasm_telemetry::current(), t0, 0);
+                self.span(SpanKind::CacheHit, t0, 0);
                 return Ok((Some(out), version));
             }
             Lookup::Revalidate(expected) => {
@@ -509,7 +507,7 @@ impl CachedKv {
             }
         }
         drop(s);
-        cache_recorder().span(SpanKind::CacheMiss, faasm_telemetry::current(), t0, version);
+        self.span(SpanKind::CacheMiss, t0, version);
         Ok((value, version))
     }
 
@@ -567,12 +565,18 @@ impl CachedKv {
             self.counters.invalidations.inc();
         }
         drop(s);
-        cache_recorder().span(
+        self.span(
             SpanKind::CacheInvalidate,
-            faasm_telemetry::current(),
             faasm_telemetry::now_ns(),
             version,
         );
+    }
+
+    /// Record a span of `kind` from `start_ns` to now under the calling
+    /// thread's trace context.
+    fn span(&self, kind: SpanKind, start_ns: u64, extra: u64) {
+        self.recorder
+            .span(kind, faasm_telemetry::current(), start_ns, extra);
     }
 
     /// Whether this cache is `Strong`: nothing is served from, or kept in,
@@ -644,6 +648,10 @@ impl KvBackend for CachedKv {
 
     fn lock_owner(&self) -> u64 {
         self.inner.lock_owner()
+    }
+
+    fn recorder(&self) -> &Arc<Recorder> {
+        &self.recorder
     }
 
     fn get_versioned(&self, key: &str) -> Result<(Option<Vec<u8>>, u64), KvError> {

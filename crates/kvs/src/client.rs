@@ -1,8 +1,10 @@
 //! The KVS client used by every host's runtime to reach the global tier.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use faasm_net::{HostId, NetError, Nic};
+use faasm_telemetry::Recorder;
 
 use crate::backend::KvBackend;
 use crate::codec::{
@@ -85,10 +87,10 @@ impl From<NetError> for KvError {
 
 /// How a client reaches the store: over the fabric (normal case) or
 /// in-process (a host that co-locates the global tier; also used heavily in
-/// unit tests).
+/// unit tests). A local client has no fabric, so it owns its recorder.
 enum Transport {
     Remote { nic: Nic, server: HostId },
-    Local(std::sync::Arc<KvStore>),
+    Local(Arc<KvStore>, Arc<Recorder>),
 }
 
 /// A synchronous KVS client.
@@ -108,7 +110,7 @@ impl std::fmt::Debug for KvClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match &self.transport {
             Transport::Remote { server, .. } => format!("remote({server})"),
-            Transport::Local(_) => "local".to_string(),
+            Transport::Local(..) => "local".to_string(),
         };
         f.debug_struct("KvClient")
             .field("transport", &kind)
@@ -141,9 +143,9 @@ impl KvClient {
     }
 
     /// A client bound directly to an in-process store.
-    pub fn local(store: std::sync::Arc<KvStore>) -> KvClient {
+    pub fn local(store: Arc<KvStore>) -> KvClient {
         KvClient {
-            transport: Transport::Local(store),
+            transport: Transport::Local(store, Arc::default()),
             owner: NEXT_OWNER.fetch_add(1, Ordering::Relaxed),
             epoch: EPOCH_ANY,
         }
@@ -165,13 +167,21 @@ impl KvClient {
         self.epoch
     }
 
+    /// The NIC a remote client calls through (`None` for a local one).
+    pub(crate) fn nic(&self) -> Option<&Nic> {
+        match &self.transport {
+            Transport::Remote { nic, .. } => Some(nic),
+            Transport::Local(..) => None,
+        }
+    }
+
     fn exec(&self, req: &Request) -> Result<Response, KvError> {
         match &self.transport {
             Transport::Remote { nic, server } => {
                 let resp = nic.call(*server, encode_request_at(req, self.epoch))?;
                 decode_response(&resp).map_err(|_| KvError::Protocol)
             }
-            Transport::Local(store) => {
+            Transport::Local(store, _) => {
                 // Keep the codec on the path so local mode measures the same
                 // serialisation costs as remote mode, minus the fabric.
                 let req = decode_request(&encode_request_at(req, self.epoch))
@@ -347,6 +357,13 @@ impl KvBackend for KvClient {
     fn shard_stats(&self) -> Result<Vec<ShardStats>, KvError> {
         Ok(vec![self.stats()?])
     }
+
+    fn recorder(&self) -> &Arc<Recorder> {
+        match &self.transport {
+            Transport::Remote { nic, .. } => nic.recorder(),
+            Transport::Local(_, recorder) => recorder,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -355,7 +372,6 @@ mod tests {
     use crate::server::KvServer;
     use crate::store::LockMode;
     use faasm_net::Fabric;
-    use std::sync::Arc;
     use std::time::Duration;
 
     fn remote_pair() -> (KvClient, KvServer) {

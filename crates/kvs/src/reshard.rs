@@ -42,7 +42,6 @@
 //! Every tier, whatever its shard count and replication factor, is booted
 //! by [`start_tier`], and every shard that joins one by [`start_joiner`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use faasm_net::{Fabric, HostId, Nic};
@@ -112,10 +111,6 @@ fn control(coord: &Nic, host: HostId) -> KvClient {
     KvClient::connect_at(coord.clone(), host, EPOCH_ANY, KvClient::fresh_owner())
 }
 
-/// Transfer ids for chunked handoffs: process-wide so two concurrent
-/// migrations to one receiver can never interleave frame sequences.
-static NEXT_XFER: AtomicU64 = AtomicU64::new(1);
-
 /// Cut an export into frames of at most
 /// [`HANDOFF_FRAME_ENTRIES`](crate::server::HANDOFF_FRAME_ENTRIES) entries
 /// and [`HANDOFF_FRAME_BYTES`](crate::server::HANDOFF_FRAME_BYTES) encoded
@@ -144,7 +139,11 @@ pub(crate) fn handoff_frames(entries: Vec<KeyMigration>) -> Vec<Vec<KeyMigration
 /// [`HandoffFrame`](crate::codec::Request::HandoffFrame)s.
 pub fn send_handoff_chunked(target: &KvClient, entries: Vec<KeyMigration>) -> Result<(), KvError> {
     let frames = handoff_frames(entries);
-    let xfer = NEXT_XFER.fetch_add(1, Ordering::Relaxed);
+    // The transfer id comes from the target's fabric, which every sender
+    // to that receiver shares, so two concurrent migrations to one
+    // receiver never interleave frame sequences. A local store refuses
+    // handoffs whatever the id.
+    let xfer = target.nic().map_or(0, Nic::fresh_tag);
     let count = frames.len();
     for (seq, frame) in frames.into_iter().enumerate() {
         target.handoff_frame(xfer, seq as u32, seq + 1 == count, frame)?;
@@ -184,7 +183,7 @@ pub fn grow(
 ) -> Result<Arc<RoutingTable>, KvError> {
     // Flight-recorder trigger: snapshot recent shard activity at migration
     // boundaries, where retry storms and freeze waits cluster.
-    faasm_telemetry::tier("state-shard").note_anomaly("reshard grow begin");
+    coord.recorder().note_anomaly("reshard grow begin");
     let old = cell.load();
     if old.replication > 1 && joiner.repl_host_id().is_none() {
         return Err(KvError::Server(
@@ -235,7 +234,7 @@ pub fn grow(
             .epoch_commit(new_epoch, new_count, &dead_u32, &hosts_u32);
     }
     cell.store(new_table);
-    faasm_telemetry::tier("state-shard").note_anomaly("reshard grow commit");
+    coord.recorder().note_anomaly("reshard grow commit");
     Ok(cell.load())
 }
 
@@ -295,7 +294,7 @@ fn fail_slot(
             "cannot fail over the last live shard".into(),
         ));
     }
-    faasm_telemetry::tier("state-shard").note_anomaly(if planned {
+    coord.recorder().note_anomaly(if planned {
         "state shard retire begin"
     } else {
         "state shard failover begin"
@@ -332,7 +331,7 @@ fn fail_slot(
     for slot in installed.live_slots() {
         let _ = control(coord, installed.hosts[slot]).rebuild(&prev_dead_u32);
     }
-    faasm_telemetry::tier("state-shard").note_anomaly(if planned {
+    coord.recorder().note_anomaly(if planned {
         "state shard retire commit"
     } else {
         "state shard failover commit"
@@ -362,7 +361,7 @@ pub fn shrink(coord: &Nic, cell: &RoutingCell) -> Result<(Arc<RoutingTable>, Hos
             .expect("a published table has live slots");
         return retire(coord, cell, last);
     }
-    faasm_telemetry::tier("state-shard").note_anomaly("reshard shrink begin");
+    coord.recorder().note_anomaly("reshard shrink begin");
     if old.hosts.len() <= 1 {
         return Err(KvError::Server("cannot retire the last state shard".into()));
     }
@@ -409,7 +408,7 @@ pub fn shrink(coord: &Nic, cell: &RoutingCell) -> Result<(Arc<RoutingTable>, Hos
         committed.push(host);
     }
     cell.store(RoutingTable::new(new_epoch, hosts));
-    faasm_telemetry::tier("state-shard").note_anomaly("reshard shrink commit");
+    coord.recorder().note_anomaly("reshard shrink commit");
     Ok((cell.load(), retiring))
 }
 

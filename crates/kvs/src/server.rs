@@ -17,13 +17,6 @@ use crate::reshard::handoff_frames;
 use crate::sharded::{fnv1a, primary_index_live, replica_set_live, RoutingTable};
 use crate::store::{KeyMigration, KvStore, ShardCounters, ShardStats};
 
-/// The state tier's telemetry recorder (shared by every shard server in the
-/// process; cached so the hot path never touches the registry lock).
-fn shard_recorder() -> &'static Arc<faasm_telemetry::Recorder> {
-    static REC: std::sync::OnceLock<Arc<faasm_telemetry::Recorder>> = std::sync::OnceLock::new();
-    REC.get_or_init(|| faasm_telemetry::tier("state-shard"))
-}
-
 /// One routing table generation as a shard sees it: the epoch, the total
 /// slot count (live *and* dead), and the tombstoned slot indices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -353,9 +346,7 @@ impl Drop for KvServer {
 
 fn serve_one(store: &KvStore, routing: &ShardRouting, nic: &Nic, forwards: bool, env: Envelope) {
     let resp = match decode_request_traced(&env.payload) {
-        Ok((req, epoch, trace)) => {
-            apply_traced(store, routing, forwards.then_some(nic), req, epoch, trace)
-        }
+        Ok((req, epoch, trace)) => apply_traced(store, routing, nic, forwards, req, epoch, trace),
         Err(e) => Response::Err(e.to_string()),
     };
     // One-way requests (fire-and-forget writes) carry no reply tag.
@@ -526,7 +517,8 @@ fn forward_replicas(
         });
         routing.counters.repl_forwards.inc();
         if !trace.is_none() {
-            shard_recorder().span(SpanKind::ReplForward, trace, fwd_start, 0);
+            nic.recorder()
+                .span(SpanKind::ReplForward, trace, fwd_start, 0);
         }
         if ok {
             acked += 1;
@@ -537,7 +529,7 @@ fn forward_replicas(
         .repl_lag_ns
         .add(faasm_telemetry::now_ns().saturating_sub(start));
     if !trace.is_none() {
-        shard_recorder().span(SpanKind::QuorumWait, trace, start, 0);
+        nic.recorder().span(SpanKind::QuorumWait, trace, start, 0);
     }
     if acked < set.len() {
         return Response::Unavailable {
@@ -625,17 +617,19 @@ fn shard_stats(store: &KvStore, routing: &ShardRouting) -> ShardStats {
 /// view. A traced keyed op records a [`SpanKind::ShardApply`] span
 /// (parented under the client's stamp) covering freeze-gate wait +
 /// ownership check + apply, so the state tier appears in the ingress
-/// call's span tree. With `net: Some(..)` on a replicated tier, a
+/// call's span tree. With `forwards` set on a replicated tier, a
 /// successful keyed write additionally forwards the key's state to its
-/// backup replicas and gates the ack on the write quorum.
+/// backup replicas over `nic` and gates the ack on the write quorum.
 fn apply_traced(
     store: &KvStore,
     routing: &ShardRouting,
-    net: Option<&Nic>,
+    nic: &Nic,
+    forwards: bool,
     req: Request,
     client_epoch: u64,
     trace: TraceCtx,
 ) -> Response {
+    let net = forwards.then_some(nic);
     match req {
         Request::Stats => Response::Stats(shard_stats(store, routing)),
         Request::Migrate { epoch, shard_count } => {
@@ -687,7 +681,8 @@ fn apply_traced(
                 !replica_set_live(key, cur.shard_count, &cur.dead, r).contains(&index)
             });
             if promoted {
-                shard_recorder().note_anomaly("replica promotion: failover epoch installed");
+                nic.recorder()
+                    .note_anomaly("replica promotion: failover epoch installed");
             }
             Response::Ok
         }
@@ -781,7 +776,8 @@ fn apply_traced(
             }
             drop(serving);
             if !trace.is_none() {
-                shard_recorder().span(SpanKind::ShardApply, trace, entered_ns, 0);
+                nic.recorder()
+                    .span(SpanKind::ShardApply, trace, entered_ns, 0);
             }
             resp
         }

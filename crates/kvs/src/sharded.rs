@@ -21,19 +21,12 @@ use std::time::Duration;
 use faasm_net::{HostId, Nic};
 use parking_lot::RwLock;
 
-use faasm_telemetry::SpanKind;
+use faasm_telemetry::{Recorder, SpanKind};
 
 use crate::backend::KvBackend;
 use crate::client::{KvClient, KvError};
 use crate::codec::{Request, Response};
 use crate::store::ShardStats;
-
-/// The sharded client's telemetry recorder (cached; see
-/// [`faasm_telemetry::tier`]).
-fn client_recorder() -> &'static Arc<faasm_telemetry::Recorder> {
-    static REC: std::sync::OnceLock<Arc<faasm_telemetry::Recorder>> = std::sync::OnceLock::new();
-    REC.get_or_init(|| faasm_telemetry::tier("kvs-client"))
-}
 
 /// One immutable version of the tier's routing: which fabric hosts serve
 /// which shard index, stamped with the epoch that produced it.
@@ -452,7 +445,7 @@ impl ShardedKvClient {
                 let outcome = self.wait_for_epoch(epoch, attempt, waited, err);
                 let ctx = faasm_telemetry::current();
                 if !ctx.is_none() {
-                    client_recorder().span(
+                    self.nic.recorder().span(
                         SpanKind::WrongEpochRetry,
                         ctx,
                         parked_ns,
@@ -575,6 +568,10 @@ impl KvBackend for ShardedKvClient {
 
     fn routing_epoch(&self) -> u64 {
         self.epoch()
+    }
+
+    fn recorder(&self) -> &Arc<Recorder> {
+        self.nic.recorder()
     }
 }
 

@@ -7,8 +7,10 @@
 //! the bench harness can drive the same faults the integration tests do.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use faasm_net::Fabric;
+use faasm_telemetry::Recorder;
 
 use crate::backend::KvBackend;
 use crate::client::{check_v, KvError};
@@ -18,12 +20,13 @@ use crate::store::KvStore;
 
 /// An in-process [`KvBackend`] over a bare [`KvStore`]: every request is
 /// [`apply`]d exactly as a shard would (same replies, same versions), with
-/// a bumpable routing epoch and request counters — the wire-free harness
-/// for cache and state-entry semantics. "External" writers (another host)
-/// mutate [`LocalKv::store`] directly.
+/// a bumpable routing epoch, request counters and a recorder of its own —
+/// the wire-free harness for cache and state-entry semantics. "External"
+/// writers (another host) mutate [`LocalKv::store`] directly.
 pub struct LocalKv {
     /// The authoritative store.
     pub store: KvStore,
+    recorder: Arc<Recorder>,
     epoch: AtomicU64,
     requests: AtomicU64,
     reads: AtomicU64,
@@ -40,6 +43,7 @@ impl LocalKv {
     pub fn new() -> LocalKv {
         LocalKv {
             store: KvStore::new(),
+            recorder: Arc::default(),
             epoch: AtomicU64::new(1),
             requests: AtomicU64::new(0),
             reads: AtomicU64::new(0),
@@ -90,6 +94,10 @@ impl KvBackend for LocalKv {
 
     fn routing_epoch(&self) -> u64 {
         self.epoch.load(Ordering::Relaxed)
+    }
+
+    fn recorder(&self) -> &Arc<Recorder> {
+        &self.recorder
     }
 }
 

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use faasm_telemetry::Recorder;
 use parking_lot::Mutex;
 
 use crate::bucket::TokenBucket;
@@ -76,9 +77,11 @@ struct FabricInner {
     total: TrafficStats,
     next_host: AtomicU64,
     next_tag: AtomicU64,
+    recorder: Arc<Recorder>,
 }
 
-/// The in-process cluster network.
+/// The in-process cluster network. It also owns the cluster's one span
+/// [`Recorder`], which every layer reaches through its [`Nic`].
 #[derive(Clone)]
 pub struct Fabric {
     inner: Arc<FabricInner>,
@@ -102,6 +105,8 @@ impl Default for Fabric {
 impl Fabric {
     /// An empty fabric.
     pub fn new() -> Fabric {
+        let recorder = Arc::new(Recorder::new());
+        faasm_telemetry::register(&recorder);
         Fabric {
             inner: Arc::new(FabricInner {
                 hosts: Mutex::new(HashMap::new()),
@@ -109,6 +114,7 @@ impl Fabric {
                 total: TrafficStats::new(),
                 next_host: AtomicU64::new(0),
                 next_tag: AtomicU64::new(1),
+                recorder,
             }),
         }
     }
@@ -174,6 +180,11 @@ impl Fabric {
     /// Fabric-wide traffic counters.
     pub fn stats(&self) -> &TrafficStats {
         &self.inner.total
+    }
+
+    /// The cluster's span recorder.
+    pub fn recorder(&self) -> &Arc<Recorder> {
+        &self.inner.recorder
     }
 
     fn fresh_tag(&self) -> u64 {
@@ -255,6 +266,17 @@ impl Nic {
     /// Per-host traffic counters.
     pub fn stats(&self) -> &TrafficStats {
         &self.inner.stats
+    }
+
+    /// The span recorder of this NIC's fabric.
+    pub fn recorder(&self) -> &Arc<Recorder> {
+        self.inner.fabric.recorder()
+    }
+
+    /// A fresh id from the fabric's reply-tag counter: unique among every
+    /// id handed out on this fabric.
+    pub fn fresh_tag(&self) -> u64 {
+        self.inner.fabric.fresh_tag()
     }
 
     fn record_send(&self, payload_len: usize) {

@@ -20,25 +20,19 @@ use std::sync::Arc;
 
 use faasm_kvs::{RangeWrites, SharedKv};
 use faasm_mem::SharedRegion;
-use faasm_telemetry::{Recorder, SpanKind};
+use faasm_telemetry::SpanKind;
 use parking_lot::Mutex;
 
 use crate::error::StateError;
 use crate::rwlock::SyncRwLock;
 
-/// The state tier's flight recorder, fetched once (the `tier()` registry
-/// lock must not sit on the pull/push hot path).
-fn state_recorder() -> &'static Arc<Recorder> {
-    static RECORDER: std::sync::OnceLock<Arc<Recorder>> = std::sync::OnceLock::new();
-    RECORDER.get_or_init(|| faasm_telemetry::tier("state"))
-}
-
-/// Run one global-tier round trip under its own child span. The span's
-/// context is installed as the thread-local current for the duration, so
-/// KVS requests encoded inside `f` carry it — the shard's `ShardApply`
-/// span (and any `WrongEpochRetry` park) nests under this pull/push span
-/// in the trace tree. Untraced callers pay one thread-local read.
-pub(crate) fn state_span<T>(kind: SpanKind, extra: u64, f: impl FnOnce() -> T) -> T {
+/// Run one global-tier round trip on `kv` under its own child span,
+/// recorded into `kv`'s recorder. The span's context is installed as the
+/// thread-local current for the duration, so KVS requests encoded inside
+/// `f` carry it — the shard's `ShardApply` span (and any `WrongEpochRetry`
+/// park) nests under this pull/push span in the trace tree. Untraced
+/// callers pay one thread-local read.
+pub(crate) fn state_span<T>(kv: &SharedKv, kind: SpanKind, extra: u64, f: impl FnOnce() -> T) -> T {
     let parent = faasm_telemetry::current();
     if parent.is_none() {
         return f();
@@ -49,15 +43,8 @@ pub(crate) fn state_span<T>(kind: SpanKind, extra: u64, f: impl FnOnce() -> T) -
         let _tracing = faasm_telemetry::set_current(ctx);
         f()
     };
-    state_recorder().record(faasm_telemetry::SpanRecord {
-        trace_id: ctx.trace_id,
-        span_id: ctx.span_id,
-        parent_id: parent.span_id,
-        kind,
-        start_ns,
-        end_ns: faasm_telemetry::now_ns(),
-        extra,
-    });
+    kv.recorder()
+        .close(kind, ctx, parent.span_id, start_ns, extra);
     out
 }
 
@@ -316,7 +303,7 @@ impl StateEntry {
             .map(|&(offset, len)| (offset as u64, len as u64))
             .collect();
         let pulled_bytes: u64 = wire_spans.iter().map(|&(_, len)| len).sum();
-        let fetched = state_span(SpanKind::StatePull, pulled_bytes, || {
+        let fetched = state_span(&self.kv, SpanKind::StatePull, pulled_bytes, || {
             self.kv.multi_get_range(&self.key, &wire_spans)
         })?;
         // Reconcile under the lock: a chunk that became present meanwhile
@@ -395,7 +382,7 @@ impl StateEntry {
         for &(offset, len) in ranges {
             writes.push_with(offset as u64, len, |buf| self.region.read(offset, buf))?;
         }
-        state_span(SpanKind::StatePush, bytes as u64, || {
+        state_span(&self.kv, SpanKind::StatePush, bytes as u64, || {
             self.kv.multi_set_range(&self.key, writes)
         })?;
         Ok(())
@@ -413,7 +400,7 @@ impl StateEntry {
     pub fn push_full(&self) -> Result<(), StateError> {
         let mut buf = vec![0u8; self.size];
         self.region.read(0, &mut buf)?;
-        state_span(SpanKind::StatePush, self.size as u64, || {
+        state_span(&self.kv, SpanKind::StatePush, self.size as u64, || {
             self.kv.set(&self.key, buf)
         })?;
         let _transition = self.transition.lock();
@@ -687,6 +674,9 @@ mod tests {
         }
         fn flush(&self) -> Result<(), KvError> {
             self.inner.flush()
+        }
+        fn recorder(&self) -> &Arc<faasm_telemetry::Recorder> {
+            self.inner.recorder()
         }
     }
 
@@ -984,6 +974,9 @@ mod tests {
             }
             fn flush(&self) -> Result<(), KvError> {
                 self.0.flush()
+            }
+            fn recorder(&self) -> &Arc<faasm_telemetry::Recorder> {
+                self.0.recorder()
             }
         }
         let store = Arc::new(KvStore::new());

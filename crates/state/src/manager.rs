@@ -117,7 +117,7 @@ impl StateManager {
     /// Global-tier errors.
     pub fn lock_global(&self, key: &str, mode: LockMode) -> Result<(), StateError> {
         let write = u64::from(mode == LockMode::Write);
-        Ok(state_span(SpanKind::LockWait, write, || {
+        Ok(state_span(&self.kv, SpanKind::LockWait, write, || {
             self.kv.lock(key, mode)
         })?)
     }

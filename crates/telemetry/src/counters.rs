@@ -11,7 +11,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::{HistSnapshot, SpanKind};
+use crate::{HistSnapshot, Recorder, SpanKind};
 
 /// One monotonic counter. Relaxed: a statistic publishes no other data.
 #[derive(Debug, Default)]
@@ -166,25 +166,23 @@ impl SetRow {
     }
 }
 
-/// Every stat set of one cluster plus the span histograms, read in one
-/// pass. The sets belong to the cluster they were read from; `spans` come
-/// from the process-wide recorders, so clusters sharing a process share
-/// them.
+/// Every stat set of one cluster plus its recorder's span histograms, read
+/// in one pass. Both belong to the cluster they were read from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Telemetry {
     /// One row per stat-set instance.
     pub sets: Vec<SetRow>,
-    /// `(recorder tier, span kind, histogram)` for every kind with a
-    /// sample — [`metrics_snapshot`](crate::metrics_snapshot), flattened.
-    pub spans: Vec<(&'static str, SpanKind, HistSnapshot)>,
+    /// `(span kind, histogram)` for every kind with a sample.
+    pub spans: Vec<(SpanKind, HistSnapshot)>,
 }
 
 impl Telemetry {
-    /// `sets` plus the span histograms as of now.
-    pub fn capture(sets: Vec<SetRow>) -> Telemetry {
-        let spans = crate::metrics_snapshot()
-            .into_iter()
-            .flat_map(|(tier, kinds)| kinds.into_iter().map(move |(k, h)| (tier, k, h)))
+    /// `sets` plus `recorder`'s span histograms as of now.
+    pub fn capture(sets: Vec<SetRow>, recorder: &Recorder) -> Telemetry {
+        let spans = SpanKind::ALL
+            .iter()
+            .map(|&kind| (kind, recorder.hist(kind).snapshot()))
+            .filter(|(_, h)| h.count > 0)
             .collect();
         Telemetry { sets, spans }
     }
@@ -201,11 +199,11 @@ impl Telemetry {
         self.rows(tier).map(|row| row.get(name)).sum()
     }
 
-    /// Every histogram as `(tier, name, histogram)`: the span kinds of each
-    /// recorder tier (named by [`SpanKind::as_str`]), then the stat sets'
+    /// Every histogram as `(tier, name, histogram)`: the span kinds under
+    /// tier `"span"` (named by [`SpanKind::as_str`]), then the stat sets'
     /// histogram members.
     pub fn hists(&self) -> impl Iterator<Item = (&str, &str, &HistSnapshot)> {
-        let spans = self.spans.iter().map(|(tier, k, h)| (*tier, k.as_str(), h));
+        let spans = self.spans.iter().map(|(k, h)| ("span", k.as_str(), h));
         let members = self.sets.iter().flat_map(|row| {
             let of_row = row.hists.iter();
             of_row.map(move |(name, h)| (row.tier, *name, h))
@@ -213,8 +211,8 @@ impl Telemetry {
         spans.chain(members)
     }
 
-    /// The histogram `name` of `tier` — a span kind of that recorder tier
-    /// or a member of that stat set — merged over instances.
+    /// The histogram `name` of `tier` — a span kind of tier `"span"` or a
+    /// member of that stat set — merged over instances.
     pub fn hist(&self, tier: &str, name: &str) -> HistSnapshot {
         let mut merged = HistSnapshot::default();
         for (_, _, h) in self.hists().filter(|h| (h.0, h.1) == (tier, name)) {
@@ -234,9 +232,9 @@ impl Telemetry {
                 .find(same)
                 .map_or_else(|| row.clone(), |then| row.delta(then))
         });
-        let spans = self.spans.iter().map(|&(tier, kind, now)| {
-            let then = earlier.spans.iter().find(|e| (e.0, e.1) == (tier, kind));
-            (tier, kind, then.map_or(now, |then| now.delta(&then.2)))
+        let spans = self.spans.iter().map(|&(kind, now)| {
+            let then = earlier.spans.iter().find(|e| e.0 == kind);
+            (kind, then.map_or(now, |then| now.delta(&then.1)))
         });
         Telemetry {
             sets: sets.collect(),

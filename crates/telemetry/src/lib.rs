@@ -3,22 +3,23 @@
 //! One ingress call yields a causally-linked span tree across every tier it
 //! touches: the gateway stamps a root [`TraceCtx`] on the wire, the runtime
 //! derives child contexts per stage, and the state tier reads the context
-//! straight off the KVS request header. Spans land in two sinks:
+//! straight off the KVS request header. Spans land in one [`Recorder`] per
+//! cluster, which has two sinks:
 //!
 //! * **Histograms** — per-[`SpanKind`] lock-free log2-bucket [`Hist`]s with
 //!   fixed memory (64 atomic buckets), cheap enough to stay on in benches.
-//! * **Flight recorder** — a bounded per-tier ring of recent [`SpanRecord`]s
-//!   ([`Recorder`]), dumpable on anomaly triggers and merged cluster-wide by
-//!   trace id ([`trace_tree`]).
+//! * **Flight recorder** — a bounded ring of recent [`SpanRecord`]s,
+//!   dumpable on anomaly triggers and read by trace id
+//!   ([`Recorder::trace`]).
 //!
 //! Counters are the third kind of telemetry: every stat set in the
 //! workspace is one [`counters!`] declaration, and a [`Telemetry`] snapshot
-//! carries all of a cluster's sets plus the histograms above.
+//! carries all of a cluster's sets plus its recorder's histograms.
 //!
 //! The crate sits at the bottom of the workspace dependency graph (below
-//! `faasm-kvs` and `faasm-net`) so every tier can record without new plumbing: tiers obtain
-//! their recorder from the process-global registry ([`tier`]) and worker
-//! threads publish the active context through a thread-local
+//! `faasm-kvs` and `faasm-net`). The cluster's fabric owns its recorder,
+//! and every layer reaches it through the NIC or state backend it already
+//! holds. Worker threads publish the active context through a thread-local
 //! ([`set_current`] / [`current`]) so deep layers (state chunks, the KVS
 //! client) can stamp requests without signature churn.
 
@@ -28,10 +29,10 @@ pub use counters::{Counter, SetRow, Telemetry};
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 // ---------------------------------------------------------------------------
 // Trace context
@@ -464,12 +465,14 @@ impl HistSnapshot {
 // Flight recorder
 // ---------------------------------------------------------------------------
 
-/// Spans kept in a tier's flight-recorder ring.
+/// Spans kept in a recorder's flight-recorder ring.
 const RING_CAP: usize = 65_536;
 /// Spans captured per anomaly dump (the tail of the ring at trigger time).
 const ANOMALY_TAIL: usize = 256;
-/// Anomaly dumps retained per tier.
-const ANOMALY_CAP: usize = 16;
+/// Anomaly dumps retained per recorder: 16 for each of the six layers that
+/// record spans, so a burst of admission-cap shrinks cannot evict a
+/// reshard's dump.
+const ANOMALY_CAP: usize = 6 * 16;
 
 /// One anomaly-triggered flight-recorder dump.
 #[derive(Debug, Clone)]
@@ -482,11 +485,11 @@ pub struct Anomaly {
     pub spans: Vec<SpanRecord>,
 }
 
-/// A per-tier telemetry sink: per-kind histograms (always cheap) plus a
-/// bounded ring of recent spans (the flight recorder).
-#[derive(Debug)]
+/// A cluster's telemetry sink: per-kind histograms (always cheap) plus a
+/// bounded ring of recent spans (the flight recorder). Each [`SpanKind`]
+/// names the layer that records it, so one recorder serves every layer.
+#[derive(Debug, Default)]
 pub struct Recorder {
-    tier: &'static str,
     hists: [Hist; SPAN_KINDS],
     ring: Mutex<VecDeque<SpanRecord>>,
     anomalies: Mutex<VecDeque<Anomaly>>,
@@ -494,19 +497,9 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    fn new(tier: &'static str) -> Recorder {
-        Recorder {
-            tier,
-            hists: std::array::from_fn(|_| Hist::new()),
-            ring: Mutex::new(VecDeque::with_capacity(1024)),
-            anomalies: Mutex::new(VecDeque::new()),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// The tier name this recorder was registered under.
-    pub fn tier(&self) -> &'static str {
-        self.tier
+    /// An empty recorder.
+    pub fn new() -> Recorder {
+        Recorder::default()
     }
 
     /// Record a completed span: duration into the kind's histogram, the
@@ -528,22 +521,27 @@ impl Recorder {
         ring.push_back(span);
     }
 
-    /// Convenience: record a span that started at `start_ns` and ends now,
-    /// parented under `ctx` with a fresh span id. Returns the span id (the
-    /// caller may have published it to children beforehand via
-    /// [`TraceCtx::child`] — then use [`record`](Self::record) directly).
+    /// Record a span that started at `start_ns` and ends now, parented
+    /// under `ctx` with a fresh span id, and return that id.
     pub fn span(&self, kind: SpanKind, ctx: TraceCtx, start_ns: u64, extra: u64) -> u64 {
         let child = ctx.child();
+        self.close(kind, child, ctx.span_id, start_ns, extra);
+        child.span_id
+    }
+
+    /// Record the span `ctx` from `start_ns` to now, parented under
+    /// `parent_id`: for a span whose id ([`TraceCtx::child`]) its children
+    /// carried before it ended.
+    pub fn close(&self, kind: SpanKind, ctx: TraceCtx, parent_id: u64, start_ns: u64, extra: u64) {
         self.record(SpanRecord {
             trace_id: ctx.trace_id,
-            span_id: child.span_id,
-            parent_id: ctx.span_id,
+            span_id: ctx.span_id,
+            parent_id,
             kind,
             start_ns,
             end_ns: now_ns(),
             extra,
         });
-        child.span_id
     }
 
     /// The kind's histogram (live; snapshot for coherent reads).
@@ -554,6 +552,16 @@ impl Recorder {
     /// Copy of the current span ring, oldest first.
     pub fn dump(&self) -> Vec<SpanRecord> {
         self.ring.lock().iter().copied().collect()
+    }
+
+    /// The ring's spans of `trace_id`, sorted by start time — one call's
+    /// causally-linked span tree.
+    pub fn trace(&self, trace_id: u64) -> Vec<SpanRecord> {
+        let of_trace = |s: &&SpanRecord| s.trace_id == trace_id;
+        let mut spans: Vec<SpanRecord> =
+            self.ring.lock().iter().filter(of_trace).copied().collect();
+        spans.sort_by_key(|s| (s.start_ns, s.span_id));
+        spans
     }
 
     /// Spans evicted from the ring since startup.
@@ -594,68 +602,37 @@ impl Recorder {
 }
 
 // ---------------------------------------------------------------------------
-// Process-global tier registry
+// Benchmark-only process-wide readers (deleted with ROADMAP item 1(e))
 // ---------------------------------------------------------------------------
 
-fn registry() -> &'static RwLock<Vec<Arc<Recorder>>> {
-    static REGISTRY: OnceLock<RwLock<Vec<Arc<Recorder>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| RwLock::new(Vec::new()))
+/// Every live cluster's recorder, for [`metrics_snapshot`] alone.
+static REGISTRY: Mutex<Vec<Weak<Recorder>>> = Mutex::new(Vec::new());
+
+/// List a cluster's recorder for [`metrics_snapshot`]; entries whose
+/// cluster is gone are pruned on the way.
+pub fn register(recorder: &Arc<Recorder>) {
+    let mut reg = REGISTRY.lock();
+    reg.retain(|r| r.strong_count() > 0);
+    reg.push(Arc::downgrade(recorder));
 }
 
-/// The named tier's recorder, created and registered on first use. Tier
-/// names are static so tiers can call this from hot paths without
-/// allocating; repeated calls return the same recorder.
-pub fn tier(name: &'static str) -> Arc<Recorder> {
-    {
-        let reg = registry().read();
-        if let Some(r) = reg.iter().find(|r| r.tier == name) {
-            return Arc::clone(r);
-        }
-    }
-    let mut reg = registry().write();
-    if let Some(r) = reg.iter().find(|r| r.tier == name) {
-        return Arc::clone(r);
-    }
-    let r = Arc::new(Recorder::new(name));
-    reg.push(Arc::clone(&r));
-    r
+/// A fresh recorder that no cluster reads; the name is ignored.
+pub fn tier(_name: &'static str) -> Arc<Recorder> {
+    Arc::new(Recorder::new())
 }
 
-/// All registered tier recorders.
-pub fn tiers() -> Vec<Arc<Recorder>> {
-    registry().read().iter().map(Arc::clone).collect()
-}
-
-/// Merge every tier's flight recorder and return the spans belonging to
-/// `trace_id`, tagged with their tier and sorted by start time — one call's
-/// causally-linked span tree.
-pub fn trace_tree(trace_id: u64) -> Vec<(&'static str, SpanRecord)> {
-    let mut spans: Vec<(&'static str, SpanRecord)> = Vec::new();
-    for rec in tiers() {
-        for span in rec.dump() {
-            if span.trace_id == trace_id {
-                spans.push((rec.tier(), span));
-            }
-        }
-    }
-    spans.sort_by_key(|(_, s)| (s.start_ns, s.span_id));
-    spans
-}
-
-/// A coherent process-wide metrics view: per-tier, per-kind histogram
-/// snapshots taken in one pass.
+/// Every live cluster's span histograms merged into one entry: by kind,
+/// for each kind with a sample.
 pub fn metrics_snapshot() -> Vec<(&'static str, Vec<(SpanKind, HistSnapshot)>)> {
-    tiers()
-        .iter()
-        .map(|rec| {
-            let kinds = SpanKind::ALL
-                .iter()
-                .map(|&k| (k, rec.hist(k).snapshot()))
-                .filter(|(_, s)| s.count > 0)
-                .collect();
-            (rec.tier(), kinds)
-        })
-        .collect()
+    let live: Vec<Arc<Recorder>> = REGISTRY.lock().iter().filter_map(Weak::upgrade).collect();
+    let merged = |kind| {
+        let mut hist = HistSnapshot::default();
+        live.iter()
+            .for_each(|rec| hist.merge(&rec.hist(kind).snapshot()));
+        (kind, hist)
+    };
+    let kinds = SpanKind::ALL.iter().map(|&kind| merged(kind));
+    vec![("cluster", kinds.filter(|(_, h)| h.count > 0).collect())]
 }
 
 #[cfg(test)]
@@ -755,7 +732,7 @@ mod tests {
     #[test]
     fn recorder_ring_is_bounded() {
         let _recording = RECORDING.lock();
-        let rec = Recorder::new("test-bounded");
+        let rec = Recorder::new();
         let ctx = TraceCtx::new_root();
         for i in 0..(RING_CAP + 100) {
             rec.record(SpanRecord {
@@ -777,28 +754,33 @@ mod tests {
     }
 
     #[test]
-    fn trace_tree_merges_across_tiers() {
+    fn trace_returns_only_that_traces_spans_in_start_order() {
         let _recording = RECORDING.lock();
-        let a = tier("test-tier-a");
-        let b = tier("test-tier-b");
-        let root = TraceCtx::new_root();
-        let id_a = a.span(SpanKind::Admission, root, now_ns(), 0);
-        let child = TraceCtx {
-            trace_id: root.trace_id,
-            span_id: id_a,
+        let rec = Recorder::new();
+        let (root, other) = (TraceCtx::new_root(), TraceCtx::new_root());
+        let span = |ctx: TraceCtx, kind, start_ns| SpanRecord {
+            trace_id: ctx.trace_id,
+            span_id: ctx.child().span_id,
+            parent_id: ctx.span_id,
+            kind,
+            start_ns,
+            end_ns: start_ns + 1,
+            extra: 0,
         };
-        b.span(SpanKind::StatePull, child, now_ns(), 0);
-        let tree = trace_tree(root.trace_id);
-        assert_eq!(tree.len(), 2);
-        assert!(tree.iter().all(|(_, s)| s.trace_id == root.trace_id));
-        assert!(tree.iter().any(|(t, _)| *t == "test-tier-a"));
-        assert!(tree.iter().any(|(t, _)| *t == "test-tier-b"));
+        rec.record(span(root, SpanKind::StatePull, 30));
+        rec.record(span(other, SpanKind::Dispatch, 20));
+        rec.record(span(root, SpanKind::Admission, 10));
+        let tree = rec.trace(root.trace_id);
+        let kinds: Vec<SpanKind> = tree.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, [SpanKind::Admission, SpanKind::StatePull]);
+        assert!(tree.iter().all(|s| s.trace_id == root.trace_id));
+        assert!(rec.trace(TraceCtx::new_root().trace_id).is_empty());
     }
 
     #[test]
     fn disabled_recording_is_dropped() {
         let _recording = RECORDING.lock();
-        let rec = tier("test-tier-disabled");
+        let rec = Recorder::new();
         set_enabled(false);
         rec.span(SpanKind::Dispatch, TraceCtx::new_root(), now_ns(), 0);
         set_enabled(true);
@@ -809,7 +791,7 @@ mod tests {
     #[test]
     fn anomalies_capture_ring_tail() {
         let _recording = RECORDING.lock();
-        let rec = tier("test-tier-anomaly");
+        let rec = Recorder::new();
         let ctx = TraceCtx::new_root();
         rec.span(SpanKind::QueueSojourn, ctx, now_ns(), 0);
         rec.note_anomaly("unit trigger");

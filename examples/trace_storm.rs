@@ -4,11 +4,11 @@
 //! A state-touching function is stormed through the gateway while a state
 //! shard joins; then one traced exhibit call races a second live reshard so
 //! its state round trip can park on `WrongEpoch` and retry. The run prints
-//! that call's span tree (every tier, causally linked), the cluster-wide
-//! per-tier span histograms and counters, and the flight recorder's
-//! anomaly dumps, then asserts the tree is non-empty, complete and
-//! causally ordered and that the reshard left a dump — this doubles as the
-//! CI smoke test for the telemetry tier.
+//! that call's span tree (every tier, causally linked), the cluster's span
+//! histograms and counters, and its flight recorder's anomaly dumps, then
+//! asserts the tree is non-empty, complete and causally ordered and that
+//! the reshard left a dump — this doubles as the CI smoke test for the
+//! telemetry tier.
 //!
 //! ```sh
 //! cargo run --release --example trace_storm
@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use faasm::core::{NativeApi, NativeGuest};
 use faasm::gateway::{Gateway, GatewayConfig, GatewayStatus};
-use faasm::telemetry::{SpanKind, SpanRecord, Telemetry};
+use faasm::telemetry::{Recorder, SpanKind, SpanRecord, Telemetry};
 use faasm::{Cluster, ClusterConfig};
 
 const STORM_CALLS: usize = 256;
@@ -52,18 +52,17 @@ fn fmt_ns(ns: u64) -> String {
 
 /// Append `parent`'s children (in start order) and their subtrees.
 fn render_children(
-    spans: &[(&'static str, SpanRecord)],
+    spans: &[SpanRecord],
     parent: u64,
     origin_ns: u64,
     depth: usize,
     out: &mut String,
 ) {
-    for (tier, span) in spans.iter().filter(|(_, s)| s.parent_id == parent) {
+    for span in spans.iter().filter(|s| s.parent_id == parent) {
         out.push_str(&format!(
-            "{}{:<18} {:<12} +{:<10} dur {:<10} span {:016x}{}\n",
+            "{}{:<18} +{:<10} dur {:<10} span {:016x}{}\n",
             "  ".repeat(depth),
             span.kind.as_str(),
-            format!("[{tier}]"),
             fmt_ns(span.start_ns.saturating_sub(origin_ns)),
             fmt_ns(span.duration_ns()),
             span.span_id,
@@ -77,14 +76,14 @@ fn render_children(
     }
 }
 
-/// One trace's spans as a tree: kind, owning tier, start offset from the
-/// trace's first span, duration and span id per line. A span whose parent
-/// was not recorded (the ingress root context has no span) is a root.
-fn render_trace_tree(trace_id: u64) -> String {
-    let mut spans = faasm::telemetry::trace_tree(trace_id);
-    let origin_ns = spans.iter().map(|(_, s)| s.start_ns).min().unwrap_or(0);
-    let ids: Vec<u64> = spans.iter().map(|(_, s)| s.span_id).collect();
-    for (_, span) in &mut spans {
+/// One trace's spans as a tree: kind, start offset from the trace's first
+/// span, duration and span id per line. A span whose parent was not
+/// recorded (the ingress root context has no span) is a root.
+fn render_trace_tree(recorder: &Recorder, trace_id: u64) -> String {
+    let mut spans = recorder.trace(trace_id);
+    let origin_ns = spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
+    let ids: Vec<u64> = spans.iter().map(|s| s.span_id).collect();
+    for span in &mut spans {
         if !ids.contains(&span.parent_id) {
             span.parent_id = 0;
         }
@@ -130,6 +129,7 @@ fn main() {
     }));
     cluster.register_native("storm", "bump", bump_guest(), false);
     let gw = Gateway::start(Arc::clone(&cluster), GatewayConfig::default());
+    let recorder = Arc::clone(cluster.fabric().recorder());
 
     // Background storm with a live shard join in the middle, so the
     // histograms have real queueing, batching and migration in them.
@@ -160,9 +160,10 @@ fn main() {
         let done = resharder.is_finished();
         let (resp, tid) = gw.call_traced("storm", "bump", vec![7]);
         assert_eq!(resp.status, GatewayStatus::Ok, "exhibit call failed");
-        let retried = faasm::telemetry::trace_tree(tid)
+        let retried = recorder
+            .trace(tid)
             .iter()
-            .any(|(_, s)| s.kind == SpanKind::WrongEpochRetry);
+            .any(|s| s.kind == SpanKind::WrongEpochRetry);
         if retried || done {
             break tid;
         }
@@ -170,23 +171,16 @@ fn main() {
     resharder.join().expect("resharder thread");
 
     println!("\n== one call, admission to state and back ==");
-    print!("{}", render_trace_tree(trace_id));
+    print!("{}", render_trace_tree(&recorder, trace_id));
 
-    println!("\n== cluster-wide histograms and counters ==");
+    println!("\n== the cluster's histograms and counters ==");
     print_metrics_table(&gw.telemetry());
 
     println!("\n== flight-recorder dumps, one per anomaly trigger ==");
     let mut reasons = Vec::new();
-    for rec in faasm::telemetry::tiers() {
-        for dump in rec.anomalies() {
-            println!(
-                "  [{}] {} ({} spans)",
-                rec.tier(),
-                dump.reason,
-                dump.spans.len()
-            );
-            reasons.push(dump.reason);
-        }
+    for dump in recorder.anomalies() {
+        println!("  {} ({} spans)", dump.reason, dump.spans.len());
+        reasons.push(dump.reason);
     }
     assert!(
         reasons.iter().any(|r| r == "reshard grow commit"),
@@ -195,13 +189,13 @@ fn main() {
 
     // Smoke assertions: the tree is non-empty, covers every tier of the
     // pipeline, and is causally ordered.
-    let spans = faasm::telemetry::trace_tree(trace_id);
+    let spans = recorder.trace(trace_id);
     assert!(!spans.is_empty(), "exhibit trace recorded no spans");
-    for (tier, s) in &spans {
-        assert_eq!(s.trace_id, trace_id, "[{tier}] span from another trace");
-        assert!(s.start_ns <= s.end_ns, "[{tier}] span runs backwards");
+    for s in &spans {
+        assert_eq!(s.trace_id, trace_id, "{:?} span from another trace", s.kind);
+        assert!(s.start_ns <= s.end_ns, "{:?} span runs backwards", s.kind);
     }
-    let kinds: Vec<SpanKind> = spans.iter().map(|(_, s)| s.kind).collect();
+    let kinds: Vec<SpanKind> = spans.iter().map(|s| s.kind).collect();
     for kind in [
         SpanKind::Admission,
         SpanKind::Dispatch,
@@ -214,8 +208,8 @@ fn main() {
     let start_of = |kind: SpanKind| {
         spans
             .iter()
-            .filter(|(_, s)| s.kind == kind)
-            .map(|(_, s)| s.start_ns)
+            .filter(|s| s.kind == kind)
+            .map(|s| s.start_ns)
             .min()
             .unwrap()
     };

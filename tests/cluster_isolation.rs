@@ -78,13 +78,9 @@ fn two_clusters_chain_concurrently_without_seeing_each_other() {
 fn two_clusters_driven_concurrently_count_only_their_own_work() {
     // Each cluster is driven with its own number of chained calls and
     // driver-side state writes while the other runs, and must then report,
-    // through `Cluster::telemetry()`, exactly its own. A counter shared
-    // between the clusters would show the sum on both sides.
-    //
-    // Only the counter rows are compared: the span histograms in the same
-    // snapshot come from the process-wide recorders (one "worker" recorder
-    // for every cluster in the process), so each cluster sees both
-    // clusters' spans there until the recorders are handed down per cluster.
+    // through `Cluster::telemetry()`, exactly its own. A counter or span
+    // recorder shared between the clusters would show the sum on both
+    // sides.
     let barrier = Arc::new(Barrier::new(2));
     let threads: Vec<_> = [("left", 30u64, 7u64), ("right", 50, 13)]
         .into_iter()
@@ -124,16 +120,29 @@ fn two_clusters_driven_concurrently_count_only_their_own_work() {
                 }
                 barrier.wait();
                 let own = cluster.telemetry().delta(&before);
+                // The trace of this cluster's last call, kept with the
+                // recorder it landed in for the cross-check after join.
+                let recorder = Arc::clone(cluster.fabric().recorder());
+                let traced = recorder.dump().last().map_or(0, |s| s.trace_id);
                 // Neither is torn down while the other still reads. (The
                 // verdict is left to the joining thread: an assertion
                 // failing here would strand the other side at the barrier.)
                 barrier.wait();
-                (user, warmed, failed, calls, writes, msgs, own)
+                (
+                    user, warmed, failed, calls, writes, msgs, own, recorder, traced,
+                )
             })
         })
         .collect();
-    for t in threads {
-        let (user, warmed, failed, calls, writes, msgs, own) = t.join().expect("cluster thread");
+    let results: Vec<_> = threads
+        .into_iter()
+        .map(|t| t.join().expect("cluster thread"))
+        .collect();
+    let recorders: Vec<_> = results.iter().map(|r| Arc::clone(&r.7)).collect();
+    for (i, (user, warmed, failed, calls, writes, msgs, own, recorder, traced)) in
+        results.into_iter().enumerate()
+    {
+        let other = &recorders[1 - i];
         assert_eq!((warmed, failed), (CallStatus::Success, 0), "{user}");
         // A parent and the child it chains, each on a warm Faaslet.
         assert_eq!(own.get("worker", "calls"), 2 * calls, "{user}");
@@ -144,6 +153,11 @@ fn two_clusters_driven_concurrently_count_only_their_own_work() {
         assert_eq!(own.get("state-shard", "reads"), 0, "{user}");
         assert_eq!(own.get("state-shard", "lock_ops"), 0, "{user}");
         assert_eq!(own.get("fabric", "msgs_sent"), msgs, "{user}");
+        // Every front-door call is traced and its child inherits the trace:
+        // two worker-exec spans per chained call, in this cluster only.
+        assert_eq!(own.hist("span", "worker_exec").count, 2 * calls, "{user}");
+        assert!(!recorder.trace(traced).is_empty(), "{user}");
+        assert!(other.trace(traced).is_empty(), "{user}'s trace leaked");
     }
 }
 

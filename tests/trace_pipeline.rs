@@ -40,17 +40,17 @@ fn traced_call_leaves_linked_span_tree_across_tiers() {
     assert_eq!(resp.status, GatewayStatus::Ok, "traced call failed");
     assert_ne!(trace_id, 0, "traced call minted no trace id");
 
-    let spans = faasm::telemetry::trace_tree(trace_id);
+    let spans = cluster.fabric().recorder().trace(trace_id);
     assert!(!spans.is_empty(), "traced call recorded no spans");
 
     // Every span belongs to this trace, has an id, and its clock is
     // monotone (start never after end).
-    for (tier, s) in &spans {
-        assert_eq!(s.trace_id, trace_id, "[{tier}] span from another trace");
-        assert_ne!(s.span_id, 0, "[{tier}] span without an id");
+    for s in &spans {
+        assert_eq!(s.trace_id, trace_id, "{:?} span from another trace", s.kind);
+        assert_ne!(s.span_id, 0, "{:?} span without an id", s.kind);
         assert!(
             s.start_ns <= s.end_ns,
-            "[{tier}] {:?} span runs backwards: {} > {}",
+            "{:?} span runs backwards: {} > {}",
             s.kind,
             s.start_ns,
             s.end_ns
@@ -59,7 +59,7 @@ fn traced_call_leaves_linked_span_tree_across_tiers() {
 
     // The whole pipeline is covered: ingress, queueing, dispatch, bus,
     // execution, and the state round trip down to the shard server.
-    let kinds: Vec<SpanKind> = spans.iter().map(|(_, s)| s.kind).collect();
+    let kinds: Vec<SpanKind> = spans.iter().map(|s| s.kind).collect();
     for kind in [
         SpanKind::Admission,
         SpanKind::QueueSojourn,
@@ -75,13 +75,13 @@ fn traced_call_leaves_linked_span_tree_across_tiers() {
     // Parentage is consistent: spans whose parent was recorded start no
     // earlier than that parent, and spans whose parent was NOT recorded
     // all hang off the single ingress root context.
-    let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|(_, s)| (s.span_id, s)).collect();
+    let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.span_id, s)).collect();
     let mut root_parents: Vec<u64> = Vec::new();
-    for (tier, s) in &spans {
+    for s in &spans {
         match by_id.get(&s.parent_id) {
             Some(parent) => assert!(
                 parent.start_ns <= s.start_ns,
-                "[{tier}] {:?} starts before its parent {:?}",
+                "{:?} starts before its parent {:?}",
                 s.kind,
                 parent.kind
             ),
@@ -102,7 +102,6 @@ fn traced_call_leaves_linked_span_tree_across_tiers() {
     let first = |kind: SpanKind| -> &SpanRecord {
         spans
             .iter()
-            .map(|(_, s)| s)
             .filter(|s| s.kind == kind)
             .min_by_key(|s| s.start_ns)
             .unwrap()
