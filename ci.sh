@@ -234,6 +234,17 @@ gates=(
     'crates@outside_span_registry src@whole tests@whole examples@whole'
     'a process-wide span reader is called; read the cluster'"'"'s recorder (Recorder::trace, Cluster::telemetry)'
 
+    # One reply mechanism: a call's reply rides its request's own channel.
+    # The fabric keeps no reply table and no partition switch; partitions
+    # belong in a seeded fault schedule, not in the message path.
+    'partition_host|heal_host|partition_server|heal_server|is_cut\(|route_response|reply_tag'
+    'crates@whole src@whole tests@whole examples@whole'
+    'a reply-tag table or the fabric partition switch is back; Nic::respond answers on the channel the request carries (Envelope::wants_reply)'
+
+    'static NEXT_CONN'
+    'crates/net/src@whole'
+    'a process-global stream connection id is back; StreamConn::open takes Nic::fresh_tag from its fabric'
+
     'SharingQueue'
     'crates@whole'
     'the unused bounded sharing queue is back; a chained call placed on a peer rides the bus into its run queue'

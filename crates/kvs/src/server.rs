@@ -349,8 +349,8 @@ fn serve_one(store: &KvStore, routing: &ShardRouting, nic: &Nic, forwards: bool,
         Ok((req, epoch, trace)) => apply_traced(store, routing, nic, forwards, req, epoch, trace),
         Err(e) => Response::Err(e.to_string()),
     };
-    // One-way requests (fire-and-forget writes) carry no reply tag.
-    if env.reply_tag.is_some() {
+    // One-way requests (fire-and-forget writes) want no reply.
+    if env.wants_reply() {
         let _ = nic.respond(&env, encode_response(&resp));
     }
 }

@@ -1,10 +1,10 @@
 //! Deterministic fault injection and a wire-free backend for the state tier.
 //!
-//! Tests and benches use these helpers to kill or partition a shard server
-//! mid-workload and then assert the replication invariants (no acked write
-//! lost, locks intact after promotion, bounded blackout). They are plain
-//! library code — nothing here is test-gated — so the failover example and
-//! the bench harness can drive the same faults the integration tests do.
+//! Tests and examples use these helpers to kill a shard server mid-workload
+//! and then assert the replication invariants (no acked write lost, locks
+//! intact after promotion, bounded blackout). They are plain library code —
+//! nothing here is test-gated — so the failover example can drive the same
+//! faults the integration tests do.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -102,30 +102,14 @@ impl KvBackend for LocalKv {
 }
 
 /// Kill a shard server abruptly: every fabric host it answers on (main and
-/// replica NIC) is removed *before* the workers stop, so in-flight callers
-/// observe the same `UnknownHost`/timeout errors a crashed machine would
-/// produce, and nothing in the routing table is updated — detection is the
-/// liveness monitor's (or the test's) job.
+/// replica NIC) is removed *before* the workers stop, so new callers get
+/// `UnknownHost`, a call still queued when the workers stop fails at once
+/// with `Disconnected` (its request is dropped unanswered), and nothing in
+/// the routing table is updated — detection is the liveness monitor's (or
+/// the test's) job.
 pub fn crash_server(fabric: &Fabric, server: KvServer) {
     for id in server.host_ids() {
         fabric.remove_host(id);
     }
     server.shutdown();
-}
-
-/// Partition a shard server from the fabric without stopping it: frames to
-/// and from its hosts are silently dropped, so callers time out rather
-/// than error — the indistinguishable-from-slow failure mode. Undo with
-/// [`heal_server`].
-pub fn partition_server(fabric: &Fabric, server: &KvServer) {
-    for id in server.host_ids() {
-        fabric.partition_host(id);
-    }
-}
-
-/// Heal a partition created by [`partition_server`].
-pub fn heal_server(fabric: &Fabric, server: &KvServer) {
-    for id in server.host_ids() {
-        fabric.heal_host(id);
-    }
 }

@@ -5,12 +5,12 @@
 //! in-process channels while being counted by [`TrafficStats`] and subject
 //! to token-bucket shaping, so byte metrics are *measured*, not modelled.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use faasm_telemetry::Recorder;
 use parking_lot::Mutex;
 
@@ -54,29 +54,37 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// An incoming message.
+/// An incoming message. A request sent by [`Nic::call`] carries its
+/// caller's reply channel: [`Nic::respond`] answers on it, and dropping the
+/// envelope unanswered fails the caller at once with
+/// [`NetError::Disconnected`].
 #[derive(Debug)]
 pub struct Envelope {
     /// Sender host.
     pub src: HostId,
-    /// Correlation tag; present when the sender awaits a reply.
-    pub reply_tag: Option<u64>,
     /// The payload bytes.
     pub payload: Vec<u8>,
+    reply: Option<Sender<Vec<u8>>>,
+}
+
+impl Envelope {
+    /// Whether the sender awaits a reply (a [`Nic::call`], not a
+    /// [`Nic::send`]).
+    pub fn wants_reply(&self) -> bool {
+        self.reply.is_some()
+    }
 }
 
 struct HostPort {
     req_tx: Sender<Envelope>,
-    pending: Arc<Mutex<HashMap<u64, Sender<Vec<u8>>>>>,
     stats: Arc<TrafficStats>,
 }
 
 struct FabricInner {
     hosts: Mutex<HashMap<HostId, HostPort>>,
-    partitioned: Mutex<HashSet<HostId>>,
     total: TrafficStats,
     next_host: AtomicU64,
-    next_tag: AtomicU64,
+    next_id: AtomicU64,
     recorder: Arc<Recorder>,
 }
 
@@ -110,10 +118,9 @@ impl Fabric {
         Fabric {
             inner: Arc::new(FabricInner {
                 hosts: Mutex::new(HashMap::new()),
-                partitioned: Mutex::new(HashSet::new()),
                 total: TrafficStats::new(),
                 next_host: AtomicU64::new(0),
-                next_tag: AtomicU64::new(1),
+                next_id: AtomicU64::new(1),
                 recorder,
             }),
         }
@@ -124,12 +131,10 @@ impl Fabric {
         let id = HostId(self.inner.next_host.fetch_add(1, Ordering::Relaxed) as u32);
         let (req_tx, req_rx) = unbounded();
         let stats = Arc::new(TrafficStats::new());
-        let pending = Arc::new(Mutex::new(HashMap::new()));
         self.inner.hosts.lock().insert(
             id,
             HostPort {
                 req_tx,
-                pending: Arc::clone(&pending),
                 stats: Arc::clone(&stats),
             },
         );
@@ -138,38 +143,16 @@ impl Fabric {
                 id,
                 fabric: self.clone(),
                 req_rx,
-                pending,
                 stats,
             }),
         }
     }
 
-    /// Remove a host (simulating failure); in-flight sends to it error with
-    /// [`NetError::UnknownHost`] or [`NetError::Disconnected`].
+    /// Remove a host (simulating failure): later sends to it error with
+    /// [`NetError::UnknownHost`], and a call still queued there fails with
+    /// [`NetError::Disconnected`] once the host's last [`Nic`] is dropped.
     pub fn remove_host(&self, id: HostId) {
         self.inner.hosts.lock().remove(&id);
-        self.inner.partitioned.lock().remove(&id);
-    }
-
-    /// Cut a host off the fabric without removing it: traffic to or from it
-    /// is silently dropped, so senders see [`NetError::Timeout`] rather than
-    /// a routing error — a network partition, not a crash. Undo with
-    /// [`Fabric::heal_host`].
-    pub fn partition_host(&self, id: HostId) {
-        self.inner.partitioned.lock().insert(id);
-    }
-
-    /// Reconnect a host cut off by [`Fabric::partition_host`].
-    pub fn heal_host(&self, id: HostId) {
-        self.inner.partitioned.lock().remove(&id);
-    }
-
-    fn is_cut(&self, a: HostId, b: HostId) -> bool {
-        let p = self.inner.partitioned.lock();
-        if p.is_empty() {
-            return false;
-        }
-        p.contains(&a) || p.contains(&b)
     }
 
     /// Number of registered hosts.
@@ -187,20 +170,11 @@ impl Fabric {
         &self.inner.recorder
     }
 
-    fn fresh_tag(&self) -> u64 {
-        self.inner.next_tag.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Deliver a request to `dst`. Byte counters are touched only after
     /// delivery succeeds: a send to an unknown or removed host moved
     /// nothing across the fabric, and counting it would break the
     /// "measured, not modelled" invariant.
     fn route_request(&self, env: Envelope, dst: HostId) -> Result<(), NetError> {
-        if self.is_cut(env.src, dst) {
-            // Partitioned link: the frame vanishes in transit. The sender
-            // sees a timeout (its bytes did leave the host), never an error.
-            return Ok(());
-        }
         let bytes = env.payload.len() as u64 + MSG_HEADER_BYTES;
         let hosts = self.inner.hosts.lock();
         let port = hosts.get(&dst).ok_or(NetError::UnknownHost(dst))?;
@@ -209,24 +183,12 @@ impl Fabric {
         self.inner.total.record_recv(bytes);
         Ok(())
     }
+}
 
-    fn route_response(&self, dst: HostId, tag: u64, payload: Vec<u8>) -> Result<(), NetError> {
-        if self.inner.partitioned.lock().contains(&dst) {
-            // The responder's bytes are lost in transit; the caller times out.
-            return Ok(());
-        }
-        let bytes = payload.len() as u64 + MSG_HEADER_BYTES;
-        let hosts = self.inner.hosts.lock();
-        let port = hosts.get(&dst).ok_or(NetError::UnknownHost(dst))?;
-        let tx = port
-            .pending
-            .lock()
-            .remove(&tag)
-            .ok_or(NetError::Disconnected)?;
-        tx.send(payload).map_err(|_| NetError::Disconnected)?;
-        port.stats.record_recv(bytes);
-        self.inner.total.record_recv(bytes);
-        Ok(())
+fn net_error(e: RecvTimeoutError) -> NetError {
+    match e {
+        RecvTimeoutError::Timeout => NetError::Timeout,
+        RecvTimeoutError::Disconnected => NetError::Disconnected,
     }
 }
 
@@ -234,15 +196,14 @@ struct NicInner {
     id: HostId,
     fabric: Fabric,
     req_rx: Receiver<Envelope>,
-    pending: Arc<Mutex<HashMap<u64, Sender<Vec<u8>>>>>,
     stats: Arc<TrafficStats>,
 }
 
 /// A host's network interface.
 ///
 /// Cloneable; clones share the same queues and counters. Request/response
-/// correlation is built in: [`Nic::call`] blocks for the matching
-/// [`Nic::respond`] from the server side.
+/// correlation is built in: [`Nic::call`] blocks for the [`Nic::respond`]
+/// to its own request, which carries the reply channel.
 #[derive(Clone)]
 pub struct Nic {
     inner: Arc<NicInner>,
@@ -273,16 +234,26 @@ impl Nic {
         self.inner.fabric.recorder()
     }
 
-    /// A fresh id from the fabric's reply-tag counter: unique among every
-    /// id handed out on this fabric.
+    /// A fresh id from the fabric's counter: unique among every id handed
+    /// out on this fabric.
     pub fn fresh_tag(&self) -> u64 {
-        self.inner.fabric.fresh_tag()
+        self.inner
+            .fabric
+            .inner
+            .next_id
+            .fetch_add(1, Ordering::Relaxed)
     }
 
     fn record_send(&self, payload_len: usize) {
         let bytes = payload_len as u64 + MSG_HEADER_BYTES;
         self.inner.stats.record_send(bytes);
         self.inner.fabric.inner.total.record_send(bytes);
+    }
+
+    fn record_recv(&self, payload_len: usize) {
+        let bytes = payload_len as u64 + MSG_HEADER_BYTES;
+        self.inner.stats.record_recv(bytes);
+        self.inner.fabric.inner.total.record_recv(bytes);
     }
 
     /// Send a one-way message (no reply expected).
@@ -296,8 +267,8 @@ impl Nic {
         self.inner.fabric.route_request(
             Envelope {
                 src: self.inner.id,
-                reply_tag: None,
                 payload,
+                reply: None,
             },
             dst,
         )?;
@@ -309,8 +280,9 @@ impl Nic {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Timeout`] after [`DEFAULT_RPC_TIMEOUT`], or a
-    /// routing error.
+    /// Returns [`NetError::Timeout`] after [`DEFAULT_RPC_TIMEOUT`],
+    /// [`NetError::Disconnected`] at once if the request is dropped
+    /// unanswered, or a routing error.
     pub fn call(&self, dst: HostId, payload: Vec<u8>) -> Result<Vec<u8>, NetError> {
         self.call_timeout(dst, payload, DEFAULT_RPC_TIMEOUT)
     }
@@ -339,32 +311,25 @@ impl Nic {
         payload: Vec<u8>,
         timeout: Duration,
     ) -> (Result<Vec<u8>, NetError>, bool) {
-        let tag = self.inner.fabric.fresh_tag();
         let (tx, rx) = bounded(1);
-        self.inner.pending.lock().insert(tag, tx);
         let len = payload.len();
         let routed = self.inner.fabric.route_request(
             Envelope {
                 src: self.inner.id,
-                reply_tag: Some(tag),
                 payload,
+                reply: Some(tx),
             },
             dst,
         );
         if let Err(e) = routed {
-            self.inner.pending.lock().remove(&tag);
             return (Err(e), false);
         }
         // Counted only now: a request bounced by routing never left the host.
         self.record_send(len);
-        let result = match rx.recv_timeout(timeout) {
-            Ok(resp) => Ok(resp),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                self.inner.pending.lock().remove(&tag);
-                Err(NetError::Timeout)
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
-        };
+        let result = rx.recv_timeout(timeout).map_err(net_error);
+        if let Ok(resp) = &result {
+            self.record_recv(resp.len());
+        }
         (result, true)
     }
 
@@ -383,13 +348,7 @@ impl Nic {
     ///
     /// Returns [`NetError::Timeout`] if nothing arrives in time.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, NetError> {
-        self.inner
-            .req_rx
-            .recv_timeout(timeout)
-            .map_err(|e| match e {
-                crossbeam::channel::RecvTimeoutError::Timeout => NetError::Timeout,
-                crossbeam::channel::RecvTimeoutError::Disconnected => NetError::Disconnected,
-            })
+        self.inner.req_rx.recv_timeout(timeout).map_err(net_error)
     }
 
     /// Try to receive without blocking; `None` if the queue is empty.
@@ -397,24 +356,22 @@ impl Nic {
         self.inner.req_rx.try_recv().ok()
     }
 
-    /// Respond to a request received via [`Nic::recv`].
+    /// Respond to a request received via [`Nic::recv`], on the reply
+    /// channel it carries: no fabric lock, and it never blocks. The caller
+    /// counts the reply as received when it takes it, before its
+    /// [`Nic::call`] returns; this NIC counts it as sent after handing it
+    /// over, so the sent totals can trail the caller by a moment.
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Disconnected`] if the requester is gone, or
-    /// [`NetError::UnknownHost`] if its host was removed.
+    /// Returns [`NetError::Disconnected`] if `env` is a one-way message, was
+    /// already answered, or its caller stopped waiting.
     pub fn respond(&self, env: &Envelope, payload: Vec<u8>) -> Result<(), NetError> {
-        let Some(tag) = env.reply_tag else {
-            // One-way messages need no response; dropping it is a server
-            // bug, so surface it.
-            return Err(NetError::Disconnected);
-        };
-        if self.inner.fabric.is_cut(self.inner.id, env.src) {
-            // The reply is lost in the partition; the caller times out.
-            return Ok(());
-        }
+        let reply = env.reply.as_ref().ok_or(NetError::Disconnected)?;
         let len = payload.len();
-        self.inner.fabric.route_response(env.src, tag, payload)?;
+        reply
+            .try_send(payload)
+            .map_err(|_| NetError::Disconnected)?;
         self.record_send(len);
         Ok(())
     }
@@ -504,7 +461,7 @@ mod tests {
         let env = b.recv().unwrap();
         assert_eq!(env.src, a.id());
         assert_eq!(env.payload, b"hello");
-        assert!(env.reply_tag.is_none());
+        assert!(!env.wants_reply());
     }
 
     #[test]
@@ -522,6 +479,50 @@ mod tests {
         let resp = client.call(server_id, b"abc".to_vec()).unwrap();
         assert_eq!(resp, b"cba");
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_request_dropped_unanswered_fails_its_caller_at_once() {
+        let fabric = Fabric::new();
+        let client = fabric.add_host();
+        let server = fabric.add_host();
+        let server_id = server.id();
+        let handle = std::thread::spawn(move || drop(server.recv().unwrap()));
+        let start = std::time::Instant::now();
+        let err = client
+            .call_timeout(server_id, b"ping".to_vec(), Duration::from_secs(10))
+            .unwrap_err();
+        let waited = start.elapsed();
+        handle.join().unwrap();
+        assert_eq!(err, NetError::Disconnected);
+        assert!(
+            waited < Duration::from_secs(5),
+            "the caller waited {waited:?} for a request nobody will answer"
+        );
+    }
+
+    #[test]
+    fn an_rpc_is_counted_once_each_way_with_headers() {
+        let fabric = Fabric::new();
+        let client = fabric.add_host();
+        let server = fabric.add_host();
+        let server_id = server.id();
+        let handle = std::thread::spawn(move || {
+            let env = server.recv().unwrap();
+            server.respond(&env, vec![0u8; 20]).unwrap();
+            server
+        });
+        assert_eq!(client.call(server_id, vec![0u8; 10]).unwrap().len(), 20);
+        // The responder counts its send after handing the reply over.
+        let server = handle.join().unwrap();
+        let (request, reply) = (10 + MSG_HEADER_BYTES, 20 + MSG_HEADER_BYTES);
+        assert_eq!(client.stats().bytes_sent(), request);
+        assert_eq!(client.stats().bytes_received(), reply);
+        assert_eq!(server.stats().bytes_received(), request);
+        assert_eq!(server.stats().bytes_sent(), reply);
+        assert_eq!(fabric.stats().bytes_sent(), request + reply);
+        assert_eq!(fabric.stats().bytes_received(), request + reply);
+        assert_eq!(fabric.stats().total_bytes(), 2 * (request + reply));
     }
 
     #[test]

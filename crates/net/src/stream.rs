@@ -14,18 +14,11 @@
 //! destination NIC (servers that fan envelopes out across threads would
 //! reorder chunks and must not be used under stream traffic).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::fabric::{HostId, NetError, Nic};
 
 /// Default fragmentation size for [`StreamConn`] writes, mimicking an
 /// Ethernet-ish MTU so multi-kilobyte frames always arrive in pieces.
 pub const DEFAULT_MTU: usize = 1400;
-
-/// Allocator for connection ids; global so every connection in a process
-/// is distinguishable even across fabrics (ids only need to be unique per
-/// source host, this is strictly stronger).
-static NEXT_CONN: AtomicU64 = AtomicU64::new(1);
 
 /// What a stream message means to the receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,7 +102,7 @@ impl StreamConn {
     /// Routing errors from the `Open` send ([`NetError::UnknownHost`],
     /// [`NetError::Disconnected`]).
     pub fn open(nic: Nic, peer: HostId, mtu: usize) -> Result<StreamConn, NetError> {
-        let conn = NEXT_CONN.fetch_add(1, Ordering::Relaxed);
+        let conn = nic.fresh_tag();
         nic.send(peer, encode_stream_msg(conn, StreamKind::Open, &[]))?;
         Ok(StreamConn {
             nic,
