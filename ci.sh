@@ -30,6 +30,18 @@ outside_span_registry() {
         cat "$1"
     fi
 }
+# The non-test code, less the process-wide statics the telemetry crate
+# keeps until the ROADMAP item that deletes each lands:
+#   REGISTRY, ENABLED, and ROOTS behind TraceCtx::new_root: item 1(e),
+#     with the rest of the frozen benchmark's shim;
+#   EPOCH behind now_ns: item 4, the cluster's one Clock.
+outside_allowed_statics() {
+    if [[ $1 == crates/telemetry/src/lib.rs ]]; then
+        nontest "$1" | sed -E '/^ *static (REGISTRY|ENABLED|ROOTS|EPOCH): /d'
+    else
+        nontest "$1"
+    fi
+}
 # The whole file, less the one line allowed to say `unsafe`: the first
 # SHA-extensions dispatch in content.rs (a second copy still shows).
 outside_sha_dispatch() {
@@ -241,9 +253,12 @@ gates=(
     'crates@whole src@whole tests@whole examples@whole'
     'a reply-tag table or the fabric partition switch is back; Nic::respond answers on the channel the request carries (Envelope::wants_reply)'
 
-    'static NEXT_CONN'
-    'crates/net/src@whole'
-    'a process-global stream connection id is back; StreamConn::open takes Nic::fresh_tag from its fabric'
+    # One id source per cluster, and no other process-global state: ids
+    # come from the cluster's fabric (Nic::fresh_tag), its recorder
+    # (Recorder::root, Recorder::child) or the store they are unique in.
+    '\bstatic\s+(mut\s+)?\w+\s*:[^=]*\b(Atomic\w*|OnceLock|LazyLock|Mutex)\b'
+    'crates/*/src@outside_allowed_statics'
+    'a process-wide static is back; give the cluster (its Fabric, Recorder or KvStore) the state instead'
 
     'SharingQueue'
     'crates@whole'

@@ -386,7 +386,7 @@ impl Cluster {
             // Front-door calls root a fresh trace (unless the caller is
             // itself traced, e.g. a test following one call end to end).
             trace: match faasm_telemetry::current() {
-                ctx if ctx.is_none() => faasm_telemetry::TraceCtx::new_root(),
+                ctx if ctx.is_none() => self.fabric.recorder().root(),
                 ctx => ctx,
             },
             on_complete: Box::new(move |result| pending.fulfill(result.id.0, result)),
@@ -1121,7 +1121,7 @@ mod tests {
                 user: "u".into(),
                 function: "echo".into(),
                 input: vec![7; 8],
-                trace: faasm_telemetry::TraceCtx::new_root(),
+                trace: cluster.fabric().recorder().root(),
                 on_complete: Box::new(move |result| drop(tx.send(result))),
             }]);
             rx.recv_timeout(Duration::from_secs(10)).unwrap()

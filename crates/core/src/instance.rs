@@ -649,7 +649,7 @@ impl FaasmInstance {
         // The worker-exec span is allocated *before* the run and installed
         // as the thread's active context, so every state pull/push, lock
         // wait and KVS request the Faaslet issues nests under it.
-        let exec_ctx = q.call.trace.child();
+        let exec_ctx = self.nic.recorder().child(q.call.trace);
         // With a state cache, collect which keys the call's cache hits
         // touched: the per-function working set feeds the affinity board.
         let touch = self.cache.as_ref().map(|_| faasm_kvs::cache::touch_scope());

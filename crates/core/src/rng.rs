@@ -18,11 +18,9 @@ impl SplitMix64 {
 
     /// Next 64 random bits.
     pub fn next_u64(&mut self) -> u64 {
+        let z = faasm_telemetry::splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        z
     }
 
     /// Fill a buffer with random bytes.

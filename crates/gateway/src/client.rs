@@ -200,7 +200,7 @@ impl GatewayClient {
             (deadline.as_millis() as u64).max(1)
         };
         let trace = match faasm_telemetry::current() {
-            ctx if ctx.is_none() => faasm_telemetry::TraceCtx::new_root(),
+            ctx if ctx.is_none() => self.inner.nic.recorder().root(),
             ctx => ctx,
         };
         let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed);

@@ -273,7 +273,7 @@ impl Gateway {
     /// in-process equivalent of a wire client stamping
     /// [`GatewayRequest::trace`](crate::GatewayRequest).
     pub fn submit_traced(&self, tenant: &str, function: &str, input: Vec<u8>) -> (u64, u64) {
-        let root = TraceCtx::new_root();
+        let root = self.inner.recorder.root();
         let ticket = self.inner.submit_with(
             tenant,
             function,
@@ -430,7 +430,7 @@ impl Inner {
         // fresh root here, at the ingress boundary, so the flight recorder
         // always holds recent spans to dump on an anomaly.
         let trace = if trace.is_none() {
-            TraceCtx::new_root()
+            self.recorder.root()
         } else {
             trace
         };

@@ -1,6 +1,5 @@
 //! The KVS client used by every host's runtime to reach the global tier.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use faasm_net::{HostId, NetError, Nic};
@@ -12,8 +11,6 @@ use crate::codec::{
 };
 use crate::server::apply;
 use crate::store::{KvStore, ShardStats};
-
-static NEXT_OWNER: AtomicU64 = AtomicU64::new(1);
 
 /// Errors from client operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,9 +92,9 @@ enum Transport {
 
 /// A synchronous KVS client.
 ///
-/// Cloneable and thread-safe; each clone keeps the same owner token for
-/// global locks, so a Faaslet can lock on one thread and unlock on another
-/// only via the same client instance (as the state layer does).
+/// Thread-safe, with one lock-owner token for its lifetime: a global lock
+/// taken on one thread can be released on another through the same client
+/// (as the state layer does).
 pub struct KvClient {
     transport: Transport,
     owner: u64,
@@ -106,28 +103,12 @@ pub struct KvClient {
     epoch: u64,
 }
 
-impl std::fmt::Debug for KvClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match &self.transport {
-            Transport::Remote { server, .. } => format!("remote({server})"),
-            Transport::Local(..) => "local".to_string(),
-        };
-        f.debug_struct("KvClient")
-            .field("transport", &kind)
-            .field("owner", &self.owner)
-            .finish()
-    }
-}
-
 impl KvClient {
-    /// A client that reaches the server at `server` over `nic`.
+    /// A client that reaches the server at `server` over `nic`, its lock
+    /// owner a fresh id from `nic`'s fabric.
     pub fn connect(nic: Nic, server: HostId) -> KvClient {
-        KvClient::connect_at(
-            nic,
-            server,
-            EPOCH_ANY,
-            NEXT_OWNER.fetch_add(1, Ordering::Relaxed),
-        )
+        let owner = nic.fresh_tag();
+        KvClient::connect_at(nic, server, EPOCH_ANY, owner)
     }
 
     /// A client stamped with a routing `epoch` and an explicit lock-`owner`
@@ -142,29 +123,14 @@ impl KvClient {
         }
     }
 
-    /// A client bound directly to an in-process store.
+    /// A client bound directly to an in-process store, its lock owner a
+    /// fresh one from that store.
     pub fn local(store: Arc<KvStore>) -> KvClient {
         KvClient {
+            owner: store.fresh_owner(),
             transport: Transport::Local(store, Arc::default()),
-            owner: NEXT_OWNER.fetch_add(1, Ordering::Relaxed),
             epoch: EPOCH_ANY,
         }
-    }
-
-    /// Allocate a fresh lock-owner token (the same pool client
-    /// constructors draw from).
-    pub fn fresh_owner() -> u64 {
-        NEXT_OWNER.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// This client's lock-owner token.
-    pub fn owner(&self) -> u64 {
-        self.owner
-    }
-
-    /// The routing epoch stamped on this client's requests.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// The NIC a remote client calls through (`None` for a local one).

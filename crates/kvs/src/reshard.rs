@@ -108,7 +108,7 @@ pub fn start_joiner(fabric: &Fabric, table: &RoutingTable, workers: usize) -> Kv
 }
 
 fn control(coord: &Nic, host: HostId) -> KvClient {
-    KvClient::connect_at(coord.clone(), host, EPOCH_ANY, KvClient::fresh_owner())
+    KvClient::connect_at(coord.clone(), host, EPOCH_ANY, coord.fresh_tag())
 }
 
 /// Cut an export into frames of at most

@@ -21,7 +21,7 @@ use std::time::Duration;
 use faasm_net::{HostId, Nic};
 use parking_lot::RwLock;
 
-use faasm_telemetry::{Recorder, SpanKind};
+use faasm_telemetry::{splitmix64, Recorder, SpanKind};
 
 use crate::backend::KvBackend;
 use crate::client::{KvClient, KvError};
@@ -208,15 +208,6 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// splitmix64 finaliser: decorrelates the per-shard weights so rendezvous
-/// choice is uniform even for similar keys.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// The shard owning `key` among `shard_count` shards — a pure function of
 /// its arguments (rendezvous hashing: the shard with the highest mixed hash
 /// of `(key, shard)` wins, so changing the shard count by one reassigns
@@ -229,7 +220,7 @@ pub fn shard_index_for(key: &str, shard_count: usize) -> usize {
     let mut best = 0usize;
     let mut best_w = 0u64;
     for i in 0..shard_count {
-        let w = mix(kh ^ mix(i as u64));
+        let w = splitmix64(kh ^ splitmix64(i as u64));
         if i == 0 || w > best_w {
             best = i;
             best_w = w;
@@ -267,7 +258,7 @@ pub fn replica_set_live(
     // routing uses `shard_index_for` directly).
     let mut ranked: Vec<(u64, usize)> = (0..shard_count)
         .filter(|i| !dead.contains(i))
-        .map(|i| (mix(kh ^ mix(i as u64)), i))
+        .map(|i| (splitmix64(kh ^ splitmix64(i as u64)), i))
         .collect();
     assert!(!ranked.is_empty(), "no live shards to route to");
     // Weight descending, slot ascending on (astronomically unlikely) ties —
@@ -286,7 +277,7 @@ pub fn primary_index_live(key: &str, shard_count: usize, dead: &[usize]) -> usiz
         if dead.contains(&i) {
             continue;
         }
-        let w = mix(kh ^ mix(i as u64));
+        let w = splitmix64(kh ^ splitmix64(i as u64));
         let better = match best {
             None => true,
             Some((bw, _)) => w > bw,
@@ -323,7 +314,7 @@ impl ShardedKvClient {
     /// epoch moves (a reshard landing mid-operation is retried against the
     /// new table instead of failing).
     pub fn connect(nic: Nic, cell: Arc<RoutingCell>) -> ShardedKvClient {
-        let owner = KvClient::fresh_owner();
+        let owner = nic.fresh_tag();
         let current = RwLock::new(Arc::new(ShardSet::new(&nic, cell.load(), owner)));
         ShardedKvClient {
             nic,
@@ -342,12 +333,6 @@ impl ShardedKvClient {
     /// The routing epoch this client is currently operating at.
     pub fn epoch(&self) -> u64 {
         self.current().table.epoch
-    }
-
-    /// This client's lock-owner token, stable across epoch changes: every
-    /// lock request carries it whichever shard connection sends it.
-    pub fn owner(&self) -> u64 {
-        self.owner
     }
 
     /// The current shard set, synchronised with the routing cell: if the

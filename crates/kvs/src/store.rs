@@ -7,6 +7,7 @@
 //! `server.rs` exposes it over the fabric.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -163,6 +164,8 @@ pub struct KvStore {
     /// client cannot deadlock the cluster.
     lease: Duration,
     counters: ShardCounters,
+    /// The lock owner the next local client of this store gets.
+    next_owner: AtomicU64,
 }
 
 impl Default for KvStore {
@@ -183,7 +186,13 @@ impl KvStore {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             lease,
             counters: ShardCounters::new(),
+            next_owner: AtomicU64::new(1),
         }
+    }
+
+    /// A lock-owner token no other local client of this store holds.
+    pub(crate) fn fresh_owner(&self) -> u64 {
+        self.next_owner.fetch_add(1, Ordering::Relaxed)
     }
 
     fn shard(&self, key: &str) -> &Mutex<Shard> {

@@ -9,20 +9,17 @@
 //! copies. A region's pages are backed per 4 KiB block on the first non-zero
 //! store, so a 4 KiB value costs 4 KiB whatever its page-rounded capacity.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::MemError;
 use crate::page::{Page, PAGE_SIZE};
 use crate::pages_for_bytes;
 
-static NEXT_REGION_ID: AtomicU64 = AtomicU64::new(1);
-
 /// A region of common process memory that can be mapped into many
-/// [`crate::LinearMemory`] instances concurrently.
+/// [`crate::LinearMemory`] instances concurrently. A clone is another
+/// handle on the same pages.
 #[derive(Debug, Clone)]
 pub struct SharedRegion {
-    id: u64,
     pages: Arc<Vec<Arc<Page>>>,
     len_bytes: usize,
 }
@@ -34,7 +31,6 @@ impl SharedRegion {
         let n = pages_for_bytes(len_bytes.max(1));
         let pages = (0..n).map(|_| Arc::new(Page::zeroed())).collect();
         SharedRegion {
-            id: NEXT_REGION_ID.fetch_add(1, Ordering::Relaxed),
             pages: Arc::new(pages),
             len_bytes,
         }
@@ -45,11 +41,6 @@ impl SharedRegion {
         let region = SharedRegion::new(data.len());
         region.write(0, data).expect("freshly sized region");
         region
-    }
-
-    /// A process-unique identifier for the region.
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// Logical length in bytes (may be less than the page-rounded capacity).
@@ -192,6 +183,5 @@ mod tests {
         let mut buf = vec![0u8; 6];
         a.read(0, &mut buf).unwrap();
         assert_eq!(&buf, b"SHARED");
-        assert_eq!(a.id(), b.id());
     }
 }

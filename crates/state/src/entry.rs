@@ -37,7 +37,7 @@ pub(crate) fn state_span<T>(kv: &SharedKv, kind: SpanKind, extra: u64, f: impl F
     if parent.is_none() {
         return f();
     }
-    let ctx = parent.child();
+    let ctx = kv.recorder().child(parent);
     let start_ns = faasm_telemetry::now_ns();
     let out = {
         let _tracing = faasm_telemetry::set_current(ctx);

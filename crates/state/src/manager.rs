@@ -183,7 +183,10 @@ mod tests {
         let a = m.get("k", 100).unwrap();
         let b = m.get("k", 100).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(a.region().id(), b.region().id());
+        a.region().write(0, b"one region").unwrap();
+        let mut buf = [0u8; 10];
+        b.region().read(0, &mut buf).unwrap();
+        assert_eq!(&buf, b"one region");
     }
 
     #[test]
@@ -268,11 +271,14 @@ mod tests {
         let mut handles = vec![];
         for _ in 0..8 {
             let m = Arc::clone(&m);
-            handles.push(std::thread::spawn(move || {
-                m.get("shared", 1000).unwrap().region().id()
-            }));
+            handles.push(std::thread::spawn(move || m.get("shared", 1000).unwrap()));
         }
-        let ids: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert!(ids.windows(2).all(|w| w[0] == w[1]));
+        let entries: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        entries[0].region().write(0, b"one region").unwrap();
+        for entry in &entries {
+            let mut buf = [0u8; 10];
+            entry.region().read(0, &mut buf).unwrap();
+            assert_eq!(&buf, b"one region");
+        }
     }
 }

@@ -40,7 +40,9 @@ use parking_lot::Mutex;
 
 /// A compact trace context carried on every wire format: which ingress call
 /// this work belongs to (`trace_id`) and the span it is causally nested
-/// under (`span_id`).
+/// under (`span_id`). Both ids come from the cluster's [`Recorder`]
+/// ([`Recorder::root`], [`Recorder::child`]), so they are unique within
+/// one cluster, and two clusters built alike mint the same ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceCtx {
     /// The ingress call's trace, 0 = untraced.
@@ -60,43 +62,17 @@ impl TraceCtx {
     pub fn is_none(&self) -> bool {
         self.trace_id == 0
     }
-
-    /// A fresh root context: new trace id, new root span id.
-    pub fn new_root() -> TraceCtx {
-        TraceCtx {
-            trace_id: next_id(),
-            span_id: next_id(),
-        }
-    }
-
-    /// A child context under `self`: same trace, fresh span id. Returns
-    /// `NONE` for `NONE` so untraced calls never fabricate spans.
-    pub fn child(&self) -> TraceCtx {
-        if self.is_none() {
-            return TraceCtx::NONE;
-        }
-        TraceCtx {
-            trace_id: self.trace_id,
-            span_id: next_id(),
-        }
-    }
 }
 
-/// Globally-unique non-zero id: a process-wide counter passed through
-/// splitmix64 so ids from concurrent traces don't cluster.
-fn next_id() -> u64 {
-    static SEQ: AtomicU64 = AtomicU64::new(1);
-    let raw = SEQ.fetch_add(1, Ordering::Relaxed);
-    let mut z = raw.wrapping_add(0x9e37_79b9_7f4a_7c15);
+/// One splitmix64 step from state `x`: `x` plus the golden gamma, through
+/// the finaliser. A bijection, so distinct states give distinct outputs,
+/// and consecutive states give outputs that do not cluster.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    // 0 is the untraced sentinel; remap the (1-in-2^64) collision.
-    if z == 0 {
-        1
-    } else {
-        z
-    }
+    z ^ (z >> 31)
 }
 
 // ---------------------------------------------------------------------------
@@ -488,18 +464,48 @@ pub struct Anomaly {
 /// A cluster's telemetry sink: per-kind histograms (always cheap) plus a
 /// bounded ring of recent spans (the flight recorder). Each [`SpanKind`]
 /// names the layer that records it, so one recorder serves every layer.
+/// It is also the cluster's source of trace and span ids.
 #[derive(Debug, Default)]
 pub struct Recorder {
     hists: [Hist; SPAN_KINDS],
     ring: Mutex<VecDeque<SpanRecord>>,
     anomalies: Mutex<VecDeque<Anomaly>>,
     dropped: AtomicU64,
+    /// Ids handed out so far.
+    ids: AtomicU64,
 }
 
 impl Recorder {
     /// An empty recorder.
     pub fn new() -> Recorder {
         Recorder::default()
+    }
+
+    /// A fresh id, unique among this recorder's: the `n`-th one, counting
+    /// from 1, is `splitmix64(n)`, or 1 for the one `n` whose mix is 0 (the
+    /// untraced sentinel).
+    fn next_id(&self) -> u64 {
+        splitmix64(self.ids.fetch_add(1, Ordering::Relaxed) + 1).max(1)
+    }
+
+    /// A fresh root context: new trace id, new root span id.
+    pub fn root(&self) -> TraceCtx {
+        TraceCtx {
+            trace_id: self.next_id(),
+            span_id: self.next_id(),
+        }
+    }
+
+    /// A child context under `ctx`: same trace, fresh span id. Returns
+    /// `NONE` for `NONE` so untraced calls never fabricate spans.
+    pub fn child(&self, ctx: TraceCtx) -> TraceCtx {
+        if ctx.is_none() {
+            return TraceCtx::NONE;
+        }
+        TraceCtx {
+            trace_id: ctx.trace_id,
+            span_id: self.next_id(),
+        }
     }
 
     /// Record a completed span: duration into the kind's histogram, the
@@ -524,13 +530,13 @@ impl Recorder {
     /// Record a span that started at `start_ns` and ends now, parented
     /// under `ctx` with a fresh span id, and return that id.
     pub fn span(&self, kind: SpanKind, ctx: TraceCtx, start_ns: u64, extra: u64) -> u64 {
-        let child = ctx.child();
+        let child = self.child(ctx);
         self.close(kind, child, ctx.span_id, start_ns, extra);
         child.span_id
     }
 
     /// Record the span `ctx` from `start_ns` to now, parented under
-    /// `parent_id`: for a span whose id ([`TraceCtx::child`]) its children
+    /// `parent_id`: for a span whose id ([`Recorder::child`]) its children
     /// carried before it ended.
     pub fn close(&self, kind: SpanKind, ctx: TraceCtx, parent_id: u64, start_ns: u64, extra: u64) {
         self.record(SpanRecord {
@@ -602,11 +608,28 @@ impl Recorder {
 }
 
 // ---------------------------------------------------------------------------
-// Benchmark-only process-wide readers (deleted with ROADMAP item 1(e))
+// Benchmark-only process-wide state (deleted with ROADMAP item 1(e))
 // ---------------------------------------------------------------------------
 
 /// Every live cluster's recorder, for [`metrics_snapshot`] alone.
 static REGISTRY: Mutex<Vec<Weak<Recorder>>> = Mutex::new(Vec::new());
+
+/// Ids handed out by [`TraceCtx::new_root`].
+static ROOTS: AtomicU64 = AtomicU64::new(1);
+
+impl TraceCtx {
+    /// A fresh root context from a process-wide stream, for callers that
+    /// hold no cluster (a cluster mints with [`Recorder::root`]). The
+    /// stream starts 2^63 past every recorder's, so no id here is ever one
+    /// a cluster mints.
+    pub fn new_root() -> TraceCtx {
+        let next = || splitmix64(ROOTS.fetch_add(1, Ordering::Relaxed) + (1 << 63)).max(1);
+        TraceCtx {
+            trace_id: next(),
+            span_id: next(),
+        }
+    }
+}
 
 /// List a cluster's recorder for [`metrics_snapshot`]; entries whose
 /// cluster is gone are pruned on the way.
@@ -645,31 +668,42 @@ mod tests {
 
     #[test]
     fn ids_are_unique_and_nonzero() {
+        let (rec, twin) = (Recorder::new(), Recorder::new());
         let mut seen = std::collections::HashSet::new();
-        for _ in 0..10_000 {
-            let id = next_id();
-            assert_ne!(id, 0);
-            assert!(seen.insert(id));
+        for _ in 0..5_000 {
+            let root = rec.root();
+            assert_eq!(twin.root(), root, "two fresh recorders, one sequence");
+            for id in [root.trace_id, root.span_id] {
+                assert_ne!(id, 0);
+                assert!(seen.insert(id));
+            }
+        }
+        // The frozen benchmark's roots come from another stream.
+        for _ in 0..1_000 {
+            let root = TraceCtx::new_root();
+            assert!(!seen.contains(&root.trace_id) && !seen.contains(&root.span_id));
         }
     }
 
     #[test]
     fn child_keeps_trace_id() {
-        let root = TraceCtx::new_root();
-        let child = root.child();
+        let rec = Recorder::new();
+        let root = rec.root();
+        let child = rec.child(root);
         assert_eq!(child.trace_id, root.trace_id);
         assert_ne!(child.span_id, root.span_id);
-        assert_eq!(TraceCtx::NONE.child(), TraceCtx::NONE);
+        assert_eq!(rec.child(TraceCtx::NONE), TraceCtx::NONE);
     }
 
     #[test]
     fn thread_local_ctx_nests_and_restores() {
         assert!(current().is_none());
-        let a = TraceCtx::new_root();
+        let rec = Recorder::new();
+        let a = rec.root();
         let g1 = set_current(a);
         assert_eq!(current(), a);
         {
-            let b = a.child();
+            let b = rec.child(a);
             let _g2 = set_current(b);
             assert_eq!(current(), b);
         }
@@ -733,7 +767,7 @@ mod tests {
     fn recorder_ring_is_bounded() {
         let _recording = RECORDING.lock();
         let rec = Recorder::new();
-        let ctx = TraceCtx::new_root();
+        let ctx = rec.root();
         for i in 0..(RING_CAP + 100) {
             rec.record(SpanRecord {
                 trace_id: ctx.trace_id,
@@ -757,10 +791,10 @@ mod tests {
     fn trace_returns_only_that_traces_spans_in_start_order() {
         let _recording = RECORDING.lock();
         let rec = Recorder::new();
-        let (root, other) = (TraceCtx::new_root(), TraceCtx::new_root());
+        let (root, other) = (rec.root(), rec.root());
         let span = |ctx: TraceCtx, kind, start_ns| SpanRecord {
             trace_id: ctx.trace_id,
-            span_id: ctx.child().span_id,
+            span_id: rec.child(ctx).span_id,
             parent_id: ctx.span_id,
             kind,
             start_ns,
@@ -774,7 +808,7 @@ mod tests {
         let kinds: Vec<SpanKind> = tree.iter().map(|s| s.kind).collect();
         assert_eq!(kinds, [SpanKind::Admission, SpanKind::StatePull]);
         assert!(tree.iter().all(|s| s.trace_id == root.trace_id));
-        assert!(rec.trace(TraceCtx::new_root().trace_id).is_empty());
+        assert!(rec.trace(rec.root().trace_id).is_empty());
     }
 
     #[test]
@@ -782,7 +816,7 @@ mod tests {
         let _recording = RECORDING.lock();
         let rec = Recorder::new();
         set_enabled(false);
-        rec.span(SpanKind::Dispatch, TraceCtx::new_root(), now_ns(), 0);
+        rec.span(SpanKind::Dispatch, rec.root(), now_ns(), 0);
         set_enabled(true);
         assert_eq!(rec.hist(SpanKind::Dispatch).count(), 0);
         assert!(rec.dump().is_empty());
@@ -792,7 +826,7 @@ mod tests {
     fn anomalies_capture_ring_tail() {
         let _recording = RECORDING.lock();
         let rec = Recorder::new();
-        let ctx = TraceCtx::new_root();
+        let ctx = rec.root();
         rec.span(SpanKind::QueueSojourn, ctx, now_ns(), 0);
         rec.note_anomaly("unit trigger");
         let an = rec.anomalies();

@@ -74,12 +74,12 @@ fn main() {
         .find(|k| table.primary_for(k) == victim)
         .expect("a key primaried on the victim");
     drop(table);
+    // The blackout its keys observe, from the kill's start: one write
+    // primaried on the dead slot, parked until the promoted backup serves
+    // it.
+    let t0 = Instant::now();
     cluster.kill_state_shard(victim);
     println!("slot {victim} killed (no routing update — monitor must detect)");
-
-    // The blackout its keys observe: one write primaried on the dead slot,
-    // parked until the promoted backup serves it.
-    let t0 = Instant::now();
     cluster
         .kv()
         .set(&blackout_key, b"survived".to_vec())

@@ -1,13 +1,14 @@
 //! Two clusters in one process never see each other, and a cluster can be
 //! torn down from any thread — including one of its own.
 
+use std::collections::HashSet;
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use faasm::core::{Cluster, ClusterConfig, InstanceConfig, NativeApi};
 use faasm::gateway::{Gateway, GatewayConfig, GatewayRequest, GatewayStatus};
-use faasm::telemetry::TraceCtx;
+use faasm::telemetry::{SpanKind, TraceCtx};
 use faasm::CallStatus;
 
 /// `parent` chains `child` (which doubles its input byte) and adds one.
@@ -120,29 +121,18 @@ fn two_clusters_driven_concurrently_count_only_their_own_work() {
                 }
                 barrier.wait();
                 let own = cluster.telemetry().delta(&before);
-                // The trace of this cluster's last call, kept with the
-                // recorder it landed in for the cross-check after join.
                 let recorder = Arc::clone(cluster.fabric().recorder());
-                let traced = recorder.dump().last().map_or(0, |s| s.trace_id);
                 // Neither is torn down while the other still reads. (The
                 // verdict is left to the joining thread: an assertion
                 // failing here would strand the other side at the barrier.)
                 barrier.wait();
-                (
-                    user, warmed, failed, calls, writes, msgs, own, recorder, traced,
-                )
+                (user, warmed, failed, calls, writes, msgs, own, recorder)
             })
         })
         .collect();
-    let results: Vec<_> = threads
-        .into_iter()
-        .map(|t| t.join().expect("cluster thread"))
-        .collect();
-    let recorders: Vec<_> = results.iter().map(|r| Arc::clone(&r.7)).collect();
-    for (i, (user, warmed, failed, calls, writes, msgs, own, recorder, traced)) in
-        results.into_iter().enumerate()
-    {
-        let other = &recorders[1 - i];
+    for t in threads {
+        let (user, warmed, failed, calls, writes, msgs, own, recorder) =
+            t.join().expect("cluster thread");
         assert_eq!((warmed, failed), (CallStatus::Success, 0), "{user}");
         // A parent and the child it chains, each on a warm Faaslet.
         assert_eq!(own.get("worker", "calls"), 2 * calls, "{user}");
@@ -156,9 +146,68 @@ fn two_clusters_driven_concurrently_count_only_their_own_work() {
         // Every front-door call is traced and its child inherits the trace:
         // two worker-exec spans per chained call, in this cluster only.
         assert_eq!(own.hist("span", "worker_exec").count, 2 * calls, "{user}");
-        assert!(!recorder.trace(traced).is_empty(), "{user}");
-        assert!(other.trace(traced).is_empty(), "{user}'s trace leaked");
+        // Ids are per cluster, so the other cluster's traces carry the same
+        // ids; what shows a leak is the ring: it holds exactly the
+        // worker-exec spans of this cluster's calls (the warm-up and the
+        // measured ones), two to a trace.
+        let execs: Vec<_> = recorder
+            .dump()
+            .into_iter()
+            .filter(|s| s.kind == SpanKind::WorkerExec)
+            .collect();
+        assert_eq!(execs.len() as u64, 2 * (calls + 1), "{user}");
+        let traces: HashSet<u64> = execs.iter().map(|s| s.trace_id).collect();
+        assert_eq!(traces.len() as u64, calls + 1, "{user}");
+        let last = execs.last().expect("a traced call").trace_id;
+        assert!(!recorder.trace(last).is_empty(), "{user}");
     }
+}
+
+#[test]
+fn two_clusters_built_alike_mint_the_same_ids() {
+    // Trace and span ids come from the cluster, not the process: two
+    // clusters built alike, each running the same call while the other
+    // runs it too, trace it under the same ids.
+    let barrier = Arc::new(Barrier::new(2));
+    let threads: Vec<_> = (0..2)
+        .map(|_| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let cluster = Cluster::with_config(ClusterConfig {
+                    hosts: 1,
+                    invoke_timeout: Duration::from_secs(20),
+                    ..ClusterConfig::default()
+                });
+                register_chain(&cluster, "u");
+                barrier.wait();
+                let status = cluster.invoke("u", "parent", vec![3]).status;
+                // Every span of the call is recorded before its result
+                // is handed back, and nothing else in the cluster is traced.
+                let spans = cluster.fabric().recorder().dump();
+                let traces: HashSet<u64> = spans.iter().map(|s| s.trace_id).collect();
+                let ids: HashSet<(SpanKind, u64, u64)> = spans
+                    .iter()
+                    .map(|s| (s.kind, s.span_id, s.parent_id))
+                    .collect();
+                (status, traces, ids, spans.len())
+            })
+        })
+        .collect();
+    let mut runs = threads
+        .into_iter()
+        .map(|t| t.join().expect("cluster thread"));
+    let (left, right) = (runs.next().unwrap(), runs.next().unwrap());
+    assert_eq!(
+        (left.0, right.0),
+        (CallStatus::Success, CallStatus::Success)
+    );
+    assert_eq!(left.1.len(), 1, "one traced call: {:?}", left.1);
+    assert_eq!(left.1, right.1, "the same trace id");
+    // A parent and the child it chains, each with its worker-exec span.
+    let execs = left.2.iter().filter(|s| s.0 == SpanKind::WorkerExec);
+    assert_eq!(execs.count(), 2, "{:?}", left.2);
+    assert_eq!(left.2.len(), left.3, "span ids are unique in a cluster");
+    assert_eq!(left.2, right.2, "the same (kind, span id, parent id) set");
 }
 
 /// Reports, when the function registry that owns it is finally dropped,

@@ -112,11 +112,11 @@ fn killing_a_primary_mid_write_storm_loses_no_acked_writes() {
         .find(|k| table.primary_for(k) == victim)
         .expect("some key is primaried on the victim slot");
     drop(table);
-    cluster.kill_state_shard(victim);
-
-    // A write primaried on the dead slot parks until the failover epoch
-    // publishes; its wait is the blackout the tier's keys observe.
+    // The blackout the tier's keys observe runs from the kill's start (a
+    // stall inside the kill counts) until a write primaried on the dead
+    // slot, parked until the failover epoch publishes, lands.
     let t0 = Instant::now();
+    cluster.kill_state_shard(victim);
     cluster
         .kv()
         .set(&blackout_key, b"survived".to_vec())
