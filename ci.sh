@@ -17,6 +17,15 @@ echo "== grep gates: shapes a past PR deleted on purpose must not come back, and
 # everything above the file's first #[cfg(test)].
 nontest() { sed '/#\[cfg(test)\]/,$d' "$1"; }
 whole() { cat "$1"; }
+# The test code: from the file's first #[cfg(test)] to the end, or all of
+# a `tests.rs` module file.
+testonly() {
+    if [[ $1 == */tests.rs ]]; then
+        cat "$1"
+    else
+        sed -n '/#\[cfg(test)\]/,$p' "$1"
+    fi
+}
 outside_wake_waiters() { nontest "$1" | sed '/fn wake_waiters/,/^    }/d'; }
 native_api_impl() { sed -n "/^impl<'a> NativeApi<'a>/,/^}/p" "$1"; }
 faasenv_state_read() { sed -n '/^pub trait FaasEnv/,/^}/{/fn state_read(/,/;/p}' "$1"; }
@@ -30,16 +39,24 @@ outside_span_registry() {
         cat "$1"
     fi
 }
-# The non-test code, less the process-wide statics the telemetry crate
-# keeps until the ROADMAP item that deletes each lands:
-#   REGISTRY, ENABLED, and ROOTS behind TraceCtx::new_root: item 1(e),
-#     with the rest of the frozen benchmark's shim;
-#   EPOCH behind now_ns: item 4, the cluster's one Clock.
+# The non-test code, less the process-wide statics of the frozen
+# benchmark's shim in the telemetry crate, which ROADMAP item 1(e) deletes:
+# REGISTRY, ENABLED, ROOTS behind TraceCtx::new_root, and EPOCH behind the
+# free now_ns.
 outside_allowed_statics() {
     if [[ $1 == crates/telemetry/src/lib.rs ]]; then
         nontest "$1" | sed -E '/^ *static (REGISTRY|ENABLED|ROOTS|EPOCH): /d'
     else
         nontest "$1"
+    fi
+}
+# The whole file, less the definition of the free now_ns, the frozen
+# benchmark's shim in the telemetry crate (ROADMAP item 1(e) deletes it).
+outside_now_ns_shim() {
+    if [[ $1 == crates/telemetry/src/lib.rs ]]; then
+        sed '/^pub fn now_ns() -> u64 {$/d' "$1"
+    else
+        cat "$1"
     fi
 }
 # The whole file, less the one line allowed to say `unsafe`: the first
@@ -259,6 +276,18 @@ gates=(
     '\bstatic\s+(mut\s+)?\w+\s*:[^=]*\b(Atomic\w*|OnceLock|LazyLock|Mutex)\b'
     'crates/*/src@outside_allowed_statics'
     'a process-wide static is back; give the cluster (its Fabric, Recorder or KvStore) the state instead'
+
+    # One clock per cluster: leases, deadlines, TTLs, guest gettime and
+    # span stamps read the cluster's Clock (Recorder::clock,
+    # Recorder::now_ns); a test moves a manual clock instead of waiting, and
+    # waits on the progress it needs, never on a sleep.
+    '(^|[^.a-z_])now_ns\(\)'
+    'crates@outside_now_ns_shim src@whole tests@whole examples@whole'
+    'the process-wide now_ns is called; stamp with the cluster'"'"'s clock (Recorder::now_ns)'
+
+    'thread::sleep'
+    'tests@whole crates/*/tests@whole crates/*/src@testonly'
+    'a test sleeps; advance the cluster'"'"'s manual clock (Cluster::with_clock), hold work at a gate the test opens, or wait on the progress the test needs'
 
     'SharingQueue'
     'crates@whole'

@@ -173,7 +173,6 @@ impl Drop for CgroupShare {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn single_member_never_blocks() {
@@ -207,8 +206,11 @@ mod tests {
             for _ in 0..200 {
                 bb.acquire_slice(64).unwrap();
                 pb.fetch_add(64, Ordering::SeqCst);
-                // B is artificially slow.
-                std::thread::sleep(Duration::from_micros(50));
+                // B is artificially slow: it gives its core away between
+                // slices.
+                for _ in 0..50 {
+                    std::thread::yield_now();
+                }
             }
         });
         // While both run, A cannot lead B by more than tolerance + slice.
@@ -219,7 +221,7 @@ mod tests {
                 (da - db).abs() <= 64 * 3,
                 "fuel divergence too large: a={da} b={db}"
             );
-            std::thread::sleep(Duration::from_micros(100));
+            std::thread::yield_now();
         }
         ta.join().unwrap();
         tb.join().unwrap();
@@ -275,7 +277,10 @@ mod tests {
                 a.acquire_slice(10).unwrap();
             }
         });
-        std::thread::sleep(Duration::from_millis(20));
+        // A has run its tolerance ahead of B and waits on B's vruntime.
+        while g.state.lock().waiting == 0 {
+            std::thread::yield_now();
+        }
         drop(b); // leave the group
         t.join().unwrap();
     }

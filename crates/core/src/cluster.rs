@@ -7,17 +7,18 @@
 //! chosen instance's batched placed-submit path, completing through a
 //! callback; a chained call is queued on, or sent to, the chosen host.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use faasm_fvm::{ExportKind, ObjectModule};
 use faasm_kvs::{
     reshard, KvError, KvServer, RoutingCell, RoutingTable, ShardStats, ShardedKvClient, SharedKv,
 };
 use faasm_net::{Fabric, HostId};
 use faasm_sched::{entry_for, CallId, CallResult, Candidate};
-use faasm_telemetry::Telemetry;
+use faasm_telemetry::{Clock, Telemetry};
 use faasm_vfs::ObjectStore;
 use parking_lot::Mutex;
 
@@ -106,8 +107,9 @@ pub struct Cluster {
     /// with the liveness monitor so an automatic failover and a manual
     /// reshard cannot race.
     reshard_lock: Arc<Mutex<()>>,
-    monitor_stop: Arc<AtomicBool>,
-    monitor_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The liveness monitor and its stop signal: dropping the sender
+    /// stops it at once.
+    monitor: Mutex<Option<(Sender<()>, std::thread::JoinHandle<()>)>>,
     coord_nic: faasm_net::Nic,
     object_store: Arc<ObjectStore>,
     placer: Arc<Placer>,
@@ -193,9 +195,16 @@ impl Cluster {
         })
     }
 
-    /// Start a cluster from explicit configuration.
+    /// Start a cluster from explicit configuration, on a real clock.
     pub fn with_config(config: ClusterConfig) -> Cluster {
-        let fabric = Fabric::new();
+        Cluster::with_clock(config, Clock::real())
+    }
+
+    /// Start a cluster whose leases, deadlines, TTLs, guest `gettime` and
+    /// span stamps read `clock` (a test's [`Clock::manual`] moves only when
+    /// the test advances it).
+    pub fn with_clock(config: ClusterConfig, clock: Clock) -> Cluster {
+        let fabric = Fabric::with_clock(clock);
         // The global tier: one fabric host per shard server, each routed
         // (it checks key ownership and speaks the resharding protocol). A
         // replicated tier gives every shard a second host for inbound
@@ -211,10 +220,9 @@ impl Cluster {
         let boards = Arc::new(faasm_sched::SchedBoards::new());
         // `cache_bytes` turns the function-side state cache on for every
         // instance.
-        let cache = (config.cache_bytes > 0).then(|| faasm_kvs::CacheConfig {
+        let cache = (config.cache_bytes > 0).then_some(faasm_kvs::CacheConfig {
             max_bytes: config.cache_bytes,
             default_consistency: config.default_consistency,
-            ..faasm_kvs::CacheConfig::default()
         });
         let placer = Arc::new_cyclic(|placer: &Weak<Placer>| Placer {
             instances: (0..config.hosts.max(1))
@@ -244,16 +252,16 @@ impl Cluster {
         ));
 
         let reshard_lock = Arc::new(Mutex::new(()));
-        let monitor_stop = Arc::new(AtomicBool::new(false));
-        let monitor_thread = (replication > 1).then(|| {
+        let monitor = (replication > 1).then(|| {
             let nic = fabric.add_host();
             let cell = Arc::clone(&routing);
             let lock = Arc::clone(&reshard_lock);
-            let stop = Arc::clone(&monitor_stop);
-            std::thread::Builder::new()
+            let (stop_tx, stop) = bounded(0);
+            let thread = std::thread::Builder::new()
                 .name("state-liveness".into())
                 .spawn(move || liveness_monitor(&nic, &cell, &lock, &stop))
-                .expect("spawn liveness monitor")
+                .expect("spawn liveness monitor");
+            (stop_tx, thread)
         });
 
         Cluster {
@@ -261,8 +269,7 @@ impl Cluster {
             kvs: Mutex::new(kvs),
             routing,
             reshard_lock,
-            monitor_stop,
-            monitor_thread: Mutex::new(monitor_thread),
+            monitor: Mutex::new(monitor),
             coord_nic: driver_nic,
             object_store,
             placer,
@@ -609,9 +616,9 @@ impl Cluster {
 
     /// Stop every component. Called automatically on drop.
     pub fn shutdown(&self) {
-        self.monitor_stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.monitor_thread.lock().take() {
-            let _ = t.join();
+        if let Some((stop, thread)) = self.monitor.lock().take() {
+            drop(stop);
+            let _ = thread.join();
         }
         for i in self.instances() {
             i.shutdown();
@@ -627,17 +634,18 @@ const MONITOR_INTERVAL: Duration = Duration::from_millis(20);
 const MONITOR_PING_TIMEOUT: Duration = Duration::from_millis(250);
 const MONITOR_STRIKES: u32 = 3;
 
+/// Sweep the tier every [`MONITOR_INTERVAL`] until `stop`'s sender is
+/// dropped, which ends the wait between sweeps (and a sweep) at once.
 fn liveness_monitor(
     nic: &faasm_net::Nic,
     cell: &RoutingCell,
     reshard_lock: &Mutex<()>,
-    stop: &AtomicBool,
+    stop: &Receiver<()>,
 ) {
     let ping = faasm_kvs::codec::encode_request(&faasm_kvs::Request::Ping);
     let mut strikes: std::collections::HashMap<usize, u32> = std::collections::HashMap::new();
     let mut last_epoch = 0u64;
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(MONITOR_INTERVAL);
+    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(MONITOR_INTERVAL) {
         let table = cell.load();
         if table.epoch != last_epoch {
             // Any epoch change re-arms detection from scratch.
@@ -645,7 +653,7 @@ fn liveness_monitor(
             last_epoch = table.epoch;
         }
         for slot in table.live_slots() {
-            if stop.load(Ordering::Relaxed) {
+            if stop.try_recv() != Err(TryRecvError::Empty) {
                 return;
             }
             let verdict = nic.call_timeout(table.hosts[slot], ping.clone(), MONITOR_PING_TIMEOUT);
@@ -976,12 +984,16 @@ mod tests {
         use std::sync::mpsc;
         use std::time::Duration;
 
-        // One host, slow native calls: most of the batch is still queued
-        // when shutdown runs. Every callback must fire anyway — a leaked
-        // callback would wedge any ingress tier counting in-flight slots.
+        // One host, native calls held at a gate until shutdown has begun:
+        // most of the batch is still queued when shutdown runs. Every
+        // callback must fire anyway — a leaked callback would wedge any
+        // ingress tier counting in-flight slots.
         let cluster = Cluster::new(1);
-        let slow: Arc<dyn NativeGuest> = Arc::new(|api: &mut NativeApi<'_>| {
-            std::thread::sleep(Duration::from_millis(20));
+        let (started_tx, started) = mpsc::channel();
+        let (gate_tx, gate) = crossbeam::channel::bounded::<()>(0);
+        let slow: Arc<dyn NativeGuest> = Arc::new(move |api: &mut NativeApi<'_>| {
+            let _ = started_tx.send(());
+            let _ = gate.recv();
             api.write_output(b"done");
             Ok(0)
         });
@@ -1004,8 +1016,20 @@ mod tests {
             .collect();
         let ids = inst.submit_placed_batch(calls);
         assert_eq!(ids.len(), 16);
-        std::thread::sleep(Duration::from_millis(5));
+        started
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a worker took a call");
+        let opener = {
+            let inst = Arc::clone(inst);
+            std::thread::spawn(move || {
+                while !inst.is_stopped() {
+                    std::thread::yield_now();
+                }
+                drop(gate_tx);
+            })
+        };
         inst.shutdown();
+        opener.join().unwrap();
         for i in 0..16 {
             let r = rx
                 .recv_timeout(Duration::from_secs(10))
@@ -1358,11 +1382,9 @@ mod tests {
         // Pre-stage B the way the autoscaler does: push the manifest over
         // the bus, then wait for B's fetcher to install the proto.
         assert!(a.push_prestage("u", "echo", b.host_id()));
-        for _ in 0..400 {
-            if b.has_proto("u", "echo") {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
+        let t0 = std::time::Instant::now();
+        while !b.has_proto("u", "echo") && t0.elapsed() < std::time::Duration::from_secs(2) {
+            std::thread::yield_now();
         }
         assert!(b.has_proto("u", "echo"), "pre-stage never landed");
         assert_eq!(b.snapshot_stats().prestages, 1);

@@ -107,7 +107,8 @@ pub struct FaasletCtx {
     pub sockets: HashMap<u32, Socket>,
     /// Next socket descriptor.
     pub next_socket: u32,
-    /// Start of the per-user monotonic clock (Tab. 2 `gettime`).
+    /// Start of the per-user monotonic clock (Tab. 2 `gettime`), an
+    /// instant on the cluster's clock.
     pub started: Instant,
     /// Deterministic RNG backing `getrandom`.
     pub rng: SplitMix64,
@@ -304,9 +305,10 @@ impl FaasletCtx {
         self.sockets.remove(&sock).is_some()
     }
 
-    /// Nanoseconds of the per-user monotonic clock.
+    /// Nanoseconds since the Faaslet was built, on the cluster's clock.
     pub fn gettime_ns(&self) -> u64 {
-        self.started.elapsed().as_nanos() as u64
+        let now = self.vif.nic().recorder().clock().now();
+        now.saturating_duration_since(self.started).as_nanos() as u64
     }
 
     /// Prepare the context for a new call (same Faaslet, next invocation).
@@ -442,7 +444,7 @@ pub(crate) mod tests {
             held_global: Vec::new(),
             sockets: HashMap::new(),
             next_socket: 1,
-            started: Instant::now(),
+            started: nic.recorder().clock().now(),
             rng: SplitMix64::new(1),
             chained: Vec::new(),
             results: HashMap::new(),

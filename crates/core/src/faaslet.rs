@@ -9,7 +9,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use faasm_fvm::{FuelMeter, Instance, InstanceSnapshot, Linker, Val};
 use faasm_net::{Nic, TokenBucket};
@@ -130,7 +129,7 @@ fn build_ctx(
         held_global: Vec::new(),
         sockets: HashMap::new(),
         next_socket: 1,
-        started: Instant::now(),
+        started: env.nic.recorder().clock().now(),
         rng: SplitMix64::new(id),
         chained: Vec::new(),
         results: HashMap::new(),
@@ -480,6 +479,7 @@ pub(crate) mod tests {
     use faasm_net::Fabric;
     use faasm_sched::CallId;
     use faasm_vfs::ObjectStore;
+    use std::time::Instant;
 
     pub(crate) fn test_env() -> FaasletEnv {
         let fabric = Fabric::new();

@@ -1,6 +1,7 @@
 //! Host-interface tests: FL guests exercising every class of Tab. 2.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use faasm_fvm::{Instance, ObjectModule, Trap, Val};
 
@@ -285,16 +286,16 @@ fn global_read_locks_share_and_an_unheld_unlock_traps() {
 
     assert_eq!(inst.invoke("lock", &[]).unwrap(), Some(Val::I32(0)));
     assert!(
-        store.try_lock("r", LockMode::Read, reader),
+        store.try_lock("r", LockMode::Read, reader, Instant::now()),
         "a second read lock shares"
     );
     assert!(
-        !store.try_lock("r", LockMode::Write, writer),
+        !store.try_lock("r", LockMode::Write, writer, Instant::now()),
         "readers exclude a writer"
     );
     assert_eq!(inst.invoke("unlock", &[]).unwrap(), Some(Val::I32(0)));
     assert!(
-        !store.try_lock("r", LockMode::Write, writer),
+        !store.try_lock("r", LockMode::Write, writer, Instant::now()),
         "the other reader holds on"
     );
     store.unlock("r", LockMode::Read, reader);
@@ -306,7 +307,7 @@ fn global_read_locks_share_and_an_unheld_unlock_traps() {
         "{r:?}"
     );
     assert!(
-        store.try_lock("r", LockMode::Write, writer),
+        store.try_lock("r", LockMode::Write, writer, Instant::now()),
         "nothing left held"
     );
     store.unlock("r", LockMode::Write, writer);
@@ -315,7 +316,7 @@ fn global_read_locks_share_and_an_unheld_unlock_traps() {
     assert_eq!(inst.invoke("lock", &[]).unwrap(), Some(Val::I32(0)));
     inst.data_as::<FaasletCtx>().unwrap().release_state_locks();
     assert!(
-        store.try_lock("r", LockMode::Write, writer),
+        store.try_lock("r", LockMode::Write, writer, Instant::now()),
         "released at call end"
     );
 

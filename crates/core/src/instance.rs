@@ -575,7 +575,7 @@ impl FaasmInstance {
                         // `queue_depth` must not still hold the finished one.
                         self.leave_transit(calls.len());
                         for call in calls {
-                            if sent_at_ns != 0 && !call.trace.is_none() {
+                            if !call.trace.is_none() {
                                 // One bus-transit span per call: encode +
                                 // send + fabric queueing + decode, measured
                                 // against the sender's stamp.
@@ -645,7 +645,7 @@ impl FaasmInstance {
             }
         };
         let t0 = Instant::now();
-        let start_ns = faasm_telemetry::now_ns();
+        let start_ns = self.nic.recorder().now_ns();
         // The worker-exec span is allocated *before* the run and installed
         // as the thread's active context, so every state pull/push, lock
         // wait and KVS request the Faaslet issues nests under it.
@@ -766,7 +766,7 @@ impl FaasmInstance {
                 }
             }
         };
-        let s0 = faasm_telemetry::now_ns();
+        let s0 = self.nic.recorder().now_ns();
         let t0 = Instant::now();
         let f = Faaslet::restore(id, proto, Arc::clone(&rec.def), &env)?;
         self.metrics
@@ -804,7 +804,7 @@ impl FaasmInstance {
         let manifest = ProtoManifest::from_bytes(manifest)?;
         let stats = self.snap_cache.stats();
         stats.fetches.inc();
-        let s0 = faasm_telemetry::now_ns();
+        let s0 = self.nic.recorder().now_ns();
         let mut pages = HashMap::new();
         // The meta chunk is never stored (it names its upload), so it always
         // rides the read. A pre-staged manifest's length is bounded only by
@@ -825,7 +825,7 @@ impl FaasmInstance {
         }
         let keys: Vec<String> = missing.iter().map(chunk_key).collect();
         let values = self.tier_kv.multi_get(&keys).ok()?;
-        let v0 = faasm_telemetry::now_ns();
+        let v0 = self.nic.recorder().now_ns();
         let mut meta = None;
         for (d, value) in missing.iter().zip(values) {
             // A chunk not in the tier: evicted, or the manifest raced ahead
@@ -1035,7 +1035,7 @@ impl FaasmInstance {
             &InstanceMsg::InvokeBatch {
                 calls: sent,
                 reply_to: self.host_id,
-                sent_at_ns: faasm_telemetry::now_ns(),
+                sent_at_ns: self.nic.recorder().now_ns(),
             },
             http,
         );

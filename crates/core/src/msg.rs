@@ -29,9 +29,10 @@ pub enum InstanceMsg {
         calls: Vec<CallSpec>,
         /// Where every result goes.
         reply_to: HostId,
-        /// Telemetry-clock send timestamp ([`faasm_telemetry::now_ns`]):
+        /// Send timestamp on the cluster's clock
+        /// ([`faasm_telemetry::Recorder::now_ns`]):
         /// the receiving bus loop records the batch's bus-transit span as
-        /// `recv - sent_at_ns` per call. 0 = unstamped.
+        /// `recv - sent_at_ns` per call.
         sent_at_ns: u64,
     },
     /// Pre-stage a function's proto snapshot: the autoscaler pushes the

@@ -10,7 +10,9 @@
 //!   semantics: a slot abandoned by a timed-out waiter must not leak its
 //!   response).
 //! * **TTL sweep**: whether fulfilled slots nobody ever claims
-//!   (fire-and-forget submits) are eventually swept.
+//!   (fire-and-forget submits) are eventually swept. Slot ages are read
+//!   off the map's [`Clock`] (the cluster's); a blocking wait's timeout is
+//!   real time.
 //!
 //! [`PendingMap`] captures both behind knobs. The runtime instance and the
 //! cluster front door use a store-unregistered map over
@@ -31,6 +33,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+use faasm_telemetry::Clock;
 use parking_lot::{Condvar, Mutex};
 
 /// A completion hook invoked exactly once with the terminal value, from
@@ -41,7 +44,8 @@ pub type PendingCallback<T> = Box<dyn FnOnce(T) + Send>;
 enum Slot<T> {
     /// Registered; a blocking waiter will claim it.
     Waiting,
-    /// Fulfilled, awaiting its taker; swept after the TTL (if any).
+    /// Fulfilled at the instant, awaiting its taker; swept after the TTL
+    /// (if any).
     Ready(T, Instant),
     /// A callback waiter: fulfilment invokes the hook instead of parking
     /// the value, so no thread blocks per in-flight id.
@@ -79,11 +83,12 @@ pub struct PendingMap<T> {
     cv: Condvar,
     store_unregistered: bool,
     ttl: Option<Duration>,
+    clock: Clock,
 }
 
 impl<T: Send> Default for PendingMap<T> {
     fn default() -> PendingMap<T> {
-        PendingMap::new(true, None)
+        PendingMap::new(true, None, Clock::real())
     }
 }
 
@@ -92,17 +97,18 @@ impl<T: Send> PendingMap<T> {
     /// fulfilled for ids nobody registered (message-bus semantics; such a
     /// map also keeps timed-out waiters' slots so a late value is not
     /// lost), `ttl` sweeps fulfilled-but-unclaimed slots after the given
-    /// age (fire-and-forget hygiene).
-    pub fn new(store_unregistered: bool, ttl: Option<Duration>) -> PendingMap<T> {
+    /// age on `clock` (fire-and-forget hygiene).
+    pub fn new(store_unregistered: bool, ttl: Option<Duration>, clock: Clock) -> PendingMap<T> {
         PendingMap {
             slots: Mutex::new(Slots {
                 map: HashMap::new(),
                 fulfilled: 0,
-                last_sweep: Instant::now(),
+                last_sweep: clock.now(),
             }),
             cv: Condvar::new(),
             store_unregistered,
             ttl,
+            clock,
         }
     }
 
@@ -153,7 +159,7 @@ impl<T: Send> PendingMap<T> {
                         slots.fulfilled += 1;
                     }
                     let v = value.take().expect("value present");
-                    slots.map.insert(id, Slot::Ready(v, Instant::now()));
+                    slots.map.insert(id, Slot::Ready(v, self.clock.now()));
                     self.cv.notify_all();
                 }
             }
@@ -161,8 +167,11 @@ impl<T: Send> PendingMap<T> {
             // when enough have accumulated and not more often than ttl/4,
             // so steady traffic never pays an O(n) scan per completion.
             if let Some(ttl) = self.ttl {
-                if slots.fulfilled > SWEEP_THRESHOLD && slots.last_sweep.elapsed() >= ttl / 4 {
-                    Self::sweep_slots(&mut slots, ttl);
+                if slots.fulfilled > SWEEP_THRESHOLD {
+                    let now = self.clock.now();
+                    if now.saturating_duration_since(slots.last_sweep) >= ttl / 4 {
+                        Self::sweep_slots(&mut slots, ttl, now);
+                    }
                 }
             }
         }
@@ -224,7 +233,7 @@ impl<T: Send> PendingMap<T> {
         let callbacks: Vec<(u64, PendingCallback<T>)> = {
             let mut slots = self.slots.lock();
             let Slots { map, fulfilled, .. } = &mut *slots;
-            let now = Instant::now();
+            let now = self.clock.now();
             let mut callback_ids = Vec::new();
             for (id, slot) in map.iter_mut() {
                 match slot {
@@ -254,7 +263,7 @@ impl<T: Send> PendingMap<T> {
     /// than the TTL. No-op on maps without one.
     pub fn sweep(&self) {
         if let Some(ttl) = self.ttl {
-            Self::sweep_slots(&mut self.slots.lock(), ttl);
+            Self::sweep_slots(&mut self.slots.lock(), ttl, self.clock.now());
         }
     }
 
@@ -268,16 +277,17 @@ impl<T: Send> PendingMap<T> {
         self.len() == 0
     }
 
-    fn sweep_slots(slots: &mut Slots<T>, ttl: Duration) {
+    fn sweep_slots(slots: &mut Slots<T>, ttl: Duration, now: Instant) {
+        let stale = |at: &Instant| now.saturating_duration_since(*at) >= ttl;
         slots
             .map
-            .retain(|_, slot| !matches!(slot, Slot::Ready(_, at) if at.elapsed() >= ttl));
+            .retain(|_, slot| !matches!(slot, Slot::Ready(_, at) if stale(at)));
         slots.fulfilled = slots
             .map
             .values()
             .filter(|s| matches!(s, Slot::Ready(..)))
             .count();
-        slots.last_sweep = Instant::now();
+        slots.last_sweep = now;
     }
 }
 
@@ -289,7 +299,7 @@ mod tests {
 
     #[test]
     fn store_unregistered_parks_early_results() {
-        let m: PendingMap<u32> = PendingMap::new(true, None);
+        let m: PendingMap<u32> = PendingMap::new(true, None, Clock::real());
         m.fulfill(7, 70);
         assert_eq!(m.try_take(7), Some(70));
         assert_eq!(m.try_take(7), None, "taken once");
@@ -297,7 +307,7 @@ mod tests {
 
     #[test]
     fn non_storing_drops_unregistered_results() {
-        let m: PendingMap<u32> = PendingMap::new(false, None);
+        let m: PendingMap<u32> = PendingMap::new(false, None, Clock::real());
         m.fulfill(7, 70);
         assert_eq!(m.try_take(7), None);
         assert!(m.is_empty());
@@ -309,14 +319,14 @@ mod tests {
 
     #[test]
     fn wait_timeout_policies_differ() {
-        let storing: PendingMap<u32> = PendingMap::new(true, None);
+        let storing: PendingMap<u32> = PendingMap::new(true, None, Clock::real());
         storing.register(1);
         assert_eq!(storing.wait(1, Duration::from_millis(5)), None);
         // Slot survived the timeout: a late result still lands.
         storing.fulfill(1, 10);
         assert_eq!(storing.try_take(1), Some(10));
 
-        let dropping: PendingMap<u32> = PendingMap::new(false, None);
+        let dropping: PendingMap<u32> = PendingMap::new(false, None, Clock::real());
         dropping.register(1);
         assert_eq!(dropping.wait(1, Duration::from_millis(5)), None);
         // Slot abandoned: the late result is dropped.
@@ -326,7 +336,7 @@ mod tests {
 
     #[test]
     fn non_storing_wait_on_an_untracked_id_answers_at_once() {
-        let m: PendingMap<u32> = PendingMap::new(false, None);
+        let m: PendingMap<u32> = PendingMap::new(false, None, Clock::real());
         let t0 = Instant::now();
         assert_eq!(m.wait(1, Duration::from_secs(30)), None);
         assert!(t0.elapsed() < Duration::from_secs(5));
@@ -334,7 +344,7 @@ mod tests {
 
     #[test]
     fn fulfill_waiting_resolves_waiters_and_callbacks_but_not_ready_slots() {
-        let m: PendingMap<u32> = PendingMap::new(false, None);
+        let m: PendingMap<u32> = PendingMap::new(false, None, Clock::real());
         m.register(1);
         m.register(2);
         m.fulfill(2, 20);
@@ -355,7 +365,7 @@ mod tests {
 
     #[test]
     fn callback_fires_once_from_fulfill() {
-        let m: PendingMap<u32> = PendingMap::new(false, None);
+        let m: PendingMap<u32> = PendingMap::new(false, None, Clock::real());
         let hits = Arc::new(AtomicU32::new(0));
         let h = Arc::clone(&hits);
         m.register_callback(
@@ -373,7 +383,7 @@ mod tests {
 
     #[test]
     fn callback_registered_after_parked_result_fires_immediately() {
-        let m: PendingMap<u32> = PendingMap::new(true, None);
+        let m: PendingMap<u32> = PendingMap::new(true, None, Clock::real());
         m.fulfill(5, 55);
         let hits = Arc::new(AtomicU32::new(0));
         let h = Arc::clone(&hits);
@@ -390,24 +400,36 @@ mod tests {
 
     #[test]
     fn blocking_waiter_wakes_on_fulfill() {
-        let m: Arc<PendingMap<u32>> = Arc::new(PendingMap::new(true, None));
+        let m: Arc<PendingMap<u32>> = Arc::new(PendingMap::new(true, None, Clock::real()));
         m.register(9);
+        let (entered, waiting) = std::sync::mpsc::channel();
         let waiter = {
             let m = Arc::clone(&m);
-            std::thread::spawn(move || m.wait(9, Duration::from_secs(5)))
+            std::thread::spawn(move || {
+                entered.send(()).unwrap();
+                m.wait(9, Duration::from_secs(5))
+            })
         };
-        std::thread::sleep(Duration::from_millis(10));
+        // The waiter is on its way into `wait` (or already parked there);
+        // either way the value reaches it.
+        waiting.recv().unwrap();
         m.fulfill(9, 99);
         assert_eq!(waiter.join().unwrap(), Some(99));
     }
 
     #[test]
     fn ttl_sweep_drops_only_stale_ready_slots() {
-        let m: PendingMap<u32> = PendingMap::new(false, Some(Duration::ZERO));
+        let clock = Clock::manual();
+        let ttl = Duration::from_secs(120);
+        let m: PendingMap<u32> = PendingMap::new(false, Some(ttl), clock.clone());
         m.register(1); // waiting: must survive
         m.register_callback(2, Box::new(|_| {})); // callback: must survive
         m.register(3);
-        m.fulfill(3, 30); // ready with ttl 0: sweepable
+        m.fulfill(3, 30); // ready: sweepable once the TTL has passed
+        clock.advance(ttl - Duration::from_millis(1));
+        m.sweep();
+        assert_eq!(m.len(), 3, "nothing is stale yet");
+        clock.advance(Duration::from_millis(1));
         m.sweep();
         assert_eq!(m.len(), 2, "only the stale Ready slot is swept");
         assert_eq!(m.try_take(3), None);

@@ -1,6 +1,6 @@
 //! The gateway autoscaler: queue depth in, warm-pool size out.
 //!
-//! Every `interval` the autoscaler samples the per-function backlog of the
+//! Every [`INTERVAL`] the autoscaler samples the per-function backlog of the
 //! pending queue. Functions with deep backlogs get Faaslets pre-warmed on
 //! the least-loaded instance (through the Proto-Faaslet restore path, so
 //! the pre-warm itself is microseconds); functions whose backlog has
@@ -17,8 +17,6 @@ use faasm_sched::{entry_for, Candidate, SchedBoards};
 /// Autoscaler tuning.
 #[derive(Debug, Clone)]
 pub struct AutoscaleConfig {
-    /// Sampling period.
-    pub interval: Duration,
     /// Backlog (queued requests for one function) above which Faaslets are
     /// pre-warmed.
     pub backlog_high: usize,
@@ -36,7 +34,6 @@ pub struct AutoscaleConfig {
 impl Default for AutoscaleConfig {
     fn default() -> AutoscaleConfig {
         AutoscaleConfig {
-            interval: Duration::from_millis(10),
             backlog_high: 4,
             max_warm: 64,
             tier_ops_high: None,
@@ -44,6 +41,9 @@ impl Default for AutoscaleConfig {
         }
     }
 }
+
+/// The autoscaler's sampling period (real time: the wait between ticks).
+pub const INTERVAL: Duration = Duration::from_millis(10);
 
 /// Faaslets pre-warmed per backlog trigger.
 pub(crate) const SCALE_STEP: usize = 2;
@@ -226,11 +226,9 @@ mod tests {
         // own synchronous fetch wins the race to install the proto), and no
         // host compiled from scratch. The push is asynchronous, so poll.
         let prestaged = |cluster: &Cluster| cluster.telemetry().get("snapdist", "prestages");
-        for _ in 0..400 {
-            if prestaged(&cluster) >= 2 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
+        let t0 = std::time::Instant::now();
+        while prestaged(&cluster) < 2 && t0.elapsed() < Duration::from_secs(2) {
+            std::thread::yield_now();
         }
         let got = prestaged(&cluster);
         assert!(got >= 2, "cold targets were pre-staged: {got}");

@@ -18,6 +18,7 @@ use faasm_net::stream::{decode_stream_msg, StreamConn, StreamKind};
 use faasm_net::{HostId, NetError, Nic};
 
 use crate::codec::{self, FrameBuf, GatewayRequest, OversizedFrame};
+use crate::gateway::WAIT_TIMEOUT;
 use crate::response::GatewayResponse;
 
 /// Gateway client construction parameters.
@@ -26,16 +27,12 @@ pub struct GatewayClientConfig {
     /// Fragmentation size for request frames (small values exercise
     /// reassembly; the default mimics an Ethernet MTU).
     pub mtu: usize,
-    /// Upper bound a caller blocks in [`GatewayClient::wait`] before
-    /// getting an error response.
-    pub wait_timeout: Duration,
 }
 
 impl Default for GatewayClientConfig {
     fn default() -> GatewayClientConfig {
         GatewayClientConfig {
             mtu: faasm_net::DEFAULT_MTU,
-            wait_timeout: Duration::from_secs(120),
         }
     }
 }
@@ -69,11 +66,10 @@ struct ClientInner {
     nic: Nic,
     conn: parking_lot::Mutex<StreamConn>,
     server: HostId,
-    wait_timeout: Duration,
     next_seq: AtomicU64,
     /// Ticket → response. Non-storing (a response nobody holds a ticket
-    /// for is dropped), TTL-swept at the wait timeout (fire-and-forget
-    /// submitters must not grow it without bound).
+    /// for is dropped), TTL-swept at [`WAIT_TIMEOUT`] on the cluster's
+    /// clock (fire-and-forget submitters must not grow it without bound).
     pending: PendingMap<GatewayResponse>,
     /// Why the connection died, once it has; new submits fail fast.
     closed: parking_lot::Mutex<Option<String>>,
@@ -116,13 +112,13 @@ impl GatewayClient {
         config: GatewayClientConfig,
     ) -> Result<GatewayClient, NetError> {
         let conn = StreamConn::open(nic.clone(), server, config.mtu)?;
+        let clock = nic.recorder().clock().clone();
         let inner = Arc::new(ClientInner {
             nic,
             conn: parking_lot::Mutex::new(conn),
             server,
-            wait_timeout: config.wait_timeout,
             next_seq: AtomicU64::new(1),
-            pending: PendingMap::new(false, Some(config.wait_timeout)),
+            pending: PendingMap::new(false, Some(WAIT_TIMEOUT), clock),
             closed: parking_lot::Mutex::new(None),
             stop: AtomicBool::new(false),
         });
@@ -243,7 +239,7 @@ impl GatewayClient {
     pub fn wait(&self, ticket: u64) -> GatewayResponse {
         self.inner
             .pending
-            .wait(ticket, self.inner.wait_timeout)
+            .wait(ticket, WAIT_TIMEOUT)
             .unwrap_or_else(|| {
                 GatewayResponse::error(ticket, "unknown ticket or client wait timed out")
             })

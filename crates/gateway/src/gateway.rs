@@ -5,13 +5,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use faasm_core::{Cluster, FaasmInstance, GatewayMetrics, PendingMap, PlacedCall};
 use faasm_net::TokenBucket;
 use faasm_telemetry::{Recorder, SpanKind, TraceCtx};
 use parking_lot::{Condvar, Mutex};
 
 use crate::autoscale::{
-    spread_prewarm, tier_scale_wanted, AutoscaleConfig, IDLE_TARGET, SCALE_STEP,
+    spread_prewarm, tier_scale_wanted, AutoscaleConfig, IDLE_TARGET, INTERVAL, SCALE_STEP,
 };
 use crate::codec::{self, GatewayRequest};
 use crate::queue::{FairQueue, Job};
@@ -25,12 +26,6 @@ pub struct GatewayConfig {
     pub dispatchers: usize,
     /// Maximum requests per dispatched batch.
     pub max_batch: usize,
-    /// How long a dispatcher waits for the first request of a batch before
-    /// re-checking for shutdown.
-    pub batch_wait: Duration,
-    /// Queueing deadline applied to requests that do not carry their own: a
-    /// request still queued after this long is shed with `Expired`.
-    pub default_deadline: Duration,
     /// Autoscaler; `None` disables it.
     pub autoscale: Option<AutoscaleConfig>,
     /// Requests submitted to the cluster but not yet completed, across all
@@ -39,14 +34,6 @@ pub struct GatewayConfig {
     /// shed `Overloaded`) but keep shedding expired jobs on time. `0`
     /// means `dispatchers × max_batch`.
     pub max_inflight: usize,
-    /// Target dispatch delay (time a job may stand in the queue before
-    /// dispatch — CoDel's sojourn-time target) for the admission
-    /// back-pressure loop. When the measured EWMA stands above this,
-    /// effective per-tenant queue caps shrink multiplicatively
-    /// (CoDel-lite: shed at admission instead of queueing work the
-    /// cluster cannot serve in time); when it drops below half the
-    /// target — or the gateway fully drains — caps grow back additively.
-    pub target_dispatch_latency: Duration,
 }
 
 impl Default for GatewayConfig {
@@ -54,19 +41,34 @@ impl Default for GatewayConfig {
         GatewayConfig {
             dispatchers: 2,
             max_batch: 16,
-            batch_wait: Duration::from_millis(5),
-            default_deadline: Duration::from_secs(5),
             autoscale: Some(AutoscaleConfig::default()),
             max_inflight: 0,
-            target_dispatch_latency: Duration::from_millis(25),
         }
     }
 }
 
+/// How long a dispatcher waits for the first request of a batch before
+/// re-checking for shutdown and expired jobs (real time: it bounds a wait).
+const BATCH_WAIT: Duration = Duration::from_millis(5);
+
+/// Queueing deadline of a request that carries none: a request still
+/// queued this long after admission, on the cluster's clock, is shed with
+/// `Expired`.
+pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Target dispatch delay (time a job may stand in the queue before
+/// dispatch — CoDel's sojourn-time target) for the admission back-pressure
+/// loop. When the measured EWMA stands above this, effective per-tenant
+/// queue caps shrink multiplicatively (CoDel-lite: shed at admission
+/// instead of queueing work the cluster cannot serve in time); when it
+/// drops below half the target — or the gateway fully drains — caps grow
+/// back additively.
+pub const TARGET_DISPATCH_LATENCY: Duration = Duration::from_millis(25);
+
 /// Upper bound a caller blocks in [`Gateway::wait`] before getting an error
 /// response (covers runaway guests; normal sheds return fast), and the age
 /// at which a response nobody claimed is swept.
-const WAIT_TIMEOUT: Duration = Duration::from_secs(120);
+pub const WAIT_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Admission cap scale denominator: a scale of `CAP_SCALE_ONE` applies
 /// tenants' configured queue caps unchanged.
@@ -78,7 +80,7 @@ const CAP_SCALE_MIN: u64 = CAP_SCALE_ONE / 16;
 /// Additive step per adjustment tick on recovery.
 const CAP_SCALE_STEP: u64 = CAP_SCALE_ONE / 32;
 
-/// How often the AIMD loop re-evaluates the EWMA.
+/// How often, on the cluster's clock, the AIMD loop re-evaluates the EWMA.
 const ADJUST_EVERY: Duration = Duration::from_millis(10);
 
 /// A remote waiter's completion hook, invoked exactly once with the
@@ -144,6 +146,9 @@ struct Inner {
 pub struct Gateway {
     inner: Arc<Inner>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The autoscaler's stop signal: dropping it ends the autoscaler's
+    /// wait between ticks at once.
+    autoscaler_stop: Mutex<Option<Sender<()>>>,
 }
 
 impl std::fmt::Debug for Gateway {
@@ -159,16 +164,17 @@ impl Gateway {
     /// Start a gateway in front of `cluster`: spawns the dispatcher threads
     /// and (if configured) the autoscaler.
     pub fn start(cluster: Arc<Cluster>, config: GatewayConfig) -> Gateway {
-        let completions = Completions::new(false, Some(WAIT_TIMEOUT));
+        let recorder = Arc::clone(cluster.fabric().recorder());
+        let clock = recorder.clock().clone();
         let inner = Arc::new(Inner {
-            recorder: Arc::clone(cluster.fabric().recorder()),
+            recorder,
             cluster,
             config,
             queue: FairQueue::new(),
             policies: Mutex::new(HashMap::new()),
             buckets: Mutex::new(HashMap::new()),
             unlimited: Arc::new(TokenBucket::unlimited()),
-            completions,
+            completions: Completions::new(false, Some(WAIT_TIMEOUT), clock.clone()),
             metrics: Arc::new(GatewayMetrics::new()),
             seq: AtomicU64::new(1),
             stop: AtomicBool::new(false),
@@ -176,7 +182,7 @@ impl Gateway {
             inflight_cv: Condvar::new(),
             dispatch_ewma_ns: AtomicU64::new(0),
             cap_scale: AtomicU64::new(CAP_SCALE_ONE),
-            last_adjust: Mutex::new(Instant::now()),
+            last_adjust: Mutex::new(clock.now()),
         });
         let mut threads = Vec::new();
         for d in 0..inner.config.dispatchers.max(1) {
@@ -188,18 +194,21 @@ impl Gateway {
                     .expect("spawn gateway dispatcher"),
             );
         }
-        if inner.config.autoscale.is_some() {
+        let autoscaler_stop = inner.config.autoscale.is_some().then(|| {
+            let (stop_tx, stop) = bounded(0);
             let i = Arc::clone(&inner);
             threads.push(
                 std::thread::Builder::new()
                     .name("gw-autoscale".into())
-                    .spawn(move || i.autoscale_loop())
+                    .spawn(move || i.autoscale_loop(&stop))
                     .expect("spawn gateway autoscaler"),
             );
-        }
+            stop_tx
+        });
         Gateway {
             inner,
             threads: Mutex::new(threads),
+            autoscaler_stop: Mutex::new(autoscaler_stop),
         }
     }
 
@@ -251,12 +260,11 @@ impl Gateway {
     /// Submit a request with the default queueing deadline; returns a
     /// ticket for [`Gateway::wait`].
     pub fn submit(&self, tenant: &str, function: &str, input: Vec<u8>) -> u64 {
-        let deadline = self.inner.config.default_deadline;
-        self.submit_with_deadline(tenant, function, input, deadline)
+        self.submit_with_deadline(tenant, function, input, DEFAULT_DEADLINE)
     }
 
-    /// Submit a request that is shed with `Expired` if still queued after
-    /// `deadline`.
+    /// Submit a request that is shed with `Expired` if still queued
+    /// `deadline` after admission, on the cluster's clock.
     pub fn submit_with_deadline(
         &self,
         tenant: &str,
@@ -274,14 +282,9 @@ impl Gateway {
     /// [`GatewayRequest::trace`](crate::GatewayRequest).
     pub fn submit_traced(&self, tenant: &str, function: &str, input: Vec<u8>) -> (u64, u64) {
         let root = self.inner.recorder.root();
-        let ticket = self.inner.submit_with(
-            tenant,
-            function,
-            input,
-            self.inner.config.default_deadline,
-            None,
-            root,
-        );
+        let ticket = self
+            .inner
+            .submit_with(tenant, function, input, DEFAULT_DEADLINE, None, root);
         (ticket, root.trace_id)
     }
 
@@ -373,7 +376,7 @@ impl Gateway {
 
     fn wire_deadline(&self, req: &GatewayRequest) -> Duration {
         if req.deadline_ms == 0 {
-            self.inner.config.default_deadline
+            DEFAULT_DEADLINE
         } else {
             Duration::from_millis(req.deadline_ms)
         }
@@ -383,6 +386,7 @@ impl Gateway {
     /// Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         self.inner.stop.store(true, Ordering::Relaxed);
+        drop(self.autoscaler_stop.lock().take());
         let handles: Vec<_> = self.threads.lock().drain(..).collect();
         for h in handles {
             let _ = h.join();
@@ -434,7 +438,8 @@ impl Inner {
         } else {
             trace
         };
-        let admit_start_ns = faasm_telemetry::now_ns();
+        let admit_start_ns = self.recorder.now_ns();
+        let now = self.recorder.clock().now();
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         match remote {
             Some(cb) => self.completions.register_callback(seq, cb),
@@ -451,7 +456,7 @@ impl Inner {
 
         // Admission gate 1: the tenant's token bucket.
         let bucket = self.bucket_for(tenant, &policy);
-        if !bucket.try_acquire_one() {
+        if !bucket.try_acquire_one(now) {
             self.metrics.shed_ratelimited.inc();
             self.completions
                 .fulfill(seq, GatewayResponse::overloaded(seq));
@@ -462,7 +467,6 @@ impl Inner {
         // the gateway sheds here, at admission, instead of queueing work
         // the cluster cannot serve before it expires.
         let queue_cap = self.effective_queue_cap(policy.queue_cap);
-        let now = Instant::now();
         let job = Job {
             seq,
             tenant: tenant.to_string(),
@@ -567,8 +571,8 @@ impl Inner {
     fn adjust_admission(&self) {
         {
             let mut last = self.last_adjust.lock();
-            let now = Instant::now();
-            if now.duration_since(*last) < ADJUST_EVERY {
+            let now = self.recorder.clock().now();
+            if now.saturating_duration_since(*last) < ADJUST_EVERY {
                 return;
             }
             *last = now;
@@ -582,7 +586,7 @@ impl Inner {
         if ewma == 0 {
             return;
         }
-        let target = self.config.target_dispatch_latency.as_nanos() as u64;
+        let target = TARGET_DISPATCH_LATENCY.as_nanos() as u64;
         let scale = self.cap_scale.load(Ordering::Relaxed);
         if ewma > target && !drained {
             // Multiplicative decrease only under *standing* delay: a high
@@ -627,7 +631,7 @@ impl Inner {
     /// has accumulated for a real batch. Waking on every released slot
     /// would hand saturated dispatchers one slot at a time — batches of
     /// one, a bus message per call, exactly the overhead batching exists
-    /// to remove. Dispatchers also re-poll on their `batch_wait` cadence,
+    /// to remove. Dispatchers also re-poll on their [`BATCH_WAIT`] cadence,
     /// so small leftovers are never stranded.
     fn release_inflight(&self, n: usize) {
         if n == 0 {
@@ -654,10 +658,10 @@ impl Inner {
 
     /// Shed every queued job whose deadline has passed. Runs each
     /// dispatcher iteration, whether or not there is capacity to dispatch,
-    /// so `Expired` responses stay bounded by `batch_wait` even when every
-    /// submit slot is occupied by slow work.
+    /// so `Expired` responses stay bounded by [`BATCH_WAIT`] even when
+    /// every submit slot is occupied by slow work.
     fn shed_expired_jobs(&self) {
-        for job in self.queue.shed_expired(Instant::now()) {
+        for job in self.queue.shed_expired(self.recorder.clock().now()) {
             self.metrics.shed_expired.inc();
             self.completions
                 .fulfill(job.seq, GatewayResponse::expired(job.seq));
@@ -678,20 +682,18 @@ impl Inner {
             let granted = self.reserve_inflight(self.config.max_batch.max(1), cap);
             if granted == 0 {
                 // Saturated: no draining, but keep polling the deadline
-                // shed above at batch_wait cadence.
-                self.wait_for_room(cap, self.config.batch_wait);
+                // shed above at BATCH_WAIT cadence.
+                self.wait_for_room(cap, BATCH_WAIT);
                 continue;
             }
-            let batch = self
-                .queue
-                .drain_batch(granted, self.config.batch_wait, &self.stop);
+            let batch = self.queue.drain_batch(granted, BATCH_WAIT, &self.stop);
             if batch.len() < granted {
                 self.release_inflight(granted - batch.len());
             }
             if batch.is_empty() {
                 continue;
             }
-            let now = Instant::now();
+            let now = self.recorder.clock().now();
             // Group by placement target so each instance gets one batch
             // submit. `Cluster::place` is the only chooser; the instance
             // queues placed calls as they are.
@@ -710,14 +712,14 @@ impl Inner {
                         .fulfill(job.seq, GatewayResponse::expired(job.seq));
                     continue;
                 }
-                let queued_ns = now.duration_since(job.enqueued).as_nanos() as u64;
+                let queued_ns = now.saturating_duration_since(job.enqueued).as_nanos() as u64;
                 self.metrics.queue_delay.record(queued_ns);
                 // The sojourn span's start is reconstructed from the queue
                 // delay: enqueue happened `queued_ns` before this drain.
                 self.recorder.span(
                     SpanKind::QueueSojourn,
                     job.trace,
-                    faasm_telemetry::now_ns().saturating_sub(queued_ns),
+                    self.recorder.now_ns().saturating_sub(queued_ns),
                     0,
                 );
                 // The admission back-pressure signal is CoDel's sojourn
@@ -747,7 +749,7 @@ impl Inner {
                 continue;
             }
             self.metrics.record_batch(dispatched);
-            let dispatch_start_ns = faasm_telemetry::now_ns();
+            let dispatch_start_ns = self.recorder.now_ns();
             for (_, (inst, jobs)) in groups {
                 let group_size = jobs.len() as u64;
                 let calls: Vec<PlacedCall> = jobs
@@ -789,7 +791,9 @@ impl Inner {
         }
     }
 
-    fn autoscale_loop(self: Arc<Self>) {
+    /// One autoscaler tick every [`INTERVAL`] until `stop`'s sender is
+    /// dropped.
+    fn autoscale_loop(self: Arc<Self>, stop: &Receiver<()>) {
         let cfg = self
             .config
             .autoscale
@@ -803,8 +807,7 @@ impl Inner {
         let mut seen: HashSet<(String, String)> = HashSet::new();
         // Tier scaling tracks the op-count delta between ticks.
         let mut last_tier_ops: Option<u64> = None;
-        while !self.stop.load(Ordering::Relaxed) {
-            std::thread::sleep(cfg.interval);
+        while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(INTERVAL) {
             if cfg.tier_ops_high.is_some() {
                 if let Ok(stats) = self.cluster.state_shard_stats() {
                     let total: u64 = stats.iter().map(|s| s.reads + s.writes + s.lock_ops).sum();

@@ -92,7 +92,9 @@ mod tenant;
 pub use autoscale::{spread_prewarm, tier_scale_wanted, AutoscaleConfig};
 pub use client::{ClientError, GatewayClient, GatewayClientConfig};
 pub use codec::{FrameBuf, GatewayRequest};
-pub use gateway::{Gateway, GatewayConfig};
+pub use gateway::{
+    Gateway, GatewayConfig, DEFAULT_DEADLINE, TARGET_DISPATCH_LATENCY, WAIT_TIMEOUT,
+};
 pub use response::{GatewayResponse, GatewayStatus};
 pub use server::{GatewayServer, GatewayServerConfig};
 pub use tenant::TenantPolicy;

@@ -11,7 +11,8 @@
 //! [`CacheConfig::default_consistency`] (Cloudburst's levels, PAPERS.md):
 //!
 //! * [`Eventual`](Consistency::Eventual) — serve any leased snapshot until
-//!   its TTL expires; staleness is bounded by the lease, nothing else.
+//!   its [`LEASE`] expires on the cluster's clock; staleness is bounded by
+//!   the lease, nothing else.
 //! * [`ReadYourWrites`](Consistency::ReadYourWrites) — the default. Cached
 //!   snapshots are stamped with the backend's routing epoch and the shard's
 //!   per-key mutation version; a reshard or failover (which always bumps the
@@ -126,9 +127,6 @@ pub struct CacheConfig {
     /// cache under it. A single value larger than the budget is never
     /// cached.
     pub max_bytes: usize,
-    /// Snapshot lease: how long a cached snapshot may be served without
-    /// revalidation. Bounds staleness under `Eventual`.
-    pub lease: Duration,
     /// The mode every key of this cache reads and writes under.
     pub default_consistency: Consistency,
 }
@@ -137,7 +135,6 @@ impl Default for CacheConfig {
     fn default() -> CacheConfig {
         CacheConfig {
             max_bytes: 64 << 20,
-            lease: Duration::from_millis(100),
             default_consistency: Consistency::ReadYourWrites,
         }
     }
@@ -187,6 +184,10 @@ impl CachedBytes {
         }
     }
 }
+
+/// Snapshot lease: how long, on the cluster's clock, a cached snapshot may
+/// be served without revalidation. Bounds staleness under `Eventual`.
+pub const LEASE: Duration = Duration::from_millis(100);
 
 /// Fixed per-entry bookkeeping charge (map nodes, LRU links, stamps).
 const ENTRY_OVERHEAD: usize = 96;
@@ -361,7 +362,7 @@ impl CachedKv {
         let entry = Entry {
             version,
             epoch,
-            expires_at: Instant::now() + self.cfg.lease,
+            expires_at: self.recorder.clock().now() + LEASE,
             data,
         };
         let evicted = s.upsert(key, entry);
@@ -379,7 +380,7 @@ impl CachedKv {
             // after this instance's own write acked — never serve them.
             return None;
         }
-        let fresh = Instant::now() < e.expires_at;
+        let fresh = self.recorder.clock().now() < e.expires_at;
         let epoch_ok = mode == Consistency::Eventual || e.epoch == self.inner.routing_epoch();
         Some(fresh && epoch_ok)
     }
@@ -394,14 +395,14 @@ impl CachedKv {
         expected: u64,
         read: impl FnOnce(&Entry) -> Option<T>,
     ) -> Result<Option<(T, u64)>, KvError> {
-        let t0 = faasm_telemetry::now_ns();
+        let t0 = self.recorder.now_ns();
         let live = self.inner.version_of(key)?;
         self.span(SpanKind::Revalidate, t0, live);
         let mut s = self.state.lock();
         if live == expected && live >= s.floor(key) {
             if let Some(e) = s.entries.peek_mut(key) {
                 if e.version == expected {
-                    e.expires_at = Instant::now() + self.cfg.lease;
+                    e.expires_at = self.recorder.clock().now() + LEASE;
                     e.epoch = self.inner.routing_epoch();
                     if let Some(out) = read(e) {
                         s.entries.touch(key);
@@ -437,7 +438,7 @@ impl CachedKv {
         if self.strong() {
             return fetch();
         }
-        let t0 = faasm_telemetry::now_ns();
+        let t0 = self.recorder.now_ns();
         let decision: Lookup<T> = {
             let mut s = self.state.lock();
             match s.entries.peek(key) {
@@ -565,11 +566,7 @@ impl CachedKv {
             self.counters.invalidations.inc();
         }
         drop(s);
-        self.span(
-            SpanKind::CacheInvalidate,
-            faasm_telemetry::now_ns(),
-            version,
-        );
+        self.span(SpanKind::CacheInvalidate, self.recorder.now_ns(), version);
     }
 
     /// Record a span of `kind` from `start_ns` to now under the calling
@@ -833,22 +830,17 @@ mod tests {
     use super::*;
     use crate::testutil::LocalKv;
 
+    /// A cache over a `LocalKv`, whose clock is manual: a lease runs out
+    /// only when a test advances it.
     fn harness(cfg: CacheConfig) -> (Arc<LocalKv>, CachedKv) {
         let local = Arc::new(LocalKv::new());
         let cache = CachedKv::new(local.clone() as SharedKv, cfg);
         (local, cache)
     }
 
-    fn long_lease() -> CacheConfig {
-        CacheConfig {
-            lease: Duration::from_secs(3600),
-            ..CacheConfig::default()
-        }
-    }
-
     #[test]
     fn repeated_reads_hit_without_wire_traffic() {
-        let (local, cache) = harness(long_lease());
+        let (local, cache) = harness(CacheConfig::default());
         cache.set("k", b"hello".to_vec()).unwrap();
         assert_eq!(local.wire_reads(), 0);
         for _ in 0..10 {
@@ -863,7 +855,7 @@ mod tests {
 
     #[test]
     fn read_your_writes_after_external_write() {
-        let (local, cache) = harness(long_lease());
+        let (local, cache) = harness(CacheConfig::default());
         local.set("k", b"v1".to_vec()).unwrap();
         assert_eq!(cache.get("k").unwrap(), Some(b"v1".to_vec()));
         // Another host writes directly to the tier: this instance's cache
@@ -877,7 +869,7 @@ mod tests {
 
     #[test]
     fn own_ack_floor_rejects_stale_refill() {
-        let (local, cache) = harness(long_lease());
+        let (local, cache) = harness(CacheConfig::default());
         cache.set("k", b"mine".to_vec()).unwrap();
         let acked = local.store.version_of("k");
         // Simulate a racing reader refilling the cache with pre-write bytes
@@ -890,7 +882,7 @@ mod tests {
                 Entry {
                     version: acked - 1,
                     epoch: local.routing_epoch(),
-                    expires_at: Instant::now() + Duration::from_secs(3600),
+                    expires_at: local.recorder().clock().now() + LEASE,
                     data: CachedBytes::Full(b"stale".to_vec()),
                 },
             );
@@ -902,7 +894,7 @@ mod tests {
 
     #[test]
     fn epoch_bump_forces_revalidation() {
-        let (local, cache) = harness(long_lease());
+        let (local, cache) = harness(CacheConfig::default());
         cache.set("k", b"v1".to_vec()).unwrap();
         assert_eq!(cache.get("k").unwrap(), Some(b"v1".to_vec()));
         let probes_before = cache.stats().revalidations;
@@ -927,7 +919,7 @@ mod tests {
         // Lock-protected read-modify-write must observe the tier: another
         // writer updated the key, and the critical section's read after
         // acquiring the write lock may not serve the pre-lock lease.
-        let (local, cache) = harness(long_lease());
+        let (local, cache) = harness(CacheConfig::default());
         local.set("k", b"old".to_vec()).unwrap();
         assert_eq!(cache.get("k").unwrap(), Some(b"old".to_vec()));
         local.set("k", b"new".to_vec()).unwrap();
@@ -949,16 +941,13 @@ mod tests {
 
     #[test]
     fn lease_expiry_revalidates() {
-        let cfg = CacheConfig {
-            lease: Duration::ZERO,
-            ..CacheConfig::default()
-        };
-        let (local, cache) = harness(cfg);
+        let (local, cache) = harness(CacheConfig::default());
         local.set("k", b"v".to_vec()).unwrap();
         assert_eq!(cache.get("k").unwrap(), Some(b"v".to_vec()));
         // Every subsequent read finds the lease expired and revalidates —
         // version unchanged, so the bytes never re-cross the wire.
         for _ in 0..3 {
+            local.recorder().clock().advance(LEASE);
             assert_eq!(cache.get("k").unwrap(), Some(b"v".to_vec()));
         }
         assert_eq!(local.wire_reads(), 1);
@@ -971,7 +960,7 @@ mod tests {
         let with = |mode| {
             let cfg = CacheConfig {
                 default_consistency: mode,
-                ..long_lease()
+                ..CacheConfig::default()
             };
             CachedKv::new(local.clone() as SharedKv, cfg)
         };
@@ -990,11 +979,14 @@ mod tests {
         // Strong never serves from cache: every read hit the wire.
         assert_eq!(local.wire_reads(), before + 2);
         assert_eq!(eventual.stats().hits + strong.stats().hits, 1); // only the leased "e" hit
+                                                                    // Past the lease, Eventual sees the newer write.
+        local.recorder().clock().advance(LEASE);
+        assert_eq!(eventual.get("e").unwrap(), Some(b"e2".to_vec()));
     }
 
     #[test]
     fn range_reads_cache_runs_and_serve_subspans() {
-        let (local, cache) = harness(long_lease());
+        let (local, cache) = harness(CacheConfig::default());
         local.set("k", (0u8..=255).collect()).unwrap();
         let spans = [(0u64, 64u64), (128, 64)];
         let runs = cache.multi_get_range("k", &spans).unwrap().unwrap();
@@ -1021,7 +1013,7 @@ mod tests {
 
     #[test]
     fn range_write_through_keeps_full_snapshot_current() {
-        let (local, cache) = harness(long_lease());
+        let (local, cache) = harness(CacheConfig::default());
         cache.set("k", vec![0u8; 16]).unwrap();
         cache.set_range("k", 4, vec![9u8; 4]).unwrap();
         let mut want = vec![0u8; 16];
@@ -1034,7 +1026,7 @@ mod tests {
 
     #[test]
     fn intervening_writer_downgrades_snapshot_to_runs() {
-        let (local, cache) = harness(long_lease());
+        let (local, cache) = harness(CacheConfig::default());
         cache.set("k", vec![0u8; 16]).unwrap(); // cached Full at v1
         local.store.set_range("k", 0, &[7u8; 4]); // external write → v2
         cache.set_range("k", 8, vec![9u8; 4]).unwrap(); // acked v3 ≠ v1+1
@@ -1047,7 +1039,7 @@ mod tests {
 
     #[test]
     fn delete_invalidates_and_floor_survives() {
-        let (local, cache) = harness(long_lease());
+        let (local, cache) = harness(CacheConfig::default());
         cache.set("k", b"v".to_vec()).unwrap();
         assert!(cache.del("k").unwrap());
         assert_eq!(cache.get("k").unwrap(), None);
@@ -1059,7 +1051,7 @@ mod tests {
 
     #[test]
     fn append_and_incr_floor_on_their_own_ack_in_one_request() {
-        let (local, cache) = harness(long_lease());
+        let (local, cache) = harness(CacheConfig::default());
         cache.set("log", b"ab".to_vec()).unwrap();
         let before = local.requests();
         assert_eq!(cache.append("log", b"cd".to_vec()).unwrap(), 4);
@@ -1081,7 +1073,7 @@ mod tests {
     fn lru_eviction_respects_byte_budget() {
         let cfg = CacheConfig {
             max_bytes: 3 * (1 + 1024 + ENTRY_OVERHEAD),
-            ..long_lease()
+            ..CacheConfig::default()
         };
         let (local, cache) = harness(cfg);
         for k in ["a", "b", "c", "d"] {
@@ -1105,7 +1097,7 @@ mod tests {
 
     #[test]
     fn merging_runs_read_at_one_version_keeps_the_byte_account_exact() {
-        let (local, cache) = harness(long_lease());
+        let (local, cache) = harness(CacheConfig::default());
         local.set("k", vec![7u8; 4096]).unwrap();
         cache.multi_get_range("k", &[(0, 1024)]).unwrap();
         let one_run = cache.cached_bytes();
@@ -1120,7 +1112,7 @@ mod tests {
     fn oversized_values_are_never_cached() {
         let cfg = CacheConfig {
             max_bytes: 512,
-            ..long_lease()
+            ..CacheConfig::default()
         };
         let (local, cache) = harness(cfg);
         cache.set("big", vec![1u8; 4096]).unwrap();
@@ -1132,7 +1124,7 @@ mod tests {
 
     #[test]
     fn touch_scope_attributes_hits_per_call() {
-        let (local, cache) = harness(long_lease());
+        let (local, cache) = harness(CacheConfig::default());
         local.set("a", b"x".to_vec()).unwrap();
         local.set("b", b"y".to_vec()).unwrap();
         cache.get("a").unwrap(); // misses outside any scope

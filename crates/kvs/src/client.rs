@@ -152,7 +152,7 @@ impl KvClient {
                 // serialisation costs as remote mode, minus the fabric.
                 let req = decode_request(&encode_request_at(req, self.epoch))
                     .map_err(|_| KvError::Protocol)?;
-                Ok(apply(store, req))
+                Ok(apply(store, req, self.recorder().clock()))
             }
         }
     }
@@ -338,7 +338,6 @@ mod tests {
     use crate::server::KvServer;
     use crate::store::LockMode;
     use faasm_net::Fabric;
-    use std::time::Duration;
 
     fn remote_pair() -> (KvClient, KvServer) {
         let fabric = Fabric::new();
@@ -393,14 +392,18 @@ mod tests {
     fn blocking_lock_waits_for_release() {
         let store = Arc::new(KvStore::new());
         let c1 = Arc::new(KvClient::local(Arc::clone(&store)));
-        let c2 = KvClient::local(store);
+        let c2 = KvClient::local(Arc::clone(&store));
         c2.lock("k", LockMode::Write).unwrap();
         let c1b = Arc::clone(&c1);
         let t = std::thread::spawn(move || {
             c1b.lock("k", LockMode::Write).unwrap();
             c1b.unlock("k", LockMode::Write).unwrap();
         });
-        std::thread::sleep(Duration::from_millis(20));
+        // c1 has been refused at least once: it is waiting on c2's lock.
+        while store.stats().lock_ops < 2 {
+            std::thread::yield_now();
+        }
+        assert!(!t.is_finished(), "c1 took a lock c2 still holds");
         c2.unlock("k", LockMode::Write).unwrap();
         t.join().unwrap();
     }

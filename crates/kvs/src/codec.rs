@@ -1054,7 +1054,7 @@ mod tests {
 
     #[test]
     fn thread_local_trace_is_stamped() {
-        let ctx = faasm_telemetry::Recorder::new().root();
+        let ctx = faasm_telemetry::Recorder::default().root();
         let guard = faasm_telemetry::set_current(ctx);
         let bytes = encode_request_at(&Request::Get { key: "k".into() }, 3);
         drop(guard);

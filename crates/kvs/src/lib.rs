@@ -33,7 +33,7 @@ pub mod testutil;
 pub mod writes;
 
 pub use backend::{KvBackend, SharedKv};
-pub use cache::{CacheConfig, CacheCounters, CacheStats, CachedKv, Consistency};
+pub use cache::{CacheConfig, CacheCounters, CacheStats, CachedKv, Consistency, LEASE};
 pub use client::{KvClient, KvError};
 pub use codec::{Request, Response, EPOCH_ANY};
 pub use content::{chunk_key, manifest_key, Digest};
@@ -43,5 +43,7 @@ pub use sharded::{
     primary_index_live, rendezvous_delta, replica_set_for, replica_set_live, shard_index_for,
     RoutingCell, RoutingTable, ShardedKvClient,
 };
-pub use store::{KeyMigration, KvStore, LockMigration, LockMode, ShardCounters, ShardStats};
+pub use store::{
+    KeyMigration, KvStore, LockMigration, LockMode, ShardCounters, ShardStats, LOCK_LEASE,
+};
 pub use writes::RangeWrites;

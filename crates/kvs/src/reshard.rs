@@ -418,7 +418,6 @@ mod tests {
     use crate::backend::KvBackend;
     use crate::sharded::ShardedKvClient;
     use crate::store::LockMode;
-    use std::time::Duration;
 
     #[test]
     fn an_unreplicated_tier_takes_one_host_per_shard_in_slot_order() {
@@ -607,7 +606,16 @@ mod tests {
             let key = key.clone();
             std::thread::spawn(move || client.set(&key, b"new".to_vec()))
         };
-        std::thread::sleep(Duration::from_millis(50));
+        // A donor has turned the write away at least once.
+        let redirects = || -> u64 {
+            servers
+                .iter()
+                .map(|s| s.stats().wrong_epoch_redirects)
+                .sum()
+        };
+        while redirects() == 0 {
+            std::thread::yield_now();
+        }
         assert!(!writer.is_finished(), "the write must wait out the freeze");
 
         // Complete the migration: handoff, commit, publish.

@@ -7,7 +7,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use faasm_net::{Envelope, HostId, Nic};
-use faasm_telemetry::{SpanKind, TraceCtx};
+use faasm_telemetry::{Clock, SpanKind, TraceCtx};
 use parking_lot::{Mutex, RwLock};
 
 use crate::codec::{
@@ -373,13 +373,14 @@ fn versioned(version: u64, inner: Response) -> Response {
     }
 }
 
-/// Apply one command to the store (exposed for deterministic unit tests).
+/// Apply one command to the store (exposed for deterministic unit tests);
+/// a lock is taken at `clock`'s instant.
 ///
 /// Keyed reads and mutation acks come back as [`Response::Versioned`]: the
 /// version is taken under the same stripe lock as the operation itself, so
 /// it is exact — a function-side cache stamping its snapshot with it can
 /// never pair old bytes with a newer version (or vice versa).
-pub fn apply(store: &KvStore, req: Request) -> Response {
+pub fn apply(store: &KvStore, req: Request, clock: &Clock) -> Response {
     match req {
         Request::Get { key } => {
             let (value, v) = store.get_versioned(&key);
@@ -414,7 +415,9 @@ pub fn apply(store: &KvStore, req: Request) -> Response {
             let (n, v) = store.incr(&key, delta);
             versioned(v, Response::Int(n))
         }
-        Request::TryLock { key, mode, owner } => Response::Bool(store.try_lock(&key, mode, owner)),
+        Request::TryLock { key, mode, owner } => {
+            Response::Bool(store.try_lock(&key, mode, owner, clock.now()))
+        }
         Request::Unlock { key, mode, owner } => {
             store.unlock(&key, mode, owner);
             Response::Ok
@@ -491,11 +494,12 @@ fn forward_replicas(
         return resp;
     }
     let peers = routing.peers.read().clone();
-    let start = faasm_telemetry::now_ns();
+    let recorder = nic.recorder();
+    let start = recorder.now_ns();
     // Stripe lock: orders this export+send against every other forward of
     // the same key, so the last forward always carries the newest state.
     let _ordered = routing.repl_stripes[repl_stripe(key)].lock();
-    let mut entries = store.export_keys(|k| k == key);
+    let mut entries = store.export_keys(|k| k == key, recorder.clock().now());
     if entries.is_empty() {
         // The op removed the key's last state: replicate the removal.
         entries.push(KeyMigration {
@@ -508,7 +512,7 @@ fn forward_replicas(
     let msg = encode_request_at(&Request::Replicate { entries }, epoch);
     let mut acked = 1usize; // the primary's own apply
     for &slot in &set[1..] {
-        let fwd_start = faasm_telemetry::now_ns();
+        let fwd_start = recorder.now_ns();
         let ok = peers.get(slot).is_some_and(|host| {
             nic.call_timeout(*host, msg.clone(), REPL_CALL_TIMEOUT)
                 .ok()
@@ -517,8 +521,7 @@ fn forward_replicas(
         });
         routing.counters.repl_forwards.inc();
         if !trace.is_none() {
-            nic.recorder()
-                .span(SpanKind::ReplForward, trace, fwd_start, 0);
+            recorder.span(SpanKind::ReplForward, trace, fwd_start, 0);
         }
         if ok {
             acked += 1;
@@ -527,9 +530,9 @@ fn forward_replicas(
     routing
         .counters
         .repl_lag_ns
-        .add(faasm_telemetry::now_ns().saturating_sub(start));
+        .add(recorder.now_ns().saturating_sub(start));
     if !trace.is_none() {
-        nic.recorder().span(SpanKind::QuorumWait, trace, start, 0);
+        recorder.span(SpanKind::QuorumWait, trace, start, 0);
     }
     if acked < set.len() {
         return Response::Unavailable {
@@ -581,7 +584,8 @@ fn rebuild_replicas(
         // forwarding concurrently waits here, then re-exports newer state,
         // so a rebuild frame can never regress a backup.
         let _ordered = routing.repl_stripes[stripe].lock();
-        for entries in handoff_frames(store.export_keys(|k| keys.contains(k))) {
+        let now = nic.recorder().clock().now();
+        for entries in handoff_frames(store.export_keys(|k| keys.contains(k), now)) {
             shipped += entries.len() as u64;
             let msg = encode_request_at(&Request::Replicate { entries }, epoch);
             let _ = nic.call_timeout(host, msg, REPL_CALL_TIMEOUT);
@@ -656,7 +660,7 @@ fn apply_traced(
                     && replica_set_live(key, new_count, &cur.dead, r)
                         != replica_set_live(key, cur.shard_count, &cur.dead, r)
             };
-            Response::Handoff(store.export_keys(moving))
+            Response::Handoff(store.export_keys(moving, nic.recorder().clock().now()))
         }
         Request::EpochCommit {
             epoch,
@@ -691,7 +695,7 @@ fn apply_traced(
                 return Response::Err("replicate value beyond max value size".into());
             }
             let applied = entries.len() as u64;
-            store.import_keys(&entries);
+            store.import_keys(&entries, nic.recorder().clock().now());
             Response::ReplAck { applied }
         }
         Request::HandoffFrame {
@@ -717,7 +721,7 @@ fn apply_traced(
                     xfers.insert(xfer, seq + 1);
                 }
             }
-            store.import_keys(&entries);
+            store.import_keys(&entries, nic.recorder().clock().now());
             Response::Ok
         }
         Request::Rebuild { prev_dead } => {
@@ -728,7 +732,8 @@ fn apply_traced(
             Response::Len(rebuild_replicas(store, routing, nic, &prev))
         }
         req => {
-            let entered_ns = faasm_telemetry::now_ns();
+            let recorder = nic.recorder();
+            let entered_ns = recorder.now_ns();
             // Read side of the gate: the ownership check and the store
             // apply are atomic with respect to a concurrent freeze.
             let serving = routing.gate.try_read().unwrap_or_else(|| {
@@ -738,7 +743,7 @@ fn apply_traced(
                 routing
                     .counters
                     .freeze_wait_ns
-                    .add(faasm_telemetry::now_ns().saturating_sub(entered_ns));
+                    .add(recorder.now_ns().saturating_sub(entered_ns));
                 g
             });
             if let Some(key) = req.key() {
@@ -766,7 +771,7 @@ fn apply_traced(
                 }
                 _ => None,
             };
-            let mut resp = apply(store, req);
+            let mut resp = apply(store, req, recorder.clock());
             if let (Some(nic), Some((key, is_try_lock))) = (net, repl_key) {
                 let skip = matches!(resp, Response::Err(_))
                     || (is_try_lock && resp == Response::Bool(false));
@@ -776,8 +781,7 @@ fn apply_traced(
             }
             drop(serving);
             if !trace.is_none() {
-                nic.recorder()
-                    .span(SpanKind::ShardApply, trace, entered_ns, 0);
+                recorder.span(SpanKind::ShardApply, trace, entered_ns, 0);
             }
             resp
         }
@@ -942,9 +946,10 @@ mod tests {
         ];
         // What forwarding to a backup would have to carry: the key's
         // version and who holds its lock.
+        let clock = Clock::manual();
         let state = |store: &KvStore, key: &str| {
             let lock = store
-                .export_keys(|k| k == key)
+                .export_keys(|k| k == key, clock.now())
                 .pop()
                 .and_then(|e| e.lock.as_ref().map(std::mem::discriminant));
             (store.version_of(key), lock)
@@ -955,7 +960,7 @@ mod tests {
             applied.push(crate::codec::encode_request(&req)[24]);
             let key = req.key().map(str::to_owned);
             let before = key.as_deref().map(|key| state(&store, key));
-            assert_eq!(apply(&store, req.clone()), reply, "{req:?}");
+            assert_eq!(apply(&store, req.clone(), &clock), reply, "{req:?}");
             let after = key.as_deref().map(|key| state(&store, key));
             assert_eq!(after != before, req.mutates_key(), "{req:?}");
         }

@@ -426,7 +426,7 @@ impl ShardedKvClient {
                 // The park+retry is a first-class latency stage: record
                 // it as a span under the caller's active trace so epoch
                 // storms show up in the ingress call's tree.
-                let parked_ns = faasm_telemetry::now_ns();
+                let parked_ns = self.nic.recorder().now_ns();
                 let outcome = self.wait_for_epoch(epoch, attempt, waited, err);
                 let ctx = faasm_telemetry::current();
                 if !ctx.is_none() {
@@ -640,7 +640,8 @@ mod tests {
             for (i, store) in tier.stores().enumerate() {
                 let holds_value = store.exists(key);
                 // The write lock is held, so only the owner can be blocked.
-                let lock_free = store.try_lock(key, LockMode::Write, u64::MAX);
+                let lock_free =
+                    store.try_lock(key, LockMode::Write, u64::MAX, std::time::Instant::now());
                 if lock_free {
                     store.unlock(key, LockMode::Write, u64::MAX);
                 }

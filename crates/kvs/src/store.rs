@@ -160,9 +160,6 @@ pub(crate) fn slice_range(v: &[u8], offset: u64, len: u64) -> Vec<u8> {
 #[derive(Debug)]
 pub struct KvStore {
     shards: Vec<Mutex<Shard>>,
-    /// Lock lease duration; expired locks are reaped lazily so a crashed
-    /// client cannot deadlock the cluster.
-    lease: Duration,
     counters: ShardCounters,
     /// The lock owner the next local client of this store gets.
     next_owner: AtomicU64,
@@ -174,17 +171,15 @@ impl Default for KvStore {
     }
 }
 
-impl KvStore {
-    /// A store with the default 30 s lock lease.
-    pub fn new() -> KvStore {
-        KvStore::with_lease(Duration::from_secs(30))
-    }
+/// How long a global lock holds without being re-taken. Expired locks
+/// are reaped lazily, so a crashed client cannot deadlock the cluster.
+pub const LOCK_LEASE: Duration = Duration::from_secs(30);
 
-    /// A store with an explicit lock lease (tests use short leases).
-    pub fn with_lease(lease: Duration) -> KvStore {
+impl KvStore {
+    /// An empty store.
+    pub fn new() -> KvStore {
         KvStore {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            lease,
             counters: ShardCounters::new(),
             next_owner: AtomicU64::new(1),
         }
@@ -388,12 +383,12 @@ impl KvStore {
         (next, shard.bump(key))
     }
 
-    /// Try to acquire a global lock; `owner` is a caller-chosen token used
-    /// to release and to make re-acquisition idempotent.
-    pub fn try_lock(&self, key: &str, mode: LockMode, owner: u64) -> bool {
+    /// Try to acquire a global lock at `now` (the cluster clock's instant),
+    /// leased for [`LOCK_LEASE`]; `owner` is a caller-chosen token used to
+    /// release and to make re-acquisition idempotent.
+    pub fn try_lock(&self, key: &str, mode: LockMode, owner: u64, now: Instant) -> bool {
         self.counters.lock_ops.inc();
-        let now = Instant::now();
-        let expires = now + self.lease;
+        let expires = now + LOCK_LEASE;
         let mut shard = self.shard(key).lock();
         let state = shard.locks.get_mut(key);
         match (mode, state) {
@@ -533,12 +528,11 @@ impl KvStore {
     }
 
     /// Export the complete state (value, live lock with its owners and
-    /// remaining lease) of every key matching `moving` — the donor half of
-    /// a shard migration. Non-destructive: the caller purges via
+    /// lease remaining at `now`) of every key matching `moving` — the donor
+    /// half of a shard migration. Non-destructive: the caller purges via
     /// [`KvStore::purge_keys`] once the new epoch commits, so an aborted
     /// migration loses nothing.
-    pub fn export_keys(&self, moving: impl Fn(&str) -> bool) -> Vec<KeyMigration> {
-        let now = Instant::now();
+    pub fn export_keys(&self, moving: impl Fn(&str) -> bool, now: Instant) -> Vec<KeyMigration> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let s = shard.lock();
@@ -580,10 +574,9 @@ impl KvStore {
 
     /// Install migrated key state — the receiving half of a shard
     /// migration. Replaces any existing state for each key; lock leases are
-    /// re-anchored to this store's clock with their exported remaining
-    /// time, so lock owners survive the move with their windows intact.
-    pub fn import_keys(&self, entries: &[KeyMigration]) {
-        let now = Instant::now();
+    /// re-anchored at `now` with their exported remaining time, so lock
+    /// owners survive the move with their windows intact.
+    pub fn import_keys(&self, entries: &[KeyMigration], now: Instant) {
         for entry in entries {
             let mut shard = self.shard(&entry.key).lock();
             let merged = shard.version(&entry.key).max(entry.version);
@@ -722,52 +715,63 @@ mod tests {
     #[test]
     fn read_locks_are_shared() {
         let s = KvStore::new();
-        assert!(s.try_lock("k", LockMode::Read, 1));
-        assert!(s.try_lock("k", LockMode::Read, 2));
+        assert!(s.try_lock("k", LockMode::Read, 1, Instant::now()));
+        assert!(s.try_lock("k", LockMode::Read, 2, Instant::now()));
         // Writer blocked while readers hold.
-        assert!(!s.try_lock("k", LockMode::Write, 3));
+        assert!(!s.try_lock("k", LockMode::Write, 3, Instant::now()));
         s.unlock("k", LockMode::Read, 1);
-        assert!(!s.try_lock("k", LockMode::Write, 3));
+        assert!(!s.try_lock("k", LockMode::Write, 3, Instant::now()));
         s.unlock("k", LockMode::Read, 2);
-        assert!(s.try_lock("k", LockMode::Write, 3));
+        assert!(s.try_lock("k", LockMode::Write, 3, Instant::now()));
     }
 
     #[test]
     fn write_lock_is_exclusive() {
         let s = KvStore::new();
-        assert!(s.try_lock("k", LockMode::Write, 1));
-        assert!(!s.try_lock("k", LockMode::Write, 2));
-        assert!(!s.try_lock("k", LockMode::Read, 2));
+        assert!(s.try_lock("k", LockMode::Write, 1, Instant::now()));
+        assert!(!s.try_lock("k", LockMode::Write, 2, Instant::now()));
+        assert!(!s.try_lock("k", LockMode::Read, 2, Instant::now()));
         // Re-entrant for the same owner.
-        assert!(s.try_lock("k", LockMode::Write, 1));
+        assert!(s.try_lock("k", LockMode::Write, 1, Instant::now()));
         s.unlock("k", LockMode::Write, 1);
-        assert!(s.try_lock("k", LockMode::Read, 2));
+        assert!(s.try_lock("k", LockMode::Read, 2, Instant::now()));
     }
 
     #[test]
     fn reader_upgrades_to_writer_when_alone() {
         let s = KvStore::new();
-        assert!(s.try_lock("k", LockMode::Read, 1));
-        assert!(s.try_lock("k", LockMode::Write, 1), "sole reader upgrades");
-        assert!(!s.try_lock("k", LockMode::Read, 2));
+        assert!(s.try_lock("k", LockMode::Read, 1, Instant::now()));
+        assert!(
+            s.try_lock("k", LockMode::Write, 1, Instant::now()),
+            "sole reader upgrades"
+        );
+        assert!(!s.try_lock("k", LockMode::Read, 2, Instant::now()));
         s.unlock("k", LockMode::Write, 1);
     }
 
     #[test]
     fn unlock_by_non_owner_is_ignored() {
         let s = KvStore::new();
-        assert!(s.try_lock("k", LockMode::Write, 1));
+        assert!(s.try_lock("k", LockMode::Write, 1, Instant::now()));
         s.unlock("k", LockMode::Write, 99);
-        assert!(!s.try_lock("k", LockMode::Write, 2), "still held by 1");
+        assert!(
+            !s.try_lock("k", LockMode::Write, 2, Instant::now()),
+            "still held by 1"
+        );
     }
 
     #[test]
     fn expired_leases_are_reaped() {
-        let s = KvStore::with_lease(Duration::from_millis(10));
-        assert!(s.try_lock("k", LockMode::Write, 1));
-        assert!(!s.try_lock("k", LockMode::Write, 2));
-        std::thread::sleep(Duration::from_millis(15));
-        assert!(s.try_lock("k", LockMode::Write, 2), "lease expired");
+        let s = KvStore::new();
+        let t0 = Instant::now();
+        assert!(s.try_lock("k", LockMode::Write, 1, t0));
+        assert!(!s.try_lock("k", LockMode::Write, 2, t0));
+        let almost = t0 + LOCK_LEASE - Duration::from_millis(1);
+        assert!(!s.try_lock("k", LockMode::Write, 2, almost));
+        assert!(
+            s.try_lock("k", LockMode::Write, 2, t0 + LOCK_LEASE),
+            "lease expired"
+        );
     }
 
     #[test]
@@ -786,7 +790,7 @@ mod tests {
     fn keys_enumerates_values_and_locks() {
         let s = KvStore::new();
         s.set("v", vec![1u8; 10]);
-        assert!(s.try_lock("locked", LockMode::Write, 9));
+        assert!(s.try_lock("locked", LockMode::Write, 9, Instant::now()));
         let mut keys = s.keys();
         keys.sort();
         assert_eq!(keys, vec!["locked".to_string(), "v".to_string()]);
@@ -799,7 +803,7 @@ mod tests {
         s.set("b", vec![0; 20]);
         let _ = s.get("a");
         let _ = s.get("missing");
-        s.try_lock("a", LockMode::Read, 1);
+        s.try_lock("a", LockMode::Read, 1, Instant::now());
         s.unlock("a", LockMode::Read, 1);
         let st = s.stats();
         assert_eq!(st.keys, 2);
@@ -813,27 +817,27 @@ mod tests {
     fn export_import_moves_values_and_lock_owners() {
         let donor = KvStore::new();
         donor.set("moves", b"payload".to_vec());
-        assert!(donor.try_lock("moves", LockMode::Write, 42));
+        assert!(donor.try_lock("moves", LockMode::Write, 42, Instant::now()));
         donor.set("stays", b"here".to_vec());
         // A lock-only key moves too.
-        assert!(donor.try_lock("lock-only", LockMode::Read, 7));
+        assert!(donor.try_lock("lock-only", LockMode::Read, 7, Instant::now()));
 
         let moving = |k: &str| k != "stays";
-        let entries = donor.export_keys(moving);
+        let entries = donor.export_keys(moving, Instant::now());
         assert_eq!(entries.len(), 2);
 
         let target = KvStore::new();
-        target.import_keys(&entries);
+        target.import_keys(&entries, Instant::now());
         assert_eq!(target.get("moves"), Some(b"payload".to_vec()));
         // Lock state moved with its owner: a stranger cannot take it, the
         // original owner can re-enter and release it.
-        assert!(!target.try_lock("moves", LockMode::Write, 99));
-        assert!(target.try_lock("moves", LockMode::Write, 42));
+        assert!(!target.try_lock("moves", LockMode::Write, 99, Instant::now()));
+        assert!(target.try_lock("moves", LockMode::Write, 42, Instant::now()));
         target.unlock("moves", LockMode::Write, 42);
-        assert!(target.try_lock("moves", LockMode::Write, 99));
-        assert!(!target.try_lock("lock-only", LockMode::Write, 99));
+        assert!(target.try_lock("moves", LockMode::Write, 99, Instant::now()));
+        assert!(!target.try_lock("lock-only", LockMode::Write, 99, Instant::now()));
         assert!(
-            target.try_lock("lock-only", LockMode::Read, 8),
+            target.try_lock("lock-only", LockMode::Read, 8, Instant::now()),
             "read lock shared"
         );
 
@@ -847,25 +851,33 @@ mod tests {
 
     #[test]
     fn expired_locks_are_not_exported() {
-        let s = KvStore::with_lease(Duration::from_millis(5));
-        assert!(s.try_lock("k", LockMode::Write, 1));
-        std::thread::sleep(Duration::from_millis(10));
-        let entries = s.export_keys(|_| true);
+        let s = KvStore::new();
+        let t0 = Instant::now();
+        assert!(s.try_lock("k", LockMode::Write, 1, t0));
+        let entries = s.export_keys(|_| true, t0 + LOCK_LEASE);
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].lock, None, "expired writer must not migrate");
     }
 
     #[test]
     fn imported_lease_is_reanchored_with_remaining_time() {
-        let donor = KvStore::with_lease(Duration::from_millis(60));
-        assert!(donor.try_lock("k", LockMode::Write, 5));
-        let entries = donor.export_keys(|_| true);
+        let donor = KvStore::new();
+        let t0 = Instant::now();
+        assert!(donor.try_lock("k", LockMode::Write, 5, t0));
+        let remaining = Duration::from_millis(60);
+        let entries = donor.export_keys(|_| true, t0 + LOCK_LEASE - remaining);
+        // The target imports an hour later by its own clock.
+        let t1 = t0 + Duration::from_secs(3600);
         let target = KvStore::new();
-        target.import_keys(&entries);
-        assert!(!target.try_lock("k", LockMode::Write, 6), "still held");
-        std::thread::sleep(Duration::from_millis(80));
+        target.import_keys(&entries, t1);
+        let almost = t1 + remaining - Duration::from_millis(1);
+        assert!(!target.try_lock("k", LockMode::Write, 6, t1), "still held");
         assert!(
-            target.try_lock("k", LockMode::Write, 6),
+            !target.try_lock("k", LockMode::Write, 6, almost),
+            "still held"
+        );
+        assert!(
+            target.try_lock("k", LockMode::Write, 6, t1 + remaining),
             "remaining lease expires on the target's clock"
         );
     }
@@ -915,7 +927,7 @@ mod tests {
         for _ in 0..5 {
             donor.set("k", b"x".to_vec());
         }
-        let entries = donor.export_keys(|_| true);
+        let entries = donor.export_keys(|_| true, Instant::now());
         assert_eq!(entries[0].version, 5);
 
         // Target already saw a *newer* version (e.g. a replica that applied
@@ -924,13 +936,13 @@ mod tests {
         for _ in 0..9 {
             target.set("k", b"y".to_vec());
         }
-        target.import_keys(&entries);
+        target.import_keys(&entries, Instant::now());
         assert_eq!(target.version_of("k"), 9);
         assert_eq!(target.get("k"), Some(b"x".to_vec()));
 
         // A fresh target adopts the exported version exactly.
         let fresh = KvStore::new();
-        fresh.import_keys(&entries);
+        fresh.import_keys(&entries, Instant::now());
         assert_eq!(fresh.version_of("k"), 5);
     }
 
@@ -941,12 +953,12 @@ mod tests {
         let donor = KvStore::new();
         donor.set("gone", b"v".to_vec());
         donor.del("gone");
-        let entries = donor.export_keys(|_| true);
+        let entries = donor.export_keys(|_| true, Instant::now());
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].value, None);
         assert_eq!(entries[0].version, 2);
         let target = KvStore::new();
-        target.import_keys(&entries);
+        target.import_keys(&entries, Instant::now());
         assert_eq!(target.version_of("gone"), 2);
         assert!(target.set("gone", b"new".to_vec()) > 2);
     }

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use faasm_net::Fabric;
-use faasm_telemetry::Recorder;
+use faasm_telemetry::{Clock, Recorder};
 
 use crate::backend::KvBackend;
 use crate::client::{check_v, KvError};
@@ -20,8 +20,9 @@ use crate::store::KvStore;
 
 /// An in-process [`KvBackend`] over a bare [`KvStore`]: every request is
 /// [`apply`]d exactly as a shard would (same replies, same versions), with
-/// a bumpable routing epoch, request counters and a recorder of its own —
-/// the wire-free harness for cache and state-entry semantics. "External"
+/// a bumpable routing epoch, request counters and a recorder of its own on
+/// a manual clock (a lease runs out only when a test advances it) — the
+/// wire-free harness for cache and state-entry semantics. "External"
 /// writers (another host) mutate [`LocalKv::store`] directly.
 pub struct LocalKv {
     /// The authoritative store.
@@ -43,7 +44,7 @@ impl LocalKv {
     pub fn new() -> LocalKv {
         LocalKv {
             store: KvStore::new(),
-            recorder: Arc::default(),
+            recorder: Arc::new(Recorder::new(Clock::manual())),
             epoch: AtomicU64::new(1),
             requests: AtomicU64::new(0),
             reads: AtomicU64::new(0),
@@ -76,7 +77,7 @@ impl KvBackend for LocalKv {
         ) {
             self.reads.fetch_add(1, Ordering::Relaxed);
         }
-        check_v(apply(&self.store, req.clone()))
+        check_v(apply(&self.store, req.clone(), self.recorder.clock()))
     }
 
     fn lock_owner(&self) -> u64 {

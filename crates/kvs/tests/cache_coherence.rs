@@ -12,7 +12,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use faasm_kvs::testutil::LocalKv;
 use faasm_kvs::{CacheConfig, CachedKv, KvBackend, SharedKv};
@@ -148,15 +147,10 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..120),
     ) {
         let local = Arc::new(LocalKv::new());
-        let cache = CachedKv::new(
-            Arc::clone(&local) as SharedKv,
-            CacheConfig {
-                // Long lease: staleness windows close only via the
-                // invalidation machinery under test, never by timeout.
-                lease: Duration::from_secs(3600),
-                ..CacheConfig::default()
-            },
-        );
+        // LocalKv's clock is manual and never advanced here: staleness
+        // windows close only via the invalidation machinery under test,
+        // never by lease expiry.
+        let cache = CachedKv::new(Arc::clone(&local) as SharedKv, CacheConfig::default());
         let mut model = Model::new();
 
         for op in &ops {

@@ -5,9 +5,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use faasm_kvs::{CacheConfig, CachedKv, KvBackend, KvClient, KvStore, SharedKv};
+use faasm_kvs::testutil::LocalKv;
+use faasm_kvs::{CacheConfig, CachedKv, KvBackend, SharedKv};
 
 struct Counting;
 
@@ -66,14 +66,9 @@ fn max_allocations(mut f: impl FnMut()) -> u64 {
 
 #[test]
 fn a_cache_hit_allocates_only_its_reply() {
-    let tier = Arc::new(KvClient::local(Arc::new(KvStore::new())));
-    let cache = CachedKv::new(
-        tier as SharedKv,
-        CacheConfig {
-            lease: Duration::from_secs(3600),
-            ..CacheConfig::default()
-        },
-    );
+    // LocalKv's clock is manual: no lease runs out mid-measurement.
+    let tier = Arc::new(LocalKv::new());
+    let cache = CachedKv::new(tier as SharedKv, CacheConfig::default());
     cache.set("k", vec![7u8; 4096]).unwrap();
     // Warm-up: the first hit initialises the cache's span recorder.
     assert_eq!(cache.get("k").unwrap().map(|v| v.len()), Some(4096));

@@ -3,9 +3,10 @@
 //! "To ensure fairness between co-located tenants, each Faaslet applies
 //! traffic shaping on its virtual network interface using tc, thus enforcing
 //! ingress and egress traffic rate limits." A [`TokenBucket`] enforces a
-//! rate with a burst capacity; callers either poll ([`TokenBucket::try_acquire`]),
-//! block ([`TokenBucket::acquire`]) or compute the virtual delay a transfer
-//! would incur ([`TokenBucket::delay_for`]) for modelled-time experiments.
+//! rate with a burst capacity; callers either poll ([`TokenBucket::try_acquire`])
+//! or block ([`TokenBucket::acquire`]). The bucket refills by the instants
+//! its callers pass in, read off the cluster's clock; only the sleep in
+//! `acquire` is real time.
 //!
 //! The bucket is unit-agnostic: the NIC shapes *bytes*, while the cluster
 //! ingress tier (`faasm-gateway`) shapes *requests* through the same
@@ -18,7 +19,9 @@ use parking_lot::Mutex;
 #[derive(Debug)]
 struct State {
     tokens: f64,
-    last_refill: Instant,
+    /// The instant of the last refill; `None` until the first call (the
+    /// bucket starts full, so nothing accrues before it).
+    last_refill: Option<Instant>,
 }
 
 /// A thread-safe token bucket over bytes.
@@ -39,7 +42,7 @@ impl TokenBucket {
             capacity: capacity_bytes.max(1) as f64,
             state: Mutex::new(State {
                 tokens: capacity_bytes.max(1) as f64,
-                last_refill: Instant::now(),
+                last_refill: None,
             }),
         }
     }
@@ -58,7 +61,7 @@ impl TokenBucket {
             capacity: f64::MAX,
             state: Mutex::new(State {
                 tokens: 0.0,
-                last_refill: Instant::now(),
+                last_refill: None,
             }),
         }
     }
@@ -68,19 +71,20 @@ impl TokenBucket {
         self.rate.is_some()
     }
 
-    fn refill(&self, s: &mut State, rate: f64) {
-        let now = Instant::now();
-        let dt = now.duration_since(s.last_refill).as_secs_f64();
-        s.tokens = (s.tokens + dt * rate).min(self.capacity);
-        s.last_refill = now;
+    fn refill(&self, s: &mut State, rate: f64, now: Instant) {
+        if let Some(last) = s.last_refill {
+            let dt = now.saturating_duration_since(last).as_secs_f64();
+            s.tokens = (s.tokens + dt * rate).min(self.capacity);
+        }
+        s.last_refill = Some(now);
     }
 
-    /// Try to debit `bytes`; returns `false` if insufficient tokens are
-    /// available right now.
-    pub fn try_acquire(&self, bytes: usize) -> bool {
+    /// Try to debit `bytes` at `now`; returns `false` if insufficient
+    /// tokens are available.
+    pub fn try_acquire(&self, bytes: usize, now: Instant) -> bool {
         let Some(rate) = self.rate else { return true };
         let mut s = self.state.lock();
-        self.refill(&mut s, rate);
+        self.refill(&mut s, rate, now);
         if s.tokens >= bytes as f64 {
             s.tokens -= bytes as f64;
             true
@@ -89,20 +93,20 @@ impl TokenBucket {
         }
     }
 
-    /// Try to debit a single token (one request/operation).
-    pub fn try_acquire_one(&self) -> bool {
-        self.try_acquire(1)
+    /// Try to debit a single token (one request/operation) at `now`.
+    pub fn try_acquire_one(&self, now: Instant) -> bool {
+        self.try_acquire(1, now)
     }
 
-    /// Debit `bytes`, sleeping until the bucket permits it. Oversized
+    /// Debit `bytes` at `now`, sleeping until the bucket permits it. Oversized
     /// requests (larger than the burst capacity) are allowed by letting the
     /// token count go negative, which models the transfer back-pressuring
     /// subsequent sends.
-    pub fn acquire(&self, bytes: usize) {
+    pub fn acquire(&self, bytes: usize, now: Instant) {
         let Some(rate) = self.rate else { return };
         let wait = {
             let mut s = self.state.lock();
-            self.refill(&mut s, rate);
+            self.refill(&mut s, rate, now);
             s.tokens -= bytes as f64;
             if s.tokens >= 0.0 {
                 None
@@ -128,15 +132,6 @@ impl TokenBucket {
         let mut s = self.state.lock();
         s.tokens = (s.tokens + 1.0).min(self.capacity);
     }
-
-    /// The virtual delay `bytes` would incur at the configured rate,
-    /// ignoring current bucket state (used for modelled-time accounting).
-    pub fn delay_for(&self, bytes: usize) -> Duration {
-        match self.rate {
-            Some(rate) => Duration::from_secs_f64(bytes as f64 / rate),
-            None => Duration::ZERO,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -147,43 +142,45 @@ mod tests {
     fn unlimited_always_permits() {
         let b = TokenBucket::unlimited();
         assert!(!b.is_limited());
-        assert!(b.try_acquire(usize::MAX / 2));
-        b.acquire(usize::MAX / 2);
-        assert_eq!(b.delay_for(1_000_000), Duration::ZERO);
+        assert!(b.try_acquire(usize::MAX / 2, Instant::now()));
+        b.acquire(usize::MAX / 2, Instant::now());
     }
 
     #[test]
     fn burst_then_deny() {
         let b = TokenBucket::new(1, 100);
+        let now = Instant::now();
         assert!(b.is_limited());
-        assert!(b.try_acquire(100), "burst capacity available");
-        assert!(!b.try_acquire(50), "bucket drained at 1 B/s");
+        assert!(b.try_acquire(100, now), "burst capacity available");
+        assert!(!b.try_acquire(50, now), "bucket drained at 1 B/s");
     }
 
     #[test]
     fn refill_over_time() {
         let b = TokenBucket::new(1_000_000, 1000);
-        assert!(b.try_acquire(1000));
-        assert!(!b.try_acquire(1000));
-        std::thread::sleep(Duration::from_millis(5));
-        // ~5000 bytes refilled, capped at capacity 1000.
-        assert!(b.try_acquire(1000));
+        let t0 = Instant::now();
+        assert!(b.try_acquire(1000, t0));
+        assert!(!b.try_acquire(1000, t0));
+        assert!(!b.try_acquire(1000, t0 + Duration::from_micros(500)));
+        // 5 000 bytes refilled 5 ms later, capped at capacity 1000.
+        assert!(b.try_acquire(1000, t0 + Duration::from_millis(5)));
     }
 
     #[test]
     fn refund_restores_a_token_capped_at_capacity() {
+        let now = Instant::now();
         let b = TokenBucket::per_second(1, 2);
-        assert!(b.try_acquire_one());
-        assert!(b.try_acquire_one());
-        assert!(!b.try_acquire_one(), "burst drained at 1/s");
+        assert!(b.try_acquire_one(now));
+        assert!(b.try_acquire_one(now));
+        assert!(!b.try_acquire_one(now), "burst drained at 1/s");
         b.refund_one();
-        assert!(b.try_acquire_one(), "refunded token is usable");
+        assert!(b.try_acquire_one(now), "refunded token is usable");
         // Refunds never exceed the burst capacity.
         let full = TokenBucket::per_second(1, 1);
         full.refund_one();
         full.refund_one();
-        assert!(full.try_acquire_one());
-        assert!(!full.try_acquire_one(), "capacity caps refunds");
+        assert!(full.try_acquire_one(now));
+        assert!(!full.try_acquire_one(now), "capacity caps refunds");
         // Unlimited buckets ignore refunds.
         TokenBucket::unlimited().refund_one();
     }
@@ -191,16 +188,9 @@ mod tests {
     #[test]
     fn acquire_blocks_for_rate() {
         let b = TokenBucket::new(100_000, 100);
-        b.acquire(100); // drain burst
         let start = Instant::now();
-        b.acquire(1000); // needs 10 ms at 100 kB/s
+        b.acquire(100, start); // drain burst
+        b.acquire(1000, start); // needs 10 ms at 100 kB/s
         assert!(start.elapsed() >= Duration::from_millis(8));
-    }
-
-    #[test]
-    fn delay_model() {
-        let b = TokenBucket::new(1_000_000, 1);
-        assert_eq!(b.delay_for(1_000_000), Duration::from_secs(1));
-        assert_eq!(b.delay_for(500_000), Duration::from_millis(500));
     }
 }

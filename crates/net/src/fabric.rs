@@ -8,10 +8,10 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use faasm_telemetry::Recorder;
+use faasm_telemetry::{Clock, Recorder};
 use parking_lot::Mutex;
 
 use crate::bucket::TokenBucket;
@@ -89,7 +89,8 @@ struct FabricInner {
 }
 
 /// The in-process cluster network. It also owns the cluster's one span
-/// [`Recorder`], which every layer reaches through its [`Nic`].
+/// [`Recorder`] and, through it, the cluster's [`Clock`]; every layer
+/// reaches both through its [`Nic`].
 #[derive(Clone)]
 pub struct Fabric {
     inner: Arc<FabricInner>,
@@ -111,9 +112,14 @@ impl Default for Fabric {
 }
 
 impl Fabric {
-    /// An empty fabric.
+    /// An empty fabric on a real clock.
     pub fn new() -> Fabric {
-        let recorder = Arc::new(Recorder::new());
+        Fabric::with_clock(Clock::real())
+    }
+
+    /// An empty fabric whose recorder runs on `clock`.
+    pub fn with_clock(clock: Clock) -> Fabric {
+        let recorder = Arc::new(Recorder::new(clock));
         faasm_telemetry::register(&recorder);
         Fabric {
             inner: Arc::new(FabricInner {
@@ -412,6 +418,11 @@ impl VirtualInterface {
         self.shaper.is_limited()
     }
 
+    /// The cluster clock's instant, which the shaper refills by.
+    fn now(&self) -> Instant {
+        self.nic.recorder().clock().now()
+    }
+
     /// Shaped one-way send.
     ///
     /// # Errors
@@ -419,7 +430,8 @@ impl VirtualInterface {
     /// See [`Nic::send`]; failed sends are not counted.
     pub fn send(&self, dst: HostId, payload: Vec<u8>) -> Result<(), NetError> {
         let len = payload.len();
-        self.shaper.acquire(len + MSG_HEADER_BYTES as usize);
+        self.shaper
+            .acquire(len + MSG_HEADER_BYTES as usize, self.now());
         self.nic.send(dst, payload)?;
         self.stats.record_send(len as u64 + MSG_HEADER_BYTES);
         Ok(())
@@ -434,7 +446,8 @@ impl VirtualInterface {
     /// (the bytes crossed the fabric).
     pub fn call(&self, dst: HostId, payload: Vec<u8>) -> Result<Vec<u8>, NetError> {
         let len = payload.len();
-        self.shaper.acquire(len + MSG_HEADER_BYTES as usize);
+        self.shaper
+            .acquire(len + MSG_HEADER_BYTES as usize, self.now());
         let (result, delivered) = self
             .nic
             .call_timeout_tracked(dst, payload, DEFAULT_RPC_TIMEOUT);
@@ -531,6 +544,7 @@ mod tests {
         let client = fabric.add_host();
         let server = fabric.add_host();
         let server_id = server.id();
+        let server_side = server.clone();
         // Server: collect two requests, respond in reverse order.
         let handle = std::thread::spawn(move || {
             let e1 = server.recv().unwrap();
@@ -540,9 +554,11 @@ mod tests {
         });
         let c1 = client.clone();
         let t1 = std::thread::spawn(move || c1.call(server_id, b"one".to_vec()).unwrap());
-        // Give the first request a head start so ordering is deterministic
-        // enough; correlation must hold regardless.
-        std::thread::sleep(Duration::from_millis(10));
+        // The second request goes out once the first is in the server's
+        // queue, so the server answers them in reverse order.
+        while server_side.stats().msgs_received() == 0 {
+            std::thread::yield_now();
+        }
         let t2 = std::thread::spawn({
             let c = client.clone();
             move || c.call(server_id, b"two".to_vec()).unwrap()

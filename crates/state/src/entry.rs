@@ -37,14 +37,14 @@ pub(crate) fn state_span<T>(kv: &SharedKv, kind: SpanKind, extra: u64, f: impl F
     if parent.is_none() {
         return f();
     }
-    let ctx = kv.recorder().child(parent);
-    let start_ns = faasm_telemetry::now_ns();
+    let recorder = kv.recorder();
+    let ctx = recorder.child(parent);
+    let start_ns = recorder.now_ns();
     let out = {
         let _tracing = faasm_telemetry::set_current(ctx);
         f()
     };
-    kv.recorder()
-        .close(kind, ctx, parent.span_id, start_ns, extra);
+    recorder.close(kind, ctx, parent.span_id, start_ns, extra);
     out
 }
 
@@ -630,24 +630,36 @@ mod tests {
         assert!(got[16..32].iter().all(|&b| b == 2));
     }
 
-    /// A backend that counts batched calls and stalls batched *reads* on
-    /// demand — the latency-injection seam for lock-discipline tests.
+    /// A backend that counts batched calls and stalls batched *reads* in
+    /// `stall` — the latency-injection seam for lock-discipline tests.
     struct SlowKv {
         inner: Arc<KvClient>,
-        delay: Duration,
+        stall: Box<dyn Fn() + Send + Sync>,
         multi_gets: std::sync::atomic::AtomicUsize,
         multi_sets: std::sync::atomic::AtomicUsize,
     }
 
     impl SlowKv {
-        fn new(inner: Arc<KvClient>, delay: Duration) -> SlowKv {
+        fn new(inner: Arc<KvClient>, stall: impl Fn() + Send + Sync + 'static) -> SlowKv {
             SlowKv {
                 inner,
-                delay,
+                stall: Box::new(stall),
                 multi_gets: std::sync::atomic::AtomicUsize::new(0),
                 multi_sets: std::sync::atomic::AtomicUsize::new(0),
             }
         }
+    }
+
+    /// A `SlowKv` whose batched reads stay on the wire until the test
+    /// drops the returned sender (or 10 s pass, so a failing test cannot
+    /// hang).
+    fn held_reads(plain: &Arc<KvClient>) -> (SlowKv, std::sync::mpsc::Sender<()>) {
+        let (open, held) = std::sync::mpsc::channel::<()>();
+        let held = Mutex::new(held);
+        let stall = move || {
+            held.lock().recv_timeout(Duration::from_secs(10)).ok();
+        };
+        (SlowKv::new(Arc::clone(plain), stall), open)
     }
 
     impl KvBackend for SlowKv {
@@ -656,7 +668,7 @@ mod tests {
                 Request::MultiGetRange { .. } => {
                     self.multi_gets
                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    std::thread::sleep(self.delay);
+                    (self.stall)();
                 }
                 Request::MultiSetRange { .. } => {
                     self.multi_sets
@@ -799,7 +811,7 @@ mod tests {
         let store = Arc::new(KvStore::new());
         let plain = Arc::new(KvClient::local(Arc::clone(&store)));
         plain.set("k", (0u8..64).collect()).unwrap();
-        let kv = Arc::new(SlowKv::new(Arc::clone(&plain), Duration::ZERO));
+        let kv = Arc::new(SlowKv::new(Arc::clone(&plain), || {}));
         let e = StateEntry::new(
             "k",
             64,
@@ -848,8 +860,9 @@ mod tests {
         let store = Arc::new(KvStore::new());
         let plain = Arc::new(KvClient::local(Arc::clone(&store)));
         plain.set("k", vec![5u8; 64]).unwrap();
-        // Delay reads only, so the concurrent push is not itself slowed.
-        let slow = Arc::new(SlowKv::new(Arc::clone(&plain), Duration::from_millis(400)));
+        // Stall reads only, so the concurrent push is not itself slowed.
+        let (slow, gate) = held_reads(&plain);
+        let slow = Arc::new(slow);
         let e = Arc::new(
             StateEntry::new(
                 "k",
@@ -866,13 +879,15 @@ mod tests {
         };
         // Let the puller reach its stalled round-trip.
         while slow.multi_gets.load(std::sync::atomic::Ordering::Relaxed) == 0 {
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::yield_now();
         }
         let t0 = std::time::Instant::now();
         e.write(48, &[1u8; 16]).unwrap();
         assert_eq!(e.dirty_chunks(), 1);
         e.push_range(48, 16).unwrap();
         let elapsed = t0.elapsed();
+        assert!(!puller.is_finished(), "the pull is still on the wire");
+        drop(gate);
         puller.join().unwrap();
         assert!(
             elapsed < Duration::from_millis(150),
@@ -894,7 +909,8 @@ mod tests {
         let store = Arc::new(KvStore::new());
         let plain = Arc::new(KvClient::local(Arc::clone(&store)));
         plain.set("k", vec![5u8; 32]).unwrap();
-        let slow = Arc::new(SlowKv::new(Arc::clone(&plain), Duration::from_millis(300)));
+        let (slow, gate) = held_reads(&plain);
+        let slow = Arc::new(slow);
         let e = Arc::new(
             StateEntry::new(
                 "k",
@@ -910,10 +926,11 @@ mod tests {
             std::thread::spawn(move || e.pull().unwrap())
         };
         while slow.multi_gets.load(std::sync::atomic::Ordering::Relaxed) == 0 {
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::yield_now();
         }
         // The fetch (stale 5s) is in flight; overwrite chunk 0 locally.
         e.write(0, &[9u8; 16]).unwrap();
+        drop(gate);
         puller.join().unwrap();
         let mut buf = [0u8; 16];
         e.read(0, &mut buf).unwrap();
@@ -931,7 +948,7 @@ mod tests {
         let store = Arc::new(KvStore::new());
         let plain = Arc::new(KvClient::local(Arc::clone(&store)));
         plain.set("k", vec![3u8; 64]).unwrap();
-        let kv = Arc::new(SlowKv::new(Arc::clone(&plain), Duration::ZERO));
+        let kv = Arc::new(SlowKv::new(Arc::clone(&plain), || {}));
         let e = StateEntry::new(
             "k",
             64,
@@ -1014,7 +1031,11 @@ mod tests {
         let plain = Arc::new(KvClient::local(Arc::new(KvStore::new())));
         let initial: Vec<u8> = (0..WORDS).flat_map(|_| UNTOUCHED.to_le_bytes()).collect();
         plain.set("k", initial).unwrap();
-        let slow = Arc::new(SlowKv::new(Arc::clone(&plain), Duration::from_micros(150)));
+        // Batched reads give their core away a while, widening the window
+        // in which a write or push lands during a pull's round-trip.
+        let slow = Arc::new(SlowKv::new(Arc::clone(&plain), || {
+            (0..20).for_each(|_| std::thread::yield_now())
+        }));
         let e = StateEntry::new(
             "k",
             WORDS * 8,

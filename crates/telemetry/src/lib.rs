@@ -23,8 +23,10 @@
 //! ([`set_current`] / [`current`]) so deep layers (state chunks, the KVS
 //! client) can stamp requests without signature churn.
 
+mod clock;
 mod counters;
 
+pub use clock::Clock;
 pub use counters::{Counter, SetRow, Telemetry};
 
 use std::collections::VecDeque;
@@ -110,16 +112,8 @@ impl Drop for CtxGuard {
 }
 
 // ---------------------------------------------------------------------------
-// Clock and enablement
+// Enablement
 // ---------------------------------------------------------------------------
-
-/// Nanoseconds since the process-wide telemetry epoch. Monotone across all
-/// tiers (everything shares one process), so span timestamps from different
-/// hosts order correctly in a merged tree.
-pub fn now_ns() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
@@ -254,9 +248,9 @@ pub struct SpanRecord {
     pub parent_id: u64,
     /// Stage.
     pub kind: SpanKind,
-    /// Start, ns since the telemetry epoch.
+    /// Start, ns on the recorder's clock ([`Recorder::now_ns`]).
     pub start_ns: u64,
-    /// End, ns since the telemetry epoch.
+    /// End, ns on the recorder's clock.
     pub end_ns: u64,
     /// Kind-specific payload (e.g. retry attempts, bytes moved); 0 if unused.
     pub extra: u64,
@@ -453,7 +447,7 @@ const ANOMALY_CAP: usize = 6 * 16;
 /// One anomaly-triggered flight-recorder dump.
 #[derive(Debug, Clone)]
 pub struct Anomaly {
-    /// When the trigger fired, ns since the telemetry epoch.
+    /// When the trigger fired, ns on the recorder's clock.
     pub at_ns: u64,
     /// What fired it (e.g. `"admission cap shrink"`, `"reshard begin"`).
     pub reason: String,
@@ -464,7 +458,8 @@ pub struct Anomaly {
 /// A cluster's telemetry sink: per-kind histograms (always cheap) plus a
 /// bounded ring of recent spans (the flight recorder). Each [`SpanKind`]
 /// names the layer that records it, so one recorder serves every layer.
-/// It is also the cluster's source of trace and span ids.
+/// It is also the cluster's source of trace and span ids, and it owns the
+/// cluster's [`Clock`]. The default recorder runs on a real clock.
 #[derive(Debug, Default)]
 pub struct Recorder {
     hists: [Hist; SPAN_KINDS],
@@ -473,12 +468,28 @@ pub struct Recorder {
     dropped: AtomicU64,
     /// Ids handed out so far.
     ids: AtomicU64,
+    clock: Clock,
 }
 
 impl Recorder {
-    /// An empty recorder.
-    pub fn new() -> Recorder {
-        Recorder::default()
+    /// An empty recorder on `clock`.
+    pub fn new(clock: Clock) -> Recorder {
+        Recorder {
+            clock,
+            ..Recorder::default()
+        }
+    }
+
+    /// The cluster's clock.
+    pub fn clock(&self) -> &Clock {
+        &self.clock
+    }
+
+    /// Nanoseconds on the cluster's clock: what span stamps read.
+    #[inline]
+    pub fn now_ns(&self) -> u64 {
+        let since = self.clock.now().saturating_duration_since(self.clock.epoch);
+        since.as_nanos() as u64
     }
 
     /// A fresh id, unique among this recorder's: the `n`-th one, counting
@@ -545,7 +556,7 @@ impl Recorder {
             parent_id,
             kind,
             start_ns,
-            end_ns: now_ns(),
+            end_ns: self.now_ns(),
             extra,
         });
     }
@@ -595,7 +606,7 @@ impl Recorder {
             anomalies.pop_front();
         }
         anomalies.push_back(Anomaly {
-            at_ns: now_ns(),
+            at_ns: self.now_ns(),
             reason: reason.to_string(),
             spans: tail,
         });
@@ -616,6 +627,13 @@ static REGISTRY: Mutex<Vec<Weak<Recorder>>> = Mutex::new(Vec::new());
 
 /// Ids handed out by [`TraceCtx::new_root`].
 static ROOTS: AtomicU64 = AtomicU64::new(1);
+
+/// Nanoseconds since a process-wide epoch, for callers that hold no
+/// cluster; a cluster stamps with [`Recorder::now_ns`].
+pub fn now_ns() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
 
 impl TraceCtx {
     /// A fresh root context from a process-wide stream, for callers that
@@ -641,7 +659,7 @@ pub fn register(recorder: &Arc<Recorder>) {
 
 /// A fresh recorder that no cluster reads; the name is ignored.
 pub fn tier(_name: &'static str) -> Arc<Recorder> {
-    Arc::new(Recorder::new())
+    Arc::default()
 }
 
 /// Every live cluster's span histograms merged into one entry: by kind,
@@ -668,7 +686,7 @@ mod tests {
 
     #[test]
     fn ids_are_unique_and_nonzero() {
-        let (rec, twin) = (Recorder::new(), Recorder::new());
+        let (rec, twin) = (Recorder::default(), Recorder::default());
         let mut seen = std::collections::HashSet::new();
         for _ in 0..5_000 {
             let root = rec.root();
@@ -687,7 +705,7 @@ mod tests {
 
     #[test]
     fn child_keeps_trace_id() {
-        let rec = Recorder::new();
+        let rec = Recorder::default();
         let root = rec.root();
         let child = rec.child(root);
         assert_eq!(child.trace_id, root.trace_id);
@@ -698,7 +716,7 @@ mod tests {
     #[test]
     fn thread_local_ctx_nests_and_restores() {
         assert!(current().is_none());
-        let rec = Recorder::new();
+        let rec = Recorder::default();
         let a = rec.root();
         let g1 = set_current(a);
         assert_eq!(current(), a);
@@ -766,7 +784,7 @@ mod tests {
     #[test]
     fn recorder_ring_is_bounded() {
         let _recording = RECORDING.lock();
-        let rec = Recorder::new();
+        let rec = Recorder::default();
         let ctx = rec.root();
         for i in 0..(RING_CAP + 100) {
             rec.record(SpanRecord {
@@ -790,7 +808,7 @@ mod tests {
     #[test]
     fn trace_returns_only_that_traces_spans_in_start_order() {
         let _recording = RECORDING.lock();
-        let rec = Recorder::new();
+        let rec = Recorder::default();
         let (root, other) = (rec.root(), rec.root());
         let span = |ctx: TraceCtx, kind, start_ns| SpanRecord {
             trace_id: ctx.trace_id,
@@ -814,9 +832,9 @@ mod tests {
     #[test]
     fn disabled_recording_is_dropped() {
         let _recording = RECORDING.lock();
-        let rec = Recorder::new();
+        let rec = Recorder::default();
         set_enabled(false);
-        rec.span(SpanKind::Dispatch, rec.root(), now_ns(), 0);
+        rec.span(SpanKind::Dispatch, rec.root(), rec.now_ns(), 0);
         set_enabled(true);
         assert_eq!(rec.hist(SpanKind::Dispatch).count(), 0);
         assert!(rec.dump().is_empty());
@@ -825,9 +843,9 @@ mod tests {
     #[test]
     fn anomalies_capture_ring_tail() {
         let _recording = RECORDING.lock();
-        let rec = Recorder::new();
+        let rec = Recorder::default();
         let ctx = rec.root();
-        rec.span(SpanKind::QueueSojourn, ctx, now_ns(), 0);
+        rec.span(SpanKind::QueueSojourn, ctx, rec.now_ns(), 0);
         rec.note_anomaly("unit trigger");
         let an = rec.anomalies();
         assert_eq!(an.len(), 1);

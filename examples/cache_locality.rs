@@ -49,7 +49,7 @@ fn main() {
         cluster.instances().len(),
         cluster.state_shard_count(),
         CacheConfig::default().max_bytes,
-        CacheConfig::default().lease,
+        faasm::kvs::LEASE,
     );
 
     let mut cum = Vec::with_capacity(KEYS);

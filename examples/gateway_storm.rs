@@ -11,7 +11,7 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use faasm::gateway::codec::{self, GatewayRequest};
 use faasm::gateway::{AutoscaleConfig, Gateway, GatewayConfig, GatewayStatus, TenantPolicy};
@@ -54,10 +54,7 @@ fn main() {
         GatewayConfig {
             dispatchers: 4,
             max_batch: 32,
-            autoscale: Some(AutoscaleConfig {
-                interval: Duration::from_millis(5),
-                ..AutoscaleConfig::default()
-            }),
+            autoscale: Some(AutoscaleConfig::default()),
             ..GatewayConfig::default()
         },
     ));

@@ -8,7 +8,8 @@ use std::time::{Duration, Instant};
 
 use faasm::core::{Cluster, ClusterConfig, InstanceConfig, NativeApi};
 use faasm::gateway::{Gateway, GatewayConfig, GatewayRequest, GatewayStatus};
-use faasm::telemetry::{SpanKind, TraceCtx};
+use faasm::kvs::{KvBackend, LockMode, ShardedKvClient, LOCK_LEASE};
+use faasm::telemetry::{Clock, SpanKind, TraceCtx};
 use faasm::CallStatus;
 
 /// `parent` chains `child` (which doubles its input byte) and adds one.
@@ -217,6 +218,96 @@ struct TornDown(mpsc::Sender<bool>);
 impl Drop for TornDown {
     fn drop(&mut self) {
         let _ = self.0.send(std::thread::panicking());
+    }
+}
+
+/// Each cluster reads its own clock: advancing one cluster's manual clock
+/// expires that cluster's gateway deadlines and global-lock leases and
+/// leaves the other's untouched.
+#[test]
+fn each_cluster_keeps_its_own_time() {
+    struct Rig {
+        clock: Clock,
+        gateway: Gateway,
+        /// Held by the cluster's `hold` call until the test lets it go.
+        gate: mpsc::SyncSender<()>,
+        rival: ShardedKvClient,
+    }
+    let rig = || {
+        let clock = Clock::manual();
+        let config = ClusterConfig {
+            hosts: 1,
+            ..ClusterConfig::default()
+        };
+        let cluster = Arc::new(Cluster::with_clock(config, clock.clone()));
+        let (gate, held) = mpsc::sync_channel::<()>(1);
+        let held = std::sync::Mutex::new(held);
+        cluster.register_native(
+            "u",
+            "hold",
+            Arc::new(move |_: &mut NativeApi<'_>| {
+                let _ = held.lock().unwrap().recv_timeout(Duration::from_secs(10));
+                Ok(0)
+            }),
+            false,
+        );
+        register_chain(&cluster, "u");
+        let gateway = Gateway::start(
+            Arc::clone(&cluster),
+            GatewayConfig {
+                dispatchers: 1,
+                max_batch: 1,
+                autoscale: None,
+                ..GatewayConfig::default()
+            },
+        );
+        // The driver takes a global lock that a second client is refused.
+        cluster.kv().lock("leased", LockMode::Write).unwrap();
+        let cell = Arc::clone(cluster.state_routing());
+        let rival = ShardedKvClient::connect(cluster.add_fabric_host(), cell);
+        assert!(!rival.try_lock("leased", LockMode::Write).unwrap());
+        Rig {
+            clock,
+            gateway,
+            gate,
+            rival,
+        }
+    };
+    let (moved, still) = (rig(), rig());
+    // On each, a held call takes the one in-flight slot and a request
+    // with a 10 ms deadline queues behind it.
+    let queued = [&moved, &still].map(|r| {
+        let held = r.gateway.submit("u", "hold", Vec::new());
+        let t0 = Instant::now();
+        while r.gateway.queue_len() > 0 && t0.elapsed() < Duration::from_secs(10) {
+            std::thread::yield_now();
+        }
+        let deadline = Duration::from_millis(10);
+        let doomed = r
+            .gateway
+            .submit_with_deadline("u", "child", vec![1], deadline);
+        (held, doomed)
+    });
+    moved.clock.advance(LOCK_LEASE);
+
+    // The advanced cluster sheds its queued request as expired and lets
+    // the rival take the lapsed lock.
+    assert_eq!(
+        moved.gateway.wait(queued[0].1).status,
+        GatewayStatus::Expired
+    );
+    assert!(moved.rival.try_lock("leased", LockMode::Write).unwrap());
+    // The other cluster's lease holds, and once its held call finishes,
+    // its queued request runs: by its clock, no deadline has passed.
+    assert!(!still.rival.try_lock("leased", LockMode::Write).unwrap());
+    for r in [&moved, &still] {
+        r.gate.send(()).unwrap();
+    }
+    assert_eq!(still.gateway.wait(queued[1].1).status, GatewayStatus::Ok);
+    assert_eq!(moved.gateway.metrics().shed_expired(), 1);
+    assert_eq!(still.gateway.metrics().shed_expired(), 0);
+    for (r, (held, _)) in [&moved, &still].into_iter().zip(queued) {
+        assert_eq!(r.gateway.wait(held).status, GatewayStatus::Ok);
     }
 }
 

@@ -358,11 +358,9 @@ fn scale_up_storm_restores_warm_without_duplicate_captures() {
         assert!(cluster.instances()[0].push_prestage("it", "echo", inst.host_id()));
     }
     for inst in &cluster.instances()[1..] {
-        for _ in 0..2_000 {
-            if inst.has_proto("it", "echo") {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
+        let t0 = std::time::Instant::now();
+        while !inst.has_proto("it", "echo") && t0.elapsed() < std::time::Duration::from_secs(2) {
+            std::thread::yield_now();
         }
         assert!(inst.has_proto("it", "echo"), "pre-stage never landed");
     }
@@ -717,11 +715,9 @@ fn telemetry_totals_equal_the_sum_of_the_typed_per_instance_snapshots() {
         assert_eq!(r.status, CallStatus::Success);
     }
     assert!(a.push_prestage("it", "echo", b.host_id()));
-    for _ in 0..2_000 {
-        if b.has_proto("it", "echo") {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
+    let t0 = std::time::Instant::now();
+    while !b.has_proto("it", "echo") && t0.elapsed() < std::time::Duration::from_secs(2) {
+        std::thread::yield_now();
     }
     // Placed, so B runs it itself instead of forwarding to warm A.
     let id = b.submit_placed("it", "echo", vec![9]);
@@ -1025,4 +1021,58 @@ fn faaslet_egress_is_traffic_shaped() {
         shaped > unshaped * 3 && shaped > std::time::Duration::from_millis(30),
         "shaping must slow the sender: unshaped {unshaped:?}, shaped {shaped:?}"
     );
+}
+
+/// Guest `gettime` reads the cluster's clock: on a manual clock, the time a
+/// guest sees pass between two readings is exactly what the test advanced
+/// the clock by in between.
+#[test]
+fn guest_gettime_reads_the_cluster_clock() {
+    const TICK: &str = r#"
+        extern long gettime();
+        extern void set_state(ptr int key, int key_len, ptr int val, int val_len);
+        extern void push_state(ptr int key, int key_len);
+        extern void write_call_output(ptr int buf, int len);
+        int main() {
+            long t0 = gettime();
+            // Tell the test the first reading is taken: state "go" = 1.
+            ptr int k = (ptr int) 64;
+            k[0] = 0x6f67; // "go"
+            ptr int v = (ptr int) 128;
+            v[0] = 1;
+            set_state((ptr int) 64, 2, (ptr int) 128, 4);
+            push_state((ptr int) 64, 2);
+            long t1 = gettime();
+            while (t1 == t0) {
+                t1 = gettime();
+            }
+            ptr long out = (ptr long) 256;
+            out[0] = t1 - t0;
+            write_call_output((ptr int) 256, 8);
+            return 0;
+        }
+    "#;
+    let clock = faasm::telemetry::Clock::manual();
+    let config = ClusterConfig {
+        hosts: 1,
+        ..ClusterConfig::default()
+    };
+    let cluster = Cluster::with_clock(config, clock.clone());
+    cluster
+        .upload_fl("it", "tick", TICK, UploadOptions::default())
+        .unwrap();
+    let id = cluster.invoke_async("it", "tick", Vec::new());
+    let t0 = std::time::Instant::now();
+    while cluster.kv().get("go").unwrap().is_none() {
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(10),
+            "the guest never took its first reading"
+        );
+        std::thread::yield_now();
+    }
+    clock.advance(std::time::Duration::from_millis(5));
+    let r = cluster.await_result(id);
+    assert_eq!(r.status, CallStatus::Success);
+    let elapsed = i64::from_le_bytes(r.output[..8].try_into().unwrap());
+    assert_eq!(elapsed, 5_000_000, "the guest saw exactly the advance");
 }

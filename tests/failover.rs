@@ -13,6 +13,20 @@ use faasm::kvs::{KvBackend, LockMode, ShardedKvClient, SharedKv};
 /// Keys the chained counter workload increments.
 const COUNTER_KEYS: usize = 8;
 
+/// Block until `counter` reaches `target` — the progress a phase of the
+/// workload needs — failing after 10 s of real time.
+fn wait_for(counter: &AtomicU64, target: u64, what: &str) {
+    let t0 = std::time::Instant::now();
+    while counter.load(Ordering::Relaxed) < target {
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(10),
+            "{what}: {} of {target}",
+            counter.load(Ordering::Relaxed)
+        );
+        std::thread::yield_now();
+    }
+}
+
 /// The canonical stateful guest: increment a cross-host counter under the
 /// global write lock. Every failover failure mode surfaces here — a lost
 /// value, a lost lock owner, a stale read off a promoted backup.
@@ -78,10 +92,12 @@ fn killing_a_primary_mid_write_storm_loses_no_acked_writes() {
     // Chained counter workload: each worker owns a disjoint key set so the
     // expected counts stay exact (the write lock is re-entrant per owner
     // token — see reshard_live.rs for the full rationale).
+    let calls = Arc::new(AtomicU64::new(0));
     let callers: Vec<_> = (0..2)
         .map(|worker: u32| {
             let cluster = Arc::clone(&cluster);
             let stop = Arc::clone(&stop);
+            let calls = Arc::clone(&calls);
             std::thread::spawn(move || {
                 let mut successes = vec![0u64; COUNTER_KEYS];
                 let mut turn = worker;
@@ -96,6 +112,7 @@ fn killing_a_primary_mid_write_storm_loses_no_acked_writes() {
                         r.status
                     );
                     successes[idx as usize] += 1;
+                    calls.fetch_add(1, Ordering::Relaxed);
                 }
                 successes
             })
@@ -104,7 +121,8 @@ fn killing_a_primary_mid_write_storm_loses_no_acked_writes() {
 
     // Warm up, then kill a slot abruptly. Nothing updates the routing
     // table here — detection is the liveness monitor's job.
-    std::thread::sleep(Duration::from_millis(200));
+    wait_for(&acked, 100, "warm-up writes");
+    wait_for(&calls, 20, "warm-up calls");
     let victim = 1usize;
     let table = cluster.state_routing().load();
     let blackout_key = (0..10_000)
@@ -135,7 +153,9 @@ fn killing_a_primary_mid_write_storm_loses_no_acked_writes() {
     drop(table);
 
     // Let the storm run on the promoted tier, then stop and audit.
-    std::thread::sleep(Duration::from_millis(200));
+    let (acked_then, calls_then) = (acked.load(Ordering::Relaxed), calls.load(Ordering::Relaxed));
+    wait_for(&acked, acked_then + 100, "writes on the promoted tier");
+    wait_for(&calls, calls_then + 20, "calls on the promoted tier");
     stop.store(true, Ordering::Relaxed);
     writer.join().unwrap();
     let mut successes = [0u64; COUNTER_KEYS];

@@ -2,12 +2,15 @@
 //! gateway must be fair, shed explicitly, and agree with direct
 //! `Cluster::invoke` results.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
-use faasm::core::{Cluster, NativeApi, NativeGuest};
+use faasm::core::{Cluster, ClusterConfig, NativeApi, NativeGuest};
 use faasm::gateway::codec::{self, GatewayRequest};
-use faasm::gateway::{AutoscaleConfig, Gateway, GatewayConfig, GatewayStatus, TenantPolicy};
+use faasm::gateway::{
+    AutoscaleConfig, Gateway, GatewayConfig, GatewayStatus, TenantPolicy, TARGET_DISPATCH_LATENCY,
+};
+use faasm::telemetry::Clock;
 
 const ECHO: &str = r#"
     extern int input_size();
@@ -21,30 +24,98 @@ const ECHO: &str = r#"
     }
 "#;
 
-/// A deterministic-latency guest: sleeps ~2 ms, then echoes.
-fn slow_guest() -> Arc<dyn NativeGuest> {
-    Arc::new(|api: &mut NativeApi<'_>| {
-        std::thread::sleep(Duration::from_millis(2));
+/// Where `slow` calls wait until the test lets them through, so the test,
+/// not a sleep, decides how long they stay in flight: `release(n)` lets
+/// `n` more calls pass and `open` lets every call pass. A call gives up
+/// waiting after 10 s, so a failing test cannot hang.
+#[derive(Default)]
+struct Gate {
+    state: Mutex<GateState>,
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct GateState {
+    open: bool,
+    permits: usize,
+}
+
+impl Gate {
+    fn open(&self) {
+        self.state.lock().unwrap().open = true;
+        self.changed.notify_all();
+    }
+
+    fn release(&self, n: usize) {
+        self.state.lock().unwrap().permits += n;
+        self.changed.notify_all();
+    }
+
+    fn pass(&self) {
+        let state = self.state.lock().unwrap();
+        let closed = |s: &mut GateState| !s.open && s.permits == 0;
+        let (mut state, _) = self
+            .changed
+            .wait_timeout_while(state, Duration::from_secs(10), closed)
+            .unwrap();
+        state.permits = state.permits.saturating_sub(1);
+    }
+}
+
+/// A guest that waits at `gate`, then echoes its input.
+fn slow_guest(gate: &Arc<Gate>) -> Arc<dyn NativeGuest> {
+    let gate = Arc::clone(gate);
+    Arc::new(move |api: &mut NativeApi<'_>| {
+        gate.pass();
         let input = api.input().to_vec();
         api.write_output(&input);
         Ok(0)
     })
 }
 
-fn cluster_with_tenants(hosts: usize) -> Arc<Cluster> {
-    let cluster = Arc::new(Cluster::new(hosts));
+/// Spin until `done` holds or 10 s of real time pass; returns `done()`.
+fn eventually(mut done: impl FnMut() -> bool) -> bool {
+    let t0 = Instant::now();
+    while !done() {
+        if t0.elapsed() > Duration::from_secs(10) {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+    true
+}
+
+/// A cluster of `hosts` where alice and bob each have `echo` and a `slow`
+/// echo held at the returned gate.
+fn cluster_with_tenants(hosts: usize) -> (Arc<Cluster>, Arc<Gate>) {
+    tenants_on(Cluster::new(hosts))
+}
+
+fn tenants_on(cluster: Cluster) -> (Arc<Cluster>, Arc<Gate>) {
+    let (cluster, gate) = (Arc::new(cluster), Arc::new(Gate::default()));
     for tenant in ["alice", "bob"] {
         cluster
             .upload_fl(tenant, "echo", ECHO, Default::default())
             .unwrap();
-        cluster.register_native(tenant, "slow", slow_guest(), false);
+        cluster.register_native(tenant, "slow", slow_guest(&gate), false);
     }
-    cluster
+    (cluster, gate)
+}
+
+/// A one-host cluster on a manual clock, with alice's and bob's functions.
+fn one_host_on_manual_clock() -> (Arc<Cluster>, Arc<Gate>, Clock) {
+    let clock = Clock::manual();
+    let config = ClusterConfig {
+        hosts: 1,
+        ..ClusterConfig::default()
+    };
+    let (cluster, gate) = tenants_on(Cluster::with_clock(config, clock.clone()));
+    (cluster, gate, clock)
 }
 
 #[test]
 fn gateway_results_match_direct_invoke() {
-    let cluster = cluster_with_tenants(2);
+    let (cluster, _gate) = cluster_with_tenants(2);
     let gateway = Gateway::start(Arc::clone(&cluster), GatewayConfig::default());
     for i in 0..10u8 {
         let input = vec![i, i + 1, i + 2];
@@ -91,8 +162,8 @@ fn both_doors_place_on_the_same_hosts() {
     // Twin clusters, identical warm pools, depths and boards: the cluster
     // door and the gateway share one chooser, so call for call they must
     // pick the same host and return the same result.
-    let direct = cluster_with_tenants(3);
-    let fronted = cluster_with_tenants(3);
+    let (direct, _gate) = cluster_with_tenants(3);
+    let (fronted, _gate) = cluster_with_tenants(3);
     let gateway = Gateway::start(
         Arc::clone(&fronted),
         GatewayConfig {
@@ -138,7 +209,7 @@ fn both_doors_place_on_the_same_hosts() {
 
 #[test]
 fn wire_frames_roundtrip_through_the_gateway() {
-    let cluster = cluster_with_tenants(1);
+    let (cluster, _gate) = cluster_with_tenants(1);
     let gateway = Gateway::start(Arc::clone(&cluster), GatewayConfig::default());
     let req = GatewayRequest {
         seq: 777,
@@ -165,7 +236,7 @@ fn wire_frames_roundtrip_through_the_gateway() {
 
 #[test]
 fn overload_is_shed_with_explicit_status_not_a_hang() {
-    let cluster = cluster_with_tenants(1);
+    let (cluster, gate) = cluster_with_tenants(1);
     let gateway = Gateway::start(
         Arc::clone(&cluster),
         GatewayConfig {
@@ -186,6 +257,7 @@ fn overload_is_shed_with_explicit_status_not_a_hang() {
     let tickets: Vec<u64> = (0..64)
         .map(|i| gateway.submit("alice", "slow", vec![i]))
         .collect();
+    gate.open();
     let responses: Vec<_> = tickets.into_iter().map(|t| gateway.wait(t)).collect();
     let shed = responses
         .iter()
@@ -203,7 +275,7 @@ fn overload_is_shed_with_explicit_status_not_a_hang() {
 
 #[test]
 fn rate_limited_tenants_shed_with_overloaded() {
-    let cluster = cluster_with_tenants(1);
+    let (cluster, _gate) = cluster_with_tenants(1);
     let gateway = Gateway::start(Arc::clone(&cluster), GatewayConfig::default());
     // 1 request/second with a burst of 2: the third immediate request in
     // the burst must bounce off the token bucket.
@@ -230,7 +302,7 @@ fn rate_limited_tenants_shed_with_overloaded() {
 
 #[test]
 fn queued_past_deadline_is_shed_with_expired() {
-    let cluster = cluster_with_tenants(1);
+    let (cluster, gate, clock) = one_host_on_manual_clock();
     let gateway = Gateway::start(
         Arc::clone(&cluster),
         GatewayConfig {
@@ -240,74 +312,59 @@ fn queued_past_deadline_is_shed_with_expired() {
             ..GatewayConfig::default()
         },
     );
-    // Occupy the single dispatcher with slow work, then enqueue requests
-    // whose deadline will pass while they sit behind it.
+    // Occupy the single dispatcher with held work, then enqueue requests
+    // whose deadline passes while they sit behind it.
     let busy: Vec<u64> = (0..8)
         .map(|i| gateway.submit("alice", "slow", vec![i]))
         .collect();
     let doomed: Vec<u64> = (0..4)
         .map(|i| gateway.submit_with_deadline("bob", "echo", vec![i], Duration::from_millis(1)))
         .collect();
+    clock.advance(Duration::from_millis(1));
     let expired = doomed
         .into_iter()
         .map(|t| gateway.wait(t))
         .filter(|r| r.status == GatewayStatus::Expired)
         .count();
-    assert!(
-        expired > 0,
-        "1 ms deadlines behind ~16 ms of queued work must expire"
-    );
+    assert!(expired > 0, "1 ms deadlines behind held work must expire");
     assert_eq!(gateway.metrics().shed_expired(), expired as u64);
+    gate.open();
     for t in busy {
         assert_eq!(gateway.wait(t).status, GatewayStatus::Ok);
     }
 }
 
-/// A guest slow enough to pin a submit slot for a long time.
-fn very_slow_guest(ms: u64) -> Arc<dyn NativeGuest> {
-    Arc::new(move |api: &mut NativeApi<'_>| {
-        std::thread::sleep(Duration::from_millis(ms));
-        let input = api.input().to_vec();
-        api.write_output(&input);
-        Ok(0)
-    })
-}
-
 /// The head-of-line regression the batch-aware dispatcher fixes: with every
-/// in-flight slot pinned by slow work, short-deadline requests must still be
-/// shed `Expired` on a `batch_wait` cadence — not after the slow batch
-/// completes (the old dispatcher parked in `await_call`), and certainly not
-/// at `wait_timeout`.
+/// in-flight slot pinned by held work, short-deadline requests must still be
+/// shed `Expired` within a few `BATCH_WAIT` polls of their deadline — not
+/// after the held batch completes (the old dispatcher parked in
+/// `await_call`), and certainly not at `WAIT_TIMEOUT`.
 #[test]
 fn expired_shed_is_prompt_while_dispatchers_are_saturated() {
-    let cluster = Arc::new(Cluster::new(1));
-    cluster.register_native("alice", "versylow", very_slow_guest(400), false);
-    for tenant in ["alice", "bob"] {
-        cluster
-            .upload_fl(tenant, "echo", ECHO, Default::default())
-            .unwrap();
-    }
+    let (cluster, gate, clock) = one_host_on_manual_clock();
     let gateway = Gateway::start(
         Arc::clone(&cluster),
         GatewayConfig {
             dispatchers: 1,
             max_batch: 4, // max_inflight defaults to 1×4
-            batch_wait: Duration::from_millis(5),
             autoscale: None,
             ..GatewayConfig::default()
         },
     );
-    // Pin all four in-flight slots (and more) with 400 ms calls.
+    // Pin all four in-flight slots (and more) with held calls.
     let busy: Vec<u64> = (0..8)
-        .map(|i| gateway.submit("alice", "versylow", vec![i]))
+        .map(|i| gateway.submit("alice", "slow", vec![i]))
         .collect();
-    // Give the dispatcher a beat to take the slow batch in flight.
-    std::thread::sleep(Duration::from_millis(30));
-    // Short-deadline requests behind the wall of slow work.
+    assert!(
+        eventually(|| gateway.queue_len() == 4),
+        "the dispatcher took the held batch in flight"
+    );
+    // Short-deadline requests behind the wall of held work.
     let doomed: Vec<u64> = (0..4)
         .map(|i| gateway.submit_with_deadline("bob", "echo", vec![i], Duration::from_millis(10)))
         .collect();
-    let t0 = std::time::Instant::now();
+    clock.advance(Duration::from_millis(10));
+    let t0 = Instant::now();
     for t in doomed {
         let r = gateway.wait(t);
         assert_eq!(
@@ -319,11 +376,12 @@ fn expired_shed_is_prompt_while_dispatchers_are_saturated() {
     let elapsed = t0.elapsed();
     assert!(
         elapsed < Duration::from_millis(150),
-        "expired sheds must be bounded by batch_wait cadence, not by the \
-         400 ms in-flight work (took {elapsed:?})"
+        "expired sheds must be bounded by the BATCH_WAIT cadence, not by \
+         the in-flight work (took {elapsed:?})"
     );
     assert_eq!(gateway.metrics().shed_expired(), 4);
-    // The slow work still completes correctly behind the sheds.
+    // The held work still completes correctly behind the sheds.
+    gate.open();
     for t in busy {
         assert_eq!(gateway.wait(t).status, GatewayStatus::Ok);
     }
@@ -333,37 +391,46 @@ fn expired_shed_is_prompt_while_dispatchers_are_saturated() {
 /// EWMA stands above target, the effective per-tenant queue caps shrink
 /// (AIMD multiplicative decrease) and load is shed `Overloaded` **at
 /// admission** instead of queueing work the cluster cannot serve; once the
-/// gateway drains, the caps grow back.
+/// gateway drains, the caps grow back. The clock is manual, so every
+/// sojourn and every adjustment tick is the test's to make.
 #[test]
 fn standing_dispatch_delay_shrinks_admission_caps_then_recovers() {
-    let cluster = Arc::new(Cluster::new(1));
-    cluster.register_native("alice", "crawl", very_slow_guest(25), false);
+    let (cluster, gate, clock) = one_host_on_manual_clock();
     let gateway = Gateway::start(
         Arc::clone(&cluster),
         GatewayConfig {
             dispatchers: 1,
             max_batch: 4,
-            batch_wait: Duration::from_millis(2),
-            // Arrivals outpace the 25 ms service rate, so jobs stand in
-            // the queue far beyond the 2 ms sojourn target by design.
-            target_dispatch_latency: Duration::from_millis(2),
-            // Deadlines long enough that nothing sheds as Expired — every
-            // shed in this test is the admission loop's doing.
-            default_deadline: Duration::from_secs(60),
             autoscale: None,
             ..GatewayConfig::default()
         },
     );
     assert_eq!(gateway.admission_cap_scale(), 1.0, "caps start unscaled");
-
-    // A paced flood: slow enough that the configured cap of 256 would
-    // never fill on its own, fast enough to keep the dispatcher saturated.
-    let mut tickets = Vec::new();
-    let t0 = std::time::Instant::now();
-    while t0.elapsed() < Duration::from_millis(1200) {
-        tickets.push(gateway.submit("alice", "crawl", Vec::new()));
-        std::thread::sleep(Duration::from_millis(2));
+    // Four held calls take every in-flight slot; four more queue.
+    let mut tickets: Vec<u64> = (0..8)
+        .map(|_| gateway.submit("alice", "slow", Vec::new()))
+        .collect();
+    assert!(eventually(|| gateway.queue_len() == 4), "a batch in flight");
+    // The queued jobs stand past the sojourn target; one released call
+    // lets one of them dispatch, and its sojourn feeds the EWMA.
+    clock.advance(TARGET_DISPATCH_LATENCY * 2);
+    gate.release(1);
+    assert!(
+        eventually(|| gateway.queue_len() == 3),
+        "a queued job dispatched"
+    );
+    // Standing delay: every adjustment tick shrinks the caps, down to
+    // their floor of 1/16.
+    while gateway.admission_cap_scale() > 1.0 / 16.0 {
+        let before = gateway.admission_cap_scale();
+        clock.advance(TARGET_DISPATCH_LATENCY);
+        assert!(
+            eventually(|| gateway.admission_cap_scale() < before),
+            "standing delay must shrink the cap scale, still at {before}"
+        );
     }
+    // A flood the configured cap of 256 would queue whole.
+    tickets.extend((0..100).map(|_| gateway.submit("alice", "slow", Vec::new())));
     let scale_under_load = gateway.admission_cap_scale();
     let queued_under_load = gateway.queue_len();
     let sheds = gateway.metrics().shed_overloaded();
@@ -387,6 +454,7 @@ fn standing_dispatch_delay_shrinks_admission_caps_then_recovers() {
 
     // Drain, then the loop grows the caps back (the drained gateway decays
     // the EWMA below target/2 even with no fresh completions).
+    gate.open();
     for t in tickets {
         let r = gateway.wait(t);
         assert!(
@@ -396,13 +464,14 @@ fn standing_dispatch_delay_shrinks_admission_caps_then_recovers() {
         );
     }
     let trough = gateway.admission_cap_scale();
-    let recovered = (0..200).find_map(|_| {
-        std::thread::sleep(Duration::from_millis(10));
-        let s = gateway.admission_cap_scale();
-        (s > trough).then_some(s)
+    // Every adjustment tick of the drained gateway decays the EWMA; once it
+    // is below half the target, a tick grows the caps.
+    let recovered = eventually(|| {
+        clock.advance(TARGET_DISPATCH_LATENCY);
+        gateway.admission_cap_scale() > trough
     });
     assert!(
-        recovered.is_some(),
+        recovered,
         "caps must grow back on drain (stuck at {trough})"
     );
 }
@@ -412,7 +481,7 @@ fn standing_dispatch_delay_shrinks_admission_caps_then_recovers() {
 /// drain the rate budget.
 #[test]
 fn queue_full_shed_refunds_the_rate_limit_token() {
-    let cluster = cluster_with_tenants(1);
+    let (cluster, _gate) = cluster_with_tenants(1);
     let gateway = Gateway::start(Arc::clone(&cluster), GatewayConfig::default());
     // Rate 1/s with burst 2, and a queue that admits nothing: every submit
     // passes the bucket (thanks to refunds) and sheds at the queue.
@@ -443,7 +512,7 @@ fn queue_full_shed_refunds_the_rate_limit_token() {
 
 #[test]
 fn no_tenant_starves_under_weighted_fair_share() {
-    let cluster = cluster_with_tenants(2);
+    let (cluster, gate) = cluster_with_tenants(2);
     let gateway = Gateway::start(
         Arc::clone(&cluster),
         GatewayConfig {
@@ -460,15 +529,17 @@ fn no_tenant_starves_under_weighted_fair_share() {
             ..TenantPolicy::default()
         },
     );
-    // Alice floods ~160 ms of serialised work through the single
-    // dispatcher...
+    // Alice floods the single dispatcher with held work...
     let flood: Vec<u64> = (0..80)
         .map(|i| gateway.submit("alice", "slow", vec![i]))
         .collect();
-    // ...then Bob shows up with a handful of requests.
+    // ...then Bob shows up with a handful of requests. Sixteen calls may
+    // finish: the four in flight and twelve drained after them, at least
+    // half of which fair share owes Bob.
     let modest: Vec<u64> = (0..4)
         .map(|i| gateway.submit("bob", "slow", vec![i]))
         .collect();
+    gate.release(16);
     for t in modest {
         let r = gateway.wait(t);
         assert_eq!(
@@ -483,6 +554,7 @@ fn no_tenant_starves_under_weighted_fair_share() {
         gateway.queue_len() > 0,
         "alice's backlog should still be draining when bob completes"
     );
+    gate.open();
     for t in flood {
         assert_eq!(gateway.wait(t).status, GatewayStatus::Ok);
     }
@@ -494,14 +566,13 @@ fn no_tenant_starves_under_weighted_fair_share() {
 
 #[test]
 fn autoscaler_prewarms_under_backlog_and_retires_when_idle() {
-    let cluster = cluster_with_tenants(2);
+    let (cluster, gate) = cluster_with_tenants(2);
     let gateway = Gateway::start(
         Arc::clone(&cluster),
         GatewayConfig {
             dispatchers: 1,
             max_batch: 2,
             autoscale: Some(AutoscaleConfig {
-                interval: Duration::from_millis(2),
                 backlog_high: 2,
                 max_warm: 16,
                 ..AutoscaleConfig::default()
@@ -521,21 +592,27 @@ fn autoscaler_prewarms_under_backlog_and_retires_when_idle() {
     let tickets: Vec<u64> = (0..120)
         .map(|i| gateway.submit("alice", "slow", vec![i]))
         .collect();
+    // The backlog stands until the autoscaler has reacted to it.
+    let m = gateway.metrics();
+    eventually(|| m.prewarmed() > 0);
+    gate.open();
     for t in tickets {
         assert_eq!(gateway.wait(t).status, GatewayStatus::Ok);
     }
-    let m = gateway.metrics();
     assert!(
         m.prewarmed() > 0,
         "sustained backlog must trigger pre-warming"
     );
-    // Give the autoscaler a few idle intervals to scale back down.
-    std::thread::sleep(Duration::from_millis(50));
-    let idle_slow: usize = cluster
-        .instances()
-        .iter()
-        .map(|i| i.warm_count("alice", "slow"))
-        .sum();
+    // The idle autoscaler scales back down.
+    let idle_slow = || -> usize {
+        cluster
+            .instances()
+            .iter()
+            .map(|i| i.warm_count("alice", "slow"))
+            .sum()
+    };
+    eventually(|| idle_slow() <= 1 || m.retired() > 0);
+    let idle_slow = idle_slow();
     assert!(
         idle_slow <= 1 || m.retired() > 0,
         "idle pools should shrink toward the target (idle {idle_slow}, retired {})",

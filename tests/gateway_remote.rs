@@ -2,17 +2,18 @@
 //! through `GatewayServer`, with per-connection isolation of protocol
 //! violations.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
-use faasm::core::{Cluster, NativeApi, NativeGuest};
+use faasm::core::{Cluster, ClusterConfig, NativeApi, NativeGuest};
 use faasm::gateway::codec::{self, FrameBuf, MAX_FRAME};
 use faasm::gateway::{
     ClientError, Gateway, GatewayClient, GatewayClientConfig, GatewayConfig, GatewayServer,
-    GatewayServerConfig, GatewayStatus,
+    GatewayServerConfig, GatewayStatus, WAIT_TIMEOUT,
 };
 use faasm::net::stream::{decode_stream_msg, StreamConn, StreamKind};
 use faasm::net::Nic;
+use faasm::telemetry::Clock;
 
 const ECHO: &str = r#"
     extern int input_size();
@@ -26,22 +27,53 @@ const ECHO: &str = r#"
     }
 "#;
 
-fn slow_guest() -> Arc<dyn NativeGuest> {
-    Arc::new(|api: &mut NativeApi<'_>| {
-        std::thread::sleep(Duration::from_millis(2));
+/// Where `slow` calls wait until the test opens it, so the test, not a
+/// sleep, decides how long they stay in flight. A call gives up waiting
+/// after 10 s, so a failing test cannot hang.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    fn pass(&self) {
+        let open = self.open.lock().unwrap();
+        let _ = self
+            .opened
+            .wait_timeout_while(open, Duration::from_secs(10), |open| !*open);
+    }
+}
+
+/// A guest that waits at `gate`, then echoes its input.
+fn slow_guest(gate: &Arc<Gate>) -> Arc<dyn NativeGuest> {
+    let gate = Arc::clone(gate);
+    Arc::new(move |api: &mut NativeApi<'_>| {
+        gate.pass();
         let input = api.input().to_vec();
         api.write_output(&input);
         Ok(0)
     })
 }
 
-/// Cluster + in-process gateway + a `GatewayServer` on its own fabric host.
-fn remote_rig(hosts: usize) -> (Arc<Cluster>, Arc<Gateway>, GatewayServer) {
-    let cluster = Arc::new(Cluster::new(hosts));
+/// Cluster + in-process gateway + a `GatewayServer` on its own fabric
+/// host, and the gate `alice/slow` calls wait at.
+fn remote_rig(hosts: usize) -> (Arc<Cluster>, Arc<Gateway>, GatewayServer, Arc<Gate>) {
+    rig_on(Cluster::new(hosts))
+}
+
+fn rig_on(cluster: Cluster) -> (Arc<Cluster>, Arc<Gateway>, GatewayServer, Arc<Gate>) {
+    let cluster = Arc::new(cluster);
+    let gate = Arc::new(Gate::default());
     cluster
         .upload_fl("alice", "echo", ECHO, Default::default())
         .unwrap();
-    cluster.register_native("alice", "slow", slow_guest(), false);
+    cluster.register_native("alice", "slow", slow_guest(&gate), false);
     cluster
         .upload_fl(
             "bob",
@@ -55,17 +87,14 @@ fn remote_rig(hosts: usize) -> (Arc<Cluster>, Arc<Gateway>, GatewayServer) {
         GatewayConfig::default(),
     ));
     let server = GatewayServer::start(Arc::clone(&gateway), cluster.add_fabric_host());
-    (cluster, gateway, server)
+    (cluster, gateway, server, gate)
 }
 
 fn connect(cluster: &Cluster, server: &GatewayServer, mtu: usize) -> GatewayClient {
     GatewayClient::with_config(
         cluster.add_fabric_host(),
         server.host_id(),
-        GatewayClientConfig {
-            mtu,
-            ..GatewayClientConfig::default()
-        },
+        GatewayClientConfig { mtu },
     )
     .expect("connect to gateway server")
 }
@@ -100,7 +129,7 @@ fn collect_until_close(nic: &Nic, conn: u64) -> Vec<Vec<u8>> {
 
 #[test]
 fn remote_client_matches_in_process_gateway() {
-    let (cluster, gateway, server) = remote_rig(2);
+    let (cluster, gateway, server, _gate) = remote_rig(2);
     // A deliberately tiny MTU: every frame crosses fragmented.
     let client = connect(&cluster, &server, 7);
     for i in 0..10u8 {
@@ -127,7 +156,7 @@ fn remote_client_matches_in_process_gateway() {
 
 #[test]
 fn async_submit_then_wait_correlates_tickets() {
-    let (cluster, _gateway, server) = remote_rig(2);
+    let (cluster, _gateway, server, _gate) = remote_rig(2);
     let client = connect(&cluster, &server, 64);
     // Fire a burst without waiting: tickets return immediately.
     let tickets: Vec<(u64, Vec<u8>)> = (0..32u8)
@@ -147,7 +176,7 @@ fn async_submit_then_wait_correlates_tickets() {
 
 #[test]
 fn two_clients_multiplex_independently() {
-    let (cluster, _gateway, server) = remote_rig(2);
+    let (cluster, _gateway, server, gate) = remote_rig(2);
     let a = connect(&cluster, &server, 31);
     let b = connect(&cluster, &server, 1400);
     let ta: Vec<u64> = (0..8u8)
@@ -156,6 +185,8 @@ fn two_clients_multiplex_independently() {
     let tb: Vec<u64> = (0..8u8)
         .map(|i| b.submit("alice", "echo", vec![100 + i]).unwrap())
         .collect();
+    // A's calls were in flight while B submitted; now let them finish.
+    gate.open();
     for (i, t) in tb.into_iter().enumerate() {
         let r = b.wait(t);
         assert_eq!(r.status, GatewayStatus::Ok);
@@ -209,20 +240,15 @@ fn fragmented_responses_from_concurrent_dispatchers_do_not_interleave() {
 
 #[test]
 fn abandoned_tickets_are_swept() {
-    let (cluster, gateway, server) = remote_rig(2);
-    let client = GatewayClient::with_config(
-        cluster.add_fabric_host(),
-        server.host_id(),
-        GatewayClientConfig {
-            mtu: 1400,
-            // The ticket TTL. Long enough that the burst below finishes
-            // well inside it even with every test of this file sharing two
-            // cores — a sweep that ran mid-burst would age out the first
-            // tickets before the pre-sweep count is taken.
-            wait_timeout: Duration::from_millis(1000),
-        },
-    )
-    .unwrap();
+    // The ticket TTL (WAIT_TIMEOUT) runs on the cluster's clock, which
+    // stands still until the test advances it: no sweep can run mid-burst.
+    let clock = Clock::manual();
+    let config = ClusterConfig {
+        hosts: 2,
+        ..ClusterConfig::default()
+    };
+    let (cluster, gateway, server, _gate) = rig_on(Cluster::with_clock(config, clock.clone()));
+    let client = connect(&cluster, &server, 1400);
     // Fire-and-forget: 300 submits nobody ever waits on (above the sweep
     // threshold of 256).
     for i in 0..300u32 {
@@ -230,13 +256,20 @@ fn abandoned_tickets_are_swept() {
             .submit("alice", "echo", i.to_le_bytes().to_vec())
             .unwrap();
     }
-    // Let every response arrive, then age past the TTL.
-    let t0 = std::time::Instant::now();
-    while gateway.metrics().completed() < 300 && t0.elapsed() < Duration::from_secs(5) {
-        std::thread::sleep(Duration::from_millis(5));
+    // Let every response arrive: the gateway has answered all 300 (run,
+    // or shed at a full queue), and a call made after that is answered on
+    // the same stream after them.
+    let answered = || gateway.metrics().completed() + gateway.metrics().shed_overloaded();
+    let t0 = Instant::now();
+    while answered() < 300 && t0.elapsed() < Duration::from_secs(5) {
+        std::thread::yield_now();
     }
+    assert_eq!(
+        client.call("alice", "echo", vec![0]).unwrap().status,
+        GatewayStatus::Ok
+    );
     assert_eq!(client.outstanding(), 300, "all tickets tracked pre-sweep");
-    std::thread::sleep(Duration::from_millis(1050));
+    clock.advance(WAIT_TIMEOUT);
     // The next fulfilment triggers the sweep.
     let r = client.call("alice", "echo", vec![1]).unwrap();
     assert_eq!(r.status, GatewayStatus::Ok);
@@ -249,7 +282,7 @@ fn abandoned_tickets_are_swept() {
 
 #[test]
 fn malformed_frame_drops_only_the_offending_connection() {
-    let (cluster, _gateway, server) = remote_rig(2);
+    let (cluster, _gateway, server, gate) = remote_rig(2);
     let good = connect(&cluster, &server, 1400);
     // Put real work in flight on the good connection...
     let tickets: Vec<u64> = (0..8u8)
@@ -269,6 +302,7 @@ fn malformed_frame_drops_only_the_offending_connection() {
     assert!(matches!(resp.status, GatewayStatus::Error(_)));
     assert_eq!(server.connections_dropped(), 1);
     // The good connection's in-flight calls are untouched.
+    gate.open();
     for (i, t) in tickets.into_iter().enumerate() {
         let r = good.wait(t);
         assert_eq!(r.status, GatewayStatus::Ok, "in-flight call {i} disturbed");
@@ -282,7 +316,7 @@ fn malformed_frame_drops_only_the_offending_connection() {
 
 #[test]
 fn oversized_frame_drops_only_the_offending_connection() {
-    let (cluster, _gateway, server) = remote_rig(1);
+    let (cluster, _gateway, server, gate) = remote_rig(1);
     let good = connect(&cluster, &server, 1400);
     let tickets: Vec<u64> = (0..4u8)
         .map(|i| good.submit("alice", "slow", vec![i]).unwrap())
@@ -299,6 +333,7 @@ fn oversized_frame_drops_only_the_offending_connection() {
         "an oversized prefix is cut without a response"
     );
     assert_eq!(server.connections_dropped(), 1);
+    gate.open();
     for t in tickets {
         assert_eq!(good.wait(t).status, GatewayStatus::Ok);
     }
@@ -336,10 +371,7 @@ fn pending_bytes_cap_drops_slow_drip_connections() {
     let client = GatewayClient::with_config(
         cluster.add_fabric_host(),
         server.host_id(),
-        GatewayClientConfig {
-            mtu: 16,
-            ..GatewayClientConfig::default()
-        },
+        GatewayClientConfig { mtu: 16 },
     )
     .unwrap();
     let r = client.call("alice", "echo", vec![1, 2, 3]).unwrap();
@@ -349,7 +381,7 @@ fn pending_bytes_cap_drops_slow_drip_connections() {
 
 #[test]
 fn oversized_request_fails_fast_at_the_client() {
-    let (cluster, _gateway, server) = remote_rig(1);
+    let (cluster, _gateway, server, _gate) = remote_rig(1);
     let client = connect(&cluster, &server, 1400);
     let sent_before = client.nic().stats().bytes_sent();
     let err = client
@@ -365,15 +397,15 @@ fn oversized_request_fails_fast_at_the_client() {
 
 #[test]
 fn client_shutdown_resolves_outstanding_waits() {
-    let (cluster, _gateway, server) = remote_rig(1);
+    let (cluster, _gateway, server, gate) = remote_rig(1);
     let client = connect(&cluster, &server, 1400);
     let t = client.submit("alice", "slow", vec![1]).unwrap();
     client.shutdown();
     let r = client.wait(t);
-    // Either the response raced in before shutdown or the wait resolves
-    // with an explicit error — never a hang.
+    // The call is held at the gate, so no response can race in before
+    // shutdown: the wait resolves with an explicit error — never a hang.
     assert!(
-        r.status == GatewayStatus::Ok || matches!(r.status, GatewayStatus::Error(_)),
+        matches!(r.status, GatewayStatus::Error(_)),
         "unexpected status {:?}",
         r.status
     );
@@ -381,4 +413,5 @@ fn client_shutdown_resolves_outstanding_waits() {
         client.submit("alice", "echo", vec![2]).unwrap_err(),
         ClientError::Closed(_)
     ));
+    gate.open();
 }

@@ -455,7 +455,11 @@ enum ModelSlot {
 /// sequence; every observable (try_take results, callback firings with
 /// their values and order, final slot count) must agree.
 fn check_pending_map_model(ops: &[PendingOp], store_unregistered: bool, ttl: bool) {
-    let map: PendingMap<u32> = PendingMap::new(store_unregistered, ttl.then_some(Duration::ZERO));
+    let map: PendingMap<u32> = PendingMap::new(
+        store_unregistered,
+        ttl.then_some(Duration::ZERO),
+        faasm::telemetry::Clock::manual(),
+    );
     let fired: Arc<Mutex<Vec<(u32, u32)>>> = Arc::new(Mutex::new(Vec::new()));
     let mut model: HashMap<u8, ModelSlot> = HashMap::new();
     let mut expected_fired: Vec<(u32, u32)> = Vec::new();
@@ -1317,9 +1321,10 @@ proptest! {
 
         // Migrate every key to a fresh store (the donor half of a
         // reshard): versions travel with the data.
-        let entries = a.export_keys(|_| true);
+        let now = std::time::Instant::now();
+        let entries = a.export_keys(|_| true, now);
         let b = KvStore::new();
-        b.import_keys(&entries);
+        b.import_keys(&entries, now);
         for (key, v) in &high {
             prop_assert!(
                 b.version_of(key) >= *v,
@@ -1338,7 +1343,7 @@ proptest! {
             .keys()
             .map(|k| (k.clone(), b.version_of(k)))
             .collect();
-        b.import_keys(&entries);
+        b.import_keys(&entries, now);
         for (key, v) in &before {
             prop_assert!(
                 b.version_of(key) >= *v,

@@ -18,6 +18,20 @@ use faasm::state::StateEntry;
 /// Keys the chained counter workload increments.
 const COUNTER_KEYS: usize = 8;
 
+/// Block until `counter` reaches `target` — the progress a phase of the
+/// workload needs — failing after 10 s of real time.
+fn wait_for(counter: &AtomicU64, target: u64, what: &str) {
+    let t0 = std::time::Instant::now();
+    while counter.load(Ordering::Relaxed) < target {
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(10),
+            "{what}: {} of {target}",
+            counter.load(Ordering::Relaxed)
+        );
+        std::thread::yield_now();
+    }
+}
+
 /// A guest incrementing a cross-host counter under the global write lock:
 /// the canonical stateful function, sensitive to every reshard failure
 /// mode (lost values, lost lock owners, wrong-shard reads, stale pulls).
@@ -108,10 +122,12 @@ fn adding_and_removing_shards_under_chained_state_workload_loses_nothing() {
     // two concurrent increments of one key on one host could legally
     // interleave — disjoint keys keep the expected counts exact while
     // still exercising cross-host movement and migration.
+    let calls = Arc::new(AtomicU64::new(0));
     let callers: Vec<_> = (0..2)
         .map(|worker: u32| {
             let cluster = Arc::clone(&cluster);
             let stop = Arc::clone(&stop);
+            let calls = Arc::clone(&calls);
             std::thread::spawn(move || {
                 let mut successes = vec![0u64; COUNTER_KEYS];
                 let mut turn = worker;
@@ -126,20 +142,27 @@ fn adding_and_removing_shards_under_chained_state_workload_loses_nothing() {
                         r.status
                     );
                     successes[idx as usize] += 1;
+                    calls.fetch_add(1, Ordering::Relaxed);
                 }
                 successes
             })
         })
         .collect();
 
-    // Let the workload warm up, then reshard live: grow twice, shrink once.
-    std::thread::sleep(Duration::from_millis(150));
+    // Let the workload run between reshards — grow twice, shrink once —
+    // until both halves of it have made progress on each table.
+    let run = |what: &str| {
+        let (writes, chained) = (acked.load(Ordering::Relaxed), calls.load(Ordering::Relaxed));
+        wait_for(&acked, writes + 100, what);
+        wait_for(&calls, chained + 20, what);
+    };
+    run("warm-up");
     assert_eq!(cluster.add_state_shard().unwrap(), 3);
-    std::thread::sleep(Duration::from_millis(150));
+    run("on 3 shards");
     assert_eq!(cluster.add_state_shard().unwrap(), 4);
-    std::thread::sleep(Duration::from_millis(150));
+    run("on 4 shards");
     assert_eq!(cluster.remove_state_shard().unwrap(), 3);
-    std::thread::sleep(Duration::from_millis(150));
+    run("back on 3 shards");
 
     stop.store(true, Ordering::Relaxed);
     writer.join().unwrap();
@@ -245,7 +268,17 @@ fn state_entry_push_waits_out_migration_without_blocking_other_chunks() {
         let entry = Arc::clone(&entry);
         std::thread::spawn(move || entry.push())
     };
-    std::thread::sleep(Duration::from_millis(30));
+    // A frozen donor has turned the push away at least once.
+    let redirects = || -> u64 {
+        servers
+            .iter()
+            .map(|s| s.stats().wrong_epoch_redirects)
+            .sum()
+    };
+    let t0 = std::time::Instant::now();
+    while redirects() == 0 && t0.elapsed() < Duration::from_secs(10) {
+        std::thread::yield_now();
+    }
     assert!(!pusher.is_finished(), "push must wait out the freeze");
 
     // …while the chunk table stays free: writes and dirty queries on other
@@ -299,7 +332,6 @@ fn gateway_autoscaler_adds_state_shards_under_tier_load() {
         Arc::clone(&cluster),
         GatewayConfig {
             autoscale: Some(AutoscaleConfig {
-                interval: Duration::from_millis(20),
                 tier_ops_high: Some(200),
                 tier_max_shards: 3,
                 ..AutoscaleConfig::default()
@@ -328,14 +360,15 @@ fn gateway_autoscaler_adds_state_shards_under_tier_load() {
         })
         .collect();
 
-    let grown = (0..250).find(|_| {
-        std::thread::sleep(Duration::from_millis(20));
-        cluster.state_shard_count() >= 2
-    });
+    let t0 = std::time::Instant::now();
+    while cluster.state_shard_count() < 2 && t0.elapsed() < Duration::from_secs(5) {
+        std::thread::yield_now();
+    }
+    let grown = cluster.state_shard_count() >= 2;
     stop.store(true, Ordering::Relaxed);
     let written: u64 = hammers.into_iter().map(|h| h.join().unwrap()).sum();
     assert!(
-        grown.is_some(),
+        grown,
         "sustained tier load must add a shard ({written} ops driven)"
     );
     assert!(gateway.metrics().tier_scaleups() >= 1);

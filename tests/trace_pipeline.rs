@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use faasm::core::{Cluster, ClusterConfig, NativeApi, NativeGuest};
 use faasm::gateway::{Gateway, GatewayConfig, GatewayStatus};
-use faasm::telemetry::{SpanKind, SpanRecord};
+use faasm::telemetry::{Clock, SpanKind, SpanRecord};
 
 /// Read-modify-write a shared accumulator and push it: one global-tier
 /// round trip per call, so the trace has state spans to link.
@@ -26,13 +26,21 @@ fn state_guest() -> Arc<dyn NativeGuest> {
     })
 }
 
+/// On a real clock and on a manual one that never moves (every span then
+/// starts and ends at 0, and each still has to be recorded).
 #[test]
 fn traced_call_leaves_linked_span_tree_across_tiers() {
-    let cluster = Arc::new(Cluster::with_config(ClusterConfig {
+    check_span_tree(Clock::real());
+    check_span_tree(Clock::manual());
+}
+
+fn check_span_tree(clock: Clock) {
+    let config = ClusterConfig {
         hosts: 2,
         state_shards: 2,
         ..ClusterConfig::default()
-    }));
+    };
+    let cluster = Arc::new(Cluster::with_clock(config, clock));
     cluster.register_native("tracer", "bump", state_guest(), false);
     let gw = Gateway::start(Arc::clone(&cluster), GatewayConfig::default());
 
