@@ -293,6 +293,12 @@ gates=(
     'crates@whole'
     'the unused bounded sharing queue is back; a chained call placed on a peer rides the bus into its run queue'
 
+    # One run queue per host, which is also its inbox: the fabric delivers
+    # a host's messages into it, and the worker that takes one decodes it.
+    'fn bus_loop|-bus"'
+    'crates/core/src'
+    'the bus thread is back; workers take a host'"'"'s messages off its run queue'
+
     # The state tier keeps only what the runtime calls.
     'pub mod ddo|SharedVector|fn set_mode\b|fn take_hot_keys\b|fn hot_key_shards\b|accesses:'
     'crates@whole src@whole tests@whole examples@whole'

@@ -30,10 +30,6 @@ use parking_lot::{Condvar, Mutex};
 struct GroupState {
     /// vruntime (fuel granted so far) per runnable member.
     runnable: HashMap<u64, u64>,
-    /// Members blocked in `acquire`. A state change wakes the condvar only
-    /// when this is non-zero: a wake-up is a futex syscall whether or not
-    /// anyone waits, and nearly every call runs with nobody waiting.
-    waiting: usize,
 }
 
 impl GroupState {
@@ -87,15 +83,12 @@ impl CgroupCpu {
         self.state.lock().runnable.len()
     }
 
-    /// Apply a membership change and wake the waiters it may unblock.
+    /// Apply a membership change and wake the waiters it may unblock (the
+    /// condvar makes no wake-up call when nobody waits, as on nearly every
+    /// call).
     fn update(&self, change: impl FnOnce(&mut GroupState)) {
-        let mut s = self.state.lock();
-        change(&mut s);
-        let wake = s.waiting > 0;
-        drop(s);
-        if wake {
-            self.cond.notify_all();
-        }
+        change(&mut self.state.lock());
+        self.cond.notify_all();
     }
 
     /// Leaving and parking are the same thing to the group: the member stops
@@ -124,16 +117,11 @@ impl CgroupCpu {
             if new_v <= min + self.tolerance {
                 break;
             }
-            s.waiting += 1;
             self.cond.wait(&mut s);
-            s.waiting -= 1;
         }
         // Our own progression may unblock siblings when we were the minimum.
-        let wake = s.waiting > 0;
         drop(s);
-        if wake {
-            self.cond.notify_all();
-        }
+        self.cond.notify_all();
         Ok(())
     }
 }
@@ -277,8 +265,13 @@ mod tests {
                 a.acquire_slice(10).unwrap();
             }
         });
-        // A has run its tolerance ahead of B and waits on B's vruntime.
-        while g.state.lock().waiting == 0 {
+        // A has run its tolerance ahead of B and waits on B's vruntime: it
+        // took the slice past it under the lock it waits with.
+        let lead = |s: &GroupState| {
+            let v = || s.runnable.values().copied();
+            v().max().unwrap_or(0) - v().min().unwrap_or(0)
+        };
+        while lead(&g.state.lock()) <= 10 {
             std::thread::yield_now();
         }
         drop(b); // leave the group

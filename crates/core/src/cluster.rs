@@ -171,10 +171,13 @@ impl Placer {
                 let affinity = self.boards.affinities(user, function, &hosts);
                 let candidates: Vec<Candidate> = live
                     .iter()
-                    .map(|i| Candidate {
-                        idle_warm: i.idle_warmth(user, function),
-                        depth: i.queue_depth(),
-                        affinity: entry_for(&affinity, i.host_id()),
+                    .map(|i| {
+                        let (idle_warm, depth) = i.warmth_and_depth(user, function);
+                        Candidate {
+                            idle_warm,
+                            depth,
+                            affinity: entry_for(&affinity, i.host_id()),
+                        }
                     })
                     .collect();
                 let prefer = caller.and_then(|c| hosts.iter().position(|&h| h == c));
@@ -1069,6 +1072,50 @@ mod tests {
         let r = a.await_call(id);
         assert_eq!((r.status, r.output), (CallStatus::Success, vec![3]));
         assert_eq!(a.metrics().calls(), 1);
+        assert_quiescent(&cluster);
+    }
+
+    /// A chain that crosses to a peer and back, with one worker per host:
+    /// each host's only worker waits in `await_call` while its host is sent
+    /// the next hop or the result it waits for, and must take both off its
+    /// own run queue.
+    #[test]
+    fn a_chain_to_a_peer_and_back_finishes_with_one_worker_per_host() {
+        let cluster = Cluster::with_config(ClusterConfig {
+            hosts: 2,
+            instance: InstanceConfig {
+                workers: 1,
+                ..InstanceConfig::default()
+            },
+            ..ClusterConfig::default()
+        });
+        let hop = |next: Option<&'static str>| -> Arc<dyn NativeGuest> {
+            Arc::new(move |api: &mut NativeApi<'_>| {
+                let mut out = api.input().to_vec();
+                if let Some(next) = next {
+                    let id = api.chain(next, out.clone());
+                    if api.await_call(id) != 0 {
+                        return Ok(1);
+                    }
+                    out = api.call_output(id).unwrap_or_default().to_vec();
+                }
+                out.push(b'x');
+                api.write_output(&out);
+                Ok(0)
+            })
+        };
+        cluster.register_native("u", "start", hop(Some("there")), false);
+        cluster.register_native("u", "there", hop(Some("back")), false);
+        cluster.register_native("u", "back", hop(None), false);
+        // Placement follows warmth: `start` and `back` run on A, `there` on
+        // B. The test thread waits on the front door, so it helps neither.
+        let (a, b) = (&cluster.instances()[0], &cluster.instances()[1]);
+        a.prewarm("u", "start", 1).unwrap();
+        b.prewarm("u", "there", 1).unwrap();
+        a.prewarm("u", "back", 1).unwrap();
+        let r = cluster.invoke("u", "start", Vec::new());
+        assert_eq!((r.status, r.output), (CallStatus::Success, b"xxx".to_vec()));
+        assert_eq!((a.metrics().calls(), b.metrics().calls()), (2, 1));
         assert_quiescent(&cluster);
     }
 

@@ -2,12 +2,15 @@
 //!
 //! Each instance owns one record per deployed function (the upload it was
 //! built from, its Proto-Faaslet and its warm Faaslets, under one
-//! lifetime), a local scheduler fed by the message bus, worker threads that
-//! execute calls, the host's local state tier and filesystem, and the
-//! host-wide CPU cgroup. A chained call that can run warm here is queued
-//! here; any other is placed by the cluster's one chooser and, if that
-//! picks a peer, sent over the fabric, its result coming back the same way
-//! (§5.1's call sharing).
+//! lifetime), one run queue, worker threads that execute calls, the host's
+//! local state tier and filesystem, and the host-wide CPU cgroup. The run
+//! queue is also the host's inbox: the fabric delivers every message-bus
+//! message into it, and the worker that takes one decodes it — a result is
+//! fulfilled, a batch of calls runs its first call on that worker and
+//! queues the rest, a pre-stage goes to the fetch thread. A chained call
+//! that can run warm here is queued here; any other is placed by the
+//! cluster's one chooser and, if that picks a peer, sent over the fabric,
+//! its result coming back the same way (§5.1's call sharing).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -19,7 +22,7 @@ use faasm_fvm::Linker;
 use faasm_kvs::{
     chunk_key, manifest_key, CacheConfig, CachedKv, Digest, RoutingCell, ShardedKvClient, SharedKv,
 };
-use faasm_net::{Fabric, HostId, Nic};
+use faasm_net::{Envelope, Fabric, HostId, NetError, Nic};
 use faasm_sched::{runs_warm_local, CallId, CallResult, CallSpec, SchedBoards};
 use faasm_state::StateManager;
 use faasm_telemetry::{SpanKind, TraceCtx};
@@ -66,14 +69,30 @@ const CGROUP_TOLERANCE: u64 = 1 << 22;
 /// Worker thread stack size (guest recursion uses the host stack).
 const WORKER_STACK: usize = 16 * 1024 * 1024;
 
-/// Pre-stage manifests waiting for the fetch thread. The bus drops one
+/// Pre-stage manifests waiting for the fetch thread. A worker drops one
 /// that finds the queue full: a lost pre-stage only costs a fetch.
 const PRESTAGE_QUEUE: usize = 64;
+
+/// How long `await_call` first waits on its result before it looks at the
+/// run queue again; each further wait doubles, up to [`AWAIT_NAP_MAX`]. A
+/// result sent from a peer lands in the queue, not in the pending table,
+/// and when every worker here waits, one of them must wake to decode it.
+const AWAIT_NAP: Duration = Duration::from_micros(50);
+const AWAIT_NAP_MAX: Duration = Duration::from_millis(1);
 
 #[derive(Debug)]
 struct QueuedCall {
     call: CallSpec,
     reply_to: HostId,
+}
+
+/// What a worker takes off its host's run queue.
+#[derive(Debug)]
+enum Work {
+    /// A call placed on this host.
+    Call(QueuedCall),
+    /// A message the fabric delivered to this host, still encoded.
+    Msg(Envelope),
 }
 
 /// One pre-placed call in a [`FaasmInstance::submit_placed_batch`], with
@@ -127,13 +146,17 @@ struct FunctionRecord {
 #[derive(Default)]
 struct Pool {
     /// Whether this host is warm for the function, as placement reads it
-    /// ([`FaasmInstance::idle_warmth`]): set by the first
-    /// [`FaasmInstance::pool_enter`] (even with every Faaslet checked out,
-    /// or none built yet), cleared by `evict` and by a `retire_idle` that
-    /// empties the pool. A pre-staged record holds a proto without being
-    /// warm.
+    /// ([`FaasmInstance::idle_warmth`]): set when a call for the function
+    /// is placed here ([`FaasmInstance::accept`]) or a Faaslet enters the
+    /// pool, kept with every Faaslet checked out, cleared by `evict` and by
+    /// a `retire_idle` that empties the pool. A pre-staged record holds a
+    /// proto without being warm.
     warm: bool,
     idle: Vec<Faaslet>,
+    /// Calls running on a Faaslet built for them, which the pool will
+    /// hold only once they finish: placement counts them against this
+    /// function as a warm call counts by the idle Faaslet it took.
+    building: usize,
 }
 
 impl FunctionRecord {
@@ -168,9 +191,9 @@ pub struct FaasmInstance {
     /// The host's one store of decoded, verified proto pages, shared by
     /// every proto version that names them.
     snap_cache: Arc<SnapshotCache>,
-    /// Hands pre-stage manifests to the dedicated fetch thread so the bus
-    /// loop never blocks on chunk round-trips; holds at most
-    /// [`PRESTAGE_QUEUE`] of them.
+    /// Hands pre-stage manifests to the dedicated fetch thread so no worker
+    /// blocks on chunk round-trips; holds at most [`PRESTAGE_QUEUE`] of
+    /// them.
     prestage_tx: Sender<(String, String, Vec<u8>)>,
     /// The affinity board this host's calls report their cache hits to.
     boards: Arc<SchedBoards>,
@@ -184,12 +207,16 @@ pub struct FaasmInstance {
     /// The one map keyed by `(user, function)`: this host's record of the
     /// function's current upload.
     records: Mutex<HashMap<(String, String), Arc<FunctionRecord>>>,
-    queue_tx: Sender<QueuedCall>,
-    queue_rx: Receiver<QueuedCall>,
-    /// Calls sent to this host that its bus loop has not yet queued,
-    /// counted in by their sender's [`send_calls`](Self::send_calls):
-    /// without them a burst of placements all read this host as idle.
-    in_transit: AtomicUsize,
+    /// The run queue, which is also the host's inbox: the fabric delivers
+    /// this host's messages into it.
+    queue_tx: Sender<Work>,
+    queue_rx: Receiver<Work>,
+    /// Calls accepted here that no worker has checked a Faaslet out for
+    /// yet, counted in by [`send_calls`](Self::send_calls) (the sender's)
+    /// or [`submit_placed`](Self::submit_placed): a call still on the
+    /// fabric, in the queue or just taken off it holds its place, so
+    /// placement never reads an idle Faaslet it is about to claim as free.
+    unstarted: AtomicUsize,
     /// Completion slots of the calls made from this host, keyed by call id
     /// (store-unregistered: a result may beat its waiter here).
     pending: PendingMap<CallResult>,
@@ -239,7 +266,13 @@ impl FaasmInstance {
         config: InstanceConfig,
         cache: Option<CacheConfig>,
     ) -> Arc<FaasmInstance> {
-        let nic = fabric.add_host();
+        let (queue_tx, queue_rx) = unbounded();
+        let inbox = queue_tx.clone();
+        let nic = fabric.add_host_into(move |env| {
+            inbox
+                .send(Work::Msg(env))
+                .map_err(|_| NetError::Disconnected)
+        });
         let sharded: SharedKv =
             Arc::new(ShardedKvClient::connect(nic.clone(), Arc::clone(routing)));
         // The snapshot plane keeps the uncached handle: chunks are
@@ -257,7 +290,6 @@ impl FaasmInstance {
         };
         let state = Arc::new(StateManager::new(Arc::clone(&kv)));
         let hostfs = HostFs::new(object_store);
-        let (queue_tx, queue_rx) = unbounded();
         let (prestage_tx, prestage_rx) = bounded(PRESTAGE_QUEUE);
         let instance = Arc::new_cyclic(|me| FaasmInstance {
             me: Weak::clone(me),
@@ -278,7 +310,7 @@ impl FaasmInstance {
             records: Mutex::new(HashMap::new()),
             queue_tx,
             queue_rx,
-            in_transit: AtomicUsize::new(0),
+            unstarted: AtomicUsize::new(0),
             pending: PendingMap::default(),
             metrics: Arc::new(Metrics::new()),
             next_faaslet: AtomicU64::new(1),
@@ -289,17 +321,8 @@ impl FaasmInstance {
             config,
         });
 
-        // Message bus.
-        {
-            let inst = Arc::clone(&instance);
-            let handle = std::thread::Builder::new()
-                .name(format!("{}-bus", inst.host_id))
-                .spawn(move || inst.bus_loop())
-                .expect("spawn bus thread");
-            instance.threads.lock().push(handle);
-        }
         // Pre-stage fetcher: pulls pushed manifests' pages into the page
-        // store off the bus thread.
+        // store off the workers.
         {
             let inst = Arc::clone(&instance);
             let handle = std::thread::Builder::new()
@@ -401,6 +424,28 @@ impl FaasmInstance {
         pool.warm.then(|| pool.idle.len())
     }
 
+    /// [`idle_warmth`](Self::idle_warmth) and the calls still to claim a
+    /// Faaslet of the function here, read together as placement scores
+    /// them: the [`queue_depth`](Self::queue_depth), plus the function's
+    /// calls running on a Faaslet built for them. A worker moves a call
+    /// between the two only under the pool lock (see
+    /// [`checkout`](Self::checkout)), so the pair changes when a call is
+    /// placed here ([`accept`](Self::accept)) or a Faaslet comes back to
+    /// the pool, not as the workers take up a burst: the burst spreads the
+    /// same way on every run.
+    pub fn warmth_and_depth(&self, user: &str, function: &str) -> (Option<usize>, usize) {
+        match self.record(user, function) {
+            Ok(rec) => self.load_of(&rec),
+            Err(_) => (None, self.queue_depth()),
+        }
+    }
+
+    fn load_of(&self, rec: &FunctionRecord) -> (Option<usize>, usize) {
+        let pool = rec.pool.lock();
+        let depth = self.queue_depth() + pool.building;
+        (pool.warm.then(|| pool.idle.len()), depth)
+    }
+
     /// Aggregate host memory: each idle Faaslet's private bytes + local
     /// state tier (every replica once, however many Faaslets map it) + file
     /// cache (the per-host footprint behind Fig. 6c and Tab. 3).
@@ -421,7 +466,9 @@ impl FaasmInstance {
     /// Evict all warm Faaslets for a function (scale-down / tests).
     pub fn evict(&self, user: &str, function: &str) {
         if let Ok(rec) = self.record(user, function) {
-            *rec.pool.lock() = Pool::default();
+            let mut pool = rec.pool.lock();
+            pool.warm = false;
+            pool.idle.clear();
         }
     }
 
@@ -434,12 +481,14 @@ impl FaasmInstance {
         }
     }
 
-    /// Calls this host has accepted but not started executing: its run
-    /// queue plus batches still on its bus. The backpressure signal read by
-    /// a chained call's local check and by
+    /// Calls this host has accepted but not started executing: counted
+    /// from the moment they are sent or queued here until a worker has
+    /// checked a Faaslet out for them (taken an idle one, or begun to build
+    /// one). The backpressure signal read by a chained call's local check
+    /// and, with [`warmth_and_depth`](Self::warmth_and_depth), by
     /// [`Cluster::place`](crate::Cluster::place).
     pub fn queue_depth(&self) -> usize {
-        self.queue_rx.len() + self.in_transit.load(Ordering::Relaxed)
+        self.unstarted.load(Ordering::SeqCst)
     }
 
     /// Whether [`shutdown`](Self::shutdown) has begun: a stopped instance
@@ -487,14 +536,15 @@ impl FaasmInstance {
         Ok(rec)
     }
 
-    /// Enter `faaslet` into the record's idle pool. The first entry is the
-    /// moment this host counts as warm for the function — the first build
-    /// claims it with no Faaslet yet, so calls placed during a cold start
-    /// follow it here instead of starting another host.
-    fn pool_enter(&self, rec: &FunctionRecord, faaslet: Option<Faaslet>) {
+    /// Enter `faaslet` into the record's idle pool, and take the `built`
+    /// calls that ran on a Faaslet built for them off `building` under the
+    /// same lock. The host is warm for the function from then on: a
+    /// pre-warm makes it so here, a call's placement already did.
+    fn pool_enter(&self, rec: &FunctionRecord, faaslet: Option<Faaslet>, built: usize) {
         let mut pool = rec.pool.lock();
         pool.warm = true;
         pool.idle.extend(faaslet);
+        pool.building -= built;
     }
 
     /// Pre-warm up to `count` Faaslets for a function into the idle pool
@@ -516,7 +566,7 @@ impl FaasmInstance {
         let rec = self.record(user, function)?;
         for created in 0..count {
             match self.build_faaslet(&rec) {
-                Ok(faaslet) => self.pool_enter(&rec, Some(faaslet)),
+                Ok(faaslet) => self.pool_enter(&rec, Some(faaslet), 0),
                 Err(e) if created == 0 => return Err(e),
                 Err(_) => return Ok(created),
             }
@@ -554,63 +604,14 @@ impl FaasmInstance {
         }
     }
 
-    fn bus_loop(self: Arc<Self>) {
-        while !self.stop.load(Ordering::Relaxed) {
-            match self.nic.recv_timeout(Duration::from_millis(20)) {
-                Ok(env) => match decode_msg(&env.payload) {
-                    Some(InstanceMsg::Result { result }) => {
-                        self.pending.fulfill(result.id.0, result)
-                    }
-                    // Placement sent these calls to this host, from the
-                    // front door or as a chain: queue them all.
-                    Some(InstanceMsg::InvokeBatch {
-                        calls,
-                        reply_to,
-                        sent_at_ns,
-                    }) => {
-                        let recorder = self.nic.recorder();
-                        // Out of transit *before* the run queue counts
-                        // them: a worker can finish a call and its caller
-                        // place the next while this loop is still here, and
-                        // `queue_depth` must not still hold the finished one.
-                        self.leave_transit(calls.len());
-                        for call in calls {
-                            if !call.trace.is_none() {
-                                // One bus-transit span per call: encode +
-                                // send + fabric queueing + decode, measured
-                                // against the sender's stamp.
-                                recorder.span(SpanKind::BusTransit, call.trace, sent_at_ns, 0);
-                            }
-                            let _ = self.queue_tx.send(QueuedCall { call, reply_to });
-                        }
-                    }
-                    // Pre-staged manifests are handed to the dedicated
-                    // fetcher, or dropped if it is behind; the bus loop
-                    // stays hot for invokes.
-                    Some(InstanceMsg::PreStage {
-                        user,
-                        function,
-                        manifest,
-                    }) => {
-                        let _ = self.prestage_tx.try_send((user, function, manifest));
-                    }
-                    // Non-protocol traffic (e.g. a guest socket aimed at a
-                    // runtime host) is dropped.
-                    None => {}
-                },
-                Err(faasm_net::NetError::Timeout) => {}
-                Err(_) => break,
-            }
-        }
-    }
-
-    /// `n` calls sent to this host left its bus. Saturating: bytes that
-    /// reached the bus without a sender's `send_calls` (a guest socket can
-    /// aim at a runtime host) must not wrap the count.
-    fn leave_transit(&self, n: usize) {
+    /// `n` calls accepted here have checked a Faaslet out, or been
+    /// answered without one. Saturating: bytes that reached the run queue
+    /// without a sender's `send_calls` (a guest socket can aim at a runtime
+    /// host) must not wrap the count.
+    fn leave_queue(&self, n: usize) {
         let _ = self
-            .in_transit
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| {
+            .unstarted
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |t| {
                 Some(t.saturating_sub(n))
             });
     }
@@ -618,24 +619,82 @@ impl FaasmInstance {
     fn worker_loop(self: Arc<Self>) {
         while !self.stop.load(Ordering::Relaxed) {
             match self.queue_rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(q) => self.execute(q),
+                Ok(work) => self.take(work),
                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
                 Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
             }
         }
     }
 
+    /// Do one item off the run queue: run a call, or decode a message.
+    fn take(self: &Arc<Self>, work: Work) {
+        let env = match work {
+            Work::Call(q) => return self.execute(q),
+            Work::Msg(env) => env,
+        };
+        match decode_msg(&env.payload) {
+            Some(InstanceMsg::Result { result }) => self.pending.fulfill(result.id.0, result),
+            // Placement sent these calls to this host, from the front door
+            // or as a chain: queue the rest for the other workers and run
+            // the first here.
+            Some(InstanceMsg::InvokeBatch {
+                calls,
+                reply_to,
+                sent_at_ns,
+            }) => {
+                let recorder = self.nic.recorder();
+                let mut calls = calls.into_iter().map(|call| {
+                    if !call.trace.is_none() {
+                        // One bus-transit span per call: encode + send +
+                        // queueing + decode, measured against the sender's
+                        // stamp.
+                        recorder.span(SpanKind::BusTransit, call.trace, sent_at_ns, 0);
+                    }
+                    QueuedCall { call, reply_to }
+                });
+                let first = calls.next();
+                for q in calls {
+                    let _ = self.queue_tx.send(Work::Call(q));
+                }
+                if let Some(q) = first {
+                    self.execute(q);
+                }
+            }
+            // Pre-staged manifests are handed to the dedicated fetcher, or
+            // dropped if it is behind; the worker stays free for calls.
+            Some(InstanceMsg::PreStage {
+                user,
+                function,
+                manifest,
+            }) => {
+                let _ = self.prestage_tx.try_send((user, function, manifest));
+            }
+            // Non-protocol traffic (e.g. a guest socket aimed at a runtime
+            // host) is dropped.
+            None => {}
+        }
+    }
+
+    /// Answer a call that will not run.
+    fn refuse(&self, q: QueuedCall, error: String) {
+        self.leave_queue(1);
+        self.respond(CallResult::error(q.call.id, error), q.reply_to, 0);
+    }
+
     fn execute(self: &Arc<Self>, q: QueuedCall) {
+        // A stopped host answers what it is left with: shutdown's drain
+        // comes through here.
+        if self.is_stopped() {
+            return self.refuse(q, "runtime shutting down".into());
+        }
         let rec = match self.record(&q.call.user, &q.call.function) {
             Ok(rec) => rec,
-            Err(e) => {
-                return self.respond(CallResult::error(q.call.id, e.to_string()), q.reply_to, 0)
-            }
+            Err(e) => return self.refuse(q, e.to_string()),
         };
         // A container's result is an HTTP response, refusals included.
         let http = rec.def.code.http_overhead();
-        let mut faaslet = match self.checkout(&rec) {
-            Ok(faaslet) => faaslet,
+        let (mut faaslet, built) = match self.checkout(&rec) {
+            Ok(checked_out) => checked_out,
             Err(e) => {
                 return self.respond(
                     CallResult::error(q.call.id, e.to_string()),
@@ -684,19 +743,37 @@ impl FaasmInstance {
         if reset_ok {
             // 0 for a Faaslet that is never reset.
             self.metrics.reset_bytes.add(faaslet.reset_bytes() as u64);
-            self.pool_enter(&rec, Some(faaslet));
         }
+        // Back to the pool (a Faaslet whose reset failed is dropped), and
+        // off `building` if the call built it.
+        self.pool_enter(&rec, reset_ok.then_some(faaslet), usize::from(built));
         self.respond(result, q.reply_to, http);
     }
 
     /// Obtain a Faaslet: warm pool first, then Proto-Faaslet restore, then
-    /// full cold start (which also generates the function's proto).
-    fn checkout(self: &Arc<Self>, rec: &FunctionRecord) -> Result<Faaslet, CoreError> {
-        if let Some(f) = rec.pool.lock().idle.pop() {
+    /// full cold start (which also generates the function's proto), and
+    /// whether it was built. The call leaves
+    /// [`queue_depth`](Self::queue_depth) here, under the pool lock, in the
+    /// step that takes an idle Faaslet or, with none, counts it among the
+    /// pool's `building` until the Faaslet it builds enters the pool: for
+    /// [`warmth_and_depth`](Self::warmth_and_depth) neither step moves.
+    fn checkout(self: &Arc<Self>, rec: &FunctionRecord) -> Result<(Faaslet, bool), CoreError> {
+        let warm = {
+            let mut pool = rec.pool.lock();
+            let faaslet = pool.idle.pop();
+            if faaslet.is_none() {
+                pool.building += 1;
+            }
+            self.leave_queue(1);
+            faaslet
+        };
+        if let Some(f) = warm {
             self.metrics.record_start(StartKind::Warm, 0);
-            return Ok(f);
+            return Ok((f, false));
         }
         self.build_faaslet(rec)
+            .map(|f| (f, true))
+            .inspect_err(|_| rec.pool.lock().building -= 1)
     }
 
     /// Build a fresh Faaslet (proto restore or cold start), bypassing the
@@ -724,7 +801,6 @@ impl FaasmInstance {
                 &env,
             ));
         }
-        self.pool_enter(rec, None);
         let cold_start = || {
             let t0 = Instant::now();
             let f = Faaslet::create_cold(id, &rec.user, &rec.function, Arc::clone(&rec.def), &env)?;
@@ -935,6 +1011,24 @@ impl FaasmInstance {
         let _ = self.nic.send(reply_to, msg);
     }
 
+    /// Count `calls`, placed on this host, in its depth and mark it warm for
+    /// each call's function. This runs on the placing thread before any
+    /// worker can take them: a call placed here will hold a Faaslet here,
+    /// an idle one or one it builds, so the next placement follows it here
+    /// however far the workers have got.
+    fn accept(&self, calls: &[CallSpec]) {
+        for call in calls {
+            let rec = self.record(&call.user, &call.function).ok();
+            // Both under the pool lock, so placement reads them together. A
+            // call for a function unknown here only counts, until refused.
+            let mut pool = rec.as_ref().map(|rec| rec.pool.lock());
+            if let Some(pool) = &mut pool {
+                pool.warm = true;
+            }
+            self.unstarted.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
     /// Queue a call for execution on this instance, which the caller has
     /// already chosen: a chained call placed here, a test or a benchmark
     /// driving one host. Await with [`ChainRouter::await_call`].
@@ -942,7 +1036,10 @@ impl FaasmInstance {
         let call = self.new_call(user, function, input);
         let id = call.id;
         let reply_to = self.host_id;
-        let _ = self.queue_tx.send(QueuedCall { call, reply_to });
+        self.accept(std::slice::from_ref(&call));
+        let _ = self
+            .queue_tx
+            .send(Work::Call(QueuedCall { call, reply_to }));
         id
     }
 
@@ -998,10 +1095,11 @@ impl FaasmInstance {
     /// counters see the real coordination cost. The message is
     /// [framed](frame_msg) in the HTTP padding of every container call in
     /// it, whichever door the call came in by. The calls count in
-    /// `target`'s [`queue_depth`](Self::queue_depth) until its bus loop
-    /// queues them, and `target`'s shutdown gate guarantees that if the
-    /// send happens, it happens before shutdown's drain (which answers it),
-    /// and that a stop observed here is final: no call is lost.
+    /// `target`'s [`queue_depth`](Self::queue_depth) from here until a
+    /// worker there has checked a Faaslet out for each, and `target`'s
+    /// shutdown gate guarantees that if the send happens, it happens before
+    /// shutdown's drain (which answers it), and that a stop observed here
+    /// is final: no call is lost.
     fn send_calls(&self, target: &FaasmInstance, calls: Vec<CallSpec>) {
         let mut sent = Vec::with_capacity(calls.len());
         let mut http = 0;
@@ -1031,6 +1129,7 @@ impl FaasmInstance {
             return;
         }
         let ids: Vec<CallId> = sent.iter().map(|call| call.id).collect();
+        target.accept(&sent);
         let msg = frame_msg(
             &InstanceMsg::InvokeBatch {
                 calls: sent,
@@ -1039,15 +1138,14 @@ impl FaasmInstance {
             },
             http,
         );
-        target.in_transit.fetch_add(ids.len(), Ordering::Relaxed);
         let failed = {
             let _sending = target.shutdown_gate.read();
             target.is_stopped() || self.nic.send(target.host_id, msg).is_err()
         };
         if failed {
-            target.leave_transit(ids.len());
-            // Target shutting down or its fabric host gone: its bus loop
-            // will never queue these, so answer every call now.
+            target.leave_queue(ids.len());
+            // Target shutting down or its fabric host gone: it will never
+            // run these, so answer every call now.
             for id in ids {
                 self.pending
                     .fulfill(id.0, CallResult::error(id, "runtime shutting down"));
@@ -1078,28 +1176,14 @@ impl FaasmInstance {
             let _ = h.join();
         }
         // Answer everything the stopped threads will never execute: calls
-        // still in the run queue, and bus messages the bus loop never
-        // decoded. Without this, completion callbacks registered by batch
-        // submitters never fire — a gateway would leak its in-flight slots
-        // and wedge once enough accumulated.
-        while let Ok(q) = self.queue_rx.try_recv() {
-            let answer = CallResult::error(q.call.id, "runtime shutting down");
-            self.respond(answer, q.reply_to, 0);
-        }
-        while let Some(env) = self.nic.try_recv() {
-            match decode_msg(&env.payload) {
-                Some(InstanceMsg::InvokeBatch {
-                    calls, reply_to, ..
-                }) => {
-                    for call in calls {
-                        let answer = CallResult::error(call.id, "runtime shutting down");
-                        self.respond(answer, reply_to, 0);
-                    }
-                }
-                Some(InstanceMsg::Result { result }) => self.pending.fulfill(result.id.0, result),
-                // Pre-stages are pure prefetch hints; nothing awaits them.
-                Some(InstanceMsg::PreStage { .. }) => {}
-                None => {}
+        // still in the run queue, and the batches and results the fabric
+        // delivered there. Taken as a worker takes them, a call is refused
+        // and a result fulfilled. Without this, completion callbacks
+        // registered by batch submitters never fire — a gateway would leak
+        // its in-flight slots and wedge once enough accumulated.
+        if let Some(me) = self.me.upgrade() {
+            while let Ok(work) = self.queue_rx.try_recv() {
+                me.take(work);
             }
         }
         // Break the Arc cycle (pool faaslets hold the instance as router).
@@ -1146,25 +1230,29 @@ impl ChainRouter for FaasmInstance {
     }
 
     fn await_call(&self, id: CallId) -> CallResult {
-        // Help execute pending work while waiting, so chains deeper than the
-        // worker pool cannot deadlock. Requires Arc self for execute();
-        // waiting paths that cannot help fall back to blocking.
+        // Help with the run queue while waiting, so chains deeper than the
+        // worker pool cannot deadlock and a waiting worker still decodes the
+        // results its host is sent. Requires Arc self for take(); waiting
+        // paths that cannot help fall back to blocking.
+        let mut nap = AWAIT_NAP;
         loop {
             if let Some(r) = self.pending.try_take(id.0) {
                 return r;
             }
-            if let Ok(q) = self.queue_rx.try_recv() {
+            if let Ok(work) = self.queue_rx.try_recv() {
                 if let Some(me) = self.me.upgrade() {
-                    me.execute(q);
+                    me.take(work);
+                    nap = AWAIT_NAP;
                     continue;
                 }
-                // No Arc available (cannot happen in practice): drop the
-                // call back and block.
-                let _ = self.queue_tx.send(q);
+                // No Arc available (cannot happen in practice): put the
+                // work back and block.
+                let _ = self.queue_tx.send(work);
             }
-            if let Some(r) = self.pending.wait(id.0, Duration::from_millis(1)) {
+            if let Some(r) = self.pending.wait(id.0, nap) {
                 return r;
             }
+            nap = (nap * 2).min(AWAIT_NAP_MAX);
             if self.stop.load(Ordering::Relaxed) {
                 return CallResult::error(id, "runtime shutting down");
             }
@@ -1200,7 +1288,7 @@ impl FaasmInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Cluster;
+    use crate::{Cluster, ClusterConfig};
 
     /// A manifest is unauthenticated bus traffic whose length is bounded
     /// only by its message: one that names thousands of unpublished chunks,
@@ -1234,13 +1322,21 @@ mod tests {
         assert_eq!(after.get("snapdist", "chunks_fetched"), 0);
     }
 
-    /// The bus hands pre-stages to the fetch thread through a bounded
+    /// Workers hand pre-stages to the fetch thread through a bounded
     /// queue: while the fetcher is stuck on one, a flood leaves the queue
     /// full — the cap, or one less if the fetcher took its one last — and
     /// the rest dropped.
     #[test]
     fn a_prestage_flood_holds_at_most_the_queue_cap() {
-        let cluster = Cluster::new(1);
+        // One worker, so the host's messages are decoded in order.
+        let cluster = Cluster::with_config(ClusterConfig {
+            hosts: 1,
+            instance: InstanceConfig {
+                workers: 1,
+                ..InstanceConfig::default()
+            },
+            ..ClusterConfig::default()
+        });
         let host = &cluster.instances()[0];
         let guest: Arc<dyn crate::NativeGuest> = Arc::new(|_: &mut crate::NativeApi<'_>| Ok(0));
         cluster.register_native("u", "f", guest, false);
@@ -1255,7 +1351,7 @@ mod tests {
         for _ in 0..4 * PRESTAGE_QUEUE {
             sender.send(host.host_id(), prestage.clone()).unwrap();
         }
-        // The bus handles its messages in order: once this result lands,
+        // The worker decodes its messages in order: once this result lands,
         // it has handed on or dropped every pre-stage before it.
         let marker = CallId(u64::MAX);
         host.pending.register(marker.0);
@@ -1275,6 +1371,77 @@ mod tests {
             "the rest were dropped"
         );
         drop(records);
+    }
+
+    /// Spin until `done` holds; fail after a real-time bound.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Placement's reading of a host (`warmth_and_depth`) moves when a call
+    /// is placed there and when a Faaslet comes back to the pool: not when a
+    /// worker takes the call off the queue, takes an idle Faaslet for it or
+    /// builds one, so a burst placed while the workers take it up spreads
+    /// the same way however far they got. The worker is first held at the
+    /// records lock after taking the call off the queue, where a depth that
+    /// counted only the queue would already have dropped. A warm call and a
+    /// cold one alike.
+    #[test]
+    fn placement_reads_a_call_the_same_until_its_faaslet_comes_back() {
+        use crate::{NativeApi, NativeGuest};
+        use faasm_sched::Candidate;
+
+        let score = |(idle_warm, depth): (Option<usize>, usize)| {
+            let candidate = Candidate {
+                idle_warm,
+                depth,
+                affinity: 0,
+            };
+            candidate.score()
+        };
+        for prewarmed in [1, 0] {
+            let cluster = Cluster::new(1);
+            let host = &cluster.instances()[0];
+            let (started_tx, started) = bounded(1);
+            let (gate_tx, gate) = bounded::<()>(1);
+            let guest: Arc<dyn NativeGuest> = Arc::new(move |_: &mut NativeApi<'_>| {
+                let _ = started_tx.send(());
+                let _ = gate.recv();
+                Ok(0)
+            });
+            cluster.register_native("u", "f", guest, false);
+            host.prewarm("u", "f", prewarmed).unwrap();
+            let rec = host.record("u", "f").unwrap();
+            let load = || host.load_of(&rec);
+
+            // `submit_placed` in its two steps, so that the worker taking
+            // the call finds the records lock held.
+            let call = host.new_call("u", "f", Vec::new());
+            let id = call.id;
+            host.accept(std::slice::from_ref(&call));
+            assert_eq!(load(), (Some(prewarmed), 1), "accepted: warm, one call");
+            let accepted = score(load());
+            let records = host.records.lock();
+            let reply_to = host.host_id;
+            let queued = Work::Call(QueuedCall { call, reply_to });
+            host.queue_tx.send(queued).unwrap();
+            wait_until("a worker takes the call", || host.queue_rx.is_empty());
+            assert_eq!(score(load()), accepted, "taken, but not yet started");
+            drop(records);
+            wait_until("the call starts on its Faaslet", || {
+                assert_eq!(score(load()), accepted, "on its way to the Faaslet");
+                started.try_recv().is_ok()
+            });
+            assert_eq!(score(load()), accepted, "running on the Faaslet");
+            assert_eq!(host.queue_depth(), 0, "checked out: no longer queued");
+            gate_tx.send(()).unwrap();
+            assert_eq!(host.await_call(id).return_code(), 0);
+            assert_eq!(load(), (Some(1), 0), "its Faaslet back in the pool");
+        }
     }
 
     /// Co-located native Faaslets share one mapped replica (§4, Fig. 6), so
@@ -1313,7 +1480,7 @@ mod tests {
                 faaslet.rss_bytes(),
                 NATIVE_BASE_BYTES as usize + 8 * BLOCK_SIZE
             );
-            host.pool_enter(&rec, Some(faaslet));
+            host.pool_enter(&rec, Some(faaslet), 0);
         }
         assert_eq!(
             host.host_memory_bytes(),

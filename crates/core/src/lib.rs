@@ -10,8 +10,9 @@
 //! * [`hostfuncs`] — every host-interface function as a trusted thunk.
 //! * [`ProtoFaaslet`] — ahead-of-time snapshots restored copy-on-write in
 //!   microseconds, serialisable for cross-host restores (§5.2).
-//! * [`FaasmInstance`] — one host's runtime: warm pools, workers, the
-//!   message bus and the Omega-style local scheduler (§5.1).
+//! * [`FaasmInstance`] — one host's runtime: warm pools, the Omega-style
+//!   local scheduler (§5.1), and workers that take calls and message-bus
+//!   messages off one run queue, the host's inbox.
 //! * [`Cluster`] — instances + global KVS tier + object store + upload
 //!   service + ingress.
 //! * [`ContainerCode`] — the one seam where a container takes a Faaslet's

@@ -1,7 +1,8 @@
 //! The message bus protocol between runtime instances (Fig. 1: "the message
 //! bus is used by Faaslets to communicate with their parent process and each
 //! other, receive function calls, share work, invoke and await other
-//! functions").
+//! functions"). The fabric delivers a message into the receiving host's run
+//! queue, and the worker that takes it decodes it.
 
 use faasm_net::wire::{
     self, put_bytes, put_count, put_nested, put_u32, put_u64, put_u8, Reader, WireError,
@@ -31,8 +32,8 @@ pub enum InstanceMsg {
         reply_to: HostId,
         /// Send timestamp on the cluster's clock
         /// ([`faasm_telemetry::Recorder::now_ns`]):
-        /// the receiving bus loop records the batch's bus-transit span as
-        /// `recv - sent_at_ns` per call.
+        /// the worker that decodes the batch records its bus-transit span as
+        /// `decode - sent_at_ns` per call.
         sent_at_ns: u64,
     },
     /// Pre-stage a function's proto snapshot: the autoscaler pushes the

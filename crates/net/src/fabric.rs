@@ -75,8 +75,12 @@ impl Envelope {
     }
 }
 
+/// Where the fabric hands a host's incoming messages, on the sender's
+/// thread.
+type Deliver = Box<dyn Fn(Envelope) -> Result<(), NetError> + Send + Sync>;
+
 struct HostPort {
-    req_tx: Sender<Envelope>,
+    deliver: Deliver,
     stats: Arc<TrafficStats>,
 }
 
@@ -132,15 +136,34 @@ impl Fabric {
         }
     }
 
-    /// Register a new host, returning its NIC.
+    /// Register a new host, returning its NIC: its messages queue for
+    /// [`Nic::recv`].
     pub fn add_host(&self) -> Nic {
-        let id = HostId(self.inner.next_host.fetch_add(1, Ordering::Relaxed) as u32);
         let (req_tx, req_rx) = unbounded();
+        let deliver = move |env| req_tx.send(env).map_err(|_| NetError::Disconnected);
+        self.register(Box::new(deliver), req_rx)
+    }
+
+    /// Register a new host whose messages go straight to `deliver`, on the
+    /// sending thread — a runtime instance hands them to its run queue. An
+    /// `Err` fails the send. The NIC sends and calls as any other, but has
+    /// nothing to receive: its [`Nic::recv`] reports
+    /// [`NetError::Disconnected`].
+    pub fn add_host_into(
+        &self,
+        deliver: impl Fn(Envelope) -> Result<(), NetError> + Send + Sync + 'static,
+    ) -> Nic {
+        let (_, nothing) = unbounded();
+        self.register(Box::new(deliver), nothing)
+    }
+
+    fn register(&self, deliver: Deliver, req_rx: Receiver<Envelope>) -> Nic {
+        let id = HostId(self.inner.next_host.fetch_add(1, Ordering::Relaxed) as u32);
         let stats = Arc::new(TrafficStats::new());
         self.inner.hosts.lock().insert(
             id,
             HostPort {
-                req_tx,
+                deliver,
                 stats: Arc::clone(&stats),
             },
         );
@@ -184,7 +207,7 @@ impl Fabric {
         let bytes = env.payload.len() as u64 + MSG_HEADER_BYTES;
         let hosts = self.inner.hosts.lock();
         let port = hosts.get(&dst).ok_or(NetError::UnknownHost(dst))?;
-        port.req_tx.send(env).map_err(|_| NetError::Disconnected)?;
+        (port.deliver)(env)?;
         port.stats.record_recv(bytes);
         self.inner.total.record_recv(bytes);
         Ok(())
@@ -708,6 +731,23 @@ mod tests {
             a.recv_timeout(Duration::from_millis(10)).unwrap_err(),
             NetError::Timeout
         );
+    }
+
+    #[test]
+    fn a_host_added_into_a_closure_gets_its_messages_there_counted() {
+        let fabric = Fabric::new();
+        let (tx, rx) = unbounded();
+        let b = fabric.add_host_into(move |env| tx.send(env).map_err(|_| NetError::Disconnected));
+        let a = fabric.add_host();
+        a.send(b.id(), vec![0u8; 10]).unwrap();
+        let env = rx.try_recv().expect("delivered on the sending thread");
+        assert_eq!((env.src, env.payload), (a.id(), vec![0u8; 10]));
+        assert_eq!(b.stats().bytes_received(), 10 + MSG_HEADER_BYTES);
+        assert_eq!(b.recv().unwrap_err(), NetError::Disconnected);
+        // A delivery that fails fails the send, and nothing is counted.
+        drop(rx);
+        assert_eq!(a.send(b.id(), vec![0u8; 10]), Err(NetError::Disconnected));
+        assert_eq!(a.stats().msgs_sent(), 1);
     }
 
     #[test]

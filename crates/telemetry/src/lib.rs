@@ -143,7 +143,7 @@ pub enum SpanKind {
     QueueSojourn = 1,
     /// Dispatch grouping: drain → per-host batches handed to the bus.
     Dispatch = 2,
-    /// Message-bus transit: batch encode/send → instance bus loop decode.
+    /// Message-bus transit: batch encode/send → worker decode.
     BusTransit = 3,
     /// Worker execution (the Faaslet run itself).
     WorkerExec = 4,
