@@ -26,6 +26,9 @@ testonly() {
         sed -n '/#\[cfg(test)\]/,$p' "$1"
     fi
 }
+# The test code of instance.rs, less the co-located native-replica test
+# that the jobs' native path (train_sgd's) relies on.
+outside_native_replica_test() { testonly "$1" | sed '/fn host_memory_counts_a_mapped_replica_once/,/^    }$/d'; }
 outside_wake_waiters() { nontest "$1" | sed '/fn wake_waiters/,/^    }/d'; }
 native_api_impl() { sed -n "/^impl<'a> NativeApi<'a>/,/^}/p" "$1"; }
 faasenv_state_read() { sed -n '/^pub trait FaasEnv/,/^}/{/fn state_read(/,/;/p}' "$1"; }
@@ -322,6 +325,12 @@ gates=(
     'fn (cached_objects|drop_cache|open_count|close_all|read_write|write_truncate)\b'
     'crates/vfs/src'
     'a vfs helper the host interface does not use is back; reset rebuilds the FdTable, and flags are OpenFlags literals'
+
+    # Every test guest is FL bytecode: a native guest is one of the jobs'
+    # (crates/workloads) or tests the native binding itself.
+    'register_native|NativeApi|NativeGuest'
+    'tests@whole examples@whole crates/core/src/cluster.rs@testonly crates/core/src/instance.rs@outside_native_replica_test'
+    'a native test guest is back; write it in FL (tests/common has one per shape) and upload it with Cluster::upload_fl'
 
     # The paper's results are checked, not printed.
     'faasm_bench|criterion::|NetModel'

@@ -240,18 +240,6 @@ impl<'a> ContainerApi<'a> {
             .map_err(|e| e.to_string())
     }
 
-    /// Atomic counter in the global tier.
-    ///
-    /// # Errors
-    ///
-    /// Global-tier errors as strings.
-    pub fn counter_add(&mut self, key: &str, delta: i64) -> Result<i64, String> {
-        self.container
-            .kv
-            .incr(key, delta)
-            .map_err(|e| e.to_string())
-    }
-
     /// Chain a call: the cluster places it, and it travels HTTP-framed.
     pub fn chain(&mut self, function: &str, input: Vec<u8>) -> CallId {
         self.container
@@ -559,7 +547,6 @@ mod tests {
         kv.set("sz", vec![0u8; 77]).unwrap();
         let guest = |api: &mut ContainerApi<'_>| {
             assert_eq!(api.state_size("sz")?, 77);
-            assert_eq!(api.counter_add("n", 5)?, 5);
             Ok(0)
         };
         let r = c.run(&guest, CallId(1), &[]);

@@ -330,18 +330,13 @@ impl Cluster {
 
     /// Register a trusted native guest: host-compiled code run inside a
     /// Faaslet with the same state, chaining and accounting as an FVM guest.
-    pub fn register_native(
-        &self,
-        user: &str,
-        function: &str,
-        guest: Arc<dyn NativeGuest>,
-        reset_after_call: bool,
-    ) {
+    /// Its Faaslet is not reset between calls.
+    pub fn register_native(&self, user: &str, function: &str, guest: Arc<dyn NativeGuest>) {
         let def = FunctionDef {
             code: GuestCode::Native(guest),
             entry: "main".into(),
             init: None,
-            reset_after_call,
+            reset_after_call: false,
         };
         self.register(user, function, def)
             .expect("a native guest has no exports to check");
@@ -715,9 +710,9 @@ fn check_entry(object: &ObjectModule, name: &str) -> Result<(), CoreError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::ctx::{ChainRouter, NativeApi};
+    use crate::ctx::ChainRouter;
     use faasm_sched::{CallSpec, CallStatus};
     use std::time::Instant;
 
@@ -729,6 +724,71 @@ mod tests {
             int n = input_size();
             read_call_input((ptr int) 1024, n);
             write_call_output((ptr int) 1024, n);
+            return 0;
+        }
+    "#;
+
+    /// An FL guest answering with its input or, when `next` names a
+    /// function, with what `next` answers for it (its return code, if it
+    /// fails); then with `tail`. A name or tail fits in 8 bytes.
+    fn relay(next: Option<&str>, tail: &str) -> String {
+        let long = |s: &str| {
+            let mut w = [0; 8];
+            w[..s.len()].copy_from_slice(s.as_bytes());
+            i64::from_le_bytes(w)
+        };
+        let chain = next.map_or(String::new(), |next| {
+            format!(
+                "q[0] = {}L;
+                long id = chain_call((ptr int) q, {}, (ptr int) 1024, n);
+                int rc = await_call(id);
+                if (rc != 0) {{ return rc; }}
+                n = get_call_output(id, (ptr int) 1024, 4096);",
+                long(next),
+                next.len(),
+            )
+        });
+        format!(
+            r#"
+            extern int input_size();
+            extern int read_call_input(ptr int buf, int len);
+            extern void write_call_output(ptr int buf, int len);
+            extern long chain_call(ptr int name, int name_len, ptr int in, int in_len);
+            extern int await_call(long id);
+            extern int get_call_output(long id, ptr int buf, int len);
+            int main() {{
+                int n = input_size();
+                read_call_input((ptr int) 1024, n);
+                ptr long q = (ptr long) 64;
+                {chain}
+                write_call_output((ptr int) 1024, n);
+                q[1] = {}L;
+                write_call_output((ptr int) 72, {});
+                return 0;
+            }}
+            "#,
+            long(tail),
+            tail.len(),
+        )
+    }
+
+    /// An FL guest that says it started (state `go`), then waits until
+    /// the test sets state `open`.
+    pub(crate) const GATED: &str = r#"
+        extern int get_state(ptr int key, int key_len, int size);
+        extern void pull_state(ptr int key, int key_len, int size);
+        extern void set_state(ptr int key, int key_len, ptr int val, int val_len);
+        extern void push_state(ptr int key, int key_len);
+        int main() {
+            ptr int k = (ptr int) 64;
+            k[0] = 28519; // "go"
+            set_state(k, 2, k, 2);
+            push_state(k, 2);
+            k[0] = 1852141679; // "open"
+            ptr int open = (ptr int) get_state(k, 4, 4);
+            while (open[0] == 0) {
+                pull_state(k, 4, 4);
+            }
             return 0;
         }
     "#;
@@ -876,21 +936,26 @@ mod tests {
     }
 
     #[test]
-    fn native_guests_share_state_across_calls() {
+    fn guests_share_state_across_calls() {
+        const ADD: &str = r#"
+            extern int get_state(ptr int key, int key_len, int size);
+            extern void push_state(ptr int key, int key_len);
+            extern void write_call_output(ptr int buf, int len);
+            int main() {
+                ptr int key = (ptr int) 64;
+                key[0] = 1853189987; // "coun"
+                key[1] = 7497076;    // "ter"
+                ptr long v = (ptr long) get_state(key, 7, 8);
+                v[0] = v[0] + 1L;
+                push_state(key, 7);
+                write_call_output((ptr int) v, 8);
+                return 0;
+            }
+        "#;
         let cluster = Cluster::new(2);
-        let adder: Arc<dyn NativeGuest> = Arc::new(|api: &mut NativeApi<'_>| {
-            let entry = api.state("counter", 8).map_err(faasm_fvm::Trap::host)?;
-            let mut buf = [0u8; 8];
-            entry.read(0, &mut buf).map_err(faasm_fvm::Trap::host)?;
-            let v = u64::from_le_bytes(buf) + 1;
-            entry
-                .write(0, &v.to_le_bytes())
-                .map_err(faasm_fvm::Trap::host)?;
-            entry.push_full().map_err(faasm_fvm::Trap::host)?;
-            api.write_output(&v.to_le_bytes());
-            Ok(0)
-        });
-        cluster.register_native("u", "add", adder, false);
+        cluster
+            .upload_fl("u", "add", ADD, UploadOptions::default())
+            .unwrap();
         let mut seen = Vec::new();
         for _ in 0..6 {
             let r = cluster.invoke("u", "add", vec![]);
@@ -987,20 +1052,14 @@ mod tests {
         use std::sync::mpsc;
         use std::time::Duration;
 
-        // One host, native calls held at a gate until shutdown has begun:
-        // most of the batch is still queued when shutdown runs. Every
-        // callback must fire anyway — a leaked callback would wedge any
-        // ingress tier counting in-flight slots.
+        // One host, calls held at a gate until shutdown has begun: most of
+        // the batch is still queued when shutdown runs. Every callback must
+        // fire anyway — a leaked callback would wedge any ingress tier
+        // counting in-flight slots.
         let cluster = Cluster::new(1);
-        let (started_tx, started) = mpsc::channel();
-        let (gate_tx, gate) = crossbeam::channel::bounded::<()>(0);
-        let slow: Arc<dyn NativeGuest> = Arc::new(move |api: &mut NativeApi<'_>| {
-            let _ = started_tx.send(());
-            let _ = gate.recv();
-            api.write_output(b"done");
-            Ok(0)
-        });
-        cluster.register_native("u", "slow", slow, false);
+        cluster
+            .upload_fl("u", "slow", GATED, UploadOptions::default())
+            .unwrap();
         let inst = &cluster.instances()[0];
         let (tx, rx) = mpsc::channel();
         let calls: Vec<PlacedCall> = (0..16)
@@ -1019,16 +1078,21 @@ mod tests {
             .collect();
         let ids = inst.submit_placed_batch(calls);
         assert_eq!(ids.len(), 16);
-        started
-            .recv_timeout(Duration::from_secs(10))
-            .expect("a worker took a call");
+        let t0 = Instant::now();
+        while cluster.kv().get("go").unwrap().is_none() {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "no worker took a call"
+            );
+            std::thread::yield_now();
+        }
         let opener = {
-            let inst = Arc::clone(inst);
+            let (inst, kv) = (Arc::clone(inst), Arc::clone(cluster.kv()));
             std::thread::spawn(move || {
                 while !inst.is_stopped() {
                     std::thread::yield_now();
                 }
-                drop(gate_tx);
+                kv.set("open", vec![1; 4]).unwrap();
             })
         };
         inst.shutdown();
@@ -1089,24 +1153,15 @@ mod tests {
             },
             ..ClusterConfig::default()
         });
-        let hop = |next: Option<&'static str>| -> Arc<dyn NativeGuest> {
-            Arc::new(move |api: &mut NativeApi<'_>| {
-                let mut out = api.input().to_vec();
-                if let Some(next) = next {
-                    let id = api.chain(next, out.clone());
-                    if api.await_call(id) != 0 {
-                        return Ok(1);
-                    }
-                    out = api.call_output(id).unwrap_or_default().to_vec();
-                }
-                out.push(b'x');
-                api.write_output(&out);
-                Ok(0)
-            })
-        };
-        cluster.register_native("u", "start", hop(Some("there")), false);
-        cluster.register_native("u", "there", hop(Some("back")), false);
-        cluster.register_native("u", "back", hop(None), false);
+        let options = UploadOptions::default();
+        for (name, next) in [
+            ("start", Some("there")),
+            ("there", Some("back")),
+            ("back", None),
+        ] {
+            let hop = relay(next, "x");
+            cluster.upload_fl("u", name, &hop, options.clone()).unwrap();
+        }
         // Placement follows warmth: `start` and `back` run on A, `there` on
         // B. The test thread waits on the front door, so it helps neither.
         let (a, b) = (&cluster.instances()[0], &cluster.instances()[1]);
@@ -1260,14 +1315,10 @@ mod tests {
         cluster
             .upload_fl("u", "child", ECHO, UploadOptions::default())
             .unwrap();
-        let parent: Arc<dyn NativeGuest> = Arc::new(|api: &mut NativeApi<'_>| {
-            let id = api.chain("child", api.input().to_vec());
-            let code = api.await_call(id);
-            let echoed = api.call_output(id).unwrap_or_default().to_vec();
-            api.write_output(&echoed);
-            Ok(code)
-        });
-        cluster.register_native("u", "parent", parent, false);
+        let parent = relay(Some("child"), "");
+        cluster
+            .upload_fl("u", "parent", &parent, UploadOptions::default())
+            .unwrap();
         // Warm both functions on one host; from then on every hop runs warm
         // locally (`runs_warm_local`), and asks no one.
         let host = &cluster.instances()[0];

@@ -401,11 +401,6 @@ impl<'a> NativeApi<'a> {
         self.ctx.await_chained(id)
     }
 
-    /// Output of a completed chained call (`get_call_output`).
-    pub fn call_output(&self, id: CallId) -> Option<&[u8]> {
-        self.ctx.results.get(&id).map(|r| r.output.as_slice())
-    }
-
     /// The Faaslet's descriptor table (file I/O).
     pub fn fs(&mut self) -> &mut FdTable {
         &mut self.ctx.fdtable

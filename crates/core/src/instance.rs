@@ -1338,8 +1338,9 @@ mod tests {
             ..ClusterConfig::default()
         });
         let host = &cluster.instances()[0];
-        let guest: Arc<dyn crate::NativeGuest> = Arc::new(|_: &mut crate::NativeApi<'_>| Ok(0));
-        cluster.register_native("u", "f", guest, false);
+        let options = crate::UploadOptions::default();
+        let f = "int main() { return 0; }";
+        cluster.upload_fl("u", "f", f, options).unwrap();
         let sender = cluster.add_fabric_host();
         let prestage = encode_msg(&InstanceMsg::PreStage {
             user: "u".into(),
@@ -1392,7 +1393,6 @@ mod tests {
     /// cold one alike.
     #[test]
     fn placement_reads_a_call_the_same_until_its_faaslet_comes_back() {
-        use crate::{NativeApi, NativeGuest};
         use faasm_sched::Candidate;
 
         let score = |(idle_warm, depth): (Option<usize>, usize)| {
@@ -1406,14 +1406,9 @@ mod tests {
         for prewarmed in [1, 0] {
             let cluster = Cluster::new(1);
             let host = &cluster.instances()[0];
-            let (started_tx, started) = bounded(1);
-            let (gate_tx, gate) = bounded::<()>(1);
-            let guest: Arc<dyn NativeGuest> = Arc::new(move |_: &mut NativeApi<'_>| {
-                let _ = started_tx.send(());
-                let _ = gate.recv();
-                Ok(0)
-            });
-            cluster.register_native("u", "f", guest, false);
+            let options = crate::UploadOptions::default();
+            let gated = crate::cluster::tests::GATED;
+            cluster.upload_fl("u", "f", gated, options).unwrap();
             host.prewarm("u", "f", prewarmed).unwrap();
             let rec = host.record("u", "f").unwrap();
             let load = || host.load_of(&rec);
@@ -1434,11 +1429,11 @@ mod tests {
             drop(records);
             wait_until("the call starts on its Faaslet", || {
                 assert_eq!(score(load()), accepted, "on its way to the Faaslet");
-                started.try_recv().is_ok()
+                cluster.kv().get("go").unwrap().is_some()
             });
             assert_eq!(score(load()), accepted, "running on the Faaslet");
             assert_eq!(host.queue_depth(), 0, "checked out: no longer queued");
-            gate_tx.send(()).unwrap();
+            cluster.kv().set("open", vec![1; 4]).unwrap();
             assert_eq!(host.await_call(id).return_code(), 0);
             assert_eq!(load(), (Some(1), 0), "its Faaslet back in the pool");
         }
@@ -1464,7 +1459,7 @@ mod tests {
                 .map_err(faasm_fvm::Trap::host)?;
             Ok(0)
         });
-        cluster.register_native("it", "map", guest, false);
+        cluster.register_native("it", "map", guest);
         let rec = host.record("it", "map").unwrap();
         for n in 0..4 {
             let mut faaslet = host.build_faaslet(&rec).unwrap();

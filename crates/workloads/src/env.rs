@@ -98,21 +98,11 @@ pub trait FaasEnv {
     /// A platform error message.
     fn state_size(&self, key: &str) -> Result<usize, String>;
 
-    /// Atomically add to a global counter; returns the new value.
-    ///
-    /// # Errors
-    ///
-    /// A platform error message.
-    fn counter_add(&mut self, key: &str, delta: i64) -> Result<i64, String>;
-
     /// Chain a call to another function of the same user.
     fn chain(&mut self, function: &str, input: Vec<u8>) -> u64;
 
     /// Await a chained call; returns its return code.
     fn await_call(&mut self, id: u64) -> i32;
-
-    /// Output of an awaited chained call.
-    fn call_output(&mut self, id: u64) -> Option<Vec<u8>>;
 
     /// Read a whole file (model weights, datasets); Faaslets hit the
     /// host-shared read-global filesystem, containers fetch private copies.
@@ -225,26 +215,12 @@ impl FaasEnv for FaasmEnv<'_, '_> {
             .map_err(|e| e.to_string())
     }
 
-    fn counter_add(&mut self, key: &str, delta: i64) -> Result<i64, String> {
-        self.api
-            .state_manager()
-            .kv()
-            .incr(key, delta)
-            .map_err(|e| e.to_string())
-    }
-
     fn chain(&mut self, function: &str, input: Vec<u8>) -> u64 {
         self.api.chain(function, input).0
     }
 
     fn await_call(&mut self, id: u64) -> i32 {
         self.api.await_call(faasm_core::CallId(id))
-    }
-
-    fn call_output(&mut self, id: u64) -> Option<Vec<u8>> {
-        self.api
-            .call_output(faasm_core::CallId(id))
-            .map(<[u8]>::to_vec)
     }
 
     fn load_file(&mut self, path: &str) -> Result<Vec<u8>, String> {
@@ -320,22 +296,12 @@ impl FaasEnv for ContainerEnv<'_, '_> {
         self.api.state_size(key)
     }
 
-    fn counter_add(&mut self, key: &str, delta: i64) -> Result<i64, String> {
-        self.api.counter_add(key, delta)
-    }
-
     fn chain(&mut self, function: &str, input: Vec<u8>) -> u64 {
         self.api.chain(function, input).0
     }
 
     fn await_call(&mut self, id: u64) -> i32 {
         self.api.await_call(faasm_core::CallId(id))
-    }
-
-    fn call_output(&mut self, id: u64) -> Option<Vec<u8>> {
-        self.api
-            .call_output(faasm_core::CallId(id))
-            .map(<[u8]>::to_vec)
     }
 
     fn load_file(&mut self, path: &str) -> Result<Vec<u8>, String> {
@@ -387,10 +353,9 @@ pub(crate) mod tests {
         if back != input {
             return Err("state roundtrip mismatch".into());
         }
-        let n = env.counter_add("wc", 1)?;
         let f = env.load_file("shared/data/blob.bin")?;
         env.write_output(&back);
-        env.write_output(&[n as u8, f[0]]);
+        env.write_output(&f[..1]);
         Ok(0)
     }
 
@@ -398,12 +363,11 @@ pub(crate) mod tests {
     fn same_code_runs_on_faasm() {
         let cluster = Cluster::new(1);
         publish_file(Some(&cluster), None, "shared/data/blob.bin", &[0xee, 2, 3]);
-        cluster.register_native("u", "ex", native(|env| exercise(env).map(drop)), false);
+        cluster.register_native("u", "ex", native(|env| exercise(env).map(drop)));
         let r = cluster.invoke("u", "ex", b"hi!!".to_vec());
         assert_eq!(r.return_code(), 0, "status {:?}", r.status);
         assert_eq!(&r.output[..4], b"hi!!");
-        assert_eq!(r.output[4], 1);
-        assert_eq!(r.output[5], 0xee);
+        assert_eq!(r.output[4], 0xee);
     }
 
     #[test]
@@ -426,8 +390,7 @@ pub(crate) mod tests {
         let r = platform.invoke("u", "ex", b"hi!!".to_vec());
         assert_eq!(r.return_code(), 0, "status {:?}", r.status);
         assert_eq!(&r.output[..4], b"hi!!");
-        assert_eq!(r.output[4], 1);
-        assert_eq!(r.output[5], 0xee);
+        assert_eq!(r.output[4], 0xee);
     }
 
     /// A native guest running `body` over a [`FaasmEnv`].
@@ -447,7 +410,7 @@ pub(crate) mod tests {
             env.state_read("held", 64, 8, &mut [0; 8])?;
             env.state_write("held", 64, 16, &7u64.to_le_bytes())
         });
-        cluster.register_native("u", "touch", touch, false);
+        cluster.register_native("u", "touch", touch);
         let entry = cluster.instances()[0].state().get("held", 64).unwrap();
         entry.pull().unwrap(); // absent globally: the zeroed replica is present
         entry.lock_write();
@@ -490,7 +453,7 @@ pub(crate) mod tests {
                 done.fetch_add(1, SeqCst);
                 Ok(())
             });
-            cluster.register_native("u", name, store, false);
+            cluster.register_native("u", name, store);
         }
         let load = native(move |env| {
             let end = Instant::now() + Duration::from_secs(30);
@@ -517,7 +480,7 @@ pub(crate) mod tests {
                 _ => Err("the stores outlasted the loads".into()),
             }
         });
-        cluster.register_native("u", "load", load, false);
+        cluster.register_native("u", "load", load);
         let ids = ["load", "left", "right"].map(|f| cluster.invoke_async("u", f, Vec::new()));
         for id in ids {
             let r = cluster.await_result(id);
@@ -545,7 +508,7 @@ pub(crate) mod tests {
             }
             _ => Ok(()),
         });
-        cluster.register_native("u", "put", put, false);
+        cluster.register_native("u", "put", put);
         let reads = |input: &[u8]| {
             let before = cluster.telemetry();
             assert_eq!(cluster.invoke("u", "put", input.to_vec()).return_code(), 0);

@@ -243,7 +243,7 @@ pub fn setup_faasm(cluster: &Cluster, user: &str, seed: u64) {
         let mut env = FaasmEnv::new(api);
         infer_fn(&mut env).map_err(faasm_fvm::Trap::host)
     });
-    cluster.register_native(user, "infer", guest, false);
+    cluster.register_native(user, "infer", guest);
 }
 
 /// Publish the model and register the serving function on the baseline.

@@ -208,9 +208,9 @@ pub fn register_faasm(cluster: &Cluster, user: &str) {
             g
         }};
     }
-    cluster.register_native(user, "mm_main", native!(mm_main), false);
-    cluster.register_native(user, "mm_mult", native!(mm_mult), false);
-    cluster.register_native(user, "mm_merge", native!(mm_merge), false);
+    cluster.register_native(user, "mm_main", native!(mm_main));
+    cluster.register_native(user, "mm_mult", native!(mm_mult));
+    cluster.register_native(user, "mm_merge", native!(mm_merge));
 }
 
 /// Register the three matmul functions on the container baseline.

@@ -416,7 +416,7 @@ pub fn setup_faasm(cluster: &Cluster, user: &str) {
         let mut env = FaasmEnv::new(api);
         minidyn_guest(&mut env).map_err(faasm_fvm::Trap::host)
     });
-    cluster.register_native(user, "minidyn", guest, false);
+    cluster.register_native(user, "minidyn", guest);
 }
 
 #[cfg(test)]

@@ -254,7 +254,7 @@ pub fn register_faasm(cluster: &Cluster, user: &str) {
         let mut env = FaasmEnv::new(api);
         weight_update(&mut env).map_err(faasm_fvm::Trap::host)
     });
-    cluster.register_native(user, "sgd_update", guest, false);
+    cluster.register_native(user, "sgd_update", guest);
 }
 
 /// Register the SGD worker on the container baseline.
@@ -383,8 +383,8 @@ mod tests {
                 Ok(())
             })
         };
-        cluster.register_native("ml", "left", mk(1.0, 0), false);
-        cluster.register_native("ml", "right", mk(2.0, 8), false);
+        cluster.register_native("ml", "left", mk(1.0, 0));
+        cluster.register_native("ml", "right", mk(2.0, 8));
         let a = &cluster.instances()[0];
         let b = &cluster.instances()[1];
         // Both hosts prime their replicas while the value is all zeros...

@@ -17,34 +17,15 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use faasm::core::{NativeApi, NativeGuest};
+use faasm::core::UploadOptions;
 use faasm::gateway::{Gateway, GatewayConfig, GatewayStatus};
 use faasm::telemetry::{Recorder, SpanKind, SpanRecord, Telemetry};
 use faasm::{Cluster, ClusterConfig};
 
-const STORM_CALLS: usize = 256;
+#[path = "../tests/common/mod.rs"]
+mod common;
 
-/// Read-modify-write one slot of a shared accumulator, then push: every
-/// call does a global-tier state round trip for the trace to capture.
-fn bump_guest() -> Arc<dyn NativeGuest> {
-    Arc::new(|api: &mut NativeApi<'_>| {
-        let slot = api.input().first().copied().unwrap_or(0) as usize;
-        let entry = api
-            .state("storm:acc", 4096)
-            .map_err(faasm::fvm::Trap::host)?;
-        let mut buf = [0u8; 8];
-        entry
-            .read(slot * 8, &mut buf)
-            .map_err(faasm::fvm::Trap::host)?;
-        let v = u64::from_le_bytes(buf).wrapping_add(1);
-        entry
-            .write(slot * 8, &v.to_le_bytes())
-            .map_err(faasm::fvm::Trap::host)?;
-        entry.push().map_err(faasm::fvm::Trap::host)?;
-        api.write_output(&v.to_le_bytes());
-        Ok(0)
-    })
-}
+const STORM_CALLS: usize = 256;
 
 fn fmt_ns(ns: u64) -> String {
     format!("{:.1?}", Duration::from_nanos(ns))
@@ -127,7 +108,12 @@ fn main() {
         state_shards: 2,
         ..ClusterConfig::default()
     }));
-    cluster.register_native("storm", "bump", bump_guest(), false);
+    // Read-modify-write one slot of a shared accumulator, then push: every
+    // call does a global-tier state round trip for the trace to capture.
+    let options = UploadOptions::default();
+    cluster
+        .upload_fl("storm", "bump", common::ACCUMULATE, options)
+        .unwrap();
     let gw = Gateway::start(Arc::clone(&cluster), GatewayConfig::default());
     let recorder = Arc::clone(cluster.fabric().recorder());
 

@@ -23,14 +23,15 @@ use std::time::{Duration, Instant};
 
 use faasm::baseline::{BaselineConfig, BaselinePlatform, ContainerApi, ImageConfig};
 use faasm::core::{
-    CallResult, CallStatus, ChainRouter, Cluster, ClusterConfig, InstanceConfig, NativeApi,
-    NativeGuest, UploadOptions,
+    CallResult, CallStatus, ChainRouter, Cluster, ClusterConfig, InstanceConfig, UploadOptions,
 };
 use faasm::gateway::{Gateway, GatewayConfig, GatewayStatus};
 use faasm::net::TrafficSnapshot;
 use faasm::workloads::data::{rcv1_like, synth_images};
 use faasm::workloads::env::ContainerEnv;
 use faasm::workloads::{inference, matmul, sgd};
+
+mod common;
 
 /// One phase's cost. `resident` is the platform's resident container bytes
 /// after the phase, not a delta.
@@ -517,23 +518,13 @@ fn succeeded(r: &CallResult) {
     assert_eq!(r.status, CallStatus::Success, "{:?}", r.status);
 }
 
-const ECHO_FL: &str = r#"
-    extern int input_size();
-    extern int read_call_input(ptr int buf, int len);
-    extern void write_call_output(ptr int buf, int len);
-    int main() {
-        int n = input_size();
-        read_call_input((ptr int) 1024, n);
-        write_call_output((ptr int) 1024, n);
-        return 0;
-    }
-"#;
-
 /// `ingress_null`: a 4-byte echo through an in-process gateway.
 fn faasm_ingress(rows: &mut Vec<(String, Cost, Pin)>) {
     let cluster = Arc::new(faasm_cluster(2, 2));
     let options = UploadOptions::default();
-    cluster.upload_fl("u", "echo", ECHO_FL, options).unwrap();
+    cluster
+        .upload_fl("u", "echo", common::ECHO, options)
+        .unwrap();
     let config = GatewayConfig {
         autoscale: None,
         ..GatewayConfig::default()
@@ -717,19 +708,15 @@ fn faasm_storm(rows: &mut Vec<(String, Cost, Pin)>) {
     });
 }
 
-/// A native parent that chains an FL echo, on two hosts.
+/// A parent that relays an echo's answer, on two hosts.
 fn faasm_chain(rows: &mut Vec<(String, Cost, Pin)>) {
     let cluster = faasm_cluster(2, 2);
     let options = UploadOptions::default();
-    cluster.upload_fl("u", "child", ECHO_FL, options).unwrap();
-    let parent: Arc<dyn NativeGuest> = Arc::new(|api: &mut NativeApi<'_>| {
-        let id = api.chain("child", api.input().to_vec());
-        let code = api.await_call(id);
-        let echoed = api.call_output(id).unwrap_or_default().to_vec();
-        api.write_output(&echoed);
-        Ok(code)
-    });
-    cluster.register_native("u", "parent", parent, false);
+    cluster
+        .upload_fl("u", "child", common::ECHO, options.clone())
+        .unwrap();
+    let parent = common::relay("child");
+    cluster.upload_fl("u", "parent", &parent, options).unwrap();
     let call = || {
         let r = cluster.invoke("u", "parent", vec![5; 4]);
         succeeded(&r);
@@ -771,8 +758,8 @@ const STORM_UPLOAD: Pin = Pin::Exact(cost(0, 0, 0, 0, 0, 0, 0, 0, [0, 0, 0]));
 const STORM_COLD: Pin = Pin::Exact(cost(24, 105_403, 6, 6, 1, 0, 0, 36_864, [1, 0, 0]));
 const STORM_FETCH: Pin = Pin::Exact(cost(4, 103_391, 6, 0, 0, 0, 1, 4_096, [0, 1, 0]));
 const STORM_PRESTAGED: Pin = Pin::Exact(cost(6, 103_885, 6, 0, 0, 0, 1, 4_096, [0, 0, 1]));
-const FAASM_CHAIN_COLD: Pin = Pin::Exact(cost(14, 1_815, 3, 3, 2, 0, 0, 4_096, [2, 0, 0]));
-const FAASM_CHAIN_WARM: Pin = Pin::Exact(cost(2, 264, 0, 0, 0, 2, 0, 4_096, [2, 0, 0]));
+const FAASM_CHAIN_COLD: Pin = Pin::Exact(cost(24, 3_120, 6, 5, 2, 0, 0, 12_288, [2, 0, 0]));
+const FAASM_CHAIN_WARM: Pin = Pin::Exact(cost(2, 264, 0, 0, 0, 2, 0, 12_288, [2, 0, 0]));
 const MATMUL_UPLOAD: Pin = Pin::Exact(cost(0, 0, 0, 3, 0, 0, 0, 0, [0, 0, 0]));
 const MATMUL: Pin = Pin::Placed {
     calls: 81,

@@ -6,39 +6,23 @@ use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use faasm::core::{Cluster, ClusterConfig, InstanceConfig, NativeApi};
+use faasm::core::{Cluster, ClusterConfig, InstanceConfig, UploadOptions};
 use faasm::gateway::{Gateway, GatewayConfig, GatewayRequest, GatewayStatus};
 use faasm::kvs::{KvBackend, LockMode, ShardedKvClient, LOCK_LEASE};
 use faasm::telemetry::{Clock, SpanKind, TraceCtx};
 use faasm::CallStatus;
 
+mod common;
+
 /// `parent` chains `child` (which doubles its input byte) and adds one.
 fn register_chain(cluster: &Cluster, user: &str) {
-    cluster.register_native(
-        user,
-        "child",
-        Arc::new(|api: &mut NativeApi<'_>| {
-            let doubled = api.input()[0] * 2;
-            api.write_output(&[doubled]);
-            Ok(0)
-        }),
-        false,
-    );
-    cluster.register_native(
-        user,
-        "parent",
-        Arc::new(|api: &mut NativeApi<'_>| {
-            let input = api.input().to_vec();
-            let id = api.chain("child", input);
-            if api.await_call(id) != 0 {
-                return Ok(1);
-            }
-            let out = api.call_output(id).expect("child output")[0] + 1;
-            api.write_output(&[out]);
-            Ok(0)
-        }),
-        false,
-    );
+    let options = UploadOptions::default();
+    cluster
+        .upload_fl(user, "child", common::DOUBLE, options.clone())
+        .unwrap();
+    cluster
+        .upload_fl(user, "parent", common::PARENT, options)
+        .unwrap();
 }
 
 #[test]
@@ -180,6 +164,12 @@ fn two_clusters_built_alike_mint_the_same_ids() {
                     ..ClusterConfig::default()
                 });
                 register_chain(&cluster, "u");
+                // Warm, untraced: a cold start's proto publish is traced
+                // state-tier work whose shard threads mint ids of their own.
+                let host = &cluster.instances()[0];
+                for function in ["parent", "child"] {
+                    assert_eq!(host.prewarm("u", function, 1).unwrap(), 1);
+                }
                 barrier.wait();
                 let status = cluster.invoke("u", "parent", vec![3]).status;
                 // Every span of the call is recorded before its result
@@ -211,8 +201,8 @@ fn two_clusters_built_alike_mint_the_same_ids() {
     assert_eq!(left.2, right.2, "the same (kind, span id, parent id) set");
 }
 
-/// Reports, when the function registry that owns it is finally dropped,
-/// whether the dropping thread was unwinding from a panic.
+/// Reports, when the fabric that owns it is finally dropped, whether the
+/// dropping thread was unwinding from a panic.
 struct TornDown(mpsc::Sender<bool>);
 
 impl Drop for TornDown {
@@ -228,9 +218,8 @@ impl Drop for TornDown {
 fn each_cluster_keeps_its_own_time() {
     struct Rig {
         clock: Clock,
+        cluster: Arc<Cluster>,
         gateway: Gateway,
-        /// Held by the cluster's `hold` call until the test lets it go.
-        gate: mpsc::SyncSender<()>,
         rival: ShardedKvClient,
     }
     let rig = || {
@@ -240,17 +229,12 @@ fn each_cluster_keeps_its_own_time() {
             ..ClusterConfig::default()
         };
         let cluster = Arc::new(Cluster::with_clock(config, clock.clone()));
-        let (gate, held) = mpsc::sync_channel::<()>(1);
-        let held = std::sync::Mutex::new(held);
-        cluster.register_native(
-            "u",
-            "hold",
-            Arc::new(move |_: &mut NativeApi<'_>| {
-                let _ = held.lock().unwrap().recv_timeout(Duration::from_secs(10));
-                Ok(0)
-            }),
-            false,
-        );
+        // A `hold` call waits at the gate until the test lets it through:
+        // a ticket, not the clock, which the test moves on its own.
+        let options = UploadOptions::default();
+        cluster
+            .upload_fl("u", "hold", common::GATE, options)
+            .unwrap();
         register_chain(&cluster, "u");
         let gateway = Gateway::start(
             Arc::clone(&cluster),
@@ -268,8 +252,8 @@ fn each_cluster_keeps_its_own_time() {
         assert!(!rival.try_lock("leased", LockMode::Write).unwrap());
         Rig {
             clock,
+            cluster,
             gateway,
-            gate,
             rival,
         }
     };
@@ -277,7 +261,7 @@ fn each_cluster_keeps_its_own_time() {
     // On each, a held call takes the one in-flight slot and a request
     // with a 10 ms deadline queues behind it.
     let queued = [&moved, &still].map(|r| {
-        let held = r.gateway.submit("u", "hold", Vec::new());
+        let held = r.gateway.submit("u", "hold", common::held(1, &[]));
         let t0 = Instant::now();
         while r.gateway.queue_len() > 0 && t0.elapsed() < Duration::from_secs(10) {
             std::thread::yield_now();
@@ -301,7 +285,7 @@ fn each_cluster_keeps_its_own_time() {
     // its queued request runs: by its clock, no deadline has passed.
     assert!(!still.rival.try_lock("leased", LockMode::Write).unwrap());
     for r in [&moved, &still] {
-        r.gate.send(()).unwrap();
+        common::let_through(&r.cluster, 1);
     }
     assert_eq!(still.gateway.wait(queued[1].1).status, GatewayStatus::Ok);
     assert_eq!(moved.gateway.metrics().shed_expired(), 1);
@@ -325,17 +309,15 @@ fn last_cluster_handle_can_be_released_from_a_completion_callback() {
     }));
     let (down_tx, down_rx) = mpsc::channel();
     let torn_down = TornDown(down_tx);
-    cluster.register_native(
-        "u",
-        "echo",
-        Arc::new(move |api: &mut NativeApi<'_>| {
-            let _owned_by_the_registry = &torn_down;
-            let input = api.input().to_vec();
-            api.write_output(&input);
-            Ok(0)
-        }),
-        false,
-    );
+    // A fabric host that takes no messages, there only to own the report:
+    // the fabric goes last, once every instance and NIC of the cluster has.
+    drop(cluster.fabric().add_host_into(move |_| {
+        let _owned_by_the_fabric = &torn_down;
+        Err(faasm::net::NetError::Disconnected)
+    }));
+    cluster
+        .upload_fl("u", "echo", common::ECHO, UploadOptions::default())
+        .unwrap();
     let gateway = Gateway::start(
         Arc::clone(&cluster),
         GatewayConfig {

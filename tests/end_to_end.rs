@@ -9,17 +9,9 @@ use faasm::gateway::{Gateway, GatewayConfig, GatewayStatus};
 use faasm::workloads::data::{rcv1_like, synth_images};
 use faasm::workloads::{inference, matmul, sgd};
 
-const ECHO: &str = r#"
-    extern int input_size();
-    extern int read_call_input(ptr int buf, int len);
-    extern void write_call_output(ptr int buf, int len);
-    int main() {
-        int n = input_size();
-        read_call_input((ptr int) 1024, n);
-        write_call_output((ptr int) 1024, n);
-        return 0;
-    }
-"#;
+mod common;
+
+use common::ECHO;
 
 #[test]
 fn fl_pipeline_compiles_uploads_and_executes() {
@@ -460,25 +452,37 @@ fn call_on(inst: &Arc<faasm::core::FaasmInstance>) -> (i32, i32) {
 
 #[test]
 fn a_reupload_replaces_code_and_snapshot_on_the_warm_host_and_after_evict() {
-    let cluster = Cluster::new(1);
-    let host = &cluster.instances()[0];
-    upload_versioned(&cluster, 1, 10, 0);
-    for _ in 0..2 {
-        assert_eq!(answer(&cluster.invoke("it", "f", Vec::new())), (1, 10));
-    }
-    upload_versioned(&cluster, 2, 20, 0);
-    // Warm host: v1's idle Faaslet must not serve another call.
-    for _ in 0..4 {
+    // A Faaslet kept warm without a reset between calls is replaced too.
+    for reset_after_call in [true, false] {
+        let cluster = Cluster::new(1);
+        let host = &cluster.instances()[0];
+        let upload = |state, code| {
+            let options = UploadOptions {
+                init: Some("init".into()),
+                reset_after_call,
+                ..UploadOptions::default()
+            };
+            let src = versioned(state, code, 0);
+            cluster.upload_fl("it", "f", &src, options).unwrap();
+        };
+        upload(1, 10);
+        for _ in 0..2 {
+            assert_eq!(answer(&cluster.invoke("it", "f", Vec::new())), (1, 10));
+        }
+        upload(2, 20);
+        // Warm host: v1's idle Faaslet must not serve another call.
+        for _ in 0..4 {
+            assert_eq!(answer(&cluster.invoke("it", "f", Vec::new())), (2, 20));
+        }
+        // After evict the next start builds from what the host kept: that
+        // must be v2's snapshot (v2's `init` ran), not v1's under v2's code.
+        host.evict("it", "f");
         assert_eq!(answer(&cluster.invoke("it", "f", Vec::new())), (2, 20));
+        let m = host.metrics();
+        assert_eq!(m.cold_starts(), 2, "one capture per upload");
+        assert_eq!(m.proto_restores(), 1, "the start after evict restored");
+        assert_eq!(host.idle_warmth("it", "f"), Some(1));
     }
-    // After evict the next start builds from what the host kept: that must
-    // be v2's snapshot (v2's `init` ran), not v1's under v2's code.
-    host.evict("it", "f");
-    assert_eq!(answer(&cluster.invoke("it", "f", Vec::new())), (2, 20));
-    let m = host.metrics();
-    assert_eq!(m.cold_starts(), 2, "one capture per upload");
-    assert_eq!(m.proto_restores(), 1, "the start after evict restored");
-    assert_eq!(host.idle_warmth("it", "f"), Some(1));
 }
 
 #[test]
@@ -623,25 +627,6 @@ fn dropping_a_stale_record_releases_its_faaslets() {
 }
 
 #[test]
-fn reregistering_a_native_guest_replaces_the_warm_one() {
-    use faasm::core::{NativeApi, NativeGuest};
-
-    let cluster = Cluster::new(1);
-    for reset_after_call in [false, true] {
-        for version in [b"one", b"two"] {
-            let guest: Arc<dyn NativeGuest> = Arc::new(move |api: &mut NativeApi<'_>| {
-                api.write_output(version);
-                Ok(0)
-            });
-            cluster.register_native("it", "n", guest, reset_after_call);
-            for _ in 0..2 {
-                assert_eq!(cluster.invoke("it", "n", Vec::new()).output, version);
-            }
-        }
-    }
-}
-
-#[test]
 fn kvs_flush_failure_injection_recovers() {
     // Flushing the global tier mid-run loses state values (as a KVS node
     // wipe would); functions re-create them and keep working.
@@ -695,7 +680,7 @@ fn metrics_align_with_traffic_accounting() {
 
 #[test]
 fn telemetry_totals_equal_the_sum_of_the_typed_per_instance_snapshots() {
-    use faasm::core::{ChainRouter, MetricsSnapshot, NativeApi, SnapStatsSnapshot};
+    use faasm::core::{ChainRouter, MetricsSnapshot, SnapStatsSnapshot};
     use faasm::kvs::{CacheStats, ShardStats};
 
     let cluster = Cluster::with_config(ClusterConfig {
@@ -723,19 +708,21 @@ fn telemetry_totals_equal_the_sum_of_the_typed_per_instance_snapshots() {
     let id = b.submit_placed("it", "echo", vec![9]);
     assert_eq!(b.await_call(id).status, CallStatus::Success);
     cluster.kv().set("it:model", vec![7u8; 512]).unwrap();
-    cluster.register_native(
-        "it",
-        "read",
-        Arc::new(|api: &mut NativeApi<'_>| {
-            let entry = api.state("it:model", 512).map_err(faasm::fvm::Trap::host)?;
-            for _ in 0..2 {
-                entry.invalidate();
-                entry.pull().map_err(faasm::fvm::Trap::host)?;
-            }
-            Ok(0)
-        }),
-        false,
-    );
+    const READ_TWICE: &str = r#"
+        extern void pull_state(ptr int key, int key_len, int size);
+        int main() {
+            ptr int key = (ptr int) 64;
+            key[0] = 1832547433; // "it:m"
+            key[1] = 1818584175; // "odel"
+            pull_state(key, 8, 512);
+            pull_state(key, 8, 512);
+            return 0;
+        }
+    "#;
+    let options = UploadOptions::default();
+    cluster
+        .upload_fl("it", "read", READ_TWICE, options)
+        .unwrap();
     assert_eq!(cluster.invoke("it", "read", Vec::new()).return_code(), 0);
 
     // Nothing is in flight: the typed snapshots and the one-call snapshot

@@ -7,8 +7,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use faasm::core::{Cluster, ClusterConfig, NativeApi, NativeGuest};
+use faasm::core::{Cluster, ClusterConfig, UploadOptions};
 use faasm::kvs::{KvBackend, LockMode, ShardedKvClient, SharedKv};
+
+mod common;
 
 /// Keys the chained counter workload increments.
 const COUNTER_KEYS: usize = 8;
@@ -27,34 +29,6 @@ fn wait_for(counter: &AtomicU64, target: u64, what: &str) {
     }
 }
 
-/// The canonical stateful guest: increment a cross-host counter under the
-/// global write lock. Every failover failure mode surfaces here — a lost
-/// value, a lost lock owner, a stale read off a promoted backup.
-fn bump_guest() -> Arc<dyn NativeGuest> {
-    Arc::new(|api: &mut NativeApi<'_>| {
-        let idx = u32::from_le_bytes(api.input()[..4].try_into().expect("4-byte input"));
-        let key = format!("chain:{idx}");
-        let entry = api.state(&key, 8).map_err(faasm_fvm::Trap::host)?;
-        let state = Arc::clone(api.state_manager());
-        state
-            .lock_global(&key, LockMode::Write)
-            .map_err(faasm_fvm::Trap::host)?;
-        entry.invalidate();
-        let mut buf = [0u8; 8];
-        entry.read(0, &mut buf).map_err(faasm_fvm::Trap::host)?;
-        let v = u64::from_le_bytes(buf) + 1;
-        entry
-            .write(0, &v.to_le_bytes())
-            .map_err(faasm_fvm::Trap::host)?;
-        entry.push_full().map_err(faasm_fvm::Trap::host)?;
-        state
-            .unlock_global(&key, LockMode::Write)
-            .map_err(faasm_fvm::Trap::host)?;
-        api.write_output(&v.to_le_bytes());
-        Ok(0)
-    })
-}
-
 /// Kill a primary shard while driver writes and chained lock-protected
 /// increments are in flight at replication factor 2. The liveness monitor
 /// must detect the dead slot and drive the failover epoch on its own; the
@@ -67,7 +41,13 @@ fn killing_a_primary_mid_write_storm_loses_no_acked_writes() {
         replication_factor: 2,
         ..ClusterConfig::default()
     }));
-    cluster.register_native("ha", "bump", bump_guest(), false);
+    // The canonical stateful guest: increment a cross-host counter under
+    // the global write lock. Every failover failure mode surfaces here — a
+    // lost value, a lost lock owner, a stale read off a promoted backup.
+    let options = UploadOptions::default();
+    cluster
+        .upload_fl("ha", "bump", common::BUMP, options)
+        .unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -104,7 +84,7 @@ fn killing_a_primary_mid_write_storm_loses_no_acked_writes() {
                 while !stop.load(Ordering::Relaxed) {
                     let idx = (turn * 2 + worker) % COUNTER_KEYS as u32;
                     turn += 1;
-                    let r = cluster.invoke("ha", "bump", idx.to_le_bytes().to_vec());
+                    let r = cluster.invoke("ha", "bump", format!("chain:{idx}").into_bytes());
                     assert_eq!(
                         r.return_code(),
                         0,

@@ -2,76 +2,19 @@
 //! gateway must be fair, shed explicitly, and agree with direct
 //! `Cluster::invoke` results.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use faasm::core::{Cluster, ClusterConfig, NativeApi, NativeGuest};
+use faasm::core::{Cluster, ClusterConfig};
 use faasm::gateway::codec::{self, GatewayRequest};
 use faasm::gateway::{
     AutoscaleConfig, Gateway, GatewayConfig, GatewayStatus, TenantPolicy, TARGET_DISPATCH_LATENCY,
 };
 use faasm::telemetry::Clock;
 
-const ECHO: &str = r#"
-    extern int input_size();
-    extern int read_call_input(ptr int buf, int len);
-    extern void write_call_output(ptr int buf, int len);
-    int main() {
-        int n = input_size();
-        read_call_input((ptr int) 1024, n);
-        write_call_output((ptr int) 1024, n);
-        return 0;
-    }
-"#;
+mod common;
 
-/// Where `slow` calls wait until the test lets them through, so the test,
-/// not a sleep, decides how long they stay in flight: `release(n)` lets
-/// `n` more calls pass and `open` lets every call pass. A call gives up
-/// waiting after 10 s, so a failing test cannot hang.
-#[derive(Default)]
-struct Gate {
-    state: Mutex<GateState>,
-    changed: Condvar,
-}
-
-#[derive(Default)]
-struct GateState {
-    open: bool,
-    permits: usize,
-}
-
-impl Gate {
-    fn open(&self) {
-        self.state.lock().unwrap().open = true;
-        self.changed.notify_all();
-    }
-
-    fn release(&self, n: usize) {
-        self.state.lock().unwrap().permits += n;
-        self.changed.notify_all();
-    }
-
-    fn pass(&self) {
-        let state = self.state.lock().unwrap();
-        let closed = |s: &mut GateState| !s.open && s.permits == 0;
-        let (mut state, _) = self
-            .changed
-            .wait_timeout_while(state, Duration::from_secs(10), closed)
-            .unwrap();
-        state.permits = state.permits.saturating_sub(1);
-    }
-}
-
-/// A guest that waits at `gate`, then echoes its input.
-fn slow_guest(gate: &Arc<Gate>) -> Arc<dyn NativeGuest> {
-    let gate = Arc::clone(gate);
-    Arc::new(move |api: &mut NativeApi<'_>| {
-        gate.pass();
-        let input = api.input().to_vec();
-        api.write_output(&input);
-        Ok(0)
-    })
-}
+use common::ECHO;
 
 /// Spin until `done` holds or 10 s of real time pass; returns `done()`.
 fn eventually(mut done: impl FnMut() -> bool) -> bool {
@@ -86,36 +29,38 @@ fn eventually(mut done: impl FnMut() -> bool) -> bool {
 }
 
 /// A cluster of `hosts` where alice and bob each have `echo` and a `slow`
-/// echo held at the returned gate.
-fn cluster_with_tenants(hosts: usize) -> (Arc<Cluster>, Arc<Gate>) {
+/// echo held at the gate (`common::GATE`).
+fn cluster_with_tenants(hosts: usize) -> Arc<Cluster> {
     tenants_on(Cluster::new(hosts))
 }
 
-fn tenants_on(cluster: Cluster) -> (Arc<Cluster>, Arc<Gate>) {
-    let (cluster, gate) = (Arc::new(cluster), Arc::new(Gate::default()));
+fn tenants_on(cluster: Cluster) -> Arc<Cluster> {
+    let cluster = Arc::new(cluster);
     for tenant in ["alice", "bob"] {
         cluster
             .upload_fl(tenant, "echo", ECHO, Default::default())
             .unwrap();
-        cluster.register_native(tenant, "slow", slow_guest(&gate), false);
+        cluster
+            .upload_fl(tenant, "slow", common::GATE, Default::default())
+            .unwrap();
     }
-    (cluster, gate)
+    cluster
 }
 
 /// A one-host cluster on a manual clock, with alice's and bob's functions.
-fn one_host_on_manual_clock() -> (Arc<Cluster>, Arc<Gate>, Clock) {
+fn one_host_on_manual_clock() -> (Arc<Cluster>, Clock) {
     let clock = Clock::manual();
     let config = ClusterConfig {
         hosts: 1,
         ..ClusterConfig::default()
     };
-    let (cluster, gate) = tenants_on(Cluster::with_clock(config, clock.clone()));
-    (cluster, gate, clock)
+    let cluster = tenants_on(Cluster::with_clock(config, clock.clone()));
+    (cluster, clock)
 }
 
 #[test]
 fn gateway_results_match_direct_invoke() {
-    let (cluster, _gate) = cluster_with_tenants(2);
+    let cluster = cluster_with_tenants(2);
     let gateway = Gateway::start(Arc::clone(&cluster), GatewayConfig::default());
     for i in 0..10u8 {
         let input = vec![i, i + 1, i + 2];
@@ -162,8 +107,8 @@ fn both_doors_place_on_the_same_hosts() {
     // Twin clusters, identical warm pools, depths and boards: the cluster
     // door and the gateway share one chooser, so call for call they must
     // pick the same host and return the same result.
-    let (direct, _gate) = cluster_with_tenants(3);
-    let (fronted, _gate) = cluster_with_tenants(3);
+    let direct = cluster_with_tenants(3);
+    let fronted = cluster_with_tenants(3);
     let gateway = Gateway::start(
         Arc::clone(&fronted),
         GatewayConfig {
@@ -209,7 +154,7 @@ fn both_doors_place_on_the_same_hosts() {
 
 #[test]
 fn wire_frames_roundtrip_through_the_gateway() {
-    let (cluster, _gate) = cluster_with_tenants(1);
+    let cluster = cluster_with_tenants(1);
     let gateway = Gateway::start(Arc::clone(&cluster), GatewayConfig::default());
     let req = GatewayRequest {
         seq: 777,
@@ -236,7 +181,7 @@ fn wire_frames_roundtrip_through_the_gateway() {
 
 #[test]
 fn overload_is_shed_with_explicit_status_not_a_hang() {
-    let (cluster, gate) = cluster_with_tenants(1);
+    let cluster = cluster_with_tenants(1);
     let gateway = Gateway::start(
         Arc::clone(&cluster),
         GatewayConfig {
@@ -255,9 +200,9 @@ fn overload_is_shed_with_explicit_status_not_a_hang() {
         },
     );
     let tickets: Vec<u64> = (0..64)
-        .map(|i| gateway.submit("alice", "slow", vec![i]))
+        .map(|i| gateway.submit("alice", "slow", common::held(1, &[i])))
         .collect();
-    gate.open();
+    common::let_through(&cluster, i64::MAX);
     let responses: Vec<_> = tickets.into_iter().map(|t| gateway.wait(t)).collect();
     let shed = responses
         .iter()
@@ -275,7 +220,7 @@ fn overload_is_shed_with_explicit_status_not_a_hang() {
 
 #[test]
 fn rate_limited_tenants_shed_with_overloaded() {
-    let (cluster, _gate) = cluster_with_tenants(1);
+    let cluster = cluster_with_tenants(1);
     let gateway = Gateway::start(Arc::clone(&cluster), GatewayConfig::default());
     // 1 request/second with a burst of 2: the third immediate request in
     // the burst must bounce off the token bucket.
@@ -302,7 +247,7 @@ fn rate_limited_tenants_shed_with_overloaded() {
 
 #[test]
 fn queued_past_deadline_is_shed_with_expired() {
-    let (cluster, gate, clock) = one_host_on_manual_clock();
+    let (cluster, clock) = one_host_on_manual_clock();
     let gateway = Gateway::start(
         Arc::clone(&cluster),
         GatewayConfig {
@@ -315,7 +260,7 @@ fn queued_past_deadline_is_shed_with_expired() {
     // Occupy the single dispatcher with held work, then enqueue requests
     // whose deadline passes while they sit behind it.
     let busy: Vec<u64> = (0..8)
-        .map(|i| gateway.submit("alice", "slow", vec![i]))
+        .map(|i| gateway.submit("alice", "slow", common::held(1, &[i])))
         .collect();
     let doomed: Vec<u64> = (0..4)
         .map(|i| gateway.submit_with_deadline("bob", "echo", vec![i], Duration::from_millis(1)))
@@ -328,7 +273,7 @@ fn queued_past_deadline_is_shed_with_expired() {
         .count();
     assert!(expired > 0, "1 ms deadlines behind held work must expire");
     assert_eq!(gateway.metrics().shed_expired(), expired as u64);
-    gate.open();
+    common::let_through(&cluster, i64::MAX);
     for t in busy {
         assert_eq!(gateway.wait(t).status, GatewayStatus::Ok);
     }
@@ -341,7 +286,7 @@ fn queued_past_deadline_is_shed_with_expired() {
 /// `await_call`), and certainly not at `WAIT_TIMEOUT`.
 #[test]
 fn expired_shed_is_prompt_while_dispatchers_are_saturated() {
-    let (cluster, gate, clock) = one_host_on_manual_clock();
+    let (cluster, clock) = one_host_on_manual_clock();
     let gateway = Gateway::start(
         Arc::clone(&cluster),
         GatewayConfig {
@@ -353,7 +298,7 @@ fn expired_shed_is_prompt_while_dispatchers_are_saturated() {
     );
     // Pin all four in-flight slots (and more) with held calls.
     let busy: Vec<u64> = (0..8)
-        .map(|i| gateway.submit("alice", "slow", vec![i]))
+        .map(|i| gateway.submit("alice", "slow", common::held(1, &[i])))
         .collect();
     assert!(
         eventually(|| gateway.queue_len() == 4),
@@ -381,7 +326,7 @@ fn expired_shed_is_prompt_while_dispatchers_are_saturated() {
     );
     assert_eq!(gateway.metrics().shed_expired(), 4);
     // The held work still completes correctly behind the sheds.
-    gate.open();
+    common::let_through(&cluster, i64::MAX);
     for t in busy {
         assert_eq!(gateway.wait(t).status, GatewayStatus::Ok);
     }
@@ -395,7 +340,7 @@ fn expired_shed_is_prompt_while_dispatchers_are_saturated() {
 /// sojourn and every adjustment tick is the test's to make.
 #[test]
 fn standing_dispatch_delay_shrinks_admission_caps_then_recovers() {
-    let (cluster, gate, clock) = one_host_on_manual_clock();
+    let (cluster, clock) = one_host_on_manual_clock();
     let gateway = Gateway::start(
         Arc::clone(&cluster),
         GatewayConfig {
@@ -407,14 +352,14 @@ fn standing_dispatch_delay_shrinks_admission_caps_then_recovers() {
     );
     assert_eq!(gateway.admission_cap_scale(), 1.0, "caps start unscaled");
     // Four held calls take every in-flight slot; four more queue.
-    let mut tickets: Vec<u64> = (0..8)
-        .map(|_| gateway.submit("alice", "slow", Vec::new()))
+    let mut tickets: Vec<u64> = (1..=8)
+        .map(|ticket| gateway.submit("alice", "slow", common::held(ticket, &[])))
         .collect();
     assert!(eventually(|| gateway.queue_len() == 4), "a batch in flight");
     // The queued jobs stand past the sojourn target; one released call
     // lets one of them dispatch, and its sojourn feeds the EWMA.
     clock.advance(TARGET_DISPATCH_LATENCY * 2);
-    gate.release(1);
+    common::let_through(&cluster, 1);
     assert!(
         eventually(|| gateway.queue_len() == 3),
         "a queued job dispatched"
@@ -430,7 +375,8 @@ fn standing_dispatch_delay_shrinks_admission_caps_then_recovers() {
         );
     }
     // A flood the configured cap of 256 would queue whole.
-    tickets.extend((0..100).map(|_| gateway.submit("alice", "slow", Vec::new())));
+    tickets
+        .extend((9..109).map(|ticket| gateway.submit("alice", "slow", common::held(ticket, &[]))));
     let scale_under_load = gateway.admission_cap_scale();
     let queued_under_load = gateway.queue_len();
     let sheds = gateway.metrics().shed_overloaded();
@@ -454,7 +400,7 @@ fn standing_dispatch_delay_shrinks_admission_caps_then_recovers() {
 
     // Drain, then the loop grows the caps back (the drained gateway decays
     // the EWMA below target/2 even with no fresh completions).
-    gate.open();
+    common::let_through(&cluster, i64::MAX);
     for t in tickets {
         let r = gateway.wait(t);
         assert!(
@@ -481,7 +427,7 @@ fn standing_dispatch_delay_shrinks_admission_caps_then_recovers() {
 /// drain the rate budget.
 #[test]
 fn queue_full_shed_refunds_the_rate_limit_token() {
-    let (cluster, _gate) = cluster_with_tenants(1);
+    let cluster = cluster_with_tenants(1);
     let gateway = Gateway::start(Arc::clone(&cluster), GatewayConfig::default());
     // Rate 1/s with burst 2, and a queue that admits nothing: every submit
     // passes the bucket (thanks to refunds) and sheds at the queue.
@@ -512,7 +458,7 @@ fn queue_full_shed_refunds_the_rate_limit_token() {
 
 #[test]
 fn no_tenant_starves_under_weighted_fair_share() {
-    let (cluster, gate) = cluster_with_tenants(2);
+    let cluster = cluster_with_tenants(2);
     let gateway = Gateway::start(
         Arc::clone(&cluster),
         GatewayConfig {
@@ -530,16 +476,17 @@ fn no_tenant_starves_under_weighted_fair_share() {
         },
     );
     // Alice floods the single dispatcher with held work...
-    let flood: Vec<u64> = (0..80)
-        .map(|i| gateway.submit("alice", "slow", vec![i]))
+    let flood: Vec<u64> = (1..=80)
+        .map(|i| gateway.submit("alice", "slow", common::held(i, &[i as u8])))
         .collect();
     // ...then Bob shows up with a handful of requests. Sixteen calls may
-    // finish: the four in flight and twelve drained after them, at least
-    // half of which fair share owes Bob.
-    let modest: Vec<u64> = (0..4)
-        .map(|i| gateway.submit("bob", "slow", vec![i]))
+    // finish: Bob's four and Alice's first twelve, the four in flight and
+    // eight drained after them. Bob is served only if fair share dispatches
+    // his calls before Alice's next four pin every in-flight slot.
+    let modest: Vec<u64> = (1..=4)
+        .map(|i| gateway.submit("bob", "slow", common::held(i, &[i as u8])))
         .collect();
-    gate.release(16);
+    common::let_through(&cluster, 12);
     for t in modest {
         let r = gateway.wait(t);
         assert_eq!(
@@ -554,7 +501,7 @@ fn no_tenant_starves_under_weighted_fair_share() {
         gateway.queue_len() > 0,
         "alice's backlog should still be draining when bob completes"
     );
-    gate.open();
+    common::let_through(&cluster, i64::MAX);
     for t in flood {
         assert_eq!(gateway.wait(t).status, GatewayStatus::Ok);
     }
@@ -566,7 +513,7 @@ fn no_tenant_starves_under_weighted_fair_share() {
 
 #[test]
 fn autoscaler_prewarms_under_backlog_and_retires_when_idle() {
-    let (cluster, gate) = cluster_with_tenants(2);
+    let cluster = cluster_with_tenants(2);
     let gateway = Gateway::start(
         Arc::clone(&cluster),
         GatewayConfig {
@@ -590,12 +537,12 @@ fn autoscaler_prewarms_under_backlog_and_retires_when_idle() {
     // Prime one proto so prewarm can restore, then flood.
     assert!(gateway.call("alice", "echo", vec![0]).is_ok());
     let tickets: Vec<u64> = (0..120)
-        .map(|i| gateway.submit("alice", "slow", vec![i]))
+        .map(|i| gateway.submit("alice", "slow", common::held(1, &[i])))
         .collect();
     // The backlog stands until the autoscaler has reacted to it.
     let m = gateway.metrics();
     eventually(|| m.prewarmed() > 0);
-    gate.open();
+    common::let_through(&cluster, i64::MAX);
     for t in tickets {
         assert_eq!(gateway.wait(t).status, GatewayStatus::Ok);
     }

@@ -2,10 +2,10 @@
 //! through `GatewayServer`, with per-connection isolation of protocol
 //! violations.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use faasm::core::{Cluster, ClusterConfig, NativeApi, NativeGuest};
+use faasm::core::{Cluster, ClusterConfig};
 use faasm::gateway::codec::{self, FrameBuf, MAX_FRAME};
 use faasm::gateway::{
     ClientError, Gateway, GatewayClient, GatewayClientConfig, GatewayConfig, GatewayServer,
@@ -15,65 +15,24 @@ use faasm::net::stream::{decode_stream_msg, StreamConn, StreamKind};
 use faasm::net::Nic;
 use faasm::telemetry::Clock;
 
-const ECHO: &str = r#"
-    extern int input_size();
-    extern int read_call_input(ptr int buf, int len);
-    extern void write_call_output(ptr int buf, int len);
-    int main() {
-        int n = input_size();
-        read_call_input((ptr int) 1024, n);
-        write_call_output((ptr int) 1024, n);
-        return 0;
-    }
-"#;
+mod common;
 
-/// Where `slow` calls wait until the test opens it, so the test, not a
-/// sleep, decides how long they stay in flight. A call gives up waiting
-/// after 10 s, so a failing test cannot hang.
-#[derive(Default)]
-struct Gate {
-    open: Mutex<bool>,
-    opened: Condvar,
-}
-
-impl Gate {
-    fn open(&self) {
-        *self.open.lock().unwrap() = true;
-        self.opened.notify_all();
-    }
-
-    fn pass(&self) {
-        let open = self.open.lock().unwrap();
-        let _ = self
-            .opened
-            .wait_timeout_while(open, Duration::from_secs(10), |open| !*open);
-    }
-}
-
-/// A guest that waits at `gate`, then echoes its input.
-fn slow_guest(gate: &Arc<Gate>) -> Arc<dyn NativeGuest> {
-    let gate = Arc::clone(gate);
-    Arc::new(move |api: &mut NativeApi<'_>| {
-        gate.pass();
-        let input = api.input().to_vec();
-        api.write_output(&input);
-        Ok(0)
-    })
-}
+use common::ECHO;
 
 /// Cluster + in-process gateway + a `GatewayServer` on its own fabric
-/// host, and the gate `alice/slow` calls wait at.
-fn remote_rig(hosts: usize) -> (Arc<Cluster>, Arc<Gateway>, GatewayServer, Arc<Gate>) {
+/// host. `alice/slow` calls wait at the gate (`common::GATE`).
+fn remote_rig(hosts: usize) -> (Arc<Cluster>, Arc<Gateway>, GatewayServer) {
     rig_on(Cluster::new(hosts))
 }
 
-fn rig_on(cluster: Cluster) -> (Arc<Cluster>, Arc<Gateway>, GatewayServer, Arc<Gate>) {
+fn rig_on(cluster: Cluster) -> (Arc<Cluster>, Arc<Gateway>, GatewayServer) {
     let cluster = Arc::new(cluster);
-    let gate = Arc::new(Gate::default());
     cluster
         .upload_fl("alice", "echo", ECHO, Default::default())
         .unwrap();
-    cluster.register_native("alice", "slow", slow_guest(&gate), false);
+    cluster
+        .upload_fl("alice", "slow", common::GATE, Default::default())
+        .unwrap();
     cluster
         .upload_fl(
             "bob",
@@ -87,7 +46,7 @@ fn rig_on(cluster: Cluster) -> (Arc<Cluster>, Arc<Gateway>, GatewayServer, Arc<G
         GatewayConfig::default(),
     ));
     let server = GatewayServer::start(Arc::clone(&gateway), cluster.add_fabric_host());
-    (cluster, gateway, server, gate)
+    (cluster, gateway, server)
 }
 
 fn connect(cluster: &Cluster, server: &GatewayServer, mtu: usize) -> GatewayClient {
@@ -129,7 +88,7 @@ fn collect_until_close(nic: &Nic, conn: u64) -> Vec<Vec<u8>> {
 
 #[test]
 fn remote_client_matches_in_process_gateway() {
-    let (cluster, gateway, server, _gate) = remote_rig(2);
+    let (cluster, gateway, server) = remote_rig(2);
     // A deliberately tiny MTU: every frame crosses fragmented.
     let client = connect(&cluster, &server, 7);
     for i in 0..10u8 {
@@ -156,7 +115,7 @@ fn remote_client_matches_in_process_gateway() {
 
 #[test]
 fn async_submit_then_wait_correlates_tickets() {
-    let (cluster, _gateway, server, _gate) = remote_rig(2);
+    let (cluster, _gateway, server) = remote_rig(2);
     let client = connect(&cluster, &server, 64);
     // Fire a burst without waiting: tickets return immediately.
     let tickets: Vec<(u64, Vec<u8>)> = (0..32u8)
@@ -176,17 +135,17 @@ fn async_submit_then_wait_correlates_tickets() {
 
 #[test]
 fn two_clients_multiplex_independently() {
-    let (cluster, _gateway, server, gate) = remote_rig(2);
+    let (cluster, _gateway, server) = remote_rig(2);
     let a = connect(&cluster, &server, 31);
     let b = connect(&cluster, &server, 1400);
     let ta: Vec<u64> = (0..8u8)
-        .map(|i| a.submit("alice", "slow", vec![i]).unwrap())
+        .map(|i| a.submit("alice", "slow", common::held(1, &[i])).unwrap())
         .collect();
     let tb: Vec<u64> = (0..8u8)
         .map(|i| b.submit("alice", "echo", vec![100 + i]).unwrap())
         .collect();
     // A's calls were in flight while B submitted; now let them finish.
-    gate.open();
+    common::let_through(&cluster, 1);
     for (i, t) in tb.into_iter().enumerate() {
         let r = b.wait(t);
         assert_eq!(r.status, GatewayStatus::Ok);
@@ -247,7 +206,7 @@ fn abandoned_tickets_are_swept() {
         hosts: 2,
         ..ClusterConfig::default()
     };
-    let (cluster, gateway, server, _gate) = rig_on(Cluster::with_clock(config, clock.clone()));
+    let (cluster, gateway, server) = rig_on(Cluster::with_clock(config, clock.clone()));
     let client = connect(&cluster, &server, 1400);
     // Fire-and-forget: 300 submits nobody ever waits on (above the sweep
     // threshold of 256).
@@ -282,11 +241,11 @@ fn abandoned_tickets_are_swept() {
 
 #[test]
 fn malformed_frame_drops_only_the_offending_connection() {
-    let (cluster, _gateway, server, gate) = remote_rig(2);
+    let (cluster, _gateway, server) = remote_rig(2);
     let good = connect(&cluster, &server, 1400);
     // Put real work in flight on the good connection...
     let tickets: Vec<u64> = (0..8u8)
-        .map(|i| good.submit("alice", "slow", vec![i]).unwrap())
+        .map(|i| good.submit("alice", "slow", common::held(1, &[i])).unwrap())
         .collect();
     // ...then poison a second connection with a well-framed non-request.
     let hostile_nic = cluster.add_fabric_host();
@@ -302,7 +261,7 @@ fn malformed_frame_drops_only_the_offending_connection() {
     assert!(matches!(resp.status, GatewayStatus::Error(_)));
     assert_eq!(server.connections_dropped(), 1);
     // The good connection's in-flight calls are untouched.
-    gate.open();
+    common::let_through(&cluster, 1);
     for (i, t) in tickets.into_iter().enumerate() {
         let r = good.wait(t);
         assert_eq!(r.status, GatewayStatus::Ok, "in-flight call {i} disturbed");
@@ -316,10 +275,10 @@ fn malformed_frame_drops_only_the_offending_connection() {
 
 #[test]
 fn oversized_frame_drops_only_the_offending_connection() {
-    let (cluster, _gateway, server, gate) = remote_rig(1);
+    let (cluster, _gateway, server) = remote_rig(1);
     let good = connect(&cluster, &server, 1400);
     let tickets: Vec<u64> = (0..4u8)
-        .map(|i| good.submit("alice", "slow", vec![i]).unwrap())
+        .map(|i| good.submit("alice", "slow", common::held(1, &[i])).unwrap())
         .collect();
     // A hostile length prefix: claims u32::MAX bytes follow.
     let hostile_nic = cluster.add_fabric_host();
@@ -333,7 +292,7 @@ fn oversized_frame_drops_only_the_offending_connection() {
         "an oversized prefix is cut without a response"
     );
     assert_eq!(server.connections_dropped(), 1);
-    gate.open();
+    common::let_through(&cluster, 1);
     for t in tickets {
         assert_eq!(good.wait(t).status, GatewayStatus::Ok);
     }
@@ -381,7 +340,7 @@ fn pending_bytes_cap_drops_slow_drip_connections() {
 
 #[test]
 fn oversized_request_fails_fast_at_the_client() {
-    let (cluster, _gateway, server, _gate) = remote_rig(1);
+    let (cluster, _gateway, server) = remote_rig(1);
     let client = connect(&cluster, &server, 1400);
     let sent_before = client.nic().stats().bytes_sent();
     let err = client
@@ -397,9 +356,11 @@ fn oversized_request_fails_fast_at_the_client() {
 
 #[test]
 fn client_shutdown_resolves_outstanding_waits() {
-    let (cluster, _gateway, server, gate) = remote_rig(1);
+    let (cluster, _gateway, server) = remote_rig(1);
     let client = connect(&cluster, &server, 1400);
-    let t = client.submit("alice", "slow", vec![1]).unwrap();
+    let t = client
+        .submit("alice", "slow", common::held(1, &[1]))
+        .unwrap();
     client.shutdown();
     let r = client.wait(t);
     // The call is held at the gate, so no response can race in before
@@ -413,5 +374,5 @@ fn client_shutdown_resolves_outstanding_waits() {
         client.submit("alice", "echo", vec![2]).unwrap_err(),
         ClientError::Closed(_)
     ));
-    gate.open();
+    common::let_through(&cluster, 1);
 }

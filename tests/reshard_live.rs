@@ -7,13 +7,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use faasm::core::{Cluster, ClusterConfig, NativeApi, NativeGuest};
-use faasm::kvs::{
-    reshard, KvBackend, KvClient, KvServer, LockMode, RoutingTable, ShardedKvClient, SharedKv,
-};
+use faasm::core::{Cluster, ClusterConfig, UploadOptions};
+use faasm::kvs::{reshard, KvBackend, KvClient, KvServer, RoutingTable, ShardedKvClient, SharedKv};
 use faasm::mem::SharedRegion;
 use faasm::net::Fabric;
 use faasm::state::StateEntry;
+
+mod common;
 
 /// Keys the chained counter workload increments.
 const COUNTER_KEYS: usize = 8;
@@ -32,51 +32,6 @@ fn wait_for(counter: &AtomicU64, target: u64, what: &str) {
     }
 }
 
-/// A guest incrementing a cross-host counter under the global write lock:
-/// the canonical stateful function, sensitive to every reshard failure
-/// mode (lost values, lost lock owners, wrong-shard reads, stale pulls).
-fn bump_guest() -> Arc<dyn NativeGuest> {
-    Arc::new(|api: &mut NativeApi<'_>| {
-        let idx = u32::from_le_bytes(api.input()[..4].try_into().expect("4-byte input"));
-        let key = format!("chain:{idx}");
-        let entry = api.state(&key, 8).map_err(faasm_fvm::Trap::host)?;
-        let state = Arc::clone(api.state_manager());
-        state
-            .lock_global(&key, LockMode::Write)
-            .map_err(faasm_fvm::Trap::host)?;
-        // Authoritative read under the lock: drop the local replica first.
-        entry.invalidate();
-        let mut buf = [0u8; 8];
-        entry.read(0, &mut buf).map_err(faasm_fvm::Trap::host)?;
-        let v = u64::from_le_bytes(buf) + 1;
-        entry
-            .write(0, &v.to_le_bytes())
-            .map_err(faasm_fvm::Trap::host)?;
-        entry.push_full().map_err(faasm_fvm::Trap::host)?;
-        state
-            .unlock_global(&key, LockMode::Write)
-            .map_err(faasm_fvm::Trap::host)?;
-        api.write_output(&v.to_le_bytes());
-        Ok(0)
-    })
-}
-
-/// A guest that chains to `bump` and relays its output — the workload's
-/// calls cross the fabric, the scheduler and the state tier at once.
-fn relay_guest() -> Arc<dyn NativeGuest> {
-    Arc::new(|api: &mut NativeApi<'_>| {
-        let input = api.input().to_vec();
-        let id = api.chain("bump", input);
-        let rc = api.await_call(id);
-        if rc != 0 {
-            return Ok(rc);
-        }
-        let out = api.call_output(id).map(<[u8]>::to_vec).unwrap_or_default();
-        api.write_output(&out);
-        Ok(0)
-    })
-}
-
 #[test]
 fn adding_and_removing_shards_under_chained_state_workload_loses_nothing() {
     let cluster = Arc::new(Cluster::with_config(ClusterConfig {
@@ -84,8 +39,17 @@ fn adding_and_removing_shards_under_chained_state_workload_loses_nothing() {
         state_shards: 2,
         ..ClusterConfig::default()
     }));
-    cluster.register_native("mig", "bump", bump_guest(), false);
-    cluster.register_native("mig", "relay", relay_guest(), false);
+    // `bump` increments a cross-host counter under the global write lock:
+    // the canonical stateful function, sensitive to every reshard failure
+    // mode (lost values, lost lock owners, wrong-shard reads, stale pulls).
+    // `relay` chains it, so the workload's calls cross the fabric, the
+    // scheduler and the state tier at once.
+    let options = UploadOptions::default();
+    cluster
+        .upload_fl("mig", "bump", common::BUMP, options.clone())
+        .unwrap();
+    let relay = common::relay("bump");
+    cluster.upload_fl("mig", "relay", &relay, options).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -134,7 +98,8 @@ fn adding_and_removing_shards_under_chained_state_workload_loses_nothing() {
                 while !stop.load(Ordering::Relaxed) {
                     let idx = (turn * 2 + worker) % COUNTER_KEYS as u32;
                     turn += 1;
-                    let r = cluster.invoke("mig", "relay", idx.to_le_bytes().to_vec());
+                    let key = format!("chain:{idx}");
+                    let r = cluster.invoke("mig", "relay", key.into_bytes());
                     assert_eq!(
                         r.return_code(),
                         0,

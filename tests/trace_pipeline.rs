@@ -5,26 +5,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use faasm::core::{Cluster, ClusterConfig, NativeApi, NativeGuest};
+use faasm::core::{Cluster, ClusterConfig, UploadOptions};
 use faasm::gateway::{Gateway, GatewayConfig, GatewayStatus};
 use faasm::telemetry::{Clock, SpanKind, SpanRecord};
 
-/// Read-modify-write a shared accumulator and push it: one global-tier
-/// round trip per call, so the trace has state spans to link.
-fn state_guest() -> Arc<dyn NativeGuest> {
-    Arc::new(|api: &mut NativeApi<'_>| {
-        let entry = api.state("trace:acc", 64).map_err(faasm::fvm::Trap::host)?;
-        let mut buf = [0u8; 8];
-        entry.read(0, &mut buf).map_err(faasm::fvm::Trap::host)?;
-        let v = u64::from_le_bytes(buf).wrapping_add(1);
-        entry
-            .write(0, &v.to_le_bytes())
-            .map_err(faasm::fvm::Trap::host)?;
-        entry.push().map_err(faasm::fvm::Trap::host)?;
-        api.write_output(&v.to_le_bytes());
-        Ok(0)
-    })
-}
+mod common;
 
 /// On a real clock and on a manual one that never moves (every span then
 /// starts and ends at 0, and each still has to be recorded).
@@ -41,7 +26,12 @@ fn check_span_tree(clock: Clock) {
         ..ClusterConfig::default()
     };
     let cluster = Arc::new(Cluster::with_clock(config, clock));
-    cluster.register_native("tracer", "bump", state_guest(), false);
+    // Read-modify-write a shared accumulator and push it: one global-tier
+    // round trip per call, so the trace has state spans to link.
+    let options = UploadOptions::default();
+    cluster
+        .upload_fl("tracer", "bump", common::ACCUMULATE, options)
+        .unwrap();
     let gw = Gateway::start(Arc::clone(&cluster), GatewayConfig::default());
 
     let (resp, trace_id) = gw.call_traced("tracer", "bump", vec![1]);
