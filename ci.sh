@@ -332,6 +332,12 @@ gates=(
     'tests@whole examples@whole crates/core/src/cluster.rs@testonly crates/core/src/instance.rs@outside_native_replica_test'
     'a native test guest is back; write it in FL (tests/common has one per shape) and upload it with Cluster::upload_fl'
 
+    # Configuration is what a deployment chooses: a value no deployment
+    # sets is a constant, not a knob only tests move.
+    'Gateway(Server|Client)Config|Gateway(Server|Client)::with_config|invoke_timeout|http_overhead_bytes|backlog_high|max_warm'
+    'crates@whole src@whole tests@whole examples@whole'
+    'a test-only config knob is back; the wire MTU is faasm_net::DEFAULT_MTU, the pending-bytes cap MAX_PENDING_BYTES (gateway server.rs), the invoke timeout faasm_core::INVOKE_TIMEOUT, the HTTP framing HTTP_OVERHEAD_BYTES (baseline container.rs), the autoscaler thresholds BACKLOG_HIGH and MAX_WARM (gateway autoscale.rs)'
+
     # The paper's results are checked, not printed.
     'faasm_bench|criterion::|NetModel'
     'crates@whole src@whole tests@whole examples@whole'

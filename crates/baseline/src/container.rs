@@ -28,6 +28,10 @@ use parking_lot::Mutex;
 use crate::image::{materialise_container, pull_image, ImageConfig};
 use crate::platform::BaselineConfig;
 
+/// Bytes of HTTP framing a container function's call carries on every hop
+/// (request and result alike).
+const HTTP_OVERHEAD_BYTES: usize = 256;
+
 /// Chained-call routing for containers: the runtime's own router trait. On
 /// a cluster it is the container's host instance, which places the call as
 /// it places a Faaslet's and frames every hop of it in HTTP.
@@ -372,7 +376,7 @@ impl ContainerCode for ContainerFn {
     }
 
     fn http_overhead(&self) -> usize {
-        self.containers.config.http_overhead_bytes
+        HTTP_OVERHEAD_BYTES
     }
 }
 

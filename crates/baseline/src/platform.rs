@@ -11,7 +11,6 @@
 //! hop of a call carries HTTP framing.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use faasm_core::{Cluster, ClusterConfig, FaasmInstance, FunctionDef, GuestCode, InstanceConfig};
 
@@ -29,10 +28,6 @@ pub struct BaselineConfig {
     pub image: ImageConfig,
     /// Per-host memory budget; cold starts beyond it fail (OOM).
     pub host_memory_limit: usize,
-    /// Extra bytes charged per gateway hop (HTTP framing).
-    pub http_overhead_bytes: usize,
-    /// Synchronous invoke timeout.
-    pub invoke_timeout: Duration,
 }
 
 impl Default for BaselineConfig {
@@ -42,8 +37,6 @@ impl Default for BaselineConfig {
             workers: 4,
             image: ImageConfig::default(),
             host_memory_limit: 2 * 1024 * 1024 * 1024,
-            http_overhead_bytes: 256,
-            invoke_timeout: Duration::from_secs(60),
         }
     }
 }
@@ -80,7 +73,6 @@ impl BaselinePlatform {
                 workers: config.workers,
                 ..InstanceConfig::default()
             },
-            invoke_timeout: config.invoke_timeout,
             ..ClusterConfig::default()
         });
         publish_image(cluster.object_store(), &config.image);
@@ -128,7 +120,7 @@ mod tests {
     use super::*;
     use crate::container::ContainerApi;
     use faasm_core::CallStatus;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     fn echo_guest() -> Arc<dyn ContainerGuest> {
         Arc::new(|api: &mut ContainerApi<'_>| {

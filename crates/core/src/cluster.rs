@@ -46,8 +46,6 @@ pub struct ClusterConfig {
     pub replication_factor: usize,
     /// Per-instance configuration.
     pub instance: InstanceConfig,
-    /// Default timeout for synchronous invocations.
-    pub invoke_timeout: Duration,
     /// Per-instance function-side state cache budget in bytes; 0 disables
     /// caching entirely (every read rides the wire — the pre-cache
     /// behaviour, and the default).
@@ -64,7 +62,6 @@ impl Default for ClusterConfig {
             state_shards: 1,
             replication_factor: 1,
             instance: InstanceConfig::default(),
-            invoke_timeout: Duration::from_secs(60),
             cache_bytes: 0,
             default_consistency: faasm_kvs::Consistency::ReadYourWrites,
         }
@@ -74,25 +71,17 @@ impl Default for ClusterConfig {
 /// KVS server worker threads per state shard.
 const KVS_WORKERS: usize = 2;
 
-/// Options for uploading a function.
-#[derive(Debug, Clone)]
+/// How long [`Cluster::invoke`] and [`Cluster::await_result`] wait for a
+/// call before answering it with an error.
+pub const INVOKE_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Options for uploading a function. An upload's entry export is `main`,
+/// and its Faaslets are reset from the Proto-Faaslet after every call
+/// (§5.2).
+#[derive(Debug, Clone, Default)]
 pub struct UploadOptions {
-    /// Entry export (default `main`).
-    pub entry: String,
     /// Initialisation export run before the Proto-Faaslet snapshot.
     pub init: Option<String>,
-    /// Reset from the proto after every call.
-    pub reset_after_call: bool,
-}
-
-impl Default for UploadOptions {
-    fn default() -> UploadOptions {
-        UploadOptions {
-            entry: "main".into(),
-            init: None,
-            reset_after_call: true,
-        }
-    }
 }
 
 /// A running FAASM cluster.
@@ -118,7 +107,6 @@ pub struct Cluster {
     gateway_pending: Arc<PendingMap<CallResult>>,
     driver_kv: SharedKv,
     call_seq: Arc<AtomicU64>,
-    invoke_timeout: Duration,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -279,7 +267,6 @@ impl Cluster {
             gateway_pending: Arc::new(PendingMap::default()),
             driver_kv,
             call_seq,
-            invoke_timeout: config.invoke_timeout,
         }
     }
 
@@ -321,9 +308,9 @@ impl Cluster {
             function,
             FunctionDef {
                 code: GuestCode::Fvm(object),
-                entry: options.entry,
+                entry: "main".into(),
                 init: options.init,
-                reset_after_call: options.reset_after_call,
+                reset_after_call: true,
             },
         )
     }
@@ -423,7 +410,7 @@ impl Cluster {
     /// Wait for an asynchronous invocation.
     pub fn await_result(&self, id: CallId) -> CallResult {
         self.gateway_pending
-            .wait(id.0, self.invoke_timeout)
+            .wait(id.0, INVOKE_TIMEOUT)
             .unwrap_or_else(|| CallResult::error(id, "invocation timed out"))
     }
 
@@ -1522,7 +1509,6 @@ pub(crate) mod tests {
         let cluster = Cluster::new(2);
         let options = UploadOptions {
             init: Some("init".into()),
-            ..UploadOptions::default()
         };
         cluster.upload_fl("u", "storm", STORM, options).unwrap();
         let a = &cluster.instances()[0];
@@ -1561,7 +1547,6 @@ pub(crate) mod tests {
         let cluster = Cluster::new(2);
         let options = || UploadOptions {
             init: Some("init".into()),
-            ..UploadOptions::default()
         };
         let run = |host: &FaasmInstance| {
             let id = host.submit_placed("u", "storm", vec![1]);

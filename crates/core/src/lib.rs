@@ -68,7 +68,7 @@ pub mod rng;
 pub mod snapdist;
 
 pub use cgroup::{CgroupCpu, CgroupShare};
-pub use cluster::{Cluster, ClusterConfig, UploadOptions};
+pub use cluster::{Cluster, ClusterConfig, UploadOptions, INVOKE_TIMEOUT};
 pub use ctx::{ChainRouter, FaasletCtx, NativeApi, NoChain};
 pub use error::CoreError;
 pub use faaslet::{EgressLimit, Faaslet, FaasletEnv, NATIVE_BASE_BYTES};

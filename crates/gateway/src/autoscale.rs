@@ -17,11 +17,6 @@ use faasm_sched::{entry_for, Candidate, SchedBoards};
 /// Autoscaler tuning.
 #[derive(Debug, Clone)]
 pub struct AutoscaleConfig {
-    /// Backlog (queued requests for one function) above which Faaslets are
-    /// pre-warmed.
-    pub backlog_high: usize,
-    /// Hard cap on pooled Faaslets per function across the cluster.
-    pub max_warm: usize,
     /// Global-tier scale-up trigger: when the KVS ops served per shard in
     /// one sampling interval exceed this, the autoscaler adds a state
     /// shard live (`Cluster::add_state_shard`, Cloudburst-style storage
@@ -34,8 +29,6 @@ pub struct AutoscaleConfig {
 impl Default for AutoscaleConfig {
     fn default() -> AutoscaleConfig {
         AutoscaleConfig {
-            backlog_high: 4,
-            max_warm: 64,
             tier_ops_high: None,
             tier_max_shards: 8,
         }
@@ -44,6 +37,13 @@ impl Default for AutoscaleConfig {
 
 /// The autoscaler's sampling period (real time: the wait between ticks).
 pub const INTERVAL: Duration = Duration::from_millis(10);
+
+/// Backlog (queued requests for one function) above which Faaslets are
+/// pre-warmed.
+pub(crate) const BACKLOG_HIGH: usize = 4;
+
+/// Hard cap on pooled Faaslets per function across the cluster.
+pub(crate) const MAX_WARM: usize = 64;
 
 /// Faaslets pre-warmed per backlog trigger.
 pub(crate) const SCALE_STEP: usize = 2;
@@ -142,7 +142,6 @@ mod tests {
         let cfg = AutoscaleConfig {
             tier_ops_high: Some(100),
             tier_max_shards: 4,
-            ..AutoscaleConfig::default()
         };
         // Below the per-shard threshold: no scale.
         assert!(!tier_scale_wanted(150, 2, &cfg));

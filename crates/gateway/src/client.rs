@@ -15,27 +15,11 @@ use std::time::Duration;
 
 use faasm_core::PendingMap;
 use faasm_net::stream::{decode_stream_msg, StreamConn, StreamKind};
-use faasm_net::{HostId, NetError, Nic};
+use faasm_net::{HostId, NetError, Nic, DEFAULT_MTU};
 
 use crate::codec::{self, FrameBuf, GatewayRequest, OversizedFrame};
 use crate::gateway::WAIT_TIMEOUT;
 use crate::response::GatewayResponse;
-
-/// Gateway client construction parameters.
-#[derive(Debug, Clone)]
-pub struct GatewayClientConfig {
-    /// Fragmentation size for request frames (small values exercise
-    /// reassembly; the default mimics an Ethernet MTU).
-    pub mtu: usize,
-}
-
-impl Default for GatewayClientConfig {
-    fn default() -> GatewayClientConfig {
-        GatewayClientConfig {
-            mtu: faasm_net::DEFAULT_MTU,
-        }
-    }
-}
 
 /// Why a submission could not be sent.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,26 +76,14 @@ impl std::fmt::Debug for GatewayClient {
 }
 
 impl GatewayClient {
-    /// Connect from `nic` to the gateway server at `server` with defaults.
+    /// Connect from `nic` to the gateway server at `server`; request frames
+    /// go out in [`DEFAULT_MTU`]-byte chunks.
     ///
     /// # Errors
     ///
     /// Routing errors opening the connection.
     pub fn connect(nic: Nic, server: HostId) -> Result<GatewayClient, NetError> {
-        GatewayClient::with_config(nic, server, GatewayClientConfig::default())
-    }
-
-    /// Connect with explicit parameters.
-    ///
-    /// # Errors
-    ///
-    /// Routing errors opening the connection.
-    pub fn with_config(
-        nic: Nic,
-        server: HostId,
-        config: GatewayClientConfig,
-    ) -> Result<GatewayClient, NetError> {
-        let conn = StreamConn::open(nic.clone(), server, config.mtu)?;
+        let conn = StreamConn::open(nic.clone(), server, DEFAULT_MTU)?;
         let clock = nic.recorder().clock().clone();
         let inner = Arc::new(ClientInner {
             nic,

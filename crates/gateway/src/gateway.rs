@@ -12,7 +12,8 @@ use faasm_telemetry::{Recorder, SpanKind, TraceCtx};
 use parking_lot::{Condvar, Mutex};
 
 use crate::autoscale::{
-    spread_prewarm, tier_scale_wanted, AutoscaleConfig, IDLE_TARGET, INTERVAL, SCALE_STEP,
+    spread_prewarm, tier_scale_wanted, AutoscaleConfig, BACKLOG_HIGH, IDLE_TARGET, INTERVAL,
+    MAX_WARM, SCALE_STEP,
 };
 use crate::codec::{self, GatewayRequest};
 use crate::queue::{FairQueue, Job};
@@ -830,11 +831,11 @@ impl Inner {
                     .iter()
                     .map(|i| i.warm_count(tenant, function))
                     .sum();
-                if depth > cfg.backlog_high && idle < cfg.max_warm {
+                if depth > BACKLOG_HIGH && idle < MAX_WARM {
                     // Spread the pre-warm step across the least-loaded
                     // instances (affinity-weighted, pre-staged), so calls
                     // placed on other hosts also land warm.
-                    let n = SCALE_STEP.min(cfg.max_warm - idle);
+                    let n = SCALE_STEP.min(MAX_WARM - idle);
                     let created =
                         spread_prewarm(instances, Some(self.cluster.boards()), tenant, function, n);
                     self.metrics.prewarmed.add(created as u64);

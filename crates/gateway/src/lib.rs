@@ -19,8 +19,9 @@
 //!   the same no-hidden-serialisation discipline as the KVS protocol.
 //! * **Remote ingress** ([`server`], [`client`]): a [`GatewayServer`]
 //!   attaches the gateway to a `faasm_net::Nic`, so remote hosts reach
-//!   admission over the fabric — byte-stream connections, per-connection
-//!   reassembly with a pending-bytes cap, and surgical drop of corrupt
+//!   admission over the fabric — byte-stream connections in
+//!   [`faasm_net::DEFAULT_MTU`]-byte chunks, per-connection reassembly
+//!   bounded by [`codec::MAX_FRAME`], and surgical drop of corrupt
 //!   connections. [`GatewayClient`] multiplexes async submit/wait tickets
 //!   over one connection.
 //! * **Admission control** ([`TenantPolicy`], [`queue`]): per-tenant
@@ -36,8 +37,9 @@
 //!   `Cluster::invoke` uses too.
 //! * **Autoscaler** ([`autoscale`]): watches per-function queue depth and
 //!   pre-warms Proto-Faaslet pool entries ahead of demand
-//!   ([`faasm_core::FaasmInstance::prewarm`]) or retires surplus idle
-//!   Faaslets when the backlog drains.
+//!   ([`faasm_core::FaasmInstance::prewarm`]) once a function's backlog
+//!   passes 4 queued calls, up to 64 pooled Faaslets, or retires surplus
+//!   idle Faaslets when the backlog drains.
 //! * **Metrics** ([`faasm_core::GatewayMetrics`]): p50/p99 queueing delay,
 //!   shed counts by reason, batch occupancy, autoscaler actions.
 //!
@@ -90,11 +92,11 @@ pub mod server;
 mod tenant;
 
 pub use autoscale::{spread_prewarm, tier_scale_wanted, AutoscaleConfig};
-pub use client::{ClientError, GatewayClient, GatewayClientConfig};
+pub use client::{ClientError, GatewayClient};
 pub use codec::{FrameBuf, GatewayRequest};
 pub use gateway::{
     Gateway, GatewayConfig, DEFAULT_DEADLINE, TARGET_DISPATCH_LATENCY, WAIT_TIMEOUT,
 };
 pub use response::{GatewayResponse, GatewayStatus};
-pub use server::{GatewayServer, GatewayServerConfig};
+pub use server::GatewayServer;
 pub use tenant::TenantPolicy;

@@ -4,10 +4,11 @@
 //! remote hosts reach admission through the cluster network instead of an
 //! in-process function call. Clients speak byte streams
 //! ([`faasm_net::stream`]): framed [`codec`] requests arrive fragmented and
-//! coalesced, so every connection gets its own [`FrameBuf`] reassembly with
-//! a pending-bytes cap. Corrupt streams are surgical failures — an
-//! oversized length prefix, an undecodable request or a cap overflow drops
-//! *that* connection (with a `Close` notification) and nothing else.
+//! coalesced, so every connection gets its own [`FrameBuf`] reassembly.
+//! Corrupt streams are surgical failures — an oversized length prefix, an
+//! undecodable request or a chunk that would take the buffer past
+//! [`MAX_FRAME`] plus slack drops *that* connection (with a `Close`
+//! notification) and nothing else.
 //!
 //! Requests are submitted asynchronously ([`Gateway::submit_async`]): the
 //! single service thread never blocks on execution, and responses flow back
@@ -22,37 +23,24 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use faasm_net::stream::{close_msg, data_msg, decode_stream_msg, StreamKind};
-use faasm_net::{HostId, Nic};
+use faasm_net::{HostId, Nic, DEFAULT_MTU};
 
 use crate::codec::{self, FrameBuf, MAX_FRAME};
 use crate::gateway::Gateway;
 use crate::response::GatewayResponse;
 
-/// Gateway server construction parameters.
-#[derive(Debug, Clone)]
-pub struct GatewayServerConfig {
-    /// Per-connection cap on buffered-but-unframed bytes; a connection
-    /// exceeding it is dropped (defends the reassembly buffers against
-    /// slow-drip and never-framing clients). Must be at least
-    /// `MAX_FRAME + 4` or maximum-size legal frames could never reassemble.
-    pub max_pending_bytes: usize,
-    /// Fragmentation size for responses sent back down a connection.
-    pub mtu: usize,
-}
-
-impl Default for GatewayServerConfig {
-    fn default() -> GatewayServerConfig {
-        GatewayServerConfig {
-            max_pending_bytes: MAX_FRAME + 4096,
-            mtu: faasm_net::DEFAULT_MTU,
-        }
-    }
-}
+/// Per-connection cap on buffered-but-unframed bytes: a chunk that would
+/// take a connection's reassembly buffer past it drops the connection.
+/// Complete frames leave the buffer as they arrive, so it holds at most one
+/// partial frame of under `MAX_FRAME + 4` bytes, and a legal stream sent in
+/// chunks of up to 4 093 bytes (a client sends [`DEFAULT_MTU`]) is never
+/// dropped, however slowly it arrives. `MAX_FRAME` (the length prefix
+/// check) bounds the buffer; the cap bounds one oversized chunk.
+const MAX_PENDING_BYTES: usize = MAX_FRAME + 4096;
 
 struct ServerInner {
     gateway: Arc<Gateway>,
     nic: Nic,
-    config: GatewayServerConfig,
     stop: AtomicBool,
     /// Serialises response writes: completions fire from concurrent
     /// dispatcher threads, and interleaving two multi-chunk frames on the
@@ -79,21 +67,11 @@ impl std::fmt::Debug for GatewayServer {
 }
 
 impl GatewayServer {
-    /// Start serving `gateway` on `nic` with default parameters.
+    /// Start serving `gateway` on `nic`.
     pub fn start(gateway: Arc<Gateway>, nic: Nic) -> GatewayServer {
-        GatewayServer::with_config(gateway, nic, GatewayServerConfig::default())
-    }
-
-    /// Start serving with explicit parameters.
-    pub fn with_config(
-        gateway: Arc<Gateway>,
-        nic: Nic,
-        config: GatewayServerConfig,
-    ) -> GatewayServer {
         let inner = Arc::new(ServerInner {
             gateway,
             nic,
-            config,
             stop: AtomicBool::new(false),
             send_lock: parking_lot::Mutex::new(()),
             frames_received: AtomicU64::new(0),
@@ -123,7 +101,7 @@ impl GatewayServer {
     }
 
     /// Connections dropped for protocol violations (oversized frames,
-    /// undecodable requests, pending-bytes overflow).
+    /// undecodable requests, a chunk past the pending-bytes cap).
     pub fn connections_dropped(&self) -> u64 {
         self.inner.connections_dropped.load(Ordering::Relaxed)
     }
@@ -183,7 +161,7 @@ impl ServerInner {
                 let Some(fb) = conns.get_mut(&key) else {
                     return;
                 };
-                if fb.pending_bytes() + msg.bytes.len() > self.config.max_pending_bytes {
+                if fb.pending_bytes() + msg.bytes.len() > MAX_PENDING_BYTES {
                     self.drop_conn(conns, key);
                     return;
                 }
@@ -242,7 +220,7 @@ impl ServerInner {
         // All chunks of one frame must hit the wire contiguously.
         let _atomic_frame = self.send_lock.lock();
         // Send errors mean the client host left the fabric; nothing to do.
-        for chunk in frame.chunks(self.config.mtu.max(1)) {
+        for chunk in frame.chunks(DEFAULT_MTU) {
             if self.nic.send(host, data_msg(conn, chunk)).is_err() {
                 return;
             }

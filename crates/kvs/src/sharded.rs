@@ -85,11 +85,7 @@ impl RoutingTable {
 
     /// The slot serving `key` (rank 0 of its replica set).
     pub fn primary_for(&self, key: &str) -> usize {
-        if self.dead.is_empty() {
-            shard_index_for(key, self.hosts.len())
-        } else {
-            primary_index_live(key, self.hosts.len(), &self.dead)
-        }
+        primary_index_live(key, self.hosts.len(), &self.dead)
     }
 
     /// The next epoch's table with one more slot: `host` serves it and, on
@@ -215,18 +211,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 /// servers (the ownership check behind `WrongEpoch`) and the migration
 /// planner (the epoch delta); panics if `shard_count` is zero.
 pub fn shard_index_for(key: &str, shard_count: usize) -> usize {
-    assert!(shard_count > 0, "no shards to route to");
-    let kh = fnv1a(key.as_bytes());
-    let mut best = 0usize;
-    let mut best_w = 0u64;
-    for i in 0..shard_count {
-        let w = splitmix64(kh ^ splitmix64(i as u64));
-        if i == 0 || w > best_w {
-            best = i;
-            best_w = w;
-        }
-    }
-    best
+    primary_index_live(key, shard_count, &[])
 }
 
 /// `key`'s ordered replica set: the top-`replication` shards by rendezvous
@@ -254,15 +239,15 @@ pub fn replica_set_live(
     let kh = fnv1a(key.as_bytes());
     // (weight, slot) for every live slot, ranked descending. Shard counts
     // are small (tens); a full sort of the live slots is cheaper to reason
-    // about than a partial heap and is off the per-op hot path (r == 1
-    // routing uses `shard_index_for` directly).
+    // about than a partial heap and is off the per-op hot path (rank 0
+    // alone is `primary_index_live`, which allocates nothing).
     let mut ranked: Vec<(u64, usize)> = (0..shard_count)
         .filter(|i| !dead.contains(i))
         .map(|i| (splitmix64(kh ^ splitmix64(i as u64)), i))
         .collect();
     assert!(!ranked.is_empty(), "no live shards to route to");
     // Weight descending, slot ascending on (astronomically unlikely) ties —
-    // the same tie-break as `shard_index_for`'s first-max scan.
+    // the same tie-break as `primary_index_live`'s first-max scan.
     ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     ranked.truncate(replication);
     ranked.into_iter().map(|(_, i)| i).collect()

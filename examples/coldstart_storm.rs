@@ -58,7 +58,6 @@ fn main() {
             WORK,
             UploadOptions {
                 init: Some("init".into()),
-                ..UploadOptions::default()
             },
         )
         .unwrap();

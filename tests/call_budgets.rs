@@ -167,7 +167,6 @@ fn platform(hosts: usize, workers: usize, image_bytes: usize, limit: usize) -> B
             boot_passes: 2,
         },
         host_memory_limit: limit,
-        ..BaselineConfig::default()
     })
 }
 
@@ -286,7 +285,6 @@ fn burst(rows: &mut Vec<(String, Budget, Budget)>) {
             boot_passes: 4,
         },
         host_memory_limit: 12 * MIB,
-        ..BaselineConfig::default()
     });
     let gate = Arc::new((Mutex::new(0usize), Condvar::new()));
     let arrivals = Arc::clone(&gate);
@@ -690,7 +688,6 @@ fn faasm_storm(rows: &mut Vec<(String, Cost, Pin)>) {
     l.phase("upload", STORM_UPLOAD, || {
         let options = UploadOptions {
             init: Some("init".into()),
-            ..UploadOptions::default()
         };
         cluster.upload_fl("u", "storm", STORM, options).unwrap();
     });

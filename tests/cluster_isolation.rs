@@ -37,11 +37,7 @@ fn two_clusters_chain_concurrently_without_seeing_each_other() {
         .map(|user| {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                let cluster = Cluster::with_config(ClusterConfig {
-                    hosts: 1,
-                    invoke_timeout: Duration::from_secs(20),
-                    ..ClusterConfig::default()
-                });
+                let cluster = Cluster::new(1);
                 register_chain(&cluster, user);
                 // Both clusters exist before either runs a call ...
                 barrier.wait();
@@ -73,11 +69,7 @@ fn two_clusters_driven_concurrently_count_only_their_own_work() {
         .map(|(user, calls, writes)| {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                let cluster = Cluster::with_config(ClusterConfig {
-                    hosts: 1,
-                    invoke_timeout: Duration::from_secs(20),
-                    ..ClusterConfig::default()
-                });
+                let cluster = Cluster::new(1);
                 register_chain(&cluster, user);
                 // Warm both functions, so the window holds no cold start
                 // and none of the state-tier traffic a first start costs.
@@ -158,11 +150,7 @@ fn two_clusters_built_alike_mint_the_same_ids() {
         .map(|_| {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                let cluster = Cluster::with_config(ClusterConfig {
-                    hosts: 1,
-                    invoke_timeout: Duration::from_secs(20),
-                    ..ClusterConfig::default()
-                });
+                let cluster = Cluster::new(1);
                 register_chain(&cluster, "u");
                 // Warm, untraced: a cold start's proto publish is traced
                 // state-tier work whose shard threads mint ids of their own.

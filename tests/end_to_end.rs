@@ -199,11 +199,7 @@ fn a_long_call_beside_an_idle_warm_faaslet_finishes() {
     // An idle Faaslet in the warm pool is not running: its frozen vruntime
     // must not hold the host's cgroup back once another call runs more than
     // the tolerance (1 << 22 fuel) past it.
-    let cluster = Cluster::with_config(ClusterConfig {
-        hosts: 1,
-        invoke_timeout: std::time::Duration::from_secs(3),
-        ..ClusterConfig::default()
-    });
+    let cluster = Cluster::new(1);
     let long = "int main() { int acc = 0; \
                 for (int i = 0; i < 600000; i = i + 1) { acc = acc + i; } \
                 return acc == 7; }";
@@ -246,11 +242,7 @@ fn local_state_locks_die_with_the_call_that_took_them() {
         extern void unlock_state_write(ptr int key, int key_len);
     "#;
     let key = "ptr int k = (ptr int) 64; k[0] = 0x6b;";
-    let cluster = Cluster::with_config(ClusterConfig {
-        hosts: 1,
-        invoke_timeout: std::time::Duration::from_secs(3),
-        ..ClusterConfig::default()
-    });
+    let cluster = Cluster::new(1);
     for (name, body) in [
         // Out-of-bounds store while holding the write lock.
         (
@@ -428,7 +420,6 @@ fn versioned(state: i32, code: i32, init_spins: u32) -> String {
 fn upload_versioned(cluster: &Cluster, state: i32, code: i32, init_spins: u32) {
     let options = UploadOptions {
         init: Some("init".into()),
-        ..UploadOptions::default()
     };
     cluster
         .upload_fl("it", "f", &versioned(state, code, init_spins), options)
@@ -452,18 +443,22 @@ fn call_on(inst: &Arc<faasm::core::FaasmInstance>) -> (i32, i32) {
 
 #[test]
 fn a_reupload_replaces_code_and_snapshot_on_the_warm_host_and_after_evict() {
+    use faasm::core::{FunctionDef, GuestCode};
+
     // A Faaslet kept warm without a reset between calls is replaced too.
+    // An upload always resets, so that guest is registered directly.
     for reset_after_call in [true, false] {
         let cluster = Cluster::new(1);
         let host = &cluster.instances()[0];
         let upload = |state, code| {
-            let options = UploadOptions {
+            let module = faasm::lang::compile(&versioned(state, code, 0)).unwrap();
+            let def = FunctionDef {
+                code: GuestCode::Fvm(faasm::fvm::ObjectModule::prepare(module).unwrap()),
+                entry: "main".into(),
                 init: Some("init".into()),
                 reset_after_call,
-                ..UploadOptions::default()
             };
-            let src = versioned(state, code, 0);
-            cluster.upload_fl("it", "f", &src, options).unwrap();
+            cluster.register("it", "f", def).unwrap();
         };
         upload(1, 10);
         for _ in 0..2 {

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use faasm::core::{Cluster, ClusterConfig};
 use faasm::gateway::codec::{self, GatewayRequest};
 use faasm::gateway::{
-    AutoscaleConfig, Gateway, GatewayConfig, GatewayStatus, TenantPolicy, TARGET_DISPATCH_LATENCY,
+    Gateway, GatewayConfig, GatewayStatus, TenantPolicy, TARGET_DISPATCH_LATENCY,
 };
 use faasm::telemetry::Clock;
 
@@ -519,11 +519,6 @@ fn autoscaler_prewarms_under_backlog_and_retires_when_idle() {
         GatewayConfig {
             dispatchers: 1,
             max_batch: 2,
-            autoscale: Some(AutoscaleConfig {
-                backlog_high: 2,
-                max_warm: 16,
-                ..AutoscaleConfig::default()
-            }),
             ..GatewayConfig::default()
         },
     );

@@ -8,11 +8,10 @@ use std::time::{Duration, Instant};
 use faasm::core::{Cluster, ClusterConfig};
 use faasm::gateway::codec::{self, FrameBuf, MAX_FRAME};
 use faasm::gateway::{
-    ClientError, Gateway, GatewayClient, GatewayClientConfig, GatewayConfig, GatewayServer,
-    GatewayServerConfig, GatewayStatus, WAIT_TIMEOUT,
+    ClientError, Gateway, GatewayClient, GatewayConfig, GatewayServer, GatewayStatus, WAIT_TIMEOUT,
 };
 use faasm::net::stream::{decode_stream_msg, StreamConn, StreamKind};
-use faasm::net::Nic;
+use faasm::net::{Nic, DEFAULT_MTU};
 use faasm::telemetry::Clock;
 
 mod common;
@@ -49,13 +48,9 @@ fn rig_on(cluster: Cluster) -> (Arc<Cluster>, Arc<Gateway>, GatewayServer) {
     (cluster, gateway, server)
 }
 
-fn connect(cluster: &Cluster, server: &GatewayServer, mtu: usize) -> GatewayClient {
-    GatewayClient::with_config(
-        cluster.add_fabric_host(),
-        server.host_id(),
-        GatewayClientConfig { mtu },
-    )
-    .expect("connect to gateway server")
+fn connect(cluster: &Cluster, server: &GatewayServer) -> GatewayClient {
+    GatewayClient::connect(cluster.add_fabric_host(), server.host_id())
+        .expect("connect to gateway server")
 }
 
 /// Drain one hostile NIC until the server closes the connection, returning
@@ -89,10 +84,12 @@ fn collect_until_close(nic: &Nic, conn: u64) -> Vec<Vec<u8>> {
 #[test]
 fn remote_client_matches_in_process_gateway() {
     let (cluster, gateway, server) = remote_rig(2);
-    // A deliberately tiny MTU: every frame crosses fragmented.
-    let client = connect(&cluster, &server, 7);
-    for i in 0..10u8 {
-        let input = vec![i, i + 1, i + 2];
+    let client = connect(&cluster, &server);
+    // The last request, and its echo, cross the fabric in several chunks.
+    let inputs = (0..10u8)
+        .map(|i| vec![i, i + 1, i + 2])
+        .chain([(0..3 * DEFAULT_MTU).map(|b| b as u8).collect()]);
+    for (i, input) in inputs.enumerate() {
         let remote = client.call("alice", "echo", input.clone()).unwrap();
         let local = gateway.call("alice", "echo", input.clone());
         assert_eq!(remote.status, GatewayStatus::Ok, "request {i}");
@@ -109,14 +106,14 @@ fn remote_client_matches_in_process_gateway() {
         gateway.call("bob", "fail", vec![]).status,
         GatewayStatus::Failed(7)
     );
-    assert!(server.frames_received() >= 11);
+    assert!(server.frames_received() >= 12);
     assert_eq!(server.connections_dropped(), 0);
 }
 
 #[test]
 fn async_submit_then_wait_correlates_tickets() {
     let (cluster, _gateway, server) = remote_rig(2);
-    let client = connect(&cluster, &server, 64);
+    let client = connect(&cluster, &server);
     // Fire a burst without waiting: tickets return immediately.
     let tickets: Vec<(u64, Vec<u8>)> = (0..32u8)
         .map(|i| {
@@ -136,8 +133,8 @@ fn async_submit_then_wait_correlates_tickets() {
 #[test]
 fn two_clients_multiplex_independently() {
     let (cluster, _gateway, server) = remote_rig(2);
-    let a = connect(&cluster, &server, 31);
-    let b = connect(&cluster, &server, 1400);
+    let a = connect(&cluster, &server);
+    let b = connect(&cluster, &server);
     let ta: Vec<u64> = (0..8u8)
         .map(|i| a.submit("alice", "slow", common::held(1, &[i])).unwrap())
         .collect();
@@ -160,39 +157,30 @@ fn two_clients_multiplex_independently() {
 
 #[test]
 fn fragmented_responses_from_concurrent_dispatchers_do_not_interleave() {
-    let cluster = Arc::new(Cluster::new(2));
-    cluster
-        .upload_fl("alice", "echo", ECHO, Default::default())
-        .unwrap();
-    let gateway = Arc::new(Gateway::start(
-        Arc::clone(&cluster),
-        GatewayConfig {
-            dispatchers: 4,
-            ..GatewayConfig::default()
-        },
-    ));
-    // A tiny server MTU: every response is many chunks, so concurrent
-    // completions would interleave on the wire without serialisation.
-    let server = GatewayServer::with_config(
-        Arc::clone(&gateway),
-        cluster.add_fabric_host(),
-        GatewayServerConfig {
-            mtu: 8,
-            ..GatewayServerConfig::default()
-        },
-    );
-    let client = connect(&cluster, &server, 1400);
-    let tickets: Vec<(u64, Vec<u8>)> = (0..48u8)
+    let (cluster, _gateway, server) = remote_rig(2);
+    let client = connect(&cluster, &server);
+    // Echoes held at the gate, then let through together: each response
+    // is sent from the worker that finished its call, in 141 chunks at
+    // `DEFAULT_MTU`, so concurrent completions would interleave on the
+    // wire without serialisation. Responses this long overlap on the wire;
+    // 16 KiB ones rarely do, and a server without its `send_lock` passed.
+    let tickets: Vec<(u64, Vec<u8>)> = (0..96u8)
         .map(|i| {
-            let input: Vec<u8> = (0..64).map(|b| b ^ i).collect();
-            let t = client.submit("alice", "echo", input.clone()).unwrap();
-            (t, input)
+            let payload: Vec<u8> = (0..192 * 1024).map(|b| (b as u8) ^ i).collect();
+            let t = client
+                .submit("alice", "slow", common::held(1, &payload))
+                .unwrap();
+            (t, payload)
         })
         .collect();
-    for (ticket, input) in tickets {
+    common::let_through(&cluster, 1);
+    for (ticket, payload) in tickets {
         let r = client.wait(ticket);
         assert_eq!(r.status, GatewayStatus::Ok, "ticket {ticket}");
-        assert_eq!(r.output, input, "ticket {ticket} got a corrupted response");
+        assert_eq!(
+            r.output, payload,
+            "ticket {ticket} got a corrupted response"
+        );
     }
     assert!(!client.is_closed(), "stream stayed coherent");
 }
@@ -207,7 +195,7 @@ fn abandoned_tickets_are_swept() {
         ..ClusterConfig::default()
     };
     let (cluster, gateway, server) = rig_on(Cluster::with_clock(config, clock.clone()));
-    let client = connect(&cluster, &server, 1400);
+    let client = connect(&cluster, &server);
     // Fire-and-forget: 300 submits nobody ever waits on (above the sweep
     // threshold of 256).
     for i in 0..300u32 {
@@ -242,7 +230,7 @@ fn abandoned_tickets_are_swept() {
 #[test]
 fn malformed_frame_drops_only_the_offending_connection() {
     let (cluster, _gateway, server) = remote_rig(2);
-    let good = connect(&cluster, &server, 1400);
+    let good = connect(&cluster, &server);
     // Put real work in flight on the good connection...
     let tickets: Vec<u64> = (0..8u8)
         .map(|i| good.submit("alice", "slow", common::held(1, &[i])).unwrap())
@@ -276,7 +264,7 @@ fn malformed_frame_drops_only_the_offending_connection() {
 #[test]
 fn oversized_frame_drops_only_the_offending_connection() {
     let (cluster, _gateway, server) = remote_rig(1);
-    let good = connect(&cluster, &server, 1400);
+    let good = connect(&cluster, &server);
     let tickets: Vec<u64> = (0..4u8)
         .map(|i| good.submit("alice", "slow", common::held(1, &[i])).unwrap())
         .collect();
@@ -299,40 +287,24 @@ fn oversized_frame_drops_only_the_offending_connection() {
 }
 
 #[test]
-fn pending_bytes_cap_drops_slow_drip_connections() {
-    let cluster = Arc::new(Cluster::new(1));
-    cluster
-        .upload_fl("alice", "echo", ECHO, Default::default())
-        .unwrap();
-    let gateway = Arc::new(Gateway::start(
-        Arc::clone(&cluster),
-        GatewayConfig::default(),
-    ));
-    let server = GatewayServer::with_config(
-        Arc::clone(&gateway),
-        cluster.add_fabric_host(),
-        GatewayServerConfig {
-            max_pending_bytes: 64,
-            ..GatewayServerConfig::default()
-        },
-    );
-    // A legal-size frame header (1000 bytes) but the bytes dribble in and
-    // never complete: the reassembly buffer may not grow past the cap.
+fn a_chunk_past_the_pending_bytes_cap_drops_its_connection() {
+    let (cluster, _gateway, server) = remote_rig(1);
+    // One Data message on a fresh connection, one byte past the cap of
+    // `MAX_FRAME + 4096` buffered bytes. Had the server fed it, its zero
+    // length prefixes would frame as malformed requests and get an error
+    // response before the cut.
     let hostile_nic = cluster.add_fabric_host();
-    let hostile = StreamConn::open(hostile_nic.clone(), server.host_id(), 16).unwrap();
-    let mut dribble = 1000u32.to_le_bytes().to_vec();
-    dribble.extend_from_slice(&[0; 200]);
-    hostile.send(&dribble).unwrap();
+    let chunk = MAX_FRAME + 4097;
+    let hostile = StreamConn::open(hostile_nic.clone(), server.host_id(), chunk).unwrap();
+    hostile.send(&vec![0; chunk]).unwrap();
     let frames = collect_until_close(&hostile_nic, hostile.conn_id());
-    assert!(frames.is_empty());
+    assert!(
+        frames.is_empty(),
+        "a chunk past the cap is cut without a response"
+    );
     assert_eq!(server.connections_dropped(), 1);
-    // Within-cap traffic still flows on a fresh connection.
-    let client = GatewayClient::with_config(
-        cluster.add_fabric_host(),
-        server.host_id(),
-        GatewayClientConfig { mtu: 16 },
-    )
-    .unwrap();
+    // A default client is still served.
+    let client = connect(&cluster, &server);
     let r = client.call("alice", "echo", vec![1, 2, 3]).unwrap();
     assert_eq!(r.status, GatewayStatus::Ok);
     assert_eq!(r.output, vec![1, 2, 3]);
@@ -341,7 +313,7 @@ fn pending_bytes_cap_drops_slow_drip_connections() {
 #[test]
 fn oversized_request_fails_fast_at_the_client() {
     let (cluster, _gateway, server) = remote_rig(1);
-    let client = connect(&cluster, &server, 1400);
+    let client = connect(&cluster, &server);
     let sent_before = client.nic().stats().bytes_sent();
     let err = client
         .submit("alice", "echo", vec![0u8; MAX_FRAME])
@@ -357,7 +329,7 @@ fn oversized_request_fails_fast_at_the_client() {
 #[test]
 fn client_shutdown_resolves_outstanding_waits() {
     let (cluster, _gateway, server) = remote_rig(1);
-    let client = connect(&cluster, &server, 1400);
+    let client = connect(&cluster, &server);
     let t = client
         .submit("alice", "slow", common::held(1, &[1]))
         .unwrap();

@@ -8,20 +8,21 @@
 //! every start after the first restores a Proto-Faaslet snapshot taken
 //! mid-workload (model materialised, forward passes still to come).
 
-use faasm::core::{Cluster, FunctionDef, GuestCode, UploadOptions};
+use faasm::core::{Cluster, FunctionDef, GuestCode};
 use faasm::fvm::{ExecTier, ObjectModule};
 
-/// Deploy `src` compiled for `tier`: what `Cluster::upload_fl` does, with
-/// the tier chosen here instead of fixed at lowered.
-fn deploy(c: &Cluster, tier: ExecTier, name: &str, src: &str, options: UploadOptions) {
+/// Deploy `src` compiled for `tier`, with `init` as its init export: what
+/// `Cluster::upload_fl` does, with the tier chosen here instead of fixed at
+/// lowered.
+fn deploy(c: &Cluster, tier: ExecTier, name: &str, src: &str, init: Option<&str>) {
     let bytes = faasm::fvm::encode_module(&faasm::lang::compile(src).unwrap());
     let object = ObjectModule::compile_tier(&bytes, tier).unwrap();
     assert_eq!(object.is_lowered(), tier == ExecTier::Lowered, "{tier:?}");
     let def = FunctionDef {
         code: GuestCode::Fvm(object),
-        entry: options.entry,
-        init: options.init,
-        reset_after_call: options.reset_after_call,
+        entry: "main".into(),
+        init: init.map(str::to_string),
+        reset_after_call: true,
     };
     c.register("par", name, def).unwrap();
 }
@@ -146,7 +147,7 @@ type Transcript = Vec<Vec<u8>>;
 fn run_on_both(
     name: &str,
     src: &str,
-    options: &UploadOptions,
+    init: Option<&str>,
     inputs: &[Vec<u8>],
     hosts: usize,
 ) -> (Transcript, Transcript, [(u64, u64); 2]) {
@@ -157,7 +158,7 @@ fn run_on_both(
         .enumerate()
     {
         let c = Cluster::new(hosts);
-        deploy(&c, *tier, name, src, options.clone());
+        deploy(&c, *tier, name, src, init);
         let mut transcript = Vec::new();
         for input in inputs {
             let r = c.invoke("par", name, input.clone());
@@ -181,13 +182,7 @@ fn run_on_both(
 
 #[test]
 fn matmul_bitwise_identical_across_tiers() {
-    let (interp, lowered, cpu) = run_on_both(
-        "mm",
-        MATMUL_FL,
-        &UploadOptions::default(),
-        &vec![Vec::new(); 3],
-        2,
-    );
+    let (interp, lowered, cpu) = run_on_both("mm", MATMUL_FL, None, &vec![Vec::new(); 3], 2);
     assert_eq!(interp, lowered, "tier must be invisible in answers");
     assert_eq!(interp[0].len(), 12 * 12 * 8);
     let [(i_fuel, i_instrs), (l_fuel, l_instrs)] = cpu;
@@ -239,8 +234,7 @@ fn dispatch_loops_retire_fewer_ops_lowered_for_the_same_fuel() {
                  return 0;
              }}"
         );
-        let (interp, lowered, cpu) =
-            run_on_both(name, &src, &UploadOptions::default(), &[Vec::new()], 1);
+        let (interp, lowered, cpu) = run_on_both(name, &src, None, &[Vec::new()], 1);
         assert_eq!(interp, lowered, "{name}: tier must be invisible in answers");
         let [(i_fuel, i_instrs), (l_fuel, l_instrs)] = cpu;
         assert_eq!(i_fuel, l_fuel, "{name}: identical work, identical fuel");
@@ -253,13 +247,7 @@ fn dispatch_loops_retire_fewer_ops_lowered_for_the_same_fuel() {
 
 #[test]
 fn sgd_weights_bitwise_identical_across_tiers() {
-    let (interp, lowered, _) = run_on_both(
-        "sgd",
-        SGD_FL,
-        &UploadOptions::default(),
-        &vec![Vec::new(); 2],
-        2,
-    );
+    let (interp, lowered, _) = run_on_both("sgd", SGD_FL, None, &vec![Vec::new(); 2], 2);
     assert_eq!(interp, lowered, "identical schedule, identical weights");
     assert_eq!(interp[0].len(), 16 * 8);
 }
@@ -269,10 +257,6 @@ fn inference_through_proto_restore_bitwise_identical_across_tiers() {
     // 8 calls across 2 hosts: the first start is cold (runs `init`, captures
     // the mid-workload proto), every later start on the other host restores
     // the snapshot — on both tiers.
-    let options = UploadOptions {
-        init: Some("init".into()),
-        ..UploadOptions::default()
-    };
     let inputs: Vec<Vec<u8>> = (0..8u8)
         .map(|i| {
             (0..64u8)
@@ -280,7 +264,7 @@ fn inference_through_proto_restore_bitwise_identical_across_tiers() {
                 .collect()
         })
         .collect();
-    let (interp, lowered, _) = run_on_both("infer", INFER_FL, &options, &inputs, 2);
+    let (interp, lowered, _) = run_on_both("infer", INFER_FL, Some("init"), &inputs, 2);
     assert_eq!(interp, lowered, "snapshot/restore must preserve parity");
     assert_eq!(interp[0].len(), 32);
     // Distinct inputs must actually produce distinct scores (the model is
@@ -346,7 +330,7 @@ fn dlcall_bitwise_identical_across_tiers() {
         .map(|tier| {
             let c = Cluster::new(1);
             c.object_store().put("user:par/plugin.fvm", plugin.clone());
-            deploy(&c, *tier, "dl", DLCALL_FL, UploadOptions::default());
+            deploy(&c, *tier, "dl", DLCALL_FL, None);
             inputs
                 .iter()
                 .map(|input| {

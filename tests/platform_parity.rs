@@ -202,7 +202,6 @@ fn limited_platform(
             boot_passes: 4,
         },
         host_memory_limit,
-        ..BaselineConfig::default()
     })
 }
 

@@ -299,7 +299,6 @@ fn gateway_autoscaler_adds_state_shards_under_tier_load() {
             autoscale: Some(AutoscaleConfig {
                 tier_ops_high: Some(200),
                 tier_max_shards: 3,
-                ..AutoscaleConfig::default()
             }),
             ..GatewayConfig::default()
         },
